@@ -49,12 +49,17 @@ const ENTRY_POINTS: &[(Option<&str>, &str, &str)] = &[
     (None, "try_analyze", "crates/recovery/src/"),
     (None, "max_consistent_dominated_into", "crates/rgraph/src/"),
     // The streaming daemon's ingest path: every client byte flows
-    // through `parse_request` and every parsed request through a shard's
-    // `handle_request`, so a reachable panic below either one is a
-    // remote denial-of-service. Snapshot restore (`from_stream_snapshot`)
-    // additionally consumes on-disk state that may be corrupt.
+    // through `parse_request` and every parsed request through a
+    // stripe's `handle_request`, so a reachable panic below either one
+    // is a remote denial-of-service. Requests run on the connection
+    // thread (`serve_connection` → `PoolHandle::request`), so a panic
+    // there takes a tenant's connection down and poisons its stripe.
+    // Snapshot restore (`from_stream_snapshot`) additionally consumes
+    // on-disk state that may be corrupt.
     (None, "parse_request", "crates/serve/src/"),
     (None, "handle_request", "crates/serve/src/"),
+    (Some("PoolHandle"), "request", "crates/serve/src/"),
+    (None, "serve_connection", "crates/serve/src/"),
     (
         Some("StreamEngine"),
         "from_stream_snapshot",

@@ -4,7 +4,8 @@
 //! rdt-serve [--listen ADDR | --unix PATH] [--workers N] [--snapshot PATH]
 //! ```
 //!
-//! Defaults: `--listen 127.0.0.1:7878`, `--workers 4`, no persistence.
+//! Defaults: `--listen 127.0.0.1:7878`, `--workers 4` (lock stripes of the
+//! engine pool), no persistence.
 //! The daemon prints one status line once it is accepting connections,
 //! then serves until a `{"op":"shutdown"}` frame arrives.
 

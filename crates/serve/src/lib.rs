@@ -14,17 +14,19 @@
 //! # Architecture
 //!
 //! ```text
-//!  connections (1 thread each)          shards (--workers threads)
-//!  ┌───────────────┐  parse    ┌────────────────────────────────┐
-//!  │ read line     │ ────────► │ shard = fnv1a(stream) % W      │
-//!  │ write reply   │ ◄──────── │ BTreeMap<name, StreamEngine>   │
-//!  └───────────────┘  reply    └────────────────────────────────┘
+//!  connections (1 thread each)            stripes (--workers locks)
+//!  ┌──────────────────────────┐  lock   ┌────────────────────────────────┐
+//!  │ read frames, run each    │ ──────► │ stripe = fnv1a(stream) % W     │
+//!  │ request, write replies   │ ◄────── │ Mutex<BTreeMap<name, engine>>  │
+//!  └──────────────────────────┘ unlock  └────────────────────────────────┘
 //! ```
 //!
-//! Stream requests are processed by exactly one shard thread in arrival
+//! A request runs on its connection's thread under the lock of its
+//! stream's stripe, so a stream's requests are serialised in arrival
 //! order, which makes per-stream replies deterministic for **any**
-//! worker count. Snapshot restore fans the per-stream engine rebuilds
-//! out over the deterministic work-stealing pool from `rdt-sim`.
+//! worker count. Replies are written once per drained read buffer, so
+//! clients may pipeline. Snapshot restore fans the per-stream engine
+//! rebuilds out over the deterministic work-stealing pool from `rdt-sim`.
 //!
 //! # Robustness contract
 //!

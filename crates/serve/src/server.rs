@@ -6,6 +6,14 @@
 //! structured error reply on that connection only — other tenants keep
 //! streaming.
 //!
+//! Pipelining: a client may send any number of frames before reading.
+//! The connection thread runs each request itself (under the stream's
+//! stripe lock, see [`crate::shard`]), appends the reply to one output
+//! buffer, and writes the buffer out whenever its read buffer holds no
+//! further complete frame — that is, before any read that could block —
+//! so replies leave in request order, a pipelined window costs one write,
+//! and depth 1 costs one write per reply. TCP sockets are `TCP_NODELAY`.
+//!
 //! Persistence: with `--snapshot PATH`, the daemon restores the snapshot
 //! at startup (if present), persists on the `snapshot` op, and persists
 //! again on `shutdown`. Writes are atomic (temp file + rename), so a
@@ -40,7 +48,7 @@ pub enum Endpoint {
 pub struct ServerConfig {
     /// Listening endpoint.
     pub endpoint: Endpoint,
-    /// Shard thread count (clamped to at least 1).
+    /// Stripe count of the engine pool (clamped to at least 1).
     pub workers: usize,
     /// Snapshot file for restore-at-startup / `snapshot` / shutdown
     /// persistence. `None` disables persistence.
@@ -184,24 +192,29 @@ fn dispatch_line(shared: &Shared, line: &[u8]) -> (Json, bool) {
     }
 }
 
-fn write_reply(writer: &mut Conn, reply: &Json) -> std::io::Result<()> {
-    let mut text = reply.to_string();
-    text.push('\n');
-    writer.write_all(text.as_bytes())?;
-    writer.flush()
+/// Writes the pending replies out as one `write_all` + `flush`.
+fn flush_replies(writer: &mut Conn, out: &mut Vec<u8>) -> std::io::Result<()> {
+    let written = writer.write_all(out).and_then(|()| writer.flush());
+    out.clear();
+    written
 }
 
 fn serve_connection(shared: &Shared, conn: Conn) {
-    let (read_half, mut writer) = match conn.split() {
-        Ok(halves) => halves,
-        Err(_) => return,
+    let Ok((read_half, mut writer)) = conn.split() else {
+        return;
     };
     let mut reader = BufReader::new(read_half);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+    let mut line = Vec::new();
+    // Replies rendered but not yet written, in request order.
+    let mut out = Vec::new();
+    let mut stop = false;
+    while !stop && !shared.shutdown.load(Ordering::SeqCst) {
+        // Never hold a reply across a read that could block: unless
+        // another complete frame is already buffered, write them out.
+        if !reader.buffer().contains(&b'\n') && flush_replies(&mut writer, &mut out).is_err() {
             break;
         }
-        let mut line = Vec::new();
+        line.clear();
         // Read one byte past the limit so an exactly-limit line (newline
         // included) still goes through while an oversized one is caught.
         let n = match (&mut reader)
@@ -219,55 +232,35 @@ fn serve_connection(shared: &Shared, conn: Conn) {
                 ErrorKind::Limit,
                 format!("request line longer than {MAX_LINE_BYTES} bytes"),
             );
-            let _ = write_reply(&mut writer, &error_reply(None, &e));
+            let _ = writeln!(out, "{}", error_reply(None, &e));
             break; // The stream is mid-line; resynchronizing is not safe.
         }
-        let trimmed = trim_frame(&line);
-        if trimmed.is_empty() {
+        let frame = line.trim_ascii();
+        if frame.is_empty() {
             continue;
         }
-        let (reply, stop) = dispatch_line(shared, trimmed);
-        if write_reply(&mut writer, &reply).is_err() {
-            break;
-        }
-        if stop {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.poke_accept();
-            break;
-        }
+        let reply;
+        (reply, stop) = dispatch_line(shared, frame);
+        let _ = writeln!(out, "{reply}");
     }
-}
-
-/// Strips the frame delimiter and surrounding ASCII whitespace.
-fn trim_frame(line: &[u8]) -> &[u8] {
-    let mut s = line;
-    while let Some((&b, rest)) = s.split_first() {
-        if b.is_ascii_whitespace() {
-            s = rest;
-        } else {
-            break;
-        }
+    let _ = flush_replies(&mut writer, &mut out);
+    if stop {
+        // Only now that the reply is on the wire: the accept loop wakes
+        // and the process exits under this thread.
+        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.poke_accept();
     }
-    while let Some((&b, rest)) = s.split_last() {
-        if b.is_ascii_whitespace() {
-            s = rest;
-        } else {
-            break;
-        }
-    }
-    s
 }
 
 /// A bound daemon: listener plus engine pool, ready to [`run`](Server::run).
 pub struct Server {
     listener: Listener,
-    pool: EnginePool,
     shared: Arc<Shared>,
     restored: usize,
 }
 
 impl Server {
-    /// Binds the endpoint, spawns the engine pool, and — when a snapshot
+    /// Binds the endpoint, creates the engine pool, and — when a snapshot
     /// path is configured and the file exists — restores every stream
     /// from it.
     pub fn bind(config: ServerConfig) -> Result<Server, ServeError> {
@@ -307,7 +300,6 @@ impl Server {
 
         Ok(Server {
             listener,
-            pool,
             shared: Arc::new(Shared {
                 handle,
                 snapshot_path: config.snapshot_path,
@@ -331,9 +323,9 @@ impl Server {
         }
     }
 
-    /// Accepts connections until a `shutdown` request arrives, then stops
-    /// the engine pool. Each connection gets its own thread; a connection
-    /// failing never affects the others.
+    /// Accepts connections until a `shutdown` request arrives. Each
+    /// connection gets its own thread; a connection failing never
+    /// affects the others.
     pub fn run(self) -> Result<(), ServeError> {
         let mut consecutive_errors = 0usize;
         loop {
@@ -341,7 +333,12 @@ impl Server {
                 break;
             }
             let conn = match &self.listener {
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+                Listener::Tcp(l) => l.accept().map(|(s, _)| {
+                    // Replies are written whole; Nagle would only hold
+                    // the last segment of a window back for the ACK.
+                    let _ = s.set_nodelay(true);
+                    Conn::Tcp(s)
+                }),
                 Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
             };
             match conn {
@@ -353,7 +350,6 @@ impl Server {
                 Err(_) => {
                     consecutive_errors += 1;
                     if consecutive_errors > 100 {
-                        self.pool.join();
                         return Err(admin("listener failed repeatedly; stopping"));
                     }
                 }
@@ -362,7 +358,6 @@ impl Server {
         if let Poke::Unix(path) = &self.shared.poke {
             let _ = fs::remove_file(path);
         }
-        self.pool.join();
         Ok(())
     }
 }
@@ -488,5 +483,260 @@ mod tests {
         reader.read_line(&mut reply).expect("read");
         assert!(reply.contains("stopping"), "{reply}");
         daemon.join().expect("daemon thread").expect("daemon run");
+    }
+
+    /// A daemon on a fresh endpoint of either transport, for the tests
+    /// that drive the reply buffer's edges over both.
+    struct TestDaemon {
+        thread: std::thread::JoinHandle<Result<(), ServeError>>,
+        addr: Poke,
+    }
+
+    impl TestDaemon {
+        fn boot(unix: bool, tag: &str, workers: usize) -> TestDaemon {
+            let path =
+                std::env::temp_dir().join(format!("rdt-serve-{tag}-{}.sock", std::process::id()));
+            let server = Server::bind(ServerConfig {
+                endpoint: if unix {
+                    Endpoint::Unix(path.clone())
+                } else {
+                    Endpoint::Tcp("127.0.0.1:0".to_string())
+                },
+                workers,
+                snapshot_path: None,
+            })
+            .expect("bind");
+            let addr = server.local_addr().map_or(Poke::Unix(path), Poke::Tcp);
+            TestDaemon {
+                thread: std::thread::spawn(move || server.run()),
+                addr,
+            }
+        }
+
+        /// A client connection whose reads give up after ten seconds, so
+        /// a stranded reply fails the test instead of hanging it.
+        fn connect(&self) -> (BufReader<Conn>, Conn) {
+            let timeout = Some(std::time::Duration::from_secs(10));
+            let conn = match &self.addr {
+                Poke::Tcp(addr) => {
+                    let s = TcpStream::connect(addr).expect("connect tcp");
+                    s.set_read_timeout(timeout).expect("timeout");
+                    Conn::Tcp(s)
+                }
+                Poke::Unix(path) => {
+                    let s = UnixStream::connect(path).expect("connect unix");
+                    s.set_read_timeout(timeout).expect("timeout");
+                    Conn::Unix(s)
+                }
+            };
+            let (read_half, writer) = conn.split().expect("split");
+            (BufReader::new(read_half), writer)
+        }
+
+        fn stop(self) {
+            let (mut reader, mut writer) = self.connect();
+            writer.write_all(b"{\"op\":\"shutdown\"}\n").expect("write");
+            assert!(next_reply(&mut reader).contains("stopping"));
+            self.thread
+                .join()
+                .expect("daemon thread")
+                .expect("daemon run");
+        }
+    }
+
+    fn half_close(writer: &Conn) {
+        match writer {
+            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
+            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Write),
+        }
+        .expect("shutdown(Write)");
+    }
+
+    fn next_reply(reader: &mut BufReader<Conn>) -> String {
+        let mut reply = String::new();
+        reader
+            .read_line(&mut reply)
+            .expect("a reply within the timeout");
+        reply.trim_end().to_string()
+    }
+
+    /// Everything the daemon sends until it closes the connection.
+    fn replies_until_eof(reader: &mut BufReader<Conn>) -> Vec<String> {
+        let mut text = String::new();
+        reader.read_to_string(&mut text).expect("read to EOF");
+        text.lines().map(str::to_string).collect()
+    }
+
+    const OPEN_A: &str = r#"{"op":"open","stream":"a","processes":2}"#;
+    const SEND_A: &str = r#"{"op":"event","stream":"a","type":"send","from":0,"to":1}"#;
+
+    /// Blank lines between frames and a trailing partial frame do not
+    /// strand the replies already rendered.
+    #[test]
+    fn replies_leave_before_a_blocking_read() {
+        for unix in [false, true] {
+            let daemon = TestDaemon::boot(unix, "partial", 2);
+            let (mut reader, mut writer) = daemon.connect();
+            writer
+                .write_all(format!("{OPEN_A}\n{SEND_A}\n\n{{\"op\":").as_bytes())
+                .expect("write");
+            assert!(next_reply(&mut reader).contains(r#""processes":2"#));
+            assert_eq!(next_reply(&mut reader), r#"{"ok":true,"message":0}"#);
+            writer.write_all(b"\"ping\"}\n").expect("write");
+            assert!(next_reply(&mut reader).contains("pong"));
+            daemon.stop();
+        }
+    }
+
+    /// An oversized line: the earlier replies, then the `limit` error,
+    /// then the daemon closes the connection.
+    #[test]
+    fn oversized_line_follows_the_earlier_replies() {
+        for unix in [false, true] {
+            let daemon = TestDaemon::boot(unix, "limit", 2);
+            let (mut reader, mut writer) = daemon.connect();
+            let mut bytes = format!("{OPEN_A}\n{SEND_A}\n").into_bytes();
+            // Exactly what the daemon reads before giving up, so nothing
+            // is left unread to turn its close into a reset.
+            bytes.resize(bytes.len() + MAX_LINE_BYTES + 1, b'x');
+            writer.write_all(&bytes).expect("write");
+            let replies = replies_until_eof(&mut reader);
+            assert_eq!(replies.len(), 3, "{replies:?}");
+            assert_eq!(replies[1], r#"{"ok":true,"message":0}"#);
+            assert!(replies[2].contains(r#""kind":"limit""#), "{}", replies[2]);
+            daemon.stop();
+        }
+    }
+
+    /// N pipelined frames, then the client shuts its write half down:
+    /// N replies, then EOF.
+    #[test]
+    fn half_close_still_yields_every_reply() {
+        for unix in [false, true] {
+            let daemon = TestDaemon::boot(unix, "halfclose", 2);
+            let (mut reader, mut writer) = daemon.connect();
+            let frames = format!("{OPEN_A}\n") + &format!("{SEND_A}\n").repeat(40);
+            writer.write_all(frames.as_bytes()).expect("write");
+            half_close(&writer);
+            let replies = replies_until_eof(&mut reader);
+            assert_eq!(replies.len(), 41);
+            assert_eq!(replies[40], r#"{"ok":true,"message":39}"#);
+            daemon.stop();
+        }
+    }
+
+    /// `shutdown` at the end of a pipelined window: every reply of the
+    /// window and the `stopping` reply arrive, and the daemon exits.
+    #[test]
+    fn shutdown_reply_is_flushed_with_the_window() {
+        for unix in [false, true] {
+            let daemon = TestDaemon::boot(unix, "shutdown", 2);
+            let (mut reader, mut writer) = daemon.connect();
+            writer
+                .write_all(format!("{OPEN_A}\n{SEND_A}\n{{\"op\":\"shutdown\"}}\n").as_bytes())
+                .expect("write");
+            let replies = replies_until_eof(&mut reader);
+            assert_eq!(replies.len(), 3, "{replies:?}");
+            assert!(replies[2].contains("stopping"), "{}", replies[2]);
+            daemon
+                .thread
+                .join()
+                .expect("daemon thread")
+                .expect("daemon run");
+        }
+    }
+
+    /// A two-tenant session with malformed frames, rejected events,
+    /// queries, `streams`, compaction and a close.
+    fn pipelining_session() -> Vec<String> {
+        let event = |stream: &str, body: String| {
+            format!(r#"{{"op":"event","stream":"{stream}","type":{body}}}"#)
+        };
+        let mut lines = vec![
+            r#"{"op":"open","stream":"a","processes":3}"#.to_string(),
+            r#"{"op":"open","stream":"b","processes":2}"#.to_string(),
+        ];
+        for k in 0..120usize {
+            lines.push(event(
+                "a",
+                format!(r#""send","from":{},"to":{}"#, k % 3, (k + 1) % 3),
+            ));
+            if k >= 2 {
+                lines.push(event("a", format!(r#""deliver","message":{}"#, k - 2)));
+            }
+            if k % 4 == 0 {
+                lines.push(event(
+                    "a",
+                    format!(r#""checkpoint","process":{}"#, (k / 4) % 3),
+                ));
+                lines.push(event("b", format!(r#""checkpoint","process":{}"#, k % 2)));
+            }
+            if k % 7 == 0 {
+                lines.push("this is not json".to_string());
+                lines.push(event("b", r#""deliver","message":999"#.to_string()));
+            }
+            if k % 10 == 0 {
+                lines.push(r#"{"op":"query","stream":"a","what":"recovery-line"}"#.to_string());
+                lines.push(r#"{"op":"query","stream":"a","what":"untrackable"}"#.to_string());
+                lines.push(r#"{"op":"streams"}"#.to_string());
+            }
+        }
+        lines.extend(
+            [
+                r#"{"op":"compact","stream":"a"}"#,
+                r#"{"op":"close","stream":"b"}"#,
+                r#"{"op":"query","stream":"b","what":"untrackable"}"#,
+                r#"{"op":"query","stream":"a","what":"recovery-line"}"#,
+                r#"{"op":"ping"}"#,
+            ]
+            .map(str::to_string),
+        );
+        lines
+    }
+
+    /// All frames in one write give the transcript one frame at a time
+    /// gives, for any worker count, over both transports.
+    #[test]
+    fn pipelined_transcript_equals_depth_one() {
+        let lines = pipelining_session();
+        let daemon = TestDaemon::boot(false, "depth1", 1);
+        let (mut reader, mut writer) = daemon.connect();
+        let depth_one: Vec<String> = lines
+            .iter()
+            .map(|line| {
+                writer
+                    .write_all(format!("{line}\n").as_bytes())
+                    .expect("write");
+                next_reply(&mut reader)
+            })
+            .collect();
+        daemon.stop();
+        assert_eq!(depth_one.len(), lines.len());
+        assert!(depth_one.iter().any(|r| r.contains(r#""kind":"parse""#)));
+        assert!(depth_one.iter().any(|r| r.contains(r#""kind":"event""#)));
+
+        let all_frames = lines.join("\n") + "\n";
+        for (unix, workers) in [
+            (false, 1),
+            (false, 2),
+            (false, 5),
+            (true, 1),
+            (true, 2),
+            (true, 5),
+        ] {
+            let daemon = TestDaemon::boot(unix, &format!("pipelined{workers}"), workers);
+            let (mut reader, mut writer) = daemon.connect();
+            // Written from a second thread: the session is larger than
+            // a socket buffer may be, so replies must be read meanwhile.
+            let pipelined = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    writer.write_all(all_frames.as_bytes()).expect("write");
+                    half_close(&writer);
+                });
+                replies_until_eof(&mut reader)
+            });
+            assert_eq!(pipelined, depth_one, "unix {unix}, workers {workers}");
+            daemon.stop();
+        }
     }
 }

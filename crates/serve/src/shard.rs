@@ -1,24 +1,27 @@
-//! The sharded engine pool.
+//! The lock-striped engine pool.
 //!
-//! Streams are partitioned over `workers` shard threads by an FNV-1a
-//! hash of the stream name; each shard thread exclusively owns the
-//! engines of its streams in a `BTreeMap` and processes their requests
-//! in arrival order. That gives the determinism contract for free: a
-//! stream's replies depend only on the order of its own requests — never
-//! on the worker count or on what other tenants do — so replaying a
-//! session against a 1-shard and an N-shard pool yields byte-identical
-//! per-stream replies.
+//! Streams are partitioned over `workers` *stripes* by an FNV-1a hash of
+//! the stream name; each stripe is a `Mutex<BTreeMap<name, StreamEngine>>`
+//! and a request runs on the thread that submitted it, under its
+//! stripe's lock — no shard threads, no hand-off. The determinism
+//! contract is unchanged: a stream's replies depend only on the order of
+//! its own requests — never on the stripe count or on what other tenants
+//! do. One connection executes its frames in order on one thread, and
+//! across connections the stripe lock serialises a stream's requests, so
+//! replaying a session against a 1-stripe and an N-stripe pool yields
+//! byte-identical per-stream replies. A long request (compaction, a
+//! snapshot, which locks one stripe at a time) delays only requests of
+//! the same stripe.
 //!
 //! Snapshot restore reuses the deterministic work-stealing pool
 //! ([`rdt_sim::parallel_map_indexed`]) to rebuild many engines in
 //! parallel: results come back in item order, so the restored daemon is
 //! identical for any `--workers` count there too.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rdt_json::Json;
 use rdt_sim::parallel_map_indexed;
@@ -32,24 +35,6 @@ pub const POOL_SNAPSHOT_FORMAT: &str = "rdt-serve-snapshot";
 /// Daemon snapshot format version.
 pub const POOL_SNAPSHOT_VERSION: u64 = 1;
 
-enum ShardMsg {
-    /// A stream-scoped request; the shard replies with the wire JSON.
-    Handle { req: Request, reply: Sender<Json> },
-    /// Collect `(name, stream snapshot)` for every stream of the shard.
-    SnapshotAll { reply: Sender<Vec<(String, Json)>> },
-    /// Collect the shard's stream names.
-    List { reply: Sender<Vec<String>> },
-    /// Install a restored stream (restore path). The engine is boxed to
-    /// keep the message enum small for the common `Handle` case.
-    Install {
-        name: String,
-        engine: Box<StreamEngine>,
-        reply: Sender<Result<(), ServeError>>,
-    },
-    /// Drain and exit.
-    Stop,
-}
-
 /// FNV-1a 64-bit — stable across platforms, so shard assignment (and
 /// with it any shard-local observable) is reproducible everywhere.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -61,11 +46,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The stripe a stream lives on, of `stripes` (at least one).
+fn stripe_index(stream: &str, stripes: usize) -> usize {
+    (fnv1a(stream.as_bytes()) % stripes as u64) as usize
+}
+
 fn admin_reply(stream: Option<&str>, message: impl Into<String>) -> Json {
     error_reply(stream, &ServeError::new(ErrorKind::Admin, message))
 }
 
-/// Processes one stream-scoped request against the shard's engines. This
+/// Processes one stream-scoped request against a stripe's engines. This
 /// is the daemon's ingest heart: it must never panic on any input, which
 /// the `panic-reachability` lint enforces statically from this entry
 /// point.
@@ -109,7 +99,7 @@ pub fn handle_request(streams: &mut BTreeMap<String, StreamEngine>, req: &Reques
                 unknown_stream(stream)
             }
         }
-        // Daemon-scoped ops never reach a shard; answer defensively
+        // Daemon-scoped ops never reach a stripe; answer defensively
         // rather than panicking.
         Request::Streams | Request::Snapshot | Request::Ping | Request::Shutdown => {
             admin_reply(None, "daemon-scoped request routed to a shard")
@@ -124,83 +114,52 @@ fn unknown_stream(stream: &str) -> Json {
     )
 }
 
-fn shard_main(rx: std::sync::mpsc::Receiver<ShardMsg>) {
-    let mut streams: BTreeMap<String, StreamEngine> = BTreeMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Handle { req, reply } => {
-                // A dropped reply sender means the requesting connection
-                // went away; the work is already done either way.
-                let _ = reply.send(handle_request(&mut streams, &req));
-            }
-            ShardMsg::SnapshotAll { reply } => {
-                let docs = streams
-                    .iter()
-                    .map(|(name, engine)| (name.clone(), engine.stream_snapshot(name)))
-                    .collect();
-                let _ = reply.send(docs);
-            }
-            ShardMsg::List { reply } => {
-                let _ = reply.send(streams.keys().cloned().collect());
-            }
-            ShardMsg::Install {
-                name,
-                engine,
-                reply,
-            } => {
-                let result = match streams.entry(name) {
-                    std::collections::btree_map::Entry::Occupied(slot) => Err(ServeError::new(
-                        ErrorKind::Admin,
-                        format!("snapshot names stream `{}` twice", slot.key()),
-                    )),
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(*engine);
-                        Ok(())
-                    }
-                };
-                let _ = reply.send(result);
-            }
-            ShardMsg::Stop => break,
-        }
-    }
+type Stripe = Mutex<BTreeMap<String, StreamEngine>>;
+
+/// A poisoned stripe (a request panicked under its lock) is out of
+/// service: its streams answer in-band with this error, other stripes
+/// keep serving.
+fn not_running() -> ServeError {
+    ServeError::new(ErrorKind::Admin, "shard is not running")
 }
 
-/// A cloneable handle to the pool: what connection threads use to submit
-/// requests.
+/// A cloneable handle to the pool: what connection threads submit
+/// requests through.
 #[derive(Clone)]
 pub struct PoolHandle {
-    shards: Vec<Sender<ShardMsg>>,
+    stripes: Arc<[Stripe]>,
     open_streams: Arc<AtomicUsize>,
 }
 
 impl PoolHandle {
-    fn shard_of(&self, stream: &str) -> &Sender<ShardMsg> {
-        let i = (fnv1a(stream.as_bytes()) % self.shards.len() as u64) as usize;
-        &self.shards[i]
+    fn lock_stripe_of(
+        &self,
+        stream: &str,
+    ) -> Result<MutexGuard<'_, BTreeMap<String, StreamEngine>>, ServeError> {
+        let i = stripe_index(stream, self.stripes.len());
+        self.stripes[i].lock().map_err(|_| not_running())
     }
 
-    /// Submits one stream-scoped request and waits for the shard's reply.
-    /// Daemon-scoped requests ([`Request::Streams`] aside) are the
-    /// server's job; submitting one here yields an admin error reply.
+    /// Runs one stream-scoped request on the calling thread, under the
+    /// lock of the stream's stripe. Daemon-scoped requests
+    /// ([`Request::Streams`] aside) are the server's job; submitting one
+    /// here yields an admin error reply.
     pub fn request(&self, req: Request) -> Json {
-        let stream = match req.stream() {
-            Some(name) => name.to_string(),
-            None => {
-                if let Request::Streams = req {
-                    return ok_reply(vec![("streams", self.stream_names())]);
-                }
-                return admin_reply(None, "request is handled by the server, not the pool");
+        let Some(stream) = req.stream() else {
+            if let Request::Streams = req {
+                return ok_reply(vec![("streams", self.stream_names())]);
             }
+            return admin_reply(None, "request is handled by the server, not the pool");
         };
 
         // Global stream accounting. The count is reserved before the
-        // open and released if the shard rejects it, so the bound holds
+        // open and released if the stripe rejects it, so the bound holds
         // under concurrent opens.
         let opening = matches!(req, Request::Open { .. });
         if opening && self.open_streams.fetch_add(1, Ordering::SeqCst) >= MAX_STREAMS {
             self.open_streams.fetch_sub(1, Ordering::SeqCst);
             return error_reply(
-                Some(&stream),
+                Some(stream),
                 &ServeError::new(
                     ErrorKind::Limit,
                     format!("stream limit of {MAX_STREAMS} reached"),
@@ -209,16 +168,9 @@ impl PoolHandle {
         }
         let closing = matches!(req, Request::Close { .. });
 
-        let (tx, rx) = channel();
-        let sent = self
-            .shard_of(&stream)
-            .send(ShardMsg::Handle { req, reply: tx });
-        let reply = match sent {
-            Ok(()) => match rx.recv() {
-                Ok(reply) => reply,
-                Err(_) => admin_reply(Some(&stream), "shard is not running"),
-            },
-            Err(_) => admin_reply(Some(&stream), "shard is not running"),
+        let reply = match self.lock_stripe_of(stream) {
+            Ok(mut streams) => handle_request(&mut streams, &req),
+            Err(e) => error_reply(Some(stream), &e),
         };
         let succeeded = reply.get("ok") == Some(&Json::Bool(true));
         if (opening && !succeeded) || (closing && succeeded) {
@@ -229,30 +181,26 @@ impl PoolHandle {
 
     fn stream_names(&self) -> Json {
         let mut names: Vec<String> = Vec::new();
-        for shard in &self.shards {
-            let (tx, rx) = channel();
-            if shard.send(ShardMsg::List { reply: tx }).is_ok() {
-                if let Ok(batch) = rx.recv() {
-                    names.extend(batch);
-                }
+        for stripe in self.stripes.iter() {
+            if let Ok(streams) = stripe.lock() {
+                names.extend(streams.keys().cloned());
             }
         }
         names.sort();
         Json::Arr(names.into_iter().map(Json::Str).collect())
     }
 
-    /// Builds the daemon snapshot document: every stream of every shard,
-    /// sorted by name so the document is identical for any worker count.
+    /// Builds the daemon snapshot document: every stream of every stripe
+    /// (locked one at a time), sorted by name so the document is
+    /// identical for any worker count.
     pub fn snapshot_document(&self) -> Result<Json, ServeError> {
         let mut entries: Vec<(String, Json)> = Vec::new();
-        for shard in &self.shards {
-            let (tx, rx) = channel();
-            shard
-                .send(ShardMsg::SnapshotAll { reply: tx })
-                .map_err(|_| ServeError::new(ErrorKind::Admin, "shard is not running"))?;
+        for stripe in self.stripes.iter() {
+            let streams = stripe.lock().map_err(|_| not_running())?;
             entries.extend(
-                rx.recv()
-                    .map_err(|_| ServeError::new(ErrorKind::Admin, "shard is not running"))?,
+                streams
+                    .iter()
+                    .map(|(name, engine)| (name.clone(), engine.stream_snapshot(name))),
             );
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -268,7 +216,7 @@ impl PoolHandle {
 
     /// Restores every stream of a snapshot document into the pool.
     /// Engines are rebuilt in parallel on the deterministic work-stealing
-    /// pool, then installed into their shards; the first invalid entry
+    /// pool, then installed into their stripes; the first invalid entry
     /// aborts the restore with an [`ErrorKind::Admin`] error.
     pub fn restore_document(&self, doc: &Json, threads: usize) -> Result<usize, ServeError> {
         let admin = |m: &str| ServeError::new(ErrorKind::Admin, m);
@@ -296,16 +244,15 @@ impl PoolHandle {
         let mut installed = 0usize;
         for result in restored {
             let (name, engine) = result?;
-            let (tx, rx) = channel();
-            self.shard_of(&name)
-                .send(ShardMsg::Install {
-                    name,
-                    engine: Box::new(engine),
-                    reply: tx,
-                })
-                .map_err(|_| ServeError::new(ErrorKind::Admin, "shard is not running"))?;
-            rx.recv()
-                .map_err(|_| ServeError::new(ErrorKind::Admin, "shard is not running"))??;
+            match self.lock_stripe_of(&name)?.entry(name) {
+                Entry::Occupied(slot) => {
+                    return Err(ServeError::new(
+                        ErrorKind::Admin,
+                        format!("snapshot names stream `{}` twice", slot.key()),
+                    ));
+                }
+                Entry::Vacant(slot) => slot.insert(engine),
+            };
             installed += 1;
             self.open_streams.fetch_add(1, Ordering::SeqCst);
         }
@@ -313,37 +260,26 @@ impl PoolHandle {
     }
 }
 
-/// The pool itself: shard threads plus the handle. Dropping the pool
-/// without [`join`](EnginePool::join) detaches the shard threads; the
-/// daemon always joins on shutdown.
+/// The pool itself: the stripes, reached through its handle.
 pub struct EnginePool {
     handle: PoolHandle,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl EnginePool {
-    /// Spawns `workers` shard threads (at least one).
+    /// Creates a pool of `workers` stripes (at least one).
     pub fn new(workers: usize) -> EnginePool {
-        let workers = workers.max(1);
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            handles.push(std::thread::spawn(move || shard_main(rx)));
-        }
+        let stripes = (0..workers.max(1)).map(|_| Stripe::default()).collect();
         EnginePool {
             handle: PoolHandle {
-                shards: senders,
+                stripes,
                 open_streams: Arc::new(AtomicUsize::new(0)),
             },
-            workers: handles,
         }
     }
 
-    /// Number of shard threads.
+    /// Number of stripes.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.handle.stripes.len()
     }
 
     /// A cloneable request handle for connection threads.
@@ -351,21 +287,15 @@ impl EnginePool {
         self.handle.clone()
     }
 
-    /// Stops every shard and joins its thread.
-    pub fn join(self) {
-        for shard in &self.handle.shards {
-            let _ = shard.send(ShardMsg::Stop);
-        }
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-    }
+    /// Retires the pool. There is no thread to stop; the engines are
+    /// freed when the last handle drops.
+    pub fn join(self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::parse_request;
+    use crate::protocol::{parse_request, EventKind};
 
     fn req(line: &str) -> Request {
         parse_request(line.as_bytes()).expect("test request parses")
@@ -476,5 +406,248 @@ mod tests {
             handle2.snapshot_document().expect("snapshot").to_string()
         );
         pool2.join();
+    }
+
+    fn open(handle: &PoolHandle, stream: &str, processes: usize) -> Json {
+        handle.request(Request::Open {
+            stream: stream.to_string(),
+            processes,
+        })
+    }
+
+    fn query(handle: &PoolHandle, stream: &str, what: &str) -> String {
+        let line = format!(r#"{{"op":"query","stream":"{stream}","what":"{what}"}}"#);
+        handle.request(req(&line)).to_string()
+    }
+
+    /// Eight threads, one handle clone each, send concurrently on four
+    /// streams of one stripe and four of other stripes. Per stream the
+    /// message ids handed out are exactly `0..k`, and the engine ends up
+    /// in the state a single-threaded replay of the sends in id order
+    /// produces.
+    #[test]
+    fn concurrent_requests_serialise_per_stream() {
+        const STRIPES: usize = 5;
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 40;
+        const N: usize = 4;
+        let stripe = |name: &str| stripe_index(name, STRIPES);
+        let candidates = || (0..).map(|i| format!("s{i}"));
+        let mut streams: Vec<String> = candidates().filter(|s| stripe(s) == 0).take(4).collect();
+        for other in 1..STRIPES {
+            streams.extend(candidates().find(|s| stripe(s) == other));
+        }
+        assert_eq!(streams.len(), 8);
+
+        let pool = EnginePool::new(STRIPES);
+        for stream in &streams {
+            assert_eq!(
+                open(&pool.handle(), stream, N).get("ok"),
+                Some(&Json::Bool(true))
+            );
+        }
+        // Every thread starts on the barrier so the sends overlap.
+        let barrier = std::sync::Barrier::new(THREADS);
+        // Per thread: (stream index, message id, from, to) of every send.
+        let logs: Vec<Vec<(usize, u64, usize, usize)>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (handle, streams, barrier) = (pool.handle(), &streams, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let mut log = Vec::new();
+                        for round in 0..ROUNDS {
+                            for (s, stream) in streams.iter().enumerate() {
+                                let from = t % N;
+                                let to = (from + 1 + round % (N - 1)) % N;
+                                let reply = handle.request(Request::Event {
+                                    stream: stream.clone(),
+                                    event: EventKind::Send { from, to },
+                                });
+                                let id = reply.get("message").and_then(Json::as_u64);
+                                log.push((s, id.expect("send accepted"), from, to));
+                            }
+                        }
+                        log
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("sender thread"))
+                .collect()
+        });
+
+        let replay = EnginePool::new(1);
+        for (s, stream) in streams.iter().enumerate() {
+            let mut sends: Vec<(u64, usize, usize)> = logs
+                .iter()
+                .flatten()
+                .filter(|entry| entry.0 == s)
+                .map(|&(_, id, from, to)| (id, from, to))
+                .collect();
+            sends.sort_unstable();
+            let ids: Vec<u64> = sends.iter().map(|send| send.0).collect();
+            let expected: Vec<u64> = (0..(THREADS * ROUNDS) as u64).collect();
+            assert_eq!(ids, expected, "{stream}: gap or duplicate");
+
+            open(&replay.handle(), stream, N);
+            for &(id, from, to) in &sends {
+                let line = format!(
+                    r#"{{"op":"event","stream":"{stream}","type":"send","from":{from},"to":{to}}}"#
+                );
+                let reply = replay.handle().request(req(&line));
+                assert_eq!(reply.get("message"), Some(&Json::U64(id)));
+            }
+            // The same deliveries, checkpoints and answering sends on both
+            // sides make the final answers depend on which send got which
+            // id.
+            for handle in [pool.handle(), replay.handle()] {
+                for &(id, from, to) in &sends {
+                    let mut events = vec![EventKind::Deliver { message: id as u32 }];
+                    if id % 3 == 0 {
+                        events.push(EventKind::Checkpoint { process: from });
+                    }
+                    if id % 2 == 0 {
+                        events.push(EventKind::Send { from: to, to: from });
+                    }
+                    for event in events {
+                        let reply = handle.request(Request::Event {
+                            stream: stream.clone(),
+                            event,
+                        });
+                        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
+                    }
+                }
+            }
+            for what in ["untrackable", "recovery-line"] {
+                assert_eq!(
+                    query(&pool.handle(), stream, what),
+                    query(&replay.handle(), stream, what),
+                    "{stream}: {what}"
+                );
+            }
+        }
+        assert_eq!(
+            pool.handle()
+                .snapshot_document()
+                .expect("snapshot")
+                .to_string(),
+            replay
+                .handle()
+                .snapshot_document()
+                .expect("snapshot")
+                .to_string()
+        );
+    }
+
+    /// Concurrent opens beyond `MAX_STREAMS`: exactly the limit is
+    /// admitted, and rejected opens and successful closes give their
+    /// reservation back.
+    #[test]
+    fn stream_limit_holds_under_concurrent_opens() {
+        const THREADS: usize = 8;
+        let per_thread = MAX_STREAMS / THREADS + 25;
+        let pool = EnginePool::new(3);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let opened: Vec<Vec<String>> = std::thread::scope(|scope| {
+            let openers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (handle, barrier) = (pool.handle(), &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let mut mine = Vec::new();
+                        for i in 0..per_thread {
+                            let name = format!("t{t}-{i}");
+                            let reply = open(&handle, &name, 1);
+                            if reply.get("ok") == Some(&Json::Bool(true)) {
+                                mine.push(name);
+                            } else {
+                                let text = reply.to_string();
+                                assert!(text.contains(r#""kind":"limit""#), "{text}");
+                            }
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            openers
+                .into_iter()
+                .map(|o| o.join().expect("opener thread"))
+                .collect()
+        });
+        let handle = pool.handle();
+        let admitted: usize = opened.iter().map(Vec::len).sum();
+        assert_eq!(admitted, MAX_STREAMS);
+        assert_eq!(handle.open_streams.load(Ordering::SeqCst), MAX_STREAMS);
+
+        // A duplicate open at the limit is refused by the limit, a close
+        // frees one slot, a duplicate open below the limit is refused by
+        // the stripe and releases its reservation again.
+        let name = &opened.iter().flatten().next().expect("one stream")[..];
+        assert!(open(&handle, name, 1)
+            .to_string()
+            .contains(r#""kind":"limit""#));
+        let close = format!(r#"{{"op":"close","stream":"{name}"}}"#);
+        assert_eq!(
+            handle.request(req(&close)).get("ok"),
+            Some(&Json::Bool(true))
+        );
+        assert_eq!(
+            handle.request(req(&close)).get("ok"),
+            Some(&Json::Bool(false))
+        );
+        assert_eq!(handle.open_streams.load(Ordering::SeqCst), MAX_STREAMS - 1);
+        let other = &opened.iter().flatten().nth(1).expect("two streams")[..];
+        assert!(open(&handle, other, 1)
+            .to_string()
+            .contains(r#""kind":"stream""#));
+        assert_eq!(handle.open_streams.load(Ordering::SeqCst), MAX_STREAMS - 1);
+        assert_eq!(open(&handle, name, 1).get("ok"), Some(&Json::Bool(true)));
+        assert!(open(&handle, "one-too-many", 1)
+            .to_string()
+            .contains(r#""kind":"limit""#));
+        assert_eq!(handle.open_streams.load(Ordering::SeqCst), MAX_STREAMS);
+    }
+
+    /// A request that panicked under a stripe's lock takes that stripe
+    /// out of service in-band; the other stripes keep serving.
+    #[test]
+    fn poisoned_stripe_answers_in_band() {
+        let pool = EnginePool::new(2);
+        let handle = pool.handle();
+        let name_on = |i: usize| {
+            (0..)
+                .map(|k| format!("s{k}"))
+                .find(|s| stripe_index(s, 2) == i)
+                .expect("a name per stripe")
+        };
+        let (dead, alive) = (name_on(0), name_on(1));
+        for name in [&dead, &alive] {
+            assert_eq!(open(&handle, name, 2).get("ok"), Some(&Json::Bool(true)));
+        }
+        let poisoner = handle.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = poisoner.stripes[0].lock().expect("first lock");
+            panic!("poisoning stripe 0 on purpose");
+        })
+        .join();
+        assert!(panicked.is_err());
+
+        let reply = query(&handle, &dead, "untrackable");
+        assert!(reply.contains(r#""kind":"admin""#), "{reply}");
+        assert!(reply.contains("shard is not running"), "{reply}");
+        assert_eq!(
+            query(&handle, &alive, "untrackable"),
+            r#"{"ok":true,"untrackable":0}"#
+        );
+        assert_eq!(
+            handle.request(Request::Streams).to_string(),
+            format!(r#"{{"ok":true,"streams":["{alive}"]}}"#)
+        );
+        assert_eq!(
+            handle.snapshot_document().expect_err("poisoned").kind,
+            ErrorKind::Admin
+        );
     }
 }

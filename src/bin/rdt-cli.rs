@@ -490,63 +490,102 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-/// `rdt-cli connect`: pipe stdin lines to a running daemon and print its
-/// replies, one per line.
+/// `rdt-cli connect`: stream stdin lines to a running daemon and print
+/// its replies, one per line, in request order. Full duplex: this thread
+/// writes while a second one prints, so a piped session is pipelined and
+/// neither side ever waits on a full socket buffer.
 fn cmd_connect(flags: &HashMap<String, String>) -> ExitCode {
-    let halves: std::io::Result<(Box<dyn Write>, Box<dyn Read>)> =
-        if let Some(path) = flags.get("unix") {
-            std::os::unix::net::UnixStream::connect(path).and_then(|s| {
-                let r = s.try_clone()?;
-                Ok((Box::new(s) as Box<dyn Write>, Box::new(r) as Box<dyn Read>))
-            })
-        } else {
-            let addr = flags
-                .get("addr")
-                .cloned()
-                .unwrap_or_else(|| "127.0.0.1:7878".to_string());
-            std::net::TcpStream::connect(addr).and_then(|s| {
-                let r = s.try_clone()?;
-                Ok((Box::new(s) as Box<dyn Write>, Box::new(r) as Box<dyn Read>))
-            })
-        };
-    let (mut writer, read_half) = match halves {
-        Ok(halves) => halves,
-        Err(err) => {
-            eprintln!("connect: {err}");
-            return ExitCode::FAILURE;
-        }
+    use std::net::{Shutdown, TcpStream};
+    use std::os::unix::net::UnixStream;
+    let outcome = if let Some(path) = flags.get("unix") {
+        UnixStream::connect(path)
+            .and_then(|s| Ok((s.try_clone()?, s)))
+            .map(|(r, w)| connect_duplex(r, w, |s| s.shutdown(Shutdown::Write)))
+    } else {
+        let addr = flags.get("addr").map_or("127.0.0.1:7878", String::as_str);
+        TcpStream::connect(addr)
+            .and_then(|s| Ok((s.try_clone()?, s)))
+            .map(|(r, w)| connect_duplex(r, w, |s| s.shutdown(Shutdown::Write)))
     };
-    let mut replies = BufReader::new(read_half);
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(err) => {
-                eprintln!("connect: reading stdin: {err}");
-                return ExitCode::FAILURE;
+    outcome.unwrap_or_else(|err| {
+        eprintln!("connect: {err}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Sends every non-blank stdin line, then shuts the write half down;
+/// the daemon answers what it got and closes, which ends the printing
+/// thread. Succeeds when every line sent was answered.
+fn connect_duplex<S: Read + Write + Send>(
+    read_half: S,
+    write_half: S,
+    half_close: impl FnOnce(&S) -> std::io::Result<()>,
+) -> ExitCode {
+    const CLOSED: &str = "daemon closed the connection";
+    std::thread::scope(|scope| {
+        let printer = scope.spawn(move || {
+            let mut stdout = std::io::stdout().lock();
+            let mut replies = BufReader::new(read_half);
+            let mut reply = Vec::new();
+            let mut received = 0usize;
+            while matches!(replies.read_until(b'\n', &mut reply), Ok(n) if n > 0) {
+                if stdout.write_all(&reply).is_err() {
+                    break;
+                }
+                received += 1;
+                reply.clear();
             }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if writer
-            .write_all(format!("{line}\n").as_bytes())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            eprintln!("connect: daemon closed the connection");
-            return ExitCode::FAILURE;
-        }
-        let mut reply = String::new();
-        match replies.read_line(&mut reply) {
-            Ok(0) | Err(_) => {
-                eprintln!("connect: daemon closed the connection");
-                return ExitCode::FAILURE;
+            received
+        });
+
+        let mut input = BufReader::new(std::io::stdin().lock());
+        let mut socket = std::io::BufWriter::new(write_half);
+        let mut line = String::new();
+        let mut sent = 0usize;
+        let mut failure = None;
+        loop {
+            // As the daemon does with replies: never hold a frame back
+            // across a read that could block.
+            if !input.buffer().contains(&b'\n') && socket.flush().is_err() {
+                failure = Some(CLOSED.to_string());
+                break;
             }
-            Ok(_) => print!("{reply}"),
+            line.clear();
+            match input.read_line(&mut line) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(err) => {
+                    failure = Some(format!("reading stdin: {err}"));
+                    break;
+                }
+            }
+            if line.trim().is_empty() {
+                continue;
+            }
+            if !line.ends_with('\n') {
+                line.push('\n');
+            }
+            if socket.write_all(line.as_bytes()).is_err() {
+                failure = Some(CLOSED.to_string());
+                break;
+            }
+            sent += 1;
         }
-    }
-    ExitCode::SUCCESS
+        let _ = socket.flush();
+        // Fails only when the daemon is already gone.
+        let _ = half_close(socket.get_ref());
+        let received = printer.join().ok();
+        if failure.is_none() && received != Some(sent) {
+            failure = Some(CLOSED.to_string());
+        }
+        match failure {
+            None => ExitCode::SUCCESS,
+            Some(message) => {
+                eprintln!("connect: {message}");
+                ExitCode::FAILURE
+            }
+        }
+    })
 }
 
 fn main() -> ExitCode {
