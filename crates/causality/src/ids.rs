@@ -55,6 +55,14 @@ impl From<usize> for ProcessId {
     }
 }
 
+/// A process indexes [`BitRow`](crate::BitRow) and [`BitMatrix`](crate::BitMatrix) directly.
+impl From<ProcessId> for usize {
+    #[inline]
+    fn from(process: ProcessId) -> usize {
+        process.0
+    }
+}
+
 /// Identifier of the local checkpoint `C_{i,x}`: the `x`-th checkpoint taken
 /// by process `P_i`.
 ///

@@ -12,10 +12,10 @@
 //! * [`DependencyVector`] — Wang's *transitive dependency vector* (`TDV`),
 //!   the vector each process piggybacks so that on-line trackable rollback
 //!   dependencies can be decided with a single comparison.
-//! * [`BoolVector`], [`BoolMatrix`] — bit-packed boolean collections used
-//!   for the `sent_to`/`simple` vectors and the `causal` matrix of the BHMR
-//!   protocol; bit-packing keeps the piggyback accounting honest and the
-//!   simulation fast for large process counts.
+//! * [`bits`] — the workspace's one bit-packing module: the word format,
+//!   slice kernels over `&[u64]`, and the owned [`BitRow`] / [`BitMatrix`]
+//!   behind the protocol's `sent_to`/`simple`/`causal` and the R-graph and
+//!   zigzag closures (piggyback accounting in bits, merges word-parallel).
 //!
 //! # Example
 //!
@@ -34,14 +34,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bool_matrix;
-mod bool_vector;
+pub mod bits;
 mod dependency_vector;
 mod ids;
 mod vector_clock;
 
-pub use bool_matrix::BoolMatrix;
-pub use bool_vector::BoolVector;
+pub use bits::{BitMatrix, BitRow};
 pub use dependency_vector::DependencyVector;
 pub use ids::{CheckpointId, IntervalId, ProcessId};
 pub use vector_clock::{ClockOrdering, VectorClock};

@@ -2,7 +2,7 @@
 
 use std::cmp::Ordering;
 
-use rdt_causality::{BoolMatrix, BoolVector, CheckpointId, DependencyVector, ProcessId};
+use rdt_causality::{BitMatrix, BitRow, CheckpointId, DependencyVector, ProcessId};
 
 use crate::{
     ArrivalOutcome, CheckpointKind, CheckpointRecord, CicProtocol, PiggybackSize, ProtocolStats,
@@ -22,11 +22,11 @@ pub struct BhmrPiggyback {
     /// knowledge, all causal message chains from `C_{k,TDV[k]}` to the
     /// sender's current state are *simple* (contain no intermediate
     /// checkpoint).
-    pub simple: BoolVector,
+    pub simple: BitRow,
     /// The sender's `causal` matrix: `causal[k][l]` iff, to the sender's
     /// knowledge, there is an on-line trackable R-path from `C_{k,TDV[k]}`
     /// to `C_{l,TDV[l]}`.
-    pub causal: BoolMatrix,
+    pub causal: BitMatrix,
 }
 
 impl PiggybackSize for BhmrPiggyback {
@@ -72,9 +72,9 @@ pub struct Bhmr {
     me: ProcessId,
     n: usize,
     tdv: DependencyVector,
-    sent_to: BoolVector,
-    simple: BoolVector,
-    causal: BoolMatrix,
+    sent_to: BitRow,
+    simple: BitRow,
+    causal: BitMatrix,
     stats: ProtocolStats,
     /// Whether predicate `C1` participates in the forcing decision. Always
     /// `true` for the real protocol; [`Bhmr::weakened_c2_only`] clears it
@@ -95,17 +95,17 @@ impl Bhmr {
             me.index() < n,
             "process {me} out of range for {n} processes"
         );
-        let mut simple = BoolVector::new(n);
-        simple.set(me, true); // simple_i[i] is permanently true
+        let mut simple = BitRow::new(n);
+        simple.set(me); // simple_i[i] is permanently true
         Bhmr {
             me,
             n,
             // `initial` already encodes: all entries 0, then the initial
             // take_checkpoint increments the owner entry to 1.
             tdv: DependencyVector::initial(n, me),
-            sent_to: BoolVector::new(n),
+            sent_to: BitRow::new(n),
             simple,
-            causal: BoolMatrix::identity(n),
+            causal: BitMatrix::identity(n),
             stats: ProtocolStats::default(),
             use_c1: true,
         }
@@ -138,17 +138,17 @@ impl Bhmr {
     }
 
     /// The current `simple_i` vector.
-    pub fn simple(&self) -> &BoolVector {
+    pub fn simple(&self) -> &BitRow {
         &self.simple
     }
 
     /// The current `causal_i` matrix.
-    pub fn causal(&self) -> &BoolMatrix {
+    pub fn causal(&self) -> &BitMatrix {
         &self.causal
     }
 
     /// The current `sent_to_i` vector.
-    pub fn sent_to(&self) -> &BoolVector {
+    pub fn sent_to(&self) -> &BitRow {
         &self.sent_to
     }
 
@@ -163,8 +163,8 @@ impl Bhmr {
         self.sent_to.fill(false);
         for j in ProcessId::all(self.n) {
             if j != self.me {
-                self.simple.set(j, false);
-                self.causal.set(self.me, j, false);
+                self.simple.clear(j);
+                self.causal.set_to(self.me, j, false);
             }
         }
         self.tdv.increment_owner();
@@ -223,7 +223,7 @@ impl CicProtocol for Bhmr {
 
     fn before_send(&mut self, dest: ProcessId) -> SendOutcome<BhmrPiggyback> {
         // Statement S1 of Figure 6.
-        self.sent_to.set(dest, true);
+        self.sent_to.set(dest);
         let piggyback = BhmrPiggyback {
             tdv: self.tdv.clone(),
             simple: self.simple.clone(),
@@ -256,20 +256,20 @@ impl CicProtocol for Bhmr {
                 Ordering::Less => {}
                 Ordering::Greater => {
                     self.tdv.set(k, piggyback.tdv.get(k));
-                    self.simple.set(k, piggyback.simple.get(k));
-                    self.causal.copy_row_from(k, &piggyback.causal);
+                    self.simple.set_to(k, piggyback.simple.get(k));
+                    self.causal.copy_row_from(k, &piggyback.causal, k);
                 }
                 Ordering::Equal => {
                     self.simple
-                        .set(k, self.simple.get(k) && piggyback.simple.get(k));
-                    self.causal.or_row_from(k, &piggyback.causal);
+                        .set_to(k, self.simple.get(k) && piggyback.simple.get(k));
+                    self.causal.or_row_from(k, &piggyback.causal, k);
                 }
             }
         }
         // The delivered message itself is an on-line trackable R-path from
         // the sender's current interval, and everything the sender tracked
         // now reaches us too (transitive closure through the sender).
-        self.causal.set(sender, self.me, true);
+        self.causal.set(sender, self.me);
         self.causal.or_column_into(sender, self.me);
 
         // The paper requires simple_i[i] to be permanently true; the update
@@ -303,7 +303,7 @@ mod tests {
         assert!(bhmr.causal().get(p(0), p(0)));
         assert!(bhmr.causal().get(p(1), p(1)));
         assert!(!bhmr.causal().get(p(0), p(1)));
-        assert!(bhmr.sent_to().is_all_false());
+        assert!(!bhmr.sent_to().any());
     }
 
     #[test]
@@ -316,7 +316,7 @@ mod tests {
         assert_eq!(record.kind, CheckpointKind::Basic);
         assert_eq!(record.min_consistent_gc, Some(vec![1, 0]));
         assert_eq!(bhmr.next_checkpoint_index(), 2);
-        assert!(bhmr.sent_to().is_all_false());
+        assert!(!bhmr.sent_to().any());
         assert!(!bhmr.causal().get(p(0), p(1)));
         assert!(bhmr.simple().get(p(0)), "own entry stays true");
     }
@@ -366,11 +366,11 @@ mod tests {
 
         let mut tdv = DependencyVector::initial(3, p(2));
         tdv.increment_owner(); // interval 2: a new dependency for P0
-        let mut causal = BoolMatrix::identity(3);
-        causal.set(p(2), p(1), true); // causal sibling exists
-        causal.set(p(2), p(0), true);
-        let mut simple = BoolVector::new(3);
-        simple.set(p(2), true);
+        let mut causal = BitMatrix::identity(3);
+        causal.set(p(2), p(1)); // causal sibling exists
+        causal.set(p(2), p(0));
+        let mut simple = BitRow::new(3);
+        simple.set(p(2));
         let m = BhmrPiggyback {
             tdv,
             simple,

@@ -25,6 +25,10 @@
 //!   the per-entry `simple`/`causal` merge becomes a handful of word ops
 //!   driven by *greater*/*equal* classification masks.
 //!
+//! This module owns the slab layout (which row starts where); how bits are
+//! packed into a row's words is [`rdt_causality::bits`]' decision, and every
+//! single-bit access here goes through its slice kernels.
+//!
 //! The executor is behaviourally identical to the legacy protocols —
 //! same forced-checkpoint decisions, same checkpoint records, same
 //! reported piggyback bytes — which the differential suite
@@ -45,7 +49,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use rdt_causality::{CheckpointId, ProcessId};
+use rdt_causality::{bits, CheckpointId, ProcessId};
 
 use crate::{
     ArrivalOutcome, CheckpointKind, CheckpointRecord, CicProtocol, PiggybackSize, ProtocolKind,
@@ -162,12 +166,32 @@ impl ExecutorSpec {
     }
 }
 
+/// Row `r` of a slab of `w`-word rows.
+#[inline]
+fn row(slab: &[u64], r: usize, w: usize) -> &[u64] {
+    &slab[r * w..][..w]
+}
+
+#[inline]
+fn row_mut(slab: &mut [u64], r: usize, w: usize) -> &mut [u64] {
+    &mut slab[r * w..][..w]
+}
+
+/// Clears `row` except bit `i`, which keeps its value when `keep`.
+fn clear_all_but(row: &mut [u64], i: usize, keep: bool) {
+    let kept = keep && bits::test(row, i);
+    row.fill(0);
+    if kept {
+        bits::set(row, i);
+    }
+}
+
 /// Bit-packed protocol state and piggyback arena shared by every process
 /// of one run.
 struct Inner {
     spec: ExecutorSpec,
     n: usize,
-    /// Words per bit row: `⌈n/64⌉`.
+    /// Words per bit row: `bits::words_for(n)`.
     wpr: usize,
     /// Words of `simple` per process (0 when the spec has no `simple`).
     simple_words: usize,
@@ -182,7 +206,8 @@ struct Inner {
     /// `n` `simple` bit rows of `simple_words` words each.
     simple: Vec<u64>,
     /// `n` `causal` matrices of `causal_words` words each; row `k` of
-    /// process `p` starts at `p·causal_words + k·wpr`.
+    /// process `p` starts at `p·causal_words + k·wpr`, i.e. it is row
+    /// `p·n + k` of the slab seen as `wpr`-word rows.
     causal: Vec<u64>,
     /// Per-process FDAS flag (maintained for every spec; only FDAS reads
     /// it).
@@ -201,7 +226,7 @@ struct Inner {
 
 impl Inner {
     fn new(spec: ExecutorSpec, n: usize) -> Inner {
-        let wpr = n.div_ceil(64);
+        let wpr = bits::words_for(n);
         let simple_words = if spec.has_simple() { wpr } else { 0 };
         let causal_words = if spec.has_causal() { n * wpr } else { 0 };
         let mut inner = Inner {
@@ -228,11 +253,11 @@ impl Inner {
             // false-diagonal variant).
             inner.tdv[p * n + p] = 1;
             if spec.has_simple() {
-                inner.simple[p * simple_words + p / 64] |= 1u64 << (p % 64);
+                bits::set(row_mut(&mut inner.simple, p, simple_words), p);
             }
             if spec.has_causal() && spec.identity_diagonal() {
                 for k in 0..n {
-                    inner.causal[p * causal_words + k * wpr + k / 64] |= 1u64 << (k % 64);
+                    bits::set(row_mut(&mut inner.causal, p * n + k, wpr), k);
                 }
             }
         }
@@ -248,25 +273,16 @@ impl Inner {
             kind,
             min_consistent_gc: Some(row.to_vec()),
         };
-        self.sent_to[me * self.wpr..(me + 1) * self.wpr].fill(0);
+        row_mut(&mut self.sent_to, me, self.wpr).fill(0);
         if self.simple_words > 0 {
             // Keep only the own bit (its value), clear every other entry.
-            let base = me * self.simple_words;
-            let keep = self.simple[base + me / 64] & (1u64 << (me % 64));
-            self.simple[base..base + self.simple_words].fill(0);
-            self.simple[base + me / 64] = keep;
+            clear_all_but(row_mut(&mut self.simple, me, self.simple_words), me, true);
         }
         if self.causal_words > 0 {
-            let base = me * self.causal_words + me * self.wpr;
-            if self.spec.identity_diagonal() {
-                // causal[me][j] := false for j ≠ me; the diagonal entry
-                // keeps its value.
-                let keep = self.causal[base + me / 64] & (1u64 << (me % 64));
-                self.causal[base..base + self.wpr].fill(0);
-                self.causal[base + me / 64] = keep;
-            } else {
-                self.causal[base..base + self.wpr].fill(0);
-            }
+            // causal[me][j] := false for j ≠ me; the diagonal entry keeps
+            // its value, unless the spec's diagonal is permanently false.
+            let own = row_mut(&mut self.causal, me * n + me, self.wpr);
+            clear_all_but(own, me, self.spec.identity_diagonal());
         }
         self.after_first_send[me] = false;
         self.tdv[me * n + me] += 1;
@@ -290,7 +306,7 @@ impl Inner {
                 &self.causal[me * self.causal_words..(me + 1) * self.causal_words],
             );
         }
-        self.sent_to[me * self.wpr + dest / 64] |= 1u64 << (dest % 64);
+        bits::set(row_mut(&mut self.sent_to, me, self.wpr), dest);
         self.after_first_send[me] = true;
     }
 
@@ -342,8 +358,10 @@ impl Inner {
         if self.pb_tdv[slot * n + me] != self.tdv[me * n + me] {
             return false;
         }
-        let word = self.pb_bits[slot * self.slot_bits + me / 64];
-        word & (1u64 << (me % 64)) == 0
+        !bits::test(
+            &self.pb_bits[slot * self.slot_bits..][..self.simple_words],
+            me,
+        )
     }
 
     /// Predicate `C2'`: `m.TDV[me] = TDV_me[me] ∧ ∃k fresh`.
@@ -403,7 +421,11 @@ impl Inner {
         // the same pass: G (greater) rows are overwritten, E (equal) rows
         // are merged, the rest untouched. Chunked by 64 so each mask word
         // builds in a register.
-        for (w, (my_chunk, their_chunk)) in mine.chunks_mut(64).zip(theirs.chunks(64)).enumerate() {
+        for (w, (my_chunk, their_chunk)) in mine
+            .chunks_mut(bits::WORD_BITS)
+            .zip(theirs.chunks(bits::WORD_BITS))
+            .enumerate()
+        {
             let mut g = 0u64;
             let mut e = 0u64;
             for (b, (t, &m)) in my_chunk.iter_mut().zip(their_chunk).enumerate() {
@@ -457,29 +479,23 @@ impl Inner {
                 }
             } else {
                 for k in 0..n {
-                    let g = g_mask[k / 64] & (1u64 << (k % 64)) != 0;
-                    let e = e_mask[k / 64] & (1u64 << (k % 64)) != 0;
                     let row = &mut my[k * wpr..(k + 1) * wpr];
                     let prow = &pb[k * wpr..(k + 1) * wpr];
-                    if g {
+                    if bits::test(g_mask, k) {
                         row.copy_from_slice(prow);
-                    } else if e {
-                        for (w, &p) in row.iter_mut().zip(prow) {
-                            *w |= p;
-                        }
+                    } else if bits::test(e_mask, k) {
+                        bits::or_into(row, prow);
                     }
                 }
                 // causal[sender][me] := true, then column-OR sender into
                 // me (see the one-word path above).
-                my[sender * wpr + me / 64] |= 1u64 << (me % 64);
-                for l in 0..n {
-                    if my[l * wpr + sender / 64] & (1u64 << (sender % 64)) != 0 {
-                        my[l * wpr + me / 64] |= 1u64 << (me % 64);
+                bits::set(row_mut(my, sender, wpr), me);
+                for (k, row) in my.chunks_exact_mut(wpr).enumerate() {
+                    if bits::test(row, sender) {
+                        bits::set(row, me);
                     }
-                }
-                if !identity_diagonal {
-                    for k in 0..n {
-                        my[k * wpr + k / 64] &= !(1u64 << (k % 64));
+                    if !identity_diagonal {
+                        bits::clear(row, k);
                     }
                 }
             }
@@ -491,17 +507,15 @@ impl Inner {
     }
 
     fn sent_to_entry(&self, p: usize, j: usize) -> bool {
-        self.sent_to[p * self.wpr + j / 64] & (1u64 << (j % 64)) != 0
+        bits::test(row(&self.sent_to, p, self.wpr), j)
     }
 
     fn simple_entry(&self, p: usize, k: usize) -> bool {
-        self.simple_words > 0
-            && self.simple[p * self.simple_words + k / 64] & (1u64 << (k % 64)) != 0
+        self.simple_words > 0 && bits::test(row(&self.simple, p, self.simple_words), k)
     }
 
     fn causal_entry(&self, p: usize, k: usize, l: usize) -> bool {
-        self.causal_words > 0
-            && self.causal[p * self.causal_words + k * self.wpr + l / 64] & (1u64 << (l % 64)) != 0
+        self.causal_words > 0 && bits::test(row(&self.causal, p * self.n + k, self.wpr), l)
     }
 
     fn pb_tdv_entry(&self, slot: usize, k: usize) -> u32 {
@@ -510,14 +524,15 @@ impl Inner {
 
     fn pb_simple_entry(&self, slot: usize, k: usize) -> bool {
         self.simple_words > 0
-            && self.pb_bits[slot * self.slot_bits + k / 64] & (1u64 << (k % 64)) != 0
+            && bits::test(
+                &self.pb_bits[slot * self.slot_bits..][..self.simple_words],
+                k,
+            )
     }
 
     fn pb_causal_entry(&self, slot: usize, k: usize, l: usize) -> bool {
-        self.causal_words > 0
-            && self.pb_bits[slot * self.slot_bits + self.simple_words + k * self.wpr + l / 64]
-                & (1u64 << (l % 64))
-                != 0
+        let base = slot * self.slot_bits + self.simple_words + k * self.wpr;
+        self.causal_words > 0 && bits::test(&self.pb_bits[base..][..self.wpr], l)
     }
 }
 
@@ -732,6 +747,16 @@ impl PiggybackSize for PackedPiggyback {
 ///
 /// The cell owns only its process identity and its [`ProtocolStats`]; all
 /// protocol state lives in the shared [`ExecutorState`].
+///
+/// Because that arena is one `Rc` shared by all `n` processes of a run, a
+/// cell cannot leave the thread that built it. The scalar machines
+/// ([`crate::Bhmr`] and its siblings) are the implementation that runs one
+/// process per thread:
+///
+/// ```compile_fail
+/// fn is_send<T: Send>() {}
+/// is_send::<rdt_core::ExecutorCell>();
+/// ```
 #[derive(Debug)]
 pub struct ExecutorCell {
     shared: Rc<ExecutorState>,

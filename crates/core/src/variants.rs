@@ -11,7 +11,7 @@
 
 use std::cmp::Ordering;
 
-use rdt_causality::{BoolMatrix, BoolVector, CheckpointId, DependencyVector, ProcessId};
+use rdt_causality::{BitMatrix, BitRow, CheckpointId, DependencyVector, ProcessId};
 
 use crate::{
     ArrivalOutcome, CheckpointKind, CheckpointRecord, CicProtocol, PiggybackSize, ProtocolStats,
@@ -24,7 +24,7 @@ pub struct NoSimplePiggyback {
     /// The sender's transitive dependency vector at send time.
     pub tdv: DependencyVector,
     /// The sender's `causal` matrix at send time.
-    pub causal: BoolMatrix,
+    pub causal: BitMatrix,
 }
 
 impl PiggybackSize for NoSimplePiggyback {
@@ -42,7 +42,7 @@ pub struct CausalOnlyPiggyback {
     pub tdv: DependencyVector,
     /// The sender's `causal` matrix at send time (diagonal permanently
     /// `false`).
-    pub causal: BoolMatrix,
+    pub causal: BitMatrix,
 }
 
 impl PiggybackSize for CausalOnlyPiggyback {
@@ -66,8 +66,8 @@ pub struct BhmrNoSimple {
     me: ProcessId,
     n: usize,
     tdv: DependencyVector,
-    sent_to: BoolVector,
-    causal: BoolMatrix,
+    sent_to: BitRow,
+    causal: BitMatrix,
     stats: ProtocolStats,
 }
 
@@ -87,8 +87,8 @@ impl BhmrNoSimple {
             me,
             n,
             tdv: DependencyVector::initial(n, me),
-            sent_to: BoolVector::new(n),
-            causal: BoolMatrix::identity(n),
+            sent_to: BitRow::new(n),
+            causal: BitMatrix::identity(n),
             stats: ProtocolStats::default(),
         }
     }
@@ -100,13 +100,13 @@ impl BhmrNoSimple {
 
     /// The current `sent_to` vector (exposed for the certifier's
     /// independent predicate-conformance oracle).
-    pub fn sent_to(&self) -> &BoolVector {
+    pub fn sent_to(&self) -> &BitRow {
         &self.sent_to
     }
 
     /// The current `causal` matrix (exposed for the certifier's
     /// independent predicate-conformance oracle).
-    pub fn causal(&self) -> &BoolMatrix {
+    pub fn causal(&self) -> &BitMatrix {
         &self.causal
     }
 
@@ -119,7 +119,7 @@ impl BhmrNoSimple {
         self.sent_to.fill(false);
         for j in ProcessId::all(self.n) {
             if j != self.me {
-                self.causal.set(self.me, j, false);
+                self.causal.set_to(self.me, j, false);
             }
         }
         self.tdv.increment_owner();
@@ -152,7 +152,7 @@ impl CicProtocol for BhmrNoSimple {
     }
 
     fn before_send(&mut self, dest: ProcessId) -> SendOutcome<NoSimplePiggyback> {
-        self.sent_to.set(dest, true);
+        self.sent_to.set(dest);
         let piggyback = NoSimplePiggyback {
             tdv: self.tdv.clone(),
             causal: self.causal.clone(),
@@ -191,14 +191,14 @@ impl CicProtocol for BhmrNoSimple {
                 Ordering::Less => {}
                 Ordering::Greater => {
                     self.tdv.set(k, piggyback.tdv.get(k));
-                    self.causal.copy_row_from(k, &piggyback.causal);
+                    self.causal.copy_row_from(k, &piggyback.causal, k);
                 }
                 Ordering::Equal => {
-                    self.causal.or_row_from(k, &piggyback.causal);
+                    self.causal.or_row_from(k, &piggyback.causal, k);
                 }
             }
         }
-        self.causal.set(sender, self.me, true);
+        self.causal.set(sender, self.me);
         self.causal.or_column_into(sender, self.me);
 
         self.stats.messages_delivered += 1;
@@ -223,8 +223,8 @@ pub struct BhmrCausalOnly {
     me: ProcessId,
     n: usize,
     tdv: DependencyVector,
-    sent_to: BoolVector,
-    causal: BoolMatrix,
+    sent_to: BitRow,
+    causal: BitMatrix,
     stats: ProtocolStats,
 }
 
@@ -244,8 +244,8 @@ impl BhmrCausalOnly {
             me,
             n,
             tdv: DependencyVector::initial(n, me),
-            sent_to: BoolVector::new(n),
-            causal: BoolMatrix::new(n), // all false, including the diagonal
+            sent_to: BitRow::new(n),
+            causal: BitMatrix::new(n, n), // all false, including the diagonal
             stats: ProtocolStats::default(),
         }
     }
@@ -257,13 +257,13 @@ impl BhmrCausalOnly {
 
     /// The current `sent_to` vector (exposed for the certifier's
     /// independent predicate-conformance oracle).
-    pub fn sent_to(&self) -> &BoolVector {
+    pub fn sent_to(&self) -> &BitRow {
         &self.sent_to
     }
 
     /// The current `causal` matrix, diagonal permanently false (exposed
     /// for the certifier's independent predicate-conformance oracle).
-    pub fn causal(&self) -> &BoolMatrix {
+    pub fn causal(&self) -> &BitMatrix {
         &self.causal
     }
 
@@ -281,7 +281,7 @@ impl BhmrCausalOnly {
 
     fn clear_diagonal(&mut self) {
         for k in ProcessId::all(self.n) {
-            self.causal.set(k, k, false);
+            self.causal.set_to(k, k, false);
         }
     }
 }
@@ -311,7 +311,7 @@ impl CicProtocol for BhmrCausalOnly {
     }
 
     fn before_send(&mut self, dest: ProcessId) -> SendOutcome<CausalOnlyPiggyback> {
-        self.sent_to.set(dest, true);
+        self.sent_to.set(dest);
         let piggyback = CausalOnlyPiggyback {
             tdv: self.tdv.clone(),
             causal: self.causal.clone(),
@@ -348,14 +348,14 @@ impl CicProtocol for BhmrCausalOnly {
                 Ordering::Less => {}
                 Ordering::Greater => {
                     self.tdv.set(k, piggyback.tdv.get(k));
-                    self.causal.copy_row_from(k, &piggyback.causal);
+                    self.causal.copy_row_from(k, &piggyback.causal, k);
                 }
                 Ordering::Equal => {
-                    self.causal.or_row_from(k, &piggyback.causal);
+                    self.causal.or_row_from(k, &piggyback.causal, k);
                 }
             }
         }
-        self.causal.set(sender, self.me, true);
+        self.causal.set(sender, self.me);
         self.causal.or_column_into(sender, self.me);
         // Maintain the variant's invariant: diagonal permanently false.
         self.clear_diagonal();

@@ -2,9 +2,9 @@
 
 use std::fmt;
 
+use rdt_causality::bits::{self, BitMatrix, BitRow};
 use rdt_causality::{CheckpointId, ProcessId};
 
-use crate::bitset::{BitMatrix, BitRow};
 use crate::closure;
 use crate::{Pattern, PatternMessageId};
 
@@ -436,7 +436,7 @@ impl ZigzagReachability {
             return false;
         };
         self.sends_at_or_after(from.process, from.index as usize)
-            .any(|a| self.causal.row_intersects(a, mask))
+            .any(|a| bits::intersects(self.causal.row(a), mask.words()))
     }
 
     /// Whether some delivered message is **orphan** with respect to the
@@ -483,7 +483,7 @@ impl ZigzagReachability {
             return false;
         };
         self.sends_at_or_after(a.process, a.index as usize + 1)
-            .any(|ma| self.zz.row_intersects(ma, mask))
+            .any(|ma| bits::intersects(self.zz.row(ma), mask.words()))
     }
 
     /// Whether `checkpoint` lies on a Z-cycle (Netzer & Xu): a zigzag path

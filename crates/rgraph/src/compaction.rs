@@ -77,7 +77,7 @@ impl CompactionStats {
 /// Rebuilds a closure matrix keeping only the nodes with a remap entry,
 /// masking every retained row to the retained columns.
 fn rebuild_matrix(mat: &ClosureMatrix, remap: &[u32], new_nodes: usize) -> ClosureMatrix {
-    let width = new_nodes.div_ceil(64).max(1).next_power_of_two();
+    let width = bits::words_for(new_nodes).max(1).next_power_of_two();
     let mut fwd = vec![0u64; new_nodes * width];
     let mut bwd = vec![0u64; new_nodes * width];
     for (old, &nid) in remap.iter().enumerate() {
@@ -86,10 +86,10 @@ fn rebuild_matrix(mat: &ClosureMatrix, remap: &[u32], new_nodes: usize) -> Closu
         }
         let nid = nid as usize;
         for (slab, dir) in [(&mut fwd, false), (&mut bwd, true)] {
-            for v in ones(mat.row(dir, old)) {
+            for v in bits::ones(mat.row(dir, old)) {
                 let nv = remap[v];
                 if nv != NONE_U32 {
-                    slab[nid * width + nv as usize / 64] |= 1 << (nv % 64);
+                    bits::set(&mut slab[nid * width..][..width], nv as usize);
                 }
             }
         }
@@ -284,7 +284,7 @@ impl IncrementalAnalysis {
                 continue;
             }
             let (p, idx) = self.r_meta[old];
-            for y in ones(self.rmat.row(false, old)) {
+            for y in bits::ones(self.rmat.row(false, old)) {
                 let ny = r_remap[y];
                 if ny == NONE_U32 {
                     continue;

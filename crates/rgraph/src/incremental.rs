@@ -52,6 +52,7 @@
 //! queries about the *closed* extension of the current pattern (the
 //! paper's convention) and back the closing checkpoints out again.
 
+use rdt_causality::bits::{self, WORD_BITS};
 use rdt_causality::{CheckpointId, ProcessId};
 
 use crate::consistency::GlobalCheckpoint;
@@ -67,7 +68,7 @@ pub use snapshot::{SnapshotError, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
 const NONE_U32: u32 = u32::MAX;
 
 /// Stack words for closure-row scratch masks (spills to heap above
-/// `64 * MASK_STACK_WORDS` closure nodes).
+/// `WORD_BITS * MASK_STACK_WORDS` closure nodes).
 const MASK_STACK_WORDS: usize = 8;
 
 /// Stack entries for global-checkpoint scratch vectors (spills to heap
@@ -288,21 +289,6 @@ struct ClosureMatrix {
     bwd: Vec<u64>,
 }
 
-/// Iterates the set bit positions of a word slice.
-fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(wi, &w)| {
-        std::iter::successors((w != 0).then_some(w), |&rest| {
-            let next = rest & (rest - 1);
-            (next != 0).then_some(next)
-        })
-        .map(move |rest| wi * 64 + rest.trailing_zeros() as usize)
-    })
-}
-
-fn intersects(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).any(|(&x, &y)| x & y != 0)
-}
-
 impl ClosureMatrix {
     fn new() -> Self {
         ClosureMatrix {
@@ -314,8 +300,9 @@ impl ClosureMatrix {
     }
 
     fn bit(&self, bwd: bool, u: usize, v: usize) -> bool {
+        // One bounds check: row `u` starts at bit `u · width · WORD_BITS`.
         let words = if bwd { &self.bwd } else { &self.fwd };
-        words[u * self.width + v / 64] >> (v % 64) & 1 != 0
+        bits::test(words, u * self.width * WORD_BITS + v)
     }
 
     fn row(&self, bwd: bool, u: usize) -> &[u64] {
@@ -326,15 +313,15 @@ impl ClosureMatrix {
     /// Appends a fresh node with only its reflexive bit set. The caller
     /// journals the push (`Undo::Node`).
     fn push_node(&mut self) -> usize {
-        if self.nodes == self.width * 64 {
+        if self.nodes == self.width * WORD_BITS {
             self.grow();
         }
         let id = self.nodes;
         self.nodes += 1;
         self.fwd.resize(self.nodes * self.width, 0);
         self.bwd.resize(self.nodes * self.width, 0);
-        self.fwd[id * self.width + id / 64] |= 1 << (id % 64);
-        self.bwd[id * self.width + id / 64] |= 1 << (id % 64);
+        bits::set(&mut self.fwd[id * self.width..][..self.width], id);
+        bits::set(&mut self.bwd[id * self.width..][..self.width], id);
         id
     }
 
@@ -386,12 +373,12 @@ impl ClosureMatrix {
         let EdgeScratch { succ, pred, pairs } = scratch;
         succ.clear();
         succ.extend_from_slice(&self.fwd[v * w..(v + 1) * w]);
-        succ[v / 64] |= 1 << (v % 64);
+        bits::set(succ, v);
         pred.clear();
         pred.extend_from_slice(&self.bwd[u * w..(u + 1) * w]);
-        pred[u / 64] |= 1 << (u % 64);
+        bits::set(pred, u);
 
-        for x in ones(pred) {
+        for x in bits::ones(pred) {
             let base = x * w;
             for (wi, &add) in succ.iter().enumerate() {
                 let old = self.fwd[base + wi];
@@ -406,7 +393,7 @@ impl ClosureMatrix {
                     if collect {
                         let mut d = fresh;
                         while d != 0 {
-                            pairs.push((x as u32, (wi * 64) as u32 + d.trailing_zeros()));
+                            pairs.push((x as u32, (wi * WORD_BITS) as u32 + d.trailing_zeros()));
                             d &= d - 1;
                         }
                     }
@@ -414,7 +401,7 @@ impl ClosureMatrix {
                 }
             }
         }
-        for y in ones(succ) {
+        for y in bits::ones(succ) {
             let base = y * w;
             for (wi, &add) in pred.iter().enumerate() {
                 let old = self.bwd[base + wi];
@@ -429,10 +416,6 @@ impl ClosureMatrix {
                 }
             }
         }
-    }
-
-    fn total_ones_fwd(&self) -> usize {
-        self.fwd.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -1040,7 +1023,7 @@ impl IncrementalAnalysis {
     /// Popcount of the R-graph reachability closure (reflexive pairs
     /// included) — the batch checker's `pairs_checked`.
     pub fn total_reachable_pairs(&self) -> usize {
-        self.rmat.total_ones_fwd()
+        bits::count_ones(&self.rmat.fwd)
     }
 
     /// Whether an R-path runs from `from` to `to` (reflexively).
@@ -1088,15 +1071,14 @@ impl IncrementalAnalysis {
             // above the chain floor, so skipping them keeps live-headed
             // queries exact.
             if node != NONE_U32 {
-                let node = node as usize;
-                buf[node / 64] |= 1 << (node % 64);
+                bits::set(buf, node as usize);
             }
         }
     }
 
     /// Borrows a zeroed `width`-word scratch mask, preferring `stack`
     /// and spilling to `heap` only for patterns with over
-    /// `64 * MASK_STACK_WORDS` closure nodes. The query hot paths stay
+    /// `WORD_BITS * MASK_STACK_WORDS` closure nodes. The query hot paths stay
     /// allocation-free at certifiable scopes.
     fn mask_buf<'a>(
         width: usize,
@@ -1171,7 +1153,7 @@ impl IncrementalAnalysis {
         self.send_events[p][lo..].iter().any(|&(_, mid)| {
             let rec = &self.msgs[mid as usize];
             let node = if causal { rec.cnode } else { rec.znode };
-            node != NONE_U32 && intersects(mat.row(false, node as usize), mask)
+            node != NONE_U32 && bits::intersects(mat.row(false, node as usize), mask)
         })
     }
 
@@ -1614,7 +1596,7 @@ impl IncrementalAnalysis {
             return 0;
         }
         let mut delta = 0u64;
-        for y in ones(succ) {
+        for y in bits::ones(succ) {
             let py = self.r_meta[y].0;
             let base_y = y * n;
             for k in 0..n {

@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod analysis;
-pub mod bitset;
 
 pub mod chains;
 pub mod characterization;
@@ -55,7 +54,6 @@ mod replay;
 mod rgraph_impl;
 
 pub use analysis::PatternAnalysis;
-pub use bitset::{BitMatrix, BitRow};
 pub use chains::{MessageChain, ZigzagReachability};
 pub use consistency::GlobalCheckpoint;
 pub use incremental::{

@@ -3,9 +3,9 @@
 
 use std::fmt;
 
+use rdt_causality::bits::{self, BitMatrix, BitRow};
 use rdt_causality::{CheckpointId, ProcessId};
 
-use crate::bitset::{BitMatrix, BitRow};
 use crate::closure;
 use crate::Pattern;
 
@@ -265,8 +265,7 @@ impl Reachability {
     ///
     /// Panics if the checkpoint does not exist.
     pub fn reachable_from(&self, from: CheckpointId) -> impl Iterator<Item = CheckpointId> + '_ {
-        self.rows
-            .row_ones(self.graph.node(from).0)
+        bits::ones(self.rows.row(self.graph.node(from).0))
             .map(|idx| self.graph.checkpoint(NodeId(idx)))
     }
 
@@ -276,7 +275,7 @@ impl Reachability {
     ///
     /// Panics if the checkpoint does not exist.
     pub fn reachable_count(&self, from: CheckpointId) -> usize {
-        self.rows.row_count_ones(self.graph.node(from).0)
+        bits::count_ones(self.rows.row(self.graph.node(from).0))
     }
 
     /// Total number of reachable (ordered) checkpoint pairs, reflexive
@@ -285,7 +284,7 @@ impl Reachability {
     /// lets [`crate::RdtChecker`] report exact counts even when it stops
     /// enumerating violations early.
     pub fn total_reachable_pairs(&self) -> usize {
-        self.rows.total_ones()
+        self.rows.count_ones()
     }
 
     /// The underlying graph.

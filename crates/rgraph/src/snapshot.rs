@@ -17,7 +17,7 @@
 
 use rdt_json::Json;
 
-use super::{ClosureMatrix, EdgeScratch, IncrementalAnalysis, MsgRec, NONE_U32};
+use super::{ClosureMatrix, EdgeScratch, IncrementalAnalysis, MsgRec, NONE_U32, WORD_BITS};
 
 /// Identifies the snapshot format inside the JSON document.
 pub const SNAPSHOT_FORMAT: &str = "rdt-rgraph-snapshot";
@@ -186,7 +186,7 @@ fn matrix_from_json(value: &Json, key: &str) -> Result<ClosureMatrix, SnapshotEr
     if width == 0 {
         return Err(bad(format!("`{key}` has zero width")));
     }
-    if nodes > width * 64 {
+    if nodes > width * WORD_BITS {
         return Err(bad(format!("`{key}` node count exceeds its width")));
     }
     if fwd.len() != nodes * width || bwd.len() != nodes * width {

@@ -7,6 +7,43 @@ use rdt_core::{
 
 use crate::{Application, RunOutcome, Runner, SimConfig, SimError, SimScratch};
 
+/// The one `ProtocolKind → factory` table: binds `$make` to the constructor
+/// `$kind` selects and evaluates `$body` with it. `$engine` picks the
+/// implementation of the five dependency-tracking protocols: `executor`
+/// (the packed round-executor) or `legacy` (the scalar state machines).
+/// A macro because every row's factory, and so every [`Runner`], has a
+/// different type.
+macro_rules! with_factory {
+    ($engine:ident, $kind:expr, |$make:ident| $body:expr) => {
+        with_factory!(@rows $kind, $make, $body;
+            Bhmr => with_factory!(@tracking $engine Bhmr),
+            BhmrNoSimple => with_factory!(@tracking $engine BhmrNoSimple),
+            BhmrCausalOnly => with_factory!(@tracking $engine BhmrCausalOnly),
+            Fdas => with_factory!(@tracking $engine Fdas),
+            Fdi => with_factory!(@tracking $engine Fdi),
+            Nras => Nras::new,
+            Cas => Cas::new,
+            Cbr => Cbr::new,
+            Bcs => Bcs::new,
+            Uncoordinated => Uncoordinated::new,
+        )
+    };
+    (@tracking executor $name:ident) => {
+        spawner(ExecutorSpec::$name)
+    };
+    (@tracking legacy $name:ident) => {
+        $name::new
+    };
+    (@rows $kind:expr, $make:ident, $body:expr; $($variant:ident => $factory:expr,)*) => {
+        match $kind {
+            $(ProtocolKind::$variant => {
+                let $make = $factory;
+                $body
+            })*
+        }
+    };
+}
+
 /// Runs one simulation with the protocol chosen by `kind`.
 ///
 /// The protocols stay monomorphized — this function only selects which
@@ -38,22 +75,7 @@ pub fn run_protocol_kind(
     config: &SimConfig,
     app: &mut dyn Application,
 ) -> RunOutcome {
-    match kind {
-        ProtocolKind::Bhmr => Runner::new(config, spawner(ExecutorSpec::Bhmr)).run(app),
-        ProtocolKind::BhmrNoSimple => {
-            Runner::new(config, spawner(ExecutorSpec::BhmrNoSimple)).run(app)
-        }
-        ProtocolKind::BhmrCausalOnly => {
-            Runner::new(config, spawner(ExecutorSpec::BhmrCausalOnly)).run(app)
-        }
-        ProtocolKind::Fdas => Runner::new(config, spawner(ExecutorSpec::Fdas)).run(app),
-        ProtocolKind::Fdi => Runner::new(config, spawner(ExecutorSpec::Fdi)).run(app),
-        ProtocolKind::Nras => Runner::new(config, Nras::new).run(app),
-        ProtocolKind::Cas => Runner::new(config, Cas::new).run(app),
-        ProtocolKind::Cbr => Runner::new(config, Cbr::new).run(app),
-        ProtocolKind::Bcs => Runner::new(config, Bcs::new).run(app),
-        ProtocolKind::Uncoordinated => Runner::new(config, Uncoordinated::new).run(app),
-    }
+    with_factory!(executor, kind, |make| Runner::new(config, make).run(app))
 }
 
 /// Fallible [`run_protocol_kind`]: internal runner inconsistencies come
@@ -65,22 +87,9 @@ pub fn try_run_protocol_kind(
     config: &SimConfig,
     app: &mut dyn Application,
 ) -> Result<RunOutcome, SimError> {
-    match kind {
-        ProtocolKind::Bhmr => Runner::new(config, spawner(ExecutorSpec::Bhmr)).try_run(app),
-        ProtocolKind::BhmrNoSimple => {
-            Runner::new(config, spawner(ExecutorSpec::BhmrNoSimple)).try_run(app)
-        }
-        ProtocolKind::BhmrCausalOnly => {
-            Runner::new(config, spawner(ExecutorSpec::BhmrCausalOnly)).try_run(app)
-        }
-        ProtocolKind::Fdas => Runner::new(config, spawner(ExecutorSpec::Fdas)).try_run(app),
-        ProtocolKind::Fdi => Runner::new(config, spawner(ExecutorSpec::Fdi)).try_run(app),
-        ProtocolKind::Nras => Runner::new(config, Nras::new).try_run(app),
-        ProtocolKind::Cas => Runner::new(config, Cas::new).try_run(app),
-        ProtocolKind::Cbr => Runner::new(config, Cbr::new).try_run(app),
-        ProtocolKind::Bcs => Runner::new(config, Bcs::new).try_run(app),
-        ProtocolKind::Uncoordinated => Runner::new(config, Uncoordinated::new).try_run(app),
-    }
+    with_factory!(executor, kind, |make| {
+        Runner::new(config, make).try_run(app)
+    })
 }
 
 /// Like [`run_protocol_kind`], but running the dependency-tracking
@@ -95,14 +104,7 @@ pub fn run_protocol_kind_legacy(
     config: &SimConfig,
     app: &mut dyn Application,
 ) -> RunOutcome {
-    match kind {
-        ProtocolKind::Bhmr => Runner::new(config, Bhmr::new).run(app),
-        ProtocolKind::BhmrNoSimple => Runner::new(config, BhmrNoSimple::new).run(app),
-        ProtocolKind::BhmrCausalOnly => Runner::new(config, BhmrCausalOnly::new).run(app),
-        ProtocolKind::Fdas => Runner::new(config, Fdas::new).run(app),
-        ProtocolKind::Fdi => Runner::new(config, Fdi::new).run(app),
-        _ => run_protocol_kind(kind, config, app),
-    }
+    with_factory!(legacy, kind, |make| Runner::new(config, make).run(app))
 }
 
 /// Like [`run_protocol_kind`], but drawing buffers from `scratch` and
@@ -120,31 +122,9 @@ pub fn run_protocol_kind_with_scratch<R>(
     scratch: &mut SimScratch,
     consume: impl FnOnce(&RunOutcome) -> R,
 ) -> R {
-    let outcome = match kind {
-        ProtocolKind::Bhmr => {
-            Runner::new_with_scratch(config, spawner(ExecutorSpec::Bhmr), scratch).run(app)
-        }
-        ProtocolKind::BhmrNoSimple => {
-            Runner::new_with_scratch(config, spawner(ExecutorSpec::BhmrNoSimple), scratch).run(app)
-        }
-        ProtocolKind::BhmrCausalOnly => {
-            Runner::new_with_scratch(config, spawner(ExecutorSpec::BhmrCausalOnly), scratch)
-                .run(app)
-        }
-        ProtocolKind::Fdas => {
-            Runner::new_with_scratch(config, spawner(ExecutorSpec::Fdas), scratch).run(app)
-        }
-        ProtocolKind::Fdi => {
-            Runner::new_with_scratch(config, spawner(ExecutorSpec::Fdi), scratch).run(app)
-        }
-        ProtocolKind::Nras => Runner::new_with_scratch(config, Nras::new, scratch).run(app),
-        ProtocolKind::Cas => Runner::new_with_scratch(config, Cas::new, scratch).run(app),
-        ProtocolKind::Cbr => Runner::new_with_scratch(config, Cbr::new, scratch).run(app),
-        ProtocolKind::Bcs => Runner::new_with_scratch(config, Bcs::new, scratch).run(app),
-        ProtocolKind::Uncoordinated => {
-            Runner::new_with_scratch(config, Uncoordinated::new, scratch).run(app)
-        }
-    };
+    let outcome = with_factory!(executor, kind, |make| {
+        Runner::new_with_scratch(config, make, scratch).run(app)
+    });
     let result = consume(&outcome);
     scratch.reclaim(outcome);
     result

@@ -58,7 +58,7 @@ pub use rdt_verify as verify;
 pub use rdt_workloads as workloads;
 
 pub use rdt_causality::{
-    BoolMatrix, BoolVector, CheckpointId, DependencyVector, IntervalId, ProcessId, VectorClock,
+    BitMatrix, BitRow, CheckpointId, DependencyVector, IntervalId, ProcessId, VectorClock,
 };
 pub use rdt_core::{
     ArrivalOutcome, Bcs, Bhmr, BhmrCausalOnly, BhmrNoSimple, Cas, Cbr, CheckpointKind,
