@@ -24,8 +24,17 @@
 //! incremental-transitive-closure rule (Italiano): inserting an edge
 //! `u → v` that is not already implied unions `succ(v)` into the forward
 //! row of every predecessor of `u` and `pred(u)` into the backward row of
-//! every successor of `v` — only the *affected* (dirty) rows are touched,
-//! word-parallel, and rows never lose bits while appending. The chain
+//! every successor of `v`. The transpose twin is what keeps that cheap: it
+//! yields the two *dirty sets* in one word-parallel pass each —
+//! `dpred = bwd[u] & !bwd[v]`, the predecessors of `u` that do not reach
+//! `v` yet, and `dsucc = fwd[v] & !fwd[u]`, the successors of `v` that `u`
+//! does not reach yet — and, the closure being transitive, no other row
+//! and no other column can change. An insertion therefore costs
+//! `2·width + |dpred|·span(dsucc) + |dsucc|·span(dpred)` words, where
+//! `span` is the distance between a set's first and last non-zero word;
+//! predecessors that already reach `v` cost one cleared bit instead of a
+//! row scan, and linking a fresh node costs one word per dirty row. Rows
+//! never lose bits while appending. The chain
 //! graphs are the same compressed O(M + C) constructions the batch
 //! [`ZigzagReachability`](crate::ZigzagReachability) uses (per-interval
 //! slot spines for zigzag links, per-process send spines for causal
@@ -176,7 +185,7 @@ impl std::fmt::Display for AppendError {
 impl std::error::Error for AppendError {}
 
 /// One reversible mutation; the journal is replayed backwards on rewind.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Undo {
     /// A closure-matrix word changed (`md = mat * 2 + dir`, dir 1 = bwd).
     Word {
@@ -268,8 +277,12 @@ struct MsgRec {
 /// Scratch buffers for edge insertion (reused across insertions).
 #[derive(Debug, Default)]
 struct EdgeScratch {
-    succ: Vec<u64>,
-    pred: Vec<u64>,
+    /// Dirty predecessors of the last inserted edge `u → v`: the nodes
+    /// reaching `u` (with `u`) that did not reach `v` yet.
+    dpred: Vec<u64>,
+    /// Dirty successors: the nodes reached from `v` (with `v`) that `u` did
+    /// not reach yet.
+    dsucc: Vec<u64>,
     /// New forward closure bits `(row, col)` of the last insertion, only
     /// collected when the caller asked for them.
     pairs: Vec<(u32, u32)>,
@@ -350,12 +363,24 @@ impl ClosureMatrix {
         self.width = new_w;
     }
 
-    /// Incremental transitive-closure edge insertion (Italiano): if
-    /// `u → v` is not already implied, every predecessor of `u` gains the
-    /// successor set of `v` and every successor of `v` gains the
-    /// predecessor set of `u` — word-parallel unions over exactly the
-    /// affected rows, each changed word journaled. When `collect` is set,
-    /// the new forward bits are reported in `scratch.pairs`.
+    /// Incremental transitive-closure edge insertion (Italiano), restricted
+    /// to the *dirty sets* the transpose twin gives for free. If `u → v` is
+    /// not already implied,
+    ///
+    /// * `dpred = bwd[u] & !bwd[v]` are the nodes that reach `u` but not yet
+    ///   `v` — the only rows whose forward closure can change, because a
+    ///   predecessor that already reaches `v` already holds all of `fwd[v]`;
+    /// * `dsucc = fwd[v] & !fwd[u]` are the nodes `v` reaches but `u` does
+    ///   not yet — the only columns that can be new in those rows, because
+    ///   every predecessor of `u` already holds all of `fwd[u]`
+    ///
+    /// (rows are reflexive, so `u ∈ dpred` and `v ∈ dsucc`). Every row of
+    /// `dpred` gains `dsucc` and, in the transpose, every row of `dsucc`
+    /// gains `dpred`, each over the added set's non-zero word span only and
+    /// each changed word journaled, rows and words ascending. When `collect`
+    /// is set, the new forward bits are reported in `scratch.pairs`. Returns
+    /// whether the edge was new; `scratch.dpred` / `scratch.dsucc` are only
+    /// meaningful when it was.
     fn insert_edge(
         &mut self,
         mat_id: u8,
@@ -364,56 +389,139 @@ impl ClosureMatrix {
         collect: bool,
         u: usize,
         v: usize,
-    ) {
+    ) -> bool {
         scratch.pairs.clear();
         if self.bit(false, u, v) {
-            return;
+            return false;
+        }
+        debug_assert!(
+            self.bit(true, u, u) && self.bit(false, v, v),
+            "closure rows are reflexive"
+        );
+        let EdgeScratch {
+            dpred,
+            dsucc,
+            pairs,
+        } = scratch;
+        let minus = |a: &[u64], b: &[u64], out: &mut Vec<u64>| {
+            out.clear();
+            out.extend(a.iter().zip(b).map(|(&a, &b)| a & !b));
+        };
+        minus(self.row(true, u), self.row(true, v), dpred);
+        minus(self.row(false, v), self.row(false, u), dsucc);
+
+        let w = self.width;
+        let pairs = collect.then_some(pairs);
+        or_into_rows(&mut self.fwd, w, mat_id * 2, journal, dpred, dsucc, pairs);
+        or_into_rows(
+            &mut self.bwd,
+            w,
+            mat_id * 2 + 1,
+            journal,
+            dsucc,
+            dpred,
+            None,
+        );
+        true
+    }
+
+    /// Full-scan insertion, the reference the kernel differential holds
+    /// [`insert_edge`](ClosureMatrix::insert_edge) against: every
+    /// predecessor row of `u` is scanned against all of `succ(v)` and every
+    /// successor row of `v` against all of `pred(u)`.
+    #[cfg(test)]
+    fn insert_edge_full_scan(
+        &mut self,
+        mat_id: u8,
+        journal: &mut Vec<Undo>,
+        pairs: &mut Vec<(u32, u32)>,
+        collect: bool,
+        u: usize,
+        v: usize,
+    ) -> bool {
+        pairs.clear();
+        if self.bit(false, u, v) {
+            return false;
         }
         let w = self.width;
-        let EdgeScratch { succ, pred, pairs } = scratch;
-        succ.clear();
-        succ.extend_from_slice(&self.fwd[v * w..(v + 1) * w]);
-        bits::set(succ, v);
-        pred.clear();
-        pred.extend_from_slice(&self.bwd[u * w..(u + 1) * w]);
-        bits::set(pred, u);
-
-        for x in bits::ones(pred) {
-            let base = x * w;
-            for (wi, &add) in succ.iter().enumerate() {
-                let old = self.fwd[base + wi];
-                let fresh = add & !old;
-                if fresh != 0 {
-                    journal.push(Undo::Word {
-                        md: mat_id * 2,
-                        row: x as u32,
-                        word: wi as u32,
-                        old,
-                    });
-                    if collect {
-                        let mut d = fresh;
-                        while d != 0 {
-                            pairs.push((x as u32, (wi * WORD_BITS) as u32 + d.trailing_zeros()));
-                            d &= d - 1;
+        let mut succ = self.row(false, v).to_vec();
+        bits::set(&mut succ, v);
+        let mut pred = self.row(true, u).to_vec();
+        bits::set(&mut pred, u);
+        for (dir, rows, add) in [(0u8, &pred, &succ), (1, &succ, &pred)] {
+            let slab = if dir == 0 {
+                &mut self.fwd
+            } else {
+                &mut self.bwd
+            };
+            for x in bits::ones(rows) {
+                for (wi, &add) in add.iter().enumerate() {
+                    let old = slab[x * w + wi];
+                    let fresh = add & !old;
+                    if fresh != 0 {
+                        journal.push(Undo::Word {
+                            md: mat_id * 2 + dir,
+                            row: x as u32,
+                            word: wi as u32,
+                            old,
+                        });
+                        if collect && dir == 0 {
+                            pairs.extend(
+                                bits::ones(&[fresh])
+                                    .map(|b| (x as u32, (wi * WORD_BITS + b) as u32)),
+                            );
                         }
+                        slab[x * w + wi] = old | add;
                     }
-                    self.fwd[base + wi] = old | add;
                 }
             }
         }
-        for y in bits::ones(succ) {
-            let base = y * w;
-            for (wi, &add) in pred.iter().enumerate() {
-                let old = self.bwd[base + wi];
-                if add & !old != 0 {
-                    journal.push(Undo::Word {
-                        md: mat_id * 2 + 1,
-                        row: y as u32,
-                        word: wi as u32,
-                        old,
-                    });
-                    self.bwd[base + wi] = old | add;
+        true
+    }
+}
+
+/// The range of word indices outside which `words` is all zero.
+fn nonzero_span(words: &[u64]) -> std::ops::Range<usize> {
+    let lo = words.iter().position(|&w| w != 0).unwrap_or(words.len());
+    let hi = words.iter().rposition(|&w| w != 0).map_or(lo, |i| i + 1);
+    lo..hi
+}
+
+/// ORs `add` into row `x` of `slab` (rows of `w` words) for every
+/// `x ∈ ones(rows)`, touching only `add`'s non-zero word span. Each changed
+/// word is journaled under `md` before it is written; when `pairs` is given,
+/// the fresh bits are appended to it as `(row, column)`.
+#[inline]
+fn or_into_rows(
+    slab: &mut [u64],
+    w: usize,
+    md: u8,
+    journal: &mut Vec<Undo>,
+    rows: &[u64],
+    add: &[u64],
+    mut pairs: Option<&mut Vec<(u32, u32)>>,
+) {
+    let span = nonzero_span(add);
+    for x in bits::ones(rows) {
+        let row = &mut slab[x * w..][..w];
+        for wi in span.clone() {
+            let old = row[wi];
+            let fresh = add[wi] & !old;
+            if fresh != 0 {
+                journal.push(Undo::Word {
+                    md,
+                    row: x as u32,
+                    word: wi as u32,
+                    old,
+                });
+                if let Some(pairs) = pairs.as_deref_mut() {
+                    let mut d = fresh;
+                    while d != 0 {
+                        pairs.push((x as u32, (wi * WORD_BITS) as u32 + d.trailing_zeros()));
+                        d &= d - 1;
+                    }
                 }
+                row[wi] = old | fresh;
             }
         }
     }
@@ -1554,18 +1662,18 @@ impl IncrementalAnalysis {
     /// the destination's `TDV` snapshot was taken when the destination
     /// node was created, before any edge could reach it.
     fn insert_r_edge(&mut self, u: usize, v: usize) {
-        let implied = self.rmat.bit(false, u, v);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.rmat
-            .insert_edge(MAT_R, &mut self.journal, &mut scratch, true, u, v);
-        let mut delta = 0u64;
-        for &(x, y) in &scratch.pairs {
-            if !self.trackable_nodes(x as usize, y as usize) {
-                delta += 1;
-            }
+        if !self
+            .rmat
+            .insert_edge(MAT_R, &mut self.journal, &mut self.scratch, true, u, v)
+        {
+            return;
         }
-        if !implied && !self.drop_reach.is_empty() {
-            delta += self.propagate_drop_reach(u, &scratch.succ);
+        let pairs = self.scratch.pairs.iter();
+        let mut delta = pairs
+            .filter(|&&(x, y)| !self.trackable_nodes(x as usize, y as usize))
+            .count() as u64;
+        if !self.drop_reach.is_empty() {
+            delta += self.propagate_drop_reach(u);
         }
         if delta > 0 {
             self.journal.push(Undo::Untrackable {
@@ -1573,20 +1681,22 @@ impl IncrementalAnalysis {
             });
             self.untrackable += delta;
         }
-        self.scratch = scratch;
     }
 
-    /// Folds `u`'s dropped-reach summary into every node of `succ` (the
-    /// successor set of a freshly inserted edge's head, including the
-    /// head itself) and returns the number of *new* untrackable pairs
+    /// Folds `u`'s dropped-reach summary into every node of
+    /// `scratch.dsucc` (the nodes the edge just inserted at `u` made newly
+    /// reachable from it) and returns the number of *new* untrackable pairs
     /// whose source checkpoint was compacted away.
     ///
-    /// Exactness rests on two facts: dropped reach sets are downward
+    /// Exactness rests on three facts: dropped reach sets are downward
     /// closed per process (so the per-process maximum index determines
-    /// the set), and `drop_reach[u]` dominates `drop_reach[x]` for every
+    /// the set); `drop_reach[u]` dominates `drop_reach[x]` for every
     /// retained predecessor `x` of `u` (reachability is transitive), so
-    /// folding only `u`'s row covers everything newly reaching `succ`.
-    fn propagate_drop_reach(&mut self, u: usize, succ: &[u64]) -> u64 {
+    /// folding only `u`'s row covers everything newly reaching the dirty
+    /// successors; and `drop_reach[y]` already dominates `drop_reach[u]`
+    /// for every `y` that `u` reached before the edge, so the successors
+    /// outside the dirty set have nothing to gain.
+    fn propagate_drop_reach(&mut self, u: usize) -> u64 {
         let n = self.n;
         let base_u = u * n;
         if self.drop_reach[base_u..base_u + n]
@@ -1596,7 +1706,7 @@ impl IncrementalAnalysis {
             return 0;
         }
         let mut delta = 0u64;
-        for y in bits::ones(succ) {
+        for y in bits::ones(&self.scratch.dsucc) {
             let py = self.r_meta[y].0;
             let base_y = y * n;
             for k in 0..n {
@@ -1630,17 +1740,13 @@ impl IncrementalAnalysis {
     }
 
     fn insert_z_edge(&mut self, u: usize, v: usize) {
-        let mut scratch = std::mem::take(&mut self.scratch);
         self.zmat
-            .insert_edge(MAT_Z, &mut self.journal, &mut scratch, false, u, v);
-        self.scratch = scratch;
+            .insert_edge(MAT_Z, &mut self.journal, &mut self.scratch, false, u, v);
     }
 
     fn insert_c_edge(&mut self, u: usize, v: usize) {
-        let mut scratch = std::mem::take(&mut self.scratch);
         self.cmat
-            .insert_edge(MAT_C, &mut self.journal, &mut scratch, false, u, v);
-        self.scratch = scratch;
+            .insert_edge(MAT_C, &mut self.journal, &mut self.scratch, false, u, v);
     }
 
     /// Capacity snapshot of every growable buffer the engine owns.
@@ -1656,8 +1762,8 @@ impl IncrementalAnalysis {
             self.cp_tdv.capacity(),
             self.r_meta.capacity(),
             self.drop_reach.capacity(),
-            self.scratch.succ.capacity(),
-            self.scratch.pred.capacity(),
+            self.scratch.dpred.capacity(),
+            self.scratch.dsucc.capacity(),
             self.scratch.pairs.capacity(),
             self.rmat.fwd.capacity(),
             self.rmat.bwd.capacity(),
@@ -2098,5 +2204,188 @@ mod tests {
         assert_eq!(r1.from, p(1));
         assert_eq!(r1.send_interval, 1);
         assert_eq!(r1.deliver_interval, None, "still in transit");
+    }
+
+    // ---------------------------------------- kernel differential ----
+
+    /// Deterministic xorshift generator for the proptests below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 as usize) % n
+        }
+    }
+
+    /// Grows two matrices to `target` nodes through the same random
+    /// insertions — the dirty-set kernel on one, the full-scan reference on
+    /// the other — and holds slabs, journal entries, collected pairs and
+    /// the "was new" flag against each other after every insertion.
+    fn assert_kernels_agree(rng: &mut Rng, target: usize, collect: bool) {
+        let (mut kernel, mut reference) = (ClosureMatrix::new(), ClosureMatrix::new());
+        let (mut journal_k, mut journal_r) = (Vec::new(), Vec::new());
+        let (mut scratch, mut pairs_r) = (EdgeScratch::default(), Vec::new());
+        let mut inserted: Vec<(usize, usize)> = Vec::new();
+        let (mut fresh_edges, mut implied_edges) = (0usize, 0usize);
+        for m in [&mut kernel, &mut reference] {
+            m.push_node();
+            m.push_node();
+        }
+        let mut steps = 0;
+        while kernel.nodes < target || steps < 3 * target {
+            steps += 1;
+            let k = kernel.nodes;
+            let (u, v) = match rng.below(8) {
+                // An edge at a node pushed this very step (into or out of
+                // it); pushes cross the 1 -> 2 -> 4 word growth.
+                0 | 1 if k < target => {
+                    kernel.push_node();
+                    reference.push_node();
+                    let old = rng.below(k);
+                    if rng.below(2) == 0 {
+                        (old, k)
+                    } else {
+                        (k, old)
+                    }
+                }
+                2 => {
+                    let x = rng.below(k);
+                    (x, x)
+                }
+                // An edge inserted before: implied by now.
+                3 if !inserted.is_empty() => inserted[rng.below(inserted.len())],
+                // The reverse of one: closes a cycle.
+                4 if !inserted.is_empty() => {
+                    let (a, b) = inserted[rng.below(inserted.len())];
+                    (b, a)
+                }
+                _ => {
+                    let (a, b) = (rng.below(k), rng.below(k));
+                    (a.min(b), a.max(b))
+                }
+            };
+            inserted.push((u, v));
+            let (at_k, at_r) = (journal_k.len(), journal_r.len());
+            let new_k = kernel.insert_edge(MAT_R, &mut journal_k, &mut scratch, collect, u, v);
+            let new_r =
+                reference.insert_edge_full_scan(MAT_R, &mut journal_r, &mut pairs_r, collect, u, v);
+            assert_eq!(new_k, new_r, "was-new flag of {u} -> {v}");
+            assert_eq!(kernel.fwd, reference.fwd, "fwd after {u} -> {v}");
+            assert_eq!(kernel.bwd, reference.bwd, "bwd after {u} -> {v}");
+            assert_eq!(
+                journal_k[at_k..],
+                journal_r[at_r..],
+                "journal of {u} -> {v}"
+            );
+            assert_eq!(scratch.pairs, pairs_r, "pairs of {u} -> {v}");
+            assert_eq!(collect && new_k, !pairs_r.is_empty());
+            if new_k {
+                fresh_edges += 1;
+            } else {
+                implied_edges += 1;
+            }
+        }
+        assert_eq!(kernel.width, bits::words_for(target).next_power_of_two());
+        assert!(
+            fresh_edges > 0 && implied_edges > 0,
+            "both outcomes exercised"
+        );
+    }
+
+    fn random_ops(
+        rng: &mut Rng,
+        n: usize,
+        events: usize,
+        in_flight: &mut Vec<usize>,
+        sent: &mut usize,
+    ) -> Vec<Op> {
+        let mut ops = Vec::new();
+        for _ in 0..events {
+            match rng.below(4) {
+                0 => ops.push(Op::Cp(rng.below(n))),
+                1 | 2 => {
+                    let from = rng.below(n);
+                    ops.push(Op::Send(from, (from + 1 + rng.below(n - 1)) % n));
+                    in_flight.push(*sent);
+                    *sent += 1;
+                }
+                _ if !in_flight.is_empty() => {
+                    let i = rng.below(in_flight.len());
+                    ops.push(Op::Del(in_flight.swap_remove(i)));
+                }
+                _ => {}
+            }
+        }
+        ops
+    }
+
+    fn apply_all(lock: &mut Lockstep, ops: &[Op]) {
+        for &op in ops {
+            lock.apply(op);
+        }
+    }
+
+    /// The snapshot document, with the one field that is documented not to
+    /// rewind (`events`, a monotone work counter) blanked.
+    fn rewindable_state(incr: &IncrementalAnalysis) -> String {
+        let mut doc = incr.snapshot_json();
+        if let rdt_json::Json::Obj(fields) = &mut doc {
+            fields.retain(|(key, _)| key != "events");
+        }
+        doc.to_string()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// `insert_edge` leaves exactly the state, journal and pair list
+        /// the full-scan loop it replaced would have left.
+        fn dirty_set_kernel_matches_full_scan(seed in 1u64..1_000_000) {
+            let mut rng = Rng(seed | 1);
+            for target in [63, 64, 65, 130] {
+                for collect in [false, true] {
+                    assert_kernels_agree(&mut rng, target, collect);
+                }
+            }
+        }
+
+        /// ROADMAP 5(c): a rewind leaves the engine bit-equal to a fresh
+        /// engine fed the prefix — with the prefix compacted half-way (so
+        /// the branch runs on rebuilt matrices and `drop_reach` summaries)
+        /// and without.
+        fn rewind_is_bit_equal_to_a_fresh_replay(
+            seed in 1u64..1_000_000,
+            n in 2usize..5,
+            pre in 8usize..48,
+            branch in 4usize..32,
+        ) {
+            let mut rng = Rng(seed | 1);
+            let (mut in_flight, mut sent) = (Vec::new(), 0);
+            let head = random_ops(&mut rng, n, pre, &mut in_flight, &mut sent);
+            let tail = random_ops(&mut rng, n, pre / 2, &mut in_flight, &mut sent);
+            let detour = random_ops(&mut rng, n, branch, &mut in_flight, &mut sent);
+            for compact in [false, true] {
+                // Only the engine half of each lockstep is looked at: the
+                // pattern mirror knows neither compaction nor rewind.
+                let prefix = || {
+                    let mut lock = Lockstep::new(n);
+                    apply_all(&mut lock, &head);
+                    if compact {
+                        lock.incr.compact_to_recovery_line();
+                    }
+                    apply_all(&mut lock, &tail);
+                    lock
+                };
+                let mut lock = prefix();
+                let mark = lock.incr.mark();
+                apply_all(&mut lock, &detour);
+                lock.incr.rewind(mark);
+                let (incr, fresh) = (lock.incr, prefix().incr);
+                assert_eq!(rewindable_state(&incr), rewindable_state(&fresh));
+            }
+        }
     }
 }

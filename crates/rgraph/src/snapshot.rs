@@ -17,7 +17,7 @@
 
 use rdt_json::Json;
 
-use super::{ClosureMatrix, EdgeScratch, IncrementalAnalysis, MsgRec, NONE_U32, WORD_BITS};
+use super::{bits, ClosureMatrix, EdgeScratch, IncrementalAnalysis, MsgRec, NONE_U32, WORD_BITS};
 
 /// Identifies the snapshot format inside the JSON document.
 pub const SNAPSHOT_FORMAT: &str = "rdt-rgraph-snapshot";
@@ -191,6 +191,30 @@ fn matrix_from_json(value: &Json, key: &str) -> Result<ClosureMatrix, SnapshotEr
     }
     if fwd.len() != nodes * width || bwd.len() != nodes * width {
         return Err(bad(format!("`{key}` slab sizes disagree with nodes×width")));
+    }
+    // Edge insertion iterates the set bits of a row as node indices and
+    // takes every row to hold its own node: a bit at or beyond `nodes` would
+    // index past the slab, a missing diagonal bit would lose the edge's own
+    // endpoints. Only the words from the one holding column `nodes` onwards
+    // can carry a padding bit.
+    let mut padding = vec![0u64; width];
+    for col in nodes..width * WORD_BITS {
+        bits::set(&mut padding, col);
+    }
+    let tail = nodes / WORD_BITS;
+    for (name, slab) in [("fwd", &fwd), ("bwd", &bwd)] {
+        for (node, row) in slab.chunks_exact(width).enumerate() {
+            if bits::intersects(&row[tail..], &padding[tail..]) {
+                return Err(bad(format!(
+                    "`{key}.{name}` row {node} has a bit beyond its node count"
+                )));
+            }
+            if !bits::test(row, node) {
+                return Err(bad(format!(
+                    "`{key}.{name}` row {node} lacks its diagonal bit"
+                )));
+            }
+        }
     }
     Ok(ClosureMatrix {
         nodes,
@@ -479,5 +503,69 @@ impl IncrementalAnalysis {
             compactions,
             reclaimed_rows,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdt_causality::ProcessId;
+
+    /// `doc[mat][slab][word]`, mutably.
+    fn slab_word<'a>(doc: &'a mut Json, mat: &str, slab: &str, word: usize) -> &'a mut u64 {
+        fn entry<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+            match obj {
+                Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                _ => panic!("not an object"),
+            }
+        }
+        match entry(entry(doc, mat), slab) {
+            Json::Arr(words) => match &mut words[word] {
+                Json::U64(w) => w,
+                _ => panic!("not a word"),
+            },
+            _ => panic!("not a slab"),
+        }
+    }
+
+    /// A closure row with a bit at a column `≥ nodes` would index past the
+    /// slab on the next append; a row without its diagonal bit breaks the
+    /// reflexivity edge insertion builds on. Both are rejected, in all
+    /// three matrices and both slabs.
+    #[test]
+    fn padding_bits_and_missing_diagonals_are_rejected() {
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let mut incr = IncrementalAnalysis::new(2);
+        incr.append_checkpoint(p0);
+        let m = incr.append_send(p0, p1);
+        incr.append_deliver(m);
+        let good = incr.snapshot_json();
+        assert!(IncrementalAnalysis::from_snapshot_json(&good).is_ok());
+
+        for mat in ["rmat", "zmat", "cmat"] {
+            for slab in ["fwd", "bwd"] {
+                // Every matrix is one word wide here, so word 1 is row 1.
+                let mut doc = good.clone();
+                *slab_word(&mut doc, mat, slab, 1) |= 1 << 40;
+                let err = IncrementalAnalysis::from_snapshot_json(&doc).unwrap_err();
+                assert!(err.message.contains("beyond its node count"), "{err}");
+
+                let mut doc = good.clone();
+                *slab_word(&mut doc, mat, slab, 1) &= !(1 << 1);
+                let err = IncrementalAnalysis::from_snapshot_json(&doc).unwrap_err();
+                assert!(err.message.contains("diagonal"), "{err}");
+            }
+        }
+    }
+
+    /// The reported reproduction: were this document restored, the next
+    /// checkpoint of `p0` would panic with an index out of bounds.
+    #[test]
+    fn padding_bit_in_rmat_bwd_no_longer_panics_the_next_append() {
+        let mut incr = IncrementalAnalysis::new(2);
+        incr.append_checkpoint(ProcessId::new(0));
+        let mut doc = incr.snapshot_json();
+        *slab_word(&mut doc, "rmat", "bwd", 2) |= 1 << 40;
+        assert!(IncrementalAnalysis::from_snapshot_json(&doc).is_err());
     }
 }
