@@ -2158,31 +2158,23 @@ impl ToJson for CertifyScaleRun {
     }
 }
 
-/// BENCH-CERTIFY: the orbit-pruned certifier pipeline against the
-/// prefix-sharing baseline on the reference scope, with the byte-level
-/// report comparison that makes the speedup meaningful, plus per-protocol
-/// replay timings and (full mode) the scope-push runs.
+/// BENCH-CERTIFY: the orbit-pruned certifier at scale — wall clock,
+/// throughput and the pruning/sharing accounting on the reference scope,
+/// plus per-protocol replay timings and (full mode) the scope-push runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CertifyScaleResult {
     /// Reference scope, rendered `n,m,b`.
     pub scope: String,
-    /// Worker threads of the timed runs (1 = the single-core comparison
-    /// the gate is defined over).
+    /// Worker threads of the timed runs.
     pub threads: usize,
-    /// Wall-clock nanoseconds of the baseline engine on the scope.
-    pub baseline_ns: u64,
-    /// Wall-clock nanoseconds of the orbit-pruned engine on the scope.
+    /// Wall-clock nanoseconds of the certifier on the scope.
     pub orbit_ns: u64,
-    /// `baseline_ns / orbit_ns`.
-    pub speedup: f64,
-    /// Whether the two engines' reports are byte-identical (pretty JSON).
-    pub reports_equal: bool,
     /// Full-space structures covered.
     pub structures: u64,
     /// Canonical representatives retained.
     pub canonical: u64,
     /// Structures pruned as relabelings of a canonical representative
-    /// (counted, never generated by the orbit engine).
+    /// (counted, never generated).
     pub orbits_pruned: u64,
     /// Canonical but unrealizable skeletons.
     pub unrealizable: u64,
@@ -2200,7 +2192,7 @@ pub struct CertifyScaleResult {
     /// Fraction of the no-sharing replay volume avoided by prefix
     /// sharing + verdict dedup.
     pub prefix_reuse_ratio: f64,
-    /// Structures covered per second by the orbit engine.
+    /// Structures covered per second.
     pub structures_per_sec: f64,
     /// Per-protocol replay timings (dedicated pass).
     pub replay: Vec<CertifyReplayRow>,
@@ -2209,29 +2201,20 @@ pub struct CertifyScaleResult {
 }
 
 impl CertifyScaleResult {
-    /// The acceptance gates of the experiment: the orbit engine must
-    /// reproduce the baseline's report byte for byte and be at least
-    /// twice as fast on the reference scope, with non-vacuous pruning
-    /// and verdict sharing.
+    /// The acceptance gates of the experiment: the numbers must come
+    /// from non-vacuous pruning and verdict sharing, and every
+    /// scope-push run must certify. (The report bytes are pinned by the
+    /// `certify_report*` goldens, not here.)
     ///
     /// # Errors
     ///
     /// Returns a human-readable explanation of the first violated gate.
     pub fn gate(&self) -> Result<(), String> {
-        if !self.reports_equal {
-            return Err("orbit-pruned report differs from the baseline engine's".to_string());
-        }
-        if self.speedup < 2.0 {
-            return Err(format!(
-                "orbit-pruned engine is only {:.2}x the baseline (gate: >= 2.0x)",
-                self.speedup
-            ));
-        }
         if self.orbits_pruned == 0 || self.layouts_pruned + self.subtree_cuts == 0 {
-            return Err("orbit pruning never fired — the comparison is vacuous".to_string());
+            return Err("orbit pruning never fired — the measurement is vacuous".to_string());
         }
         if self.dedup_hits == 0 {
-            return Err("verdict sharing never fired — the comparison is vacuous".to_string());
+            return Err("verdict sharing never fired — the measurement is vacuous".to_string());
         }
         for run in &self.scope_push {
             if !run.certified_ok {
@@ -2252,42 +2235,26 @@ fn timed_certify(
     (report, stats, ns)
 }
 
-/// Times `timed_certify` twice and keeps the faster wall clock — the
-/// first run pays the page-fault/allocator warmup, so a single-shot
-/// measurement understates the steady-state speedup the gate asserts.
-fn timed_certify_best_of_two(
-    scope: &rdt_verify::Scope,
-    options: &rdt_verify::CertifyOptions,
-) -> (rdt_verify::CertifyReport, rdt_verify::CertifyStats, u64) {
-    let (_, _, warm_ns) = timed_certify(scope, options);
-    let (report, stats, ns) = timed_certify(scope, options);
-    (report, stats, ns.min(warm_ns))
-}
-
-/// Runs BENCH-CERTIFY: both certifier engines over `scope` at `threads`
-/// workers with the full protocol set, a byte-level report comparison, a
-/// dedicated per-protocol replay-timing pass, and (when `push_scopes` is
-/// nonempty) the scope-push runs — e.g. a full `3,5` and a sampled `4,4`.
+/// Runs BENCH-CERTIFY: the certifier over `scope` at `threads` workers
+/// with the full protocol set, a dedicated per-protocol replay-timing
+/// pass, and (when `push_scopes` is nonempty) the scope-push runs — e.g.
+/// a full `3,5` and a sampled `4,4`.
 pub fn certify_scale(
     scope: &rdt_verify::Scope,
     threads: usize,
     push_scopes: &[(rdt_verify::Scope, Option<f64>)],
 ) -> CertifyScaleResult {
-    use rdt_verify::{CertifyEngine, CertifyOptions};
+    use rdt_verify::CertifyOptions;
 
-    let base_options = CertifyOptions {
+    let options = CertifyOptions {
         threads,
-        engine: CertifyEngine::PrefixBaseline,
         ..CertifyOptions::default()
     };
-    let orbit_options = CertifyOptions {
-        threads,
-        engine: CertifyEngine::OrbitPruned,
-        ..CertifyOptions::default()
-    };
-    let (base_report, _, baseline_ns) = timed_certify_best_of_two(scope, &base_options);
-    let (orbit_report, stats, orbit_ns) = timed_certify_best_of_two(scope, &orbit_options);
-    let reports_equal = base_report.to_json().pretty() == orbit_report.to_json().pretty();
+    // Best of two: the first run pays the page-fault/allocator warmup,
+    // so a single shot understates the steady-state throughput.
+    let (_, _, warm_ns) = timed_certify(scope, &options);
+    let (report, stats, ns) = timed_certify(scope, &options);
+    let orbit_ns = ns.min(warm_ns);
 
     // Per-protocol replay timing, as a dedicated pass: timing inside the
     // certification loop would put two clock reads on every one of the
@@ -2329,14 +2296,11 @@ pub fn certify_scale(
         })
         .collect();
 
-    let counts = &orbit_report.counts;
+    let counts = &report.counts;
     CertifyScaleResult {
         scope: scope.to_string(),
         threads,
-        baseline_ns,
         orbit_ns,
-        speedup: baseline_ns as f64 / orbit_ns.max(1) as f64,
-        reports_equal,
         structures: counts.structures,
         canonical: counts.canonical,
         orbits_pruned: counts.pruned_symmetry,
@@ -2358,10 +2322,7 @@ impl ToJson for CertifyScaleResult {
         Json::obj([
             ("scope", Json::Str(self.scope.clone())),
             ("threads", self.threads.to_json()),
-            ("baseline_ns", self.baseline_ns.to_json()),
             ("orbit_ns", self.orbit_ns.to_json()),
-            ("speedup", self.speedup.to_json()),
-            ("reports_equal", Json::Bool(self.reports_equal)),
             ("structures", self.structures.to_json()),
             ("canonical", self.canonical.to_json()),
             ("orbits_pruned", self.orbits_pruned.to_json()),
@@ -2493,13 +2454,11 @@ mod tests {
 
     #[test]
     fn certify_scale_spot_check_counts_and_shape() {
-        // Tiny scale: the >= 2x speedup gate is noise at this size, but
-        // report equality, the orbit accounting, and the JSON shape must
-        // hold exactly.
+        // Tiny scale: the orbit accounting and the JSON shape must hold
+        // exactly.
         let scope = rdt_verify::Scope::tiny();
         let sampled = rdt_verify::Scope::with_basics(2, 2, 0).expect("in range");
         let bench = certify_scale(&scope, 1, &[(sampled, Some(0.5))]);
-        assert!(bench.reports_equal);
         assert_eq!(bench.structures, 140);
         assert_eq!(bench.structures - bench.canonical, bench.orbits_pruned);
         assert_eq!(
@@ -2516,14 +2475,39 @@ mod tests {
         assert!(push.replayed < push.replayable);
         let json = bench.to_json().pretty();
         for key in [
-            "\"baseline_ns\"",
             "\"orbit_ns\"",
-            "\"speedup\"",
             "\"prefix_reuse_ratio\"",
             "\"structures_per_sec\"",
             "\"scope_push\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        // The head-to-head against the retired baseline pipeline is gone.
+        for key in ["\"baseline_ns\"", "\"speedup\""] {
+            assert!(!json.contains(key), "stale {key} in {json}");
+        }
+    }
+
+    #[test]
+    fn certify_scale_gate_rejects_vacuous_and_uncertified_runs() {
+        let scope = rdt_verify::Scope::tiny();
+        let bench = certify_scale(&scope, 1, &[(scope, None)]);
+        assert_eq!(bench.gate(), Ok(()));
+
+        let no_sharing = CertifyScaleResult {
+            dedup_hits: 0,
+            ..bench.clone()
+        };
+        assert!(no_sharing.gate().unwrap_err().contains("verdict sharing"));
+
+        let no_pruning = CertifyScaleResult {
+            orbits_pruned: 0,
+            ..bench.clone()
+        };
+        assert!(no_pruning.gate().unwrap_err().contains("orbit pruning"));
+
+        let mut uncertified = bench;
+        uncertified.scope_push[0].certified_ok = false;
+        assert!(uncertified.gate().unwrap_err().contains("did not certify"));
     }
 }

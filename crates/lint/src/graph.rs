@@ -37,7 +37,6 @@ const ENTRY_POINTS: &[(Option<&str>, &str, &str)] = &[
     (Some("ExecutorCell"), "on_checkpoint", "crates/core/src/"),
     (None, "replay_protocol_ops", "crates/verify/src/"),
     (None, "replay_ops", "crates/verify/src/"),
-    (None, "replay_ops_legacy", "crates/verify/src/"),
     (None, "build_pattern", "crates/verify/src/"),
     // The orbit-pruned enumeration pipeline: work units are produced by
     // `enumerate_units` and consumed on worker threads by `run_unit`, so

@@ -23,22 +23,19 @@
 //! counterexamples — the report records that expectation separately so a
 //! certifier that has gone blind fails loudly.
 //!
-//! Two pipelines produce the (byte-identical) report. The default
-//! [`CertifyEngine::OrbitPruned`] streams self-describing work units
-//! through the orbit-pruned enumerator (see [`crate::orbit`]), shares
-//! engine verdicts between protocols whose replay produced the identical
-//! op stream, and supports deterministic orbit sampling and progress
-//! reporting. [`CertifyEngine::PrefixBaseline`] is the previous
-//! layout-fan-out pipeline, kept as the differential and benchmark
-//! baseline.
+//! One pipeline produces the report: self-describing work units stream
+//! through the orbit-pruned enumerator (see [`crate::orbit`]), engine
+//! verdicts are shared between protocols whose replay produced the
+//! identical op stream, and orbits can be sampled deterministically with
+//! progress reported on stderr. The report bytes are pinned by the
+//! goldens `tests/golden/certify_report{,_3_2_1}.json`; the second was
+//! captured from the layout-fan-out pipeline this one replaced.
 
 use rdt_json::{Json, ToJson};
 use rdt_rgraph::{GlobalCheckpoint, IncrementalAnalysis, Mark};
-use rdt_sim::{parallel_map_indexed, parallel_map_indexed_observed, Stopwatch};
+use rdt_sim::{parallel_map_indexed_observed, Stopwatch};
 
-use crate::enumerate::{
-    enumerate_layouts, permutations, visit_layout, EnumerationCounts, LayoutScratch, Schedule,
-};
+use crate::enumerate::{EnumerationCounts, Schedule};
 use crate::orbit::{enumerate_units, OrbitContext, OrbitScratch, OrbitStats};
 use crate::replay::{CertProtocol, PatternOp, ReplayedOps};
 use crate::Scope;
@@ -112,20 +109,6 @@ impl ProtocolTally {
     }
 }
 
-/// Which enumeration/replay pipeline drives the certifier. Both produce
-/// byte-identical reports for the same scope and options — pinned by the
-/// engine-differential test and the bench gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CertifyEngine {
-    /// Orbit-pruned, work-unit-streamed pipeline (the default):
-    /// symmetry-reduced enumeration with subtree pruning, cross-protocol
-    /// verdict sharing, deterministic orbit sampling, progress reporting.
-    OrbitPruned,
-    /// The layout-fan-out prefix-sharing pipeline, kept as the
-    /// differential baseline the orbit engine is benchmarked against.
-    PrefixBaseline,
-}
-
 /// Certification options.
 #[derive(Debug, Clone)]
 pub struct CertifyOptions {
@@ -143,18 +126,28 @@ pub struct CertifyOptions {
     /// pattern instead of sharing a prefix across the compaction point,
     /// so the report stays byte-identical for every interval.
     pub compact_interval: u64,
-    /// Enumeration/replay pipeline (see [`CertifyEngine`]).
-    pub engine: CertifyEngine,
-    /// Deterministic stratified sampling over canonical orbits
-    /// (orbit engine only): replay only orbits whose sampling key falls
-    /// below this fraction of the key space; `None` (or any fraction
-    /// `>= 1`) replays exhaustively. Enumeration counts always cover the
-    /// full space; per-protocol tallies cover the sample. The sampled
-    /// set is a pure function of (scope, fraction) — independent of
-    /// thread count, stable across runs.
+    /// Deterministic stratified sampling over canonical orbits: replay
+    /// only orbits whose sampling key falls below this fraction of the
+    /// key space; `None` (or any fraction `>= 1`) replays exhaustively.
+    /// Enumeration counts always cover the full space; per-protocol
+    /// tallies cover the sample. The sampled set is a pure function of
+    /// (scope, fraction) — independent of thread count, stable across
+    /// runs.
+    ///
+    /// ```
+    /// use rdt_verify::{certify, CertifyOptions, Scope};
+    ///
+    /// let scope = Scope::with_basics(3, 2, 1).unwrap();
+    /// let options = CertifyOptions {
+    ///     sample: Some(0.5),
+    ///     ..CertifyOptions::default()
+    /// };
+    /// let report = certify(&scope, &options);
+    /// assert!(report.sampled < report.counts.replayable);
+    /// ```
     pub sample: Option<f64>,
-    /// Emit periodic progress/ETA lines on stderr (orbit engine only):
-    /// structures/sec, orbits pruned, schedules replayed.
+    /// Emit periodic progress/ETA lines on stderr: structures/sec,
+    /// orbits pruned, schedules replayed.
     pub progress: bool,
 }
 
@@ -165,7 +158,6 @@ impl Default for CertifyOptions {
             protocols: CertProtocol::default_set(),
             max_counterexamples: 8,
             compact_interval: 0,
-            engine: CertifyEngine::OrbitPruned,
             sample: None,
             progress: false,
         }
@@ -323,7 +315,7 @@ impl ToJson for CertifyReport {
             ("replayed", Json::U64(c.replayable)),
         ];
         // Sampling keys appear only when sampling was active, so
-        // exhaustive reports stay byte-identical across engines.
+        // exhaustive reports keep the bytes the goldens pin.
         if let Some(frac) = self.sample {
             pairs.push(("sample", Json::F64(frac)));
             pairs.push(("sampled", Json::U64(self.sampled)));
@@ -437,174 +429,12 @@ impl CertSession {
     }
 }
 
-/// Runs one protocol over one schedule and records every failed check.
-///
-/// All theory checks run on the session's incremental engine: the RDT
-/// verdict and untrackable count are maintained online, the chain/CM
-/// characterizations and GC oracles are evaluated on the temporarily
-/// closed state. Results are identical to a from-scratch batch analysis
-/// (held to it by the differential suite in `rdt-rgraph`).
-fn certify_schedule(
-    protocol: &CertProtocol,
-    session: &mut CertSession,
-    schedule: &Schedule,
-    tally: &mut ProtocolTally,
-    max_kept: usize,
-) -> u64 {
-    protocol.replay_ops(schedule, &mut session.run);
-    tally.patterns += 1;
-    tally.predicate_mismatches += session.run.predicate_mismatches.len() as u64;
-    for mismatch in &session.run.predicate_mismatches {
-        tally.note(
-            max_kept,
-            protocol,
-            "predicate-mismatch",
-            schedule,
-            format!(
-                "event {}: oracle says force={}, protocol forced={}",
-                mismatch.event_index, mismatch.oracle_forces, mismatch.protocol_forced
-            ),
-        );
-    }
-
-    let appended = session.load_run();
-    let CertSession {
-        incr, run, gc_bufs, ..
-    } = session;
-    let records = &run.records;
-    incr.with_closed(|view| {
-        let rpaths_ok = view.rdt_holds();
-        let chains_ok = view.all_chains_doubled();
-        let cm_ok = view.all_cm_paths_doubled();
-        if rpaths_ok != chains_ok || rpaths_ok != cm_ok {
-            tally.note(
-                max_kept,
-                protocol,
-                "characterization-disagreement",
-                schedule,
-                format!("r-paths={rpaths_ok} chains={chains_ok} cm-paths={cm_ok}"),
-            );
-        }
-        if !rpaths_ok {
-            tally.rdt_violations += 1;
-            if protocol.claims_rdt() {
-                tally.note(
-                    max_kept,
-                    protocol,
-                    "rdt-violation",
-                    schedule,
-                    format!("{} untrackable R-path(s)", view.violations_capped(16)),
-                );
-            }
-        }
-
-        // Global-checkpoint oracles, per protocol-reported checkpoint, on
-        // the closed pattern the view holds. The allocation-free `_into`
-        // oracle forms share three buffers across all records; owned
-        // `GlobalCheckpoint`s are only materialized on the (rare) note
-        // paths, with wording identical to the owned-oracle formulation.
-        let [min_buf, via_buf, max_buf] = gc_bufs;
-        let gc_of = |exists: bool, buf: &[u32]| exists.then(|| GlobalCheckpoint::new(buf.to_vec()));
-        for record in records {
-            if record.id.index > view.last_checkpoint_index(record.id.process) {
-                tally.note(
-                    max_kept,
-                    protocol,
-                    "missing-checkpoint",
-                    schedule,
-                    format!("protocol reported {} beyond the pattern", record.id),
-                );
-                continue;
-            }
-            tally.gc_checks += 1;
-            let members = [record.id];
-            let min_ok = view.min_consistent_containing_into(&members, min_buf);
-            let via_ok = view.min_consistent_via_rgraph_into(&members, via_buf);
-            if min_ok != via_ok || (min_ok && min_buf != via_buf) {
-                let fixpoint = gc_of(min_ok, min_buf);
-                let via_rgraph = gc_of(via_ok, via_buf);
-                tally.note(
-                    max_kept,
-                    protocol,
-                    "min-gc-oracle-disagreement",
-                    schedule,
-                    format!(
-                        "{}: fixpoint {fixpoint:?} != r-graph {via_rgraph:?}",
-                        record.id
-                    ),
-                );
-                continue;
-            }
-            let max_ok = view.max_consistent_containing_into(&members, max_buf);
-            match (min_ok, max_ok) {
-                (true, true) => {
-                    if !min_buf.iter().zip(max_buf.iter()).all(|(lo, hi)| lo <= hi) {
-                        let (lo, hi) = (
-                            GlobalCheckpoint::new(min_buf.clone()),
-                            GlobalCheckpoint::new(max_buf.clone()),
-                        );
-                        tally.note(
-                            max_kept,
-                            protocol,
-                            "min-above-max",
-                            schedule,
-                            format!("{}: min {lo} > max {hi}", record.id),
-                        );
-                    }
-                }
-                (false, false) => {}
-                _ => {
-                    let (lo, hi) = (gc_of(min_ok, min_buf), gc_of(max_ok, max_buf));
-                    tally.note(
-                        max_kept,
-                        protocol,
-                        "min-max-existence-disagreement",
-                        schedule,
-                        format!("{}: min {lo:?}, max {hi:?}", record.id),
-                    );
-                }
-            }
-            if protocol.claims_rdt() && !min_ok {
-                tally.note(
-                    max_kept,
-                    protocol,
-                    "useless-checkpoint",
-                    schedule,
-                    format!("{} is on a Z-cycle", record.id),
-                );
-            }
-            if protocol.check_reported_min_gc() {
-                if let Some(reported) = &record.min_consistent_gc {
-                    let matches = min_ok && min_buf.as_slice() == reported.as_slice();
-                    if !matches {
-                        tally.note(
-                            max_kept,
-                            protocol,
-                            "tdv-min-gc-mismatch",
-                            schedule,
-                            format!(
-                                "{}: saved TDV {:?}, oracle min {:?} (Corollary 4.5)",
-                                record.id,
-                                reported,
-                                min_ok.then_some(&min_buf[..])
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    });
-    appended
-}
-
 /// Deterministic work tallies of one certification run. Every field is a
 /// pure function of (scope, options) — identical for every thread count —
 /// so stats can be pinned by goldens; wall time is measured by callers.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct CertifyStats {
-    /// Engine that produced the run.
-    pub engine: CertifyEngine,
-    /// Orbit-engine enumeration tallies (all zero under the baseline).
+    /// Orbit enumeration tallies.
     pub orbit: OrbitStats,
     /// Schedules replayed, counted once per schedule (post-sampling).
     pub schedules: u64,
@@ -614,8 +444,8 @@ pub struct CertifyStats {
     /// Ops actually appended to replay engines; prefix sharing and
     /// verdict dedup both show up as `ops_appended < ops_total`.
     pub ops_appended: u64,
-    /// Engine load/rewind calls (one per *distinct* op stream under the
-    /// orbit engine's verdict sharing).
+    /// Engine load/rewind calls (one per *distinct* op stream under
+    /// verdict sharing).
     pub engine_loads: u64,
     /// (schedule × protocol) replays whose op stream matched an earlier
     /// protocol's for the same schedule and reused its engine verdict.
@@ -632,20 +462,9 @@ impl CertifyStats {
             1.0 - self.ops_appended as f64 / self.ops_total as f64
         }
     }
-}
 
-/// Replay-volume counters threaded through both engines.
-#[derive(Debug, Default, Clone, Copy)]
-struct OpCounters {
-    schedules: u64,
-    ops_total: u64,
-    ops_appended: u64,
-    engine_loads: u64,
-    dedup_hits: u64,
-}
-
-impl OpCounters {
-    fn absorb(&mut self, other: &OpCounters) {
+    fn absorb(&mut self, other: &CertifyStats) {
+        self.orbit.absorb(&other.orbit);
         self.schedules += other.schedules;
         self.ops_total += other.ops_total;
         self.ops_appended += other.ops_appended;
@@ -659,10 +478,8 @@ impl OpCounters {
 /// Protocols whose replay of a schedule produced the *identical*
 /// [`ReplayedOps`] share one verdict — the theory checks are pure
 /// functions of the stream, so computing them once is the same as
-/// computing them per protocol (held to the baseline by the
-/// engine-differential test). Note details are rendered here, once,
-/// with wording identical to the inline formulation in
-/// [`certify_schedule`].
+/// computing them per protocol. Note details are rendered here, once;
+/// their wording is pinned by `tests/golden/certify_report_3_2_1.json`.
 #[derive(Debug, Default, Clone)]
 struct ScheduleVerdict {
     rpaths_ok: bool,
@@ -681,7 +498,7 @@ enum RecordVerdict {
     /// check was run.
     Beyond(String),
     /// The two min oracles disagreed (`min-gc-oracle-disagreement`
-    /// detail); remaining checks skipped, as inline.
+    /// detail); remaining checks skipped.
     MinOracleDisagree(String),
     /// Oracles ran to completion.
     Checked {
@@ -699,6 +516,12 @@ enum RecordVerdict {
 /// Loads the session's replayed stream into its engine and evaluates
 /// every stream-level theory check into `verdict`. Returns the ops
 /// appended to the engine.
+///
+/// All theory checks run on the session's incremental engine: the RDT
+/// verdict and untrackable count are maintained online, the chain/CM
+/// characterizations and GC oracles are evaluated on the temporarily
+/// closed state. Results are identical to a from-scratch batch analysis
+/// (held to it by the differential suite in `rdt-rgraph`).
 fn compute_verdict(session: &mut CertSession, verdict: &mut ScheduleVerdict) -> u64 {
     let appended = session.load_run();
     let CertSession {
@@ -721,6 +544,11 @@ fn compute_verdict(session: &mut CertSession, verdict: &mut ScheduleVerdict) -> 
         if !rpaths_ok {
             verdict.rdt_note = format!("{} untrackable R-path(s)", view.violations_capped(16));
         }
+        // Global-checkpoint oracles, per protocol-reported checkpoint, on
+        // the closed pattern the view holds. The allocation-free `_into`
+        // oracle forms share three buffers across all records; owned
+        // `GlobalCheckpoint`s are only materialized on the (rare) note
+        // paths.
         let [min_buf, via_buf, max_buf] = gc_bufs;
         let gc_of = |exists: bool, buf: &[u32]| exists.then(|| GlobalCheckpoint::new(buf.to_vec()));
         for record in records {
@@ -792,8 +620,9 @@ fn compute_verdict(session: &mut CertSession, verdict: &mut ScheduleVerdict) -> 
     appended
 }
 
-/// Applies a shared [`ScheduleVerdict`] to one protocol's tally, in the
-/// exact note order of the inline [`certify_schedule`].
+/// Applies a shared [`ScheduleVerdict`] to one protocol's tally. The
+/// note order decides which counterexamples are kept, so it is part of
+/// the report bytes the goldens pin.
 fn apply_verdict(
     protocol: &CertProtocol,
     schedule: &Schedule,
@@ -902,74 +731,21 @@ fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-fn build_report(
-    scope: &Scope,
-    counts: EnumerationCounts,
-    protocols: &[CertProtocol],
-    merged: Vec<ProtocolTally>,
-    sample: Option<f64>,
-    sampled: u64,
-) -> CertifyReport {
-    let protocols = protocols
-        .iter()
-        .zip(merged)
-        .map(|(protocol, tally)| ProtocolReport {
-            name: protocol.name(),
-            claims_rdt: protocol.claims_rdt(),
-            expected_clean: protocol.expected_clean(),
-            patterns: tally.patterns,
-            rdt_violations: tally.rdt_violations,
-            predicate_mismatches: tally.predicate_mismatches,
-            gc_checks: tally.gc_checks,
-            counterexample_total: tally.counterexample_total,
-            counterexamples: tally.counterexamples,
-        })
-        .collect();
-    CertifyReport {
-        scope: *scope,
-        counts,
-        sample,
-        sampled,
-        protocols,
-    }
-}
-
 /// Exhaustively certifies `options.protocols` over `scope` (see
 /// [`certify_with_stats`] for the work tallies).
 pub fn certify(scope: &Scope, options: &CertifyOptions) -> CertifyReport {
     certify_with_stats(scope, options).0
 }
 
-/// [`certify`] plus the run's deterministic work tallies.
-///
-/// Under [`CertifyEngine::OrbitPruned`], work units are the parallel
-/// items, fanned out over the work-stealing engine; per-unit tallies are
-/// merged in unit order — which equals the baseline's layout order — so
-/// the report is byte-identical for every thread count *and* across
-/// engines. Each worker owns one prefix-sharing [`CertSession`] per
-/// protocol; the unit stream's prefix ordering keeps consecutive op
-/// streams similar, which is what the sessions' rewind-and-append feeds
-/// on.
-pub fn certify_with_stats(
-    scope: &Scope,
-    options: &CertifyOptions,
-) -> (CertifyReport, CertifyStats) {
-    match options.engine {
-        CertifyEngine::OrbitPruned => certify_orbit(scope, options),
-        CertifyEngine::PrefixBaseline => certify_baseline(scope, options),
-    }
-}
-
-/// Per-unit result of the orbit pipeline (merged in unit order).
+/// Per-unit result (merged in unit order).
 struct UnitOutcome {
     counts: EnumerationCounts,
-    orbit: OrbitStats,
+    stats: CertifyStats,
     tallies: Vec<ProtocolTally>,
-    ops: OpCounters,
 }
 
-/// Worker-local state of the orbit pipeline: enumeration scratch, one
-/// replay session per protocol, and the reused verdict slots.
+/// Worker-local state: enumeration scratch, one replay session per
+/// protocol, and the reused verdict slots.
 struct OrbitWorker {
     scratch: OrbitScratch,
     sessions: Vec<CertSession>,
@@ -977,7 +753,18 @@ struct OrbitWorker {
     rep_of: Vec<usize>,
 }
 
-fn certify_orbit(scope: &Scope, options: &CertifyOptions) -> (CertifyReport, CertifyStats) {
+/// [`certify`] plus the run's deterministic work tallies.
+///
+/// Work units are the parallel items, fanned out over the work-stealing
+/// engine; per-unit tallies are merged in unit order, so the report is
+/// byte-identical for every thread count. Each worker owns one
+/// prefix-sharing `CertSession` per protocol; the unit stream's prefix
+/// ordering keeps consecutive op streams similar, which is what the
+/// sessions' rewind-and-append feeds on.
+pub fn certify_with_stats(
+    scope: &Scope,
+    options: &CertifyOptions,
+) -> (CertifyReport, CertifyStats) {
     let threads = resolve_threads(options.threads);
     let protocols = &options.protocols;
     let max_kept = options.max_counterexamples;
@@ -1009,9 +796,8 @@ fn certify_orbit(scope: &Scope, options: &CertifyOptions) -> (CertifyReport, Cer
         },
         |worker, _, unit| {
             let mut counts = EnumerationCounts::default();
-            let mut orbit = OrbitStats::default();
+            let mut stats = CertifyStats::default();
             let mut tallies = vec![ProtocolTally::default(); protocols.len()];
-            let mut ops = OpCounters::default();
             let OrbitWorker {
                 scratch,
                 sessions,
@@ -1022,12 +808,12 @@ fn certify_orbit(scope: &Scope, options: &CertifyOptions) -> (CertifyReport, Cer
                 unit,
                 scratch,
                 &mut counts,
-                &mut orbit,
+                &mut stats.orbit,
                 &mut |schedule, meta| {
                     if meta.key > threshold {
                         return;
                     }
-                    ops.schedules += 1;
+                    stats.schedules += 1;
                     for (protocol, session) in protocols.iter().zip(sessions.iter_mut()) {
                         protocol.replay_ops(schedule, &mut session.run);
                     }
@@ -1036,20 +822,21 @@ fn certify_orbit(scope: &Scope, options: &CertifyOptions) -> (CertifyReport, Cer
                     // its engine verdict without touching their engines.
                     rep_of.clear();
                     for i in 0..protocols.len() {
-                        ops.ops_total += sessions[i].run.ops.len() as u64;
+                        stats.ops_total += sessions[i].run.ops.len() as u64;
                         let rep = (0..i)
                             .find(|&j| sessions[j].run == sessions[i].run)
                             .unwrap_or(i);
                         rep_of.push(rep);
                         if rep == i {
-                            ops.engine_loads += 1;
+                            stats.engine_loads += 1;
                         } else {
-                            ops.dedup_hits += 1;
+                            stats.dedup_hits += 1;
                         }
                     }
                     for i in 0..protocols.len() {
                         if rep_of[i] == i {
-                            ops.ops_appended += compute_verdict(&mut sessions[i], &mut verdicts[i]);
+                            stats.ops_appended +=
+                                compute_verdict(&mut sessions[i], &mut verdicts[i]);
                         }
                     }
                     for (i, protocol) in protocols.iter().enumerate() {
@@ -1069,9 +856,8 @@ fn certify_orbit(scope: &Scope, options: &CertifyOptions) -> (CertifyReport, Cer
             );
             UnitOutcome {
                 counts,
-                orbit,
+                stats,
                 tallies,
-                ops,
             }
         },
         |done, outcome| {
@@ -1080,7 +866,7 @@ fn certify_orbit(scope: &Scope, options: &CertifyOptions) -> (CertifyReport, Cer
             }
             seen_structures += outcome.counts.structures;
             seen_pruned += outcome.counts.pruned_symmetry;
-            seen_schedules += outcome.ops.schedules;
+            seen_schedules += outcome.stats.schedules;
             let elapsed = watch.elapsed_secs();
             if elapsed - last_emit >= 1.0 || done == total_units {
                 last_emit = elapsed;
@@ -1097,106 +883,35 @@ fn certify_orbit(scope: &Scope, options: &CertifyOptions) -> (CertifyReport, Cer
     );
 
     let mut counts = EnumerationCounts::default();
-    let mut orbit = OrbitStats::default();
-    let mut op_counters = OpCounters::default();
+    let mut stats = CertifyStats::default();
     let mut merged = vec![ProtocolTally::default(); protocols.len()];
     for outcome in outcomes {
         counts.absorb(&outcome.counts);
-        orbit.absorb(&outcome.orbit);
-        op_counters.absorb(&outcome.ops);
+        stats.absorb(&outcome.stats);
         for (into, tally) in merged.iter_mut().zip(outcome.tallies) {
             into.absorb(tally, max_kept);
         }
     }
-    let report = build_report(
-        scope,
+    let report = CertifyReport {
+        scope: *scope,
         counts,
-        protocols,
-        merged,
         sample,
-        op_counters.schedules,
-    );
-    let stats = CertifyStats {
-        engine: CertifyEngine::OrbitPruned,
-        orbit,
-        schedules: op_counters.schedules,
-        ops_total: op_counters.ops_total,
-        ops_appended: op_counters.ops_appended,
-        engine_loads: op_counters.engine_loads,
-        dedup_hits: op_counters.dedup_hits,
-    };
-    (report, stats)
-}
-
-/// The previous layout-fan-out pipeline, byte-for-byte: layouts are the
-/// parallel work units, every (schedule × protocol) is checked inline
-/// with no orbit pruning beyond the post-hoc canonicality filter and no
-/// verdict sharing. Kept as the differential baseline the orbit engine
-/// is benchmarked against.
-fn certify_baseline(scope: &Scope, options: &CertifyOptions) -> (CertifyReport, CertifyStats) {
-    let threads = resolve_threads(options.threads);
-    let layouts = enumerate_layouts(scope);
-    let perms = permutations(scope.processes);
-    let protocols = &options.protocols;
-    let max_kept = options.max_counterexamples;
-    let compact_interval = options.compact_interval;
-    let n = scope.processes;
-
-    let per_layout = parallel_map_indexed(
-        &layouts,
-        threads,
-        || -> (Vec<CertSession>, LayoutScratch) {
-            let sessions = protocols.iter().map(|_| CertSession::new(n)).collect();
-            (sessions, LayoutScratch::new(n))
-        },
-        |(sessions, scratch), _, layout| {
-            let mut tallies = vec![ProtocolTally::default(); protocols.len()];
-            let mut ops = OpCounters::default();
-            let counts = visit_layout(layout, &perms, scratch, &mut |schedule| {
-                ops.schedules += 1;
-                for ((protocol, session), tally) in protocols
-                    .iter()
-                    .zip(sessions.iter_mut())
-                    .zip(tallies.iter_mut())
-                {
-                    ops.ops_appended +=
-                        certify_schedule(protocol, session, schedule, tally, max_kept);
-                    ops.ops_total += session.run.ops.len() as u64;
-                    ops.engine_loads += 1;
-                    session.maybe_compact(compact_interval);
-                }
-            });
-            (counts, tallies, ops)
-        },
-        |_| {},
-    );
-
-    let mut counts = EnumerationCounts::default();
-    let mut op_counters = OpCounters::default();
-    let mut merged = vec![ProtocolTally::default(); protocols.len()];
-    for (layout_counts, tallies, ops) in per_layout {
-        counts.absorb(&layout_counts);
-        op_counters.absorb(&ops);
-        for (into, tally) in merged.iter_mut().zip(tallies) {
-            into.absorb(tally, max_kept);
-        }
-    }
-    let report = build_report(
-        scope,
-        counts,
-        protocols,
-        merged,
-        None,
-        op_counters.schedules,
-    );
-    let stats = CertifyStats {
-        engine: CertifyEngine::PrefixBaseline,
-        orbit: OrbitStats::default(),
-        schedules: op_counters.schedules,
-        ops_total: op_counters.ops_total,
-        ops_appended: op_counters.ops_appended,
-        engine_loads: op_counters.engine_loads,
-        dedup_hits: op_counters.dedup_hits,
+        sampled: stats.schedules,
+        protocols: protocols
+            .iter()
+            .zip(merged)
+            .map(|(protocol, tally)| ProtocolReport {
+                name: protocol.name(),
+                claims_rdt: protocol.claims_rdt(),
+                expected_clean: protocol.expected_clean(),
+                patterns: tally.patterns,
+                rdt_violations: tally.rdt_violations,
+                predicate_mismatches: tally.predicate_mismatches,
+                gc_checks: tally.gc_checks,
+                counterexample_total: tally.counterexample_total,
+                counterexamples: tally.counterexamples,
+            })
+            .collect(),
     };
     (report, stats)
 }
@@ -1306,39 +1021,6 @@ mod tests {
         let report = quick(Scope::tiny(), 1);
         let fdi = report.protocol("fdi").expect("fdi in default set");
         assert!(fdi.gc_checks > 0);
-    }
-
-    /// The load-bearing equivalence of this module: the orbit-pruned
-    /// engine's report is byte-identical to the baseline's, for every
-    /// thread count — counterexample selection, note wording, counts.
-    #[test]
-    fn engines_agree_byte_for_byte() {
-        for (n, m, b) in [(2, 2, 1), (3, 2, 1)] {
-            let scope = Scope::with_basics(n, m, b).unwrap();
-            let baseline = certify(
-                &scope,
-                &CertifyOptions {
-                    threads: 1,
-                    engine: CertifyEngine::PrefixBaseline,
-                    ..CertifyOptions::default()
-                },
-            )
-            .to_json()
-            .pretty();
-            for threads in [1, 3] {
-                let orbit = certify(
-                    &scope,
-                    &CertifyOptions {
-                        threads,
-                        engine: CertifyEngine::OrbitPruned,
-                        ..CertifyOptions::default()
-                    },
-                )
-                .to_json()
-                .pretty();
-                assert_eq!(baseline, orbit, "{n},{m},{b} threads={threads}");
-            }
-        }
     }
 
     /// Verdict sharing fires (identical protocol streams are common) and

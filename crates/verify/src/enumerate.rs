@@ -44,8 +44,7 @@ pub(crate) enum LSlot {
 }
 
 /// Per-process event sequences with destinations but unmatched
-/// deliveries. One layout is one unit of parallel work; its matchings are
-/// enumerated by the worker that picks it up.
+/// deliveries; its matchings are expanded by whoever visits it.
 #[derive(Debug, Clone)]
 pub(crate) struct Layout {
     pub(crate) n: usize,
@@ -246,10 +245,8 @@ pub(crate) fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// Enumerates every layout of the scope. Layouts are the parallel work
-/// units: cheap to materialize (matchings are expanded per worker) and
-/// generated in a deterministic order.
-pub(crate) fn enumerate_layouts(scope: &Scope) -> Vec<Layout> {
+/// Enumerates every layout of the scope, in a deterministic order.
+fn enumerate_layouts(scope: &Scope) -> Vec<Layout> {
     let n = scope.processes;
     let mut out = Vec::new();
     for total_sends in 0..=scope.messages {
@@ -323,10 +320,9 @@ pub(crate) struct SendSlot {
     pub(crate) ord: usize,
 }
 
-/// Reusable buffers for [`visit_layout`]: one instance per worker (or
-/// one for a serial pass), reused across every layout it expands, so the
-/// per-structure hot path allocates nothing at all.
-pub struct LayoutScratch {
+/// Reusable buffers for [`visit_layout`], reused across every layout a
+/// pass expands, so the per-structure hot path allocates nothing at all.
+struct LayoutScratch {
     sends: Vec<SendSlot>,
     /// Destination process of each deliver slot.
     delivers: Vec<usize>,
@@ -336,7 +332,7 @@ pub struct LayoutScratch {
 }
 
 impl LayoutScratch {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         LayoutScratch {
             sends: Vec::new(),
             delivers: Vec::new(),
@@ -387,7 +383,7 @@ impl MatchScratch {
 /// Expands all matchings of `layout`, applies symmetry pruning and the
 /// realizability check, and hands each canonical realizable schedule to
 /// `visit`. Returns the tallies of this layout.
-pub(crate) fn visit_layout(
+fn visit_layout(
     layout: &Layout,
     perms: &[Vec<usize>],
     scratch: &mut LayoutScratch,
@@ -750,7 +746,10 @@ pub(crate) fn linearize(scratch: &mut MatchScratch) -> bool {
 }
 
 /// Runs the full enumeration of `scope` serially, handing every canonical
-/// realizable schedule to `visit`, and returns the tallies.
+/// realizable schedule to `visit`, and returns the tallies. This is the
+/// baseline (layout) enumerator: it builds every structure and filters
+/// afterwards, and is the reference the orbit-pruned enumerator the
+/// certifier runs on ([`crate::enumerate_schedules_orbit`]) is held to.
 pub fn enumerate_schedules(scope: &Scope, mut visit: impl FnMut(&Schedule)) -> EnumerationCounts {
     let perms = permutations(scope.processes);
     let mut counts = EnumerationCounts::default();

@@ -32,8 +32,8 @@ mod replay;
 mod scope;
 
 pub use certify::{
-    certify, certify_with_stats, CertifyEngine, CertifyOptions, CertifyReport, CertifyStats,
-    Counterexample, ProtocolReport,
+    certify, certify_with_stats, CertifyOptions, CertifyReport, CertifyStats, Counterexample,
+    ProtocolReport,
 };
 pub use enumerate::{
     enumerate_patterns, enumerate_schedules, DriverEvent, EnumerationCounts, Schedule,
@@ -42,7 +42,7 @@ pub use orbit::{
     enumerate_schedules_orbit, enumerate_schedules_orbit_stats, OrbitStats, ScheduleMeta,
 };
 pub use replay::{
-    build_pattern, replay_protocol, replay_protocol_ops, CertProtocol, PatternOp,
-    PredicateMismatch, ReplayedOps, ReplayedRun,
+    build_pattern, replay_protocol_ops, CertProtocol, PatternOp, PredicateMismatch, ReplayedOps,
+    ReplayedRun,
 };
 pub use scope::Scope;

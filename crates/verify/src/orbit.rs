@@ -151,7 +151,7 @@ pub struct ScheduleMeta {
     pub key: u64,
 }
 
-/// Enumeration-side work tallies of the orbit-pruned engine (everything
+/// Enumeration-side work tallies of the orbit-pruned enumerator (everything
 /// here is deterministic; wall-clock lives elsewhere).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OrbitStats {
@@ -688,7 +688,7 @@ impl OrbitScratch {
 /// realizable schedule to `emit`. Counts and schedule stream are
 /// identical to [`crate::enumerate_schedules`] — held to it by
 /// differential tests — at a fraction of the generation work; this is
-/// the enumeration the certifier's orbit engine distributes.
+/// the enumeration the certifier distributes.
 pub fn enumerate_schedules_orbit(
     scope: &Scope,
     mut emit: impl FnMut(&Schedule),

@@ -11,9 +11,8 @@
 
 use rdt_causality::ProcessId;
 use rdt_core::{
-    spawner, Bcs, Bhmr, BhmrCausalOnly, BhmrNoSimple, BhmrPiggyback, Cas, CausalOnlyPiggyback, Cbr,
-    CheckpointRecord, CicProtocol, ExecutorCell, ExecutorSpec, Fdas, Fdi, NoSimplePiggyback, Nras,
-    PackedPiggyback, ProtocolKind, TdvPiggyback, Uncoordinated,
+    spawner, Bcs, Cas, Cbr, CheckpointRecord, CicProtocol, ExecutorCell, ExecutorSpec, Nras,
+    PackedPiggyback, ProtocolKind, Uncoordinated,
 };
 use rdt_rgraph::{Pattern, PatternBuilder, PatternError};
 
@@ -158,28 +157,6 @@ pub fn replay_protocol_ops<P: CicProtocol>(
     }
 }
 
-/// Replays `schedule` over one protocol instance per process and builds
-/// the resulting [`Pattern`] (see [`replay_protocol_ops`] for the
-/// allocation-free op-stream form the certifier uses).
-///
-/// # Errors
-///
-/// Returns an error if the produced pattern is invalid — impossible for
-/// enumerator-produced schedules, but propagated rather than unwrapped.
-pub fn replay_protocol<P: CicProtocol>(
-    schedule: &Schedule,
-    make: impl Fn(usize, ProcessId) -> P,
-    oracle: impl Fn(&P, ProcessId, &P::Piggyback) -> Option<bool>,
-) -> Result<ReplayedRun, PatternError> {
-    let mut run = ReplayedOps::default();
-    replay_protocol_ops(schedule, make, oracle, &mut run);
-    Ok(ReplayedRun {
-        pattern: build_pattern(schedule.n, &run.ops)?,
-        records: run.records,
-        predicate_mismatches: run.predicate_mismatches,
-    })
-}
-
 /// Materializes the pattern of an op stream.
 ///
 /// # Errors
@@ -201,60 +178,6 @@ pub fn build_pattern(n: usize, ops: &[PatternOp]) -> Result<Pattern, PatternErro
         }
     }
     builder.build()
-}
-
-/// The forcing predicate of full BHMR, recomputed from public accessors:
-/// `C1 ∨ C2` (§4 of the paper), or `C2` alone for the deliberately
-/// weakened variant ([`Bhmr::weakened_c2_only`]).
-fn bhmr_oracle(p: &Bhmr, _sender: ProcessId, pb: &BhmrPiggyback) -> Option<bool> {
-    let me = p.process();
-    let procs = || (0..p.num_processes()).map(ProcessId::new);
-    let c1 = procs().any(|j| {
-        p.sent_to().get(j)
-            && procs().any(|k| pb.tdv.get(k) > p.tdv().get(k) && !pb.causal.get(k, j))
-    });
-    let c2 = pb.tdv.get(me) == p.tdv().current_interval() && !pb.simple.get(me);
-    Some(if p.uses_c1() { c1 || c2 } else { c2 })
-}
-
-/// BHMR-no-simple: `C1 ∨ C2'` with
-/// `C2': m.TDV[i] = TDV[i] ∧ ∃k: m.TDV[k] > TDV[k]`.
-fn no_simple_oracle(p: &BhmrNoSimple, _s: ProcessId, pb: &NoSimplePiggyback) -> Option<bool> {
-    let me = p.process();
-    let procs = || (0..p.num_processes()).map(ProcessId::new);
-    let fresh = |k: ProcessId| pb.tdv.get(k) > p.tdv().get(k);
-    let c1 =
-        procs().any(|j| p.sent_to().get(j) && procs().any(|k| fresh(k) && !pb.causal.get(k, j)));
-    let c2 = pb.tdv.get(me) == p.tdv().current_interval() && procs().any(fresh);
-    Some(c1 || c2)
-}
-
-/// BHMR-causal-only: `C1` with a `false` diagonal in the causal matrix
-/// (no `C2` at all — its RDT claim rests on the strengthened `C1`).
-fn causal_only_oracle(p: &BhmrCausalOnly, _s: ProcessId, pb: &CausalOnlyPiggyback) -> Option<bool> {
-    let procs = || (0..p.num_processes()).map(ProcessId::new);
-    let c1 = procs().any(|j| {
-        p.sent_to().get(j)
-            && procs().any(|k| pb.tdv.get(k) > p.tdv().get(k) && !pb.causal.get(k, j))
-    });
-    Some(c1)
-}
-
-/// FDAS: force iff a send happened since the last checkpoint and the
-/// piggyback carries a new dependency.
-fn fdas_oracle(p: &Fdas, _s: ProcessId, pb: &TdvPiggyback) -> Option<bool> {
-    let fresh = (0..p.num_processes())
-        .map(ProcessId::new)
-        .any(|k| pb.tdv.get(k) > p.tdv().get(k));
-    Some(p.after_first_send() && fresh)
-}
-
-/// FDI: force iff the piggyback carries a new dependency.
-fn fdi_oracle(p: &Fdi, _s: ProcessId, pb: &TdvPiggyback) -> Option<bool> {
-    let fresh = (0..p.num_processes())
-        .map(ProcessId::new)
-        .any(|k| pb.tdv.get(k) > p.tdv().get(k));
-    Some(fresh)
 }
 
 /// The legacy scalar predicates, recomputed over the *packed* executor's
@@ -374,8 +297,9 @@ impl CertProtocol {
     /// (cleared first; callers reuse the buffers across schedules).
     ///
     /// Dependency-tracking protocols replay on the packed round-executor
-    /// with the legacy scalar predicates as conformance oracles; see
-    /// [`CertProtocol::replay_ops_legacy`] for the legacy state machines.
+    /// with the legacy scalar predicates as conformance oracles; the
+    /// module's tests hold it to the scalar state machines on every
+    /// enumerated structure.
     pub fn replay_ops(&self, schedule: &Schedule, out: &mut ReplayedOps) {
         // A fresh closure per call site: one binding would pin the
         // protocol type at its first use.
@@ -430,38 +354,6 @@ impl CertProtocol {
         }
     }
 
-    /// Replays this protocol over `schedule` on the *legacy* state
-    /// machines with their original predicate oracles.
-    ///
-    /// Kept as the differential baseline: the regression suite asserts
-    /// [`CertProtocol::replay_ops`] (executor path) produces identical op
-    /// streams, checkpoint records and mismatch lists on every enumerated
-    /// structure, so the certifier report is independent of which engine
-    /// replays.
-    pub fn replay_ops_legacy(&self, schedule: &Schedule, out: &mut ReplayedOps) {
-        match self {
-            CertProtocol::Kind(ProtocolKind::Bhmr) => {
-                replay_protocol_ops(schedule, Bhmr::new, bhmr_oracle, out)
-            }
-            CertProtocol::WeakenedBhmrC2Only => {
-                replay_protocol_ops(schedule, Bhmr::weakened_c2_only, bhmr_oracle, out)
-            }
-            CertProtocol::Kind(ProtocolKind::BhmrNoSimple) => {
-                replay_protocol_ops(schedule, BhmrNoSimple::new, no_simple_oracle, out)
-            }
-            CertProtocol::Kind(ProtocolKind::BhmrCausalOnly) => {
-                replay_protocol_ops(schedule, BhmrCausalOnly::new, causal_only_oracle, out)
-            }
-            CertProtocol::Kind(ProtocolKind::Fdas) => {
-                replay_protocol_ops(schedule, Fdas::new, fdas_oracle, out)
-            }
-            CertProtocol::Kind(ProtocolKind::Fdi) => {
-                replay_protocol_ops(schedule, Fdi::new, fdi_oracle, out)
-            }
-            _ => self.replay_ops(schedule, out),
-        }
-    }
-
     /// Replays this protocol over `schedule` and materializes the
     /// pattern.
     ///
@@ -491,7 +383,102 @@ mod tests {
     use super::*;
     use crate::enumerate::enumerate_schedules;
     use crate::Scope;
+    use rdt_core::{
+        Bhmr, BhmrCausalOnly, BhmrNoSimple, BhmrPiggyback, CausalOnlyPiggyback, Fdas, Fdi,
+        NoSimplePiggyback, TdvPiggyback,
+    };
     use rdt_rgraph::PatternAnalysis;
+
+    /// The forcing predicate of full BHMR, recomputed from public accessors:
+    /// `C1 ∨ C2` (§4 of the paper), or `C2` alone for the deliberately
+    /// weakened variant ([`Bhmr::weakened_c2_only`]).
+    fn bhmr_oracle(p: &Bhmr, _sender: ProcessId, pb: &BhmrPiggyback) -> Option<bool> {
+        let me = p.process();
+        let procs = || (0..p.num_processes()).map(ProcessId::new);
+        let c1 = procs().any(|j| {
+            p.sent_to().get(j)
+                && procs().any(|k| pb.tdv.get(k) > p.tdv().get(k) && !pb.causal.get(k, j))
+        });
+        let c2 = pb.tdv.get(me) == p.tdv().current_interval() && !pb.simple.get(me);
+        Some(if p.uses_c1() { c1 || c2 } else { c2 })
+    }
+
+    /// BHMR-no-simple: `C1 ∨ C2'` with
+    /// `C2': m.TDV[i] = TDV[i] ∧ ∃k: m.TDV[k] > TDV[k]`.
+    fn no_simple_oracle(p: &BhmrNoSimple, _s: ProcessId, pb: &NoSimplePiggyback) -> Option<bool> {
+        let me = p.process();
+        let procs = || (0..p.num_processes()).map(ProcessId::new);
+        let fresh = |k: ProcessId| pb.tdv.get(k) > p.tdv().get(k);
+        let c1 = procs()
+            .any(|j| p.sent_to().get(j) && procs().any(|k| fresh(k) && !pb.causal.get(k, j)));
+        let c2 = pb.tdv.get(me) == p.tdv().current_interval() && procs().any(fresh);
+        Some(c1 || c2)
+    }
+
+    /// BHMR-causal-only: `C1` with a `false` diagonal in the causal matrix
+    /// (no `C2` at all — its RDT claim rests on the strengthened `C1`).
+    fn causal_only_oracle(
+        p: &BhmrCausalOnly,
+        _s: ProcessId,
+        pb: &CausalOnlyPiggyback,
+    ) -> Option<bool> {
+        let procs = || (0..p.num_processes()).map(ProcessId::new);
+        let c1 = procs().any(|j| {
+            p.sent_to().get(j)
+                && procs().any(|k| pb.tdv.get(k) > p.tdv().get(k) && !pb.causal.get(k, j))
+        });
+        Some(c1)
+    }
+
+    /// FDAS: force iff a send happened since the last checkpoint and the
+    /// piggyback carries a new dependency.
+    fn fdas_oracle(p: &Fdas, _s: ProcessId, pb: &TdvPiggyback) -> Option<bool> {
+        let fresh = (0..p.num_processes())
+            .map(ProcessId::new)
+            .any(|k| pb.tdv.get(k) > p.tdv().get(k));
+        Some(p.after_first_send() && fresh)
+    }
+
+    /// FDI: force iff the piggyback carries a new dependency.
+    fn fdi_oracle(p: &Fdi, _s: ProcessId, pb: &TdvPiggyback) -> Option<bool> {
+        let fresh = (0..p.num_processes())
+            .map(ProcessId::new)
+            .any(|k| pb.tdv.get(k) > p.tdv().get(k));
+        Some(fresh)
+    }
+
+    impl CertProtocol {
+        /// Replays this protocol over `schedule` on the *legacy* state
+        /// machines with their original predicate oracles.
+        ///
+        /// The differential reference of the executor path: the test below
+        /// asserts [`CertProtocol::replay_ops`] produces identical op streams,
+        /// checkpoint records and mismatch lists on every enumerated
+        /// structure.
+        fn replay_ops_legacy(&self, schedule: &Schedule, out: &mut ReplayedOps) {
+            match self {
+                CertProtocol::Kind(ProtocolKind::Bhmr) => {
+                    replay_protocol_ops(schedule, Bhmr::new, bhmr_oracle, out)
+                }
+                CertProtocol::WeakenedBhmrC2Only => {
+                    replay_protocol_ops(schedule, Bhmr::weakened_c2_only, bhmr_oracle, out)
+                }
+                CertProtocol::Kind(ProtocolKind::BhmrNoSimple) => {
+                    replay_protocol_ops(schedule, BhmrNoSimple::new, no_simple_oracle, out)
+                }
+                CertProtocol::Kind(ProtocolKind::BhmrCausalOnly) => {
+                    replay_protocol_ops(schedule, BhmrCausalOnly::new, causal_only_oracle, out)
+                }
+                CertProtocol::Kind(ProtocolKind::Fdas) => {
+                    replay_protocol_ops(schedule, Fdas::new, fdas_oracle, out)
+                }
+                CertProtocol::Kind(ProtocolKind::Fdi) => {
+                    replay_protocol_ops(schedule, Fdi::new, fdi_oracle, out)
+                }
+                _ => self.replay_ops(schedule, out),
+            }
+        }
+    }
 
     fn schedules(n: usize, m: usize, b: usize) -> Vec<Schedule> {
         let scope = Scope::with_basics(n, m, b).unwrap();

@@ -75,8 +75,7 @@ pub use rdt_sim::{
     StopCondition, Stopwatch, Trace, TraceMetrics,
 };
 pub use rdt_verify::{
-    certify, certify_with_stats, CertProtocol, CertifyEngine, CertifyOptions, CertifyReport,
-    CertifyStats, Scope,
+    certify, certify_with_stats, CertProtocol, CertifyOptions, CertifyReport, CertifyStats, Scope,
 };
 pub use rdt_workloads::{
     ChandyLamport, ClientServerEnvironment, EnvironmentKind, GroupEnvironment, GroupLayout,

@@ -33,8 +33,7 @@ const TIMING_KEYS: &[&str] = &[
     "executor_allocs",
     // `rdt-lint --json` wall time.
     "elapsed_ns",
-    // BENCH-CERTIFY engine head-to-head and throughput.
-    "baseline_ns",
+    // BENCH-CERTIFY wall clock and throughput.
     "orbit_ns",
     "structures_per_sec",
 ];
@@ -119,13 +118,12 @@ fn fixtures() -> Vec<(&'static str, Json)> {
                     .to_json(),
             )
         }),
-        ("certify_report", {
-            let options = rdt::CertifyOptions {
-                threads: 2,
-                ..rdt::CertifyOptions::default()
-            };
-            rdt::certify(&rdt::Scope::tiny(), &options).to_json()
-        }),
+        ("certify_report", certify_report(rdt::Scope::tiny(), 2)),
+        // Captured from the retired layout-fan-out pipeline (PR 15), not
+        // regenerated: with `certify_report` it pins counterexample
+        // selection, order and note wording — the control's seven
+        // `rdt-violation`s need three processes.
+        ("certify_report_3_2_1", certify_report(scope_3_2_1(), 2)),
         ("lint_report", {
             // The `rdt-lint --json` shape: deterministic once the wall
             // time is scrubbed (sources are scanned in sorted order and
@@ -137,6 +135,18 @@ fn fixtures() -> Vec<(&'static str, Json)> {
             scrub(&report.to_json(0))
         }),
     ]
+}
+
+fn scope_3_2_1() -> rdt::Scope {
+    rdt::Scope::with_basics(3, 2, 1).expect("in range")
+}
+
+fn certify_report(scope: rdt::Scope, threads: usize) -> Json {
+    let options = rdt::CertifyOptions {
+        threads,
+        ..rdt::CertifyOptions::default()
+    };
+    rdt::certify(&scope, &options).to_json()
 }
 
 fn fnv1a(text: &str) -> u64 {
@@ -202,6 +212,18 @@ fn golden_fixtures_match() {
          tests/golden/regen-golden.sh and review the diff:\n  {}",
         failures.join("\n  ")
     );
+}
+
+/// `golden_fixtures_match` holds the `3,2,1` report at two threads; the
+/// differential this fixture replaced ran at one and three.
+#[test]
+fn certify_report_3_2_1_is_thread_count_independent() {
+    let path = std::path::Path::new(GOLDEN_DIR).join("certify_report_3_2_1.json");
+    let stored = std::fs::read_to_string(path).expect("read fixture");
+    for threads in [1, 3] {
+        let text = certify_report(scope_3_2_1(), threads).pretty();
+        assert_eq!(stored, text, "threads={threads}");
+    }
 }
 
 #[test]
