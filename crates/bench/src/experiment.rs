@@ -831,7 +831,7 @@ pub fn incremental_vs_batch(
     repetitions: u32,
     batch_samples: u32,
 ) -> IncrementalBenchResult {
-    use rdt_rgraph::IncrementalAnalysis;
+    use rdt_rgraph::RewindableAnalysis;
     use rdt_sim::{Stopwatch, TraceEvent};
 
     let n = 8;
@@ -855,11 +855,12 @@ pub fn incremental_vs_batch(
             .count() as u64;
 
         // (a) One engine, every event appended once, violation count read
-        // back after each append — the online probe's exact work.
+        // back after each append — the online probe's exact work, on the
+        // probe's instantiation (core + journal, no chain layer).
         let mut incremental_ns = u64::MAX;
         for _ in 0..repetitions.max(1) {
             let watch = Stopwatch::start();
-            let mut engine = IncrementalAnalysis::new(n);
+            let mut engine = RewindableAnalysis::layered(n);
             let mut mids: Vec<u32> = Vec::new();
             let mut violations = 0u64;
             for event in &events {
@@ -982,7 +983,7 @@ fn compaction_stream(n: usize, events: u64, seed: u64) -> Vec<CompactionOp> {
 }
 
 fn apply_compaction_op(
-    engine: &mut rdt_rgraph::IncrementalAnalysis,
+    engine: &mut rdt_rgraph::FullAnalysis,
     mids: &mut Vec<u32>,
     op: CompactionOp,
 ) {
@@ -1133,7 +1134,9 @@ pub fn compaction_bench(
     compact_stride: u64,
     seed: u64,
 ) -> CompactionBenchResult {
-    use rdt_rgraph::IncrementalAnalysis;
+    // All three closures: the resident and reclaimed row counts this
+    // bench pins are those of the engine that carries the chain layer.
+    use rdt_rgraph::FullAnalysis;
     use rdt_sim::Stopwatch;
 
     assert!(events >= 10, "need at least one event per decile");
@@ -1142,7 +1145,7 @@ pub fn compaction_bench(
     let ops = compaction_stream(n, events, seed);
 
     let ingest = |total: u64, stride: Option<u64>| {
-        let mut engine = IncrementalAnalysis::new(n);
+        let mut engine = FullAnalysis::layered(n);
         let mut mids: Vec<u32> = Vec::new();
         let mut deciles = Vec::with_capacity(10);
         let mut untrackable_at_cap = 0u64;

@@ -32,15 +32,10 @@
 //! history. Only the quadratic state — closure and transpose rows, TDV
 //! snapshots of delivered messages — is reclaimed.
 //!
-//! Chain-layer nodes are retained for every message sent strictly above
-//! the watermark; interval slots additionally reach down to the earliest
-//! in-transit send so late deliveries can still link their send slot.
-//! Consistency makes every message of a chain headed above the watermark
-//! — and of its doubling siblings — live, so chain queries and the
-//! doubling characterizations remain exact for heads above the chain
-//! floor (the watermark). Chains headed at or below it are out of the
-//! compacted engine's domain, as are rewinds to marks taken before the
-//! compaction (a defined [`RewindError`], not a wrong answer).
+//! What the chain layer keeps through a compaction, and why chain queries
+//! stay exact for heads above the watermark, is told at its `on_compact`
+//! hook. Rewinds to marks taken before a state-discarding compaction are a
+//! defined [`RewindError`], not a wrong answer.
 
 use super::*;
 
@@ -51,13 +46,15 @@ pub struct CompactionStats {
     pub watermark: Vec<u32>,
     /// R-graph closure nodes dropped (rows + transpose rows reclaimed).
     pub dropped_r_nodes: usize,
-    /// Zigzag-closure nodes dropped (message nodes and interval slots).
+    /// Zigzag-closure nodes dropped (message nodes and interval slots); 0
+    /// on a chain-free engine.
     pub dropped_z_nodes: usize,
-    /// Causal-closure nodes dropped (message, spine and delivery nodes).
+    /// Causal-closure nodes dropped (message, spine and delivery nodes); 0
+    /// on a chain-free engine.
     pub dropped_c_nodes: usize,
     /// Piggyback TDV snapshot rows reclaimed from delivered messages.
     pub freed_tdv_rows: usize,
-    /// Closure nodes resident after the compaction (all three matrices).
+    /// Closure nodes resident after the compaction (every layer's).
     pub resident_nodes: usize,
 }
 
@@ -74,9 +71,29 @@ impl CompactionStats {
     }
 }
 
+/// Numbers the kept entries densely, in order ([`NONE_U32`] for the
+/// rest); returns the remap and the number kept.
+pub(super) fn remap_kept(keep: impl Iterator<Item = bool>) -> (Vec<u32>, usize) {
+    let mut next = 0u32;
+    let number = |k| {
+        next += u32::from(k);
+        if k {
+            next - 1
+        } else {
+            NONE_U32
+        }
+    };
+    let remap = keep.map(number).collect();
+    (remap, next as usize)
+}
+
 /// Rebuilds a closure matrix keeping only the nodes with a remap entry,
 /// masking every retained row to the retained columns.
-fn rebuild_matrix(mat: &ClosureMatrix, remap: &[u32], new_nodes: usize) -> ClosureMatrix {
+pub(super) fn rebuild_matrix(
+    mat: &ClosureMatrix,
+    remap: &[u32],
+    new_nodes: usize,
+) -> ClosureMatrix {
     let width = bits::words_for(new_nodes).max(1).next_power_of_two();
     let mut fwd = vec![0u64; new_nodes * width];
     let mut bwd = vec![0u64; new_nodes * width];
@@ -94,45 +111,31 @@ fn rebuild_matrix(mat: &ClosureMatrix, remap: &[u32], new_nodes: usize) -> Closu
             }
         }
     }
-    ClosureMatrix {
-        nodes: new_nodes,
-        width,
-        fwd,
-        bwd,
-    }
+    ClosureMatrix::from_slabs(new_nodes, width, fwd, bwd)
 }
 
-impl IncrementalAnalysis {
+impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// Compacts everything dominated by the consistent watermark derived
-    /// from `caps`: the effective watermark is
-    /// [`max_consistent_dominated`]
-    /// (IncrementalAnalysis::max_consistent_dominated) of `caps` joined
-    /// with the previous watermark (compaction never moves backwards),
-    /// clamped to the taken checkpoints.
+    /// from `caps`: [`max_consistent_dominated`]
+    /// (IncrementalAnalysis::max_consistent_dominated) of `caps` joined with
+    /// the previous watermark (compaction never moves backwards), clamped to
+    /// the taken checkpoints.
     ///
-    /// Exact afterwards, over the whole history:
-    /// [`untrackable_pairs`](IncrementalAnalysis::untrackable_pairs),
-    /// [`rdt_holds`](IncrementalAnalysis::rdt_holds), the consistency
-    /// oracles ([`min_consistent_containing`]
-    /// (IncrementalAnalysis::min_consistent_containing),
-    /// [`max_consistent_containing`]
-    /// (IncrementalAnalysis::max_consistent_containing),
-    /// [`max_consistent_dominated`]
-    /// (IncrementalAnalysis::max_consistent_dominated)), and
-    /// [`message_route`](IncrementalAnalysis::message_route). Exact on
-    /// the live suffix: [`reaches`](IncrementalAnalysis::reaches) and
-    /// [`min_consistent_via_rgraph`]
-    /// (IncrementalAnalysis::min_consistent_via_rgraph) for retained
-    /// members, chain queries for heads above the chain floor, and
-    /// [`with_closed`](IncrementalAnalysis::with_closed) over all of
-    /// those. Marks taken before a state-discarding compaction become
-    /// invalid: [`try_rewind`](IncrementalAnalysis::try_rewind) reports
-    /// [`RewindError::CompactionBoundary`].
+    /// Exact afterwards, over the whole history: `untrackable_pairs`,
+    /// `rdt_holds`, the fixpoint consistency oracles
+    /// (`min_`/`max_consistent_containing`, `max_consistent_dominated`) and
+    /// `message_route`. Exact on the live suffix: `reaches` and
+    /// `min_consistent_via_rgraph` for retained members, chain queries for
+    /// heads above the chain floor, and `with_closed` over all of those.
+    /// Marks taken before a state-discarding compaction become invalid:
+    /// `try_rewind` reports [`RewindError::CompactionBoundary`].
     ///
-    /// Returns what was reclaimed. When nothing is dominated (or
-    /// everything dominated is already compacted) the engine — journal,
-    /// marks and epoch included — is untouched and the stats report zero
-    /// drops.
+    /// The core decides whether state is discarded — an R-graph node dropped
+    /// or a piggyback row freed — and only then hands the watermark to the
+    /// chain layer for its half, so an engine's epoch does not depend on the
+    /// layers it carries. When nothing is dominated (or everything dominated
+    /// is already compacted) the engine — journal, marks, epoch and watermark
+    /// included — is untouched and the stats report zero drops.
     ///
     /// # Panics
     ///
@@ -148,16 +151,9 @@ impl IncrementalAnalysis {
             .collect();
         self.max_consistent_dominated_into(&clamp, &mut w);
 
-        // Retention floors. `rb[p]`: first R-node kept — no pending
-        // Rule 2 edge may name a checkpoint below it. `sf[p]`: first
-        // zigzag interval slot kept — in-transit sends pull it below
-        // `w[p] + 1` so their future delivery can link its send slot.
-        // Chain *nodes* are kept exactly for messages sent strictly
-        // above the watermark: consistency then keeps every message of a
-        // retained-headed chain (and of its doubling siblings) strictly
-        // live, which is what makes live-headed chain queries exact.
+        // Retention floor `rb[p]`: first R-node kept — no pending Rule 2
+        // edge may name a checkpoint below it.
         let mut rb = w.clone();
-        let mut sf: Vec<u32> = w.iter().map(|&x| x + 1).collect();
         for m in &self.msgs {
             let from = m.from as usize;
             let unclosed_delivery =
@@ -165,119 +161,43 @@ impl IncrementalAnalysis {
             if unclosed_delivery && m.send_iv < rb[from] {
                 rb[from] = m.send_iv;
             }
-            if m.deliver_iv == NONE_U32 && m.send_iv < sf[from] {
-                sf[from] = m.send_iv;
-            }
         }
-        for p in 0..n {
-            debug_assert!(rb[p] >= self.cp_base[p], "retention floor went backwards");
-            debug_assert!(w[p] >= self.chain_floor[p], "chain floor went backwards");
-        }
+        debug_assert!(
+            (0..n).all(|p| rb[p] >= self.cp_base[p] && w[p] >= self.watermark[p]),
+            "retention floor or watermark went backwards"
+        );
 
-        // ---- retained-node remaps --------------------------------------
-        let r_remap: Vec<u32> = {
-            let mut next = 0u32;
-            self.r_meta
-                .iter()
-                .map(|&(p, idx)| {
-                    if idx >= rb[p as usize] {
-                        next += 1;
-                        next - 1
-                    } else {
-                        NONE_U32
-                    }
-                })
-                .collect()
-        };
-        let new_r_nodes = self.rmat.nodes - r_remap.iter().filter(|&&x| x == NONE_U32).count();
-
-        let new_slot_base: Vec<u32> = (0..n)
-            .map(|p| sf[p].min(self.slot_base[p] + self.z_slots[p].len() as u32))
-            .collect();
-        let mut keep_z = vec![false; self.zmat.nodes];
-        for (p, slots) in self.z_slots.iter().enumerate().take(n) {
-            for (k, &s) in slots.iter().enumerate() {
-                if self.slot_base[p] + k as u32 >= new_slot_base[p] {
-                    keep_z[s as usize] = true;
-                }
-            }
-        }
-        let chain_kept = |m: &MsgRec| m.send_iv > w[m.from as usize];
-        for m in &self.msgs {
-            if m.znode != NONE_U32 && chain_kept(m) {
-                keep_z[m.znode as usize] = true;
-            }
-        }
-
-        let mut keep_c = vec![false; self.cmat.nodes];
-        for m in &self.msgs {
-            if m.cnode != NONE_U32 && chain_kept(m) {
-                keep_c[m.cnode as usize] = true;
-            }
-            // In-transit messages link their spine to the delivery node
-            // when they eventually arrive.
-            if m.deliver_iv == NONE_U32 && m.spine != NONE_U32 {
-                keep_c[m.spine as usize] = true;
-            }
-        }
-        for p in 0..n {
-            // The next send of `p` chains from the last spine and links
-            // every still-unlinked delivery.
-            if let Some(&last) = self.c_spine[p].last() {
-                keep_c[last as usize] = true;
-            }
-            for &cn in &self.c_delivs[p][self.c_linked[p] as usize..] {
-                keep_c[cn as usize] = true;
-            }
-        }
-
-        let to_remap = |keep: &[bool]| {
-            let mut next = 0u32;
-            keep.iter()
-                .map(|&k| {
-                    if k {
-                        next += 1;
-                        next - 1
-                    } else {
-                        NONE_U32
-                    }
-                })
-                .collect::<Vec<u32>>()
-        };
-        let z_remap = to_remap(&keep_z);
-        let c_remap = to_remap(&keep_c);
-        let new_z_nodes = keep_z.iter().filter(|&&k| k).count();
-        let new_c_nodes = keep_c.iter().filter(|&&k| k).count();
-
-        let freed_tdv_rows = self.msg_tdv.len() / n
-            - self
-                .msgs
-                .iter()
-                .filter(|m| m.deliver_iv == NONE_U32)
-                .count();
-
-        let stats = CompactionStats {
+        let kept = self.r_meta.iter().map(|&(p, idx)| idx >= rb[p as usize]);
+        let (r_remap, new_r_nodes) = remap_kept(kept);
+        let in_transit = |m: &&MsgRec| m.deliver_iv == NONE_U32;
+        let mut stats = CompactionStats {
             watermark: w.clone(),
             dropped_r_nodes: self.rmat.nodes - new_r_nodes,
-            dropped_z_nodes: self.zmat.nodes - new_z_nodes,
-            dropped_c_nodes: self.cmat.nodes - new_c_nodes,
-            freed_tdv_rows,
-            resident_nodes: new_r_nodes + new_z_nodes + new_c_nodes,
+            dropped_z_nodes: 0,
+            dropped_c_nodes: 0,
+            freed_tdv_rows: self.msg_tdv.len() / n - self.msgs.iter().filter(in_transit).count(),
+            resident_nodes: self.resident_closure_nodes(),
         };
         if !stats.discarded_state() {
-            // Nothing to reclaim: leave journal and marks valid.
-            self.watermark = w;
+            // Nothing to reclaim: leave journal, marks and watermark as
+            // they are (the next discarding compaction recomputes it).
             return stats;
         }
+
+        // The remap preserves order, so the retained rows of a per-node
+        // table just close ranks.
+        let kept = |old: &usize| r_remap[*old] != NONE_U32;
+        let kept: Vec<usize> = (0..r_remap.len()).filter(kept).collect();
+        let kept_rows = |table: &[u32]| -> Vec<u32> {
+            let rows = kept.iter().flat_map(|&old| &table[old * n..][..n]);
+            rows.copied().collect()
+        };
 
         // ---- dropped-reach summaries (before the rows disappear) -------
         let had_dr = !self.drop_reach.is_empty();
         let mut new_dr = vec![NONE_U32; new_r_nodes * n];
-        for (old, &nid) in r_remap.iter().enumerate() {
-            if nid != NONE_U32 && had_dr {
-                let (src, dst) = (old * n, nid as usize * n);
-                new_dr[dst..dst + n].copy_from_slice(&self.drop_reach[src..src + n]);
-            }
+        if had_dr {
+            new_dr = kept_rows(&self.drop_reach);
         }
         for old in 0..self.rmat.nodes {
             if r_remap[old] != NONE_U32 {
@@ -310,86 +230,39 @@ impl IncrementalAnalysis {
 
         // ---- rebuild ---------------------------------------------------
         self.rmat = rebuild_matrix(&self.rmat, &r_remap, new_r_nodes);
-        self.zmat = rebuild_matrix(&self.zmat, &z_remap, new_z_nodes);
-        self.cmat = rebuild_matrix(&self.cmat, &c_remap, new_c_nodes);
         self.drop_reach = new_dr;
 
-        let mut new_meta = Vec::with_capacity(new_r_nodes);
-        let mut new_cp_tdv = Vec::with_capacity(new_r_nodes * n);
-        for (old, &nid) in r_remap.iter().enumerate() {
-            if nid == NONE_U32 {
-                continue;
+        self.r_meta = kept.iter().map(|&old| self.r_meta[old]).collect();
+        self.cp_tdv = kept_rows(&self.cp_tdv);
+        for (p, nodes) in self.cp_nodes.iter_mut().enumerate() {
+            nodes.drain(..(rb[p] - self.cp_base[p]) as usize);
+            for node in nodes {
+                *node = r_remap[*node as usize];
             }
-            debug_assert_eq!(new_meta.len(), nid as usize, "remap preserves order");
-            new_meta.push(self.r_meta[old]);
-            new_cp_tdv.extend_from_slice(&self.cp_tdv[old * n..(old + 1) * n]);
-        }
-        self.r_meta = new_meta;
-        self.cp_tdv = new_cp_tdv;
-
-        for p in 0..n {
-            let skip = (rb[p] - self.cp_base[p]) as usize;
-            self.cp_nodes[p] = self.cp_nodes[p][skip..]
-                .iter()
-                .map(|&node| r_remap[node as usize])
-                .collect();
-            let skip = (new_slot_base[p] - self.slot_base[p]) as usize;
-            self.z_slots[p] = self.z_slots[p][skip.min(self.z_slots[p].len())..]
-                .iter()
-                .map(|&s| z_remap[s as usize])
-                .collect();
-            self.c_spine[p] = self.c_spine[p]
-                .last()
-                .map(|&s| c_remap[s as usize])
-                .into_iter()
-                .collect();
-            self.c_delivs[p] = self.c_delivs[p][self.c_linked[p] as usize..]
-                .iter()
-                .map(|&cn| c_remap[cn as usize])
-                .collect();
-            self.c_linked[p] = 0;
         }
         self.cp_base = rb;
-        self.slot_base = new_slot_base;
-        self.chain_floor = w.clone();
 
         let mut new_msg_tdv = Vec::new();
         for m in &mut self.msgs {
             if m.deliver_iv == NONE_U32 {
                 let src = m.tdv_row as usize * n;
-                let row = (new_msg_tdv.len() / n) as u32;
+                m.tdv_row = (new_msg_tdv.len() / n) as u32;
                 new_msg_tdv.extend_from_slice(&self.msg_tdv[src..src + n]);
-                m.tdv_row = row;
-                m.spine = c_remap[m.spine as usize];
-                debug_assert!(m.spine != NONE_U32, "in-transit spine retained");
             } else {
                 m.tdv_row = NONE_U32;
-                m.znode = if m.znode == NONE_U32 {
-                    NONE_U32
-                } else {
-                    z_remap[m.znode as usize]
-                };
-                m.cnode = if m.cnode == NONE_U32 {
-                    NONE_U32
-                } else {
-                    c_remap[m.cnode as usize]
-                };
-                m.spine = if m.spine == NONE_U32 {
-                    NONE_U32
-                } else {
-                    c_remap[m.spine as usize]
-                };
             }
         }
         self.msg_tdv = new_msg_tdv;
 
+        (stats.dropped_z_nodes, stats.dropped_c_nodes) = self.chains.on_compact(&w, &self.msgs);
+
         // The journal below this point is gone; marks from earlier
         // epochs fail with a defined error instead of corrupting state.
-        self.journal.clear();
+        self.journal.discard();
         self.epoch += 1;
         self.watermark = w;
-        self.compactions += 1;
         self.reclaimed_rows += stats.dropped_nodes() as u64;
+        stats.resident_nodes = self.resident_closure_nodes();
         stats
     }
 
@@ -411,32 +284,27 @@ impl IncrementalAnalysis {
         self.epoch
     }
 
-    /// Number of state-discarding compactions so far.
+    /// Number of state-discarding compactions so far (each one is an epoch).
     pub fn compactions(&self) -> u64 {
-        self.compactions
+        self.epoch
     }
 
-    /// Total closure rows reclaimed across all compactions.
+    /// Total closure rows reclaimed across all compactions (of the layers
+    /// the engine carries: R-graph rows only on a chain-free engine).
     pub fn reclaimed_rows(&self) -> u64 {
         self.reclaimed_rows
     }
 
-    /// Closure nodes currently resident across the three matrices — the
-    /// quadratic part of the engine's footprint.
+    /// Closure nodes currently resident — R-graph nodes, plus the chain
+    /// layer's where there is one: the quadratic part of the footprint.
     pub fn resident_closure_nodes(&self) -> usize {
-        self.rmat.nodes + self.zmat.nodes + self.cmat.nodes
+        self.rmat.nodes + self.chains.resident_nodes()
     }
 
     /// The consistent watermark of the last compaction (all zeros before
     /// the first).
     pub fn compaction_watermark(&self) -> &[u32] {
         &self.watermark
-    }
-
-    /// Per-process chain-layer retention floor: chain queries are exact
-    /// for heads in intervals strictly above it.
-    pub fn chain_floors(&self) -> &[u32] {
-        &self.chain_floor
     }
 
     /// First retained checkpoint index per process ([`reaches`]

@@ -1,45 +1,52 @@
 //! Incremental pattern analysis: the append-only twin of
-//! [`PatternAnalysis`](crate::PatternAnalysis).
+//! [`PatternAnalysis`](crate::PatternAnalysis), in three layers.
 //!
-//! Where the batch pipeline rebuilds the R-graph, the zigzag/causal chain
-//! closures, and the replayed dependency vectors from scratch for every
-//! (prefix of a) pattern, [`IncrementalAnalysis`] maintains all of them
-//! *online* under three events:
+//! Where the batch pipeline rebuilds everything from scratch for every
+//! (prefix of a) pattern, [`IncrementalAnalysis`] maintains it *online*
+//! under three events: `append_send` (a message leaves its sender: snapshot
+//! of the piggybacked `TDV`), `append_deliver` (it arrives: merge of the
+//! piggyback) and `append_checkpoint` (new R-graph node, Rule 1 and all now
+//! completable Rule 2 edges, `TDV` snapshot).
 //!
-//! * [`append_send`](IncrementalAnalysis::append_send) — a message leaves
-//!   its sender (snapshots the piggybacked `TDV`, extends the causal send
-//!   spine);
-//! * [`append_deliver`](IncrementalAnalysis::append_deliver) — a message
-//!   arrives (merges the piggyback, inserts the message into both chain
-//!   closures);
-//! * [`append_checkpoint`](IncrementalAnalysis::append_checkpoint) — a
-//!   local checkpooint is taken (new R-graph node, Rule 1 and all now
-//!   completable Rule 2 edges, `TDV` snapshot).
+//! # Layers
+//!
+//! The paper's result is that on an RDT pattern every rollback dependency
+//! is visible on the fly: R-graph reachability is read off the `TDV` a
+//! checkpoint already carries. The other two visible characterizations
+//! (every message chain causally doubled, every CM-path doubled) are
+//! *equivalent statements*, so only a reader that compares the three needs
+//! all three maintained. The engine is therefore composed **by type**,
+//! `IncrementalAnalysis<C, J>`, and a reader pays for the layers it names:
+//!
+//! * the **core** (this module, `compaction.rs`, `snapshot.rs`), always
+//!   present: the R-graph closure, the message table, the `TDV` snapshots,
+//!   the running untrackable-pair count, the consistency oracles,
+//!   compaction and snapshots.
+//! * the **chain layer** `C` (`chain_layer.rs`): [`Chains`] maintains the
+//!   zigzag and causal chain closures and is the only instantiation with
+//!   the chain queries; [`NoChains`] is zero-sized and pushes no node.
+//! * the **journal layer** `J` (`journal.rs`): [`UndoJournal`] records
+//!   every mutation and is the only instantiation with `mark` / `rewind` /
+//!   `with_closed`; [`NoJournal`] is zero-sized and records nothing. It is
+//!   a type parameter rather than a flag so that the closure kernel's inner
+//!   loop is compiled without the push, and so that asking a journal-free
+//!   engine to rewind is a compile error, not a runtime failure.
+//!
+//! Three instantiations are in use. `rdt-serve` runs the bare
+//! [`IncrementalAnalysis`] (core only: no wire query reads a chain closure
+//! or takes a mark); the simulator's online probe runs
+//! [`RewindableAnalysis`] (core + journal, for closed-view queries); the
+//! certifier runs [`FullAnalysis`] (core + chains + journal).
 //!
 //! # Data structures
 //!
-//! Each of the three reachability relations (R-graph over checkpoints,
-//! zigzag chains and causal chains over delivered messages) is held as a
-//! square bit matrix together with its transpose, updated by the classic
-//! incremental-transitive-closure rule (Italiano): inserting an edge
-//! `u → v` that is not already implied unions `succ(v)` into the forward
-//! row of every predecessor of `u` and `pred(u)` into the backward row of
-//! every successor of `v`. The transpose twin is what keeps that cheap: it
-//! yields the two *dirty sets* in one word-parallel pass each —
-//! `dpred = bwd[u] & !bwd[v]`, the predecessors of `u` that do not reach
-//! `v` yet, and `dsucc = fwd[v] & !fwd[u]`, the successors of `v` that `u`
-//! does not reach yet — and, the closure being transitive, no other row
-//! and no other column can change. An insertion therefore costs
-//! `2·width + |dpred|·span(dsucc) + |dsucc|·span(dpred)` words, where
-//! `span` is the distance between a set's first and last non-zero word;
-//! predecessors that already reach `v` cost one cleared bit instead of a
-//! row scan, and linking a fresh node costs one word per dirty row. Rows
-//! never lose bits while appending. The chain
-//! graphs are the same compressed O(M + C) constructions the batch
-//! [`ZigzagReachability`](crate::ZigzagReachability) uses (per-interval
-//! slot spines for zigzag links, per-process send spines for causal
-//! links), so closure work stays proportional to new reachability, not to
-//! the O(M²) direct link count.
+//! Each reachability relation (the R-graph over checkpoints; in the chain
+//! layer, zigzag and causal chains over delivered messages) is a square
+//! bit matrix held with its transpose and updated by Italiano's
+//! incremental-transitive-closure rule restricted to the two *dirty sets*
+//! the transpose yields (see `ClosureMatrix::insert_edge`): an insertion
+//! costs `2·width + |dpred|·span(dsucc) + |dsucc|·span(dpred)` words, and
+//! rows never lose bits while appending.
 //!
 //! RDT itself is counted online: a reachable checkpoint pair becomes
 //! untrackable the moment its closure bit first appears, and the verdict
@@ -47,24 +54,20 @@
 //! snapshotted when the checkpoint is appended, before any R-path can
 //! reach it. [`untrackable_pairs`](IncrementalAnalysis::untrackable_pairs)
 //! is therefore a running violation counter, updated per new closure bit.
-//!
-//! # Mark / rewind
-//!
-//! Every mutation is recorded in an undo journal; [`mark`]
-//! (IncrementalAnalysis::mark) captures the journal length and
-//! [`rewind`](IncrementalAnalysis::rewind) plays it backwards, restoring
-//! the engine to the marked state bit for bit. This is what makes
-//! prefix-sharing replay cheap: a verifier can keep one engine per
-//! protocol, rewind to the longest common prefix with the next schedule,
-//! and append only the suffix. [`with_closed`]
-//! (IncrementalAnalysis::with_closed) uses the same machinery to answer
-//! queries about the *closed* extension of the current pattern (the
-//! paper's convention) and back the closing checkpoints out again.
 
 use rdt_causality::bits::{self, WORD_BITS};
 use rdt_causality::{CheckpointId, ProcessId};
 
 use crate::consistency::GlobalCheckpoint;
+
+#[path = "journal.rs"]
+mod journal;
+pub use journal::{Journal, Mark, NoJournal, RewindError, UndoJournal};
+use journal::{Undo, MAT_C, MAT_R, MAT_Z, MAX_CLOSURE_NODES};
+
+#[path = "chain_layer.rs"]
+mod chain_layer;
+pub use chain_layer::{ChainLayer, Chains, NoChains};
 
 #[path = "compaction.rs"]
 mod compaction;
@@ -72,7 +75,16 @@ pub use compaction::CompactionStats;
 
 #[path = "snapshot.rs"]
 mod snapshot;
-pub use snapshot::{SnapshotError, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
+pub use snapshot::{SnapshotError, SnapshotErrorKind, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
+
+/// Core + journal: what a reader needs that asks closed-view questions
+/// ([`with_closed`](IncrementalAnalysis::with_closed)) of the R-graph core
+/// only — the simulator's online probe.
+pub type RewindableAnalysis = IncrementalAnalysis<NoChains, UndoJournal>;
+
+/// Core + chains + journal: all three visible characterizations,
+/// rewindable — the certifier's engine.
+pub type FullAnalysis = IncrementalAnalysis<Chains, UndoJournal>;
 
 const NONE_U32: u32 = u32::MAX;
 
@@ -83,64 +95,6 @@ const MASK_STACK_WORDS: usize = 8;
 /// Stack entries for global-checkpoint scratch vectors (spills to heap
 /// above this many processes).
 const GC_STACK_ENTRIES: usize = 16;
-
-/// Matrix selectors for the undo journal (`md = mat * 2 + direction`).
-const MAT_R: u8 = 0;
-const MAT_Z: u8 = 1;
-const MAT_C: u8 = 2;
-
-/// A position in the undo journal, as returned by
-/// [`IncrementalAnalysis::mark`]. Rewinding to a mark restores the engine
-/// to exactly the state it had when the mark was taken.
-///
-/// Marks are tagged with the engine's *compaction epoch*: a mark taken
-/// before a [`compact_to`](IncrementalAnalysis::compact_to) cannot be
-/// rewound to afterwards — the journal below the compaction point is gone
-/// — and [`try_rewind`](IncrementalAnalysis::try_rewind) reports that as
-/// [`RewindError::CompactionBoundary`] instead of corrupting state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Mark {
-    epoch: u64,
-    pos: usize,
-}
-
-/// Why a [`try_rewind`](IncrementalAnalysis::try_rewind) was refused. The
-/// engine state is untouched when a rewind fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RewindError {
-    /// The mark predates a compaction: the journal below the compaction
-    /// point was discarded, so the marked state no longer exists.
-    CompactionBoundary {
-        /// Epoch the mark was taken in.
-        mark_epoch: u64,
-        /// The engine's current compaction epoch.
-        engine_epoch: u64,
-    },
-    /// The mark is ahead of the journal — it was taken on a state that
-    /// has itself been rewound away.
-    AheadOfJournal,
-}
-
-impl std::fmt::Display for RewindError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RewindError::CompactionBoundary {
-                mark_epoch,
-                engine_epoch,
-            } => write!(
-                f,
-                "mark from compaction epoch {mark_epoch} cannot be rewound to \
-                 in epoch {engine_epoch}: the journal below the compaction \
-                 point was discarded"
-            ),
-            RewindError::AheadOfJournal => {
-                write!(f, "mark is ahead of the journal")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RewindError {}
 
 /// Why a `try_append_*` call was refused. The engine state is untouched
 /// when an append fails, so a rejected event from an untrusted stream
@@ -184,131 +138,60 @@ impl std::fmt::Display for AppendError {
 
 impl std::error::Error for AppendError {}
 
-/// One reversible mutation; the journal is replayed backwards on rewind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Undo {
-    /// A closure-matrix word changed (`md = mat * 2 + dir`, dir 1 = bwd).
-    Word {
-        md: u8,
-        row: u32,
-        word: u32,
-        old: u64,
-    },
-    /// A node was pushed onto matrix `mat`.
-    Node {
-        mat: u8,
-    },
-    CpCount {
-        p: u32,
-        old: u32,
-    },
-    LineOpen {
-        p: u32,
-        old: bool,
-    },
-    Untrackable {
-        old: u64,
-    },
-    CurTdv {
-        slot: u32,
-        old: u32,
-    },
-    MsgPushed,
-    MsgTdvPushed,
-    CpTdvPushed,
-    RMetaPushed,
-    CpNodePushed {
-        p: u32,
-    },
-    ZSlotPushed {
-        p: u32,
-    },
-    CSpinePushed {
-        p: u32,
-    },
-    CDelivPushed {
-        p: u32,
-    },
-    CLinked {
-        p: u32,
-        old: u32,
-    },
-    SendEvPushed {
-        p: u32,
-    },
-    DeliverEvPushed {
-        p: u32,
-    },
-    MsgDelivered {
-        mid: u32,
-    },
-    /// A `drop_reach` entry changed (only after the first compaction).
-    DropReach {
-        slot: u32,
-        old: u32,
-    },
-    /// A `drop_reach` row was pushed (only after the first compaction).
-    DropReachPushed,
-}
-
-/// Per-message record (columns of a struct-of-arrays kept together; the
-/// deliver-side fields stay [`NONE_U32`] while the message is in transit).
+/// Per-message record of the core (columns of a struct-of-arrays kept
+/// together; `deliver_iv` stays [`NONE_U32`] while the message is in
+/// transit).
 #[derive(Debug, Clone, Copy)]
-struct MsgRec {
+pub struct MsgRec {
     from: u32,
     to: u32,
     send_iv: u32,
     deliver_iv: u32,
-    /// Node of this message in the zigzag closure (set at delivery;
-    /// [`NONE_U32`] again once compaction drops the node).
-    znode: u32,
-    /// Node of this message in the causal closure (set at delivery;
-    /// [`NONE_U32`] again once compaction drops the node).
-    cnode: u32,
-    /// Causal send-spine node allocated for this send ([`NONE_U32`] once
-    /// compaction drops it — only possible after delivery).
-    spine: u32,
     /// Row of this message's piggyback snapshot in `msg_tdv`
     /// ([`NONE_U32`] once compaction reclaims the row — only possible
     /// after delivery).
     tdv_row: u32,
 }
 
-/// Scratch buffers for edge insertion (reused across insertions).
-#[derive(Debug, Default)]
-struct EdgeScratch {
-    /// Dirty predecessors of the last inserted edge `u → v`: the nodes
-    /// reaching `u` (with `u`) that did not reach `v` yet.
-    dpred: Vec<u64>,
-    /// Dirty successors: the nodes reached from `v` (with `v`) that `u` did
-    /// not reach yet.
-    dsucc: Vec<u64>,
-    /// New forward closure bits `(row, col)` of the last insertion, only
-    /// collected when the caller asked for them.
-    pairs: Vec<(u32, u32)>,
-}
-
 /// A growable square reachability matrix with its transpose twin.
 ///
 /// `fwd[u]` holds the successors of `u` (reflexively), `bwd[v]` the
 /// predecessors of `v`; both are row slabs of `width` words. Rows only
-/// ever gain bits while appending; every word change is journaled so the
-/// matrix can be rewound.
+/// ever gain bits while appending; every word change is handed to the
+/// journal layer so the matrix can be rewound.
 #[derive(Debug, Clone)]
 struct ClosureMatrix {
     nodes: usize,
     width: usize,
     fwd: Vec<u64>,
     bwd: Vec<u64>,
+    // Scratch of the last inserted edge `u → v`, reused across insertions.
+    /// Dirty predecessors: the nodes reaching `u` (with `u`) that did not
+    /// reach `v` yet.
+    dpred: Vec<u64>,
+    /// Dirty successors: the nodes reached from `v` (with `v`) that `u` did
+    /// not reach yet.
+    dsucc: Vec<u64>,
+    /// New forward closure bits `(row, col)`, only collected when the
+    /// caller asked for them.
+    pairs: Vec<(u32, u32)>,
 }
 
 impl ClosureMatrix {
     fn new() -> Self {
+        Self::from_slabs(0, 1, Vec::new(), Vec::new())
+    }
+
+    fn from_slabs(nodes: usize, width: usize, fwd: Vec<u64>, bwd: Vec<u64>) -> Self {
+        let (dpred, dsucc, pairs) = (Vec::new(), Vec::new(), Vec::new());
         ClosureMatrix {
-            nodes: 0,
-            width: 1,
-            fwd: Vec::new(),
-            bwd: Vec::new(),
+            nodes,
+            width,
+            fwd,
+            bwd,
+            dpred,
+            dsucc,
+            pairs,
         }
     }
 
@@ -324,8 +207,12 @@ impl ClosureMatrix {
     }
 
     /// Appends a fresh node with only its reflexive bit set. The caller
-    /// journals the push (`Undo::Node`).
+    /// journals the append that caused the push.
     fn push_node(&mut self) -> usize {
+        assert!(
+            self.nodes < MAX_CLOSURE_NODES,
+            "closure matrix is at its row limit"
+        );
         if self.nodes == self.width * WORD_BITS {
             self.grow();
         }
@@ -336,15 +223,6 @@ impl ClosureMatrix {
         bits::set(&mut self.fwd[id * self.width..][..self.width], id);
         bits::set(&mut self.bwd[id * self.width..][..self.width], id);
         id
-    }
-
-    /// Removes the most recently pushed node (rewind path). Closure bits
-    /// referring to it in surviving rows have already been undone through
-    /// `Undo::Word` entries, which are newer than the node's push.
-    fn pop_node(&mut self) {
-        self.nodes -= 1;
-        self.fwd.truncate(self.nodes * self.width);
-        self.bwd.truncate(self.nodes * self.width);
     }
 
     /// Doubles the words-per-row. Journaled `(row, word)` addresses refer
@@ -378,19 +256,17 @@ impl ClosureMatrix {
     /// `dpred` gains `dsucc` and, in the transpose, every row of `dsucc`
     /// gains `dpred`, each over the added set's non-zero word span only and
     /// each changed word journaled, rows and words ascending. When `collect`
-    /// is set, the new forward bits are reported in `scratch.pairs`. Returns
-    /// whether the edge was new; `scratch.dpred` / `scratch.dsucc` are only
-    /// meaningful when it was.
-    fn insert_edge(
+    /// is set, the new forward bits are reported in `pairs`. Returns whether
+    /// the edge was new; `dpred` / `dsucc` are only meaningful when it was.
+    fn insert_edge<J: Journal>(
         &mut self,
         mat_id: u8,
-        journal: &mut Vec<Undo>,
-        scratch: &mut EdgeScratch,
+        journal: &mut J,
         collect: bool,
         u: usize,
         v: usize,
     ) -> bool {
-        scratch.pairs.clear();
+        self.pairs.clear();
         if self.bit(false, u, v) {
             return false;
         }
@@ -398,30 +274,19 @@ impl ClosureMatrix {
             self.bit(true, u, u) && self.bit(false, v, v),
             "closure rows are reflexive"
         );
-        let EdgeScratch {
-            dpred,
-            dsucc,
-            pairs,
-        } = scratch;
-        let minus = |a: &[u64], b: &[u64], out: &mut Vec<u64>| {
+        let (w, fwd, bwd) = (self.width, &mut self.fwd, &mut self.bwd);
+        let (dpred, dsucc) = (&mut self.dpred, &mut self.dsucc);
+        let minus = |slab: &[u64], a: usize, b: usize, out: &mut Vec<u64>| {
+            let (a, b) = (&slab[a * w..][..w], &slab[b * w..][..w]);
             out.clear();
             out.extend(a.iter().zip(b).map(|(&a, &b)| a & !b));
         };
-        minus(self.row(true, u), self.row(true, v), dpred);
-        minus(self.row(false, v), self.row(false, u), dsucc);
+        minus(bwd, u, v, dpred);
+        minus(fwd, v, u, dsucc);
 
-        let w = self.width;
-        let pairs = collect.then_some(pairs);
-        or_into_rows(&mut self.fwd, w, mat_id * 2, journal, dpred, dsucc, pairs);
-        or_into_rows(
-            &mut self.bwd,
-            w,
-            mat_id * 2 + 1,
-            journal,
-            dsucc,
-            dpred,
-            None,
-        );
+        let pairs = collect.then_some(&mut self.pairs);
+        or_into_rows(fwd, w, mat_id * 2, journal, dpred, dsucc, pairs);
+        or_into_rows(bwd, w, mat_id * 2 + 1, journal, dsucc, dpred, None);
         true
     }
 
@@ -433,13 +298,12 @@ impl ClosureMatrix {
     fn insert_edge_full_scan(
         &mut self,
         mat_id: u8,
-        journal: &mut Vec<Undo>,
-        pairs: &mut Vec<(u32, u32)>,
+        journal: &mut UndoJournal,
         collect: bool,
         u: usize,
         v: usize,
     ) -> bool {
-        pairs.clear();
+        self.pairs.clear();
         if self.bit(false, u, v) {
             return false;
         }
@@ -459,14 +323,9 @@ impl ClosureMatrix {
                     let old = slab[x * w + wi];
                     let fresh = add & !old;
                     if fresh != 0 {
-                        journal.push(Undo::Word {
-                            md: mat_id * 2 + dir,
-                            row: x as u32,
-                            word: wi as u32,
-                            old,
-                        });
+                        journal.record(Undo::word(mat_id * 2 + dir, x, wi, old));
                         if collect && dir == 0 {
-                            pairs.extend(
+                            self.pairs.extend(
                                 bits::ones(&[fresh])
                                     .map(|b| (x as u32, (wi * WORD_BITS + b) as u32)),
                             );
@@ -489,14 +348,15 @@ fn nonzero_span(words: &[u64]) -> std::ops::Range<usize> {
 
 /// ORs `add` into row `x` of `slab` (rows of `w` words) for every
 /// `x ∈ ones(rows)`, touching only `add`'s non-zero word span. Each changed
-/// word is journaled under `md` before it is written; when `pairs` is given,
-/// the fresh bits are appended to it as `(row, column)`.
+/// word is journaled under selector `sel` before it is written (on a
+/// [`NoJournal`] engine that is no code at all); when `pairs` is given, the
+/// fresh bits are appended to it as `(row, column)`.
 #[inline]
-fn or_into_rows(
+fn or_into_rows<J: Journal>(
     slab: &mut [u64],
     w: usize,
-    md: u8,
-    journal: &mut Vec<Undo>,
+    sel: u8,
+    journal: &mut J,
     rows: &[u64],
     add: &[u64],
     mut pairs: Option<&mut Vec<(u32, u32)>>,
@@ -508,12 +368,7 @@ fn or_into_rows(
             let old = row[wi];
             let fresh = add[wi] & !old;
             if fresh != 0 {
-                journal.push(Undo::Word {
-                    md,
-                    row: x as u32,
-                    word: wi as u32,
-                    old,
-                });
+                journal.record(Undo::word(sel, x, wi, old));
                 if let Some(pairs) = pairs.as_deref_mut() {
                     let mut d = fresh;
                     while d != 0 {
@@ -528,35 +383,31 @@ fn or_into_rows(
 }
 
 /// Append-only analysis of a growing checkpoint & communication pattern,
-/// with journal-based [`mark`](IncrementalAnalysis::mark) /
-/// [`rewind`](IncrementalAnalysis::rewind).
+/// composed by type from the R-graph **core**, an optional **chain layer**
+/// `C` and an optional **journal layer** `J` (the module documentation of
+/// `incremental.rs` says who instantiates which).
 ///
-/// Maintains, per appended event, exactly the artifacts the batch
-/// [`PatternAnalysis`](crate::PatternAnalysis) derives from scratch: the
-/// R-graph transitive closure, the zigzag and causal chain closures, the
-/// replayed transitive dependency vectors, and a running count of
-/// untrackable R-paths. Every query answers identically to the batch
-/// pipeline on the same pattern (the differential test-suite holds the
-/// two against each other after every append).
-///
-/// Queries that the paper defines on *closed* patterns (the RDT verdict,
-/// the chain-doubling characterizations, consistent-global-checkpoint
-/// computations) should be asked through
-/// [`with_closed`](IncrementalAnalysis::with_closed), which temporarily
-/// appends the closing checkpoints exactly like
-/// [`Pattern::to_closed`](crate::Pattern::to_closed).
-///
-/// # Example
+/// The bare name is the core alone, the engine `rdt-serve` runs: the
+/// R-graph transitive closure, the replayed transitive dependency vectors,
+/// a running count of untrackable R-paths and the consistent
+/// global-checkpoint oracles. Every query answers identically to the batch
+/// [`PatternAnalysis`](crate::PatternAnalysis) pipeline on the same pattern
+/// (the differential test-suite holds the two against each other after
+/// every append). Queries the paper defines on *closed* patterns should be
+/// asked through [`with_closed`](IncrementalAnalysis::with_closed), which
+/// temporarily appends the closing checkpoints exactly like
+/// [`Pattern::to_closed`](crate::Pattern::to_closed) — on an instantiation
+/// that carries the journal:
 ///
 /// ```rust
 /// use rdt_causality::ProcessId;
-/// use rdt_rgraph::IncrementalAnalysis;
+/// use rdt_rgraph::FullAnalysis;
 ///
 /// let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
-/// let mut incr = IncrementalAnalysis::new(2);
+/// let mut incr = FullAnalysis::layered(2);
 /// let m = incr.append_send(p0, p1);
 /// incr.append_deliver(m);
-/// assert!(incr.with_closed(|view| view.rdt_holds()));
+/// assert!(incr.with_closed(|view| view.rdt_holds() && view.all_chains_doubled()));
 ///
 /// // Branch out, then back out of it.
 /// let mark = incr.mark();
@@ -564,10 +415,26 @@ fn or_into_rows(
 /// incr.rewind(mark);
 /// assert_eq!(incr.last_checkpoint_index(p1), 0);
 /// ```
+///
+/// The layers are types, not flags: the daemon's engine has no chain
+/// table to query and no journal to rewind.
+///
+/// ```compile_fail
+/// use rdt_causality::{CheckpointId, ProcessId};
+/// let incr = rdt_rgraph::IncrementalAnalysis::new(2);
+/// let c = CheckpointId::new(ProcessId::new(0), 0);
+/// incr.chain_exists(c, c); // only on `IncrementalAnalysis<Chains, _>`
+/// ```
+///
+/// ```compile_fail
+/// let incr = rdt_rgraph::IncrementalAnalysis::new(2);
+/// incr.mark(); // only on `IncrementalAnalysis<_, UndoJournal>`
+/// ```
 #[derive(Debug)]
-pub struct IncrementalAnalysis {
+pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     n: usize,
-    journal: Vec<Undo>,
+    chains: C,
+    journal: J,
     /// Total events ever appended (monotone work counter; not rewound).
     events: usize,
     /// Running count of reachable-but-untrackable checkpoint pairs.
@@ -590,75 +457,70 @@ pub struct IncrementalAnalysis {
     r_meta: Vec<(u32, u32)>,
     /// R-node of `C_{p,x}` (indexed by `x`).
     cp_nodes: Vec<Vec<u32>>,
-    zmat: ClosureMatrix,
-    /// Zigzag interval-slot nodes per process, dense from interval 0.
-    z_slots: Vec<Vec<u32>>,
-    cmat: ClosureMatrix,
-    /// Causal send-spine nodes per process, in send order.
-    c_spine: Vec<Vec<u32>>,
-    /// Causal nodes of messages delivered at each process, delivery order.
-    c_delivs: Vec<Vec<u32>>,
-    /// How many of `c_delivs[p]` are already linked to a later send spine.
-    c_linked: Vec<u32>,
     /// `(interval, message)` per send, per process, chronological (and so
     /// sorted by interval).
     send_events: Vec<Vec<(u32, u32)>>,
     /// `(interval, message)` per delivery, per process, chronological.
     deliver_events: Vec<Vec<(u32, u32)>>,
-    scratch: EdgeScratch,
 
     // ---- compaction state (see `compaction.rs`) ----
     /// Compaction epoch: bumped whenever `compact_to` discards state, so
     /// stale [`Mark`]s are detected instead of misapplied.
-    pub(crate) epoch: u64,
-    /// Per-process consistent watermark of the last compaction (all
-    /// zeros before the first). Monotone componentwise.
-    pub(crate) watermark: Vec<u32>,
+    epoch: u64,
+    /// Per-process consistent watermark of the last state-discarding
+    /// compaction (all zeros before the first). Monotone componentwise;
+    /// also the chain layer's retention floor: messages sent in an
+    /// interval `≤ watermark[p]` had their chain nodes dropped.
+    watermark: Vec<u32>,
     /// First retained checkpoint index per process: `cp_nodes[p][k]` is
     /// the R-node of `C_{p, cp_base[p] + k}`.
-    pub(crate) cp_base: Vec<u32>,
-    /// First retained zigzag interval slot per process: `z_slots[p][k]`
-    /// is the slot of interval `slot_base[p] + k`.
-    pub(crate) slot_base: Vec<u32>,
-    /// Chain-layer retention floor per process: messages sent in an
-    /// interval `≤ chain_floor[p]` had their zigzag/causal closure nodes
-    /// dropped; chain queries headed at or below the floor are out of the
-    /// compacted engine's exact domain.
-    pub(crate) chain_floor: Vec<u32>,
+    cp_base: Vec<u32>,
     /// Per retained R-node and process `p`, the largest index of a
     /// *dropped* checkpoint of `p` with an R-path to the node
     /// ([`NONE_U32`] = none). Dropped reach sets are downward closed per
     /// process (Rule 1 chains), so one index summarizes the whole set;
     /// empty until the first compaction drops an R-node.
-    pub(crate) drop_reach: Vec<u32>,
-    /// Number of compactions that discarded state (epoch bumps).
-    pub(crate) compactions: u64,
-    /// Total closure rows (R + zigzag + causal nodes) reclaimed across
-    /// all compactions.
-    pub(crate) reclaimed_rows: u64,
+    drop_reach: Vec<u32>,
+    /// Total closure rows reclaimed across all compactions.
+    reclaimed_rows: u64,
 }
 
 impl IncrementalAnalysis {
-    /// Creates the empty engine for `n` processes: every process has its
-    /// implicit initial checkpoint `C_{i,0}` and an all-zero dependency
-    /// snapshot, exactly like an empty [`Pattern`](crate::Pattern).
+    /// Creates the empty core engine for `n` processes: every process has
+    /// its implicit initial checkpoint `C_{i,0}` and an all-zero dependency
+    /// snapshot, exactly like an empty [`Pattern`](crate::Pattern). Other
+    /// instantiations are built with [`layered`](IncrementalAnalysis::layered).
     pub fn new(n: usize) -> Self {
+        Self::layered(n)
+    }
+
+    /// Restores a core engine from a version 2 or 1 snapshot document
+    /// ([`layered_from_snapshot`](IncrementalAnalysis::layered_from_snapshot)
+    /// for the core alone).
+    pub fn from_snapshot_json(doc: &rdt_json::Json) -> Result<Self, SnapshotError> {
+        Self::layered_from_snapshot(doc)
+    }
+}
+
+impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
+    /// Creates the empty engine of this instantiation for `n` processes
+    /// (what [`new`](IncrementalAnalysis::new) is for the core alone).
+    pub fn layered(n: usize) -> Self {
         assert!(n > 0, "need at least one process");
         let mut rmat = ClosureMatrix::new();
         let mut r_meta = Vec::with_capacity(n);
         let mut cp_nodes = Vec::with_capacity(n);
-        let mut cp_tdv = vec![0u32; 0];
         let mut cur_tdv = vec![0u32; n * n];
         for i in 0..n {
             let node = rmat.push_node();
             r_meta.push((i as u32, 0));
             cp_nodes.push(vec![node as u32]);
-            cp_tdv.extend(std::iter::repeat_n(0, n));
             cur_tdv[i * n + i] = 1;
         }
         IncrementalAnalysis {
             n,
-            journal: Vec::new(),
+            chains: C::new(n),
+            journal: J::default(),
             events: 0,
             untrackable: 0,
             cp_count: vec![0; n],
@@ -666,26 +528,16 @@ impl IncrementalAnalysis {
             msgs: Vec::new(),
             cur_tdv,
             msg_tdv: Vec::new(),
-            cp_tdv,
+            cp_tdv: vec![0; n * n],
             rmat,
             r_meta,
             cp_nodes,
-            zmat: ClosureMatrix::new(),
-            z_slots: vec![Vec::new(); n],
-            cmat: ClosureMatrix::new(),
-            c_spine: vec![Vec::new(); n],
-            c_delivs: vec![Vec::new(); n],
-            c_linked: vec![0; n],
             send_events: vec![Vec::new(); n],
             deliver_events: vec![Vec::new(); n],
-            scratch: EdgeScratch::default(),
             epoch: 0,
             watermark: vec![0; n],
             cp_base: vec![0; n],
-            slot_base: vec![0; n],
-            chain_floor: vec![0; n],
             drop_reach: Vec::new(),
-            compactions: 0,
             reclaimed_rows: 0,
         }
     }
@@ -724,14 +576,12 @@ impl IncrementalAnalysis {
 
     // ------------------------------------------------------- appends ----
 
-    /// Appends a local checkpoint of `process` and returns its id.
-    ///
-    /// Creates the R-graph node (with its `TDV` snapshot taken *before*
-    /// the owner entry increments, matching the offline replayer), the
-    /// Rule 1 edge from the previous checkpoint, and every Rule 2 message
-    /// edge that this checkpoint completes — an edge `C_{i,x} → C_{j,y}`
-    /// materializes exactly when the later of the two closing checkpoints
-    /// appears.
+    /// Appends a local checkpoint of `process` and returns its id: the
+    /// R-graph node (its `TDV` snapshot taken *before* the owner entry
+    /// increments, matching the offline replayer), the Rule 1 edge from the
+    /// previous checkpoint, and every Rule 2 message edge this checkpoint
+    /// completes — an edge `C_{i,x} → C_{j,y}` materializes exactly when
+    /// the later of the two closing checkpoints appears.
     pub fn append_checkpoint(&mut self, process: ProcessId) -> CheckpointId {
         match self.try_append_checkpoint(process) {
             Ok(id) => id,
@@ -739,10 +589,9 @@ impl IncrementalAnalysis {
         }
     }
 
-    /// Fallible [`append_checkpoint`](IncrementalAnalysis::append_checkpoint):
-    /// rejects an out-of-range process with [`AppendError`] instead of
-    /// panicking, leaving the engine untouched. This is the entry point
-    /// for untrusted event streams.
+    /// Fallible [`append_checkpoint`](IncrementalAnalysis::append_checkpoint),
+    /// the entry point for untrusted event streams: an out-of-range process
+    /// is an [`AppendError`] and leaves the engine untouched.
     pub fn try_append_checkpoint(
         &mut self,
         process: ProcessId,
@@ -755,35 +604,25 @@ impl IncrementalAnalysis {
             });
         }
         let closing = self.cp_count[pi] + 1;
-        self.journal.push(Undo::CpCount {
+        self.journal.record(Undo::Checkpoint {
             p: pi as u32,
-            old: self.cp_count[pi],
+            open: self.line_open[pi],
         });
         self.cp_count[pi] = closing;
-        self.set_line_open(pi, false);
+        self.line_open[pi] = false;
 
         let node = self.rmat.push_node();
-        self.journal.push(Undo::Node { mat: MAT_R });
         self.r_meta.push((pi as u32, closing));
-        self.journal.push(Undo::RMetaPushed);
         let base = pi * self.n;
         for k in 0..self.n {
             self.cp_tdv.push(self.cur_tdv[base + k]);
         }
-        self.journal.push(Undo::CpTdvPushed);
         self.cp_nodes[pi].push(node as u32);
-        self.journal.push(Undo::CpNodePushed { p: pi as u32 });
         if !self.drop_reach.is_empty() {
             self.drop_reach
                 .extend(std::iter::repeat_n(NONE_U32, self.n));
-            self.journal.push(Undo::DropReachPushed);
         }
-        let slot = base + pi;
-        self.journal.push(Undo::CurTdv {
-            slot: slot as u32,
-            old: self.cur_tdv[slot],
-        });
-        self.cur_tdv[slot] += 1;
+        self.cur_tdv[base + pi] += 1;
 
         // Rule 1: C_{p, closing-1} -> C_{p, closing}.
         let prev = self.cp_nodes[pi][(closing - 1 - self.cp_base[pi]) as usize] as usize;
@@ -820,10 +659,8 @@ impl IncrementalAnalysis {
     }
 
     /// Appends a send event and returns the engine's message handle.
-    ///
-    /// Handles are assigned sequentially in send order — the same
-    /// numbering [`PatternBuilder::send`](crate::PatternBuilder::send)
-    /// uses when events are appended in the same order.
+    /// Handles are assigned sequentially in send order, the numbering
+    /// [`PatternBuilder::send`](crate::PatternBuilder::send) uses too.
     pub fn append_send(&mut self, from: ProcessId, to: ProcessId) -> u32 {
         match self.try_append_send(from, to) {
             Ok(mid) => mid,
@@ -831,70 +668,35 @@ impl IncrementalAnalysis {
         }
     }
 
-    /// Fallible [`append_send`](IncrementalAnalysis::append_send): rejects
-    /// out-of-range endpoints with [`AppendError`] instead of panicking,
-    /// leaving the engine untouched.
+    /// Fallible [`append_send`](IncrementalAnalysis::append_send): an
+    /// out-of-range endpoint is an [`AppendError`], the engine untouched.
     pub fn try_append_send(&mut self, from: ProcessId, to: ProcessId) -> Result<u32, AppendError> {
         let fi = from.index();
         let ti = to.index();
-        if fi >= self.n {
-            return Err(AppendError::ProcessOutOfRange {
-                process: fi,
-                n: self.n,
-            });
-        }
-        if ti >= self.n {
-            return Err(AppendError::ProcessOutOfRange {
-                process: ti,
-                n: self.n,
-            });
+        if let Some(&process) = [fi, ti].iter().find(|&&p| p >= self.n) {
+            return Err(AppendError::ProcessOutOfRange { process, n: self.n });
         }
         let mid = self.msgs.len() as u32;
         let iv = self.cp_count[fi] + 1;
+        self.journal.record(Undo::Send {
+            from: fi as u32,
+            open: self.line_open[fi],
+        });
+        self.line_open[fi] = true;
 
         let base = fi * self.n;
         let tdv_row = (self.msg_tdv.len() / self.n) as u32;
         let row = &self.cur_tdv[base..base + self.n];
         self.msg_tdv.extend_from_slice(row);
-        self.journal.push(Undo::MsgTdvPushed);
-
-        // Causal send spine: chain from the previous send of `from`, and
-        // link every delivery at `from` that happened since.
-        let spine = self.cmat.push_node() as u32;
-        self.journal.push(Undo::Node { mat: MAT_C });
-        if let Some(&prev) = self.c_spine[fi].last() {
-            self.insert_c_edge(prev as usize, spine as usize);
-        }
-        self.c_spine[fi].push(spine);
-        self.journal.push(Undo::CSpinePushed { p: fi as u32 });
-        let linked = self.c_linked[fi] as usize;
-        let total = self.c_delivs[fi].len();
-        if linked < total {
-            self.journal.push(Undo::CLinked {
-                p: fi as u32,
-                old: self.c_linked[fi],
-            });
-            self.c_linked[fi] = total as u32;
-            for i in linked..total {
-                let cn = self.c_delivs[fi][i] as usize;
-                self.insert_c_edge(cn, spine as usize);
-            }
-        }
-
         self.send_events[fi].push((iv, mid));
-        self.journal.push(Undo::SendEvPushed { p: fi as u32 });
         self.msgs.push(MsgRec {
             from: fi as u32,
             to: ti as u32,
             send_iv: iv,
             deliver_iv: NONE_U32,
-            znode: NONE_U32,
-            cnode: NONE_U32,
-            spine,
             tdv_row,
         });
-        self.journal.push(Undo::MsgPushed);
-        self.set_line_open(fi, true);
+        self.chains.on_send(&mut self.journal, fi);
         self.events += 1;
         Ok(mid)
     }
@@ -903,18 +705,16 @@ impl IncrementalAnalysis {
     /// [`append_send`](IncrementalAnalysis::append_send)).
     ///
     /// # Panics
-    ///
-    /// Panics if the message does not exist or was already delivered.
+    /// If the message does not exist or was already delivered.
     pub fn append_deliver(&mut self, mid: u32) {
         if let Err(e) = self.try_append_deliver(mid) {
             panic!("{e}");
         }
     }
 
-    /// Fallible [`append_deliver`](IncrementalAnalysis::append_deliver):
-    /// rejects an unknown handle (deliver-before-send) or a duplicate
-    /// delivery with [`AppendError`] instead of panicking, leaving the
-    /// engine untouched.
+    /// Fallible [`append_deliver`](IncrementalAnalysis::append_deliver): an
+    /// unknown handle (deliver-before-send) or a duplicate delivery is an
+    /// [`AppendError`], the engine untouched.
     pub fn try_append_deliver(&mut self, mid: u32) -> Result<(), AppendError> {
         let m = match self.msgs.get(mid as usize) {
             Some(&m) => m,
@@ -924,9 +724,12 @@ impl IncrementalAnalysis {
             return Err(AppendError::AlreadyDelivered { mid });
         }
         let ti = m.to as usize;
-        let fi = m.from as usize;
         let iv = self.cp_count[ti] + 1;
-        self.journal.push(Undo::MsgDelivered { mid });
+        self.journal.record(Undo::Deliver {
+            mid,
+            open: self.line_open[ti],
+        });
+        self.line_open[ti] = true;
 
         // Delivery rule: TDV_to := max(TDV_to, piggyback).
         let base_m = m.tdv_row as usize * self.n;
@@ -935,181 +738,25 @@ impl IncrementalAnalysis {
             let theirs = self.msg_tdv[base_m + k];
             let mine = self.cur_tdv[base_t + k];
             if theirs > mine {
-                self.journal.push(Undo::CurTdv {
+                self.journal.record(Undo::CurTdv {
                     slot: (base_t + k) as u32,
                     old: mine,
                 });
                 self.cur_tdv[base_t + k] = theirs;
             }
         }
-
-        // Zigzag closure: message node between its send-interval slot and
-        // its delivery-interval slot.
-        let z = self.zmat.push_node() as u32;
-        self.journal.push(Undo::Node { mat: MAT_Z });
-        self.ensure_slots(ti, iv);
-        self.ensure_slots(fi, m.send_iv);
-        debug_assert!(
-            iv >= self.slot_base[ti] && m.send_iv >= self.slot_base[fi],
-            "the compaction watermark never outruns live intervals"
-        );
-        let deliver_slot = self.z_slots[ti][(iv - self.slot_base[ti]) as usize] as usize;
-        self.insert_z_edge(z as usize, deliver_slot);
-        let send_slot = self.z_slots[fi][(m.send_iv - self.slot_base[fi]) as usize] as usize;
-        self.insert_z_edge(send_slot, z as usize);
-
-        // Causal closure: message node fed by its own send-spine node;
-        // the delivery will link to the *next* send of the receiver.
-        let c = self.cmat.push_node() as u32;
-        self.journal.push(Undo::Node { mat: MAT_C });
-        self.insert_c_edge(m.spine as usize, c as usize);
-        self.c_delivs[ti].push(c);
-        self.journal.push(Undo::CDelivPushed { p: ti as u32 });
-
-        let rec = &mut self.msgs[mid as usize];
-        rec.deliver_iv = iv;
-        rec.znode = z;
-        rec.cnode = c;
+        self.msgs[mid as usize].deliver_iv = iv;
         self.deliver_events[ti].push((iv, mid));
-        self.journal.push(Undo::DeliverEvPushed { p: ti as u32 });
-        self.set_line_open(ti, true);
+        self.chains.on_deliver(&mut self.journal, mid, &m, iv);
         self.events += 1;
         Ok(())
     }
 
-    // --------------------------------------------------- mark/rewind ----
-
-    /// Captures the current state; pass to
-    /// [`rewind`](IncrementalAnalysis::rewind) to restore it.
-    pub fn mark(&self) -> Mark {
-        Mark {
-            epoch: self.epoch,
-            pos: self.journal.len(),
-        }
-    }
-
-    /// Rewinds to a previously taken [`Mark`] by replaying the undo
-    /// journal backwards. Cost is proportional to the state touched since
-    /// the mark, not to the total pattern size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mark is ahead of the journal (taken on a state that
-    /// has itself been rewound away) or predates a compaction — use
-    /// [`try_rewind`](IncrementalAnalysis::try_rewind) to handle either
-    /// as a recoverable error.
-    pub fn rewind(&mut self, mark: Mark) {
-        if let Err(err) = self.try_rewind(mark) {
-            panic!("{err}");
-        }
-    }
-
-    /// Fallible form of [`rewind`](IncrementalAnalysis::rewind): refuses
-    /// (leaving the engine untouched) when the mark predates a compaction
-    /// or is ahead of the journal. Rewinding *across a compaction point
-    /// is a defined error, never a wrong answer* — the journal below the
-    /// compaction was discarded, and the epoch tag on the mark detects
-    /// exactly that case.
-    pub fn try_rewind(&mut self, mark: Mark) -> Result<(), RewindError> {
-        if mark.epoch != self.epoch {
-            return Err(RewindError::CompactionBoundary {
-                mark_epoch: mark.epoch,
-                engine_epoch: self.epoch,
-            });
-        }
-        if mark.pos > self.journal.len() {
-            return Err(RewindError::AheadOfJournal);
-        }
-        while self.journal.len() > mark.pos {
-            let entry = self.journal.pop().expect("journal length checked");
-            match entry {
-                Undo::Word { md, row, word, old } => {
-                    let mat = match md / 2 {
-                        MAT_R => &mut self.rmat,
-                        MAT_Z => &mut self.zmat,
-                        _ => &mut self.cmat,
-                    };
-                    let w = mat.width;
-                    let slab = if md % 2 == 0 {
-                        &mut mat.fwd
-                    } else {
-                        &mut mat.bwd
-                    };
-                    slab[row as usize * w + word as usize] = old;
-                }
-                Undo::Node { mat } => match mat {
-                    MAT_R => self.rmat.pop_node(),
-                    MAT_Z => self.zmat.pop_node(),
-                    _ => self.cmat.pop_node(),
-                },
-                Undo::CpCount { p, old } => self.cp_count[p as usize] = old,
-                Undo::LineOpen { p, old } => self.line_open[p as usize] = old,
-                Undo::Untrackable { old } => self.untrackable = old,
-                Undo::CurTdv { slot, old } => self.cur_tdv[slot as usize] = old,
-                Undo::MsgPushed => {
-                    self.msgs.pop();
-                }
-                Undo::MsgTdvPushed => self.msg_tdv.truncate(self.msg_tdv.len() - self.n),
-                Undo::CpTdvPushed => self.cp_tdv.truncate(self.cp_tdv.len() - self.n),
-                Undo::RMetaPushed => {
-                    self.r_meta.pop();
-                }
-                Undo::CpNodePushed { p } => {
-                    self.cp_nodes[p as usize].pop();
-                }
-                Undo::ZSlotPushed { p } => {
-                    self.z_slots[p as usize].pop();
-                }
-                Undo::CSpinePushed { p } => {
-                    self.c_spine[p as usize].pop();
-                }
-                Undo::CDelivPushed { p } => {
-                    self.c_delivs[p as usize].pop();
-                }
-                Undo::CLinked { p, old } => self.c_linked[p as usize] = old,
-                Undo::SendEvPushed { p } => {
-                    self.send_events[p as usize].pop();
-                }
-                Undo::DeliverEvPushed { p } => {
-                    self.deliver_events[p as usize].pop();
-                }
-                Undo::MsgDelivered { mid } => {
-                    let rec = &mut self.msgs[mid as usize];
-                    rec.deliver_iv = NONE_U32;
-                    rec.znode = NONE_U32;
-                    rec.cnode = NONE_U32;
-                }
-                Undo::DropReach { slot, old } => self.drop_reach[slot as usize] = old,
-                Undo::DropReachPushed => {
-                    self.drop_reach.truncate(self.drop_reach.len() - self.n);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Runs `f` on the **closed** extension of the current pattern — the
-    /// state [`Pattern::to_closed`](crate::Pattern::to_closed) would
-    /// produce (a final checkpoint appended to every non-empty line not
-    /// already ending in one) — then rewinds the closing checkpoints.
-    pub fn with_closed<R>(&mut self, f: impl FnOnce(&IncrementalAnalysis) -> R) -> R {
-        let mark = self.mark();
-        for i in 0..self.n {
-            if self.line_open[i] {
-                self.append_checkpoint(ProcessId::new(i));
-            }
-        }
-        let out = f(self);
-        self.rewind(mark);
-        out
-    }
-
     // ------------------------------------------------------- queries ----
 
-    /// Running count of reachable-but-untrackable checkpoint pairs — the
-    /// number of RDT violations among the checkpoints appended so far.
-    /// Equals the batch checker's uncapped violation count on the same
-    /// pattern.
+    /// Running count of reachable-but-untrackable checkpoint pairs: the RDT
+    /// violations among the checkpoints appended so far, equal to the batch
+    /// checker's uncapped violation count on the same pattern.
     pub fn untrackable_pairs(&self) -> u64 {
         self.untrackable
     }
@@ -1137,8 +784,7 @@ impl IncrementalAnalysis {
     /// Whether an R-path runs from `from` to `to` (reflexively).
     ///
     /// # Panics
-    ///
-    /// Panics if either checkpoint does not exist.
+    /// If either checkpoint does not exist or was compacted away.
     pub fn reaches(&self, from: CheckpointId, to: CheckpointId) -> bool {
         let u = self.node_of(from);
         let v = self.node_of(to);
@@ -1159,255 +805,26 @@ impl IncrementalAnalysis {
         self.cp_nodes[p][(c.index - self.cp_base[p]) as usize] as usize
     }
 
-    /// Entries of `send_events[p]` / `deliver_events[p]` with interval
-    /// exactly `x`.
-    fn interval_range(events: &[(u32, u32)], x: u32) -> &[(u32, u32)] {
-        let lo = events.partition_point(|&(iv, _)| iv < x);
-        let hi = events.partition_point(|&(iv, _)| iv <= x);
-        &events[lo..hi]
-    }
-
-    /// Mask (in `zmat`/`cmat` column space, selected by `causal`) of
-    /// messages delivered at `p` in an interval `≤ y`.
-    fn deliver_mask(&self, causal: bool, p: usize, y: u32, buf: &mut [u64]) {
-        buf.fill(0);
-        let hi = self.deliver_events[p].partition_point(|&(iv, _)| iv <= y);
-        for &(_, mid) in &self.deliver_events[p][..hi] {
-            let rec = &self.msgs[mid as usize];
-            let node = if causal { rec.cnode } else { rec.znode };
-            // Compaction-dropped chain nodes: unreachable from any send
-            // above the chain floor, so skipping them keeps live-headed
-            // queries exact.
-            if node != NONE_U32 {
-                bits::set(buf, node as usize);
-            }
-        }
-    }
-
-    /// Borrows a zeroed `width`-word scratch mask, preferring `stack`
-    /// and spilling to `heap` only for patterns with over
-    /// `WORD_BITS * MASK_STACK_WORDS` closure nodes. The query hot paths stay
-    /// allocation-free at certifiable scopes.
-    fn mask_buf<'a>(
-        width: usize,
-        stack: &'a mut [u64; MASK_STACK_WORDS],
-        heap: &'a mut Vec<u64>,
-    ) -> &'a mut [u64] {
-        if width <= MASK_STACK_WORDS {
-            &mut stack[..width]
-        } else {
-            heap.resize(width, 0);
-            heap
-        }
-    }
-
-    /// Whether some message chain (zigzag path) runs from `from` to `to`:
-    /// first send in `I_{from}`, last delivery in `I_{to}`.
-    pub fn chain_exists(&self, from: CheckpointId, to: CheckpointId) -> bool {
-        self.chain_query(false, from, to)
-    }
-
-    /// Whether some **causal** message chain runs from `from` to `to`.
-    pub fn causal_chain_exists(&self, from: CheckpointId, to: CheckpointId) -> bool {
-        self.chain_query(true, from, to)
-    }
-
-    fn chain_query(&self, causal: bool, from: CheckpointId, to: CheckpointId) -> bool {
-        let sends = Self::interval_range(&self.send_events[from.process.index()], from.index);
-        let delivers = Self::interval_range(&self.deliver_events[to.process.index()], to.index);
-        let mat = if causal { &self.cmat } else { &self.zmat };
-        sends.iter().any(|&(_, a)| {
-            let ra = &self.msgs[a as usize];
-            let na = if causal { ra.cnode } else { ra.znode };
-            na != NONE_U32
-                && delivers.iter().any(|&(_, b)| {
-                    let rb = &self.msgs[b as usize];
-                    let nb = if causal { rb.cnode } else { rb.znode };
-                    nb != NONE_U32 && mat.bit(false, na as usize, nb as usize)
-                })
-        })
-    }
-
-    /// Whether a causal chain from an interval `≥ from.index` (on
-    /// `from.process`) to an interval `≤ to.index` (on `to.process`)
-    /// exists — the relaxed *causal doubling* sufficient for
-    /// trackability.
-    pub fn causal_doubling_exists(&self, from: CheckpointId, to: CheckpointId) -> bool {
-        let (mut stack, mut heap) = ([0u64; MASK_STACK_WORDS], Vec::new());
-        let mask = Self::mask_buf(self.cmat.width, &mut stack, &mut heap);
-        self.deliver_mask(true, to.process.index(), to.index, mask);
-        self.any_send_row_intersects(true, from.process.index(), from.index, mask)
-    }
-
-    /// Netzer–Xu zigzag query: a Z-path leaving strictly after `a` and
-    /// arriving at or before `b`.
-    pub fn z_path_after_to_before(&self, a: CheckpointId, b: CheckpointId) -> bool {
-        let (mut stack, mut heap) = ([0u64; MASK_STACK_WORDS], Vec::new());
-        let mask = Self::mask_buf(self.zmat.width, &mut stack, &mut heap);
-        self.deliver_mask(false, b.process.index(), b.index, mask);
-        self.any_send_row_intersects(false, a.process.index(), a.index + 1, mask)
-    }
-
-    /// Whether `checkpoint` lies on a Z-cycle (is *useless*).
-    pub fn on_z_cycle(&self, checkpoint: CheckpointId) -> bool {
-        self.z_path_after_to_before(checkpoint, checkpoint)
-    }
-
-    /// Does any delivered message sent by process `p` in an interval
-    /// `≥ x` have a closure row intersecting `mask`?
-    fn any_send_row_intersects(&self, causal: bool, p: usize, x: u32, mask: &[u64]) -> bool {
-        let lo = self.send_events[p].partition_point(|&(iv, _)| iv < x);
-        let mat = if causal { &self.cmat } else { &self.zmat };
-        self.send_events[p][lo..].iter().any(|&(_, mid)| {
-            let rec = &self.msgs[mid as usize];
-            let node = if causal { rec.cnode } else { rec.znode };
-            node != NONE_U32 && bits::intersects(mat.row(false, node as usize), mask)
-        })
-    }
-
-    /// Whether message `b` is zigzag chain-reachable from message `a`
-    /// (reflexively); `false` unless both are delivered.
-    pub fn zigzag_closure(&self, a: u32, b: u32) -> bool {
-        let (za, zb) = (self.msgs[a as usize].znode, self.msgs[b as usize].znode);
-        za != NONE_U32 && zb != NONE_U32 && self.zmat.bit(false, za as usize, zb as usize)
-    }
-
-    /// Whether message `b` is causally chain-reachable from message `a`
-    /// (reflexively); `false` unless both are delivered.
-    pub fn causal_link_closure(&self, a: u32, b: u32) -> bool {
-        let (ca, cb) = (self.msgs[a as usize].cnode, self.msgs[b as usize].cnode);
-        ca != NONE_U32 && cb != NONE_U32 && self.cmat.bit(false, ca as usize, cb as usize)
-    }
-
-    /// Characterization (2): every message chain is doubled by a causal
-    /// chain. Identical verdict to
-    /// [`characterization::all_chains_doubled`]
-    /// (crate::characterization::all_chains_doubled) on the same pattern.
-    ///
-    /// After a [`compact_to`](IncrementalAnalysis::compact_to) the
-    /// verdict covers the chains headed strictly above the chain floors
-    /// (the retained sub-pattern); chains headed in the dropped prefix
-    /// are no longer examined.
-    pub fn all_chains_doubled(&self) -> bool {
-        let (mut stack, mut heap) = ([0u64; MASK_STACK_WORDS], Vec::new());
-        let mask = Self::mask_buf(self.cmat.width, &mut stack, &mut heap);
-        // Deduplicated by linear scan: patterns at certifiable scopes
-        // yield a handful of distinct endpoint pairs at most.
-        let mut checked: Vec<(CheckpointId, CheckpointId)> = Vec::new();
-        for a in self.msgs.iter().filter(|m| m.znode != NONE_U32) {
-            let from = CheckpointId::new(ProcessId::new(a.from as usize), a.send_iv);
-            for b in self.msgs.iter().filter(|m| m.znode != NONE_U32) {
-                if !self.zmat.bit(false, a.znode as usize, b.znode as usize) {
-                    continue;
-                }
-                let to = CheckpointId::new(ProcessId::new(b.to as usize), b.deliver_iv);
-                if trivially_trackable(from, to) || checked.contains(&(from, to)) {
-                    continue;
-                }
-                checked.push((from, to));
-                self.deliver_mask(true, to.process.index(), to.index, mask);
-                if !self.any_send_row_intersects(true, from.process.index(), from.index, mask) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Characterization (3): every CM-path (causal prefix plus one zigzag
-    /// link) is doubled. Identical verdict to
-    /// [`characterization::all_cm_paths_doubled`]
-    /// (crate::characterization::all_cm_paths_doubled).
-    ///
-    /// After a [`compact_to`](IncrementalAnalysis::compact_to) the
-    /// verdict covers the CM-paths over retained messages only, like
-    /// [`all_chains_doubled`](IncrementalAnalysis::all_chains_doubled).
-    pub fn all_cm_paths_doubled(&self) -> bool {
-        let (mut stack, mut heap) = ([0u64; MASK_STACK_WORDS], Vec::new());
-        let mask = Self::mask_buf(self.cmat.width, &mut stack, &mut heap);
-        let delivered = |(_, m): &(usize, &MsgRec)| m.cnode != NONE_U32;
-        for (mid, junction) in self.msgs.iter().enumerate().filter(delivered) {
-            for (b, tail) in self.msgs.iter().enumerate().filter(delivered) {
-                if mid == b {
-                    continue;
-                }
-                // One zigzag link junction -> tail.
-                if junction.to != tail.from || junction.deliver_iv > tail.send_iv {
-                    continue;
-                }
-                let to = CheckpointId::new(ProcessId::new(tail.to as usize), tail.deliver_iv);
-                self.deliver_mask(true, to.process.index(), to.index, mask);
-                for (_, head) in self.msgs.iter().enumerate().filter(delivered) {
-                    if !self
-                        .cmat
-                        .bit(false, head.cnode as usize, junction.cnode as usize)
-                    {
-                        continue;
-                    }
-                    let from = CheckpointId::new(ProcessId::new(head.from as usize), head.send_iv);
-                    if trivially_trackable(from, to) {
-                        continue;
-                    }
-                    if !self.any_send_row_intersects(true, from.process.index(), from.index, mask) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// Minimum consistent global checkpoint containing `members` (least
     /// fixpoint of the orphan constraints), or `None` if none exists.
     /// Identical to [`min_max::min_consistent_containing`]
     /// (crate::min_max::min_consistent_containing).
     ///
     /// # Panics
-    ///
-    /// Panics if a member does not exist in the pattern.
+    /// If a member does not exist in the pattern.
     pub fn min_consistent_containing(&self, members: &[CheckpointId]) -> Option<GlobalCheckpoint> {
-        let (mut stack, mut heap) = ([0u32; GC_STACK_ENTRIES], Vec::new());
-        let gc = self.gc_buf(&mut stack, &mut heap);
-        self.min_consistent_containing_into(members, gc)
-            .then(|| GlobalCheckpoint::new(gc.to_vec()))
+        self.owned_gc(|gc| self.min_consistent_containing_into(members, gc))
     }
 
-    /// Allocation-free form of
-    /// [`min_consistent_containing`]
-    /// (IncrementalAnalysis::min_consistent_containing): writes the
-    /// global checkpoint into `out` (length `n`) and returns whether one
-    /// exists. `out` is unspecified on `false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a member does not exist in the pattern or `out` has the
-    /// wrong length.
-    pub fn min_consistent_containing_into(
-        &self,
-        members: &[CheckpointId],
-        out: &mut [u32],
-    ) -> bool {
-        let gc = out;
+    /// Allocation-free [`min_consistent_containing`]
+    /// (IncrementalAnalysis::min_consistent_containing): writes the global
+    /// checkpoint into `gc` (length `n`, unspecified on `false`) and
+    /// returns whether one exists. Panics like the allocating form, and on
+    /// a `gc` of the wrong length.
+    pub fn min_consistent_containing_into(&self, members: &[CheckpointId], gc: &mut [u32]) -> bool {
         self.member_floor(members, gc);
-        loop {
-            let mut changed = false;
-            for rec in &self.msgs {
-                if rec.deliver_iv == NONE_U32 {
-                    continue;
-                }
-                if rec.deliver_iv <= gc[rec.to as usize] && rec.send_iv > gc[rec.from as usize] {
-                    if rec.send_iv > self.cp_count[rec.from as usize] {
-                        return false;
-                    }
-                    gc[rec.from as usize] = rec.send_iv;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        members.iter().all(|&m| gc[m.process.index()] == m.index)
+        ascend_to_consistent(&self.msgs, &self.cp_count, gc)
+            && members.iter().all(|&m| gc[m.process.index()] == m.index)
     }
 
     /// Maximum consistent global checkpoint containing `members`
@@ -1416,104 +833,54 @@ impl IncrementalAnalysis {
     /// (crate::min_max::max_consistent_containing).
     ///
     /// # Panics
-    ///
-    /// Panics if a member does not exist in the pattern.
+    /// If a member does not exist in the pattern.
     pub fn max_consistent_containing(&self, members: &[CheckpointId]) -> Option<GlobalCheckpoint> {
-        let (mut stack, mut heap) = ([0u32; GC_STACK_ENTRIES], Vec::new());
-        let gc = self.gc_buf(&mut stack, &mut heap);
-        self.max_consistent_containing_into(members, gc)
-            .then(|| GlobalCheckpoint::new(gc.to_vec()))
+        self.owned_gc(|gc| self.max_consistent_containing_into(members, gc))
     }
 
-    /// Allocation-free form of
-    /// [`max_consistent_containing`]
-    /// (IncrementalAnalysis::max_consistent_containing): writes the
-    /// global checkpoint into `out` (length `n`) and returns whether one
-    /// exists. `out` is unspecified on `false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a member does not exist in the pattern or `out` has the
-    /// wrong length.
-    pub fn max_consistent_containing_into(
-        &self,
-        members: &[CheckpointId],
-        out: &mut [u32],
-    ) -> bool {
-        let gc = out;
+    /// Allocation-free [`max_consistent_containing`]
+    /// (IncrementalAnalysis::max_consistent_containing): writes the global
+    /// checkpoint into `gc` (length `n`, unspecified on `false`) and
+    /// returns whether one exists. Panics like the allocating form, and on
+    /// a `gc` of the wrong length.
+    pub fn max_consistent_containing_into(&self, members: &[CheckpointId], gc: &mut [u32]) -> bool {
         gc.copy_from_slice(&self.cp_count);
         for &member in members {
             self.assert_member(member);
             let e = &mut gc[member.process.index()];
             *e = (*e).min(member.index);
         }
-        loop {
-            let mut changed = false;
-            for rec in &self.msgs {
-                if rec.deliver_iv == NONE_U32 {
-                    continue;
-                }
-                if rec.send_iv > gc[rec.from as usize] && rec.deliver_iv <= gc[rec.to as usize] {
-                    gc[rec.to as usize] = rec.deliver_iv - 1;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        descend_to_consistent(&self.msgs, gc);
         members.iter().all(|&m| gc[m.process.index()] == m.index)
     }
 
     /// Greatest consistent global checkpoint componentwise **dominated
     /// by** `caps` (each entry additionally clamped to the process's last
-    /// checkpoint). This is the *recovery line* with `caps` as the
-    /// failures' resume caps: unlike
+    /// checkpoint): the *recovery line* with `caps` as the failures' resume
+    /// caps. Unlike
     /// [`max_consistent_containing`](IncrementalAnalysis::max_consistent_containing)
     /// no exact membership is demanded of the result, so the descent is
-    /// infallible — the all-initial global checkpoint is always
-    /// consistent. Matches `rdt-recovery`'s `recovery_line` on the same
-    /// pattern and caps.
+    /// infallible — the all-initial global checkpoint is always consistent.
+    /// Matches `rdt-recovery`'s `recovery_line` on the same pattern and caps.
     ///
     /// # Panics
-    ///
-    /// Panics if `caps` or `out` have a length other than the process
-    /// count.
+    /// If `caps` or `out` have a length other than the process count.
     pub fn max_consistent_dominated_into(&self, caps: &[u32], out: &mut [u32]) {
         assert_eq!(caps.len(), self.n, "caps length");
-        let gc = out;
-        gc.copy_from_slice(&self.cp_count);
-        for (entry, &cap) in gc.iter_mut().zip(caps) {
+        out.copy_from_slice(&self.cp_count);
+        for (entry, &cap) in out.iter_mut().zip(caps) {
             *entry = (*entry).min(cap);
         }
-        loop {
-            let mut changed = false;
-            for rec in &self.msgs {
-                if rec.deliver_iv == NONE_U32 {
-                    continue;
-                }
-                if rec.send_iv > gc[rec.from as usize] && rec.deliver_iv <= gc[rec.to as usize] {
-                    gc[rec.to as usize] = rec.deliver_iv - 1;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        descend_to_consistent(&self.msgs, out);
     }
 
     /// Allocating form of
-    /// [`max_consistent_dominated_into`](IncrementalAnalysis::max_consistent_dominated_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `caps` has a length other than the process count.
+    /// [`max_consistent_dominated_into`](IncrementalAnalysis::max_consistent_dominated_into)
+    /// (and panics like it).
     pub fn max_consistent_dominated(&self, caps: &[u32]) -> GlobalCheckpoint {
-        let (mut stack, mut heap) = ([0u32; GC_STACK_ENTRIES], Vec::new());
-        let gc = self.gc_buf(&mut stack, &mut heap);
-        self.max_consistent_dominated_into(caps, gc);
-        GlobalCheckpoint::new(gc.to_vec())
+        let mut line = vec![0; self.n];
+        self.max_consistent_dominated_into(caps, &mut line);
+        GlobalCheckpoint::new(line)
     }
 
     /// Routing and interval placement of message `mid` (its send-order
@@ -1521,8 +888,7 @@ impl IncrementalAnalysis {
     /// and (if any) delivery events.
     ///
     /// # Panics
-    ///
-    /// Panics if `mid` is not a message of the current pattern.
+    /// If `mid` is not a message of the current pattern.
     pub fn message_route(&self, mid: u32) -> MessageRoute {
         let rec = &self.msgs[mid as usize];
         MessageRoute {
@@ -1539,31 +905,17 @@ impl IncrementalAnalysis {
     /// (crate::min_max::min_consistent_via_rgraph) on closed patterns.
     ///
     /// # Panics
-    ///
-    /// Panics if a member does not exist in the pattern.
+    /// If a member does not exist in the pattern.
     pub fn min_consistent_via_rgraph(&self, members: &[CheckpointId]) -> Option<GlobalCheckpoint> {
-        let (mut stack, mut heap) = ([0u32; GC_STACK_ENTRIES], Vec::new());
-        let gc = self.gc_buf(&mut stack, &mut heap);
-        self.min_consistent_via_rgraph_into(members, gc)
-            .then(|| GlobalCheckpoint::new(gc.to_vec()))
+        self.owned_gc(|gc| self.min_consistent_via_rgraph_into(members, gc))
     }
 
-    /// Allocation-free form of
-    /// [`min_consistent_via_rgraph`]
-    /// (IncrementalAnalysis::min_consistent_via_rgraph): writes the
-    /// global checkpoint into `out` (length `n`) and returns whether one
-    /// exists. `out` is unspecified on `false`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a member does not exist in the pattern or `out` has the
-    /// wrong length.
-    pub fn min_consistent_via_rgraph_into(
-        &self,
-        members: &[CheckpointId],
-        out: &mut [u32],
-    ) -> bool {
-        let gc = out;
+    /// Allocation-free [`min_consistent_via_rgraph`]
+    /// (IncrementalAnalysis::min_consistent_via_rgraph): writes the global
+    /// checkpoint into `gc` (length `n`, unspecified on `false`) and
+    /// returns whether one exists. Panics like the allocating form, and on
+    /// a `gc` of the wrong length.
+    pub fn min_consistent_via_rgraph_into(&self, members: &[CheckpointId], gc: &mut [u32]) -> bool {
         self.member_floor(members, gc);
         for (j, slot) in gc.iter_mut().enumerate().take(self.n) {
             let mut found = false;
@@ -1594,20 +946,18 @@ impl IncrementalAnalysis {
         members.iter().all(|&m| gc[m.process.index()] == m.index)
     }
 
-    /// Borrows a zeroed `n`-entry global-checkpoint scratch, preferring
-    /// `stack` and spilling to `heap` only above `GC_STACK_ENTRIES`
-    /// processes. The oracle hot paths allocate only for `Some` results.
-    fn gc_buf<'a>(
-        &self,
-        stack: &'a mut [u32; GC_STACK_ENTRIES],
-        heap: &'a mut Vec<u32>,
-    ) -> &'a mut [u32] {
-        if self.n <= GC_STACK_ENTRIES {
+    /// Runs an `_into` oracle on an `n`-entry scratch — on the stack up to
+    /// `GC_STACK_ENTRIES` processes, so the oracle hot paths allocate only
+    /// for `Some` results.
+    fn owned_gc(&self, oracle: impl FnOnce(&mut [u32]) -> bool) -> Option<GlobalCheckpoint> {
+        let (mut stack, mut heap) = ([0u32; GC_STACK_ENTRIES], Vec::new());
+        let gc = if self.n <= GC_STACK_ENTRIES {
             &mut stack[..self.n]
         } else {
             heap.resize(self.n, 0);
-            heap
-        }
+            &mut heap[..]
+        };
+        oracle(gc).then(|| GlobalCheckpoint::new(gc.to_vec()))
     }
 
     fn member_floor(&self, members: &[CheckpointId], gc: &mut [u32]) {
@@ -1628,47 +978,15 @@ impl IncrementalAnalysis {
 
     // ------------------------------------------------------ internal ----
 
-    fn set_line_open(&mut self, p: usize, value: bool) {
-        if self.line_open[p] != value {
-            self.journal.push(Undo::LineOpen {
-                p: p as u32,
-                old: self.line_open[p],
-            });
-            self.line_open[p] = value;
-        }
-    }
-
-    /// Dense zigzag interval slots for process `p` up to interval `upto`,
-    /// chained in increasing order (dense from `slot_base[p]` once
-    /// compaction has dropped a prefix).
-    fn ensure_slots(&mut self, p: usize, upto: u32) {
-        debug_assert!(
-            upto >= self.slot_base[p],
-            "slot {upto} of process {p} was compacted away"
-        );
-        while self.slot_base[p] as usize + self.z_slots[p].len() <= upto as usize {
-            let s = self.zmat.push_node() as u32;
-            self.journal.push(Undo::Node { mat: MAT_Z });
-            if let Some(&prev) = self.z_slots[p].last() {
-                self.insert_z_edge(prev as usize, s as usize);
-            }
-            self.z_slots[p].push(s);
-            self.journal.push(Undo::ZSlotPushed { p: p as u32 });
-        }
-    }
-
     /// Inserts an R-graph edge, counting each *new* closure pair that is
     /// not trackable. The verdict per pair is final at insertion time:
     /// the destination's `TDV` snapshot was taken when the destination
     /// node was created, before any edge could reach it.
     fn insert_r_edge(&mut self, u: usize, v: usize) {
-        if !self
-            .rmat
-            .insert_edge(MAT_R, &mut self.journal, &mut self.scratch, true, u, v)
-        {
+        if !self.rmat.insert_edge(MAT_R, &mut self.journal, true, u, v) {
             return;
         }
-        let pairs = self.scratch.pairs.iter();
+        let pairs = self.rmat.pairs.iter();
         let mut delta = pairs
             .filter(|&&(x, y)| !self.trackable_nodes(x as usize, y as usize))
             .count() as u64;
@@ -1676,7 +994,7 @@ impl IncrementalAnalysis {
             delta += self.propagate_drop_reach(u);
         }
         if delta > 0 {
-            self.journal.push(Undo::Untrackable {
+            self.journal.record(Undo::Untrackable {
                 old: self.untrackable,
             });
             self.untrackable += delta;
@@ -1684,7 +1002,7 @@ impl IncrementalAnalysis {
     }
 
     /// Folds `u`'s dropped-reach summary into every node of
-    /// `scratch.dsucc` (the nodes the edge just inserted at `u` made newly
+    /// `rmat.dsucc` (the nodes the edge just inserted at `u` made newly
     /// reachable from it) and returns the number of *new* untrackable pairs
     /// whose source checkpoint was compacted away.
     ///
@@ -1706,7 +1024,7 @@ impl IncrementalAnalysis {
             return 0;
         }
         let mut delta = 0u64;
-        for y in bits::ones(&self.scratch.dsucc) {
+        for y in bits::ones(&self.rmat.dsucc) {
             let py = self.r_meta[y].0;
             let base_y = y * n;
             for k in 0..n {
@@ -1718,7 +1036,7 @@ impl IncrementalAnalysis {
                 if old != NONE_U32 && du <= old {
                     continue;
                 }
-                self.journal.push(Undo::DropReach {
+                self.journal.record(Undo::DropReach {
                     slot: (base_y + k) as u32,
                     old,
                 });
@@ -1739,50 +1057,6 @@ impl IncrementalAnalysis {
         delta
     }
 
-    fn insert_z_edge(&mut self, u: usize, v: usize) {
-        self.zmat
-            .insert_edge(MAT_Z, &mut self.journal, &mut self.scratch, false, u, v);
-    }
-
-    fn insert_c_edge(&mut self, u: usize, v: usize) {
-        self.cmat
-            .insert_edge(MAT_C, &mut self.journal, &mut self.scratch, false, u, v);
-    }
-
-    /// Capacity snapshot of every growable buffer the engine owns.
-    /// Rewinding truncates in place and replays refill the warmed
-    /// storage, so a rewind + replay cycle must not change any entry —
-    /// the branch-isolation test pins that invariant.
-    #[cfg(test)]
-    fn buffer_capacities(&self) -> Vec<usize> {
-        let mut caps = vec![
-            self.journal.capacity(),
-            self.msgs.capacity(),
-            self.msg_tdv.capacity(),
-            self.cp_tdv.capacity(),
-            self.r_meta.capacity(),
-            self.drop_reach.capacity(),
-            self.scratch.dpred.capacity(),
-            self.scratch.dsucc.capacity(),
-            self.scratch.pairs.capacity(),
-            self.rmat.fwd.capacity(),
-            self.rmat.bwd.capacity(),
-            self.zmat.fwd.capacity(),
-            self.zmat.bwd.capacity(),
-            self.cmat.fwd.capacity(),
-            self.cmat.bwd.capacity(),
-        ];
-        for p in 0..self.n {
-            caps.push(self.cp_nodes[p].capacity());
-            caps.push(self.z_slots[p].capacity());
-            caps.push(self.c_spine[p].capacity());
-            caps.push(self.c_delivs[p].capacity());
-            caps.push(self.send_events[p].capacity());
-            caps.push(self.deliver_events[p].capacity());
-        }
-        caps
-    }
-
     /// Definition 3.3/3.4 trackability of the R-path `x → y` (both R-graph
     /// nodes): same-process forward, or the destination's snapshotted
     /// `TDV` already records an interval `≥ x`'s index.
@@ -1797,10 +1071,48 @@ impl IncrementalAnalysis {
     }
 }
 
-/// Same-process forward dependencies need no doubling (Definition 3.3's
-/// first disjunct).
-fn trivially_trackable(from: CheckpointId, to: CheckpointId) -> bool {
-    from.process == to.process && from.index <= to.index
+/// Raises `gc` to the least consistent global checkpoint dominating it
+/// (while a delivered message is an orphan, its sender steps up to the
+/// send); `false` if that needs a checkpoint not yet taken. The two
+/// fixpoints read the message table only, so they are plain functions kept
+/// out of line: every instantiation of the engine, in every crate that
+/// instantiates it, runs one compiled copy.
+#[inline(never)]
+fn ascend_to_consistent(msgs: &[MsgRec], cp_count: &[u32], gc: &mut [u32]) -> bool {
+    loop {
+        let mut changed = false;
+        for rec in msgs.iter().filter(|rec| rec.deliver_iv != NONE_U32) {
+            if rec.deliver_iv <= gc[rec.to as usize] && rec.send_iv > gc[rec.from as usize] {
+                if rec.send_iv > cp_count[rec.from as usize] {
+                    return false;
+                }
+                gc[rec.from as usize] = rec.send_iv;
+                changed = true;
+            }
+        }
+        if !changed {
+            return true;
+        }
+    }
+}
+
+/// Lowers `gc` to the greatest consistent global checkpoint it dominates:
+/// while some delivered message is an orphan (sent above the line,
+/// delivered at or below it), its receiver steps below the delivery.
+#[inline(never)]
+fn descend_to_consistent(msgs: &[MsgRec], gc: &mut [u32]) {
+    loop {
+        let mut changed = false;
+        for rec in msgs.iter().filter(|rec| rec.deliver_iv != NONE_U32) {
+            if rec.send_iv > gc[rec.from as usize] && rec.deliver_iv <= gc[rec.to as usize] {
+                gc[rec.to as usize] = rec.deliver_iv - 1;
+                changed = true;
+            }
+        }
+        if !changed {
+            return;
+        }
+    }
 }
 
 /// Where a message sits in the pattern: who sent it, who receives it, and
@@ -1834,6 +1146,44 @@ mod tests {
         Del(usize),
     }
 
+    /// The tests run the full instantiation: they hold every layer against
+    /// the batch pipeline and rewind.
+    type Engine = FullAnalysis;
+
+    impl Engine {
+        /// Capacity snapshot of every growable buffer the engine owns.
+        /// Rewinding truncates in place and replays refill the warmed
+        /// storage, so a rewind + replay cycle within an epoch must not
+        /// change any entry — the branch-isolation test pins that
+        /// invariant.
+        fn buffer_capacities(&self) -> Vec<usize> {
+            let chains = &self.chains;
+            let flat = [
+                self.journal.entries.capacity(),
+                self.msgs.capacity(),
+                chains.recs.capacity(),
+                self.msg_tdv.capacity(),
+                self.cp_tdv.capacity(),
+                self.r_meta.capacity(),
+                self.drop_reach.capacity(),
+            ];
+            let mats = [&self.rmat, &chains.zmat, &chains.cmat].into_iter();
+            let slabs = mats.flat_map(|m| {
+                let scratch = [m.dpred.capacity(), m.dsucc.capacity(), m.pairs.capacity()];
+                [m.fwd.capacity(), m.bwd.capacity()]
+                    .into_iter()
+                    .chain(scratch)
+            });
+            let per_process = (0..self.n).flat_map(|p| {
+                let nodes = [&self.cp_nodes[p], &chains.z_slots[p], &chains.c_spine[p]];
+                let events = [&self.send_events[p], &self.deliver_events[p]];
+                let nodes = nodes.into_iter().chain([&chains.c_delivs[p]]);
+                nodes.map(Vec::capacity).chain(events.map(Vec::capacity))
+            });
+            flat.into_iter().chain(slabs).chain(per_process).collect()
+        }
+    }
+
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
     }
@@ -1861,7 +1211,7 @@ mod tests {
     }
 
     struct Lockstep {
-        incr: IncrementalAnalysis,
+        incr: Engine,
         builder: PatternBuilder,
         mids: Vec<crate::PatternMessageId>,
     }
@@ -1869,7 +1219,7 @@ mod tests {
     impl Lockstep {
         fn new(n: usize) -> Self {
             Lockstep {
-                incr: IncrementalAnalysis::new(n),
+                incr: Engine::layered(n),
                 builder: PatternBuilder::new(n),
                 mids: Vec::new(),
             }
@@ -1900,7 +1250,7 @@ mod tests {
 
     /// Every query of the engine must agree with the batch pipeline on
     /// the closed pattern.
-    fn assert_matches_batch(incr: &mut IncrementalAnalysis, pattern: &Pattern) {
+    fn assert_matches_batch(incr: &mut Engine, pattern: &Pattern) {
         let analysis = PatternAnalysis::new(pattern);
         let closed = analysis.pattern();
         let reach = analysis.reachability();
@@ -1943,48 +1293,37 @@ mod tests {
             for from in closed.checkpoints() {
                 assert_eq!(view.on_z_cycle(from), zz.on_z_cycle(from), "z-cycle {from}");
                 for to in closed.checkpoints() {
-                    assert_eq!(
+                    let ours = [
                         view.reaches(from, to),
-                        reach.reaches(from, to),
-                        "reaches ({from}, {to})"
-                    );
-                    assert_eq!(
                         view.chain_exists(from, to),
-                        zz.chain_exists(from, to),
-                        "chain ({from}, {to})"
-                    );
-                    assert_eq!(
                         view.causal_chain_exists(from, to),
-                        zz.causal_chain_exists(from, to),
-                        "causal chain ({from}, {to})"
-                    );
-                    assert_eq!(
                         view.causal_doubling_exists(from, to),
-                        zz.causal_doubling_exists(from, to),
-                        "doubling ({from}, {to})"
-                    );
-                    assert_eq!(
                         view.z_path_after_to_before(from, to),
+                    ];
+                    let batch = [
+                        reach.reaches(from, to),
+                        zz.chain_exists(from, to),
+                        zz.causal_chain_exists(from, to),
+                        zz.causal_doubling_exists(from, to),
                         zz.z_path_after_to_before(from, to),
-                        "z-path ({from}, {to})"
+                    ];
+                    assert_eq!(
+                        ours, batch,
+                        "reaches / chain / causal chain / doubling / z-path ({from}, {to})"
                     );
                 }
                 let member = [from];
-                assert_eq!(
+                let ours = (
                     view.min_consistent_containing(&member),
-                    min_max::min_consistent_containing(closed, &member),
-                    "min gc {from}"
-                );
-                assert_eq!(
                     view.max_consistent_containing(&member),
-                    min_max::max_consistent_containing(closed, &member),
-                    "max gc {from}"
-                );
-                assert_eq!(
                     view.min_consistent_via_rgraph(&member),
-                    min_max::min_consistent_via_rgraph_with(&analysis, &member),
-                    "min gc via R-graph {from}"
                 );
+                let batch = (
+                    min_max::min_consistent_containing(closed, &member),
+                    min_max::max_consistent_containing(closed, &member),
+                    min_max::min_consistent_via_rgraph_with(&analysis, &member),
+                );
+                assert_eq!(ours, batch, "min / max / min via R-graph gc {from}");
             }
         });
     }
@@ -1992,7 +1331,7 @@ mod tests {
     #[test]
     fn empty_engine_matches_empty_pattern() {
         for n in 1..4 {
-            let mut incr = IncrementalAnalysis::new(n);
+            let mut incr = Engine::layered(n);
             let pattern = PatternBuilder::new(n).build().unwrap();
             assert_matches_batch(&mut incr, &pattern);
         }
@@ -2002,7 +1341,7 @@ mod tests {
     fn figure_2_motif_is_detected_online() {
         // Figure 2's unbroken non-causal chain: m' sent before m races
         // ahead; the hidden dependency appears once intervals close.
-        let mut incr = IncrementalAnalysis::new(3);
+        let mut incr = Engine::layered(3);
         let m_prime = incr.append_send(p(1), p(2));
         let m = incr.append_send(p(0), p(1));
         incr.append_deliver(m);
@@ -2058,9 +1397,8 @@ mod tests {
         }
         let mark = lock.incr.mark();
 
-        // Branch A (engine only): a figure-2 motif whose closed pattern
-        // violates RDT — m' (p2 to p0) races ahead of the chain p1 to p2,
-        // so p0 never hears of p1's interval.
+        // Branch A (engine only): a figure-2 motif — m' (p2 to p0) races
+        // ahead of the chain p1 to p2, so p0 never hears of p1's interval.
         let a1 = lock.incr.append_send(p(2), p(0));
         let a2 = lock.incr.append_send(p(1), p(2));
         lock.incr.append_deliver(a2);
@@ -2081,10 +1419,9 @@ mod tests {
         let pattern_b = lock.pattern();
         assert_matches_batch(&mut lock.incr, &pattern_b);
 
-        // Rewind once more and replay branch A: same observation, the
-        // message handles come out identical, and — every buffer having
-        // been warmed by the first pass — the whole rewind + replay cycle
-        // runs in reused storage, growing no allocation.
+        // Rewind once more and replay branch A: same observation, same
+        // message handles, and — every buffer warmed by the first pass — the
+        // whole rewind + replay cycle runs in reused storage.
         let warmed = lock.incr.buffer_capacities();
         lock.incr.rewind(mark);
         let b1 = lock.incr.append_send(p(2), p(0));
@@ -2102,7 +1439,7 @@ mod tests {
 
     #[test]
     fn with_closed_is_transparent() {
-        let mut incr = IncrementalAnalysis::new(2);
+        let mut incr = Engine::layered(2);
         let m = incr.append_send(p(0), p(1));
         incr.append_deliver(m);
         let before = incr.mark();
@@ -2129,6 +1466,19 @@ mod tests {
         let _ = incr.min_consistent_containing(&[CheckpointId::new(p(0), 3)]);
     }
 
+    /// Calls `f` on every vector componentwise dominated by `limit`.
+    fn for_each_below(limit: &[u32], mut f: impl FnMut(&[u32])) {
+        let mut idx = vec![0u32; limit.len()];
+        loop {
+            f(&idx);
+            let Some(k) = (0..idx.len()).find(|&k| idx[k] < limit[k]) else {
+                return;
+            };
+            idx[..k].fill(0);
+            idx[k] += 1;
+        }
+    }
+
     #[test]
     fn dominated_descent_matches_brute_force_on_figure_1() {
         // For *every* caps vector dominated by the last checkpoints, the
@@ -2143,39 +1493,19 @@ mod tests {
         let last: Vec<u32> = (0..n)
             .map(|i| pattern.last_checkpoint_index(p(i)))
             .collect();
-        let mut caps = vec![0u32; n];
-        loop {
-            let line = lock.incr.max_consistent_dominated(&caps);
+        for_each_below(&last, |caps| {
+            let line = lock.incr.max_consistent_dominated(caps);
             let mut best = vec![0u32; n];
-            let mut idx = vec![0u32; n];
-            loop {
-                let gc = crate::GlobalCheckpoint::new(idx.clone());
+            for_each_below(caps, |idx| {
+                let gc = crate::GlobalCheckpoint::new(idx.to_vec());
                 if crate::consistency::is_consistent(&pattern, &gc) {
-                    for (b, &v) in best.iter_mut().zip(&idx) {
+                    for (b, &v) in best.iter_mut().zip(idx) {
                         *b = (*b).max(v);
                     }
                 }
-                let mut k = 0;
-                while k < n && idx[k] == caps[k] {
-                    idx[k] = 0;
-                    k += 1;
-                }
-                if k == n {
-                    break;
-                }
-                idx[k] += 1;
-            }
+            });
             assert_eq!(line.as_slice(), &best[..], "caps {caps:?}");
-            let mut k = 0;
-            while k < n && caps[k] == last[k] {
-                caps[k] = 0;
-                k += 1;
-            }
-            if k == n {
-                break;
-            }
-            caps[k] += 1;
-        }
+        });
         // Uncapped, the dominated descent coincides with the greatest
         // consistent global checkpoint.
         assert_eq!(
@@ -2226,8 +1556,7 @@ mod tests {
     /// the "was new" flag against each other after every insertion.
     fn assert_kernels_agree(rng: &mut Rng, target: usize, collect: bool) {
         let (mut kernel, mut reference) = (ClosureMatrix::new(), ClosureMatrix::new());
-        let (mut journal_k, mut journal_r) = (Vec::new(), Vec::new());
-        let (mut scratch, mut pairs_r) = (EdgeScratch::default(), Vec::new());
+        let (mut journal_k, mut journal_r) = (UndoJournal::default(), UndoJournal::default());
         let mut inserted: Vec<(usize, usize)> = Vec::new();
         let (mut fresh_edges, mut implied_edges) = (0usize, 0usize);
         for m in [&mut kernel, &mut reference] {
@@ -2268,20 +1597,19 @@ mod tests {
                 }
             };
             inserted.push((u, v));
-            let (at_k, at_r) = (journal_k.len(), journal_r.len());
-            let new_k = kernel.insert_edge(MAT_R, &mut journal_k, &mut scratch, collect, u, v);
-            let new_r =
-                reference.insert_edge_full_scan(MAT_R, &mut journal_r, &mut pairs_r, collect, u, v);
+            let (at_k, at_r) = (journal_k.entries.len(), journal_r.entries.len());
+            let new_k = kernel.insert_edge(MAT_R, &mut journal_k, collect, u, v);
+            let new_r = reference.insert_edge_full_scan(MAT_R, &mut journal_r, collect, u, v);
             assert_eq!(new_k, new_r, "was-new flag of {u} -> {v}");
             assert_eq!(kernel.fwd, reference.fwd, "fwd after {u} -> {v}");
             assert_eq!(kernel.bwd, reference.bwd, "bwd after {u} -> {v}");
             assert_eq!(
-                journal_k[at_k..],
-                journal_r[at_r..],
+                journal_k.entries[at_k..],
+                journal_r.entries[at_r..],
                 "journal of {u} -> {v}"
             );
-            assert_eq!(scratch.pairs, pairs_r, "pairs of {u} -> {v}");
-            assert_eq!(collect && new_k, !pairs_r.is_empty());
+            assert_eq!(kernel.pairs, reference.pairs, "pairs of {u} -> {v}");
+            assert_eq!(collect && new_k, !kernel.pairs.is_empty());
             if new_k {
                 fresh_edges += 1;
             } else {
@@ -2330,12 +1658,39 @@ mod tests {
 
     /// The snapshot document, with the one field that is documented not to
     /// rewind (`events`, a monotone work counter) blanked.
-    fn rewindable_state(incr: &IncrementalAnalysis) -> String {
+    fn rewindable_state<C: ChainLayer>(incr: &IncrementalAnalysis<C, UndoJournal>) -> String {
         let mut doc = incr.snapshot_json();
         if let rdt_json::Json::Obj(fields) = &mut doc {
             fields.retain(|(key, _)| key != "events");
         }
         doc.to_string()
+    }
+
+    /// A compaction that discards nothing leaves nothing a rewind cannot
+    /// undo, the watermark included: the in-transit send pins `C_{0,1}` and
+    /// its `TDV` row, so the second compaction is a no-op although the
+    /// recovery line has moved on to `[2, 0]`.
+    fn no_op_compaction_rewinds<C: ChainLayer>() {
+        let prefix = || {
+            let mut incr = IncrementalAnalysis::<C, UndoJournal>::layered(2);
+            incr.append_send(p(0), p(1));
+            incr.append_checkpoint(p(0));
+            assert!(incr.compact_to_recovery_line().discarded_state());
+            incr
+        };
+        let mut incr = prefix();
+        let mark = incr.mark();
+        incr.append_checkpoint(p(0));
+        assert!(!incr.compact_to_recovery_line().discarded_state());
+        incr.rewind(mark);
+        assert_eq!(incr.compaction_watermark(), [1, 0]);
+        assert_eq!(rewindable_state(&incr), rewindable_state(&prefix()));
+    }
+
+    #[test]
+    fn rewind_across_a_no_op_compaction_is_bit_equal_to_a_fresh_replay() {
+        no_op_compaction_rewinds::<Chains>();
+        no_op_compaction_rewinds::<NoChains>();
     }
 
     proptest::proptest! {

@@ -57,8 +57,9 @@ pub use analysis::PatternAnalysis;
 pub use chains::{MessageChain, ZigzagReachability};
 pub use consistency::GlobalCheckpoint;
 pub use incremental::{
-    AppendError, CompactionStats, IncrementalAnalysis, Mark, MessageRoute, RewindError,
-    SnapshotError, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
+    AppendError, ChainLayer, Chains, CompactionStats, FullAnalysis, IncrementalAnalysis, Journal,
+    Mark, MessageRoute, NoChains, NoJournal, RewindError, RewindableAnalysis, SnapshotError,
+    SnapshotErrorKind, UndoJournal, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
 pub use pattern::{Pattern, PatternBuilder, PatternError, PatternEvent, PatternMessageId};
 pub use rdt::{RdtChecker, RdtReport, RdtViolation};

@@ -2,33 +2,66 @@
 //!
 //! A snapshot captures everything the engine needs to keep answering
 //! queries and accepting appends: counters, per-process tables, message
-//! records, the three closure matrices, and the compaction state. The
-//! undo **journal is deliberately excluded** — appends and queries never
-//! read it, so a restored engine produces byte-identical answers to the
-//! uninterrupted original; only rewinds to pre-snapshot marks become
-//! defined [`RewindError`]s, mirroring the compaction-boundary rule.
+//! records, the R-graph closure, the compaction state, and — under one
+//! `chains` key, on an instantiation that carries the chain layer — the
+//! chain closures. The undo **journal is deliberately excluded**: appends
+//! and queries never read it, so a restored engine produces byte-identical
+//! answers to the uninterrupted original; only rewinds to pre-snapshot
+//! marks become defined [`RewindError`]s, mirroring the compaction-boundary
+//! rule.
 //!
 //! The format is a single versioned [`Json`] object so the daemon can
-//! persist it with the workspace's own writer and reload it with the
-//! total [`Json::parse_bytes`]. Restore validates every cross-table
-//! invariant the append/query paths rely on for in-bounds indexing, so a
-//! corrupted or hand-edited snapshot is a [`SnapshotError`], never a
-//! panic later on.
+//! persist it with the workspace's own writer and reload it with the total
+//! [`Json::parse_bytes`]. Restore validates every cross-table invariant the
+//! append/query paths rely on for in-bounds indexing, so a corrupted or
+//! hand-edited snapshot is a [`SnapshotError`], never a panic later on.
+//!
+//! # Versions
+//!
+//! * **2** (written): the core tables; `msgs` rows are
+//!   `[from, to, send_iv, deliver_iv, tdv_row]`.
+//! * **1** (read): the format of the engine that always carried the chain
+//!   layer — `msgs` rows eight columns wide (`znode`, `cnode`, `spine`
+//!   before `tdv_row`), eight chain tables and a `compactions` counter
+//!   (always equal to `epoch`) at the top level. The core tables are
+//!   validated exactly as in a version 2 document, the five core columns of
+//!   each `msgs` row are kept and the rest is not read. `reclaimed_rows` is
+//!   carried as stored: a monotone counter that in a version 1 document
+//!   also counted chain rows.
+//!
+//! Any other version is [`SnapshotErrorKind::UnsupportedVersion`].
 
 use rdt_json::Json;
 
-use super::{bits, ClosureMatrix, EdgeScratch, IncrementalAnalysis, MsgRec, NONE_U32, WORD_BITS};
+use super::*;
 
 /// Identifies the snapshot format inside the JSON document.
 pub const SNAPSHOT_FORMAT: &str = "rdt-rgraph-snapshot";
 
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// Snapshot format version written by [`IncrementalAnalysis::snapshot_json`].
+pub const SNAPSHOT_VERSION: u64 = 2;
+
+/// What kind of rejection a [`SnapshotError`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotErrorKind {
+    /// The document is not an rdt-rgraph snapshot at all.
+    Format,
+    /// A snapshot of a version this build neither writes nor upgrades.
+    UnsupportedVersion {
+        /// The version the document declares.
+        found: u64,
+    },
+    /// A snapshot of a supported version with a missing, mistyped or
+    /// inconsistent table.
+    Invalid,
+}
 
 /// Why a snapshot could not be restored. The input is rejected wholesale;
 /// no partially-restored engine is ever returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotError {
+    /// The kind of rejection.
+    pub kind: SnapshotErrorKind,
     /// What was wrong with the snapshot document.
     pub message: String,
 }
@@ -43,11 +76,14 @@ impl std::error::Error for SnapshotError {}
 
 fn bad(message: impl Into<String>) -> SnapshotError {
     SnapshotError {
+        kind: SnapshotErrorKind::Invalid,
         message: message.into(),
     }
 }
 
 // ----------------------------------------------------------- reading ----
+
+type Read<T> = fn(&Json, &str) -> Result<T, SnapshotError>;
 
 fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, SnapshotError> {
     obj.get(key).ok_or_else(|| bad(format!("missing `{key}`")))
@@ -60,6 +96,30 @@ fn read_u64(value: &Json, key: &str) -> Result<u64, SnapshotError> {
     }
 }
 
+fn read_u32(value: &Json, key: &str) -> Result<u32, SnapshotError> {
+    u32::try_from(read_u64(value, key)?).map_err(|_| bad(format!("`{key}` entry out of range")))
+}
+
+fn read_bool(value: &Json, key: &str) -> Result<bool, SnapshotError> {
+    value
+        .as_bool()
+        .ok_or_else(|| bad(format!("`{key}` entry is not a boolean")))
+}
+
+fn read_pair(value: &Json, key: &str) -> Result<(u32, u32), SnapshotError> {
+    match value.as_array() {
+        Some([a, b]) => Ok((read_u32(a, key)?, read_u32(b, key)?)),
+        _ => Err(bad(format!("`{key}` entry is not a pair"))),
+    }
+}
+
+fn read_vec<T>(value: &Json, key: &str, read: Read<T>) -> Result<Vec<T>, SnapshotError> {
+    let items = value
+        .as_array()
+        .ok_or_else(|| bad(format!("`{key}` is not an array")))?;
+    items.iter().map(|v| read(v, key)).collect()
+}
+
 fn get_u64(obj: &Json, key: &str) -> Result<u64, SnapshotError> {
     read_u64(field(obj, key)?, key)
 }
@@ -68,125 +128,54 @@ fn get_usize(obj: &Json, key: &str) -> Result<usize, SnapshotError> {
     usize::try_from(get_u64(obj, key)?).map_err(|_| bad(format!("`{key}` out of range")))
 }
 
-fn to_u32(value: &Json, key: &str) -> Result<u32, SnapshotError> {
-    u32::try_from(read_u64(value, key)?).map_err(|_| bad(format!("`{key}` entry out of range")))
+fn get_vec<T>(obj: &Json, key: &str, read: Read<T>) -> Result<Vec<T>, SnapshotError> {
+    read_vec(field(obj, key)?, key, read)
 }
 
-fn get_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], SnapshotError> {
-    field(obj, key)?
-        .as_array()
-        .ok_or_else(|| bad(format!("`{key}` is not an array")))
-}
-
-fn get_u32_vec(obj: &Json, key: &str) -> Result<Vec<u32>, SnapshotError> {
-    get_arr(obj, key)?.iter().map(|v| to_u32(v, key)).collect()
-}
-
-fn get_u64_vec(obj: &Json, key: &str) -> Result<Vec<u64>, SnapshotError> {
-    get_arr(obj, key)?
-        .iter()
-        .map(|v| read_u64(v, key))
-        .collect()
-}
-
-fn get_bool_vec(obj: &Json, key: &str) -> Result<Vec<bool>, SnapshotError> {
-    get_arr(obj, key)?
-        .iter()
-        .map(|v| {
-            v.as_bool()
-                .ok_or_else(|| bad(format!("`{key}` entry is not a boolean")))
-        })
-        .collect()
-}
-
-fn get_nested_u32(obj: &Json, key: &str) -> Result<Vec<Vec<u32>>, SnapshotError> {
-    get_arr(obj, key)?
-        .iter()
-        .map(|row| {
-            row.as_array()
-                .ok_or_else(|| bad(format!("`{key}` row is not an array")))?
-                .iter()
-                .map(|v| to_u32(v, key))
-                .collect()
-        })
-        .collect()
-}
-
-fn read_pair(value: &Json, key: &str) -> Result<(u32, u32), SnapshotError> {
-    let pair = value
-        .as_array()
-        .ok_or_else(|| bad(format!("`{key}` entry is not a pair")))?;
-    if pair.len() != 2 {
-        return Err(bad(format!("`{key}` entry is not a pair")));
-    }
-    Ok((to_u32(&pair[0], key)?, to_u32(&pair[1], key)?))
-}
-
-fn get_pairs(obj: &Json, key: &str) -> Result<Vec<(u32, u32)>, SnapshotError> {
-    get_arr(obj, key)?
-        .iter()
-        .map(|v| read_pair(v, key))
-        .collect()
-}
-
-fn get_nested_pairs(obj: &Json, key: &str) -> Result<Vec<Vec<(u32, u32)>>, SnapshotError> {
-    get_arr(obj, key)?
-        .iter()
-        .map(|row| {
-            row.as_array()
-                .ok_or_else(|| bad(format!("`{key}` row is not an array")))?
-                .iter()
-                .map(|v| read_pair(v, key))
-                .collect()
-        })
-        .collect()
+/// One row per process (or per message): an array of arrays.
+fn get_rows<T>(obj: &Json, key: &str, read: Read<T>) -> Result<Vec<Vec<T>>, SnapshotError> {
+    let rows = field(obj, key)?.as_array();
+    let rows = rows.ok_or_else(|| bad(format!("`{key}` is not an array")))?;
+    rows.iter().map(|row| read_vec(row, key, read)).collect()
 }
 
 // ----------------------------------------------------------- writing ----
 
-fn u32s(values: &[u32]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::U64(u64::from(v))).collect())
+fn arr<T>(items: &[T], json: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(items.iter().map(json).collect())
 }
 
-fn u64s(values: &[u64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::U64(v)).collect())
+fn u32s(values: &[u32]) -> Json {
+    arr(values, |&v| Json::U64(u64::from(v)))
 }
 
 fn nested_u32s(rows: &[Vec<u32>]) -> Json {
-    Json::Arr(rows.iter().map(|row| u32s(row)).collect())
+    arr(rows, |row| u32s(row))
 }
 
 fn pairs(values: &[(u32, u32)]) -> Json {
-    Json::Arr(
-        values
-            .iter()
-            .map(|&(a, b)| Json::Arr(vec![Json::U64(u64::from(a)), Json::U64(u64::from(b))]))
-            .collect(),
-    )
-}
-
-fn nested_pairs(rows: &[Vec<(u32, u32)>]) -> Json {
-    Json::Arr(rows.iter().map(|row| pairs(row)).collect())
+    arr(values, |&(a, b)| u32s(&[a, b]))
 }
 
 fn matrix_json(mat: &ClosureMatrix) -> Json {
     Json::obj([
         ("nodes", Json::U64(mat.nodes as u64)),
         ("width", Json::U64(mat.width as u64)),
-        ("fwd", u64s(&mat.fwd)),
-        ("bwd", u64s(&mat.bwd)),
+        ("fwd", arr(&mat.fwd, |&w| Json::U64(w))),
+        ("bwd", arr(&mat.bwd, |&w| Json::U64(w))),
     ])
 }
 
-fn matrix_from_json(value: &Json, key: &str) -> Result<ClosureMatrix, SnapshotError> {
+fn matrix_from_json(obj: &Json, key: &str) -> Result<ClosureMatrix, SnapshotError> {
+    let value = field(obj, key)?;
     let nodes = get_usize(value, "nodes")?;
     let width = get_usize(value, "width")?;
-    let fwd = get_u64_vec(value, "fwd")?;
-    let bwd = get_u64_vec(value, "bwd")?;
+    let fwd = get_vec(value, "fwd", read_u64)?;
+    let bwd = get_vec(value, "bwd", read_u64)?;
     if width == 0 {
         return Err(bad(format!("`{key}` has zero width")));
     }
-    if nodes > width * WORD_BITS {
+    if nodes > width.saturating_mul(WORD_BITS) || nodes > MAX_CLOSURE_NODES {
         return Err(bad(format!("`{key}` node count exceeds its width")));
     }
     if fwd.len() != nodes * width || bwd.len() != nodes * width {
@@ -216,293 +205,278 @@ fn matrix_from_json(value: &Json, key: &str) -> Result<ClosureMatrix, SnapshotEr
             }
         }
     }
-    Ok(ClosureMatrix {
-        nodes,
-        width,
-        fwd,
-        bwd,
-    })
+    Ok(ClosureMatrix::from_slabs(nodes, width, fwd, bwd))
 }
 
 /// Node-index bound check: `NONE_U32` is allowed when `none_ok`.
 fn check_node(value: u32, nodes: usize, none_ok: bool, what: &str) -> Result<(), SnapshotError> {
-    if value == NONE_U32 {
-        if none_ok {
-            return Ok(());
-        }
-        return Err(bad(format!("`{what}` has an unexpected NONE entry")));
-    }
-    if (value as usize) < nodes {
-        Ok(())
-    } else {
-        Err(bad(format!("`{what}` entry {value} out of node range")))
+    match value {
+        NONE_U32 if none_ok => Ok(()),
+        NONE_U32 => Err(bad(format!("`{what}` has an unexpected NONE entry"))),
+        value if (value as usize) < nodes => Ok(()),
+        value => Err(bad(format!("`{what}` entry {value} out of node range"))),
     }
 }
 
-impl IncrementalAnalysis {
-    /// Serializes the engine into a versioned JSON document.
-    ///
-    /// Everything appends and queries read is captured — counters,
-    /// per-process tables, message records, the three closure matrices,
-    /// and compaction state — except the undo journal: restored engines
+/// A table with exactly one entry per process.
+fn per_process<T>(table: Vec<T>, n: usize, key: &str) -> Result<Vec<T>, SnapshotError> {
+    match table.len() {
+        len if len == n => Ok(table),
+        len => Err(bad(format!("`{key}` length {len} != n = {n}"))),
+    }
+}
+
+// -------------------------------------------------------- chain layer ----
+
+/// The chain layer's tables, for the `chains` key of the document.
+pub(super) fn chains_json(chains: &Chains) -> Json {
+    Json::obj([
+        ("recs", arr(&chains.recs, |rec| u32s(rec))),
+        ("zmat", matrix_json(&chains.zmat)),
+        ("cmat", matrix_json(&chains.cmat)),
+        ("z_slots", nested_u32s(&chains.z_slots)),
+        ("c_spine", nested_u32s(&chains.c_spine)),
+        ("c_delivs", nested_u32s(&chains.c_delivs)),
+        ("c_linked", u32s(&chains.c_linked)),
+        ("slot_base", u32s(&chains.slot_base)),
+    ])
+}
+
+/// Reads and validates the `chains` key of `doc` for an engine of `n`
+/// processes and `msgs` messages.
+pub(super) fn chains_from_json(doc: &Json, n: usize, msgs: usize) -> Result<Chains, SnapshotError> {
+    let obj = field(doc, "chains")?;
+    let zmat = matrix_from_json(obj, "zmat")?;
+    let cmat = matrix_from_json(obj, "cmat")?;
+    let z_slots = per_process(get_rows(obj, "z_slots", read_u32)?, n, "z_slots")?;
+    let c_spine = per_process(get_rows(obj, "c_spine", read_u32)?, n, "c_spine")?;
+    let c_delivs = per_process(get_rows(obj, "c_delivs", read_u32)?, n, "c_delivs")?;
+    let c_linked = per_process(get_vec(obj, "c_linked", read_u32)?, n, "c_linked")?;
+    let slot_base = per_process(get_vec(obj, "slot_base", read_u32)?, n, "slot_base")?;
+    for p in 0..n {
+        for &slot in &z_slots[p] {
+            check_node(slot, zmat.nodes, false, "z_slots")?;
+        }
+        for &node in c_spine[p].iter().chain(&c_delivs[p]) {
+            check_node(node, cmat.nodes, false, "c_spine/c_delivs")?;
+        }
+        if c_linked[p] as usize > c_delivs[p].len() {
+            return Err(bad(format!("`c_linked[{p}]` exceeds its delivery count")));
+        }
+    }
+    let mut recs = Vec::with_capacity(msgs);
+    for row in get_rows(obj, "recs", read_u32)? {
+        let Ok(rec @ [znode, cnode, spine]) = <[u32; 3]>::try_from(row) else {
+            return Err(bad("`recs` entry does not have 3 columns"));
+        };
+        check_node(znode, zmat.nodes, true, "recs.znode")?;
+        check_node(cnode, cmat.nodes, true, "recs.cnode")?;
+        check_node(spine, cmat.nodes, true, "recs.spine")?;
+        recs.push(rec);
+    }
+    if recs.len() != msgs {
+        return Err(bad("`recs` length disagrees with `msgs`"));
+    }
+    Ok(Chains {
+        zmat,
+        z_slots,
+        slot_base,
+        cmat,
+        c_spine,
+        c_delivs,
+        c_linked,
+        recs,
+    })
+}
+
+// --------------------------------------------------------------- core ----
+
+impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
+    /// Serializes the engine into a versioned JSON document: everything
+    /// appends and queries read (the chain layer's tables, where there is
+    /// one, under `chains`) and not the undo journal. Restored engines
     /// answer every query and accept every append byte-identically, but
     /// marks taken before the snapshot cannot be rewound to afterwards
-    /// (they fail with a defined [`RewindError`], like marks across a
-    /// compaction).
+    /// (a defined [`RewindError`], like marks across a compaction).
     pub fn snapshot_json(&self) -> Json {
-        Json::obj([
+        let msg_row = |m: &MsgRec| u32s(&[m.from, m.to, m.send_iv, m.deliver_iv, m.tdv_row]);
+        let core = [
             ("format", Json::Str(SNAPSHOT_FORMAT.to_string())),
             ("version", Json::U64(SNAPSHOT_VERSION)),
             ("n", Json::U64(self.n as u64)),
             ("events", Json::U64(self.events as u64)),
             ("untrackable", Json::U64(self.untrackable)),
             ("cp_count", u32s(&self.cp_count)),
-            (
-                "line_open",
-                Json::Arr(self.line_open.iter().map(|&b| Json::Bool(b)).collect()),
-            ),
-            (
-                "msgs",
-                Json::Arr(
-                    self.msgs
-                        .iter()
-                        .map(|m| {
-                            u32s(&[
-                                m.from,
-                                m.to,
-                                m.send_iv,
-                                m.deliver_iv,
-                                m.znode,
-                                m.cnode,
-                                m.spine,
-                                m.tdv_row,
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("line_open", arr(&self.line_open, |&b| Json::Bool(b))),
+            ("msgs", arr(&self.msgs, msg_row)),
             ("cur_tdv", u32s(&self.cur_tdv)),
             ("msg_tdv", u32s(&self.msg_tdv)),
             ("cp_tdv", u32s(&self.cp_tdv)),
             ("rmat", matrix_json(&self.rmat)),
-            ("zmat", matrix_json(&self.zmat)),
-            ("cmat", matrix_json(&self.cmat)),
             ("r_meta", pairs(&self.r_meta)),
             ("cp_nodes", nested_u32s(&self.cp_nodes)),
-            ("z_slots", nested_u32s(&self.z_slots)),
-            ("c_spine", nested_u32s(&self.c_spine)),
-            ("c_delivs", nested_u32s(&self.c_delivs)),
-            ("c_linked", u32s(&self.c_linked)),
-            ("send_events", nested_pairs(&self.send_events)),
-            ("deliver_events", nested_pairs(&self.deliver_events)),
+            ("send_events", arr(&self.send_events, |row| pairs(row))),
+            (
+                "deliver_events",
+                arr(&self.deliver_events, |row| pairs(row)),
+            ),
             ("epoch", Json::U64(self.epoch)),
             ("watermark", u32s(&self.watermark)),
             ("cp_base", u32s(&self.cp_base)),
-            ("slot_base", u32s(&self.slot_base)),
-            ("chain_floor", u32s(&self.chain_floor)),
             ("drop_reach", u32s(&self.drop_reach)),
-            ("compactions", Json::U64(self.compactions)),
             ("reclaimed_rows", Json::U64(self.reclaimed_rows)),
-        ])
+        ];
+        let chains = self.chains.snapshot().map(|tables| ("chains", tables));
+        Json::obj(core.into_iter().chain(chains))
     }
 
-    /// Restores an engine from a [`snapshot_json`]
+    /// Restores an engine of this instantiation from a [`snapshot_json`]
     /// (IncrementalAnalysis::snapshot_json) document.
     ///
     /// The restore is **total and validating**: unknown formats, missing
     /// fields, wrong types, and — crucially — cross-table inconsistencies
     /// that would let a later append or query index out of bounds are all
-    /// reported as [`SnapshotError`]s. The restored engine starts with an
-    /// empty undo journal at the snapshot's compaction epoch.
-    pub fn from_snapshot_json(doc: &Json) -> Result<IncrementalAnalysis, SnapshotError> {
-        match field(doc, "format")?.as_str() {
-            Some(SNAPSHOT_FORMAT) => {}
-            _ => return Err(bad("not an rdt-rgraph snapshot")),
+    /// [`SnapshotError`]s. Version 1 documents are upgraded (see the module
+    /// documentation); a chain-free engine ignores chain tables, a
+    /// chain-bearing one requires the `chains` key. The restored engine
+    /// starts with an empty undo journal at the snapshot's compaction epoch.
+    pub fn layered_from_snapshot(doc: &Json) -> Result<Self, SnapshotError> {
+        if doc.get("format").and_then(Json::as_str) != Some(SNAPSHOT_FORMAT) {
+            return Err(SnapshotError {
+                kind: SnapshotErrorKind::Format,
+                message: "not an rdt-rgraph snapshot".into(),
+            });
         }
-        let version = get_u64(doc, "version")?;
-        if version != SNAPSHOT_VERSION {
-            return Err(bad(format!("unsupported snapshot version {version}")));
-        }
+        // Width of a `msgs` row and the column of `tdv_row` in it.
+        let (msg_cols, tdv_col) = match get_u64(doc, "version")? {
+            SNAPSHOT_VERSION => (5, 4),
+            1 => (8, 7),
+            found => {
+                return Err(SnapshotError {
+                    kind: SnapshotErrorKind::UnsupportedVersion { found },
+                    message: format!("unsupported snapshot version {found}"),
+                })
+            }
+        };
 
         let n = get_usize(doc, "n")?;
         if n == 0 {
             return Err(bad("`n` must be at least 1"));
         }
-        let events = get_usize(doc, "events")?;
-        let untrackable = get_u64(doc, "untrackable")?;
-        let cp_count = get_u32_vec(doc, "cp_count")?;
-        let line_open = get_bool_vec(doc, "line_open")?;
-        let msgs_json = get_arr(doc, "msgs")?;
-        let cur_tdv = get_u32_vec(doc, "cur_tdv")?;
-        let msg_tdv = get_u32_vec(doc, "msg_tdv")?;
-        let cp_tdv = get_u32_vec(doc, "cp_tdv")?;
-        let rmat = matrix_from_json(field(doc, "rmat")?, "rmat")?;
-        let zmat = matrix_from_json(field(doc, "zmat")?, "zmat")?;
-        let cmat = matrix_from_json(field(doc, "cmat")?, "cmat")?;
-        let r_meta = get_pairs(doc, "r_meta")?;
-        let cp_nodes = get_nested_u32(doc, "cp_nodes")?;
-        let z_slots = get_nested_u32(doc, "z_slots")?;
-        let c_spine = get_nested_u32(doc, "c_spine")?;
-        let c_delivs = get_nested_u32(doc, "c_delivs")?;
-        let c_linked = get_u32_vec(doc, "c_linked")?;
-        let send_events = get_nested_pairs(doc, "send_events")?;
-        let deliver_events = get_nested_pairs(doc, "deliver_events")?;
-        let epoch = get_u64(doc, "epoch")?;
-        let watermark = get_u32_vec(doc, "watermark")?;
-        let cp_base = get_u32_vec(doc, "cp_base")?;
-        let slot_base = get_u32_vec(doc, "slot_base")?;
-        let chain_floor = get_u32_vec(doc, "chain_floor")?;
-        let drop_reach = get_u32_vec(doc, "drop_reach")?;
-        let compactions = get_u64(doc, "compactions")?;
-        let reclaimed_rows = get_u64(doc, "reclaimed_rows")?;
-
-        // ---- per-process table shapes -------------------------------
-        for (name, len) in [
-            ("cp_count", cp_count.len()),
-            ("line_open", line_open.len()),
-            ("cp_nodes", cp_nodes.len()),
-            ("z_slots", z_slots.len()),
-            ("c_spine", c_spine.len()),
-            ("c_delivs", c_delivs.len()),
-            ("c_linked", c_linked.len()),
-            ("send_events", send_events.len()),
-            ("deliver_events", deliver_events.len()),
-            ("watermark", watermark.len()),
-            ("cp_base", cp_base.len()),
-            ("slot_base", slot_base.len()),
-            ("chain_floor", chain_floor.len()),
-        ] {
-            if len != n {
-                return Err(bad(format!("`{name}` length {len} != n = {n}")));
-            }
-        }
-        if cur_tdv.len() != n * n {
-            return Err(bad("`cur_tdv` is not n×n"));
-        }
+        let vec32 = |key| per_process(get_vec(doc, key, read_u32)?, n, key);
+        let cp_count = vec32("cp_count")?;
+        let msg_tdv = get_vec(doc, "msg_tdv", read_u32)?;
         if msg_tdv.len() % n != 0 {
             return Err(bad("`msg_tdv` is not a whole number of rows"));
         }
-        let tdv_rows = msg_tdv.len() / n;
-
-        // ---- R-layer invariants -------------------------------------
-        if r_meta.len() != rmat.nodes {
-            return Err(bad("`r_meta` length disagrees with `rmat` nodes"));
-        }
-        if cp_tdv.len() != rmat.nodes * n {
-            return Err(bad("`cp_tdv` length disagrees with `rmat` nodes"));
-        }
-        if !drop_reach.is_empty() && drop_reach.len() != rmat.nodes * n {
-            return Err(bad("`drop_reach` length disagrees with `rmat` nodes"));
-        }
-        for (p, meta) in r_meta.iter().enumerate() {
-            if meta.0 as usize >= n {
-                return Err(bad(format!("`r_meta` node {p} names an unknown process")));
-            }
-        }
-        for p in 0..n {
-            let have = cp_nodes[p].len() as u64;
-            let want = u64::from(cp_count[p]) + 1 - u64::from(cp_base[p].min(cp_count[p] + 1));
-            if cp_base[p] > cp_count[p] || have != want {
-                return Err(bad(format!(
-                    "`cp_nodes[{p}]` does not span cp_base..=cp_count"
-                )));
-            }
-            for &node in &cp_nodes[p] {
-                check_node(node, rmat.nodes, false, "cp_nodes")?;
-            }
-            for &slot in &z_slots[p] {
-                check_node(slot, zmat.nodes, false, "z_slots")?;
-            }
-            for &node in &c_spine[p] {
-                check_node(node, cmat.nodes, false, "c_spine")?;
-            }
-            for &node in &c_delivs[p] {
-                check_node(node, cmat.nodes, false, "c_delivs")?;
-            }
-            if c_linked[p] as usize > c_delivs[p].len() {
-                return Err(bad(format!("`c_linked[{p}]` exceeds its delivery count")));
-            }
-        }
 
         // ---- message records ----------------------------------------
-        let mut msgs = Vec::with_capacity(msgs_json.len());
-        for rec in msgs_json {
-            let cols = rec
-                .as_array()
-                .ok_or_else(|| bad("`msgs` entry is not an array"))?;
-            if cols.len() != 8 {
-                return Err(bad("`msgs` entry does not have 8 columns"));
-            }
-            let mut vals = [0u32; 8];
-            for (slot, col) in vals.iter_mut().zip(cols) {
-                *slot = to_u32(col, "msgs")?;
+        // Intervals are 1-based and at most one past the last checkpoint
+        // (the consistency descents step to `deliver_iv - 1`).
+        let placed = |iv: u32, p: u32| (1..=cp_count[p as usize].saturating_add(1)).contains(&iv);
+        let mut msgs = Vec::new();
+        for row in get_rows(doc, "msgs", read_u32)? {
+            if row.len() != msg_cols {
+                return Err(bad(format!(
+                    "`msgs` entry does not have {msg_cols} columns"
+                )));
             }
             let m = MsgRec {
-                from: vals[0],
-                to: vals[1],
-                send_iv: vals[2],
-                deliver_iv: vals[3],
-                znode: vals[4],
-                cnode: vals[5],
-                spine: vals[6],
-                tdv_row: vals[7],
+                from: row[0],
+                to: row[1],
+                send_iv: row[2],
+                deliver_iv: row[3],
+                tdv_row: row[tdv_col],
             };
             if m.from as usize >= n || m.to as usize >= n {
                 return Err(bad("`msgs` entry names an unknown process"));
             }
-            check_node(m.znode, zmat.nodes, true, "msgs.znode")?;
-            check_node(m.cnode, cmat.nodes, true, "msgs.cnode")?;
-            check_node(m.spine, cmat.nodes, true, "msgs.spine")?;
-            if m.tdv_row != NONE_U32 && m.tdv_row as usize >= tdv_rows {
+            if !placed(m.send_iv, m.from)
+                || !(m.deliver_iv == NONE_U32 || placed(m.deliver_iv, m.to))
+            {
+                return Err(bad(
+                    "`msgs` entry sits in an interval its process does not have",
+                ));
+            }
+            if m.tdv_row != NONE_U32 && m.tdv_row as usize >= msg_tdv.len() / n {
                 return Err(bad("`msgs` entry points past the piggyback table"));
             }
             msgs.push(m);
         }
-        for (name, events) in [
-            ("send_events", &send_events),
-            ("deliver_events", &deliver_events),
-        ] {
-            for row in events.iter() {
-                for &(_, mid) in row {
-                    if mid as usize >= msgs.len() {
-                        return Err(bad(format!("`{name}` names an unknown message")));
-                    }
-                }
+
+        let engine = IncrementalAnalysis {
+            n,
+            chains: C::restore(doc, n, msgs.len())?,
+            journal: J::default(),
+            events: get_usize(doc, "events")?,
+            untrackable: get_u64(doc, "untrackable")?,
+            line_open: per_process(get_vec(doc, "line_open", read_bool)?, n, "line_open")?,
+            msgs,
+            cur_tdv: get_vec(doc, "cur_tdv", read_u32)?,
+            msg_tdv,
+            cp_tdv: get_vec(doc, "cp_tdv", read_u32)?,
+            rmat: matrix_from_json(doc, "rmat")?,
+            r_meta: get_vec(doc, "r_meta", read_pair)?,
+            cp_nodes: per_process(get_rows(doc, "cp_nodes", read_u32)?, n, "cp_nodes")?,
+            send_events: per_process(get_rows(doc, "send_events", read_pair)?, n, "send_events")?,
+            deliver_events: per_process(
+                get_rows(doc, "deliver_events", read_pair)?,
+                n,
+                "deliver_events",
+            )?,
+            epoch: get_u64(doc, "epoch")?,
+            watermark: vec32("watermark")?,
+            cp_base: vec32("cp_base")?,
+            cp_count,
+            drop_reach: get_vec(doc, "drop_reach", read_u32)?,
+            reclaimed_rows: get_u64(doc, "reclaimed_rows")?,
+        };
+        engine.check_core_tables()?;
+        Ok(engine)
+    }
+
+    /// The cross-table invariants of the core that appends and queries
+    /// index through.
+    fn check_core_tables(&self) -> Result<(), SnapshotError> {
+        let (n, nodes) = (self.n, self.rmat.nodes);
+        if self.cur_tdv.len() != n * n {
+            return Err(bad("`cur_tdv` is not n×n"));
+        }
+        if self.r_meta.len() != nodes {
+            return Err(bad("`r_meta` length disagrees with `rmat` nodes"));
+        }
+        if self.cp_tdv.len() != nodes * n {
+            return Err(bad("`cp_tdv` length disagrees with `rmat` nodes"));
+        }
+        if !self.drop_reach.is_empty() && self.drop_reach.len() != nodes * n {
+            return Err(bad("`drop_reach` length disagrees with `rmat` nodes"));
+        }
+        if let Some(node) = self.r_meta.iter().position(|meta| meta.0 as usize >= n) {
+            return Err(bad(format!(
+                "`r_meta` node {node} names an unknown process"
+            )));
+        }
+        for p in 0..n {
+            let (base, count) = (self.cp_base[p], self.cp_count[p]);
+            if base > count || self.cp_nodes[p].len() as u64 != u64::from(count - base) + 1 {
+                return Err(bad(format!(
+                    "`cp_nodes[{p}]` does not span cp_base..=cp_count"
+                )));
+            }
+            for &node in &self.cp_nodes[p] {
+                check_node(node, nodes, false, "cp_nodes")?;
             }
         }
-
-        Ok(IncrementalAnalysis {
-            n,
-            journal: Vec::new(),
-            events,
-            untrackable,
-            cp_count,
-            line_open,
-            msgs,
-            cur_tdv,
-            msg_tdv,
-            cp_tdv,
-            rmat,
-            r_meta,
-            cp_nodes,
-            zmat,
-            z_slots,
-            cmat,
-            c_spine,
-            c_delivs,
-            c_linked,
-            send_events,
-            deliver_events,
-            scratch: EdgeScratch::default(),
-            epoch,
-            watermark,
-            cp_base,
-            slot_base,
-            chain_floor,
-            drop_reach,
-            compactions,
-            reclaimed_rows,
-        })
+        for (name, events) in [
+            ("send_events", &self.send_events),
+            ("deliver_events", &self.deliver_events),
+        ] {
+            let unknown = |&(_, mid): &(u32, u32)| mid as usize >= self.msgs.len();
+            if events.iter().flatten().any(unknown) {
+                return Err(bad(format!("`{name}` names an unknown message")));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -511,7 +485,7 @@ mod tests {
     use super::*;
     use rdt_causality::ProcessId;
 
-    /// `doc[mat][slab][word]`, mutably.
+    /// `doc[mat][slab][word]`, mutably (`mat` may be a `/`-separated path).
     fn slab_word<'a>(doc: &'a mut Json, mat: &str, slab: &str, word: usize) -> &'a mut u64 {
         fn entry<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
             match obj {
@@ -519,7 +493,7 @@ mod tests {
                 _ => panic!("not an object"),
             }
         }
-        match entry(entry(doc, mat), slab) {
+        match entry(mat.split('/').fold(doc, entry), slab) {
             Json::Arr(words) => match &mut words[word] {
                 Json::U64(w) => w,
                 _ => panic!("not a word"),
@@ -535,24 +509,24 @@ mod tests {
     #[test]
     fn padding_bits_and_missing_diagonals_are_rejected() {
         let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
-        let mut incr = IncrementalAnalysis::new(2);
+        let mut incr = FullAnalysis::layered(2);
         incr.append_checkpoint(p0);
         let m = incr.append_send(p0, p1);
         incr.append_deliver(m);
         let good = incr.snapshot_json();
-        assert!(IncrementalAnalysis::from_snapshot_json(&good).is_ok());
+        assert!(FullAnalysis::layered_from_snapshot(&good).is_ok());
 
-        for mat in ["rmat", "zmat", "cmat"] {
+        for mat in ["rmat", "chains/zmat", "chains/cmat"] {
             for slab in ["fwd", "bwd"] {
                 // Every matrix is one word wide here, so word 1 is row 1.
                 let mut doc = good.clone();
                 *slab_word(&mut doc, mat, slab, 1) |= 1 << 40;
-                let err = IncrementalAnalysis::from_snapshot_json(&doc).unwrap_err();
+                let err = FullAnalysis::layered_from_snapshot(&doc).unwrap_err();
                 assert!(err.message.contains("beyond its node count"), "{err}");
 
                 let mut doc = good.clone();
                 *slab_word(&mut doc, mat, slab, 1) &= !(1 << 1);
-                let err = IncrementalAnalysis::from_snapshot_json(&doc).unwrap_err();
+                let err = FullAnalysis::layered_from_snapshot(&doc).unwrap_err();
                 assert!(err.message.contains("diagonal"), "{err}");
             }
         }

@@ -17,10 +17,13 @@
 //!    state-discarding compaction reports
 //!    [`RewindError::CompactionBoundary`] and leaves the engine intact;
 //!    marks taken after the compaction keep working.
+//! 4. **Layer independence** — the core-only engine the daemon runs and
+//!    the full engine answer every core query identically and compact in
+//!    lockstep (same epochs, watermarks, retention floors, dropped R-nodes).
 
 use proptest::prelude::*;
 use rdt_causality::{CheckpointId, ProcessId};
-use rdt_rgraph::{IncrementalAnalysis, RewindError};
+use rdt_rgraph::{ChainLayer, FullAnalysis, IncrementalAnalysis, Journal, RewindError};
 
 /// Deterministic xorshift generator driving the op-sequence builder.
 struct Rng(u64);
@@ -80,7 +83,7 @@ fn random_ops(
     ops
 }
 
-fn apply(incr: &mut IncrementalAnalysis, op: Op) {
+fn apply<C: ChainLayer, J: Journal>(incr: &mut IncrementalAnalysis<C, J>, op: Op) {
     match op {
         Op::Cp(i) => {
             incr.append_checkpoint(ProcessId::new(i));
@@ -97,7 +100,7 @@ fn cp(p: usize, idx: u32) -> CheckpointId {
 }
 
 /// Every checkpoint of the full pattern, compacted away or not.
-fn all_checkpoints(incr: &IncrementalAnalysis) -> Vec<CheckpointId> {
+fn all_checkpoints(incr: &FullAnalysis) -> Vec<CheckpointId> {
     (0..incr.num_processes())
         .flat_map(|p| {
             (0..=incr.last_checkpoint_index(ProcessId::new(p))).map(move |idx| cp(p, idx))
@@ -108,7 +111,7 @@ fn all_checkpoints(incr: &IncrementalAnalysis) -> Vec<CheckpointId> {
 /// The compacted engine must agree with the uncompacted control —
 /// globally for counter- and message-table-based queries, and on the
 /// documented live suffix for closure-row-based ones.
-fn assert_compacted_equivalent(comp: &mut IncrementalAnalysis, ctrl: &mut IncrementalAnalysis) {
+fn assert_compacted_equivalent(comp: &mut FullAnalysis, ctrl: &mut FullAnalysis) {
     let n = ctrl.num_processes();
     assert_eq!(comp.num_processes(), n);
     assert_eq!(comp.num_messages(), ctrl.num_messages());
@@ -245,8 +248,8 @@ fn fixed_seed_compaction_lockstep() {
             let mut next_mid = 0u32;
             let mut in_flight = Vec::new();
             let ops = random_ops(&mut rng, n, 60, &mut next_mid, &mut in_flight);
-            let mut comp = IncrementalAnalysis::new(n);
-            let mut ctrl = IncrementalAnalysis::new(n);
+            let mut comp = FullAnalysis::layered(n);
+            let mut ctrl = FullAnalysis::layered(n);
             for (i, &op) in ops.iter().enumerate() {
                 apply(&mut comp, op);
                 apply(&mut ctrl, op);
@@ -269,8 +272,8 @@ fn repeated_compaction_reclaims_and_stays_exact() {
     let mut next_mid = 0u32;
     let mut in_flight = Vec::new();
     let ops = random_ops(&mut rng, n, 400, &mut next_mid, &mut in_flight);
-    let mut comp = IncrementalAnalysis::new(n);
-    let mut ctrl = IncrementalAnalysis::new(n);
+    let mut comp = FullAnalysis::layered(n);
+    let mut ctrl = FullAnalysis::layered(n);
     for (i, &op) in ops.iter().enumerate() {
         apply(&mut comp, op);
         apply(&mut ctrl, op);
@@ -301,8 +304,8 @@ proptest! {
         let mut next_mid = 0u32;
         let mut in_flight = Vec::new();
         let ops = random_ops(&mut rng, n, events, &mut next_mid, &mut in_flight);
-        let mut comp = IncrementalAnalysis::new(n);
-        let mut ctrl = IncrementalAnalysis::new(n);
+        let mut comp = FullAnalysis::layered(n);
+        let mut ctrl = FullAnalysis::layered(n);
         for (i, &op) in ops.iter().enumerate() {
             apply(&mut comp, op);
             apply(&mut ctrl, op);
@@ -324,6 +327,58 @@ proptest! {
         assert_compacted_equivalent(&mut comp, &mut ctrl);
     }
 
+    /// The same stream, compacted at the same random points, through the
+    /// core instantiation and the full one: every core answer and every
+    /// piece of compaction state agrees after every op.
+    fn core_matches_full_after_every_op(
+        seed in 1u64..1_000_000,
+        n in 2usize..5,
+        events in 20usize..120,
+    ) {
+        let mut rng = Rng(seed | 1);
+        let (mut next_mid, mut in_flight) = (0u32, Vec::new());
+        let ops = random_ops(&mut rng, n, events, &mut next_mid, &mut in_flight);
+        let mut core = IncrementalAnalysis::new(n);
+        let mut full = FullAnalysis::layered(n);
+        for &op in &ops {
+            apply(&mut core, op);
+            apply(&mut full, op);
+            let tops: Vec<u32> = (0..n)
+                .map(|p| core.last_checkpoint_index(ProcessId::new(p)))
+                .collect();
+            match rng.below(6) {
+                0 => {
+                    let (c, f) = (core.compact_to_recovery_line(), full.compact_to_recovery_line());
+                    prop_assert_eq!(c.dropped_r_nodes, f.dropped_r_nodes);
+                    prop_assert_eq!((c.dropped_z_nodes, c.dropped_c_nodes), (0, 0));
+                }
+                1 => {
+                    let caps: Vec<u32> = tops.iter().map(|&t| rng.below(t as usize + 1) as u32).collect();
+                    let (c, f) = (core.compact_to(&caps), full.compact_to(&caps));
+                    prop_assert_eq!(c.dropped_r_nodes, f.dropped_r_nodes);
+                    prop_assert_eq!(c.discarded_state(), f.discarded_state());
+                }
+                _ => {}
+            }
+            prop_assert_eq!(core.untrackable_pairs(), full.untrackable_pairs());
+            prop_assert_eq!(core.compaction_epoch(), full.compaction_epoch());
+            prop_assert_eq!(core.compaction_watermark(), full.compaction_watermark());
+            prop_assert_eq!(core.retained_from(), full.retained_from());
+            let caps: Vec<u32> = tops.iter().map(|&t| rng.below(t as usize + 1) as u32).collect();
+            prop_assert_eq!(core.max_consistent_dominated(&caps), full.max_consistent_dominated(&caps));
+            let p = rng.below(n);
+            let member = [cp(p, rng.below(tops[p] as usize + 1) as u32)];
+            prop_assert_eq!(core.min_consistent_containing(&member), full.min_consistent_containing(&member));
+            prop_assert_eq!(core.max_consistent_containing(&member), full.max_consistent_containing(&member));
+        }
+        // A chain-free engine holds one closure row per retained checkpoint
+        // and nothing else.
+        let retained = (0..n).map(|p| {
+            core.last_checkpoint_index(ProcessId::new(p)) + 1 - core.retained_from()[p]
+        });
+        prop_assert_eq!(core.resident_closure_nodes(), retained.sum::<u32>() as usize);
+    }
+
     /// Rewinding past a state-discarding compaction is the documented
     /// error and leaves the engine untouched; marks taken after the
     /// compaction rewind normally and branches replay identically.
@@ -339,8 +394,8 @@ proptest! {
         let prefix = random_ops(&mut rng, n, pre, &mut next_mid, &mut in_flight);
         let ops = random_ops(&mut rng, n, branch, &mut next_mid, &mut in_flight);
 
-        let mut comp = IncrementalAnalysis::new(n);
-        let mut ctrl = IncrementalAnalysis::new(n);
+        let mut comp = FullAnalysis::layered(n);
+        let mut ctrl = FullAnalysis::layered(n);
         for &op in &prefix {
             apply(&mut comp, op);
             apply(&mut ctrl, op);
@@ -392,8 +447,8 @@ proptest! {
         let mut rng = Rng(seed | 1);
         let mut next_mid = 0u32;
         let mut in_flight = Vec::new();
-        let mut comp = IncrementalAnalysis::new(n);
-        let mut ctrl = IncrementalAnalysis::new(n);
+        let mut comp = FullAnalysis::layered(n);
+        let mut ctrl = FullAnalysis::layered(n);
 
         for _ in 0..rounds {
             // A burst of speculative events, observed then rolled back —

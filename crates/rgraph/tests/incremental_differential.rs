@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rdt_causality::ProcessId;
 use rdt_rgraph::characterization::{all_chains_doubled_with, all_cm_paths_doubled_with};
 use rdt_rgraph::{
-    min_max, IncrementalAnalysis, Pattern, PatternAnalysis, PatternBuilder, PatternMessageId,
+    min_max, FullAnalysis, Pattern, PatternAnalysis, PatternBuilder, PatternMessageId,
 };
 
 /// Deterministic xorshift generator driving the op-sequence builder.
@@ -77,7 +77,7 @@ fn random_ops(
 /// Applies ops in lockstep to the engine and to a [`PatternBuilder`]
 /// mirror (so batch analyses of the same prefix can be built on demand).
 struct Lockstep {
-    incr: IncrementalAnalysis,
+    incr: FullAnalysis,
     builder: PatternBuilder,
     mids: Vec<PatternMessageId>,
 }
@@ -85,7 +85,7 @@ struct Lockstep {
 impl Lockstep {
     fn new(n: usize) -> Self {
         Lockstep {
-            incr: IncrementalAnalysis::new(n),
+            incr: FullAnalysis::layered(n),
             builder: PatternBuilder::new(n),
             mids: Vec::new(),
         }
@@ -121,7 +121,7 @@ impl Lockstep {
 
 /// Every public query of the engine must agree with a fresh batch
 /// analysis of the same pattern.
-fn assert_equivalent(incr: &mut IncrementalAnalysis, pattern: &Pattern) {
+fn assert_equivalent(incr: &mut FullAnalysis, pattern: &Pattern) {
     let analysis = PatternAnalysis::new(pattern);
     let closed = analysis.pattern();
     let reach = analysis.reachability();
@@ -227,7 +227,7 @@ fn assert_equivalent(incr: &mut IncrementalAnalysis, pattern: &Pattern) {
 }
 
 /// Cheap closed-state observation used to compare replayed branches.
-fn digest(incr: &mut IncrementalAnalysis) -> (u64, usize, bool, bool, bool) {
+fn digest(incr: &mut FullAnalysis) -> (u64, usize, bool, bool, bool) {
     incr.with_closed(|view| {
         (
             view.untrackable_pairs(),

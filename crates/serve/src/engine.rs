@@ -1,5 +1,7 @@
-//! One tenant stream: an [`IncrementalAnalysis`] plus stream-level
-//! metadata, with fully fallible ingest.
+//! One tenant stream: an [`IncrementalAnalysis`] — the R-graph core and
+//! nothing else: no wire query reads a chain closure or takes a mark, so the
+//! daemon's engine carries neither the chain layer nor the undo journal —
+//! plus stream-level metadata, with fully fallible ingest.
 //!
 //! Every event routes through the engine's `try_append_*` APIs, so an
 //! adversarial event order — deliver before send, duplicate delivery,
@@ -168,7 +170,8 @@ impl StreamEngine {
     }
 
     /// Compacts the engine to its recovery line and reports what was
-    /// reclaimed.
+    /// reclaimed: `dropped` counts the closure rows the daemon held and let
+    /// go, which are R-graph nodes.
     pub fn compact(&mut self) -> Vec<(&'static str, Json)> {
         let stats = self.engine.compact_to_recovery_line();
         vec![
@@ -189,8 +192,8 @@ impl StreamEngine {
     }
 
     /// Restores a stream from its snapshot entry; returns its name and
-    /// the rebuilt engine. Total: corrupted documents are
-    /// [`ErrorKind::Admin`] errors.
+    /// the rebuilt engine. Total: corrupted documents, and engine snapshots
+    /// of a version other than 2 or 1, are [`ErrorKind::Admin`] errors.
     pub fn from_stream_snapshot(doc: &Json) -> Result<(String, StreamEngine), ServeError> {
         let admin = |m: String| ServeError::new(ErrorKind::Admin, m);
         if doc.get("format").and_then(Json::as_str) != Some(STREAM_SNAPSHOT_FORMAT) {

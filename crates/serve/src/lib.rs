@@ -5,7 +5,8 @@
 //! named checkpoint-and-communication pattern over `n` processes) and
 //! feeds it `send` / `deliver` / `checkpoint` / `crash` events; behind
 //! the scenes every stream owns one incremental R-graph engine
-//! ([`rdt_rgraph::IncrementalAnalysis`]), so live queries — the running
+//! ([`rdt_rgraph::IncrementalAnalysis`], the core instantiation: no chain
+//! closures, no undo journal), so live queries — the running
 //! count of reachable-but-untrackable checkpoint pairs, the recovery
 //! line, and the minimum/maximum consistent global checkpoint containing
 //! a target set — answer in time proportional to the touched state, not

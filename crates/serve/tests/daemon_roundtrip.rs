@@ -8,6 +8,10 @@
 //!   both sides.
 //! * **Isolation** — malformed frames and rejected events on one stream
 //!   never disturb another stream's answers.
+//! * **Core only** — `compact` reports the R-graph rows the daemon held
+//!   (it holds no others), and a pool document written by the daemon that
+//!   still carried the chain layer (engine snapshot version 1) restarts
+//!   into the same answers.
 
 use proptest::prelude::*;
 use rdt_json::Json;
@@ -111,6 +115,150 @@ fn replay(pool: &EnginePool, lines: &[String]) -> Vec<String> {
         .iter()
         .map(|line| handle.request(parse_line(line)).to_string())
         .collect()
+}
+
+/// `dropped` is the number of closure rows the daemon held and let go:
+/// R-graph nodes. Here the recovery line is the frontier `[2, 1]` and no
+/// delivery is pending, so exactly `C_{0,0}`, `C_{0,1}` and `C_{1,0}` go.
+/// (The engine that also kept chain closures counted their rows too.)
+#[test]
+fn compact_reports_the_r_graph_rows_it_dropped() {
+    let lines: Vec<String> = [
+        r#"{"op":"open","stream":"s","processes":2}"#,
+        r#"{"op":"event","stream":"s","type":"checkpoint","process":0}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"deliver","message":0}"#,
+        r#"{"op":"event","stream":"s","type":"checkpoint","process":1}"#,
+        r#"{"op":"event","stream":"s","type":"checkpoint","process":0}"#,
+        r#"{"op":"compact","stream":"s"}"#,
+        r#"{"op":"compact","stream":"s"}"#,
+    ]
+    .map(String::from)
+    .to_vec();
+    let pool = EnginePool::new(1);
+    let replies = replay(&pool, &lines);
+    assert_eq!(replies[6], r#"{"ok":true,"dropped":3,"epoch":1}"#);
+    assert_eq!(replies[7], r#"{"ok":true,"dropped":0,"epoch":1}"#);
+    pool.join();
+}
+
+/// The frames of the op script behind `snapshot_v1.json` (see the
+/// provenance header of `crates/rgraph/tests/snapshot_v1.rs`, whose
+/// `script` this mirrors draw for draw).
+fn v1_golden_session(name: &str) -> Vec<String> {
+    let n = 3;
+    let mut rng = Rng(5);
+    let (mut next_mid, mut in_flight) = (0u32, Vec::new());
+    let mut lines = vec![format!(
+        r#"{{"op":"open","stream":"{name}","processes":{n}}}"#
+    )];
+    for i in 0..72 {
+        match rng.below(8) {
+            0..=2 => lines.push(format!(
+                r#"{{"op":"event","stream":"{name}","type":"checkpoint","process":{}}}"#,
+                rng.below(n)
+            )),
+            3 | 4 => {
+                let from = rng.below(n);
+                let to = (from + 1 + rng.below(n - 1)) % n;
+                lines.push(format!(
+                    r#"{{"op":"event","stream":"{name}","type":"send","from":{from},"to":{to}}}"#
+                ));
+                in_flight.push(next_mid);
+                next_mid += 1;
+            }
+            _ if in_flight.len() > 1 => {
+                let mid = in_flight.swap_remove(rng.below(in_flight.len()));
+                lines.push(format!(
+                    r#"{{"op":"event","stream":"{name}","type":"deliver","message":{mid}}}"#
+                ));
+            }
+            _ => {}
+        }
+        if i == 44 {
+            lines.push(format!(r#"{{"op":"compact","stream":"{name}"}}"#));
+        }
+    }
+    lines
+}
+
+/// A daemon restarted from a pool document whose stream carries a
+/// version 1 engine snapshot (chain tables and all) answers byte for byte
+/// like a daemon that ingested the same stream live, and persists it as
+/// version 2 from then on.
+#[test]
+fn restart_from_a_v1_engine_snapshot_answers_identically() {
+    let golden = include_str!("../../rgraph/tests/golden/snapshot_v1.json");
+    let engine = Json::parse_bytes(golden.as_bytes()).expect("golden parses");
+    assert_eq!(engine.get("version"), Some(&Json::U64(1)));
+    let doc = Json::obj([
+        ("format", Json::Str(rdt_serve::POOL_SNAPSHOT_FORMAT.into())),
+        ("version", Json::U64(rdt_serve::POOL_SNAPSHOT_VERSION)),
+        (
+            "streams",
+            Json::Arr(vec![Json::obj([
+                (
+                    "format",
+                    Json::Str(rdt_serve::STREAM_SNAPSHOT_FORMAT.into()),
+                ),
+                ("name", Json::Str("legacy".into())),
+                ("crashes", Json::U64(0)),
+                ("engine", engine),
+            ])]),
+        ),
+    ]);
+    let restarted = EnginePool::new(2);
+    assert_eq!(
+        restarted
+            .handle()
+            .restore_document(&doc, 2)
+            .expect("restore"),
+        1
+    );
+    let live = EnginePool::new(2);
+    replay(&live, &v1_golden_session("legacy"));
+
+    let mut queries: Vec<String> = ["untrackable", "recovery-line"]
+        .iter()
+        .map(|what| format!(r#"{{"op":"query","stream":"legacy","what":"{what}"}}"#))
+        .collect();
+    for what in ["min-consistent", "max-consistent"] {
+        for member in ["[0,7]", "[1,5]", "[2,6]", "[0,9]", "[1,1]", "[2,3]"] {
+            queries.push(format!(
+                r#"{{"op":"query","stream":"legacy","what":"{what}","members":[{member}]}}"#
+            ));
+        }
+    }
+    queries.push(r#"{"op":"event","stream":"legacy","type":"crash","process":1}"#.into());
+    queries.push(r#"{"op":"compact","stream":"legacy"}"#.into());
+    queries.push(r#"{"op":"query","stream":"legacy","what":"untrackable"}"#.into());
+    let (a, b) = (replay(&restarted, &queries), replay(&live, &queries));
+    assert_eq!(a, b);
+    assert_eq!(a[0], r#"{"ok":true,"untrackable":6}"#);
+    assert!(
+        a.iter().all(|reply| reply.starts_with(r#"{"ok":true"#)),
+        "{a:?}"
+    );
+
+    // Persisted again, the stream is a version 2 document equal to the
+    // live daemon's, except for `reclaimed_rows`: a monotone counter carried
+    // as stored, which in the v1 document also counted the 24 + 8 chain
+    // rows its one compaction dropped (18 R rows then, 3 more above).
+    let text = |pool: &EnginePool| {
+        pool.handle()
+            .snapshot_document()
+            .expect("snapshot")
+            .to_string()
+    };
+    let persisted = text(&restarted);
+    assert!(persisted.contains(r#""version":2"#) && !persisted.contains("zmat"));
+    assert!(text(&live).contains(r#""reclaimed_rows":21"#));
+    assert_eq!(
+        persisted.replace(r#""reclaimed_rows":53"#, r#""reclaimed_rows":21"#),
+        text(&live)
+    );
+    restarted.join();
+    live.join();
 }
 
 proptest! {

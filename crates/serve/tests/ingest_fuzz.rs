@@ -1,13 +1,15 @@
 //! Fuzzing the daemon's ingest path: arbitrary bytes and mutated valid
 //! frames must never panic anywhere between the socket and the engines —
 //! they come back as structured error replies, and the streams that were
-//! already open keep answering correctly afterwards.
+//! already open keep answering correctly afterwards. The same holds for
+//! the other door into an engine, the snapshot document: a mutated stream
+//! snapshot restores to the same answers or is refused, nothing else.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use rdt_json::Json;
-use rdt_serve::{handle_request, ok_reply, parse_request, StreamEngine};
+use rdt_serve::{handle_request, ok_reply, parse_request, ErrorKind, StreamEngine};
 
 struct Rng(u64);
 
@@ -141,6 +143,82 @@ proptest! {
             )])
             .to_string()
         );
+    }
+
+    /// Mutated stream snapshots. The `version` of the engine document is
+    /// flipped: 2 restores, 1 is refused here (a version 2 body does not
+    /// have version 1's `msgs` width), anything else is an unsupported
+    /// version — all `admin` errors. Stray chain-layer keys injected into a
+    /// version 2 document (the top-level tables of version 1, or a `chains`
+    /// object) are **ignored**, like any key the core does not know: the
+    /// daemon's engine has no chain table they could corrupt. Bit flips in
+    /// the text restore or are refused, never panic.
+    #[test]
+    fn mutated_snapshots_restore_identically_or_are_refused(seed in any::<u64>()) {
+        let mut rng = Rng::new(seed);
+        let mut streams: BTreeMap<String, StreamEngine> = BTreeMap::new();
+        for frame in &valid_frames()[..10] {
+            handle_request(&mut streams, &parse_request(frame.as_bytes()).expect("valid"));
+        }
+        let doc = streams["s"].stream_snapshot("s");
+        // The replies to the four query frames, then the re-snapshot.
+        let answers = |engine: StreamEngine| {
+            let mut one = BTreeMap::from([("s".to_string(), engine)]);
+            let mut out: Vec<String> = valid_frames()[5..9]
+                .iter()
+                .map(|q| {
+                    let query = parse_request(q.as_bytes()).expect("valid");
+                    handle_request(&mut one, &query).to_string()
+                })
+                .collect();
+            out.push(one["s"].stream_snapshot("s").to_string());
+            out
+        };
+        let expected = answers(StreamEngine::from_stream_snapshot(&doc).expect("restores").1);
+        prop_assert_eq!(&expected[4], &doc.to_string());
+
+        // `doc["engine"]` with `key` set to (or given) `value`.
+        let with_engine_key = |key: &str, value: Json| {
+            let Json::Obj(mut outer) = doc.clone() else { panic!("stream snapshot is an object") };
+            let engine = &mut outer.iter_mut().find(|(k, _)| k == "engine").expect("engine").1;
+            let Json::Obj(fields) = engine else { panic!("engine snapshot is an object") };
+            match fields.iter_mut().find(|(k, _)| k == key) {
+                Some(slot) => slot.1 = value,
+                None => fields.push((key.to_string(), value)),
+            }
+            Json::Obj(outer)
+        };
+
+        for version in [0u64, 1, 2, 3, rng.next()] {
+            let restored = StreamEngine::from_stream_snapshot(&with_engine_key("version", Json::U64(version)));
+            match restored {
+                Ok((_, engine)) => {
+                    prop_assert_eq!(version, 2);
+                    prop_assert_eq!(answers(engine), expected.clone());
+                }
+                Err(err) => {
+                    prop_assert_ne!(version, 2);
+                    prop_assert_eq!(err.kind, ErrorKind::Admin);
+                    prop_assert_eq!(err.message.contains("unsupported snapshot version"), version != 1);
+                }
+            }
+        }
+        let junk = [Json::Null, Json::U64(rng.next()), Json::Arr(vec![Json::U64(9999); 3]), Json::obj([("recs", Json::Null)])];
+        for key in ["zmat", "cmat", "z_slots", "c_spine", "c_delivs", "c_linked", "slot_base", "chain_floor", "chains"] {
+            let stray = with_engine_key(key, junk[rng.below(junk.len())].clone());
+            let (_, engine) = StreamEngine::from_stream_snapshot(&stray).expect("stray chain keys are ignored");
+            prop_assert_eq!(answers(engine), expected.clone());
+        }
+        for _ in 0..50 {
+            let mut bytes = doc.to_string().into_bytes();
+            let i = rng.below(bytes.len());
+            bytes[i] ^= 1 << rng.below(8);
+            if let Ok(parsed) = Json::parse_bytes(&bytes) {
+                if let Ok((_, engine)) = StreamEngine::from_stream_snapshot(&parsed) {
+                    let _ = answers(engine);
+                }
+            }
+        }
     }
 
     /// Structurally valid JSON with adversarial *values* (huge numbers,

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use rdt_causality::ProcessId;
 use rdt_core::{CheckpointRecord, CicProtocol, ProtocolStats};
-use rdt_rgraph::IncrementalAnalysis;
+use rdt_rgraph::RewindableAnalysis;
 
 use crate::{
     AppContext, Application, SimConfig, SimDuration, SimMessageId, SimRng, SimTime, StopCondition,
@@ -252,7 +252,9 @@ impl RecoveryReport {
 /// Observations of the online RDT probe over one run.
 ///
 /// When [`SimConfig::online_rdt_probe`] is set, an
-/// [`IncrementalAnalysis`] engine shadows the simulation: every trace
+/// [`RewindableAnalysis`] engine (the R-graph core plus the journal its
+/// closed-view recovery-line query rewinds; no chain layer — the probe
+/// reads no chain closure) shadows the simulation: every trace
 /// event (checkpoint, send, delivery) is appended to the engine the moment
 /// it is recorded, and the engine's running count of
 /// reachable-but-untrackable checkpoint pairs is read back after each
@@ -276,7 +278,7 @@ pub struct OnlineRdtReport {
 
 /// The engine plus bookkeeping behind [`OnlineRdtReport`].
 struct OnlineProbe {
-    engine: IncrementalAnalysis,
+    engine: RewindableAnalysis,
     events: u64,
     first_violation_event: Option<u64>,
     /// First append the engine rejected, latched. The runner emits events
@@ -291,7 +293,7 @@ struct OnlineProbe {
 impl OnlineProbe {
     fn new(n: usize) -> Self {
         OnlineProbe {
-            engine: IncrementalAnalysis::new(n),
+            engine: RewindableAnalysis::layered(n),
             events: 0,
             first_violation_event: None,
             engine_error: None,

@@ -32,7 +32,7 @@
 //! captured from the layout-fan-out pipeline this one replaced.
 
 use rdt_json::{Json, ToJson};
-use rdt_rgraph::{GlobalCheckpoint, IncrementalAnalysis, Mark};
+use rdt_rgraph::{FullAnalysis, GlobalCheckpoint, Mark};
 use rdt_sim::{parallel_map_indexed_observed, Stopwatch};
 
 use crate::enumerate::{EnumerationCounts, Schedule};
@@ -330,13 +330,13 @@ impl ToJson for CertifyReport {
 ///
 /// Consecutive enumerated schedules differ in a suffix, so consecutive
 /// replays of the same protocol produce op streams sharing a prefix. The
-/// session keeps one [`IncrementalAnalysis`] loaded with the previous op
+/// session keeps one [`FullAnalysis`] loaded with the previous op
 /// stream plus a [`Mark`] per op: loading the next stream rewinds to the
 /// longest common prefix and appends only the differing suffix — the
 /// replay trie is walked implicitly, one branch at a time.
 struct CertSession {
     n: usize,
-    incr: IncrementalAnalysis,
+    incr: FullAnalysis,
     ops: Vec<PatternOp>,
     /// `marks[i]` = engine state after `ops[..i]` (so `marks[0]` is the
     /// empty pattern).
@@ -353,7 +353,7 @@ struct CertSession {
 
 impl CertSession {
     fn new(n: usize) -> Self {
-        let incr = IncrementalAnalysis::new(n);
+        let incr = FullAnalysis::layered(n);
         let start = incr.mark();
         CertSession {
             n,
@@ -383,7 +383,7 @@ impl CertSession {
             // shared across the boundary, so replay from the empty
             // pattern — results are those of a fresh engine by
             // construction.
-            self.incr = IncrementalAnalysis::new(self.n);
+            self.incr = FullAnalysis::layered(self.n);
             self.ops.clear();
             self.marks.clear();
             self.marks.push(self.incr.mark());
