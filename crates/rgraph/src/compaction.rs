@@ -27,10 +27,27 @@
 //!   R-graph global-checkpoint oracle below the base.
 //!
 //! The message table itself is never dropped (records are plain
-//! integers, and external message handles must stay stable), which keeps
-//! the fixpoint-based consistency oracles exact over the *entire*
-//! history. Only the quadratic state — closure and transpose rows, TDV
-//! snapshots of delivered messages — is reclaimed.
+//! integers, and external message handles must stay stable), so the
+//! fixpoint-based consistency oracles stay exact over the *entire*
+//! history; they read it through the per-process send index
+//! (`send_events`), newest send first, and so touch the sends above their
+//! answer and not the table. Only the quadratic state — closure and
+//! transpose rows, TDV snapshots of delivered messages — is reclaimed.
+//!
+//! # What a compaction costs
+//!
+//! Nothing here is linear in the stream's age. The watermark is one
+//! descent (the sends above it). The passes over the message table —
+//! retention floor and in-transit count, then the piggyback rebuild — start
+//! at the **settled-prefix cursor**: every message below it is delivered in
+//! a closed interval and owns no piggyback row, so it can neither hold the
+//! floor down, nor be in transit, nor have a row to move. The cursor is a
+//! cache of what `msgs` already says, not state: each state-discarding
+//! compaction advances it to the first message that is not settled yet, a
+//! restore restarts it at 0 (the first compaction afterwards walks the
+//! table once), and nothing is serialised for it. A rewind cannot cross it
+//! because the journal is discarded at the very point it moves. A `compact`
+//! that finds nothing to reclaim reads the live suffix once and returns.
 //!
 //! What the chain layer keeps through a compaction, and why chain queries
 //! stay exact for heads above the watermark, is told at its `on_compact`
@@ -142,26 +159,48 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// Panics if `caps` has a length other than the process count.
     pub fn compact_to(&mut self, caps: &[u32]) -> CompactionStats {
         assert_eq!(caps.len(), self.n, "caps length");
-        let n = self.n;
-
         // Effective watermark: consistent, monotone, within the pattern.
-        let mut w = vec![0u32; n];
-        let clamp: Vec<u32> = (0..n)
+        let mut w: Vec<u32> = (0..self.n)
             .map(|p| caps[p].max(self.watermark[p]).min(self.cp_count[p]))
             .collect();
-        self.max_consistent_dominated_into(&clamp, &mut w);
+        descend_to_consistent(&self.msgs, &self.send_events, &mut w);
+        self.compact_below(w).0
+    }
+
+    /// Compacts to the engine's own recovery line: the greatest
+    /// consistent global checkpoint of the current pattern
+    /// ([`compact_to`](IncrementalAnalysis::compact_to) with the last
+    /// checkpoint of every process as caps).
+    pub fn compact_to_recovery_line(&mut self) -> CompactionStats {
+        let mut w = vec![0u32; self.n];
+        self.recovery_line_into(&mut w);
+        self.compact_below(w).0
+    }
+
+    /// [`compact_to`](IncrementalAnalysis::compact_to) below the consistent
+    /// watermark `w` (which dominates the previous one). Also returns the
+    /// number of message records its passes over the table examined: none
+    /// below the settled-prefix cursor.
+    pub(super) fn compact_below(&mut self, w: Vec<u32>) -> (CompactionStats, usize) {
+        let n = self.n;
+        let live = self.settled;
 
         // Retention floor `rb[p]`: first R-node kept — no pending Rule 2
-        // edge may name a checkpoint below it.
+        // edge may name a checkpoint below it. The same pass counts the
+        // messages in transit and finds where the settled prefix will end.
         let mut rb = w.clone();
-        for m in &self.msgs {
+        let (mut in_transit, mut settled) = (0, self.msgs.len());
+        for (i, m) in self.msgs[live..].iter().enumerate() {
             let from = m.from as usize;
+            in_transit += usize::from(m.deliver_iv == NONE_U32);
             let unclosed_delivery =
                 m.deliver_iv == NONE_U32 || m.deliver_iv > self.cp_count[m.to as usize];
-            if unclosed_delivery && m.send_iv < rb[from] {
-                rb[from] = m.send_iv;
+            if unclosed_delivery {
+                settled = settled.min(live + i);
+                rb[from] = rb[from].min(m.send_iv);
             }
         }
+        let mut examined = self.msgs.len() - live;
         debug_assert!(
             (0..n).all(|p| rb[p] >= self.cp_base[p] && w[p] >= self.watermark[p]),
             "retention floor or watermark went backwards"
@@ -169,19 +208,19 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
 
         let kept = self.r_meta.iter().map(|&(p, idx)| idx >= rb[p as usize]);
         let (r_remap, new_r_nodes) = remap_kept(kept);
-        let in_transit = |m: &&MsgRec| m.deliver_iv == NONE_U32;
         let mut stats = CompactionStats {
             watermark: w.clone(),
             dropped_r_nodes: self.rmat.nodes - new_r_nodes,
             dropped_z_nodes: 0,
             dropped_c_nodes: 0,
-            freed_tdv_rows: self.msg_tdv.len() / n - self.msgs.iter().filter(in_transit).count(),
+            freed_tdv_rows: self.msg_tdv.len() / n - in_transit,
             resident_nodes: self.resident_closure_nodes(),
         };
         if !stats.discarded_state() {
-            // Nothing to reclaim: leave journal, marks and watermark as
-            // they are (the next discarding compaction recomputes it).
-            return stats;
+            // Nothing to reclaim: leave journal, marks, watermark and
+            // cursor as they are (the next discarding compaction
+            // recomputes them).
+            return (stats, examined);
         }
 
         // The remap preserves order, so the retained rows of a per-node
@@ -243,7 +282,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         self.cp_base = rb;
 
         let mut new_msg_tdv = Vec::new();
-        for m in &mut self.msgs {
+        for m in &mut self.msgs[live..] {
             if m.deliver_iv == NONE_U32 {
                 let src = m.tdv_row as usize * n;
                 m.tdv_row = (new_msg_tdv.len() / n) as u32;
@@ -253,6 +292,8 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             }
         }
         self.msg_tdv = new_msg_tdv;
+        examined += self.msgs.len() - live;
+        self.settled = settled;
 
         (stats.dropped_z_nodes, stats.dropped_c_nodes) = self.chains.on_compact(&w, &self.msgs);
 
@@ -263,16 +304,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         self.watermark = w;
         self.reclaimed_rows += stats.dropped_nodes() as u64;
         stats.resident_nodes = self.resident_closure_nodes();
-        stats
-    }
-
-    /// Compacts to the engine's own recovery line: the greatest
-    /// consistent global checkpoint of the current pattern
-    /// ([`compact_to`](IncrementalAnalysis::compact_to) with the last
-    /// checkpoint of every process as caps).
-    pub fn compact_to_recovery_line(&mut self) -> CompactionStats {
-        let caps = self.cp_count.clone();
-        self.compact_to(&caps)
+        (stats, examined)
     }
 
     // ---------------------------------------------- compaction stats ----

@@ -483,6 +483,13 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     drop_reach: Vec<u32>,
     /// Total closure rows reclaimed across all compactions.
     reclaimed_rows: u64,
+    /// Settled-prefix cursor: every message below it is delivered in a
+    /// closed interval and owns no piggyback row, so no compaction has
+    /// anything left to do for it. A cache of what `msgs` already says —
+    /// advanced by each state-discarding compaction (which also discards
+    /// the journal, so no rewind reaches below it), 0 after a restore, and
+    /// therefore not part of the snapshot.
+    settled: usize,
 }
 
 impl IncrementalAnalysis {
@@ -539,6 +546,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             cp_base: vec![0; n],
             drop_reach: Vec::new(),
             reclaimed_rows: 0,
+            settled: 0,
         }
     }
 
@@ -823,7 +831,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// a `gc` of the wrong length.
     pub fn min_consistent_containing_into(&self, members: &[CheckpointId], gc: &mut [u32]) -> bool {
         self.member_floor(members, gc);
-        ascend_to_consistent(&self.msgs, &self.cp_count, gc)
+        ascend_to_consistent(&self.msgs, &self.send_events, &self.cp_count, gc).0
             && members.iter().all(|&m| gc[m.process.index()] == m.index)
     }
 
@@ -850,7 +858,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             let e = &mut gc[member.process.index()];
             *e = (*e).min(member.index);
         }
-        descend_to_consistent(&self.msgs, gc);
+        descend_to_consistent(&self.msgs, &self.send_events, gc);
         members.iter().all(|&m| gc[m.process.index()] == m.index)
     }
 
@@ -871,7 +879,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         for (entry, &cap) in out.iter_mut().zip(caps) {
             *entry = (*entry).min(cap);
         }
-        descend_to_consistent(&self.msgs, out);
+        descend_to_consistent(&self.msgs, &self.send_events, out);
     }
 
     /// Allocating form of
@@ -881,6 +889,18 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         let mut line = vec![0; self.n];
         self.max_consistent_dominated_into(caps, &mut line);
         GlobalCheckpoint::new(line)
+    }
+
+    /// The engine's own recovery line, written into `out`:
+    /// [`max_consistent_dominated_into`](IncrementalAnalysis::max_consistent_dominated_into)
+    /// with the last checkpoint of every process as caps, without the
+    /// caller assembling that frontier first.
+    ///
+    /// # Panics
+    /// If `out` has a length other than the process count.
+    pub fn recovery_line_into(&self, out: &mut [u32]) {
+        out.copy_from_slice(&self.cp_count);
+        descend_to_consistent(&self.msgs, &self.send_events, out);
     }
 
     /// Routing and interval placement of message `mid` (its send-order
@@ -1073,25 +1093,49 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
 
 /// Raises `gc` to the least consistent global checkpoint dominating it
 /// (while a delivered message is an orphan, its sender steps up to the
-/// send); `false` if that needs a checkpoint not yet taken. The two
-/// fixpoints read the message table only, so they are plain functions kept
-/// out of line: every instantiation of the engine, in every crate that
-/// instantiates it, runs one compiled copy.
+/// send); `false` if that needs a checkpoint not yet taken. Also returns
+/// the number of message records examined.
+///
+/// Each pass walks every sender's sends (`send_events[q]`, sorted by
+/// interval) from the newest down to `gc[q]` and stops at the first orphan:
+/// being the newest it is the sender's maximum, the only one its entry has
+/// to reach — and the only one that can sit in an interval the sender has
+/// not closed yet. Entries only rise, so a send at or below `gc[q]` is never
+/// looked at again, and a pass that changes nothing proves the fixpoint.
+///
+/// The two fixpoints read the message table only, so they are plain
+/// functions kept out of line: every instantiation of the engine, in every
+/// crate that instantiates it, runs one compiled copy.
 #[inline(never)]
-fn ascend_to_consistent(msgs: &[MsgRec], cp_count: &[u32], gc: &mut [u32]) -> bool {
+fn ascend_to_consistent(
+    msgs: &[MsgRec],
+    send_events: &[Vec<(u32, u32)>],
+    cp_count: &[u32],
+    gc: &mut [u32],
+) -> (bool, usize) {
+    let mut examined = 0;
     loop {
         let mut changed = false;
-        for rec in msgs.iter().filter(|rec| rec.deliver_iv != NONE_U32) {
-            if rec.deliver_iv <= gc[rec.to as usize] && rec.send_iv > gc[rec.from as usize] {
-                if rec.send_iv > cp_count[rec.from as usize] {
-                    return false;
+        for (q, sends) in send_events.iter().enumerate() {
+            for &(send_iv, mid) in sends.iter().rev() {
+                if send_iv <= gc[q] {
+                    break;
                 }
-                gc[rec.from as usize] = rec.send_iv;
-                changed = true;
+                examined += 1;
+                let rec = &msgs[mid as usize];
+                // In transit, `deliver_iv` is `NONE_U32`: above any entry.
+                if rec.deliver_iv <= gc[rec.to as usize] {
+                    if send_iv > cp_count[q] {
+                        return (false, examined);
+                    }
+                    gc[q] = send_iv;
+                    changed = true;
+                    break;
+                }
             }
         }
         if !changed {
-            return true;
+            return (true, examined);
         }
     }
 }
@@ -1099,20 +1143,67 @@ fn ascend_to_consistent(msgs: &[MsgRec], cp_count: &[u32], gc: &mut [u32]) -> bo
 /// Lowers `gc` to the greatest consistent global checkpoint it dominates:
 /// while some delivered message is an orphan (sent above the line,
 /// delivered at or below it), its receiver steps below the delivery.
+/// Returns the number of message records examined, which is exactly the
+/// number of sends above the returned line.
+///
+/// A worklist over `send_events`: each sender keeps a cursor that walks
+/// down from its newest send while the send is above `gc[p]`, so a send is
+/// examined once, when the line first drops below it. Once suffices because
+/// entries only fall: a send whose delivery sits above the receiver's entry
+/// when examined can never become an orphan later. A receiver whose entry
+/// drops exposes more of its own sends and is queued again; each process is
+/// on the work stack at most once, so cursors, queued flags and stack fit
+/// `3n` entries of scratch (on the stack up to `GC_STACK_ENTRIES`
+/// processes).
 #[inline(never)]
-fn descend_to_consistent(msgs: &[MsgRec], gc: &mut [u32]) {
-    loop {
-        let mut changed = false;
-        for rec in msgs.iter().filter(|rec| rec.deliver_iv != NONE_U32) {
-            if rec.send_iv > gc[rec.from as usize] && rec.deliver_iv <= gc[rec.to as usize] {
-                gc[rec.to as usize] = rec.deliver_iv - 1;
-                changed = true;
+fn descend_to_consistent(
+    msgs: &[MsgRec],
+    send_events: &[Vec<(u32, u32)>],
+    gc: &mut [u32],
+) -> usize {
+    let n = gc.len();
+    let (mut on_stack, mut on_heap) = ([0u32; 3 * GC_STACK_ENTRIES], Vec::new());
+    let scratch = if n <= GC_STACK_ENTRIES {
+        &mut on_stack[..3 * n]
+    } else {
+        on_heap.resize(3 * n, 0);
+        &mut on_heap[..]
+    };
+    let (cursor, rest) = scratch.split_at_mut(n);
+    let (queued, stack) = rest.split_at_mut(n);
+    for p in 0..n {
+        cursor[p] = send_events[p].len() as u32;
+        queued[p] = 1;
+        stack[p] = p as u32;
+    }
+    let (mut top, mut examined) = (n, 0);
+    while top > 0 {
+        top -= 1;
+        let p = stack[top] as usize;
+        queued[p] = 0;
+        let sends = &send_events[p];
+        let mut at = cursor[p] as usize;
+        while let Some(&(send_iv, mid)) = sends[..at].last() {
+            if send_iv <= gc[p] {
+                break;
+            }
+            at -= 1;
+            examined += 1;
+            let rec = &msgs[mid as usize];
+            let to = rec.to as usize;
+            // In transit, `deliver_iv` is `NONE_U32`: above any entry.
+            if rec.deliver_iv <= gc[to] {
+                gc[to] = rec.deliver_iv - 1;
+                if queued[to] == 0 {
+                    queued[to] = 1;
+                    stack[top] = to as u32;
+                    top += 1;
+                }
             }
         }
-        if !changed {
-            return;
-        }
+        cursor[p] = at as u32;
     }
+    examined
 }
 
 /// Where a message sits in the pattern: who sent it, who receives it, and
@@ -1691,6 +1782,208 @@ mod tests {
     fn rewind_across_a_no_op_compaction_is_bit_equal_to_a_fresh_replay() {
         no_op_compaction_rewinds::<Chains>();
         no_op_compaction_rewinds::<NoChains>();
+    }
+
+    // ------------------------------------------------- work bound ----
+
+    /// A core engine fed a stream of `query-mix-tcp`'s shape: 16
+    /// processes, every 4th event a checkpoint of a random process,
+    /// otherwise a send or a delivery of a random message in flight (at
+    /// most 16), and every 2 000 events a coordinated round — everything
+    /// in flight delivered, every process checkpointed — followed by a
+    /// compaction to the recovery line.
+    struct QueryMixStream {
+        core: IncrementalAnalysis,
+        rng: Rng,
+        events: u32,
+        in_flight: Vec<u32>,
+        /// Messages sent before the last coordinated round.
+        sent_before_round: usize,
+    }
+
+    /// Records examined by the costliest query of each kind.
+    #[derive(Debug, Default)]
+    struct Examined {
+        recovery_line: usize,
+        max_consistent: usize,
+        min_consistent: usize,
+    }
+
+    impl QueryMixStream {
+        const N: usize = 16;
+
+        fn new(seed: u64) -> Self {
+            QueryMixStream {
+                core: IncrementalAnalysis::new(Self::N),
+                rng: Rng(seed | 1),
+                events: 0,
+                in_flight: Vec::new(),
+                sent_before_round: 0,
+            }
+        }
+
+        fn event(&mut self) {
+            self.events += 1;
+            let (core, rng) = (&mut self.core, &mut self.rng);
+            if self.events.is_multiple_of(4) {
+                core.append_checkpoint(p(rng.below(Self::N)));
+                return;
+            }
+            let send = match self.in_flight.len() {
+                0 => true,
+                16.. => false,
+                _ => rng.below(2) == 0,
+            };
+            if send {
+                let from = rng.below(Self::N);
+                let to = (from + 1 + rng.below(Self::N - 1)) % Self::N;
+                self.in_flight.push(core.append_send(p(from), p(to)));
+            } else {
+                let at = rng.below(self.in_flight.len());
+                core.append_deliver(self.in_flight.swap_remove(at));
+            }
+        }
+
+        /// The coordinated round and its compaction, held to its bound: the
+        /// watermark is the frontier (a descent that examines nothing), and
+        /// the two passes over the message table — floor and in-transit
+        /// count, then the piggyback rebuild — start at the cursor the
+        /// previous round left behind, so each reads the messages sent
+        /// since then and no other record.
+        fn round_and_compact(&mut self) {
+            for mid in self.in_flight.drain(..) {
+                self.core.append_deliver(mid);
+            }
+            for i in 0..Self::N {
+                self.core.append_checkpoint(p(i));
+            }
+            let sent = self.core.num_messages();
+            assert_eq!(self.core.settled, self.sent_before_round, "cursor");
+            let (stats, examined) = self.compact();
+            assert!(stats.discarded_state());
+            assert_eq!(examined, 2 * (sent - self.sent_before_round));
+            assert_eq!(self.core.settled, sent, "every message is settled");
+            self.sent_before_round = sent;
+
+            // Straight after, a second compaction finds nothing to reclaim
+            // and examines no record at all.
+            let (stats, examined) = self.compact();
+            assert!(!stats.discarded_state());
+            assert_eq!(examined, 0, "a settled record was examined");
+        }
+
+        /// `compact_to_recovery_line`, with the records it examined.
+        fn compact(&mut self) -> (CompactionStats, usize) {
+            let mut w = self.core.cp_count.clone();
+            let descent = self.descend(&mut w);
+            let (stats, passes) = self.core.compact_below(w);
+            (stats, descent + passes)
+        }
+
+        /// One descent, held to its bound: it examines exactly the sends
+        /// above the line it returns — none at or below it, and, since a
+        /// correct descent has to look at every one of those, none twice.
+        fn descend(&self, gc: &mut [u32]) -> usize {
+            let examined = descend_to_consistent(&self.core.msgs, &self.core.send_events, gc);
+            let above = |(sends, &line): (&Vec<(u32, u32)>, &u32)| {
+                sends.len() - sends.partition_point(|&(iv, _)| iv <= line)
+            };
+            let above_line: usize = self.core.send_events.iter().zip(&*gc).map(above).sum();
+            assert_eq!(examined, above_line, "sends above the line {gc:?}");
+            examined
+        }
+
+        /// 1–3 members on distinct processes, each one of the last three
+        /// checkpoints of its process.
+        fn members(&mut self) -> Vec<CheckpointId> {
+            let first = self.rng.below(Self::N);
+            (0..1 + self.rng.below(3))
+                .map(|k| {
+                    let process = p((first + k) % Self::N);
+                    let last = self.core.last_checkpoint_index(process);
+                    let back = self.rng.below(last.min(2) as usize + 1) as u32;
+                    CheckpointId::new(process, last - back)
+                })
+                .collect()
+        }
+
+        /// Every fixpoint query of the daemon on the current state, each
+        /// counted form checked against the public one it mirrors.
+        fn queries(&mut self, worst: &mut Examined) {
+            let mut gc = self.core.cp_count.clone();
+            let line = self.descend(&mut gc);
+            worst.recovery_line = worst.recovery_line.max(line);
+            let mut public = vec![0; Self::N];
+            self.core.recovery_line_into(&mut public);
+            assert_eq!(gc, public);
+
+            let members = self.members();
+            let core = &self.core;
+            gc.copy_from_slice(&core.cp_count);
+            for m in &members {
+                gc[m.process.index()] = m.index;
+            }
+            let max = self.descend(&mut gc);
+            worst.max_consistent = worst.max_consistent.max(max);
+            let found = members.iter().all(|m| gc[m.process.index()] == m.index);
+            let found = found.then(|| GlobalCheckpoint::new(gc.clone()));
+            assert_eq!(found, core.max_consistent_containing(&members));
+
+            core.member_floor(&members, &mut gc);
+            let (ok, min) =
+                ascend_to_consistent(&core.msgs, &core.send_events, &core.cp_count, &mut gc);
+            worst.min_consistent = worst.min_consistent.max(min);
+            let found = ok && members.iter().all(|m| gc[m.process.index()] == m.index);
+            let found = found.then(|| GlobalCheckpoint::new(gc));
+            assert_eq!(found, core.min_consistent_containing(&members));
+        }
+    }
+
+    /// Queries and compactions cost the live suffix, not the stream's age.
+    /// Every descent and every compaction is held to an exact count where it
+    /// runs (`descend`, `round_and_compact`); here, over a final 4 000-event
+    /// window, the costliest query of each kind examines no more message
+    /// records than the window itself holds, whatever came before it. (With
+    /// whole-table fixpoints and whole-table compaction passes each count
+    /// would be the table — 1 500 to 77 000 records here — times the number
+    /// of passes.)
+    #[test]
+    fn work_bound_queries_and_compaction_cost_the_live_suffix() {
+        const WINDOW: u32 = 4_000;
+        for history in [0u32, 20_000, 200_000] {
+            let mut stream = QueryMixStream::new(0x5eed_0017);
+            let mut worst = Examined::default();
+            let mut sent_before_window = 0;
+            while stream.events < history + WINDOW {
+                if stream.events == history {
+                    sent_before_window = stream.core.num_messages();
+                }
+                stream.event();
+                if stream.events > history {
+                    stream.queries(&mut worst);
+                }
+                if stream.events.is_multiple_of(2_000) {
+                    stream.round_and_compact();
+                }
+            }
+            // A compaction with nothing to reclaim leaves the engine as it
+            // was, epoch and watermark included.
+            let state = stream.core.snapshot_json().to_string();
+            assert!(!stream.core.compact_to_recovery_line().discarded_state());
+            assert_eq!(stream.core.snapshot_json().to_string(), state);
+            let window = stream.core.num_messages() - sent_before_window;
+            for (what, examined) in [
+                ("recovery-line", worst.recovery_line),
+                ("max-consistent", worst.max_consistent),
+                ("min-consistent", worst.min_consistent),
+            ] {
+                assert!(
+                    (1..=window).contains(&examined),
+                    "{what} after {history} events examined {examined} records, \
+                     the window holds {window}"
+                );
+            }
+        }
     }
 
     proptest::proptest! {

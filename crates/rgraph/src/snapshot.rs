@@ -430,6 +430,9 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             cp_count,
             drop_reach: get_vec(doc, "drop_reach", read_u32)?,
             reclaimed_rows: get_u64(doc, "reclaimed_rows")?,
+            // Not in the document: the first compaction after a restore
+            // walks the table once and finds the cursor again.
+            settled: 0,
         };
         engine.check_core_tables()?;
         Ok(engine)

@@ -53,19 +53,11 @@ impl StreamEngine {
         self.engine.events_appended()
     }
 
-    /// The current per-process checkpoint frontier.
-    fn frontier(&self) -> Vec<u32> {
-        (0..self.processes())
-            .map(|p| self.engine.last_checkpoint_index(ProcessId::new(p)))
-            .collect()
-    }
-
     /// The recovery line: greatest consistent global checkpoint dominated
     /// by the current frontier.
     fn recovery_line(&self) -> Vec<u32> {
-        let caps = self.frontier();
         let mut line = vec![0u32; self.processes()];
-        self.engine.max_consistent_dominated_into(&caps, &mut line);
+        self.engine.recovery_line_into(&mut line);
         line
     }
 
