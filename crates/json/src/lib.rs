@@ -8,6 +8,8 @@
 //!   so emitted reports are stable and diffable),
 //! * [`Json::pretty`] / [`Display`](std::fmt::Display) — pretty and
 //!   compact writers,
+//! * [`JsonWriter`] — the compact form written straight into a byte buffer,
+//!   for documents too large to be worth building as a tree first,
 //! * [`Json::parse`] — a strict recursive-descent parser,
 //! * [`ToJson`] — the serialization trait experiment results and traces
 //!   implement by hand (tuples and `Vec`s compose automatically).
@@ -27,6 +29,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::io::Write as _;
 
 /// An ordered JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,40 +129,46 @@ impl Json {
 
     /// Pretty-prints with two-space indentation (serde_json style).
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out, Some(0));
-        out
+        into_text(out)
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>) {
+    /// Appends the compact form (what [`Display`](std::fmt::Display)
+    /// renders) to `out`.
+    pub fn write_compact(&self, out: &mut Vec<u8>) {
+        self.write(out, None);
+    }
+
+    fn write(&self, out: &mut Vec<u8>, indent: Option<usize>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(v) => out.push_str(&v.to_string()),
-            Json::I64(v) => out.push_str(&v.to_string()),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => push_bool(out, *b),
+            Json::U64(v) => push_u64(out, *v),
+            Json::I64(v) => push_i64(out, *v),
             Json::F64(v) => {
                 if v.is_finite() {
                     // `{:?}` keeps a fraction ("1.0") so floats re-parse as
-                    // floats.
-                    out.push_str(&format!("{v:?}"));
+                    // floats. Writing to a `Vec` cannot fail.
+                    let _ = write!(out, "{v:?}");
                 } else {
-                    out.push_str("null");
+                    out.extend_from_slice(b"null");
                 }
             }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => push_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
-                    out.push_str("[]");
+                    out.extend_from_slice(b"[]");
                     return;
                 }
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     match indent {
                         Some(level) => {
-                            out.push('\n');
+                            out.push(b'\n');
                             push_indent(out, level + 1);
                             item.write(out, Some(level + 1));
                         }
@@ -167,41 +176,41 @@ impl Json {
                     }
                 }
                 if let Some(level) = indent {
-                    out.push('\n');
+                    out.push(b'\n');
                     push_indent(out, level);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(pairs) => {
                 if pairs.is_empty() {
-                    out.push_str("{}");
+                    out.extend_from_slice(b"{}");
                     return;
                 }
-                out.push('{');
+                out.push(b'{');
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     match indent {
                         Some(level) => {
-                            out.push('\n');
+                            out.push(b'\n');
                             push_indent(out, level + 1);
-                            write_escaped(out, key);
-                            out.push_str(": ");
+                            push_escaped(out, key);
+                            out.extend_from_slice(b": ");
                             value.write(out, Some(level + 1));
                         }
                         None => {
-                            write_escaped(out, key);
-                            out.push(':');
+                            push_escaped(out, key);
+                            out.push(b':');
                             value.write(out, None);
                         }
                     }
                 }
                 if let Some(level) = indent {
-                    out.push('\n');
+                    out.push(b'\n');
                     push_indent(out, level);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -241,34 +250,231 @@ pub const MAX_DEPTH: usize = 128;
 impl fmt::Display for Json {
     /// Compact form (no whitespace).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out, None);
-        f.write_str(&out)
+        f.write_str(&into_text(out))
     }
 }
 
-fn push_indent(out: &mut String, level: usize) {
+// -------------------------------------------------------------- writer ---
+
+/// The text of a rendered document. Every writer below appends ASCII or
+/// whole `str`s, so the conversion never takes its lossy branch; it is
+/// there so that rendering stays total.
+fn into_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
+fn push_indent(out: &mut Vec<u8>, level: usize) {
     for _ in 0..level {
-        out.push_str("  ");
+        out.extend_from_slice(b"  ");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+fn push_bool(out: &mut Vec<u8>, value: bool) {
+    out.extend_from_slice(if value { b"true" } else { b"false" });
+}
+
+/// `00`, `01`, … `99`: two decimal digits per table step.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Appends `value` in decimal: the digits fill a stack buffer from the
+/// back, two per division, and are copied out once. A single digit — two
+/// numbers in three of a snapshot — skips the buffer.
+fn push_u64(out: &mut Vec<u8>, mut value: u64) {
+    if value < 10 {
+        out.push(b'0' + value as u8);
+        return;
+    }
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while value >= 100 {
+        let pair = (value % 100) as usize * 2;
+        value /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    // `value < 100` now: one more pair, less its leading zero.
+    let pair = value as usize * 2;
+    at -= 2;
+    buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    out.extend_from_slice(&buf[at + usize::from(value < 10)..]);
+}
+
+fn push_i64(out: &mut Vec<u8>, value: i64) {
+    if value < 0 {
+        out.push(b'-');
+    }
+    push_u64(out, value.unsigned_abs());
+}
+
+/// Appends `s` as a JSON string: quoted, with `"`, `\` and the control
+/// characters escaped. Every other byte — multi-byte UTF-8 sequences
+/// included — is copied through in runs.
+fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    let mut copied = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let short = match b {
+            b'"' => b'"',
+            b'\\' => b'\\',
+            b'\n' => b'n',
+            b'\r' => b'r',
+            b'\t' => b't',
+            0x00..=0x1F => b'u',
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[copied..i]);
+        copied = i + 1;
+        out.extend_from_slice(&[b'\\', short]);
+        if short == b'u' {
+            let digits = [HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xF)]];
+            out.extend_from_slice(b"00");
+            out.extend_from_slice(&digits);
         }
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[copied..]);
+    out.push(b'"');
+}
+
+/// Writes compact JSON text straight into a byte buffer, without a
+/// [`Json`] tree in between.
+///
+/// The writer emits exactly what [`Display`](std::fmt::Display) emits for
+/// the equivalent tree — same integer formatter, same string escaper, no
+/// whitespace — so `Json::parse_bytes(text)?.to_string()` is `text` again.
+/// It keeps one bit of state, whether the next key or value needs a comma
+/// before it, and does not check that containers are balanced or that
+/// object members have keys: it is for code that writes a fixed document
+/// shape, and a test that parses the output holds that shape.
+///
+/// ```rust
+/// use rdt_json::{Json, JsonWriter};
+///
+/// let mut out = Vec::new();
+/// let mut w = JsonWriter::new(&mut out);
+/// w.begin_object();
+/// w.key("name");
+/// w.str("fig7");
+/// w.key("rows");
+/// w.u32s(&[1, 2]);
+/// w.end_object();
+/// assert_eq!(out, br#"{"name":"fig7","rows":[1,2]}"#);
+/// assert_eq!(Json::parse_bytes(&out).unwrap().to_string().as_bytes(), out);
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Whether a `,` goes before the next key or value.
+    comma: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending one document (or one value) to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        JsonWriter { out, comma: false }
+    }
+
+    /// The separator before a value, and the state after it.
+    fn value(&mut self) {
+        if self.comma {
+            self.out.push(b',');
+        }
+        self.comma = true;
+    }
+
+    fn open(&mut self, bracket: u8) {
+        self.value();
+        self.out.push(bracket);
+        self.comma = false;
+    }
+
+    fn close(&mut self, bracket: u8) {
+        self.out.push(bracket);
+        self.comma = true;
+    }
+
+    /// Opens an object; its members are [`key`](JsonWriter::key) and value
+    /// calls up to the matching [`end_object`](JsonWriter::end_object).
+    pub fn begin_object(&mut self) {
+        self.open(b'{');
+    }
+
+    /// Closes the innermost open object.
+    pub fn end_object(&mut self) {
+        self.close(b'}');
+    }
+
+    /// Opens an array; its items are the value calls up to the matching
+    /// [`end_array`](JsonWriter::end_array).
+    pub fn begin_array(&mut self) {
+        self.open(b'[');
+    }
+
+    /// Closes the innermost open array.
+    pub fn end_array(&mut self) {
+        self.close(b']');
+    }
+
+    /// The key of the next object member; the next call writes its value
+    /// (`w.key("n").u64(3)`).
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.value();
+        push_escaped(self.out, key);
+        self.out.push(b':');
+        self.comma = false;
+        self
+    }
+
+    /// An unsigned integer.
+    pub fn u64(&mut self, value: u64) {
+        self.value();
+        push_u64(self.out, value);
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, value: bool) {
+        self.value();
+        push_bool(self.out, value);
+    }
+
+    /// A string.
+    pub fn str(&mut self, value: &str) {
+        self.value();
+        push_escaped(self.out, value);
+    }
+
+    /// A value that is already compact JSON text (a document written
+    /// earlier, say), copied through as it is.
+    pub fn raw(&mut self, text: &[u8]) {
+        self.value();
+        self.out.extend_from_slice(text);
+    }
+
+    /// An array with one `each` call per item.
+    pub fn array<T>(&mut self, items: &[T], mut each: impl FnMut(&mut Self, &T)) {
+        self.begin_array();
+        for item in items {
+            each(self, item);
+        }
+        self.end_array();
+    }
+
+    /// An array of unsigned integers.
+    pub fn u32s(&mut self, values: &[u32]) {
+        self.array(values, |w, &v| w.u64(u64::from(v)));
+    }
+
+    /// An array of unsigned integers.
+    pub fn u64s(&mut self, values: &[u64]) {
+        self.array(values, |w, &v| w.u64(v));
+    }
 }
 
 // -------------------------------------------------------------- parser ---
@@ -701,6 +907,91 @@ mod tests {
         let s = "line\nquote\"back\\slash\ttab\u{1}";
         let json = Json::Str(s.to_string());
         assert_eq!(Json::parse(&json.to_string()).unwrap(), json);
+    }
+
+    /// The integer formatter against the standard library's, over every
+    /// digit count and both signs' extremes.
+    #[test]
+    fn integers_format_like_the_standard_library() {
+        let mut values = vec![0u64, 9, 10, 99, 100, 101, 4_294_967_295, u64::MAX];
+        let mut power = 1u64;
+        for _ in 0..19 {
+            power *= 10;
+            values.extend([power - 1, power, power + 1]);
+        }
+        for v in values {
+            assert_eq!(Json::U64(v).to_string(), v.to_string());
+        }
+        for v in [0i64, -1, -9, -10, -100, 7, i64::MAX, i64::MIN, i64::MIN + 1] {
+            assert_eq!(Json::I64(v).to_string(), v.to_string());
+        }
+    }
+
+    /// Every escape class, with multi-byte characters between them.
+    #[test]
+    fn escaper_output_is_pinned() {
+        let s = "a\"b\\c\nd\re\tf\u{0}g\u{1f}h\u{7f}é€\u{1D11E}";
+        let text = Json::Str(s.to_string()).to_string();
+        assert_eq!(
+            text,
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0000g\\u001fh\u{7f}é€\u{1D11E}\""
+        );
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.to_string()));
+        assert_eq!(Json::Str(String::new()).to_string(), "\"\"");
+    }
+
+    /// The writer's text is the tree's compact text, empty containers and
+    /// nesting included, and pre-rendered values pass through.
+    #[test]
+    fn writer_emits_the_compact_form_of_the_tree() {
+        let tree = Json::obj([
+            ("format", "x\"y".to_json()),
+            ("n", Json::U64(3)),
+            (
+                "flags",
+                Json::Arr(vec![Json::Bool(true), Json::Bool(false)]),
+            ),
+            ("empty", Json::Arr(vec![])),
+            (
+                "rows",
+                vec![vec![1u32, 2], vec![], vec![u32::MAX]].to_json(),
+            ),
+            ("words", vec![0u64, u64::MAX].to_json()),
+            (
+                "inner",
+                Json::obj([("none", Json::Obj(vec![])), ("k", Json::U64(1))]),
+            ),
+            ("last", Json::U64(0)),
+        ]);
+        let mut inner = Vec::new();
+        let mut w = JsonWriter::new(&mut inner);
+        w.begin_object();
+        w.key("none").begin_object();
+        w.end_object();
+        w.key("k").u64(1);
+        w.end_object();
+
+        let mut out = Vec::new();
+        let mut w = JsonWriter::new(&mut out);
+        w.begin_object();
+        w.key("format").str("x\"y");
+        w.key("n").u64(3);
+        w.key("flags").array(&[true, false], |w, &b| w.bool(b));
+        w.key("empty").u32s(&[]);
+        w.key("rows")
+            .array(&[vec![1u32, 2], vec![], vec![u32::MAX]], |w, row| {
+                w.u32s(row)
+            });
+        w.key("words").u64s(&[0, u64::MAX]);
+        w.key("inner").raw(&inner);
+        w.key("last").u64(0);
+        w.end_object();
+        assert_eq!(String::from_utf8(out.clone()).unwrap(), tree.to_string());
+        assert_eq!(Json::parse_bytes(&out).unwrap(), tree);
+
+        let mut compact = b"[".to_vec();
+        tree.write_compact(&mut compact);
+        assert_eq!(compact[1..], out[..]);
     }
 
     /// Regression: truncated `\u` escapes used to reach

@@ -6,7 +6,7 @@
 //! causal links), so closure work stays proportional to new reachability,
 //! not to the O(M²) direct link count.
 
-use rdt_json::Json;
+use rdt_json::{Json, JsonWriter};
 
 use super::compaction::{rebuild_matrix, remap_kept};
 use super::*;
@@ -38,11 +38,10 @@ pub trait ChainLayer: Sized + std::fmt::Debug {
     fn resident_nodes(&self) -> usize {
         0
     }
-    /// The layer's tables for the snapshot document's `chains` key.
+    /// Writes the layer's tables as the snapshot document's `chains`
+    /// member; the absent layer writes nothing.
     #[doc(hidden)]
-    fn snapshot(&self) -> Option<Json> {
-        None
-    }
+    fn write_snapshot(&self, _: &mut JsonWriter<'_>) {}
     /// Reads the layer back for an engine of `n` processes and `msgs`
     /// messages. The absent layer ignores chain tables in the document (a
     /// version 1 snapshot's, or a stray `chains` key): nothing in a
@@ -275,8 +274,8 @@ impl ChainLayer for Chains {
         self.zmat.nodes + self.cmat.nodes
     }
 
-    fn snapshot(&self) -> Option<Json> {
-        Some(snapshot::chains_json(self))
+    fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        snapshot::write_chains(w, self);
     }
 
     fn restore(doc: &Json, n: usize, msgs: usize) -> Result<Self, SnapshotError> {

@@ -10,11 +10,26 @@
 //! marks become defined [`RewindError`]s, mirroring the compaction-boundary
 //! rule.
 //!
-//! The format is a single versioned [`Json`] object so the daemon can
-//! persist it with the workspace's own writer and reload it with the total
+//! The format is a single versioned JSON object, reloaded with the total
 //! [`Json::parse_bytes`]. Restore validates every cross-table invariant the
 //! append/query paths rely on for in-bounds indexing, so a corrupted or
 //! hand-edited snapshot is a [`SnapshotError`], never a panic later on.
+//!
+//! # One description of the written form
+//!
+//! The written form has one description, and it is a writer:
+//! [`write_snapshot`](IncrementalAnalysis::write_snapshot) lists the tables
+//! once, in document order, and renders them straight from the engine's
+//! vectors into the caller's byte buffer through [`JsonWriter`] — no [`Json`]
+//! tree, no allocation per row or per number. A tree of a few hundred
+//! thousand nodes cost the daemon four times what the 1.7 MB of text it
+//! stood for cost to write, so nothing on the persistence path builds one.
+//! [`snapshot_json`](IncrementalAnalysis::snapshot_json) is the *parsed form
+//! of that text*, kept for the callers that edit a document field by field
+//! (tests that corrupt one, the benchmark's ladder); the writer emits the
+//! canonical compact form, so the two agree exactly
+//! (`tests/snapshot_bytes.rs` holds the bytes to a golden and to digests
+//! captured from the tree builder this writer replaced).
 //!
 //! # Versions
 //!
@@ -31,14 +46,14 @@
 //!
 //! Any other version is [`SnapshotErrorKind::UnsupportedVersion`].
 
-use rdt_json::Json;
+use rdt_json::{Json, JsonWriter};
 
 use super::*;
 
 /// Identifies the snapshot format inside the JSON document.
 pub const SNAPSHOT_FORMAT: &str = "rdt-rgraph-snapshot";
 
-/// Snapshot format version written by [`IncrementalAnalysis::snapshot_json`].
+/// Snapshot format version written by [`IncrementalAnalysis::write_snapshot`].
 pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// What kind of rejection a [`SnapshotError`] is.
@@ -141,29 +156,21 @@ fn get_rows<T>(obj: &Json, key: &str, read: Read<T>) -> Result<Vec<Vec<T>>, Snap
 
 // ----------------------------------------------------------- writing ----
 
-fn arr<T>(items: &[T], json: impl Fn(&T) -> Json) -> Json {
-    Json::Arr(items.iter().map(json).collect())
+fn write_rows(w: &mut JsonWriter<'_>, rows: &[Vec<u32>]) {
+    w.array(rows, |w, row| w.u32s(row));
 }
 
-fn u32s(values: &[u32]) -> Json {
-    arr(values, |&v| Json::U64(u64::from(v)))
+fn write_tuples(w: &mut JsonWriter<'_>, values: &[(u32, u32)]) {
+    w.array(values, |w, &(a, b)| w.u32s(&[a, b]));
 }
 
-fn nested_u32s(rows: &[Vec<u32>]) -> Json {
-    arr(rows, |row| u32s(row))
-}
-
-fn pairs(values: &[(u32, u32)]) -> Json {
-    arr(values, |&(a, b)| u32s(&[a, b]))
-}
-
-fn matrix_json(mat: &ClosureMatrix) -> Json {
-    Json::obj([
-        ("nodes", Json::U64(mat.nodes as u64)),
-        ("width", Json::U64(mat.width as u64)),
-        ("fwd", arr(&mat.fwd, |&w| Json::U64(w))),
-        ("bwd", arr(&mat.bwd, |&w| Json::U64(w))),
-    ])
+fn write_matrix(w: &mut JsonWriter<'_>, mat: &ClosureMatrix) {
+    w.begin_object();
+    w.key("nodes").u64(mat.nodes as u64);
+    w.key("width").u64(mat.width as u64);
+    w.key("fwd").u64s(&mat.fwd);
+    w.key("bwd").u64s(&mat.bwd);
+    w.end_object();
 }
 
 fn matrix_from_json(obj: &Json, key: &str) -> Result<ClosureMatrix, SnapshotError> {
@@ -228,18 +235,18 @@ fn per_process<T>(table: Vec<T>, n: usize, key: &str) -> Result<Vec<T>, Snapshot
 
 // -------------------------------------------------------- chain layer ----
 
-/// The chain layer's tables, for the `chains` key of the document.
-pub(super) fn chains_json(chains: &Chains) -> Json {
-    Json::obj([
-        ("recs", arr(&chains.recs, |rec| u32s(rec))),
-        ("zmat", matrix_json(&chains.zmat)),
-        ("cmat", matrix_json(&chains.cmat)),
-        ("z_slots", nested_u32s(&chains.z_slots)),
-        ("c_spine", nested_u32s(&chains.c_spine)),
-        ("c_delivs", nested_u32s(&chains.c_delivs)),
-        ("c_linked", u32s(&chains.c_linked)),
-        ("slot_base", u32s(&chains.slot_base)),
-    ])
+/// Writes the chain layer's tables as the document's `chains` member.
+pub(super) fn write_chains(w: &mut JsonWriter<'_>, chains: &Chains) {
+    w.key("chains").begin_object();
+    w.key("recs").array(&chains.recs, |w, rec| w.u32s(rec));
+    write_matrix(w.key("zmat"), &chains.zmat);
+    write_matrix(w.key("cmat"), &chains.cmat);
+    write_rows(w.key("z_slots"), &chains.z_slots);
+    write_rows(w.key("c_spine"), &chains.c_spine);
+    write_rows(w.key("c_delivs"), &chains.c_delivs);
+    w.key("c_linked").u32s(&chains.c_linked);
+    w.key("slot_base").u32s(&chains.slot_base);
+    w.end_object();
 }
 
 /// Reads and validates the `chains` key of `doc` for an engine of `n`
@@ -292,46 +299,59 @@ pub(super) fn chains_from_json(doc: &Json, n: usize, msgs: usize) -> Result<Chai
 // --------------------------------------------------------------- core ----
 
 impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
-    /// Serializes the engine into a versioned JSON document: everything
-    /// appends and queries read (the chain layer's tables, where there is
-    /// one, under `chains`) and not the undo journal. Restored engines
-    /// answer every query and accept every append byte-identically, but
-    /// marks taken before the snapshot cannot be rewound to afterwards
+    /// Writes the engine as one versioned JSON document (one value of `w`):
+    /// everything appends and queries read (the chain layer's tables, where
+    /// there is one, under `chains`) and not the undo journal. Restored
+    /// engines answer every query and accept every append byte-identically,
+    /// but marks taken before the snapshot cannot be rewound to afterwards
     /// (a defined [`RewindError`], like marks across a compaction).
-    pub fn snapshot_json(&self) -> Json {
-        let msg_row = |m: &MsgRec| u32s(&[m.from, m.to, m.send_iv, m.deliver_iv, m.tdv_row]);
-        let core = [
-            ("format", Json::Str(SNAPSHOT_FORMAT.to_string())),
-            ("version", Json::U64(SNAPSHOT_VERSION)),
-            ("n", Json::U64(self.n as u64)),
-            ("events", Json::U64(self.events as u64)),
-            ("untrackable", Json::U64(self.untrackable)),
-            ("cp_count", u32s(&self.cp_count)),
-            ("line_open", arr(&self.line_open, |&b| Json::Bool(b))),
-            ("msgs", arr(&self.msgs, msg_row)),
-            ("cur_tdv", u32s(&self.cur_tdv)),
-            ("msg_tdv", u32s(&self.msg_tdv)),
-            ("cp_tdv", u32s(&self.cp_tdv)),
-            ("rmat", matrix_json(&self.rmat)),
-            ("r_meta", pairs(&self.r_meta)),
-            ("cp_nodes", nested_u32s(&self.cp_nodes)),
-            ("send_events", arr(&self.send_events, |row| pairs(row))),
-            (
-                "deliver_events",
-                arr(&self.deliver_events, |row| pairs(row)),
-            ),
-            ("epoch", Json::U64(self.epoch)),
-            ("watermark", u32s(&self.watermark)),
-            ("cp_base", u32s(&self.cp_base)),
-            ("drop_reach", u32s(&self.drop_reach)),
-            ("reclaimed_rows", Json::U64(self.reclaimed_rows)),
-        ];
-        let chains = self.chains.snapshot().map(|tables| ("chains", tables));
-        Json::obj(core.into_iter().chain(chains))
+    ///
+    /// This is the description of the written form: the tables and their
+    /// order are listed here and nowhere else.
+    pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        w.begin_object();
+        w.key("format").str(SNAPSHOT_FORMAT);
+        w.key("version").u64(SNAPSHOT_VERSION);
+        w.key("n").u64(self.n as u64);
+        w.key("events").u64(self.events as u64);
+        w.key("untrackable").u64(self.untrackable);
+        w.key("cp_count").u32s(&self.cp_count);
+        w.key("line_open")
+            .array(&self.line_open, |w, &open| w.bool(open));
+        w.key("msgs").array(&self.msgs, |w, m| {
+            w.u32s(&[m.from, m.to, m.send_iv, m.deliver_iv, m.tdv_row])
+        });
+        w.key("cur_tdv").u32s(&self.cur_tdv);
+        w.key("msg_tdv").u32s(&self.msg_tdv);
+        w.key("cp_tdv").u32s(&self.cp_tdv);
+        write_matrix(w.key("rmat"), &self.rmat);
+        write_tuples(w.key("r_meta"), &self.r_meta);
+        write_rows(w.key("cp_nodes"), &self.cp_nodes);
+        w.key("send_events")
+            .array(&self.send_events, |w, row| write_tuples(w, row));
+        w.key("deliver_events")
+            .array(&self.deliver_events, |w, row| write_tuples(w, row));
+        w.key("epoch").u64(self.epoch);
+        w.key("watermark").u32s(&self.watermark);
+        w.key("cp_base").u32s(&self.cp_base);
+        w.key("drop_reach").u32s(&self.drop_reach);
+        w.key("reclaimed_rows").u64(self.reclaimed_rows);
+        self.chains.write_snapshot(w);
+        w.end_object();
     }
 
-    /// Restores an engine of this instantiation from a [`snapshot_json`]
-    /// (IncrementalAnalysis::snapshot_json) document.
+    /// The snapshot as a [`Json`] tree: the parsed form of what
+    /// [`write_snapshot`](IncrementalAnalysis::write_snapshot) writes, for
+    /// callers that take a document apart. Nothing that persists an engine
+    /// goes through it.
+    pub fn snapshot_json(&self) -> Json {
+        let mut text = Vec::new();
+        self.write_snapshot(&mut JsonWriter::new(&mut text));
+        Json::parse_bytes(&text).expect("the writer emits well-formed JSON")
+    }
+
+    /// Restores an engine of this instantiation from the parsed form of a
+    /// [`write_snapshot`](IncrementalAnalysis::write_snapshot) document.
     ///
     /// The restore is **total and validating**: unknown formats, missing
     /// fields, wrong types, and — crucially — cross-table inconsistencies

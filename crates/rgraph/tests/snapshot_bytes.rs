@@ -1,0 +1,279 @@
+//! The written form of a version 2 snapshot, pinned from the tree builder
+//! that defined it.
+//!
+//! `golden/snapshot_v2.json` (the core engine) and
+//! `golden/snapshot_v2_chains.json` ([`FullAnalysis`], the same tables plus
+//! the `chains` key) and the [`DIGESTS`] table were written **at the parent
+//! of the commit that replaced the `Json` tree builder by
+//! `write_snapshot`** (`6e11897`), by that builder's own
+//! `snapshot_json().to_string()` on the scripts below. They are never
+//! regenerated: the code that wrote them no longer exists, and the writer
+//! that replaced it is the only description of the format left.
+//!
+//! The golden is one readable document: [`golden_script`], xorshift seed 4
+//! over 3 processes, 72 draws with a `compact_to_recovery_line` after draw
+//! 30 and a `compact_to([6, 1, 3])` after draw 55. It leaves 19 messages of
+//! which 3 are in flight, `watermark` [6, 5, 4] over `cp_base` [6, 5, 2]
+//! and a populated `drop_reach`. The digests cover what one script cannot:
+//! 24 scripts over 2 to 5 processes with both compaction entry points
+//! interleaved at random, four states each and both instantiations, so two
+//! same-typed tables swapped by the writer cannot hide behind one state in
+//! which they happen to be equal.
+//!
+//! Beside the pinned bytes, every corpus state is held to the two
+//! properties the rest of the workspace builds on: the writer emits the
+//! canonical compact form (`parse(text).to_string() == text`, which is what
+//! makes `snapshot_json()` exactly the parsed form of the text), and
+//! restore → continue → re-write is byte-identical on both sides.
+
+use rdt_causality::ProcessId;
+use rdt_json::{Json, JsonWriter};
+use rdt_rgraph::{
+    ChainLayer, Chains, FullAnalysis, IncrementalAnalysis, Journal, NoChains, NoJournal,
+    UndoJournal,
+};
+
+const GOLDEN_CORE: &str = include_str!("golden/snapshot_v2.json");
+const GOLDEN_CHAINS: &str = include_str!("golden/snapshot_v2_chains.json");
+
+/// Draws per corpus state, and states per script.
+const STRIDE: usize = 40;
+const STATES: usize = 4;
+
+/// Per script `(n, seed)`: FNV-1a 64 over the texts of its four states, in
+/// order, of the core engine and of [`FullAnalysis`].
+const DIGESTS: [(usize, u64, u64, u64); 24] = [
+    (2, 1, 0xe375d3a8e8f4ecaf, 0x148be788e600f75f),
+    (2, 2, 0xf188e05077f1916f, 0xf4bd7176b5c7fed8),
+    (2, 3, 0xc3f5781c778c8f7a, 0xaf7c06b87a3ab7ab),
+    (2, 4, 0x43407479b30d9fc1, 0x6035f3a4f72b56a3),
+    (2, 5, 0x13dcca54a30d53ce, 0x527e83903af6b989),
+    (2, 6, 0xbb98a33f35493122, 0x031dba49cd6d4402),
+    (3, 1, 0x4e60dfc03e4bbd8c, 0x50da4188576e51d4),
+    (3, 2, 0x542cf7b71e0e4495, 0xa7e9bf1c3d33341c),
+    (3, 3, 0xf838cb5ee157b04f, 0x91e51c6b277089fc),
+    (3, 4, 0x2e30a803bf05d95b, 0x2c00d3949f0b00ca),
+    (3, 5, 0x1b57daef55f00727, 0xe83707df2acb97d8),
+    (3, 6, 0xba1a913e4febee74, 0x8aeb8277e86a8eaa),
+    (4, 1, 0xf6a10f512a75a5fb, 0x1b8de2b84de30e9a),
+    (4, 2, 0x10cbd22d3f623531, 0xf02fc0826bab9203),
+    (4, 3, 0x1e6063ce3d51b0a3, 0x48cff80153c5044a),
+    (4, 4, 0x688ba31f3d2b1f89, 0xa7211658462e7ddb),
+    (4, 5, 0xd5faa785714c75ba, 0x4b272b856f2cff16),
+    (4, 6, 0xb82b87256789092f, 0x93932b86f0cb69f3),
+    (5, 1, 0x611b34f5abd5ccff, 0x906eb10bdc938cba),
+    (5, 2, 0x6fcd703610765340, 0x378244572555b447),
+    (5, 3, 0xcd468c2c31de4b7d, 0x474a3101a024b716),
+    (5, 4, 0xfe5933c3ac03b868, 0x9d5a7e9b58ca90f0),
+    (5, 5, 0x1b92bf0c5ee487d4, 0xa357e3bdac568896),
+    (5, 6, 0x4723d00bc858e72b, 0xb2a465d38390096f),
+];
+
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 as usize) % n
+    }
+}
+
+#[derive(Clone, Debug)]
+enum Op {
+    Cp(usize),
+    Send(usize, usize),
+    Del(u32),
+    CompactToLine,
+    CompactTo(Vec<u32>),
+}
+
+/// What a script generator carries from draw to draw.
+struct Script {
+    rng: Rng,
+    n: usize,
+    next_mid: u32,
+    in_flight: Vec<u32>,
+    /// Checkpoints taken per process, for caps that land inside the pattern.
+    taken: Vec<u32>,
+}
+
+impl Script {
+    fn new(n: usize, seed: u64) -> Script {
+        Script {
+            rng: Rng(seed),
+            n,
+            next_mid: 0,
+            in_flight: Vec::new(),
+            taken: vec![0; n],
+        }
+    }
+
+    /// One append of the `snapshot_differential.rs` mix; a delivery leaves
+    /// at least one message in flight.
+    fn append(&mut self) -> Option<Op> {
+        let n = self.n;
+        match self.rng.below(8) {
+            0..=2 => {
+                let p = self.rng.below(n);
+                self.taken[p] += 1;
+                Some(Op::Cp(p))
+            }
+            3 | 4 => {
+                let from = self.rng.below(n);
+                self.in_flight.push(self.next_mid);
+                self.next_mid += 1;
+                Some(Op::Send(from, (from + 1 + self.rng.below(n - 1)) % n))
+            }
+            _ if self.in_flight.len() > 1 => {
+                let k = self.rng.below(self.in_flight.len());
+                Some(Op::Del(self.in_flight.swap_remove(k)))
+            }
+            _ => None,
+        }
+    }
+
+    fn random_caps(&mut self) -> Vec<u32> {
+        (0..self.n)
+            .map(|p| self.rng.below(self.taken[p] as usize + 1) as u32)
+            .collect()
+    }
+}
+
+/// The golden's op script.
+fn golden_script() -> Vec<Op> {
+    let mut script = Script::new(3, 4);
+    let mut ops = Vec::new();
+    for i in 0..72 {
+        ops.extend(script.append());
+        match i {
+            30 => ops.push(Op::CompactToLine),
+            55 => ops.push(Op::CompactTo(script.random_caps())),
+            _ => {}
+        }
+    }
+    ops
+}
+
+/// One corpus script: `STATES × STRIDE` draws, about one in sixteen a
+/// compaction, alternately to the recovery line and to random caps.
+fn corpus_script(n: usize, seed: u64) -> Vec<Vec<Op>> {
+    let mut script = Script::new(n, seed);
+    (0..STATES)
+        .map(|_| {
+            let mut ops = Vec::new();
+            for _ in 0..STRIDE {
+                match script.rng.below(16) {
+                    0 if script.rng.below(2) == 0 => ops.push(Op::CompactToLine),
+                    0 => ops.push(Op::CompactTo(script.random_caps())),
+                    _ => ops.extend(script.append()),
+                }
+            }
+            ops
+        })
+        .collect()
+}
+
+fn apply<C: ChainLayer, J: Journal>(engine: &mut IncrementalAnalysis<C, J>, op: &Op) {
+    match op {
+        Op::Cp(p) => {
+            engine.append_checkpoint(ProcessId::new(*p));
+        }
+        Op::Send(from, to) => {
+            engine.append_send(ProcessId::new(*from), ProcessId::new(*to));
+        }
+        Op::Del(mid) => engine.append_deliver(*mid),
+        Op::CompactToLine => {
+            engine.compact_to_recovery_line();
+        }
+        Op::CompactTo(caps) => {
+            engine.compact_to(caps);
+        }
+    }
+}
+
+/// The engine's snapshot text, straight from the writer.
+fn text<C: ChainLayer, J: Journal>(engine: &IncrementalAnalysis<C, J>) -> String {
+    let mut out = Vec::new();
+    engine.write_snapshot(&mut JsonWriter::new(&mut out));
+    String::from_utf8(out).expect("snapshot text is UTF-8")
+}
+
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs one corpus script on one instantiation; returns the digest of its
+/// states. Each state is checked for the canonical form and handed to a
+/// restored twin that must write the same bytes one stride later.
+fn run_script<C: ChainLayer, J: Journal>(n: usize, seed: u64) -> u64 {
+    let mut engine = IncrementalAnalysis::<C, J>::layered(n);
+    let mut twin: Option<IncrementalAnalysis<C, J>> = None;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for (state, ops) in corpus_script(n, seed).iter().enumerate() {
+        for op in ops {
+            apply(&mut engine, op);
+            if let Some(twin) = &mut twin {
+                apply(twin, op);
+            }
+        }
+        let written = text(&engine);
+        let what = format!("n = {n}, seed {seed}, state {state}");
+        if let Some(twin) = &twin {
+            assert_eq!(text(twin), written, "{what}: restored twin diverged");
+        }
+        let parsed = Json::parse_bytes(written.as_bytes()).expect("snapshot text parses");
+        assert_eq!(parsed.to_string(), written, "{what}: not canonical");
+        assert_eq!(engine.snapshot_json(), parsed, "{what}: wrapper");
+        let restored = IncrementalAnalysis::<C, J>::layered_from_snapshot(&parsed);
+        let restored = restored.unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(text(&restored), written, "{what}: re-write after restore");
+        twin = Some(restored);
+        digest = fnv1a(digest, written.as_bytes());
+    }
+    digest
+}
+
+#[test]
+fn golden_documents_are_written_byte_for_byte() {
+    let mut core = IncrementalAnalysis::new(3);
+    let mut full = FullAnalysis::layered(3);
+    for op in &golden_script() {
+        apply(&mut core, op);
+        apply(&mut full, op);
+    }
+    assert_eq!(text(&core) + "\n", GOLDEN_CORE);
+    assert_eq!(text(&full) + "\n", GOLDEN_CHAINS);
+
+    // The golden is the document its header says it is.
+    let doc = core.snapshot_json();
+    let table = |key: &str| doc.get(key).map(Json::to_string).expect("core table");
+    assert_eq!(table("version"), "2");
+    assert_eq!(table("epoch"), "2");
+    assert_eq!(table("watermark"), "[6,5,4]");
+    assert_eq!(table("cp_base"), "[6,5,2]");
+    assert_eq!(core.num_messages(), 19);
+    let in_flight = "4294967295,";
+    assert_eq!(table("msgs").matches(in_flight).count(), 3);
+    assert_ne!(table("drop_reach"), "[]");
+    assert!(full.snapshot_json().get("chains").is_some());
+    assert!(doc.get("chains").is_none());
+}
+
+#[test]
+fn corpus_digests_match_the_tree_builder() {
+    let mut scripts = DIGESTS.iter();
+    for n in 2..=5 {
+        for seed in 1..=6 {
+            let &(pinned_n, pinned_seed, core, full) = scripts.next().expect("24 rows");
+            assert_eq!((pinned_n, pinned_seed), (n, seed));
+            let what = format!("n = {n}, seed {seed}");
+            assert_eq!(run_script::<NoChains, NoJournal>(n, seed), core, "{what}");
+            let digest = run_script::<Chains, UndoJournal>(n, seed);
+            assert_eq!(digest, full, "{what}: FullAnalysis");
+        }
+    }
+}

@@ -1,5 +1,5 @@
 //! Differential testing of engine snapshot/restore: an engine replayed
-//! through `snapshot_json` → `from_snapshot_json` must be observationally
+//! through `write_snapshot` → `from_snapshot_json` must be observationally
 //! identical to the uninterrupted original — same query answers, same
 //! answers after appending an identical suffix, and a byte-identical
 //! re-snapshot — including when the snapshot is taken *after* an epoch
@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use rdt_causality::{CheckpointId, ProcessId};
-use rdt_json::Json;
+use rdt_json::{Json, JsonWriter};
 use rdt_rgraph::IncrementalAnalysis;
 
 struct Rng(u64);
@@ -112,13 +112,23 @@ fn assert_same_answers(a: &mut IncrementalAnalysis, b: &mut IncrementalAnalysis,
     }
 }
 
+/// The engine's snapshot text, as the daemon persists it.
+fn snapshot_text(engine: &IncrementalAnalysis) -> String {
+    let mut out = Vec::new();
+    engine.write_snapshot(&mut JsonWriter::new(&mut out));
+    String::from_utf8(out).expect("snapshot text is UTF-8")
+}
+
 fn roundtrip(engine: &IncrementalAnalysis) -> IncrementalAnalysis {
-    let doc = engine.snapshot_json();
     // Through actual bytes, exactly like the daemon's persistence path.
-    let text = doc.to_string();
-    let reparsed = Json::parse_bytes(text.as_bytes()).expect("snapshot text parses");
-    assert_eq!(reparsed, doc, "snapshot JSON round-trips through text");
-    IncrementalAnalysis::from_snapshot_json(&reparsed).expect("snapshot restores")
+    let text = snapshot_text(engine);
+    let parsed = Json::parse_bytes(text.as_bytes()).expect("snapshot text parses");
+    assert_eq!(
+        parsed,
+        engine.snapshot_json(),
+        "the tree is the parsed text"
+    );
+    IncrementalAnalysis::from_snapshot_json(&parsed).expect("snapshot restores")
 }
 
 fn check_seed(seed: u64, compact_midway: bool) {
@@ -140,8 +150,8 @@ fn check_seed(seed: u64, compact_midway: bool) {
     let mut restored = roundtrip(&original);
     assert_same_answers(&mut original, &mut restored, "after restore");
     assert_eq!(
-        original.snapshot_json().to_string(),
-        restored.snapshot_json().to_string(),
+        snapshot_text(&original),
+        snapshot_text(&restored),
         "re-snapshot is byte-identical"
     );
 
@@ -152,8 +162,8 @@ fn check_seed(seed: u64, compact_midway: bool) {
     }
     assert_same_answers(&mut original, &mut restored, "after suffix");
     assert_eq!(
-        original.snapshot_json().to_string(),
-        restored.snapshot_json().to_string(),
+        snapshot_text(&original),
+        snapshot_text(&restored),
         "post-suffix snapshots are byte-identical"
     );
 }
@@ -176,10 +186,7 @@ fn snapshot_roundtrip_after_compaction() {
 fn empty_engine_roundtrips() {
     let engine = IncrementalAnalysis::new(4);
     let restored = roundtrip(&engine);
-    assert_eq!(
-        engine.snapshot_json().to_string(),
-        restored.snapshot_json().to_string()
-    );
+    assert_eq!(snapshot_text(&engine), snapshot_text(&restored));
 }
 
 /// Corruptions that would let an append or query index out of bounds must

@@ -10,7 +10,7 @@
 //! never regenerated: the code that wrote it no longer exists.
 
 use rdt_causality::{CheckpointId, ProcessId};
-use rdt_json::Json;
+use rdt_json::{Json, JsonWriter};
 use rdt_rgraph::{IncrementalAnalysis, SnapshotErrorKind, SNAPSHOT_VERSION};
 
 const GOLDEN: &str = include_str!("golden/snapshot_v1.json");
@@ -170,7 +170,9 @@ fn v1_golden_resnapshots_as_v2_without_chain_tables() {
     // counted the 24 + 8 chain rows of the script's one compaction.
     assert_eq!(restored.reclaimed_rows(), 18 + 24 + 8);
     let again = IncrementalAnalysis::from_snapshot_json(&doc).expect("v2 restores");
-    assert_eq!(again.snapshot_json().to_string(), doc.to_string());
+    let mut text = Vec::new();
+    again.write_snapshot(&mut JsonWriter::new(&mut text));
+    assert_eq!(text, doc.to_string().into_bytes());
 }
 
 #[test]

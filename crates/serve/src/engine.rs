@@ -11,7 +11,7 @@
 //! reason.
 
 use rdt_causality::{CheckpointId, ProcessId};
-use rdt_json::Json;
+use rdt_json::{Json, JsonWriter};
 use rdt_rgraph::IncrementalAnalysis;
 
 use crate::protocol::{ErrorKind, EventKind, QueryKind, ServeError};
@@ -172,15 +172,24 @@ impl StreamEngine {
         ]
     }
 
-    /// Serializes the stream (engine plus metadata) for the daemon
-    /// snapshot document.
+    /// Writes the stream (metadata, then the engine's own document) as one
+    /// entry of the daemon snapshot document, straight from the tables.
+    pub fn write_stream_snapshot(&self, name: &str, w: &mut JsonWriter<'_>) {
+        w.begin_object();
+        w.key("format").str(STREAM_SNAPSHOT_FORMAT);
+        w.key("name").str(name);
+        w.key("crashes").u64(self.crashes);
+        self.engine.write_snapshot(w.key("engine"));
+        w.end_object();
+    }
+
+    /// The stream's entry as a [`Json`] tree: the parsed form of what
+    /// [`write_stream_snapshot`](StreamEngine::write_stream_snapshot)
+    /// writes. The daemon does not call it.
     pub fn stream_snapshot(&self, name: &str) -> Json {
-        Json::obj([
-            ("format", Json::Str(STREAM_SNAPSHOT_FORMAT.to_string())),
-            ("name", Json::Str(name.to_string())),
-            ("crashes", Json::U64(self.crashes)),
-            ("engine", self.engine.snapshot_json()),
-        ])
+        let mut text = Vec::new();
+        self.write_stream_snapshot(name, &mut JsonWriter::new(&mut text));
+        Json::parse_bytes(&text).expect("the writer emits well-formed JSON")
     }
 
     /// Restores a stream from its snapshot entry; returns its name and

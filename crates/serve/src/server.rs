@@ -16,8 +16,14 @@
 //!
 //! Persistence: with `--snapshot PATH`, the daemon restores the snapshot
 //! at startup (if present), persists on the `snapshot` op, and persists
-//! again on `shutdown`. Writes are atomic (temp file + rename), so a
-//! crash mid-write never corrupts the previous snapshot.
+//! again on `shutdown`. A persist writes the document's text straight from
+//! the engines' tables ([`PoolHandle::write_snapshot_document`]) into a
+//! temp file and renames it over `PATH`. Persists are serialised by one
+//! mutex held from the first byte written to the rename: every connection
+//! thread goes through the same temp file, and two of them at once would
+//! truncate and rename it from under each other. With that, a reader of
+//! `PATH` — or a crash at any point — sees a complete earlier snapshot or a
+//! complete later one.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -25,7 +31,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rdt_json::Json;
 
@@ -116,6 +122,9 @@ enum Poke {
 struct Shared {
     handle: PoolHandle,
     snapshot_path: Option<PathBuf>,
+    /// Held by the one thread that is persisting, from serialisation to
+    /// rename. Lock order: this, then a stripe; no stripe holder takes it.
+    persist: Mutex<()>,
     shutdown: AtomicBool,
     poke: Poke,
 }
@@ -133,14 +142,12 @@ fn admin(message: impl Into<String>) -> ServeError {
     ServeError::new(ErrorKind::Admin, message)
 }
 
-/// Atomically writes `doc` to `path` (temp file in the same directory,
-/// then rename).
-fn write_snapshot_file(path: &Path, doc: &Json) -> Result<(), ServeError> {
+/// Writes `text` to `path` through a temp file in the same directory and a
+/// rename. Callers hold the persist lock: the temp file's name is fixed.
+fn write_snapshot_file(path: &Path, text: &[u8]) -> Result<(), ServeError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    let mut text = doc.to_string();
-    text.push('\n');
     fs::write(&tmp, text).map_err(|e| admin(format!("writing snapshot: {e}")))?;
     fs::rename(&tmp, path).map_err(|e| admin(format!("publishing snapshot: {e}")))
 }
@@ -152,12 +159,16 @@ fn persist_snapshot(shared: &Shared) -> Result<usize, ServeError> {
         .snapshot_path
         .as_deref()
         .ok_or_else(|| admin("daemon has no snapshot path configured"))?;
-    let doc = shared.handle.snapshot_document()?;
-    let count = doc
-        .get("streams")
-        .and_then(Json::as_array)
-        .map_or(0, <[Json]>::len);
-    write_snapshot_file(path, &doc)?;
+    // The lock guards no data, so a persist that panicked left nothing
+    // behind that the next one does not overwrite.
+    let _persisting = shared
+        .persist
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let mut text = Vec::new();
+    let count = shared.handle.write_snapshot_document(&mut text)?;
+    text.push(b'\n');
+    write_snapshot_file(path, &text)?;
     Ok(count)
 }
 
@@ -190,6 +201,12 @@ fn dispatch_line(shared: &Shared, line: &[u8]) -> (Json, bool) {
         }
         other => (shared.handle.request(other), false),
     }
+}
+
+/// Renders one reply line into the connection's output buffer.
+fn push_reply(out: &mut Vec<u8>, reply: &Json) {
+    reply.write_compact(out);
+    out.push(b'\n');
 }
 
 /// Writes the pending replies out as one `write_all` + `flush`.
@@ -232,7 +249,7 @@ fn serve_connection(shared: &Shared, conn: Conn) {
                 ErrorKind::Limit,
                 format!("request line longer than {MAX_LINE_BYTES} bytes"),
             );
-            let _ = writeln!(out, "{}", error_reply(None, &e));
+            push_reply(&mut out, &error_reply(None, &e));
             break; // The stream is mid-line; resynchronizing is not safe.
         }
         let frame = line.trim_ascii();
@@ -241,7 +258,7 @@ fn serve_connection(shared: &Shared, conn: Conn) {
         }
         let reply;
         (reply, stop) = dispatch_line(shared, frame);
-        let _ = writeln!(out, "{reply}");
+        push_reply(&mut out, &reply);
     }
     let _ = flush_replies(&mut writer, &mut out);
     if stop {
@@ -303,6 +320,7 @@ impl Server {
             shared: Arc::new(Shared {
                 handle,
                 snapshot_path: config.snapshot_path,
+                persist: Mutex::new(()),
                 shutdown: AtomicBool::new(false),
                 poke,
             }),

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use rdt_json::Json;
+use rdt_json::{Json, JsonWriter};
 use rdt_sim::parallel_map_indexed;
 
 use crate::engine::StreamEngine;
@@ -190,28 +190,44 @@ impl PoolHandle {
         Json::Arr(names.into_iter().map(Json::Str).collect())
     }
 
-    /// Builds the daemon snapshot document: every stream of every stripe
-    /// (locked one at a time), sorted by name so the document is
-    /// identical for any worker count.
-    pub fn snapshot_document(&self) -> Result<Json, ServeError> {
-        let mut entries: Vec<(String, Json)> = Vec::new();
+    /// Appends the daemon snapshot document to `out` and returns the number
+    /// of streams in it: every stream of every stripe, sorted by name so the
+    /// document is identical for any worker count.
+    ///
+    /// Stripes are locked one at a time, each for as long as it takes to
+    /// write its streams' text into a scratch buffer; the envelope is then
+    /// assembled from those byte ranges in name order with no lock held.
+    pub fn write_snapshot_document(&self, out: &mut Vec<u8>) -> Result<usize, ServeError> {
+        let mut texts = Vec::new();
+        let mut entries: Vec<(String, std::ops::Range<usize>)> = Vec::new();
         for stripe in self.stripes.iter() {
             let streams = stripe.lock().map_err(|_| not_running())?;
-            entries.extend(
-                streams
-                    .iter()
-                    .map(|(name, engine)| (name.clone(), engine.stream_snapshot(name))),
-            );
+            for (name, engine) in streams.iter() {
+                let start = texts.len();
+                engine.write_stream_snapshot(name, &mut JsonWriter::new(&mut texts));
+                entries.push((name.clone(), start..texts.len()));
+            }
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(Json::obj([
-            ("format", Json::Str(POOL_SNAPSHOT_FORMAT.to_string())),
-            ("version", Json::U64(POOL_SNAPSHOT_VERSION)),
-            (
-                "streams",
-                Json::Arr(entries.into_iter().map(|(_, doc)| doc).collect()),
-            ),
-        ]))
+        // The texts, a comma each, and the envelope's 57 bytes around them.
+        out.reserve(texts.len() + entries.len() + 64);
+        let mut w = JsonWriter::new(out);
+        w.begin_object();
+        w.key("format").str(POOL_SNAPSHOT_FORMAT);
+        w.key("version").u64(POOL_SNAPSHOT_VERSION);
+        w.key("streams")
+            .array(&entries, |w, (_, range)| w.raw(&texts[range.clone()]));
+        w.end_object();
+        Ok(entries.len())
+    }
+
+    /// The daemon snapshot document as a [`Json`] tree: the parsed form of
+    /// what [`write_snapshot_document`](PoolHandle::write_snapshot_document)
+    /// writes. The daemon does not call it.
+    pub fn snapshot_document(&self) -> Result<Json, ServeError> {
+        let mut text = Vec::new();
+        self.write_snapshot_document(&mut text)?;
+        Json::parse_bytes(&text).map_err(|e| ServeError::new(ErrorKind::Admin, e.to_string()))
     }
 
     /// Restores every stream of a snapshot document into the pool.

@@ -109,6 +109,16 @@ fn parse_line(line: &str) -> Request {
     parse_request(line.as_bytes()).expect("generated sessions are parseable")
 }
 
+/// The daemon snapshot document's text, as `persist_snapshot` writes it
+/// (less the trailing newline).
+fn snapshot_text(pool: &EnginePool) -> String {
+    let mut out = Vec::new();
+    pool.handle()
+        .write_snapshot_document(&mut out)
+        .expect("snapshot");
+    String::from_utf8(out).expect("snapshot text is UTF-8")
+}
+
 fn replay(pool: &EnginePool, lines: &[String]) -> Vec<String> {
     let handle = pool.handle();
     lines
@@ -244,21 +254,67 @@ fn restart_from_a_v1_engine_snapshot_answers_identically() {
     // live daemon's, except for `reclaimed_rows`: a monotone counter carried
     // as stored, which in the v1 document also counted the 24 + 8 chain
     // rows its one compaction dropped (18 R rows then, 3 more above).
-    let text = |pool: &EnginePool| {
-        pool.handle()
-            .snapshot_document()
-            .expect("snapshot")
-            .to_string()
-    };
-    let persisted = text(&restarted);
+    let persisted = snapshot_text(&restarted);
     assert!(persisted.contains(r#""version":2"#) && !persisted.contains("zmat"));
-    assert!(text(&live).contains(r#""reclaimed_rows":21"#));
+    assert!(snapshot_text(&live).contains(r#""reclaimed_rows":21"#));
     assert_eq!(
         persisted.replace(r#""reclaimed_rows":53"#, r#""reclaimed_rows":21"#),
-        text(&live)
+        snapshot_text(&live)
     );
     restarted.join();
     live.join();
+}
+
+/// Stream names are the one string in the document that comes from
+/// outside: with a quote, a backslash, control characters and non-ASCII in
+/// them the text is still the canonical compact form, entries still come in
+/// name order, and the document restores to the same text.
+#[test]
+fn hostile_stream_names_are_written_canonically() {
+    let names = [
+        "quo\"te",
+        "back\\slash",
+        "ctl\u{1}\n\t\u{1f}",
+        "ünï€ode \u{1D11E}",
+        "plain",
+    ];
+    let pool = EnginePool::new(3);
+    let handle = pool.handle();
+    for (i, name) in names.iter().enumerate() {
+        let open = Request::Open {
+            stream: name.to_string(),
+            processes: 2 + i % 2,
+        };
+        assert_eq!(handle.request(open).get("ok"), Some(&Json::Bool(true)));
+        let event = Json::obj([
+            ("op", Json::Str("event".into())),
+            ("stream", Json::Str(name.to_string())),
+            ("type", Json::Str("checkpoint".into())),
+            ("process", Json::U64(1)),
+        ]);
+        let reply = handle.request(parse_line(&event.to_string()));
+        assert_eq!(reply.get("checkpoint"), Some(&Json::U64(1)), "{name:?}");
+    }
+    let text = snapshot_text(&pool);
+    let doc = Json::parse_bytes(text.as_bytes()).expect("snapshot text parses");
+    assert_eq!(doc.to_string(), text);
+    assert_eq!(doc, handle.snapshot_document().expect("snapshot"));
+    let written: Vec<&str> = doc
+        .get("streams")
+        .and_then(Json::as_array)
+        .expect("streams")
+        .iter()
+        .map(|entry| entry.get("name").and_then(Json::as_str).expect("name"))
+        .collect();
+    let mut sorted = names.to_vec();
+    sorted.sort_unstable();
+    assert_eq!(written, sorted);
+
+    let restored = EnginePool::new(1);
+    assert_eq!(restored.handle().restore_document(&doc, 2), Ok(names.len()));
+    assert_eq!(snapshot_text(&restored), text);
+    restored.join();
+    pool.join();
 }
 
 proptest! {
@@ -299,7 +355,12 @@ proptest! {
 
         let original = EnginePool::new(2);
         replay(&original, &prefix);
-        let doc = original.handle().snapshot_document().expect("snapshot");
+        let text = snapshot_text(&original);
+        // The text is the canonical compact form, so the tree the wrapper
+        // returns is exactly its parsed form.
+        let doc = Json::parse_bytes(text.as_bytes()).expect("snapshot text parses");
+        prop_assert_eq!(&doc.to_string(), &text);
+        prop_assert_eq!(&doc, &original.handle().snapshot_document().expect("snapshot"));
 
         let restored = EnginePool::new(3);
         restored
@@ -308,19 +369,13 @@ proptest! {
             .expect("restore");
 
         // Restored pool re-snapshots byte-identically...
-        prop_assert_eq!(
-            doc.to_string(),
-            restored.handle().snapshot_document().expect("snapshot").to_string()
-        );
+        prop_assert_eq!(text, snapshot_text(&restored));
         // ...answers the suffix byte-identically...
         let a = replay(&original, &suffix);
         let b = replay(&restored, &suffix);
         prop_assert_eq!(a, b);
         // ...and both sides re-snapshot to the same bytes afterwards.
-        prop_assert_eq!(
-            original.handle().snapshot_document().expect("snapshot").to_string(),
-            restored.handle().snapshot_document().expect("snapshot").to_string()
-        );
+        prop_assert_eq!(snapshot_text(&original), snapshot_text(&restored));
         original.join();
         restored.join();
     }
@@ -333,8 +388,7 @@ proptest! {
         let lines = random_session(&mut rng, 40);
         let pool = EnginePool::new(2);
         replay(&pool, &lines);
-        let doc = pool.handle().snapshot_document().expect("snapshot");
-        let text = doc.to_string();
+        let text = snapshot_text(&pool);
 
         // Bit-flip corruption somewhere in the document. Some flips keep
         // it parseable-and-valid; any flip that breaks parsing or
