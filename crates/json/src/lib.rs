@@ -438,6 +438,12 @@ impl<'a> JsonWriter<'a> {
         push_u64(self.out, value);
     }
 
+    /// `null`.
+    pub fn null(&mut self) {
+        self.value();
+        self.out.extend_from_slice(b"null");
+    }
+
     /// `true` / `false`.
     pub fn bool(&mut self, value: bool) {
         self.value();
@@ -686,6 +692,48 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
+/// Whether `text` — a run of digits, `.`, `e`, `E`, `+`, `-` — is a number
+/// of RFC 8259: `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`.
+/// `str::parse` is laxer (`+1`, `.5`, `1.`, `007`), so the run is held to
+/// the grammar before it gets there.
+fn is_rfc8259_number(text: &[u8]) -> bool {
+    /// Where in the grammar the next byte falls.
+    #[derive(Clone, Copy)]
+    enum At {
+        /// Before the first digit of the integer part.
+        IntStart,
+        /// After a leading `0`: no further integer digit may follow.
+        IntZero,
+        /// Inside `[1-9][0-9]*`.
+        Int,
+        /// After the `.`: a digit must follow.
+        FracStart,
+        /// Inside the fraction's digits.
+        Frac,
+        /// After `e` / `E`: a sign or a digit must follow.
+        ExpSign,
+        /// After the exponent's sign: a digit must follow.
+        ExpStart,
+        /// Inside the exponent's digits.
+        Exp,
+    }
+    let digits = text.strip_prefix(b"-").unwrap_or(text);
+    let mut at = At::IntStart;
+    for &b in digits {
+        at = match (at, b) {
+            (At::IntStart, b'0') => At::IntZero,
+            (At::IntStart, b'1'..=b'9') | (At::Int, b'0'..=b'9') => At::Int,
+            (At::IntZero | At::Int, b'.') => At::FracStart,
+            (At::FracStart | At::Frac, b'0'..=b'9') => At::Frac,
+            (At::IntZero | At::Int | At::Frac, b'e' | b'E') => At::ExpSign,
+            (At::ExpSign, b'+' | b'-') => At::ExpStart,
+            (At::ExpSign | At::ExpStart | At::Exp, b'0'..=b'9') => At::Exp,
+            _ => return false,
+        };
+    }
+    matches!(at, At::IntZero | At::Int | At::Frac | At::Exp)
+}
+
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
@@ -708,6 +756,19 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "invalid number"))?;
     if text.is_empty() || text == "-" {
         return Err(err(start, "expected a value"));
+    }
+    // Digits alone, after at most one `-`, break the grammar only by a
+    // leading zero; the state machine is for the runs with a `.`, an
+    // exponent or a further sign. A snapshot is digits alone almost
+    // throughout, so it pays one comparison per number.
+    let valid = if is_float {
+        is_rfc8259_number(text.as_bytes())
+    } else {
+        let digits = text.strip_prefix('-').unwrap_or(text);
+        digits.len() == 1 || !digits.starts_with('0')
+    };
+    if !valid {
+        return Err(err(start, format!("invalid number `{text}`")));
     }
     if !is_float {
         if let Ok(v) = text.parse::<u64>() {
@@ -872,6 +933,60 @@ mod tests {
         assert_eq!(Json::parse("1e3").unwrap(), Json::F64(1000.0));
     }
 
+    /// The number grammar is RFC 8259's, not `str::parse`'s: no leading
+    /// `+`, no bare or trailing `.`, no leading zeros, an exponent has
+    /// digits.
+    #[test]
+    fn number_grammar_is_rfc_8259() {
+        for (text, value) in [
+            ("0", Json::U64(0)),
+            ("-0", Json::I64(0)),
+            ("10", Json::U64(10)),
+            ("-10", Json::I64(-10)),
+            ("1.5", Json::F64(1.5)),
+            ("-0.5", Json::F64(-0.5)),
+            ("0.0", Json::F64(0.0)),
+            ("1e5", Json::F64(1e5)),
+            ("1E+5", Json::F64(1e5)),
+            ("1e-7", Json::F64(1e-7)),
+            ("0e0", Json::F64(0.0)),
+            ("1.25e2", Json::F64(125.0)),
+            ("18446744073709551615", Json::U64(u64::MAX)),
+            ("-9223372036854775808", Json::I64(i64::MIN)),
+            // Twenty digits and more no longer fit an integer.
+            ("18446744073709551616", Json::F64(18446744073709551616.0)),
+            ("99999999999999999999", Json::F64(1e20)),
+        ] {
+            assert_eq!(Json::parse(text), Ok(value.clone()), "{text}");
+            // Inside a container the number ends at the delimiter.
+            let nested = Json::parse(&format!("[{text},{{\"k\":{text}}}]"));
+            let object = Json::obj([("k", value.clone())]);
+            assert_eq!(nested, Ok(Json::Arr(vec![value, object])), "{text}");
+        }
+        for text in [
+            "+1", ".5", "1.", "007", "01.5", "1e", "1e+", "-", "--1", "1+2", "0x1", "-.5", "1.e3",
+            "1.5.2", "1e5e5", "00", "-01", "1-", "e5", "1e1.5",
+        ] {
+            let error = Json::parse(text).expect_err(text);
+            // `0x1` is the number `0` and then garbage; the others are bad
+            // from their first byte.
+            assert_eq!(error.offset, usize::from(text == "0x1"), "{text}: {error}");
+            assert!(Json::parse(&format!("[{text}]")).is_err(), "[{text}]");
+            assert!(
+                Json::parse(&format!("{{\"k\":{text}}}")).is_err(),
+                "{{\"k\":{text}}}"
+            );
+        }
+        // The message names the whole run, in the style the unparsable runs
+        // always had.
+        for text in ["007", "1+2", "1."] {
+            assert_eq!(
+                Json::parse(&format!("[{text}]")).expect_err(text),
+                err(1, format!("invalid number `{text}`"))
+            );
+        }
+    }
+
     #[test]
     fn parser_rejects_garbage() {
         assert!(Json::parse("").is_err());
@@ -961,6 +1076,7 @@ mod tests {
                 "inner",
                 Json::obj([("none", Json::Obj(vec![])), ("k", Json::U64(1))]),
             ),
+            ("nothing", Json::Null),
             ("last", Json::U64(0)),
         ]);
         let mut inner = Vec::new();
@@ -984,6 +1100,7 @@ mod tests {
             });
         w.key("words").u64s(&[0, u64::MAX]);
         w.key("inner").raw(&inner);
+        w.key("nothing").null();
         w.key("last").u64(0);
         w.end_object();
         assert_eq!(String::from_utf8(out.clone()).unwrap(), tree.to_string());

@@ -14,7 +14,7 @@ use rdt_causality::{CheckpointId, ProcessId};
 use rdt_json::{Json, JsonWriter};
 use rdt_rgraph::IncrementalAnalysis;
 
-use crate::protocol::{ErrorKind, EventKind, QueryKind, ServeError};
+use crate::protocol::{ErrorKind, EventKind, QueryKind, Reply, ServeError};
 
 /// Stream snapshot format marker (one per stream inside the daemon
 /// document).
@@ -27,10 +27,6 @@ pub struct StreamEngine {
     /// Crash events observed (crashes are markers: they report the
     /// recovery line but do not mutate the pattern).
     crashes: u64,
-}
-
-fn u32s(values: &[u32]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::U64(u64::from(v))).collect())
 }
 
 impl StreamEngine {
@@ -61,12 +57,8 @@ impl StreamEngine {
         line
     }
 
-    /// Applies one event. On success the returned fields go into the ok
-    /// reply; on failure the engine state is untouched.
-    pub fn ingest_event(
-        &mut self,
-        event: &EventKind,
-    ) -> Result<Vec<(&'static str, Json)>, ServeError> {
+    /// Applies one event. On failure the engine state is untouched.
+    pub fn ingest_event(&mut self, event: &EventKind) -> Result<Reply, ServeError> {
         let event_err =
             |e: rdt_rgraph::AppendError| ServeError::new(ErrorKind::Event, e.to_string());
         match *event {
@@ -75,18 +67,18 @@ impl StreamEngine {
                     .engine
                     .try_append_checkpoint(ProcessId::new(process))
                     .map_err(event_err)?;
-                Ok(vec![("checkpoint", Json::U64(u64::from(id.index)))])
+                Ok(Reply::Checkpoint(id.index))
             }
             EventKind::Send { from, to } => {
                 let mid = self
                     .engine
                     .try_append_send(ProcessId::new(from), ProcessId::new(to))
                     .map_err(event_err)?;
-                Ok(vec![("message", Json::U64(u64::from(mid)))])
+                Ok(Reply::Message(mid))
             }
             EventKind::Deliver { message } => {
                 self.engine.try_append_deliver(message).map_err(event_err)?;
-                Ok(vec![])
+                Ok(Reply::Delivered)
             }
             EventKind::Crash { process } => {
                 if process >= self.processes() {
@@ -99,10 +91,10 @@ impl StreamEngine {
                     ));
                 }
                 self.crashes += 1;
-                Ok(vec![
-                    ("crashes", Json::U64(self.crashes)),
-                    ("line", u32s(&self.recovery_line())),
-                ])
+                Ok(Reply::Crashed {
+                    crashes: self.crashes,
+                    line: self.recovery_line(),
+                })
             }
         }
     }
@@ -110,25 +102,19 @@ impl StreamEngine {
     /// Answers one query. All member validation happens before the engine
     /// is consulted, so invalid members are [`ErrorKind::Query`] errors
     /// rather than panics.
-    pub fn answer_query(
-        &mut self,
-        query: &QueryKind,
-    ) -> Result<Vec<(&'static str, Json)>, ServeError> {
+    pub fn answer_query(&mut self, query: &QueryKind) -> Result<Reply, ServeError> {
         match query {
-            QueryKind::Untrackable => Ok(vec![(
-                "untrackable",
-                Json::U64(self.engine.untrackable_pairs()),
-            )]),
-            QueryKind::RecoveryLine => Ok(vec![("line", u32s(&self.recovery_line()))]),
-            QueryKind::MinConsistent(members) => {
+            QueryKind::Untrackable => Ok(Reply::Untrackable(self.engine.untrackable_pairs())),
+            QueryKind::RecoveryLine => Ok(Reply::Line(self.recovery_line())),
+            QueryKind::MinConsistent(members) | QueryKind::MaxConsistent(members) => {
                 let ids = self.validate_members(members)?;
-                let gc = self.engine.min_consistent_containing(&ids);
-                Ok(vec![("global", self.global_json(gc))])
-            }
-            QueryKind::MaxConsistent(members) => {
-                let ids = self.validate_members(members)?;
-                let gc = self.engine.max_consistent_containing(&ids);
-                Ok(vec![("global", self.global_json(gc))])
+                let mut gc = vec![0u32; self.processes()];
+                let exists = if matches!(query, QueryKind::MinConsistent(_)) {
+                    self.engine.min_consistent_containing_into(&ids, &mut gc)
+                } else {
+                    self.engine.max_consistent_containing_into(&ids, &mut gc)
+                };
+                Ok(Reply::Global(exists.then_some(gc)))
             }
         }
     }
@@ -149,24 +135,12 @@ impl StreamEngine {
             .collect()
     }
 
-    fn global_json(&self, gc: Option<rdt_rgraph::GlobalCheckpoint>) -> Json {
-        match gc {
-            None => Json::Null,
-            Some(gc) => {
-                let indices: Vec<u32> = (0..self.processes())
-                    .map(|p| gc.get(ProcessId::new(p)))
-                    .collect();
-                u32s(&indices)
-            }
-        }
-    }
-
     /// Compacts the engine to its recovery line and reports what was
     /// reclaimed: `dropped` counts the closure rows the daemon held and let
     /// go, which are R-graph nodes.
-    pub fn compact(&mut self) -> Vec<(&'static str, Json)> {
+    pub fn compact(&mut self) -> [(&'static str, Json); 2] {
         let stats = self.engine.compact_to_recovery_line();
-        vec![
+        [
             ("dropped", Json::U64(stats.dropped_nodes() as u64)),
             ("epoch", Json::U64(self.engine.compaction_epoch())),
         ]
@@ -224,17 +198,21 @@ mod tests {
     #[test]
     fn lifecycle_and_queries() {
         let mut s = StreamEngine::new(2);
-        let cp = s
-            .ingest_event(&EventKind::Checkpoint { process: 0 })
-            .unwrap();
-        assert_eq!(cp[0].1, Json::U64(1));
-        let send = s.ingest_event(&EventKind::Send { from: 0, to: 1 }).unwrap();
-        assert_eq!(send[0].1, Json::U64(0));
-        s.ingest_event(&EventKind::Deliver { message: 0 }).unwrap();
-        let pairs = s.answer_query(&QueryKind::Untrackable).unwrap();
-        assert_eq!(pairs[0].1, Json::U64(0));
-        let line = s.answer_query(&QueryKind::RecoveryLine).unwrap();
-        assert!(matches!(line[0].1, Json::Arr(_)));
+        let cp = s.ingest_event(&EventKind::Checkpoint { process: 0 });
+        assert_eq!(cp, Ok(Reply::Checkpoint(1)));
+        let send = s.ingest_event(&EventKind::Send { from: 0, to: 1 });
+        assert_eq!(send, Ok(Reply::Message(0)));
+        let delivered = s.ingest_event(&EventKind::Deliver { message: 0 });
+        assert_eq!(delivered, Ok(Reply::Delivered));
+        let pairs = s.answer_query(&QueryKind::Untrackable);
+        assert_eq!(pairs, Ok(Reply::Untrackable(0)));
+        let line = s.answer_query(&QueryKind::RecoveryLine);
+        assert_eq!(line, Ok(Reply::Line(vec![1, 0])));
+        let min = s.answer_query(&QueryKind::MinConsistent(vec![(0, 1)]));
+        assert_eq!(min, Ok(Reply::Global(Some(vec![1, 0]))));
+        let crash = s.ingest_event(&EventKind::Crash { process: 1 });
+        let line = vec![1, 0];
+        assert_eq!(crash, Ok(Reply::Crashed { crashes: 1, line }));
     }
 
     #[test]

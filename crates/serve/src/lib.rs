@@ -29,6 +29,15 @@
 //! clients may pipeline. Snapshot restore fans the per-stream engine
 //! rebuilds out over the deterministic work-stealing pool from `rdt-sim`.
 //!
+//! The two ops a stream takes at wire rate never become a tree: a
+//! canonical `event` or `query` frame is scanned in place
+//! ([`scan_request`]), its stream found by the name's bytes where they lie
+//! in the frame, and its typed [`Reply`] rendered straight into the
+//! connection's output buffer ([`PoolHandle::answer_frame`]). Every other
+//! frame — other ops, other spellings, everything malformed — takes the
+//! tree parser ([`parse_request`]), which is also what the scanner is held
+//! to.
+//!
 //! # Robustness contract
 //!
 //! Every byte sequence a client can send — malformed JSON, truncated
@@ -45,8 +54,9 @@ pub mod shard;
 
 pub use engine::{StreamEngine, STREAM_SNAPSHOT_FORMAT};
 pub use protocol::{
-    error_reply, ok_reply, parse_request, ErrorKind, EventKind, QueryKind, Request, ServeError,
-    MAX_LINE_BYTES, MAX_NAME_BYTES, MAX_PROCESSES, MAX_STREAMS,
+    error_reply, ok_reply, parse_request, scan_request, ErrorKind, EventKind, HotRequest,
+    QueryKind, Reply, Request, ServeError, MAX_LINE_BYTES, MAX_NAME_BYTES, MAX_PROCESSES,
+    MAX_STREAMS,
 };
 pub use server::{Endpoint, Server, ServerConfig};
 pub use shard::{

@@ -7,8 +7,23 @@
 //! [`ErrorKind`]. Parsing is **total**: any byte sequence — truncated
 //! escapes, invalid UTF-8, wrong shapes — produces an error reply, never
 //! a panic, so one hostile tenant cannot take the daemon down.
+//!
+//! There are two readers and they agree. [`parse_request`] builds a
+//! [`Json`] tree and reads any valid spelling of any request; it is the
+//! only path that words an error. [`scan_request`] reads the **canonical**
+//! spelling of the two ops a stream takes at wire rate, `event` and `query`
+//! — the byte form `docs/SERVE.md` documents and every client in this
+//! repository writes — in place, building nothing but the
+//! [`EventKind`] / [`QueryKind`] itself and borrowing the stream name from
+//! the line. It answers `None` to everything else, malformed frames
+//! included, and the tree parser takes those exactly as before: whenever
+//! `scan_request(line)` is `Some(x)`, `parse_request(line)` is `Ok` of the
+//! same request (`ingest_fuzz.rs` holds the two to that). The replies to
+//! those two ops are typed ([`Reply`]) and have one renderer,
+//! [`Reply::write`]; every other reply is a small tree built by
+//! [`ok_reply`] / [`error_reply`] and printed by `Json::write_compact`.
 
-use rdt_json::Json;
+use rdt_json::{Json, JsonWriter};
 
 /// Most processes a single stream may declare. Engine state is `O(n²)`
 /// per event in the worst case, so this bounds per-tenant memory.
@@ -332,8 +347,217 @@ pub fn parse_request(line: &[u8]) -> Result<Request, ServeError> {
     }
 }
 
+/// A canonical `event` or `query` frame as [`scan_request`] reads it:
+/// [`Request::Event`] / [`Request::Query`] with the stream name borrowed
+/// from the line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HotRequest<'a> {
+    /// Append one event to a stream.
+    Event {
+        /// Stream name.
+        stream: &'a str,
+        /// The event.
+        event: EventKind,
+    },
+    /// Answer one query on a stream.
+    Query {
+        /// Stream name.
+        stream: &'a str,
+        /// The query.
+        query: QueryKind,
+    },
+}
+
+impl HotRequest<'_> {
+    /// The same request with the name owned: what [`parse_request`] returns
+    /// for the line this was scanned from.
+    pub fn to_request(&self) -> Request {
+        match self {
+            HotRequest::Event { stream, event } => Request::Event {
+                stream: (*stream).to_string(),
+                event: event.clone(),
+            },
+            HotRequest::Query { stream, query } => Request::Query {
+                stream: (*stream).to_string(),
+                query: query.clone(),
+            },
+        }
+    }
+}
+
+/// What a scanning step returns: the value it split off the front of the
+/// line and the bytes after it, or `None` if the front is not that value in
+/// its canonical form.
+type Scanned<'a, T> = Option<(T, &'a [u8])>;
+
+/// Splits a quoted stream name off the front of `rest`: 1..=
+/// [`MAX_NAME_BYTES`] bytes of valid UTF-8 holding no `"`, no `\` and no
+/// control byte — a JSON string that is its own content, so the name can be
+/// borrowed as it stands.
+fn scan_name(rest: &[u8]) -> Scanned<'_, &str> {
+    let rest = rest.strip_prefix(b"\"")?;
+    let len = rest
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+    if len == 0 || len > MAX_NAME_BYTES {
+        return None;
+    }
+    let (name, rest) = rest.split_at_checked(len)?;
+    Some((std::str::from_utf8(name).ok()?, rest.strip_prefix(b"\"")?))
+}
+
+/// Splits an RFC 8259 unsigned integer (`0 | [1-9][0-9]*`) that fits `T`
+/// off the front of `rest`. At most 19 digits are read — every such number
+/// fits a `u64` — so a longer run is left to the tree parser, like a
+/// fraction or an exponent: whatever follows the digits has to be the
+/// frame's next delimiter.
+fn scan_uint<T: TryFrom<u64>>(rest: &[u8]) -> Scanned<'_, T> {
+    let len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    let (digits, rest) = rest.split_at_checked(len)?;
+    let leading_zero = digits.first() == Some(&b'0') && len > 1;
+    if len == 0 || len > 19 || leading_zero {
+        return None;
+    }
+    let value = digits
+        .iter()
+        .fold(0u64, |value, &d| value * 10 + u64::from(d - b'0'));
+    Some((T::try_from(value).ok()?, rest))
+}
+
+/// Splits `[[P,I],…]`, at least one pair, off the front of `rest`.
+fn scan_members(rest: &[u8]) -> Scanned<'_, Vec<(usize, u32)>> {
+    let mut rest = rest.strip_prefix(b"[")?;
+    let mut members = Vec::new();
+    loop {
+        let (process, after) = scan_uint(rest.strip_prefix(b"[")?)?;
+        let (index, after) = scan_uint(after.strip_prefix(b",")?)?;
+        members.push((process, index));
+        match after.strip_prefix(b"]")?.split_first()? {
+            (b',', after) => rest = after,
+            (b']', after) => return Some((members, after)),
+            _ => return None,
+        }
+    }
+}
+
+fn scan_event(rest: &[u8]) -> Scanned<'_, EventKind> {
+    if let Some(rest) = rest.strip_prefix(br#"send","from":"#) {
+        let (from, rest) = scan_uint(rest)?;
+        let (to, rest) = scan_uint(rest.strip_prefix(br#","to":"#)?)?;
+        Some((EventKind::Send { from, to }, rest))
+    } else if let Some(rest) = rest.strip_prefix(br#"deliver","message":"#) {
+        let (message, rest) = scan_uint(rest)?;
+        Some((EventKind::Deliver { message }, rest))
+    } else if let Some(rest) = rest.strip_prefix(br#"checkpoint","process":"#) {
+        let (process, rest) = scan_uint(rest)?;
+        Some((EventKind::Checkpoint { process }, rest))
+    } else {
+        let (process, rest) = scan_uint(rest.strip_prefix(br#"crash","process":"#)?)?;
+        Some((EventKind::Crash { process }, rest))
+    }
+}
+
+fn scan_query(rest: &[u8]) -> Scanned<'_, QueryKind> {
+    if let Some(rest) = rest.strip_prefix(br#"untrackable""#) {
+        Some((QueryKind::Untrackable, rest))
+    } else if let Some(rest) = rest.strip_prefix(br#"recovery-line""#) {
+        Some((QueryKind::RecoveryLine, rest))
+    } else if let Some(rest) = rest.strip_prefix(br#"min-consistent","members":"#) {
+        let (members, rest) = scan_members(rest)?;
+        Some((QueryKind::MinConsistent(members), rest))
+    } else {
+        let (members, rest) = scan_members(rest.strip_prefix(br#"max-consistent","members":"#)?)?;
+        Some((QueryKind::MaxConsistent(members), rest))
+    }
+}
+
+/// Reads one **canonical** `event` or `query` frame in place:
+///
+/// ```text
+/// {"op":"event","stream":NAME,"type":"send","from":N,"to":N}
+/// {"op":"event","stream":NAME,"type":"deliver","message":N}
+/// {"op":"event","stream":NAME,"type":"checkpoint","process":N}
+/// {"op":"event","stream":NAME,"type":"crash","process":N}
+/// {"op":"query","stream":NAME,"what":"untrackable"}
+/// {"op":"query","stream":NAME,"what":"recovery-line"}
+/// {"op":"query","stream":NAME,"what":"min-consistent","members":[[N,N],…]}
+/// {"op":"query","stream":NAME,"what":"max-consistent","members":[[N,N],…]}
+/// ```
+///
+/// these keys in this order and no others, no whitespace, `NAME` a quoted
+/// name that needs no unescaping (see `scan_name`), `N` an unsigned
+/// integer of at most 19 digits that fits its field. Any other line —
+/// another op, another spelling of these, anything that deserves an error —
+/// is `None` and belongs to [`parse_request`], which agrees with every
+/// `Some` returned here. Nothing is allocated except a `members` list.
+pub fn scan_request(line: &[u8]) -> Option<HotRequest<'_>> {
+    let rest = line.strip_prefix(br#"{"op":""#)?;
+    if let Some(rest) = rest.strip_prefix(br#"event","stream":"#) {
+        let (stream, rest) = scan_name(rest)?;
+        let (event, rest) = scan_event(rest.strip_prefix(br#","type":""#)?)?;
+        (rest == b"}").then_some(HotRequest::Event { stream, event })
+    } else {
+        let (stream, rest) = scan_name(rest.strip_prefix(br#"query","stream":"#)?)?;
+        let (query, rest) = scan_query(rest.strip_prefix(br#","what":""#)?)?;
+        (rest == b"}").then_some(HotRequest::Query { stream, query })
+    }
+}
+
+/// What a stream answers to an accepted event or query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// A `checkpoint` event: the index of the checkpoint taken.
+    Checkpoint(u32),
+    /// A `send` event: the handle deliveries refer to.
+    Message(u32),
+    /// A `deliver` event.
+    Delivered,
+    /// A `crash` event: crashes seen so far and the recovery line.
+    Crashed {
+        /// The stream's crash counter, this crash included.
+        crashes: u64,
+        /// The recovery line, one checkpoint index per process.
+        line: Vec<u32>,
+    },
+    /// An `untrackable` query: the running count.
+    Untrackable(u64),
+    /// A `recovery-line` query.
+    Line(Vec<u32>),
+    /// A `min-consistent` / `max-consistent` query: the global checkpoint,
+    /// or `None` when no consistent one contains the members.
+    Global(Option<Vec<u32>>),
+}
+
+impl Reply {
+    /// Appends the reply's wire form, `{"ok":true,…}` without a newline, to
+    /// `out`. This is the only description of these shapes.
+    pub fn write(&self, out: &mut Vec<u8>) {
+        let mut w = JsonWriter::new(out);
+        w.begin_object();
+        w.key("ok").bool(true);
+        if let Reply::Crashed { crashes, .. } = self {
+            w.key("crashes").u64(*crashes);
+        }
+        match self {
+            Reply::Checkpoint(index) => w.key("checkpoint").u64(u64::from(*index)),
+            Reply::Message(handle) => w.key("message").u64(u64::from(*handle)),
+            Reply::Delivered => {}
+            Reply::Crashed { line, .. } | Reply::Line(line) => w.key("line").u32s(line),
+            Reply::Untrackable(pairs) => w.key("untrackable").u64(*pairs),
+            Reply::Global(indices) => {
+                let value = w.key("global");
+                match indices {
+                    Some(indices) => value.u32s(indices),
+                    None => value.null(),
+                }
+            }
+        }
+        w.end_object();
+    }
+}
+
 /// Builds a success reply: `{"ok": true, ...fields}`.
-pub fn ok_reply(fields: Vec<(&'static str, Json)>) -> Json {
+pub fn ok_reply(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     let mut pairs = vec![("ok".to_string(), Json::Bool(true))];
     pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
     Json::Obj(pairs)
@@ -445,9 +669,95 @@ mod tests {
     }
 
     #[test]
+    fn canonical_hot_frames_scan_to_what_they_parse_to() {
+        let name = "n".repeat(MAX_NAME_BYTES);
+        for line in [
+            r#"{"op":"event","stream":"s","type":"send","from":0,"to":1}"#.to_string(),
+            r#"{"op":"event","stream":"s","type":"deliver","message":4294967295}"#.to_string(),
+            r#"{"op":"event","stream":"s","type":"checkpoint","process":0}"#.to_string(),
+            r#"{"op":"event","stream":"s","type":"crash","process":511}"#.to_string(),
+            r#"{"op":"query","stream":"s","what":"untrackable"}"#.to_string(),
+            r#"{"op":"query","stream":"s","what":"recovery-line"}"#.to_string(),
+            r#"{"op":"query","stream":"s","what":"min-consistent","members":[[0,1]]}"#.to_string(),
+            r#"{"op":"query","stream":"s","what":"max-consistent","members":[[0,1],[2,0],[1,9]]}"#
+                .to_string(),
+            "{\"op\":\"query\",\"stream\":\"tenant-βγ/東京\",\"what\":\"untrackable\"}".to_string(),
+            format!(
+                r#"{{"op":"event","stream":"{name}","type":"send","from":9999999999999999999,"to":0}}"#
+            ),
+        ] {
+            let scanned = scan_request(line.as_bytes()).expect(&line);
+            assert_eq!(
+                Ok(scanned.to_request()),
+                parse_request(line.as_bytes()),
+                "{line}"
+            );
+        }
+        let long = "n".repeat(MAX_NAME_BYTES + 1);
+        for line in [
+            // Other ops, other spellings, and everything that is an error.
+            r#"{"op":"open","stream":"s","processes":3}"#.to_string(),
+            r#"{"op":"ping"}"#.to_string(),
+            r#"{"op":"event","stream":"s","type":"send","from":0,"to":1} "#.to_string(),
+            r#"{"op":"event","stream":"s","type":"send","from":0,"to":1}}"#.to_string(),
+            r#"{"op":"event", "stream":"s","type":"send","from":0,"to":1}"#.to_string(),
+            r#"{"op":"event","stream":"s","type":"send","to":1,"from":0}"#.to_string(),
+            r#"{"op":"event","stream":"s","type":"send","from":00,"to":1}"#.to_string(),
+            r#"{"op":"event","stream":"s","type":"send","from":0,"to":1.0}"#.to_string(),
+            r#"{"op":"event","stream":"s","type":"send","from":0,"to":-1}"#.to_string(),
+            r#"{"op":"event","stream":"s","type":"send","from":0,"to":}"#.to_string(),
+            r#"{"op":"event","stream":"s","type":"send","from":10000000000000000000,"to":1}"#
+                .to_string(),
+            r#"{"op":"event","stream":"s","type":"deliver","message":4294967296}"#.to_string(),
+            r#"{"op":"event","stream":"","type":"checkpoint","process":0}"#.to_string(),
+            r#"{"op":"event","stream":"a\u0062","type":"checkpoint","process":0}"#.to_string(),
+            "{\"op\":\"event\",\"stream\":\"a\x01\",\"type\":\"checkpoint\",\"process\":0}"
+                .to_string(),
+            r#"{"op":"event","stream":"s","type":"teleport","process":0}"#.to_string(),
+            r#"{"op":"query","stream":"s","what":"untrackable","members":[[0,1]]}"#.to_string(),
+            r#"{"op":"query","stream":"s","what":"min-consistent"}"#.to_string(),
+            r#"{"op":"query","stream":"s","what":"min-consistent","members":[]}"#.to_string(),
+            r#"{"op":"query","stream":"s","what":"min-consistent","members":[[0,1],]}"#.to_string(),
+            r#"{"op":"query","stream":"s","what":"min-consistent","members":[[0,1,2]]}"#
+                .to_string(),
+            format!(r#"{{"op":"query","stream":"{long}","what":"untrackable"}}"#),
+        ] {
+            assert_eq!(scan_request(line.as_bytes()), None, "{line}");
+        }
+        // Invalid UTF-8 in the name is the tree parser's error to word.
+        assert_eq!(
+            scan_request(b"{\"op\":\"query\",\"stream\":\"\xE2\x82\",\"what\":\"untrackable\"}"),
+            None
+        );
+    }
+
+    #[test]
     fn replies_have_the_documented_shape() {
-        let ok = ok_reply(vec![("message", Json::U64(7))]);
-        assert_eq!(ok.to_string(), r#"{"ok":true,"message":7}"#);
+        let text = |reply: Reply| {
+            let mut out = Vec::new();
+            reply.write(&mut out);
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(text(Reply::Checkpoint(3)), r#"{"ok":true,"checkpoint":3}"#);
+        assert_eq!(text(Reply::Message(7)), r#"{"ok":true,"message":7}"#);
+        assert_eq!(text(Reply::Delivered), r#"{"ok":true}"#);
+        let line = vec![1, 0, u32::MAX];
+        assert_eq!(
+            text(Reply::Crashed { crashes: 2, line }),
+            r#"{"ok":true,"crashes":2,"line":[1,0,4294967295]}"#
+        );
+        assert_eq!(
+            text(Reply::Untrackable(u64::MAX)),
+            r#"{"ok":true,"untrackable":18446744073709551615}"#
+        );
+        assert_eq!(text(Reply::Line(vec![])), r#"{"ok":true,"line":[]}"#);
+        assert_eq!(
+            text(Reply::Global(Some(vec![4, 5]))),
+            r#"{"ok":true,"global":[4,5]}"#
+        );
+        assert_eq!(text(Reply::Global(None)), r#"{"ok":true,"global":null}"#);
+        let ok = ok_reply([("closed", Json::Str("s".into()))]);
+        assert_eq!(ok.to_string(), r#"{"ok":true,"closed":"s"}"#);
         let err = error_reply(
             Some("s"),
             &ServeError::new(ErrorKind::Event, "message 7 was never sent"),

@@ -8,11 +8,15 @@
 //!
 //! Pipelining: a client may send any number of frames before reading.
 //! The connection thread runs each request itself (under the stream's
-//! stripe lock, see [`crate::shard`]), appends the reply to one output
-//! buffer, and writes the buffer out whenever its read buffer holds no
-//! further complete frame — that is, before any read that could block —
-//! so replies leave in request order, a pipelined window costs one write,
-//! and depth 1 costs one write per reply. TCP sockets are `TCP_NODELAY`.
+//! stripe lock, see [`crate::shard`]): it hands the frame's bytes and its
+//! one output buffer to [`PoolHandle::answer_frame`], which appends the
+//! reply line — for a canonical `event` or `query` without building a
+//! tree on the way in or on the way out — and answers the three ops that
+//! come back (`ping`, `snapshot`, `shutdown`) itself. It writes the buffer
+//! out whenever its read buffer holds no further complete frame — that
+//! is, before any read that could block — so replies leave in request
+//! order, a pipelined window costs one write, and depth 1 costs one write
+//! per reply. TCP sockets are `TCP_NODELAY`.
 //!
 //! Persistence: with `--snapshot PATH`, the daemon restores the snapshot
 //! at startup (if present), persists on the `snapshot` op, and persists
@@ -35,9 +39,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use rdt_json::Json;
 
-use crate::protocol::{
-    error_reply, ok_reply, parse_request, ErrorKind, Request, ServeError, MAX_LINE_BYTES,
-};
+use crate::protocol::{error_reply, ok_reply, ErrorKind, Request, ServeError, MAX_LINE_BYTES};
 use crate::shard::{EnginePool, PoolHandle};
 
 /// Where the daemon listens.
@@ -172,24 +174,23 @@ fn persist_snapshot(shared: &Shared) -> Result<usize, ServeError> {
     Ok(count)
 }
 
-/// Routes one parsed line: daemon-scoped ops are answered here,
-/// stream-scoped ops go to the pool. Returns the reply and whether the
-/// daemon should stop.
-fn dispatch_line(shared: &Shared, line: &[u8]) -> (Json, bool) {
-    let req = match parse_request(line) {
-        Ok(req) => req,
-        Err(e) => return (error_reply(None, &e), false),
+/// Answers one frame into `out`: the pool reads it and answers everything
+/// stream-scoped and everything malformed ([`PoolHandle::answer_frame`]);
+/// the daemon-scoped ops it hands back are answered here. Returns whether
+/// the daemon should stop.
+fn dispatch_line(shared: &Shared, line: &[u8], out: &mut Vec<u8>) -> bool {
+    let Some(req) = shared.handle.answer_frame(line, out) else {
+        return false;
     };
-    match req {
-        Request::Ping => (ok_reply(vec![("pong", Json::Bool(true))]), false),
+    let mut stop = false;
+    let reply = match req {
+        Request::Ping => ok_reply([("pong", Json::Bool(true))]),
         Request::Snapshot => match persist_snapshot(shared) {
-            Ok(count) => (
-                ok_reply(vec![("persisted", Json::U64(count as u64))]),
-                false,
-            ),
-            Err(e) => (error_reply(None, &e), false),
+            Ok(count) => ok_reply([("persisted", Json::U64(count as u64))]),
+            Err(e) => error_reply(None, &e),
         },
         Request::Shutdown => {
+            stop = true;
             let mut fields = vec![("stopping", Json::Bool(true))];
             if shared.snapshot_path.is_some() {
                 match persist_snapshot(shared) {
@@ -197,10 +198,13 @@ fn dispatch_line(shared: &Shared, line: &[u8]) -> (Json, bool) {
                     Err(e) => fields.push(("snapshot_error", Json::Str(e.to_string()))),
                 }
             }
-            (ok_reply(fields), true)
+            ok_reply(fields)
         }
-        other => (shared.handle.request(other), false),
-    }
+        // Not handed back by `answer_frame`; the pool answers it anyway.
+        other => shared.handle.request(other),
+    };
+    push_reply(out, &reply);
+    stop
 }
 
 /// Renders one reply line into the connection's output buffer.
@@ -256,9 +260,7 @@ fn serve_connection(shared: &Shared, conn: Conn) {
         if frame.is_empty() {
             continue;
         }
-        let reply;
-        (reply, stop) = dispatch_line(shared, frame);
-        push_reply(&mut out, &reply);
+        stop = dispatch_line(shared, frame, &mut out);
     }
     let _ = flush_replies(&mut writer, &mut out);
     if stop {

@@ -13,6 +13,17 @@
 //! snapshot, which locks one stripe at a time) delays only requests of
 //! the same stripe.
 //!
+//! A stripe has two doors. [`PoolHandle::answer_frame`] is the daemon's:
+//! bytes in, reply line out. A canonical `event` or `query` frame
+//! ([`scan_request`]) picks its stripe by hashing the stream name where it
+//! lies in the frame, finds the engine with `BTreeMap::get_mut(&str)` and
+//! renders the typed [`Reply`] into the caller's buffer — no `String`, no
+//! tree; every other frame is parsed into a [`Request`] and goes through
+//! the second door, [`PoolHandle::request`] / [`handle_request`], which
+//! take a parsed request and return a `Json` tree. Behind both doors the
+//! two hot ops run the same function (`answer_hot`), so for them the tree
+//! is the parsed form of the daemon's text, not a second description of it.
+//!
 //! Snapshot restore reuses the deterministic work-stealing pool
 //! ([`rdt_sim::parallel_map_indexed`]) to rebuild many engines in
 //! parallel: results come back in item order, so the restored daemon is
@@ -27,7 +38,10 @@ use rdt_json::{Json, JsonWriter};
 use rdt_sim::parallel_map_indexed;
 
 use crate::engine::StreamEngine;
-use crate::protocol::{error_reply, ok_reply, ErrorKind, Request, ServeError, MAX_STREAMS};
+use crate::protocol::{
+    error_reply, ok_reply, parse_request, scan_request, ErrorKind, HotRequest, Reply, Request,
+    ServeError, MAX_STREAMS,
+};
 
 /// Daemon snapshot format marker.
 pub const POOL_SNAPSHOT_FORMAT: &str = "rdt-serve-snapshot";
@@ -55,10 +69,42 @@ fn admin_reply(stream: Option<&str>, message: impl Into<String>) -> Json {
     error_reply(stream, &ServeError::new(ErrorKind::Admin, message))
 }
 
+/// Runs one `event` or `query` — `ask` is the engine call — on `stream` of
+/// a stripe and appends the reply's text to `out`, without a newline. Both
+/// doors into a stripe run the two hot ops through here: the daemon's
+/// [`PoolHandle::answer_frame`] hands `out` to the socket, [`handle_request`]
+/// parses it. The name is borrowed, the accepted reply goes from its typed
+/// form straight to text, and only a refusal builds a tree.
+fn answer_hot(
+    streams: &mut BTreeMap<String, StreamEngine>,
+    stream: &str,
+    out: &mut Vec<u8>,
+    ask: impl FnOnce(&mut StreamEngine) -> Result<Reply, ServeError>,
+) {
+    match streams.get_mut(stream) {
+        None => unknown_stream(stream).write_compact(out),
+        Some(engine) => match ask(engine) {
+            Ok(reply) => reply.write(out),
+            Err(e) => error_reply(Some(stream), &e).write_compact(out),
+        },
+    }
+}
+
+/// The tree of a reply that exists as text: what `emit` appends, parsed.
+/// [`Reply::write`] and `write_compact` emit the canonical compact form, so
+/// printing the tree gives the text back.
+fn parsed_reply(emit: impl FnOnce(&mut Vec<u8>)) -> Json {
+    let mut text = Vec::new();
+    emit(&mut text);
+    Json::parse_bytes(&text).unwrap_or_else(|e| admin_reply(None, e.to_string()))
+}
+
 /// Processes one stream-scoped request against a stripe's engines. This
 /// is the daemon's ingest heart: it must never panic on any input, which
 /// the `panic-reachability` lint enforces statically from this entry
-/// point.
+/// point. For `event` and `query` the reply is the parsed form of the text
+/// the daemon sends (`answer_hot`); the daemon itself does not come through
+/// here for canonical frames of those two.
 pub fn handle_request(streams: &mut BTreeMap<String, StreamEngine>, req: &Request) -> Json {
     match req {
         Request::Open { stream, processes } => {
@@ -69,32 +115,24 @@ pub fn handle_request(streams: &mut BTreeMap<String, StreamEngine>, req: &Reques
                 );
             }
             streams.insert(stream.clone(), StreamEngine::new(*processes));
-            ok_reply(vec![
+            ok_reply([
                 ("stream", Json::Str(stream.clone())),
                 ("processes", Json::U64(*processes as u64)),
             ])
         }
-        Request::Event { stream, event } => match streams.get_mut(stream) {
-            None => unknown_stream(stream),
-            Some(engine) => match engine.ingest_event(event) {
-                Ok(fields) => ok_reply(fields),
-                Err(e) => error_reply(Some(stream), &e),
-            },
-        },
-        Request::Query { stream, query } => match streams.get_mut(stream) {
-            None => unknown_stream(stream),
-            Some(engine) => match engine.answer_query(query) {
-                Ok(fields) => ok_reply(fields),
-                Err(e) => error_reply(Some(stream), &e),
-            },
-        },
+        Request::Event { stream, event } => {
+            parsed_reply(|out| answer_hot(streams, stream, out, |e| e.ingest_event(event)))
+        }
+        Request::Query { stream, query } => {
+            parsed_reply(|out| answer_hot(streams, stream, out, |e| e.answer_query(query)))
+        }
         Request::Compact { stream } => match streams.get_mut(stream) {
             None => unknown_stream(stream),
             Some(engine) => ok_reply(engine.compact()),
         },
         Request::Close { stream } => {
             if streams.remove(stream).is_some() {
-                ok_reply(vec![("closed", Json::Str(stream.clone()))])
+                ok_reply([("closed", Json::Str(stream.clone()))])
             } else {
                 unknown_stream(stream)
             }
@@ -140,6 +178,48 @@ impl PoolHandle {
         self.stripes[i].lock().map_err(|_| not_running())
     }
 
+    /// One frame of a connection, bytes in, reply line out: this is what
+    /// `serve_connection` calls per frame. A canonical `event` or `query`
+    /// ([`scan_request`]) runs under its stripe's lock — chosen by hashing
+    /// the name where it lies in `frame` — and its reply is rendered into
+    /// `out`; nothing is allocated for the frame itself. Every other frame
+    /// goes through [`parse_request`] and [`PoolHandle::request`], and every
+    /// malformed one gets its error reply. Either way one line, newline
+    /// included, is appended to `out` and `None` returned — except for
+    /// `snapshot`, `ping` and `shutdown`, which are the server's to answer
+    /// and are handed back with nothing written.
+    pub fn answer_frame(&self, frame: &[u8], out: &mut Vec<u8>) -> Option<Request> {
+        match scan_request(frame) {
+            Some(HotRequest::Event { stream, event }) => {
+                self.lock_and_answer(stream, out, |e| e.ingest_event(&event));
+            }
+            Some(HotRequest::Query { stream, query }) => {
+                self.lock_and_answer(stream, out, |e| e.answer_query(&query));
+            }
+            None => match parse_request(frame) {
+                Ok(req @ (Request::Snapshot | Request::Ping | Request::Shutdown)) => {
+                    return Some(req);
+                }
+                Ok(req) => self.request(req).write_compact(out),
+                Err(e) => error_reply(None, &e).write_compact(out),
+            },
+        }
+        out.push(b'\n');
+        None
+    }
+
+    fn lock_and_answer(
+        &self,
+        stream: &str,
+        out: &mut Vec<u8>,
+        ask: impl FnOnce(&mut StreamEngine) -> Result<Reply, ServeError>,
+    ) {
+        match self.lock_stripe_of(stream) {
+            Ok(mut streams) => answer_hot(&mut streams, stream, out, ask),
+            Err(e) => error_reply(Some(stream), &e).write_compact(out),
+        }
+    }
+
     /// Runs one stream-scoped request on the calling thread, under the
     /// lock of the stream's stripe. Daemon-scoped requests
     /// ([`Request::Streams`] aside) are the server's job; submitting one
@@ -147,7 +227,7 @@ impl PoolHandle {
     pub fn request(&self, req: Request) -> Json {
         let Some(stream) = req.stream() else {
             if let Request::Streams = req {
-                return ok_reply(vec![("streams", self.stream_names())]);
+                return ok_reply([("streams", self.stream_names())]);
             }
             return admin_reply(None, "request is handled by the server, not the pool");
         };

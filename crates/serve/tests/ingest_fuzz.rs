@@ -4,12 +4,20 @@
 //! already open keep answering correctly afterwards. The same holds for
 //! the other door into an engine, the snapshot document: a mutated stream
 //! snapshot restores to the same answers or is refused, nothing else.
+//!
+//! The `scanner_*` tests hold the frame scanner to the tree parser:
+//! whatever `scan_request` accepts, `parse_request` reads as the same
+//! request, and whatever the daemon's per-frame entry answers — on either
+//! path — is the text of the tree path's reply. CI runs them by that name.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use rdt_json::Json;
-use rdt_serve::{handle_request, ok_reply, parse_request, ErrorKind, StreamEngine};
+use rdt_serve::{
+    error_reply, handle_request, ok_reply, parse_request, scan_request, EnginePool, ErrorKind,
+    PoolHandle, Request, StreamEngine, MAX_NAME_BYTES,
+};
 
 struct Rng(u64);
 
@@ -86,6 +94,389 @@ fn mutate(rng: &mut Rng, frames: &[String]) -> Vec<u8> {
     bytes
 }
 
+/// Replaces the first `from` in `frame`, if there is one, by `to`.
+fn splice(frame: &str, from: &str, to: &[u8]) -> Vec<u8> {
+    let Some(at) = frame.find(from) else {
+        return frame.as_bytes().to_vec();
+    };
+    let mut bytes = frame.as_bytes()[..at].to_vec();
+    bytes.extend_from_slice(to);
+    bytes.extend_from_slice(&frame.as_bytes()[at + from.len()..]);
+    bytes
+}
+
+/// The frame with its object's members reordered or one of them doubled.
+fn reshuffle(rng: &mut Rng, frame: &str, duplicate: bool) -> Vec<u8> {
+    let Ok(Json::Obj(mut pairs)) = Json::parse(frame) else {
+        return frame.as_bytes().to_vec();
+    };
+    if duplicate {
+        let (key, _) = pairs[rng.below(pairs.len())].clone();
+        let values = [Json::U64(1), Json::Str("s".into()), Json::Null];
+        let twin = (key, values[rng.below(values.len())].clone());
+        let at = rng.below(pairs.len() + 1);
+        pairs.insert(at, twin);
+    } else {
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.below(i + 1));
+        }
+    }
+    Json::Obj(pairs).to_string().into_bytes()
+}
+
+/// A corpus frame respelled the ways a client might spell it — and the
+/// ways an attacker might almost spell it: still close enough to the
+/// canonical form that a careless scanner would take it.
+fn respell(rng: &mut Rng, frames: &[String]) -> Vec<u8> {
+    let frame = &frames[rng.below(frames.len())];
+    let pick = |rng: &mut Rng, of: &[&str]| of[rng.below(of.len())].to_string();
+    match rng.below(9) {
+        0 => {
+            // Whitespace beside a structural byte (the corpus has none of
+            // these bytes inside a string).
+            let spots: Vec<usize> = (0..frame.len())
+                .filter(|&i| b"{}[],:".contains(&frame.as_bytes()[i]))
+                .collect();
+            if spots.is_empty() {
+                return frame.as_bytes().to_vec();
+            }
+            let at = spots[rng.below(spots.len())] + rng.below(2);
+            let mut bytes = frame.as_bytes().to_vec();
+            bytes.insert(at, b" \t\r\n"[rng.below(4)]);
+            bytes
+        }
+        1 => reshuffle(rng, frame, false),
+        2 => reshuffle(rng, frame, true),
+        3 => {
+            let name = pick(
+                rng,
+                &[
+                    r#""\u0073""#,
+                    r#""s\/""#,
+                    r#""\"""#,
+                    r#""s\\""#,
+                    r#""\ud83d""#,
+                ],
+            );
+            splice(frame, r#""s""#, name.as_bytes())
+        }
+        4 => {
+            // A number respelled: the digit runs of the corpus are values.
+            let bytes = frame.as_bytes();
+            let starts: Vec<usize> = (0..bytes.len())
+                .filter(|&i| bytes[i].is_ascii_digit() && !bytes[i - 1].is_ascii_digit())
+                .collect();
+            if starts.is_empty() {
+                return bytes.to_vec();
+            }
+            let start = starts[rng.below(starts.len())];
+            let len = bytes[start..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit())
+                .count();
+            let number = pick(
+                rng,
+                &[
+                    "1e3",
+                    "1.0",
+                    "1.",
+                    "007",
+                    "00",
+                    "01",
+                    "-0",
+                    "-1",
+                    "+1",
+                    "0x1",
+                    "4294967295",
+                    "4294967296",
+                    "9999999999999999999",
+                    "10000000000000000000",
+                    "18446744073709551615",
+                    "18446744073709551616",
+                    "99999999999999999999",
+                    "000000000000000000001",
+                ],
+            );
+            let mut out = bytes[..start].to_vec();
+            out.extend_from_slice(number.as_bytes());
+            out.extend_from_slice(&bytes[start + len..]);
+            out
+        }
+        5 => {
+            let tail = pick(rng, &["}", " ", "x", "\n", ",", "\0", "{}", "\"", "]"]);
+            [frame.as_bytes(), tail.as_bytes()].concat()
+        }
+        6 => {
+            let len = [
+                0,
+                1,
+                2,
+                MAX_NAME_BYTES - 1,
+                MAX_NAME_BYTES,
+                MAX_NAME_BYTES + 1,
+                300,
+            ];
+            let unit = pick(rng, &["s", "é", "東", "\u{1F600}", "\u{7f}"]);
+            let mut name = unit.repeat(len[rng.below(len.len())] / unit.len());
+            if rng.below(2) == 0 {
+                name = name.replacen(&unit, "s", 1);
+            }
+            splice(frame, r#""s""#, format!("\"{name}\"").as_bytes())
+        }
+        7 => {
+            // Not UTF-8: truncated, overlong, a surrogate, a bare
+            // continuation byte, a byte no encoding starts with.
+            let names: [&[u8]; 7] = [
+                b"\"\xE2\x82\"",
+                b"\"s\xC0\xAF\"",
+                b"\"\xED\xA0\x80\"",
+                b"\"s\x80\"",
+                b"\"\xFF\"",
+                b"\"\xF4\x90\x80\x80\"",
+                b"\"s\xE6\x9D\"",
+            ];
+            splice(frame, r#""s""#, names[rng.below(names.len())])
+        }
+        _ => mutate(rng, frames),
+    }
+}
+
+/// The daemon's per-frame entry beside the tree path: a one-stripe pool
+/// answering bytes, and a map of twin engines answering what
+/// `parse_request` makes of the same bytes.
+struct Differential {
+    pool: PoolHandle,
+    twins: BTreeMap<String, StreamEngine>,
+    out: Vec<u8>,
+}
+
+impl Differential {
+    fn new() -> Differential {
+        Differential {
+            pool: EnginePool::new(1).handle(),
+            twins: BTreeMap::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Feeds `frame` to both sides. Panics unless (1) whatever the scanner
+    /// accepts is what the tree parser reads and (2) the line the daemon's
+    /// entry appends is the text of the tree path's reply: `handle_request`
+    /// on the parsed request, or the error reply to what did not parse.
+    /// Returns whether the scanner took the frame.
+    fn step(&mut self, frame: &[u8]) -> bool {
+        let shown = String::from_utf8_lossy(frame).into_owned();
+        let parsed = parse_request(frame);
+        let scanned = scan_request(frame);
+        if let Some(hot) = &scanned {
+            assert_eq!(&Ok(hot.to_request()), &parsed, "{shown}");
+        }
+        self.out.clear();
+        let handed_back = self.pool.answer_frame(frame, &mut self.out);
+        let expected = match &parsed {
+            Err(e) => error_reply(None, e),
+            Ok(req) if req.stream().is_some() => handle_request(&mut self.twins, req),
+            // `streams` is the pool's to answer, the rest the server's.
+            Ok(req) => {
+                assert_eq!(handed_back.is_none(), *req == Request::Streams);
+                return false;
+            }
+        };
+        assert!(handed_back.is_none(), "{shown}");
+        let got = String::from_utf8_lossy(&self.out);
+        assert_eq!(got, format!("{expected}\n"), "{shown}");
+        scanned.is_some()
+    }
+}
+
+/// Stream names at the edges of what the scanner borrows as it stands.
+fn canonical_names() -> [String; 5] {
+    let at_limit = "n".repeat(MAX_NAME_BYTES);
+    [
+        "s",
+        "tenant-βγ/東京",
+        "\u{7f} {}[]:,'",
+        "\u{1F600}",
+        &at_limit,
+    ]
+    .map(str::to_string)
+}
+
+/// Every canonical shape of the two hot ops, over those names and over
+/// numbers at the edges of what the scanner reads.
+fn canonical_frames() -> Vec<String> {
+    let mut frames = Vec::new();
+    for name in canonical_names() {
+        let event = |body: &str| format!(r#"{{"op":"event","stream":"{name}","type":{body}}}"#);
+        let query = |body: &str| format!(r#"{{"op":"query","stream":"{name}","what":{body}}}"#);
+        frames.extend([
+            event(r#""send","from":0,"to":1"#),
+            event(r#""send","from":2,"to":0"#),
+            event(r#""send","from":9999999999999999999,"to":1000000000000000000"#),
+            event(r#""deliver","message":0"#),
+            event(r#""deliver","message":1"#),
+            event(r#""deliver","message":4294967295"#),
+            event(r#""checkpoint","process":0"#),
+            event(r#""checkpoint","process":2"#),
+            event(r#""checkpoint","process":512"#),
+            event(r#""crash","process":1"#),
+            event(r#""crash","process":10"#),
+            query(r#""untrackable""#),
+            query(r#""recovery-line""#),
+            query(r#""min-consistent","members":[[0,1]]"#),
+            query(r#""min-consistent","members":[[0,0],[1,0],[2,1]]"#),
+            query(r#""max-consistent","members":[[2,1]]"#),
+            query(r#""max-consistent","members":[[0,1],[2,4294967295]]"#),
+            query(r#""max-consistent","members":[[9999999999999999999,0]]"#),
+        ]);
+    }
+    frames
+}
+
+/// Near-misses: each is one step from a canonical frame, none is one.
+fn near_misses() -> Vec<Vec<u8>> {
+    let over_limit = "n".repeat(MAX_NAME_BYTES + 1);
+    let mut frames: Vec<Vec<u8>> = [
+        // Valid requests in another spelling.
+        r#" {"op":"event","stream":"s","type":"send","from":0,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0,"to":1} "#,
+        r#"{ "op":"event","stream":"s","type":"send","from":0,"to":1}"#,
+        r#"{"op": "event","stream":"s","type":"send","from":0,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0,"to":1 }"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0, "to":1}"#,
+        r#"{"stream":"s","op":"event","type":"send","from":0,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","to":1,"from":0}"#,
+        r#"{"op":"event","type":"send","stream":"s","from":0,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0,"to":1,"to":2}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0,"to":1,"x":null}"#,
+        r#"{"op":"event","stream":"s","stream":"t","type":"send","from":0,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"checkpoint","process":1.0}"#,
+        r#"{"op":"event","stream":"\u0073","type":"checkpoint","process":1}"#,
+        r#"{"op":"event","stream":"s","type":"deliver","message":0,"message":9}"#,
+        r#"{"op":"event","stream":"s","type":"crash","process":0,"from":1}"#,
+        r#"{"op":"query","stream":"s","what":"untrackable","members":[[0,1]]}"#,
+        r#"{"op":"query","stream":"s","what":"recovery-line","members":[]}"#,
+        r#"{"op":"query","stream":"s","what":"min-consistent","members":[[0,1] ]}"#,
+        r#"{"op":"query","stream":"s","what":"min-consistent","members":[[0, 1]]}"#,
+        r#"{"op":"query","stream":"s","what":"max-consistent","members":[[1.0,1e0]]}"#,
+        r#"{"op":"query","stream":"s","members":[[0,1]],"what":"max-consistent"}"#,
+        r#"{"op":"query","stream":"s","what":"max-consistent","members":[[0,1]],"members":[]}"#,
+        // Another op altogether.
+        r#"{"op":"compact","stream":"s"}"#,
+        r#"{"op":"open","stream":"t","processes":2}"#,
+        r#"{"op":"close","stream":"t"}"#,
+        // Frames that deserve an error, each worded by the tree path.
+        r#"{"op":"event","stream":"s","type":"send","from":0,"to":1}}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0,"to":1}x"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0,"to":1"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0,"to":}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0,"to":1,}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":007,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":00,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":+0,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":-0,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":0.0,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":1e3,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":"0","to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":10000000000000000000,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":99999999999999999999,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"send","from":000000000000000000001,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"deliver","message":4294967296}"#,
+        r#"{"op":"event","stream":"s","type":"deliver","message":18446744073709551616}"#,
+        r#"{"op":"event","stream":"s","type":"deliver","message":-1}"#,
+        r#"{"op":"event","stream":"s","type":"teleport","process":0}"#,
+        r#"{"op":"event","stream":"s","type":"Send","from":0,"to":1}"#,
+        r#"{"op":"event","stream":"s","type":"checkpoint","from":0}"#,
+        r#"{"op":"event","stream":"","type":"checkpoint","process":0}"#,
+        r#"{"op":"event","stream":"s\","type":"checkpoint","process":0}"#,
+        r#"{"op":"event","stream":"s\q","type":"checkpoint","process":0}"#,
+        r#"{"op":"event","stream":s,"type":"checkpoint","process":0}"#,
+        r#"{"op":"event","stream":7,"type":"checkpoint","process":0}"#,
+        r#"{"op":"Event","stream":"s","type":"checkpoint","process":0}"#,
+        r#"{"op":"query","stream":"s","what":"everything"}"#,
+        r#"{"op":"query","stream":"s","what":"untrackable""#,
+        r#"{"op":"query","stream":"s","what":"min-consistent"}"#,
+        r#"{"op":"query","stream":"s","what":"min-consistent","members":[]}"#,
+        r#"{"op":"query","stream":"s","what":"min-consistent","members":[[]]}"#,
+        r#"{"op":"query","stream":"s","what":"min-consistent","members":[[0]]}"#,
+        r#"{"op":"query","stream":"s","what":"min-consistent","members":[[0,1,2]]}"#,
+        r#"{"op":"query","stream":"s","what":"min-consistent","members":[[0,1],]}"#,
+        r#"{"op":"query","stream":"s","what":"min-consistent","members":[[0,1]"#,
+        r#"{"op":"query","stream":"s","what":"min-consistent","members":[0,1]}"#,
+        r#"{"op":"query","stream":"s","what":"max-consistent","members":[[0,4294967296]]}"#,
+        r#"{"op":"query","stream":"s","what":"max-consistent","members":[[01,0]]}"#,
+        r#"{"op":"query","stream":"s","what":"max-consistent","members":[[0,-1]]}"#,
+    ]
+    .iter()
+    .map(|frame| frame.as_bytes().to_vec())
+    .collect();
+    let send = r#"{"op":"event","stream":"s","type":"send","from":0,"to":1}"#;
+    frames.push(splice(
+        send,
+        r#""s""#,
+        format!("\"{over_limit}\"").as_bytes(),
+    ));
+    frames.push(splice(send, r#""s""#, b"\"a\x01b\""));
+    frames.push(splice(send, r#""s""#, b"\"a\nb\""));
+    for name in [
+        &b"\"\xE2\x82\""[..],
+        b"\"s\xC0\xAF\"",
+        b"\"\xED\xA0\x80\"",
+        b"\"s\x80\"",
+        b"\"\xFF\"",
+    ] {
+        frames.push(splice(send, r#""s""#, name));
+        let untrackable = r#"{"op":"query","stream":"s","what":"untrackable"}"#;
+        frames.push(splice(untrackable, r#""s""#, name));
+    }
+    frames
+}
+
+/// Every canonical shape is taken by the scanner (if it took none, every
+/// other test here would still pass), and answers what the tree path
+/// answers — on streams that exist, so the engine runs, and on one that
+/// does not.
+#[test]
+fn scanner_takes_every_canonical_shape() {
+    let mut differential = Differential::new();
+    // All but one of the names: the last stays unknown.
+    for name in &canonical_names()[..4] {
+        let open = format!(r#"{{"op":"open","stream":"{name}","processes":3}}"#);
+        differential.step(open.as_bytes());
+    }
+    let frames = canonical_frames();
+    assert_eq!(frames.len(), 5 * 18);
+    for frame in &frames {
+        assert!(differential.step(frame.as_bytes()), "not scanned: {frame}");
+    }
+    // The engines really ran: each open stream took three sends, two of
+    // them delivered, two checkpoints and a crash.
+    differential.step(br#"{"op":"query","stream":"s","what":"recovery-line"}"#);
+    assert_eq!(differential.out, b"{\"ok\":true,\"line\":[1,0,1]}\n");
+}
+
+/// No near-miss is taken, and each is answered as the tree path answers it.
+#[test]
+fn scanner_leaves_near_misses_to_the_tree_parser() {
+    let mut differential = Differential::new();
+    differential.step(br#"{"op":"open","stream":"s","processes":3}"#);
+    let (mut accepted, mut refused) = (0, 0);
+    for frame in near_misses() {
+        let shown = String::from_utf8_lossy(&frame).into_owned();
+        assert_eq!(scan_request(&frame), None, "scanned: {shown}");
+        assert!(!differential.step(&frame), "scanned: {shown}");
+        if differential.out.starts_with(br#"{"ok":true"#) {
+            accepted += 1;
+        } else {
+            refused += 1;
+        }
+    }
+    // Both kinds are in the list: other spellings of valid requests, and
+    // requests that are refused.
+    assert!(accepted >= 20 && refused >= 40, "{accepted} / {refused}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -99,6 +490,33 @@ proptest! {
             let _ = Json::parse_bytes(&bytes);
             let _ = parse_request(&bytes);
         }
+    }
+
+    /// Scanner ⊆ tree, and one wire: over byte soup, the corpus as it
+    /// stands, its respellings and its mutations, `scan_request` is `None`
+    /// or what `parse_request` reads, and the daemon's per-frame entry
+    /// answers every frame with the tree path's text — while the streams
+    /// those frames open, feed, compact and close stay in step on both
+    /// sides.
+    #[test]
+    fn scanner_is_a_subset_of_the_tree_parser(seed in any::<u64>()) {
+        let mut rng = Rng::new(seed);
+        let frames = valid_frames();
+        let mut differential = Differential::new();
+        let mut scanned = 0;
+        for round in 0..600 {
+            let bytes = match round % 6 {
+                0 => {
+                    let len = rng.below(64);
+                    random_bytes(&mut rng, len)
+                }
+                1 | 2 => frames[rng.below(frames.len())].clone().into_bytes(),
+                _ => respell(&mut rng, &frames),
+            };
+            scanned += usize::from(differential.step(&bytes));
+        }
+        // A third of the rounds are corpus frames, most of them hot ops.
+        prop_assert!(scanned >= 100, "{} frames scanned", scanned);
     }
 
     /// Mutated valid frames: parsing stays total, and feeding every
