@@ -104,7 +104,7 @@ impl Chains {
             let slot = self.zmat.push_node();
             j.record(Undo::ZSlot { p: p as u32 });
             if let Some(&prev) = self.z_slots[p].last() {
-                self.zmat.insert_edge(MAT_Z, j, false, prev as usize, slot);
+                self.zmat.insert_edge(MAT_Z, j, prev as usize, slot);
             }
             self.z_slots[p].push(slot as u32);
         }
@@ -130,7 +130,7 @@ impl ChainLayer for Chains {
     fn on_send<J: Journal>(&mut self, j: &mut J, fi: usize) {
         let spine = self.cmat.push_node();
         if let Some(&prev) = self.c_spine[fi].last() {
-            self.cmat.insert_edge(MAT_C, j, false, prev as usize, spine);
+            self.cmat.insert_edge(MAT_C, j, prev as usize, spine);
         }
         self.c_spine[fi].push(spine as u32);
         let linked = self.c_linked[fi] as usize;
@@ -143,7 +143,7 @@ impl ChainLayer for Chains {
             self.c_linked[fi] = total as u32;
             for i in linked..total {
                 let cn = self.c_delivs[fi][i] as usize;
-                self.cmat.insert_edge(MAT_C, j, false, cn, spine);
+                self.cmat.insert_edge(MAT_C, j, cn, spine);
             }
         }
         self.recs.push([NONE_U32, NONE_U32, spine as u32]);
@@ -161,9 +161,9 @@ impl ChainLayer for Chains {
             "the compaction watermark never outruns live intervals"
         );
         let deliver_slot = self.z_slots[ti][(iv - self.slot_base[ti]) as usize] as usize;
-        self.zmat.insert_edge(MAT_Z, j, false, z, deliver_slot);
+        self.zmat.insert_edge(MAT_Z, j, z, deliver_slot);
         let send_slot = self.z_slots[fi][(m.send_iv - self.slot_base[fi]) as usize] as usize;
-        self.zmat.insert_edge(MAT_Z, j, false, send_slot, z);
+        self.zmat.insert_edge(MAT_Z, j, send_slot, z);
 
         // Causal closure: message node fed by its own send-spine node;
         // the delivery will link to the *next* send of the receiver.
@@ -171,7 +171,7 @@ impl ChainLayer for Chains {
         let rec = &mut self.recs[mid as usize];
         (rec[ZNODE], rec[CNODE]) = (z as u32, c as u32);
         let spine = rec[SPINE] as usize;
-        self.cmat.insert_edge(MAT_C, j, false, spine, c);
+        self.cmat.insert_edge(MAT_C, j, spine, c);
         self.c_delivs[ti].push(c as u32);
     }
 

@@ -18,13 +18,16 @@
 //!   are dead weight. The floor keeps the *boundary* checkpoints alive:
 //!   senders of messages whose delivery interval is still unclosed, which
 //!   are precisely the nodes a pending Rule 2 edge can still name.
-//! * **Dropped reach is summarizable.** A dropped checkpoint can still
-//!   head *new* untrackable pairs (its R-paths extend through retained
-//!   nodes), but its reach set per process is downward closed along
-//!   Rule 1 chains, so one index per (retained node, process) — the
-//!   `drop_reach` table — reproduces the exact count of new untrackable
-//!   pairs with compacted-away sources, and the exact answers of the
-//!   R-graph global-checkpoint oracle below the base.
+//! * **Dropped reach is already summarized.** A dropped checkpoint can
+//!   still head *new* untrackable pairs (its R-paths extend through retained
+//!   nodes), but its reach set per process is downward closed along Rule 1
+//!   chains, so one index per (retained node, process) stands for it — and
+//!   that is the `reach` table the engine keeps for every node anyway
+//!   (`incremental.rs`): its entries are checkpoint *indices*, which do not
+//!   care whether the node that carried the index still exists. A kept row
+//!   is exact before the compaction and exact after it, for the count of
+//!   new untrackable pairs with compacted-away sources and for the answers
+//!   of the R-graph global-checkpoint oracle below the base alike.
 //!
 //! The message table itself is never dropped (records are plain
 //! integers, and external message handles must stay stable), so the
@@ -36,18 +39,22 @@
 //!
 //! # What a compaction costs
 //!
-//! Nothing here is linear in the stream's age. The watermark is one
-//! descent (the sends above it). The passes over the message table —
-//! retention floor and in-transit count, then the piggyback rebuild — start
-//! at the **settled-prefix cursor**: every message below it is delivered in
-//! a closed interval and owns no piggyback row, so it can neither hold the
-//! floor down, nor be in transit, nor have a row to move. The cursor is a
-//! cache of what `msgs` already says, not state: each state-discarding
-//! compaction advances it to the first message that is not settled yet, a
-//! restore restarts it at 0 (the first compaction afterwards walks the
-//! table once), and nothing is serialised for it. A rewind cannot cross it
-//! because the journal is discarded at the very point it moves. A `compact`
-//! that finds nothing to reclaim reads the live suffix once and returns.
+//! Nothing here is linear in the stream's age, and nothing reads what it
+//! drops. The watermark is one descent (the sends above it). The passes
+//! over the message table — retention floor and in-transit count, then the
+//! piggyback rebuild — start at the **settled-prefix cursor**: every message
+//! below it is delivered in a closed interval and owns no piggyback row, so
+//! it can neither hold the floor down, nor be in transit, nor have a row to
+//! move. The cursor is a cache of what `msgs` already says, not state: each
+//! state-discarding compaction advances it to the first message that is not
+//! settled yet, a restore restarts it at 0 (the first compaction afterwards
+//! walks the table once), and nothing is serialised for it. A rewind cannot
+//! cross it because the journal is discarded at the very point it moves. A
+//! `compact` that finds nothing to reclaim reads the live suffix once and
+//! returns. Of the per-node tables (`reach`, `cp_tdv`, `r_meta`) the kept
+//! rows close ranks, and of the closure the kept rows are renumbered
+//! (`rebuild_matrix`): no row of a dropped node is read, in either
+//! direction.
 //!
 //! What the chain layer keeps through a compaction, and why chain queries
 //! stay exact for heads above the watermark, is told at its `on_compact`
@@ -232,44 +239,11 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             rows.copied().collect()
         };
 
-        // ---- dropped-reach summaries (before the rows disappear) -------
-        let had_dr = !self.drop_reach.is_empty();
-        let mut new_dr = vec![NONE_U32; new_r_nodes * n];
-        if had_dr {
-            new_dr = kept_rows(&self.drop_reach);
-        }
-        for old in 0..self.rmat.nodes {
-            if r_remap[old] != NONE_U32 {
-                continue;
-            }
-            let (p, idx) = self.r_meta[old];
-            for y in bits::ones(self.rmat.row(false, old)) {
-                let ny = r_remap[y];
-                if ny == NONE_U32 {
-                    continue;
-                }
-                let row = ny as usize * n;
-                let slot = &mut new_dr[row + p as usize];
-                if *slot == NONE_U32 || idx > *slot {
-                    *slot = idx;
-                }
-                if had_dr {
-                    // Checkpoints dropped by *earlier* compactions that
-                    // reached this node keep reaching its successors.
-                    for k in 0..n {
-                        let d = self.drop_reach[old * n + k];
-                        let slot = &mut new_dr[row + k];
-                        if d != NONE_U32 && (*slot == NONE_U32 || d > *slot) {
-                            *slot = d;
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- rebuild ---------------------------------------------------
+        // A kept row of `reach` already counts the checkpoints about to be
+        // dropped (it holds indices, not nodes), so the compaction reads no
+        // closure row of a dropped node: only the kept ones, to renumber.
         self.rmat = rebuild_matrix(&self.rmat, &r_remap, new_r_nodes);
-        self.drop_reach = new_dr;
+        self.reach = kept_rows(&self.reach);
 
         self.r_meta = kept.iter().map(|&old| self.r_meta[old]).collect();
         self.cp_tdv = kept_rows(&self.cp_tdv);

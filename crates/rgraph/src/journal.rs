@@ -32,9 +32,9 @@ pub(super) const MAX_CLOSURE_NODES: usize = 1 << ROW_BITS;
 /// and chain entries it causes are undone before the tables it pushed are
 /// popped. `Word` is a changed closure-matrix word: selector and row in one
 /// `u32` (see [`Undo::word`]), the little-endian index of the word within
-/// the row, its old value. `DropReach` only occurs after the first
-/// compaction; `ZSlot` (an interval slot of `p` was pushed) and `CLinked`
-/// (deliveries at `p` were linked to a send spine) are the chain layer's.
+/// the row, its old value. `Reach` is a raised lane of the reach table;
+/// `ZSlot` (an interval slot of `p` was pushed) and `CLinked` (deliveries at
+/// `p` were linked to a send spine) are the chain layer's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Undo {
     Word(u32, [u8; 3], u64),
@@ -43,7 +43,7 @@ pub enum Undo {
     Deliver { mid: u32, open: bool },
     Untrackable { old: u64 },
     CurTdv { slot: u32, old: u32 },
-    DropReach { slot: u32, old: u32 },
+    Reach { slot: u32, old: u32 },
     ZSlot { p: u32 },
     CLinked { p: u32, old: u32 },
 }
@@ -235,11 +235,7 @@ impl<C: ChainLayer> IncrementalAnalysis<C, UndoJournal> {
                     self.r_meta.pop();
                     self.cp_nodes[p].pop();
                     self.cp_tdv.truncate(self.cp_tdv.len() - self.n);
-                    // Empty or not for a whole epoch: only a compaction
-                    // (which discards the journal) creates the table.
-                    if !self.drop_reach.is_empty() {
-                        self.drop_reach.truncate(self.drop_reach.len() - self.n);
-                    }
+                    self.reach.truncate(self.reach.len() - self.n);
                 }
                 Undo::Send { from, open } => {
                     self.line_open[from as usize] = open;
@@ -257,7 +253,7 @@ impl<C: ChainLayer> IncrementalAnalysis<C, UndoJournal> {
                 }
                 Undo::Untrackable { old } => self.untrackable = old,
                 Undo::CurTdv { slot, old } => self.cur_tdv[slot as usize] = old,
-                Undo::DropReach { slot, old } => self.drop_reach[slot as usize] = old,
+                Undo::Reach { slot, old } => self.reach[slot as usize] = old,
                 chain_entry => self.chains.undo(chain_entry, &self.msgs),
             }
         }

@@ -31,6 +31,18 @@
 //! (`tests/snapshot_bytes.rs` holds the bytes to a golden and to digests
 //! captured from the tree builder this writer replaced).
 //!
+//! One table of the engine is not in the document as it stands: `reach`,
+//! the backward closure as one vector per node. Its retained half is what
+//! the `rmat.bwd` rows say and its compacted-away half is the `drop_reach`
+//! table the format has always had, so the writer derives `drop_reach` from
+//! it (`write_drop_reach`) and restore joins the two back together
+//! (`rebuild_reach`, one pass over `rmat.bwd`) — the bytes are those of the
+//! engine that kept `drop_reach` itself. Restore also bounds every counter
+//! an append increments or the reach fold offsets by one (`cp_count`, the
+//! three `TDV` tables, `drop_reach`, the `r_meta` indices) by what the
+//! pattern can hold, so a document cannot hand the engine a value its next
+//! append overflows.
+//!
 //! # Versions
 //!
 //! * **2** (written): the core tables; `msgs` rows are
@@ -334,10 +346,30 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         w.key("epoch").u64(self.epoch);
         w.key("watermark").u32s(&self.watermark);
         w.key("cp_base").u32s(&self.cp_base);
-        w.key("drop_reach").u32s(&self.drop_reach);
+        self.write_drop_reach(w.key("drop_reach"));
         w.key("reclaimed_rows").u64(self.reclaimed_rows);
         self.chains.write_snapshot(w);
         w.end_object();
+    }
+
+    /// The document's `drop_reach` table, derived from `reach`: per R-node
+    /// and process the greatest index of a *compacted-away* checkpoint with
+    /// an R-path to the node ([`NONE_U32`] = none), empty before the first
+    /// state-discarding compaction. The reaching checkpoints of a process
+    /// are a prefix, so the dropped ones among them are the prefix cut at
+    /// `cp_base`; the retained part of `reach` is what `rmat.bwd` says and
+    /// is not written twice.
+    fn write_drop_reach(&self, w: &mut JsonWriter<'_>) {
+        w.begin_array();
+        if self.epoch > 0 {
+            for row in self.reach.chunks_exact(self.n) {
+                for (&reach, &base) in row.iter().zip(&self.cp_base) {
+                    let dropped = reach.min(base).checked_sub(1);
+                    w.u64(u64::from(dropped.unwrap_or(NONE_U32)));
+                }
+            }
+        }
+        w.end_array();
     }
 
     /// The snapshot as a [`Json`] tree: the parsed form of what
@@ -424,7 +456,8 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             msgs.push(m);
         }
 
-        let engine = IncrementalAnalysis {
+        let drop_reach = get_vec(doc, "drop_reach", read_u32)?;
+        let mut engine = IncrementalAnalysis {
             n,
             chains: C::restore(doc, n, msgs.len())?,
             journal: J::default(),
@@ -435,6 +468,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             cur_tdv: get_vec(doc, "cur_tdv", read_u32)?,
             msg_tdv,
             cp_tdv: get_vec(doc, "cp_tdv", read_u32)?,
+            reach: Vec::new(),
             rmat: matrix_from_json(doc, "rmat")?,
             r_meta: get_vec(doc, "r_meta", read_pair)?,
             cp_nodes: per_process(get_rows(doc, "cp_nodes", read_u32)?, n, "cp_nodes")?,
@@ -448,19 +482,53 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             watermark: vec32("watermark")?,
             cp_base: vec32("cp_base")?,
             cp_count,
-            drop_reach: get_vec(doc, "drop_reach", read_u32)?,
             reclaimed_rows: get_u64(doc, "reclaimed_rows")?,
             // Not in the document: the first compaction after a restore
             // walks the table once and finds the cursor again.
             settled: 0,
         };
-        engine.check_core_tables()?;
+        engine.check_core_tables(&drop_reach)?;
+        engine.rebuild_reach(&drop_reach);
         Ok(engine)
     }
 
+    /// `reach` of a restored engine, from the two halves the document
+    /// holds it in (both validated): `drop_reach` for the compacted-away
+    /// checkpoints and the `rmat.bwd` rows for the retained ones. Of each
+    /// process the retained checkpoints reaching a node are a prefix of
+    /// `cp_nodes[q]`, and along a process's own checkpoints that prefix only
+    /// grows (Rule 1: what reaches one reaches the next), so the join walks
+    /// each process's nodes oldest first with one cursor per lane: about two
+    /// bit tests per entry instead of a walk over every set bit.
+    fn rebuild_reach(&mut self, drop_reach: &[u32]) {
+        let n = self.n;
+        // `NONE_U32` wraps to 0: the table is stored one up.
+        self.reach = drop_reach.iter().map(|d| d.wrapping_add(1)).collect();
+        self.reach.resize(self.rmat.nodes * n, 0);
+        let mut ends = vec![0usize; n];
+        for own in &self.cp_nodes {
+            ends.fill(0);
+            for &y in own {
+                let preds = self.rmat.row(true, y as usize);
+                let row = self.reach[y as usize * n..][..n].iter_mut();
+                let lanes = row.zip(&mut ends).zip(&self.cp_nodes).zip(&self.cp_base);
+                for (((lane, end), nodes), &base) in lanes {
+                    while (nodes.get(*end)).is_some_and(|&x| bits::test(preds, x as usize)) {
+                        *end += 1;
+                    }
+                    // A retained checkpoint is above every dropped one.
+                    if *end > 0 {
+                        *lane = base + *end as u32;
+                    }
+                }
+            }
+        }
+    }
+
     /// The cross-table invariants of the core that appends and queries
-    /// index through.
-    fn check_core_tables(&self) -> Result<(), SnapshotError> {
+    /// index through, and the bounds on every counter an append increments
+    /// or the reach fold offsets by one.
+    fn check_core_tables(&self, drop_reach: &[u32]) -> Result<(), SnapshotError> {
         let (n, nodes) = (self.n, self.rmat.nodes);
         if self.cur_tdv.len() != n * n {
             return Err(bad("`cur_tdv` is not n×n"));
@@ -471,13 +539,51 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         if self.cp_tdv.len() != nodes * n {
             return Err(bad("`cp_tdv` length disagrees with `rmat` nodes"));
         }
-        if !self.drop_reach.is_empty() && self.drop_reach.len() != nodes * n {
+        if !drop_reach.is_empty() && drop_reach.len() != nodes * n {
             return Err(bad("`drop_reach` length disagrees with `rmat` nodes"));
         }
-        if let Some(node) = self.r_meta.iter().position(|meta| meta.0 as usize >= n) {
+        // The next checkpoint of `p` takes `cp_count[p] + 1` as its index
+        // and leaves `cp_count[p] + 2` in `reach` and in `p`'s own `TDV`
+        // entry, which the fold offsets by one wherever it is seen.
+        if let Some(p) = self.cp_count.iter().position(|&c| c > NONE_U32 - 3) {
             return Err(bad(format!(
-                "`r_meta` node {node} names an unknown process"
+                "`cp_count[{p}]` leaves no room for another checkpoint"
             )));
+        }
+        // A `TDV` entry names an interval of its process: at most the open
+        // one, `cp_count + 1`.
+        for (key, table) in [
+            ("cur_tdv", &self.cur_tdv),
+            ("msg_tdv", &self.msg_tdv),
+            ("cp_tdv", &self.cp_tdv),
+        ] {
+            let beyond = |row: &[u32]| row.iter().zip(&self.cp_count).any(|(&iv, &c)| iv > c + 1);
+            if table.chunks_exact(n).any(beyond) {
+                return Err(bad(format!(
+                    "`{key}` entry names an interval its process does not have"
+                )));
+            }
+        }
+        let retained = |row: &[u32]| {
+            let kept = |(&d, &base): (&u32, &u32)| d != NONE_U32 && d >= base;
+            row.iter().zip(&self.cp_base).any(kept)
+        };
+        if drop_reach.chunks_exact(n).any(retained) {
+            return Err(bad(
+                "`drop_reach` entry names a checkpoint that was not dropped",
+            ));
+        }
+        for (node, &(p, index)) in self.r_meta.iter().enumerate() {
+            let Some(&count) = self.cp_count.get(p as usize) else {
+                return Err(bad(format!(
+                    "`r_meta` node {node} names an unknown process"
+                )));
+            };
+            if !(self.cp_base[p as usize]..=count).contains(&index) {
+                return Err(bad(format!(
+                    "`r_meta` node {node} is not a retained checkpoint of its process"
+                )));
+            }
         }
         for p in 0..n {
             let (base, count) = (self.cp_base[p], self.cp_count[p]);

@@ -20,6 +20,17 @@
 //! same-typed tables swapped by the writer cannot hide behind one state in
 //! which they happen to be equal.
 //!
+//! [`COMPACTED_DIGESTS`] pins a second thing, from a second parent: the
+//! `drop_reach` table of long-lived streams. Until `3b4489e` the engine
+//! kept that table itself — created by the first compaction, extended by
+//! every one after it from the closure rows it dropped — and wrote it as it
+//! stood; its child keeps one reach vector per node instead and *derives*
+//! the table when it writes, so the code that defined these bytes is gone
+//! too. The six digests (3, 8 and 32 processes, coordinated and trailing
+//! compactions, four epochs each, a text `10·n` events after the last
+//! compaction and another after a restore and `20·n` more events) were
+//! computed at `3b4489e` by the function below and are never regenerated.
+//!
 //! Beside the pinned bytes, every corpus state is held to the two
 //! properties the rest of the workspace builds on: the writer emits the
 //! canonical compact form (`parse(text).to_string() == text`, which is what
@@ -275,5 +286,133 @@ fn corpus_digests_match_the_tree_builder() {
             let digest = run_script::<Chains, UndoJournal>(n, seed);
             assert_eq!(digest, full, "{what}: FullAnalysis");
         }
+    }
+}
+
+// ------------------------------------------------ compacted streams ----
+
+/// Per stream `(n, trailing)`: FNV-1a 64 over its two texts, as the engine
+/// that kept `drop_reach` as a table wrote them (`3b4489e`).
+const COMPACTED_DIGESTS: [(usize, bool, u64); 6] = [
+    (3, false, 0xa973925afd3beabc),
+    (3, true, 0xbd6116d214bbf75e),
+    (8, false, 0xdcef3316bf4bb0b2),
+    (8, true, 0x25824e1c8a87a488),
+    (32, false, 0x8cd3d9238b5476b5),
+    (32, true, 0x831248955a222a73),
+];
+
+/// A long-lived stream of the daemon's shape: every 4th event a checkpoint
+/// of a random process, otherwise a send or a delivery of a random message
+/// in flight (at most `2n`).
+struct Stream {
+    script: Script,
+    events: usize,
+}
+
+impl Stream {
+    fn event(&mut self) -> Op {
+        let n = self.script.n;
+        let s = &mut self.script;
+        self.events += 1;
+        if self.events.is_multiple_of(4) {
+            let p = s.rng.below(n);
+            s.taken[p] += 1;
+            return Op::Cp(p);
+        }
+        let send = match s.in_flight.len() {
+            0 => true,
+            k if k >= 2 * n => false,
+            _ => s.rng.below(2) == 0,
+        };
+        if send {
+            let from = s.rng.below(n);
+            s.in_flight.push(s.next_mid);
+            s.next_mid += 1;
+            Op::Send(from, (from + 1 + s.rng.below(n - 1)) % n)
+        } else {
+            let k = s.rng.below(s.in_flight.len());
+            Op::Del(s.in_flight.swap_remove(k))
+        }
+    }
+
+    /// A coordinated round (everything in flight delivered, every process
+    /// checkpointed) and a compaction to the recovery line, which is then
+    /// the frontier; or, `trailing`, no round and a compaction to caps up to
+    /// three checkpoints behind each process's last, so the watermark
+    /// trails and part of every history stays resident.
+    fn compaction(&mut self, trailing: bool) -> Vec<Op> {
+        let s = &mut self.script;
+        if trailing {
+            let lag = |p: usize, s: &mut Script| s.taken[p].saturating_sub(s.rng.below(4) as u32);
+            return vec![Op::CompactTo((0..s.n).map(|p| lag(p, s)).collect())];
+        }
+        let mut ops: Vec<Op> = s.in_flight.drain(..).map(Op::Del).collect();
+        for p in 0..s.n {
+            s.taken[p] += 1;
+            ops.push(Op::Cp(p));
+        }
+        ops.push(Op::CompactToLine);
+        ops
+    }
+}
+
+/// One stream: four periods of `100·n` events, each closed by a
+/// compaction; the first text is taken `10·n` events after the last one,
+/// the second after a restore and `20·n` more events on the restored twin
+/// (which the uninterrupted original must write identically).
+fn compacted_stream_digest(n: usize, trailing: bool) -> u64 {
+    let what = format!("n = {n}, trailing = {trailing}");
+    let mut engine = IncrementalAnalysis::new(n);
+    let mut stream = Stream {
+        script: Script::new(n, 0x5eed_0020 + n as u64 + u64::from(trailing)),
+        events: 0,
+    };
+    for _ in 0..4 {
+        for _ in 0..100 * n {
+            apply(&mut engine, &stream.event());
+        }
+        for op in stream.compaction(trailing) {
+            apply(&mut engine, &op);
+        }
+    }
+    assert!(engine.compactions() >= 3, "{what}: epochs");
+    assert!(
+        engine.retained_from().iter().any(|&base| base > 0),
+        "{what}"
+    );
+    for _ in 0..10 * n {
+        apply(&mut engine, &stream.event());
+    }
+    let first = text(&engine);
+    let doc = Json::parse_bytes(first.as_bytes()).expect("snapshot text parses");
+    let dropped = doc
+        .get("drop_reach")
+        .and_then(Json::as_array)
+        .expect("table");
+    assert!(
+        dropped.iter().any(|d| *d != Json::U64(u64::from(u32::MAX))),
+        "{what}: no dropped checkpoint reaches a retained one"
+    );
+    let mut twin = IncrementalAnalysis::from_snapshot_json(&doc).expect("restores");
+    for _ in 0..20 * n {
+        let op = stream.event();
+        apply(&mut engine, &op);
+        apply(&mut twin, &op);
+    }
+    let second = text(&twin);
+    assert_eq!(text(&engine), second, "{what}: restored twin diverged");
+    assert_ne!(first, second);
+    fnv1a(
+        fnv1a(0xcbf2_9ce4_8422_2325, first.as_bytes()),
+        second.as_bytes(),
+    )
+}
+
+#[test]
+fn compacted_stream_digests_match_the_drop_reach_engine() {
+    for &(n, trailing, pinned) in &COMPACTED_DIGESTS {
+        let digest = compacted_stream_digest(n, trailing);
+        assert_eq!(digest, pinned, "n = {n}, trailing = {trailing}");
     }
 }

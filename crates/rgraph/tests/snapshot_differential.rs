@@ -240,6 +240,97 @@ fn corrupted_snapshots_error() {
     assert!(IncrementalAnalysis::from_snapshot_json(&poisoned).is_err());
 }
 
+/// `doc[key][at[0]][at[1]]…` replaced by `value`.
+fn with_entry(doc: &Json, key: &str, at: &[usize], value: u64) -> Json {
+    let mut doc = doc.clone();
+    let Json::Obj(fields) = &mut doc else {
+        panic!("snapshot is an object");
+    };
+    let table = &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1;
+    let entry = at.iter().fold(table, |entry, &i| match entry {
+        Json::Arr(items) => &mut items[i],
+        _ => panic!("`{key}` is not nested that deep"),
+    });
+    assert!(matches!(entry, Json::U64(_)), "`{key}` entry is a number");
+    *entry = Json::U64(value);
+    doc
+}
+
+/// A counter at the top of its range restored fine and overflowed on the
+/// next append that incremented it (a `cur_tdv` own entry of 4294967295:
+/// `attempt to add with overflow` on the process's next checkpoint in a
+/// debug build, an interval counter wrapped to 0 in a release build), and
+/// the reach fold offsets `cp_tdv` and `drop_reach` entries by one. Restore
+/// bounds every such value by what the pattern can hold.
+#[test]
+fn counters_an_append_would_overflow_are_rejected() {
+    const TOP: u64 = u32::MAX as u64;
+    let (n, mut rng) = (3, Rng(0x5eed_0020));
+    let (mut next_mid, mut in_flight) = (0u32, Vec::new());
+    let mut engine = IncrementalAnalysis::new(n);
+    for op in random_ops(&mut rng, n, 80, &mut next_mid, &mut in_flight) {
+        apply(&mut engine, op);
+    }
+    let caps: Vec<u32> = (0..n)
+        .map(|p| engine.last_checkpoint_index(ProcessId::new(p)) - 1)
+        .collect();
+    assert!(engine.compact_to(&caps).dropped_r_nodes > 0);
+    for op in random_ops(&mut rng, n, 20, &mut next_mid, &mut in_flight) {
+        apply(&mut engine, op);
+    }
+    // In transit at the snapshot, so a piggyback row is resident.
+    engine.append_send(ProcessId::new(0), ProcessId::new(1));
+    let doc = engine.snapshot_json();
+    assert!(IncrementalAnalysis::from_snapshot_json(&doc).is_ok());
+
+    // Process 1's own entry of its running TDV; the first entry elsewhere.
+    let own = n + 1;
+    let poisoned = [
+        ("cp_count", vec![1], TOP),
+        ("cp_count", vec![1], TOP - 1),
+        ("cur_tdv", vec![own], TOP),
+        ("msg_tdv", vec![0], TOP),
+        ("cp_tdv", vec![0], TOP),
+        ("r_meta", vec![0, 1], TOP),
+        // A retained checkpoint is no dropped one, whatever reaches it; a
+        // dropped-reach entry stops below `cp_base`.
+        ("drop_reach", vec![0], u64::from(engine.retained_from()[0])),
+        ("drop_reach", vec![0], TOP - 1),
+    ];
+    for (key, at, value) in poisoned {
+        let err = IncrementalAnalysis::from_snapshot_json(&with_entry(&doc, key, &at, value))
+            .expect_err(key);
+        assert!(err.message.contains(key), "{key} := {value}: {err}");
+    }
+    // What the bounds admit: `NONE` in `drop_reach`, the open interval in a
+    // TDV, the last dropped checkpoint.
+    let last = u64::from(engine.last_checkpoint_index(ProcessId::new(0)));
+    let below_base = u64::from(engine.retained_from()[0]) - 1;
+    for (key, at, value) in [
+        ("drop_reach", vec![0], TOP),
+        ("drop_reach", vec![0], below_base),
+        ("cp_tdv", vec![0], last + 1),
+    ] {
+        let restored = IncrementalAnalysis::from_snapshot_json(&with_entry(&doc, key, &at, value));
+        let mut restored = restored.unwrap_or_else(|e| panic!("{key} := {value}: {e}"));
+        for p in 0..n {
+            restored.append_checkpoint(ProcessId::new(p));
+        }
+    }
+
+    // The pinned documents of every format version are within the bounds.
+    for golden in [
+        include_str!("golden/snapshot_v1.json"),
+        include_str!("golden/snapshot_v2.json"),
+    ] {
+        let doc = Json::parse_bytes(golden.as_bytes()).expect("golden parses");
+        IncrementalAnalysis::from_snapshot_json(&doc).expect("golden restores");
+    }
+    let chains = include_str!("golden/snapshot_v2_chains.json");
+    let doc = Json::parse_bytes(chains.as_bytes()).expect("golden parses");
+    rdt_rgraph::FullAnalysis::layered_from_snapshot(&doc).expect("golden restores");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -3,9 +3,10 @@
 //! dependency-tracking RDT protocol, cross-validated against the offline
 //! R-graph fixpoint.
 
-use rdt::theory::min_max;
+use rdt::sim::TraceEvent;
+use rdt::theory::{min_max, RewindableAnalysis};
 use rdt::workloads::EnvironmentKind;
-use rdt::{run_protocol_kind, ProtocolKind, SimConfig, StopCondition};
+use rdt::{run_protocol_kind, CheckpointId, ProcessId, ProtocolKind, SimConfig, StopCondition};
 
 fn config(seed: u64) -> SimConfig {
     SimConfig::new(4)
@@ -107,4 +108,74 @@ fn uncoordinated_runs_would_fail_the_corollary() {
         found,
         "expected some uncoordinated checkpoint to expose a hidden dependency"
     );
+}
+
+/// The corollary as an identity inside the incremental engine. The engine
+/// keeps, per checkpoint, the greatest checkpoint of every process with an
+/// R-path to it (its reach vector) beside the `TDV` saved with it, and
+/// counts the pairs the second does not cover: on a run whose forced
+/// checkpoints `Bhmr` places the count is 0 after every event, and the
+/// R-graph minimum — a lookup in the reach vectors — is the fixpoint
+/// minimum for every checkpoint the engine still holds, with compactions to
+/// the recovery line and to trailing caps interleaved.
+#[test]
+fn reach_vectors_are_the_min_gc_on_bhmr_streams_with_compaction() {
+    let n = 4;
+    let mut checked = 0;
+    for &env in &[EnvironmentKind::Random, EnvironmentKind::ClientServer] {
+        for seed in [5u64, 6] {
+            let mut app = env.build(n, 15);
+            let outcome = run_protocol_kind(ProtocolKind::Bhmr, &config(seed), app.as_mut());
+            assert!(outcome.trace.forced_checkpoint_count() > 0);
+            let mut engine = RewindableAnalysis::layered(n);
+            for (step, event) in outcome.trace.events().iter().enumerate() {
+                match *event {
+                    TraceEvent::Send { from, to, .. } => {
+                        engine.append_send(from, to);
+                    }
+                    TraceEvent::Deliver { message, .. } => engine.append_deliver(message.0 as u32),
+                    TraceEvent::Checkpoint { id, .. } => {
+                        assert_eq!(engine.append_checkpoint(id.process), id);
+                    }
+                    TraceEvent::Crash { .. } => unreachable!("no crash is configured"),
+                }
+                match step % 60 {
+                    19 => {
+                        engine.compact_to_recovery_line();
+                    }
+                    49 => {
+                        let last = |p| engine.last_checkpoint_index(ProcessId::new(p));
+                        let caps: Vec<u32> = (0..n).map(|p| last(p).saturating_sub(1)).collect();
+                        engine.compact_to(&caps);
+                    }
+                    _ => {}
+                }
+                let what = format!("{env} (seed {seed}), event {step}");
+                assert_eq!(engine.untrackable_pairs(), 0, "{what}");
+                // The corollary speaks of closed patterns: a checkpoint that
+                // depends on an interval still open has no minimum yet.
+                engine.with_closed(|view| {
+                    assert_eq!(view.untrackable_pairs(), 0, "{what}, closed");
+                    for p in 0..n {
+                        let process = ProcessId::new(p);
+                        let retained = view.retained_from()[p];
+                        for index in retained..=view.last_checkpoint_index(process) {
+                            let member = [CheckpointId::new(process, index)];
+                            let via_reach = view.min_consistent_via_rgraph(&member);
+                            assert!(via_reach.is_some(), "{what}: {} is useless", member[0]);
+                            assert_eq!(
+                                via_reach,
+                                view.min_consistent_containing(&member),
+                                "{what}: minimum containing {}",
+                                member[0]
+                            );
+                            checked += 1;
+                        }
+                    }
+                });
+            }
+            assert!(engine.compactions() >= 3, "{env} (seed {seed}): epochs");
+        }
+    }
+    assert!(checked > 5_000, "only {checked} minima compared");
 }
