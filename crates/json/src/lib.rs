@@ -10,7 +10,10 @@
 //!   compact writers,
 //! * [`JsonWriter`] — the compact form written straight into a byte buffer,
 //!   for documents too large to be worth building as a tree first,
-//! * [`Json::parse`] — a strict recursive-descent parser,
+//! * [`JsonReader`] — its twin: text read in place, one typed step at a
+//!   time, for documents too large to be worth parsing into a tree first,
+//! * [`Json::parse`] — a strict parser, which is a walk over the reader: the
+//!   grammar, and the wording and offset of every error, exist once,
 //! * [`ToJson`] — the serialization trait experiment results and traces
 //!   implement by hand (tuples and `Vec`s compose automatically).
 //!
@@ -231,20 +234,17 @@ impl Json {
     /// entry point for untrusted input (socket frames, files from other
     /// tools); [`Json::parse`] wraps it for already-valid UTF-8.
     pub fn parse_bytes(bytes: &[u8]) -> Result<Json, JsonError> {
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(err(pos, "trailing characters after the document"));
-        }
+        let mut reader = JsonReader::new(bytes);
+        let value = reader.value()?;
+        reader.end()?;
         Ok(value)
     }
 }
 
-/// Maximum container nesting [`Json::parse_bytes`] accepts. The parser
-/// recurses per nesting level, so unbounded depth would let a short
-/// adversarial input (`[[[[…`) overflow the stack; 128 levels is far
-/// beyond anything the workspace's writers emit.
+/// Maximum container nesting [`Json::parse_bytes`] and [`JsonReader`]
+/// accept. The tree walk recurses per nesting level, so unbounded depth
+/// would let a short adversarial input (`[[[[…`) overflow the stack; 128
+/// levels is far beyond anything the workspace's writers emit.
 pub const MAX_DEPTH: usize = 128;
 
 impl fmt::Display for Json {
@@ -483,7 +483,10 @@ impl<'a> JsonWriter<'a> {
     }
 }
 
-// -------------------------------------------------------------- parser ---
+// -------------------------------------------------------------- lexers ---
+//
+// The scalar grammar, once: the reader below is the only caller, and the
+// tree parser is a walk over the reader.
 
 fn err(offset: usize, message: impl Into<String>) -> JsonError {
     JsonError {
@@ -507,80 +510,10 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b'[') => {
-            if depth >= MAX_DEPTH {
-                return Err(err(*pos, "nesting deeper than the supported maximum"));
-            }
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or ']' in array")),
-                }
-            }
-        }
-        Some(b'{') => {
-            if depth >= MAX_DEPTH {
-                return Err(err(*pos, "nesting deeper than the supported maximum"));
-            }
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or '}' in object")),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    keyword: &str,
-    value: Json,
-) -> Result<Json, JsonError> {
+fn lex_keyword(bytes: &[u8], pos: &mut usize, keyword: &str) -> Result<(), JsonError> {
     if bytes[*pos..].starts_with(keyword.as_bytes()) {
         *pos += keyword.len();
-        Ok(value)
+        Ok(())
     } else {
         Err(err(*pos, format!("expected `{keyword}`")))
     }
@@ -589,7 +522,7 @@ fn parse_keyword(
 /// Reads the 4 hex digits of a `\uXXXX` escape at `*pos` (positioned on
 /// the `u`). Strict: exactly four ASCII hex digits — `from_str_radix`
 /// would also accept a leading `+`, so the digits are validated by hand.
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
+fn lex_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
     let hex = bytes
         .get(*pos + 1..*pos + 5)
         .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
@@ -607,7 +540,7 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
     Ok(code)
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn lex_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -630,7 +563,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
                         let escape_start = *pos - 1;
-                        let code = parse_hex4(bytes, pos)?;
+                        let code = lex_hex4(bytes, pos)?;
                         let c = match code {
                             // High surrogate: must be followed by
                             // `\uDC00`–`\uDFFF`; combine the pair.
@@ -642,7 +575,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                                     ));
                                 }
                                 *pos += 2;
-                                let low = parse_hex4(bytes, pos)?;
+                                let low = lex_hex4(bytes, pos)?;
                                 if !(0xDC00..=0xDFFF).contains(&low) {
                                     return Err(err(
                                         escape_start,
@@ -734,9 +667,57 @@ fn is_rfc8259_number(text: &[u8]) -> bool {
     matches!(at, At::IntZero | At::Int | At::Frac | At::Exp)
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// The run of decimal digits at `at`: its value modulo 2⁶⁴ and where it
+/// ends. Nineteen digits cannot wrap, so a caller that bounds the length
+/// has the exact value.
+#[inline]
+fn lex_digits(bytes: &[u8], mut at: usize) -> (u64, usize) {
+    let mut value = 0u64;
+    while let Some(digit) = bytes.get(at).map(|b| b.wrapping_sub(b'0')) {
+        if digit > 9 {
+            break;
+        }
+        value = value.wrapping_mul(10).wrapping_add(u64::from(digit));
+        at += 1;
+    }
+    (value, at)
+}
+
+/// The digits of an integer that needs no further look: 1 to 19 of them
+/// (they fit a `u64`) and no leading zero.
+#[inline]
+fn is_plain_integer(bytes: &[u8], start: usize, end: usize) -> bool {
+    let len = end - start;
+    (1..=19).contains(&len) && (len == 1 || bytes[start] != b'0')
+}
+
+/// The number at `*pos`, as [`Json::U64`], [`Json::I64`] or [`Json::F64`].
+///
+/// A snapshot is unsigned integers of a few digits almost throughout, so
+/// those are read in one pass over their digits: an optional `-`, 1 to 19
+/// digits without a leading zero, and no `.`, exponent or sign after them.
+/// Every other run — a 20th digit, a fraction, whatever is malformed —
+/// takes the general path: delimit the run, hold it to the grammar, and
+/// let `str::parse` convert it.
+fn lex_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
+    let negative = bytes.get(start) == Some(&b'-');
+    let first = start + usize::from(negative);
+    let (value, end) = lex_digits(bytes, first);
+    if is_plain_integer(bytes, first, end)
+        && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+    {
+        let fast = match negative {
+            false => Some(Json::U64(value)),
+            true => 0i64.checked_sub_unsigned(value).map(Json::I64),
+        };
+        if let Some(number) = fast {
+            *pos = end;
+            return Ok(number);
+        }
+    }
+
+    if negative {
         *pos += 1;
     }
     let mut is_float = false;
@@ -759,8 +740,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     // Digits alone, after at most one `-`, break the grammar only by a
     // leading zero; the state machine is for the runs with a `.`, an
-    // exponent or a further sign. A snapshot is digits alone almost
-    // throughout, so it pays one comparison per number.
+    // exponent or a further sign.
     let valid = if is_float {
         is_rfc8259_number(text.as_bytes())
     } else {
@@ -781,6 +761,312 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     text.parse::<f64>()
         .map(Json::F64)
         .map_err(|_| err(start, format!("invalid number `{text}`")))
+}
+
+// -------------------------------------------------------------- reader ---
+
+/// Reads JSON text in place, one step at a time, without a [`Json`] tree
+/// in between: the twin of [`JsonWriter`].
+///
+/// The caller walks the document's shape — `begin_object`, then `next_key`
+/// until it returns `None`; `begin_array`, then `next_item` until it returns
+/// `false` — and takes each value with the accessor of the type it expects
+/// (`u64`, `bool`, `str`, the typed arrays), with [`value`](JsonReader::value)
+/// where it wants a tree after all, or with
+/// [`skip_value`](JsonReader::skip_value) where it wants nothing. A value
+/// of another type, malformed text, nesting deeper than [`MAX_DEPTH`] and
+/// invalid UTF-8 are all [`JsonError`]s carrying the byte offset; nothing
+/// panics on any input. [`Json::parse_bytes`] is `value` followed by
+/// [`end`](JsonReader::end), so the reader and the tree parser are one
+/// grammar and word every error alike.
+///
+/// Like the writer, the reader does not check that the caller's steps are
+/// balanced (a `next_key` inside an array reads whatever is there as a key
+/// and reports what it finds); it is for code that reads a fixed document
+/// shape.
+///
+/// ```rust
+/// use rdt_json::JsonReader;
+///
+/// let mut r = JsonReader::new(br#"{"name":"fig7","rows":[1,2],"later":{"x":null}}"#);
+/// let (mut name, mut rows) = (String::new(), Vec::new());
+/// r.begin_object()?;
+/// while let Some(key) = r.next_key()? {
+///     match key.as_str() {
+///         "name" => name = r.str()?,
+///         "rows" => r.u32s_into(&mut rows)?,
+///         _ => r.skip_value()?,
+///     }
+/// }
+/// r.end()?;
+/// assert_eq!((name.as_str(), &rows[..]), ("fig7", &[1, 2][..]));
+/// # Ok::<(), rdt_json::JsonError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct JsonReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
+    /// Whether the innermost container was opened and nothing read from it
+    /// yet: its next member needs no `,` before it.
+    fresh: bool,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        JsonReader {
+            bytes,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    /// The byte offset of the next unread byte.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Skips whitespace and returns the first byte of the next value (or
+    /// whatever stands where one should) without consuming it.
+    pub fn peek(&mut self) -> Result<u8, JsonError> {
+        skip_ws(self.bytes, &mut self.pos);
+        match self.bytes.get(self.pos) {
+            Some(&byte) => Ok(byte),
+            None => Err(err(self.pos, "unexpected end of input")),
+        }
+    }
+
+    /// Accepts only whitespace up to the end of the input.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        skip_ws(self.bytes, &mut self.pos);
+        if self.pos != self.bytes.len() {
+            return Err(err(self.pos, "trailing characters after the document"));
+        }
+        Ok(())
+    }
+
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        if self.peek()? != bracket {
+            return Err(err(self.pos, format!("expected {:?}", bracket as char)));
+        }
+        if self.depth >= MAX_DEPTH {
+            return Err(err(self.pos, "nesting deeper than the supported maximum"));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth = self.depth.saturating_sub(1);
+        self.fresh = false;
+    }
+
+    /// Steps to the next member of the innermost container, over the `,`
+    /// before it if it is not the first; `false` (and the container closed)
+    /// at its closing `bracket`.
+    fn next_member(&mut self, bracket: u8, expected: &str) -> Result<bool, JsonError> {
+        skip_ws(self.bytes, &mut self.pos);
+        let fresh = std::mem::replace(&mut self.fresh, false);
+        match self.bytes.get(self.pos) {
+            Some(&b) if b == bracket => {
+                self.close();
+                Ok(false)
+            }
+            _ if fresh => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(err(self.pos, expected)),
+        }
+    }
+
+    /// Opens an object: the next value must be one.
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{')
+    }
+
+    /// The key of the innermost object's next member, positioned on its
+    /// value; `None` once the object is closed.
+    pub fn next_key(&mut self) -> Result<Option<String>, JsonError> {
+        if !self.next_member(b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
+        }
+        skip_ws(self.bytes, &mut self.pos);
+        let key = lex_string(self.bytes, &mut self.pos)?;
+        skip_ws(self.bytes, &mut self.pos);
+        expect(self.bytes, &mut self.pos, b':')?;
+        Ok(Some(key))
+    }
+
+    /// Opens an array: the next value must be one.
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[')
+    }
+
+    /// Whether the innermost array has another item, positioned on it;
+    /// `false` once the array is closed.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.next_member(b']', "expected ',' or ']' in array")
+    }
+
+    /// The next value, which must be an unsigned integer.
+    pub fn u64(&mut self) -> Result<u64, JsonError> {
+        let start = match self.peek()? {
+            b'-' | b'0'..=b'9' => self.pos,
+            _ => return Err(err(self.pos, "expected an unsigned integer")),
+        };
+        match lex_number(self.bytes, &mut self.pos)? {
+            Json::U64(value) => Ok(value),
+            _ => Err(err(start, "expected an unsigned integer")),
+        }
+    }
+
+    /// The next value, which must be `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        match self.peek()? {
+            b't' => lex_keyword(self.bytes, &mut self.pos, "true").map(|()| true),
+            b'f' => lex_keyword(self.bytes, &mut self.pos, "false").map(|()| false),
+            _ => Err(err(self.pos, "expected a boolean")),
+        }
+    }
+
+    /// The next value, which must be `null`.
+    pub fn null(&mut self) -> Result<(), JsonError> {
+        self.peek()?;
+        lex_keyword(self.bytes, &mut self.pos, "null")
+    }
+
+    /// The next value, which must be a string.
+    pub fn str(&mut self) -> Result<String, JsonError> {
+        self.peek()?;
+        lex_string(self.bytes, &mut self.pos)
+    }
+
+    /// The next value, whatever it is, as a tree.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        match self.peek()? {
+            b'n' => self.null().map(|()| Json::Null),
+            b't' | b'f' => self.bool().map(Json::Bool),
+            b'"' => self.str().map(Json::Str),
+            b'[' => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            b'{' => {
+                self.begin_object()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    pairs.push((key, self.value()?));
+                }
+                Ok(Json::Obj(pairs))
+            }
+            _ => lex_number(self.bytes, &mut self.pos),
+        }
+    }
+
+    /// Passes over the next value, whatever it is, checking it as
+    /// [`value`](JsonReader::value) would and keeping nothing.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            b'[' => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            b'{' => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            _ => self.value().map(drop),
+        }
+    }
+
+    /// Appends the items of the next value, which must be an array of
+    /// unsigned integers that fit a `u32`, to `out`.
+    pub fn u32s_into(&mut self, out: &mut Vec<u32>) -> Result<(), JsonError> {
+        self.uints_into(out, "expected an unsigned 32-bit integer")
+    }
+
+    /// Appends the items of the next value, which must be an array of
+    /// unsigned integers, to `out`.
+    pub fn u64s_into(&mut self, out: &mut Vec<u64>) -> Result<(), JsonError> {
+        self.uints_into(out, "expected an unsigned integer")
+    }
+
+    /// The typed-array read. The compact form a [`JsonWriter`] emits —
+    /// `[` digits `,` digits … `]`, each number 1 to 19 digits with no
+    /// leading zero — is taken by a loop over the digits that looks at
+    /// nothing else. Anything that loop does not expect (whitespace, a
+    /// leading zero, a 20th digit, a sign, a fraction, an item out of `T`'s
+    /// range, a stray comma, the end of the input) rewinds to the `[` and
+    /// reads the array item by item, which accepts what the grammar allows
+    /// and words the error for what it does not.
+    fn uints_into<T: TryFrom<u64>>(
+        &mut self,
+        out: &mut Vec<T>,
+        expected: &str,
+    ) -> Result<(), JsonError> {
+        self.begin_array()?;
+        let (rewind, kept) = (self.pos, out.len());
+        if self.compact_uints_into(out) {
+            return Ok(());
+        }
+        self.pos = rewind;
+        out.truncate(kept);
+        while self.next_item()? {
+            self.peek()?;
+            let start = self.pos;
+            let item = T::try_from(self.u64()?).map_err(|_| err(start, expected))?;
+            out.push(item);
+        }
+        Ok(())
+    }
+
+    /// The digit loop of [`uints_into`](JsonReader::uints_into), just inside
+    /// the `[`: `true` with the array closed if it was compact throughout.
+    fn compact_uints_into<T: TryFrom<u64>>(&mut self, out: &mut Vec<T>) -> bool {
+        let bytes = self.bytes;
+        let mut at = self.pos;
+        if bytes.get(at) == Some(&b']') {
+            self.close();
+            return true;
+        }
+        loop {
+            let (value, end) = lex_digits(bytes, at);
+            if !is_plain_integer(bytes, at, end) {
+                return false;
+            }
+            let Ok(item) = T::try_from(value) else {
+                return false;
+            };
+            out.push(item);
+            match bytes.get(end) {
+                Some(b',') => at = end + 1,
+                Some(b']') => {
+                    self.pos = end;
+                    self.close();
+                    return true;
+                }
+                _ => return false,
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------------- ToJson ---

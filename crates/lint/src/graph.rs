@@ -53,8 +53,11 @@ const ENTRY_POINTS: &[(Option<&str>, &str, &str)] = &[
     // is a remote denial-of-service. Requests run on the connection
     // thread (`serve_connection` → `PoolHandle::request`), so a panic
     // there takes a tenant's connection down and poisons its stripe.
-    // Snapshot restore (`from_stream_snapshot`) additionally consumes
-    // on-disk state that may be corrupt.
+    // Snapshot restore additionally consumes on-disk state that may be
+    // corrupt: `restore_text` is what `Server::bind` hands the file's
+    // bytes to (reader, then validation and build), `from_snapshot_text`
+    // the reader-driven engine restore below it, `from_stream_snapshot`
+    // the wrapper that renders a tree and takes the same path.
     (None, "parse_request", "crates/serve/src/"),
     (None, "handle_request", "crates/serve/src/"),
     (Some("PoolHandle"), "request", "crates/serve/src/"),
@@ -64,6 +67,8 @@ const ENTRY_POINTS: &[(Option<&str>, &str, &str)] = &[
         "from_stream_snapshot",
         "crates/serve/src/",
     ),
+    (Some("PoolHandle"), "restore_text", "crates/serve/src/"),
+    (None, "from_snapshot_text", "crates/rgraph/src/"),
 ];
 
 /// Keywords and builtins that look like calls but never are.
@@ -161,6 +166,14 @@ pub fn panic_reachability(files: &[ParsedFile], diags: &mut Vec<Diagnostic>) {
             };
             let is_method = i >= 1 && file.text(i - 1) == ".";
             if is_method && AMBIENT_METHODS.contains(&name) {
+                continue;
+            }
+            // A bare `name(` where `name` is a parameter of this function
+            // calls the closure the caller passed (a parameter shadows any
+            // function of that name): the closure's body belongs to the
+            // caller, which is where its calls are found.
+            let is_path = i >= 1 && file.text(i - 1) == ":";
+            if !is_method && !is_path && node.fr.f.params.iter().any(|p| p == name) {
                 continue;
             }
             // `Qual::name(`: a known impl type narrows the target; a

@@ -664,7 +664,9 @@ impl<'s> ItemParser<'s> {
         for tree in children {
             match self.leaf_text(tree) {
                 Some("<") => depth += 1,
-                Some(">") => depth -= 1,
+                // The `>` of a `->` (a closure parameter's return type)
+                // closes no bracket.
+                Some(">") if prev != Some("-") => depth -= 1,
                 Some(":") if depth == 0 => {
                     if let Some(name) = prev {
                         if name != "mut" && name != "ref" {
@@ -1322,6 +1324,20 @@ mod tests {
         let body = f.body.as_ref().unwrap();
         assert_eq!(body.stmts.len(), 2);
         assert!(matches!(&body.stmts[0].kind, StmtKind::Let { names, .. } if names == &["c"]));
+    }
+
+    /// A closure parameter's type has a `->` in it, whose `>` closes no
+    /// generic bracket: the parameters after it are still parameters.
+    #[test]
+    fn closure_typed_params_are_all_named() {
+        let file = parse(
+            "fn map<T, R>(items: &[T], init: impl Fn() -> R + Sync, \
+             run: impl Fn(&mut Vec<T>, usize) -> R, mut observe: impl FnMut(usize)) {}",
+        );
+        assert_eq!(
+            first_fn(&file).params,
+            vec!["items", "init", "run", "observe"]
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! causal links), so closure work stays proportional to new reachability,
 //! not to the O(M²) direct link count.
 
-use rdt_json::{Json, JsonWriter};
+use rdt_json::{JsonReader, JsonWriter};
 
 use super::compaction::{rebuild_matrix, remap_kept};
 use super::*;
@@ -42,12 +42,19 @@ pub trait ChainLayer: Sized + std::fmt::Debug {
     /// member; the absent layer writes nothing.
     #[doc(hidden)]
     fn write_snapshot(&self, _: &mut JsonWriter<'_>) {}
-    /// Reads the layer back for an engine of `n` processes and `msgs`
-    /// messages. The absent layer ignores chain tables in the document (a
-    /// version 1 snapshot's, or a stray `chains` key): nothing in a
-    /// chain-free engine indexes through them.
+    /// Reads the value of the snapshot document's `chains` key. The absent
+    /// layer skips it and keeps nothing (a stray `chains` key, like the
+    /// chain tables of a version 1 snapshot, is any unknown key): nothing
+    /// in a chain-free engine indexes through them.
     #[doc(hidden)]
-    fn restore(_doc: &Json, n: usize, _msgs: usize) -> Result<Self, SnapshotError> {
+    fn read_snapshot(r: &mut JsonReader<'_>) -> Result<Option<ChainTables>, SnapshotError> {
+        r.skip_value()?;
+        Ok(None)
+    }
+    /// Builds the layer from what `read_snapshot` kept, for an engine of
+    /// `n` processes and `msgs` messages.
+    #[doc(hidden)]
+    fn restore(_: Option<ChainTables>, n: usize, _msgs: usize) -> Result<Self, SnapshotError> {
         Ok(Self::new(n))
     }
 }
@@ -278,8 +285,12 @@ impl ChainLayer for Chains {
         snapshot::write_chains(w, self);
     }
 
-    fn restore(doc: &Json, n: usize, msgs: usize) -> Result<Self, SnapshotError> {
-        snapshot::chains_from_json(doc, n, msgs)
+    fn read_snapshot(r: &mut JsonReader<'_>) -> Result<Option<ChainTables>, SnapshotError> {
+        snapshot::read_chains(r).map(Some)
+    }
+
+    fn restore(t: Option<ChainTables>, n: usize, msgs: usize) -> Result<Self, SnapshotError> {
+        snapshot::chains_from_tables(t, n, msgs)
     }
 }
 

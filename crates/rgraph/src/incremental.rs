@@ -93,7 +93,10 @@ pub use compaction::CompactionStats;
 
 #[path = "snapshot.rs"]
 mod snapshot;
-pub use snapshot::{SnapshotError, SnapshotErrorKind, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
+use snapshot::ChainTables;
+pub use snapshot::{
+    SnapshotError, SnapshotErrorKind, SnapshotTables, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
+};
 
 /// Core + journal: what a reader needs that asks closed-view questions
 /// ([`with_closed`](IncrementalAnalysis::with_closed)) of the R-graph core
@@ -136,6 +139,13 @@ pub enum AppendError {
         /// The offending message handle.
         mid: u32,
     },
+    /// The process has taken every checkpoint its 32-bit index can name:
+    /// one more would wrap an interval counter (the bound a restored
+    /// document is held to as well).
+    CheckpointIndexExhausted {
+        /// The process that cannot checkpoint again.
+        process: usize,
+    },
 }
 
 impl std::fmt::Display for AppendError {
@@ -149,6 +159,9 @@ impl std::fmt::Display for AppendError {
             }
             AppendError::AlreadyDelivered { mid } => {
                 write!(f, "message {mid} already delivered")
+            }
+            AppendError::CheckpointIndexExhausted { process } => {
+                write!(f, "process {process} has no checkpoint index left")
             }
         }
     }
@@ -494,13 +507,6 @@ impl IncrementalAnalysis {
     pub fn new(n: usize) -> Self {
         Self::layered(n)
     }
-
-    /// Restores a core engine from a version 2 or 1 snapshot document
-    /// ([`layered_from_snapshot`](IncrementalAnalysis::layered_from_snapshot)
-    /// for the core alone).
-    pub fn from_snapshot_json(doc: &rdt_json::Json) -> Result<Self, SnapshotError> {
-        Self::layered_from_snapshot(doc)
-    }
 }
 
 impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
@@ -594,8 +600,9 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     }
 
     /// Fallible [`append_checkpoint`](IncrementalAnalysis::append_checkpoint),
-    /// the entry point for untrusted event streams: an out-of-range process
-    /// is an [`AppendError`] and leaves the engine untouched.
+    /// the entry point for untrusted event streams: an out-of-range process,
+    /// or one whose checkpoint index is at the top of its range, is an
+    /// [`AppendError`] and leaves the engine untouched.
     pub fn try_append_checkpoint(
         &mut self,
         process: ProcessId,
@@ -606,6 +613,12 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
                 process: pi,
                 n: self.n,
             });
+        }
+        // The checkpoint takes `cp_count + 1` as its index and leaves
+        // `cp_count + 2` in `reach` and in the process's own `TDV` entry,
+        // which the fold offsets by one wherever it is seen.
+        if self.cp_count[pi] > NONE_U32 - 3 {
+            return Err(AppendError::CheckpointIndexExhausted { process: pi });
         }
         let closing = self.cp_count[pi] + 1;
         self.journal.record(Undo::Checkpoint {
@@ -1938,9 +1951,10 @@ mod tests {
                     self.in_flight = in_flight;
                 }
                 5 => {
-                    let doc = self.subject.snapshot_json();
-                    self.subject =
-                        RewindableAnalysis::layered_from_snapshot(&doc).expect("restores");
+                    let mut text = Vec::new();
+                    let mut w = rdt_json::JsonWriter::new(&mut text);
+                    self.subject.write_snapshot(&mut w);
+                    self.subject = RewindableAnalysis::from_snapshot_text(&text).expect("restores");
                     self.marks.clear();
                 }
                 _ => self.event(),

@@ -59,7 +59,7 @@ pub use consistency::GlobalCheckpoint;
 pub use incremental::{
     AppendError, ChainLayer, Chains, CompactionStats, FullAnalysis, IncrementalAnalysis, Journal,
     Mark, MessageRoute, NoChains, NoJournal, RewindError, RewindableAnalysis, SnapshotError,
-    SnapshotErrorKind, UndoJournal, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
+    SnapshotErrorKind, SnapshotTables, UndoJournal, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
 pub use pattern::{Pattern, PatternBuilder, PatternError, PatternEvent, PatternMessageId};
 pub use rdt::{RdtChecker, RdtReport, RdtViolation};

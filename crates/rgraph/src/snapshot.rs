@@ -10,55 +10,84 @@
 //! marks become defined [`RewindError`]s, mirroring the compaction-boundary
 //! rule.
 //!
-//! The format is a single versioned JSON object, reloaded with the total
-//! [`Json::parse_bytes`]. Restore validates every cross-table invariant the
-//! append/query paths rely on for in-bounds indexing, so a corrupted or
-//! hand-edited snapshot is a [`SnapshotError`], never a panic later on.
+//! The format is a single versioned JSON object, and neither direction
+//! builds a [`Json`](rdt_json::Json) tree of it: a tree of a few hundred
+//! thousand nodes cost the daemon four times what the text it stood for cost
+//! to write, and three times what it costs to read.
 //!
 //! # One description of the written form
 //!
-//! The written form has one description, and it is a writer:
 //! [`write_snapshot`](IncrementalAnalysis::write_snapshot) lists the tables
 //! once, in document order, and renders them straight from the engine's
-//! vectors into the caller's byte buffer through [`JsonWriter`] — no [`Json`]
-//! tree, no allocation per row or per number. A tree of a few hundred
-//! thousand nodes cost the daemon four times what the 1.7 MB of text it
-//! stood for cost to write, so nothing on the persistence path builds one.
+//! vectors into the caller's byte buffer through [`JsonWriter`].
 //! [`snapshot_json`](IncrementalAnalysis::snapshot_json) is the *parsed form
 //! of that text*, kept for the callers that edit a document field by field
 //! (tests that corrupt one, the benchmark's ladder); the writer emits the
 //! canonical compact form, so the two agree exactly
-//! (`tests/snapshot_bytes.rs` holds the bytes to a golden and to digests
-//! captured from the tree builder this writer replaced).
+//! (`tests/snapshot_bytes.rs` holds the bytes to goldens).
 //!
-//! One table of the engine is not in the document as it stands: `reach`,
-//! the backward closure as one vector per node. Its retained half is what
-//! the `rmat.bwd` rows say and its compacted-away half is the `drop_reach`
-//! table the format has always had, so the writer derives `drop_reach` from
-//! it (`write_drop_reach`) and restore joins the two back together
-//! (`rebuild_reach`, one pass over `rmat.bwd`) — the bytes are those of the
-//! engine that kept `drop_reach` itself. Restore also bounds every counter
+//! # One way back
+//!
+//! Every version restores through one path:
+//! [`read_snapshot`](IncrementalAnalysis::read_snapshot) pulls the text
+//! through a [`JsonReader`] into [`SnapshotTables`] — typed vectors, one per
+//! table, the keys in any order, a key the engine does not know skipped with
+//! nothing kept, a key it knows **rejected if it comes twice** — and
+//! [`from_snapshot_tables`](IncrementalAnalysis::from_snapshot_tables)
+//! validates the tables against each other and builds the engine. The two
+//! steps are separate so that a caller with many documents in one file (the
+//! daemon) can read them in sequence and build them in parallel. Restore
+//! validates every cross-table invariant the append/query paths rely on for
+//! in-bounds indexing, so a corrupted or hand-edited snapshot is a
+//! [`SnapshotError`], never a panic later on. It also bounds every counter
 //! an append increments or the reach fold offsets by one (`cp_count`, the
 //! three `TDV` tables, `drop_reach`, the `r_meta` indices) by what the
 //! pattern can hold, so a document cannot hand the engine a value its next
 //! append overflows.
 //!
+//! Three tables of the engine are not in the document, because the others
+//! determine them:
+//!
+//! * the transposes of the closure matrices. A matrix is written as `nodes`,
+//!   `width` and its forward slab; restore checks that slab (no bit beyond
+//!   `nodes`, every diagonal bit set — which is all its transpose needs to be
+//!   in bounds and reflexive too) and transposes it, 64×64 bits at a time.
+//! * `send_events` / `deliver_events`, the per-process indices into the
+//!   message table. `send_events[p]` is the messages from `p` in handle
+//!   order (a process's send intervals only grow, and restore rejects a table
+//!   in which they do not); `deliver_events[p]` is the messages delivered at
+//!   `p` by `(deliver_iv, handle)`. The engine appends deliveries in arrival
+//!   order, which inside one interval need not be handle order, but every
+//!   reader of the table — the Rule 2 edges of the checkpoint that closes the
+//!   interval, the chain layer's per-interval masks — reads an interval's
+//!   entries as a set, so the order inside it is not state.
+//! * `reach`, the backward closure as one vector per node. Its retained half
+//!   is what the transposed rows say and its compacted-away half is the
+//!   `drop_reach` table the format has always had, so the writer derives
+//!   `drop_reach` from it (`write_drop_reach`) and restore joins the two back
+//!   together (`rebuild_reach`).
+//!
 //! # Versions
 //!
-//! * **2** (written): the core tables; `msgs` rows are
-//!   `[from, to, send_iv, deliver_iv, tdv_row]`.
+//! * **3** (written): the core tables; `msgs` rows are
+//!   `[from, to, send_iv, deliver_iv, tdv_row]`; matrices are
+//!   `{nodes, width, fwd}`.
+//! * **2** (read): version 3 plus the tables version 3 derives — `bwd` in
+//!   every matrix, `send_events` and `deliver_events`. They are skipped like
+//!   any unknown key, **not trusted**: a version 2 document restores to the
+//!   engine its other tables describe.
 //! * **1** (read): the format of the engine that always carried the chain
-//!   layer — `msgs` rows eight columns wide (`znode`, `cnode`, `spine`
-//!   before `tdv_row`), eight chain tables and a `compactions` counter
-//!   (always equal to `epoch`) at the top level. The core tables are
-//!   validated exactly as in a version 2 document, the five core columns of
-//!   each `msgs` row are kept and the rest is not read. `reclaimed_rows` is
-//!   carried as stored: a monotone counter that in a version 1 document
-//!   also counted chain rows.
+//!   layer — version 2 with `msgs` rows eight columns wide (`znode`, `cnode`,
+//!   `spine` before `tdv_row`), eight chain tables and a `compactions`
+//!   counter (always equal to `epoch`) at the top level. The five core
+//!   columns of each `msgs` row are kept and the rest is not read.
+//!   `reclaimed_rows` is carried as stored: a monotone counter that in a
+//!   version 1 document also counted chain rows.
 //!
-//! Any other version is [`SnapshotErrorKind::UnsupportedVersion`].
+//! Any other version is [`SnapshotErrorKind::UnsupportedVersion`]. Whatever
+//! is read, version 3 is what is written next.
 
-use rdt_json::{Json, JsonWriter};
+use rdt_json::{Json, JsonError, JsonReader, JsonWriter};
 
 use super::*;
 
@@ -66,7 +95,7 @@ use super::*;
 pub const SNAPSHOT_FORMAT: &str = "rdt-rgraph-snapshot";
 
 /// Snapshot format version written by [`IncrementalAnalysis::write_snapshot`].
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// What kind of rejection a [`SnapshotError`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +107,8 @@ pub enum SnapshotErrorKind {
         /// The version the document declares.
         found: u64,
     },
-    /// A snapshot of a supported version with a missing, mistyped or
-    /// inconsistent table.
+    /// A snapshot of a supported version that is malformed text or has a
+    /// missing, repeated, mistyped or inconsistent table.
     Invalid,
 }
 
@@ -101,6 +130,12 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<JsonError> for SnapshotError {
+    fn from(e: JsonError) -> Self {
+        bad(e.to_string())
+    }
+}
+
 fn bad(message: impl Into<String>) -> SnapshotError {
     SnapshotError {
         kind: SnapshotErrorKind::Invalid,
@@ -110,60 +145,156 @@ fn bad(message: impl Into<String>) -> SnapshotError {
 
 // ----------------------------------------------------------- reading ----
 
-type Read<T> = fn(&Json, &str) -> Result<T, SnapshotError>;
-
-fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, SnapshotError> {
-    obj.get(key).ok_or_else(|| bad(format!("missing `{key}`")))
+/// An array of equally long arrays of numbers, flattened.
+#[derive(Debug, Default)]
+struct Rows {
+    rows: usize,
+    /// Length of every row (of the first, until the others are checked).
+    cols: usize,
+    flat: Vec<u32>,
 }
 
-fn read_u64(value: &Json, key: &str) -> Result<u64, SnapshotError> {
-    match *value {
-        Json::U64(v) => Ok(v),
-        _ => Err(bad(format!("`{key}` is not an unsigned integer"))),
+/// A closure matrix as the document holds it.
+#[derive(Debug, Default)]
+struct MatrixTables {
+    nodes: Option<u64>,
+    width: Option<u64>,
+    fwd: Option<Vec<u64>>,
+}
+
+/// The chain layer's tables as the document holds them.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct ChainTables {
+    recs: Option<Rows>,
+    zmat: Option<MatrixTables>,
+    cmat: Option<MatrixTables>,
+    z_slots: Option<Vec<Vec<u32>>>,
+    c_spine: Option<Vec<Vec<u32>>>,
+    c_delivs: Option<Vec<Vec<u32>>>,
+    c_linked: Option<Vec<u32>>,
+    slot_base: Option<Vec<u32>>,
+}
+
+/// The tables of one snapshot document of a supported version, read and
+/// typed but not yet held against each other: what
+/// [`read_snapshot`](IncrementalAnalysis::read_snapshot) returns and
+/// [`from_snapshot_tables`](IncrementalAnalysis::from_snapshot_tables) takes.
+#[derive(Debug, Default)]
+pub struct SnapshotTables {
+    version: Option<u64>,
+    n: Option<u64>,
+    events: Option<u64>,
+    untrackable: Option<u64>,
+    epoch: Option<u64>,
+    reclaimed_rows: Option<u64>,
+    cp_count: Option<Vec<u32>>,
+    line_open: Option<Vec<bool>>,
+    msgs: Option<Rows>,
+    cur_tdv: Option<Vec<u32>>,
+    msg_tdv: Option<Vec<u32>>,
+    cp_tdv: Option<Vec<u32>>,
+    rmat: Option<MatrixTables>,
+    r_meta: Option<Rows>,
+    cp_nodes: Option<Vec<Vec<u32>>>,
+    watermark: Option<Vec<u32>>,
+    cp_base: Option<Vec<u32>>,
+    drop_reach: Option<Vec<u32>>,
+    chains: Option<ChainTables>,
+}
+
+/// Keeps the value read for `key`. A key the engine reads may come once:
+/// which of two tables would have been validated is not something a
+/// restore should have to define.
+fn keep<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), SnapshotError> {
+    match slot.replace(value) {
+        None => Ok(()),
+        Some(_) => Err(bad(format!("`{key}` appears twice"))),
     }
 }
 
-fn read_u32(value: &Json, key: &str) -> Result<u32, SnapshotError> {
-    u32::try_from(read_u64(value, key)?).map_err(|_| bad(format!("`{key}` entry out of range")))
+fn need<T>(slot: Option<T>, key: &str) -> Result<T, SnapshotError> {
+    slot.ok_or_else(|| bad(format!("missing `{key}`")))
 }
 
-fn read_bool(value: &Json, key: &str) -> Result<bool, SnapshotError> {
-    value
-        .as_bool()
-        .ok_or_else(|| bad(format!("`{key}` entry is not a boolean")))
+fn need_usize(slot: Option<u64>, key: &str) -> Result<usize, SnapshotError> {
+    usize::try_from(need(slot, key)?).map_err(|_| bad(format!("`{key}` out of range")))
 }
 
-fn read_pair(value: &Json, key: &str) -> Result<(u32, u32), SnapshotError> {
-    match value.as_array() {
-        Some([a, b]) => Ok((read_u32(a, key)?, read_u32(b, key)?)),
-        _ => Err(bad(format!("`{key}` entry is not a pair"))),
+fn read_u32s(r: &mut JsonReader<'_>) -> Result<Vec<u32>, JsonError> {
+    let mut values = Vec::new();
+    r.u32s_into(&mut values)?;
+    Ok(values)
+}
+
+fn read_u64s(r: &mut JsonReader<'_>) -> Result<Vec<u64>, JsonError> {
+    let mut values = Vec::new();
+    r.u64s_into(&mut values)?;
+    Ok(values)
+}
+
+fn read_bools(r: &mut JsonReader<'_>) -> Result<Vec<bool>, JsonError> {
+    let mut values = Vec::new();
+    r.begin_array()?;
+    while r.next_item()? {
+        values.push(r.bool()?);
     }
+    Ok(values)
 }
 
-fn read_vec<T>(value: &Json, key: &str, read: Read<T>) -> Result<Vec<T>, SnapshotError> {
-    let items = value
-        .as_array()
-        .ok_or_else(|| bad(format!("`{key}` is not an array")))?;
-    items.iter().map(|v| read(v, key)).collect()
+/// One row per process: an array of arrays of any lengths.
+fn read_ragged(r: &mut JsonReader<'_>) -> Result<Vec<Vec<u32>>, JsonError> {
+    let mut rows = Vec::new();
+    r.begin_array()?;
+    while r.next_item()? {
+        rows.push(read_u32s(r)?);
+    }
+    Ok(rows)
 }
 
-fn get_u64(obj: &Json, key: &str) -> Result<u64, SnapshotError> {
-    read_u64(field(obj, key)?, key)
+/// One row per message or node: an array of arrays of one length.
+fn read_rows(r: &mut JsonReader<'_>, key: &str) -> Result<Rows, SnapshotError> {
+    let mut table = Rows::default();
+    r.begin_array()?;
+    while r.next_item()? {
+        let before = table.flat.len();
+        r.u32s_into(&mut table.flat)?;
+        let cols = table.flat.len() - before;
+        if table.rows == 0 {
+            table.cols = cols;
+        } else if cols != table.cols {
+            return Err(bad(format!("`{key}` entries differ in length")));
+        }
+        table.rows += 1;
+    }
+    Ok(table)
 }
 
-fn get_usize(obj: &Json, key: &str) -> Result<usize, SnapshotError> {
-    usize::try_from(get_u64(obj, key)?).map_err(|_| bad(format!("`{key}` out of range")))
+/// A table whose rows have `cols` entries each, as its rows.
+fn rows_of<'a>(
+    table: &'a Rows,
+    cols: usize,
+    key: &str,
+) -> Result<std::slice::ChunksExact<'a, u32>, SnapshotError> {
+    if table.rows > 0 && table.cols != cols {
+        return Err(bad(format!("`{key}` entry does not have {cols} columns")));
+    }
+    Ok(table.flat.chunks_exact(cols))
 }
 
-fn get_vec<T>(obj: &Json, key: &str, read: Read<T>) -> Result<Vec<T>, SnapshotError> {
-    read_vec(field(obj, key)?, key, read)
-}
-
-/// One row per process (or per message): an array of arrays.
-fn get_rows<T>(obj: &Json, key: &str, read: Read<T>) -> Result<Vec<Vec<T>>, SnapshotError> {
-    let rows = field(obj, key)?.as_array();
-    let rows = rows.ok_or_else(|| bad(format!("`{key}` is not an array")))?;
-    rows.iter().map(|row| read_vec(row, key, read)).collect()
+fn read_matrix(r: &mut JsonReader<'_>) -> Result<MatrixTables, SnapshotError> {
+    let mut t = MatrixTables::default();
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match key.as_str() {
+            "nodes" => keep(&mut t.nodes, &key, r.u64()?)?,
+            "width" => keep(&mut t.width, &key, r.u64()?)?,
+            "fwd" => keep(&mut t.fwd, &key, read_u64s(r)?)?,
+            // `bwd` of a version 1 or 2 document among them.
+            _ => r.skip_value()?,
+        }
+    }
+    Ok(t)
 }
 
 // ----------------------------------------------------------- writing ----
@@ -181,49 +312,96 @@ fn write_matrix(w: &mut JsonWriter<'_>, mat: &ClosureMatrix) {
     w.key("nodes").u64(mat.nodes as u64);
     w.key("width").u64(mat.width as u64);
     w.key("fwd").u64s(&mat.fwd);
-    w.key("bwd").u64s(&mat.bwd);
     w.end_object();
 }
 
-fn matrix_from_json(obj: &Json, key: &str) -> Result<ClosureMatrix, SnapshotError> {
-    let value = field(obj, key)?;
-    let nodes = get_usize(value, "nodes")?;
-    let width = get_usize(value, "width")?;
-    let fwd = get_vec(value, "fwd", read_u64)?;
-    let bwd = get_vec(value, "bwd", read_u64)?;
+// ---------------------------------------------------------- matrices ----
+
+/// Transposes a 64×64 bit block in place: bit `c` of word `r` trades places
+/// with bit `r` of word `c`. Six rounds of masked swaps between words `j`
+/// apart, `j` = 32, 16, … 1 (Hacker's Delight, figure 7-3, with bit 0 as
+/// column 0).
+fn transpose_block(block: &mut [u64; 64]) {
+    let (mut j, mut mask) = (32, 0x0000_0000_ffff_ffffu64);
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let swap = (block[k] >> j ^ block[k + j]) & mask;
+            block[k] ^= swap << j;
+            block[k + j] ^= swap;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
+/// The transpose of a validated slab (`nodes` rows of `width` words, no
+/// bit at or beyond column `nodes`), block by block: a block is loaded from
+/// 64 rows' words of one column, transposed, and stored as one column's
+/// word of 64 rows. All-zero blocks, most of a young closure, are skipped.
+fn transpose(slab: &[u64], nodes: usize, width: usize) -> Vec<u64> {
+    let mut out = vec![0u64; slab.len()];
+    let mut block = [0u64; 64];
+    for (band, rows) in slab.chunks(WORD_BITS * width).enumerate() {
+        for col in 0..bits::words_for(nodes) {
+            block.fill(0);
+            for (word, row) in block.iter_mut().zip(rows.chunks_exact(width)) {
+                *word = row[col];
+            }
+            if block.iter().all(|&word| word == 0) {
+                continue;
+            }
+            transpose_block(&mut block);
+            let into = out[col * WORD_BITS * width..].chunks_exact_mut(width);
+            for (&word, row) in block.iter().zip(into) {
+                row[band] = word;
+            }
+        }
+    }
+    out
+}
+
+fn matrix_from_tables(t: Option<MatrixTables>, key: &str) -> Result<ClosureMatrix, SnapshotError> {
+    let t = need(t, key)?;
+    let nodes = need_usize(t.nodes, "nodes")?;
+    let width = need_usize(t.width, "width")?;
+    let fwd = need(t.fwd, "fwd")?;
     if width == 0 {
         return Err(bad(format!("`{key}` has zero width")));
     }
     if nodes > width.saturating_mul(WORD_BITS) || nodes > MAX_CLOSURE_NODES {
         return Err(bad(format!("`{key}` node count exceeds its width")));
     }
-    if fwd.len() != nodes * width || bwd.len() != nodes * width {
-        return Err(bad(format!("`{key}` slab sizes disagree with nodes×width")));
+    if fwd.len() != nodes * width {
+        return Err(bad(format!("`{key}` slab size disagrees with nodes×width")));
     }
     // Edge insertion iterates the set bits of a row as node indices and
     // takes every row to hold its own node: a bit at or beyond `nodes` would
-    // index past the slab, a missing diagonal bit would lose the edge's own
-    // endpoints. Only the words from the one holding column `nodes` onwards
-    // can carry a padding bit.
+    // index past the slab (and, transposed, name a row that does not exist),
+    // a missing diagonal bit would lose the edge's own endpoints. Only the
+    // words from the one holding column `nodes` onwards can carry a padding
+    // bit. The transpose of a slab that passes is in bounds and reflexive
+    // as well: its padding columns are the rows there are none of, its
+    // diagonal is this one.
     let mut padding = vec![0u64; width];
     for col in nodes..width * WORD_BITS {
         bits::set(&mut padding, col);
     }
     let tail = nodes / WORD_BITS;
-    for (name, slab) in [("fwd", &fwd), ("bwd", &bwd)] {
-        for (node, row) in slab.chunks_exact(width).enumerate() {
-            if bits::intersects(&row[tail..], &padding[tail..]) {
-                return Err(bad(format!(
-                    "`{key}.{name}` row {node} has a bit beyond its node count"
-                )));
-            }
-            if !bits::test(row, node) {
-                return Err(bad(format!(
-                    "`{key}.{name}` row {node} lacks its diagonal bit"
-                )));
-            }
+    for (node, row) in fwd.chunks_exact(width).enumerate() {
+        if bits::intersects(&row[tail..], &padding[tail..]) {
+            return Err(bad(format!(
+                "`{key}.fwd` row {node} has a bit beyond its node count"
+            )));
+        }
+        if !bits::test(row, node) {
+            return Err(bad(format!(
+                "`{key}.fwd` row {node} lacks its diagonal bit"
+            )));
         }
     }
+    let bwd = transpose(&fwd, nodes, width);
     Ok(ClosureMatrix::from_slabs(nodes, width, fwd, bwd))
 }
 
@@ -238,7 +416,8 @@ fn check_node(value: u32, nodes: usize, none_ok: bool, what: &str) -> Result<(),
 }
 
 /// A table with exactly one entry per process.
-fn per_process<T>(table: Vec<T>, n: usize, key: &str) -> Result<Vec<T>, SnapshotError> {
+fn per_process<T>(table: Option<Vec<T>>, n: usize, key: &str) -> Result<Vec<T>, SnapshotError> {
+    let table = need(table, key)?;
     match table.len() {
         len if len == n => Ok(table),
         len => Err(bad(format!("`{key}` length {len} != n = {n}"))),
@@ -261,17 +440,41 @@ pub(super) fn write_chains(w: &mut JsonWriter<'_>, chains: &Chains) {
     w.end_object();
 }
 
-/// Reads and validates the `chains` key of `doc` for an engine of `n`
-/// processes and `msgs` messages.
-pub(super) fn chains_from_json(doc: &Json, n: usize, msgs: usize) -> Result<Chains, SnapshotError> {
-    let obj = field(doc, "chains")?;
-    let zmat = matrix_from_json(obj, "zmat")?;
-    let cmat = matrix_from_json(obj, "cmat")?;
-    let z_slots = per_process(get_rows(obj, "z_slots", read_u32)?, n, "z_slots")?;
-    let c_spine = per_process(get_rows(obj, "c_spine", read_u32)?, n, "c_spine")?;
-    let c_delivs = per_process(get_rows(obj, "c_delivs", read_u32)?, n, "c_delivs")?;
-    let c_linked = per_process(get_vec(obj, "c_linked", read_u32)?, n, "c_linked")?;
-    let slot_base = per_process(get_vec(obj, "slot_base", read_u32)?, n, "slot_base")?;
+/// Reads the value of the document's `chains` key.
+pub(super) fn read_chains(r: &mut JsonReader<'_>) -> Result<ChainTables, SnapshotError> {
+    let mut t = ChainTables::default();
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        match key.as_str() {
+            "recs" => keep(&mut t.recs, &key, read_rows(r, &key)?)?,
+            "zmat" => keep(&mut t.zmat, &key, read_matrix(r)?)?,
+            "cmat" => keep(&mut t.cmat, &key, read_matrix(r)?)?,
+            "z_slots" => keep(&mut t.z_slots, &key, read_ragged(r)?)?,
+            "c_spine" => keep(&mut t.c_spine, &key, read_ragged(r)?)?,
+            "c_delivs" => keep(&mut t.c_delivs, &key, read_ragged(r)?)?,
+            "c_linked" => keep(&mut t.c_linked, &key, read_u32s(r)?)?,
+            "slot_base" => keep(&mut t.slot_base, &key, read_u32s(r)?)?,
+            _ => r.skip_value()?,
+        }
+    }
+    Ok(t)
+}
+
+/// Validates the chain tables of a document for an engine of `n` processes
+/// and `msgs` messages.
+pub(super) fn chains_from_tables(
+    t: Option<ChainTables>,
+    n: usize,
+    msgs: usize,
+) -> Result<Chains, SnapshotError> {
+    let t = need(t, "chains")?;
+    let zmat = matrix_from_tables(t.zmat, "zmat")?;
+    let cmat = matrix_from_tables(t.cmat, "cmat")?;
+    let z_slots = per_process(t.z_slots, n, "z_slots")?;
+    let c_spine = per_process(t.c_spine, n, "c_spine")?;
+    let c_delivs = per_process(t.c_delivs, n, "c_delivs")?;
+    let c_linked = per_process(t.c_linked, n, "c_linked")?;
+    let slot_base = per_process(t.slot_base, n, "slot_base")?;
     for p in 0..n {
         for &slot in &z_slots[p] {
             check_node(slot, zmat.nodes, false, "z_slots")?;
@@ -283,11 +486,10 @@ pub(super) fn chains_from_json(doc: &Json, n: usize, msgs: usize) -> Result<Chai
             return Err(bad(format!("`c_linked[{p}]` exceeds its delivery count")));
         }
     }
-    let mut recs = Vec::with_capacity(msgs);
-    for row in get_rows(obj, "recs", read_u32)? {
-        let Ok(rec @ [znode, cnode, spine]) = <[u32; 3]>::try_from(row) else {
-            return Err(bad("`recs` entry does not have 3 columns"));
-        };
+    let table = need(t.recs, "recs")?;
+    let mut recs = Vec::with_capacity(table.rows);
+    for row in rows_of(&table, 3, "recs")? {
+        let rec @ [znode, cnode, spine] = [row[0], row[1], row[2]];
         check_node(znode, zmat.nodes, true, "recs.znode")?;
         check_node(cnode, cmat.nodes, true, "recs.cnode")?;
         check_node(spine, cmat.nodes, true, "recs.spine")?;
@@ -312,11 +514,12 @@ pub(super) fn chains_from_json(doc: &Json, n: usize, msgs: usize) -> Result<Chai
 
 impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// Writes the engine as one versioned JSON document (one value of `w`):
-    /// everything appends and queries read (the chain layer's tables, where
-    /// there is one, under `chains`) and not the undo journal. Restored
-    /// engines answer every query and accept every append byte-identically,
-    /// but marks taken before the snapshot cannot be rewound to afterwards
-    /// (a defined [`RewindError`], like marks across a compaction).
+    /// everything appends and queries read that the rest of the document
+    /// does not determine (the chain layer's tables, where there is one,
+    /// under `chains`) and not the undo journal. Restored engines answer
+    /// every query and accept every append byte-identically, but marks taken
+    /// before the snapshot cannot be rewound to afterwards (a defined
+    /// [`RewindError`], like marks across a compaction).
     ///
     /// This is the description of the written form: the tables and their
     /// order are listed here and nowhere else.
@@ -339,10 +542,6 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         write_matrix(w.key("rmat"), &self.rmat);
         write_tuples(w.key("r_meta"), &self.r_meta);
         write_rows(w.key("cp_nodes"), &self.cp_nodes);
-        w.key("send_events")
-            .array(&self.send_events, |w, row| write_tuples(w, row));
-        w.key("deliver_events")
-            .array(&self.deliver_events, |w, row| write_tuples(w, row));
         w.key("epoch").u64(self.epoch);
         w.key("watermark").u32s(&self.watermark);
         w.key("cp_base").u32s(&self.cp_base);
@@ -357,7 +556,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// an R-path to the node ([`NONE_U32`] = none), empty before the first
     /// state-discarding compaction. The reaching checkpoints of a process
     /// are a prefix, so the dropped ones among them are the prefix cut at
-    /// `cp_base`; the retained part of `reach` is what `rmat.bwd` says and
+    /// `cp_base`; the retained part of `reach` is what the closure says and
     /// is not written twice.
     fn write_drop_reach(&self, w: &mut JsonWriter<'_>) {
         w.begin_array();
@@ -382,57 +581,122 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         Json::parse_bytes(&text).expect("the writer emits well-formed JSON")
     }
 
-    /// Restores an engine of this instantiation from the parsed form of a
-    /// [`write_snapshot`](IncrementalAnalysis::write_snapshot) document.
-    ///
-    /// The restore is **total and validating**: unknown formats, missing
-    /// fields, wrong types, and — crucially — cross-table inconsistencies
-    /// that would let a later append or query index out of bounds are all
-    /// [`SnapshotError`]s. Version 1 documents are upgraded (see the module
-    /// documentation); a chain-free engine ignores chain tables, a
-    /// chain-bearing one requires the `chains` key. The restored engine
-    /// starts with an empty undo journal at the snapshot's compaction epoch.
-    pub fn layered_from_snapshot(doc: &Json) -> Result<Self, SnapshotError> {
-        if doc.get("format").and_then(Json::as_str) != Some(SNAPSHOT_FORMAT) {
-            return Err(SnapshotError {
-                kind: SnapshotErrorKind::Format,
-                message: "not an rdt-rgraph snapshot".into(),
-            });
+    /// Restores an engine of this instantiation from the text of a snapshot
+    /// document of any supported version:
+    /// [`read_snapshot`](IncrementalAnalysis::read_snapshot), nothing but
+    /// whitespace after it, then
+    /// [`from_snapshot_tables`](IncrementalAnalysis::from_snapshot_tables).
+    pub fn from_snapshot_text(text: &[u8]) -> Result<Self, SnapshotError> {
+        let mut r = JsonReader::new(text);
+        let tables = Self::read_snapshot(&mut r)?;
+        r.end()?;
+        Self::from_snapshot_tables(tables)
+    }
+
+    /// Reads one snapshot document — the next value of `r` — into its typed
+    /// tables. Total: text that is not JSON, not an object, not this format
+    /// ([`SnapshotErrorKind::Format`]), of a version this build does not
+    /// read ([`SnapshotErrorKind::UnsupportedVersion`]) or with a table of
+    /// the wrong type is a [`SnapshotError`]. Keys come in any order; an
+    /// unknown key's value is checked to be JSON and skipped, so the chain
+    /// tables of a version 1 document and the derived tables of a version 2
+    /// document are never kept, and a chain-free engine skips `chains` too.
+    pub fn read_snapshot(r: &mut JsonReader<'_>) -> Result<SnapshotTables, SnapshotError> {
+        let not_ours = || SnapshotError {
+            kind: SnapshotErrorKind::Format,
+            message: "not an rdt-rgraph snapshot".into(),
+        };
+        if r.peek()? != b'{' {
+            return Err(not_ours());
         }
-        // Width of a `msgs` row and the column of `tdv_row` in it.
-        let (msg_cols, tdv_col) = match get_u64(doc, "version")? {
-            SNAPSHOT_VERSION => (5, 4),
-            1 => (8, 7),
-            found => {
+        let mut t = SnapshotTables::default();
+        let mut format = None;
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match key.as_str() {
+                "format" => match r.peek()? {
+                    b'"' => keep(&mut format, &key, r.str()?)?,
+                    _ => return Err(not_ours()),
+                },
+                "version" => keep(&mut t.version, &key, r.u64()?)?,
+                "n" => keep(&mut t.n, &key, r.u64()?)?,
+                "events" => keep(&mut t.events, &key, r.u64()?)?,
+                "untrackable" => keep(&mut t.untrackable, &key, r.u64()?)?,
+                "epoch" => keep(&mut t.epoch, &key, r.u64()?)?,
+                "reclaimed_rows" => keep(&mut t.reclaimed_rows, &key, r.u64()?)?,
+                "cp_count" => keep(&mut t.cp_count, &key, read_u32s(r)?)?,
+                "line_open" => keep(&mut t.line_open, &key, read_bools(r)?)?,
+                "msgs" => keep(&mut t.msgs, &key, read_rows(r, &key)?)?,
+                "cur_tdv" => keep(&mut t.cur_tdv, &key, read_u32s(r)?)?,
+                "msg_tdv" => keep(&mut t.msg_tdv, &key, read_u32s(r)?)?,
+                "cp_tdv" => keep(&mut t.cp_tdv, &key, read_u32s(r)?)?,
+                "rmat" => keep(&mut t.rmat, &key, read_matrix(r)?)?,
+                "r_meta" => keep(&mut t.r_meta, &key, read_rows(r, &key)?)?,
+                "cp_nodes" => keep(&mut t.cp_nodes, &key, read_ragged(r)?)?,
+                "watermark" => keep(&mut t.watermark, &key, read_u32s(r)?)?,
+                "cp_base" => keep(&mut t.cp_base, &key, read_u32s(r)?)?,
+                "drop_reach" => keep(&mut t.drop_reach, &key, read_u32s(r)?)?,
+                "chains" => {
+                    if let Some(chains) = C::read_snapshot(r)? {
+                        keep(&mut t.chains, &key, chains)?;
+                    }
+                }
+                _ => r.skip_value()?,
+            }
+            // As soon as they are known: a document of another format or
+            // version need not have tables of this one's types.
+            if format.as_deref().is_some_and(|f| f != SNAPSHOT_FORMAT) {
+                return Err(not_ours());
+            }
+            if let Some(found) = t.version.filter(|v| !(1..=SNAPSHOT_VERSION).contains(v)) {
                 return Err(SnapshotError {
                     kind: SnapshotErrorKind::UnsupportedVersion { found },
                     message: format!("unsupported snapshot version {found}"),
-                })
+                });
             }
-        };
+        }
+        match format {
+            Some(_) => Ok(t),
+            None => Err(not_ours()),
+        }
+    }
 
-        let n = get_usize(doc, "n")?;
+    /// Builds the engine a document's tables describe.
+    ///
+    /// The restore is **total and validating**: missing tables and —
+    /// crucially — cross-table inconsistencies that would let a later
+    /// append or query index out of bounds are all [`SnapshotError`]s. A
+    /// chain-bearing engine requires the `chains` key (no version 1 document
+    /// has one). The restored engine starts with an empty undo journal at
+    /// the snapshot's compaction epoch.
+    pub fn from_snapshot_tables(t: SnapshotTables) -> Result<Self, SnapshotError> {
+        // Width of a `msgs` row and the column of `tdv_row` in it.
+        let (msg_cols, tdv_col) = match need(t.version, "version")? {
+            1 => (8, 7),
+            _ => (5, 4),
+        };
+        let n = need_usize(t.n, "n")?;
         if n == 0 {
             return Err(bad("`n` must be at least 1"));
         }
-        let vec32 = |key| per_process(get_vec(doc, key, read_u32)?, n, key);
-        let cp_count = vec32("cp_count")?;
-        let msg_tdv = get_vec(doc, "msg_tdv", read_u32)?;
+        let cp_count = per_process(t.cp_count, n, "cp_count")?;
+        let msg_tdv = need(t.msg_tdv, "msg_tdv")?;
         if msg_tdv.len() % n != 0 {
             return Err(bad("`msg_tdv` is not a whole number of rows"));
         }
 
-        // ---- message records ----------------------------------------
+        // ---- message records, and the two indices into them ----------
         // Intervals are 1-based and at most one past the last checkpoint
         // (the consistency descents step to `deliver_iv - 1`).
         let placed = |iv: u32, p: u32| (1..=cp_count[p as usize].saturating_add(1)).contains(&iv);
-        let mut msgs = Vec::new();
-        for row in get_rows(doc, "msgs", read_u32)? {
-            if row.len() != msg_cols {
-                return Err(bad(format!(
-                    "`msgs` entry does not have {msg_cols} columns"
-                )));
-            }
+        let table = need(t.msgs, "msgs")?;
+        if table.rows >= NONE_U32 as usize {
+            return Err(bad("`msgs` has more entries than message handles"));
+        }
+        let mut msgs = Vec::with_capacity(table.rows);
+        let mut send_events = vec![Vec::new(); n];
+        let mut deliver_events = vec![Vec::new(); n];
+        for (mid, row) in rows_of(&table, msg_cols, "msgs")?.enumerate() {
             let m = MsgRec {
                 from: row[0],
                 to: row[1],
@@ -453,36 +717,48 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             if m.tdv_row != NONE_U32 && m.tdv_row as usize >= msg_tdv.len() / n {
                 return Err(bad("`msgs` entry points past the piggyback table"));
             }
+            // Handles are given out in send order, so along them a
+            // process's send intervals only grow; the fixpoints and the
+            // Rule 2 scans search `send_events` by interval.
+            let sends: &mut Vec<(u32, u32)> = &mut send_events[m.from as usize];
+            if sends.last().is_some_and(|&(iv, _)| iv > m.send_iv) {
+                return Err(bad("`msgs` entry is sent before its predecessor"));
+            }
+            sends.push((m.send_iv, mid as u32));
+            if m.deliver_iv != NONE_U32 {
+                deliver_events[m.to as usize].push((m.deliver_iv, mid as u32));
+            }
             msgs.push(m);
         }
+        for delivered in &mut deliver_events {
+            delivered.sort_unstable();
+        }
 
-        let drop_reach = get_vec(doc, "drop_reach", read_u32)?;
+        let r_meta = need(t.r_meta, "r_meta")?;
+        let r_meta = rows_of(&r_meta, 2, "r_meta")?;
+        let drop_reach = need(t.drop_reach, "drop_reach")?;
         let mut engine = IncrementalAnalysis {
             n,
-            chains: C::restore(doc, n, msgs.len())?,
+            chains: C::restore(t.chains, n, msgs.len())?,
             journal: J::default(),
-            events: get_usize(doc, "events")?,
-            untrackable: get_u64(doc, "untrackable")?,
-            line_open: per_process(get_vec(doc, "line_open", read_bool)?, n, "line_open")?,
+            events: need_usize(t.events, "events")?,
+            untrackable: need(t.untrackable, "untrackable")?,
+            line_open: per_process(t.line_open, n, "line_open")?,
             msgs,
-            cur_tdv: get_vec(doc, "cur_tdv", read_u32)?,
+            cur_tdv: need(t.cur_tdv, "cur_tdv")?,
             msg_tdv,
-            cp_tdv: get_vec(doc, "cp_tdv", read_u32)?,
+            cp_tdv: need(t.cp_tdv, "cp_tdv")?,
             reach: Vec::new(),
-            rmat: matrix_from_json(doc, "rmat")?,
-            r_meta: get_vec(doc, "r_meta", read_pair)?,
-            cp_nodes: per_process(get_rows(doc, "cp_nodes", read_u32)?, n, "cp_nodes")?,
-            send_events: per_process(get_rows(doc, "send_events", read_pair)?, n, "send_events")?,
-            deliver_events: per_process(
-                get_rows(doc, "deliver_events", read_pair)?,
-                n,
-                "deliver_events",
-            )?,
-            epoch: get_u64(doc, "epoch")?,
-            watermark: vec32("watermark")?,
-            cp_base: vec32("cp_base")?,
+            rmat: matrix_from_tables(t.rmat, "rmat")?,
+            r_meta: r_meta.map(|pair| (pair[0], pair[1])).collect(),
+            cp_nodes: per_process(t.cp_nodes, n, "cp_nodes")?,
+            send_events,
+            deliver_events,
+            epoch: need(t.epoch, "epoch")?,
+            watermark: per_process(t.watermark, n, "watermark")?,
+            cp_base: per_process(t.cp_base, n, "cp_base")?,
             cp_count,
-            reclaimed_rows: get_u64(doc, "reclaimed_rows")?,
+            reclaimed_rows: need(t.reclaimed_rows, "reclaimed_rows")?,
             // Not in the document: the first compaction after a restore
             // walks the table once and finds the cursor again.
             settled: 0,
@@ -494,7 +770,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
 
     /// `reach` of a restored engine, from the two halves the document
     /// holds it in (both validated): `drop_reach` for the compacted-away
-    /// checkpoints and the `rmat.bwd` rows for the retained ones. Of each
+    /// checkpoints and the transposed closure rows for the retained ones. Of each
     /// process the retained checkpoints reaching a node are a prefix of
     /// `cp_nodes[q]`, and along a process's own checkpoints that prefix only
     /// grows (Rule 1: what reaches one reaches the next), so the join walks
@@ -542,12 +818,13 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         if !drop_reach.is_empty() && drop_reach.len() != nodes * n {
             return Err(bad("`drop_reach` length disagrees with `rmat` nodes"));
         }
-        // The next checkpoint of `p` takes `cp_count[p] + 1` as its index
-        // and leaves `cp_count[p] + 2` in `reach` and in `p`'s own `TDV`
-        // entry, which the fold offsets by one wherever it is seen.
-        if let Some(p) = self.cp_count.iter().position(|&c| c > NONE_U32 - 3) {
+        // A checkpoint index is at most `NONE_U32 - 2`, where the append
+        // path stops (`CheckpointIndexExhausted`): the index plus one sits
+        // in `reach` and in the process's own `TDV` entry, which the fold
+        // offsets by one more wherever it is seen.
+        if let Some(p) = self.cp_count.iter().position(|&c| c > NONE_U32 - 2) {
             return Err(bad(format!(
-                "`cp_count[{p}]` leaves no room for another checkpoint"
+                "`cp_count[{p}]` is beyond the last checkpoint index"
             )));
         }
         // A `TDV` entry names an interval of its process: at most the open
@@ -596,15 +873,6 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
                 check_node(node, nodes, false, "cp_nodes")?;
             }
         }
-        for (name, events) in [
-            ("send_events", &self.send_events),
-            ("deliver_events", &self.deliver_events),
-        ] {
-            let unknown = |&(_, mid): &(u32, u32)| mid as usize >= self.msgs.len();
-            if events.iter().flatten().any(unknown) {
-                return Err(bad(format!("`{name}` names an unknown message")));
-            }
-        }
         Ok(())
     }
 }
@@ -614,15 +882,28 @@ mod tests {
     use super::*;
     use rdt_causality::ProcessId;
 
-    /// `doc[mat][slab][word]`, mutably (`mat` may be a `/`-separated path).
-    fn slab_word<'a>(doc: &'a mut Json, mat: &str, slab: &str, word: usize) -> &'a mut u64 {
+    /// `doc[mat]`, mutably (`mat` may be a `/`-separated path).
+    fn matrix<'a>(doc: &'a mut Json, mat: &str) -> &'a mut Vec<(String, Json)> {
         fn entry<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
             match obj {
                 Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
                 _ => panic!("not an object"),
             }
         }
-        match entry(mat.split('/').fold(doc, entry), slab) {
+        match mat.split('/').fold(doc, entry) {
+            Json::Obj(fields) => fields,
+            _ => panic!("not a matrix"),
+        }
+    }
+
+    /// `doc[mat].fwd[word]`, mutably.
+    fn fwd_word<'a>(doc: &'a mut Json, mat: &str, word: usize) -> &'a mut u64 {
+        match &mut matrix(doc, mat)
+            .iter_mut()
+            .find(|(k, _)| k == "fwd")
+            .unwrap()
+            .1
+        {
             Json::Arr(words) => match &mut words[word] {
                 Json::U64(w) => w,
                 _ => panic!("not a word"),
@@ -631,10 +912,17 @@ mod tests {
         }
     }
 
+    fn restore<C: ChainLayer, J: Journal>(
+        doc: &Json,
+    ) -> Result<IncrementalAnalysis<C, J>, SnapshotError> {
+        IncrementalAnalysis::from_snapshot_text(doc.to_string().as_bytes())
+    }
+
     /// A closure row with a bit at a column `≥ nodes` would index past the
-    /// slab on the next append; a row without its diagonal bit breaks the
-    /// reflexivity edge insertion builds on. Both are rejected, in all
-    /// three matrices and both slabs.
+    /// slab on the next append — and name a row that does not exist when the
+    /// slab is transposed; a row without its diagonal bit breaks the
+    /// reflexivity edge insertion builds on, in the transpose as well. Both
+    /// are rejected, in all three matrices.
     #[test]
     fn padding_bits_and_missing_diagonals_are_rejected() {
         let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
@@ -643,32 +931,90 @@ mod tests {
         let m = incr.append_send(p0, p1);
         incr.append_deliver(m);
         let good = incr.snapshot_json();
-        assert!(FullAnalysis::layered_from_snapshot(&good).is_ok());
+        assert!(restore::<Chains, UndoJournal>(&good).is_ok());
 
         for mat in ["rmat", "chains/zmat", "chains/cmat"] {
-            for slab in ["fwd", "bwd"] {
-                // Every matrix is one word wide here, so word 1 is row 1.
-                let mut doc = good.clone();
-                *slab_word(&mut doc, mat, slab, 1) |= 1 << 40;
-                let err = FullAnalysis::layered_from_snapshot(&doc).unwrap_err();
-                assert!(err.message.contains("beyond its node count"), "{err}");
+            // Every matrix is one word wide here, so word 1 is row 1.
+            let mut doc = good.clone();
+            *fwd_word(&mut doc, mat, 1) |= 1 << 40;
+            let err = restore::<Chains, UndoJournal>(&doc).unwrap_err();
+            assert!(err.message.contains("beyond its node count"), "{err}");
 
-                let mut doc = good.clone();
-                *slab_word(&mut doc, mat, slab, 1) &= !(1 << 1);
-                let err = FullAnalysis::layered_from_snapshot(&doc).unwrap_err();
-                assert!(err.message.contains("diagonal"), "{err}");
-            }
+            let mut doc = good.clone();
+            *fwd_word(&mut doc, mat, 1) &= !(1 << 1);
+            let err = restore::<Chains, UndoJournal>(&doc).unwrap_err();
+            assert!(err.message.contains("diagonal"), "{err}");
         }
     }
 
-    /// The reported reproduction: were this document restored, the next
-    /// checkpoint of `p0` would panic with an index out of bounds.
+    /// The reported reproduction, as version 2 wrote it: restored with the
+    /// `bwd` slab it carried, this document made the next checkpoint of
+    /// `p0` index out of bounds. The slab is no longer read — a matrix's
+    /// transpose is computed from its checked `fwd` — so whatever a document
+    /// of any version says under `bwd` is ignored, and the engine it
+    /// restores to is the one the rest of it describes.
     #[test]
     fn padding_bit_in_rmat_bwd_no_longer_panics_the_next_append() {
         let mut incr = IncrementalAnalysis::new(2);
         incr.append_checkpoint(ProcessId::new(0));
-        let mut doc = incr.snapshot_json();
-        *slab_word(&mut doc, "rmat", "bwd", 2) |= 1 << 40;
-        assert!(IncrementalAnalysis::from_snapshot_json(&doc).is_err());
+        let good = incr.snapshot_json();
+        incr.append_checkpoint(ProcessId::new(0));
+        for junk in [
+            Json::Arr(vec![Json::U64(1), Json::U64(3), Json::U64(4 | 1 << 40)]),
+            Json::Str("not a slab".into()),
+        ] {
+            let mut doc = good.clone();
+            matrix(&mut doc, "rmat").push(("bwd".into(), junk));
+            let mut restored: IncrementalAnalysis = restore(&doc).expect("`bwd` is not read");
+            let mut text = Vec::new();
+            restored.write_snapshot(&mut JsonWriter::new(&mut text));
+            assert_eq!(text, good.to_string().into_bytes());
+            restored.append_checkpoint(ProcessId::new(0));
+            assert_eq!(restored.snapshot_json(), incr.snapshot_json());
+        }
+    }
+
+    /// The block transpose against the definition, over every shape of the
+    /// edges: one word and several, a last band of fewer than 64 rows, a
+    /// width wider than the nodes need, empty and full blocks.
+    #[test]
+    fn block_transpose_is_the_transpose() {
+        let mut state = 0x5eed_0021u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (nodes, width) in [
+            (0, 1),
+            (1, 1),
+            (63, 1),
+            (64, 1),
+            (65, 2),
+            (100, 4),
+            (128, 2),
+            (130, 4),
+            (200, 4),
+        ] {
+            for density in [0, 1, 4, 64] {
+                let mut fwd = vec![0u64; nodes * width];
+                for row in fwd.chunks_exact_mut(width) {
+                    for col in 0..nodes {
+                        if density == 64 || next() % 64 < density {
+                            bits::set(row, col);
+                        }
+                    }
+                }
+                let mut expected = vec![0u64; nodes * width];
+                for (u, row) in fwd.chunks_exact(width).enumerate() {
+                    for v in bits::ones(row) {
+                        bits::set(&mut expected[v * width..][..width], u);
+                    }
+                }
+                let what = format!("{nodes} nodes, width {width}, density {density}/64");
+                assert_eq!(transpose(&fwd, nodes, width), expected, "{what}");
+            }
+        }
     }
 }

@@ -1,58 +1,68 @@
-//! The written form of a version 2 snapshot, pinned from the tree builder
-//! that defined it.
+//! The written form of a snapshot, pinned — version 3 by its goldens, and
+//! version 2 by everything that was ever pinned of it.
 //!
-//! `golden/snapshot_v2.json` (the core engine) and
-//! `golden/snapshot_v2_chains.json` ([`FullAnalysis`], the same tables plus
-//! the `chains` key) and the [`DIGESTS`] table were written **at the parent
-//! of the commit that replaced the `Json` tree builder by
-//! `write_snapshot`** (`6e11897`), by that builder's own
-//! `snapshot_json().to_string()` on the scripts below. They are never
-//! regenerated: the code that wrote them no longer exists, and the writer
-//! that replaced it is the only description of the format left.
+//! `golden/snapshot_v3.json` (the core engine) and
+//! `golden/snapshot_v3_chains.json` ([`FullAnalysis`], the same tables plus
+//! the `chains` key) were written once, by the first writer of version 3,
+//! from the states that produced the version 2 goldens ([`golden_script`]:
+//! xorshift seed 4 over 3 processes, 72 draws with a
+//! `compact_to_recovery_line` after draw 30 and a `compact_to([6, 1, 3])`
+//! after draw 55; 19 messages of which 3 are in flight, `watermark` [6, 5, 4]
+//! over `cp_base` [6, 5, 2] and a populated `drop_reach`).
 //!
-//! The golden is one readable document: [`golden_script`], xorshift seed 4
-//! over 3 processes, 72 draws with a `compact_to_recovery_line` after draw
-//! 30 and a `compact_to([6, 1, 3])` after draw 55. It leaves 19 messages of
-//! which 3 are in flight, `watermark` [6, 5, 4] over `cp_base` [6, 5, 2]
-//! and a populated `drop_reach`. The digests cover what one script cannot:
-//! 24 scripts over 2 to 5 processes with both compaction entry points
-//! interleaved at random, four states each and both instantiations, so two
-//! same-typed tables swapped by the writer cannot hide behind one state in
-//! which they happen to be equal.
+//! `golden/snapshot_v2.json`, `golden/snapshot_v2_chains.json` and the
+//! [`DIGESTS`] table were written **at the parent of the commit that
+//! replaced the `Json` tree builder by `write_snapshot`** (`6e11897`), by
+//! that builder's own `snapshot_json().to_string()`; [`COMPACTED_DIGESTS`]
+//! at `3b4489e`, by the engine that kept `drop_reach` as a table of its own
+//! (its child derives it from one reach vector per node). None of them is
+//! ever regenerated: the code that wrote them no longer exists. Nothing
+//! writes version 2 any more either, so they are held through
+//! `common::v2_text`: the version 3 text with the tables version 3 derives
+//! put back by their definitions must be the pinned version 2 bytes — which
+//! says both that version 3 is version 2 less exactly those tables, and
+//! that the definitions restore runs on are the right ones. The digests
+//! cover what one script cannot: 24 scripts over 2 to 5 processes with both
+//! compaction entry points interleaved at random, four states each and both
+//! instantiations; six long-lived streams (3, 8 and 32 processes,
+//! coordinated and trailing compactions, four epochs each, a text `10·n`
+//! events after the last compaction and another after a restore and `20·n`
+//! more events).
 //!
-//! [`COMPACTED_DIGESTS`] pins a second thing, from a second parent: the
-//! `drop_reach` table of long-lived streams. Until `3b4489e` the engine
-//! kept that table itself — created by the first compaction, extended by
-//! every one after it from the closure rows it dropped — and wrote it as it
-//! stood; its child keeps one reach vector per node instead and *derives*
-//! the table when it writes, so the code that defined these bytes is gone
-//! too. The six digests (3, 8 and 32 processes, coordinated and trailing
-//! compactions, four epochs each, a text `10·n` events after the last
-//! compaction and another after a restore and `20·n` more events) were
-//! computed at `3b4489e` by the function below and are never regenerated.
-//!
-//! Beside the pinned bytes, every corpus state is held to the two
-//! properties the rest of the workspace builds on: the writer emits the
-//! canonical compact form (`parse(text).to_string() == text`, which is what
-//! makes `snapshot_json()` exactly the parsed form of the text), and
-//! restore → continue → re-write is byte-identical on both sides.
+//! Every one of those version 2 documents is then *restored* — through the
+//! reader, like any other — beside its version 3 twin, and both must write
+//! the uninterrupted engine's version 3 bytes at once and one stride later.
+//! For the three documents that exist as files
+//! ([`goldens_restore_to_the_answers_the_tree_restore_gave`]; the version 1
+//! golden has the same test in `snapshot_v1.rs`) the bar is the engine the
+//! retired restore built: `golden/restore_transcript_*.txt` hold every query
+//! answer at once and after each op of a further stride, captured at
+//! `b617060` from `from_snapshot_json` over a `Json` tree, and are never
+//! regenerated.
 
-use rdt_causality::ProcessId;
-use rdt_json::{Json, JsonWriter};
+mod common;
+
+use common::{text, v2_text, Arrivals};
+use rdt_causality::{CheckpointId, ProcessId};
+use rdt_json::Json;
 use rdt_rgraph::{
-    ChainLayer, Chains, FullAnalysis, IncrementalAnalysis, Journal, NoChains, NoJournal,
-    UndoJournal,
+    ChainLayer, Chains, CompactionStats, FullAnalysis, IncrementalAnalysis, Journal, NoChains,
+    NoJournal, UndoJournal,
 };
 
-const GOLDEN_CORE: &str = include_str!("golden/snapshot_v2.json");
-const GOLDEN_CHAINS: &str = include_str!("golden/snapshot_v2_chains.json");
+const GOLDEN_V2_CORE: &str = include_str!("golden/snapshot_v2.json");
+const GOLDEN_V2_CHAINS: &str = include_str!("golden/snapshot_v2_chains.json");
+const GOLDEN_V3_CORE: &str = include_str!("golden/snapshot_v3.json");
+const GOLDEN_V3_CHAINS: &str = include_str!("golden/snapshot_v3_chains.json");
+const TRANSCRIPT_CORE: &str = include_str!("golden/restore_transcript_v2.txt");
+const TRANSCRIPT_CHAINS: &str = include_str!("golden/restore_transcript_v2_chains.txt");
 
 /// Draws per corpus state, and states per script.
 const STRIDE: usize = 40;
 const STATES: usize = 4;
 
-/// Per script `(n, seed)`: FNV-1a 64 over the texts of its four states, in
-/// order, of the core engine and of [`FullAnalysis`].
+/// Per script `(n, seed)`: FNV-1a 64 over the version 2 texts of its four
+/// states, in order, of the core engine and of [`FullAnalysis`].
 const DIGESTS: [(usize, u64, u64, u64); 24] = [
     (2, 1, 0xe375d3a8e8f4ecaf, 0x148be788e600f75f),
     (2, 2, 0xf188e05077f1916f, 0xf4bd7176b5c7fed8),
@@ -152,15 +162,21 @@ impl Script {
     }
 }
 
-/// The golden's op script.
-fn golden_script() -> Vec<Op> {
+/// Draws of the goldens' script, and of the stride the restore transcripts
+/// run past them.
+const GOLDEN_DRAWS: usize = 72;
+const NEXT_STRIDE: usize = 120;
+
+/// The goldens' op script, then `extra` further draws of the same mix with
+/// two more compactions among them.
+fn golden_script(extra: usize) -> Vec<Op> {
     let mut script = Script::new(3, 4);
     let mut ops = Vec::new();
-    for i in 0..72 {
+    for i in 0..GOLDEN_DRAWS + extra {
         ops.extend(script.append());
         match i {
-            30 => ops.push(Op::CompactToLine),
-            55 => ops.push(Op::CompactTo(script.random_caps())),
+            30 | 110 => ops.push(Op::CompactToLine),
+            55 | 150 => ops.push(Op::CompactTo(script.random_caps())),
             _ => {}
         }
     }
@@ -186,29 +202,43 @@ fn corpus_script(n: usize, seed: u64) -> Vec<Vec<Op>> {
         .collect()
 }
 
-fn apply<C: ChainLayer, J: Journal>(engine: &mut IncrementalAnalysis<C, J>, op: &Op) {
+fn stats(stats: CompactionStats) -> String {
+    format!(
+        "{:?} -{}r -{}z -{}c -{}rows",
+        stats.watermark,
+        stats.dropped_r_nodes,
+        stats.dropped_z_nodes,
+        stats.dropped_c_nodes,
+        stats.freed_tdv_rows
+    )
+}
+
+/// Applies `op` and returns what the engine replied.
+fn apply<C: ChainLayer, J: Journal>(engine: &mut IncrementalAnalysis<C, J>, op: &Op) -> String {
     match op {
-        Op::Cp(p) => {
-            engine.append_checkpoint(ProcessId::new(*p));
+        Op::Cp(p) => engine.append_checkpoint(ProcessId::new(*p)).to_string(),
+        Op::Send(from, to) => engine
+            .append_send(ProcessId::new(*from), ProcessId::new(*to))
+            .to_string(),
+        Op::Del(mid) => {
+            engine.append_deliver(*mid);
+            String::new()
         }
-        Op::Send(from, to) => {
-            engine.append_send(ProcessId::new(*from), ProcessId::new(*to));
-        }
-        Op::Del(mid) => engine.append_deliver(*mid),
-        Op::CompactToLine => {
-            engine.compact_to_recovery_line();
-        }
-        Op::CompactTo(caps) => {
-            engine.compact_to(caps);
-        }
+        Op::CompactToLine => stats(engine.compact_to_recovery_line()),
+        Op::CompactTo(caps) => stats(engine.compact_to(caps)),
     }
 }
 
-/// The engine's snapshot text, straight from the writer.
-fn text<C: ChainLayer, J: Journal>(engine: &IncrementalAnalysis<C, J>) -> String {
-    let mut out = Vec::new();
-    engine.write_snapshot(&mut JsonWriter::new(&mut out));
-    String::from_utf8(out).expect("snapshot text is UTF-8")
+/// [`apply`] on an engine whose version 2 text will be asked for.
+fn apply_tracked<C: ChainLayer, J: Journal>(
+    engine: &mut IncrementalAnalysis<C, J>,
+    arrivals: &mut Arrivals,
+    op: &Op,
+) {
+    apply(engine, op);
+    if let Op::Del(mid) = op {
+        arrivals.record(engine, *mid);
+    }
 }
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
@@ -217,33 +247,44 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
+fn restore<C: ChainLayer, J: Journal>(text: &str, what: &str) -> IncrementalAnalysis<C, J> {
+    IncrementalAnalysis::from_snapshot_text(text.as_bytes())
+        .unwrap_or_else(|e| panic!("{what}: {e}"))
+}
+
 /// Runs one corpus script on one instantiation; returns the digest of its
-/// states. Each state is checked for the canonical form and handed to a
-/// restored twin that must write the same bytes one stride later.
+/// states' version 2 texts. Each state is checked for the canonical form
+/// and handed, as version 2 and as version 3, to two restored twins that
+/// must write the same version 3 bytes at once and one stride later.
 fn run_script<C: ChainLayer, J: Journal>(n: usize, seed: u64) -> u64 {
     let mut engine = IncrementalAnalysis::<C, J>::layered(n);
-    let mut twin: Option<IncrementalAnalysis<C, J>> = None;
+    let mut arrivals = Arrivals::new(n);
+    let mut twins: Vec<IncrementalAnalysis<C, J>> = Vec::new();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for (state, ops) in corpus_script(n, seed).iter().enumerate() {
         for op in ops {
-            apply(&mut engine, op);
-            if let Some(twin) = &mut twin {
+            apply_tracked(&mut engine, &mut arrivals, op);
+            for twin in &mut twins {
                 apply(twin, op);
             }
         }
         let written = text(&engine);
         let what = format!("n = {n}, seed {seed}, state {state}");
-        if let Some(twin) = &twin {
+        for twin in &twins {
             assert_eq!(text(twin), written, "{what}: restored twin diverged");
         }
         let parsed = Json::parse_bytes(written.as_bytes()).expect("snapshot text parses");
         assert_eq!(parsed.to_string(), written, "{what}: not canonical");
         assert_eq!(engine.snapshot_json(), parsed, "{what}: wrapper");
-        let restored = IncrementalAnalysis::<C, J>::layered_from_snapshot(&parsed);
-        let restored = restored.unwrap_or_else(|e| panic!("{what}: {e}"));
-        assert_eq!(text(&restored), written, "{what}: re-write after restore");
-        twin = Some(restored);
-        digest = fnv1a(digest, written.as_bytes());
+        for key in ["bwd", "send_events", "deliver_events"] {
+            assert!(!written.contains(key), "{what}: version 3 carries `{key}`");
+        }
+        let v2 = v2_text(&written, &arrivals);
+        twins = vec![restore(&v2, &what), restore(&written, &what)];
+        for twin in &twins {
+            assert_eq!(text(twin), written, "{what}: re-write after restore");
+        }
+        digest = fnv1a(digest, v2.as_bytes());
     }
     digest
 }
@@ -252,17 +293,20 @@ fn run_script<C: ChainLayer, J: Journal>(n: usize, seed: u64) -> u64 {
 fn golden_documents_are_written_byte_for_byte() {
     let mut core = IncrementalAnalysis::new(3);
     let mut full = FullAnalysis::layered(3);
-    for op in &golden_script() {
-        apply(&mut core, op);
+    let mut arrivals = Arrivals::new(3);
+    for op in &golden_script(0) {
+        apply_tracked(&mut core, &mut arrivals, op);
         apply(&mut full, op);
     }
-    assert_eq!(text(&core) + "\n", GOLDEN_CORE);
-    assert_eq!(text(&full) + "\n", GOLDEN_CHAINS);
+    assert_eq!(text(&core) + "\n", GOLDEN_V3_CORE);
+    assert_eq!(text(&full) + "\n", GOLDEN_V3_CHAINS);
+    assert_eq!(v2_text(&text(&core), &arrivals) + "\n", GOLDEN_V2_CORE);
+    assert_eq!(v2_text(&text(&full), &arrivals) + "\n", GOLDEN_V2_CHAINS);
 
     // The golden is the document its header says it is.
     let doc = core.snapshot_json();
     let table = |key: &str| doc.get(key).map(Json::to_string).expect("core table");
-    assert_eq!(table("version"), "2");
+    assert_eq!(table("version"), "3");
     assert_eq!(table("epoch"), "2");
     assert_eq!(table("watermark"), "[6,5,4]");
     assert_eq!(table("cp_base"), "[6,5,2]");
@@ -272,6 +316,10 @@ fn golden_documents_are_written_byte_for_byte() {
     assert_ne!(table("drop_reach"), "[]");
     assert!(full.snapshot_json().get("chains").is_some());
     assert!(doc.get("chains").is_none());
+    // Deliveries inside one interval that did not arrive in handle order:
+    // the one thing of version 2 that version 3 cannot say, and that
+    // nothing reads.
+    assert!(GOLDEN_V2_CORE.contains("[8,11],[8,8]"));
 }
 
 #[test]
@@ -289,10 +337,109 @@ fn corpus_digests_match_the_tree_builder() {
     }
 }
 
+// ------------------------------------------------ restore transcripts ----
+
+/// Everything the daemon can be asked about a stream.
+fn answers<C: ChainLayer, J: Journal>(engine: &IncrementalAnalysis<C, J>) -> String {
+    let n = engine.num_processes();
+    let tops: Vec<u32> = (0..n)
+        .map(|p| engine.last_checkpoint_index(ProcessId::new(p)))
+        .collect();
+    let mut out = format!(
+        "{} {:?}",
+        engine.untrackable_pairs(),
+        engine.max_consistent_dominated(&tops).as_slice()
+    );
+    for (p, &top) in tops.iter().enumerate() {
+        for index in [0, top / 2, top] {
+            let member = [CheckpointId::new(ProcessId::new(p), index)];
+            let line = |gc: Option<rdt_rgraph::GlobalCheckpoint>| match gc {
+                Some(gc) => format!("{:?}", gc.as_slice()),
+                None => "-".to_string(),
+            };
+            out += &format!(
+                " {}|{}",
+                line(engine.min_consistent_containing(&member)),
+                line(engine.max_consistent_containing(&member))
+            );
+        }
+    }
+    out
+}
+
+/// [`answers`], and the three characterizations on the closed pattern.
+fn full_answers(engine: &mut FullAnalysis) -> String {
+    let verdicts = engine.with_closed(|view| {
+        format!(
+            "{} {} {}",
+            view.rdt_holds(),
+            view.all_chains_doubled(),
+            view.all_cm_paths_doubled()
+        )
+    });
+    format!("{} {verdicts}", answers(engine))
+}
+
+/// What a restored engine answers at once, and what it replies and answers
+/// after each op of `ops`.
+fn transcript<C: ChainLayer, J: Journal>(
+    mut engine: IncrementalAnalysis<C, J>,
+    ops: &[Op],
+    answers: impl Fn(&mut IncrementalAnalysis<C, J>) -> String,
+) -> (String, IncrementalAnalysis<C, J>) {
+    let mut out = format!("restored: {}\n", answers(&mut engine));
+    for op in ops {
+        let reply = apply(&mut engine, op);
+        out += &format!("{op:?} = {reply}: {}\n", answers(&mut engine));
+    }
+    (out, engine)
+}
+
+#[test]
+fn goldens_restore_to_the_answers_the_tree_restore_gave() {
+    let ops = golden_script(NEXT_STRIDE);
+    let (golden_ops, stride) = ops.split_at(golden_script(0).len());
+    let mut core = IncrementalAnalysis::new(3);
+    let mut full = FullAnalysis::layered(3);
+    for op in golden_ops {
+        apply(&mut core, op);
+        apply(&mut full, op);
+    }
+    // The uninterrupted twins, asked the same questions at the same points
+    // (`with_closed` appends and rewinds, which the `events` counter keeps).
+    let (said, core) = transcript(core, stride, |e| answers(e));
+    assert_eq!(said, TRANSCRIPT_CORE, "the uninterrupted twin");
+    let (said, full) = transcript(full, stride, full_answers);
+    assert_eq!(said, TRANSCRIPT_CHAINS, "the uninterrupted twin");
+    assert!(stride.len() > 80 && core.compactions() == 4);
+
+    for golden in [GOLDEN_V2_CORE, GOLDEN_V3_CORE] {
+        let restored = restore::<NoChains, NoJournal>(golden.trim_end(), "core golden");
+        let (said, after) = transcript(restored, stride, |e| answers(e));
+        assert_eq!(said, TRANSCRIPT_CORE);
+        assert_eq!(text(&after), text(&core), "an uninterrupted twin");
+    }
+    for golden in [GOLDEN_V2_CHAINS, GOLDEN_V3_CHAINS] {
+        let restored = restore::<Chains, UndoJournal>(golden.trim_end(), "chains golden");
+        let (said, after) = transcript(restored, stride, full_answers);
+        assert_eq!(said, TRANSCRIPT_CHAINS);
+        assert_eq!(text(&after), text(&full), "an uninterrupted twin");
+    }
+    // A chain-bearing document restores into a chain-free engine (the
+    // `chains` key is skipped; `reclaimed_rows` is carried as stored, chain
+    // rows and all), not the other way round.
+    for golden in [GOLDEN_V2_CHAINS, GOLDEN_V3_CHAINS] {
+        let restored = restore::<NoChains, NoJournal>(golden.trim_end(), "chains as core");
+        let (said, _) = transcript(restored, stride, |e| answers(e));
+        assert_eq!(said, TRANSCRIPT_CORE);
+    }
+    assert!(FullAnalysis::from_snapshot_text(GOLDEN_V3_CORE.as_bytes()).is_err());
+}
+
 // ------------------------------------------------ compacted streams ----
 
-/// Per stream `(n, trailing)`: FNV-1a 64 over its two texts, as the engine
-/// that kept `drop_reach` as a table wrote them (`3b4489e`).
+/// Per stream `(n, trailing)`: FNV-1a 64 over its two version 2 texts, as
+/// the engine that kept `drop_reach` as a table wrote them (`3b4489e`).
 const COMPACTED_DIGESTS: [(usize, bool, u64); 6] = [
     (3, false, 0xa973925afd3beabc),
     (3, true, 0xbd6116d214bbf75e),
@@ -359,21 +506,23 @@ impl Stream {
 
 /// One stream: four periods of `100·n` events, each closed by a
 /// compaction; the first text is taken `10·n` events after the last one,
-/// the second after a restore and `20·n` more events on the restored twin
-/// (which the uninterrupted original must write identically).
+/// the second after a restore — of the first's version 2 document — and
+/// `20·n` more events on the restored twin (which the uninterrupted
+/// original must write identically).
 fn compacted_stream_digest(n: usize, trailing: bool) -> u64 {
     let what = format!("n = {n}, trailing = {trailing}");
     let mut engine = IncrementalAnalysis::new(n);
+    let mut arrivals = Arrivals::new(n);
     let mut stream = Stream {
         script: Script::new(n, 0x5eed_0020 + n as u64 + u64::from(trailing)),
         events: 0,
     };
     for _ in 0..4 {
         for _ in 0..100 * n {
-            apply(&mut engine, &stream.event());
+            apply_tracked(&mut engine, &mut arrivals, &stream.event());
         }
         for op in stream.compaction(trailing) {
-            apply(&mut engine, &op);
+            apply_tracked(&mut engine, &mut arrivals, &op);
         }
     }
     assert!(engine.compactions() >= 3, "{what}: epochs");
@@ -382,9 +531,9 @@ fn compacted_stream_digest(n: usize, trailing: bool) -> u64 {
         "{what}"
     );
     for _ in 0..10 * n {
-        apply(&mut engine, &stream.event());
+        apply_tracked(&mut engine, &mut arrivals, &stream.event());
     }
-    let first = text(&engine);
+    let first = v2_text(&text(&engine), &arrivals);
     let doc = Json::parse_bytes(first.as_bytes()).expect("snapshot text parses");
     let dropped = doc
         .get("drop_reach")
@@ -394,14 +543,15 @@ fn compacted_stream_digest(n: usize, trailing: bool) -> u64 {
         dropped.iter().any(|d| *d != Json::U64(u64::from(u32::MAX))),
         "{what}: no dropped checkpoint reaches a retained one"
     );
-    let mut twin = IncrementalAnalysis::from_snapshot_json(&doc).expect("restores");
+    let mut twin: IncrementalAnalysis = restore(&first, &what);
+    assert_eq!(text(&twin), text(&engine), "{what}: re-write after restore");
     for _ in 0..20 * n {
         let op = stream.event();
-        apply(&mut engine, &op);
+        apply_tracked(&mut engine, &mut arrivals, &op);
         apply(&mut twin, &op);
     }
-    let second = text(&twin);
-    assert_eq!(text(&engine), second, "{what}: restored twin diverged");
+    assert_eq!(text(&engine), text(&twin), "{what}: restored twin diverged");
+    let second = v2_text(&text(&twin), &arrivals);
     assert_ne!(first, second);
     fnv1a(
         fnv1a(0xcbf2_9ce4_8422_2325, first.as_bytes()),

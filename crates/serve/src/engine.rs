@@ -11,14 +11,41 @@
 //! reason.
 
 use rdt_causality::{CheckpointId, ProcessId};
-use rdt_json::{Json, JsonWriter};
-use rdt_rgraph::IncrementalAnalysis;
+use rdt_json::{Json, JsonError, JsonReader, JsonWriter};
+use rdt_rgraph::{IncrementalAnalysis, SnapshotTables};
 
-use crate::protocol::{ErrorKind, EventKind, QueryKind, Reply, ServeError};
+use crate::protocol::{
+    admin, ErrorKind, EventKind, QueryKind, Reply, ServeError, MAX_NAME_BYTES, MAX_PROCESSES,
+};
 
 /// Stream snapshot format marker (one per stream inside the daemon
 /// document).
 pub const STREAM_SNAPSHOT_FORMAT: &str = "rdt-serve-stream";
+
+/// One entry of the daemon snapshot document, read and typed but not yet
+/// validated: what [`StreamEngine::read_stream_snapshot`] returns and
+/// [`StreamEngine::from_stream_tables`] takes.
+#[derive(Debug, Default)]
+pub struct StreamTables {
+    name: Option<String>,
+    crashes: Option<u64>,
+    engine: Option<SnapshotTables>,
+}
+
+/// A snapshot that is not the JSON its reader expects, as an `admin` error.
+pub(crate) fn unreadable(e: JsonError) -> ServeError {
+    admin(format!("reading snapshot: {e}"))
+}
+
+/// Keeps the value read for `key` of a snapshot object. A key that is read
+/// may come once, at every level of the document: a restore does not get to
+/// choose between two tables.
+pub(crate) fn once<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), ServeError> {
+    match slot.replace(value) {
+        None => Ok(()),
+        Some(_) => Err(admin(format!("snapshot key `{key}` appears twice"))),
+    }
+}
 
 /// One tenant stream.
 #[derive(Debug)]
@@ -166,28 +193,78 @@ impl StreamEngine {
         Json::parse_bytes(&text).expect("the writer emits well-formed JSON")
     }
 
-    /// Restores a stream from its snapshot entry; returns its name and
-    /// the rebuilt engine. Total: corrupted documents, and engine snapshots
-    /// of a version other than 2 or 1, are [`ErrorKind::Admin`] errors.
-    pub fn from_stream_snapshot(doc: &Json) -> Result<(String, StreamEngine), ServeError> {
-        let admin = |m: String| ServeError::new(ErrorKind::Admin, m);
-        if doc.get("format").and_then(Json::as_str) != Some(STREAM_SNAPSHOT_FORMAT) {
-            return Err(admin("stream entry is not an rdt-serve stream".into()));
+    /// Reads one stream entry — the next value of `r` — of a daemon
+    /// snapshot document into its typed tables: the lexical half of a
+    /// restore, keys in any order, unknown keys skipped. Total: malformed
+    /// text, an entry of another format and an engine document of a version
+    /// other than 1 to 3 are [`ErrorKind::Admin`] errors.
+    pub fn read_stream_snapshot(r: &mut JsonReader<'_>) -> Result<StreamTables, ServeError> {
+        let not_ours = || admin("stream entry is not an rdt-serve stream");
+        if r.peek().map_err(unreadable)? != b'{' {
+            return Err(not_ours());
         }
-        let name = doc
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| admin("stream entry has no name".into()))?;
-        let crashes = doc
-            .get("crashes")
-            .and_then(Json::as_u64)
+        let mut t = StreamTables::default();
+        let mut format = None;
+        r.begin_object().map_err(unreadable)?;
+        while let Some(key) = r.next_key().map_err(unreadable)? {
+            match key.as_str() {
+                "format" => once(&mut format, &key, r.str().map_err(unreadable)?)?,
+                "name" => once(&mut t.name, &key, r.str().map_err(unreadable)?)?,
+                "crashes" => once(&mut t.crashes, &key, r.u64().map_err(unreadable)?)?,
+                "engine" => {
+                    let engine = <IncrementalAnalysis>::read_snapshot(r);
+                    let name = t.name.as_deref().unwrap_or("?");
+                    let engine = engine.map_err(|e| admin(format!("stream `{name}`: {e}")))?;
+                    once(&mut t.engine, &key, engine)?;
+                }
+                _ => r.skip_value().map_err(unreadable)?,
+            }
+        }
+        match format.as_deref() {
+            Some(STREAM_SNAPSHOT_FORMAT) => Ok(t),
+            _ => Err(not_ours()),
+        }
+    }
+
+    /// Validates a stream entry's tables and builds the stream; returns its
+    /// name and engine. The entry is held to what `open` would have allowed
+    /// — a name of 1 to [`MAX_NAME_BYTES`] bytes, at most [`MAX_PROCESSES`]
+    /// processes — because no frame can name, and so none could ever close,
+    /// a stream outside those limits. Total: every inconsistency is an
+    /// [`ErrorKind::Admin`] error.
+    pub fn from_stream_tables(t: StreamTables) -> Result<(String, StreamEngine), ServeError> {
+        let name = t.name.ok_or_else(|| admin("stream entry has no name"))?;
+        if name.is_empty() || name.len() > MAX_NAME_BYTES {
+            return Err(admin(format!(
+                "stream name of {} bytes (allowed: 1..={MAX_NAME_BYTES})",
+                name.len()
+            )));
+        }
+        let crashes = t
+            .crashes
             .ok_or_else(|| admin(format!("stream `{name}`: missing crash counter")))?;
-        let engine_doc = doc
-            .get("engine")
+        let tables = t
+            .engine
             .ok_or_else(|| admin(format!("stream `{name}`: missing engine state")))?;
-        let engine = IncrementalAnalysis::from_snapshot_json(engine_doc)
+        let engine = IncrementalAnalysis::from_snapshot_tables(tables)
             .map_err(|e| admin(format!("stream `{name}`: {e}")))?;
-        Ok((name.to_string(), StreamEngine { engine, crashes }))
+        if engine.num_processes() > MAX_PROCESSES {
+            return Err(admin(format!(
+                "stream `{name}`: {} processes (allowed: 1..={MAX_PROCESSES})",
+                engine.num_processes()
+            )));
+        }
+        Ok((name, StreamEngine { engine, crashes }))
+    }
+
+    /// [`read_stream_snapshot`](StreamEngine::read_stream_snapshot) and
+    /// [`from_stream_tables`](StreamEngine::from_stream_tables) on the
+    /// compact text of `doc`: for callers that hold an entry as a tree.
+    pub fn from_stream_snapshot(doc: &Json) -> Result<(String, StreamEngine), ServeError> {
+        let mut text = Vec::new();
+        doc.write_compact(&mut text);
+        let tables = StreamEngine::read_stream_snapshot(&mut JsonReader::new(&text))?;
+        StreamEngine::from_stream_tables(tables)
     }
 }
 

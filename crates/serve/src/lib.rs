@@ -26,8 +26,10 @@
 //! stream's stripe, so a stream's requests are serialised in arrival
 //! order, which makes per-stream replies deterministic for **any**
 //! worker count. Replies are written once per drained read buffer, so
-//! clients may pipeline. Snapshot restore fans the per-stream engine
-//! rebuilds out over the deterministic work-stealing pool from `rdt-sim`.
+//! clients may pipeline. Snapshot restore reads the file's bytes in place
+//! ([`PoolHandle::restore_text`]) and fans the per-stream validation and
+//! engine builds out over the deterministic work-stealing pool from
+//! `rdt-sim`; like a persist, it builds no `Json` tree.
 //!
 //! The two ops a stream takes at wire rate never become a tree: a
 //! canonical `event` or `query` frame is scanned in place
@@ -52,7 +54,7 @@ pub mod protocol;
 pub mod server;
 pub mod shard;
 
-pub use engine::{StreamEngine, STREAM_SNAPSHOT_FORMAT};
+pub use engine::{StreamEngine, StreamTables, STREAM_SNAPSHOT_FORMAT};
 pub use protocol::{
     error_reply, ok_reply, parse_request, scan_request, ErrorKind, EventKind, HotRequest,
     QueryKind, Reply, Request, ServeError, MAX_LINE_BYTES, MAX_NAME_BYTES, MAX_PROCESSES,

@@ -99,6 +99,12 @@ impl ServeError {
     }
 }
 
+/// A daemon administration failure (snapshot persistence and restore,
+/// shard plumbing).
+pub(crate) fn admin(message: impl Into<String>) -> ServeError {
+    ServeError::new(ErrorKind::Admin, message)
+}
+
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.kind.as_str(), self.message)

@@ -19,8 +19,10 @@
 //! per reply. TCP sockets are `TCP_NODELAY`.
 //!
 //! Persistence: with `--snapshot PATH`, the daemon restores the snapshot
-//! at startup (if present), persists on the `snapshot` op, and persists
-//! again on `shutdown`. A persist writes the document's text straight from
+//! at startup (if present; the file's bytes go straight to
+//! [`PoolHandle::restore_text`], which reads engine snapshot versions 1 to
+//! 3), persists on the `snapshot` op, and persists again on `shutdown`
+//! (version 3, always). A persist writes the document's text straight from
 //! the engines' tables ([`PoolHandle::write_snapshot_document`]) into a
 //! temp file and renames it over `PATH`. Persists are serialised by one
 //! mutex held from the first byte written to the rename: every connection
@@ -39,7 +41,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use rdt_json::Json;
 
-use crate::protocol::{error_reply, ok_reply, ErrorKind, Request, ServeError, MAX_LINE_BYTES};
+use crate::protocol::{
+    admin, error_reply, ok_reply, ErrorKind, Request, ServeError, MAX_LINE_BYTES,
+};
 use crate::shard::{EnginePool, PoolHandle};
 
 /// Where the daemon listens.
@@ -138,10 +142,6 @@ impl Shared {
             Poke::Unix(path) => drop(UnixStream::connect(path)),
         }
     }
-}
-
-fn admin(message: impl Into<String>) -> ServeError {
-    ServeError::new(ErrorKind::Admin, message)
 }
 
 /// Writes `text` to `path` through a temp file in the same directory and a
@@ -290,9 +290,7 @@ impl Server {
         if let Some(path) = &config.snapshot_path {
             if path.exists() {
                 let bytes = fs::read(path).map_err(|e| admin(format!("reading snapshot: {e}")))?;
-                let doc = Json::parse_bytes(&bytes)
-                    .map_err(|e| admin(format!("snapshot is not valid JSON: {e}")))?;
-                restored = handle.restore_document(&doc, pool.workers())?;
+                restored = handle.restore_text(&bytes, pool.workers())?;
             }
         }
 

@@ -24,23 +24,24 @@
 //! two hot ops run the same function (`answer_hot`), so for them the tree
 //! is the parsed form of the daemon's text, not a second description of it.
 //!
-//! Snapshot restore reuses the deterministic work-stealing pool
-//! ([`rdt_sim::parallel_map_indexed`]) to rebuild many engines in
-//! parallel: results come back in item order, so the restored daemon is
-//! identical for any `--workers` count there too.
+//! Snapshot restore ([`PoolHandle::restore_text`]) reads the file's bytes
+//! in one sequential pass — no `Json` tree — and reuses the deterministic
+//! work-stealing pool ([`rdt_sim::parallel_map_indexed`]) to validate and
+//! build many engines in parallel: results come back in item order, so the
+//! restored daemon is identical for any `--workers` count there too, and
+//! nothing is installed unless everything built.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use rdt_json::{Json, JsonWriter};
+use rdt_json::{Json, JsonReader, JsonWriter};
 use rdt_sim::parallel_map_indexed;
 
-use crate::engine::StreamEngine;
+use crate::engine::{once, unreadable, StreamEngine, StreamTables};
 use crate::protocol::{
-    error_reply, ok_reply, parse_request, scan_request, ErrorKind, HotRequest, Reply, Request,
-    ServeError, MAX_STREAMS,
+    admin, error_reply, ok_reply, parse_request, scan_request, ErrorKind, HotRequest, Reply,
+    Request, ServeError, MAX_STREAMS,
 };
 
 /// Daemon snapshot format marker.
@@ -159,6 +160,43 @@ type Stripe = Mutex<BTreeMap<String, StreamEngine>>;
 /// keep serving.
 fn not_running() -> ServeError {
     ServeError::new(ErrorKind::Admin, "shard is not running")
+}
+
+/// The lexical half of a restore: the envelope and every stream entry of a
+/// daemon snapshot document, read in sequence into typed tables.
+fn read_document(text: &[u8]) -> Result<Vec<StreamTables>, ServeError> {
+    let mut r = JsonReader::new(text);
+    if r.peek().map_err(unreadable)? != b'{' {
+        return Err(admin("not an rdt-serve snapshot"));
+    }
+    let (mut format, mut version, mut entries) = (None, None, None);
+    r.begin_object().map_err(unreadable)?;
+    while let Some(key) = r.next_key().map_err(unreadable)? {
+        match key.as_str() {
+            "format" => once(&mut format, &key, r.str().map_err(unreadable)?)?,
+            "version" => once(&mut version, &key, r.u64().map_err(unreadable)?)?,
+            "streams" => {
+                let mut list = Vec::new();
+                r.begin_array().map_err(unreadable)?;
+                while r.next_item().map_err(unreadable)? {
+                    if list.len() == MAX_STREAMS {
+                        return Err(admin("snapshot exceeds the stream limit"));
+                    }
+                    list.push(StreamEngine::read_stream_snapshot(&mut r)?);
+                }
+                once(&mut entries, &key, list)?;
+            }
+            _ => r.skip_value().map_err(unreadable)?,
+        }
+    }
+    r.end().map_err(unreadable)?;
+    if format.as_deref() != Some(POOL_SNAPSHOT_FORMAT) {
+        return Err(admin("not an rdt-serve snapshot"));
+    }
+    if version != Some(POOL_SNAPSHOT_VERSION) {
+        return Err(admin("unsupported snapshot version"));
+    }
+    entries.ok_or_else(|| admin("missing `streams` array"))
 }
 
 /// A cloneable handle to the pool: what connection threads submit
@@ -310,49 +348,68 @@ impl PoolHandle {
         Json::parse_bytes(&text).map_err(|e| ServeError::new(ErrorKind::Admin, e.to_string()))
     }
 
-    /// Restores every stream of a snapshot document into the pool.
-    /// Engines are rebuilt in parallel on the deterministic work-stealing
-    /// pool, then installed into their stripes; the first invalid entry
-    /// aborts the restore with an [`ErrorKind::Admin`] error.
-    pub fn restore_document(&self, doc: &Json, threads: usize) -> Result<usize, ServeError> {
-        let admin = |m: &str| ServeError::new(ErrorKind::Admin, m);
-        if doc.get("format").and_then(Json::as_str) != Some(POOL_SNAPSHOT_FORMAT) {
-            return Err(admin("not an rdt-serve snapshot"));
-        }
-        if doc.get("version").and_then(Json::as_u64) != Some(POOL_SNAPSHOT_VERSION) {
-            return Err(admin("unsupported snapshot version"));
-        }
-        let entries = doc
-            .get("streams")
-            .and_then(Json::as_array)
-            .ok_or_else(|| admin("missing `streams` array"))?;
-        if entries.len() > MAX_STREAMS {
-            return Err(admin("snapshot exceeds the stream limit"));
-        }
-
-        let restored = parallel_map_indexed(
-            entries,
+    /// Restores every stream of a snapshot document — the file's bytes —
+    /// into the pool, or none of them.
+    ///
+    /// The text is read once, in sequence, into per-stream typed tables
+    /// ([`StreamEngine::read_stream_snapshot`]: no `Json` tree); the tables
+    /// are validated and the engines built in parallel on the deterministic
+    /// work-stealing pool; and only when every entry has built, no name
+    /// comes twice or is already open, and the stream limit holds, are the
+    /// engines installed, under all stripe locks at once. Anything else is
+    /// an [`ErrorKind::Admin`] error that leaves the pool as it was.
+    pub fn restore_text(&self, text: &[u8], threads: usize) -> Result<usize, ServeError> {
+        let entries: Vec<_> = read_document(text)?
+            .into_iter()
+            .map(|tables| Mutex::new(Some(tables)))
+            .collect();
+        // Each worker takes the tables of the entries it steals.
+        let built = parallel_map_indexed(
+            &entries,
             threads,
             || (),
-            |_, _, entry| StreamEngine::from_stream_snapshot(entry),
+            |_, _, entry| match entry.lock().map(|mut tables| tables.take()) {
+                Ok(Some(tables)) => StreamEngine::from_stream_tables(tables),
+                _ => Err(not_running()),
+            },
             |_| {},
         );
-        let mut installed = 0usize;
-        for result in restored {
-            let (name, engine) = result?;
-            match self.lock_stripe_of(&name)?.entry(name) {
-                Entry::Occupied(slot) => {
-                    return Err(ServeError::new(
-                        ErrorKind::Admin,
-                        format!("snapshot names stream `{}` twice", slot.key()),
-                    ));
-                }
-                Entry::Vacant(slot) => slot.insert(engine),
-            };
-            installed += 1;
-            self.open_streams.fetch_add(1, Ordering::SeqCst);
+        let built = built.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let mut names: Vec<&str> = built.iter().map(|(name, _)| name.as_str()).collect();
+        names.sort_unstable();
+        if let Some(twice) = names.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(admin(format!("snapshot names stream `{}` twice", twice[0])));
+        }
+
+        let mut stripes = Vec::with_capacity(self.stripes.len());
+        for stripe in self.stripes.iter() {
+            stripes.push(stripe.lock().map_err(|_| not_running())?);
+        }
+        let count = stripes.len();
+        let home = |name: &str| stripe_index(name, count);
+        if let Some((name, _)) = built.iter().find(|(n, _)| stripes[home(n)].contains_key(n)) {
+            return Err(admin(format!(
+                "snapshot names stream `{name}`, which is already open"
+            )));
+        }
+        if self.open_streams.fetch_add(built.len(), Ordering::SeqCst) + built.len() > MAX_STREAMS {
+            self.open_streams.fetch_sub(built.len(), Ordering::SeqCst);
+            return Err(admin("snapshot exceeds the stream limit"));
+        }
+        let installed = built.len();
+        for (name, engine) in built {
+            let stripe = home(&name);
+            stripes[stripe].insert(name, engine);
         }
         Ok(installed)
+    }
+
+    /// [`restore_text`](PoolHandle::restore_text) on the compact text of
+    /// `doc`: for callers that hold the document as a tree.
+    pub fn restore_document(&self, doc: &Json, threads: usize) -> Result<usize, ServeError> {
+        let mut text = Vec::new();
+        doc.write_compact(&mut text);
+        self.restore_text(&text, threads)
     }
 }
 

@@ -19,7 +19,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-use rdt_json::Json;
 use rdt_serve::{Endpoint, EnginePool, Server, ServerConfig};
 
 const STREAMS: usize = 6;
@@ -75,11 +74,10 @@ fn event_frames(stream: usize, k: usize) -> Vec<String> {
     frames
 }
 
-/// Parses and restores one read of the published snapshot.
+/// Restores one read of the published snapshot, as a restart would.
 fn restores(bytes: &[u8]) -> Result<usize, String> {
-    let doc = Json::parse_bytes(bytes).map_err(|e| e.to_string())?;
     let pool = EnginePool::new(2);
-    let installed = pool.handle().restore_document(&doc, 1);
+    let installed = pool.handle().restore_text(bytes, 1);
     installed.map_err(|e| e.to_string())
 }
 

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use rdt_json::Json;
+use rdt_json::{Json, JsonReader};
 use rdt_serve::{
     error_reply, handle_request, ok_reply, parse_request, scan_request, EnginePool, ErrorKind,
     PoolHandle, Request, StreamEngine, MAX_NAME_BYTES,
@@ -564,13 +564,17 @@ proptest! {
     }
 
     /// Mutated stream snapshots. The `version` of the engine document is
-    /// flipped: 2 restores, 1 is refused here (a version 2 body does not
-    /// have version 1's `msgs` width), anything else is an unsupported
-    /// version — all `admin` errors. Stray chain-layer keys injected into a
-    /// version 2 document (the top-level tables of version 1, or a `chains`
-    /// object) are **ignored**, like any key the core does not know: the
-    /// daemon's engine has no chain table they could corrupt. Bit flips in
-    /// the text restore or are refused, never panic.
+    /// flipped: 3 and 2 restore (a version 2 document is a version 3 one
+    /// with derived tables that are skipped), 1 is refused here (a version 3
+    /// body does not have version 1's `msgs` width), anything else is an
+    /// unsupported version — all `admin` errors. Stray chain-layer keys
+    /// injected into the document (the top-level tables of version 1, or a
+    /// `chains` object) and the tables version 3 derives (`send_events`,
+    /// `deliver_events`, a matrix's `bwd`) are **ignored**, like any key the
+    /// core does not know, whatever they hold; a key the core does know is
+    /// refused when it comes twice. Bit flips in the text restore or are
+    /// refused, never panic — through the tree wrapper and straight from
+    /// the bytes alike.
     #[test]
     fn mutated_snapshots_restore_identically_or_are_refused(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
@@ -607,33 +611,55 @@ proptest! {
             Json::Obj(outer)
         };
 
-        for version in [0u64, 1, 2, 3, rng.next()] {
+        for version in [0u64, 1, 2, 3, 4, rng.next()] {
             let restored = StreamEngine::from_stream_snapshot(&with_engine_key("version", Json::U64(version)));
             match restored {
                 Ok((_, engine)) => {
-                    prop_assert_eq!(version, 2);
+                    prop_assert!(version == 2 || version == 3);
                     prop_assert_eq!(answers(engine), expected.clone());
                 }
                 Err(err) => {
-                    prop_assert_ne!(version, 2);
+                    prop_assert!(version != 2 && version != 3);
                     prop_assert_eq!(err.kind, ErrorKind::Admin);
                     prop_assert_eq!(err.message.contains("unsupported snapshot version"), version != 1);
                 }
             }
         }
         let junk = [Json::Null, Json::U64(rng.next()), Json::Arr(vec![Json::U64(9999); 3]), Json::obj([("recs", Json::Null)])];
-        for key in ["zmat", "cmat", "z_slots", "c_spine", "c_delivs", "c_linked", "slot_base", "chain_floor", "chains"] {
+        for key in [
+            "zmat", "cmat", "z_slots", "c_spine", "c_delivs", "c_linked", "slot_base", "chain_floor", "chains",
+            "send_events", "deliver_events", "bwd",
+        ] {
             let stray = with_engine_key(key, junk[rng.below(junk.len())].clone());
-            let (_, engine) = StreamEngine::from_stream_snapshot(&stray).expect("stray chain keys are ignored");
+            let (_, engine) = StreamEngine::from_stream_snapshot(&stray).expect("stray keys are ignored");
             prop_assert_eq!(answers(engine), expected.clone());
         }
+        // A second copy of a table the core reads, appended after the first.
+        let Some(Json::Obj(engine_fields)) = doc.get("engine") else { panic!("engine snapshot is an object") };
+        let (key, value) = &engine_fields[rng.below(engine_fields.len())];
+        let Json::Obj(mut outer) = doc.clone() else { panic!("stream snapshot is an object") };
+        if let Some((_, Json::Obj(fields))) = outer.iter_mut().find(|(k, _)| k == "engine") {
+            fields.push((key.clone(), value.clone()));
+        }
+        let err = StreamEngine::from_stream_snapshot(&Json::Obj(outer)).expect_err("a known key twice");
+        prop_assert_eq!(err.kind, ErrorKind::Admin);
+        prop_assert!(err.message.contains("appears twice"), "{}", err);
+
         for _ in 0..50 {
             let mut bytes = doc.to_string().into_bytes();
             let i = rng.below(bytes.len());
             bytes[i] ^= 1 << rng.below(8);
-            if let Ok(parsed) = Json::parse_bytes(&bytes) {
-                if let Ok((_, engine)) = StreamEngine::from_stream_snapshot(&parsed) {
-                    let _ = answers(engine);
+            let tables = StreamEngine::read_stream_snapshot(&mut JsonReader::new(&bytes));
+            let direct = tables.and_then(StreamEngine::from_stream_tables);
+            let parsed = Json::parse_bytes(&bytes);
+            // Text the parser refuses, the reader refuses; text it takes
+            // restores the same way through the wrapper.
+            prop_assert!(parsed.is_ok() || direct.is_err());
+            if let Ok(parsed) = parsed {
+                let wrapped = StreamEngine::from_stream_snapshot(&parsed);
+                prop_assert_eq!(wrapped.is_ok(), direct.is_ok());
+                if let (Ok((_, a)), Ok((_, b))) = (wrapped, direct) {
+                    prop_assert_eq!(answers(a), answers(b));
                 }
             }
         }

@@ -75,8 +75,7 @@ where
 
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
+    let mut results: Vec<(usize, R)> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
@@ -99,13 +98,14 @@ where
         for (i, result) in rx {
             done += 1;
             observe(done, &result);
-            slots[i] = Some(result);
+            results.push((i, result));
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index was dispatched exactly once"))
-        .collect()
+    // Every index was dispatched exactly once (a worker that panicked
+    // instead of sending has panicked the scope above), so sorting the
+    // arrivals by index is item order.
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
