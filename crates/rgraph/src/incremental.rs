@@ -95,7 +95,8 @@ pub use compaction::CompactionStats;
 mod snapshot;
 use snapshot::ChainTables;
 pub use snapshot::{
-    SnapshotError, SnapshotErrorKind, SnapshotTables, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
+    SnapshotCache, SnapshotError, SnapshotErrorKind, SnapshotTables, SNAPSHOT_FORMAT,
+    SNAPSHOT_VERSION,
 };
 
 /// Core + journal: what a reader needs that asks closed-view questions
@@ -1095,6 +1096,10 @@ mod work {
         pub static ROWS_FOLDED: Cell<u64> = const { Cell::new(0) };
         /// Closure rows read through `ClosureMatrix::row`.
         pub static CLOSURE_ROWS_READ: Cell<u64> = const { Cell::new(0) };
+        /// Rows of the write-once snapshot tables rendered — into a
+        /// `SnapshotCache` or straight into the document — rather than
+        /// copied from the cache's text.
+        pub static ROWS_RENDERED: Cell<u64> = const { Cell::new(0) };
     }
 }
 
@@ -2227,6 +2232,61 @@ mod tests {
                 "rows folded in period {period}"
             );
         }
+    }
+
+    /// A render through a kept [`SnapshotCache`] formats what changed since
+    /// the last one: on a `persist-unix`-shaped stream (8 processes, at most
+    /// 16 messages in flight, a render every 1 500 events), exactly the rows
+    /// of `msg_tdv`, `cp_tdv` and `r_meta` appended in between plus the
+    /// `msgs` rows from the first message in transit at the last render on —
+    /// and every row once on the first render and after a state-discarding
+    /// compaction. The text is the cold render's every time.
+    #[test]
+    fn work_bound_a_snapshot_renders_what_changed() {
+        let mut stream = DaemonStream::new(8, 16, 0x5eed_0025);
+        let mut cache = SnapshotCache::default();
+        let rows = |core: &IncrementalAnalysis| {
+            let n = core.n;
+            let in_transit = core.msgs.iter().position(|m| m.deliver_iv == NONE_U32);
+            let tables = core.msg_tdv.len() / n + core.cp_tdv.len() / n + core.r_meta.len();
+            (
+                tables,
+                core.msgs.len(),
+                in_transit.unwrap_or(core.msgs.len()),
+            )
+        };
+        let mut render = |core: &IncrementalAnalysis| {
+            let mut cold = Vec::new();
+            core.write_snapshot(&mut rdt_json::JsonWriter::new(&mut cold));
+            work::ROWS_RENDERED.set(0);
+            let mut cached = Vec::new();
+            core.write_snapshot_cached(&mut cache, &mut rdt_json::JsonWriter::new(&mut cached));
+            assert!(
+                cached == cold,
+                "the cached render differs from the cold one"
+            );
+            work::ROWS_RENDERED.get()
+        };
+        let every_row = |(tables, msgs, _): (usize, usize, usize)| (tables + msgs) as u64;
+
+        for _ in 0..1_500 {
+            stream.event();
+        }
+        assert_eq!(render(&stream.core), every_row(rows(&stream.core)));
+        for period in 0..12 {
+            let (tables, _, first_in_transit) = rows(&stream.core);
+            for _ in 0..1_500 {
+                stream.event();
+            }
+            let (now, msgs, _) = rows(&stream.core);
+            assert_eq!(
+                render(&stream.core),
+                (now - tables + msgs - first_in_transit) as u64,
+                "rows rendered in period {period}"
+            );
+        }
+        stream.round_and_compact();
+        assert_eq!(render(&stream.core), every_row(rows(&stream.core)));
     }
 
     proptest::proptest! {

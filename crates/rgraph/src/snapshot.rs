@@ -17,14 +17,46 @@
 //!
 //! # One description of the written form
 //!
-//! [`write_snapshot`](IncrementalAnalysis::write_snapshot) lists the tables
-//! once, in document order, and renders them straight from the engine's
-//! vectors into the caller's byte buffer through [`JsonWriter`].
+//! One private renderer lists the tables once, in document order, and renders
+//! them straight from the engine's vectors into the caller's byte buffer
+//! through [`JsonWriter`];
+//! [`write_snapshot`](IncrementalAnalysis::write_snapshot) and
+//! [`write_snapshot_cached`](IncrementalAnalysis::write_snapshot_cached) are
+//! its two entries.
 //! [`snapshot_json`](IncrementalAnalysis::snapshot_json) is the *parsed form
 //! of that text*, kept for the callers that edit a document field by field
 //! (tests that corrupt one, the benchmark's ladder); the writer emits the
 //! canonical compact form, so the two agree exactly
 //! (`tests/snapshot_bytes.rs` holds the bytes to goldens).
+//!
+//! # What a render costs: the cache
+//!
+//! Four tables only grow within a compaction epoch, and a row once written
+//! is never revised: the `TDV` a message piggybacks (`msg_tdv`), the `TDV` a
+//! checkpoint records (`cp_tdv`, Corollary 4.5's vector), the checkpoint an
+//! R-node stands for (`r_meta`), and every `msgs` row of a delivered message
+//! (its delivery interval is set once). A [`SnapshotCache`] keeps, per table,
+//! the comma-joined text of the rows already rendered and how many rows that
+//! is, plus the `epoch` it was rendered at.
+//! [`write_snapshot_cached`](IncrementalAnalysis::write_snapshot_cached)
+//! renders only the rows the cache does not cover, adds to it those that can
+//! no longer change, and copies the rest from it; between two persists of a
+//! long stream that is what was appended in between, plus the `msgs` rows
+//! from the first message still in transit on. The invariant: **the text of
+//! a cache is the text of the first `rows` rows of its table, at its
+//! `epoch`**. It holds because within an epoch those rows are never written
+//! again, and a compaction — which renumbers `tdv_row`s and lets the per-node
+//! tables close ranks — bumps `epoch`, which empties the cache. A cache that
+//! claims more rows than its table holds (it was handed another engine's
+//! state) starts over rather than slicing.
+//!
+//! The cached entry exists only on `IncrementalAnalysis<C, NoJournal>`. A
+//! rewind truncates tables and un-delivers messages without touching
+//! `epoch`, and can regrow a table to the same length with other rows, which
+//! no row count could tell from the rows it rendered; an engine without a
+//! journal cannot rewind, so there the invariant holds by construction.
+//! [`write_snapshot`](IncrementalAnalysis::write_snapshot), on every
+//! instantiation, is the same renderer with a fresh cache.
 //!
 //! # One way back
 //!
@@ -303,16 +335,124 @@ fn write_rows(w: &mut JsonWriter<'_>, rows: &[Vec<u32>]) {
     w.array(rows, |w, row| w.u32s(row));
 }
 
-fn write_tuples(w: &mut JsonWriter<'_>, values: &[(u32, u32)]) {
-    w.array(values, |w, &(a, b)| w.u32s(&[a, b]));
-}
-
 fn write_matrix(w: &mut JsonWriter<'_>, mat: &ClosureMatrix) {
     w.begin_object();
     w.key("nodes").u64(mat.nodes as u64);
     w.key("width").u64(mat.width as u64);
     w.key("fwd").u64s(&mat.fwd);
     w.end_object();
+}
+
+/// The text of an engine's write-once tables, kept between snapshot
+/// renders of that one engine: what
+/// [`write_snapshot_cached`](IncrementalAnalysis::write_snapshot_cached)
+/// copies instead of rendering again (the module documentation of
+/// `snapshot.rs` gives its invariant). A fresh cache is empty and fits any
+/// engine; afterwards it belongs to the engine it was rendered from.
+///
+/// ```rust
+/// use rdt_json::JsonWriter;
+/// use rdt_rgraph::{IncrementalAnalysis, SnapshotCache};
+///
+/// let engine = IncrementalAnalysis::new(2);
+/// let mut cache = SnapshotCache::default();
+/// let (mut cached, mut cold) = (Vec::new(), Vec::new());
+/// engine.write_snapshot_cached(&mut cache, &mut JsonWriter::new(&mut cached));
+/// engine.write_snapshot(&mut JsonWriter::new(&mut cold));
+/// assert_eq!(cached, cold);
+/// ```
+///
+/// A rewindable engine has no cached entry: a rewind can shrink a table and
+/// regrow it to the same length with other rows.
+///
+/// ```compile_fail
+/// use rdt_json::JsonWriter;
+/// use rdt_rgraph::{RewindableAnalysis, SnapshotCache};
+///
+/// let engine = RewindableAnalysis::layered(2);
+/// let mut cache = SnapshotCache::default();
+/// let mut text = Vec::new();
+/// engine.write_snapshot_cached(&mut cache, &mut JsonWriter::new(&mut text));
+/// ```
+#[derive(Debug, Default)]
+pub struct SnapshotCache {
+    /// The compaction epoch the text below was rendered at.
+    epoch: u64,
+    /// `None` until the first render: an engine that is never persisted
+    /// pays one pointer for its cache (the daemon holds thousands of
+    /// engines inline in its stripes' maps).
+    tables: Option<Box<CachedTables>>,
+}
+
+/// The write-once tables of a [`SnapshotCache`].
+#[derive(Debug, Default)]
+struct CachedTables {
+    msgs: RenderedRows,
+    msg_tdv: RenderedRows,
+    cp_tdv: RenderedRows,
+    r_meta: RenderedRows,
+}
+
+/// The leading rows of one table, rendered.
+#[derive(Debug, Default)]
+struct RenderedRows {
+    /// The rows' items, comma-joined: the table's array text for those rows,
+    /// without the brackets.
+    text: Vec<u8>,
+    /// Rows the text covers.
+    rows: usize,
+}
+
+impl RenderedRows {
+    /// Writes `items` — rows of `width` items each — as one array. The
+    /// leading rows whose every item is `settled` (cannot change again in
+    /// this epoch) and that the text does not cover yet are rendered into it
+    /// once; the covered rows are copied from it, and the rows from the first
+    /// unsettled item on are rendered straight into `w`.
+    fn write<T>(
+        &mut self,
+        w: &mut JsonWriter<'_>,
+        items: &[T],
+        width: usize,
+        settled: impl Fn(&T) -> bool,
+        each: impl Fn(&mut JsonWriter<'_>, &T),
+    ) {
+        if self.rows * width > items.len() {
+            *self = RenderedRows::default();
+        }
+        let covered = self.rows * width;
+        let fresh = &items[covered..];
+        let settled_rows = fresh.iter().position(|item| !settled(item));
+        let settled_rows = settled_rows.unwrap_or(fresh.len()) / width;
+        if settled_rows > 0 {
+            if !self.text.is_empty() {
+                self.text.push(b',');
+            }
+            let mut into = JsonWriter::new(&mut self.text);
+            for item in &fresh[..settled_rows * width] {
+                each(&mut into, item);
+            }
+            self.rows += settled_rows;
+        }
+        let rest = &items[self.rows * width..];
+        #[cfg(test)]
+        work::ROWS_RENDERED
+            .set(work::ROWS_RENDERED.get() + (settled_rows + rest.len() / width) as u64);
+        w.begin_array();
+        // The covered items, already comma-joined, go in as one raw value:
+        // the writer puts the comma between them and the rest.
+        if !self.text.is_empty() {
+            w.raw(&self.text);
+        }
+        for item in rest {
+            each(w, item);
+        }
+        w.end_array();
+    }
+}
+
+fn write_u32(w: &mut JsonWriter<'_>, &value: &u32) {
+    w.u64(u64::from(value));
 }
 
 // ---------------------------------------------------------- matrices ----
@@ -521,26 +661,52 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// before the snapshot cannot be rewound to afterwards (a defined
     /// [`RewindError`], like marks across a compaction).
     ///
-    /// This is the description of the written form: the tables and their
-    /// order are listed here and nowhere else.
+    /// Every render, cached or not, is this one; a long-lived engine without
+    /// a journal renders through a cache it keeps
+    /// ([`write_snapshot_cached`](IncrementalAnalysis::write_snapshot_cached)).
     pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
+        self.render_snapshot(&mut SnapshotCache::default(), w);
+    }
+
+    /// The description of the written form: the tables and their order are
+    /// listed here and nowhere else. The write-once tables go through
+    /// `cache` (see the module documentation).
+    fn render_snapshot(&self, cache: &mut SnapshotCache, w: &mut JsonWriter<'_>) {
+        if cache.epoch != self.epoch {
+            *cache = SnapshotCache {
+                epoch: self.epoch,
+                tables: None,
+            };
+        }
+        let cache = cache.tables.get_or_insert_with(Box::default);
+        let n = self.n;
         w.begin_object();
         w.key("format").str(SNAPSHOT_FORMAT);
         w.key("version").u64(SNAPSHOT_VERSION);
-        w.key("n").u64(self.n as u64);
+        w.key("n").u64(n as u64);
         w.key("events").u64(self.events as u64);
         w.key("untrackable").u64(self.untrackable);
         w.key("cp_count").u32s(&self.cp_count);
         w.key("line_open")
             .array(&self.line_open, |w, &open| w.bool(open));
-        w.key("msgs").array(&self.msgs, |w, m| {
-            w.u32s(&[m.from, m.to, m.send_iv, m.deliver_iv, m.tdv_row])
-        });
+        let delivered = |m: &MsgRec| m.deliver_iv != NONE_U32;
+        cache
+            .msgs
+            .write(w.key("msgs"), &self.msgs, 1, delivered, |w, m| {
+                w.u32s(&[m.from, m.to, m.send_iv, m.deliver_iv, m.tdv_row])
+            });
         w.key("cur_tdv").u32s(&self.cur_tdv);
-        w.key("msg_tdv").u32s(&self.msg_tdv);
-        w.key("cp_tdv").u32s(&self.cp_tdv);
+        cache
+            .msg_tdv
+            .write(w.key("msg_tdv"), &self.msg_tdv, n, |_| true, write_u32);
+        cache
+            .cp_tdv
+            .write(w.key("cp_tdv"), &self.cp_tdv, n, |_| true, write_u32);
         write_matrix(w.key("rmat"), &self.rmat);
-        write_tuples(w.key("r_meta"), &self.r_meta);
+        let r_meta = |w: &mut JsonWriter<'_>, &(p, index): &(u32, u32)| w.u32s(&[p, index]);
+        cache
+            .r_meta
+            .write(w.key("r_meta"), &self.r_meta, 1, |_| true, r_meta);
         write_rows(w.key("cp_nodes"), &self.cp_nodes);
         w.key("epoch").u64(self.epoch);
         w.key("watermark").u32s(&self.watermark);
@@ -874,6 +1040,18 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             }
         }
         Ok(())
+    }
+}
+
+impl<C: ChainLayer> IncrementalAnalysis<C, NoJournal> {
+    /// [`write_snapshot`](IncrementalAnalysis::write_snapshot) through a
+    /// cache this engine keeps between renders: the same bytes, with the
+    /// rows of the write-once tables that `cache` already holds copied
+    /// rather than rendered, and those that can no longer change added to
+    /// it. Only on an engine without a journal, which cannot rewind (the
+    /// module documentation of `snapshot.rs` says why that matters).
+    pub fn write_snapshot_cached(&self, cache: &mut SnapshotCache, w: &mut JsonWriter<'_>) {
+        self.render_snapshot(cache, w);
     }
 }
 

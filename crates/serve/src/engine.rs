@@ -12,7 +12,7 @@
 
 use rdt_causality::{CheckpointId, ProcessId};
 use rdt_json::{Json, JsonError, JsonReader, JsonWriter};
-use rdt_rgraph::{IncrementalAnalysis, SnapshotTables};
+use rdt_rgraph::{IncrementalAnalysis, SnapshotCache, SnapshotTables};
 
 use crate::protocol::{
     admin, ErrorKind, EventKind, QueryKind, Reply, ServeError, MAX_NAME_BYTES, MAX_PROCESSES,
@@ -47,6 +47,22 @@ pub(crate) fn once<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), S
     }
 }
 
+/// Writes one entry of the daemon snapshot document: the stream's metadata,
+/// then the engine's own document as `engine` writes it.
+fn write_entry(
+    name: &str,
+    crashes: u64,
+    w: &mut JsonWriter<'_>,
+    engine: impl FnOnce(&mut JsonWriter<'_>),
+) {
+    w.begin_object();
+    w.key("format").str(STREAM_SNAPSHOT_FORMAT);
+    w.key("name").str(name);
+    w.key("crashes").u64(crashes);
+    engine(w.key("engine"));
+    w.end_object();
+}
+
 /// One tenant stream.
 #[derive(Debug)]
 pub struct StreamEngine {
@@ -54,6 +70,9 @@ pub struct StreamEngine {
     /// Crash events observed (crashes are markers: they report the
     /// recovery line but do not mutate the pattern).
     crashes: u64,
+    /// The text of the engine's write-once snapshot tables, kept from one
+    /// persist to the next; empty until the first.
+    cache: SnapshotCache,
 }
 
 impl StreamEngine {
@@ -63,6 +82,7 @@ impl StreamEngine {
         StreamEngine {
             engine: IncrementalAnalysis::new(processes),
             crashes: 0,
+            cache: SnapshotCache::default(),
         }
     }
 
@@ -174,22 +194,24 @@ impl StreamEngine {
     }
 
     /// Writes the stream (metadata, then the engine's own document) as one
-    /// entry of the daemon snapshot document, straight from the tables.
-    pub fn write_stream_snapshot(&self, name: &str, w: &mut JsonWriter<'_>) {
-        w.begin_object();
-        w.key("format").str(STREAM_SNAPSHOT_FORMAT);
-        w.key("name").str(name);
-        w.key("crashes").u64(self.crashes);
-        self.engine.write_snapshot(w.key("engine"));
-        w.end_object();
+    /// entry of the daemon snapshot document, straight from the tables and
+    /// through the stream's snapshot cache: what changed since the last
+    /// persist is rendered, the rest of the write-once tables is copied.
+    pub fn write_stream_snapshot(&mut self, name: &str, w: &mut JsonWriter<'_>) {
+        let (engine, cache) = (&self.engine, &mut self.cache);
+        write_entry(name, self.crashes, w, |w| {
+            engine.write_snapshot_cached(cache, w)
+        });
     }
 
     /// The stream's entry as a [`Json`] tree: the parsed form of what
     /// [`write_stream_snapshot`](StreamEngine::write_stream_snapshot)
-    /// writes. The daemon does not call it.
+    /// writes, rendered without the cache. The daemon does not call it.
     pub fn stream_snapshot(&self, name: &str) -> Json {
         let mut text = Vec::new();
-        self.write_stream_snapshot(name, &mut JsonWriter::new(&mut text));
+        write_entry(name, self.crashes, &mut JsonWriter::new(&mut text), |w| {
+            self.engine.write_snapshot(w)
+        });
         Json::parse_bytes(&text).expect("the writer emits well-formed JSON")
     }
 
@@ -254,7 +276,12 @@ impl StreamEngine {
                 engine.num_processes()
             )));
         }
-        Ok((name, StreamEngine { engine, crashes }))
+        let stream = StreamEngine {
+            engine,
+            crashes,
+            cache: SnapshotCache::default(),
+        };
+        Ok((name, stream))
     }
 
     /// [`read_stream_snapshot`](StreamEngine::read_stream_snapshot) and

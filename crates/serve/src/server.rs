@@ -23,13 +23,16 @@
 //! [`PoolHandle::restore_text`], which reads engine snapshot versions 1 to
 //! 3), persists on the `snapshot` op, and persists again on `shutdown`
 //! (version 3, always). A persist writes the document's text straight from
-//! the engines' tables ([`PoolHandle::write_snapshot_document`]) into a
-//! temp file and renames it over `PATH`. Persists are serialised by one
+//! the engines' tables and their snapshot caches
+//! ([`PoolHandle::write_snapshot_document`]) into one buffer, then into a
+//! temp file that it renames over `PATH`. Persists are serialised by one
 //! mutex held from the first byte written to the rename: every connection
 //! thread goes through the same temp file, and two of them at once would
-//! truncate and rename it from under each other. With that, a reader of
-//! `PATH` — or a crash at any point — sees a complete earlier snapshot or a
-//! complete later one.
+//! truncate and rename it from under each other. The mutex also holds that
+//! buffer, kept from one persist to the next, so a persist allocates no
+//! document. With that, a reader of `PATH` — or a crash at any point — sees
+//! a complete earlier snapshot or a complete later one; a write or rename
+//! that fails removes the temp file and is an `admin` error.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -128,9 +131,11 @@ enum Poke {
 struct Shared {
     handle: PoolHandle,
     snapshot_path: Option<PathBuf>,
-    /// Held by the one thread that is persisting, from serialisation to
-    /// rename. Lock order: this, then a stripe; no stripe holder takes it.
-    persist: Mutex<()>,
+    /// The buffer a persist renders the document into, reused from one
+    /// persist to the next; held by the one thread that is persisting, from
+    /// serialisation to rename. Lock order: this, then a stripe; no stripe
+    /// holder takes it.
+    persist: Mutex<Vec<u8>>,
     shutdown: AtomicBool,
     poke: Poke,
 }
@@ -146,12 +151,22 @@ impl Shared {
 
 /// Writes `text` to `path` through a temp file in the same directory and a
 /// rename. Callers hold the persist lock: the temp file's name is fixed.
+/// When either step fails the temp file is removed (best effort) before the
+/// error is returned: after a full disk it is a torn file occupying the
+/// space that just ran out.
 fn write_snapshot_file(path: &Path, text: &[u8]) -> Result<(), ServeError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, text).map_err(|e| admin(format!("writing snapshot: {e}")))?;
-    fs::rename(&tmp, path).map_err(|e| admin(format!("publishing snapshot: {e}")))
+    let published = fs::write(&tmp, text)
+        .map_err(|e| admin(format!("writing snapshot: {e}")))
+        .and_then(|()| {
+            fs::rename(&tmp, path).map_err(|e| admin(format!("publishing snapshot: {e}")))
+        });
+    if published.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    published
 }
 
 /// Persists the current pool state to the configured snapshot path;
@@ -161,13 +176,13 @@ fn persist_snapshot(shared: &Shared) -> Result<usize, ServeError> {
         .snapshot_path
         .as_deref()
         .ok_or_else(|| admin("daemon has no snapshot path configured"))?;
-    // The lock guards no data, so a persist that panicked left nothing
-    // behind that the next one does not overwrite.
-    let _persisting = shared
+    // A persist that panicked left at most part of a document in the
+    // buffer, which is cleared before it is used again.
+    let mut text = shared
         .persist
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    let mut text = Vec::new();
+    text.clear();
     let count = shared.handle.write_snapshot_document(&mut text)?;
     text.push(b'\n');
     write_snapshot_file(path, &text)?;
@@ -320,7 +335,7 @@ impl Server {
             shared: Arc::new(Shared {
                 handle,
                 snapshot_path: config.snapshot_path,
-                persist: Mutex::new(()),
+                persist: Mutex::new(Vec::new()),
                 shutdown: AtomicBool::new(false),
                 poke,
             }),

@@ -9,9 +9,10 @@
 //! do. One connection executes its frames in order on one thread, and
 //! across connections the stripe lock serialises a stream's requests, so
 //! replaying a session against a 1-stripe and an N-stripe pool yields
-//! byte-identical per-stream replies. A long request (compaction, a
-//! snapshot, which locks one stripe at a time) delays only requests of
-//! the same stripe.
+//! byte-identical per-stream replies. A long request (a compaction) delays
+//! only requests of the same stripe; a snapshot holds one stripe's lock
+//! for one stream at a time, for as long as rendering that stream takes —
+//! with its snapshot cache hot, what changed in it since the last persist.
 //!
 //! A stripe has two doors. [`PoolHandle::answer_frame`] is the daemon's:
 //! bytes in, reply line out. A canonical `event` or `query` frame
@@ -310,33 +311,37 @@ impl PoolHandle {
 
     /// Appends the daemon snapshot document to `out` and returns the number
     /// of streams in it: every stream of every stripe, sorted by name so the
-    /// document is identical for any worker count.
+    /// document is identical for any worker count. On an error `out` may
+    /// hold part of a document.
     ///
-    /// Stripes are locked one at a time, each for as long as it takes to
-    /// write its streams' text into a scratch buffer; the envelope is then
-    /// assembled from those byte ranges in name order with no lock held.
+    /// The names are collected stripe by stripe, then each stream is
+    /// rendered — through its own snapshot cache — straight into `out`, in
+    /// name order, under its stripe's lock, taken for that one stream. A
+    /// stream closed in between is not in the document; one opened in
+    /// between is in the next.
     pub fn write_snapshot_document(&self, out: &mut Vec<u8>) -> Result<usize, ServeError> {
-        let mut texts = Vec::new();
-        let mut entries: Vec<(String, std::ops::Range<usize>)> = Vec::new();
-        for stripe in self.stripes.iter() {
+        let mut names: Vec<(String, usize)> = Vec::new();
+        for (i, stripe) in self.stripes.iter().enumerate() {
             let streams = stripe.lock().map_err(|_| not_running())?;
-            for (name, engine) in streams.iter() {
-                let start = texts.len();
-                engine.write_stream_snapshot(name, &mut JsonWriter::new(&mut texts));
-                entries.push((name.clone(), start..texts.len()));
-            }
+            names.extend(streams.keys().map(|name| (name.clone(), i)));
         }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        // The texts, a comma each, and the envelope's 57 bytes around them.
-        out.reserve(texts.len() + entries.len() + 64);
+        names.sort_unstable();
         let mut w = JsonWriter::new(out);
         w.begin_object();
         w.key("format").str(POOL_SNAPSHOT_FORMAT);
         w.key("version").u64(POOL_SNAPSHOT_VERSION);
-        w.key("streams")
-            .array(&entries, |w, (_, range)| w.raw(&texts[range.clone()]));
+        w.key("streams").begin_array();
+        let mut written = 0;
+        for (name, stripe) in &names {
+            let mut streams = self.stripes[*stripe].lock().map_err(|_| not_running())?;
+            if let Some(engine) = streams.get_mut(name) {
+                engine.write_stream_snapshot(name, &mut w);
+                written += 1;
+            }
+        }
+        w.end_array();
         w.end_object();
-        Ok(entries.len())
+        Ok(written)
     }
 
     /// The daemon snapshot document as a [`Json`] tree: the parsed form of
