@@ -107,7 +107,8 @@ impl Json {
         match *self {
             Json::U64(v) => Some(v),
             Json::I64(v) => u64::try_from(v).ok(),
-            Json::F64(v) if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 => Some(v as u64),
+            // `u64::MAX as f64` rounds up to 2⁶⁴, the first float out of range.
+            Json::F64(v) if v >= 0.0 && v.fract() == 0.0 && v < u64::MAX as f64 => Some(v as u64),
             _ => None,
         }
     }
@@ -1271,6 +1272,25 @@ mod tests {
                 err(1, format!("invalid number `{text}`"))
             );
         }
+    }
+
+    /// A float is a `u64` only below 2⁶⁴: `as` would saturate 2⁶⁴ and
+    /// everything above it to `u64::MAX`.
+    #[test]
+    fn as_u64_stops_below_two_to_the_64() {
+        let largest_below = 18_446_744_073_709_549_568.0; // 2⁶⁴ − 2¹¹
+        assert_eq!(
+            Json::F64(largest_below).as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
+        for text in ["18446744073709551616", "18446744073709551616.0", "1e20"] {
+            assert_eq!(Json::parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        assert_eq!(Json::parse("1e0").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            Json::parse("18446744073709551615").unwrap().as_u64(),
+            Some(u64::MAX)
+        );
     }
 
     #[test]

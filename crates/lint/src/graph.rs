@@ -48,17 +48,20 @@ const ENTRY_POINTS: &[(Option<&str>, &str, &str)] = &[
     (None, "try_analyze", "crates/recovery/src/"),
     (None, "max_consistent_dominated_into", "crates/rgraph/src/"),
     // The streaming daemon's ingest path: every client byte flows
-    // through `parse_request` and every parsed request through a
-    // stripe's `handle_request`, so a reachable panic below either one
-    // is a remote denial-of-service. Requests run on the connection
-    // thread (`serve_connection` → `PoolHandle::request`), so a panic
-    // there takes a tenant's connection down and poisons its stripe.
+    // through `parse_request` (or the scanner beside it) and every
+    // stream-scoped op through the stripe door `run_op`, which
+    // `handle_request` and `PoolHandle::request` also reach, so a
+    // reachable panic below any of them is a remote denial-of-service.
+    // Requests run on the connection thread (`serve_connection` →
+    // `PoolHandle::answer_frame`), so a panic there takes a tenant's
+    // connection down and poisons its stripe.
     // Snapshot restore additionally consumes on-disk state that may be
     // corrupt: `restore_text` is what `Server::bind` hands the file's
     // bytes to (reader, then validation and build), `from_snapshot_text`
     // the reader-driven engine restore below it, `from_stream_snapshot`
     // the wrapper that renders a tree and takes the same path.
     (None, "parse_request", "crates/serve/src/"),
+    (None, "run_op", "crates/serve/src/"),
     (None, "handle_request", "crates/serve/src/"),
     (Some("PoolHandle"), "request", "crates/serve/src/"),
     (None, "serve_connection", "crates/serve/src/"),

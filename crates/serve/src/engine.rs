@@ -105,7 +105,7 @@ impl StreamEngine {
     }
 
     /// Applies one event. On failure the engine state is untouched.
-    pub fn ingest_event(&mut self, event: &EventKind) -> Result<Reply, ServeError> {
+    pub fn ingest_event(&mut self, event: &EventKind) -> Result<Reply<'static>, ServeError> {
         let event_err =
             |e: rdt_rgraph::AppendError| ServeError::new(ErrorKind::Event, e.to_string());
         match *event {
@@ -149,7 +149,7 @@ impl StreamEngine {
     /// Answers one query. All member validation happens before the engine
     /// is consulted, so invalid members are [`ErrorKind::Query`] errors
     /// rather than panics.
-    pub fn answer_query(&mut self, query: &QueryKind) -> Result<Reply, ServeError> {
+    pub fn answer_query(&mut self, query: &QueryKind) -> Result<Reply<'static>, ServeError> {
         match query {
             QueryKind::Untrackable => Ok(Reply::Untrackable(self.engine.untrackable_pairs())),
             QueryKind::RecoveryLine => Ok(Reply::Line(self.recovery_line())),
@@ -183,14 +183,12 @@ impl StreamEngine {
     }
 
     /// Compacts the engine to its recovery line and reports what was
-    /// reclaimed: `dropped` counts the closure rows the daemon held and let
-    /// go, which are R-graph nodes.
-    pub fn compact(&mut self) -> [(&'static str, Json); 2] {
+    /// reclaimed, as `[dropped, epoch]`: `dropped` counts the closure rows
+    /// the daemon held and let go, which are R-graph nodes, and `epoch` is
+    /// the engine's compaction epoch after the call.
+    pub fn compact(&mut self) -> [u64; 2] {
         let stats = self.engine.compact_to_recovery_line();
-        [
-            ("dropped", Json::U64(stats.dropped_nodes() as u64)),
-            ("epoch", Json::U64(self.engine.compaction_epoch())),
-        ]
+        [stats.dropped_nodes() as u64, self.engine.compaction_epoch()]
     }
 
     /// Writes the stream (metadata, then the engine's own document) as one

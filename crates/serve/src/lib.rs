@@ -31,14 +31,14 @@
 //! engine builds out over the deterministic work-stealing pool from
 //! `rdt-sim`; like a persist, it builds no `Json` tree.
 //!
-//! The two ops a stream takes at wire rate never become a tree: a
-//! canonical `event` or `query` frame is scanned in place
+//! No reply becomes a tree: every line the daemon writes is a typed
+//! [`Reply`] rendered straight into the connection's output buffer
+//! ([`PoolHandle::answer_frame`]). Nor do the two ops a stream takes at
+//! wire rate: a canonical `event` or `query` frame is scanned in place
 //! ([`scan_request`]), its stream found by the name's bytes where they lie
-//! in the frame, and its typed [`Reply`] rendered straight into the
-//! connection's output buffer ([`PoolHandle::answer_frame`]). Every other
-//! frame — other ops, other spellings, everything malformed — takes the
-//! tree parser ([`parse_request`]), which is also what the scanner is held
-//! to.
+//! in the frame. Every other frame — other ops, other spellings, everything
+//! malformed — takes the tree parser ([`parse_request`]), which is also
+//! what the scanner is held to.
 //!
 //! # Robustness contract
 //!
@@ -47,7 +47,8 @@
 //! oversized lines — produces a structured error reply from the taxonomy
 //! in [`ErrorKind`], never a panic and never cross-tenant corruption.
 //! The repo's panic-reachability lint checks this statically from the
-//! [`handle_request`] / [`parse_request`] entry points.
+//! [`parse_request`] / [`handle_request`] entry points and the stripe door
+//! every stream-scoped op runs through.
 
 pub mod engine;
 pub mod protocol;
@@ -56,9 +57,8 @@ pub mod shard;
 
 pub use engine::{StreamEngine, StreamTables, STREAM_SNAPSHOT_FORMAT};
 pub use protocol::{
-    error_reply, ok_reply, parse_request, scan_request, ErrorKind, EventKind, HotRequest,
-    QueryKind, Reply, Request, ServeError, MAX_LINE_BYTES, MAX_NAME_BYTES, MAX_PROCESSES,
-    MAX_STREAMS,
+    parse_request, scan_request, DaemonOp, ErrorKind, EventKind, HotRequest, QueryKind, Reply,
+    Request, ServeError, MAX_LINE_BYTES, MAX_NAME_BYTES, MAX_PROCESSES, MAX_STREAMS,
 };
 pub use server::{Endpoint, Server, ServerConfig};
 pub use shard::{

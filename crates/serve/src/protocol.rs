@@ -18,10 +18,10 @@
 //! the line. It answers `None` to everything else, malformed frames
 //! included, and the tree parser takes those exactly as before: whenever
 //! `scan_request(line)` is `Some(x)`, `parse_request(line)` is `Ok` of the
-//! same request (`ingest_fuzz.rs` holds the two to that). The replies to
-//! those two ops are typed ([`Reply`]) and have one renderer,
-//! [`Reply::write`]; every other reply is a small tree built by
-//! [`ok_reply`] / [`error_reply`] and printed by `Json::write_compact`.
+//! same request (`ingest_fuzz.rs` holds the two to that). There is one
+//! writer: every line the daemon sends — the answer to any op, and every
+//! refusal — is a typed [`Reply`] rendered by [`Reply::write`], whichever
+//! reader took the frame.
 
 use rdt_json::{Json, JsonWriter};
 
@@ -202,15 +202,61 @@ pub enum Request {
 impl Request {
     /// The stream this request is scoped to, if any.
     pub fn stream(&self) -> Option<&str> {
-        match self {
-            Request::Open { stream, .. }
-            | Request::Event { stream, .. }
-            | Request::Query { stream, .. }
-            | Request::Compact { stream }
-            | Request::Close { stream } => Some(stream),
-            Request::Streams | Request::Snapshot | Request::Ping | Request::Shutdown => None,
+        match self.route() {
+            Route::Stream(stream, _) => Some(stream),
+            Route::Streams | Route::Daemon(_) => None,
         }
     }
+
+    /// Where the request runs, and what it asks there.
+    pub(crate) fn route(&self) -> Route<'_> {
+        match self {
+            Request::Open { stream, processes } => {
+                Route::Stream(stream, StreamOp::Open(*processes))
+            }
+            Request::Event { stream, event } => Route::Stream(stream, StreamOp::Event(event)),
+            Request::Query { stream, query } => Route::Stream(stream, StreamOp::Query(query)),
+            Request::Compact { stream } => Route::Stream(stream, StreamOp::Compact),
+            Request::Close { stream } => Route::Stream(stream, StreamOp::Close),
+            Request::Streams => Route::Streams,
+            Request::Snapshot => Route::Daemon(DaemonOp::Snapshot),
+            Request::Ping => Route::Daemon(DaemonOp::Ping),
+            Request::Shutdown => Route::Daemon(DaemonOp::Shutdown),
+        }
+    }
+}
+
+/// What a stripe runs on one of its streams, borrowed from the request —
+/// scanned or parsed — that names the stream.
+#[derive(Clone, Copy)]
+pub(crate) enum StreamOp<'r> {
+    Open(usize),
+    Event(&'r EventKind),
+    Query(&'r QueryKind),
+    Compact,
+    Close,
+}
+
+/// Where a request runs.
+pub(crate) enum Route<'r> {
+    /// On the named stream, under its stripe's lock.
+    Stream(&'r str, StreamOp<'r>),
+    /// Across the stripes.
+    Streams,
+    /// In the server.
+    Daemon(DaemonOp),
+}
+
+/// The ops the server answers, not the pool: what
+/// [`PoolHandle::answer_frame`](crate::PoolHandle::answer_frame) hands back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DaemonOp {
+    /// Persist a snapshot.
+    Snapshot,
+    /// Liveness check.
+    Ping,
+    /// Persist (when configured) and stop.
+    Shutdown,
 }
 
 fn frame_err(message: impl Into<String>) -> ServeError {
@@ -285,7 +331,8 @@ fn need_members(obj: &Json) -> Result<Vec<(usize, u32)>, ServeError> {
 pub fn parse_request(line: &[u8]) -> Result<Request, ServeError> {
     let doc =
         Json::parse_bytes(line).map_err(|e| ServeError::new(ErrorKind::Parse, e.to_string()))?;
-    if !matches!(doc, Json::Obj(_)) {
+    // A document that parsed is an object exactly when it opens with `{`.
+    if !line.trim_ascii_start().starts_with(b"{") {
         return Err(frame_err("request is not a JSON object"));
     }
     let op = need_str(&doc, "op")?;
@@ -509,22 +556,18 @@ pub fn scan_request(line: &[u8]) -> Option<HotRequest<'_>> {
     }
 }
 
-/// What a stream answers to an accepted event or query.
+/// One line the daemon writes: the answer to any op, or a refusal.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Reply {
+pub enum Reply<'a> {
     /// A `checkpoint` event: the index of the checkpoint taken.
     Checkpoint(u32),
     /// A `send` event: the handle deliveries refer to.
     Message(u32),
     /// A `deliver` event.
     Delivered,
-    /// A `crash` event: crashes seen so far and the recovery line.
-    Crashed {
-        /// The stream's crash counter, this crash included.
-        crashes: u64,
-        /// The recovery line, one checkpoint index per process.
-        line: Vec<u32>,
-    },
+    /// A `crash` event: the stream's crash counter, this crash included,
+    /// and the recovery line, one checkpoint index per process.
+    Crashed { crashes: u64, line: Vec<u32> },
     /// An `untrackable` query: the running count.
     Untrackable(u64),
     /// A `recovery-line` query.
@@ -532,59 +575,83 @@ pub enum Reply {
     /// A `min-consistent` / `max-consistent` query: the global checkpoint,
     /// or `None` when no consistent one contains the members.
     Global(Option<Vec<u32>>),
+    /// `open`: the stream opened and its number of processes.
+    Opened { stream: &'a str, processes: usize },
+    /// `compact`: the closure rows let go and the compaction epoch after.
+    Compacted { dropped: u64, epoch: u64 },
+    /// `close`: the stream closed.
+    Closed(&'a str),
+    /// `streams`: every open stream, sorted by name.
+    Streams(Vec<String>),
+    /// `ping`.
+    Pong,
+    /// `snapshot`: the number of streams persisted.
+    Persisted(usize),
+    /// `shutdown`: what its persist did, when a snapshot path is configured.
+    Stopping(Option<Result<usize, ServeError>>),
+    /// A refused request: the stream it was scoped to, if any — so
+    /// multiplexing clients can route the error — and why.
+    Refused(Option<&'a str>, ServeError),
 }
 
-impl Reply {
-    /// Appends the reply's wire form, `{"ok":true,…}` without a newline, to
-    /// `out`. This is the only description of these shapes.
+impl<'a> Reply<'a> {
+    /// The reply to a request on `stream`: `answer`, or its refusal.
+    pub fn on(stream: &'a str, answer: Result<Reply<'a>, ServeError>) -> Reply<'a> {
+        answer.unwrap_or_else(|error| Reply::Refused(Some(stream), error))
+    }
+
+    /// Appends the reply's line — `{"ok":true,…}` or `{"ok":false,…}`, then
+    /// a newline — to `out`. This is the only description of any reply's
+    /// shape.
     pub fn write(&self, out: &mut Vec<u8>) {
         let mut w = JsonWriter::new(out);
         w.begin_object();
-        w.key("ok").bool(true);
-        if let Reply::Crashed { crashes, .. } = self {
-            w.key("crashes").u64(*crashes);
-        }
+        w.key("ok").bool(!matches!(self, Reply::Refused(..)));
         match self {
             Reply::Checkpoint(index) => w.key("checkpoint").u64(u64::from(*index)),
             Reply::Message(handle) => w.key("message").u64(u64::from(*handle)),
             Reply::Delivered => {}
-            Reply::Crashed { line, .. } | Reply::Line(line) => w.key("line").u32s(line),
+            Reply::Crashed { crashes, line } => {
+                w.key("crashes").u64(*crashes);
+                w.key("line").u32s(line);
+            }
+            Reply::Line(line) => w.key("line").u32s(line),
             Reply::Untrackable(pairs) => w.key("untrackable").u64(*pairs),
-            Reply::Global(indices) => {
-                let value = w.key("global");
-                match indices {
-                    Some(indices) => value.u32s(indices),
-                    None => value.null(),
+            Reply::Global(Some(indices)) => w.key("global").u32s(indices),
+            Reply::Global(None) => w.key("global").null(),
+            Reply::Opened { stream, processes } => {
+                w.key("stream").str(stream);
+                w.key("processes").u64(*processes as u64);
+            }
+            Reply::Compacted { dropped, epoch } => {
+                w.key("dropped").u64(*dropped);
+                w.key("epoch").u64(*epoch);
+            }
+            Reply::Closed(stream) => w.key("closed").str(stream),
+            Reply::Streams(names) => w.key("streams").array(names, |w, name| w.str(name)),
+            Reply::Pong => w.key("pong").bool(true),
+            Reply::Persisted(count) => w.key("persisted").u64(*count as u64),
+            Reply::Stopping(persist) => {
+                w.key("stopping").bool(true);
+                match persist {
+                    Some(Ok(count)) => w.key("persisted").u64(*count as u64),
+                    Some(Err(e)) => w.key("snapshot_error").str(&e.to_string()),
+                    None => {}
                 }
+            }
+            Reply::Refused(stream, error) => {
+                if let Some(name) = stream {
+                    w.key("stream").str(name);
+                }
+                w.key("error").begin_object();
+                w.key("kind").str(error.kind.as_str());
+                w.key("message").str(&error.message);
+                w.end_object();
             }
         }
         w.end_object();
+        out.push(b'\n');
     }
-}
-
-/// Builds a success reply: `{"ok": true, ...fields}`.
-pub fn ok_reply(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    let mut pairs = vec![("ok".to_string(), Json::Bool(true))];
-    pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Json::Obj(pairs)
-}
-
-/// Builds an error reply: `{"ok": false, "stream": ..., "error": {"kind":
-/// ..., "message": ...}}`. `stream` is included when the failing request
-/// named one, so multiplexing clients can route the error.
-pub fn error_reply(stream: Option<&str>, error: &ServeError) -> Json {
-    let mut pairs = vec![("ok".to_string(), Json::Bool(false))];
-    if let Some(name) = stream {
-        pairs.push(("stream".to_string(), Json::Str(name.to_string())));
-    }
-    pairs.push((
-        "error".to_string(),
-        Json::obj([
-            ("kind", Json::Str(error.kind.as_str().to_string())),
-            ("message", Json::Str(error.message.clone())),
-        ]),
-    ));
-    Json::Obj(pairs)
 }
 
 #[cfg(test)]
@@ -674,6 +741,29 @@ mod tests {
         );
     }
 
+    /// A member given as a float is read when it is an integer below 2⁶⁴;
+    /// 2⁶⁴ itself, which the reader holds as a float, is not a process.
+    #[test]
+    fn float_members_stop_below_two_to_the_64() {
+        let query = |members: &str| {
+            let line = format!(
+                r#"{{"op":"query","stream":"s","what":"min-consistent","members":{members}}}"#
+            );
+            parse_request(line.as_bytes())
+        };
+        assert_eq!(
+            query("[[1.0,1e0]]"),
+            Ok(Request::Query {
+                stream: "s".into(),
+                query: QueryKind::MinConsistent(vec![(1, 1)])
+            })
+        );
+        for members in ["[[18446744073709551616,0]]", "[[0,1e20]]"] {
+            let err = query(members).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Frame, "{members}: {err}");
+        }
+    }
+
     #[test]
     fn canonical_hot_frames_scan_to_what_they_parse_to() {
         let name = "n".repeat(MAX_NAME_BYTES);
@@ -742,7 +832,8 @@ mod tests {
         let text = |reply: Reply| {
             let mut out = Vec::new();
             reply.write(&mut out);
-            String::from_utf8(out).unwrap()
+            let line = String::from_utf8(out).unwrap();
+            line.strip_suffix('\n').expect("one line").to_string()
         };
         assert_eq!(text(Reply::Checkpoint(3)), r#"{"ok":true,"checkpoint":3}"#);
         assert_eq!(text(Reply::Message(7)), r#"{"ok":true,"message":7}"#);
@@ -762,15 +853,46 @@ mod tests {
             r#"{"ok":true,"global":[4,5]}"#
         );
         assert_eq!(text(Reply::Global(None)), r#"{"ok":true,"global":null}"#);
-        let ok = ok_reply([("closed", Json::Str("s".into()))]);
-        assert_eq!(ok.to_string(), r#"{"ok":true,"closed":"s"}"#);
-        let err = error_reply(
-            Some("s"),
-            &ServeError::new(ErrorKind::Event, "message 7 was never sent"),
+        let opened = Reply::Opened {
+            stream: "s\"",
+            processes: 3,
+        };
+        assert_eq!(text(opened), r#"{"ok":true,"stream":"s\"","processes":3}"#);
+        let compacted = Reply::Compacted {
+            dropped: 4,
+            epoch: 1,
+        };
+        assert_eq!(text(compacted), r#"{"ok":true,"dropped":4,"epoch":1}"#);
+        assert_eq!(text(Reply::Closed("s")), r#"{"ok":true,"closed":"s"}"#);
+        let names = vec!["a".to_string(), "b\u{1}".to_string()];
+        assert_eq!(
+            text(Reply::Streams(names)),
+            r#"{"ok":true,"streams":["a","b\u0001"]}"#
+        );
+        assert_eq!(text(Reply::Pong), r#"{"ok":true,"pong":true}"#);
+        assert_eq!(text(Reply::Persisted(2)), r#"{"ok":true,"persisted":2}"#);
+        assert_eq!(
+            text(Reply::Stopping(None)),
+            r#"{"ok":true,"stopping":true}"#
         );
         assert_eq!(
-            err.to_string(),
+            text(Reply::Stopping(Some(Ok(2)))),
+            r#"{"ok":true,"stopping":true,"persisted":2}"#
+        );
+        let failed = ServeError::new(ErrorKind::Admin, "writing snapshot: disk full");
+        assert_eq!(
+            text(Reply::Stopping(Some(Err(failed.clone())))),
+            r#"{"ok":true,"stopping":true,"snapshot_error":"admin: writing snapshot: disk full"}"#
+        );
+        assert_eq!(
+            text(Reply::Refused(None, failed)),
+            r#"{"ok":false,"error":{"kind":"admin","message":"writing snapshot: disk full"}}"#
+        );
+        let never_sent = ServeError::new(ErrorKind::Event, "message 7 was never sent");
+        assert_eq!(
+            text(Reply::on("s", Err(never_sent))),
             r#"{"ok":false,"stream":"s","error":{"kind":"event","message":"message 7 was never sent"}}"#
         );
+        assert_eq!(text(Reply::on("s", Ok(Reply::Delivered))), r#"{"ok":true}"#);
     }
 }

@@ -21,8 +21,8 @@
 use proptest::prelude::*;
 use rdt_json::Json;
 use rdt_serve::{
-    parse_request, EnginePool, ErrorKind, PoolHandle, Request, MAX_NAME_BYTES, MAX_PROCESSES,
-    MAX_STREAMS,
+    parse_request, DaemonOp, EnginePool, ErrorKind, PoolHandle, Request, MAX_NAME_BYTES,
+    MAX_PROCESSES, MAX_STREAMS,
 };
 
 struct Rng(u64);
@@ -141,7 +141,10 @@ fn answer_frames<'a>(handle: &PoolHandle, frames: impl Iterator<Item = &'a str>)
     let mut out = Vec::new();
     for frame in frames {
         let handed_back = handle.answer_frame(frame.as_bytes(), &mut out);
-        assert!(matches!(handed_back, None | Some(Request::Ping)), "{frame}");
+        assert!(
+            matches!(handed_back, None | Some(DaemonOp::Ping)),
+            "{frame}"
+        );
     }
     String::from_utf8(out).expect("replies are UTF-8")
 }

@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use rdt_json::{Json, JsonReader};
 use rdt_serve::{
-    error_reply, handle_request, ok_reply, parse_request, scan_request, EnginePool, ErrorKind,
-    PoolHandle, Request, StreamEngine, MAX_NAME_BYTES,
+    handle_request, parse_request, scan_request, EnginePool, ErrorKind, PoolHandle, Reply, Request,
+    StreamEngine, MAX_NAME_BYTES,
 };
 
 struct Rng(u64);
@@ -262,7 +262,7 @@ impl Differential {
     /// Feeds `frame` to both sides. Panics unless (1) whatever the scanner
     /// accepts is what the tree parser reads and (2) the line the daemon's
     /// entry appends is the text of the tree path's reply: `handle_request`
-    /// on the parsed request, or the error reply to what did not parse.
+    /// on the parsed request, or the refusal of what did not parse.
     /// Returns whether the scanner took the frame.
     fn step(&mut self, frame: &[u8]) -> bool {
         let shown = String::from_utf8_lossy(frame).into_owned();
@@ -274,8 +274,14 @@ impl Differential {
         self.out.clear();
         let handed_back = self.pool.answer_frame(frame, &mut self.out);
         let expected = match &parsed {
-            Err(e) => error_reply(None, e),
-            Ok(req) if req.stream().is_some() => handle_request(&mut self.twins, req),
+            Err(e) => {
+                let mut line = Vec::new();
+                Reply::Refused(None, e.clone()).write(&mut line);
+                String::from_utf8(line).expect("UTF-8")
+            }
+            Ok(req) if req.stream().is_some() => {
+                format!("{}\n", handle_request(&mut self.twins, req))
+            }
             // `streams` is the pool's to answer, the rest the server's.
             Ok(req) => {
                 assert_eq!(handed_back.is_none(), *req == Request::Streams);
@@ -284,7 +290,7 @@ impl Differential {
         };
         assert!(handed_back.is_none(), "{shown}");
         let got = String::from_utf8_lossy(&self.out);
-        assert_eq!(got, format!("{expected}\n"), "{shown}");
+        assert_eq!(got, expected, "{shown}");
         scanned.is_some()
     }
 }
@@ -553,14 +559,7 @@ proptest! {
             br#"{"op":"query","stream":"healthy","what":"recovery-line"}"#
         ).expect("valid query");
         let reply = handle_request(&mut streams, &q);
-        prop_assert_eq!(
-            reply.to_string(),
-            ok_reply(vec![(
-                "line",
-                Json::Arr(vec![Json::U64(1), Json::U64(0)])
-            )])
-            .to_string()
-        );
+        prop_assert_eq!(reply.to_string(), r#"{"ok":true,"line":[1,0]}"#);
     }
 
     /// Mutated stream snapshots. The `version` of the engine document is

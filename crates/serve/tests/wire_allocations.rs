@@ -8,7 +8,8 @@
 //! `fanout-tcp`), round-robin, through [`PoolHandle::answer_frame`], which
 //! is exactly what `serve_connection` calls per frame. When every frame
 //! still became a `Json` tree and every reply another, the same frames read
-//! 15.4 allocations each.
+//! 15.4 allocations each. A refused frame is a typed reply too: the second
+//! test bounds three kinds of refusal at their error message's allocations.
 //!
 //! The allocator shim counts per thread, so the harness's own threads do
 //! not show up in the numbers. The libraries stay `forbid(unsafe_code)`;
@@ -109,13 +110,24 @@ fn warm_pool(spelling: &str, out: &mut Vec<u8>) -> PoolHandle {
 
 /// Sends `frames` through the daemon's per-frame entry, reusing `out` the
 /// way a connection does, and returns (allocations, nanoseconds) per frame.
+/// Every reply must start with `{"ok":true`.
 fn run(handle: &PoolHandle, frames: &[Vec<u8>], out: &mut Vec<u8>) -> (f64, f64) {
+    run_expecting(handle, frames, out, br#"{"ok":true"#)
+}
+
+/// [`run`], with every reply starting with `reply`.
+fn run_expecting(
+    handle: &PoolHandle,
+    frames: &[Vec<u8>],
+    out: &mut Vec<u8>,
+    reply: &[u8],
+) -> (f64, f64) {
     let before = ALLOCATIONS.with(Cell::get);
     let started = Instant::now();
     for frame in frames {
         out.clear();
         assert!(handle.answer_frame(frame, out).is_none());
-        assert!(out.starts_with(br#"{"ok":true"#), "{:?}", out);
+        assert!(out.starts_with(reply), "{:?}", String::from_utf8_lossy(out));
     }
     let nanos = started.elapsed().as_nanos() as f64;
     let allocations = ALLOCATIONS.with(Cell::get) - before;
@@ -161,4 +173,49 @@ fn canonical_frames_allocate_at_most_once_each() {
         tree_allocations > 4.0 * allocations.max(0.25),
         "the non-canonical spelling was not the tree path ({tree_allocations:.2})"
     );
+}
+
+/// The members of frame `s` of a kind: everything between its braces.
+type Body = fn(usize) -> String;
+
+/// A refused canonical frame builds no reply either: what it allocates is
+/// its error message (and, for a query, the members it names), never a tree
+/// of the reply. Before the refusals were typed the three frames below read
+/// 14, 12 and 13 allocations each. The same frames spelled with a space
+/// after the brace are printed beside them, for the tree parser's share.
+#[test]
+fn refused_canonical_frames_build_no_reply_tree() {
+    let mut out = Vec::with_capacity(4096);
+    let handle = warm_pool("", &mut out);
+    let refusals: [(&str, Body); 3] = [
+        ("deliver of an unsent message", |s| {
+            format!(r#""op":"event","stream":"tenant-{s:03}","type":"deliver","message":999999"#)
+        }),
+        ("event on an unknown stream", |s| {
+            format!(r#""op":"event","stream":"ghost-{s:03}","type":"checkpoint","process":0"#)
+        }),
+        ("min-consistent, missing checkpoint", |s| {
+            format!(
+                r#""op":"query","stream":"tenant-{s:03}","what":"min-consistent","members":[[0,4000000000]]"#
+            )
+        }),
+    ];
+    for (what, body) in refusals {
+        let spelled = |spelling: &str| -> Vec<Vec<u8>> {
+            (0..STREAMS)
+                .map(|s| format!("{{{spelling}{}}}", body(s)).into_bytes())
+                .collect()
+        };
+        let refused = br#"{"ok":false"#;
+        let (allocations, nanos) = run_expecting(&handle, &spelled(""), &mut out, refused);
+        let (tree_allocations, _) = run_expecting(&handle, &spelled(" "), &mut out, refused);
+        println!(
+            "refused, {what}: {allocations:.2} allocations, {nanos:.0} ns per frame \
+             ({tree_allocations:.2} through the tree)"
+        );
+        assert!(
+            allocations <= 3.0,
+            "{allocations:.2} allocations per refused canonical frame ({what}): a reply tree is built again"
+        );
+    }
 }
