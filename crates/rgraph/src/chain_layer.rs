@@ -6,8 +6,6 @@
 //! causal links), so closure work stays proportional to new reachability,
 //! not to the O(M²) direct link count.
 
-use rdt_json::{JsonReader, JsonWriter};
-
 use super::compaction::{rebuild_matrix, remap_kept};
 use super::*;
 
@@ -37,25 +35,6 @@ pub trait ChainLayer: Sized + std::fmt::Debug {
     #[doc(hidden)]
     fn resident_nodes(&self) -> usize {
         0
-    }
-    /// Writes the layer's tables as the snapshot document's `chains`
-    /// member; the absent layer writes nothing.
-    #[doc(hidden)]
-    fn write_snapshot(&self, _: &mut JsonWriter<'_>) {}
-    /// Reads the value of the snapshot document's `chains` key. The absent
-    /// layer skips it and keeps nothing (a stray `chains` key, like the
-    /// chain tables of a version 1 snapshot, is any unknown key): nothing
-    /// in a chain-free engine indexes through them.
-    #[doc(hidden)]
-    fn read_snapshot(r: &mut JsonReader<'_>) -> Result<Option<ChainTables>, SnapshotError> {
-        r.skip_value()?;
-        Ok(None)
-    }
-    /// Builds the layer from what `read_snapshot` kept, for an engine of
-    /// `n` processes and `msgs` messages.
-    #[doc(hidden)]
-    fn restore(_: Option<ChainTables>, n: usize, _msgs: usize) -> Result<Self, SnapshotError> {
-        Ok(Self::new(n))
     }
 }
 
@@ -279,18 +258,6 @@ impl ChainLayer for Chains {
 
     fn resident_nodes(&self) -> usize {
         self.zmat.nodes + self.cmat.nodes
-    }
-
-    fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
-        snapshot::write_chains(w, self);
-    }
-
-    fn read_snapshot(r: &mut JsonReader<'_>) -> Result<Option<ChainTables>, SnapshotError> {
-        snapshot::read_chains(r).map(Some)
-    }
-
-    fn restore(t: Option<ChainTables>, n: usize, msgs: usize) -> Result<Self, SnapshotError> {
-        snapshot::chains_from_tables(t, n, msgs)
     }
 }
 

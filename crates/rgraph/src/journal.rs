@@ -9,6 +9,8 @@
 //! keeps one engine per protocol, rewinds to the longest common prefix with
 //! the next schedule and appends only the suffix.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use super::*;
 
 /// Matrix selectors of journaled closure words: a word's selector is
@@ -86,9 +88,23 @@ impl Journal for NoJournal {
 
 /// The undo journal behind [`mark`](IncrementalAnalysis::mark) and
 /// [`rewind`](IncrementalAnalysis::rewind).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct UndoJournal {
     pub(super) entries: Vec<Undo>,
+    /// Which journal this is: every new one — a fresh engine's, a restored
+    /// engine's — takes the next number, so a mark names the journal whose
+    /// positions it counts.
+    id: u64,
+}
+
+impl Default for UndoJournal {
+    fn default() -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        UndoJournal {
+            entries: Vec::new(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+        }
+    }
 }
 
 impl Journal for UndoJournal {
@@ -112,9 +128,13 @@ impl Journal for UndoJournal {
 /// before a [`compact_to`](IncrementalAnalysis::compact_to) cannot be
 /// rewound to afterwards — the journal below the compaction point is gone
 /// — and [`try_rewind`](IncrementalAnalysis::try_rewind) reports that as
-/// [`RewindError::CompactionBoundary`] instead of corrupting state.
+/// [`RewindError::CompactionBoundary`] instead of corrupting state. They
+/// also name the journal they count positions in: a mark of another engine,
+/// or of this one before it was restored from a snapshot (a restore starts
+/// a new journal), is [`RewindError::OtherJournal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Mark {
+    journal: u64,
     epoch: u64,
     pos: usize,
 }
@@ -134,6 +154,9 @@ pub enum RewindError {
     /// The mark is ahead of the journal — it was taken on a state that
     /// has itself been rewound away.
     AheadOfJournal,
+    /// The mark was taken on another journal: another engine's, or this
+    /// engine's before it was restored from a snapshot.
+    OtherJournal,
 }
 
 impl std::fmt::Display for RewindError {
@@ -150,6 +173,9 @@ impl std::fmt::Display for RewindError {
             ),
             RewindError::AheadOfJournal => {
                 write!(f, "mark is ahead of the journal")
+            }
+            RewindError::OtherJournal => {
+                write!(f, "mark was taken on another journal")
             }
         }
     }
@@ -185,6 +211,7 @@ impl<C: ChainLayer> IncrementalAnalysis<C, UndoJournal> {
     /// [`rewind`](IncrementalAnalysis::rewind) to restore it.
     pub fn mark(&self) -> Mark {
         Mark {
+            journal: self.journal.id,
             epoch: self.epoch,
             pos: self.journal.entries.len(),
         }
@@ -196,8 +223,9 @@ impl<C: ChainLayer> IncrementalAnalysis<C, UndoJournal> {
     ///
     /// # Panics
     /// If the mark is ahead of the journal (taken on a state that has itself
-    /// been rewound away) or predates a compaction — either is recoverable
-    /// through [`try_rewind`](IncrementalAnalysis::try_rewind).
+    /// been rewound away), predates a compaction or belongs to another
+    /// journal — each is recoverable through
+    /// [`try_rewind`](IncrementalAnalysis::try_rewind).
     pub fn rewind(&mut self, mark: Mark) {
         if let Err(err) = self.try_rewind(mark) {
             panic!("{err}");
@@ -205,12 +233,15 @@ impl<C: ChainLayer> IncrementalAnalysis<C, UndoJournal> {
     }
 
     /// Fallible form of [`rewind`](IncrementalAnalysis::rewind): refuses
-    /// (leaving the engine untouched) when the mark predates a compaction
-    /// or is ahead of the journal. Rewinding *across a compaction point
-    /// is a defined error, never a wrong answer* — the journal below the
-    /// compaction was discarded, and the epoch tag on the mark detects
-    /// exactly that case.
+    /// (leaving the engine untouched) when the mark belongs to another
+    /// journal, predates a compaction or is ahead of the journal. Rewinding
+    /// *across a compaction point or a restore is a defined error, never a
+    /// wrong answer* — the journal below it is gone, and the journal and
+    /// epoch tags on the mark detect exactly those cases.
     pub fn try_rewind(&mut self, mark: Mark) -> Result<(), RewindError> {
+        if mark.journal != self.journal.id {
+            return Err(RewindError::OtherJournal);
+        }
         if mark.epoch != self.epoch {
             return Err(RewindError::CompactionBoundary {
                 mark_epoch: mark.epoch,

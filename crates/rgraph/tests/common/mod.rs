@@ -18,10 +18,10 @@
 #![allow(dead_code)]
 
 use rdt_json::{Json, JsonWriter};
-use rdt_rgraph::{ChainLayer, IncrementalAnalysis, Journal};
+use rdt_rgraph::{ChainLayer, IncrementalAnalysis, Journal, NoChains};
 
 /// The engine's snapshot text, straight from the writer.
-pub fn text<C: ChainLayer, J: Journal>(engine: &IncrementalAnalysis<C, J>) -> String {
+pub fn text<J: Journal>(engine: &IncrementalAnalysis<NoChains, J>) -> String {
     let mut out = Vec::new();
     engine.write_snapshot(&mut JsonWriter::new(&mut out));
     String::from_utf8(out).expect("snapshot text is UTF-8")
@@ -112,15 +112,6 @@ pub fn v2_text(v3: &str, arrivals: &Arrivals) -> String {
         let value = match (key.as_str(), value) {
             ("version", _) => Json::U64(2),
             ("rmat", matrix) => with_bwd(matrix),
-            ("chains", Json::Obj(chains)) => Json::Obj(
-                chains
-                    .iter()
-                    .map(|(key, value)| match key.as_str() {
-                        "zmat" | "cmat" => (key.clone(), with_bwd(value)),
-                        _ => (key.clone(), value.clone()),
-                    })
-                    .collect(),
-            ),
             (_, value) => value.clone(),
         };
         out.push((key.clone(), value));

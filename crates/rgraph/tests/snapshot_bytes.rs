@@ -3,8 +3,9 @@
 //!
 //! `golden/snapshot_v3.json` (the core engine) and
 //! `golden/snapshot_v3_chains.json` ([`FullAnalysis`], the same tables plus
-//! the `chains` key) were written once, by the first writer of version 3,
-//! from the states that produced the version 2 goldens ([`golden_script`]:
+//! the `chains` key, when the chain layer still persisted) were written
+//! once, by the first writer of version 3, from the states that produced the
+//! version 2 goldens ([`golden_script`]:
 //! xorshift seed 4 over 3 processes, 72 draws with a
 //! `compact_to_recovery_line` after draw 30 and a `compact_to([6, 1, 3])`
 //! after draw 55; 19 messages of which 3 are in flight, `watermark` [6, 5, 4]
@@ -29,6 +30,12 @@
 //! events after the last compaction and another after a restore and `20·n`
 //! more events).
 //!
+//! Only the chain-free core persists now, so what was pinned of
+//! [`FullAnalysis`]'s documents — the two `_chains` goldens and the last
+//! column of [`DIGESTS`] — is no longer written by anything. The goldens
+//! stay inputs: a chain-bearing document restores into the core engine, its
+//! `chains` member skipped, to the core's answers.
+//!
 //! Every one of those version 2 documents is then *restored* — through the
 //! reader, like any other — beside its version 3 twin, and both must write
 //! the uninterrupted engine's version 3 bytes at once and one stride later.
@@ -46,8 +53,8 @@ use common::{text, v2_text, Arrivals};
 use rdt_causality::{CheckpointId, ProcessId};
 use rdt_json::Json;
 use rdt_rgraph::{
-    ChainLayer, Chains, CompactionStats, FullAnalysis, IncrementalAnalysis, Journal, NoChains,
-    NoJournal, UndoJournal,
+    ChainLayer, CompactionStats, FullAnalysis, IncrementalAnalysis, Journal, NoChains, NoJournal,
+    UndoJournal,
 };
 
 const GOLDEN_V2_CORE: &str = include_str!("golden/snapshot_v2.json");
@@ -62,7 +69,8 @@ const STRIDE: usize = 40;
 const STATES: usize = 4;
 
 /// Per script `(n, seed)`: FNV-1a 64 over the version 2 texts of its four
-/// states, in order, of the core engine and of [`FullAnalysis`].
+/// states, in order, of the core engine and of [`FullAnalysis`] (the last
+/// column, kept as pinned; nothing writes a chain-bearing document now).
 const DIGESTS: [(usize, u64, u64, u64); 24] = [
     (2, 1, 0xe375d3a8e8f4ecaf, 0x148be788e600f75f),
     (2, 2, 0xf188e05077f1916f, 0xf4bd7176b5c7fed8),
@@ -247,19 +255,19 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-fn restore<C: ChainLayer, J: Journal>(text: &str, what: &str) -> IncrementalAnalysis<C, J> {
+fn restore<J: Journal>(text: &str, what: &str) -> IncrementalAnalysis<NoChains, J> {
     IncrementalAnalysis::from_snapshot_text(text.as_bytes())
         .unwrap_or_else(|e| panic!("{what}: {e}"))
 }
 
-/// Runs one corpus script on one instantiation; returns the digest of its
+/// Runs one corpus script on one journal layer; returns the digest of its
 /// states' version 2 texts. Each state is checked for the canonical form
 /// and handed, as version 2 and as version 3, to two restored twins that
 /// must write the same version 3 bytes at once and one stride later.
-fn run_script<C: ChainLayer, J: Journal>(n: usize, seed: u64) -> u64 {
-    let mut engine = IncrementalAnalysis::<C, J>::layered(n);
+fn run_script<J: Journal>(n: usize, seed: u64) -> u64 {
+    let mut engine = IncrementalAnalysis::<NoChains, J>::layered(n);
     let mut arrivals = Arrivals::new(n);
-    let mut twins: Vec<IncrementalAnalysis<C, J>> = Vec::new();
+    let mut twins: Vec<IncrementalAnalysis<NoChains, J>> = Vec::new();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for (state, ops) in corpus_script(n, seed).iter().enumerate() {
         for op in ops {
@@ -275,7 +283,6 @@ fn run_script<C: ChainLayer, J: Journal>(n: usize, seed: u64) -> u64 {
         }
         let parsed = Json::parse_bytes(written.as_bytes()).expect("snapshot text parses");
         assert_eq!(parsed.to_string(), written, "{what}: not canonical");
-        assert_eq!(engine.snapshot_json(), parsed, "{what}: wrapper");
         for key in ["bwd", "send_events", "deliver_events"] {
             assert!(!written.contains(key), "{what}: version 3 carries `{key}`");
         }
@@ -292,19 +299,15 @@ fn run_script<C: ChainLayer, J: Journal>(n: usize, seed: u64) -> u64 {
 #[test]
 fn golden_documents_are_written_byte_for_byte() {
     let mut core = IncrementalAnalysis::new(3);
-    let mut full = FullAnalysis::layered(3);
     let mut arrivals = Arrivals::new(3);
     for op in &golden_script(0) {
         apply_tracked(&mut core, &mut arrivals, op);
-        apply(&mut full, op);
     }
     assert_eq!(text(&core) + "\n", GOLDEN_V3_CORE);
-    assert_eq!(text(&full) + "\n", GOLDEN_V3_CHAINS);
     assert_eq!(v2_text(&text(&core), &arrivals) + "\n", GOLDEN_V2_CORE);
-    assert_eq!(v2_text(&text(&full), &arrivals) + "\n", GOLDEN_V2_CHAINS);
 
     // The golden is the document its header says it is.
-    let doc = core.snapshot_json();
+    let doc = Json::parse_bytes(text(&core).as_bytes()).expect("snapshot text parses");
     let table = |key: &str| doc.get(key).map(Json::to_string).expect("core table");
     assert_eq!(table("version"), "3");
     assert_eq!(table("epoch"), "2");
@@ -314,7 +317,6 @@ fn golden_documents_are_written_byte_for_byte() {
     let in_flight = "4294967295,";
     assert_eq!(table("msgs").matches(in_flight).count(), 3);
     assert_ne!(table("drop_reach"), "[]");
-    assert!(full.snapshot_json().get("chains").is_some());
     assert!(doc.get("chains").is_none());
     // Deliveries inside one interval that did not arrive in handle order:
     // the one thing of version 2 that version 3 cannot say, and that
@@ -327,12 +329,12 @@ fn corpus_digests_match_the_tree_builder() {
     let mut scripts = DIGESTS.iter();
     for n in 2..=5 {
         for seed in 1..=6 {
-            let &(pinned_n, pinned_seed, core, full) = scripts.next().expect("24 rows");
+            let &(pinned_n, pinned_seed, core, _) = scripts.next().expect("24 rows");
             assert_eq!((pinned_n, pinned_seed), (n, seed));
             let what = format!("n = {n}, seed {seed}");
-            assert_eq!(run_script::<NoChains, NoJournal>(n, seed), core, "{what}");
-            let digest = run_script::<Chains, UndoJournal>(n, seed);
-            assert_eq!(digest, full, "{what}: FullAnalysis");
+            assert_eq!(run_script::<NoJournal>(n, seed), core, "{what}");
+            let digest = run_script::<UndoJournal>(n, seed);
+            assert_eq!(digest, core, "{what}: with the undo journal");
         }
     }
 }
@@ -409,31 +411,24 @@ fn goldens_restore_to_the_answers_the_tree_restore_gave() {
     // (`with_closed` appends and rewinds, which the `events` counter keeps).
     let (said, core) = transcript(core, stride, |e| answers(e));
     assert_eq!(said, TRANSCRIPT_CORE, "the uninterrupted twin");
-    let (said, full) = transcript(full, stride, full_answers);
+    let (said, _) = transcript(full, stride, full_answers);
     assert_eq!(said, TRANSCRIPT_CHAINS, "the uninterrupted twin");
     assert!(stride.len() > 80 && core.compactions() == 4);
 
     for golden in [GOLDEN_V2_CORE, GOLDEN_V3_CORE] {
-        let restored = restore::<NoChains, NoJournal>(golden.trim_end(), "core golden");
+        let restored = restore::<NoJournal>(golden.trim_end(), "core golden");
         let (said, after) = transcript(restored, stride, |e| answers(e));
         assert_eq!(said, TRANSCRIPT_CORE);
         assert_eq!(text(&after), text(&core), "an uninterrupted twin");
     }
+    // A chain-bearing document restores into the core engine (the `chains`
+    // key is skipped; `reclaimed_rows` is carried as stored, chain rows and
+    // all).
     for golden in [GOLDEN_V2_CHAINS, GOLDEN_V3_CHAINS] {
-        let restored = restore::<Chains, UndoJournal>(golden.trim_end(), "chains golden");
-        let (said, after) = transcript(restored, stride, full_answers);
-        assert_eq!(said, TRANSCRIPT_CHAINS);
-        assert_eq!(text(&after), text(&full), "an uninterrupted twin");
-    }
-    // A chain-bearing document restores into a chain-free engine (the
-    // `chains` key is skipped; `reclaimed_rows` is carried as stored, chain
-    // rows and all), not the other way round.
-    for golden in [GOLDEN_V2_CHAINS, GOLDEN_V3_CHAINS] {
-        let restored = restore::<NoChains, NoJournal>(golden.trim_end(), "chains as core");
+        let restored = restore::<NoJournal>(golden.trim_end(), "chains as core");
         let (said, _) = transcript(restored, stride, |e| answers(e));
         assert_eq!(said, TRANSCRIPT_CORE);
     }
-    assert!(FullAnalysis::from_snapshot_text(GOLDEN_V3_CORE.as_bytes()).is_err());
 }
 
 // ------------------------------------------------ compacted streams ----

@@ -10,12 +10,12 @@
 //! per-node tables closing ranks) and ones that do not (the same epoch, the
 //! cache kept), appends the engine refuses, and a restore mid-session that
 //! keeps the cache (a restored engine is the same tables at the same epoch).
-//! They run for `n` = 1 to 6 on the core and on the chain-bearing engine,
-//! and in the shape of the daemon benchmark's `persist-unix` streams.
+//! They run for `n` = 1 to 6, and in the shape of the daemon benchmark's
+//! `persist-unix` streams.
 
 use rdt_causality::ProcessId;
 use rdt_json::JsonWriter;
-use rdt_rgraph::{ChainLayer, Chains, IncrementalAnalysis, NoChains, NoJournal, SnapshotCache};
+use rdt_rgraph::{IncrementalAnalysis, SnapshotCache};
 
 struct Rng(u64);
 
@@ -46,8 +46,8 @@ struct Tally {
 /// The least number of steps a held message stays in transit.
 const HOLD_MIN: usize = 200;
 
-struct Session<C: ChainLayer> {
-    engine: IncrementalAnalysis<C, NoJournal>,
+struct Session {
+    engine: IncrementalAnalysis,
     cache: SnapshotCache,
     rng: Rng,
     /// Most messages in flight at once, held ones not counted.
@@ -59,7 +59,7 @@ struct Session<C: ChainLayer> {
     tally: Tally,
 }
 
-impl<C: ChainLayer> Session<C> {
+impl Session {
     fn new(n: usize, window: usize, seed: u64) -> Self {
         Session {
             engine: IncrementalAnalysis::layered(n),
@@ -229,17 +229,9 @@ fn assert_covered(tally: &Tally, what: &str) {
 fn cached_render_is_the_cold_render_on_the_core() {
     for n in 1..=6 {
         for seed in [0x5eed_0025, 0xc0ffee] {
-            let mut session = Session::<NoChains>::new(n, 2 * n, seed + n as u64);
+            let mut session = Session::new(n, 2 * n, seed + n as u64);
             assert_covered(session.run(900), &format!("n = {n}, seed {seed:#x}"));
         }
-    }
-}
-
-#[test]
-fn cached_render_is_the_cold_render_with_the_chain_layer() {
-    for n in 1..=6 {
-        let mut session = Session::<Chains>::new(n, 2 * n, 0x5eed_0026 + n as u64);
-        assert_covered(session.run(700), &format!("n = {n}"));
     }
 }
 
@@ -248,7 +240,7 @@ fn cached_render_is_the_cold_render_with_the_chain_layer() {
 #[test]
 fn cached_render_is_the_cold_render_on_persist_unix_shaped_streams() {
     for seed in [7, 0x5eed_0027] {
-        let mut session = Session::<NoChains>::new(8, 16, seed);
+        let mut session = Session::new(8, 16, seed);
         assert_covered(session.run(2_000), &format!("seed {seed:#x}"));
     }
 }

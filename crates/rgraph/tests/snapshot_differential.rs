@@ -6,8 +6,8 @@
 //! compaction, and **whichever version the document is**: the uninterrupted
 //! twin, the engine restored from its version 2 document (rebuilt by
 //! `common::v2_text`), the one restored from its version 3 document and the
-//! one restored from *that* one's document must be indistinguishable, on the
-//! core engine and on [`FullAnalysis`]. Corrupted snapshot documents must be
+//! one restored from *that* one's document must be indistinguishable, with
+//! and without the undo journal. Corrupted snapshot documents must be
 //! rejected with a `SnapshotError`, never a panic.
 
 mod common;
@@ -16,10 +16,7 @@ use common::{text as snapshot_text, v2_text, Arrivals};
 use proptest::prelude::*;
 use rdt_causality::{CheckpointId, ProcessId};
 use rdt_json::Json;
-use rdt_rgraph::{
-    ChainLayer, Chains, FullAnalysis, IncrementalAnalysis, Journal, NoChains, NoJournal,
-    SnapshotError, UndoJournal,
-};
+use rdt_rgraph::{IncrementalAnalysis, Journal, NoChains, NoJournal, SnapshotError, UndoJournal};
 
 struct Rng(u64);
 
@@ -72,7 +69,7 @@ fn random_ops(
     ops
 }
 
-fn apply<C: ChainLayer, J: Journal>(incr: &mut IncrementalAnalysis<C, J>, op: Op) {
+fn apply<J: Journal>(incr: &mut IncrementalAnalysis<NoChains, J>, op: Op) {
     match op {
         Op::Cp(i) => {
             incr.append_checkpoint(ProcessId::new(i));
@@ -89,9 +86,9 @@ fn cp(p: usize, idx: u32) -> CheckpointId {
 }
 
 /// Compares every query kind the daemon serves on both engines.
-fn assert_same_answers<C: ChainLayer, J: Journal>(
-    a: &IncrementalAnalysis<C, J>,
-    b: &IncrementalAnalysis<C, J>,
+fn assert_same_answers<J: Journal>(
+    a: &IncrementalAnalysis<NoChains, J>,
+    b: &IncrementalAnalysis<NoChains, J>,
     what: &str,
 ) {
     let n = a.num_processes();
@@ -131,41 +128,19 @@ fn restore(doc: &Json) -> Result<IncrementalAnalysis, SnapshotError> {
     IncrementalAnalysis::from_snapshot_text(doc.to_string().as_bytes())
 }
 
-fn from_text<C: ChainLayer, J: Journal>(text: &str) -> IncrementalAnalysis<C, J> {
+fn from_text<J: Journal>(text: &str) -> IncrementalAnalysis<NoChains, J> {
     IncrementalAnalysis::from_snapshot_text(text.as_bytes()).expect("snapshot restores")
 }
 
-/// The chain layer's verdicts, where there is one.
-trait ChainVerdicts {
-    fn chain_verdicts(&mut self) -> String;
+/// The snapshot as a tree, for the tests that edit it field by field.
+fn snapshot_doc<J: Journal>(engine: &IncrementalAnalysis<NoChains, J>) -> Json {
+    Json::parse_bytes(snapshot_text(engine).as_bytes()).expect("snapshot text parses")
 }
 
-impl ChainVerdicts for IncrementalAnalysis {
-    fn chain_verdicts(&mut self) -> String {
-        String::new()
-    }
-}
-
-impl ChainVerdicts for FullAnalysis {
-    fn chain_verdicts(&mut self) -> String {
-        self.with_closed(|view| {
-            format!(
-                "{} {} {}",
-                view.rdt_holds(),
-                view.all_chains_doubled(),
-                view.all_cm_paths_doubled()
-            )
-        })
-    }
-}
-
-/// One seed on one instantiation: a prefix (compacted or not), then the
+/// One seed on one journal layer: a prefix (compacted or not), then the
 /// four engines side by side through every query, `10·n` further events
 /// with the queries after each, and the bytes at both ends.
-fn check_seed<C: ChainLayer, J: Journal>(seed: u64, compact_midway: bool)
-where
-    IncrementalAnalysis<C, J>: ChainVerdicts,
-{
+fn check_seed<J: Journal>(seed: u64, compact_midway: bool) {
     let n = 2 + (seed as usize) % 3;
     let mut rng = Rng(seed | 1);
     let mut next_mid = 0u32;
@@ -173,7 +148,7 @@ where
     let prefix = random_ops(&mut rng, n, 60, &mut next_mid, &mut in_flight);
     let suffix = random_ops(&mut rng, n, 10 * n, &mut next_mid, &mut in_flight);
 
-    let mut original = IncrementalAnalysis::<C, J>::layered(n);
+    let mut original = IncrementalAnalysis::<NoChains, J>::layered(n);
     let mut arrivals = Arrivals::new(n);
     for &op in &prefix {
         apply(&mut original, op);
@@ -189,36 +164,27 @@ where
     let v3 = snapshot_text(&original);
     let v2 = v2_text(&v3, &arrivals);
     assert!(v2.len() > v3.len() && v2.contains(r#""version":2"#));
-    let parsed = Json::parse_bytes(v3.as_bytes()).expect("snapshot text parses");
-    assert_eq!(
-        parsed,
-        original.snapshot_json(),
-        "the tree is the parsed text"
-    );
-    let from_v3 = from_text::<C, J>(&v3);
-    let again = from_text::<C, J>(&snapshot_text(&from_v3));
+    let from_v3 = from_text::<J>(&v3);
+    let again = from_text::<J>(&snapshot_text(&from_v3));
     let mut engines = [
         (original, "uninterrupted"),
         (from_text(&v2), "from version 2"),
         (from_v3, "from version 3"),
         (again, "from version 3, twice"),
     ];
-    let check = |engines: &mut [(IncrementalAnalysis<C, J>, &str); 4], when: &str| {
-        let (reference, others) = engines.split_first_mut().expect("four engines");
-        let verdicts = reference.0.chain_verdicts();
+    let check = |engines: &[(IncrementalAnalysis<NoChains, J>, &str); 4], when: &str| {
+        let (reference, others) = engines.split_first().expect("four engines");
         for (other, which) in others {
-            let what = format!("{which}, {when}");
-            assert_same_answers(&reference.0, other, &what);
-            assert_eq!(other.chain_verdicts(), verdicts, "{what}: chain verdicts");
+            assert_same_answers(&reference.0, other, &format!("{which}, {when}"));
         }
     };
-    let same_bytes = |engines: &[(IncrementalAnalysis<C, J>, &str); 4], when: &str| {
+    let same_bytes = |engines: &[(IncrementalAnalysis<NoChains, J>, &str); 4], when: &str| {
         for (other, which) in &engines[1..] {
             let (ours, theirs) = (snapshot_text(&engines[0].0), snapshot_text(other));
             assert_eq!(ours, theirs, "{which}, {when}: snapshot bytes");
         }
     };
-    check(&mut engines, "after restore");
+    check(&engines, "after restore");
     same_bytes(&engines, "after restore");
 
     // The restored engines must accept the same suffix — with a compaction
@@ -234,14 +200,14 @@ where
             let reference = stats.next().expect("four engines");
             assert!(stats.all(|s| s == reference), "compaction stats");
         }
-        check(&mut engines, "in the suffix");
+        check(&engines, "in the suffix");
     }
     same_bytes(&engines, "after the suffix");
 }
 
 fn check_both(seed: u64, compact_midway: bool) {
-    check_seed::<NoChains, NoJournal>(seed, compact_midway);
-    check_seed::<Chains, UndoJournal>(seed, compact_midway);
+    check_seed::<NoJournal>(seed, compact_midway);
+    check_seed::<UndoJournal>(seed, compact_midway);
 }
 
 fn roundtrip(engine: &IncrementalAnalysis) -> IncrementalAnalysis {
@@ -280,7 +246,7 @@ fn corrupted_snapshots_error() {
     let m = engine.append_send(p0, p1);
     engine.append_deliver(m);
     engine.append_checkpoint(p1);
-    let doc = engine.snapshot_json();
+    let doc = snapshot_doc(&engine);
 
     assert!(restore(&Json::Null).is_err());
     assert!(restore(&Json::obj([("format", Json::Str("something-else".into()))])).is_err());
@@ -356,7 +322,7 @@ fn counters_an_append_would_overflow_are_rejected() {
     }
     // In transit at the snapshot, so a piggyback row is resident.
     engine.append_send(ProcessId::new(0), ProcessId::new(1));
-    let doc = engine.snapshot_json();
+    let doc = snapshot_doc(&engine);
     assert!(restore(&doc).is_ok());
 
     // Process 1's own entry of its running TDV; the first entry elsewhere.
@@ -393,19 +359,16 @@ fn counters_an_append_would_overflow_are_rejected() {
         }
     }
 
-    // The pinned documents of every format version are within the bounds.
+    // The pinned documents of every format version are within the bounds,
+    // those of a chain-bearing engine too.
     for golden in [
         include_str!("golden/snapshot_v1.json"),
         include_str!("golden/snapshot_v2.json"),
         include_str!("golden/snapshot_v3.json"),
-    ] {
-        <IncrementalAnalysis>::from_snapshot_text(golden.as_bytes()).expect("golden restores");
-    }
-    for chains in [
         include_str!("golden/snapshot_v2_chains.json"),
         include_str!("golden/snapshot_v3_chains.json"),
     ] {
-        FullAnalysis::from_snapshot_text(chains.as_bytes()).expect("golden restores");
+        <IncrementalAnalysis>::from_snapshot_text(golden.as_bytes()).expect("golden restores");
     }
 }
 
@@ -420,8 +383,8 @@ fn derived_tables_are_not_trusted_and_known_keys_come_once() {
     for op in random_ops(&mut rng, n, 80, &mut next_mid, &mut in_flight) {
         apply(&mut engine, op);
     }
-    let doc = engine.snapshot_json();
     let text = snapshot_text(&engine);
+    let doc = Json::parse_bytes(text.as_bytes()).expect("snapshot text parses");
     let Json::Obj(fields) = &doc else {
         panic!("snapshot is an object");
     };

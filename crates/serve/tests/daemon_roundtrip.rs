@@ -355,7 +355,10 @@ fn pool_document(entries: &[(&str, Json)]) -> Json {
 }
 
 fn engine_document(processes: usize) -> Json {
-    rdt_rgraph::IncrementalAnalysis::new(processes).snapshot_json()
+    let mut text = Vec::new();
+    let engine = rdt_rgraph::IncrementalAnalysis::new(processes);
+    engine.write_snapshot(&mut rdt_json::JsonWriter::new(&mut text));
+    Json::parse_bytes(&text).expect("snapshot text parses")
 }
 
 fn stream_names(handle: &PoolHandle) -> String {

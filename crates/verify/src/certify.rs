@@ -120,12 +120,6 @@ pub struct CertifyOptions {
     pub protocols: Vec<CertProtocol>,
     /// Counterexamples *kept* per protocol (all are counted).
     pub max_counterexamples: usize,
-    /// Compact each replay session's engine to its recovery line every
-    /// this many schedules (`0` disables). Bounds the engine's resident
-    /// closure at large scopes; the next schedule rebuilds from the empty
-    /// pattern instead of sharing a prefix across the compaction point,
-    /// so the report stays byte-identical for every interval.
-    pub compact_interval: u64,
     /// Deterministic stratified sampling over canonical orbits: replay
     /// only orbits whose sampling key falls below this fraction of the
     /// key space; `None` (or any fraction `>= 1`) replays exhaustively.
@@ -157,7 +151,6 @@ impl Default for CertifyOptions {
             threads: 0,
             protocols: CertProtocol::default_set(),
             max_counterexamples: 8,
-            compact_interval: 0,
             sample: None,
             progress: false,
         }
@@ -335,7 +328,6 @@ impl ToJson for CertifyReport {
 /// longest common prefix and appends only the differing suffix — the
 /// replay trie is walked implicitly, one branch at a time.
 struct CertSession {
-    n: usize,
     incr: FullAnalysis,
     ops: Vec<PatternOp>,
     /// `marks[i]` = engine state after `ops[..i]` (so `marks[0]` is the
@@ -346,9 +338,6 @@ struct CertSession {
     /// Reused global-checkpoint oracle buffers (min fixpoint, min via
     /// R-graph, max), each `n` entries.
     gc_bufs: [Vec<u32>; 3],
-    /// Schedules certified since the engine was last compacted (only
-    /// advanced while [`CertifyOptions::compact_interval`] is nonzero).
-    since_compaction: u64,
 }
 
 impl CertSession {
@@ -356,13 +345,11 @@ impl CertSession {
         let incr = FullAnalysis::layered(n);
         let start = incr.mark();
         CertSession {
-            n,
             incr,
             ops: Vec::new(),
             marks: vec![start],
             run: ReplayedOps::default(),
             gc_bufs: [vec![0; n], vec![0; n], vec![0; n]],
-            since_compaction: 0,
         }
     }
 
@@ -371,24 +358,15 @@ impl CertSession {
     /// appended (the prefix-sharing savings are `ops.len() - appended`).
     fn load_run(&mut self) -> u64 {
         let ops = &self.run.ops;
-        let mut shared = self
+        let shared = self
             .ops
             .iter()
             .zip(ops.iter())
             .take_while(|(a, b)| a == b)
             .count();
-        if self.incr.try_rewind(self.marks[shared]).is_err() {
-            // The engine was compacted since those marks were taken
-            // (RewindError::CompactionBoundary): the prefix cannot be
-            // shared across the boundary, so replay from the empty
-            // pattern — results are those of a fresh engine by
-            // construction.
-            self.incr = FullAnalysis::layered(self.n);
-            self.ops.clear();
-            self.marks.clear();
-            self.marks.push(self.incr.mark());
-            shared = 0;
-        }
+        // The session never compacts or restores its engine, so every mark
+        // it holds is one of the engine's own journal in its one epoch.
+        self.incr.rewind(self.marks[shared]);
         self.ops.truncate(shared);
         self.marks.truncate(shared + 1);
         self.append_suffix(shared)
@@ -411,21 +389,6 @@ impl CertSession {
             self.marks.push(self.incr.mark());
         }
         appended
-    }
-
-    /// Compacts the engine to its recovery line once every `interval`
-    /// schedules (`0` disables). Called between schedules; if state was
-    /// discarded, the next [`CertSession::load_run`] notices the epoch
-    /// boundary and replays from the empty pattern.
-    fn maybe_compact(&mut self, interval: u64) {
-        if interval == 0 {
-            return;
-        }
-        self.since_compaction += 1;
-        if self.since_compaction >= interval {
-            self.since_compaction = 0;
-            self.incr.compact_to_recovery_line();
-        }
     }
 }
 
@@ -768,7 +731,6 @@ pub fn certify_with_stats(
     let threads = resolve_threads(options.threads);
     let protocols = &options.protocols;
     let max_kept = options.max_counterexamples;
-    let compact_interval = options.compact_interval;
     let n = scope.processes;
     let sample = options.sample.filter(|frac| *frac < 1.0);
     let threshold = match sample {
@@ -848,9 +810,6 @@ pub fn certify_with_stats(
                             &mut tallies[i],
                             max_kept,
                         );
-                    }
-                    for session in sessions.iter_mut() {
-                        session.maybe_compact(compact_interval);
                     }
                 },
             );
@@ -993,26 +952,6 @@ mod tests {
             .to_json()
             .pretty();
             assert_eq!(one, many, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn report_is_identical_under_compaction() {
-        // Compacting between schedules trades prefix sharing for bounded
-        // resident state; the report must stay byte-identical for every
-        // interval and thread count.
-        let scope = Scope::with_basics(3, 2, 1).unwrap();
-        let baseline = quick(scope, 1).to_json().pretty();
-        for interval in [1u64, 3] {
-            for threads in [1usize, 2] {
-                let options = CertifyOptions {
-                    threads,
-                    compact_interval: interval,
-                    ..CertifyOptions::default()
-                };
-                let compacted = certify(&scope, &options).to_json().pretty();
-                assert_eq!(baseline, compacted, "interval={interval} threads={threads}");
-            }
         }
     }
 

@@ -402,7 +402,16 @@ fn cmd_certify(flags: &HashMap<String, String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let sample = flags.get("sample").and_then(|v| v.parse::<f64>().ok());
+    // A value that fell through to `None` would be an exhaustive run: hours
+    // at a scope where the sample was meant to take minutes.
+    let sample = match flags.get("sample").map(|v| (v, v.parse::<f64>())) {
+        None => None,
+        Some((_, Ok(fraction))) if fraction >= 0.0 => Some(fraction),
+        Some((value, _)) => {
+            eprintln!("--sample takes a fraction >= 0 (e.g. 0.02), not {value:?}");
+            return ExitCode::FAILURE;
+        }
+    };
     let options = rdt::CertifyOptions {
         threads: get(flags, "threads", 0usize),
         sample,

@@ -114,3 +114,16 @@ fn unknown_protocol_fails_helpfully() {
     let text = String::from_utf8(output.stderr).unwrap();
     assert!(text.contains("unknown protocol"));
 }
+
+#[test]
+fn certify_refuses_a_sample_it_cannot_read() {
+    for value in ["2%", "nan", "-0.5"] {
+        let output = cli()
+            .args(["certify", "--scope", "2,2", "--sample", value])
+            .output()
+            .expect("binary runs");
+        assert!(!output.status.success(), "--sample {value} ran");
+        let text = String::from_utf8(output.stderr).unwrap();
+        assert!(text.contains("--sample"), "--sample {value}: {text}");
+    }
+}
