@@ -57,9 +57,11 @@ const ENTRY_POINTS: &[(Option<&str>, &str, &str)] = &[
     // connection down and poisons its stripe.
     // Snapshot restore additionally consumes on-disk state that may be
     // corrupt: `restore_text` is what `Server::bind` hands the file's
-    // bytes to (reader, then validation and build), `from_snapshot_text`
-    // the reader-driven engine restore below it, `from_stream_snapshot`
-    // the wrapper that renders a tree and takes the same path.
+    // bytes to (reader, then validation and build), `fold_records` the
+    // fold of the records appended after the document (a torn one stops
+    // it, a hostile one refuses the file), `from_snapshot_text` the
+    // reader-driven engine restore below it, `from_stream_snapshot` the
+    // wrapper that renders a tree and takes the same path.
     (None, "parse_request", "crates/serve/src/"),
     (None, "run_op", "crates/serve/src/"),
     (None, "handle_request", "crates/serve/src/"),
@@ -71,6 +73,7 @@ const ENTRY_POINTS: &[(Option<&str>, &str, &str)] = &[
         "crates/serve/src/",
     ),
     (Some("PoolHandle"), "restore_text", "crates/serve/src/"),
+    (None, "fold_records", "crates/serve/src/"),
     (None, "from_snapshot_text", "crates/rgraph/src/"),
 ];
 

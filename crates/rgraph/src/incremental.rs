@@ -94,7 +94,7 @@ pub use compaction::CompactionStats;
 #[path = "snapshot.rs"]
 mod snapshot;
 pub use snapshot::{
-    SnapshotCache, SnapshotError, SnapshotErrorKind, SnapshotTables, SNAPSHOT_FORMAT,
+    SnapshotError, SnapshotErrorKind, SnapshotMarks, SnapshotTables, SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
 };
 
@@ -463,6 +463,15 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     /// and the one entry is the whole set; against the `TDV` snapshot beside
     /// it, it is also the node's untrackable count (see `insert_r_edge`).
     reach: Vec<u32>,
+    /// Least row of `reach` that may differ from what the last marked
+    /// snapshot render wrote (`snapshot.rs`): within an epoch only an
+    /// R-edge changes a row, and `insert_r_edge` lowers this to the least
+    /// row it folds into. 0 until the first marked render.
+    reach_floor: usize,
+    /// `events` at the last marked render: the floor counts from that
+    /// render alone, so marks any other render returned are refused.
+    /// `usize::MAX` until the first marked render.
+    marked_events: usize,
     /// The closure as bits: needed to find the dirty sets of an insertion
     /// and to answer `reaches`; nothing counts or enumerates its pairs.
     rmat: ClosureMatrix,
@@ -539,6 +548,8 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             msg_tdv: Vec::new(),
             cp_tdv: vec![0; n * n],
             reach,
+            reach_floor: 0,
+            marked_events: usize::MAX,
             rmat,
             r_meta,
             cp_nodes,
@@ -1019,6 +1030,9 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             return;
         }
         let n = self.n;
+        if let Some(lowest) = bits::ones(&self.rmat.dsucc).next() {
+            self.reach_floor = self.reach_floor.min(lowest);
+        }
         let mut delta = 0u64;
         for y in bits::ones(&self.rmat.dsucc) {
             #[cfg(test)]
@@ -1095,10 +1109,11 @@ mod work {
         pub static ROWS_FOLDED: Cell<u64> = const { Cell::new(0) };
         /// Closure rows read through `ClosureMatrix::row`.
         pub static CLOSURE_ROWS_READ: Cell<u64> = const { Cell::new(0) };
-        /// Rows of the write-once snapshot tables rendered — into a
-        /// `SnapshotCache` or straight into the document — rather than
-        /// copied from the cache's text.
+        /// Rows of the write-once snapshot tables (`msgs`, `msg_tdv`,
+        /// `cp_tdv`, `r_meta`) a snapshot render wrote.
         pub static ROWS_RENDERED: Cell<u64> = const { Cell::new(0) };
+        /// Rows of `reach` a snapshot render wrote.
+        pub static REACH_ROWS_RENDERED: Cell<u64> = const { Cell::new(0) };
     }
 }
 
@@ -2290,17 +2305,51 @@ mod tests {
         }
     }
 
-    /// A render through a kept [`SnapshotCache`] formats what changed since
-    /// the last one: on a `persist-unix`-shaped stream (8 processes, at most
-    /// 16 messages in flight, a render every 1 500 events), exactly the rows
-    /// of `msg_tdv`, `cp_tdv` and `r_meta` appended in between plus the
-    /// `msgs` rows from the first message in transit at the last render on —
-    /// and every row once on the first render and after a state-discarding
-    /// compaction. The text is the cold render's every time.
+    /// A marked render writes what changed since the last one: on a
+    /// `persist-unix`-shaped stream (8 processes, at most 16 messages in
+    /// flight, a render every 1 500 events), exactly the rows of `msg_tdv`,
+    /// `cp_tdv` and `r_meta` appended in between, the `msgs` rows from the
+    /// first message in transit at the last render on, and the `reach` rows
+    /// from the least one an R-edge changed since (or the first appended) —
+    /// every row on the first render and after a state-discarding
+    /// compaction. The first text folded with every delta since is the
+    /// engine's whole text every time.
     #[test]
     fn work_bound_a_snapshot_renders_what_changed() {
+        use rdt_json::{JsonReader, JsonWriter};
         let mut stream = DaemonStream::new(8, 16, 0x5eed_0025);
-        let mut cache = SnapshotCache::default();
+        let mut marks: Option<SnapshotMarks> = None;
+        let mut file: Vec<Vec<u8>> = Vec::new();
+        let mut render = |core: &mut IncrementalAnalysis| {
+            work::ROWS_RENDERED.set(0);
+            work::REACH_ROWS_RENDERED.set(0);
+            let mut text = Vec::new();
+            marks =
+                Some(core.write_snapshot_since(marks.as_ref(), &mut JsonWriter::new(&mut text)));
+            let rendered = (work::ROWS_RENDERED.get(), work::REACH_ROWS_RENDERED.get());
+            let read = |text: &[u8]| {
+                <IncrementalAnalysis>::read_snapshot(&mut JsonReader::new(text)).expect("reads")
+            };
+            if !read(&text).is_delta() {
+                file.clear();
+            }
+            file.push(text);
+            let mut tables = read(&file[0]);
+            for delta in &file[1..] {
+                tables.fold(read(delta)).expect("folds");
+            }
+            let folded = IncrementalAnalysis::from_snapshot_tables(tables).expect("restores");
+            let whole = |engine: &IncrementalAnalysis| {
+                let mut text = Vec::new();
+                engine.write_snapshot(&mut JsonWriter::new(&mut text));
+                text
+            };
+            assert!(
+                whole(&folded) == whole(core),
+                "the folded file is not the engine"
+            );
+            rendered
+        };
         let rows = |core: &IncrementalAnalysis| {
             let n = core.n;
             let in_transit = core.msgs.iter().position(|m| m.deliver_iv == NONE_U32);
@@ -2311,38 +2360,45 @@ mod tests {
                 in_transit.unwrap_or(core.msgs.len()),
             )
         };
-        let mut render = |core: &IncrementalAnalysis| {
-            let mut cold = Vec::new();
-            core.write_snapshot(&mut rdt_json::JsonWriter::new(&mut cold));
-            work::ROWS_RENDERED.set(0);
-            let mut cached = Vec::new();
-            core.write_snapshot_cached(&mut cache, &mut rdt_json::JsonWriter::new(&mut cached));
-            assert!(
-                cached == cold,
-                "the cached render differs from the cold one"
-            );
-            work::ROWS_RENDERED.get()
+        let every_row = |core: &IncrementalAnalysis| {
+            let (tables, msgs, _) = rows(core);
+            ((tables + msgs) as u64, core.r_meta.len() as u64)
         };
-        let every_row = |(tables, msgs, _): (usize, usize, usize)| (tables + msgs) as u64;
 
         for _ in 0..1_500 {
             stream.event();
         }
-        assert_eq!(render(&stream.core), every_row(rows(&stream.core)));
+        assert_eq!(render(&mut stream.core), every_row(&stream.core));
+        let (mut reach_rendered, mut reach_held) = (0, 0);
         for period in 0..12 {
             let (tables, _, first_in_transit) = rows(&stream.core);
+            let (reach, n) = (stream.core.reach.clone(), stream.core.n);
             for _ in 0..1_500 {
                 stream.event();
             }
             let (now, msgs, _) = rows(&stream.core);
-            assert_eq!(
-                render(&stream.core),
+            let mut changed = reach.chunks_exact(n).zip(stream.core.reach.chunks_exact(n));
+            let changed = changed.position(|(was, is)| was != is);
+            let reach_from = changed.unwrap_or(reach.len() / n);
+            let nodes = stream.core.r_meta.len();
+            let expected = (
                 (now - tables + msgs - first_in_transit) as u64,
+                (nodes - reach_from) as u64,
+            );
+            assert_eq!(
+                render(&mut stream.core),
+                expected,
                 "rows rendered in period {period}"
             );
+            reach_rendered += nodes - reach_from;
+            reach_held += nodes;
         }
+        assert!(
+            4 * reach_rendered < reach_held,
+            "{reach_rendered} of {reach_held} reach rows rendered"
+        );
         stream.round_and_compact();
-        assert_eq!(render(&stream.core), every_row(rows(&stream.core)));
+        assert_eq!(render(&mut stream.core), every_row(&stream.core));
     }
 
     proptest::proptest! {

@@ -58,8 +58,8 @@ pub use chains::{MessageChain, ZigzagReachability};
 pub use consistency::GlobalCheckpoint;
 pub use incremental::{
     AppendError, ChainLayer, Chains, CompactionStats, FullAnalysis, IncrementalAnalysis, Journal,
-    Mark, MessageRoute, NoChains, NoJournal, RewindError, RewindableAnalysis, SnapshotCache,
-    SnapshotError, SnapshotErrorKind, SnapshotTables, UndoJournal, SNAPSHOT_FORMAT,
+    Mark, MessageRoute, NoChains, NoJournal, RewindError, RewindableAnalysis, SnapshotError,
+    SnapshotErrorKind, SnapshotMarks, SnapshotTables, UndoJournal, SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
 };
 pub use pattern::{Pattern, PatternBuilder, PatternError, PatternEvent, PatternMessageId};

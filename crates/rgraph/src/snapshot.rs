@@ -2,12 +2,12 @@
 //!
 //! A snapshot captures everything the R-graph core needs to keep answering
 //! queries and accepting appends: counters, per-process tables, message
-//! records, the R-graph closure and the compaction state. Only the core
-//! persists: every entry point sits on `IncrementalAnalysis<NoChains, J>`,
-//! because the one engine that is ever written to disk is the daemon's, and
-//! the chain closures the certifier compares live in memory only. The undo
-//! **journal is deliberately excluded**: appends and queries never read it,
-//! so a restored engine produces byte-identical answers to the
+//! records, the R-graph's backward closure and the compaction state. Only
+//! the core persists: every entry point sits on `IncrementalAnalysis<NoChains,
+//! J>`, because the one engine that is ever written to disk is the daemon's,
+//! and the chain closures the certifier compares live in memory only. The
+//! undo **journal is deliberately excluded**: appends and queries never read
+//! it, so a restored engine produces byte-identical answers to the
 //! uninterrupted original; a restore starts a new journal, so a mark taken
 //! before the snapshot is a defined [`RewindError`], like a mark across a
 //! compaction.
@@ -21,40 +21,40 @@
 //!
 //! One private renderer lists the tables once, in document order, and renders
 //! them straight from the engine's vectors into the caller's byte buffer
-//! through [`JsonWriter`];
-//! [`write_snapshot`](IncrementalAnalysis::write_snapshot) and
-//! [`write_snapshot_cached`](IncrementalAnalysis::write_snapshot_cached) are
-//! its two entries. The writer emits the canonical compact form
-//! (`tests/snapshot_bytes.rs` holds the bytes to goldens).
+//! through [`JsonWriter`] (`tests/snapshot_bytes.rs` holds the bytes to
+//! goldens). It writes a document **whole** or as a **delta** against what
+//! [`SnapshotMarks`] say a file already holds:
+//! [`write_snapshot`](IncrementalAnalysis::write_snapshot) is the whole
+//! render, [`write_snapshot_since`](IncrementalAnalysis::write_snapshot_since)
+//! the marked one.
 //!
-//! # What a render costs: the cache
+//! # What a delta holds
 //!
-//! Four tables only grow within a compaction epoch, and a row once written
-//! is never revised: the `TDV` a message piggybacks (`msg_tdv`), the `TDV` a
-//! checkpoint records (`cp_tdv`, Corollary 4.5's vector), the checkpoint an
-//! R-node stands for (`r_meta`), and every `msgs` row of a delivered message
-//! (its delivery interval is set once). A [`SnapshotCache`] keeps, per table,
-//! the comma-joined text of the rows already rendered and how many rows that
-//! is, plus the `epoch` it was rendered at.
-//! [`write_snapshot_cached`](IncrementalAnalysis::write_snapshot_cached)
-//! renders only the rows the cache does not cover, adds to it those that can
-//! no longer change, and copies the rest from it; between two persists of a
-//! long stream that is what was appended in between, plus the `msgs` rows
-//! from the first message still in transit on. The invariant: **the text of
-//! a cache is the text of the first `rows` rows of its table, at its
-//! `epoch`**. It holds because within an epoch those rows are never written
-//! again, and a compaction — which renumbers `tdv_row`s and lets the per-node
-//! tables close ranks — bumps `epoch`, which empties the cache. A cache that
-//! claims more rows than its table holds (it was handed another engine's
-//! state) starts over rather than slicing.
+//! Five tables grow by rows within a compaction epoch: the `TDV` a message
+//! piggybacks (`msg_tdv`), the `TDV` a checkpoint records (`cp_tdv`,
+//! Corollary 4.5's vector), the checkpoint an R-node stands for (`r_meta`),
+//! the message records (`msgs`: a row is final once its message is
+//! delivered) and the backward closure (`reach`). Of the first four a row once
+//! written is never revised. A `reach` row changes whenever an R-edge makes its
+//! node newly reachable, but only the rows of `rmat.dsucc` change, and
+//! `insert_r_edge` keeps their least index as the engine's *reach floor*: the
+//! rows below it are as the last marked render wrote them.
 //!
-//! The cached entry exists only on `IncrementalAnalysis<NoChains, NoJournal>`. A
-//! rewind truncates tables and un-delivers messages without touching
-//! `epoch`, and can regrow a table to the same length with other rows, which
-//! no row count could tell from the rows it rendered; an engine without a
-//! journal cannot rewind, so there the invariant holds by construction.
-//! [`write_snapshot`](IncrementalAnalysis::write_snapshot), on every
-//! instantiation, is the same renderer with a fresh cache.
+//! So a delta writes each growing table as `{"from":k,"rows":[…]}` — its rows
+//! from `k` on, which replace the table's rows from `k` — and every small
+//! table in full. `k` is the mark's row count (for `msgs`, the rows below the
+//! first message then in transit; for `reach`, the least of the floor and the
+//! rows then written). Marks that are not the latest marked render's (the
+//! floor counts from that render alone), that are another epoch's (a
+//! compaction renumbers the node tables and frees piggyback rows) or that
+//! claim more rows than a table holds (another engine's) describe nothing,
+//! and the render is whole. [`SnapshotTables::fold`] lays a delta's tables over the tables
+//! it was written against.
+//!
+//! The marked render exists only on `IncrementalAnalysis<NoChains,
+//! NoJournal>`: a rewind can regrow a table to the same length with other
+//! rows, and restores `reach` rows without lowering the floor, which no row
+//! count could tell from the rows written.
 //!
 //! # One way back
 //!
@@ -66,22 +66,29 @@
 //! [`from_snapshot_tables`](IncrementalAnalysis::from_snapshot_tables)
 //! validates the tables against each other and builds the engine. The two
 //! steps are separate so that a caller with many documents in one file (the
-//! daemon) can read them in sequence and build them in parallel. Restore
-//! validates every cross-table invariant the append/query paths rely on for
-//! in-bounds indexing, so a corrupted or hand-edited snapshot is a
-//! [`SnapshotError`], never a panic later on. It also bounds every counter
-//! an append increments or the reach fold offsets by one (`cp_count`, the
-//! three `TDV` tables, `drop_reach`, the `r_meta` indices) by what the
-//! pattern can hold, so a document cannot hand the engine a value its next
-//! append overflows.
+//! daemon) can read them in sequence, fold its deltas in, and build them in
+//! parallel. Restore validates every cross-table invariant the append/query
+//! paths rely on for in-bounds indexing, so a corrupted or hand-edited
+//! snapshot is a [`SnapshotError`], never a panic later on. It also bounds
+//! every counter an append increments or the reach fold offsets by one
+//! (`cp_count`, the three `TDV` tables, `reach` or `drop_reach`, the
+//! `r_meta` indices) by what the pattern can hold, so a document cannot hand
+//! the engine a value its next append overflows.
 //!
-//! Three tables of the engine are not in the document, because the others
-//! determine them:
+//! Four tables of the engine are not in a version 4 document, because the
+//! others determine them:
 //!
-//! * the transposes of the closure matrices. A matrix is written as `nodes`,
-//!   `width` and its forward slab; restore checks that slab (no bit beyond
-//!   `nodes`, every diagonal bit set — which is all its transpose needs to be
-//!   in bounds and reflexive too) and transposes it, 64×64 bits at a time.
+//! * `cp_nodes`, the R-node of each retained checkpoint: `r_meta` lists the
+//!   nodes in append order, and restore requires each process's retained
+//!   checkpoints `cp_base..=cp_count` in it in that order.
+//! * the closure bits, `rmat`. Rule 1 chains a process's checkpoints, so the
+//!   checkpoints of `p` reaching `y` are a prefix and a retained
+//!   `x = C_{p,i}` reaches `y` iff `i < reach[y][p]`. Restore builds each
+//!   backward row from its Rule 1 predecessor's — a copy, then the lanes that
+//!   rose — and transposes the slab, 64×64 bits at a time, into the forward
+//!   one. It checks every `reach` entry first: at most `cp_count + 1`, at
+//!   least `i + 1` on the node's own lane (every node reaches itself), and
+//!   never below the predecessor's.
 //! * `send_events` / `deliver_events`, the per-process indices into the
 //!   message table. `send_events[p]` is the messages from `p` in handle
 //!   order (a process's send intervals only grow, and restore rejects a table
@@ -91,17 +98,18 @@
 //!   reader of the table — the Rule 2 edges of the checkpoint that closes the
 //!   interval, the chain queries' per-interval masks — reads an interval's
 //!   entries as a set, so the order inside it is not state.
-//! * `reach`, the backward closure as one vector per node. Its retained half
-//!   is what the transposed rows say and its compacted-away half is the
-//!   `drop_reach` table the format has always had, so the writer derives
-//!   `drop_reach` from it (`write_drop_reach`) and restore joins the two back
-//!   together (`rebuild_reach`).
+//! * `drop_reach`, what versions 1–3 wrote of `reach`: the part a compaction
+//!   dropped the nodes of. Its retained half was the transposed closure rows,
+//!   so a version 1–3 restore joins the two back together (`rebuild_reach`).
 //!
 //! # Versions
 //!
-//! * **3** (written): the core tables; `msgs` rows are
-//!   `[from, to, send_iv, deliver_iv, tdv_row]`; matrices are
-//!   `{nodes, width, fwd}`.
+//! * **4** (written): the core tables, `reach` in place of `rmat`,
+//!   `cp_nodes` and `drop_reach`; `msgs` rows are
+//!   `[from, to, send_iv, deliver_iv, tdv_row]`. A delta is a version 4
+//!   document whose growing tables may start at a row `from`.
+//! * **3** (read): the closure as `rmat: {nodes, width, fwd}`, `cp_nodes`
+//!   and `drop_reach` instead of `reach`.
 //! * **2** (read): version 3 plus the tables version 3 derives — `bwd` in
 //!   every matrix, `send_events` and `deliver_events`. They are skipped like
 //!   any unknown key, **not trusted**: a version 2 document restores to the
@@ -116,7 +124,7 @@
 //!   version 1 document also counted chain rows.
 //!
 //! Any other version is [`SnapshotErrorKind::UnsupportedVersion`]. Whatever
-//! is read, version 3 is what is written next.
+//! is read, version 4 is what is written next.
 
 use rdt_json::{JsonError, JsonReader, JsonWriter};
 
@@ -126,7 +134,7 @@ use super::*;
 pub const SNAPSHOT_FORMAT: &str = "rdt-rgraph-snapshot";
 
 /// Snapshot format version written by [`IncrementalAnalysis::write_snapshot`].
-pub const SNAPSHOT_VERSION: u64 = 3;
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// What kind of rejection a [`SnapshotError`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +185,7 @@ fn bad(message: impl Into<String>) -> SnapshotError {
 // ----------------------------------------------------------- reading ----
 
 /// An array of equally long arrays of numbers, flattened.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Rows {
     rows: usize,
     /// Length of every row (of the first, until the others are checked).
@@ -185,8 +193,16 @@ struct Rows {
     flat: Vec<u32>,
 }
 
-/// A closure matrix as the document holds it.
-#[derive(Debug, Default)]
+/// A table that grows by rows: the rows from `from` on (all of them when
+/// `from` is 0; a delta's otherwise).
+#[derive(Debug, Default, Clone)]
+struct Grown<T> {
+    from: usize,
+    rows: T,
+}
+
+/// A closure matrix as a version 1–3 document holds it.
+#[derive(Debug, Default, Clone)]
 struct MatrixTables {
     nodes: Option<u64>,
     width: Option<u64>,
@@ -195,9 +211,10 @@ struct MatrixTables {
 
 /// The tables of one snapshot document of a supported version, read and
 /// typed but not yet held against each other: what
-/// [`read_snapshot`](IncrementalAnalysis::read_snapshot) returns and
+/// [`read_snapshot`](IncrementalAnalysis::read_snapshot) returns,
+/// [`fold`](SnapshotTables::fold) lays a delta over and
 /// [`from_snapshot_tables`](IncrementalAnalysis::from_snapshot_tables) takes.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SnapshotTables {
     version: Option<u64>,
     n: Option<u64>,
@@ -207,12 +224,13 @@ pub struct SnapshotTables {
     reclaimed_rows: Option<u64>,
     cp_count: Option<Vec<u32>>,
     line_open: Option<Vec<bool>>,
-    msgs: Option<Rows>,
+    msgs: Option<Grown<Rows>>,
     cur_tdv: Option<Vec<u32>>,
-    msg_tdv: Option<Vec<u32>>,
-    cp_tdv: Option<Vec<u32>>,
+    msg_tdv: Option<Grown<Vec<u32>>>,
+    cp_tdv: Option<Grown<Vec<u32>>>,
+    reach: Option<Grown<Vec<u32>>>,
     rmat: Option<MatrixTables>,
-    r_meta: Option<Rows>,
+    r_meta: Option<Grown<Rows>>,
     cp_nodes: Option<Vec<Vec<u32>>>,
     watermark: Option<Vec<u32>>,
     cp_base: Option<Vec<u32>>,
@@ -237,7 +255,7 @@ fn need_usize(slot: Option<u64>, key: &str) -> Result<usize, SnapshotError> {
     usize::try_from(need(slot, key)?).map_err(|_| bad(format!("`{key}` out of range")))
 }
 
-fn read_u32s(r: &mut JsonReader<'_>) -> Result<Vec<u32>, JsonError> {
+fn read_u32s(r: &mut JsonReader<'_>) -> Result<Vec<u32>, SnapshotError> {
     let mut values = Vec::new();
     r.u32s_into(&mut values)?;
     Ok(values)
@@ -259,7 +277,7 @@ fn read_bools(r: &mut JsonReader<'_>) -> Result<Vec<bool>, JsonError> {
 }
 
 /// One row per process: an array of arrays of any lengths.
-fn read_ragged(r: &mut JsonReader<'_>) -> Result<Vec<Vec<u32>>, JsonError> {
+fn read_ragged(r: &mut JsonReader<'_>) -> Result<Vec<Vec<u32>>, SnapshotError> {
     let mut rows = Vec::new();
     r.begin_array()?;
     while r.next_item()? {
@@ -284,6 +302,33 @@ fn read_rows(r: &mut JsonReader<'_>, key: &str) -> Result<Rows, SnapshotError> {
         table.rows += 1;
     }
     Ok(table)
+}
+
+/// A growing table: its array, or a delta's `{"from": k, "rows": [...]}`.
+fn read_grown<T>(
+    r: &mut JsonReader<'_>,
+    key: &str,
+    read: impl Fn(&mut JsonReader<'_>) -> Result<T, SnapshotError>,
+) -> Result<Grown<T>, SnapshotError> {
+    if r.peek()? != b'{' {
+        return Ok(Grown {
+            from: 0,
+            rows: read(r)?,
+        });
+    }
+    let (mut from, mut rows) = (None, None);
+    r.begin_object()?;
+    while let Some(inner) = r.next_key()? {
+        match inner.as_str() {
+            "from" => keep(&mut from, &inner, r.u64()?)?,
+            "rows" => keep(&mut rows, &inner, read(r)?)?,
+            _ => r.skip_value()?,
+        }
+    }
+    Ok(Grown {
+        from: need_usize(from, &format!("{key}.from"))?,
+        rows: need(rows, &format!("{key}.rows"))?,
+    })
 }
 
 /// A table whose rows have `cols` entries each, as its rows.
@@ -313,125 +358,212 @@ fn read_matrix(r: &mut JsonReader<'_>) -> Result<MatrixTables, SnapshotError> {
     Ok(t)
 }
 
+// ------------------------------------------------------------ deltas ----
+
+/// A table a delta can extend from a row on.
+trait Extend: Sized {
+    /// Replaces the rows from `from` (rows of `width` entries) with `rows`;
+    /// `false` when the table has fewer than `from` rows.
+    fn splice(&mut self, from: usize, width: usize, rows: Self) -> bool;
+}
+
+impl Extend for Vec<u32> {
+    fn splice(&mut self, from: usize, width: usize, rows: Self) -> bool {
+        if from.saturating_mul(width) > self.len() {
+            return false;
+        }
+        self.truncate(from * width);
+        self.extend(rows);
+        true
+    }
+}
+
+impl Extend for Rows {
+    fn splice(&mut self, from: usize, _: usize, rows: Self) -> bool {
+        if from > self.rows || (from > 0 && rows.rows > 0 && rows.cols != self.cols) {
+            return false;
+        }
+        self.flat.truncate(from * self.cols);
+        self.flat.extend(rows.flat);
+        self.rows = from + rows.rows;
+        if from == 0 {
+            self.cols = rows.cols;
+        }
+        true
+    }
+}
+
+/// `slot` with the rows of `delta` laid over it from the row it starts at.
+fn grow<T: Extend>(
+    slot: &mut Option<Grown<T>>,
+    delta: Option<Grown<T>>,
+    width: usize,
+    key: &str,
+) -> Result<(), SnapshotError> {
+    let Some(delta) = delta else {
+        return Ok(());
+    };
+    if delta.from == 0 {
+        *slot = Some(delta);
+        return Ok(());
+    }
+    let from = delta.from;
+    match slot
+        .as_mut()
+        .map(|base| base.rows.splice(from, width, delta.rows))
+    {
+        Some(true) => Ok(()),
+        _ => Err(bad(format!(
+            "`{key}` delta starts at row {from}, past the table's end"
+        ))),
+    }
+}
+
+fn replace<T>(slot: &mut Option<T>, value: Option<T>) {
+    if value.is_some() {
+        *slot = value;
+    }
+}
+
+impl SnapshotTables {
+    /// Whether these are a delta's tables: a growing table that starts past
+    /// its first row. A delta restores nothing by itself; it is
+    /// [`fold`](SnapshotTables::fold)ed over the tables it was written
+    /// against.
+    pub fn is_delta(&self) -> bool {
+        self.delta_key().is_some()
+    }
+
+    fn delta_key(&self) -> Option<&'static str> {
+        [
+            ("msgs", self.msgs.as_ref().map(|t| t.from)),
+            ("msg_tdv", self.msg_tdv.as_ref().map(|t| t.from)),
+            ("cp_tdv", self.cp_tdv.as_ref().map(|t| t.from)),
+            ("reach", self.reach.as_ref().map(|t| t.from)),
+            ("r_meta", self.r_meta.as_ref().map(|t| t.from)),
+        ]
+        .into_iter()
+        .find(|&(_, from)| from.is_some_and(|from| from > 0))
+        .map(|(key, _)| key)
+    }
+
+    /// Lays the tables of `delta` — a version 4 delta document written
+    /// against these tables — over them: every table the delta holds in
+    /// full replaces this one's, and a growing table it holds from a row on
+    /// replaces this one's rows from there. The result is what the whole
+    /// document would have read as; nothing is validated here but that the
+    /// two are version 4 documents of one process count and that no delta
+    /// starts past the end of the table it extends
+    /// ([`from_snapshot_tables`](IncrementalAnalysis::from_snapshot_tables)
+    /// validates the result).
+    pub fn fold(&mut self, delta: SnapshotTables) -> Result<(), SnapshotError> {
+        if self.version != Some(SNAPSHOT_VERSION) || delta.version != Some(SNAPSHOT_VERSION) {
+            return Err(bad(format!(
+                "a delta applies to a version {SNAPSHOT_VERSION} document only"
+            )));
+        }
+        if delta.n != self.n {
+            return Err(bad("a delta names another process count"));
+        }
+        let n = need_usize(self.n, "n")?;
+        replace(&mut self.events, delta.events);
+        replace(&mut self.untrackable, delta.untrackable);
+        replace(&mut self.epoch, delta.epoch);
+        replace(&mut self.reclaimed_rows, delta.reclaimed_rows);
+        replace(&mut self.cp_count, delta.cp_count);
+        replace(&mut self.line_open, delta.line_open);
+        replace(&mut self.cur_tdv, delta.cur_tdv);
+        replace(&mut self.watermark, delta.watermark);
+        replace(&mut self.cp_base, delta.cp_base);
+        grow(&mut self.msgs, delta.msgs, 1, "msgs")?;
+        grow(&mut self.msg_tdv, delta.msg_tdv, n, "msg_tdv")?;
+        grow(&mut self.cp_tdv, delta.cp_tdv, n, "cp_tdv")?;
+        grow(&mut self.reach, delta.reach, n, "reach")?;
+        grow(&mut self.r_meta, delta.r_meta, 1, "r_meta")
+    }
+}
+
 // ----------------------------------------------------------- writing ----
 
-fn write_rows(w: &mut JsonWriter<'_>, rows: &[Vec<u32>]) {
-    w.array(rows, |w, row| w.u32s(row));
-}
-
-fn write_matrix(w: &mut JsonWriter<'_>, mat: &ClosureMatrix) {
-    w.begin_object();
-    w.key("nodes").u64(mat.nodes as u64);
-    w.key("width").u64(mat.width as u64);
-    w.key("fwd").u64s(&mat.fwd);
-    w.end_object();
-}
-
-/// The text of an engine's write-once tables, kept between snapshot
-/// renders of that one engine: what
-/// [`write_snapshot_cached`](IncrementalAnalysis::write_snapshot_cached)
-/// copies instead of rendering again (the module documentation of
-/// `snapshot.rs` gives its invariant). A fresh cache is empty and fits any
-/// engine; afterwards it belongs to the engine it was rendered from.
+/// What of one engine's snapshot a file already holds, as of the render
+/// that returned it: the compaction epoch and event count it was written
+/// at, and the rows of each growing table it wrote — of `msgs`, those below
+/// the first message then in transit; of `msg_tdv`, one per message then in
+/// flight or not yet compacted; of `cp_tdv`, `r_meta` and `reach`, one per
+/// R-node. A render against these
+/// ([`write_snapshot_since`](IncrementalAnalysis::write_snapshot_since))
+/// writes what changed since; the module documentation of `snapshot.rs`
+/// says what that is and why it is exact. Only the marks of the engine's
+/// latest marked render describe a file it can write a delta against:
+/// against older ones it writes whole.
 ///
 /// ```rust
+/// use rdt_causality::ProcessId;
 /// use rdt_json::JsonWriter;
-/// use rdt_rgraph::{IncrementalAnalysis, SnapshotCache};
+/// use rdt_rgraph::IncrementalAnalysis;
 ///
-/// let engine = IncrementalAnalysis::new(2);
-/// let mut cache = SnapshotCache::default();
-/// let (mut cached, mut cold) = (Vec::new(), Vec::new());
-/// engine.write_snapshot_cached(&mut cache, &mut JsonWriter::new(&mut cached));
-/// engine.write_snapshot(&mut JsonWriter::new(&mut cold));
-/// assert_eq!(cached, cold);
+/// let mut engine = IncrementalAnalysis::new(2);
+/// let mut whole = Vec::new();
+/// let marks = engine.write_snapshot_since(None, &mut JsonWriter::new(&mut whole));
+/// engine.append_checkpoint(ProcessId::new(0));
+/// let mut delta = Vec::new();
+/// engine.write_snapshot_since(Some(&marks), &mut JsonWriter::new(&mut delta));
+/// assert!(String::from_utf8(delta).unwrap().contains(r#""r_meta":{"from":2,"rows":[[0,1]]}"#));
+///
+/// // `marks` are no longer the latest: against them the engine writes whole.
+/// let mut again = Vec::new();
+/// engine.write_snapshot_since(Some(&marks), &mut JsonWriter::new(&mut again));
+/// assert!(!String::from_utf8(again).unwrap().contains(r#""from""#));
 /// ```
 ///
-/// A rewindable engine has no cached entry: a rewind can shrink a table and
-/// regrow it to the same length with other rows.
+/// A rewindable engine has no marked render: a rewind can shrink a table
+/// and regrow it to the same length with other rows.
 ///
 /// ```compile_fail
 /// use rdt_json::JsonWriter;
-/// use rdt_rgraph::{RewindableAnalysis, SnapshotCache};
+/// use rdt_rgraph::RewindableAnalysis;
 ///
-/// let engine = RewindableAnalysis::layered(2);
-/// let mut cache = SnapshotCache::default();
+/// let mut engine = RewindableAnalysis::layered(2);
 /// let mut text = Vec::new();
-/// engine.write_snapshot_cached(&mut cache, &mut JsonWriter::new(&mut text));
+/// engine.write_snapshot_since(None, &mut JsonWriter::new(&mut text));
 /// ```
-#[derive(Debug, Default)]
-pub struct SnapshotCache {
-    /// The compaction epoch the text below was rendered at.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotMarks {
     epoch: u64,
-    /// `None` until the first render: an engine that is never persisted
-    /// pays one pointer for its cache (the daemon holds thousands of
-    /// engines inline in its stripes' maps).
-    tables: Option<Box<CachedTables>>,
+    events: usize,
+    msgs: usize,
+    msg_tdv: usize,
+    nodes: usize,
 }
 
-/// The write-once tables of a [`SnapshotCache`].
-#[derive(Debug, Default)]
-struct CachedTables {
-    msgs: RenderedRows,
-    msg_tdv: RenderedRows,
-    cp_tdv: RenderedRows,
-    r_meta: RenderedRows,
+/// A growing table, rows of `width` items: all of `items` as one array, or
+/// from row `from` on as `{"from": from, "rows": [...]}`. Returns the rows
+/// written.
+fn write_grown<T>(
+    w: &mut JsonWriter<'_>,
+    from: usize,
+    width: usize,
+    items: &[T],
+    each: impl FnMut(&mut JsonWriter<'_>, &T),
+) -> usize {
+    if from == 0 {
+        w.array(items, each);
+    } else {
+        w.begin_object();
+        w.key("from").u64(from as u64);
+        w.key("rows").array(&items[from * width..], each);
+        w.end_object();
+    }
+    items.len() / width - from
 }
 
-/// The leading rows of one table, rendered.
-#[derive(Debug, Default)]
-struct RenderedRows {
-    /// The rows' items, comma-joined: the table's array text for those rows,
-    /// without the brackets.
-    text: Vec<u8>,
-    /// Rows the text covers.
-    rows: usize,
-}
-
-impl RenderedRows {
-    /// Writes `items` — rows of `width` items each — as one array. The
-    /// leading rows whose every item is `settled` (cannot change again in
-    /// this epoch) and that the text does not cover yet are rendered into it
-    /// once; the covered rows are copied from it, and the rows from the first
-    /// unsettled item on are rendered straight into `w`.
-    fn write<T>(
-        &mut self,
-        w: &mut JsonWriter<'_>,
-        items: &[T],
-        width: usize,
-        settled: impl Fn(&T) -> bool,
-        each: impl Fn(&mut JsonWriter<'_>, &T),
-    ) {
-        if self.rows * width > items.len() {
-            *self = RenderedRows::default();
-        }
-        let covered = self.rows * width;
-        let fresh = &items[covered..];
-        let settled_rows = fresh.iter().position(|item| !settled(item));
-        let settled_rows = settled_rows.unwrap_or(fresh.len()) / width;
-        if settled_rows > 0 {
-            if !self.text.is_empty() {
-                self.text.push(b',');
-            }
-            let mut into = JsonWriter::new(&mut self.text);
-            for item in &fresh[..settled_rows * width] {
-                each(&mut into, item);
-            }
-            self.rows += settled_rows;
-        }
-        let rest = &items[self.rows * width..];
-        #[cfg(test)]
-        work::ROWS_RENDERED
-            .set(work::ROWS_RENDERED.get() + (settled_rows + rest.len() / width) as u64);
-        w.begin_array();
-        // The covered items, already comma-joined, go in as one raw value:
-        // the writer puts the comma between them and the rest.
-        if !self.text.is_empty() {
-            w.raw(&self.text);
-        }
-        for item in rest {
-            each(w, item);
-        }
-        w.end_array();
+/// Counts the rows a render wrote, for the work-bound tests.
+#[cfg_attr(not(test), allow(unused_variables))]
+fn count_rendered(rows: usize, reach_rows: usize) {
+    #[cfg(test)]
+    {
+        work::ROWS_RENDERED.set(work::ROWS_RENDERED.get() + rows as u64);
+        work::REACH_ROWS_RENDERED.set(work::REACH_ROWS_RENDERED.get() + reach_rows as u64);
     }
 }
 
@@ -558,9 +690,9 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
     /// before the snapshot cannot be rewound to afterwards (a defined
     /// [`RewindError`], like marks across a compaction).
     ///
-    /// Every render, cached or not, is this one; a long-lived engine without
-    /// a journal renders through a cache it keeps
-    /// ([`write_snapshot_cached`](IncrementalAnalysis::write_snapshot_cached)).
+    /// Every render, whole or a delta, is this one; a long-lived engine
+    /// without a journal can be written as what changed since a render
+    /// ([`write_snapshot_since`](IncrementalAnalysis::write_snapshot_since)).
     ///
     /// Only the chain-free core persists: an engine with the chain layer has
     /// no snapshot.
@@ -574,21 +706,34 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
     /// engine.write_snapshot(&mut JsonWriter::new(&mut text));
     /// ```
     pub fn write_snapshot(&self, w: &mut JsonWriter<'_>) {
-        self.render_snapshot(&mut SnapshotCache::default(), w);
+        self.render_snapshot(None, w);
     }
 
     /// The description of the written form: the tables and their order are
-    /// listed here and nowhere else. The write-once tables go through
-    /// `cache` (see the module documentation).
-    fn render_snapshot(&self, cache: &mut SnapshotCache, w: &mut JsonWriter<'_>) {
-        if cache.epoch != self.epoch {
-            *cache = SnapshotCache {
-                epoch: self.epoch,
-                tables: None,
-            };
-        }
-        let cache = cache.tables.get_or_insert_with(Box::default);
-        let n = self.n;
+    /// listed here and nowhere else. Against `since` the growing tables are
+    /// written from the rows it does not cover (see the module
+    /// documentation); returns the marks of what was written.
+    fn render_snapshot(
+        &self,
+        since: Option<&SnapshotMarks>,
+        w: &mut JsonWriter<'_>,
+    ) -> SnapshotMarks {
+        let (n, nodes) = (self.n, self.r_meta.len());
+        let since = since.filter(|m| {
+            m.epoch == self.epoch
+                && m.events == self.marked_events
+                && m.msgs <= self.msgs.len()
+                && m.msg_tdv * n <= self.msg_tdv.len()
+                && m.nodes <= nodes
+        });
+        let from = |rows: fn(&SnapshotMarks) -> usize| since.map_or(0, rows);
+        let (msgs_from, nodes_from) = (from(|m| m.msgs), from(|m| m.nodes));
+        let in_transit = self.msgs[msgs_from..]
+            .iter()
+            .position(|m| m.deliver_iv == NONE_U32);
+        let reach_from = nodes_from.min(self.reach_floor);
+
+        let mut rendered = 0;
         w.begin_object();
         w.key("format").str(SNAPSHOT_FORMAT);
         w.key("version").u64(SNAPSHOT_VERSION);
@@ -598,51 +743,30 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         w.key("cp_count").u32s(&self.cp_count);
         w.key("line_open")
             .array(&self.line_open, |w, &open| w.bool(open));
-        let delivered = |m: &MsgRec| m.deliver_iv != NONE_U32;
-        cache
-            .msgs
-            .write(w.key("msgs"), &self.msgs, 1, delivered, |w, m| {
-                w.u32s(&[m.from, m.to, m.send_iv, m.deliver_iv, m.tdv_row])
-            });
+        rendered += write_grown(w.key("msgs"), msgs_from, 1, &self.msgs, |w, m| {
+            w.u32s(&[m.from, m.to, m.send_iv, m.deliver_iv, m.tdv_row])
+        });
         w.key("cur_tdv").u32s(&self.cur_tdv);
-        cache
-            .msg_tdv
-            .write(w.key("msg_tdv"), &self.msg_tdv, n, |_| true, write_u32);
-        cache
-            .cp_tdv
-            .write(w.key("cp_tdv"), &self.cp_tdv, n, |_| true, write_u32);
-        write_matrix(w.key("rmat"), &self.rmat);
+        let msg_tdv_from = from(|m| m.msg_tdv);
+        rendered += write_grown(w.key("msg_tdv"), msg_tdv_from, n, &self.msg_tdv, write_u32);
+        rendered += write_grown(w.key("cp_tdv"), nodes_from, n, &self.cp_tdv, write_u32);
+        let reach_rows = write_grown(w.key("reach"), reach_from, n, &self.reach, write_u32);
         let r_meta = |w: &mut JsonWriter<'_>, &(p, index): &(u32, u32)| w.u32s(&[p, index]);
-        cache
-            .r_meta
-            .write(w.key("r_meta"), &self.r_meta, 1, |_| true, r_meta);
-        write_rows(w.key("cp_nodes"), &self.cp_nodes);
+        rendered += write_grown(w.key("r_meta"), nodes_from, 1, &self.r_meta, r_meta);
         w.key("epoch").u64(self.epoch);
         w.key("watermark").u32s(&self.watermark);
         w.key("cp_base").u32s(&self.cp_base);
-        self.write_drop_reach(w.key("drop_reach"));
         w.key("reclaimed_rows").u64(self.reclaimed_rows);
         w.end_object();
-    }
+        count_rendered(rendered, reach_rows);
 
-    /// The document's `drop_reach` table, derived from `reach`: per R-node
-    /// and process the greatest index of a *compacted-away* checkpoint with
-    /// an R-path to the node ([`NONE_U32`] = none), empty before the first
-    /// state-discarding compaction. The reaching checkpoints of a process
-    /// are a prefix, so the dropped ones among them are the prefix cut at
-    /// `cp_base`; the retained part of `reach` is what the closure says and
-    /// is not written twice.
-    fn write_drop_reach(&self, w: &mut JsonWriter<'_>) {
-        w.begin_array();
-        if self.epoch > 0 {
-            for row in self.reach.chunks_exact(self.n) {
-                for (&reach, &base) in row.iter().zip(&self.cp_base) {
-                    let dropped = reach.min(base).checked_sub(1);
-                    w.u64(u64::from(dropped.unwrap_or(NONE_U32)));
-                }
-            }
+        SnapshotMarks {
+            epoch: self.epoch,
+            events: self.events,
+            msgs: msgs_from + in_transit.unwrap_or(self.msgs.len() - msgs_from),
+            msg_tdv: self.msg_tdv.len() / n,
+            nodes,
         }
-        w.end_array();
     }
 
     /// Restores an engine of this journal layer from the text of a snapshot
@@ -685,6 +809,7 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         let mut format = None;
         r.begin_object()?;
         while let Some(key) = r.next_key()? {
+            let rows = |r: &mut JsonReader<'_>| read_rows(r, &key);
             match key.as_str() {
                 "format" => match r.peek()? {
                     b'"' => keep(&mut format, &key, r.str()?)?,
@@ -698,12 +823,13 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
                 "reclaimed_rows" => keep(&mut t.reclaimed_rows, &key, r.u64()?)?,
                 "cp_count" => keep(&mut t.cp_count, &key, read_u32s(r)?)?,
                 "line_open" => keep(&mut t.line_open, &key, read_bools(r)?)?,
-                "msgs" => keep(&mut t.msgs, &key, read_rows(r, &key)?)?,
+                "msgs" => keep(&mut t.msgs, &key, read_grown(r, &key, rows)?)?,
                 "cur_tdv" => keep(&mut t.cur_tdv, &key, read_u32s(r)?)?,
-                "msg_tdv" => keep(&mut t.msg_tdv, &key, read_u32s(r)?)?,
-                "cp_tdv" => keep(&mut t.cp_tdv, &key, read_u32s(r)?)?,
+                "msg_tdv" => keep(&mut t.msg_tdv, &key, read_grown(r, &key, read_u32s)?)?,
+                "cp_tdv" => keep(&mut t.cp_tdv, &key, read_grown(r, &key, read_u32s)?)?,
+                "reach" => keep(&mut t.reach, &key, read_grown(r, &key, read_u32s)?)?,
                 "rmat" => keep(&mut t.rmat, &key, read_matrix(r)?)?,
-                "r_meta" => keep(&mut t.r_meta, &key, read_rows(r, &key)?)?,
+                "r_meta" => keep(&mut t.r_meta, &key, read_grown(r, &key, rows)?)?,
                 "cp_nodes" => keep(&mut t.cp_nodes, &key, read_ragged(r)?)?,
                 "watermark" => keep(&mut t.watermark, &key, read_u32s(r)?)?,
                 "cp_base" => keep(&mut t.cp_base, &key, read_u32s(r)?)?,
@@ -730,14 +856,21 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
 
     /// Builds the engine a document's tables describe.
     ///
-    /// The restore is **total and validating**: missing tables and —
-    /// crucially — cross-table inconsistencies that would let a later
-    /// append or query index out of bounds are all [`SnapshotError`]s. The
-    /// restored engine starts a new, empty undo journal at the snapshot's
-    /// compaction epoch.
+    /// The restore is **total and validating**: missing tables, a delta's
+    /// tables (which describe nothing without the tables they were written
+    /// against) and — crucially — cross-table inconsistencies that would let
+    /// a later append or query index out of bounds are all
+    /// [`SnapshotError`]s. The restored engine starts a new, empty undo
+    /// journal at the snapshot's compaction epoch.
     pub fn from_snapshot_tables(t: SnapshotTables) -> Result<Self, SnapshotError> {
+        if let Some(key) = t.delta_key() {
+            return Err(bad(format!(
+                "`{key}` starts past its first row: a delta with no base"
+            )));
+        }
         // Width of a `msgs` row and the column of `tdv_row` in it.
-        let (msg_cols, tdv_col) = match need(t.version, "version")? {
+        let version = need(t.version, "version")?;
+        let (msg_cols, tdv_col) = match version {
             1 => (8, 7),
             _ => (5, 4),
         };
@@ -746,7 +879,7 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             return Err(bad("`n` must be at least 1"));
         }
         let cp_count = per_process(t.cp_count, n, "cp_count")?;
-        let msg_tdv = need(t.msg_tdv, "msg_tdv")?;
+        let msg_tdv = need(t.msg_tdv, "msg_tdv")?.rows;
         if msg_tdv.len() % n != 0 {
             return Err(bad("`msg_tdv` is not a whole number of rows"));
         }
@@ -755,7 +888,7 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         // Intervals are 1-based and at most one past the last checkpoint
         // (the consistency descents step to `deliver_iv - 1`).
         let placed = |iv: u32, p: u32| (1..=cp_count[p as usize].saturating_add(1)).contains(&iv);
-        let table = need(t.msgs, "msgs")?;
+        let table = need(t.msgs, "msgs")?.rows;
         if table.rows >= NONE_U32 as usize {
             return Err(bad("`msgs` has more entries than message handles"));
         }
@@ -800,9 +933,8 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             delivered.sort_unstable();
         }
 
-        let r_meta = need(t.r_meta, "r_meta")?;
+        let r_meta = need(t.r_meta, "r_meta")?.rows;
         let r_meta = rows_of(&r_meta, 2, "r_meta")?;
-        let drop_reach = need(t.drop_reach, "drop_reach")?;
         let mut engine = IncrementalAnalysis {
             n,
             chains: NoChains,
@@ -813,11 +945,13 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             msgs,
             cur_tdv: need(t.cur_tdv, "cur_tdv")?,
             msg_tdv,
-            cp_tdv: need(t.cp_tdv, "cp_tdv")?,
+            cp_tdv: need(t.cp_tdv, "cp_tdv")?.rows,
             reach: Vec::new(),
-            rmat: matrix_from_tables(t.rmat, "rmat")?,
+            reach_floor: 0,
+            marked_events: usize::MAX,
+            rmat: ClosureMatrix::new(),
             r_meta: r_meta.map(|pair| (pair[0], pair[1])).collect(),
-            cp_nodes: per_process(t.cp_nodes, n, "cp_nodes")?,
+            cp_nodes: Vec::new(),
             send_events,
             deliver_events,
             epoch: need(t.epoch, "epoch")?,
@@ -829,19 +963,35 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             // walks the table once and finds the cursor again.
             settled: 0,
         };
-        engine.check_core_tables(&drop_reach)?;
-        engine.rebuild_reach(&drop_reach);
+        if version < 4 {
+            engine.rmat = matrix_from_tables(t.rmat, "rmat")?;
+            engine.cp_nodes = per_process(t.cp_nodes, n, "cp_nodes")?;
+            let drop_reach = need(t.drop_reach, "drop_reach")?;
+            if engine.r_meta.len() != engine.rmat.nodes {
+                return Err(bad("`r_meta` length disagrees with `rmat` nodes"));
+            }
+            engine.check_core_tables()?;
+            engine.check_v3_tables(&drop_reach)?;
+            engine.rebuild_reach(&drop_reach);
+        } else {
+            engine.reach = need(t.reach, "reach")?.rows;
+            engine.check_core_tables()?;
+            engine.index_checkpoints()?;
+            engine.check_reach()?;
+            engine.rmat = engine.closure_from_reach();
+        }
         Ok(engine)
     }
 
-    /// `reach` of a restored engine, from the two halves the document
-    /// holds it in (both validated): `drop_reach` for the compacted-away
-    /// checkpoints and the transposed closure rows for the retained ones. Of each
-    /// process the retained checkpoints reaching a node are a prefix of
-    /// `cp_nodes[q]`, and along a process's own checkpoints that prefix only
-    /// grows (Rule 1: what reaches one reaches the next), so the join walks
-    /// each process's nodes oldest first with one cursor per lane: about two
-    /// bit tests per entry instead of a walk over every set bit.
+    /// `reach` of an engine restored from version 1–3, from the two halves
+    /// the document holds it in (both validated): `drop_reach` for the
+    /// compacted-away checkpoints and the transposed closure rows for the
+    /// retained ones. Of each process the retained checkpoints reaching a
+    /// node are a prefix of `cp_nodes[q]`, and along a process's own
+    /// checkpoints that prefix only grows (Rule 1: what reaches one reaches
+    /// the next), so the join walks each process's nodes oldest first with
+    /// one cursor per lane: about two bit tests per entry instead of a walk
+    /// over every set bit.
     fn rebuild_reach(&mut self, drop_reach: &[u32]) {
         let n = self.n;
         // `NONE_U32` wraps to 0: the table is stored one up.
@@ -867,22 +1017,50 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         }
     }
 
+    /// The closure of an engine restored from version 4, from its checked
+    /// `reach` rows: a retained `C_{q,i}` reaches `y` iff `i < reach[y][q]`.
+    /// Each backward row starts as a copy of its Rule 1 predecessor's, whose
+    /// lanes are at most its own, and gains the checkpoints of the lanes that
+    /// rose; the forward slab is its transpose.
+    fn closure_from_reach(&self) -> ClosureMatrix {
+        let (n, nodes) = (self.n, self.r_meta.len());
+        let width = bits::words_for(nodes).max(1).next_power_of_two();
+        let mut bwd = vec![0u64; nodes * width];
+        for own in &self.cp_nodes {
+            let mut before: Option<usize> = None;
+            for &y in own {
+                let y = y as usize;
+                if let Some(x) = before {
+                    bwd.copy_within(x * width..(x + 1) * width, y * width);
+                }
+                let row = &mut bwd[y * width..][..width];
+                let lanes = self.reach[y * n..][..n].iter().zip(&self.cp_nodes);
+                for (q, ((&reach, nodes), &base)) in lanes.zip(&self.cp_base).enumerate() {
+                    let rose_from = before.map_or(0, |x| self.reach[x * n + q]).max(base);
+                    for index in rose_from..reach {
+                        bits::set(row, nodes[(index - base) as usize] as usize);
+                    }
+                }
+                before = Some(y);
+            }
+        }
+        let fwd = transpose(&bwd, nodes, width);
+        ClosureMatrix::from_slabs(nodes, width, fwd, bwd)
+    }
+
     /// The cross-table invariants of the core that appends and queries
     /// index through, and the bounds on every counter an append increments
-    /// or the reach fold offsets by one.
-    fn check_core_tables(&self, drop_reach: &[u32]) -> Result<(), SnapshotError> {
-        let (n, nodes) = (self.n, self.rmat.nodes);
+    /// or the reach fold offsets by one, that every version shares.
+    fn check_core_tables(&self) -> Result<(), SnapshotError> {
+        let (n, nodes) = (self.n, self.r_meta.len());
+        if nodes > MAX_CLOSURE_NODES {
+            return Err(bad("`r_meta` holds more nodes than a closure can"));
+        }
         if self.cur_tdv.len() != n * n {
             return Err(bad("`cur_tdv` is not n×n"));
         }
-        if self.r_meta.len() != nodes {
-            return Err(bad("`r_meta` length disagrees with `rmat` nodes"));
-        }
         if self.cp_tdv.len() != nodes * n {
-            return Err(bad("`cp_tdv` length disagrees with `rmat` nodes"));
-        }
-        if !drop_reach.is_empty() && drop_reach.len() != nodes * n {
-            return Err(bad("`drop_reach` length disagrees with `rmat` nodes"));
+            return Err(bad("`cp_tdv` length disagrees with the `r_meta` nodes"));
         }
         // A checkpoint index is at most `NONE_U32 - 2`, where the append
         // path stops (`CheckpointIndexExhausted`): the index plus one sits
@@ -907,15 +1085,6 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
                 )));
             }
         }
-        let retained = |row: &[u32]| {
-            let kept = |(&d, &base): (&u32, &u32)| d != NONE_U32 && d >= base;
-            row.iter().zip(&self.cp_base).any(kept)
-        };
-        if drop_reach.chunks_exact(n).any(retained) {
-            return Err(bad(
-                "`drop_reach` entry names a checkpoint that was not dropped",
-            ));
-        }
         for (node, &(p, index)) in self.r_meta.iter().enumerate() {
             let Some(&count) = self.cp_count.get(p as usize) else {
                 return Err(bad(format!(
@@ -927,6 +1096,25 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
                     "`r_meta` node {node} is not a retained checkpoint of its process"
                 )));
             }
+        }
+        Ok(())
+    }
+
+    /// What versions 1–3 hold besides: `cp_nodes` names every retained
+    /// checkpoint, and `drop_reach` only compacted-away ones.
+    fn check_v3_tables(&self, drop_reach: &[u32]) -> Result<(), SnapshotError> {
+        let (n, nodes) = (self.n, self.rmat.nodes);
+        if !drop_reach.is_empty() && drop_reach.len() != nodes * n {
+            return Err(bad("`drop_reach` length disagrees with `rmat` nodes"));
+        }
+        let retained = |row: &[u32]| {
+            let kept = |(&d, &base): (&u32, &u32)| d != NONE_U32 && d >= base;
+            row.iter().zip(&self.cp_base).any(kept)
+        };
+        if drop_reach.chunks_exact(n).any(retained) {
+            return Err(bad(
+                "`drop_reach` entry names a checkpoint that was not dropped",
+            ));
         }
         for p in 0..n {
             let (base, count) = (self.cp_base[p], self.cp_count[p]);
@@ -941,17 +1129,95 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         }
         Ok(())
     }
+
+    /// `cp_nodes` of a version 4 document, from `r_meta`, which must list
+    /// each process's retained checkpoints `cp_base..=cp_count` in order.
+    fn index_checkpoints(&mut self) -> Result<(), SnapshotError> {
+        let mut cp_nodes = vec![Vec::new(); self.n];
+        for (node, &(p, index)) in self.r_meta.iter().enumerate() {
+            let own: &mut Vec<u32> = &mut cp_nodes[p as usize];
+            if u64::from(index) != u64::from(self.cp_base[p as usize]) + own.len() as u64 {
+                return Err(bad(format!(
+                    "`r_meta` node {node} is not the next retained checkpoint of its process"
+                )));
+            }
+            own.push(node as u32);
+        }
+        for (p, own) in cp_nodes.iter().enumerate() {
+            let (base, count) = (self.cp_base[p], self.cp_count[p]);
+            if base > count || own.len() as u64 != u64::from(count - base) + 1 {
+                return Err(bad(format!(
+                    "`r_meta` does not hold process {p}'s checkpoints cp_base..=cp_count"
+                )));
+            }
+        }
+        self.cp_nodes = cp_nodes;
+        Ok(())
+    }
+
+    /// The bounds `closure_from_reach` and the reach fold rely on: a row
+    /// per node, every entry at most one past its process's last
+    /// checkpoint, the node's own lane past its index (it reaches itself),
+    /// and no lane below the Rule 1 predecessor's.
+    fn check_reach(&self) -> Result<(), SnapshotError> {
+        let n = self.n;
+        if self.reach.len() != self.r_meta.len() * n {
+            return Err(bad("`reach` length disagrees with the `r_meta` nodes"));
+        }
+        let rows = self.reach.chunks_exact(n).zip(&self.r_meta).enumerate();
+        for (y, (row, &(p, index))) in rows {
+            if row
+                .iter()
+                .zip(&self.cp_count)
+                .any(|(&reach, &c)| reach > c + 1)
+            {
+                return Err(bad(format!(
+                    "`reach` row {y} names a checkpoint its process does not have"
+                )));
+            }
+            if row[p as usize] <= index {
+                return Err(bad(format!("`reach` row {y} does not reach its own node")));
+            }
+        }
+        for own in &self.cp_nodes {
+            for pair in own.windows(2) {
+                let [x, y] = [pair[0], pair[1]].map(|node| &self.reach[node as usize * n..][..n]);
+                if x.iter().zip(y).any(|(x, y)| x > y) {
+                    return Err(bad(format!(
+                        "`reach` row {} is below its Rule 1 predecessor's",
+                        pair[1]
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl IncrementalAnalysis<NoChains, NoJournal> {
-    /// [`write_snapshot`](IncrementalAnalysis::write_snapshot) through a
-    /// cache this engine keeps between renders: the same bytes, with the
-    /// rows of the write-once tables that `cache` already holds copied
-    /// rather than rendered, and those that can no longer change added to
-    /// it. Only on an engine without a journal, which cannot rewind (the
-    /// module documentation of `snapshot.rs` says why that matters).
-    pub fn write_snapshot_cached(&self, cache: &mut SnapshotCache, w: &mut JsonWriter<'_>) {
-        self.render_snapshot(cache, w);
+    /// Writes the engine whole (`on_disk` is `None`) or as a delta against
+    /// what `on_disk` — the marks the latest call returned — says a file
+    /// holds, and returns the marks of what it wrote. Against the marks of
+    /// any earlier call (the reach floor counts from the latest one), of
+    /// another epoch, or past a table's end, it writes whole. Only on an engine
+    /// without a journal, which cannot rewind (the module documentation of
+    /// `snapshot.rs` says why that matters).
+    pub fn write_snapshot_since(
+        &mut self,
+        on_disk: Option<&SnapshotMarks>,
+        w: &mut JsonWriter<'_>,
+    ) -> SnapshotMarks {
+        let marks = self.render_snapshot(on_disk, w);
+        // Every `reach` row is as that text has it.
+        self.reach_floor = usize::MAX;
+        self.marked_events = self.events;
+        marks
+    }
+
+    /// Whether anything of the engine changed since the render that returned
+    /// `on_disk`: an append, or a compaction that discarded state.
+    pub fn changed_since(&self, on_disk: &SnapshotMarks) -> bool {
+        self.events != on_disk.events || self.epoch != on_disk.epoch
     }
 }
 
@@ -961,11 +1227,48 @@ mod tests {
     use rdt_causality::ProcessId;
     use rdt_json::Json;
 
-    /// The engine's snapshot, parsed.
+    /// The engine's version 3 document, parsed: the version 4 one with
+    /// `reach` replaced by the tables version 3 held, as that writer wrote
+    /// them, for the tests of what a version 1–3 restore checks.
     fn doc(engine: &IncrementalAnalysis) -> Json {
         let mut text = Vec::new();
         engine.write_snapshot(&mut JsonWriter::new(&mut text));
-        Json::parse_bytes(&text).expect("the writer emits well-formed JSON")
+        let Json::Obj(fields) = Json::parse_bytes(&text).expect("well-formed JSON") else {
+            panic!("not an object");
+        };
+        let u32s =
+            |values: &[u32]| Json::Arr(values.iter().map(|&v| Json::U64(v.into())).collect());
+        let mut v3 = Vec::new();
+        for (key, value) in fields {
+            match key.as_str() {
+                "version" => v3.push((key, Json::U64(3))),
+                "reach" => {
+                    let mat = &engine.rmat;
+                    v3.push((
+                        "rmat".into(),
+                        Json::obj([
+                            ("nodes", Json::U64(mat.nodes as u64)),
+                            ("width", Json::U64(mat.width as u64)),
+                            (
+                                "fwd",
+                                Json::Arr(mat.fwd.iter().map(|&w| Json::U64(w)).collect()),
+                            ),
+                        ]),
+                    ));
+                }
+                "r_meta" => {
+                    v3.push((key, value));
+                    let nodes = engine.cp_nodes.iter().map(|own| u32s(own));
+                    v3.push(("cp_nodes".into(), Json::Arr(nodes.collect())));
+                }
+                "cp_base" => {
+                    v3.push((key, value));
+                    v3.push(("drop_reach".into(), Json::Arr(Vec::new())));
+                }
+                _ => v3.push((key, value)),
+            }
+        }
+        Json::Obj(v3)
     }
 
     /// `doc["rmat"]`, mutably.

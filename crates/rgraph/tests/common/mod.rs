@@ -1,15 +1,17 @@
-//! What the snapshot tests share: the engine's text, and **version 2's
-//! text rebuilt from it**.
+//! What the snapshot tests share: the engine's text, and **the texts of
+//! versions 3 and 2 rebuilt from it**.
 //!
-//! Version 3 dropped three kinds of table from the document because the
-//! others determine them. The pinned bytes of version 2 — two goldens and
-//! 54 digests, written by code that no longer exists — stay in force through
-//! [`v2_text`], which puts those tables back by their definition (the
-//! transpose bit by bit, the send index by a scan of `msgs`) and must
-//! reproduce the pinned bytes exactly. It is deliberately naive: it is the
-//! reference the engine's block transpose and index rebuild are held to,
-//! and the source of the version 2 documents the cross-version
-//! differentials restore.
+//! Versions 3 and 4 each dropped tables from the document because the
+//! others determine them. The pinned bytes of versions 3 and 2 — four
+//! goldens and 54 digests, written by code that no longer exists — stay in
+//! force through [`v3_text`], which puts back what version 4 replaced by
+//! `reach` (the closure bit by bit from the reach prefixes, `cp_nodes` by a
+//! scan of `r_meta`, `drop_reach` by its definition), and [`v2_text`], which
+//! puts back what version 3 dropped (the transpose bit by bit, the send
+//! index by a scan of `msgs`); each must reproduce the pinned bytes exactly.
+//! They are deliberately naive: they are the reference the engine's restore
+//! paths are held to, and the source of the older documents the
+//! cross-version differentials restore.
 //!
 //! One thing the document does not determine: the order in which deliveries
 //! *inside one interval* arrived, which version 2 wrote and no reader ever
@@ -91,6 +93,76 @@ fn with_bwd(matrix: &Json) -> Json {
         Json::Arr(bwd.into_iter().map(Json::U64).collect()),
     ));
     Json::Obj(fields)
+}
+
+/// The version 3 document of the engine whose version 4 text is `v4`.
+///
+/// A retained `x = C_{p,i}` reaches `y` iff `i < reach[y][p]` (Rule 1 makes
+/// the checkpoints of `p` reaching `y` a prefix); `cp_nodes[p]` lists the
+/// nodes of `p` in node order; `drop_reach[y][p]` is the greatest
+/// compacted-away index below `reach[y][p]` (`u32::MAX` = none), and the
+/// table is empty before the first compaction. The matrix is as wide as the
+/// engine keeps it: the least power of two of words that holds every node.
+pub fn v3_text(v4: &str) -> String {
+    let doc = Json::parse_bytes(v4.as_bytes()).expect("snapshot text parses");
+    let Json::Obj(fields) = &doc else {
+        panic!("a snapshot is an object");
+    };
+    let get = |key: &str| {
+        doc.get(key)
+            .unwrap_or_else(|| panic!("snapshot has `{key}`"))
+    };
+    let n = get("n").as_u64().expect("n") as usize;
+    let reach = u64s(get("reach"));
+    let r_meta: Vec<Vec<u64>> = get("r_meta")
+        .as_array()
+        .expect("r_meta")
+        .iter()
+        .map(u64s)
+        .collect();
+    let cp_base = u64s(get("cp_base"));
+    let nodes = r_meta.len();
+    let width = nodes.div_ceil(64).max(1).next_power_of_two();
+    let mut fwd = vec![0u64; nodes * width];
+    for (x, meta) in r_meta.iter().enumerate() {
+        let (p, i) = (meta[0] as usize, meta[1]);
+        for y in 0..nodes {
+            if i < reach[y * n + p] {
+                fwd[x * width + y / 64] |= 1 << (y % 64);
+            }
+        }
+    }
+    let rmat = Json::obj([
+        ("nodes", Json::U64(nodes as u64)),
+        ("width", Json::U64(width as u64)),
+        ("fwd", Json::Arr(fwd.into_iter().map(Json::U64).collect())),
+    ]);
+    let cp_nodes = (0..n).map(|p| {
+        let own = (0..nodes).filter(|&x| r_meta[x][0] as usize == p);
+        Json::Arr(own.map(|x| Json::U64(x as u64)).collect())
+    });
+    let cp_nodes = Json::Arr(cp_nodes.collect());
+    let mut drop_reach = Vec::new();
+    if get("epoch").as_u64() != Some(0) {
+        for (k, &reach) in reach.iter().enumerate() {
+            let dropped = reach.min(cp_base[k % n]).checked_sub(1);
+            drop_reach.push(Json::U64(dropped.unwrap_or(u64::from(u32::MAX))));
+        }
+    }
+    let mut out = Vec::new();
+    for (key, value) in fields {
+        match key.as_str() {
+            "version" => out.push((key.clone(), Json::U64(3))),
+            "reach" => out.push(("rmat".into(), rmat.clone())),
+            _ => out.push((key.clone(), value.clone())),
+        }
+        match key.as_str() {
+            "r_meta" => out.push(("cp_nodes".into(), cp_nodes.clone())),
+            "cp_base" => out.push(("drop_reach".into(), Json::Arr(drop_reach.clone()))),
+            _ => {}
+        }
+    }
+    Json::Obj(out).to_string()
 }
 
 /// The version 2 document of the engine whose version 3 text is `v3` and

@@ -1,5 +1,11 @@
-//! The written form of a snapshot, pinned — version 3 by its goldens, and
-//! version 2 by everything that was ever pinned of it.
+//! The written form of a snapshot, pinned — version 4 by its golden,
+//! versions 3 and 2 by everything that was ever pinned of them.
+//!
+//! `golden/snapshot_v4.json` was written once, by the first writer of
+//! version 4, from the same state as the goldens below; `common::v3_text`
+//! rebuilds the version 3 text from version 4's, by the definitions of what
+//! version 4 replaced with `reach`, and must reproduce the version 3 golden
+//! — and, through `common::v2_text`, every version 2 golden and digest.
 //!
 //! `golden/snapshot_v3.json` (the core engine) and
 //! `golden/snapshot_v3_chains.json` ([`FullAnalysis`], the same tables plus
@@ -49,7 +55,7 @@
 
 mod common;
 
-use common::{text, v2_text, Arrivals};
+use common::{text, v2_text, v3_text, Arrivals};
 use rdt_causality::{CheckpointId, ProcessId};
 use rdt_json::Json;
 use rdt_rgraph::{
@@ -61,6 +67,7 @@ const GOLDEN_V2_CORE: &str = include_str!("golden/snapshot_v2.json");
 const GOLDEN_V2_CHAINS: &str = include_str!("golden/snapshot_v2_chains.json");
 const GOLDEN_V3_CORE: &str = include_str!("golden/snapshot_v3.json");
 const GOLDEN_V3_CHAINS: &str = include_str!("golden/snapshot_v3_chains.json");
+const GOLDEN_V4_CORE: &str = include_str!("golden/snapshot_v4.json");
 const TRANSCRIPT_CORE: &str = include_str!("golden/restore_transcript_v2.txt");
 const TRANSCRIPT_CHAINS: &str = include_str!("golden/restore_transcript_v2_chains.txt");
 
@@ -283,11 +290,27 @@ fn run_script<J: Journal>(n: usize, seed: u64) -> u64 {
         }
         let parsed = Json::parse_bytes(written.as_bytes()).expect("snapshot text parses");
         assert_eq!(parsed.to_string(), written, "{what}: not canonical");
-        for key in ["bwd", "send_events", "deliver_events"] {
-            assert!(!written.contains(key), "{what}: version 3 carries `{key}`");
+        for key in [
+            "bwd",
+            "send_events",
+            "deliver_events",
+            "rmat",
+            "cp_nodes",
+            "drop_reach",
+        ] {
+            let quoted = format!("\"{key}\"");
+            assert!(
+                !written.contains(&quoted),
+                "{what}: version 4 carries `{key}`"
+            );
         }
-        let v2 = v2_text(&written, &arrivals);
-        twins = vec![restore(&v2, &what), restore(&written, &what)];
+        let v3 = v3_text(&written);
+        let v2 = v2_text(&v3, &arrivals);
+        twins = vec![
+            restore(&v2, &what),
+            restore(&v3, &what),
+            restore(&written, &what),
+        ];
         for twin in &twins {
             assert_eq!(text(twin), written, "{what}: re-write after restore");
         }
@@ -303,11 +326,13 @@ fn golden_documents_are_written_byte_for_byte() {
     for op in &golden_script(0) {
         apply_tracked(&mut core, &mut arrivals, op);
     }
-    assert_eq!(text(&core) + "\n", GOLDEN_V3_CORE);
-    assert_eq!(v2_text(&text(&core), &arrivals) + "\n", GOLDEN_V2_CORE);
+    assert_eq!(text(&core) + "\n", GOLDEN_V4_CORE);
+    let v3 = v3_text(&text(&core));
+    assert_eq!(v3.clone() + "\n", GOLDEN_V3_CORE);
+    assert_eq!(v2_text(&v3, &arrivals) + "\n", GOLDEN_V2_CORE);
 
     // The golden is the document its header says it is.
-    let doc = Json::parse_bytes(text(&core).as_bytes()).expect("snapshot text parses");
+    let doc = Json::parse_bytes(v3.as_bytes()).expect("snapshot text parses");
     let table = |key: &str| doc.get(key).map(Json::to_string).expect("core table");
     assert_eq!(table("version"), "3");
     assert_eq!(table("epoch"), "2");
@@ -415,7 +440,7 @@ fn goldens_restore_to_the_answers_the_tree_restore_gave() {
     assert_eq!(said, TRANSCRIPT_CHAINS, "the uninterrupted twin");
     assert!(stride.len() > 80 && core.compactions() == 4);
 
-    for golden in [GOLDEN_V2_CORE, GOLDEN_V3_CORE] {
+    for golden in [GOLDEN_V2_CORE, GOLDEN_V3_CORE, GOLDEN_V4_CORE] {
         let restored = restore::<NoJournal>(golden.trim_end(), "core golden");
         let (said, after) = transcript(restored, stride, |e| answers(e));
         assert_eq!(said, TRANSCRIPT_CORE);
@@ -528,7 +553,7 @@ fn compacted_stream_digest(n: usize, trailing: bool) -> u64 {
     for _ in 0..10 * n {
         apply_tracked(&mut engine, &mut arrivals, &stream.event());
     }
-    let first = v2_text(&text(&engine), &arrivals);
+    let first = v2_text(&v3_text(&text(&engine)), &arrivals);
     let doc = Json::parse_bytes(first.as_bytes()).expect("snapshot text parses");
     let dropped = doc
         .get("drop_reach")
@@ -546,7 +571,7 @@ fn compacted_stream_digest(n: usize, trailing: bool) -> u64 {
         apply(&mut twin, &op);
     }
     assert_eq!(text(&engine), text(&twin), "{what}: restored twin diverged");
-    let second = v2_text(&text(&twin), &arrivals);
+    let second = v2_text(&v3_text(&text(&twin)), &arrivals);
     assert_ne!(first, second);
     fnv1a(
         fnv1a(0xcbf2_9ce4_8422_2325, first.as_bytes()),

@@ -1,21 +1,25 @@
-//! The snapshot cache against the cold render: after every operation of
-//! seeded random sessions, `write_snapshot_cached` through one
-//! [`SnapshotCache`] kept for the whole session writes exactly the bytes
-//! `write_snapshot` writes with a fresh one.
+//! The appended file against the whole one: after every operation of seeded
+//! random sessions, the engine is written through
+//! `write_snapshot_since` against the [`SnapshotMarks`] of its last write —
+//! a delta, or whole where the marks describe nothing of it — and the
+//! session's "file", the last whole text with every delta since folded over
+//! it ([`SnapshotTables::fold`]), must restore to an engine whose whole text
+//! is exactly what `write_snapshot` writes of the live one.
 //!
-//! The sessions are what can leave a cache wrong: messages held in transit
+//! The sessions are what can leave a delta wrong: messages held in transit
 //! for hundreds of events (the `msgs` rows behind them are delivered and
-//! settle around them, and the cache has to stop at the first one),
-//! compactions that discard state (a new epoch: `tdv_row`s renumbered, the
-//! per-node tables closing ranks) and ones that do not (the same epoch, the
-//! cache kept), appends the engine refuses, and a restore mid-session that
-//! keeps the cache (a restored engine is the same tables at the same epoch).
-//! They run for `n` = 1 to 6, and in the shape of the daemon benchmark's
-//! `persist-unix` streams.
+//! settle around them, and a delta has to start at the first one), R-edges
+//! that raise old `reach` rows, compactions that discard state (a new epoch:
+//! `tdv_row`s renumbered, the per-node tables closing ranks) and ones that do
+//! not (the same epoch, the marks kept), appends the engine refuses, a
+//! restore mid-session (marks from before it describe another engine) and a
+//! stream closed and reopened under the same name (a fresh engine written
+//! whole over the old one's tables). They run for `n` = 1 to 6, and in the
+//! shape of the daemon benchmark's `persist-unix` streams.
 
 use rdt_causality::ProcessId;
-use rdt_json::JsonWriter;
-use rdt_rgraph::{IncrementalAnalysis, SnapshotCache};
+use rdt_json::{JsonReader, JsonWriter};
+use rdt_rgraph::{IncrementalAnalysis, SnapshotMarks, SnapshotTables};
 
 struct Rng(u64);
 
@@ -38,6 +42,8 @@ struct Tally {
     discarding_compactions: usize,
     no_op_compactions: usize,
     restores: usize,
+    reopens: usize,
+    deltas: usize,
     rejected_appends: usize,
     /// Messages delivered at least `HOLD_MIN` events after their send.
     long_in_transit: usize,
@@ -48,7 +54,10 @@ const HOLD_MIN: usize = 200;
 
 struct Session {
     engine: IncrementalAnalysis,
-    cache: SnapshotCache,
+    /// What the last write of the session said is on disk.
+    marks: Option<SnapshotMarks>,
+    /// The session's file: the last whole text, every delta since folded in.
+    file: Option<SnapshotTables>,
     rng: Rng,
     /// Most messages in flight at once, held ones not counted.
     window: usize,
@@ -63,7 +72,8 @@ impl Session {
     fn new(n: usize, window: usize, seed: u64) -> Self {
         Session {
             engine: IncrementalAnalysis::layered(n),
-            cache: SnapshotCache::default(),
+            marks: None,
+            file: None,
             rng: Rng(seed | 1),
             window,
             in_flight: Vec::new(),
@@ -79,11 +89,26 @@ impl Session {
         text
     }
 
-    /// The cached render is the cold render, byte for byte.
+    /// The file, with this write appended, restores to the live engine,
+    /// byte for byte.
     fn check(&mut self, what: &str) {
+        let mut text = Vec::new();
+        let w = &mut JsonWriter::new(&mut text);
+        self.marks = Some(self.engine.write_snapshot_since(self.marks.as_ref(), w));
+        let tables = <IncrementalAnalysis>::read_snapshot(&mut JsonReader::new(&text));
+        let tables = tables.expect("the writer's text reads");
+        match &mut self.file {
+            Some(file) if tables.is_delta() => {
+                file.fold(tables).expect("a delta folds over its file");
+                self.tally.deltas += 1;
+            }
+            _ => self.file = Some(tables),
+        }
+        let file = self.file.clone().expect("written");
+        let restored = <IncrementalAnalysis>::from_snapshot_tables(file);
+        let restored = restored.expect("the file restores");
         let mut cached = Vec::new();
-        let w = &mut JsonWriter::new(&mut cached);
-        self.engine.write_snapshot_cached(&mut self.cache, w);
+        restored.write_snapshot(&mut JsonWriter::new(&mut cached));
         let cold = self.cold();
         if cached != cold {
             let at = cached.iter().zip(&cold).position(|(a, b)| a != b);
@@ -95,7 +120,7 @@ impl Session {
                     .collect::<String>()
             };
             panic!(
-                "step {}, after {what}: the cached render differs from the cold one at byte {at}\n  cached: …{}\n  cold:   …{}",
+                "step {}, after {what}: the appended file differs from the whole one at byte {at}\n  appended: …{}\n  whole:    …{}",
                 self.step,
                 around(&cached),
                 around(&cold)
@@ -193,6 +218,16 @@ impl Session {
         self.tally.restores += 1;
     }
 
+    /// The stream closed and opened again under its name: a fresh engine,
+    /// of which nothing is on disk.
+    fn reopen(&mut self) {
+        self.engine = IncrementalAnalysis::layered(self.engine.num_processes());
+        self.marks = None;
+        self.in_flight.clear();
+        self.held.clear();
+        self.tally.reopens += 1;
+    }
+
     fn run(&mut self, steps: usize) -> &Tally {
         self.check("nothing");
         while self.step < steps {
@@ -206,6 +241,7 @@ impl Session {
                 1 | 2 => self.compact(),
                 3 => self.restore(),
                 4 => self.rejected(),
+                5 if self.rng.below(4) == 0 => self.reopen(),
                 _ => self.event(),
             }
             self.check("an op");
@@ -219,6 +255,8 @@ fn assert_covered(tally: &Tally, what: &str) {
         tally.discarding_compactions > 0
             && tally.no_op_compactions > 0
             && tally.restores > 0
+            && tally.reopens > 0
+            && tally.deltas > 0
             && tally.rejected_appends > 0
             && tally.long_in_transit > 0,
         "{what}: the session missed a case: {tally:?}"
@@ -233,6 +271,40 @@ fn cached_render_is_the_cold_render_on_the_core() {
             assert_covered(session.run(900), &format!("n = {n}, seed {seed:#x}"));
         }
     }
+}
+
+/// Marks from before the latest write describe a file the engine no longer
+/// tracks: the reach floor counts from the latest write, so a delta against
+/// older marks would leave out the `reach` rows an R-edge raised between the
+/// two. Against them the engine writes whole.
+#[test]
+fn marks_older_than_the_latest_write_write_whole() {
+    let mut session = Session::new(4, 8, 0x5eed_0028);
+    let write = |session: &mut Session, since: Option<&SnapshotMarks>| {
+        for _ in 0..60 {
+            session.event();
+        }
+        let mut text = Vec::new();
+        let marks = session
+            .engine
+            .write_snapshot_since(since, &mut JsonWriter::new(&mut text));
+        let tables = <IncrementalAnalysis>::read_snapshot(&mut JsonReader::new(&text));
+        (
+            marks,
+            text,
+            tables.expect("the writer's text reads").is_delta(),
+        )
+    };
+    let (stale, _, _) = write(&mut session, None);
+    let (latest, _, delta) = write(&mut session, Some(&stale));
+    assert!(delta, "against the latest marks the write is a delta");
+    let (_, text, delta) = write(&mut session, Some(&stale));
+    assert!(
+        !delta && text == session.cold(),
+        "stale marks: written whole"
+    );
+    let (_, _, delta) = write(&mut session, Some(&latest));
+    assert!(!delta, "marks older than the stale write's: written whole");
 }
 
 /// `persist-unix`'s streams: 8 processes, at most 16 messages in flight,

@@ -4,15 +4,16 @@
 //! answers after appending an identical suffix, and a byte-identical
 //! re-snapshot — including when the snapshot is taken *after* an epoch
 //! compaction, and **whichever version the document is**: the uninterrupted
-//! twin, the engine restored from its version 2 document (rebuilt by
-//! `common::v2_text`), the one restored from its version 3 document and the
-//! one restored from *that* one's document must be indistinguishable, with
-//! and without the undo journal. Corrupted snapshot documents must be
-//! rejected with a `SnapshotError`, never a panic.
+//! twin, the engines restored from its version 2 and version 3 documents
+//! (rebuilt by `common::v2_text` and `common::v3_text`), the one restored
+//! from its version 4 document and the one restored from *that* one's
+//! document must be indistinguishable, with and without the undo journal.
+//! Corrupted snapshot documents must be rejected with a `SnapshotError`,
+//! never a panic.
 
 mod common;
 
-use common::{text as snapshot_text, v2_text, Arrivals};
+use common::{text as snapshot_text, v2_text, v3_text, Arrivals};
 use proptest::prelude::*;
 use rdt_causality::{CheckpointId, ProcessId};
 use rdt_json::Json;
@@ -161,24 +162,27 @@ fn check_seed<J: Journal>(seed: u64, compact_midway: bool) {
     }
 
     // Through actual bytes, exactly like the daemon's persistence path.
-    let v3 = snapshot_text(&original);
+    let v4 = snapshot_text(&original);
+    let v3 = v3_text(&v4);
     let v2 = v2_text(&v3, &arrivals);
     assert!(v2.len() > v3.len() && v2.contains(r#""version":2"#));
-    let from_v3 = from_text::<J>(&v3);
-    let again = from_text::<J>(&snapshot_text(&from_v3));
+    assert!(v4.contains(r#""version":4"#) && v3.contains(r#""version":3"#));
+    let from_v4 = from_text::<J>(&v4);
+    let again = from_text::<J>(&snapshot_text(&from_v4));
     let mut engines = [
         (original, "uninterrupted"),
         (from_text(&v2), "from version 2"),
-        (from_v3, "from version 3"),
-        (again, "from version 3, twice"),
+        (from_text(&v3), "from version 3"),
+        (from_v4, "from version 4"),
+        (again, "from version 4, twice"),
     ];
-    let check = |engines: &[(IncrementalAnalysis<NoChains, J>, &str); 4], when: &str| {
-        let (reference, others) = engines.split_first().expect("four engines");
+    let check = |engines: &[(IncrementalAnalysis<NoChains, J>, &str); 5], when: &str| {
+        let (reference, others) = engines.split_first().expect("five engines");
         for (other, which) in others {
             assert_same_answers(&reference.0, other, &format!("{which}, {when}"));
         }
     };
-    let same_bytes = |engines: &[(IncrementalAnalysis<NoChains, J>, &str); 4], when: &str| {
+    let same_bytes = |engines: &[(IncrementalAnalysis<NoChains, J>, &str); 5], when: &str| {
         for (other, which) in &engines[1..] {
             let (ours, theirs) = (snapshot_text(&engines[0].0), snapshot_text(other));
             assert_eq!(ours, theirs, "{which}, {when}: snapshot bytes");
@@ -197,7 +201,7 @@ fn check_seed<J: Journal>(seed: u64, compact_midway: bool) {
             let mut stats = engines
                 .iter_mut()
                 .map(|(e, _)| e.compact_to_recovery_line());
-            let reference = stats.next().expect("four engines");
+            let reference = stats.next().expect("five engines");
             assert!(stats.all(|s| s == reference), "compaction stats");
         }
         check(&engines, "in the suffix");
@@ -266,20 +270,11 @@ fn corrupted_snapshots_error() {
         panic!("snapshot is an object");
     }
 
-    // Out-of-range node index in a per-process table.
-    let mut poisoned = doc.clone();
-    if let Json::Obj(pairs) = &mut poisoned {
-        for (key, value) in pairs.iter_mut() {
-            if key == "cp_nodes" {
-                *value = Json::Arr(vec![
-                    Json::Arr(vec![Json::U64(9999)]),
-                    Json::Arr(vec![Json::U64(1)]),
-                    Json::Arr(vec![Json::U64(2)]),
-                ]);
-            }
-        }
-    }
-    assert!(restore(&poisoned).is_err());
+    // Out-of-range process in a per-node table, and a node table that
+    // skips a retained checkpoint.
+    assert!(restore(&with_entry(&doc, "r_meta", &[0, 0], 9999)).is_err());
+    let err = restore(&with_entry(&doc, "r_meta", &[3, 1], 2)).expect_err("a skipped checkpoint");
+    assert!(err.message.contains("r_meta"), "{err}");
 }
 
 /// `doc[key][at[0]][at[1]]…` replaced by `value`.
@@ -302,7 +297,7 @@ fn with_entry(doc: &Json, key: &str, at: &[usize], value: u64) -> Json {
 /// next append that incremented it (a `cur_tdv` own entry of 4294967295:
 /// `attempt to add with overflow` on the process's next checkpoint in a
 /// debug build, an interval counter wrapped to 0 in a release build), and
-/// the reach fold offsets `cp_tdv` and `drop_reach` entries by one. Restore
+/// the reach fold offsets `cp_tdv` and `reach` entries by one. Restore
 /// bounds every such value by what the pattern can hold.
 #[test]
 fn counters_an_append_would_overflow_are_rejected() {
@@ -324,35 +319,67 @@ fn counters_an_append_would_overflow_are_rejected() {
     engine.append_send(ProcessId::new(0), ProcessId::new(1));
     let doc = snapshot_doc(&engine);
     assert!(restore(&doc).is_ok());
+    // Versions 1–3 hold `reach` split, its compacted-away half as `drop_reach`.
+    let v3 = Json::parse_bytes(v3_text(&snapshot_text(&engine)).as_bytes())
+        .expect("version 3 text parses");
+    let table = |key: &str| doc.get(key).and_then(Json::as_array).expect(key);
+    let meta = |node: usize| {
+        let row = table("r_meta")[node].as_array().expect("a row");
+        (
+            row[0].as_u64().expect("p") as usize,
+            row[1].as_u64().expect("i"),
+        )
+    };
+    let reach = |slot: usize| table("reach")[slot].as_u64().expect("an entry");
+    let top_of = |p: usize| u64::from(engine.last_checkpoint_index(ProcessId::new(p)));
+    // The newest node, and its Rule 1 predecessor.
+    let y = table("r_meta").len() - 1;
+    let (p, i) = meta(y);
+    let x = (0..y)
+        .rev()
+        .find(|&x| meta(x) == (p, i - 1))
+        .expect("a retained predecessor");
+    let q = (0..n)
+        .find(|&q| reach(y * n + q) <= top_of(q))
+        .expect("a lane short of the top");
 
     // Process 1's own entry of its running TDV; the first entry elsewhere.
     let own = n + 1;
+    let base = u64::from(engine.retained_from()[0]);
     let poisoned = [
-        ("cp_count", vec![1], TOP),
-        ("cp_count", vec![1], TOP - 1),
-        ("cur_tdv", vec![own], TOP),
-        ("msg_tdv", vec![0], TOP),
-        ("cp_tdv", vec![0], TOP),
-        ("r_meta", vec![0, 1], TOP),
+        (&doc, "cp_count", vec![1], TOP),
+        (&doc, "cp_count", vec![1], TOP - 1),
+        (&doc, "cur_tdv", vec![own], TOP),
+        (&doc, "msg_tdv", vec![0], TOP),
+        (&doc, "cp_tdv", vec![0], TOP),
+        (&doc, "r_meta", vec![0, 1], TOP),
+        // A node reaches no checkpoint past its process's last, and reaches
+        // itself; along Rule 1 reach only grows.
+        (&doc, "reach", vec![0], TOP - 1),
+        (&doc, "reach", vec![n * y], top_of(0) + 2),
+        (&doc, "reach", vec![n * y + p], i),
+        (&doc, "reach", vec![n * x + q], reach(y * n + q) + 1),
         // A retained checkpoint is no dropped one, whatever reaches it; a
         // dropped-reach entry stops below `cp_base`.
-        ("drop_reach", vec![0], u64::from(engine.retained_from()[0])),
-        ("drop_reach", vec![0], TOP - 1),
+        (&v3, "drop_reach", vec![0], base),
+        (&v3, "drop_reach", vec![0], TOP - 1),
     ];
-    for (key, at, value) in poisoned {
-        let err = restore(&with_entry(&doc, key, &at, value)).expect_err(key);
+    for (doc, key, at, value) in poisoned {
+        let err = restore(&with_entry(doc, key, &at, value)).expect_err(key);
         assert!(err.message.contains(key), "{key} := {value}: {err}");
     }
-    // What the bounds admit: `NONE` in `drop_reach`, the open interval in a
-    // TDV, the last dropped checkpoint.
-    let last = u64::from(engine.last_checkpoint_index(ProcessId::new(0)));
-    let below_base = u64::from(engine.retained_from()[0]) - 1;
-    for (key, at, value) in [
-        ("drop_reach", vec![0], TOP),
-        ("drop_reach", vec![0], below_base),
-        ("cp_tdv", vec![0], last + 1),
+    // What the bounds admit: the open interval in a TDV, a newest node
+    // reached from every checkpoint of another process, `NONE` in
+    // `drop_reach` and the last dropped checkpoint.
+    let last = top_of(0);
+    let other = (p + 1) % n;
+    for (doc, key, at, value) in [
+        (&doc, "cp_tdv", vec![0], last + 1),
+        (&doc, "reach", vec![n * y + other], top_of(other) + 1),
+        (&v3, "drop_reach", vec![0], TOP),
+        (&v3, "drop_reach", vec![0], base - 1),
     ] {
-        let restored = restore(&with_entry(&doc, key, &at, value));
+        let restored = restore(&with_entry(doc, key, &at, value));
         let mut restored = restored.unwrap_or_else(|e| panic!("{key} := {value}: {e}"));
         for p in 0..n {
             restored.append_checkpoint(ProcessId::new(p));
@@ -367,6 +394,7 @@ fn counters_an_append_would_overflow_are_rejected() {
         include_str!("golden/snapshot_v3.json"),
         include_str!("golden/snapshot_v2_chains.json"),
         include_str!("golden/snapshot_v3_chains.json"),
+        include_str!("golden/snapshot_v4.json"),
     ] {
         <IncrementalAnalysis>::from_snapshot_text(golden.as_bytes()).expect("golden restores");
     }
@@ -385,6 +413,7 @@ fn derived_tables_are_not_trusted_and_known_keys_come_once() {
     }
     let text = snapshot_text(&engine);
     let doc = Json::parse_bytes(text.as_bytes()).expect("snapshot text parses");
+    let v3 = Json::parse_bytes(v3_text(&text).as_bytes()).expect("version 3 text parses");
     let Json::Obj(fields) = &doc else {
         panic!("snapshot is an object");
     };
@@ -404,7 +433,7 @@ fn derived_tables_are_not_trusted_and_known_keys_come_once() {
         n
     ]);
     for version in [2, 3] {
-        let mut labelled = with_entry(&doc, "version", &[], version);
+        let mut labelled = with_entry(&v3, "version", &[], version);
         for key in ["send_events", "deliver_events"] {
             let Json::Obj(fields) = &mut labelled else {
                 unreachable!()

@@ -183,17 +183,23 @@ fn v1_golden_restores_to_the_answers_the_tree_restore_gave() {
 }
 
 #[test]
-fn v1_golden_resnapshots_as_v3_without_chain_tables() {
+fn v1_golden_resnapshots_as_v4_without_chain_tables() {
     let restored = restore(&golden()).expect("v1 restores");
     let doc = Json::parse_bytes(text(&restored).as_bytes()).expect("snapshot text parses");
     assert_eq!(doc.get("version"), Some(&Json::U64(SNAPSHOT_VERSION)));
-    assert_eq!(SNAPSHOT_VERSION, 3);
-    let derived = ["send_events", "deliver_events"];
+    assert_eq!(SNAPSHOT_VERSION, 4);
+    let derived = [
+        "send_events",
+        "deliver_events",
+        "rmat",
+        "cp_nodes",
+        "drop_reach",
+    ];
     for key in CHAIN_KEYS.iter().chain(&["chains"]).chain(&derived) {
         assert!(golden().get(key).is_some() || *key == "chains");
-        assert!(doc.get(key).is_none(), "v3 core snapshot carries `{key}`");
+        assert!(doc.get(key).is_none(), "v4 core snapshot carries `{key}`");
     }
-    assert!(doc.get("rmat").is_some_and(|m| m.get("bwd").is_none()));
+    assert!(doc.get("reach").is_some());
     let Some(Json::Arr(msgs)) = doc.get("msgs") else {
         panic!("msgs is an array");
     };
@@ -214,13 +220,13 @@ fn v1_golden_resnapshots_as_v3_without_chain_tables() {
         text(&restored).replace(carried, r#""reclaimed_rows":18"#),
         text(&fresh)
     );
-    let again = restore(&doc).expect("v3 restores");
+    let again = restore(&doc).expect("v4 restores");
     assert_eq!(text(&again), doc.to_string());
 }
 
 #[test]
 fn other_versions_are_unsupported() {
-    for found in [0u64, 4, u64::MAX] {
+    for found in [0u64, 5, u64::MAX] {
         let doc = with_field(&golden(), "version", Json::U64(found));
         let err = restore(&doc).unwrap_err();
         assert_eq!(err.kind, SnapshotErrorKind::UnsupportedVersion { found });

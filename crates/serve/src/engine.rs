@@ -12,7 +12,7 @@
 
 use rdt_causality::{CheckpointId, ProcessId};
 use rdt_json::{Json, JsonError, JsonReader, JsonWriter};
-use rdt_rgraph::{IncrementalAnalysis, SnapshotCache, SnapshotTables};
+use rdt_rgraph::{IncrementalAnalysis, SnapshotMarks, SnapshotTables};
 
 use crate::protocol::{
     admin, ErrorKind, EventKind, QueryKind, Reply, ServeError, MAX_NAME_BYTES, MAX_PROCESSES,
@@ -32,6 +32,34 @@ pub struct StreamTables {
     engine: Option<SnapshotTables>,
 }
 
+impl StreamTables {
+    /// The name the entry gives, if any.
+    pub(crate) fn name(&self) -> Option<&str> {
+        self.name.as_deref()
+    }
+
+    /// Whether the entry is a delta: its engine's tables extend the ones
+    /// an earlier entry of the stream holds ([`SnapshotTables::is_delta`]).
+    pub(crate) fn is_delta(&self) -> bool {
+        self.engine.as_ref().is_some_and(SnapshotTables::is_delta)
+    }
+
+    /// Lays a delta entry of this stream over this one: its crash counter
+    /// replaces this one's, its engine tables are folded over these.
+    pub(crate) fn fold(&mut self, delta: StreamTables) -> Result<(), ServeError> {
+        let name = self.name.as_deref().unwrap_or("?");
+        let stream_err = |e: rdt_rgraph::SnapshotError| admin(format!("stream `{name}`: {e}"));
+        match (self.engine.as_mut(), delta.engine) {
+            (Some(base), Some(engine)) => base.fold(engine).map_err(stream_err)?,
+            _ => return Err(admin(format!("stream `{name}`: a delta with no base"))),
+        }
+        if delta.crashes.is_some() {
+            self.crashes = delta.crashes;
+        }
+        Ok(())
+    }
+}
+
 /// A snapshot that is not the JSON its reader expects, as an `admin` error.
 pub(crate) fn unreadable(e: JsonError) -> ServeError {
     admin(format!("reading snapshot: {e}"))
@@ -48,19 +76,21 @@ pub(crate) fn once<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), S
 }
 
 /// Writes one entry of the daemon snapshot document: the stream's metadata,
-/// then the engine's own document as `engine` writes it.
-fn write_entry(
+/// then the engine's own document as `engine` writes it; returns what
+/// `engine` does.
+fn write_entry<T>(
     name: &str,
     crashes: u64,
     w: &mut JsonWriter<'_>,
-    engine: impl FnOnce(&mut JsonWriter<'_>),
-) {
+    engine: impl FnOnce(&mut JsonWriter<'_>) -> T,
+) -> T {
     w.begin_object();
     w.key("format").str(STREAM_SNAPSHOT_FORMAT);
     w.key("name").str(name);
     w.key("crashes").u64(crashes);
-    engine(w.key("engine"));
+    let written = engine(w.key("engine"));
     w.end_object();
+    written
 }
 
 /// One tenant stream.
@@ -70,9 +100,17 @@ pub struct StreamEngine {
     /// Crash events observed (crashes are markers: they report the
     /// recovery line but do not mutate the pattern).
     crashes: u64,
-    /// The text of the engine's write-once snapshot tables, kept from one
-    /// persist to the next; empty until the first.
-    cache: SnapshotCache,
+    /// What the last persist that wrote this stream wrote of it; `None`
+    /// until the first (one pointer: the stripes hold thousands of streams
+    /// inline).
+    on_disk: Option<Box<OnDisk>>,
+}
+
+/// What of a stream a persist wrote.
+#[derive(Debug)]
+struct OnDisk {
+    marks: SnapshotMarks,
+    crashes: u64,
 }
 
 impl StreamEngine {
@@ -82,7 +120,7 @@ impl StreamEngine {
         StreamEngine {
             engine: IncrementalAnalysis::new(processes),
             crashes: 0,
-            cache: SnapshotCache::default(),
+            on_disk: None,
         }
     }
 
@@ -191,25 +229,37 @@ impl StreamEngine {
         [stats.dropped_nodes() as u64, self.engine.compaction_epoch()]
     }
 
-    /// Writes the stream (metadata, then the engine's own document) as one
-    /// entry of the daemon snapshot document, straight from the tables and
-    /// through the stream's snapshot cache: what changed since the last
-    /// persist is rendered, the rest of the write-once tables is copied.
-    pub fn write_stream_snapshot(&mut self, name: &str, w: &mut JsonWriter<'_>) {
-        let (engine, cache) = (&self.engine, &mut self.cache);
-        write_entry(name, self.crashes, w, |w| {
-            engine.write_snapshot_cached(cache, w)
+    /// Writes the stream (metadata, then the engine's own document) whole,
+    /// as one entry of the daemon snapshot document, straight from the
+    /// tables. What the stream's persists wrote is neither read nor changed.
+    pub fn write_stream_snapshot(&self, name: &str, w: &mut JsonWriter<'_>) {
+        write_entry(name, self.crashes, w, |w| self.engine.write_snapshot(w));
+    }
+
+    /// Writes the stream's entry of a persist: whole when `whole` or when
+    /// no persist wrote the stream before, otherwise as a delta against what
+    /// the last one wrote ([`IncrementalAnalysis::write_snapshot_since`]) —
+    /// and nothing at all when nothing changed since. The marks of what it
+    /// writes are kept for the next persist, which writes a delta only if
+    /// this one reached the file.
+    pub fn write_persist_entry(&mut self, name: &str, whole: bool, w: &mut JsonWriter<'_>) {
+        let (engine, crashes) = (&mut self.engine, self.crashes);
+        let since = self.on_disk.as_deref().filter(|_| !whole);
+        if since.is_some_and(|d| !engine.changed_since(&d.marks) && d.crashes == crashes) {
+            return;
+        }
+        let marks = write_entry(name, crashes, w, |w| {
+            engine.write_snapshot_since(since.map(|d| &d.marks), w)
         });
+        self.on_disk = Some(Box::new(OnDisk { marks, crashes }));
     }
 
     /// The stream's entry as a [`Json`] tree: the parsed form of what
     /// [`write_stream_snapshot`](StreamEngine::write_stream_snapshot)
-    /// writes, rendered without the cache. The daemon does not call it.
+    /// writes. The daemon does not call it.
     pub fn stream_snapshot(&self, name: &str) -> Json {
         let mut text = Vec::new();
-        write_entry(name, self.crashes, &mut JsonWriter::new(&mut text), |w| {
-            self.engine.write_snapshot(w)
-        });
+        self.write_stream_snapshot(name, &mut JsonWriter::new(&mut text));
         Json::parse_bytes(&text).expect("the writer emits well-formed JSON")
     }
 
@@ -217,7 +267,7 @@ impl StreamEngine {
     /// snapshot document into its typed tables: the lexical half of a
     /// restore, keys in any order, unknown keys skipped. Total: malformed
     /// text, an entry of another format and an engine document of a version
-    /// other than 1 to 3 are [`ErrorKind::Admin`] errors.
+    /// other than 1 to 4 are [`ErrorKind::Admin`] errors.
     pub fn read_stream_snapshot(r: &mut JsonReader<'_>) -> Result<StreamTables, ServeError> {
         let not_ours = || admin("stream entry is not an rdt-serve stream");
         if r.peek().map_err(unreadable)? != b'{' {
@@ -277,7 +327,7 @@ impl StreamEngine {
         let stream = StreamEngine {
             engine,
             crashes,
-            cache: SnapshotCache::default(),
+            on_disk: None,
         };
         Ok((name, stream))
     }

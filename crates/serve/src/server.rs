@@ -21,20 +21,37 @@
 //! Persistence: with `--snapshot PATH`, the daemon restores the snapshot
 //! at startup (if present; the file's bytes go straight to
 //! [`PoolHandle::restore_text`], which reads engine snapshot versions 1 to
-//! 3), persists on the `snapshot` op, and persists again on `shutdown`
-//! (version 3, always). A persist writes the document's text straight from
-//! the engines' tables and their snapshot caches
-//! ([`PoolHandle::write_snapshot_document`]) into one buffer, then into a
-//! temp file that it renames over `PATH`. Persists are serialised by one
-//! mutex held from the first byte written to the rename: every connection
-//! thread goes through the same temp file, and two of them at once would
-//! truncate and rename it from under each other. The mutex also holds that
-//! buffer, kept from one persist to the next, so a persist allocates no
-//! document. With that, a reader of `PATH` — or a crash at any point — sees
-//! a complete earlier snapshot or a complete later one; a write or rename
-//! that fails removes the temp file and is an `admin` error.
+//! 4), persists on the `snapshot` op, and persists again on `shutdown`.
+//!
+//! The file is a log: one whole daemon document (envelope version 2, engine
+//! version 4), then records appended to it, each one persist's worth of
+//! what changed ([`PoolHandle::write_persist`]: the live stream names and
+//! an entry per changed stream, length-prefixed and FNV-1a-checksummed).
+//! Three fixed rules decide what a persist writes:
+//!
+//! * the first persist of the daemon's life writes the file whole;
+//! * so does a persist whose record would take the file past twice the
+//!   size of its document;
+//! * every other persist appends one record through a handle kept open
+//!   onto the file.
+//!
+//! A whole write renders into one buffer, then into a temp file that it
+//! renames over `PATH`, and reopens the handle onto the new file. A failed
+//! append truncates the file back to its last good length (best effort),
+//! and any failure — a render, an append, a write or a rename — makes the
+//! next persist write whole: a record is only correct on the file the
+//! previous persist reached. Persists are serialised by one mutex, held from
+//! the first byte rendered to the last written, that holds the buffer (so a
+//! persist allocates no document) and the handle: every connection thread
+//! goes through the same temp file and the same handle, and two of them at
+//! once would tear both. With that, a reader of `PATH` — or a crash at any
+//! point — sees a complete document and a run of complete records, perhaps
+//! followed by a torn one, which restore ignores: it lands on the last
+//! complete persist. A write or rename that fails removes the temp file and
+//! is an `admin` error; a temp file a killed daemon left behind is removed
+//! at startup.
 
-use std::fs;
+use std::fs::{self, File};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -127,13 +144,31 @@ enum Poke {
 struct Shared {
     handle: PoolHandle,
     snapshot_path: Option<PathBuf>,
-    /// The buffer a persist renders the document into, reused from one
-    /// persist to the next; held by the one thread that is persisting, from
-    /// serialisation to rename. Lock order: this, then a stripe; no stripe
-    /// holder takes it.
-    persist: Mutex<Vec<u8>>,
+    /// Held by the one thread that is persisting, from the first byte
+    /// rendered to the last written. Lock order: this, then a stripe; no
+    /// stripe holder takes it.
+    persist: Mutex<Persist>,
     shutdown: AtomicBool,
     poke: Poke,
+}
+
+/// What persists keep from one to the next.
+#[derive(Default)]
+struct Persist {
+    /// The buffer a persist renders into.
+    text: Vec<u8>,
+    /// The snapshot file as the last persist left it, open for appending;
+    /// `None` before the first persist and after a failed one, when the
+    /// next persist writes the file whole.
+    log: Option<Log>,
+}
+
+struct Log {
+    file: File,
+    /// Bytes of the whole document at the head of the file.
+    base: u64,
+    /// Bytes of the file: the document and every record appended since.
+    len: u64,
 }
 
 impl Shared {
@@ -145,15 +180,20 @@ impl Shared {
     }
 }
 
+/// The temp file a whole write goes through: `PATH.tmp`.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
+}
+
 /// Writes `text` to `path` through a temp file in the same directory and a
 /// rename. Callers hold the persist lock: the temp file's name is fixed.
 /// When either step fails the temp file is removed (best effort) before the
 /// error is returned: after a full disk it is a torn file occupying the
 /// space that just ran out.
 fn write_snapshot_file(path: &Path, text: &[u8]) -> Result<(), ServeError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
+    let tmp = temp_path(path);
     let published = fs::write(&tmp, text)
         .map_err(|e| admin(format!("writing snapshot: {e}")))
         .and_then(|()| {
@@ -173,15 +213,38 @@ fn persist_snapshot(shared: &Shared) -> Result<usize, ServeError> {
         .as_deref()
         .ok_or_else(|| admin("daemon has no snapshot path configured"))?;
     // A persist that panicked left at most part of a document in the
-    // buffer, which is cleared before it is used again.
-    let mut text = shared
+    // buffer, which is cleared before it is used again, and wrote whole
+    // next: it took the handle before rendering.
+    let mut persist = shared
         .persist
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
+    let Persist { text, log } = &mut *persist;
+    if let Some(mut open) = log.take() {
+        text.clear();
+        let count = shared.handle.write_persist(text, false)?;
+        if open.len + text.len() as u64 <= 2 * open.base {
+            if let Err(e) = open.file.write_all(text) {
+                let _ = open.file.set_len(open.len);
+                return Err(admin(format!("appending to snapshot: {e}")));
+            }
+            open.len += text.len() as u64;
+            *log = Some(open);
+            return Ok(count);
+        }
+    }
     text.clear();
-    let count = shared.handle.write_snapshot_document(&mut text)?;
+    let count = shared.handle.write_persist(text, true)?;
     text.push(b'\n');
-    write_snapshot_file(path, &text)?;
+    write_snapshot_file(path, text)?;
+    let len = text.len() as u64;
+    // Without the handle the next persist writes whole again.
+    let file = fs::OpenOptions::new().append(true).open(path);
+    *log = file.ok().map(|file| Log {
+        file,
+        base: len,
+        len,
+    });
     Ok(count)
 }
 
@@ -284,6 +347,9 @@ impl Server {
 
         let mut restored = 0usize;
         if let Some(path) = &config.snapshot_path {
+            // A temp file is only ever a whole write in progress: one a
+            // killed daemon left behind holds up to a document of disk.
+            let _ = fs::remove_file(temp_path(path));
             if path.exists() {
                 let bytes = fs::read(path).map_err(|e| admin(format!("reading snapshot: {e}")))?;
                 restored = handle.restore_text(&bytes, pool.workers())?;
@@ -316,7 +382,7 @@ impl Server {
             shared: Arc::new(Shared {
                 handle,
                 snapshot_path: config.snapshot_path,
-                persist: Mutex::new(Vec::new()),
+                persist: Mutex::new(Persist::default()),
                 shutdown: AtomicBool::new(false),
                 poke,
             }),

@@ -12,7 +12,7 @@
 //! byte-identical per-stream replies. A long request (a compaction) delays
 //! only requests of the same stripe; a snapshot holds one stripe's lock
 //! for one stream at a time, for as long as rendering that stream takes —
-//! with its snapshot cache hot, what changed in it since the last persist.
+//! after the first persist, what changed in it since the last one.
 //!
 //! A stripe has one door, `run_op`: every stream-scoped op runs through it
 //! and comes back as a typed [`Reply`] or a [`ServeError`].
@@ -25,14 +25,18 @@
 //! and [`handle_request`] take a parsed request to the same door and
 //! return the parsed form of the same text.
 //!
-//! Snapshot restore ([`PoolHandle::restore_text`]) reads the file's bytes
-//! in one sequential pass — no `Json` tree — and reuses the deterministic
-//! work-stealing pool ([`rdt_sim::parallel_map_indexed`]) to validate and
-//! build many engines in parallel: results come back in item order, so the
-//! restored daemon is identical for any `--workers` count there too, and
-//! nothing is installed unless everything built.
+//! A persist renders either the whole daemon document or one record of what
+//! changed since the last persist ([`PoolHandle::write_persist`]; the
+//! server decides which and appends the record to the file). Snapshot
+//! restore ([`PoolHandle::restore_text`]) reads the file's bytes in one
+//! sequential pass — no `Json` tree — folds the records into the
+//! document's tables, and reuses the deterministic work-stealing pool
+//! ([`rdt_sim::parallel_map_indexed`]) to validate and build many engines in
+//! parallel: results come back in item order, so the restored daemon is
+//! identical for any `--workers` count there too, and nothing is installed
+//! unless everything built.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -48,11 +52,18 @@ use crate::protocol::{
 /// Daemon snapshot format marker.
 pub const POOL_SNAPSHOT_FORMAT: &str = "rdt-serve-snapshot";
 
-/// Daemon snapshot format version.
-pub const POOL_SNAPSHOT_VERSION: u64 = 1;
+/// Daemon snapshot format version: 2 since the file became a document
+/// followed by records. Version 1 documents (engine versions 1 to 3, no
+/// records) still restore.
+pub const POOL_SNAPSHOT_VERSION: u64 = 2;
+
+/// Bytes of a record's header: `@`, the body's length in ten decimal
+/// digits, a space, the body's FNV-1a 64 in sixteen hex digits, `\n`.
+const RECORD_HEADER: usize = 29;
 
 /// FNV-1a 64-bit — stable across platforms, so shard assignment (and
-/// with it any shard-local observable) is reproducible everywhere.
+/// with it any shard-local observable) is reproducible everywhere, and
+/// every record of the snapshot file is checksummed with it.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -129,8 +140,9 @@ fn not_running() -> ServeError {
 }
 
 /// The lexical half of a restore: the envelope and every stream entry of a
-/// daemon snapshot document, read in sequence into typed tables.
-fn read_document(text: &[u8]) -> Result<Vec<StreamTables>, ServeError> {
+/// daemon snapshot document, read in sequence into typed tables; returns
+/// them and where the document ends.
+fn read_document(text: &[u8]) -> Result<(Vec<StreamTables>, usize), ServeError> {
     let mut r = JsonReader::new(text);
     if r.peek().map_err(unreadable)? != b'{' {
         return Err(admin("not an rdt-serve snapshot"));
@@ -141,28 +153,158 @@ fn read_document(text: &[u8]) -> Result<Vec<StreamTables>, ServeError> {
         match key.as_str() {
             "format" => once(&mut format, &key, r.str().map_err(unreadable)?)?,
             "version" => once(&mut version, &key, r.u64().map_err(unreadable)?)?,
-            "streams" => {
-                let mut list = Vec::new();
+            "streams" => once(&mut entries, &key, read_entries(&mut r)?)?,
+            _ => r.skip_value().map_err(unreadable)?,
+        }
+    }
+    if format.as_deref() != Some(POOL_SNAPSHOT_FORMAT) {
+        return Err(admin("not an rdt-serve snapshot"));
+    }
+    if !version.is_some_and(|v| (1..=POOL_SNAPSHOT_VERSION).contains(&v)) {
+        return Err(admin("unsupported snapshot version"));
+    }
+    let entries = entries.ok_or_else(|| admin("missing `streams` array"))?;
+    Ok((entries, r.offset()))
+}
+
+/// A `streams` array: stream entries, at most [`MAX_STREAMS`] of them.
+fn read_entries(r: &mut JsonReader<'_>) -> Result<Vec<StreamTables>, ServeError> {
+    let mut list = Vec::new();
+    r.begin_array().map_err(unreadable)?;
+    while r.next_item().map_err(unreadable)? {
+        if list.len() == MAX_STREAMS {
+            return Err(admin("snapshot exceeds the stream limit"));
+        }
+        list.push(StreamEngine::read_stream_snapshot(r)?);
+    }
+    Ok(list)
+}
+
+/// One record's body: the entries of the streams that changed and the
+/// names of every stream live at the persist.
+fn read_record(body: &[u8]) -> Result<(Vec<StreamTables>, Vec<String>), ServeError> {
+    let mut r = JsonReader::new(body);
+    let (mut entries, mut live) = (None, None);
+    r.begin_object().map_err(unreadable)?;
+    while let Some(key) = r.next_key().map_err(unreadable)? {
+        match key.as_str() {
+            "streams" => once(&mut entries, &key, read_entries(&mut r)?)?,
+            "live" => {
+                let mut names = Vec::new();
                 r.begin_array().map_err(unreadable)?;
                 while r.next_item().map_err(unreadable)? {
-                    if list.len() == MAX_STREAMS {
+                    if names.len() == MAX_STREAMS {
                         return Err(admin("snapshot exceeds the stream limit"));
                     }
-                    list.push(StreamEngine::read_stream_snapshot(&mut r)?);
+                    names.push(r.str().map_err(unreadable)?);
                 }
-                once(&mut entries, &key, list)?;
+                once(&mut live, &key, names)?;
             }
             _ => r.skip_value().map_err(unreadable)?,
         }
     }
     r.end().map_err(unreadable)?;
-    if format.as_deref() != Some(POOL_SNAPSHOT_FORMAT) {
-        return Err(admin("not an rdt-serve snapshot"));
+    let entries = entries.ok_or_else(|| admin("record has no `streams` array"))?;
+    Ok((
+        entries,
+        live.ok_or_else(|| admin("record has no `live` array"))?,
+    ))
+}
+
+/// The next record of `log` — its body and the bytes after it — or `None`
+/// where the log ends or its next record is torn: a header that is not
+/// one, a body shorter than its header says, or a checksum that does not
+/// match. A crash mid-append leaves such a tail, and nothing after it is
+/// trusted.
+fn next_record(log: &[u8]) -> Option<(&[u8], &[u8])> {
+    let header = log.get(..RECORD_HEADER)?;
+    // Only the spelling the writer uses: an upper-case hex digit is the
+    // same number, but not the same bytes.
+    let digits = |field: &[u8], radix| {
+        let valid = field
+            .iter()
+            .all(|&b| b.is_ascii_digit() || (radix == 16 && (b'a'..=b'f').contains(&b)));
+        let field = std::str::from_utf8(field).ok().filter(|_| valid)?;
+        u64::from_str_radix(field, radix).ok()
+    };
+    let framed = header[0] == b'@' && header[11] == b' ' && header[28] == b'\n';
+    let len = usize::try_from(digits(&header[1..11], 10)?).ok()?;
+    let sum = digits(&header[12..28], 16)?;
+    let (body, rest) = log[RECORD_HEADER..].split_at_checked(len)?;
+    (framed && fnv1a(body) == sum).then_some((body, rest))
+}
+
+/// The record fold of a restore: the entries of the document, with every
+/// complete record after it laid over them in order — a whole entry
+/// replaces its stream's, a delta entry is folded into it, and the streams a
+/// record does not list as live are dropped. It stops at the first torn
+/// record. A record that is intact but names a stream twice, lists one it
+/// holds no state of, holds an entry it does not list or a delta with no
+/// base refuses the whole file.
+fn fold_records(
+    entries: Vec<StreamTables>,
+    mut log: &[u8],
+) -> Result<Vec<StreamTables>, ServeError> {
+    if next_record(log).is_none() {
+        return Ok(entries);
     }
-    if version != Some(POOL_SNAPSHOT_VERSION) {
-        return Err(admin("unsupported snapshot version"));
+    let mut streams = BTreeMap::new();
+    for entry in entries {
+        let name = entry
+            .name()
+            .ok_or_else(|| admin("stream entry has no name"))?
+            .to_string();
+        if streams.insert(name.clone(), entry).is_some() {
+            return Err(admin(format!("snapshot names stream `{name}` twice")));
+        }
     }
-    entries.ok_or_else(|| admin("missing `streams` array"))
+    while let Some((body, rest)) = next_record(log) {
+        let (entries, live) = read_record(body)?;
+        let live: BTreeSet<String> = live.into_iter().collect();
+        let mut seen = BTreeSet::new();
+        for entry in entries {
+            let name = entry
+                .name()
+                .ok_or_else(|| admin("stream entry has no name"))?
+                .to_string();
+            if !live.contains(&name) {
+                return Err(admin(format!(
+                    "record holds stream `{name}` but does not list it"
+                )));
+            }
+            if !seen.insert(name.clone()) {
+                return Err(admin(format!("record names stream `{name}` twice")));
+            }
+            match streams.get_mut(&name) {
+                Some(base) if entry.is_delta() => base.fold(entry)?,
+                None if entry.is_delta() => {
+                    return Err(admin(format!("stream `{name}`: a delta with no base")))
+                }
+                _ => {
+                    streams.insert(name, entry);
+                }
+            }
+        }
+        if let Some(name) = live.iter().find(|name| !streams.contains_key(*name)) {
+            return Err(admin(format!(
+                "record lists stream `{name}`, of which there is no state"
+            )));
+        }
+        streams.retain(|name, _| live.contains(name));
+        log = rest;
+    }
+    Ok(streams.into_values().collect())
+}
+
+/// What a render writes of each stream.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Render {
+    /// The whole document, leaving what persists wrote untouched.
+    Document,
+    /// The whole document, as a persist.
+    Whole,
+    /// A record of what changed since the last persist.
+    Record,
 }
 
 /// A cloneable handle to the pool: what connection threads submit
@@ -260,36 +402,73 @@ impl PoolHandle {
     /// Appends the daemon snapshot document to `out` and returns the number
     /// of streams in it: every stream of every stripe, sorted by name so the
     /// document is identical for any worker count. On an error `out` may
-    /// hold part of a document.
-    ///
-    /// The names are collected stripe by stripe, then each stream is
-    /// rendered — through its own snapshot cache — straight into `out`, in
-    /// name order, under its stripe's lock, taken for that one stream. A
-    /// stream closed in between is not in the document; one opened in
-    /// between is in the next.
+    /// hold part of a document. What the daemon's persists wrote is neither
+    /// read nor changed: this is the whole document a persist would write.
     pub fn write_snapshot_document(&self, out: &mut Vec<u8>) -> Result<usize, ServeError> {
+        self.render(out, Render::Document)
+    }
+
+    /// Appends what a persist writes to `out` and returns the number of
+    /// streams live in it: the whole daemon document when `whole`, otherwise
+    /// one framed record — a header giving the body's length and FNV-1a 64,
+    /// then a body listing the live streams' names and holding an entry for
+    /// each stream that changed since the last persist, whole if that
+    /// persist did not write it and a delta if it did. The marks of what is
+    /// written are kept per stream; a record is only correct on a file the
+    /// previous persist reached, so after a persist that failed the next
+    /// must be whole. On an error `out` may hold part of either.
+    pub fn write_persist(&self, out: &mut Vec<u8>, whole: bool) -> Result<usize, ServeError> {
+        self.render(out, if whole { Render::Whole } else { Render::Record })
+    }
+
+    /// The one renderer of documents and records. The names are collected
+    /// stripe by stripe, then each stream is written straight into `out`, in
+    /// name order, under its stripe's lock, taken for that one stream. A
+    /// stream closed in between is not in the output; one opened in between
+    /// is in the next.
+    fn render(&self, out: &mut Vec<u8>, how: Render) -> Result<usize, ServeError> {
         let mut names: Vec<(String, usize)> = Vec::new();
         for (i, stripe) in self.stripes.iter().enumerate() {
             let streams = stripe.lock().map_err(|_| not_running())?;
             names.extend(streams.keys().map(|name| (name.clone(), i)));
         }
         names.sort_unstable();
+        let start = out.len();
+        if how == Render::Record {
+            out.resize(start + RECORD_HEADER, b' ');
+        }
         let mut w = JsonWriter::new(out);
         w.begin_object();
-        w.key("format").str(POOL_SNAPSHOT_FORMAT);
-        w.key("version").u64(POOL_SNAPSHOT_VERSION);
+        if how != Render::Record {
+            w.key("format").str(POOL_SNAPSHOT_FORMAT);
+            w.key("version").u64(POOL_SNAPSHOT_VERSION);
+        }
         w.key("streams").begin_array();
-        let mut written = 0;
+        let mut live = Vec::new();
         for (name, stripe) in &names {
             let mut streams = self.stripes[*stripe].lock().map_err(|_| not_running())?;
             if let Some(engine) = streams.get_mut(name) {
-                engine.write_stream_snapshot(name, &mut w);
-                written += 1;
+                match how {
+                    Render::Document => engine.write_stream_snapshot(name, &mut w),
+                    Render::Whole | Render::Record => {
+                        engine.write_persist_entry(name, how == Render::Whole, &mut w)
+                    }
+                }
+                live.push(name.as_str());
             }
         }
         w.end_array();
+        if how == Render::Record {
+            w.key("live").array(&live, |w, name| w.str(name));
+        }
         w.end_object();
-        Ok(written)
+        if how == Render::Record {
+            out.push(b'\n');
+            let body = &out[start + RECORD_HEADER..];
+            let header = format!("@{:010} {:016x}\n", body.len(), fnv1a(body));
+            out[start..start + RECORD_HEADER].copy_from_slice(header.as_bytes());
+        }
+        Ok(live.len())
     }
 
     /// The daemon snapshot document as a [`Json`] tree: the parsed form of
@@ -301,18 +480,33 @@ impl PoolHandle {
         Json::parse_bytes(&text).map_err(|e| ServeError::new(ErrorKind::Admin, e.to_string()))
     }
 
-    /// Restores every stream of a snapshot document — the file's bytes —
-    /// into the pool, or none of them.
+    /// Restores every stream of a snapshot file — its bytes — into the
+    /// pool, or none of them.
     ///
     /// The text is read once, in sequence, into per-stream typed tables
-    /// ([`StreamEngine::read_stream_snapshot`]: no `Json` tree); the tables
-    /// are validated and the engines built in parallel on the deterministic
+    /// ([`StreamEngine::read_stream_snapshot`]: no `Json` tree): the
+    /// document, then each record after it, folded into the document's
+    /// tables (`fold_records`) up to the first torn one; the tables are
+    /// validated and the engines built in parallel on the deterministic
     /// work-stealing pool; and only when every entry has built, no name
     /// comes twice or is already open, and the stream limit holds, are the
-    /// engines installed, under all stripe locks at once. Anything else is
-    /// an [`ErrorKind::Admin`] error that leaves the pool as it was.
+    /// engines installed, under all stripe locks at once. Anything else —
+    /// a document that does not read, or an intact record that does not
+    /// fold — is an [`ErrorKind::Admin`] error that leaves the pool as it
+    /// was.
     pub fn restore_text(&self, text: &[u8], threads: usize) -> Result<usize, ServeError> {
-        let entries: Vec<_> = read_document(text)?
+        let (entries, end) = read_document(text)?;
+        // The document is followed by nothing, or by a newline and records.
+        let log = match &text[end..] {
+            [] => &[][..],
+            [b'\n', log @ ..] => log,
+            _ => {
+                return Err(admin(
+                    "reading snapshot: trailing characters after the document",
+                ))
+            }
+        };
+        let entries: Vec<_> = fold_records(entries, log)?
             .into_iter()
             .map(|tables| Mutex::new(Some(tables)))
             .collect();

@@ -1,6 +1,6 @@
 //! Persists of a running daemon: from several connections at once, beside
-//! streams that come and go, through a rename that fails, and with every
-//! stream's snapshot cache hot.
+//! streams that come and go, through a rename that fails, appended as
+//! records to the file the first one wrote, and cut off mid-record.
 //!
 //! Every connection thread persists through the same `PATH.tmp`. Before
 //! persists were serialised, two `snapshot` ops at once (or a `snapshot`
@@ -14,9 +14,9 @@
 //! and closing a stream whose name sorts between the others (a persist
 //! renders one stream at a time, each under its own stripe's lock), and
 //! this thread keeps reading the published path. Every reply must be
-//! `persisted`; every read must restore and list each stream once, in name
-//! order. A stress test cannot show the absence of a race, but this one
-//! failed on every run before the persist lock.
+//! `persisted`; every read must restore, and the document at its head list
+//! each stream once, in name order. A stress test cannot show the absence of
+//! a race, but this one failed on every run before the persist lock.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use rdt_json::Json;
-use rdt_serve::{Endpoint, EnginePool, Server, ServerConfig};
+use rdt_serve::{Endpoint, EnginePool, PoolHandle, Server, ServerConfig};
 
 const STREAMS: usize = 6;
 const PROCESSES: usize = 6;
@@ -93,9 +93,11 @@ fn restores(bytes: &[u8]) -> Result<usize, String> {
     installed.map_err(|e| e.to_string())
 }
 
-/// The names of a document's stream entries, in document order.
+/// The names of the stream entries of the document a snapshot file starts
+/// with — its first line — in document order.
 fn entry_names(bytes: &[u8]) -> Vec<String> {
-    let doc = Json::parse_bytes(bytes).expect("the snapshot parses");
+    let document = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+    let doc = Json::parse_bytes(document).expect("the snapshot's document parses");
     let entries = doc.get("streams").and_then(Json::as_array);
     let name = |entry: &Json| entry.get("name").and_then(Json::as_str).map(str::to_string);
     entries
@@ -219,8 +221,14 @@ fn concurrent_persists_neither_fail_nor_tear_the_published_snapshot() {
         reads.len(),
         torn.first()
     );
+    // The document at the head of a read lists what the last whole write
+    // held; the records after it may have opened or closed `s2-churn`.
+    let some_streams = |count: usize| count == STREAMS || count == STREAMS + 1;
     for (restored, names) in &reads {
-        assert_eq!(restored, &Ok(names.len()));
+        assert!(
+            restored.as_ref().is_ok_and(|&count| some_streams(count)),
+            "{restored:?}"
+        );
         assert!(
             names.windows(2).all(|pair| pair[0] < pair[1]),
             "entries out of name order or named twice: {names:?}"
@@ -286,17 +294,52 @@ fn a_failed_publish_leaves_no_temp_file_and_the_next_persist_succeeds() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The fifth `snapshot` of a session — every stream's cache rendered four
-/// times before, with compactions, crashes, refused events and messages left
-/// in transit across persists — writes the file a daemon restored from it
-/// writes with every cache cold, byte for byte, for 1 and 5 stripes.
+/// What a pool replies to `frame`, as the daemon would send it.
+fn answer(handle: &PoolHandle, frame: &str) -> String {
+    let mut out = Vec::new();
+    assert!(handle.answer_frame(frame.as_bytes(), &mut out).is_none());
+    String::from_utf8(out)
+        .expect("UTF-8")
+        .trim_end()
+        .to_string()
+}
+
+/// The session's frames go to the daemon and to an in-process twin pool.
+struct Twinned {
+    client: Client,
+    twin: EnginePool,
+}
+
+impl Twinned {
+    fn ok(&mut self, frame: &str) {
+        self.client.ok(frame);
+        answer(&self.twin.handle(), frame);
+    }
+
+    fn roundtrip(&mut self, frame: &str) -> String {
+        let reply = self.client.roundtrip(frame);
+        assert_eq!(answer(&self.twin.handle(), frame), reply, "{frame}");
+        reply
+    }
+}
+
+/// The fifth `snapshot` of a session — the four after the first appended,
+/// with compactions, crashes, refused events and messages left in transit
+/// across persists — leaves a file that a restarted daemon restores
+/// and writes whole as the bytes of the whole document of an uninterrupted
+/// twin fed the same session, for 1 and 5 stripes (so the whole files of the
+/// two stripe counts are `cmp`-equal too).
 #[test]
 fn a_hot_persist_is_the_file_a_cold_restart_persists() {
+    let mut whole_files = Vec::new();
     for (workers, restart_workers) in [(1, 5), (5, 1)] {
         let dir = scratch_dir(&format!("hot{workers}"));
         let _ = std::fs::remove_file(dir.join("daemon.snapshot.json"));
         let (daemon, socket, snapshot) = boot(&dir, workers);
-        let mut client = Client::connect(&socket);
+        let mut client = Twinned {
+            client: Client::connect(&socket),
+            twin: EnginePool::new(restart_workers),
+        };
         for stream in 0..STREAMS {
             client.ok(&format!(
                 r#"{{"op":"open","stream":"s{stream}","processes":{PROCESSES}}}"#
@@ -308,7 +351,9 @@ fn a_hot_persist_is_the_file_a_cold_restart_persists() {
                 // Message `k - 2` of the ring is delivered two frames later,
                 // so two messages of every stream are in transit at each
                 // persist; stream 3 leaves one in transit from the start.
-                for _ in 0..60 + 25 * stream {
+                // A long first period, so that the later ones append.
+                let rounds = if persist == 1 { 600 } else { 20 + 5 * stream };
+                for _ in 0..rounds {
                     for frame in event_frames(stream, *k) {
                         if stream != 3 || !frame.contains(r#""message":0}"#) {
                             client.ok(&frame);
@@ -324,31 +369,206 @@ fn a_hot_persist_is_the_file_a_cold_restart_persists() {
                     client.ok(&format!(
                         r#"{{"op":"event","stream":"s{stream}","type":"crash","process":1}}"#
                     ));
-                    if stream % 2 == persist % 2 {
+                    if stream == persist {
                         client.ok(&format!(r#"{{"op":"compact","stream":"s{stream}"}}"#));
                     }
                 }
             }
-            let reply = client.roundtrip(r#"{"op":"snapshot"}"#);
+            let reply = client.client.roundtrip(r#"{"op":"snapshot"}"#);
             assert_eq!(reply, format!(r#"{{"ok":true,"persisted":{STREAMS}}}"#));
         }
         let hot = std::fs::read(&snapshot).expect("the fifth snapshot");
-        client.ok(r#"{"op":"shutdown"}"#);
+        let records = hot.windows(2).filter(|pair| pair == b"\n@").count();
+        assert_eq!(records, 4, "{workers} stripes: persists 2 to 5 append");
+        assert!(hot.starts_with(br#"{"format":"rdt-serve-snapshot","version":2,"#));
+        let Twinned {
+            client: mut wire,
+            twin,
+        } = client;
+        wire.ok(r#"{"op":"shutdown"}"#);
         daemon.join().expect("daemon thread");
-        assert!(std::fs::read(&snapshot).expect("shutdown snapshot") == hot);
+        let shut = std::fs::read(&snapshot).expect("shutdown snapshot");
+        assert!(shut.starts_with(&hot) && shut.len() > hot.len());
 
+        // The first persist of the restarted daemon's life writes whole.
         let (daemon, socket, snapshot) = boot(&dir, restart_workers);
         let mut client = Client::connect(&socket);
         client.ok(r#"{"op":"snapshot"}"#);
-        let cold = std::fs::read(&snapshot).expect("the restarted daemon's snapshot");
+        let whole = std::fs::read(&snapshot).expect("the restarted daemon's snapshot");
+        let mut uninterrupted = Vec::new();
+        twin.handle()
+            .write_snapshot_document(&mut uninterrupted)
+            .expect("the twin's document");
+        uninterrupted.push(b'\n');
         assert!(
-            cold == hot,
-            "{workers} stripes: the hot persist ({} bytes) differs from the cold one ({} bytes)",
-            hot.len(),
-            cold.len()
+            whole == uninterrupted,
+            "{workers} stripes: the restarted daemon's whole file ({} bytes) differs from the \
+             uninterrupted twin's document ({} bytes)",
+            whole.len(),
+            uninterrupted.len()
         );
+        whole_files.push(whole);
         client.ok(r#"{"op":"shutdown"}"#);
         daemon.join().expect("daemon thread");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(
+        whole_files[0] == whole_files[1],
+        "1 and 5 stripes write other files"
+    );
+}
+
+/// A `PATH.tmp` left behind by a daemon killed mid-rewrite is removed when
+/// the next daemon boots, and the file at `PATH` restores as it was.
+#[test]
+fn a_stale_temp_file_is_removed_at_boot() {
+    let dir = scratch_dir("stale");
+    let _ = std::fs::remove_file(dir.join("daemon.snapshot.json"));
+    let (daemon, socket, snapshot) = boot(&dir, 2);
+    let mut client = Client::connect(&socket);
+    client.ok(&format!(
+        r#"{{"op":"open","stream":"s0","processes":{PROCESSES}}}"#
+    ));
+    for k in 0..30 {
+        for frame in event_frames(0, k) {
+            client.ok(&frame);
+        }
+    }
+    let query = r#"{"op":"query","stream":"s0","what":"recovery-line"}"#;
+    let before = client.roundtrip(query);
+    client.ok(r#"{"op":"shutdown"}"#);
+    daemon.join().expect("daemon thread");
+
+    let tmp = dir.join("daemon.snapshot.json.tmp");
+    std::fs::write(
+        &tmp,
+        b"{\"format\":\"rdt-serve-snapshot\",\"version\":2,\"str",
+    )
+    .expect("junk");
+    let (daemon, socket, _) = boot(&dir, 3);
+    assert!(!tmp.exists(), "the stale temp file survived the boot");
+    let mut client = Client::connect(&socket);
+    assert_eq!(client.roundtrip(query), before);
+    client.ok(r#"{"op":"shutdown"}"#);
+    daemon.join().expect("daemon thread");
+    assert_eq!(
+        restores(&std::fs::read(&snapshot).expect("snapshot")),
+        Ok(1)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The questions a restored daemon is asked about the torn-tail session.
+fn query_set() -> Vec<String> {
+    let mut queries = vec![r#"{"op":"streams"}"#.to_string()];
+    for stream in ["t0", "t1", "t2"] {
+        for what in ["untrackable", "recovery-line"] {
+            queries.push(format!(
+                r#"{{"op":"query","stream":"{stream}","what":"{what}"}}"#
+            ));
+        }
+        queries.push(format!(
+            r#"{{"op":"query","stream":"{stream}","what":"min-consistent","members":[[1,1]]}}"#
+        ));
+    }
+    queries
+}
+
+/// The answers to [`query_set`] of a pool restored from `bytes`.
+fn answers_of(bytes: &[u8]) -> Result<Vec<String>, String> {
+    let pool = EnginePool::new(2);
+    pool.handle()
+        .restore_text(bytes, 2)
+        .map_err(|e| e.to_string())?;
+    let handle = pool.handle();
+    Ok(query_set().iter().map(|q| answer(&handle, q)).collect())
+}
+
+/// A session of four persists — the first writes the file whole, the other
+/// three append — across a compaction, a crash, a stream closed and opened
+/// again under its name and messages in transit. The file cut at every byte
+/// of the last record, and the file with any one byte of it flipped,
+/// restore to the answers the daemon gave right after the third persist:
+/// a torn or corrupt tail is never trusted, and what it leaves is the last
+/// persist that completed (the session-level rollback guarantee: a restart
+/// lands only on a state the uninterrupted run was in).
+#[test]
+fn a_torn_or_flipped_record_restores_the_persist_before_it() {
+    const PERSISTS: usize = 4;
+    let dir = scratch_dir("torn");
+    let _ = std::fs::remove_file(dir.join("daemon.snapshot.json"));
+    let (daemon, socket, snapshot) = boot(&dir, 2);
+    let mut client = Client::connect(&socket);
+    let event = |stream: usize, body: String| {
+        format!(r#"{{"op":"event","stream":"t{stream}","type":{body}}}"#)
+    };
+    let (mut lens, mut acknowledged) = (Vec::new(), Vec::new());
+    let mut next = [0usize; 3];
+    for persist in 1..=PERSISTS {
+        for (stream, k) in next.iter_mut().enumerate() {
+            if *k == 0 {
+                client.ok(&format!(
+                    r#"{{"op":"open","stream":"t{stream}","processes":4}}"#
+                ));
+            }
+            let rounds = if persist == 1 { 300 } else { 30 };
+            for _ in 0..rounds {
+                client.ok(&event(
+                    stream,
+                    format!(r#""send","from":{},"to":{}"#, *k % 4, (*k + 1) % 4),
+                ));
+                if *k >= 3 {
+                    client.ok(&event(stream, format!(r#""deliver","message":{}"#, *k - 3)));
+                }
+                if k.is_multiple_of(2) {
+                    client.ok(&event(
+                        stream,
+                        format!(r#""checkpoint","process":{}"#, (*k / 2) % 4),
+                    ));
+                }
+                *k += 1;
+            }
+        }
+        match persist {
+            2 => client.ok(r#"{"op":"compact","stream":"t1"}"#),
+            3 => {
+                client.ok(&event(0, r#""crash","process":2"#.to_string()));
+                client.ok(r#"{"op":"close","stream":"t2"}"#);
+                next[2] = 0;
+            }
+            _ => {}
+        }
+        let reply = client.roundtrip(r#"{"op":"snapshot"}"#);
+        assert!(reply.starts_with(r#"{"ok":true,"persisted":"#), "{reply}");
+        lens.push(std::fs::metadata(&snapshot).expect("snapshot").len() as usize);
+        acknowledged.push(
+            query_set()
+                .iter()
+                .map(|q| client.roundtrip(q))
+                .collect::<Vec<_>>(),
+        );
+    }
+    let file = std::fs::read(&snapshot).expect("snapshot");
+    client.ok(r#"{"op":"shutdown"}"#);
+    daemon.join().expect("daemon thread");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(file.len(), lens[PERSISTS - 1]);
+    assert_eq!(answers_of(&file).as_ref(), Ok(&acknowledged[PERSISTS - 1]));
+    let last = lens[PERSISTS - 2]..lens[PERSISTS - 1];
+    assert_eq!(file[last.start], b'@', "the last persist appended a record");
+    let before = Ok(&acknowledged[PERSISTS - 2]);
+    assert_ne!(before, Ok(&acknowledged[PERSISTS - 1]));
+    for cut in last.clone() {
+        assert_eq!(
+            answers_of(&file[..cut]).as_ref(),
+            before,
+            "cut at byte {cut}"
+        );
+    }
+    for at in last {
+        let mut flipped = file.clone();
+        flipped[at] ^= 1 << (at % 8);
+        assert_eq!(answers_of(&flipped).as_ref(), before, "byte {at} flipped");
     }
 }

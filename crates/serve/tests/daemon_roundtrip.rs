@@ -272,12 +272,12 @@ fn restart_from_a_v1_engine_snapshot_answers_identically() {
         "{a:?}"
     );
 
-    // Persisted again, the stream is a version 3 document equal to the
+    // Persisted again, the stream is a version 4 document equal to the
     // live daemon's, except for `reclaimed_rows`: a monotone counter carried
     // as stored, which in the v1 document also counted the 24 + 8 chain
     // rows its one compaction dropped (18 R rows then, 3 more above).
     let persisted = snapshot_text(&restarted);
-    assert!(persisted.contains(r#""version":3"#) && !persisted.contains("zmat"));
+    assert!(persisted.contains(r#""version":4"#) && !persisted.contains("zmat"));
     assert!(snapshot_text(&live).contains(r#""reclaimed_rows":21"#));
     assert_eq!(
         persisted.replace(r#""reclaimed_rows":53"#, r#""reclaimed_rows":21"#),
@@ -294,11 +294,12 @@ fn restart_from_a_v1_engine_snapshot_answers_identically() {
 /// — and `daemon_v2.answers.txt` what that daemon answered to
 /// `daemon_v2.queries.ndjson` just before. None of the three is ever
 /// regenerated: no build writes version 2 any more. A daemon of this build
-/// restarts from the file into those answers, persists version 3 from then
-/// on — the bytes of a daemon that ingested the session itself — and
-/// restarts from *that* into the same answers again, for any worker count.
+/// restarts from the file into those answers, persists engine version 4
+/// from then on — the bytes of a daemon that ingested the session itself —
+/// and restarts from *that* into the same answers again, for any worker
+/// count.
 #[test]
-fn a_version_2_daemon_file_restarts_into_its_answers_and_is_rewritten_as_version_3() {
+fn a_version_2_daemon_file_restarts_into_its_answers_and_is_rewritten_as_version_4() {
     let file = include_str!("golden/daemon_v2.snapshot.json");
     let session = include_str!("golden/daemon_v2.session.ndjson");
     let queries = include_str!("golden/daemon_v2.queries.ndjson");
@@ -309,11 +310,21 @@ fn a_version_2_daemon_file_restarts_into_its_answers_and_is_rewritten_as_version
     assert_eq!(upgraded.handle().restore_text(file.as_bytes(), 2), Ok(2));
     assert_eq!(answer_frames(&upgraded.handle(), queries.lines()), answers);
     let rewritten = snapshot_text(&upgraded);
-    assert!(rewritten.contains(r#""version":3"#) && !rewritten.contains(r#""version":2"#));
-    for derived in ["bwd", "send_events", "deliver_events"] {
+    let engine =
+        |version: u64| format!(r#""engine":{{"format":"rdt-rgraph-snapshot","version":{version}"#);
+    assert!(rewritten.contains(&engine(4)) && !rewritten.contains(&engine(2)));
+    assert!(rewritten.starts_with(r#"{"format":"rdt-serve-snapshot","version":2,"#));
+    for derived in [
+        "bwd",
+        "send_events",
+        "deliver_events",
+        "rmat",
+        "cp_nodes",
+        "drop_reach",
+    ] {
         assert!(
-            !rewritten.contains(derived),
-            "version 3 carries `{derived}`"
+            !rewritten.contains(&format!("\"{derived}\"")),
+            "version 4 carries `{derived}`"
         );
     }
 
@@ -514,6 +525,7 @@ fn a_checkpoint_counter_at_the_top_of_its_range_refuses_in_band() {
     set(&mut old, "cp_base", &[0], NEAR);
     set(&mut old, "watermark", &[0], NEAR);
     set(&mut old, "r_meta", &[0, 1], NEAR);
+    set(&mut old, "reach", &[0], NEAR + 1);
     set(&mut old, "cur_tdv", &[0], NEAR + 1);
     set(&mut old, "epoch", &[], 1);
     let pool = EnginePool::new(1);

@@ -2,8 +2,10 @@
 //! frames must never panic anywhere between the socket and the engines —
 //! they come back as structured error replies, and the streams that were
 //! already open keep answering correctly afterwards. The same holds for
-//! the other door into an engine, the snapshot document: a mutated stream
-//! snapshot restores to the same answers or is refused, nothing else.
+//! the other door into an engine, the snapshot file: a mutated stream
+//! snapshot restores to the same answers or is refused, nothing else, and
+//! an intact record that does not describe a state the daemon was in
+//! refuses the file, while a torn one is ignored.
 //!
 //! The `scanner_*` tests hold the frame scanner to the tree parser:
 //! whatever `scan_request` accepts, `parse_request` reads as the same
@@ -610,17 +612,20 @@ proptest! {
             Json::Obj(outer)
         };
 
-        for version in [0u64, 1, 2, 3, 4, rng.next()] {
+        // Versions 1 to 3 hold the closure as `rmat`, which a version 4
+        // document does not have.
+        for version in [0u64, 1, 2, 3, 4, 5, rng.next()] {
             let restored = StreamEngine::from_stream_snapshot(&with_engine_key("version", Json::U64(version)));
             match restored {
                 Ok((_, engine)) => {
-                    prop_assert!(version == 2 || version == 3);
+                    prop_assert!(version == 4);
                     prop_assert_eq!(answers(engine), expected.clone());
                 }
                 Err(err) => {
-                    prop_assert!(version != 2 && version != 3);
+                    prop_assert!(version != 4);
                     prop_assert_eq!(err.kind, ErrorKind::Admin);
-                    prop_assert_eq!(err.message.contains("unsupported snapshot version"), version != 1);
+                    let supported = (1..=3).contains(&version);
+                    prop_assert_eq!(err.message.contains("unsupported snapshot version"), !supported);
                 }
             }
         }
@@ -699,4 +704,172 @@ proptest! {
         let deep = "[".repeat(4000) + &"]".repeat(4000);
         prop_assert!(Json::parse_bytes(deep.as_bytes()).is_err());
     }
+}
+
+// ------------------------------------------------------------ records ----
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A record of the snapshot file around `body` (its newline added): the
+/// header a daemon writes, so that only the body is hostile.
+fn framed(body: &Json) -> Vec<u8> {
+    let body = body.to_string() + "\n";
+    let mut record = format!("@{:010} {:016x}\n", body.len(), fnv1a(body.as_bytes())).into_bytes();
+    record.extend_from_slice(body.as_bytes());
+    record
+}
+
+/// `body` with `edit` applied to its fields.
+fn edited(body: &Json, edit: impl FnOnce(&mut Vec<(String, Json)>)) -> Json {
+    let Json::Obj(mut fields) = body.clone() else {
+        panic!("a record body is an object")
+    };
+    edit(&mut fields);
+    Json::Obj(fields)
+}
+
+fn field<'a>(fields: &'a mut [(String, Json)], key: &str) -> &'a mut Json {
+    &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1
+}
+
+/// A file of a document and one record the daemon writes restores; the
+/// record made hostile — a delta starting past its table's end, a delta of a
+/// stream with no state before it, one stream twice, a live name with no
+/// state, an entry it does not list — refuses the file with an `admin`
+/// error and installs nothing; and the record cut short or followed by
+/// bytes that are no record is ignored from there on.
+#[test]
+fn hostile_records_are_refused_and_torn_ones_ignored() {
+    let pool = EnginePool::new(2);
+    let handle = pool.handle();
+    let run = |frames: &[&str]| {
+        for frame in frames {
+            let mut out = Vec::new();
+            handle.answer_frame(frame.as_bytes(), &mut out);
+            assert!(out.starts_with(br#"{"ok":true"#), "{frame}");
+        }
+    };
+    run(&[
+        r#"{"op":"open","stream":"a","processes":3}"#,
+        r#"{"op":"open","stream":"b","processes":2}"#,
+        r#"{"op":"event","stream":"a","type":"checkpoint","process":0}"#,
+        r#"{"op":"event","stream":"a","type":"send","from":0,"to":1}"#,
+        r#"{"op":"event","stream":"b","type":"checkpoint","process":1}"#,
+    ]);
+    let mut file = Vec::new();
+    assert_eq!(handle.write_persist(&mut file, true), Ok(2));
+    file.push(b'\n');
+    run(&[
+        r#"{"op":"event","stream":"a","type":"deliver","message":0}"#,
+        r#"{"op":"event","stream":"a","type":"checkpoint","process":1}"#,
+    ]);
+    let mut record = Vec::new();
+    assert_eq!(handle.write_persist(&mut record, false), Ok(2));
+    let restores = |bytes: &[u8]| {
+        let fresh = EnginePool::new(3);
+        let restored = fresh.handle().restore_text(bytes, 2);
+        let mut names = Vec::new();
+        fresh
+            .handle()
+            .answer_frame(br#"{"op":"streams"}"#, &mut names);
+        (restored, String::from_utf8(names).expect("UTF-8"))
+    };
+    let good = [&file[..], &record[..]].concat();
+    let (restored, _) = restores(&good);
+    assert_eq!(restored, Ok(2));
+
+    let body = Json::parse_bytes(&record[29..]).expect("the record's body parses");
+    let entries = |fields: &mut Vec<(String, Json)>| match field(fields, "streams") {
+        Json::Arr(entries) => entries.clone(),
+        _ => panic!("`streams` is an array"),
+    };
+    let Json::Obj(mut top) = body.clone() else {
+        panic!("a record body is an object")
+    };
+    assert_eq!(entries(&mut top).len(), 1, "only `a` changed");
+    let hostile = [
+        (
+            "past the table's end",
+            edited(&body, |fields| {
+                let mut entry = entries(fields)[0].clone();
+                if let Json::Obj(entry) = &mut entry {
+                    if let Json::Obj(engine) = field(entry, "engine") {
+                        *field(engine, "r_meta") =
+                            Json::obj([("from", Json::U64(999)), ("rows", Json::Arr(Vec::new()))]);
+                    }
+                }
+                *field(fields, "streams") = Json::Arr(vec![entry]);
+            }),
+        ),
+        (
+            "a delta with no base",
+            edited(&body, |fields| {
+                let mut entry = entries(fields)[0].clone();
+                if let Json::Obj(entry) = &mut entry {
+                    *field(entry, "name") = Json::Str("ghost".into());
+                }
+                *field(fields, "streams") = Json::Arr(vec![entry]);
+                let live = ["a", "b", "ghost"].map(|name| Json::Str(name.into()));
+                *field(fields, "live") = Json::Arr(live.to_vec());
+            }),
+        ),
+        (
+            "twice",
+            edited(&body, |fields| {
+                let entry = entries(fields)[0].clone();
+                *field(fields, "streams") = Json::Arr(vec![entry.clone(), entry]);
+            }),
+        ),
+        (
+            "of which there is no state",
+            edited(&body, |fields| {
+                let live = ["a", "b", "nobody"].map(|name| Json::Str(name.into()));
+                *field(fields, "live") = Json::Arr(live.to_vec());
+            }),
+        ),
+        (
+            "does not list it",
+            edited(&body, |fields| {
+                *field(fields, "live") = Json::Arr(vec![Json::Str("b".into())]);
+            }),
+        ),
+    ];
+    for (why, body) in hostile {
+        let (restored, names) = restores(&[&file[..], &framed(&body)[..]].concat());
+        let err = restored.expect_err(why);
+        assert_eq!(err.kind, ErrorKind::Admin, "{err}");
+        assert!(err.message.contains(why), "{why}: {err}");
+        assert_eq!(
+            names, "{\"ok\":true,\"streams\":[]}\n",
+            "{why}: nothing installed"
+        );
+    }
+
+    // Torn: the document's answers, whatever follows it that is no record.
+    let base = restores(&file);
+    let mut rng = Rng::new(0x5eed_0028);
+    for cut in [
+        file.len(),
+        file.len() + 1,
+        file.len() + 28,
+        file.len() + 29,
+        good.len() - 1,
+    ] {
+        assert_eq!(restores(&good[..cut]), base, "cut at {cut}");
+    }
+    for _ in 0..64 {
+        let len = 1 + rng.below(80);
+        let tail = random_bytes(&mut rng, len);
+        assert_eq!(restores(&[&file[..], &tail[..]].concat()), base);
+        let mut noisy = good.clone();
+        noisy.extend(tail);
+        assert_eq!(restores(&noisy), restores(&good));
+    }
+    // But not a document followed by anything but a newline.
+    let (restored, _) = restores(&[&file[..file.len() - 1], b" "].concat());
+    assert!(restored.is_err());
 }
