@@ -6,7 +6,6 @@
 //! causal links), so closure work stays proportional to new reachability,
 //! not to the O(M²) direct link count.
 
-use super::compaction::{rebuild_matrix, remap_kept};
 use super::*;
 
 /// The chain layer: what the engine maintains per message beside the
@@ -46,6 +45,111 @@ impl ChainLayer for NoChains {
     fn new(_: usize) -> Self {
         NoChains
     }
+}
+
+/// A chain closure held with its transpose twin: `fwd[u]` holds the
+/// successors of `u` (reflexively), `bwd[v]` the predecessors of `v`. A
+/// message has no reach vector to read its dirty predecessors off, as an
+/// R-graph node has, so the transpose gives them.
+#[derive(Debug, Clone, Default)]
+pub(super) struct ClosureMatrix {
+    pub(super) fwd: BitSlab,
+    pub(super) bwd: BitSlab,
+    // The dirty sets of the last inserted edge, reused across insertions.
+    pub(super) dpred: Vec<u64>,
+    pub(super) dsucc: Vec<u64>,
+}
+
+impl ClosureMatrix {
+    pub(super) fn push_node(&mut self) -> usize {
+        self.bwd.push_node();
+        self.fwd.push_node()
+    }
+
+    fn pop_node(&mut self) {
+        self.fwd.pop_node();
+        self.bwd.pop_node();
+    }
+
+    /// Incremental transitive-closure edge insertion (Italiano), restricted
+    /// to the *dirty sets* the transpose twin gives for free. If `u → v` is
+    /// not already implied,
+    ///
+    /// * `dpred = bwd[u] & !bwd[v]` are the nodes that reach `u` but not yet
+    ///   `v` — the only rows whose forward closure can change, because a
+    ///   predecessor that already reaches `v` already holds all of `fwd[v]`;
+    /// * `dsucc = fwd[v] & !fwd[u]` are the nodes `v` reaches but `u` does
+    ///   not yet — the only columns that can be new in those rows, because
+    ///   every predecessor of `u` already holds all of `fwd[u]`
+    ///
+    /// (rows are reflexive, so `u ∈ dpred` and `v ∈ dsucc`). Every row of
+    /// `dpred` gains `dsucc` and, in the transpose, every row of `dsucc`
+    /// gains `dpred`, each over the added set's non-zero word span only and
+    /// each changed word journaled, rows and words ascending. Returns whether
+    /// the edge was new.
+    pub(super) fn insert_edge<J: Journal>(
+        &mut self,
+        mat_id: u8,
+        journal: &mut J,
+        u: usize,
+        v: usize,
+    ) -> bool {
+        if self.fwd.bit(u, v) {
+            return false;
+        }
+        debug_assert!(
+            self.bwd.bit(u, u) && self.fwd.bit(v, v),
+            "closure rows are reflexive"
+        );
+        let (dpred, dsucc) = (&mut self.dpred, &mut self.dsucc);
+        self.bwd.minus_into(u, v, dpred);
+        self.fwd.minus_into(v, u, dsucc);
+        self.fwd
+            .or_into_rows(mat_id * 2, journal, bits::ones(dpred), dsucc);
+        self.bwd
+            .or_into_rows(mat_id * 2 + 1, journal, bits::ones(dsucc), dpred);
+        true
+    }
+}
+
+/// Rebuilds a closure matrix keeping only the nodes with a remap entry,
+/// masking every retained row to the retained columns; the transpose is
+/// taken of the rebuilt forward slab.
+fn rebuild_matrix(mat: &ClosureMatrix, remap: &[u32], new_nodes: usize) -> ClosureMatrix {
+    let mut fwd = BitSlab::new(new_nodes);
+    let width = fwd.width;
+    for (old, &nid) in remap.iter().enumerate() {
+        if nid == NONE_U32 {
+            continue;
+        }
+        let row = &mut fwd.words[nid as usize * width..][..width];
+        for v in bits::ones(mat.fwd.row(old)) {
+            if remap[v] != NONE_U32 {
+                bits::set(row, remap[v] as usize);
+            }
+        }
+    }
+    ClosureMatrix {
+        bwd: fwd.transposed(),
+        fwd,
+        ..ClosureMatrix::default()
+    }
+}
+
+/// Numbers the kept entries densely, in order ([`NONE_U32`] for the
+/// rest); returns the remap and the number kept.
+fn remap_kept(keep: impl Iterator<Item = bool>) -> (Vec<u32>, usize) {
+    let mut next = 0u32;
+    let number = |k| {
+        next += u32::from(k);
+        if k {
+            next - 1
+        } else {
+            NONE_U32
+        }
+    };
+    let remap = keep.map(number).collect();
+    (remap, next as usize)
 }
 
 /// Chain-closure nodes of one message, [`NONE_U32`] where absent: its node
@@ -100,10 +204,10 @@ impl Chains {
 impl ChainLayer for Chains {
     fn new(n: usize) -> Self {
         Chains {
-            zmat: ClosureMatrix::new(),
+            zmat: ClosureMatrix::default(),
             z_slots: vec![Vec::new(); n],
             slot_base: vec![0; n],
-            cmat: ClosureMatrix::new(),
+            cmat: ClosureMatrix::default(),
             c_spine: vec![Vec::new(); n],
             c_delivs: vec![Vec::new(); n],
             c_linked: vec![0; n],
@@ -185,8 +289,8 @@ impl ChainLayer for Chains {
             self.c_delivs[p].drain(..self.c_linked[p] as usize);
             self.c_linked[p] = 0;
         }
-        let mut keep_z = vec![false; self.zmat.nodes];
-        let mut keep_c = vec![false; self.cmat.nodes];
+        let mut keep_z = vec![false; self.zmat.fwd.nodes];
+        let mut keep_c = vec![false; self.cmat.fwd.nodes];
         for &slot in self.z_slots.iter().flatten() {
             keep_z[slot as usize] = true;
         }
@@ -207,7 +311,10 @@ impl ChainLayer for Chains {
         }
         let (z_remap, new_z_nodes) = remap_kept(keep_z.into_iter());
         let (c_remap, new_c_nodes) = remap_kept(keep_c.into_iter());
-        let dropped = (self.zmat.nodes - new_z_nodes, self.cmat.nodes - new_c_nodes);
+        let dropped = (
+            self.zmat.fwd.nodes - new_z_nodes,
+            self.cmat.fwd.nodes - new_c_nodes,
+        );
         self.zmat = rebuild_matrix(&self.zmat, &z_remap, new_z_nodes);
         self.cmat = rebuild_matrix(&self.cmat, &c_remap, new_c_nodes);
 
@@ -233,7 +340,12 @@ impl ChainLayer for Chains {
                 } else {
                     &mut self.cmat
                 };
-                mat.undo_word(at, word, old);
+                let slab = if Undo::transposed(at) {
+                    &mut mat.bwd
+                } else {
+                    &mut mat.fwd
+                };
+                slab.undo_word(at, word, old);
             }
             Undo::ZSlot { p } => {
                 self.z_slots[p as usize].pop();
@@ -257,7 +369,7 @@ impl ChainLayer for Chains {
     }
 
     fn resident_nodes(&self) -> usize {
-        self.zmat.nodes + self.cmat.nodes
+        self.zmat.fwd.nodes + self.cmat.fwd.nodes
     }
 }
 
@@ -309,7 +421,7 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
         y: u32,
         f: impl FnOnce(&[u64]) -> R,
     ) -> R {
-        let width = self.chain_mat(causal).width;
+        let width = self.chain_mat(causal).fwd.width;
         let (mut stack, mut heap) = ([0u64; MASK_STACK_WORDS], Vec::new());
         let mask = if width <= MASK_STACK_WORDS {
             &mut stack[..width]
@@ -350,7 +462,7 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
             na != NONE_U32
                 && delivers.iter().any(|&(_, b)| {
                     let nb = self.chain_node(causal, b);
-                    nb != NONE_U32 && mat.bit(false, na as usize, nb as usize)
+                    nb != NONE_U32 && mat.fwd.bit(na as usize, nb as usize)
                 })
         })
     }
@@ -385,7 +497,7 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
         let mat = self.chain_mat(causal);
         self.send_events[p][lo..].iter().any(|&(_, mid)| {
             let node = self.chain_node(causal, mid);
-            node != NONE_U32 && bits::intersects(mat.row(false, node as usize), mask)
+            node != NONE_U32 && bits::intersects(mat.fwd.row(node as usize), mask)
         })
     }
 
@@ -403,9 +515,7 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
 
     fn link_closure(&self, causal: bool, a: u32, b: u32) -> bool {
         let (na, nb) = (self.chain_node(causal, a), self.chain_node(causal, b));
-        na != NONE_U32
-            && nb != NONE_U32
-            && self.chain_mat(causal).bit(false, na as usize, nb as usize)
+        na != NONE_U32 && nb != NONE_U32 && self.chain_mat(causal).fwd.bit(na as usize, nb as usize)
     }
 
     /// Characterization (2): every message chain is doubled by a causal
@@ -424,7 +534,7 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
         for (_, a, za) in self.delivered(false) {
             let from = CheckpointId::new(ProcessId::new(a.from as usize), a.send_iv);
             for (_, b, zb) in self.delivered(false) {
-                if !self.chains.zmat.bit(false, za, zb) {
+                if !self.chains.zmat.fwd.bit(za, zb) {
                     continue;
                 }
                 let to = CheckpointId::new(ProcessId::new(b.to as usize), b.deliver_iv);
@@ -460,7 +570,7 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
                     self.delivered(true).all(|(_, head, ch)| {
                         let from =
                             CheckpointId::new(ProcessId::new(head.from as usize), head.send_iv);
-                        !self.chains.cmat.bit(false, ch, cj)
+                        !self.chains.cmat.fwd.bit(ch, cj)
                             || trivially_trackable(from, to)
                             || self.any_send_row_intersects(
                                 true,

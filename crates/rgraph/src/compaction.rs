@@ -34,8 +34,8 @@
 //! fixpoint-based consistency oracles stay exact over the *entire*
 //! history; they read it through the per-process send index
 //! (`send_events`), newest send first, and so touch the sends above their
-//! answer and not the table. Only the quadratic state — closure and
-//! transpose rows, TDV snapshots of delivered messages — is reclaimed.
+//! answer and not the table. Only the per-node and quadratic state — closure
+//! and `reach` rows, TDV snapshots of delivered messages — is reclaimed.
 //!
 //! # What a compaction costs
 //!
@@ -52,9 +52,10 @@
 //! cross it because the journal is discarded at the very point it moves. A
 //! `compact` that finds nothing to reclaim reads the live suffix once and
 //! returns. Of the per-node tables (`reach`, `cp_tdv`, `r_meta`) the kept
-//! rows close ranks, and of the closure the kept rows are renumbered
-//! (`rebuild_matrix`): no row of a dropped node is read, in either
-//! direction.
+//! rows close ranks; `cp_nodes` and the closure bits are derived from them
+//! as a restore derives them, the bits from the kept `reach` rows
+//! ([`closure_from_reach`](IncrementalAnalysis::closure_from_reach)): no
+//! closure row is read at all.
 //!
 //! What the chain layer keeps through a compaction, and why chain queries
 //! stay exact for heads above the watermark, is told at its `on_compact`
@@ -68,7 +69,7 @@ use super::*;
 pub struct CompactionStats {
     /// The effective (consistent) watermark of this compaction.
     pub watermark: Vec<u32>,
-    /// R-graph closure nodes dropped (rows + transpose rows reclaimed).
+    /// R-graph closure nodes dropped (a closure row and a `reach` row each).
     pub dropped_r_nodes: usize,
     /// Zigzag-closure nodes dropped (message nodes and interval slots); 0
     /// on a chain-free engine.
@@ -93,49 +94,6 @@ impl CompactionStats {
     pub fn discarded_state(&self) -> bool {
         self.dropped_nodes() > 0 || self.freed_tdv_rows > 0
     }
-}
-
-/// Numbers the kept entries densely, in order ([`NONE_U32`] for the
-/// rest); returns the remap and the number kept.
-pub(super) fn remap_kept(keep: impl Iterator<Item = bool>) -> (Vec<u32>, usize) {
-    let mut next = 0u32;
-    let number = |k| {
-        next += u32::from(k);
-        if k {
-            next - 1
-        } else {
-            NONE_U32
-        }
-    };
-    let remap = keep.map(number).collect();
-    (remap, next as usize)
-}
-
-/// Rebuilds a closure matrix keeping only the nodes with a remap entry,
-/// masking every retained row to the retained columns.
-pub(super) fn rebuild_matrix(
-    mat: &ClosureMatrix,
-    remap: &[u32],
-    new_nodes: usize,
-) -> ClosureMatrix {
-    let width = bits::words_for(new_nodes).max(1).next_power_of_two();
-    let mut fwd = vec![0u64; new_nodes * width];
-    let mut bwd = vec![0u64; new_nodes * width];
-    for (old, &nid) in remap.iter().enumerate() {
-        if nid == NONE_U32 {
-            continue;
-        }
-        let nid = nid as usize;
-        for (slab, dir) in [(&mut fwd, false), (&mut bwd, true)] {
-            for v in bits::ones(mat.row(dir, old)) {
-                let nv = remap[v];
-                if nv != NONE_U32 {
-                    bits::set(&mut slab[nid * width..][..width], nv as usize);
-                }
-            }
-        }
-    }
-    ClosureMatrix::from_slabs(new_nodes, width, fwd, bwd)
 }
 
 impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
@@ -213,11 +171,13 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             "retention floor or watermark went backwards"
         );
 
-        let kept = self.r_meta.iter().map(|&(p, idx)| idx >= rb[p as usize]);
-        let (r_remap, new_r_nodes) = remap_kept(kept);
+        let retained = |&(p, idx): &(u32, u32)| idx >= rb[p as usize];
+        let kept: Vec<usize> = (self.r_meta.iter().enumerate())
+            .filter_map(|(node, meta)| retained(meta).then_some(node))
+            .collect();
         let mut stats = CompactionStats {
             watermark: w.clone(),
-            dropped_r_nodes: self.rmat.nodes - new_r_nodes,
+            dropped_r_nodes: self.r_meta.len() - kept.len(),
             dropped_z_nodes: 0,
             dropped_c_nodes: 0,
             freed_tdv_rows: self.msg_tdv.len() / n - in_transit,
@@ -230,30 +190,21 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             return (stats, examined);
         }
 
-        // The remap preserves order, so the retained rows of a per-node
-        // table just close ranks.
-        let kept = |old: &usize| r_remap[*old] != NONE_U32;
-        let kept: Vec<usize> = (0..r_remap.len()).filter(kept).collect();
+        // The retained rows of a per-node table just close ranks.
         let kept_rows = |table: &[u32]| -> Vec<u32> {
             let rows = kept.iter().flat_map(|&old| &table[old * n..][..n]);
             rows.copied().collect()
         };
 
         // A kept row of `reach` already counts the checkpoints about to be
-        // dropped (it holds indices, not nodes), so the compaction reads no
-        // closure row of a dropped node: only the kept ones, to renumber.
-        self.rmat = rebuild_matrix(&self.rmat, &r_remap, new_r_nodes);
+        // dropped (it holds indices, not nodes), and the kept closure is the
+        // one the kept rows describe: the compaction reads no closure row.
         self.reach = kept_rows(&self.reach);
-
         self.r_meta = kept.iter().map(|&old| self.r_meta[old]).collect();
         self.cp_tdv = kept_rows(&self.cp_tdv);
-        for (p, nodes) in self.cp_nodes.iter_mut().enumerate() {
-            nodes.drain(..(rb[p] - self.cp_base[p]) as usize);
-            for node in nodes {
-                *node = r_remap[*node as usize];
-            }
-        }
+        self.cp_nodes = nodes_by_process(&self.r_meta, n);
         self.cp_base = rb;
+        self.rmat = self.closure_from_reach();
 
         let mut new_msg_tdv = Vec::new();
         for m in &mut self.msgs[live..] {

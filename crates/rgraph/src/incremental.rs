@@ -42,23 +42,27 @@
 //!
 //! Each reachability relation (the R-graph over checkpoints; in the chain
 //! layer, zigzag and causal chains over delivered messages) is a square
-//! bit matrix held with its transpose and updated by Italiano's
-//! incremental-transitive-closure rule restricted to the two *dirty sets*
-//! the transpose yields (see `ClosureMatrix::insert_edge`): an insertion
-//! costs `2·width + |dpred|·span(dsucc) + |dsucc|·span(dpred)` words, and
-//! rows never lose bits while appending.
+//! bit matrix updated by Italiano's incremental-transitive-closure rule
+//! restricted to two *dirty sets*: the nodes reaching the edge's source but
+//! not yet its target, and the nodes the target reaches but the source not
+//! yet. Rows never lose bits while appending.
 //!
-//! The R-graph's *backward* closure is held a second time, as numbers: one
+//! The R-graph's *backward* closure is held as numbers, not bits: one
 //! **reach vector** per R-node, `reach[y][p]` = the greatest checkpoint of
 //! `p` with an R-path to `y`. Rule 1 chains every process's checkpoints, so
 //! the checkpoints of `p` that reach `y` are a prefix and one index per
 //! (node, process) is the whole set — `n` words a node, whatever the
 //! stream's age, and indifferent to whether a compaction has since dropped
-//! the reaching nodes. An edge insertion folds the source's vector into the
-//! vectors of the nodes it newly reaches (`insert_r_edge`: an `n`-wide
-//! `max` per dirty successor); the bits are kept to find those dirty sets
-//! and to answer [`reaches`](IncrementalAnalysis::reaches), and no closure
-//! pair is ever enumerated.
+//! the reaching nodes. So the core keeps forward bits only, reads an
+//! insertion's dirty predecessors off `reach` (a run of each process's
+//! checkpoints) and folds the source's vector into the vectors of the nodes
+//! it newly reaches (`insert_r_edge`: an `n`-wide `max` per dirty
+//! successor); the bits are kept to find those successors and to answer
+//! [`reaches`](IncrementalAnalysis::reaches), no closure pair is ever
+//! enumerated, and compaction and every restore build the bits from `reach`
+//! ([`closure_from_reach`](IncrementalAnalysis::closure_from_reach)). The
+//! chain closures have no such vectors and keep a transpose twin for their
+//! dirty predecessors (`ClosureMatrix` in `chain_layer.rs`).
 //!
 //! RDT itself is counted online, off the same vectors. The destination's
 //! dependency vector is snapshotted when the checkpoint is appended, before
@@ -184,204 +188,154 @@ pub struct MsgRec {
     tdv_row: u32,
 }
 
-/// A growable square reachability matrix with its transpose twin.
-///
-/// `fwd[u]` holds the successors of `u` (reflexively), `bwd[v]` the
-/// predecessors of `v`; both are row slabs of `width` words. Rows only
-/// ever gain bits while appending; every word change is handed to the
-/// journal layer so the matrix can be rewound.
+/// A growable square bit matrix: `nodes` rows of `width` words, row `u`
+/// holding column `v` at bit `v`. Rows only ever gain bits while appending;
+/// every word change is handed to the journal layer so the slab can be
+/// rewound. The R-graph core holds its forward closure in one (`fwd[u]` =
+/// the successors of `u`, reflexively); the chain layer's `ClosureMatrix`
+/// holds a closure and its transpose in two.
 #[derive(Debug, Clone)]
-struct ClosureMatrix {
+struct BitSlab {
     nodes: usize,
     width: usize,
-    fwd: Vec<u64>,
-    bwd: Vec<u64>,
-    // Scratch of the last inserted edge `u → v`, reused across insertions.
-    /// Dirty predecessors: the nodes reaching `u` (with `u`) that did not
-    /// reach `v` yet.
-    dpred: Vec<u64>,
-    /// Dirty successors: the nodes reached from `v` (with `v`) that `u` did
-    /// not reach yet.
-    dsucc: Vec<u64>,
+    words: Vec<u64>,
 }
 
-impl ClosureMatrix {
-    fn new() -> Self {
-        Self::from_slabs(0, 1, Vec::new(), Vec::new())
+impl Default for BitSlab {
+    fn default() -> Self {
+        BitSlab::new(0)
     }
+}
 
-    fn from_slabs(nodes: usize, width: usize, fwd: Vec<u64>, bwd: Vec<u64>) -> Self {
-        ClosureMatrix {
+impl BitSlab {
+    /// `nodes` rows without a bit set, at the least width that holds them.
+    fn new(nodes: usize) -> Self {
+        let width = bits::words_for(nodes).max(1).next_power_of_two();
+        BitSlab {
             nodes,
             width,
-            fwd,
-            bwd,
-            dpred: Vec::new(),
-            dsucc: Vec::new(),
+            words: vec![0; nodes * width],
         }
     }
 
-    fn bit(&self, bwd: bool, u: usize, v: usize) -> bool {
-        // One bounds check: row `u` starts at bit `u · width · WORD_BITS`.
-        let words = if bwd { &self.bwd } else { &self.fwd };
-        bits::test(words, u * self.width * WORD_BITS + v)
+    /// The transpose, block by block: a 64 × 64 block is loaded from 64
+    /// rows' words of one column, transposed, and stored as one column's
+    /// word of 64 rows. All-zero blocks, most of a young closure, are
+    /// skipped. No row may hold a bit at or beyond column `nodes`.
+    fn transposed(&self) -> Self {
+        let width = self.width;
+        let mut out = BitSlab {
+            words: vec![0; self.words.len()],
+            ..*self
+        };
+        let mut block = [0u64; 64];
+        for (band, rows) in self.words.chunks(WORD_BITS * width).enumerate() {
+            for col in 0..bits::words_for(self.nodes) {
+                block.fill(0);
+                for (word, row) in block.iter_mut().zip(rows.chunks_exact(width)) {
+                    *word = row[col];
+                }
+                if block.iter().all(|&word| word == 0) {
+                    continue;
+                }
+                transpose_block(&mut block);
+                let into = out.words[col * WORD_BITS * width..].chunks_exact_mut(width);
+                for (&word, row) in block.iter().zip(into) {
+                    row[band] = word;
+                }
+            }
+        }
+        out
     }
 
-    fn row(&self, bwd: bool, u: usize) -> &[u64] {
+    fn bit(&self, u: usize, v: usize) -> bool {
+        // One bounds check: row `u` starts at bit `u · width · WORD_BITS`.
+        bits::test(&self.words, u * self.width * WORD_BITS + v)
+    }
+
+    fn row(&self, u: usize) -> &[u64] {
         #[cfg(test)]
         work::CLOSURE_ROWS_READ.set(work::CLOSURE_ROWS_READ.get() + 1);
-        let words = if bwd { &self.bwd } else { &self.fwd };
-        &words[u * self.width..(u + 1) * self.width]
+        &self.words[u * self.width..(u + 1) * self.width]
     }
 
-    /// Appends a fresh node with only its reflexive bit set. The caller
+    /// Appends a fresh node with only its reflexive bit set, doubling the
+    /// words per row when they are full (journaled `(row, word)` addresses
+    /// are logical positions, which the relayout preserves). The caller
     /// journals the append that caused the push.
     fn push_node(&mut self) -> usize {
         assert!(
             self.nodes < MAX_CLOSURE_NODES,
             "closure matrix is at its row limit"
         );
-        if self.nodes == self.width * WORD_BITS {
-            self.grow();
+        let (id, old_w) = (self.nodes, self.width);
+        if id == old_w * WORD_BITS {
+            self.width *= 2;
+            let mut wide = vec![0u64; id * self.width];
+            for r in 0..id {
+                wide[r * self.width..][..old_w].copy_from_slice(&self.words[r * old_w..][..old_w]);
+            }
+            self.words = wide;
         }
-        let id = self.nodes;
         self.nodes += 1;
-        self.fwd.resize(self.nodes * self.width, 0);
-        self.bwd.resize(self.nodes * self.width, 0);
-        bits::set(&mut self.fwd[id * self.width..][..self.width], id);
-        bits::set(&mut self.bwd[id * self.width..][..self.width], id);
+        self.words.resize(self.nodes * self.width, 0);
+        bits::set(&mut self.words[id * self.width..][..self.width], id);
         id
     }
 
-    /// Doubles the words-per-row. Journaled `(row, word)` addresses refer
-    /// to logical positions, which relayout preserves.
-    fn grow(&mut self) {
-        let old_w = self.width;
-        let new_w = old_w * 2;
-        for slab in [&mut self.fwd, &mut self.bwd] {
-            let mut wide = vec![0u64; self.nodes * new_w];
-            for r in 0..self.nodes {
-                wide[r * new_w..r * new_w + old_w]
-                    .copy_from_slice(&slab[r * old_w..(r + 1) * old_w]);
-            }
-            *slab = wide;
-        }
-        self.width = new_w;
-    }
-
-    /// Incremental transitive-closure edge insertion (Italiano), restricted
-    /// to the *dirty sets* the transpose twin gives for free. If `u → v` is
-    /// not already implied,
-    ///
-    /// * `dpred = bwd[u] & !bwd[v]` are the nodes that reach `u` but not yet
-    ///   `v` — the only rows whose forward closure can change, because a
-    ///   predecessor that already reaches `v` already holds all of `fwd[v]`;
-    /// * `dsucc = fwd[v] & !fwd[u]` are the nodes `v` reaches but `u` does
-    ///   not yet — the only columns that can be new in those rows, because
-    ///   every predecessor of `u` already holds all of `fwd[u]`
-    ///
-    /// (rows are reflexive, so `u ∈ dpred` and `v ∈ dsucc`). Every row of
-    /// `dpred` gains `dsucc` and, in the transpose, every row of `dsucc`
-    /// gains `dpred`, each over the added set's non-zero word span only and
-    /// each changed word journaled, rows and words ascending. No new closure
-    /// bit is ever enumerated: what the R-graph core has to know about them
-    /// it reads off `dsucc` (see `insert_r_edge`). Returns whether the edge
-    /// was new; `dpred` / `dsucc` are only meaningful when it was.
-    fn insert_edge<J: Journal>(&mut self, mat_id: u8, journal: &mut J, u: usize, v: usize) -> bool {
-        if self.bit(false, u, v) {
-            return false;
-        }
-        debug_assert!(
-            self.bit(true, u, u) && self.bit(false, v, v),
-            "closure rows are reflexive"
-        );
-        let (w, fwd, bwd) = (self.width, &mut self.fwd, &mut self.bwd);
-        let (dpred, dsucc) = (&mut self.dpred, &mut self.dsucc);
-        let minus = |slab: &[u64], a: usize, b: usize, out: &mut Vec<u64>| {
-            let (a, b) = (&slab[a * w..][..w], &slab[b * w..][..w]);
-            out.clear();
-            out.extend(a.iter().zip(b).map(|(&a, &b)| a & !b));
-        };
-        minus(bwd, u, v, dpred);
-        minus(fwd, v, u, dsucc);
-
-        or_into_rows(fwd, w, mat_id * 2, journal, dpred, dsucc);
-        or_into_rows(bwd, w, mat_id * 2 + 1, journal, dsucc, dpred);
-        true
-    }
-
-    /// Full-scan insertion, the reference the kernel differential holds
-    /// [`insert_edge`](ClosureMatrix::insert_edge) against: every
-    /// predecessor row of `u` is scanned against all of `succ(v)` and every
-    /// successor row of `v` against all of `pred(u)`.
-    #[cfg(test)]
-    fn insert_edge_full_scan(
-        &mut self,
-        mat_id: u8,
-        journal: &mut UndoJournal,
-        u: usize,
-        v: usize,
-    ) -> bool {
-        if self.bit(false, u, v) {
-            return false;
-        }
+    /// `out ← row a & !row b`.
+    fn minus_into(&self, a: usize, b: usize, out: &mut Vec<u64>) {
         let w = self.width;
-        let mut succ = self.row(false, v).to_vec();
-        bits::set(&mut succ, v);
-        let mut pred = self.row(true, u).to_vec();
-        bits::set(&mut pred, u);
-        for (dir, rows, add) in [(0u8, &pred, &succ), (1, &succ, &pred)] {
-            let slab = if dir == 0 {
-                &mut self.fwd
-            } else {
-                &mut self.bwd
-            };
-            for x in bits::ones(rows) {
-                for (wi, &add) in add.iter().enumerate() {
-                    let old = slab[x * w + wi];
-                    let fresh = add & !old;
-                    if fresh != 0 {
-                        journal.record(Undo::word(mat_id * 2 + dir, x, wi, old));
-                        slab[x * w + wi] = old | add;
-                    }
+        let (a, b) = (&self.words[a * w..][..w], &self.words[b * w..][..w]);
+        out.clear();
+        out.extend(a.iter().zip(b).map(|(&a, &b)| a & !b));
+    }
+
+    /// ORs `add` into each of the (distinct) `rows`, words ascending,
+    /// touching only `add`'s non-zero word span. Each changed word is
+    /// journaled under selector `sel` before it is written (on a
+    /// [`NoJournal`] engine that is no code at all).
+    #[inline]
+    fn or_into_rows<J: Journal>(
+        &mut self,
+        sel: u8,
+        journal: &mut J,
+        rows: impl Iterator<Item = usize>,
+        add: &[u64],
+    ) {
+        let lo = add.iter().position(|&w| w != 0).unwrap_or(add.len());
+        let hi = add.iter().rposition(|&w| w != 0).map_or(lo, |i| i + 1);
+        let w = self.width;
+        for x in rows {
+            let row = &mut self.words[x * w..][..w];
+            for wi in lo..hi {
+                let old = row[wi];
+                let fresh = add[wi] & !old;
+                if fresh != 0 {
+                    journal.record(Undo::word(sel, x, wi, old));
+                    row[wi] = old | fresh;
                 }
             }
         }
-        true
     }
 }
 
-/// The range of word indices outside which `words` is all zero.
-fn nonzero_span(words: &[u64]) -> std::ops::Range<usize> {
-    let lo = words.iter().position(|&w| w != 0).unwrap_or(words.len());
-    let hi = words.iter().rposition(|&w| w != 0).map_or(lo, |i| i + 1);
-    lo..hi
-}
-
-/// ORs `add` into row `x` of `slab` (rows of `w` words) for every
-/// `x ∈ ones(rows)`, touching only `add`'s non-zero word span. Each changed
-/// word is journaled under selector `sel` before it is written (on a
-/// [`NoJournal`] engine that is no code at all).
-#[inline]
-fn or_into_rows<J: Journal>(
-    slab: &mut [u64],
-    w: usize,
-    sel: u8,
-    journal: &mut J,
-    rows: &[u64],
-    add: &[u64],
-) {
-    let span = nonzero_span(add);
-    for x in bits::ones(rows) {
-        let row = &mut slab[x * w..][..w];
-        for wi in span.clone() {
-            let old = row[wi];
-            let fresh = add[wi] & !old;
-            if fresh != 0 {
-                journal.record(Undo::word(sel, x, wi, old));
-                row[wi] = old | fresh;
-            }
+/// Transposes a 64×64 bit block in place: bit `c` of word `r` trades places
+/// with bit `r` of word `c`. Six rounds of masked swaps between words `j`
+/// apart, `j` = 32, 16, … 1 (Hacker's Delight, figure 7-3, with bit 0 as
+/// column 0).
+fn transpose_block(block: &mut [u64; 64]) {
+    let (mut j, mut mask) = (32, 0x0000_0000_ffff_ffffu64);
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let swap = (block[k] >> j ^ block[k + j]) & mask;
+            block[k] ^= swap << j;
+            block[k + j] ^= swap;
+            k = (k + j + 1) & !j;
         }
+        j >>= 1;
+        mask ^= mask << j;
     }
 }
 
@@ -472,9 +426,15 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     /// render alone, so marks any other render returned are refused.
     /// `usize::MAX` until the first marked render.
     marked_events: usize,
-    /// The closure as bits: needed to find the dirty sets of an insertion
-    /// and to answer `reaches`; nothing counts or enumerates its pairs.
-    rmat: ClosureMatrix,
+    /// The forward closure as bits, `fwd[x]` the nodes `x` reaches: needed
+    /// to find the dirty successors of an insertion and to answer `reaches`;
+    /// nothing counts or enumerates its pairs. A function of `reach`
+    /// ([`closure_from_reach`](IncrementalAnalysis::closure_from_reach)),
+    /// which is the backward closure: no transpose is kept.
+    rmat: BitSlab,
+    /// Scratch of `insert_r_edge`: the nodes reached from the edge's target
+    /// that its source did not reach yet.
+    dsucc: Vec<u64>,
     /// Per R-node `(process, checkpoint index)`.
     r_meta: Vec<(u32, u32)>,
     /// R-node of `C_{p,x}` (indexed by `x`).
@@ -523,7 +483,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// (what [`new`](IncrementalAnalysis::new) is for the core alone).
     pub fn layered(n: usize) -> Self {
         assert!(n > 0, "need at least one process");
-        let mut rmat = ClosureMatrix::new();
+        let mut rmat = BitSlab::default();
         let mut r_meta = Vec::with_capacity(n);
         let mut cp_nodes = Vec::with_capacity(n);
         let mut cur_tdv = vec![0u32; n * n];
@@ -551,6 +511,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             reach_floor: 0,
             marked_events: usize::MAX,
             rmat,
+            dsucc: Vec::new(),
             r_meta,
             cp_nodes,
             send_events: vec![Vec::new(); n],
@@ -646,10 +607,8 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             self.cp_tdv.push(self.cur_tdv[base + k]);
         }
         self.cp_nodes[pi].push(node as u32);
-        // The node reaches itself and, until the edges below, nothing else
-        // reaches it.
+        // Until the edges below nothing reaches the node.
         self.reach.resize(self.reach.len() + self.n, 0);
-        self.reach[node * self.n + pi] = closing + 1;
         self.cur_tdv[base + pi] += 1;
 
         // Incoming edges first: while the new node has no successor each of
@@ -659,9 +618,13 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         // (Compaction keeps every checkpoint node a pending Rule 2 edge
         // can still name, so the base-offset lookups cannot underflow.)
 
-        // Rule 1: C_{p, closing-1} -> C_{p, closing}.
+        // Rule 1: C_{p, closing-1} -> C_{p, closing}, before the node's own
+        // lane says it reaches itself: that lane would hide from
+        // `insert_r_edge` every checkpoint reaching `prev`. Its fold adds no
+        // untrackable pair (the `TDV` snapshot's own entry is `closing`).
         let prev = self.cp_nodes[pi][(closing - 1 - self.cp_base[pi]) as usize] as usize;
         self.insert_r_edge(prev, node);
+        self.reach[node * self.n + pi] = closing + 1;
 
         // Rule 2, receiver side: messages delivered at `p` in the interval
         // this checkpoint closes, whose send interval is already closed.
@@ -811,7 +774,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// Popcount of the R-graph reachability closure (reflexive pairs
     /// included) — the batch checker's `pairs_checked`.
     pub fn total_reachable_pairs(&self) -> usize {
-        bits::count_ones(&self.rmat.fwd)
+        bits::count_ones(&self.rmat.words)
     }
 
     /// Whether an R-path runs from `from` to `to` (reflexively).
@@ -821,7 +784,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     pub fn reaches(&self, from: CheckpointId, to: CheckpointId) -> bool {
         let u = self.node_of(from);
         let v = self.node_of(to);
-        self.rmat.bit(false, u, v)
+        self.rmat.bit(u, v)
     }
 
     fn node_of(&self, c: CheckpointId) -> usize {
@@ -1006,14 +969,23 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     // ------------------------------------------------------ internal ----
 
     /// Inserts an R-graph edge `u → v` and folds `u`'s reach vector into
-    /// every node the edge made newly reachable from `u` (`rmat.dsucc`):
+    /// every node the edge made newly reachable from `u` (`dsucc`):
     /// `reach[y] ← max(reach[y], reach[u])`, lane by lane.
     ///
+    /// The bits follow Italiano's rule, as `ClosureMatrix::insert_edge` in
+    /// the chain layer: every node reaching `u` but not yet `v` gains every
+    /// node `v` reaches and `u` does not yet (`fwd[v] & !fwd[u]`). The first
+    /// set needs no transpose: on a process `q` the checkpoints reaching `u`
+    /// are `C_{q,0..reach[u][q]}` and those reaching `v` a prefix of them, so
+    /// it is the run `max(reach[v][q], cp_base[q]) ≤ i < reach[u][q]` of
+    /// `cp_nodes[q]`, walked process by process (as bits, to be walked in
+    /// node order, it cost more than the transpose's writes it replaced).
+    ///
     /// That is the whole backward closure, exactly. Whatever newly reaches a
-    /// `y ∈ dsucc` does so through `u`, and `reach[u]` dominates the row of
+    /// dirty successor `y` does so through `u`, and `reach[u]` dominates the row of
     /// every predecessor of `u` (reachability is transitive), so `u`'s row
     /// alone covers them all, compacted-away sources included; a successor
-    /// of `v` outside `dsucc` was reached from `u` before the edge, so its
+    /// of `v` that is not dirty was reached from `u` before the edge, so its
     /// row dominates `reach[u]` already and has nothing to gain.
     ///
     /// It is also the untrackable count. `C_{p,i} → y` is trackable iff
@@ -1026,18 +998,29 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// snapshot was taken when the node was created, before any edge could
     /// reach it.
     fn insert_r_edge(&mut self, u: usize, v: usize) {
-        if !self.rmat.insert_edge(MAT_R, &mut self.journal, u, v) {
+        if self.rmat.bit(u, v) {
             return;
         }
         let n = self.n;
-        if let Some(lowest) = bits::ones(&self.rmat.dsucc).next() {
+        let succ = &mut self.dsucc;
+        self.rmat.minus_into(v, u, succ);
+        let (reach_u, reach_v) = (&self.reach[u * n..][..n], &self.reach[v * n..][..n]);
+        let pred = (0..n).flat_map(|q| {
+            let (base, from) = (self.cp_base[q], reach_v[q].max(self.cp_base[q]));
+            &self.cp_nodes[q][(from - base) as usize..(reach_u[q].max(from) - base) as usize]
+        });
+        let pred = pred.map(|&x| x as usize);
+        self.rmat
+            .or_into_rows(MAT_R * 2, &mut self.journal, pred, succ);
+
+        if let Some(lowest) = bits::ones(succ).next() {
             self.reach_floor = self.reach_floor.min(lowest);
         }
         let mut delta = 0u64;
-        for y in bits::ones(&self.rmat.dsucc) {
+        for y in bits::ones(succ) {
             #[cfg(test)]
             work::ROWS_FOLDED.set(work::ROWS_FOLDED.get() + 1);
-            // `u ∉ dsucc` (its row holds its own bit), so the rows differ.
+            // `u ∉ succ` (its row holds its own bit), so the rows differ.
             let (head, tail) = self.reach.split_at_mut(u.max(y) * n);
             let (from, into) = if u < y {
                 (&head[u * n..][..n], &mut tail[..n])
@@ -1054,6 +1037,49 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             self.untrackable += delta;
         }
     }
+
+    /// The forward closure `reach` describes, for compaction and for restores
+    /// of every version alike: a retained `C_{q,i}` reaches `y` iff
+    /// `i < reach[y][q]`. Each backward row starts as a copy of its Rule 1
+    /// predecessor's, whose lanes are at most its own, and gains the
+    /// checkpoints of the lanes that rose; the forward slab is the transpose,
+    /// and the backward one is dropped.
+    fn closure_from_reach(&self) -> BitSlab {
+        let n = self.n;
+        let mut preds = BitSlab::new(self.r_meta.len());
+        let width = preds.width;
+        for own in &self.cp_nodes {
+            let mut before: Option<usize> = None;
+            for &y in own {
+                let y = y as usize;
+                if let Some(x) = before {
+                    preds
+                        .words
+                        .copy_within(x * width..(x + 1) * width, y * width);
+                }
+                let row = &mut preds.words[y * width..][..width];
+                let lanes = self.reach[y * n..][..n].iter().zip(&self.cp_nodes);
+                for (q, ((&reach, nodes), &base)) in lanes.zip(&self.cp_base).enumerate() {
+                    let rose_from = before.map_or(0, |x| self.reach[x * n + q]).max(base);
+                    for index in rose_from..reach {
+                        bits::set(row, nodes[(index - base) as usize] as usize);
+                    }
+                }
+                before = Some(y);
+            }
+        }
+        preds.transposed()
+    }
+}
+
+/// The R-node of each checkpoint in `r_meta`, per process: `r_meta` lists
+/// the nodes in append order, so each process's in index order.
+fn nodes_by_process(r_meta: &[(u32, u32)], n: usize) -> Vec<Vec<u32>> {
+    let mut cp_nodes = vec![Vec::new(); n];
+    for (node, &(p, _)) in r_meta.iter().enumerate() {
+        cp_nodes[p as usize].push(node as u32);
+    }
+    cp_nodes
 }
 
 /// `into ← max(into, from)`, lane by lane, each raised lane journaled under
@@ -1107,7 +1133,7 @@ mod work {
     thread_local! {
         /// Rows of `reach` folded by `insert_r_edge`.
         pub static ROWS_FOLDED: Cell<u64> = const { Cell::new(0) };
-        /// Closure rows read through `ClosureMatrix::row`.
+        /// Closure rows read through `BitSlab::row`.
         pub static CLOSURE_ROWS_READ: Cell<u64> = const { Cell::new(0) };
         /// Rows of the write-once snapshot tables (`msgs`, `msg_tdv`,
         /// `cp_tdv`, `r_meta`) a snapshot render wrote.
@@ -1284,13 +1310,10 @@ mod tests {
                 self.r_meta.capacity(),
                 self.reach.capacity(),
             ];
-            let mats = [&self.rmat, &chains.zmat, &chains.cmat].into_iter();
-            let slabs = mats.flat_map(|m| {
-                let scratch = [m.dpred.capacity(), m.dsucc.capacity()];
-                [m.fwd.capacity(), m.bwd.capacity()]
-                    .into_iter()
-                    .chain(scratch)
-            });
+            let (z, c) = (&chains.zmat, &chains.cmat);
+            let slabs = [&self.rmat, &z.fwd, &z.bwd, &c.fwd, &c.bwd].map(|m| m.words.capacity());
+            let scratch = [&self.dsucc, &z.dpred, &z.dsucc, &c.dpred, &c.dsucc];
+            let slabs = slabs.into_iter().chain(scratch.map(Vec::capacity));
             let per_process = (0..self.n).flat_map(|p| {
                 let nodes = [&self.cp_nodes[p], &chains.z_slots[p], &chains.c_spine[p]];
                 let events = [&self.send_events[p], &self.deliver_events[p]];
@@ -1711,12 +1734,47 @@ mod tests {
         }
     }
 
+    /// Full-scan insertion, the reference the kernel differential holds
+    /// `ClosureMatrix::insert_edge` against: every predecessor row of `u` is
+    /// scanned against all of `succ(v)` and every successor row of `v`
+    /// against all of `pred(u)`.
+    fn insert_edge_full_scan(
+        mat: &mut chain_layer::ClosureMatrix,
+        journal: &mut UndoJournal,
+        u: usize,
+        v: usize,
+    ) -> bool {
+        if mat.fwd.bit(u, v) {
+            return false;
+        }
+        let mut succ = mat.fwd.row(v).to_vec();
+        bits::set(&mut succ, v);
+        let mut pred = mat.bwd.row(u).to_vec();
+        bits::set(&mut pred, u);
+        for (dir, rows, add) in [(0u8, &pred, &succ), (1, &succ, &pred)] {
+            let slab = if dir == 0 { &mut mat.fwd } else { &mut mat.bwd };
+            let w = slab.width;
+            for x in bits::ones(rows) {
+                for (wi, &add) in add.iter().enumerate() {
+                    let old = slab.words[x * w + wi];
+                    let fresh = add & !old;
+                    if fresh != 0 {
+                        journal.record(Undo::word(MAT_R * 2 + dir, x, wi, old));
+                        slab.words[x * w + wi] = old | add;
+                    }
+                }
+            }
+        }
+        true
+    }
+
     /// Grows two matrices to `target` nodes through the same random
     /// insertions — the dirty-set kernel on one, the full-scan reference on
     /// the other — and holds slabs, journal entries and the "was new" flag
     /// against each other after every insertion.
     fn assert_kernels_agree(rng: &mut Rng, target: usize) {
-        let (mut kernel, mut reference) = (ClosureMatrix::new(), ClosureMatrix::new());
+        use chain_layer::ClosureMatrix;
+        let (mut kernel, mut reference) = (ClosureMatrix::default(), ClosureMatrix::default());
         let (mut journal_k, mut journal_r) = (UndoJournal::default(), UndoJournal::default());
         let mut inserted: Vec<(usize, usize)> = Vec::new();
         let (mut fresh_edges, mut implied_edges) = (0usize, 0usize);
@@ -1725,9 +1783,9 @@ mod tests {
             m.push_node();
         }
         let mut steps = 0;
-        while kernel.nodes < target || steps < 3 * target {
+        while kernel.fwd.nodes < target || steps < 3 * target {
             steps += 1;
-            let k = kernel.nodes;
+            let k = kernel.fwd.nodes;
             let (u, v) = match rng.below(8) {
                 // An edge at a node pushed this very step (into or out of
                 // it); pushes cross the 1 -> 2 -> 4 word growth.
@@ -1760,10 +1818,16 @@ mod tests {
             inserted.push((u, v));
             let (at_k, at_r) = (journal_k.entries.len(), journal_r.entries.len());
             let new_k = kernel.insert_edge(MAT_R, &mut journal_k, u, v);
-            let new_r = reference.insert_edge_full_scan(MAT_R, &mut journal_r, u, v);
+            let new_r = insert_edge_full_scan(&mut reference, &mut journal_r, u, v);
             assert_eq!(new_k, new_r, "was-new flag of {u} -> {v}");
-            assert_eq!(kernel.fwd, reference.fwd, "fwd after {u} -> {v}");
-            assert_eq!(kernel.bwd, reference.bwd, "bwd after {u} -> {v}");
+            assert_eq!(
+                kernel.fwd.words, reference.fwd.words,
+                "fwd after {u} -> {v}"
+            );
+            assert_eq!(
+                kernel.bwd.words, reference.bwd.words,
+                "bwd after {u} -> {v}"
+            );
             assert_eq!(
                 journal_k.entries[at_k..],
                 journal_r.entries[at_r..],
@@ -1775,7 +1839,10 @@ mod tests {
                 implied_edges += 1;
             }
         }
-        assert_eq!(kernel.width, bits::words_for(target).next_power_of_two());
+        assert_eq!(
+            kernel.fwd.width,
+            bits::words_for(target).next_power_of_two()
+        );
         assert!(
             fresh_edges > 0 && implied_edges > 0,
             "both outcomes exercised"
@@ -1819,7 +1886,7 @@ mod tests {
     /// with the one field that is documented not to rewind (`events`, a
     /// monotone work counter) blanked, and what is not state cut out: the
     /// journal's identity, which no two engines share, and the closure
-    /// kernel's scratch sets.
+    /// kernels' scratch sets.
     fn rewindable_state<C: ChainLayer>(mut incr: IncrementalAnalysis<C, UndoJournal>) -> String {
         incr.events = 0;
         let mut state = format!("{incr:?}");
@@ -1882,32 +1949,45 @@ mod tests {
     }
 
     /// Row `y` of `reach`, recomputed from the closure bits: per process one
-    /// more than the greatest index among the set bits of `bwd[y]` — those
-    /// below `below[p]` only, when a limit is given. Also holds the bits to
-    /// the downward closure the encoding rests on: restricted to a process,
-    /// `bwd[y]` is a prefix of its retained checkpoints.
+    /// more than the greatest index of a retained `x` whose `fwd[x]` has bit
+    /// `y` — of those below `below[p]` only, when a limit is given. Also
+    /// holds the bits to the downward closure the encoding rests on:
+    /// restricted to a process, the column is a prefix of its retained
+    /// checkpoints.
     fn reach_row_from_bits<C: ChainLayer, J: Journal>(
         engine: &IncrementalAnalysis<C, J>,
         y: usize,
         below: Option<&[u32]>,
     ) -> Vec<u32> {
-        let preds = engine.rmat.row(true, y);
+        let reaches = |x: u32| engine.rmat.bit(x as usize, y);
         let mut row = vec![0u32; engine.n];
-        for x in bits::ones(preds) {
-            let (p, index) = engine.r_meta[x];
-            if below.is_none_or(|limit| index < limit[p as usize]) {
+        for (x, &(p, index)) in engine.r_meta.iter().enumerate() {
+            if reaches(x as u32) && below.is_none_or(|limit| index < limit[p as usize]) {
                 row[p as usize] = row[p as usize].max(index + 1);
             }
         }
         for nodes in &engine.cp_nodes {
-            let reaching = nodes.partition_point(|&x| bits::test(preds, x as usize));
-            let beyond = nodes[reaching..].iter();
+            let reaching = nodes.partition_point(|&x| reaches(x));
             assert!(
-                beyond.clone().all(|&x| !bits::test(preds, x as usize)),
+                !nodes[reaching..].iter().any(|&x| reaches(x)),
                 "the checkpoints of a process reaching node {y} are not a prefix"
             );
         }
         row
+    }
+
+    /// The closure bits are the function of `reach` compaction and restore
+    /// build them by: row for row, `fwd` is what `closure_from_reach` gives.
+    fn assert_bits_follow_reach<J: Journal>(engine: &IncrementalAnalysis<NoChains, J>, what: &str) {
+        let built = engine.closure_from_reach();
+        assert_eq!(engine.rmat.nodes, built.nodes, "{what}: nodes");
+        for x in 0..built.nodes {
+            let (ours, theirs) = (engine.rmat.row(x), built.row(x));
+            assert!(
+                bits::ones(ours).eq(bits::ones(theirs)),
+                "{what}: fwd row {x} is not the one `reach` describes"
+            );
+        }
     }
 
     impl ReachDifferential {
@@ -1922,10 +2002,13 @@ mod tests {
         }
 
         /// `reach` is the closure and `untrackable` is `Σ (reach − TDV)⁺`,
-        /// on both engines.
+        /// and the closure bits are the ones `reach` describes, on both
+        /// engines.
         fn check(&self, what: &str) {
             let (subject, twin) = (&self.subject, &self.twin);
             let n = subject.n;
+            assert_bits_follow_reach(subject, what);
+            assert_bits_follow_reach(twin, &format!("{what}, twin"));
             // The twin, from its own bits alone; it holds every checkpoint,
             // so its rows also sum to the count.
             let mut untrackable = 0u64;
@@ -2132,14 +2215,14 @@ mod tests {
             assert_eq!(examined, 2 * (sent - self.sent_before_round));
             assert_eq!(self.core.settled, sent, "every message is settled");
             self.sent_before_round = sent;
-            // Of the closure it read the rows it kept, forward and
-            // backward, to renumber them — and no row of the
-            // `dropped_r_nodes` it dropped: what those reach is in the kept
-            // rows of `reach` already.
+            // It read no closure row, neither of the `dropped_r_nodes` it
+            // dropped nor of those it kept: what the dropped ones reach is in
+            // the kept rows of `reach` already, and the kept closure is built
+            // from those rows.
             assert!(stats.dropped_r_nodes > stats.resident_nodes);
             assert_eq!(
                 work::CLOSURE_ROWS_READ.get(),
-                2 * stats.resident_nodes as u64,
+                0,
                 "closure rows read by a compaction that kept {} and dropped {}",
                 stats.resident_nodes,
                 stats.dropped_r_nodes
@@ -2150,10 +2233,7 @@ mod tests {
             let (stats, examined) = self.compact();
             assert!(!stats.discarded_state());
             assert_eq!(examined, 0, "a settled record was examined");
-            assert_eq!(
-                work::CLOSURE_ROWS_READ.get(),
-                2 * stats.resident_nodes as u64
-            );
+            assert_eq!(work::CLOSURE_ROWS_READ.get(), 0);
         }
 
         /// `compact_to_recovery_line`, with the records it examined.
@@ -2279,14 +2359,14 @@ mod tests {
     }
 
     /// A checkpoint folds its finished reach row into each node it newly
-    /// reaches once, and a compaction reads no closure row of a node it
-    /// drops: exact counts on a `deep-unix`-shaped stream, period by period.
+    /// reaches once, and a compaction reads no closure row: exact counts on
+    /// a `deep-unix`-shaped stream, period by period.
     /// The fold count is what the order of the Rule 2 edges in
     /// `try_append_checkpoint` decides — with the sender-side edges first
     /// the row is pushed out again after every receiver-side edge, and the
     /// same six periods fold 110 772, 64 538, 21 018, 54 255, 45 542 and
     /// 34 369 rows. The row count is asserted at every round
-    /// (`round_and_compact`: the 32 rows kept, none of the 832 dropped).
+    /// (`round_and_compact`: none of the 32 rows kept or the 832 dropped).
     #[test]
     fn work_bound_a_checkpoint_folds_its_row_once() {
         const ROWS_FOLDED: [u64; 6] = [60_413, 30_126, 10_517, 25_885, 19_875, 16_925];

@@ -58,6 +58,11 @@ impl Undo {
         (at >> (ROW_BITS + 1)) as u8
     }
 
+    /// Whether a journaled word address is of a transpose slab.
+    pub(super) fn transposed(at: u32) -> bool {
+        at >> ROW_BITS & 1 == 1
+    }
+
     /// The entry for word `word` of row `row` in the slab `sel` selects.
     #[inline]
     pub(super) fn word(sel: u8, row: usize, word: usize, old: u64) -> Undo {
@@ -183,26 +188,20 @@ impl std::fmt::Display for RewindError {
 
 impl std::error::Error for RewindError {}
 
-impl ClosureMatrix {
+impl BitSlab {
     /// Removes the most recently pushed node (rewind path). Closure bits
     /// referring to it in surviving rows have already been undone through
     /// [`Undo::Word`] entries, which are newer than the node's push.
     pub(super) fn pop_node(&mut self) {
         self.nodes -= 1;
-        self.fwd.truncate(self.nodes * self.width);
-        self.bwd.truncate(self.nodes * self.width);
+        self.words.truncate(self.nodes * self.width);
     }
 
     /// Puts back the word a journaled [`Undo::Word`] overwrote.
     pub(super) fn undo_word(&mut self, at: u32, word: [u8; 3], old: u64) {
-        let slab = if at >> ROW_BITS & 1 == 0 {
-            &mut self.fwd
-        } else {
-            &mut self.bwd
-        };
         let row = (at as usize) & (MAX_CLOSURE_NODES - 1);
         let word = u32::from_le_bytes([word[0], word[1], word[2], 0]) as usize;
-        slab[row * self.width + word] = old;
+        self.words[row * self.width + word] = old;
     }
 }
 

@@ -36,7 +36,7 @@
 //! the message records (`msgs`: a row is final once its message is
 //! delivered) and the backward closure (`reach`). Of the first four a row once
 //! written is never revised. A `reach` row changes whenever an R-edge makes its
-//! node newly reachable, but only the rows of `rmat.dsucc` change, and
+//! node newly reachable, but only the rows of its dirty successors change, and
 //! `insert_r_edge` keeps their least index as the engine's *reach floor*: the
 //! rows below it are as the last marked render wrote them.
 //!
@@ -83,12 +83,10 @@
 //!   checkpoints `cp_base..=cp_count` in it in that order.
 //! * the closure bits, `rmat`. Rule 1 chains a process's checkpoints, so the
 //!   checkpoints of `p` reaching `y` are a prefix and a retained
-//!   `x = C_{p,i}` reaches `y` iff `i < reach[y][p]`. Restore builds each
-//!   backward row from its Rule 1 predecessor's — a copy, then the lanes that
-//!   rose — and transposes the slab, 64×64 bits at a time, into the forward
-//!   one. It checks every `reach` entry first: at most `cp_count + 1`, at
-//!   least `i + 1` on the node's own lane (every node reaches itself), and
-//!   never below the predecessor's.
+//!   `x = C_{p,i}` reaches `y` iff `i < reach[y][p]`. Restore builds them with
+//!   `closure_from_reach`, as compaction does, after checking every `reach`
+//!   entry: at most `cp_count + 1`, at least `i + 1` on the node's own lane
+//!   (every node reaches itself), and never below the Rule 1 predecessor's.
 //! * `send_events` / `deliver_events`, the per-process indices into the
 //!   message table. `send_events[p]` is the messages from `p` in handle
 //!   order (a process's send intervals only grow, and restore rejects a table
@@ -99,8 +97,10 @@
 //!   interval, the chain queries' per-interval masks — reads an interval's
 //!   entries as a set, so the order inside it is not state.
 //! * `drop_reach`, what versions 1–3 wrote of `reach`: the part a compaction
-//!   dropped the nodes of. Its retained half was the transposed closure rows,
-//!   so a version 1–3 restore joins the two back together (`rebuild_reach`).
+//!   dropped the nodes of. Its retained half was the columns of the closure
+//!   bits, so a version 1–3 restore joins the two back together
+//!   (`join_reach`), takes the version 4 path from there, and refuses the
+//!   document unless its bits are the closure that `reach` describes.
 //!
 //! # Versions
 //!
@@ -109,7 +109,8 @@
 //!   `[from, to, send_iv, deliver_iv, tdv_row]`. A delta is a version 4
 //!   document whose growing tables may start at a row `from`.
 //! * **3** (read): the closure as `rmat: {nodes, width, fwd}`, `cp_nodes`
-//!   and `drop_reach` instead of `reach`.
+//!   (which must be the list `r_meta` gives) and `drop_reach` instead of
+//!   `reach`.
 //! * **2** (read): version 3 plus the tables version 3 derives — `bwd` in
 //!   every matrix, `send_events` and `deliver_events`. They are skipped like
 //!   any unknown key, **not trusted**: a version 2 document restores to the
@@ -573,52 +574,9 @@ fn write_u32(w: &mut JsonWriter<'_>, &value: &u32) {
 
 // ---------------------------------------------------------- matrices ----
 
-/// Transposes a 64×64 bit block in place: bit `c` of word `r` trades places
-/// with bit `r` of word `c`. Six rounds of masked swaps between words `j`
-/// apart, `j` = 32, 16, … 1 (Hacker's Delight, figure 7-3, with bit 0 as
-/// column 0).
-fn transpose_block(block: &mut [u64; 64]) {
-    let (mut j, mut mask) = (32, 0x0000_0000_ffff_ffffu64);
-    while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let swap = (block[k] >> j ^ block[k + j]) & mask;
-            block[k] ^= swap << j;
-            block[k + j] ^= swap;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        mask ^= mask << j;
-    }
-}
-
-/// The transpose of a validated slab (`nodes` rows of `width` words, no
-/// bit at or beyond column `nodes`), block by block: a block is loaded from
-/// 64 rows' words of one column, transposed, and stored as one column's
-/// word of 64 rows. All-zero blocks, most of a young closure, are skipped.
-fn transpose(slab: &[u64], nodes: usize, width: usize) -> Vec<u64> {
-    let mut out = vec![0u64; slab.len()];
-    let mut block = [0u64; 64];
-    for (band, rows) in slab.chunks(WORD_BITS * width).enumerate() {
-        for col in 0..bits::words_for(nodes) {
-            block.fill(0);
-            for (word, row) in block.iter_mut().zip(rows.chunks_exact(width)) {
-                *word = row[col];
-            }
-            if block.iter().all(|&word| word == 0) {
-                continue;
-            }
-            transpose_block(&mut block);
-            let into = out[col * WORD_BITS * width..].chunks_exact_mut(width);
-            for (&word, row) in block.iter().zip(into) {
-                row[band] = word;
-            }
-        }
-    }
-    out
-}
-
-fn matrix_from_tables(t: Option<MatrixTables>, key: &str) -> Result<ClosureMatrix, SnapshotError> {
+/// The forward closure slab of a version 1–3 document, its shape checked
+/// and every row free of padding bits and holding its diagonal bit.
+fn matrix_from_tables(t: Option<MatrixTables>, key: &str) -> Result<BitSlab, SnapshotError> {
     let t = need(t, key)?;
     let nodes = need_usize(t.nodes, "nodes")?;
     let width = need_usize(t.width, "width")?;
@@ -632,14 +590,11 @@ fn matrix_from_tables(t: Option<MatrixTables>, key: &str) -> Result<ClosureMatri
     if fwd.len() != nodes * width {
         return Err(bad(format!("`{key}` slab size disagrees with nodes×width")));
     }
-    // Edge insertion iterates the set bits of a row as node indices and
-    // takes every row to hold its own node: a bit at or beyond `nodes` would
-    // index past the slab (and, transposed, name a row that does not exist),
-    // a missing diagonal bit would lose the edge's own endpoints. Only the
-    // words from the one holding column `nodes` onwards can carry a padding
-    // bit. The transpose of a slab that passes is in bounds and reflexive
-    // as well: its padding columns are the rows there are none of, its
-    // diagonal is this one.
+    // The join into `reach` takes the set bits of a row as node indices,
+    // and every node reaches itself: a bit at or beyond `nodes` would index
+    // past the tables, a missing diagonal bit names a node that does not
+    // reach itself. Only the words from the one holding column `nodes`
+    // onwards can carry a padding bit.
     let mut padding = vec![0u64; width];
     for col in nodes..width * WORD_BITS {
         bits::set(&mut padding, col);
@@ -657,18 +612,11 @@ fn matrix_from_tables(t: Option<MatrixTables>, key: &str) -> Result<ClosureMatri
             )));
         }
     }
-    let bwd = transpose(&fwd, nodes, width);
-    Ok(ClosureMatrix::from_slabs(nodes, width, fwd, bwd))
-}
-
-/// Node-index bound check: `NONE_U32` is allowed when `none_ok`.
-fn check_node(value: u32, nodes: usize, none_ok: bool, what: &str) -> Result<(), SnapshotError> {
-    match value {
-        NONE_U32 if none_ok => Ok(()),
-        NONE_U32 => Err(bad(format!("`{what}` has an unexpected NONE entry"))),
-        value if (value as usize) < nodes => Ok(()),
-        value => Err(bad(format!("`{what}` entry {value} out of node range"))),
-    }
+    Ok(BitSlab {
+        nodes,
+        width,
+        words: fwd,
+    })
 }
 
 /// A table with exactly one entry per process.
@@ -949,7 +897,8 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             reach: Vec::new(),
             reach_floor: 0,
             marked_events: usize::MAX,
-            rmat: ClosureMatrix::new(),
+            rmat: BitSlab::default(),
+            dsucc: Vec::new(),
             r_meta: r_meta.map(|pair| (pair[0], pair[1])).collect(),
             cp_nodes: Vec::new(),
             send_events,
@@ -963,89 +912,72 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             // walks the table once and finds the cursor again.
             settled: 0,
         };
+        // Versions 1–3 hold the closure as bits, `reach` joined from them.
+        let mut fwd = None;
         if version < 4 {
-            engine.rmat = matrix_from_tables(t.rmat, "rmat")?;
-            engine.cp_nodes = per_process(t.cp_nodes, n, "cp_nodes")?;
-            let drop_reach = need(t.drop_reach, "drop_reach")?;
-            if engine.r_meta.len() != engine.rmat.nodes {
+            let bits = matrix_from_tables(t.rmat, "rmat")?;
+            if engine.r_meta.len() != bits.nodes {
                 return Err(bad("`r_meta` length disagrees with `rmat` nodes"));
             }
             engine.check_core_tables()?;
-            engine.check_v3_tables(&drop_reach)?;
-            engine.rebuild_reach(&drop_reach);
+            engine.index_checkpoints()?;
+            if per_process(t.cp_nodes, n, "cp_nodes")? != engine.cp_nodes {
+                return Err(bad(
+                    "`cp_nodes` is not the list of retained checkpoints `r_meta` holds",
+                ));
+            }
+            engine.reach = engine.join_reach(&bits, need(t.drop_reach, "drop_reach")?)?;
+            fwd = Some(bits);
         } else {
             engine.reach = need(t.reach, "reach")?.rows;
             engine.check_core_tables()?;
             engine.index_checkpoints()?;
-            engine.check_reach()?;
-            engine.rmat = engine.closure_from_reach();
+        }
+        engine.check_reach()?;
+        engine.rmat = engine.closure_from_reach();
+        // Version 1–3 bits in which the checkpoints of a process reaching a
+        // node are no prefix would answer `reaches` otherwise than `reach`
+        // counts: they must be the closure built from it.
+        let differs = |fwd: &BitSlab| {
+            let k = bits::words_for(fwd.nodes);
+            (0..fwd.nodes).any(|u| fwd.row(u)[..k] != engine.rmat.row(u)[..k])
+        };
+        if fwd.as_ref().is_some_and(differs) {
+            return Err(bad("`rmat.fwd` is not the closure its `reach` describes"));
         }
         Ok(engine)
     }
 
-    /// `reach` of an engine restored from version 1–3, from the two halves
-    /// the document holds it in (both validated): `drop_reach` for the
-    /// compacted-away checkpoints and the transposed closure rows for the
-    /// retained ones. Of each process the retained checkpoints reaching a
-    /// node are a prefix of `cp_nodes[q]`, and along a process's own
-    /// checkpoints that prefix only grows (Rule 1: what reaches one reaches
-    /// the next), so the join walks each process's nodes oldest first with
-    /// one cursor per lane: about two bit tests per entry instead of a walk
-    /// over every set bit.
-    fn rebuild_reach(&mut self, drop_reach: &[u32]) {
+    /// `reach` of a version 1–3 document, from the two halves it holds it
+    /// in: the columns of the closure bits for the retained checkpoints, and
+    /// `drop_reach` — one entry per (node, process), or none before the
+    /// first compaction — for the compacted-away ones, which only count
+    /// where no retained checkpoint of the process reaches the node.
+    fn join_reach(&self, fwd: &BitSlab, drop_reach: Vec<u32>) -> Result<Vec<u32>, SnapshotError> {
         let n = self.n;
+        if !drop_reach.is_empty() && drop_reach.len() != fwd.nodes * n {
+            return Err(bad("`drop_reach` length disagrees with `rmat` nodes"));
+        }
+        let retained = |row: &[u32]| {
+            let kept = |(&d, &base): (&u32, &u32)| d != NONE_U32 && d >= base;
+            row.iter().zip(&self.cp_base).any(kept)
+        };
+        if drop_reach.chunks_exact(n).any(retained) {
+            return Err(bad(
+                "`drop_reach` entry names a checkpoint that was not dropped",
+            ));
+        }
         // `NONE_U32` wraps to 0: the table is stored one up.
-        self.reach = drop_reach.iter().map(|d| d.wrapping_add(1)).collect();
-        self.reach.resize(self.rmat.nodes * n, 0);
-        let mut ends = vec![0usize; n];
-        for own in &self.cp_nodes {
-            ends.fill(0);
-            for &y in own {
-                let preds = self.rmat.row(true, y as usize);
-                let row = self.reach[y as usize * n..][..n].iter_mut();
-                let lanes = row.zip(&mut ends).zip(&self.cp_nodes).zip(&self.cp_base);
-                for (((lane, end), nodes), &base) in lanes {
-                    while (nodes.get(*end)).is_some_and(|&x| bits::test(preds, x as usize)) {
-                        *end += 1;
-                    }
-                    // A retained checkpoint is above every dropped one.
-                    if *end > 0 {
-                        *lane = base + *end as u32;
-                    }
+        let mut reach: Vec<u32> = drop_reach.iter().map(|d| d.wrapping_add(1)).collect();
+        reach.resize(fwd.nodes * n, 0);
+        for (q, (own, &base)) in self.cp_nodes.iter().zip(&self.cp_base).enumerate() {
+            for (index, &x) in (base + 1..).zip(own) {
+                for y in bits::ones(fwd.row(x as usize)) {
+                    reach[y * n + q] = index;
                 }
             }
         }
-    }
-
-    /// The closure of an engine restored from version 4, from its checked
-    /// `reach` rows: a retained `C_{q,i}` reaches `y` iff `i < reach[y][q]`.
-    /// Each backward row starts as a copy of its Rule 1 predecessor's, whose
-    /// lanes are at most its own, and gains the checkpoints of the lanes that
-    /// rose; the forward slab is its transpose.
-    fn closure_from_reach(&self) -> ClosureMatrix {
-        let (n, nodes) = (self.n, self.r_meta.len());
-        let width = bits::words_for(nodes).max(1).next_power_of_two();
-        let mut bwd = vec![0u64; nodes * width];
-        for own in &self.cp_nodes {
-            let mut before: Option<usize> = None;
-            for &y in own {
-                let y = y as usize;
-                if let Some(x) = before {
-                    bwd.copy_within(x * width..(x + 1) * width, y * width);
-                }
-                let row = &mut bwd[y * width..][..width];
-                let lanes = self.reach[y * n..][..n].iter().zip(&self.cp_nodes);
-                for (q, ((&reach, nodes), &base)) in lanes.zip(&self.cp_base).enumerate() {
-                    let rose_from = before.map_or(0, |x| self.reach[x * n + q]).max(base);
-                    for index in rose_from..reach {
-                        bits::set(row, nodes[(index - base) as usize] as usize);
-                    }
-                }
-                before = Some(y);
-            }
-        }
-        let fwd = transpose(&bwd, nodes, width);
-        ClosureMatrix::from_slabs(nodes, width, fwd, bwd)
+        Ok(reach)
     }
 
     /// The cross-table invariants of the core that appends and queries
@@ -1100,58 +1032,19 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         Ok(())
     }
 
-    /// What versions 1–3 hold besides: `cp_nodes` names every retained
-    /// checkpoint, and `drop_reach` only compacted-away ones.
-    fn check_v3_tables(&self, drop_reach: &[u32]) -> Result<(), SnapshotError> {
-        let (n, nodes) = (self.n, self.rmat.nodes);
-        if !drop_reach.is_empty() && drop_reach.len() != nodes * n {
-            return Err(bad("`drop_reach` length disagrees with `rmat` nodes"));
-        }
-        let retained = |row: &[u32]| {
-            let kept = |(&d, &base): (&u32, &u32)| d != NONE_U32 && d >= base;
-            row.iter().zip(&self.cp_base).any(kept)
-        };
-        if drop_reach.chunks_exact(n).any(retained) {
-            return Err(bad(
-                "`drop_reach` entry names a checkpoint that was not dropped",
-            ));
-        }
-        for p in 0..n {
-            let (base, count) = (self.cp_base[p], self.cp_count[p]);
-            if base > count || self.cp_nodes[p].len() as u64 != u64::from(count - base) + 1 {
-                return Err(bad(format!(
-                    "`cp_nodes[{p}]` does not span cp_base..=cp_count"
-                )));
-            }
-            for &node in &self.cp_nodes[p] {
-                check_node(node, nodes, false, "cp_nodes")?;
-            }
-        }
-        Ok(())
-    }
-
-    /// `cp_nodes` of a version 4 document, from `r_meta`, which must list
-    /// each process's retained checkpoints `cp_base..=cp_count` in order.
+    /// `cp_nodes`, from `r_meta` (`nodes_by_process`), which must list each
+    /// process's retained checkpoints `cp_base..=cp_count` in order.
     fn index_checkpoints(&mut self) -> Result<(), SnapshotError> {
-        let mut cp_nodes = vec![Vec::new(); self.n];
-        for (node, &(p, index)) in self.r_meta.iter().enumerate() {
-            let own: &mut Vec<u32> = &mut cp_nodes[p as usize];
-            if u64::from(index) != u64::from(self.cp_base[p as usize]) + own.len() as u64 {
-                return Err(bad(format!(
-                    "`r_meta` node {node} is not the next retained checkpoint of its process"
-                )));
-            }
-            own.push(node as u32);
-        }
-        for (p, own) in cp_nodes.iter().enumerate() {
+        self.cp_nodes = nodes_by_process(&self.r_meta, self.n);
+        for (p, own) in self.cp_nodes.iter().enumerate() {
             let (base, count) = (self.cp_base[p], self.cp_count[p]);
-            if base > count || own.len() as u64 != u64::from(count - base) + 1 {
+            let indices = own.iter().map(|&node| self.r_meta[node as usize].1);
+            if base > count || indices.ne(base..=count) {
                 return Err(bad(format!(
-                    "`r_meta` does not hold process {p}'s checkpoints cp_base..=cp_count"
+                    "`r_meta` does not hold process {p}'s checkpoints cp_base..=cp_count in order"
                 )));
             }
         }
-        self.cp_nodes = cp_nodes;
         Ok(())
     }
 
@@ -1251,7 +1144,7 @@ mod tests {
                             ("width", Json::U64(mat.width as u64)),
                             (
                                 "fwd",
-                                Json::Arr(mat.fwd.iter().map(|&w| Json::U64(w)).collect()),
+                                Json::Arr(mat.words.iter().map(|&w| Json::U64(w)).collect()),
                             ),
                         ]),
                     ));
@@ -1298,10 +1191,10 @@ mod tests {
     }
 
     /// A closure row with a bit at a column `≥ nodes` would index past the
-    /// slab on the next append — and name a row that does not exist when the
-    /// slab is transposed; a row without its diagonal bit breaks the
-    /// reflexivity edge insertion builds on, in the transpose as well. Both
-    /// are rejected.
+    /// tables `reach` is joined from; a row without its diagonal bit names a
+    /// node that does not reach itself. Both are rejected, and so is a
+    /// column that is no prefix of a process's checkpoints, which would have
+    /// `reaches` answer otherwise than `reach` counts.
     #[test]
     fn padding_bits_and_missing_diagonals_are_rejected() {
         let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
@@ -1323,13 +1216,20 @@ mod tests {
         *fwd_word(&mut bad, 1) &= !(1 << 1);
         let err = restore(&bad).unwrap_err();
         assert!(err.message.contains("diagonal"), "{err}");
+
+        // Nodes 0 and 2 are `C_{0,0}` and `C_{0,1}`, node 3 is `C_{1,1}`:
+        // the later checkpoint of process 0 reaching it, the earlier not.
+        let mut bad = good.clone();
+        *fwd_word(&mut bad, 2) |= 1 << 3;
+        let err = restore(&bad).unwrap_err();
+        assert!(err.message.contains("rmat"), "{err}");
     }
 
     /// The reported reproduction, as version 2 wrote it: restored with the
     /// `bwd` slab it carried, this document made the next checkpoint of
-    /// `p0` index out of bounds. The slab is no longer read — a matrix's
-    /// transpose is computed from its checked `fwd` — so whatever a document
-    /// of any version says under `bwd` is ignored, and the engine it
+    /// `p0` index out of bounds. The slab is no longer read — the closure is
+    /// built from the `reach` joined from the checked `fwd` — so whatever a
+    /// document of any version says under `bwd` is ignored, and the engine it
     /// restores to is the one the rest of it describes.
     #[test]
     fn padding_bit_in_rmat_bwd_no_longer_panics_the_next_append() {
@@ -1389,7 +1289,12 @@ mod tests {
                     }
                 }
                 let what = format!("{nodes} nodes, width {width}, density {density}/64");
-                assert_eq!(transpose(&fwd, nodes, width), expected, "{what}");
+                let slab = BitSlab {
+                    nodes,
+                    width,
+                    words: fwd,
+                };
+                assert_eq!(slab.transposed().words, expected, "{what}");
             }
         }
     }

@@ -363,6 +363,9 @@ fn counters_an_append_would_overflow_are_rejected() {
         // dropped-reach entry stops below `cp_base`.
         (&v3, "drop_reach", vec![0], base),
         (&v3, "drop_reach", vec![0], TOP - 1),
+        // `r_meta` says which node is which checkpoint; a version 1–3
+        // `cp_nodes` that lists another node there is refused.
+        (&v3, "cp_nodes", vec![(p + 1) % n, 0], y as u64),
     ];
     for (doc, key, at, value) in poisoned {
         let err = restore(&with_entry(doc, key, &at, value)).expect_err(key);
