@@ -514,17 +514,20 @@ pub fn rdt_check(n: usize, seeds: &[u64], messages: u64) -> RdtCheckResult {
 
 /// BENCH-RDTCHECK: wall-clock comparison of the word-parallel closure
 /// kernels against the naive per-bit reference, on the same
-/// protocol-generated patterns the `rdtcheck` verification runs over.
+/// protocol-generated patterns the `rdtcheck` verification runs over,
+/// beside the time of the whole batch RDT check.
 #[derive(Debug, Clone)]
 pub struct ClosureBenchResult {
     /// One row per pattern size: `(messages, delivered messages,
-    /// naive nanoseconds, optimized nanoseconds, speedup)`.
+    /// naive nanoseconds, optimized nanoseconds, speedup, batch check
+    /// nanoseconds)`.
     ///
-    /// Each timing covers one full closure pass — both message-chain
-    /// closures plus the R-graph reachability — and is the minimum over
-    /// the measurement repetitions (the statistic least disturbed by
-    /// scheduling noise).
-    pub rows: Vec<(u64, u64, u64, u64, f64)>,
+    /// Each kernel timing covers one full closure pass — both
+    /// message-chain closures plus the R-graph reachability; the last
+    /// cell times `RdtChecker::new(&pattern).check()`. Every timing is
+    /// the minimum over the measurement repetitions (the statistic least
+    /// disturbed by scheduling noise).
+    pub rows: Vec<(u64, u64, u64, u64, f64, u64)>,
     /// Repetitions each timing is the minimum of.
     pub repetitions: u32,
 }
@@ -534,14 +537,15 @@ impl ClosureBenchResult {
     pub fn min_speedup(&self) -> f64 {
         self.rows
             .iter()
-            .map(|&(_, _, _, _, s)| s)
+            .map(|&(_, _, _, _, s, _)| s)
             .fold(f64::INFINITY, f64::min)
     }
 }
 
 /// Runs BENCH-RDTCHECK: for each size, generate a fig7-style pattern
 /// (random environment, BHMR) and time the full closure pass — naive
-/// per-start DFS kernel versus the word-parallel SCC kernel.
+/// per-start DFS kernel versus the word-parallel SCC kernel — and the
+/// batch [`RdtChecker`] verdict.
 pub fn closure_bench(sizes: &[u64], repetitions: u32) -> ClosureBenchResult {
     use rdt_rgraph::{RGraph, ZigzagReachability};
     use rdt_sim::Stopwatch;
@@ -576,7 +580,15 @@ pub fn closure_bench(sizes: &[u64], repetitions: u32) -> ClosureBenchResult {
             graph.reachability().total_reachable_pairs() + zz.delivered_messages().len()
         });
         let speedup = naive_ns as f64 / optimized_ns.max(1) as f64;
-        rows.push((messages, delivered, naive_ns, optimized_ns, speedup));
+        let check_ns = time_min(&|| usize::from(RdtChecker::new(&pattern).check().holds()));
+        rows.push((
+            messages,
+            delivered,
+            naive_ns,
+            optimized_ns,
+            speedup,
+            check_ns,
+        ));
     }
     ClosureBenchResult { rows, repetitions }
 }

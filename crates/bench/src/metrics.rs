@@ -2,9 +2,9 @@
 //! live progress line.
 //!
 //! This module is part of the workspace's *metrics layer* — the only code
-//! outside `rdt-sim`'s [`Stopwatch`](rdt_sim::Stopwatch) and the criterion
-//! shim allowed to read the host clock (`rdt-lint`'s `wall-clock` rule
-//! enforces that). Everything here is presentation: no measured duration
+//! outside `rdt-sim`'s [`Stopwatch`](rdt_sim::Stopwatch) and the lint CLI
+//! allowed to read the host clock (`rdt-lint`'s `wall-clock` rule enforces
+//! that). Everything here is presentation: no measured duration
 //! ever feeds back into simulation results.
 
 use std::io::{IsTerminal, Write as _};

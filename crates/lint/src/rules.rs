@@ -49,9 +49,9 @@ process/checkpoint ids the workspace already assigns.",
         summary: "host clock read outside the metrics layer; route timing \
                   through rdt_sim::Stopwatch in a metrics.rs",
         explain: "Reading Instant or SystemTime anywhere but a designated \
-metrics.rs (or the criterion shim) lets wall-clock time leak into results, \
-breaking replayability. Timing belongs behind rdt_sim::Stopwatch inside a \
-metrics layer, where the golden-fixture scrubber already knows to erase it.",
+metrics.rs lets wall-clock time leak into results, breaking replayability. \
+Timing belongs behind rdt_sim::Stopwatch inside a metrics layer, where the \
+golden-fixture scrubber already knows to erase it.",
     },
     RuleInfo {
         id: "protocol-unwrap",
@@ -178,17 +178,14 @@ pub fn in_result_path(path: &str) -> bool {
 }
 
 /// Files that may *not* read the host clock (everything in a src tree
-/// except the designated metrics layers and the criterion shim).
+/// except the designated metrics layers).
 pub fn wall_clock_scope(path: &str) -> bool {
     let in_src =
         path.starts_with("src/") || (path.starts_with("crates/") && path.contains("/src/"));
     // The lint CLI itself reports wall time (the `elapsed_ns` report
     // field backing the CI time budget) — measurement, not simulation
-    // logic, so it is exempt like metrics.rs and the criterion shim.
-    in_src
-        && !path.ends_with("/metrics.rs")
-        && !path.starts_with("crates/criterion-shim/")
-        && !path.starts_with("crates/lint/")
+    // logic, so it is exempt like metrics.rs.
+    in_src && !path.ends_with("/metrics.rs") && !path.starts_with("crates/lint/")
 }
 
 /// Protocol / certifier state-machine code, where a panic kills a replay.
@@ -209,12 +206,11 @@ pub fn hot_step_scope(path: &str) -> bool {
 }
 
 /// Production source in an analysis-bearing crate: everything under a
-/// `src/` tree except the in-workspace tool shims.
+/// `src/` tree except the in-workspace tool crates.
 pub fn analysis_scope(path: &str) -> bool {
     let in_src =
         path.starts_with("src/") || (path.starts_with("crates/") && path.contains("/src/"));
     in_src
-        && !path.starts_with("crates/criterion-shim/")
         && !path.starts_with("crates/ptest/")
         && !path.starts_with("crates/json/")
         && !path.starts_with("crates/lint/")

@@ -210,9 +210,9 @@ impl ZigzagReachability {
     /// Builds the same structure with the naive per-bit reference kernel
     /// ([`crate::closure::transitive_closure_reference`]).
     ///
-    /// Public as the baseline for the `closure_kernels` bench and the
-    /// oracle of the differential kernel tests; every query answers
-    /// identically to [`ZigzagReachability::new`].
+    /// Public as the baseline BENCH-RDTCHECK (`experiments rdtcheck`)
+    /// times and the oracle of the differential kernel tests; every query
+    /// answers identically to [`ZigzagReachability::new`].
     pub fn new_naive(pattern: &Pattern) -> Self {
         Self::build(pattern, true)
     }

@@ -13,7 +13,8 @@
 //!
 //! The naive kernel is kept as [`transitive_closure_reference`] — it is
 //! the differential oracle for the proptest suite and the baseline the
-//! `closure_kernels` bench measures the speedup against.
+//! BENCH-RDTCHECK experiment (`experiments rdtcheck`) measures the
+//! speedup against.
 
 use rdt_causality::bits::BitMatrix;
 
@@ -144,8 +145,8 @@ pub fn transitive_closure(adj: &[Vec<usize>], labelled: usize) -> BitMatrix {
 /// every node, `O(V·E)` — the semantics [`transitive_closure`] must match
 /// exactly.
 ///
-/// Kept public (not `#[cfg(test)]`) because the `closure_kernels` bench
-/// and the `rdtcheck` experiment measure the optimized kernel's speedup
+/// Kept public (not `#[cfg(test)]`) because the BENCH-RDTCHECK experiment
+/// (`experiments rdtcheck`) measures the optimized kernel's speedup
 /// against it, and the proptest differential suite uses it as its oracle.
 ///
 /// # Panics

@@ -190,9 +190,9 @@ impl RGraph {
     /// Computes the same relation as [`RGraph::reachability`] with the
     /// naive per-node per-bit search — `O(V·E)` time.
     ///
-    /// Kept public as the baseline for the `closure_kernels` bench and the
-    /// oracle of the differential kernel tests; not meant for production
-    /// callers.
+    /// Kept public as the baseline BENCH-RDTCHECK (`experiments rdtcheck`)
+    /// times and the oracle of the differential kernel tests; not meant
+    /// for production callers.
     pub fn reachability_naive(&self) -> Reachability {
         let rows =
             closure::transitive_closure_reference(&self.adjacency_indices(), self.num_nodes());

@@ -135,17 +135,13 @@ pub struct SimConfig {
     /// Expected number of injected crashes per 1000 simulated ticks.
     /// `0.0` (the default) disables fault injection entirely; any positive
     /// rate schedules crashes as a Poisson process on a dedicated RNG
-    /// stream (see [`SimConfig::crash_seed_salt`]), so a crashy run's
-    /// message/checkpoint randomness is tick-for-tick identical to the
-    /// crash-free run with the same seed.
+    /// stream (derived from the run seed and [`DEFAULT_CRASH_SEED_SALT`]),
+    /// so a crashy run's message/checkpoint randomness is tick-for-tick
+    /// identical to the crash-free run with the same seed.
     pub crash_rate: f64,
     /// Upper bound on injected crashes per run (the Poisson clock stops
     /// after this many have fired). Ignored while `crash_rate == 0.0`.
     pub max_crashes: u32,
-    /// Salt folded into the run seed to derive the crash RNG stream.
-    /// Distinct salts give statistically independent crash schedules over
-    /// the same underlying run.
-    pub crash_seed_salt: u64,
     /// Compact the shadow engine to each computed recovery line: after
     /// every crash the recovery-line-dominated prefix is collapsed
     /// (see [`rdt_rgraph::IncrementalAnalysis::compact_to`]), bounding
@@ -155,7 +151,8 @@ pub struct SimConfig {
     pub compact_after_recovery: bool,
 }
 
-/// Default salt for the crash RNG stream ("fallback").
+/// Salt folded into the run seed to derive the crash RNG stream
+/// ("fallback").
 pub const DEFAULT_CRASH_SEED_SALT: u64 = 0xFA11_BACC;
 
 impl SimConfig {
@@ -171,7 +168,6 @@ impl SimConfig {
             online_rdt_probe: false,
             crash_rate: 0.0,
             max_crashes: 4,
-            crash_seed_salt: DEFAULT_CRASH_SEED_SALT,
             compact_after_recovery: false,
         }
     }
@@ -227,12 +223,6 @@ impl SimConfig {
     /// Caps the number of injected crashes per run.
     pub fn with_max_crashes(mut self, max: u32) -> Self {
         self.max_crashes = max;
-        self
-    }
-
-    /// Sets the salt deriving the crash RNG stream.
-    pub fn with_crash_seed_salt(mut self, salt: u64) -> Self {
-        self.crash_seed_salt = salt;
         self
     }
 
@@ -293,13 +283,9 @@ mod tests {
     fn crash_builders_and_helpers() {
         let off = SimConfig::new(3);
         assert!(!off.crashes_enabled());
-        let on = SimConfig::new(3)
-            .with_crash_rate(2.0)
-            .with_max_crashes(5)
-            .with_crash_seed_salt(7);
+        let on = SimConfig::new(3).with_crash_rate(2.0).with_max_crashes(5);
         assert!(on.crashes_enabled());
         assert_eq!(on.crash_mean_interval(), 500);
-        assert_eq!(on.crash_seed_salt, 7);
         assert_eq!(
             SimConfig::new(3).with_crash_rate(1e9).crash_mean_interval(),
             1

@@ -10,7 +10,7 @@ use rdt_rgraph::RewindableAnalysis;
 
 use crate::{
     AppContext, Application, SimConfig, SimDuration, SimMessageId, SimRng, SimTime, StopCondition,
-    Stopwatch, Trace, TraceEvent,
+    Stopwatch, Trace, TraceEvent, DEFAULT_CRASH_SEED_SALT,
 };
 
 /// Aggregate statistics of one run.
@@ -464,7 +464,7 @@ pub struct Runner<P: CicProtocol> {
     /// shadow engine. The report is only emitted for the former.
     probe: Option<OnlineProbe>,
     /// Dedicated RNG stream for the crash schedule, derived from the run
-    /// seed and [`SimConfig::crash_seed_salt`]; keeping it separate leaves
+    /// seed and [`DEFAULT_CRASH_SEED_SALT`]; keeping it separate leaves
     /// the main stream — and thus the underlying schedule — untouched.
     crash_rng: SimRng,
     /// Crashes fired so far (bounded by [`SimConfig::max_crashes`]).
@@ -551,7 +551,7 @@ impl<P: CicProtocol> Runner<P> {
             },
             probe: (config.online_rdt_probe || config.crashes_enabled())
                 .then(|| OnlineProbe::new(n)),
-            crash_rng: SimRng::seed(SimRng::derive_seed(config.seed, config.crash_seed_salt)),
+            crash_rng: SimRng::seed(SimRng::derive_seed(config.seed, DEFAULT_CRASH_SEED_SALT)),
             crashes_done: 0,
             recovery: config.crashes_enabled().then(RecoveryReport::default),
             checkpoint_times: if config.crashes_enabled() {

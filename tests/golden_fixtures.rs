@@ -62,8 +62,8 @@ fn scrub(json: &Json) -> Json {
 }
 
 /// BENCH-RDTCHECK rows are positional tuples
-/// `(messages, delivered, naive_ns, optimized_ns, speedup)`: everything
-/// past index 1 is wall-clock and must be scrubbed by position.
+/// `(messages, delivered, naive_ns, optimized_ns, speedup, check_ns)`:
+/// everything past index 1 is wall-clock and must be scrubbed by position.
 fn canonical_rdtcheck() -> Json {
     let mut json = rdt_bench::closure_bench(&[80, 160], 2).to_json();
     if let Json::Obj(pairs) = &mut json {
