@@ -56,8 +56,10 @@ const ENTRY_POINTS: &[(Option<&str>, &str, &str)] = &[
     // `PoolHandle::answer_frame`), so a panic there takes a tenant's
     // connection down and poisons its stripe.
     // Snapshot restore additionally consumes on-disk state that may be
-    // corrupt: `restore_text` is what `Server::bind` hands the file's
-    // bytes to (reader, then validation and build), `fold_records` the
+    // corrupt: `Server::bind` reads the file, hands its bytes to
+    // `restore_file` (reader, then validation and build; `restore_text`
+    // is the same restore returning the count) and adopts what it read
+    // as the persist log, `fold_records` the
     // fold of the records appended after the document (a torn one stops
     // it, a hostile one refuses the file), `from_snapshot_text` the
     // reader-driven engine restore below it, `from_stream_snapshot` the
@@ -72,6 +74,7 @@ const ENTRY_POINTS: &[(Option<&str>, &str, &str)] = &[
         "from_stream_snapshot",
         "crates/serve/src/",
     ),
+    (Some("Server"), "bind", "crates/serve/src/"),
     (Some("PoolHandle"), "restore_text", "crates/serve/src/"),
     (None, "fold_records", "crates/serve/src/"),
     (None, "from_snapshot_text", "crates/rgraph/src/"),

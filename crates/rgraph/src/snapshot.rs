@@ -26,7 +26,10 @@
 //! [`SnapshotMarks`] say a file already holds:
 //! [`write_snapshot`](IncrementalAnalysis::write_snapshot) is the whole
 //! render, [`write_snapshot_since`](IncrementalAnalysis::write_snapshot_since)
-//! the marked one.
+//! the marked one. An engine restored from a file that holds it whole takes
+//! that file as its latest marked render
+//! ([`mark_written`](IncrementalAnalysis::mark_written)), so a process that
+//! restarts on its file appends to it what changes from there on.
 //!
 //! # What a delta holds
 //!
@@ -427,6 +430,12 @@ fn replace<T>(slot: &mut Option<T>, value: Option<T>) {
 }
 
 impl SnapshotTables {
+    /// Whether these are the tables of a document of the version this build
+    /// writes, [`SNAPSHOT_VERSION`]: the only kind a delta is laid over.
+    pub fn is_current(&self) -> bool {
+        self.version == Some(SNAPSHOT_VERSION)
+    }
+
     /// Whether these are a delta's tables: a growing table that starts past
     /// its first row. A delta restores nothing by itself; it is
     /// [`fold`](SnapshotTables::fold)ed over the tables it was written
@@ -458,7 +467,7 @@ impl SnapshotTables {
     /// ([`from_snapshot_tables`](IncrementalAnalysis::from_snapshot_tables)
     /// validates the result).
     pub fn fold(&mut self, delta: SnapshotTables) -> Result<(), SnapshotError> {
-        if self.version != Some(SNAPSHOT_VERSION) || delta.version != Some(SNAPSHOT_VERSION) {
+        if !self.is_current() || !delta.is_current() {
             return Err(bad(format!(
                 "a delta applies to a version {SNAPSHOT_VERSION} document only"
             )));
@@ -676,9 +685,6 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         });
         let from = |rows: fn(&SnapshotMarks) -> usize| since.map_or(0, rows);
         let (msgs_from, nodes_from) = (from(|m| m.msgs), from(|m| m.nodes));
-        let in_transit = self.msgs[msgs_from..]
-            .iter()
-            .position(|m| m.deliver_iv == NONE_U32);
         let reach_from = nodes_from.min(self.reach_floor);
 
         let mut rendered = 0;
@@ -707,13 +713,22 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         w.key("reclaimed_rows").u64(self.reclaimed_rows);
         w.end_object();
         count_rendered(rendered, reach_rows);
+        self.marks(msgs_from)
+    }
 
+    /// The marks of a render of the engine as it is, whose `msgs` rows below
+    /// `msgs_from` are all delivered: the first message in transit is
+    /// looked for from there on.
+    fn marks(&self, msgs_from: usize) -> SnapshotMarks {
+        let in_transit = self.msgs[msgs_from..]
+            .iter()
+            .position(|m| m.deliver_iv == NONE_U32);
         SnapshotMarks {
             epoch: self.epoch,
             events: self.events,
             msgs: msgs_from + in_transit.unwrap_or(self.msgs.len() - msgs_from),
-            msg_tdv: self.msg_tdv.len() / n,
-            nodes,
+            msg_tdv: self.msg_tdv.len() / self.n,
+            nodes: self.r_meta.len(),
         }
     }
 
@@ -1105,6 +1120,48 @@ impl IncrementalAnalysis<NoChains, NoJournal> {
         self.reach_floor = usize::MAX;
         self.marked_events = self.events;
         marks
+    }
+
+    /// Takes the engine as written: a file holds it whole as it is now —
+    /// the file it was just restored from, say, with nothing changed since.
+    /// Sets the reach floor and the marked event count as a render does and
+    /// returns the marks a render of the engine would return at this moment,
+    /// so that [`write_snapshot_since`](IncrementalAnalysis::write_snapshot_since)
+    /// against them writes what changes from here on, a delta to lay over
+    /// that file. Renders nothing.
+    ///
+    /// ```rust
+    /// use rdt_causality::ProcessId;
+    /// use rdt_json::{JsonReader, JsonWriter};
+    /// use rdt_rgraph::IncrementalAnalysis;
+    ///
+    /// let mut engine = IncrementalAnalysis::new(2);
+    /// engine.append_checkpoint(ProcessId::new(1));
+    /// let mut file = Vec::new();
+    /// engine.write_snapshot(&mut JsonWriter::new(&mut file));
+    ///
+    /// let mut restored: IncrementalAnalysis = IncrementalAnalysis::from_snapshot_text(&file).unwrap();
+    /// let marks = restored.mark_written();
+    /// restored.append_checkpoint(ProcessId::new(0));
+    /// let mut delta = Vec::new();
+    /// restored.write_snapshot_since(Some(&marks), &mut JsonWriter::new(&mut delta));
+    /// assert!(String::from_utf8(delta.clone()).unwrap().contains(r#""r_meta":{"from":3,"#));
+    ///
+    /// // The file with the delta laid over it is the engine, whole.
+    /// let read = |text: &[u8]| <IncrementalAnalysis>::read_snapshot(&mut JsonReader::new(text));
+    /// let mut tables = read(&file).unwrap();
+    /// tables.fold(read(&delta).unwrap()).unwrap();
+    /// let mut folded = Vec::new();
+    /// let resumed = <IncrementalAnalysis>::from_snapshot_tables(tables).unwrap();
+    /// resumed.write_snapshot(&mut JsonWriter::new(&mut folded));
+    /// let mut whole = Vec::new();
+    /// restored.write_snapshot(&mut JsonWriter::new(&mut whole));
+    /// assert_eq!(folded, whole);
+    /// ```
+    pub fn mark_written(&mut self) -> SnapshotMarks {
+        self.reach_floor = usize::MAX;
+        self.marked_events = self.events;
+        self.marks(0)
     }
 
     /// Whether anything of the engine changed since the render that returned

@@ -12,7 +12,9 @@
 //! that raise old `reach` rows, compactions that discard state (a new epoch:
 //! `tdv_row`s renumbered, the per-node tables closing ranks) and ones that do
 //! not (the same epoch, the marks kept), appends the engine refuses, a
-//! restore mid-session (marks from before it describe another engine) and a
+//! restore mid-session (marks from before it describe another engine; or
+//! the restored engine takes the file as its latest write, `mark_written`,
+//! and the next write is a delta over it) and a
 //! stream closed and reopened under the same name (a fresh engine written
 //! whole over the old one's tables). They run for `n` = 1 to 6, and in the
 //! shape of the daemon benchmark's `persist-unix` streams.
@@ -42,6 +44,7 @@ struct Tally {
     discarding_compactions: usize,
     no_op_compactions: usize,
     restores: usize,
+    adopting_restores: usize,
     reopens: usize,
     deltas: usize,
     rejected_appends: usize,
@@ -212,9 +215,17 @@ impl Session {
         self.tally.rejected_appends += 1;
     }
 
+    /// A restore from the session's file. Every other one adopts the file
+    /// as its latest write (`mark_written`), as a restarted daemon does;
+    /// the others keep the marks from before it, which describe another
+    /// engine.
     fn restore(&mut self) {
-        let text = self.cold();
-        self.engine = IncrementalAnalysis::from_snapshot_text(&text).expect("restores");
+        let file = self.file.clone().expect("written");
+        self.engine = IncrementalAnalysis::from_snapshot_tables(file).expect("restores");
+        if self.tally.restores % 2 == 1 {
+            self.marks = Some(self.engine.mark_written());
+            self.tally.adopting_restores += 1;
+        }
         self.tally.restores += 1;
     }
 
@@ -255,6 +266,7 @@ fn assert_covered(tally: &Tally, what: &str) {
         tally.discarding_compactions > 0
             && tally.no_op_compactions > 0
             && tally.restores > 0
+            && tally.adopting_restores > 0
             && tally.reopens > 0
             && tally.deltas > 0
             && tally.rejected_appends > 0

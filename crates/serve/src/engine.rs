@@ -38,6 +38,12 @@ impl StreamTables {
         self.name.as_deref()
     }
 
+    /// Whether the entry's engine document is of the version this build
+    /// writes ([`SnapshotTables::is_current`]).
+    pub(crate) fn is_current(&self) -> bool {
+        self.engine.as_ref().is_some_and(SnapshotTables::is_current)
+    }
+
     /// Whether the entry is a delta: its engine's tables extend the ones
     /// an earlier entry of the stream holds ([`SnapshotTables::is_delta`]).
     pub(crate) fn is_delta(&self) -> bool {
@@ -100,9 +106,9 @@ pub struct StreamEngine {
     /// Crash events observed (crashes are markers: they report the
     /// recovery line but do not mutate the pattern).
     crashes: u64,
-    /// What the last persist that wrote this stream wrote of it; `None`
-    /// until the first (one pointer: the stripes hold thousands of streams
-    /// inline).
+    /// What the last persist that wrote this stream wrote of it, or the
+    /// restore that read it from a version 4 entry; `None` until then (one
+    /// pointer: the stripes hold thousands of streams inline).
     on_disk: Option<Box<OnDisk>>,
 }
 
@@ -239,19 +245,20 @@ impl StreamEngine {
     /// Writes the stream's entry of a persist: whole when `whole` or when
     /// no persist wrote the stream before, otherwise as a delta against what
     /// the last one wrote ([`IncrementalAnalysis::write_snapshot_since`]) —
-    /// and nothing at all when nothing changed since. The marks of what it
-    /// writes are kept for the next persist, which writes a delta only if
-    /// this one reached the file.
-    pub fn write_persist_entry(&mut self, name: &str, whole: bool, w: &mut JsonWriter<'_>) {
+    /// and nothing at all when nothing changed since. Returns whether it
+    /// wrote an entry. The marks of what it writes are kept for the next
+    /// persist, which writes a delta only if this one reached the file.
+    pub fn write_persist_entry(&mut self, name: &str, whole: bool, w: &mut JsonWriter<'_>) -> bool {
         let (engine, crashes) = (&mut self.engine, self.crashes);
         let since = self.on_disk.as_deref().filter(|_| !whole);
         if since.is_some_and(|d| !engine.changed_since(&d.marks) && d.crashes == crashes) {
-            return;
+            return false;
         }
         let marks = write_entry(name, crashes, w, |w| {
             engine.write_snapshot_since(since.map(|d| &d.marks), w)
         });
         self.on_disk = Some(Box::new(OnDisk { marks, crashes }));
+        true
     }
 
     /// The stream's entry as a [`Json`] tree: the parsed form of what
@@ -301,7 +308,11 @@ impl StreamEngine {
     /// — a name of 1 to [`MAX_NAME_BYTES`] bytes, at most [`MAX_PROCESSES`]
     /// processes — because no frame can name, and so none could ever close,
     /// a stream outside those limits. Total: every inconsistency is an
-    /// [`ErrorKind::Admin`] error.
+    /// [`ErrorKind::Admin`] error. A stream built from an engine document of
+    /// version 4 keeps the marks of those tables
+    /// ([`IncrementalAnalysis::mark_written`]), as if a persist had just
+    /// written them: the next persist that does not write whole writes only
+    /// what changed since, and nothing if nothing did.
     pub fn from_stream_tables(t: StreamTables) -> Result<(String, StreamEngine), ServeError> {
         let name = t.name.ok_or_else(|| admin("stream entry has no name"))?;
         if name.is_empty() || name.len() > MAX_NAME_BYTES {
@@ -316,7 +327,8 @@ impl StreamEngine {
         let tables = t
             .engine
             .ok_or_else(|| admin(format!("stream `{name}`: missing engine state")))?;
-        let engine = IncrementalAnalysis::from_snapshot_tables(tables)
+        let current = tables.is_current();
+        let mut engine = IncrementalAnalysis::from_snapshot_tables(tables)
             .map_err(|e| admin(format!("stream `{name}`: {e}")))?;
         if engine.num_processes() > MAX_PROCESSES {
             return Err(admin(format!(
@@ -324,10 +336,16 @@ impl StreamEngine {
                 engine.num_processes()
             )));
         }
+        // The tables of a version 4 entry are on disk as the engine now is:
+        // a persist appending to the file they came from writes what changes.
+        let on_disk = current.then(|| {
+            let marks = engine.mark_written();
+            Box::new(OnDisk { marks, crashes })
+        });
         let stream = StreamEngine {
             engine,
             crashes,
-            on_disk: None,
+            on_disk,
         };
         Ok((name, stream))
     }

@@ -20,20 +20,32 @@
 //!
 //! Persistence: with `--snapshot PATH`, the daemon restores the snapshot
 //! at startup (if present; the file's bytes go straight to
-//! [`PoolHandle::restore_text`], which reads engine snapshot versions 1 to
-//! 4), persists on the `snapshot` op, and persists again on `shutdown`.
+//! [`PoolHandle::restore_file`], which reads engine snapshot versions 1 to
+//! 4, on no more threads than the stripe count or the CPUs the process may
+//! run on), persists on the `snapshot` op, and persists again on
+//! `shutdown`.
 //!
 //! The file is a log: one whole daemon document (envelope version 2, engine
 //! version 4), then records appended to it, each one persist's worth of
 //! what changed ([`PoolHandle::write_persist`]: the live stream names and
 //! an entry per changed stream, length-prefixed and FNV-1a-checksummed).
-//! Three fixed rules decide what a persist writes:
+//! A boot that restores a file this build writes — envelope version 2,
+//! every document entry of engine version 4, the document followed by its
+//! newline — adopts it: it cuts a torn tail back to the end of the last
+//! complete record, keeps the file open as the persist log, and every
+//! restored stream keeps the marks of the tables it was restored from, as
+//! if a persist had just written them. Three fixed rules decide what a
+//! persist writes:
 //!
-//! * the first persist of the daemon's life writes the file whole;
+//! * the first persist of a daemon that adopted no file writes the file
+//!   whole (an older file is converted so);
 //! * so does a persist whose record would take the file past twice the
 //!   size of its document;
-//! * every other persist appends one record through a handle kept open
-//!   onto the file.
+//! * every other persist appends one record through the handle kept open
+//!   onto the file — or writes nothing when the record would hold no entry
+//!   and list as many live streams as the file holds (a live stream without
+//!   an entry was written before and not closed since, so it is live there
+//!   too); it answers the same `persisted` count either way.
 //!
 //! A whole write renders into one buffer, then into a temp file that it
 //! renames over `PATH`, and reopens the handle onto the new file. A failed
@@ -60,7 +72,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::protocol::{admin, DaemonOp, ErrorKind, Reply, ServeError, MAX_LINE_BYTES};
-use crate::shard::{EnginePool, PoolHandle};
+use crate::shard::{EnginePool, PoolHandle, Restored};
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -153,13 +165,13 @@ struct Shared {
 }
 
 /// What persists keep from one to the next.
-#[derive(Default)]
 struct Persist {
     /// The buffer a persist renders into.
     text: Vec<u8>,
-    /// The snapshot file as the last persist left it, open for appending;
-    /// `None` before the first persist and after a failed one, when the
-    /// next persist writes the file whole.
+    /// The snapshot file as the last persist (or the boot that restored
+    /// and adopted it) left it, open for appending; `None` before the first
+    /// persist of a daemon that adopted no file and after a failed persist,
+    /// when the next persist writes the file whole.
     log: Option<Log>,
 }
 
@@ -169,6 +181,33 @@ struct Log {
     base: u64,
     /// Bytes of the file: the document and every record appended since.
     len: u64,
+    /// Streams live at the state the file holds: the `persisted` count of
+    /// the last persist that wrote to it, or the streams restored from it.
+    live: usize,
+}
+
+impl Log {
+    /// The snapshot file a boot restored, kept as the persist log when it is
+    /// a file this build writes: cut back to its last complete record, so
+    /// that the next persist appends after it. `None` — the next persist
+    /// writes whole — for any other file and when the file does not open or
+    /// cut.
+    fn adopt(path: &Path, read: u64, restored: &Restored) -> Option<Log> {
+        if !restored.current {
+            return None;
+        }
+        let file = fs::OpenOptions::new().append(true).open(path).ok()?;
+        let len = restored.complete as u64;
+        if len < read {
+            file.set_len(len).ok()?;
+        }
+        Some(Log {
+            file,
+            base: restored.document as u64,
+            len,
+            live: restored.streams,
+        })
+    }
 }
 
 impl Shared {
@@ -222,19 +261,27 @@ fn persist_snapshot(shared: &Shared) -> Result<usize, ServeError> {
     let Persist { text, log } = &mut *persist;
     if let Some(mut open) = log.take() {
         text.clear();
-        let count = shared.handle.write_persist(text, false)?;
+        let record = shared.handle.write_persist(text, false)?;
+        // No entry, and as many live streams as the file holds: every live
+        // stream was written before and not closed since, so it is live
+        // there too, and the file already holds this state.
+        if record.entries == 0 && record.live == open.live {
+            *log = Some(open);
+            return Ok(record.live);
+        }
         if open.len + text.len() as u64 <= 2 * open.base {
             if let Err(e) = open.file.write_all(text) {
                 let _ = open.file.set_len(open.len);
                 return Err(admin(format!("appending to snapshot: {e}")));
             }
             open.len += text.len() as u64;
+            open.live = record.live;
             *log = Some(open);
-            return Ok(count);
+            return Ok(record.live);
         }
     }
     text.clear();
-    let count = shared.handle.write_persist(text, true)?;
+    let live = shared.handle.write_persist(text, true)?.live;
     text.push(b'\n');
     write_snapshot_file(path, text)?;
     let len = text.len() as u64;
@@ -244,8 +291,9 @@ fn persist_snapshot(shared: &Shared) -> Result<usize, ServeError> {
         file,
         base: len,
         len,
+        live,
     });
-    Ok(count)
+    Ok(live)
 }
 
 /// Answers one frame into `out`: the pool reads it and answers everything
@@ -345,14 +393,19 @@ impl Server {
         let pool = EnginePool::new(config.workers);
         let handle = pool.handle();
 
-        let mut restored = 0usize;
+        let (mut restored, mut log) = (0usize, None);
         if let Some(path) = &config.snapshot_path {
             // A temp file is only ever a whole write in progress: one a
             // killed daemon left behind holds up to a document of disk.
             let _ = fs::remove_file(temp_path(path));
             if path.exists() {
                 let bytes = fs::read(path).map_err(|e| admin(format!("reading snapshot: {e}")))?;
-                restored = handle.restore_text(&bytes, pool.workers())?;
+                // The build is the same for any thread count: no more
+                // threads than the process may run at once.
+                let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+                let file = handle.restore_file(&bytes, pool.workers().min(cpus))?;
+                restored = file.streams;
+                log = Log::adopt(path, bytes.len() as u64, &file);
             }
         }
 
@@ -382,7 +435,10 @@ impl Server {
             shared: Arc::new(Shared {
                 handle,
                 snapshot_path: config.snapshot_path,
-                persist: Mutex::new(Persist::default()),
+                persist: Mutex::new(Persist {
+                    text: Vec::new(),
+                    log,
+                }),
                 shutdown: AtomicBool::new(false),
                 poke,
             }),

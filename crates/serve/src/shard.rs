@@ -27,14 +27,20 @@
 //!
 //! A persist renders either the whole daemon document or one record of what
 //! changed since the last persist ([`PoolHandle::write_persist`]; the
-//! server decides which and appends the record to the file). Snapshot
-//! restore ([`PoolHandle::restore_text`]) reads the file's bytes in one
+//! server decides which, appends the record to the file, or drops it when
+//! it holds no entry and lists the streams the file already does). Snapshot
+//! restore ([`PoolHandle::restore_file`], and [`PoolHandle::restore_text`]
+//! for callers that want only the count) reads the file's bytes in one
 //! sequential pass — no `Json` tree — folds the records into the
 //! document's tables, and reuses the deterministic work-stealing pool
 //! ([`rdt_sim::parallel_map_indexed`]) to validate and build many engines in
 //! parallel: results come back in item order, so the restored daemon is
-//! identical for any `--workers` count there too, and nothing is installed
-//! unless everything built.
+//! identical for any `--workers` or thread count there too, and nothing is
+//! installed unless everything built. From the same pass it tells the
+//! server where the document and the last complete record end and whether
+//! the file is one this build writes ([`Restored`]); each stream restored
+//! from an engine document of version 4 keeps that document's marks, so a
+//! restarted daemon's first persist appends what changed since the file.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -141,8 +147,8 @@ fn not_running() -> ServeError {
 
 /// The lexical half of a restore: the envelope and every stream entry of a
 /// daemon snapshot document, read in sequence into typed tables; returns
-/// them and where the document ends.
-fn read_document(text: &[u8]) -> Result<(Vec<StreamTables>, usize), ServeError> {
+/// them, where the document ends and the envelope's version.
+fn read_document(text: &[u8]) -> Result<(Vec<StreamTables>, usize, u64), ServeError> {
     let mut r = JsonReader::new(text);
     if r.peek().map_err(unreadable)? != b'{' {
         return Err(admin("not an rdt-serve snapshot"));
@@ -160,11 +166,11 @@ fn read_document(text: &[u8]) -> Result<(Vec<StreamTables>, usize), ServeError> 
     if format.as_deref() != Some(POOL_SNAPSHOT_FORMAT) {
         return Err(admin("not an rdt-serve snapshot"));
     }
-    if !version.is_some_and(|v| (1..=POOL_SNAPSHOT_VERSION).contains(&v)) {
-        return Err(admin("unsupported snapshot version"));
-    }
+    let version = version
+        .filter(|v| (1..=POOL_SNAPSHOT_VERSION).contains(v))
+        .ok_or_else(|| admin("unsupported snapshot version"))?;
     let entries = entries.ok_or_else(|| admin("missing `streams` array"))?;
-    Ok((entries, r.offset()))
+    Ok((entries, r.offset(), version))
 }
 
 /// A `streams` array: stream entries, at most [`MAX_STREAMS`] of them.
@@ -238,16 +244,18 @@ fn next_record(log: &[u8]) -> Option<(&[u8], &[u8])> {
 /// complete record after it laid over them in order — a whole entry
 /// replaces its stream's, a delta entry is folded into it, and the streams a
 /// record does not list as live are dropped. It stops at the first torn
-/// record. A record that is intact but names a stream twice, lists one it
+/// record, and returns the folded entries and the bytes of `log` up to
+/// there. A record that is intact but names a stream twice, lists one it
 /// holds no state of, holds an entry it does not list or a delta with no
 /// base refuses the whole file.
 fn fold_records(
     entries: Vec<StreamTables>,
     mut log: &[u8],
-) -> Result<Vec<StreamTables>, ServeError> {
+) -> Result<(Vec<StreamTables>, usize), ServeError> {
     if next_record(log).is_none() {
-        return Ok(entries);
+        return Ok((entries, 0));
     }
+    let start = log.len();
     let mut streams = BTreeMap::new();
     for entry in entries {
         let name = entry
@@ -293,7 +301,7 @@ fn fold_records(
         streams.retain(|name, _| live.contains(name));
         log = rest;
     }
-    Ok(streams.into_values().collect())
+    Ok((streams.into_values().collect(), start - log.len()))
 }
 
 /// What a render writes of each stream.
@@ -305,6 +313,34 @@ enum Render {
     Whole,
     /// A record of what changed since the last persist.
     Record,
+}
+
+/// What a persist rendered ([`PoolHandle::write_persist`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rendered {
+    /// Streams live in it: the `persisted` count.
+    pub live: usize,
+    /// Streams it holds an entry of: all of them when whole, those that
+    /// changed since the last persist in a record.
+    pub entries: usize,
+}
+
+/// What [`PoolHandle::restore_file`] read of a snapshot file besides its
+/// streams: where its parts end, and whether it is a file this build
+/// writes, onto which a persist may append.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Restored {
+    /// Streams installed.
+    pub streams: usize,
+    /// Bytes of the document, and of the newline after it if there is one.
+    pub document: usize,
+    /// Bytes up to the end of the last complete record (`document` when
+    /// there is none): what is left of the file once a torn tail is cut.
+    pub complete: usize,
+    /// Whether the file is this build's: envelope version
+    /// [`POOL_SNAPSHOT_VERSION`], every entry of the document of engine
+    /// version 4, and the document followed by its newline.
+    pub current: bool,
 }
 
 /// A cloneable handle to the pool: what connection threads submit
@@ -406,18 +442,20 @@ impl PoolHandle {
     /// read nor changed: this is the whole document a persist would write.
     pub fn write_snapshot_document(&self, out: &mut Vec<u8>) -> Result<usize, ServeError> {
         self.render(out, Render::Document)
+            .map(|rendered| rendered.live)
     }
 
-    /// Appends what a persist writes to `out` and returns the number of
-    /// streams live in it: the whole daemon document when `whole`, otherwise
-    /// one framed record — a header giving the body's length and FNV-1a 64,
-    /// then a body listing the live streams' names and holding an entry for
-    /// each stream that changed since the last persist, whole if that
-    /// persist did not write it and a delta if it did. The marks of what is
-    /// written are kept per stream; a record is only correct on a file the
-    /// previous persist reached, so after a persist that failed the next
-    /// must be whole. On an error `out` may hold part of either.
-    pub fn write_persist(&self, out: &mut Vec<u8>, whole: bool) -> Result<usize, ServeError> {
+    /// Appends what a persist writes to `out` and returns how many streams
+    /// are live in it and how many it holds an entry of: the whole daemon
+    /// document when `whole`, otherwise one framed record — a header giving
+    /// the body's length and FNV-1a 64, then a body listing the live
+    /// streams' names and holding an entry for each stream that changed
+    /// since the last persist (or since the restore that read it), whole if
+    /// that persist did not write it and a delta if it did. The marks of
+    /// what is written are kept per stream; a record is only correct on a
+    /// file the previous persist reached, so after a persist that failed the
+    /// next must be whole. On an error `out` may hold part of either.
+    pub fn write_persist(&self, out: &mut Vec<u8>, whole: bool) -> Result<Rendered, ServeError> {
         self.render(out, if whole { Render::Whole } else { Render::Record })
     }
 
@@ -426,7 +464,7 @@ impl PoolHandle {
     /// name order, under its stripe's lock, taken for that one stream. A
     /// stream closed in between is not in the output; one opened in between
     /// is in the next.
-    fn render(&self, out: &mut Vec<u8>, how: Render) -> Result<usize, ServeError> {
+    fn render(&self, out: &mut Vec<u8>, how: Render) -> Result<Rendered, ServeError> {
         let mut names: Vec<(String, usize)> = Vec::new();
         for (i, stripe) in self.stripes.iter().enumerate() {
             let streams = stripe.lock().map_err(|_| not_running())?;
@@ -444,16 +482,20 @@ impl PoolHandle {
             w.key("version").u64(POOL_SNAPSHOT_VERSION);
         }
         w.key("streams").begin_array();
-        let mut live = Vec::new();
+        let (mut live, mut entries) = (Vec::new(), 0);
         for (name, stripe) in &names {
             let mut streams = self.stripes[*stripe].lock().map_err(|_| not_running())?;
             if let Some(engine) = streams.get_mut(name) {
-                match how {
-                    Render::Document => engine.write_stream_snapshot(name, &mut w),
+                let wrote = match how {
+                    Render::Document => {
+                        engine.write_stream_snapshot(name, &mut w);
+                        true
+                    }
                     Render::Whole | Render::Record => {
                         engine.write_persist_entry(name, how == Render::Whole, &mut w)
                     }
-                }
+                };
+                entries += usize::from(wrote);
                 live.push(name.as_str());
             }
         }
@@ -468,7 +510,10 @@ impl PoolHandle {
             let header = format!("@{:010} {:016x}\n", body.len(), fnv1a(body));
             out[start..start + RECORD_HEADER].copy_from_slice(header.as_bytes());
         }
-        Ok(live.len())
+        Ok(Rendered {
+            live: live.len(),
+            entries,
+        })
     }
 
     /// The daemon snapshot document as a [`Json`] tree: the parsed form of
@@ -481,7 +526,15 @@ impl PoolHandle {
     }
 
     /// Restores every stream of a snapshot file — its bytes — into the
-    /// pool, or none of them.
+    /// pool, or none of them, and returns how many it installed:
+    /// [`restore_file`](PoolHandle::restore_file)'s `streams`.
+    pub fn restore_text(&self, text: &[u8], threads: usize) -> Result<usize, ServeError> {
+        self.restore_file(text, threads).map(|file| file.streams)
+    }
+
+    /// Restores every stream of a snapshot file — its bytes — into the
+    /// pool, or none of them, and says what it read ([`Restored`]) — all
+    /// the server needs to keep appending to the file, from the one pass.
     ///
     /// The text is read once, in sequence, into per-stream typed tables
     /// ([`StreamEngine::read_stream_snapshot`]: no `Json` tree): the
@@ -493,20 +546,24 @@ impl PoolHandle {
     /// engines installed, under all stripe locks at once. Anything else —
     /// a document that does not read, or an intact record that does not
     /// fold — is an [`ErrorKind::Admin`] error that leaves the pool as it
-    /// was.
-    pub fn restore_text(&self, text: &[u8], threads: usize) -> Result<usize, ServeError> {
-        let (entries, end) = read_document(text)?;
+    /// was. A stream whose tables are of engine version 4 is installed with
+    /// their marks, as if a persist had just written them.
+    pub fn restore_file(&self, text: &[u8], threads: usize) -> Result<Restored, ServeError> {
+        let (entries, end, version) = read_document(text)?;
+        let current =
+            version == POOL_SNAPSHOT_VERSION && entries.iter().all(StreamTables::is_current);
         // The document is followed by nothing, or by a newline and records.
-        let log = match &text[end..] {
-            [] => &[][..],
-            [b'\n', log @ ..] => log,
+        let (document, log) = match &text[end..] {
+            [] => (end, &[][..]),
+            [b'\n', log @ ..] => (end + 1, log),
             _ => {
                 return Err(admin(
                     "reading snapshot: trailing characters after the document",
                 ))
             }
         };
-        let entries: Vec<_> = fold_records(entries, log)?
+        let (entries, folded) = fold_records(entries, log)?;
+        let entries: Vec<_> = entries
             .into_iter()
             .map(|tables| Mutex::new(Some(tables)))
             .collect();
@@ -548,7 +605,12 @@ impl PoolHandle {
             let stripe = home(&name);
             stripes[stripe].insert(name, engine);
         }
-        Ok(installed)
+        Ok(Restored {
+            streams: installed,
+            document,
+            complete: document + folded,
+            current: current && document > end,
+        })
     }
 
     /// [`restore_text`](PoolHandle::restore_text) on the compact text of

@@ -1,6 +1,7 @@
 //! Persists of a running daemon: from several connections at once, beside
 //! streams that come and go, through a rename that fails, appended as
-//! records to the file the first one wrote, and cut off mid-record.
+//! records to the file the first one wrote, cut off mid-record, resumed by
+//! a daemon restarted on the file, and skipped when nothing changed.
 //!
 //! Every connection thread persists through the same `PATH.tmp`. Before
 //! persists were serialised, two `snapshot` ops at once (or a `snapshot`
@@ -304,6 +305,36 @@ fn answer(handle: &PoolHandle, frame: &str) -> String {
         .to_string()
 }
 
+/// The whole document a pool renders.
+fn document(pool: &EnginePool) -> Vec<u8> {
+    let mut text = Vec::new();
+    pool.handle()
+        .write_snapshot_document(&mut text)
+        .expect("the pool's document");
+    text
+}
+
+/// The whole document a fresh pool of `workers` stripes renders once it has
+/// restored `bytes`.
+fn rendered(bytes: &[u8], workers: usize) -> Vec<u8> {
+    let pool = EnginePool::new(workers);
+    pool.handle()
+        .restore_text(bytes, 1)
+        .expect("the file restores");
+    document(&pool)
+}
+
+/// Whether `after` is `before` with exactly one record appended: a header
+/// whose length field counts every byte after it, and nothing more.
+fn appends_one_record(before: &[u8], after: &[u8]) -> bool {
+    let Some(record) = after.strip_prefix(before) else {
+        return false;
+    };
+    let len = record.get(1..11).map(String::from_utf8_lossy);
+    let len = len.and_then(|digits| digits.parse::<usize>().ok());
+    record.first() == Some(&b'@') && len.is_some_and(|len| record.len() == 29 + len)
+}
+
 /// The session's frames go to the daemon and to an in-process twin pool.
 struct Twinned {
     client: Client,
@@ -325,13 +356,14 @@ impl Twinned {
 
 /// The fifth `snapshot` of a session — the four after the first appended,
 /// with compactions, crashes, refused events and messages left in transit
-/// across persists — leaves a file that a restarted daemon restores
-/// and writes whole as the bytes of the whole document of an uninterrupted
-/// twin fed the same session, for 1 and 5 stripes (so the whole files of the
-/// two stripe counts are `cmp`-equal too).
+/// across persists — leaves a file that neither the `shutdown` after it nor
+/// the first `snapshot` of the daemon restarted on it changes (nothing
+/// changed), and that restores to the whole document of an uninterrupted
+/// twin fed the same session, byte for byte, for 1 and 5 stripes (so the
+/// documents the two stripe counts restore to are equal too).
 #[test]
 fn a_hot_persist_is_the_file_a_cold_restart_persists() {
-    let mut whole_files = Vec::new();
+    let mut restored_documents = Vec::new();
     for (workers, restart_workers) in [(1, 5), (5, 1)] {
         let dir = scratch_dir(&format!("hot{workers}"));
         let _ = std::fs::remove_file(dir.join("daemon.snapshot.json"));
@@ -388,33 +420,38 @@ fn a_hot_persist_is_the_file_a_cold_restart_persists() {
         wire.ok(r#"{"op":"shutdown"}"#);
         daemon.join().expect("daemon thread");
         let shut = std::fs::read(&snapshot).expect("shutdown snapshot");
-        assert!(shut.starts_with(&hot) && shut.len() > hot.len());
+        assert!(
+            shut == hot,
+            "{workers} stripes: a shutdown with nothing changed wrote to the file"
+        );
 
-        // The first persist of the restarted daemon's life writes whole.
+        // The restarted daemon adopts the file: with nothing changed, its
+        // first persist writes nothing either.
         let (daemon, socket, snapshot) = boot(&dir, restart_workers);
         let mut client = Client::connect(&socket);
-        client.ok(r#"{"op":"snapshot"}"#);
-        let whole = std::fs::read(&snapshot).expect("the restarted daemon's snapshot");
-        let mut uninterrupted = Vec::new();
-        twin.handle()
-            .write_snapshot_document(&mut uninterrupted)
-            .expect("the twin's document");
-        uninterrupted.push(b'\n');
+        let reply = client.roundtrip(r#"{"op":"snapshot"}"#);
+        assert_eq!(reply, format!(r#"{{"ok":true,"persisted":{STREAMS}}}"#));
+        let kept = std::fs::read(&snapshot).expect("the restarted daemon's snapshot");
         assert!(
-            whole == uninterrupted,
-            "{workers} stripes: the restarted daemon's whole file ({} bytes) differs from the \
-             uninterrupted twin's document ({} bytes)",
-            whole.len(),
-            uninterrupted.len()
+            kept == hot,
+            "{workers} stripes: the restarted daemon's first persist changed the file"
         );
-        whole_files.push(whole);
+        let restored = rendered(&kept, restart_workers);
+        assert!(
+            restored == document(&twin),
+            "{workers} stripes: the file restored ({} bytes rendered) differs from the \
+             uninterrupted twin's document ({} bytes)",
+            restored.len(),
+            document(&twin).len()
+        );
+        restored_documents.push(restored);
         client.ok(r#"{"op":"shutdown"}"#);
         daemon.join().expect("daemon thread");
         let _ = std::fs::remove_dir_all(&dir);
     }
     assert!(
-        whole_files[0] == whole_files[1],
-        "1 and 5 stripes write other files"
+        restored_documents[0] == restored_documents[1],
+        "1 and 5 stripes restore to other documents"
     );
 }
 
@@ -571,4 +608,264 @@ fn a_torn_or_flipped_record_restores_the_persist_before_it() {
         flipped[at] ^= 1 << (at % 8);
         assert_eq!(answers_of(&flipped).as_ref(), before, "byte {at} flipped");
     }
+}
+
+/// Sends rounds `next[stream]..next[stream] + rounds` of [`event_frames`]
+/// on `stream` through `send`.
+fn rounds(next: &mut [usize], stream: usize, rounds: usize, mut send: impl FnMut(&str)) {
+    for _ in 0..rounds {
+        for frame in event_frames(stream, next[stream]) {
+            send(&frame);
+        }
+        next[stream] += 1;
+    }
+}
+
+fn open_frame(stream: usize) -> String {
+    format!(r#"{{"op":"open","stream":"s{stream}","processes":{PROCESSES}}}"#)
+}
+
+/// A daemon restarted on its file resumes it: the first life writes the
+/// file whole and appends a record to it, the second — after events, a
+/// compaction, a crash, a close and a reopen under the same name — appends
+/// exactly one record and leaves every byte before it as it was, and the
+/// file restores to the whole document of an uninterrupted twin fed the
+/// same session, which a third life answers as, for 1 and 5 stripes.
+#[test]
+fn a_restarted_daemon_appends_to_the_file_it_restored() {
+    for (workers, restart_workers) in [(1, 5), (5, 1)] {
+        let dir = scratch_dir(&format!("resume{workers}"));
+        let _ = std::fs::remove_file(dir.join("daemon.snapshot.json"));
+        let (daemon, socket, snapshot) = boot(&dir, workers);
+        let mut client = Twinned {
+            client: Client::connect(&socket),
+            twin: EnginePool::new(restart_workers),
+        };
+        let persisted = format!(r#"{{"ok":true,"persisted":{STREAMS}}}"#);
+        let mut next = [0usize; STREAMS];
+        for stream in 0..STREAMS {
+            client.ok(&open_frame(stream));
+            rounds(&mut next, stream, 300, |frame| client.ok(frame));
+        }
+        assert_eq!(client.client.roundtrip(r#"{"op":"snapshot"}"#), persisted);
+        let whole = std::fs::read(&snapshot).expect("the first persist");
+        for stream in 0..STREAMS {
+            rounds(&mut next, stream, 10, |frame| client.ok(frame));
+        }
+        assert_eq!(client.client.roundtrip(r#"{"op":"snapshot"}"#), persisted);
+        let first_life = std::fs::read(&snapshot).expect("the second persist");
+        assert!(appends_one_record(&whole, &first_life));
+        client.client.ok(r#"{"op":"shutdown"}"#);
+        daemon.join().expect("daemon thread");
+
+        let (daemon, socket, snapshot) = boot(&dir, restart_workers);
+        client.client = Client::connect(&socket);
+        rounds(&mut next, 0, 20, |frame| client.ok(frame));
+        let reply = client.roundtrip(r#"{"op":"compact","stream":"s1"}"#);
+        assert!(!reply.contains(r#""dropped":0"#), "{reply}");
+        client.ok(r#"{"op":"event","stream":"s2","type":"crash","process":1}"#);
+        client.ok(r#"{"op":"close","stream":"s3"}"#);
+        client.ok(&open_frame(3));
+        next[3] = 0;
+        rounds(&mut next, 3, 5, |frame| client.ok(frame));
+        assert_eq!(client.client.roundtrip(r#"{"op":"snapshot"}"#), persisted);
+        let second_life = std::fs::read(&snapshot).expect("the second life's persist");
+        assert!(
+            appends_one_record(&first_life, &second_life),
+            "{workers} stripes: the second life did not append one record to the first's file"
+        );
+        client.client.ok(r#"{"op":"shutdown"}"#);
+        daemon.join().expect("daemon thread");
+        assert!(std::fs::read(&snapshot).expect("the file") == second_life);
+
+        let (daemon, socket, _) = boot(&dir, workers);
+        let mut third = Client::connect(&socket);
+        let twin = client.twin.handle();
+        let mut queries = vec![r#"{"op":"streams"}"#.to_string()];
+        for stream in 0..STREAMS {
+            for what in ["untrackable", "recovery-line"] {
+                queries.push(format!(
+                    r#"{{"op":"query","stream":"s{stream}","what":"{what}"}}"#
+                ));
+            }
+        }
+        for query in &queries {
+            assert_eq!(third.roundtrip(query), answer(&twin, query), "{query}");
+        }
+        third.ok(r#"{"op":"shutdown"}"#);
+        daemon.join().expect("daemon thread");
+        assert!(
+            rendered(&second_life, workers) == document(&client.twin),
+            "{workers} stripes: the resumed file restores to another document than the twin's"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The first life's file cut at every byte of its last record: the boot
+/// cuts the torn tail back to the persist before it, the second life's
+/// persist appends one record right after that persist, and the file
+/// restores to the document of a twin fed the acknowledged prefix — the
+/// frames up to that persist — and the second life's frames.
+#[test]
+fn a_restart_on_a_torn_record_appends_after_the_persist_before_it() {
+    let dir = scratch_dir("resume-torn");
+    let _ = std::fs::remove_file(dir.join("daemon.snapshot.json"));
+    let (daemon, socket, snapshot) = boot(&dir, 2);
+    let mut client = Client::connect(&socket);
+    let mut next = [0usize; 3];
+    let mut prefix = Vec::new();
+    for stream in 0..2 {
+        prefix.push(open_frame(stream));
+        rounds(&mut next, stream, 40, |frame| {
+            prefix.push(frame.to_string())
+        });
+    }
+    for frame in &prefix {
+        client.ok(frame);
+    }
+    client.ok(r#"{"op":"snapshot"}"#);
+    let acknowledged = std::fs::read(&snapshot).expect("the first persist");
+    // Two rounds on `s0` only: a short last record.
+    rounds(&mut next, 0, 2, |frame| client.ok(frame));
+    client.ok(r#"{"op":"snapshot"}"#);
+    let full = std::fs::read(&snapshot).expect("the second persist");
+    assert!(appends_one_record(&acknowledged, &full));
+    client.ok(r#"{"op":"shutdown"}"#);
+    daemon.join().expect("daemon thread");
+
+    // After the restart: `s1` goes on, `s2` is opened.
+    let mut after = Vec::new();
+    rounds(&mut next, 1, 3, |frame| after.push(frame.to_string()));
+    after.push(open_frame(2));
+    rounds(&mut next, 2, 3, |frame| after.push(frame.to_string()));
+    let twin = EnginePool::new(3);
+    for frame in prefix.iter().chain(&after) {
+        assert!(answer(&twin.handle(), frame).starts_with(r#"{"ok":true"#));
+    }
+    let expected = document(&twin);
+
+    for cut in acknowledged.len()..full.len() {
+        std::fs::write(&snapshot, &full[..cut]).expect("the cut file");
+        let (daemon, socket, _) = boot(&dir, 1 + cut % 3);
+        let mut client = Client::connect(&socket);
+        for frame in &after {
+            client.ok(frame);
+        }
+        assert_eq!(
+            client.roundtrip(r#"{"op":"snapshot"}"#),
+            r#"{"ok":true,"persisted":3}"#
+        );
+        client.ok(r#"{"op":"shutdown"}"#);
+        daemon.join().expect("daemon thread");
+        let file = std::fs::read(&snapshot).expect("the resumed file");
+        assert!(
+            appends_one_record(&acknowledged, &file),
+            "cut at byte {cut}: the record is not appended right after the acknowledged persist"
+        );
+        assert!(
+            rendered(&file, 2) == expected,
+            "cut at byte {cut}: the file restores to another document than the twin's"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A persist with nothing to record — no stream changed, none opened or
+/// closed — leaves the file byte-identical and answers the same
+/// `persisted` count as one that writes; a `crash` alone and a `close`
+/// alone (no entry, one live stream fewer) each still append a record.
+#[test]
+fn a_persist_with_nothing_to_record_writes_nothing() {
+    let dir = scratch_dir("unchanged");
+    let _ = std::fs::remove_file(dir.join("daemon.snapshot.json"));
+    let (daemon, socket, snapshot) = boot(&dir, 2);
+    let mut client = Client::connect(&socket);
+    let mut next = [0usize; 2];
+    for stream in 0..2 {
+        client.ok(&open_frame(stream));
+        rounds(&mut next, stream, 30, |frame| client.ok(frame));
+    }
+    let persist = |client: &mut Client, count: usize| {
+        let reply = client.roundtrip(r#"{"op":"snapshot"}"#);
+        assert_eq!(reply, format!(r#"{{"ok":true,"persisted":{count}}}"#));
+        std::fs::read(&snapshot).expect("the snapshot")
+    };
+    let mut file = persist(&mut client, 2);
+    assert_eq!(persist(&mut client, 2), file, "nothing changed");
+    let mut events = Vec::new();
+    rounds(&mut next, 0, 3, |frame| events.push(frame.to_string()));
+    let crash = r#"{"op":"event","stream":"s1","type":"crash","process":0}"#.to_string();
+    let close = r#"{"op":"close","stream":"s1"}"#.to_string();
+    for (what, frames, live) in [
+        ("events", events, 2),
+        ("a crash", vec![crash], 2),
+        ("a close", vec![close], 1),
+    ] {
+        for frame in &frames {
+            client.ok(frame);
+        }
+        let appended = persist(&mut client, live);
+        assert!(appends_one_record(&file, &appended), "{what}");
+        file = appended;
+        assert_eq!(
+            persist(&mut client, live),
+            file,
+            "nothing changed since {what}"
+        );
+    }
+    let reply = client.roundtrip(r#"{"op":"shutdown"}"#);
+    assert!(reply.contains(r#""persisted":1"#), "{reply}");
+    daemon.join().expect("daemon thread");
+    assert_eq!(std::fs::read(&snapshot).expect("the snapshot"), file);
+
+    let (daemon, socket, _) = boot(&dir, 3);
+    let mut client = Client::connect(&socket);
+    assert_eq!(persist(&mut client, 1), file, "a restart changed nothing");
+    let reply = client.roundtrip(r#"{"op":"shutdown"}"#);
+    assert!(reply.contains(r#""persisted":1"#), "{reply}");
+    daemon.join().expect("daemon thread");
+    assert_eq!(std::fs::read(&snapshot).expect("the snapshot"), file);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A file of an older build is not adopted: the file a version 2 daemon
+/// persisted (envelope 1, engine documents of version 2; read here, never
+/// regenerated), and the same file under an envelope of version 2, are
+/// each written whole by the first persist, with nothing changed, as one
+/// version 4 document of the state they hold.
+#[test]
+fn an_older_file_is_written_whole_by_the_first_persist() {
+    let golden = include_bytes!("golden/daemon_v2.snapshot.json");
+    let head = br#"{"format":"rdt-serve-snapshot","version":1,"#;
+    assert!(golden.starts_with(head));
+    let relabelled = [
+        &br#"{"format":"rdt-serve-snapshot","version":2,"#[..],
+        &golden[head.len()..],
+    ]
+    .concat();
+    let dir = scratch_dir("older");
+    for old in [&golden[..], &relabelled] {
+        let snapshot = dir.join("daemon.snapshot.json");
+        std::fs::write(&snapshot, old).expect("the older file");
+        let (daemon, socket, _) = boot(&dir, 2);
+        let mut client = Client::connect(&socket);
+        assert_eq!(
+            client.roundtrip(r#"{"op":"snapshot"}"#),
+            r#"{"ok":true,"persisted":2}"#
+        );
+        client.ok(r#"{"op":"shutdown"}"#);
+        daemon.join().expect("daemon thread");
+        let file = std::fs::read(&snapshot).expect("the rewritten file");
+        let mut whole = rendered(old, 1);
+        assert!(!whole
+            .windows(33)
+            .any(|w| w == br#""rdt-rgraph-snapshot","version":2"#));
+        whole.push(b'\n');
+        assert!(
+            file == whole,
+            "the first persist on an older file did not write it whole"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -761,14 +761,22 @@ fn hostile_records_are_refused_and_torn_ones_ignored() {
         r#"{"op":"event","stream":"b","type":"checkpoint","process":1}"#,
     ]);
     let mut file = Vec::new();
-    assert_eq!(handle.write_persist(&mut file, true), Ok(2));
+    let whole = handle.write_persist(&mut file, true);
+    assert_eq!(
+        whole.map(|rendered| [rendered.live, rendered.entries]),
+        Ok([2, 2])
+    );
     file.push(b'\n');
     run(&[
         r#"{"op":"event","stream":"a","type":"deliver","message":0}"#,
         r#"{"op":"event","stream":"a","type":"checkpoint","process":1}"#,
     ]);
     let mut record = Vec::new();
-    assert_eq!(handle.write_persist(&mut record, false), Ok(2));
+    let delta = handle.write_persist(&mut record, false);
+    assert_eq!(
+        delta.map(|rendered| [rendered.live, rendered.entries]),
+        Ok([2, 1])
+    );
     let restores = |bytes: &[u8]| {
         let fresh = EnginePool::new(3);
         let restored = fresh.handle().restore_text(bytes, 2);
