@@ -52,10 +52,9 @@
 //! cross it because the journal is discarded at the very point it moves. A
 //! `compact` that finds nothing to reclaim reads the live suffix once and
 //! returns. Of the per-node tables (`reach`, `cp_tdv`, `r_meta`) the kept
-//! rows close ranks; `cp_nodes` and the closure bits are derived from them
-//! as a restore derives them, the bits from the kept `reach` rows
-//! ([`closure_from_reach`](IncrementalAnalysis::closure_from_reach)): no
-//! closure row is read at all.
+//! rows close ranks, and `cp_nodes` is derived from `r_meta` as a restore
+//! derives it. The kept `reach` rows are the whole kept closure, so there
+//! is nothing else to build.
 //!
 //! What the chain layer keeps through a compaction, and why chain queries
 //! stay exact for heads above the watermark, is told at its `on_compact`
@@ -69,7 +68,7 @@ use super::*;
 pub struct CompactionStats {
     /// The effective (consistent) watermark of this compaction.
     pub watermark: Vec<u32>,
-    /// R-graph closure nodes dropped (a closure row and a `reach` row each).
+    /// R-graph nodes dropped (a `reach` row each).
     pub dropped_r_nodes: usize,
     /// Zigzag-closure nodes dropped (message nodes and interval slots); 0
     /// on a chain-free engine.
@@ -197,14 +196,13 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         };
 
         // A kept row of `reach` already counts the checkpoints about to be
-        // dropped (it holds indices, not nodes), and the kept closure is the
-        // one the kept rows describe: the compaction reads no closure row.
+        // dropped (it holds indices, not nodes), and the kept rows are the
+        // kept closure.
         self.reach = kept_rows(&self.reach);
         self.r_meta = kept.iter().map(|&old| self.r_meta[old]).collect();
         self.cp_tdv = kept_rows(&self.cp_tdv);
         self.cp_nodes = nodes_by_process(&self.r_meta, n);
         self.cp_base = rb;
-        self.rmat = self.closure_from_reach();
 
         let mut new_msg_tdv = Vec::new();
         for m in &mut self.msgs[live..] {
@@ -253,9 +251,10 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     }
 
     /// Closure nodes currently resident — R-graph nodes, plus the chain
-    /// layer's where there is one: the quadratic part of the footprint.
+    /// layer's where there is one: an R-graph node costs `n` words of
+    /// `reach`, a chain node a row and a column of its two bit slabs.
     pub fn resident_closure_nodes(&self) -> usize {
-        self.rmat.nodes + self.chains.resident_nodes()
+        self.r_meta.len() + self.chains.resident_nodes()
     }
 
     /// The consistent watermark of the last compaction (all zeros before

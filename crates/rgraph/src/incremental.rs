@@ -40,29 +40,31 @@
 //!
 //! # Data structures
 //!
-//! Each reachability relation (the R-graph over checkpoints; in the chain
-//! layer, zigzag and causal chains over delivered messages) is a square
-//! bit matrix updated by Italiano's incremental-transitive-closure rule
-//! restricted to two *dirty sets*: the nodes reaching the edge's source but
-//! not yet its target, and the nodes the target reaches but the source not
-//! yet. Rows never lose bits while appending.
+//! The R-graph closure is held as numbers, not bits: one **reach vector**
+//! per R-node, `reach[y][p]` = the greatest checkpoint of `p` with an
+//! R-path to `y`. Rule 1 chains every process's checkpoints, so the
+//! checkpoints of `p` that reach `y` are a prefix and one index per (node,
+//! process) is the whole set — `n` words a node, whatever the stream's age,
+//! and indifferent to whether a compaction has since dropped the reaching
+//! nodes. It is the forward closure too: `x = C_{p,i}` reaches `y` iff
+//! `reach[y][p] > i`, and along a process's checkpoints each column of
+//! `reach` only rises, so the checkpoints of `q` that `x` reaches are a
+//! suffix, found by binary search. That is all the core keeps of the
+//! closure, so a stream's memory is linear in its resident nodes. An
+//! R-edge folds its source's vector into the vectors of the nodes it newly
+//! reaches, its *dirty successors* (`insert_r_edge`: an `n`-wide `max`
+//! each), which are the node being appended for an edge into it, and
+//! otherwise a run of each process's checkpoints between two searches; no
+//! closure pair is ever enumerated, and neither compaction nor a restore
+//! has anything to build.
 //!
-//! The R-graph's *backward* closure is held as numbers, not bits: one
-//! **reach vector** per R-node, `reach[y][p]` = the greatest checkpoint of
-//! `p` with an R-path to `y`. Rule 1 chains every process's checkpoints, so
-//! the checkpoints of `p` that reach `y` are a prefix and one index per
-//! (node, process) is the whole set — `n` words a node, whatever the
-//! stream's age, and indifferent to whether a compaction has since dropped
-//! the reaching nodes. So the core keeps forward bits only, reads an
-//! insertion's dirty predecessors off `reach` (a run of each process's
-//! checkpoints) and folds the source's vector into the vectors of the nodes
-//! it newly reaches (`insert_r_edge`: an `n`-wide `max` per dirty
-//! successor); the bits are kept to find those successors and to answer
-//! [`reaches`](IncrementalAnalysis::reaches), no closure pair is ever
-//! enumerated, and compaction and every restore build the bits from `reach`
-//! ([`closure_from_reach`](IncrementalAnalysis::closure_from_reach)). The
-//! chain closures have no such vectors and keep a transpose twin for their
-//! dirty predecessors (`ClosureMatrix` in `chain_layer.rs`).
+//! The chain closures (zigzag and causal chains over delivered messages)
+//! have no such vectors. Each is a square bit matrix with a transpose twin
+//! (`ClosureMatrix` in `chain_layer.rs`), updated by Italiano's
+//! incremental-transitive-closure rule restricted to two *dirty sets*: the
+//! nodes reaching the edge's source but not yet its target, and the nodes
+//! the target reaches but the source not yet. Rows never lose bits while
+//! appending.
 //!
 //! RDT itself is counted online, off the same vectors. The destination's
 //! dependency vector is snapshotted when the checkpoint is appended, before
@@ -85,7 +87,7 @@ use crate::consistency::GlobalCheckpoint;
 #[path = "journal.rs"]
 mod journal;
 pub use journal::{Journal, Mark, NoJournal, RewindError, UndoJournal};
-use journal::{Undo, MAT_C, MAT_R, MAT_Z, MAX_CLOSURE_NODES};
+use journal::{Undo, MAT_C, MAT_Z, MAX_CLOSURE_NODES};
 
 #[path = "chain_layer.rs"]
 mod chain_layer;
@@ -191,9 +193,9 @@ pub struct MsgRec {
 /// A growable square bit matrix: `nodes` rows of `width` words, row `u`
 /// holding column `v` at bit `v`. Rows only ever gain bits while appending;
 /// every word change is handed to the journal layer so the slab can be
-/// rewound. The R-graph core holds its forward closure in one (`fwd[u]` =
-/// the successors of `u`, reflexively); the chain layer's `ClosureMatrix`
-/// holds a closure and its transpose in two.
+/// rewound. The chain layer's `ClosureMatrix` holds a closure and its
+/// transpose in two; a version 1–3 snapshot document's `rmat.fwd` is read
+/// into one.
 #[derive(Debug, Clone)]
 struct BitSlab {
     nodes: usize,
@@ -254,8 +256,6 @@ impl BitSlab {
     }
 
     fn row(&self, u: usize) -> &[u64] {
-        #[cfg(test)]
-        work::CLOSURE_ROWS_READ.set(work::CLOSURE_ROWS_READ.get() + 1);
         &self.words[u * self.width..(u + 1) * self.width]
     }
 
@@ -409,13 +409,16 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     msg_tdv: Vec<u32>,
     /// Per-R-node `TDV` snapshot at checkpoint time (`n` entries each).
     cp_tdv: Vec<u32>,
-    /// The backward R-closure, one vector per R-node (`n` entries each):
+    /// The R-closure, one vector per R-node (`n` entries each):
     /// `reach[y][p]` is **one more than** the greatest index of a checkpoint
     /// of `p` — retained or compacted away — with an R-path to `y`, 0 when
     /// there is none. Rule 1 chains every process's checkpoints, so the
     /// checkpoints of `p` that reach `y` are the prefix `C_{p,0..reach[y][p]}`
     /// and the one entry is the whole set; against the `TDV` snapshot beside
     /// it, it is also the node's untrackable count (see `insert_r_edge`).
+    /// Read by column it is the forward closure: `C_{p,i}` reaches `y` iff
+    /// `reach[y][p] > i`, and the column only rises along each process's
+    /// checkpoints (`first_reached`).
     reach: Vec<u32>,
     /// Least row of `reach` that may differ from what the last marked
     /// snapshot render wrote (`snapshot.rs`): within an epoch only an
@@ -426,15 +429,6 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     /// render alone, so marks any other render returned are refused.
     /// `usize::MAX` until the first marked render.
     marked_events: usize,
-    /// The forward closure as bits, `fwd[x]` the nodes `x` reaches: needed
-    /// to find the dirty successors of an insertion and to answer `reaches`;
-    /// nothing counts or enumerates its pairs. A function of `reach`
-    /// ([`closure_from_reach`](IncrementalAnalysis::closure_from_reach)),
-    /// which is the backward closure: no transpose is kept.
-    rmat: BitSlab,
-    /// Scratch of `insert_r_edge`: the nodes reached from the edge's target
-    /// that its source did not reach yet.
-    dsucc: Vec<u64>,
     /// Per R-node `(process, checkpoint index)`.
     r_meta: Vec<(u32, u32)>,
     /// R-node of `C_{p,x}` (indexed by `x`).
@@ -483,14 +477,12 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// (what [`new`](IncrementalAnalysis::new) is for the core alone).
     pub fn layered(n: usize) -> Self {
         assert!(n > 0, "need at least one process");
-        let mut rmat = BitSlab::default();
         let mut r_meta = Vec::with_capacity(n);
         let mut cp_nodes = Vec::with_capacity(n);
         let mut cur_tdv = vec![0u32; n * n];
         for i in 0..n {
-            let node = rmat.push_node();
             r_meta.push((i as u32, 0));
-            cp_nodes.push(vec![node as u32]);
+            cp_nodes.push(vec![i as u32]);
             cur_tdv[i * n + i] = 1;
         }
         // `C_{i,0}` reaches itself: index 0, stored as 1.
@@ -510,8 +502,6 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             reach,
             reach_floor: 0,
             marked_events: usize::MAX,
-            rmat,
-            dsucc: Vec::new(),
             r_meta,
             cp_nodes,
             send_events: vec![Vec::new(); n],
@@ -600,7 +590,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         self.cp_count[pi] = closing;
         self.line_open[pi] = false;
 
-        let node = self.rmat.push_node();
+        let node = self.r_meta.len();
         self.r_meta.push((pi as u32, closing));
         let base = pi * self.n;
         for k in 0..self.n {
@@ -611,17 +601,18 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         self.reach.resize(self.reach.len() + self.n, 0);
         self.cur_tdv[base + pi] += 1;
 
-        // Incoming edges first: while the new node has no successor each of
-        // them folds one row of `reach` (its own), and the outgoing edges
-        // then push the finished row to every node they newly reach, once.
-        // The other order would push it again after every incoming edge.
+        // Incoming edges first: while the new node reaches nothing but
+        // itself each of them folds one row of `reach` (its own, which is
+        // what `insert_r_edge` takes it to be), and the outgoing edges then
+        // push the finished row to every node they newly reach, once. The
+        // other order would push it again after every incoming edge.
         // (Compaction keeps every checkpoint node a pending Rule 2 edge
         // can still name, so the base-offset lookups cannot underflow.)
 
         // Rule 1: C_{p, closing-1} -> C_{p, closing}, before the node's own
-        // lane says it reaches itself: that lane would hide from
-        // `insert_r_edge` every checkpoint reaching `prev`. Its fold adds no
-        // untrackable pair (the `TDV` snapshot's own entry is `closing`).
+        // lane says it reaches itself: that lane would tell `insert_r_edge`
+        // that `prev` reaches it already. Its fold adds no untrackable pair
+        // (the `TDV` snapshot's own entry is `closing`).
         let prev = self.cp_nodes[pi][(closing - 1 - self.cp_base[pi]) as usize] as usize;
         self.insert_r_edge(prev, node);
         self.reach[node * self.n + pi] = closing + 1;
@@ -774,7 +765,15 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// Popcount of the R-graph reachability closure (reflexive pairs
     /// included) — the batch checker's `pairs_checked`.
     pub fn total_reachable_pairs(&self) -> usize {
-        bits::count_ones(&self.rmat.words)
+        // Row `y` is reached by `reach[y][q] − cp_base[q]` retained
+        // checkpoints of `q`.
+        let retained = |row: &[u32]| -> usize {
+            let lanes = row.iter().zip(&self.cp_base);
+            lanes
+                .map(|(&reach, &base)| reach.saturating_sub(base) as usize)
+                .sum()
+        };
+        self.reach.chunks_exact(self.n).map(retained).sum()
     }
 
     /// Whether an R-path runs from `from` to `to` (reflexively).
@@ -784,7 +783,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     pub fn reaches(&self, from: CheckpointId, to: CheckpointId) -> bool {
         let u = self.node_of(from);
         let v = self.node_of(to);
-        self.rmat.bit(u, v)
+        self.node_reaches(u, v)
     }
 
     fn node_of(&self, c: CheckpointId) -> usize {
@@ -968,25 +967,49 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
 
     // ------------------------------------------------------ internal ----
 
+    /// Whether node `x` reaches node `y` (reflexively): `reach[y][p_x] > i_x`.
+    fn node_reaches(&self, x: usize, y: usize) -> bool {
+        let (p, i) = self.r_meta[x];
+        self.reach[y * self.n + p as usize] > i
+    }
+
+    /// Where the checkpoints of `q` that node `x` reaches start in
+    /// `cp_nodes[q]` (its length when there are none). They are a suffix:
+    /// along a process's checkpoints the column `reach[·][p_x]` only rises
+    /// (Rule 1), so the first with `reach[y][p_x] > i_x` is a binary search.
+    fn first_reached(&self, x: usize, q: usize) -> usize {
+        let (p, i) = self.r_meta[x];
+        self.cp_nodes[q].partition_point(|&y| {
+            #[cfg(test)]
+            work::LANES_PROBED.set(work::LANES_PROBED.get() + 1);
+            self.reach[y as usize * self.n + p as usize] <= i
+        })
+    }
+
     /// Inserts an R-graph edge `u → v` and folds `u`'s reach vector into
-    /// every node the edge made newly reachable from `u` (`dsucc`):
-    /// `reach[y] ← max(reach[y], reach[u])`, lane by lane.
+    /// every node the edge made newly reachable from `u`, its *dirty
+    /// successors* (the nodes `v` reaches and `u` does not yet):
+    /// `reach[y] ← max(reach[y], reach[u])`, lane by lane. Nothing else
+    /// changes, and nothing at all when `u` reaches `v` already.
     ///
-    /// The bits follow Italiano's rule, as `ClosureMatrix::insert_edge` in
-    /// the chain layer: every node reaching `u` but not yet `v` gains every
-    /// node `v` reaches and `u` does not yet (`fwd[v] & !fwd[u]`). The first
-    /// set needs no transpose: on a process `q` the checkpoints reaching `u`
-    /// are `C_{q,0..reach[u][q]}` and those reaching `v` a prefix of them, so
-    /// it is the run `max(reach[v][q], cp_base[q]) ≤ i < reach[u][q]` of
-    /// `cp_nodes[q]`, walked process by process (as bits, to be walked in
-    /// node order, it cost more than the transpose's writes it replaced).
+    /// The dirty successors are read off `reach` itself. An edge into the
+    /// node being appended (Rule 1 and the receiver side of Rule 2) comes
+    /// before any edge out of it, so that node reaches nothing but itself
+    /// and is the one dirty successor. Otherwise (the sender side of Rule 2,
+    /// out of the node being appended) the checkpoints of a process `q` that
+    /// `u` and `v` reach are two suffixes of `cp_nodes[q]`, and the dirty
+    /// successors on `q` are the run between their starts
+    /// ([`first_reached`](IncrementalAnalysis::first_reached)), folded in
+    /// process order.
     ///
-    /// That is the whole backward closure, exactly. Whatever newly reaches a
-    /// dirty successor `y` does so through `u`, and `reach[u]` dominates the row of
+    /// That is the whole closure, exactly. Whatever newly reaches a dirty
+    /// successor `y` does so through `u`, and `reach[u]` dominates the row of
     /// every predecessor of `u` (reachability is transitive), so `u`'s row
     /// alone covers them all, compacted-away sources included; a successor
     /// of `v` that is not dirty was reached from `u` before the edge, so its
-    /// row dominates `reach[u]` already and has nothing to gain.
+    /// row dominates `reach[u]` already and has nothing to gain. A raised row
+    /// stays at or below the next checkpoint's on its process, which `v`
+    /// reached before or `u` did, so the columns still only rise.
     ///
     /// It is also the untrackable count. `C_{p,i} → y` is trackable iff
     /// `i ≤ cp_tdv[y][p]` (Definition 3.3 — on `y`'s own process the
@@ -998,37 +1021,19 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// snapshot was taken when the node was created, before any edge could
     /// reach it.
     fn insert_r_edge(&mut self, u: usize, v: usize) {
-        if self.rmat.bit(u, v) {
+        if self.node_reaches(u, v) {
             return;
         }
-        let n = self.n;
-        let succ = &mut self.dsucc;
-        self.rmat.minus_into(v, u, succ);
-        let (reach_u, reach_v) = (&self.reach[u * n..][..n], &self.reach[v * n..][..n]);
-        let pred = (0..n).flat_map(|q| {
-            let (base, from) = (self.cp_base[q], reach_v[q].max(self.cp_base[q]));
-            &self.cp_nodes[q][(from - base) as usize..(reach_u[q].max(from) - base) as usize]
-        });
-        let pred = pred.map(|&x| x as usize);
-        self.rmat
-            .or_into_rows(MAT_R * 2, &mut self.journal, pred, succ);
-
-        if let Some(lowest) = bits::ones(succ).next() {
-            self.reach_floor = self.reach_floor.min(lowest);
-        }
-        let mut delta = 0u64;
-        for y in bits::ones(succ) {
-            #[cfg(test)]
-            work::ROWS_FOLDED.set(work::ROWS_FOLDED.get() + 1);
-            // `u ∉ succ` (its row holds its own bit), so the rows differ.
-            let (head, tail) = self.reach.split_at_mut(u.max(y) * n);
-            let (from, into) = if u < y {
-                (&head[u * n..][..n], &mut tail[..n])
-            } else {
-                (&tail[..n], &mut head[y * n..][..n])
-            };
-            let seen = &self.cp_tdv[y * n..][..n];
-            delta += fold_row(&mut self.journal, y * n, from, into, seen);
+        let mut delta = 0;
+        if v + 1 == self.r_meta.len() {
+            // Into the node being appended, which reaches only itself yet.
+            delta = self.fold(u, v);
+        } else {
+            for q in 0..self.n {
+                for k in self.first_reached(v, q)..self.first_reached(u, q) {
+                    delta += self.fold(u, self.cp_nodes[q][k] as usize);
+                }
+            }
         }
         if delta > 0 {
             self.journal.record(Undo::Untrackable {
@@ -1038,37 +1043,23 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         }
     }
 
-    /// The forward closure `reach` describes, for compaction and for restores
-    /// of every version alike: a retained `C_{q,i}` reaches `y` iff
-    /// `i < reach[y][q]`. Each backward row starts as a copy of its Rule 1
-    /// predecessor's, whose lanes are at most its own, and gains the
-    /// checkpoints of the lanes that rose; the forward slab is the transpose,
-    /// and the backward one is dropped.
-    fn closure_from_reach(&self) -> BitSlab {
+    /// Folds row `u` of `reach` into row `y` (`fold_row`), lowering the
+    /// reach floor to `y`; returns the untrackable pairs it adds. `y` is a
+    /// dirty successor of an edge out of `u`, so it is not `u`, which
+    /// reaches itself.
+    fn fold(&mut self, u: usize, y: usize) -> u64 {
+        #[cfg(test)]
+        work::folded(y);
+        self.reach_floor = self.reach_floor.min(y);
         let n = self.n;
-        let mut preds = BitSlab::new(self.r_meta.len());
-        let width = preds.width;
-        for own in &self.cp_nodes {
-            let mut before: Option<usize> = None;
-            for &y in own {
-                let y = y as usize;
-                if let Some(x) = before {
-                    preds
-                        .words
-                        .copy_within(x * width..(x + 1) * width, y * width);
-                }
-                let row = &mut preds.words[y * width..][..width];
-                let lanes = self.reach[y * n..][..n].iter().zip(&self.cp_nodes);
-                for (q, ((&reach, nodes), &base)) in lanes.zip(&self.cp_base).enumerate() {
-                    let rose_from = before.map_or(0, |x| self.reach[x * n + q]).max(base);
-                    for index in rose_from..reach {
-                        bits::set(row, nodes[(index - base) as usize] as usize);
-                    }
-                }
-                before = Some(y);
-            }
-        }
-        preds.transposed()
+        let (head, tail) = self.reach.split_at_mut(u.max(y) * n);
+        let (from, into) = if u < y {
+            (&head[u * n..][..n], &mut tail[..n])
+        } else {
+            (&tail[..n], &mut head[y * n..][..n])
+        };
+        let seen = &self.cp_tdv[y * n..][..n];
+        fold_row(&mut self.journal, y * n, from, into, seen)
     }
 }
 
@@ -1128,18 +1119,28 @@ fn fold_row<J: Journal>(
 /// and compiled into test builds only.
 #[cfg(test)]
 mod work {
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
     thread_local! {
         /// Rows of `reach` folded by `insert_r_edge`.
         pub static ROWS_FOLDED: Cell<u64> = const { Cell::new(0) };
-        /// Closure rows read through `BitSlab::row`.
-        pub static CLOSURE_ROWS_READ: Cell<u64> = const { Cell::new(0) };
+        /// The nodes of those rows, in fold order, while a test keeps a
+        /// list here.
+        pub static FOLDED_INTO: RefCell<Option<Vec<usize>>> = const { RefCell::new(None) };
+        /// `reach` lanes the dirty-successor searches (`first_reached`)
+        /// probed.
+        pub static LANES_PROBED: Cell<u64> = const { Cell::new(0) };
         /// Rows of the write-once snapshot tables (`msgs`, `msg_tdv`,
         /// `cp_tdv`, `r_meta`) a snapshot render wrote.
         pub static ROWS_RENDERED: Cell<u64> = const { Cell::new(0) };
         /// Rows of `reach` a snapshot render wrote.
         pub static REACH_ROWS_RENDERED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts a fold into row `y`, and lists it if a test keeps a list.
+    pub fn folded(y: usize) {
+        ROWS_FOLDED.set(ROWS_FOLDED.get() + 1);
+        FOLDED_INTO.with_borrow_mut(|list| list.iter_mut().for_each(|list| list.push(y)));
     }
 }
 
@@ -1311,8 +1312,8 @@ mod tests {
                 self.reach.capacity(),
             ];
             let (z, c) = (&chains.zmat, &chains.cmat);
-            let slabs = [&self.rmat, &z.fwd, &z.bwd, &c.fwd, &c.bwd].map(|m| m.words.capacity());
-            let scratch = [&self.dsucc, &z.dpred, &z.dsucc, &c.dpred, &c.dsucc];
+            let slabs = [&z.fwd, &z.bwd, &c.fwd, &c.bwd].map(|m| m.words.capacity());
+            let scratch = [&z.dpred, &z.dsucc, &c.dpred, &c.dsucc];
             let slabs = slabs.into_iter().chain(scratch.map(Vec::capacity));
             let per_process = (0..self.n).flat_map(|p| {
                 let nodes = [&self.cp_nodes[p], &chains.z_slots[p], &chains.c_spine[p]];
@@ -1759,7 +1760,7 @@ mod tests {
                     let old = slab.words[x * w + wi];
                     let fresh = add & !old;
                     if fresh != 0 {
-                        journal.record(Undo::word(MAT_R * 2 + dir, x, wi, old));
+                        journal.record(Undo::word(MAT_Z * 2 + dir, x, wi, old));
                         slab.words[x * w + wi] = old | add;
                     }
                 }
@@ -1817,7 +1818,7 @@ mod tests {
             };
             inserted.push((u, v));
             let (at_k, at_r) = (journal_k.entries.len(), journal_r.entries.len());
-            let new_k = kernel.insert_edge(MAT_R, &mut journal_k, u, v);
+            let new_k = kernel.insert_edge(MAT_Z, &mut journal_k, u, v);
             let new_r = insert_edge_full_scan(&mut reference, &mut journal_r, u, v);
             assert_eq!(new_k, new_r, "was-new flag of {u} -> {v}");
             assert_eq!(
@@ -1936,8 +1937,8 @@ mod tests {
 
     /// An engine under every operation that touches `reach` — appends,
     /// compactions, marks and rewinds, a snapshot → restore hop — beside a
-    /// lockstep twin that is never compacted and never restored, so it
-    /// still holds as closure bits what the subject only holds as indices.
+    /// lockstep twin that is never compacted and never restored, so that
+    /// every checkpoint it was fed is still a node of it.
     struct ReachDifferential {
         subject: RewindableAnalysis,
         twin: RewindableAnalysis,
@@ -1948,46 +1949,47 @@ mod tests {
         marks: Vec<(Mark, Mark, Vec<u32>)>,
     }
 
-    /// Row `y` of `reach`, recomputed from the closure bits: per process one
-    /// more than the greatest index of a retained `x` whose `fwd[x]` has bit
-    /// `y` — of those below `below[p]` only, when a limit is given. Also
-    /// holds the bits to the downward closure the encoding rests on:
-    /// restricted to a process, the column is a prefix of its retained
-    /// checkpoints.
-    fn reach_row_from_bits<C: ChainLayer, J: Journal>(
-        engine: &IncrementalAnalysis<C, J>,
-        y: usize,
-        below: Option<&[u32]>,
-    ) -> Vec<u32> {
-        let reaches = |x: u32| engine.rmat.bit(x as usize, y);
-        let mut row = vec![0u32; engine.n];
+    /// `reach` of an engine that was never compacted, recomputed from the
+    /// pattern alone: a search from every node over the R-graph's edges as
+    /// the message table and the checkpoint counts give them — Rule 1 along
+    /// each process, Rule 2 for every message whose send and delivery
+    /// intervals are both closed. Nothing the kernel maintains is read.
+    fn reach_by_search<C: ChainLayer, J: Journal>(engine: &IncrementalAnalysis<C, J>) -> Vec<u32> {
+        let (n, nodes) = (engine.n, engine.r_meta.len());
+        let mut node_of = vec![Vec::new(); n];
         for (x, &(p, index)) in engine.r_meta.iter().enumerate() {
-            if reaches(x as u32) && below.is_none_or(|limit| index < limit[p as usize]) {
-                row[p as usize] = row[p as usize].max(index + 1);
+            assert_eq!(node_of[p as usize].len(), index as usize, "node {x}");
+            node_of[p as usize].push(x);
+        }
+        let mut edges = vec![Vec::new(); nodes];
+        for (p, own) in node_of.iter().enumerate() {
+            assert_eq!(own.len(), engine.cp_count[p] as usize + 1, "process {p}");
+            for pair in own.windows(2) {
+                edges[pair[0]].push(pair[1]);
             }
         }
-        for nodes in &engine.cp_nodes {
-            let reaching = nodes.partition_point(|&x| reaches(x));
-            assert!(
-                !nodes[reaching..].iter().any(|&x| reaches(x)),
-                "the checkpoints of a process reaching node {y} are not a prefix"
-            );
+        for m in &engine.msgs {
+            let closed = |p: u32, iv: u32| node_of[p as usize].get(iv as usize).copied();
+            let (from, to) = (closed(m.from, m.send_iv), closed(m.to, m.deliver_iv));
+            if let (Some(from), Some(to)) = (from, to) {
+                edges[from].push(to);
+            }
         }
-        row
-    }
-
-    /// The closure bits are the function of `reach` compaction and restore
-    /// build them by: row for row, `fwd` is what `closure_from_reach` gives.
-    fn assert_bits_follow_reach<J: Journal>(engine: &IncrementalAnalysis<NoChains, J>, what: &str) {
-        let built = engine.closure_from_reach();
-        assert_eq!(engine.rmat.nodes, built.nodes, "{what}: nodes");
-        for x in 0..built.nodes {
-            let (ours, theirs) = (engine.rmat.row(x), built.row(x));
-            assert!(
-                bits::ones(ours).eq(bits::ones(theirs)),
-                "{what}: fwd row {x} is not the one `reach` describes"
-            );
+        let mut reach = vec![0u32; nodes * n];
+        for (x, &(p, index)) in engine.r_meta.iter().enumerate() {
+            let (mut seen, mut stack) = (vec![false; nodes], vec![x]);
+            seen[x] = true;
+            while let Some(y) = stack.pop() {
+                let lane = &mut reach[y * n + p as usize];
+                *lane = (*lane).max(index + 1);
+                for &z in &edges[y] {
+                    if !std::mem::replace(&mut seen[z], true) {
+                        stack.push(z);
+                    }
+                }
+            }
         }
+        reach
     }
 
     impl ReachDifferential {
@@ -2001,41 +2003,35 @@ mod tests {
             }
         }
 
-        /// `reach` is the closure and `untrackable` is `Σ (reach − TDV)⁺`,
-        /// and the closure bits are the ones `reach` describes, on both
-        /// engines.
+        /// `reach` is the closure the pattern's edges give, row for row, on
+        /// both engines (the subject's rows hold their compacted-away sources
+        /// too), and `untrackable` is `Σ (reach − TDV)⁺`.
         fn check(&self, what: &str) {
             let (subject, twin) = (&self.subject, &self.twin);
             let n = subject.n;
-            assert_bits_follow_reach(subject, what);
-            assert_bits_follow_reach(twin, &format!("{what}, twin"));
-            // The twin, from its own bits alone; it holds every checkpoint,
-            // so its rows also sum to the count.
+            let closure = reach_by_search(twin);
             let mut untrackable = 0u64;
-            for y in 0..twin.rmat.nodes {
-                let row = reach_row_from_bits(twin, y, None);
-                assert_eq!(twin.reach[y * n..][..n], row[..], "{what}: twin row {y}");
+            for (y, row) in closure.chunks_exact(n).enumerate() {
+                assert_eq!(twin.reach[y * n..][..n], *row, "{what}: twin row {y}");
                 for (&reach, &seen) in row.iter().zip(&twin.cp_tdv[y * n..][..n]) {
                     untrackable += u64::from(reach.saturating_sub(seen + 1));
                 }
             }
             assert_eq!(twin.untrackable, untrackable, "{what}: twin count");
             assert_eq!(subject.untrackable, untrackable, "{what}: count");
-            // The subject: retained sources from its own bits, compacted-away
-            // ones from the twin's.
-            for y in 0..subject.rmat.nodes {
-                let (p, index) = subject.r_meta[y];
+            assert_eq!(
+                subject.reach.len(),
+                subject.r_meta.len() * n,
+                "{what}: rows"
+            );
+            for (y, &(p, index)) in subject.r_meta.iter().enumerate() {
                 let in_twin = twin.cp_nodes[p as usize][index as usize] as usize;
-                let retained = reach_row_from_bits(subject, y, None);
-                let dropped = reach_row_from_bits(twin, in_twin, Some(&subject.cp_base));
-                let row: Vec<u32> = retained
-                    .iter()
-                    .zip(&dropped)
-                    .map(|(&r, &d)| r.max(d))
-                    .collect();
-                assert_eq!(subject.reach[y * n..][..n], row[..], "{what}: row {y}");
+                assert_eq!(
+                    subject.reach[y * n..][..n],
+                    closure[in_twin * n..][..n],
+                    "{what}: row {y}"
+                );
             }
-            assert_eq!(subject.reach.len(), subject.rmat.nodes * n, "{what}: rows");
         }
 
         fn event(&mut self) {
@@ -2209,31 +2205,18 @@ mod tests {
             }
             let sent = self.core.num_messages();
             assert_eq!(self.core.settled, self.sent_before_round, "cursor");
-            work::CLOSURE_ROWS_READ.set(0);
             let (stats, examined) = self.compact();
             assert!(stats.discarded_state());
             assert_eq!(examined, 2 * (sent - self.sent_before_round));
             assert_eq!(self.core.settled, sent, "every message is settled");
             self.sent_before_round = sent;
-            // It read no closure row, neither of the `dropped_r_nodes` it
-            // dropped nor of those it kept: what the dropped ones reach is in
-            // the kept rows of `reach` already, and the kept closure is built
-            // from those rows.
             assert!(stats.dropped_r_nodes > stats.resident_nodes);
-            assert_eq!(
-                work::CLOSURE_ROWS_READ.get(),
-                0,
-                "closure rows read by a compaction that kept {} and dropped {}",
-                stats.resident_nodes,
-                stats.dropped_r_nodes
-            );
 
             // Straight after, a second compaction finds nothing to reclaim
-            // and examines no record and no row at all.
+            // and examines no record at all.
             let (stats, examined) = self.compact();
             assert!(!stats.discarded_state());
             assert_eq!(examined, 0, "a settled record was examined");
-            assert_eq!(work::CLOSURE_ROWS_READ.get(), 0);
         }
 
         /// `compact_to_recovery_line`, with the records it examined.
@@ -2359,28 +2342,33 @@ mod tests {
     }
 
     /// A checkpoint folds its finished reach row into each node it newly
-    /// reaches once, and a compaction reads no closure row: exact counts on
+    /// reaches once, and finds those nodes by binary search: exact counts on
     /// a `deep-unix`-shaped stream, period by period.
     /// The fold count is what the order of the Rule 2 edges in
     /// `try_append_checkpoint` decides — with the sender-side edges first
     /// the row is pushed out again after every receiver-side edge, and the
     /// same six periods fold 110 772, 64 538, 21 018, 54 255, 45 542 and
-    /// 34 369 rows. The row count is asserted at every round
-    /// (`round_and_compact`: none of the 32 rows kept or the 832 dropped).
+    /// 34 369 rows. The probe count is what the searches in `first_reached`
+    /// read of `reach`: a scan of every retained checkpoint of each process
+    /// instead reads 289 834, 232 660, 226 130, 222 654, 233 818 and 210 734
+    /// lanes.
     #[test]
     fn work_bound_a_checkpoint_folds_its_row_once() {
         const ROWS_FOLDED: [u64; 6] = [60_413, 30_126, 10_517, 25_885, 19_875, 16_925];
+        const LANES_PROBED: [u64; 6] = [99_270, 78_896, 75_956, 77_196, 83_170, 71_530];
         let mut stream = DaemonStream::deep_unix(0x5eed_0020);
-        for (period, &pinned) in ROWS_FOLDED.iter().enumerate() {
+        for (period, pinned) in ROWS_FOLDED.iter().zip(LANES_PROBED).enumerate() {
             work::ROWS_FOLDED.set(0);
+            work::LANES_PROBED.set(0);
             for _ in 0..3_200 {
                 stream.event();
             }
             stream.round_and_compact();
+            let counted = (work::ROWS_FOLDED.get(), work::LANES_PROBED.get());
             assert_eq!(
-                work::ROWS_FOLDED.get(),
-                pinned,
-                "rows folded in period {period}"
+                counted,
+                (*pinned.0, pinned.1),
+                "rows folded and lanes probed in period {period}"
             );
         }
     }
@@ -2481,6 +2469,37 @@ mod tests {
         assert_eq!(render(&mut stream.core), every_row(&stream.core));
     }
 
+    /// Inserts `edges` arbitrary R-edges into `engine` and holds the nodes
+    /// each insertion folds into — the binary-searched runs — to a full scan
+    /// of the nodes the target reaches and the source does not: edges out of
+    /// any retained node into any but the newest, and into the newest while
+    /// it reaches nothing but itself, the one shape `try_append_checkpoint`
+    /// inserts into it. Such an edge leaves `reach` a closure whose columns
+    /// only rise, so appends can go on after it.
+    fn assert_dirty_runs_are_the_full_scan(
+        engine: &mut IncrementalAnalysis,
+        rng: &mut Rng,
+        edges: usize,
+    ) {
+        let nodes = engine.r_meta.len();
+        let newest = nodes - 1;
+        for _ in 0..edges {
+            let alone = (0..newest).all(|y| !engine.node_reaches(newest, y));
+            let (u, v) = match rng.below(3) {
+                0 if alone => (rng.below(nodes), newest),
+                1 => (newest, rng.below(newest)),
+                _ => (rng.below(nodes), rng.below(newest)),
+            };
+            let dirty = (0..nodes).filter(|&y| engine.node_reaches(v, y));
+            let dirty: Vec<usize> = dirty.filter(|&y| !engine.node_reaches(u, y)).collect();
+            work::FOLDED_INTO.set(Some(Vec::new()));
+            engine.insert_r_edge(u, v);
+            let mut folded = work::FOLDED_INTO.take().expect("kept");
+            folded.sort_unstable();
+            assert_eq!(folded, dirty, "nodes folded into by the edge {u} -> {v}");
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
@@ -2505,6 +2524,28 @@ mod tests {
                 epochs = epochs.max(run.subject.epoch);
             }
             assert!(epochs > 0, "no compaction discarded anything");
+        }
+
+        /// The dirty successors `insert_r_edge` finds by binary search are
+        /// the ones a full scan finds, on appended, compacted and arbitrarily
+        /// extended closures.
+        fn dirty_runs_are_the_full_scan(seed in 1u64..1_000_000, n in 2usize..6) {
+            let mut rng = Rng(seed | 1);
+            let mut engine = IncrementalAnalysis::new(n);
+            let (mut in_flight, mut sent) = (Vec::new(), 0);
+            for _ in 0..6 {
+                for op in random_ops(&mut rng, n, 12 * n, &mut in_flight, &mut sent) {
+                    match op {
+                        Op::Cp(i) => drop(engine.append_checkpoint(p(i))),
+                        Op::Send(from, to) => drop(engine.append_send(p(from), p(to))),
+                        Op::Del(k) => engine.append_deliver(k as u32),
+                    }
+                }
+                if rng.below(2) == 0 {
+                    engine.compact_to_recovery_line();
+                }
+                assert_dirty_runs_are_the_full_scan(&mut engine, &mut rng, 4 * n);
+            }
         }
 
         /// ROADMAP 5(c): a rewind leaves the engine bit-equal to a fresh

@@ -13,26 +13,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use super::*;
 
-/// Matrix selectors of journaled closure words: a word's selector is
-/// `mat * 2 + direction` (direction 1 = the transpose slab).
-pub(super) const MAT_R: u8 = 0;
-pub(super) const MAT_Z: u8 = 1;
-pub(super) const MAT_C: u8 = 2;
+/// Matrix selectors of journaled closure words (the chain layer's two
+/// closures): a word's selector is `mat * 2 + direction` (direction 1 = the
+/// transpose slab).
+pub(super) const MAT_Z: u8 = 0;
+pub(super) const MAT_C: u8 = 1;
 
 /// Bits of an [`Undo::Word`] address holding the row; the selector sits
 /// above.
 const ROW_BITS: u32 = 29;
 
 /// Row bound of a closure matrix, asserted by `push_node`: a journaled
-/// row must leave the three selector bits free (and a closure of 2²⁹ rows
-/// could not be held in memory anyway).
+/// row must leave the selector bits free (and a closure of 2²⁹ rows could
+/// not be held in memory anyway).
 pub(super) const MAX_CLOSURE_NODES: usize = 1 << ROW_BITS;
 
 /// One reversible mutation; the journal is replayed backwards on rewind.
 /// An append records its own entry (`Checkpoint`, `Send`, `Deliver`, with
 /// whether the process line was `open` before) first, so the closure words
 /// and chain entries it causes are undone before the tables it pushed are
-/// popped. `Word` is a changed closure-matrix word: selector and row in one
+/// popped. `Word` is a changed chain-closure word: selector and row in one
 /// `u32` (see [`Undo::word`]), the little-endian index of the word within
 /// the row, its old value. `Reach` is a raised lane of the reach table;
 /// `ZSlot` (an interval slot of `p` was pushed) and `CLinked` (deliveries at
@@ -253,15 +253,11 @@ impl<C: ChainLayer> IncrementalAnalysis<C, UndoJournal> {
         while self.journal.entries.len() > mark.pos {
             let entry = self.journal.entries.pop().expect("journal length checked");
             match entry {
-                Undo::Word(at, word, old) if Undo::mat_of(at) == MAT_R => {
-                    self.rmat.undo_word(at, word, old);
-                }
                 Undo::Checkpoint { p, open } => {
                     let p = p as usize;
                     self.cp_count[p] -= 1;
                     self.line_open[p] = open;
                     self.cur_tdv[p * self.n + p] -= 1;
-                    self.rmat.pop_node();
                     self.r_meta.pop();
                     self.cp_nodes[p].pop();
                     self.cp_tdv.truncate(self.cp_tdv.len() - self.n);

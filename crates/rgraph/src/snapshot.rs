@@ -78,18 +78,12 @@
 //! `r_meta` indices) by what the pattern can hold, so a document cannot hand
 //! the engine a value its next append overflows.
 //!
-//! Four tables of the engine are not in a version 4 document, because the
+//! Three tables of the engine are not in a version 4 document, because the
 //! others determine them:
 //!
 //! * `cp_nodes`, the R-node of each retained checkpoint: `r_meta` lists the
 //!   nodes in append order, and restore requires each process's retained
 //!   checkpoints `cp_base..=cp_count` in it in that order.
-//! * the closure bits, `rmat`. Rule 1 chains a process's checkpoints, so the
-//!   checkpoints of `p` reaching `y` are a prefix and a retained
-//!   `x = C_{p,i}` reaches `y` iff `i < reach[y][p]`. Restore builds them with
-//!   `closure_from_reach`, as compaction does, after checking every `reach`
-//!   entry: at most `cp_count + 1`, at least `i + 1` on the node's own lane
-//!   (every node reaches itself), and never below the Rule 1 predecessor's.
 //! * `send_events` / `deliver_events`, the per-process indices into the
 //!   message table. `send_events[p]` is the messages from `p` in handle
 //!   order (a process's send intervals only grow, and restore rejects a table
@@ -102,8 +96,16 @@
 //! * `drop_reach`, what versions 1–3 wrote of `reach`: the part a compaction
 //!   dropped the nodes of. Its retained half was the columns of the closure
 //!   bits, so a version 1–3 restore joins the two back together
-//!   (`join_reach`), takes the version 4 path from there, and refuses the
-//!   document unless its bits are the closure that `reach` describes.
+//!   (`join_reach`) and takes the version 4 path from there.
+//!
+//! That path checks every `reach` entry: at most `cp_count + 1`, at least
+//! `i + 1` on the node's own lane (every node reaches itself), and never
+//! below the Rule 1 predecessor's — the bounds the reach fold and the
+//! dirty-successor searches rely on. The engine keeps no closure but
+//! `reach`, so nothing is built from it. The closure bits a version 1–3
+//! document holds, `rmat`, are only checked: a retained `x = C_{p,i}`
+//! reaches `y` iff `i < reach[y][p]`, and the document is refused unless
+//! `rmat.fwd` has bit `y` of row `x` exactly there.
 //!
 //! # Versions
 //!
@@ -583,8 +585,9 @@ fn write_u32(w: &mut JsonWriter<'_>, &value: &u32) {
 
 // ---------------------------------------------------------- matrices ----
 
-/// The forward closure slab of a version 1–3 document, its shape checked
-/// and every row free of padding bits and holding its diagonal bit.
+/// The forward closure slab of a version 1–3 document, as the document
+/// holds it: its shape checked and every row free of padding bits and
+/// holding its diagonal bit.
 fn matrix_from_tables(t: Option<MatrixTables>, key: &str) -> Result<BitSlab, SnapshotError> {
     let t = need(t, key)?;
     let nodes = need_usize(t.nodes, "nodes")?;
@@ -912,8 +915,6 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             reach: Vec::new(),
             reach_floor: 0,
             marked_events: usize::MAX,
-            rmat: BitSlab::default(),
-            dsucc: Vec::new(),
             r_meta: r_meta.map(|pair| (pair[0], pair[1])).collect(),
             cp_nodes: Vec::new(),
             send_events,
@@ -949,15 +950,19 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             engine.index_checkpoints()?;
         }
         engine.check_reach()?;
-        engine.rmat = engine.closure_from_reach();
         // Version 1–3 bits in which the checkpoints of a process reaching a
-        // node are no prefix would answer `reaches` otherwise than `reach`
-        // counts: they must be the closure built from it.
-        let differs = |fwd: &BitSlab| {
-            let k = bits::words_for(fwd.nodes);
-            (0..fwd.nodes).any(|u| fwd.row(u)[..k] != engine.rmat.row(u)[..k])
+        // node are no prefix would have `reaches` answer otherwise than
+        // they did: they must be the closure `reach` describes, bit by bit.
+        let describes = |fwd: &BitSlab| {
+            let nodes = 0..fwd.nodes;
+            let bit_is_reach = |x| {
+                nodes
+                    .clone()
+                    .all(|y| fwd.bit(x, y) == engine.node_reaches(x, y))
+            };
+            nodes.clone().all(bit_is_reach)
         };
-        if fwd.as_ref().is_some_and(differs) {
+        if fwd.as_ref().is_some_and(|fwd| !describes(fwd)) {
             return Err(bad("`rmat.fwd` is not the closure its `reach` describes"));
         }
         Ok(engine)
@@ -1063,7 +1068,7 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         Ok(())
     }
 
-    /// The bounds `closure_from_reach` and the reach fold rely on: a row
+    /// The bounds the reach fold and `first_reached` rely on: a row
     /// per node, every entry at most one past its process's last
     /// checkpoint, the node's own lane past its index (it reaches itself),
     /// and no lane below the Rule 1 predecessor's.
@@ -1193,7 +1198,12 @@ mod tests {
             match key.as_str() {
                 "version" => v3.push((key, Json::U64(3))),
                 "reach" => {
-                    let mat = &engine.rmat;
+                    let mut mat = BitSlab::new(engine.r_meta.len());
+                    for (x, row) in mat.words.chunks_exact_mut(mat.width).enumerate() {
+                        for y in (0..mat.nodes).filter(|&y| engine.node_reaches(x, y)) {
+                            bits::set(row, y);
+                        }
+                    }
                     v3.push((
                         "rmat".into(),
                         Json::obj([
