@@ -52,11 +52,14 @@
 //! suffix, found by binary search. That is all the core keeps of the
 //! closure, so a stream's memory is linear in its resident nodes. An
 //! R-edge folds its source's vector into the vectors of the nodes it newly
-//! reaches, its *dirty successors* (`insert_r_edge`: an `n`-wide `max`
-//! each), which are the node being appended for an edge into it, and
-//! otherwise a run of each process's checkpoints between two searches; no
-//! closure pair is ever enumerated, and neither compaction nor a restore
-//! has anything to build.
+//! reaches, its *dirty successors* (`insert_r_edge`). For an edge into the
+//! node being appended that is the one node, its row an `n`-wide `max`;
+//! otherwise it is a run of each process's checkpoints, from the first the
+//! target reaches (a binary search) to the first the source reaches, and
+//! only the lanes that rise are written: the columns rise down the run, so
+//! a lane that has caught up with the source's vector in one row stays
+//! caught up in the rows after. No closure pair is ever enumerated, and
+//! neither compaction nor a restore has anything to build.
 //!
 //! The chain closures (zigzag and causal chains over delivered messages)
 //! have no such vectors. Each is a square bit matrix with a transpose twin
@@ -122,6 +125,10 @@ const MASK_STACK_WORDS: usize = 8;
 /// Stack entries for global-checkpoint scratch vectors (spills to heap
 /// above this many processes).
 const GC_STACK_ENTRIES: usize = 16;
+
+/// Processes up to which the sender-side fold keeps its copy of the
+/// source's reach vector and its rising-lane list on the stack.
+const LANE_STACK_ENTRIES: usize = 64;
 
 /// Why a `try_append_*` call was refused. The engine state is untouched
 /// when an append fails, so a rejected event from an untrusted stream
@@ -995,12 +1002,10 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// The dirty successors are read off `reach` itself. An edge into the
     /// node being appended (Rule 1 and the receiver side of Rule 2) comes
     /// before any edge out of it, so that node reaches nothing but itself
-    /// and is the one dirty successor. Otherwise (the sender side of Rule 2,
-    /// out of the node being appended) the checkpoints of a process `q` that
-    /// `u` and `v` reach are two suffixes of `cp_nodes[q]`, and the dirty
-    /// successors on `q` are the run between their starts
-    /// ([`first_reached`](IncrementalAnalysis::first_reached)), folded in
-    /// process order.
+    /// and is the one dirty successor, folded whole (`fold`). Otherwise (the
+    /// sender side of Rule 2, out of the node being appended) the dirty
+    /// successors on each process are a run of its checkpoints, and only
+    /// the lanes that rise in them are written (`raise_runs`).
     ///
     /// That is the whole closure, exactly. Whatever newly reaches a dirty
     /// successor `y` does so through `u`, and `reach[u]` dominates the row of
@@ -1024,17 +1029,12 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         if self.node_reaches(u, v) {
             return;
         }
-        let mut delta = 0;
-        if v + 1 == self.r_meta.len() {
+        let delta = if v + 1 == self.r_meta.len() {
             // Into the node being appended, which reaches only itself yet.
-            delta = self.fold(u, v);
+            self.fold(u, v)
         } else {
-            for q in 0..self.n {
-                for k in self.first_reached(v, q)..self.first_reached(u, q) {
-                    delta += self.fold(u, self.cp_nodes[q][k] as usize);
-                }
-            }
-        }
+            self.raise_runs(u, v)
+        };
         if delta > 0 {
             self.journal.record(Undo::Untrackable {
                 old: self.untrackable,
@@ -1043,23 +1043,92 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         }
     }
 
-    /// Folds row `u` of `reach` into row `y` (`fold_row`), lowering the
-    /// reach floor to `y`; returns the untrackable pairs it adds. `y` is a
-    /// dirty successor of an edge out of `u`, so it is not `u`, which
+    /// Folds row `u` of `reach` into the row of the node being appended,
+    /// `v` (`fold_row`), lowering the reach floor to `v`; returns the
+    /// untrackable pairs it adds. `u` is an older node, so the two rows do
+    /// not overlap: `v` is the newest, and once its own lane is written it
     /// reaches itself.
-    fn fold(&mut self, u: usize, y: usize) -> u64 {
+    fn fold(&mut self, u: usize, v: usize) -> u64 {
         #[cfg(test)]
-        work::folded(y);
-        self.reach_floor = self.reach_floor.min(y);
+        work::folded(v);
+        self.reach_floor = self.reach_floor.min(v);
         let n = self.n;
-        let (head, tail) = self.reach.split_at_mut(u.max(y) * n);
-        let (from, into) = if u < y {
-            (&head[u * n..][..n], &mut tail[..n])
+        let (head, into) = self.reach.split_at_mut(v * n);
+        let seen = &self.cp_tdv[v * n..][..n];
+        fold_row(&mut self.journal, v * n, &head[u * n..][..n], into, seen)
+    }
+
+    /// The sender-side fold of `insert_r_edge`: raises, in every dirty
+    /// successor of `u → v`, the lanes where `reach[u]` is higher, each
+    /// journaled; lowers the reach floor to every row it walks and returns
+    /// the untrackable pairs it adds.
+    ///
+    /// The checkpoints of a process `q` that `v` reaches are a suffix of
+    /// `cp_nodes[q]`, and so are those `u` reaches (the columns only rise,
+    /// Rule 1), so the dirty successors on `q` are a run: from the first
+    /// checkpoint `v` reaches (`first_reached`) to the first whose own lane
+    /// `p_u` is above `i_u` already, which `u` reaches, like every one after
+    /// it. Down the run each lane only rises too: a lane where the run's
+    /// first row is at or above `reach[u]` has nothing to gain in any row of
+    /// it, and a lane that has caught up in one row has nothing to gain in
+    /// the rows after. So the walk keeps a list of the lanes still rising,
+    /// taken from the first row, and drops each as it catches up; what is
+    /// written is what rises. Lane `p_u` rises in every row of the run
+    /// (each holds at most `i_u` there and `reach[u]` more), so every row
+    /// walked is raised.
+    fn raise_runs(&mut self, u: usize, v: usize) -> u64 {
+        let n = self.n;
+        let (p_u, i_u) = (self.r_meta[u].0 as usize, self.r_meta[u].1);
+        let (mut on_stack, mut on_heap) = ([0u32; 2 * LANE_STACK_ENTRIES], Vec::new());
+        let scratch = if n <= LANE_STACK_ENTRIES {
+            &mut on_stack[..2 * n]
         } else {
-            (&tail[..n], &mut head[y * n..][..n])
+            on_heap.resize(2 * n, 0);
+            &mut on_heap[..]
         };
-        let seen = &self.cp_tdv[y * n..][..n];
-        fold_row(&mut self.journal, y * n, from, into, seen)
+        let (from, lanes) = scratch.split_at_mut(n);
+        from.copy_from_slice(&self.reach[u * n..][..n]);
+        let mut delta = 0;
+        for q in 0..n {
+            let start = self.first_reached(v, q);
+            // The lanes still rising are `lanes[..rising]`.
+            let mut rising = 0;
+            for (k, &y) in self.cp_nodes[q][start..].iter().enumerate() {
+                let y = y as usize;
+                let row = &mut self.reach[y * n..][..n];
+                if row[p_u] > i_u {
+                    break;
+                }
+                if k == 0 {
+                    for (p, (&old, &new)) in row.iter().zip(&*from).enumerate() {
+                        lanes[rising] = p as u32;
+                        rising += usize::from(old < new);
+                    }
+                }
+                #[cfg(test)]
+                work::folded(y);
+                self.reach_floor = self.reach_floor.min(y);
+                let seen = &self.cp_tdv[y * n..][..n];
+                let mut kept = 0;
+                for a in 0..rising {
+                    let p = lanes[a] as usize;
+                    let (old, new) = (row[p], from[p]);
+                    if old < new {
+                        lanes[kept] = p as u32;
+                        kept += 1;
+                        #[cfg(test)]
+                        work::LANES_RAISED.set(work::LANES_RAISED.get() + 1);
+                        let slot = (y * n + p) as u32;
+                        self.journal.record(Undo::Reach { slot, old });
+                        row[p] = new;
+                        let t = seen[p] + 1;
+                        delta += u64::from(new.max(t) - old.max(t));
+                    }
+                }
+                rising = kept;
+            }
+        }
+        delta
     }
 }
 
@@ -1127,9 +1196,10 @@ mod work {
         /// The nodes of those rows, in fold order, while a test keeps a
         /// list here.
         pub static FOLDED_INTO: RefCell<Option<Vec<usize>>> = const { RefCell::new(None) };
-        /// `reach` lanes the dirty-successor searches (`first_reached`)
-        /// probed.
+        /// `reach` lanes the dirty-run searches (`first_reached`) probed.
         pub static LANES_PROBED: Cell<u64> = const { Cell::new(0) };
+        /// `reach` lanes the sender-side fold (`raise_runs`) wrote.
+        pub static LANES_RAISED: Cell<u64> = const { Cell::new(0) };
         /// Rows of the write-once snapshot tables (`msgs`, `msg_tdv`,
         /// `cp_tdv`, `r_meta`) a snapshot render wrote.
         pub static ROWS_RENDERED: Cell<u64> = const { Cell::new(0) };
@@ -2342,35 +2412,51 @@ mod tests {
     }
 
     /// A checkpoint folds its finished reach row into each node it newly
-    /// reaches once, and finds those nodes by binary search: exact counts on
-    /// a `deep-unix`-shaped stream, period by period.
+    /// reaches once, finds those nodes by one binary search per process and
+    /// writes only the lanes that rise: exact counts on a `deep-unix`-shaped
+    /// stream (32 processes), period by period.
     /// The fold count is what the order of the Rule 2 edges in
     /// `try_append_checkpoint` decides — with the sender-side edges first
     /// the row is pushed out again after every receiver-side edge, and the
     /// same six periods fold 110 772, 64 538, 21 018, 54 255, 45 542 and
     /// 34 369 rows. The probe count is what the searches in `first_reached`
-    /// read of `reach`: a scan of every retained checkpoint of each process
-    /// instead reads 289 834, 232 660, 226 130, 222 654, 233 818 and 210 734
-    /// lanes.
+    /// read of `reach`: a second search per process for the run's end
+    /// doubles it, and a scan of every retained checkpoint of each process
+    /// reads 289 834, 232 660, 226 130, 222 654, 233 818 and 210 734 lanes.
+    /// The raise count is the cells the sender-side fold writes; folding
+    /// every row whole, `n` lanes each, visits 1 933 216, 964 032, 336 544,
+    /// 828 320, 636 000 and 541 600.
     #[test]
     fn work_bound_a_checkpoint_folds_its_row_once() {
-        const ROWS_FOLDED: [u64; 6] = [60_413, 30_126, 10_517, 25_885, 19_875, 16_925];
-        const LANES_PROBED: [u64; 6] = [99_270, 78_896, 75_956, 77_196, 83_170, 71_530];
+        // Per period: rows folded, lanes probed, lanes raised.
+        const PINNED: [[u64; 3]; 6] = [
+            [60_413, 49_635, 168_905],
+            [30_126, 39_448, 132_803],
+            [10_517, 37_978, 38_391],
+            [25_885, 38_598, 79_793],
+            [19_875, 41_585, 77_438],
+            [16_925, 35_765, 52_519],
+        ];
         let mut stream = DaemonStream::deep_unix(0x5eed_0020);
-        for (period, pinned) in ROWS_FOLDED.iter().zip(LANES_PROBED).enumerate() {
+        let mut counted = Vec::new();
+        for _ in PINNED {
             work::ROWS_FOLDED.set(0);
             work::LANES_PROBED.set(0);
+            work::LANES_RAISED.set(0);
             for _ in 0..3_200 {
                 stream.event();
             }
             stream.round_and_compact();
-            let counted = (work::ROWS_FOLDED.get(), work::LANES_PROBED.get());
-            assert_eq!(
-                counted,
-                (*pinned.0, pinned.1),
-                "rows folded and lanes probed in period {period}"
-            );
+            counted.push([
+                work::ROWS_FOLDED.get(),
+                work::LANES_PROBED.get(),
+                work::LANES_RAISED.get(),
+            ]);
         }
+        assert_eq!(
+            counted, PINNED,
+            "rows folded, lanes probed and lanes raised, period by period"
+        );
     }
 
     /// A marked render writes what changed since the last one: on a
@@ -2469,19 +2555,23 @@ mod tests {
         assert_eq!(render(&mut stream.core), every_row(&stream.core));
     }
 
-    /// Inserts `edges` arbitrary R-edges into `engine` and holds the nodes
-    /// each insertion folds into — the binary-searched runs — to a full scan
-    /// of the nodes the target reaches and the source does not: edges out of
-    /// any retained node into any but the newest, and into the newest while
-    /// it reaches nothing but itself, the one shape `try_append_checkpoint`
-    /// inserts into it. Such an edge leaves `reach` a closure whose columns
-    /// only rise, so appends can go on after it.
+    /// Inserts `edges` arbitrary R-edges into `engine` and holds each
+    /// insertion to the fold it replaced, which took every dirty row whole:
+    /// the nodes it folds into — the binary-searched runs — are a full scan
+    /// of the nodes the target reaches and the source does not, and the
+    /// whole `reach` table, `untrackable` and `reach_floor` are what folding
+    /// each of those rows whole (`fold_row`) leaves. A rewind past the edge
+    /// leaves the engine bit-equal to the engine before it. The edges go out
+    /// of any retained node into any but the newest, and into the newest
+    /// while it reaches nothing but itself, the one shape
+    /// `try_append_checkpoint` inserts into it. Such an edge leaves `reach`
+    /// a closure whose columns only rise, so appends can go on after it.
     fn assert_dirty_runs_are_the_full_scan(
-        engine: &mut IncrementalAnalysis,
+        engine: &mut RewindableAnalysis,
         rng: &mut Rng,
         edges: usize,
     ) {
-        let nodes = engine.r_meta.len();
+        let (n, nodes) = (engine.n, engine.r_meta.len());
         let newest = nodes - 1;
         for _ in 0..edges {
             let alone = (0..newest).all(|y| !engine.node_reaches(newest, y));
@@ -2492,11 +2582,32 @@ mod tests {
             };
             let dirty = (0..nodes).filter(|&y| engine.node_reaches(v, y));
             let dirty: Vec<usize> = dirty.filter(|&y| !engine.node_reaches(u, y)).collect();
+            let (mut reach, mut untrackable) = (engine.reach.clone(), engine.untrackable);
+            let from = engine.reach[u * n..][..n].to_vec();
+            for &y in &dirty {
+                let (into, seen) = (&mut reach[y * n..][..n], &engine.cp_tdv[y * n..][..n]);
+                untrackable += fold_row(&mut NoJournal, y * n, &from, into, seen);
+            }
+            let floor = rng.below(nodes + 1);
+            engine.reach_floor = floor;
+            let before = format!("{engine:?}");
+            let mark = engine.mark();
+
             work::FOLDED_INTO.set(Some(Vec::new()));
             engine.insert_r_edge(u, v);
             let mut folded = work::FOLDED_INTO.take().expect("kept");
             folded.sort_unstable();
-            assert_eq!(folded, dirty, "nodes folded into by the edge {u} -> {v}");
+            let edge = format!("the edge {u} -> {v}");
+            assert_eq!(folded, dirty, "nodes folded into by {edge}");
+            let floor_after = dirty.first().map_or(floor, |&y| floor.min(y));
+            assert!(engine.reach == reach, "reach after {edge}");
+            assert_eq!(engine.untrackable, untrackable, "untrackable after {edge}");
+            assert_eq!(engine.reach_floor, floor_after, "reach floor after {edge}");
+
+            engine.rewind(mark);
+            engine.reach_floor = floor;
+            assert!(format!("{engine:?}") == before, "rewound past {edge}");
+            engine.insert_r_edge(u, v);
         }
     }
 
@@ -2527,11 +2638,12 @@ mod tests {
         }
 
         /// The dirty successors `insert_r_edge` finds by binary search are
-        /// the ones a full scan finds, on appended, compacted and arbitrarily
-        /// extended closures.
+        /// the ones a full scan finds, and the lanes it raises in them leave
+        /// what folding them whole leaves, on appended, compacted and
+        /// arbitrarily extended closures; a rewind undoes each edge.
         fn dirty_runs_are_the_full_scan(seed in 1u64..1_000_000, n in 2usize..6) {
             let mut rng = Rng(seed | 1);
-            let mut engine = IncrementalAnalysis::new(n);
+            let mut engine = RewindableAnalysis::layered(n);
             let (mut in_flight, mut sent) = (Vec::new(), 0);
             for _ in 0..6 {
                 for op in random_ops(&mut rng, n, 12 * n, &mut in_flight, &mut sent) {
