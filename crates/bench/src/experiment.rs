@@ -523,7 +523,8 @@ pub struct ClosureBenchResult {
     /// nanoseconds)`.
     ///
     /// Each kernel timing covers one full closure pass — both
-    /// message-chain closures plus the R-graph reachability; the last
+    /// message-chain closures plus the R-graph reachability (on the
+    /// optimized side, a replay into the incremental core); the last
     /// cell times `RdtChecker::new(&pattern).check()`. Every timing is
     /// the minimum over the measurement repetitions (the statistic least
     /// disturbed by scheduling noise).
@@ -543,11 +544,12 @@ impl ClosureBenchResult {
 }
 
 /// Runs BENCH-RDTCHECK: for each size, generate a fig7-style pattern
-/// (random environment, BHMR) and time the full closure pass — naive
-/// per-start DFS kernel versus the word-parallel SCC kernel — and the
+/// (random environment, BHMR) and time the full closure pass — the naive
+/// per-start DFS kernels versus the word-parallel SCC chain kernel plus
+/// the R-graph closure of a replay into the incremental core — and the
 /// batch [`RdtChecker`] verdict.
 pub fn closure_bench(sizes: &[u64], repetitions: u32) -> ClosureBenchResult {
-    use rdt_rgraph::{RGraph, ZigzagReachability};
+    use rdt_rgraph::{IncrementalAnalysis, RGraph, ZigzagReachability};
     use rdt_sim::Stopwatch;
 
     let mut rows = Vec::with_capacity(sizes.len());
@@ -577,7 +579,8 @@ pub fn closure_bench(sizes: &[u64], repetitions: u32) -> ClosureBenchResult {
         });
         let optimized_ns = time_min(&|| {
             let zz = ZigzagReachability::new(&pattern);
-            graph.reachability().total_reachable_pairs() + zz.delivered_messages().len()
+            let core = IncrementalAnalysis::from_pattern(&pattern).expect("realizable");
+            core.total_reachable_pairs() + zz.delivered_messages().len()
         });
         let speedup = naive_ns as f64 / optimized_ns.max(1) as f64;
         let check_ns = time_min(&|| usize::from(RdtChecker::new(&pattern).check().holds()));

@@ -2,28 +2,26 @@
 //!
 //! Every offline characterization of RDT needs some subset of the same
 //! four artifacts: the replay annotations (vector clocks + transitive
-//! dependency vectors), the R-graph, its reachability closure, and the
-//! message-chain closures. Before this cache existed, the R-path checker,
-//! both doubling checkers and the consistency helpers each rebuilt those
-//! from scratch — a triple rebuild per pattern in the differential suite
-//! and the sweep grid. [`PatternAnalysis`] computes each artifact at most
-//! once and hands out borrows.
+//! dependency vectors), the R-graph, the incremental core the pattern
+//! replays into (its R-closure and untrackable count), and the
+//! message-chain closures. [`PatternAnalysis`] computes each artifact at
+//! most once and hands out borrows.
 
 use std::sync::OnceLock;
 
 use crate::chains::ZigzagReachability;
 use crate::rdt::{check_with_artifacts, RdtReport};
-use crate::{CheckpointAnnotations, Pattern, PatternError, RGraph, Reachability, Replay};
+use crate::{CheckpointAnnotations, IncrementalAnalysis, Pattern, PatternError, RGraph, Replay};
 
 /// Lazily computed, shareable analysis artifacts of one (closed) pattern.
 ///
 /// Construction is cheap: nothing is computed until first use, and each
 /// artifact is computed exactly once (`OnceLock`-backed, so a shared
-/// reference can be handed to parallel sweep workers). All checkpoint- and
-/// chain-level checkers accept a `&PatternAnalysis` through their `_with`
-/// entry points, so one pattern analyzed by all three RDT
-/// characterizations pays for replay, R-graph closure and chain closures
-/// a single time.
+/// reference can be handed to parallel sweep workers). The R-path
+/// questions read the [`core`](PatternAnalysis::core), the chain
+/// characterizations read the [`zigzag`](PatternAnalysis::zigzag) closures
+/// through their `_with` entry points, so one pattern analyzed by all
+/// three RDT characterizations pays for each a single time.
 ///
 /// # Example
 ///
@@ -42,7 +40,7 @@ pub struct PatternAnalysis {
     pattern: Pattern,
     annotations: OnceLock<Result<CheckpointAnnotations, PatternError>>,
     rgraph: OnceLock<RGraph>,
-    reachability: OnceLock<Reachability>,
+    core: OnceLock<Result<IncrementalAnalysis, PatternError>>,
     zigzag: OnceLock<ZigzagReachability>,
 }
 
@@ -60,7 +58,7 @@ impl PatternAnalysis {
             pattern,
             annotations: OnceLock::new(),
             rgraph: OnceLock::new(),
-            reachability: OnceLock::new(),
+            core: OnceLock::new(),
             zigzag: OnceLock::new(),
         }
     }
@@ -84,16 +82,25 @@ impl PatternAnalysis {
             .map_err(Clone::clone)
     }
 
-    /// The rollback-dependency graph. Computed on first call.
+    /// The rollback-dependency graph, for the R-paths of reported
+    /// violations and for rendering. Computed on first call.
     pub fn rgraph(&self) -> &RGraph {
         self.rgraph.get_or_init(|| RGraph::new(&self.pattern))
     }
 
-    /// The R-graph's transitive closure (word-parallel SCC kernel).
-    /// Computed on first call.
-    pub fn reachability(&self) -> &Reachability {
-        self.reachability
-            .get_or_init(|| self.rgraph().reachability())
+    /// The closed pattern replayed into the incremental core
+    /// ([`IncrementalAnalysis::from_pattern`]): its `reach` vectors are the
+    /// R-graph closure every R-path question reads. Computed on first call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PatternError::Unrealizable`] if the pattern admits no
+    /// execution order (the failure is cached too).
+    pub fn core(&self) -> Result<&IncrementalAnalysis, PatternError> {
+        self.core
+            .get_or_init(|| IncrementalAnalysis::from_pattern(&self.pattern))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// The zigzag/causal message-chain closures with their interval
@@ -108,13 +115,12 @@ impl PatternAnalysis {
     pub fn is_untouched(&self) -> bool {
         self.annotations.get().is_none()
             && self.rgraph.get().is_none()
-            && self.reachability.get().is_none()
+            && self.core.get().is_none()
             && self.zigzag.get().is_none()
     }
 
     /// Runs the R-path RDT check (characterization (1)) off the shared
-    /// artifacts, with the default violation limit of
-    /// [`crate::RdtChecker`].
+    /// core, with the default violation limit of [`crate::RdtChecker`].
     ///
     /// # Panics
     ///
@@ -166,7 +172,6 @@ mod tests {
             let shared = analysis.rdt_report();
             assert_eq!(standalone.holds(), shared.holds());
             assert_eq!(standalone.violations(), shared.violations());
-            assert_eq!(standalone.pairs_checked(), shared.pairs_checked());
             assert_eq!(standalone.r_paths_found(), shared.r_paths_found());
             assert_eq!(
                 all_chains_doubled_with(&analysis),

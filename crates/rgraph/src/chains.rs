@@ -439,36 +439,6 @@ impl ZigzagReachability {
             .any(|a| bits::intersects(self.causal.row(a), mask.words()))
     }
 
-    /// Whether some delivered message is **orphan** with respect to the
-    /// ordered pair `(on_sender, on_receiver)`: sent by
-    /// `on_sender.process` in an interval after `on_sender` but delivered
-    /// to `on_receiver.process` at or before `on_receiver` (§2.2).
-    ///
-    /// Consults the per-(process, interval) send index, so only messages
-    /// actually sent after `on_sender` are inspected.
-    pub fn orphan_exists(&self, on_sender: CheckpointId, on_receiver: CheckpointId) -> bool {
-        self.sends_at_or_after(on_sender.process, on_sender.index as usize + 1)
-            .any(|a| {
-                let (dp, di) = self.deliver_at[a];
-                dp == on_receiver.process && di <= on_receiver.index
-            })
-    }
-
-    /// Whether any delivered message is orphan with respect to the global
-    /// checkpoint whose per-process indices are `gc` — i.e. whether the
-    /// global checkpoint is *inconsistent* (Definition 2.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gc` has fewer entries than the pattern has processes.
-    pub fn orphan_in_global(&self, gc: &[u32]) -> bool {
-        (0..self.delivered.len()).any(|a| {
-            let (dp, di) = self.deliver_at[a];
-            let (sp, si) = self.send_at[a];
-            di <= gc[dp.index()] && si > gc[sp.index()]
-        })
-    }
-
     /// Netzer–Xu zigzag query: is there a Z-path that starts strictly
     /// *after* checkpoint `a` and ends at or *before* checkpoint `b`?
     /// (Send in an interval with index `> a.index`, delivery in an

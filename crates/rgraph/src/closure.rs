@@ -1,8 +1,7 @@
 //! Word-parallel transitive-closure kernels.
 //!
-//! Both reachability relations of the theory layer — the R-graph closure
-//! ([`crate::Reachability`]) and the message-chain closures
-//! ([`crate::ZigzagReachability`]) — reduce to the same problem: given a
+//! The message-chain closures ([`crate::ZigzagReachability`]) reduce to
+//! one problem: given a
 //! digraph where the first `labelled` nodes carry a column bit, compute
 //! for every node the set of labelled nodes it reaches (reflexively for
 //! labelled nodes). The optimized kernel here condenses the graph into
@@ -11,10 +10,13 @@
 //! `O(V + E·cols/64)` time — whole-row `u64` ORs instead of the per-bit
 //! stack pushes of the naive per-source search.
 //!
-//! The naive kernel is kept as [`transitive_closure_reference`] — it is
-//! the differential oracle for the proptest suite and the baseline the
-//! BENCH-RDTCHECK experiment (`experiments rdtcheck`) measures the
-//! speedup against.
+//! The R-graph's closure is not computed here: the incremental core keeps
+//! it as reach vectors. The naive kernel is kept as
+//! [`transitive_closure_reference`] — it is the differential oracle for
+//! the proptest suite (also under
+//! [`RGraph::reachability_naive`](crate::RGraph::reachability_naive)) and
+//! the baseline the BENCH-RDTCHECK experiment (`experiments rdtcheck`)
+//! measures the speedup against.
 
 use rdt_causality::bits::BitMatrix;
 

@@ -5,7 +5,7 @@ use std::fmt;
 
 use rdt_causality::{CheckpointId, ProcessId};
 
-use crate::{Pattern, PatternAnalysis, PatternMessageId};
+use crate::{Pattern, PatternMessageId};
 
 /// A global checkpoint: one local checkpoint index per process.
 ///
@@ -173,14 +173,6 @@ pub fn pair_consistent(pattern: &Pattern, a: CheckpointId, b: CheckpointId) -> b
     (0..pattern.num_messages()).all(|m| !is_orphan(pattern, PatternMessageId(m), a, b))
 }
 
-/// [`pair_consistent`] off a shared [`PatternAnalysis`]: instead of
-/// scanning every message, only the messages `a.process` sent after `a`
-/// are inspected, through the analysis's per-(process, interval) send
-/// index.
-pub fn pair_consistent_with(analysis: &PatternAnalysis, a: CheckpointId, b: CheckpointId) -> bool {
-    !analysis.zigzag().orphan_exists(a, b)
-}
-
 /// Whether a global checkpoint is consistent (Definition 2.2): all its
 /// ordered pairs are consistent, i.e. no message is orphan with respect to
 /// any pair of its members.
@@ -203,22 +195,6 @@ pub fn is_consistent(pattern: &Pattern, gc: &GlobalCheckpoint) -> bool {
         // Orphan iff delivery included but send not included.
         !(deliver.index <= gc.get(info.to) && send.index > gc.get(info.from))
     })
-}
-
-/// [`is_consistent`] off a shared [`PatternAnalysis`] — reads the cached
-/// per-message interval coordinates instead of re-deriving each event's
-/// interval by binary search.
-///
-/// # Panics
-///
-/// Panics if `gc` does not have one entry per process of the pattern.
-pub fn is_consistent_with(analysis: &PatternAnalysis, gc: &GlobalCheckpoint) -> bool {
-    assert_eq!(
-        gc.len(),
-        analysis.pattern().num_processes(),
-        "global checkpoint has wrong arity"
-    );
-    !analysis.zigzag().orphan_in_global(gc.as_slice())
 }
 
 #[cfg(test)]
@@ -324,35 +300,6 @@ mod tests {
         assert_eq!(a.join(&b).as_slice(), &[3, 4, 2]);
         assert!(a.meet(&b).le(&a) && a.meet(&b).le(&b));
         assert!(a.le(&a.join(&b)) && b.le(&a.join(&b)));
-    }
-
-    #[test]
-    fn indexed_variants_agree_with_scans() {
-        // The `_with` entry points answer through the analysis's interval
-        // indexes; they must agree with the direct O(m) scans everywhere.
-        let (pattern, _) = paper_figures::figure_1_with_handles();
-        let analysis = crate::PatternAnalysis::new(&pattern);
-        for a in pattern.checkpoints() {
-            for b in pattern.checkpoints() {
-                assert_eq!(
-                    pair_consistent(&pattern, a, b),
-                    pair_consistent_with(&analysis, a, b),
-                    "pair ({a}, {b})"
-                );
-            }
-        }
-        for x in 0..=3u32 {
-            for y in 0..=3u32 {
-                for z in 0..=3u32 {
-                    let gc = GlobalCheckpoint::new(vec![x, y, z]);
-                    assert_eq!(
-                        is_consistent(&pattern, &gc),
-                        is_consistent_with(&analysis, &gc),
-                        "gc {gc}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -72,8 +72,8 @@
 //! RDT itself is counted online, off the same vectors. The destination's
 //! dependency vector is snapshotted when the checkpoint is appended, before
 //! any R-path can reach it, and `C_{p,i} → y` is trackable iff that snapshot
-//! has `TDV[p] ≥ i`: node `y` has `(reach[y][p] − TDV_y[p])⁺` untrackable
-//! sources on `p`, and
+//! has `TDV[p] ≥ i`: `reach` is stored one up, so node `y` has
+//! `(reach[y][p] − 1 − TDV_y[p])⁺` untrackable sources on `p`, and
 //! [`untrackable_pairs`](IncrementalAnalysis::untrackable_pairs) is the sum
 //! of that over all nodes ever appended, kept running by the fold — the gap
 //! between what reached a checkpoint and what its vector saw. Where it is 0
@@ -81,11 +81,19 @@
 //! consistent one containing the checkpoint: Corollary 4.5, which
 //! [`min_consistent_via_rgraph`](IncrementalAnalysis::min_consistent_via_rgraph)
 //! reads off `reach` with or without RDT.
+//! [`untrackable_cells`](IncrementalAnalysis::untrackable_cells) lists the
+//! pairs the count sums. Every batch R-path question
+//! ([`RdtChecker`](crate::RdtChecker),
+//! [`PatternAnalysis::rdt_report`](crate::PatternAnalysis::rdt_report)) is
+//! a replay of the pattern into this core
+//! ([`from_pattern`](IncrementalAnalysis::from_pattern)), so "untrackable"
+//! has one definition.
 
 use rdt_causality::bits::{self, WORD_BITS};
 use rdt_causality::{CheckpointId, ProcessId};
 
 use crate::consistency::GlobalCheckpoint;
+use crate::{Pattern, PatternError, PatternEvent};
 
 #[path = "journal.rs"]
 mod journal;
@@ -477,6 +485,33 @@ impl IncrementalAnalysis {
     pub fn new(n: usize) -> Self {
         Self::layered(n)
     }
+
+    /// Replays `pattern` as given into a fresh core engine, in
+    /// [`Pattern::linearize`] order. Open intervals stay open: close the
+    /// pattern first for the paper's verdicts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PatternError::Unrealizable`] if the pattern admits no
+    /// execution order.
+    pub fn from_pattern(pattern: &Pattern) -> Result<Self, PatternError> {
+        let mut engine = Self::new(pattern.num_processes());
+        // The engine names a message by its send-order handle.
+        let mut handles = vec![0u32; pattern.num_messages()];
+        for (process, pos) in pattern.linearize()? {
+            match pattern.events(process)[pos] {
+                PatternEvent::Checkpoint => {
+                    engine.append_checkpoint(process);
+                }
+                PatternEvent::Send(m) => {
+                    let info = pattern.message(m);
+                    handles[m.0] = engine.append_send(info.from, info.to);
+                }
+                PatternEvent::Deliver(m) => engine.append_deliver(handles[m.0]),
+            }
+        }
+        Ok(engine)
+    }
 }
 
 impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
@@ -769,8 +804,27 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         (self.untrackable as usize).min(cap.max(1))
     }
 
+    /// The untrackable pairs `(from, to)` themselves, the cells
+    /// [`untrackable_pairs`](IncrementalAnalysis::untrackable_pairs) sums:
+    /// `C_{p,i} → y` for `cp_tdv[y][p] < i < reach[y][p]`. Ordered by
+    /// destination process, destination index, source process, source
+    /// index. Destinations compacted away are not listed, sources are; on
+    /// an engine never compacted there are exactly `untrackable_pairs()`.
+    pub fn untrackable_cells(&self) -> impl Iterator<Item = (CheckpointId, CheckpointId)> + '_ {
+        let n = self.n;
+        self.cp_nodes.iter().flatten().flat_map(move |&y| {
+            let row = y as usize * n;
+            let (q, j) = self.r_meta[y as usize];
+            let to = CheckpointId::new(ProcessId::new(q as usize), j);
+            (0..n).flat_map(move |p| {
+                let sources = self.cp_tdv[row + p] + 1..self.reach[row + p];
+                sources.map(move |i| (CheckpointId::new(ProcessId::new(p), i), to))
+            })
+        })
+    }
+
     /// Popcount of the R-graph reachability closure (reflexive pairs
-    /// included) — the batch checker's `pairs_checked`.
+    /// included): the R-paths an [`RdtReport`](crate::RdtReport) counts.
     pub fn total_reachable_pairs(&self) -> usize {
         // Row `y` is reached by `reach[y][q] − cp_base[q]` retained
         // checkpoints of `q`.
@@ -1459,27 +1513,28 @@ mod tests {
         }
     }
 
-    /// Every query of the engine must agree with the batch pipeline on
-    /// the closed pattern.
+    /// Every query of the engine must agree with the closed pattern's
+    /// oracles: the naive R-closure and the replayed `TDV`s for the R-path
+    /// half, the batch chain closures and fixpoints for the rest.
     fn assert_matches_batch(incr: &mut Engine, pattern: &Pattern) {
         let analysis = PatternAnalysis::new(pattern);
         let closed = analysis.pattern();
-        let reach = analysis.reachability();
+        let reach = analysis.rgraph().reachability_naive();
         let annotations = analysis.annotations().expect("realizable");
         let zz = analysis.zigzag();
 
         incr.with_closed(|view| {
-            let mut batch_untrackable = 0u64;
-            for from in closed.checkpoints() {
-                for to in reach.reachable_from(from) {
-                    if !annotations.trackable(from, to) {
-                        batch_untrackable += 1;
-                    }
-                }
-            }
+            let mut untrackable: Vec<_> = closed
+                .checkpoints()
+                .flat_map(|from| reach.reachable_from(from).map(move |to| (from, to)))
+                .filter(|&(from, to)| !annotations.trackable(from, to))
+                .collect();
+            untrackable.sort_by_key(|&(f, t)| (t.process, t.index, f.process, f.index));
+            let cells: Vec<_> = view.untrackable_cells().collect();
+            assert_eq!(cells, untrackable, "untrackable cells, in order");
             assert_eq!(
                 view.untrackable_pairs(),
-                batch_untrackable,
+                untrackable.len() as u64,
                 "untrackable count"
             );
             assert_eq!(
@@ -1487,9 +1542,8 @@ mod tests {
                 reach.total_reachable_pairs(),
                 "closure popcount"
             );
-            let report = analysis.rdt_report();
-            assert_eq!(view.rdt_holds(), report.holds());
-            assert_eq!(view.violations_capped(16), report.violations().len());
+            assert_eq!(view.rdt_holds(), untrackable.is_empty());
+            assert_eq!(view.violations_capped(16), untrackable.len().min(16));
             assert_eq!(
                 view.all_chains_doubled(),
                 all_chains_doubled_with(&analysis),
@@ -1529,10 +1583,11 @@ mod tests {
                     view.max_consistent_containing(&member),
                     view.min_consistent_via_rgraph(&member),
                 );
+                let min = min_max::min_consistent_containing(closed, &member);
                 let batch = (
-                    min_max::min_consistent_containing(closed, &member),
+                    min.clone(),
                     min_max::max_consistent_containing(closed, &member),
-                    min_max::min_consistent_via_rgraph_with(&analysis, &member),
+                    min,
                 );
                 assert_eq!(ours, batch, "min / max / min via R-graph gc {from}");
             }
@@ -2075,7 +2130,7 @@ mod tests {
 
         /// `reach` is the closure the pattern's edges give, row for row, on
         /// both engines (the subject's rows hold their compacted-away sources
-        /// too), and `untrackable` is `Σ (reach − TDV)⁺`.
+        /// too), and `untrackable` is `Σ (reach − 1 − TDV)⁺`.
         fn check(&self, what: &str) {
             let (subject, twin) = (&self.subject, &self.twin);
             let n = subject.n;
@@ -2624,7 +2679,7 @@ mod tests {
         }
 
         /// `reach` is the backward closure and `untrackable` is
-        /// `Σ (reach − TDV)⁺` after every operation: appends, coordinated
+        /// `Σ (reach − 1 − TDV)⁺` after every operation: appends, coordinated
         /// and trailing compactions, marks and rewinds, restores.
         fn reach_is_the_closure_after_every_op(seed in 1u64..1_000_000, n in 2usize..6) {
             let mut run = ReachDifferential::new(n, seed);

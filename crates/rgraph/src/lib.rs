@@ -8,11 +8,16 @@
 //! Visible Characterizations"*) asks about it:
 //!
 //! * What is its rollback-dependency graph ([`RGraph`]) and which
-//!   checkpoints depend on which ([`Reachability`])?
+//!   checkpoints depend on which? The pattern is replayed into the
+//!   incremental core ([`IncrementalAnalysis`]), whose reach vectors are
+//!   the R-graph's closure; [`RGraph::reachability_naive`] recomputes it
+//!   as the test oracle.
 //! * Which message chains (zigzag paths) exist, which are causal, which are
 //!   *simple*, and which non-causal chains have causal siblings
-//!   ([`chains`], [`characterization`])?
-//! * Does the pattern satisfy RDT ([`RdtChecker`])? If not, produce a
+//!   ([`chains`], [`characterization`])? These stay batch closures.
+//! * Does the pattern satisfy RDT ([`RdtChecker`])? The verdict, the count
+//!   of R-paths and the untrackable pairs are the core's, the same the
+//!   daemon and the certifier read; each reported pair gets a
 //!   counterexample R-path that no transitive dependency vector can track.
 //! * Which global checkpoints are consistent, and what are the *minimum*
 //!   and *maximum* consistent global checkpoints containing a given set of

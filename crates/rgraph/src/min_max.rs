@@ -147,64 +147,39 @@ pub fn max_consistent_containing(
 /// `C`", i.e. any global checkpoint containing `C` must include `C_{j,z}`.
 /// This function exists as an *independent witness* for
 /// [`min_consistent_containing`]; the property tests assert they always
-/// agree.
+/// agree. The pattern, as given, is replayed into the incremental core
+/// ([`IncrementalAnalysis::from_pattern`](crate::IncrementalAnalysis::from_pattern)),
+/// whose reach vectors are the R-graph's closure.
 ///
 /// # Panics
 ///
-/// Panics if a member's checkpoint does not exist in the pattern.
+/// Panics if a member's checkpoint does not exist in the pattern, or if
+/// the pattern is unrealizable.
 pub fn min_consistent_via_rgraph(
     pattern: &Pattern,
     members: &[CheckpointId],
 ) -> Option<GlobalCheckpoint> {
-    let reach = crate::RGraph::new(pattern).reachability();
-    min_consistent_via_reach(pattern, &reach, members)
+    crate::IncrementalAnalysis::from_pattern(pattern)
+        .expect("pattern must be realizable")
+        .min_consistent_via_rgraph(members)
 }
 
 /// [`min_consistent_via_rgraph`] off a shared [`crate::PatternAnalysis`] —
-/// reuses the cached R-graph closure instead of rebuilding it. Operates on
-/// the analysis's **closed** pattern (the two formulations agree on closed
-/// patterns; closing can only append trailing checkpoints).
+/// reads its [`core`](crate::PatternAnalysis::core) instead of replaying
+/// the pattern again. Operates on the analysis's **closed** pattern (the
+/// two formulations agree on closed patterns; closing can only append
+/// trailing checkpoints).
 ///
 /// # Panics
 ///
-/// Panics if a member's checkpoint does not exist in the pattern.
+/// Panics if a member's checkpoint does not exist in the pattern, or if
+/// the pattern is unrealizable.
 pub fn min_consistent_via_rgraph_with(
     analysis: &crate::PatternAnalysis,
     members: &[CheckpointId],
 ) -> Option<GlobalCheckpoint> {
-    min_consistent_via_reach(analysis.pattern(), analysis.reachability(), members)
-}
-
-fn min_consistent_via_reach(
-    pattern: &Pattern,
-    reach: &crate::Reachability,
-    members: &[CheckpointId],
-) -> Option<GlobalCheckpoint> {
-    let n = pattern.num_processes();
-    let mut gc = GlobalCheckpoint::initial(n);
-    for &member in members {
-        assert!(
-            member.index <= pattern.last_checkpoint_index(member.process),
-            "member {member} does not exist in the pattern"
-        );
-        gc.set(member.process, gc.get(member.process).max(member.index));
-    }
-    for j in 0..n {
-        let p = ProcessId::new(j);
-        // Largest z whose checkpoint reaches some member.
-        for z in (gc.get(p) + 1..=pattern.last_checkpoint_index(p)).rev() {
-            let from = CheckpointId::new(p, z);
-            if members.iter().any(|&m| reach.reaches(from, m)) {
-                gc.set(p, z);
-                break;
-            }
-        }
-    }
-    // Exists iff no member was pushed past itself.
-    members
-        .iter()
-        .all(|&m| gc.get(m.process) == m.index)
-        .then_some(gc)
+    let core = analysis.core().expect("pattern must be realizable");
+    core.min_consistent_via_rgraph(members)
 }
 
 /// Whether the set of checkpoints can be extended to a consistent global

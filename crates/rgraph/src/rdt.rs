@@ -36,7 +36,6 @@ impl fmt::Display for RdtViolation {
 #[derive(Debug, Clone)]
 pub struct RdtReport {
     violations: Vec<RdtViolation>,
-    pairs_checked: usize,
     r_paths_found: usize,
 }
 
@@ -51,18 +50,10 @@ impl RdtReport {
         &self.violations
     }
 
-    /// Number of ordered checkpoint pairs examined.
-    ///
-    /// Exact even when violation collection stops at the checker's limit:
-    /// the count comes from the popcount of the reachability closure, not
-    /// from how far the enumeration got.
-    pub fn pairs_checked(&self) -> usize {
-        self.pairs_checked
-    }
-
-    /// Number of pairs connected by an R-path (trackable or not). Like
-    /// [`RdtReport::pairs_checked`], exact regardless of the violation
-    /// limit.
+    /// Number of ordered checkpoint pairs connected by an R-path
+    /// (trackable or not, reflexive pairs included). Exact regardless of
+    /// the violation limit: it is the popcount of the closure, not how far
+    /// the enumeration got.
     pub fn r_paths_found(&self) -> usize {
         self.r_paths_found
     }
@@ -76,14 +67,20 @@ impl RdtReport {
 ///
 /// 1. Close the pattern (the paper assumes every event is eventually
 ///    followed by a checkpoint).
-/// 2. Compute, by exact offline replay, the transitive dependency vector
-///    `TDV_j^y` saved at every checkpoint `C_{j,y}` (the knowledge Wang's
-///    mechanism accumulates when the vector rides on *every* message).
-/// 3. Compute the R-graph's transitive closure.
-/// 4. RDT holds iff for every R-path `C_{i,x} → C_{j,y}`:
-///    `i = j ∧ x ≤ y`, or `TDV_j^y[i] ≥ x`.
+/// 2. Replay it into the incremental core
+///    ([`IncrementalAnalysis::from_pattern`](crate::IncrementalAnalysis::from_pattern)),
+///    which snapshots the transitive dependency vector `TDV_j^y` saved at
+///    every checkpoint `C_{j,y}` (the knowledge Wang's mechanism
+///    accumulates when the vector rides on *every* message) and keeps the
+///    R-graph's closure as one reach vector per checkpoint.
+/// 3. RDT holds iff for every R-path `C_{i,x} → C_{j,y}`:
+///    `i = j ∧ x ≤ y`, or `TDV_j^y[i] ≥ x`. The core counts the pairs that
+///    break it as it goes; the violations reported are the first of them
+///    in the order of
+///    [`untrackable_cells`](crate::IncrementalAnalysis::untrackable_cells),
+///    each with an R-path from [`RGraph::find_path`](crate::RGraph::find_path).
 ///
-/// Step 4 is the operational reading of Definition 3.3: a same-process
+/// Step 3 is the operational reading of Definition 3.3: a same-process
 /// dependency is always trackable forward, and a cross-process dependency
 /// is trackable exactly when some causal message chain carried it (then the
 /// replayed `TDV` records an interval index at least as large). The paper
@@ -150,74 +147,36 @@ impl RdtChecker {
         let analysis = PatternAnalysis::from_closed(self.pattern.clone());
         check_with_artifacts(&analysis, self.max_violations)
     }
-
-    /// Runs the check off the shared artifacts of `analysis` instead of
-    /// computing fresh ones — the entry point for callers that also run
-    /// the chain-doubling characterizations on the same pattern. The
-    /// checker's own pattern is not consulted; pass the analysis of the
-    /// pattern this checker was built for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the analysis's pattern is unrealizable; use
-    /// [`try_check_with`](RdtChecker::try_check_with) to handle that case.
-    pub fn check_with(&self, analysis: &PatternAnalysis) -> RdtReport {
-        self.try_check_with(analysis)
-            .expect("pattern must be realizable")
-    }
-
-    /// Fallible variant of [`check_with`](RdtChecker::check_with).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PatternError::Unrealizable`] if the pattern admits no
-    /// execution order.
-    pub fn try_check_with(&self, analysis: &PatternAnalysis) -> Result<RdtReport, PatternError> {
-        check_with_artifacts(analysis, self.max_violations)
-    }
 }
 
-/// The R-path scan over shared artifacts: every reachable checkpoint pair
-/// must be trackable by the replayed transitive dependency vectors.
-///
-/// Violation collection stops at `max_violations` (at least one is always
-/// collected), but the reported pair counts stay exact: both equal the
-/// popcount of the reachability closure
-/// ([`Reachability::total_reachable_pairs`](crate::Reachability::total_reachable_pairs)),
-/// which is what a full enumeration would have counted.
+/// The R-path check off the analysis's core: the verdict is the core's,
+/// the count its closure popcount, and the violations the first
+/// `max_violations` (at least one) of its untrackable cells, each given an
+/// R-path.
 pub(crate) fn check_with_artifacts(
     analysis: &PatternAnalysis,
     max_violations: usize,
 ) -> Result<RdtReport, PatternError> {
-    let annotations = analysis.annotations()?;
-    let graph = analysis.rgraph();
-    let reach = analysis.reachability();
-
-    let total_pairs = reach.total_reachable_pairs();
-    let mut violations = Vec::new();
-    'scan: for from in analysis.pattern().checkpoints() {
-        for to in reach.reachable_from(from) {
-            if annotations.trackable(from, to) {
-                continue;
-            }
-            if violations.len() < max_violations.max(1) {
-                // Reachable pairs always have a concrete path; if the
-                // witness search ever disagreed with the closure, keep
-                // the violation (verdict and counts stay exact) with an
-                // empty witness rather than aborting the whole check.
-                let r_path = graph.find_path(from, to).unwrap_or_default();
-                violations.push(RdtViolation { from, to, r_path });
-            } else {
-                // Verdict settled and limit reached; the counts are
-                // already known from the closure popcount.
-                break 'scan;
-            }
-        }
-    }
+    let core = analysis.core()?;
+    let limit = if core.rdt_holds() {
+        0
+    } else {
+        max_violations.max(1)
+    };
+    let violations = core
+        .untrackable_cells()
+        .take(limit)
+        .map(|(from, to)| {
+            // Every untrackable pair is reachable; if the path search ever
+            // disagreed with the core, keep the violation (verdict and
+            // count stay exact) with an empty witness.
+            let r_path = analysis.rgraph().find_path(from, to).unwrap_or_default();
+            RdtViolation { from, to, r_path }
+        })
+        .collect();
     Ok(RdtReport {
         violations,
-        pairs_checked: total_pairs,
-        r_paths_found: total_pairs,
+        r_paths_found: core.total_reachable_pairs(),
     })
 }
 
@@ -345,31 +304,45 @@ mod tests {
         let full = RdtChecker::new(&pattern).check();
         assert!(full.violations().len() >= 4);
 
-        // With the limit at 1 the scan stops at the second violation, but
-        // pairs_checked / r_paths_found must still equal the full scan's
-        // counts (they come from the closure popcount, not the scan).
+        // With the limit at 1 the enumeration stops at the first
+        // violation, but r_paths_found must still equal the full count (it
+        // comes from the closure popcount, not the enumeration).
         let truncated = RdtChecker::new(&pattern).max_violations(1).check();
         assert_eq!(truncated.violations().len(), 1);
-        assert_eq!(truncated.pairs_checked(), full.pairs_checked());
+        assert_eq!(truncated.violations()[0], full.violations()[0]);
         assert_eq!(truncated.r_paths_found(), full.r_paths_found());
-        // And both equal the closure popcount.
-        let analysis = crate::PatternAnalysis::new(&pattern);
-        assert_eq!(
-            full.pairs_checked(),
-            analysis.reachability().total_reachable_pairs()
-        );
+        // And it equals the naive closure's popcount.
+        let naive = crate::RGraph::new(&pattern.to_closed()).reachability_naive();
+        assert_eq!(full.r_paths_found(), naive.total_reachable_pairs());
     }
 
     #[test]
-    fn check_with_reuses_shared_artifacts() {
-        let pattern = paper_figures::figure_2_unbroken();
-        let analysis = crate::PatternAnalysis::new(&pattern);
-        let shared = RdtChecker::new(&pattern).check_with(&analysis);
-        let fresh = RdtChecker::new(&pattern).check();
-        assert_eq!(shared.holds(), fresh.holds());
-        assert_eq!(shared.violations(), fresh.violations());
-        assert_eq!(shared.pairs_checked(), fresh.pairs_checked());
-        assert!(!analysis.is_untouched());
+    fn a_zero_limit_still_reports_one_violation() {
+        // A failing report always carries a concrete counterexample.
+        for pattern in [
+            paper_figures::figure_1(),
+            paper_figures::figure_2_unbroken(),
+            paper_figures::figure_4_unbroken(),
+        ] {
+            let report = RdtChecker::new(&pattern).max_violations(0).check();
+            assert!(!report.holds());
+            assert_eq!(report.violations().len(), 1);
+        }
+        let report = RdtChecker::new(&paper_figures::figure_2_broken())
+            .max_violations(0)
+            .check();
+        assert!(report.holds());
+    }
+
+    #[test]
+    fn violations_are_ordered_by_destination_then_source() {
+        let report = RdtChecker::new(&paper_figures::figure_1())
+            .max_violations(usize::MAX)
+            .check();
+        let key = |v: &RdtViolation| (v.to.process, v.to.index, v.from.process, v.from.index);
+        let keys: Vec<_> = report.violations().iter().map(key).collect();
+        assert!(keys.len() > 1);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
     }
 
     #[test]

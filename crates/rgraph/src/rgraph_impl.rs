@@ -31,6 +31,12 @@ impl fmt::Display for NodeId {
 /// to be rolled back to before `C_{i,x}`, then `P_j` has to be rolled back
 /// to before `C_{j,y}`.
 ///
+/// The explicit graph is what [`find_path`](RGraph::find_path) and the DOT
+/// renderer read. Its closure is kept by the incremental core
+/// ([`IncrementalAnalysis::reaches`](crate::IncrementalAnalysis::reaches));
+/// [`reachability_naive`](RGraph::reachability_naive) recomputes it from
+/// the edges as a test oracle.
+///
 /// Messages sent or delivered in an interval whose closing checkpoint does
 /// not exist (an *open* interval of a non-[closed](Pattern::is_closed)
 /// pattern) contribute no edge; close the pattern first if those
@@ -48,8 +54,8 @@ impl fmt::Display for NodeId {
 /// b.deliver(m)?;
 /// let pattern = b.close().build()?;
 /// let graph = RGraph::new(&pattern);
-/// let reach = graph.reachability();
-/// assert!(reach.reaches(CheckpointId::new(p0, 1), CheckpointId::new(p1, 1)));
+/// let path = graph.find_path(CheckpointId::new(p0, 0), CheckpointId::new(p1, 1));
+/// assert_eq!(path.map(|p| p.len()), Some(3)); // C_{0,0} → C_{0,1} → C_{1,1}
 /// # Ok::<(), rdt_rgraph::PatternError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -164,38 +170,20 @@ impl RGraph {
         &self.adjacency[node.0]
     }
 
-    /// The adjacency as plain index lists, in the shape the closure
-    /// kernels consume.
-    fn adjacency_indices(&self) -> Vec<Vec<usize>> {
-        self.adjacency
-            .iter()
-            .map(|list| list.iter().map(|&NodeId(w)| w).collect())
-            .collect()
-    }
-
-    /// Computes the full transitive reachability relation.
-    ///
-    /// Runs the word-parallel SCC-condensation kernel
-    /// ([`crate::closure::transitive_closure`]): `O(V + E·V/64)` time, with
-    /// every row of the relation including the node itself (an R-path of
-    /// length 0 is a valid R-path `C → C`). The relation takes `V²` bits.
-    pub fn reachability(&self) -> Reachability {
-        let rows = closure::transitive_closure(&self.adjacency_indices(), self.num_nodes());
-        Reachability {
-            graph: self.clone(),
-            rows,
-        }
-    }
-
-    /// Computes the same relation as [`RGraph::reachability`] with the
-    /// naive per-node per-bit search — `O(V·E)` time.
+    /// Computes the full transitive reachability relation with the naive
+    /// per-node per-bit search — `O(V·E)` time, every row including the
+    /// node itself (an R-path of length 0 is a valid R-path `C → C`).
     ///
     /// Kept public as the baseline BENCH-RDTCHECK (`experiments rdtcheck`)
-    /// times and the oracle of the differential kernel tests; not meant
-    /// for production callers.
+    /// times and the oracle the core's R-closure and untrackable pairs are
+    /// held to; not meant for production callers.
     pub fn reachability_naive(&self) -> Reachability {
-        let rows =
-            closure::transitive_closure_reference(&self.adjacency_indices(), self.num_nodes());
+        let adjacency: Vec<Vec<usize>> = self
+            .adjacency
+            .iter()
+            .map(|list| list.iter().map(|&NodeId(w)| w).collect())
+            .collect();
+        let rows = closure::transitive_closure_reference(&adjacency, self.num_nodes());
         Reachability {
             graph: self.clone(),
             rows,
@@ -238,8 +226,8 @@ impl RGraph {
     }
 }
 
-/// The transitive closure of an [`RGraph`]: which checkpoints have an
-/// R-path to which.
+/// The transitive closure of an [`RGraph`], as the naive oracle computes
+/// it: which checkpoints have an R-path to which.
 #[derive(Debug, Clone)]
 pub struct Reachability {
     graph: RGraph,
@@ -269,27 +257,10 @@ impl Reachability {
             .map(|idx| self.graph.checkpoint(NodeId(idx)))
     }
 
-    /// Number of checkpoints reachable from `from`, including itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint does not exist.
-    pub fn reachable_count(&self, from: CheckpointId) -> usize {
-        bits::count_ones(self.rows.row(self.graph.node(from).0))
-    }
-
     /// Total number of reachable (ordered) checkpoint pairs, reflexive
-    /// pairs included — the popcount of the whole relation. This is
-    /// exactly the number of pairs a full R-path scan would visit, which
-    /// lets [`crate::RdtChecker`] report exact counts even when it stops
-    /// enumerating violations early.
+    /// pairs included — the popcount of the whole relation.
     pub fn total_reachable_pairs(&self) -> usize {
         self.rows.count_ones()
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &RGraph {
-        &self.graph
     }
 }
 
@@ -314,7 +285,7 @@ mod tests {
         let g = RGraph::new(&b.build().unwrap());
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 2);
-        let reach = g.reachability();
+        let reach = g.reachability_naive();
         assert!(reach.reaches(c(0, 0), c(0, 2)));
         assert!(!reach.reaches(c(0, 2), c(0, 0)));
         assert!(reach.reaches(c(0, 1), c(0, 1)), "reflexive");
@@ -329,7 +300,7 @@ mod tests {
         // Nodes: C00 C01 C10 C11; edges: 2 local + 1 message.
         assert_eq!(g.num_nodes(), 4);
         assert_eq!(g.num_edges(), 3);
-        let reach = g.reachability();
+        let reach = g.reachability_naive();
         assert!(reach.reaches(c(0, 1), c(1, 1)));
         assert!(!reach.reaches(c(1, 1), c(0, 1)));
         // C_{0,0} reaches C_{1,1} via the local edge then the message edge.
@@ -363,7 +334,7 @@ mod tests {
     fn figure_1_r_graph_paths() {
         let pattern = crate::paper_figures::figure_1();
         let g = RGraph::new(&pattern);
-        let reach = g.reachability();
+        let reach = g.reachability_naive();
         // R-path C_{k,1} -> C_{i,2} via [m3 m2] (processes: i=0, j=1, k=2).
         assert!(reach.reaches(c(2, 1), c(0, 2)));
         // R-path C_{i,3} -> C_{k,2} via [m5 m4] / [m5 m6].

@@ -1,15 +1,22 @@
-//! Differential testing of the word-parallel SCC closure kernels against
-//! the naive per-start DFS reference, on randomly generated patterns.
+//! Differential testing of the optimized closures against the naive
+//! per-start DFS references, on randomly generated patterns.
 //!
-//! The optimized kernels ([`rdt_rgraph::closure::transitive_closure`] and
-//! the compressed link graphs behind [`ZigzagReachability::new`]) must be
+//! The chain kernels ([`rdt_rgraph::closure::transitive_closure`] and the
+//! compressed link graphs behind [`ZigzagReachability::new`]) must be
 //! observationally identical to the quadratic baselines
-//! ([`transitive_closure_reference`], [`ZigzagReachability::new_naive`],
-//! [`RGraph::reachability_naive`]) on every query the crate exposes.
+//! ([`transitive_closure_reference`](rdt_rgraph::closure::transitive_closure_reference),
+//! [`ZigzagReachability::new_naive`]) on every query the crate exposes.
+//! The R-path half is a replay into the incremental core: its closure, and
+//! the [`RdtChecker`] verdict, count and uncapped violation set read off
+//! it, must equal [`RGraph::reachability_naive`] plus the replayed `TDV`s
+//! ([`CheckpointAnnotations::trackable`](rdt_rgraph::CheckpointAnnotations::trackable)).
 
 use proptest::prelude::*;
 use rdt_causality::ProcessId;
-use rdt_rgraph::{Pattern, PatternBuilder, PatternMessageId, RGraph, ZigzagReachability};
+use rdt_rgraph::{
+    min_max, Pattern, PatternAnalysis, PatternBuilder, PatternMessageId, RdtChecker,
+    ZigzagReachability,
+};
 
 /// Deterministic xorshift generator driving the pattern builder.
 struct Rng(u64);
@@ -108,25 +115,65 @@ fn assert_zigzag_equivalent(pattern: &Pattern) {
     }
 }
 
-/// The R-graph reachability must agree between the two kernels too.
-fn assert_rgraph_equivalent(pattern: &Pattern) {
-    let graph = RGraph::new(&pattern.to_closed());
-    let fast = graph.reachability();
+/// The R-path answers read off the core must be the naive oracles': the
+/// closure, the verdict (at every violation limit), the count, and the
+/// whole uncapped violation set in destination-then-source order, each
+/// violation with an R-path of the graph's own edges from `from` to `to`.
+fn assert_r_paths_match_oracles(pattern: &Pattern) {
+    let analysis = PatternAnalysis::new(pattern);
+    let closed = analysis.pattern();
+    let graph = analysis.rgraph();
     let naive = graph.reachability_naive();
+    let annotations = analysis.annotations().expect("realizable");
+    let mut untrackable: Vec<_> = closed
+        .checkpoints()
+        .flat_map(|from| naive.reachable_from(from).map(move |to| (from, to)))
+        .filter(|&(from, to)| !annotations.trackable(from, to))
+        .collect();
+    untrackable.sort_by_key(|&(f, t)| (t.process, t.index, f.process, f.index));
+
+    let report = RdtChecker::new(pattern).max_violations(usize::MAX).check();
+    assert_eq!(report.holds(), untrackable.is_empty(), "verdict");
     assert_eq!(
-        fast.total_reachable_pairs(),
+        report.r_paths_found(),
         naive.total_reachable_pairs(),
-        "closure popcounts differ"
+        "R-path count"
     );
-    let closed = pattern.to_closed();
+    let found: Vec<_> = report.violations().iter().map(|v| (v.from, v.to)).collect();
+    assert_eq!(found, untrackable, "uncapped violation set");
+    for v in report.violations() {
+        assert_eq!(v.r_path.first(), Some(&v.from), "{v}");
+        assert_eq!(v.r_path.last(), Some(&v.to), "{v}");
+        for hop in v.r_path.windows(2) {
+            let (a, b) = (graph.node(hop[0]), graph.node(hop[1]));
+            assert!(graph.successors(a).contains(&b), "{v}: no edge {a} -> {b}");
+        }
+    }
+    for limit in [0, 1, 16] {
+        let capped = RdtChecker::new(pattern).max_violations(limit).check();
+        let kept = untrackable.len().min(limit.max(1));
+        assert_eq!(
+            capped.violations(),
+            &report.violations()[..kept],
+            "limit {limit}"
+        );
+        assert_eq!(capped.holds(), report.holds(), "verdict at limit {limit}");
+    }
+
+    let core = analysis.core().expect("realizable");
     for a in closed.checkpoints() {
         for b in closed.checkpoints() {
             assert_eq!(
-                fast.reaches(a, b),
+                core.reaches(a, b),
                 naive.reaches(a, b),
                 "R-graph reachability differs on ({a}, {b})"
             );
         }
+        assert_eq!(
+            min_max::min_consistent_via_rgraph_with(&analysis, &[a]),
+            min_max::min_consistent_containing(closed, &[a]),
+            "min gc via R-graph {a}"
+        );
     }
 }
 
@@ -140,7 +187,7 @@ fn kernels_agree_on_paper_figures() {
         rdt_rgraph::paper_figures::figure_4_broken(),
     ] {
         assert_zigzag_equivalent(&pattern);
-        assert_rgraph_equivalent(&pattern);
+        assert_r_paths_match_oracles(&pattern);
     }
 }
 
@@ -151,7 +198,7 @@ fn kernels_agree_on_fixed_seeds() {
         for n in [2usize, 4, 6] {
             let pattern = random_pattern(seed, n, 60);
             assert_zigzag_equivalent(&pattern);
-            assert_rgraph_equivalent(&pattern);
+            assert_r_paths_match_oracles(&pattern);
         }
     }
 }
@@ -159,8 +206,8 @@ fn kernels_agree_on_fixed_seeds() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Optimized SCC/word-parallel closures ≡ naive per-bit DFS closures
-    /// on arbitrary random patterns — every public query compared.
+    /// Optimized SCC/word-parallel chain closures ≡ naive per-bit DFS
+    /// closures on arbitrary random patterns — every public query compared.
     fn optimized_kernels_match_naive_reference(
         seed in 1u64..1_000_000,
         n in 2usize..7,
@@ -168,6 +215,16 @@ proptest! {
     ) {
         let pattern = random_pattern(seed, n, events);
         assert_zigzag_equivalent(&pattern);
-        assert_rgraph_equivalent(&pattern);
+    }
+
+    /// The batch R-path check, a replay into the incremental core, ≡ the
+    /// naive R-closure plus the replayed `TDV`s on arbitrary random
+    /// patterns: closure, verdict, count and every violation.
+    fn r_path_check_matches_the_naive_oracles(
+        seed in 1u64..1_000_000,
+        n in 2usize..7,
+        events in 10usize..90,
+    ) {
+        assert_r_paths_match_oracles(&random_pattern(seed, n, events));
     }
 }

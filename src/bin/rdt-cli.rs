@@ -222,32 +222,34 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
         let analysis = rdt::PatternAnalysis::new(&pattern);
 
         let watch = rdt::Stopwatch::start();
-        let replay_ok = analysis.annotations().is_ok();
+        let replay_ok = analysis.core().is_ok();
         let replay = watch.elapsed();
 
         let watch = rdt::Stopwatch::start();
-        analysis.reachability();
         analysis.zigzag();
-        let closure = watch.elapsed();
+        let chains = watch.elapsed();
 
         println!("  phase timings (one shared analysis):");
-        println!("    replay     : {:>9.3} ms", replay.as_secs_f64() * 1e3);
         println!(
-            "    closure    : {:>9.3} ms (R-graph + chain closures)",
-            closure.as_secs_f64() * 1e3
+            "    replay     : {:>9.3} ms (into the incremental core)",
+            replay.as_secs_f64() * 1e3
+        );
+        println!(
+            "    chains     : {:>9.3} ms (chain closures)",
+            chains.as_secs_f64() * 1e3
         );
         if replay_ok {
             let watch = rdt::Stopwatch::start();
             let report = analysis.rdt_report();
-            let scan = watch.elapsed();
+            let check = watch.elapsed();
             println!(
-                "    pair scan  : {:>9.3} ms ({} reachable pairs, RDT {})",
-                scan.as_secs_f64() * 1e3,
-                report.pairs_checked(),
+                "    R-path check: {:>8.3} ms ({} R-paths, RDT {})",
+                check.as_secs_f64() * 1e3,
+                report.r_paths_found(),
                 if report.holds() { "holds" } else { "VIOLATED" }
             );
         } else {
-            println!("    pair scan  : skipped (pattern unrealizable)");
+            println!("    R-path check: skipped (pattern unrealizable)");
         }
     }
     if let Some(path) = flags.get("dot") {

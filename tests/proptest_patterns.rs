@@ -140,7 +140,7 @@ proptest! {
     fn tdv_trackability_implies_r_path(pattern in pattern_strategy()) {
         let annotations = Replay::new(&pattern).annotate().expect("realizable");
         let graph = rdt::RGraph::new(&pattern);
-        let reach = graph.reachability();
+        let reach = graph.reachability_naive();
         for to in pattern.checkpoints() {
             let tdv = annotations.tdv(to);
             for (process, entry) in tdv.iter() {
@@ -155,6 +155,29 @@ proptest! {
                     "TDV of {} records {} but no R-path exists", to, from
                 );
             }
+        }
+    }
+
+    fn r_path_check_matches_the_naive_oracles(pattern in pattern_strategy()) {
+        // The checker replays the pattern into the incremental core; its
+        // verdict, count and uncapped violations must be the naive
+        // closure's pairs that the replayed TDVs do not track.
+        let annotations = Replay::new(&pattern).annotate().expect("realizable");
+        let reach = rdt::RGraph::new(&pattern).reachability_naive();
+        let mut untrackable: Vec<_> = pattern
+            .checkpoints()
+            .flat_map(|from| reach.reachable_from(from).map(move |to| (from, to)))
+            .filter(|&(from, to)| !annotations.trackable(from, to))
+            .collect();
+        untrackable.sort_by_key(|&(f, t)| (t.process, t.index, f.process, f.index));
+        let report = RdtChecker::new(&pattern).max_violations(usize::MAX).check();
+        prop_assert_eq!(report.holds(), untrackable.is_empty());
+        prop_assert_eq!(report.r_paths_found(), reach.total_reachable_pairs());
+        let found: Vec<_> = report.violations().iter().map(|v| (v.from, v.to)).collect();
+        prop_assert_eq!(found, untrackable);
+        for v in report.violations() {
+            prop_assert_eq!(v.r_path.first(), Some(&v.from));
+            prop_assert_eq!(v.r_path.last(), Some(&v.to));
         }
     }
 
