@@ -105,8 +105,9 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// Exact afterwards, over the whole history: `untrackable_pairs`,
     /// `rdt_holds`, the fixpoint consistency oracles
     /// (`min_`/`max_consistent_containing`, `max_consistent_dominated`) and
-    /// `message_route`. Exact on the live suffix: `reaches` and
-    /// `min_consistent_via_rgraph` for retained members, chain queries for
+    /// `message_route`. Exact on the live suffix: `reaches`,
+    /// `min_consistent_via_rgraph` and `fits_frontier` for retained members
+    /// (`fits_frontier` is `None` for any other), chain queries for
     /// heads above the chain floor, and `with_closed` over all of those.
     /// Marks taken before a state-discarding compaction become invalid:
     /// `try_rewind` reports [`RewindError::CompactionBoundary`].

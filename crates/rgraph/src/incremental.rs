@@ -996,18 +996,128 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         members.iter().all(|&m| gc[m.process.index()] == m.index)
     }
 
-    /// Runs an `_into` oracle on an `n`-entry scratch — on the stack up to
-    /// `GC_STACK_ENTRIES` processes, so the oracle hot paths allocate only
-    /// for `Some` results.
-    fn owned_gc(&self, oracle: impl FnOnce(&mut [u32]) -> bool) -> Option<GlobalCheckpoint> {
+    /// Whether `members` belong to some consistent global checkpoint of the
+    /// current pattern, read off `reach` without a fixpoint: `Some(true)`
+    /// exactly when [`min_consistent_containing`]
+    /// (IncrementalAnalysis::min_consistent_containing) and
+    /// [`max_consistent_containing`]
+    /// (IncrementalAnalysis::max_consistent_containing) find one, and `None`
+    /// when a member lies below [`retained_from`]
+    /// (IncrementalAnalysis::retained_from), whose row compaction dropped.
+    ///
+    /// This is Netzer and Xu's condition in R-graph form, with each open
+    /// interval standing for the checkpoint its process has not taken yet:
+    /// the members fit iff no member is R-reached from the successor of a
+    /// member or from a *tail target* — the checkpoint closing the delivery
+    /// of a message sent in an open interval, the only R-edges out of the
+    /// frontier. Per process `r` that is `reach[m][r] ≤ s[r]` for every
+    /// member `m`, with `s[r]` the least of the tail targets on `r` and the
+    /// least member index on `r` plus one. It costs the sends in open
+    /// intervals and `n` lanes per member.
+    ///
+    /// # Panics
+    /// If a member does not exist in the pattern.
+    pub fn fits_frontier(&self, members: &[CheckpointId]) -> Option<bool> {
+        for &member in members {
+            self.assert_member(member);
+            if member.index < self.cp_base[member.process.index()] {
+                return None;
+            }
+        }
+        self.with_scratch(|seeds| {
+            self.tail_targets(seeds);
+            for &m in members {
+                let s = &mut seeds[m.process.index()];
+                *s = (*s).min(m.index + 1);
+            }
+            let fits = |&m: &CheckpointId| {
+                let row = &self.reach[self.node_of(m) * self.n..][..self.n];
+                row.iter().zip(&*seeds).all(|(&reach, &s)| reach <= s)
+            };
+            Some(members.iter().all(fits))
+        })
+    }
+
+    /// Whether some checkpoint taken since the engine's frontier was
+    /// `frontier` (per process, the index of its last checkpoint then)
+    /// [`fits_frontier`](IncrementalAnalysis::fits_frontier) as a
+    /// one-member set, or lies below `retained_from()`, where that is
+    /// undecided. The tail targets are found once for all of them.
+    ///
+    /// If the answer is `false`, the recovery line is what it was at
+    /// `frontier`: appends beyond a frontier change no orphan below it, so
+    /// the line then is still the greatest consistent global checkpoint
+    /// below it, and any consistent global checkpoint not below it contains
+    /// a checkpoint taken since, which would then fit.
+    ///
+    /// # Panics
+    /// If `frontier` has a length other than the process count.
+    pub fn any_fits_beyond(&self, frontier: &[u32]) -> bool {
+        assert_eq!(frontier.len(), self.n, "frontier length");
+        let taken_since = |p: &usize| frontier[*p] < self.cp_count[*p];
+        if !(0..self.n).any(|p| taken_since(&p)) {
+            return false;
+        }
+        // A checkpoint taken since and compacted away is undecided.
+        if (0..self.n).any(|p| frontier[p] + 1 < self.cp_base[p]) {
+            return true;
+        }
+        self.with_scratch(|tails| {
+            self.tail_targets(tails);
+            (0..self.n).filter(taken_since).any(|p| {
+                let first = frontier[p] + 1;
+                let nodes = &self.cp_nodes[p][(first - self.cp_base[p]) as usize..];
+                (first..).zip(nodes).any(|(index, &node)| {
+                    let row = &self.reach[node as usize * self.n..][..self.n];
+                    let mut lanes = row.iter().zip(&*tails).enumerate();
+                    lanes.all(|(r, (&reach, &t))| reach <= t && (r != p || reach <= index + 1))
+                })
+            })
+        })
+    }
+
+    /// Writes into `tails` (length `n`) the least tail target per process —
+    /// the least closed delivery interval of a message sent in an interval
+    /// its sender has not closed — and `u32::MAX` where there is none;
+    /// returns the send records it examined, exactly the sends in open
+    /// intervals (each process's newest, read back from `send_events`).
+    fn tail_targets(&self, tails: &mut [u32]) -> usize {
+        tails.fill(NONE_U32);
+        let mut examined = 0;
+        for (sends, &last) in self.send_events.iter().zip(&self.cp_count) {
+            for &(send_iv, mid) in sends.iter().rev() {
+                if send_iv <= last {
+                    break;
+                }
+                examined += 1;
+                let rec = &self.msgs[mid as usize];
+                let to = rec.to as usize;
+                // In transit, `deliver_iv` is `NONE_U32`: no closed interval.
+                if rec.deliver_iv <= self.cp_count[to] {
+                    tails[to] = tails[to].min(rec.deliver_iv);
+                }
+            }
+        }
+        examined
+    }
+
+    /// Runs `f` on an `n`-entry scratch — on the stack up to
+    /// `GC_STACK_ENTRIES` processes.
+    fn with_scratch<T>(&self, f: impl FnOnce(&mut [u32]) -> T) -> T {
         let (mut stack, mut heap) = ([0u32; GC_STACK_ENTRIES], Vec::new());
-        let gc = if self.n <= GC_STACK_ENTRIES {
-            &mut stack[..self.n]
+        if self.n <= GC_STACK_ENTRIES {
+            f(&mut stack[..self.n])
         } else {
             heap.resize(self.n, 0);
-            &mut heap[..]
-        };
-        oracle(gc).then(|| GlobalCheckpoint::new(gc.to_vec()))
+            f(&mut heap[..])
+        }
+    }
+
+    /// Runs an `_into` oracle on an `n`-entry scratch
+    /// ([`with_scratch`](IncrementalAnalysis::with_scratch)), so the oracle
+    /// hot paths allocate only for `Some` results.
+    fn owned_gc(&self, oracle: impl FnOnce(&mut [u32]) -> bool) -> Option<GlobalCheckpoint> {
+        self.with_scratch(|gc| oracle(gc).then(|| GlobalCheckpoint::new(gc.to_vec())))
     }
 
     fn member_floor(&self, members: &[CheckpointId], gc: &mut [u32]) {
@@ -2266,6 +2376,7 @@ mod tests {
         recovery_line: usize,
         max_consistent: usize,
         min_consistent: usize,
+        fits_frontier: usize,
     }
 
     impl DaemonStream {
@@ -2365,6 +2476,21 @@ mod tests {
             examined
         }
 
+        /// The tail targets of one fit predicate, held to their bound: they
+        /// examine exactly the sends in open intervals, which any correct
+        /// search has to look at, and no other record.
+        fn tail_targets(&self) -> usize {
+            let mut tails = vec![0; self.core.n];
+            let examined = self.core.tail_targets(&mut tails);
+            let open = |(sends, &last): (&Vec<(u32, u32)>, &u32)| {
+                sends.len() - sends.partition_point(|&(iv, _)| iv <= last)
+            };
+            let sends = self.core.send_events.iter();
+            let in_open_intervals: usize = sends.zip(&self.core.cp_count).map(open).sum();
+            assert_eq!(examined, in_open_intervals, "sends in open intervals");
+            examined
+        }
+
         /// 1–3 members on distinct processes, each one of the last three
         /// checkpoints of its process.
         fn members(&mut self) -> Vec<CheckpointId> {
@@ -2400,6 +2526,10 @@ mod tests {
             let found = members.iter().all(|m| gc[m.process.index()] == m.index);
             let found = found.then(|| GlobalCheckpoint::new(gc.clone()));
             assert_eq!(found, core.max_consistent_containing(&members));
+            if let Some(fits) = core.fits_frontier(&members) {
+                assert_eq!(fits, found.is_some(), "fit of {members:?}");
+            }
+            worst.fits_frontier = worst.fits_frontier.max(self.tail_targets());
 
             core.member_floor(&members, &mut gc);
             let (ok, min) =
@@ -2412,8 +2542,9 @@ mod tests {
     }
 
     /// Queries and compactions cost the live suffix, not the stream's age.
-    /// Every descent and every compaction is held to an exact count where it
-    /// runs (`descend`, `round_and_compact`); here, over a final 4 000-event
+    /// Every descent, every fit predicate and every compaction is held to an
+    /// exact count where it runs (`descend`, `tail_targets`,
+    /// `round_and_compact`); here, over a final 4 000-event
     /// window, the costliest query of each kind examines no more message
     /// records than the window itself holds, whatever came before it. (With
     /// whole-table fixpoints and whole-table compaction passes each count
@@ -2456,6 +2587,7 @@ mod tests {
                 ("recovery-line", worst.recovery_line),
                 ("max-consistent", worst.max_consistent),
                 ("min-consistent", worst.min_consistent),
+                ("fit predicate", worst.fits_frontier),
             ] {
                 assert!(
                     (1..=window).contains(&examined),

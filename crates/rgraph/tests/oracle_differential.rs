@@ -18,6 +18,13 @@
 //! 3. **Self-sends** — `try_append_send` accepts them and `PatternBuilder`
 //!    does not, so they get a corpus of their own, held to test-local
 //!    copies of the two full-rescan loops the worklists replaced.
+//! 4. **The fit predicate** — for every member set asked above,
+//!    `fits_frontier` is `None` exactly when a member lies below
+//!    `retained_from()`, and otherwise says whether the minimum and the
+//!    maximum exist (every checkpoint is asked as a one-member set).
+//!    `any_fits_beyond` a frontier kept from an earlier op is whether some
+//!    checkpoint taken since fits or is undecided, and when it says no, the
+//!    recovery line is the one at that frontier — the daemon's line cache.
 
 use proptest::prelude::*;
 use rdt_causality::{CheckpointId, ProcessId};
@@ -154,6 +161,10 @@ struct Coverage {
     open_interval_answers: usize,
     in_transit_at_end: usize,
     self_sends_delivered: usize,
+    fits: usize,
+    misfits: usize,
+    lines_kept: usize,
+    lines_moved: usize,
 }
 
 /// The core engine with, unless the run sends self-messages, a
@@ -162,6 +173,9 @@ struct Lockstep {
     core: IncrementalAnalysis,
     mirror: Option<(PatternBuilder, Vec<PatternMessageId>)>,
     in_flight: Vec<u32>,
+    /// A recovery line and the frontier it was computed at, kept across
+    /// ops as the daemon keeps it.
+    line_at: Option<(Vec<u32>, Vec<u32>)>,
     seen: Coverage,
 }
 
@@ -171,6 +185,7 @@ impl Lockstep {
             core: IncrementalAnalysis::new(n),
             mirror: (!self_sends).then(|| (PatternBuilder::new(n), Vec::new())),
             in_flight: Vec::new(),
+            line_at: None,
             seen,
         }
     }
@@ -268,7 +283,45 @@ impl Lockstep {
         self.seen.open_interval_answers += usize::from(open_interval);
         let retained = core.retained_from();
         let below = |m: &CheckpointId| m.index < retained[m.process.index()];
-        self.seen.members_below_retention += usize::from(members.iter().any(below));
+        let below = members.iter().any(below);
+        self.seen.members_below_retention += usize::from(below);
+
+        let fits = core.fits_frontier(members);
+        assert_eq!(fits.is_none(), below, "undecided fit for {members:?}");
+        if let Some(fits) = fits {
+            let found = (ours.0.is_some(), ours.1.is_some());
+            assert_eq!((fits, fits), found, "fit of {members:?}");
+            self.seen.fits += usize::from(fits);
+            self.seen.misfits += usize::from(!fits);
+        }
+    }
+
+    /// The daemon's line cache: `any_fits_beyond` the kept frontier is
+    /// whether a checkpoint taken since fits or is undecided, and when it
+    /// is not, the kept line is the recovery line. The line is kept afresh
+    /// after every third event, so the checkpoints taken since span
+    /// several ops (and compactions).
+    fn check_line_cache(&mut self, line: &[u32]) {
+        let core = &self.core;
+        let last = frontier(core);
+        if let Some((kept, at)) = &self.line_at {
+            let moved = core.any_fits_beyond(at);
+            let taken_since = (0..core.num_processes()).flat_map(|p| {
+                (at[p] + 1..=last[p]).map(move |index| CheckpointId::new(ProcessId::new(p), index))
+            });
+            let fit_or_undecided = taken_since
+                .map(|c| core.fits_frontier(&[c]))
+                .any(|fits| fits != Some(false));
+            assert_eq!(moved, fit_or_undecided, "checkpoints beyond {at:?}");
+            if !moved {
+                assert_eq!(kept.as_slice(), line, "kept line at {at:?}");
+            }
+            self.seen.lines_kept += usize::from(!moved);
+            self.seen.lines_moved += usize::from(moved && kept.as_slice() != line);
+        }
+        if self.core.events_appended().is_multiple_of(3) {
+            self.line_at = Some((line.to_vec(), last));
+        }
     }
 
     /// Everything the module documentation promises, on the current state.
@@ -313,6 +366,7 @@ impl Lockstep {
             dominated_reference(&self.core, &last).as_slice(),
             "recovery line"
         );
+        self.check_line_cache(&line);
     }
 }
 
@@ -347,6 +401,8 @@ fn oracles_match_the_batch_fixpoints_on_fixed_seeds() {
     assert!(seen.members_below_retention > 0, "{seen:?}");
     assert!(seen.open_interval_answers > 0, "{seen:?}");
     assert!(seen.in_transit_at_end > 0, "{seen:?}");
+    assert!(seen.fits > 0 && seen.misfits > 0, "{seen:?}");
+    assert!(seen.lines_kept > 0 && seen.lines_moved > 0, "{seen:?}");
 }
 
 #[test]
@@ -355,6 +411,8 @@ fn oracles_match_the_full_rescan_loops_with_self_sends() {
     assert!(seen.self_sends_delivered > 0, "{seen:?}");
     assert!(seen.discarding_compactions > 0, "{seen:?}");
     assert!(seen.open_interval_answers > 0, "{seen:?}");
+    assert!(seen.fits > 0 && seen.misfits > 0, "{seen:?}");
+    assert!(seen.lines_kept > 0 && seen.lines_moved > 0, "{seen:?}");
 }
 
 proptest! {

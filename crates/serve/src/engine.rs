@@ -110,6 +110,10 @@ pub struct StreamEngine {
     /// restore that read it from a version 4 entry; `None` until then (one
     /// pointer: the stripes hold thousands of streams inline).
     on_disk: Option<Box<OnDisk>>,
+    /// The last recovery line this stream answered, then the frontier it
+    /// holds for (`n` entries each, one block); `None` until the first
+    /// `recovery-line` or `crash`, and after a restore. Never persisted.
+    line: Option<Box<[u32]>>,
 }
 
 /// What of a stream a persist wrote.
@@ -127,6 +131,7 @@ impl StreamEngine {
             engine: IncrementalAnalysis::new(processes),
             crashes: 0,
             on_disk: None,
+            line: None,
         }
     }
 
@@ -141,11 +146,28 @@ impl StreamEngine {
     }
 
     /// The recovery line: greatest consistent global checkpoint dominated
-    /// by the current frontier.
-    fn recovery_line(&self) -> Vec<u32> {
-        let mut line = vec![0u32; self.processes()];
-        self.engine.recovery_line_into(&mut line);
-        line
+    /// by the current frontier. The last line answered is reused unless a
+    /// checkpoint taken since it fits the frontier or is undecided
+    /// ([`IncrementalAnalysis::any_fits_beyond`]); only then does the
+    /// descent run again. Either way the cache then holds for the current
+    /// frontier.
+    fn recovery_line(&mut self) -> Vec<u32> {
+        let (engine, n) = (&self.engine, self.engine.num_processes());
+        let stale = self
+            .line
+            .as_deref()
+            .is_none_or(|c| engine.any_fits_beyond(&c[n..]));
+        let cache = self
+            .line
+            .get_or_insert_with(|| vec![0; 2 * n].into_boxed_slice());
+        let (line, frontier) = cache.split_at_mut(n);
+        if stale {
+            engine.recovery_line_into(line);
+        }
+        for (p, last) in frontier.iter_mut().enumerate() {
+            *last = engine.last_checkpoint_index(ProcessId::new(p));
+        }
+        line.to_vec()
     }
 
     /// Applies one event. On failure the engine state is untouched.
@@ -199,6 +221,10 @@ impl StreamEngine {
             QueryKind::RecoveryLine => Ok(Reply::Line(self.recovery_line())),
             QueryKind::MinConsistent(members) | QueryKind::MaxConsistent(members) => {
                 let ids = self.validate_members(members)?;
+                // No global checkpoint to find: no fixpoint to run.
+                if self.engine.fits_frontier(&ids) == Some(false) {
+                    return Ok(Reply::Global(None));
+                }
                 let mut gc = vec![0u32; self.processes()];
                 let exists = if matches!(query, QueryKind::MinConsistent(_)) {
                     self.engine.min_consistent_containing_into(&ids, &mut gc)
@@ -346,6 +372,7 @@ impl StreamEngine {
             engine,
             crashes,
             on_disk,
+            line: None,
         };
         Ok((name, stream))
     }
@@ -420,6 +447,173 @@ mod tests {
                 .unwrap_err()
                 .kind,
             ErrorKind::Query
+        );
+    }
+
+    /// Deterministic xorshift generator driving the line-cache session.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 as usize) % n
+        }
+    }
+
+    /// What the line-cache session met, so that it can insist on every
+    /// case the cache has.
+    #[derive(Debug, Default)]
+    struct LineCases {
+        kept: usize,
+        moved: usize,
+        undecided: usize,
+        restored: usize,
+        reopened: usize,
+    }
+
+    /// The recovery line a fresh descent of the stream's engine gives.
+    fn fresh_line(s: &StreamEngine) -> Vec<u32> {
+        let mut line = vec![0; s.processes()];
+        s.engine.recovery_line_into(&mut line);
+        line
+    }
+
+    /// Notes which case the stream's next recovery line meets.
+    fn note_case(s: &StreamEngine, seen: &mut LineCases) {
+        let n = s.processes();
+        let Some(cache) = s.line.as_deref() else {
+            return;
+        };
+        let retained = s.engine.retained_from();
+        if (0..n).any(|p| cache[n + p] + 1 < retained[p]) {
+            seen.undecided += 1;
+        } else if s.engine.any_fits_beyond(&cache[n..]) {
+            seen.moved += 1;
+        } else {
+            seen.kept += 1;
+        }
+    }
+
+    /// Every `recovery-line` reply and every `crash` line of a seeded
+    /// session equals a fresh descent of the same engine, through sends,
+    /// deliveries out of order, checkpoints, coordinated rounds, compactions
+    /// (some dropping checkpoints taken after the cached frontier), snapshot
+    /// round trips and a close and reopen; min and max answers equal the
+    /// fixpoints asked directly.
+    #[test]
+    fn recovery_line_cache_equals_a_fresh_descent() {
+        let mut seen = LineCases::default();
+        for seed in [3u64, 71, 1_999, 40_503] {
+            for n in 2..=5 {
+                let mut rng = Rng(seed.wrapping_mul(n as u64 + 7) | 1);
+                let mut s = StreamEngine::new(n);
+                let mut in_flight: Vec<u32> = Vec::new();
+                for _ in 0..500 {
+                    match rng.below(40) {
+                        0..=7 => {
+                            let process = rng.below(n);
+                            s.ingest_event(&EventKind::Checkpoint { process }).unwrap();
+                        }
+                        8..=17 => {
+                            let (from, to) = (rng.below(n), rng.below(n));
+                            let Reply::Message(mid) =
+                                s.ingest_event(&EventKind::Send { from, to }).unwrap()
+                            else {
+                                panic!("a send is answered with its handle");
+                            };
+                            if rng.below(8) != 0 {
+                                in_flight.push(mid);
+                            }
+                        }
+                        18..=26 if !in_flight.is_empty() => {
+                            let message = in_flight.swap_remove(rng.below(in_flight.len()));
+                            s.ingest_event(&EventKind::Deliver { message }).unwrap();
+                        }
+                        27..=30 => {
+                            note_case(&s, &mut seen);
+                            let fresh = fresh_line(&s);
+                            let process = rng.below(n);
+                            let reply = s.ingest_event(&EventKind::Crash { process }).unwrap();
+                            let Reply::Crashed { line, .. } = reply else {
+                                panic!("a crash is answered with the line");
+                            };
+                            assert_eq!(line, fresh, "crash line");
+                        }
+                        31..=34 => {
+                            note_case(&s, &mut seen);
+                            let fresh = fresh_line(&s);
+                            let reply = s.answer_query(&QueryKind::RecoveryLine).unwrap();
+                            assert_eq!(reply, Reply::Line(fresh), "recovery line");
+                        }
+                        35 => {
+                            let p = rng.below(n);
+                            let last = s.engine.last_checkpoint_index(ProcessId::new(p));
+                            let index = rng.below(last as usize + 1) as u32;
+                            let member = [CheckpointId::new(ProcessId::new(p), index)];
+                            let retained = s.engine.retained_from()[p];
+                            let (min, max) = (
+                                s.engine.min_consistent_containing(&member),
+                                s.engine.max_consistent_containing(&member),
+                            );
+                            let as_reply = |gc: Option<rdt_rgraph::GlobalCheckpoint>| {
+                                Ok(Reply::Global(gc.map(|gc| gc.as_slice().to_vec())))
+                            };
+                            let members = vec![(p, index)];
+                            let asked = QueryKind::MinConsistent(members.clone());
+                            assert_eq!(s.answer_query(&asked), as_reply(min), "min, {retained}");
+                            let asked = QueryKind::MaxConsistent(members);
+                            assert_eq!(s.answer_query(&asked), as_reply(max), "max");
+                        }
+                        36 => {
+                            // A coordinated round: every message delivered,
+                            // every process checkpointed twice, so the line
+                            // moves past the cached frontier, and compacted.
+                            for message in in_flight.drain(..) {
+                                s.ingest_event(&EventKind::Deliver { message }).unwrap();
+                            }
+                            for _ in 0..2 {
+                                for process in 0..n {
+                                    s.ingest_event(&EventKind::Checkpoint { process }).unwrap();
+                                }
+                            }
+                            s.compact();
+                        }
+                        37 => {
+                            s.compact();
+                        }
+                        38 => {
+                            let mut text = Vec::new();
+                            s.write_stream_snapshot("tenant", &mut JsonWriter::new(&mut text));
+                            let mut r = JsonReader::new(&text);
+                            let tables = StreamEngine::read_stream_snapshot(&mut r).unwrap();
+                            let (_, restored) = StreamEngine::from_stream_tables(tables).unwrap();
+                            assert!(restored.line.is_none(), "a restored stream has no line");
+                            s = restored;
+                            seen.restored += 1;
+                        }
+                        39 if rng.below(4) == 0 => {
+                            s = StreamEngine::new(n);
+                            in_flight.clear();
+                            seen.reopened += 1;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert!(
+            [
+                seen.kept,
+                seen.moved,
+                seen.undecided,
+                seen.restored,
+                seen.reopened
+            ]
+            .iter()
+            .all(|&count| count > 0),
+            "{seen:?}"
         );
     }
 
