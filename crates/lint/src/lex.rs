@@ -54,11 +54,6 @@ impl Token {
         src.get(self.lo..self.hi).unwrap_or("")
     }
 
-    /// Whether this is a punct token for exactly `ch`.
-    pub fn is_punct(&self, src: &str, ch: char) -> bool {
-        self.kind == TokKind::Punct && self.text(src) == ch.to_string().as_str()
-    }
-
     /// Whether this is an ident token with exactly this text.
     pub fn is_ident(&self, src: &str, text: &str) -> bool {
         self.kind == TokKind::Ident && self.text(src) == text

@@ -7,17 +7,18 @@
 //! *between* checkpoints `k-1` and `k`, so `Pattern::interval_of` is
 //! **1-based** — a delivery can never sit in an "interval 0" (there is no
 //! execution before the initial checkpoint `C_0`). The orphan-descent step
-//! `line[q] = deliver.index - 1` therefore bottoms out at the initial
-//! checkpoint `0` and cannot underflow on a valid [`Pattern`]. What *could*
-//! abort a long sweep was a [`Failure`] naming an out-of-range process,
-//! which panicked deep inside the descent; the fallible entry points
-//! ([`try_recovery_line`], [`try_lost_messages`], [`try_analyze`]) report
-//! that as a [`RecoveryError`] instead.
+//! of [`recovery_line_naive`] and of the descent [`try_recovery_line`]
+//! hands to `rdt-rgraph` (`line[q] = deliver - 1`) therefore bottoms out at
+//! the initial checkpoint `0` and cannot underflow on a valid [`Pattern`].
+//! What *could* abort a long sweep is a [`Failure`] naming an out-of-range
+//! process; the fallible entry points ([`try_recovery_line`],
+//! [`try_lost_messages`], [`try_analyze`]) report that as a
+//! [`RecoveryError`] instead of panicking.
 
 use std::fmt;
 
 use rdt_causality::ProcessId;
-use rdt_rgraph::{consistency, GlobalCheckpoint, Pattern, PatternMessageId};
+use rdt_rgraph::{consistency, min_max, GlobalCheckpoint, Pattern, PatternMessageId};
 
 /// A failure: the process loses its volatile state and can resume from any
 /// checkpoint with index `≤ resume_cap` (its stable checkpoints).
@@ -96,21 +97,17 @@ impl std::error::Error for RecoveryError {}
 /// precisely this fixpoint descending far below the failure (possibly all
 /// the way to the initial states).
 ///
-/// The descent runs a worklist seeded from the processes whose line entry
-/// can already orphan one of their sends (the capped failures, plus
-/// senders with messages leaving the open interval past their last
-/// checkpoint); each entry only ever decreases, so the scan touches a
-/// sender's messages only when its entry actually moved instead of
-/// rescanning every delivered message per round. [`recovery_line_naive`]
-/// keeps the textbook full-rescan fixpoint as a differential oracle.
+/// The failures become caps (the lowest one wins where a process fails
+/// twice) for [`min_max::max_consistent_dominated`], the incremental
+/// engine's descent run on the pattern's own message table: each send
+/// above the line is examined once. [`recovery_line_naive`] keeps the
+/// textbook full-rescan fixpoint as a differential oracle.
 pub fn try_recovery_line(
     pattern: &Pattern,
     failures: &[Failure],
 ) -> Result<GlobalCheckpoint, RecoveryError> {
     let n = pattern.num_processes();
-    let mut line: Vec<u32> = (0..n)
-        .map(|i| pattern.last_checkpoint_index(ProcessId::new(i)))
-        .collect();
+    let mut caps = vec![u32::MAX; n];
     for failure in failures {
         let i = failure.process.index();
         if i >= n {
@@ -119,43 +116,9 @@ pub fn try_recovery_line(
                 num_processes: n,
             });
         }
-        line[i] = line[i].min(failure.resume_cap);
+        caps[i] = caps[i].min(failure.resume_cap);
     }
-
-    // Per-sender index: (send interval, receiver, deliver interval).
-    let mut by_sender: Vec<Vec<(u32, usize, u32)>> = vec![Vec::new(); n];
-    for (_, send, deliver) in pattern.delivered_messages() {
-        by_sender[send.process.index()].push((send.index, deliver.process.index(), deliver.index));
-    }
-
-    let mut queued = vec![false; n];
-    let mut work: Vec<usize> = Vec::with_capacity(n);
-    for p in 0..n {
-        if by_sender[p].iter().any(|&(send, _, _)| send > line[p]) {
-            queued[p] = true;
-            work.push(p);
-        }
-    }
-    while let Some(p) = work.pop() {
-        queued[p] = false;
-        for &(send, q, deliver) in &by_sender[p] {
-            // Read both entries fresh each step: lowering line[q] inside
-            // this scan must be visible to the remaining messages.
-            if send > line[p] && deliver <= line[q] {
-                // Intervals are 1-based, so deliver >= 1: the receiver
-                // lands on checkpoint deliver - 1, at worst its initial
-                // checkpoint 0.
-                debug_assert!(deliver >= 1, "delivery in a nonexistent interval 0");
-                line[q] = deliver - 1;
-                if !queued[q] {
-                    queued[q] = true;
-                    work.push(q);
-                }
-            }
-        }
-    }
-
-    let line = GlobalCheckpoint::new(line);
+    let line = min_max::max_consistent_dominated(pattern, &caps);
     debug_assert!(consistency::is_consistent(pattern, &line));
     #[cfg(test)]
     assert!(
@@ -179,8 +142,8 @@ pub fn recovery_line(pattern: &Pattern, failures: &[Failure]) -> GlobalCheckpoin
 
 /// The textbook fixpoint: rescan *every* delivered message until a full
 /// round changes nothing. O(messages × descent-steps); kept public as the
-/// reference implementation the worklist version is differentially tested
-/// against.
+/// reference implementation [`try_recovery_line`]'s descent is
+/// differentially tested against.
 pub fn recovery_line_naive(pattern: &Pattern, failures: &[Failure]) -> GlobalCheckpoint {
     let n = pattern.num_processes();
     let mut line = GlobalCheckpoint::new(

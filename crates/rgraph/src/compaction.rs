@@ -125,10 +125,12 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     pub fn compact_to(&mut self, caps: &[u32]) -> CompactionStats {
         assert_eq!(caps.len(), self.n, "caps length");
         // Effective watermark: consistent, monotone, within the pattern.
-        let mut w: Vec<u32> = (0..self.n)
-            .map(|p| caps[p].max(self.watermark[p]).min(self.cp_count[p]))
+        let mut w: Vec<u32> = caps
+            .iter()
+            .zip(&self.watermark)
+            .map(|(&c, &w)| c.max(w))
             .collect();
-        descend_to_consistent(&self.msgs, &self.send_events, &mut w);
+        self.descend_from_caps(&mut w);
         self.compact_below(w).0
     }
 
@@ -137,8 +139,8 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// ([`compact_to`](IncrementalAnalysis::compact_to) with the last
     /// checkpoint of every process as caps).
     pub fn compact_to_recovery_line(&mut self) -> CompactionStats {
-        let mut w = vec![0u32; self.n];
-        self.recovery_line_into(&mut w);
+        let mut w = self.cp_count.clone();
+        descend_to_consistent(&self.msgs, &self.send_events, &mut w);
         self.compact_below(w).0
     }
 

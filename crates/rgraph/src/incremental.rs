@@ -124,7 +124,7 @@ pub type RewindableAnalysis = IncrementalAnalysis<NoChains, UndoJournal>;
 /// rewindable — the certifier's engine.
 pub type FullAnalysis = IncrementalAnalysis<Chains, UndoJournal>;
 
-const NONE_U32: u32 = u32::MAX;
+pub(crate) const NONE_U32: u32 = u32::MAX;
 
 /// Stack words for closure-row scratch masks (spills to heap above
 /// `WORD_BITS * MASK_STACK_WORDS` closure nodes).
@@ -195,14 +195,14 @@ impl std::error::Error for AppendError {}
 /// transit).
 #[derive(Debug, Clone, Copy)]
 pub struct MsgRec {
-    from: u32,
-    to: u32,
-    send_iv: u32,
-    deliver_iv: u32,
+    pub(crate) from: u32,
+    pub(crate) to: u32,
+    pub(crate) send_iv: u32,
+    pub(crate) deliver_iv: u32,
     /// Row of this message's piggyback snapshot in `msg_tdv`
     /// ([`NONE_U32`] once compaction reclaims the row — only possible
     /// after delivery).
-    tdv_row: u32,
+    pub(crate) tdv_row: u32,
 }
 
 /// A growable square bit matrix: `nodes` rows of `width` words, row `u`
@@ -900,13 +900,13 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// returns whether one exists. Panics like the allocating form, and on
     /// a `gc` of the wrong length.
     pub fn max_consistent_containing_into(&self, members: &[CheckpointId], gc: &mut [u32]) -> bool {
-        gc.copy_from_slice(&self.cp_count);
+        gc.fill(u32::MAX);
         for &member in members {
             self.assert_member(member);
             let e = &mut gc[member.process.index()];
             *e = (*e).min(member.index);
         }
-        descend_to_consistent(&self.msgs, &self.send_events, gc);
+        self.descend_from_caps(gc);
         members.iter().all(|&m| gc[m.process.index()] == m.index)
     }
 
@@ -922,12 +922,18 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// # Panics
     /// If `caps` or `out` have a length other than the process count.
     pub fn max_consistent_dominated_into(&self, caps: &[u32], out: &mut [u32]) {
-        assert_eq!(caps.len(), self.n, "caps length");
-        out.copy_from_slice(&self.cp_count);
-        for (entry, &cap) in out.iter_mut().zip(caps) {
-            *entry = (*entry).min(cap);
+        out.copy_from_slice(caps);
+        self.descend_from_caps(out);
+    }
+
+    /// [`max_consistent_dominated_into`](IncrementalAnalysis::max_consistent_dominated_into)
+    /// in place: `line` holds the caps on entry and the line on return.
+    fn descend_from_caps(&self, line: &mut [u32]) {
+        assert_eq!(line.len(), self.n, "caps length");
+        for (entry, &last) in line.iter_mut().zip(&self.cp_count) {
+            *entry = (*entry).min(last);
         }
-        descend_to_consistent(&self.msgs, &self.send_events, out);
+        descend_to_consistent(&self.msgs, &self.send_events, line);
     }
 
     /// Allocating form of
@@ -937,18 +943,6 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         let mut line = vec![0; self.n];
         self.max_consistent_dominated_into(caps, &mut line);
         GlobalCheckpoint::new(line)
-    }
-
-    /// The engine's own recovery line, written into `out`:
-    /// [`max_consistent_dominated_into`](IncrementalAnalysis::max_consistent_dominated_into)
-    /// with the last checkpoint of every process as caps, without the
-    /// caller assembling that frontier first.
-    ///
-    /// # Panics
-    /// If `out` has a length other than the process count.
-    pub fn recovery_line_into(&self, out: &mut [u32]) {
-        out.copy_from_slice(&self.cp_count);
-        descend_to_consistent(&self.msgs, &self.send_events, out);
     }
 
     /// Routing and interval placement of message `mid` (its send-order
@@ -1443,7 +1437,7 @@ fn ascend_to_consistent(
 /// `3n` entries of scratch (on the stack up to `GC_STACK_ENTRIES`
 /// processes).
 #[inline(never)]
-fn descend_to_consistent(
+pub(crate) fn descend_to_consistent(
     msgs: &[MsgRec],
     send_events: &[Vec<(u32, u32)>],
     gc: &mut [u32],
@@ -2511,9 +2505,8 @@ mod tests {
             let mut gc = self.core.cp_count.clone();
             let line = self.descend(&mut gc);
             worst.recovery_line = worst.recovery_line.max(line);
-            let mut public = vec![0; self.core.n];
-            self.core.recovery_line_into(&mut public);
-            assert_eq!(gc, public);
+            let public = self.core.max_consistent_dominated(&self.core.cp_count);
+            assert_eq!(gc, public.as_slice());
 
             let members = self.members();
             let core = &self.core;

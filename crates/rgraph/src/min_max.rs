@@ -4,6 +4,7 @@
 use rdt_causality::{CheckpointId, ProcessId};
 
 use crate::consistency::{is_consistent, GlobalCheckpoint};
+use crate::incremental::{descend_to_consistent, MsgRec, NONE_U32};
 use crate::Pattern;
 
 /// Computes the **minimum** consistent global checkpoint containing every
@@ -137,6 +138,48 @@ pub fn max_consistent_containing(
     Some(gc)
 }
 
+/// Computes the **greatest** consistent global checkpoint dominated by
+/// `caps` (each entry clamped to its process's last checkpoint): the
+/// recovery line with `caps` as the failures' resume caps. It always exists.
+///
+/// One pass over `pattern.messages()` lays out the message table the
+/// incremental engine keeps, and the engine's own descent runs on it, so
+/// this equals [`crate::IncrementalAnalysis::max_consistent_dominated`]
+/// with no replay and no realizability check. [`max_consistent_containing`]
+/// is the textbook rescan it is held to.
+///
+/// # Panics
+///
+/// Panics if `caps` has a length other than the process count.
+pub fn max_consistent_dominated(pattern: &Pattern, caps: &[u32]) -> GlobalCheckpoint {
+    let n = pattern.num_processes();
+    assert_eq!(caps.len(), n, "caps length");
+    let mut send_events: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+    let msgs: Vec<MsgRec> = (pattern.messages().iter().zip(0u32..))
+        .map(|(m, mid)| {
+            let send_iv = pattern.interval_of(m.from, m.send_pos).index;
+            send_events[m.from.index()].push((send_iv, mid));
+            let interval_at = |pos| pattern.interval_of(m.to, pos).index;
+            MsgRec {
+                from: m.from.index() as u32,
+                to: m.to.index() as u32,
+                send_iv,
+                deliver_iv: m.deliver_pos.map_or(NONE_U32, interval_at),
+                tdv_row: NONE_U32,
+            }
+        })
+        .collect();
+    // A parsed pattern may number a sender's messages out of event order.
+    for sends in &mut send_events {
+        sends.sort_unstable();
+    }
+    let mut line: Vec<u32> = (caps.iter().enumerate())
+        .map(|(i, &cap)| cap.min(pattern.last_checkpoint_index(ProcessId::new(i))))
+        .collect();
+    descend_to_consistent(&msgs, &send_events, &mut line);
+    GlobalCheckpoint::new(line)
+}
+
 /// Computes the minimum consistent global checkpoint containing `members`
 /// through **R-graph reachability** instead of the orphan fixpoint: entry
 /// `j` is the largest `z` such that some member is reachable from
@@ -162,24 +205,6 @@ pub fn min_consistent_via_rgraph(
     crate::IncrementalAnalysis::from_pattern(pattern)
         .expect("pattern must be realizable")
         .min_consistent_via_rgraph(members)
-}
-
-/// [`min_consistent_via_rgraph`] off a shared [`crate::PatternAnalysis`] —
-/// reads its [`core`](crate::PatternAnalysis::core) instead of replaying
-/// the pattern again. Operates on the analysis's **closed** pattern (the
-/// two formulations agree on closed patterns; closing can only append
-/// trailing checkpoints).
-///
-/// # Panics
-///
-/// Panics if a member's checkpoint does not exist in the pattern, or if
-/// the pattern is unrealizable.
-pub fn min_consistent_via_rgraph_with(
-    analysis: &crate::PatternAnalysis,
-    members: &[CheckpointId],
-) -> Option<GlobalCheckpoint> {
-    let core = analysis.core().expect("pattern must be realizable");
-    core.min_consistent_via_rgraph(members)
 }
 
 /// Whether the set of checkpoints can be extended to a consistent global
@@ -313,12 +338,13 @@ mod tests {
     fn shared_analysis_variant_agrees() {
         let (pattern, _) = paper_figures::figure_1_with_handles();
         let analysis = crate::PatternAnalysis::new(&pattern);
+        let core = analysis.core().expect("pattern must be realizable");
         for i in 0..3 {
             for x in 0..=3u32 {
                 let member = [c(i, x)];
                 assert_eq!(
                     min_consistent_via_rgraph(&pattern, &member),
-                    min_consistent_via_rgraph_with(&analysis, &member),
+                    core.min_consistent_via_rgraph(&member),
                     "disagreement for {}",
                     member[0]
                 );

@@ -170,7 +170,7 @@ fn assert_r_paths_match_oracles(pattern: &Pattern) {
             );
         }
         assert_eq!(
-            min_max::min_consistent_via_rgraph_with(&analysis, &[a]),
+            core.min_consistent_via_rgraph(&[a]),
             min_max::min_consistent_containing(closed, &[a]),
             "min gc via R-graph {a}"
         );

@@ -359,14 +359,13 @@ impl Lockstep {
                 "dominated by {caps:?}"
             );
         }
-        let mut line = vec![0u32; n];
-        self.core.recovery_line_into(&mut line);
+        let line = self.core.max_consistent_dominated(&last);
         assert_eq!(
             line,
-            dominated_reference(&self.core, &last).as_slice(),
+            dominated_reference(&self.core, &last),
             "recovery line"
         );
-        self.check_line_cache(&line);
+        self.check_line_cache(line.as_slice());
     }
 }
 

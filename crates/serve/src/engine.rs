@@ -149,8 +149,8 @@ impl StreamEngine {
     /// by the current frontier. The last line answered is reused unless a
     /// checkpoint taken since it fits the frontier or is undecided
     /// ([`IncrementalAnalysis::any_fits_beyond`]); only then does the
-    /// descent run again. Either way the cache then holds for the current
-    /// frontier.
+    /// descent run again, with the current frontier as its caps. Either way
+    /// the cache then holds for that frontier.
     fn recovery_line(&mut self) -> Vec<u32> {
         let (engine, n) = (&self.engine, self.engine.num_processes());
         let stale = self
@@ -161,11 +161,11 @@ impl StreamEngine {
             .line
             .get_or_insert_with(|| vec![0; 2 * n].into_boxed_slice());
         let (line, frontier) = cache.split_at_mut(n);
-        if stale {
-            engine.recovery_line_into(line);
-        }
         for (p, last) in frontier.iter_mut().enumerate() {
             *last = engine.last_checkpoint_index(ProcessId::new(p));
+        }
+        if stale {
+            engine.max_consistent_dominated_into(frontier, line);
         }
         line.to_vec()
     }
@@ -473,11 +473,14 @@ mod tests {
         reopened: usize,
     }
 
-    /// The recovery line a fresh descent of the stream's engine gives.
+    /// The recovery line a fresh descent of the stream's engine gives: no
+    /// cap below any process's last checkpoint.
     fn fresh_line(s: &StreamEngine) -> Vec<u32> {
-        let mut line = vec![0; s.processes()];
-        s.engine.recovery_line_into(&mut line);
-        line
+        let uncapped = vec![u32::MAX; s.processes()];
+        s.engine
+            .max_consistent_dominated(&uncapped)
+            .as_slice()
+            .to_vec()
     }
 
     /// Notes which case the stream's next recovery line meets.

@@ -66,6 +66,7 @@
 use std::fs::{self, File};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -419,9 +420,16 @@ impl Server {
                 (Listener::Tcp(listener), Poke::Tcp(local))
             }
             Endpoint::Unix(path) => {
-                // A stale socket file from a previous run would make bind
-                // fail; the daemon owns the path, so clear it.
-                if path.exists() {
+                // A socket left by a previous run would make bind fail, so
+                // it is replaced; anything else at the path is not the
+                // daemon's to delete.
+                if let Ok(meta) = fs::symlink_metadata(path) {
+                    if !meta.file_type().is_socket() {
+                        let path = path.display();
+                        return Err(admin(format!(
+                            "binding {path}: not a socket, left as it is"
+                        )));
+                    }
                     let _ = fs::remove_file(path);
                 }
                 let listener = UnixListener::bind(path)
@@ -617,6 +625,45 @@ mod tests {
         conn.write_all(b"{\"op\":\"shutdown\"}\n").expect("write");
         reply.clear();
         reader.read_line(&mut reply).expect("read");
+        assert!(reply.contains("stopping"), "{reply}");
+        daemon.join().expect("daemon thread").expect("daemon run");
+    }
+
+    /// `--unix PATH` replaces a socket a previous run left at `PATH`, and
+    /// refuses to bind over anything else, leaving it intact: a snapshot
+    /// named by both `--unix` and `--snapshot` survives the boot.
+    #[test]
+    fn unix_bind_replaces_only_a_socket() {
+        let path = std::env::temp_dir().join(format!("rdt-serve-bind-{}", std::process::id()));
+        let config = || ServerConfig {
+            endpoint: Endpoint::Unix(path.clone()),
+            workers: 1,
+            snapshot_path: None,
+        };
+        fs::write(&path, b"not a socket\n").expect("write file");
+        let err = Server::bind(config())
+            .err()
+            .expect("a regular file is refused");
+        assert_eq!(err.kind, ErrorKind::Admin);
+        assert!(
+            err.message.contains(&*path.to_string_lossy()),
+            "{}",
+            err.message
+        );
+        assert_eq!(fs::read(&path).expect("file kept"), b"not a socket\n");
+        fs::remove_file(&path).expect("remove file");
+
+        drop(UnixListener::bind(&path).expect("stale socket"));
+        assert!(fs::symlink_metadata(&path)
+            .expect("left behind")
+            .file_type()
+            .is_socket());
+        let server = Server::bind(config()).expect("a stale socket is replaced");
+        let daemon = std::thread::spawn(move || server.run());
+        let mut conn = UnixStream::connect(&path).expect("connect unix");
+        conn.write_all(b"{\"op\":\"shutdown\"}\n").expect("write");
+        let mut reply = String::new();
+        BufReader::new(conn).read_line(&mut reply).expect("read");
         assert!(reply.contains("stopping"), "{reply}");
         daemon.join().expect("daemon thread").expect("daemon run");
     }
