@@ -238,61 +238,6 @@ impl LintReport {
     }
 }
 
-/// Blanks comments, string/char literals, and `#[cfg(test)]` items so
-/// lexical consumers only see production tokens. Newlines are preserved
-/// so line numbers survive. Built on the real lexer since v2, so raw
-/// strings at any hash depth, nested block comments, byte strings and
-/// byte literals are all blanked exactly (the pre-v2 scanner mis-blanked
-/// each of those).
-pub fn blank_source(source: &str) -> String {
-    let bytes = source.as_bytes();
-    let mut out: Vec<u8> = bytes
-        .iter()
-        .map(|&b| if b == b'\n' { b'\n' } else { b' ' })
-        .collect();
-    for tok in lex::lex(source) {
-        if matches!(tok.kind, lex::TokKind::Str | lex::TokKind::Char) {
-            continue;
-        }
-        out[tok.lo..tok.hi].copy_from_slice(&bytes[tok.lo..tok.hi]);
-    }
-
-    // Blank `#[cfg(test)]`-gated items (modules or single functions):
-    // from the attribute to the end of the item's brace block. Safe on
-    // the token-blanked text — strings and comments are gone.
-    let text = String::from_utf8_lossy(&out).into_owned();
-    let mut out = text.clone().into_bytes();
-    let mut search_from = 0;
-    while let Some(found) = text[search_from..].find("#[cfg(test)]") {
-        let attr_at = search_from + found;
-        let Some(open_rel) = text[attr_at..].find('{') else {
-            break;
-        };
-        let mut depth = 0usize;
-        let mut end = text.len();
-        for (offset, b) in text[attr_at + open_rel..].bytes().enumerate() {
-            match b {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = attr_at + open_rel + offset + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        for b in &mut out[attr_at..end] {
-            if *b != b'\n' {
-                *b = b' ';
-            }
-        }
-        search_from = end;
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
 /// Parses one source text and runs every per-file rule on it. Used by
 /// the fixture corpus tests; [`run_lint`] adds the whole-workspace
 /// call-graph rule on top.
@@ -441,53 +386,6 @@ mod tests {
 
     fn scan_file(path: &str, source: &str, diags: &mut Vec<Diagnostic>) {
         scan_source(path, source, diags);
-    }
-
-    #[test]
-    fn blanking_strips_comments_strings_and_tests() {
-        let source = r##"
-// HashMap in a comment
-fn f() {
-    let s = "HashMap in a string";
-    let r = r#"HashMap raw"#;
-    let c = '"';
-}
-#[cfg(test)]
-mod tests {
-    use std::collections::HashMap; // real, but test-only
-}
-"##;
-        let blanked = blank_source(source);
-        assert!(!blanked.contains("HashMap"), "{blanked}");
-        assert_eq!(blanked.lines().count(), source.lines().count());
-    }
-
-    #[test]
-    fn blanking_handles_raw_strings_at_depth() {
-        // Pre-v2 gap: `r##"…"##` closed early at the first `"#`.
-        let source = "let a = r##\"HashMap \"# still inside\"##; let keep = 1;";
-        let blanked = blank_source(source);
-        assert!(!blanked.contains("HashMap"), "{blanked}");
-        assert!(blanked.contains("keep"), "{blanked}");
-    }
-
-    #[test]
-    fn blanking_handles_nested_block_comments() {
-        let source = "/* outer /* HashMap inner */ tail HashMap */ let keep = 1;";
-        let blanked = blank_source(source);
-        assert!(!blanked.contains("HashMap"), "{blanked}");
-        assert!(blanked.contains("keep"), "{blanked}");
-    }
-
-    #[test]
-    fn blanking_handles_byte_strings_and_identifier_r_prefix() {
-        // Pre-v2 gaps: `b"…"`/`br"…"` mis-lexed, and an identifier
-        // ending in `r` before a string started a phantom raw string.
-        let source = "let a = b\"HashMap\"; let b = br#\"HashMap\"#; let xr = 1; let s = \"HashMap\"; let keep = xr;";
-        let blanked = blank_source(source);
-        assert!(!blanked.contains("HashMap"), "{blanked}");
-        assert!(blanked.contains("keep"), "{blanked}");
-        assert!(blanked.contains("xr"), "{blanked}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The lexer, parser, blanker and rule engine are *total*: no input —
+//! The lexer, parser and rule engine are *total*: no input —
 //! however malformed, unbalanced, or mid-UTF-8-exotic — may panic them.
 //! Random token soup (with raw-string openers, stray delimiters and
 //! multi-byte characters deliberately over-represented) exercises that.
@@ -95,13 +95,11 @@ proptest! {
                 src.push(' ');
             }
         }
-        // Lex → parse → blank must all be total…
+        // Lex → parse must be total…
         let toks = rdt_lint::lex::lex(&src);
         for t in &toks {
             prop_assert!(src.is_char_boundary(t.lo) && src.is_char_boundary(t.hi));
         }
-        let blanked = rdt_lint::blank_source(&src);
-        prop_assert_eq!(blanked.lines().count(), src.lines().count());
         // …and so must every rule, under the hottest scan paths.
         let mut diags = Vec::new();
         for path in [

@@ -1,10 +1,11 @@
 //! The chain layer of [`IncrementalAnalysis`]: the zigzag and causal
-//! message-chain closures, for the readers that compare the paper's three
-//! visible characterizations. The chain graphs are the compressed O(M + C)
-//! constructions of the batch [`ZigzagReachability`](crate::ZigzagReachability)
-//! (per-interval slot spines for zigzag links, per-process send spines for
-//! causal links), so closure work stays proportional to new reachability,
-//! not to the O(M²) direct link count.
+//! message-chain closures of characterization 2 and the chain queries (the
+//! core's `TDV`s decide characterization 3). The chain graphs are the
+//! compressed O(M + C) constructions of the batch
+//! [`ZigzagReachability`](crate::ZigzagReachability) (per-interval slot
+//! spines for zigzag links, per-process send spines for causal links), so
+//! closure work stays proportional to new reachability, not to the O(M²)
+//! direct link count.
 
 use super::*;
 
@@ -381,12 +382,6 @@ fn interval_range(events: &[(u32, u32)], x: u32) -> &[(u32, u32)] {
     &events[lo..hi]
 }
 
-/// Same-process forward dependencies need no doubling (Definition 3.3's
-/// first disjunct).
-fn trivially_trackable(from: CheckpointId, to: CheckpointId) -> bool {
-    from.process == to.process && from.index <= to.index
-}
-
 impl<J: Journal> IncrementalAnalysis<Chains, J> {
     /// The closure (`causal` selects `cmat` over `zmat`) and the message's
     /// node in it.
@@ -402,12 +397,12 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
         self.chains.recs[mid as usize][if causal { CNODE } else { ZNODE }]
     }
 
-    /// Message pairs `(a, b)` whose chain nodes both exist, with the nodes.
-    fn delivered(&self, causal: bool) -> impl Iterator<Item = (usize, &MsgRec, usize)> + '_ {
-        let nodes = (0..self.msgs.len()).map(move |mid| self.chain_node(causal, mid as u32));
-        (self.msgs.iter().zip(nodes).enumerate())
-            .filter(|(_, (_, node))| *node != NONE_U32)
-            .map(|(mid, (m, node))| (mid, m, node as usize))
+    /// Messages whose zigzag node exists, with the node.
+    fn delivered(&self) -> impl Iterator<Item = (&MsgRec, usize)> + '_ {
+        let nodes = (0..self.msgs.len()).map(|mid| self.chain_node(false, mid as u32));
+        (self.msgs.iter().zip(nodes))
+            .filter(|(_, node)| *node != NONE_U32)
+            .map(|(m, node)| (m, node as usize))
     }
 
     /// Runs `f` on the mask (in `zmat`/`cmat` column space, selected by
@@ -520,25 +515,32 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
 
     /// Characterization (2): every message chain is doubled by a causal
     /// chain. Identical verdict to
-    /// [`characterization::all_chains_doubled`]
-    /// (crate::characterization::all_chains_doubled) on the same pattern.
+    /// [`characterization::all_chains_doubled`](crate::characterization::all_chains_doubled).
     ///
-    /// After a [`compact_to`](IncrementalAnalysis::compact_to) the
-    /// verdict covers the chains headed strictly above the chain floors
-    /// (the retained sub-pattern); chains headed in the dropped prefix
-    /// are no longer examined.
+    /// After a [`compact_to`](IncrementalAnalysis::compact_to) the verdict
+    /// covers the chains headed strictly above the chain floor,
+    /// [`compaction_watermark`](IncrementalAnalysis::compaction_watermark),
+    /// as [`visible_holds`](IncrementalAnalysis::visible_holds) does. A
+    /// message sent at or below it but delivered after the compaction heads
+    /// no examined chain: its doublings may run through dropped nodes.
     pub fn all_chains_doubled(&self) -> bool {
         // Deduplicated by linear scan: patterns at certifiable scopes
         // yield a handful of distinct endpoint pairs at most.
         let mut checked: Vec<(CheckpointId, CheckpointId)> = Vec::new();
-        for (_, a, za) in self.delivered(false) {
+        for (a, za) in self.delivered() {
+            if a.send_iv <= self.watermark[a.from as usize] {
+                continue;
+            }
             let from = CheckpointId::new(ProcessId::new(a.from as usize), a.send_iv);
-            for (_, b, zb) in self.delivered(false) {
+            for (b, zb) in self.delivered() {
                 if !self.chains.zmat.fwd.bit(za, zb) {
                     continue;
                 }
                 let to = CheckpointId::new(ProcessId::new(b.to as usize), b.deliver_iv);
-                if trivially_trackable(from, to) || checked.contains(&(from, to)) {
+                // Same-process forward dependencies need no doubling
+                // (Definition 3.3's first disjunct).
+                let trivial = from.process == to.process && from.index <= to.index;
+                if trivial || checked.contains(&(from, to)) {
                     continue;
                 }
                 checked.push((from, to));
@@ -548,50 +550,5 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
             }
         }
         true
-    }
-
-    /// Characterization (3): every CM-path (causal prefix plus one zigzag
-    /// link) is doubled. Identical verdict to
-    /// [`characterization::all_cm_paths_doubled`]
-    /// (crate::characterization::all_cm_paths_doubled).
-    ///
-    /// After a [`compact_to`](IncrementalAnalysis::compact_to) the
-    /// verdict covers the CM-paths over retained messages only, like
-    /// [`all_chains_doubled`](IncrementalAnalysis::all_chains_doubled).
-    pub fn all_cm_paths_doubled(&self) -> bool {
-        for (mid, junction, cj) in self.delivered(true) {
-            for (b, tail, _) in self.delivered(true) {
-                // One zigzag link junction -> tail.
-                if mid == b || junction.to != tail.from || junction.deliver_iv > tail.send_iv {
-                    continue;
-                }
-                let to = CheckpointId::new(ProcessId::new(tail.to as usize), tail.deliver_iv);
-                let doubled = self.with_deliver_mask(true, to.process.index(), to.index, |mask| {
-                    self.delivered(true).all(|(_, head, ch)| {
-                        let from =
-                            CheckpointId::new(ProcessId::new(head.from as usize), head.send_iv);
-                        !self.chains.cmat.fwd.bit(ch, cj)
-                            || trivially_trackable(from, to)
-                            || self.any_send_row_intersects(
-                                true,
-                                head.from as usize,
-                                from.index,
-                                mask,
-                            )
-                    })
-                });
-                if !doubled {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Per-process chain-layer retention floor: chain queries are exact
-    /// for heads in intervals strictly above it. The floor of the chain
-    /// layer is the watermark of the last state-discarding compaction.
-    pub fn chain_floors(&self) -> &[u32] {
-        &self.watermark
     }
 }

@@ -230,11 +230,13 @@ mod tests {
     use crate::paper_figures;
     use crate::RdtChecker;
 
-    fn rdt_by_all_three(pattern: &Pattern) -> (bool, bool, bool) {
+    fn rdt_verdicts(pattern: &Pattern) -> (bool, bool, bool, bool) {
+        let closed = crate::IncrementalAnalysis::from_pattern(&pattern.to_closed());
         (
             RdtChecker::new(pattern).check().holds(),
             all_chains_doubled(pattern),
             all_cm_paths_doubled(pattern),
+            closed.expect("realizable").visible_holds(),
         )
     }
 
@@ -255,10 +257,11 @@ mod tests {
             ),
             ("figure_4_broken", paper_figures::figure_4_broken(), true),
         ] {
-            let (r, chains, cm) = rdt_by_all_three(&pattern);
+            let (r, chains, cm, visible) = rdt_verdicts(&pattern);
             assert_eq!(r, expected, "{name}: RdtChecker");
             assert_eq!(chains, expected, "{name}: all_chains_doubled");
             assert_eq!(cm, expected, "{name}: all_cm_paths_doubled");
+            assert_eq!(visible, expected, "{name}: visible_holds");
         }
     }
 

@@ -261,7 +261,8 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     }
 
     /// The consistent watermark of the last compaction (all zeros before
-    /// the first).
+    /// the first), also the chain floor: chain queries and both visible
+    /// verdicts examine only what is headed strictly above it.
     pub fn compaction_watermark(&self) -> &[u32] {
         &self.watermark
     }

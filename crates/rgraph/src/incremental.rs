@@ -14,17 +14,20 @@
 //! is visible on the fly: R-graph reachability is read off the `TDV` a
 //! checkpoint already carries. The other two visible characterizations
 //! (every message chain causally doubled, every CM-path doubled) are
-//! *equivalent statements*, so only a reader that compares the three needs
-//! all three maintained. The engine is therefore composed **by type**,
+//! *equivalent statements*. The CM-path one is read off the `TDV`s too;
+//! only a reader that compares all three needs the chain closures. The
+//! engine is therefore composed **by type**,
 //! `IncrementalAnalysis<C, J>`, and a reader pays for the layers it names:
 //!
 //! * the **core** (this module, `compaction.rs`, `snapshot.rs`), always
 //!   present: the R-graph closure, the message table, the `TDV` snapshots,
-//!   the running untrackable-pair count, the consistency oracles,
-//!   compaction and snapshots.
+//!   the running untrackable-pair count, the CM-path check
+//!   ([`visible_violations`](IncrementalAnalysis::visible_violations)),
+//!   the consistency oracles, compaction and snapshots.
 //! * the **chain layer** `C` (`chain_layer.rs`): [`Chains`] maintains the
-//!   zigzag and causal chain closures and is the only instantiation with
-//!   the chain queries; [`NoChains`] is zero-sized and pushes no node.
+//!   zigzag and causal chain closures for characterization 2 and is the
+//!   only instantiation with the chain queries; [`NoChains`] is zero-sized
+//!   and pushes no node.
 //! * the **journal layer** `J` (`journal.rs`): [`UndoJournal`] records
 //!   every mutation and is the only instantiation with `mark` / `rewind` /
 //!   `with_closed`; [`NoJournal`] is zero-sized and records nothing. It is
@@ -120,8 +123,8 @@ pub use snapshot::{
 /// only — the simulator's online probe.
 pub type RewindableAnalysis = IncrementalAnalysis<NoChains, UndoJournal>;
 
-/// Core + chains + journal: all three visible characterizations,
-/// rewindable — the certifier's engine.
+/// Core + chains + journal: the chain characterization beside the core's
+/// two, rewindable — the certifier's engine.
 pub type FullAnalysis = IncrementalAnalysis<Chains, UndoJournal>;
 
 pub(crate) const NONE_U32: u32 = u32::MAX;
@@ -461,7 +464,8 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     /// Per-process consistent watermark of the last state-discarding
     /// compaction (all zeros before the first). Monotone componentwise;
     /// also the chain layer's retention floor: messages sent in an
-    /// interval `≤ watermark[p]` had their chain nodes dropped.
+    /// interval `≤ watermark[p]` and delivered by then had their chain
+    /// nodes dropped, and no chain headed there is examined again.
     watermark: Vec<u32>,
     /// First retained checkpoint index per process: `cp_nodes[p][k]` is
     /// the R-node of `C_{p, cp_base[p] + k}`.
@@ -821,6 +825,42 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
                 sources.map(move |i| (CheckpointId::new(ProcessId::new(p), i), to))
             })
         })
+    }
+
+    /// `TDV_p^x`, the vector saved with `checkpoint = C_{p,x}` (owner entry
+    /// `x`); `None` where the checkpoint is not taken or was compacted away.
+    pub fn checkpoint_tdv(&self, checkpoint: CheckpointId) -> Option<&[u32]> {
+        let p = checkpoint.process.index();
+        let k = checkpoint.index.checked_sub(*self.cp_base.get(p)?)?;
+        let &node = self.cp_nodes[p].get(k as usize)?;
+        Some(&self.cp_tdv[node as usize * self.n..][..self.n])
+    }
+
+    /// Characterization 3 read off the `TDV`s: the `(message, lane)` pairs,
+    /// by handle then lane, where a message sent in `I_{k,s}` and delivered
+    /// in `I_{j,y}` has `TDV_k^s[i] > TDV_j^y[i]`. On a closed pattern there
+    /// are none iff RDT holds (`docs/THEORY.md` § 2). A message in transit,
+    /// in an open interval or with a closing checkpoint compacted away is
+    /// skipped. After a compaction a lane-`i` pair
+    /// counts only above the chain floor, `TDV_k^s[i] >
+    /// compaction_watermark()[i]`: its R-path is headed in the kept suffix.
+    pub fn visible_violations(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        let tdv = |p: u32, x| self.checkpoint_tdv(CheckpointId::new(ProcessId::new(p as usize), x));
+        (0..self.msgs.len() as u32).flat_map(move |mid| {
+            let m = &self.msgs[mid as usize];
+            let closed = tdv(m.from, m.send_iv).zip(tdv(m.to, m.deliver_iv));
+            closed.into_iter().flat_map(move |(sent, got)| {
+                let lanes = sent.iter().zip(got).zip(&self.watermark).enumerate();
+                let broken = lanes.filter(|(_, ((&s, &g), &w))| s > g && s > w);
+                broken.map(move |(i, _)| (mid, i))
+            })
+        })
+    }
+
+    /// Whether [`visible_violations`](IncrementalAnalysis::visible_violations)
+    /// is empty: the certifier's CM-path verdict.
+    pub fn visible_holds(&self) -> bool {
+        self.visible_violations().next().is_none()
     }
 
     /// Popcount of the R-graph reachability closure (reflexive pairs
@@ -1654,10 +1694,27 @@ mod tests {
                 "chains doubled"
             );
             assert_eq!(
-                view.all_cm_paths_doubled(),
+                view.visible_holds(),
                 all_cm_paths_doubled_with(&analysis),
                 "cm paths doubled"
             );
+            // The violating pairs themselves, off the replayed `TDV`s.
+            let closing = |iv: rdt_causality::IntervalId| {
+                annotations.tdv(CheckpointId::new(iv.process, iv.index))
+            };
+            let visible: Vec<_> = (0..closed.num_messages())
+                .filter_map(|m| {
+                    let id = crate::PatternMessageId(m);
+                    let got = closing(closed.deliver_interval(id)?);
+                    Some((m as u32, closing(closed.send_interval(id)), got))
+                })
+                .flat_map(|(mid, sent, got)| {
+                    let lanes = (0..closed.num_processes()).map(ProcessId::new);
+                    let broken = lanes.filter(move |&i| sent.get(i) > got.get(i));
+                    broken.map(move |i| (mid, i.index()))
+                })
+                .collect();
+            assert_eq!(view.visible_violations().collect::<Vec<_>>(), visible);
 
             for from in closed.checkpoints() {
                 assert_eq!(view.on_z_cycle(from), zz.on_z_cycle(from), "z-cycle {from}");
@@ -1726,6 +1783,121 @@ mod tests {
         b.deliver(bm_prime).unwrap();
         let pattern = b.build().unwrap();
         assert_matches_batch(&mut incr, &pattern);
+    }
+
+    #[test]
+    fn visible_violations_name_the_broken_lane() {
+        let closed_list = |incr: &mut RewindableAnalysis| {
+            incr.with_closed(|view| view.visible_violations().collect::<Vec<_>>())
+        };
+        // Figure 2's minimal witness `s0>1#0 d1#0 s2>0#1 d0#1`: after
+        // sending m0, p0 learns of I_{2,1}, which p1 never sees.
+        let mut incr = RewindableAnalysis::layered(3);
+        let m0 = incr.append_send(p(0), p(1));
+        incr.append_deliver(m0);
+        let m1 = incr.append_send(p(2), p(0));
+        incr.append_deliver(m1);
+        assert_eq!(closed_list(&mut incr), [(m0, 2)]);
+
+        // The receiver's own lane: p0 hears of I_{1,2} before closing the
+        // interval m was sent in, and p1 delivered m in I_{1,1}.
+        let mut incr = RewindableAnalysis::layered(2);
+        let m = incr.append_send(p(0), p(1));
+        incr.append_deliver(m);
+        incr.append_checkpoint(p(1));
+        let back = incr.append_send(p(1), p(0));
+        incr.append_deliver(back);
+        // In transit, p0's lane would read 2 > 1 against p1's last `TDV`.
+        incr.append_checkpoint(p(0));
+        incr.append_send(p(0), p(1));
+        assert_eq!(closed_list(&mut incr), [(m, 1)]);
+    }
+
+    /// After a compaction a violation counts only above the chain floor.
+    /// Figure 2's witness, closed and compacted to the closing checkpoints,
+    /// keeps both of m0's, but its R-path is headed at the watermark:
+    /// `TDV_0^1[2] = 1`.
+    #[test]
+    fn compacted_violations_count_above_the_chain_floor() {
+        let mut incr = IncrementalAnalysis::new(3);
+        let m0 = incr.append_send(p(0), p(1));
+        incr.append_deliver(m0);
+        let m1 = incr.append_send(p(2), p(0));
+        incr.append_deliver(m1);
+        for q in 0..3 {
+            incr.append_checkpoint(p(q));
+        }
+        assert_eq!(incr.visible_violations().collect::<Vec<_>>(), [(m0, 2)]);
+        assert!(incr.compact_to(&[1, 1, 1]).discarded_state());
+        let sent = incr.checkpoint_tdv(CheckpointId::new(p(0), 1));
+        assert_eq!(sent, Some(&[1, 0, 1][..]), "retained");
+        assert!(incr.visible_holds());
+        assert!(
+            !incr.rdt_holds(),
+            "the count still covers the whole history"
+        );
+    }
+
+    /// Self-sends, which the engine accepts and `PatternBuilder` refuses,
+    /// break no lane: their R-edges stay on one process, where `TDV` only
+    /// rises.
+    #[test]
+    fn self_sends_break_no_lane() {
+        let mut incr = RewindableAnalysis::layered(2);
+        let across = incr.append_send(p(0), p(0));
+        incr.append_checkpoint(p(0));
+        incr.append_deliver(across);
+        let within = incr.append_send(p(0), p(0));
+        incr.append_deliver(within);
+        incr.append_send(p(1), p(1));
+        incr.append_checkpoint(p(1));
+        assert!(incr.with_closed(|view| view.visible_holds() && view.rdt_holds()));
+    }
+
+    /// Each violation `(m, i)` names the untrackable R-path `C_{i,x} →*
+    /// C_{k,s} → C_{j,y}`, `x = TDV_k^s[i]` (THEORY § 2, ⇒), and there is
+    /// one wherever RDT fails (⇐). Self-sends, which the engine accepts and
+    /// `PatternBuilder` refuses, are in the mix (all sends at `n` = 1).
+    #[test]
+    fn visible_violations_witness_untrackable_paths() {
+        let mut rng = Rng(0x5E1F);
+        let mut self_sends = 0;
+        for n in 1..5 {
+            let mut incr = RewindableAnalysis::layered(n);
+            let mut in_flight = Vec::new();
+            for _ in 0..150 {
+                match rng.below(4) {
+                    0 => {
+                        incr.append_checkpoint(p(rng.below(n)));
+                    }
+                    1 | 2 => {
+                        let (from, to) = (rng.below(n), rng.below(n));
+                        self_sends += usize::from(from == to);
+                        in_flight.push(incr.append_send(p(from), p(to)));
+                    }
+                    _ if !in_flight.is_empty() => {
+                        let i = rng.below(in_flight.len());
+                        incr.append_deliver(in_flight.swap_remove(i));
+                    }
+                    _ => {}
+                }
+                incr.with_closed(|view| {
+                    let cells: Vec<_> = view.untrackable_cells().collect();
+                    assert_eq!(view.visible_holds(), cells.is_empty(), "verdict");
+                    for (mid, i) in view.visible_violations() {
+                        let r = view.message_route(mid);
+                        let sent = CheckpointId::new(r.from, r.send_interval);
+                        let head = CheckpointId::new(p(i), view.checkpoint_tdv(sent).unwrap()[i]);
+                        let to = CheckpointId::new(r.to, r.deliver_interval.unwrap());
+                        assert!(
+                            cells.contains(&(head, to)),
+                            "{mid} lane {i}: {head} -> {to}"
+                        );
+                    }
+                });
+            }
+        }
+        assert!(self_sends > 50, "{self_sends} self-sends");
     }
 
     #[test]

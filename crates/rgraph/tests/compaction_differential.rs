@@ -12,7 +12,9 @@
 //! 2. **Live-suffix exactness** — `reaches`, the R-graph minimum-GC
 //!    oracle, chain/doubling/Z-path queries and the message closures
 //!    agree with the control on retained checkpoints and live-headed
-//!    chains.
+//!    chains, and the visible `TDV` violations on messages whose closing
+//!    checkpoints are retained, above the floor; the closed view's chain
+//!    verdict agrees with the visible one.
 //! 3. **Defined rewind failure** — rewinding to a mark taken before a
 //!    state-discarding compaction reports
 //!    [`RewindError::CompactionBoundary`] and leaves the engine intact;
@@ -180,7 +182,7 @@ fn assert_compacted_equivalent(comp: &mut FullAnalysis, ctrl: &mut FullAnalysis)
 
     // Live suffix: chain-layer queries for heads strictly above the
     // chain floor, against arbitrary (even dropped) targets.
-    let floor = comp.chain_floors().to_vec();
+    let floor = comp.compaction_watermark().to_vec();
     let live_headed: Vec<CheckpointId> = everything
         .iter()
         .copied()
@@ -232,6 +234,26 @@ fn assert_compacted_equivalent(comp: &mut FullAnalysis, ctrl: &mut FullAnalysis)
             );
         }
     }
+
+    // Live suffix: characterization 3 on the closed views. The compacted
+    // engine lists the control's violations whose closing checkpoints it
+    // retains and whose sender `TDV` lane sits above its floor.
+    let retained = |c: CheckpointId| c.index >= base[c.process.index()];
+    let ours: Vec<_> = comp.with_closed(|v| v.visible_violations().collect());
+    let theirs: Vec<_> = ctrl.with_closed(|v| {
+        let kept = |&(mid, i): &(u32, usize)| {
+            let r = v.message_route(mid);
+            let sent = cp(r.from.index(), r.send_interval);
+            let got = cp(r.to.index(), r.deliver_interval.expect("delivered"));
+            let above = v.checkpoint_tdv(sent).expect("taken")[i] > floor[i];
+            retained(sent) && retained(got) && above
+        };
+        v.visible_violations().filter(kept).collect()
+    });
+    assert_eq!(ours, theirs, "visible violations");
+    // So the chain verdict, over chains headed above the floor, agrees.
+    let chains = comp.with_closed(|v| v.all_chains_doubled());
+    assert_eq!(ours.is_empty(), chains, "compacted verdicts");
 
     // Compaction is the memory lever: the compacted engine never holds
     // more closure rows than the control.

@@ -163,7 +163,7 @@ fn assert_equivalent(incr: &mut FullAnalysis, pattern: &Pattern) {
             "chains doubled"
         );
         assert_eq!(
-            view.all_cm_paths_doubled(),
+            view.visible_holds(),
             all_cm_paths_doubled_with(&analysis),
             "cm paths doubled"
         );
@@ -241,7 +241,7 @@ fn digest(incr: &mut FullAnalysis) -> (u64, usize, bool, bool, bool) {
             view.total_reachable_pairs(),
             view.rdt_holds(),
             view.all_chains_doubled(),
-            view.all_cm_paths_doubled(),
+            view.visible_holds(),
         )
     })
 }

@@ -401,7 +401,7 @@ fn full_answers(engine: &mut FullAnalysis) -> String {
             "{} {} {}",
             view.rdt_holds(),
             view.all_chains_doubled(),
-            view.all_cm_paths_doubled()
+            view.visible_holds()
         )
     });
     format!("{} {verdicts}", answers(engine))

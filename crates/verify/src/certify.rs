@@ -7,7 +7,9 @@
 //!    trackability, doubled message chains, doubled causal-message
 //!    paths) are evaluated on the replayed pattern; they must agree with
 //!    each other on *every* pattern, and must all hold for protocols
-//!    that claim RDT.
+//!    that claim RDT. The third is the paper's visible form: every
+//!    delivered message's sender `TDV` is at most its receiver's, lane
+//!    by lane, at the checkpoints closing the two intervals.
 //! 2. **Predicate conformance** — the protocol's forcing decisions match
 //!    an independent re-evaluation of its predicate
 //!    (see [`crate::replay`]).
@@ -480,11 +482,13 @@ enum RecordVerdict {
 /// every stream-level theory check into `verdict`. Returns the ops
 /// appended to the engine.
 ///
-/// All theory checks run on the session's incremental engine: the RDT
-/// verdict and untrackable count are maintained online, the chain/CM
-/// characterizations and GC oracles are evaluated on the temporarily
-/// closed state. Results are identical to a from-scratch batch analysis
-/// (held to it by the differential suite in `rdt-rgraph`).
+/// All theory checks run on the session's incremental engine, on the
+/// temporarily closed state, and read three independent sources: the RDT
+/// verdict and untrackable count off the `reach` vectors, characterization
+/// 2 off the chain closures, characterization 3 off the `TDV`s alone (no
+/// message of it may have `TDV_k^s > TDV_j^y` in a lane), and the GC
+/// oracles. Results are identical to a from-scratch batch analysis (held
+/// to it by the differential suite in `rdt-rgraph`).
 fn compute_verdict(session: &mut CertSession, verdict: &mut ScheduleVerdict) -> u64 {
     let appended = session.load_run();
     let CertSession {
@@ -497,7 +501,7 @@ fn compute_verdict(session: &mut CertSession, verdict: &mut ScheduleVerdict) -> 
     incr.with_closed(|view| {
         let rpaths_ok = view.rdt_holds();
         let chains_ok = view.all_chains_doubled();
-        let cm_ok = view.all_cm_paths_doubled();
+        let cm_ok = view.visible_holds();
         verdict.rpaths_ok = rpaths_ok;
         if rpaths_ok != chains_ok || rpaths_ok != cm_ok {
             verdict.chars_note = Some(format!(

@@ -4,8 +4,18 @@
 //! every R-path).
 
 use rdt::theory::characterization::{all_chains_doubled, all_cm_paths_doubled};
+use rdt::theory::IncrementalAnalysis;
 use rdt::workloads::EnvironmentKind;
-use rdt::{run_protocol_kind, ProtocolKind, RdtChecker, SimConfig, StopCondition};
+use rdt::{run_protocol_kind, Pattern, ProtocolKind, RdtChecker, SimConfig, StopCondition};
+
+/// Characterization 3 in its visible form: the closed pattern replayed
+/// into the core, every message's two closing `TDV`s compared.
+fn visible_holds(pattern: &Pattern) -> bool {
+    let closed = pattern.to_closed();
+    IncrementalAnalysis::from_pattern(&closed)
+        .expect("realizable")
+        .visible_holds()
+}
 
 fn small_config(seed: u64, messages: u64) -> SimConfig {
     SimConfig::new(4)
@@ -39,6 +49,11 @@ fn characterizations_agree_on_generated_patterns() {
                 let by_rpaths = RdtChecker::new(&pattern).check().holds();
                 let by_chains = all_chains_doubled(&pattern);
                 let by_cm = all_cm_paths_doubled(&pattern);
+                assert_eq!(
+                    by_cm,
+                    visible_holds(&pattern),
+                    "{protocol} in {env} (seed {seed}): CM-path check vs the visible TDV test"
+                );
                 assert_eq!(
                     by_rpaths, by_chains,
                     "{protocol} in {env} (seed {seed}): R-path vs chain characterizations differ"
@@ -74,5 +89,6 @@ fn cm_check_is_not_weaker_on_paper_counterexamples() {
         assert!(!RdtChecker::new(&pattern).check().holds());
         assert!(!all_chains_doubled(&pattern));
         assert!(!all_cm_paths_doubled(&pattern));
+        assert!(!visible_holds(&pattern));
     }
 }

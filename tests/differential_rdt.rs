@@ -10,7 +10,9 @@
 //! 2. every message chain causally doubled
 //!    ([`rdt::theory::characterization::all_chains_doubled`]),
 //! 3. every visible CM-path causally doubled
-//!    ([`rdt::theory::characterization::all_cm_paths_doubled`]).
+//!    ([`rdt::theory::characterization::all_cm_paths_doubled`]), which on
+//!    a closed pattern is each message's sender `TDV` bounded by its
+//!    receiver's ([`rdt::theory::IncrementalAnalysis::visible_holds`]).
 //!
 //! These tests run random workloads through the simulator and check (a)
 //! the protocols' claim under all three characterizations, and (b) that
@@ -43,6 +45,11 @@ fn run_pattern(
         .to_pattern()
 }
 
+/// The visible `TDV` test on the analysis's core (its closed pattern).
+fn visible_holds(analysis: &PatternAnalysis) -> bool {
+    analysis.core().expect("realizable").visible_holds()
+}
+
 /// The fixed seed corpus: small but diverse — every environment, several
 /// seeds, two system sizes. Deliberately deterministic so a regression
 /// here is immediately reproducible.
@@ -68,6 +75,7 @@ fn online_protocols_satisfy_all_three_characterizations_on_corpus() {
                 all_cm_paths_doubled_with(&analysis),
                 "{label}: some CM-path is undoubled"
             );
+            assert!(visible_holds(&analysis), "{label}: visible TDV test");
         }
     }
 }
@@ -89,6 +97,11 @@ fn characterizations_agree_even_on_non_rdt_controls() {
             let label = format!("{protocol} in {env} (n={n}, seed={seed})");
             assert_eq!(r, chains, "{label}: checker vs chains");
             assert_eq!(chains, cm, "{label}: chains vs CM-paths");
+            assert_eq!(
+                cm,
+                visible_holds(&analysis),
+                "{label}: CM-paths vs TDV test"
+            );
             if r {
                 holds += 1;
             } else {
@@ -167,6 +180,7 @@ proptest! {
             let cm = all_cm_paths_doubled_with(&analysis);
             prop_assert_eq!(r, chains, "{} {} seed={}", protocol, env, seed);
             prop_assert_eq!(chains, cm, "{} {} seed={}", protocol, env, seed);
+            prop_assert_eq!(cm, visible_holds(&analysis), "{} {} seed={}", protocol, env, seed);
         }
     }
 }

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use rdt::theory::characterization::{all_chains_doubled, all_cm_paths_doubled};
-use rdt::theory::{consistency, min_max};
+use rdt::theory::{consistency, min_max, IncrementalAnalysis};
 use rdt::{
     CheckpointId, Pattern, PatternBuilder, ProcessId, RdtChecker, Replay, ZigzagReachability,
 };
@@ -73,8 +73,10 @@ proptest! {
         let by_rpaths = RdtChecker::new(&pattern).check().holds();
         let by_chains = all_chains_doubled(&pattern);
         let by_cm = all_cm_paths_doubled(&pattern);
+        let by_tdv = IncrementalAnalysis::from_pattern(&pattern).expect("realizable").visible_holds();
         prop_assert_eq!(by_rpaths, by_chains, "R-path vs chain");
         prop_assert_eq!(by_chains, by_cm, "chain vs CM-path");
+        prop_assert_eq!(by_cm, by_tdv, "CM-path vs visible TDV test");
     }
 
     fn min_max_consistency_and_order(pattern in pattern_strategy()) {
