@@ -846,8 +846,7 @@ pub fn incremental_vs_batch(
     repetitions: u32,
     batch_samples: u32,
 ) -> IncrementalBenchResult {
-    use rdt_rgraph::RewindableAnalysis;
-    use rdt_sim::{Stopwatch, TraceEvent};
+    use rdt_sim::{OnlineRdtReport, Stopwatch, TraceEvent};
 
     let n = 8;
     let mut rows = Vec::with_capacity(sizes.len());
@@ -869,34 +868,14 @@ pub fn incremental_vs_batch(
             .filter(|e| matches!(e, TraceEvent::Checkpoint { .. }))
             .count() as u64;
 
-        // (a) One engine, every event appended once, violation count read
-        // back after each append — the online probe's exact work, on the
-        // probe's instantiation (core + journal, no chain layer).
+        // (a) One bare engine, every event appended once, violation count
+        // read back after each append: the replay `rdt-cli run --stats`
+        // reports.
         let mut incremental_ns = u64::MAX;
         for _ in 0..repetitions.max(1) {
             let watch = Stopwatch::start();
-            let mut engine = RewindableAnalysis::layered(n);
-            let mut mids: Vec<u32> = Vec::new();
-            let mut violations = 0u64;
-            for event in &events {
-                match *event {
-                    TraceEvent::Send {
-                        from, to, message, ..
-                    } => {
-                        if mids.len() <= message.0 {
-                            mids.resize(message.0 + 1, u32::MAX);
-                        }
-                        mids[message.0] = engine.append_send(from, to);
-                    }
-                    TraceEvent::Deliver { message, .. } => engine.append_deliver(mids[message.0]),
-                    TraceEvent::Checkpoint { id, .. } => {
-                        engine.append_checkpoint(id.process);
-                    }
-                    TraceEvent::Crash { .. } => {}
-                }
-                violations = engine.untrackable_pairs();
-            }
-            std::hint::black_box(violations);
+            let report = OnlineRdtReport::replay(n, &events).expect("a simulated trace replays");
+            std::hint::black_box(report.untrackable_pairs);
             incremental_ns = incremental_ns.min(watch.elapsed().as_nanos() as u64);
         }
 

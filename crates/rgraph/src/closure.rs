@@ -94,7 +94,7 @@ fn tarjan_scc(adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
 /// Returns an `adj.len() × labelled` [`BitMatrix`]; callers that only
 /// query labelled rows can [`BitMatrix::truncate_rows`] the rest away.
 ///
-/// Algorithm: SCC condensation ([`tarjan_scc`]) followed by a single
+/// Algorithm: SCC condensation (`tarjan_scc`) followed by a single
 /// forward pass over the components in reverse topological order, each
 /// edge contributing one word-parallel row union — `O(V + E·labelled/64)`.
 ///

@@ -97,10 +97,10 @@ impl CompactionStats {
 
 impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// Compacts everything dominated by the consistent watermark derived
-    /// from `caps`: [`max_consistent_dominated`]
-    /// (IncrementalAnalysis::max_consistent_dominated) of `caps` joined with
-    /// the previous watermark (compaction never moves backwards), clamped to
-    /// the taken checkpoints.
+    /// from `caps`:
+    /// [`max_consistent_dominated`](IncrementalAnalysis::max_consistent_dominated)
+    /// of `caps` joined with the previous watermark (compaction never moves
+    /// backwards), clamped to the taken checkpoints.
     ///
     /// Exact afterwards, over the whole history: `untrackable_pairs`,
     /// `rdt_holds`, the fixpoint consistency oracles
@@ -267,9 +267,9 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         &self.watermark
     }
 
-    /// First retained checkpoint index per process ([`reaches`]
-    /// (IncrementalAnalysis::reaches) and R-graph oracles accept members
-    /// at or above it).
+    /// First retained checkpoint index per process
+    /// ([`reaches`](IncrementalAnalysis::reaches) and R-graph oracles accept
+    /// members at or above it).
     pub fn retained_from(&self) -> &[u32] {
         &self.cp_base
     }

@@ -35,11 +35,14 @@
 //!   loop is compiled without the push, and so that asking a journal-free
 //!   engine to rewind is a compile error, not a runtime failure.
 //!
-//! Three instantiations are in use. `rdt-serve` runs the bare
-//! [`IncrementalAnalysis`] (core only: no wire query reads a chain closure
-//! or takes a mark); the simulator's online probe runs
-//! [`RewindableAnalysis`] (core + journal, for closed-view queries); the
-//! certifier runs [`FullAnalysis`] (core + chains + journal).
+//! Two instantiations run in production. `rdt-serve` and the simulator's
+//! crash-recovery shadow run the bare [`IncrementalAnalysis`] (core only:
+//! no wire query and no crash line reads a chain closure or takes a mark;
+//! a crash line lets each open interval stand as a virtual checkpoint,
+//! [`max_consistent_dominated_open_into`](IncrementalAnalysis::max_consistent_dominated_open_into));
+//! the certifier runs [`FullAnalysis`] (core + chains + journal).
+//! [`RewindableAnalysis`] (core + journal) is the reference the tests ask
+//! closed-view questions of.
 //!
 //! # Data structures
 //!
@@ -120,7 +123,9 @@ pub use snapshot::{
 
 /// Core + journal: what a reader needs that asks closed-view questions
 /// ([`with_closed`](IncrementalAnalysis::with_closed)) of the R-graph core
-/// only — the simulator's online probe.
+/// only. No production path runs it; tests replay into it as the
+/// never-compacted, closed-view reference (the simulator's crash lines are
+/// held to its `with_closed` lines).
 pub type RewindableAnalysis = IncrementalAnalysis<NoChains, UndoJournal>;
 
 /// Core + chains + journal: the chain characterization beside the core's
@@ -903,8 +908,8 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
 
     /// Minimum consistent global checkpoint containing `members` (least
     /// fixpoint of the orphan constraints), or `None` if none exists.
-    /// Identical to [`min_max::min_consistent_containing`]
-    /// (crate::min_max::min_consistent_containing).
+    /// Identical to
+    /// [`min_max::min_consistent_containing`](crate::min_max::min_consistent_containing).
     ///
     /// # Panics
     /// If a member does not exist in the pattern.
@@ -912,10 +917,10 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         self.owned_gc(|gc| self.min_consistent_containing_into(members, gc))
     }
 
-    /// Allocation-free [`min_consistent_containing`]
-    /// (IncrementalAnalysis::min_consistent_containing): writes the global
-    /// checkpoint into `gc` (length `n`, unspecified on `false`) and
-    /// returns whether one exists. Panics like the allocating form, and on
+    /// Allocation-free
+    /// [`min_consistent_containing`](IncrementalAnalysis::min_consistent_containing):
+    /// writes the global checkpoint into `gc` (length `n`, unspecified on
+    /// `false`) and returns whether one exists. Panics like the allocating form, and on
     /// a `gc` of the wrong length.
     pub fn min_consistent_containing_into(&self, members: &[CheckpointId], gc: &mut [u32]) -> bool {
         self.member_floor(members, gc);
@@ -925,8 +930,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
 
     /// Maximum consistent global checkpoint containing `members`
     /// (greatest fixpoint), or `None`. Identical to
-    /// [`min_max::max_consistent_containing`]
-    /// (crate::min_max::max_consistent_containing).
+    /// [`min_max::max_consistent_containing`](crate::min_max::max_consistent_containing).
     ///
     /// # Panics
     /// If a member does not exist in the pattern.
@@ -934,10 +938,10 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         self.owned_gc(|gc| self.max_consistent_containing_into(members, gc))
     }
 
-    /// Allocation-free [`max_consistent_containing`]
-    /// (IncrementalAnalysis::max_consistent_containing): writes the global
-    /// checkpoint into `gc` (length `n`, unspecified on `false`) and
-    /// returns whether one exists. Panics like the allocating form, and on
+    /// Allocation-free
+    /// [`max_consistent_containing`](IncrementalAnalysis::max_consistent_containing):
+    /// writes the global checkpoint into `gc` (length `n`, unspecified on
+    /// `false`) and returns whether one exists. Panics like the allocating form, and on
     /// a `gc` of the wrong length.
     pub fn max_consistent_containing_into(&self, members: &[CheckpointId], gc: &mut [u32]) -> bool {
         gc.fill(u32::MAX);
@@ -964,6 +968,28 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     pub fn max_consistent_dominated_into(&self, caps: &[u32], out: &mut [u32]) {
         out.copy_from_slice(caps);
         self.descend_from_caps(out);
+    }
+
+    /// [`max_consistent_dominated_into`](IncrementalAnalysis::max_consistent_dominated_into)
+    /// with each process's open interval standing as a *virtual*
+    /// checkpoint: each of `caps` is first clamped, in place, to its
+    /// process's frontier — the last checkpoint, plus one while the process
+    /// line does not end in a checkpoint. `out` is then the line the closed
+    /// extension of the pattern gives (what a journaled engine's
+    /// `with_closed` answers), with nothing appended and rewound: the orphan
+    /// constraints read only the intervals sends and deliveries fall in.
+    /// The simulator's crash line: a survivor's cap is `u32::MAX`, its
+    /// volatile frontier; the victim's is its last checkpoint.
+    ///
+    /// # Panics
+    /// If `caps` or `out` have a length other than the process count.
+    pub fn max_consistent_dominated_open_into(&self, caps: &mut [u32], out: &mut [u32]) {
+        assert_eq!(caps.len(), self.n, "caps length");
+        for ((cap, &last), &open) in caps.iter_mut().zip(&self.cp_count).zip(&self.line_open) {
+            *cap = (*cap).min(last + u32::from(open));
+        }
+        out.copy_from_slice(caps);
+        descend_to_consistent(&self.msgs, &self.send_events, out);
     }
 
     /// [`max_consistent_dominated_into`](IncrementalAnalysis::max_consistent_dominated_into)
@@ -1003,8 +1029,8 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
 
     /// Minimum consistent global checkpoint through R-graph reachability
     /// (the independent witness formulation). Identical to
-    /// [`min_max::min_consistent_via_rgraph`]
-    /// (crate::min_max::min_consistent_via_rgraph) on closed patterns.
+    /// [`min_max::min_consistent_via_rgraph`](crate::min_max::min_consistent_via_rgraph)
+    /// on closed patterns.
     ///
     /// # Panics
     /// If a member does not exist in the pattern.
@@ -1012,10 +1038,10 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         self.owned_gc(|gc| self.min_consistent_via_rgraph_into(members, gc))
     }
 
-    /// Allocation-free [`min_consistent_via_rgraph`]
-    /// (IncrementalAnalysis::min_consistent_via_rgraph): writes the global
-    /// checkpoint into `gc` (length `n`, unspecified on `false`) and
-    /// returns whether one exists. Panics like the allocating form, and on
+    /// Allocation-free
+    /// [`min_consistent_via_rgraph`](IncrementalAnalysis::min_consistent_via_rgraph):
+    /// writes the global checkpoint into `gc` (length `n`, unspecified on
+    /// `false`) and returns whether one exists. Panics like the allocating form, and on
     /// a `gc` of the wrong length.
     pub fn min_consistent_via_rgraph_into(&self, members: &[CheckpointId], gc: &mut [u32]) -> bool {
         self.member_floor(members, gc);
@@ -1032,12 +1058,13 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
 
     /// Whether `members` belong to some consistent global checkpoint of the
     /// current pattern, read off `reach` without a fixpoint: `Some(true)`
-    /// exactly when [`min_consistent_containing`]
-    /// (IncrementalAnalysis::min_consistent_containing) and
-    /// [`max_consistent_containing`]
-    /// (IncrementalAnalysis::max_consistent_containing) find one, and `None`
-    /// when a member lies below [`retained_from`]
-    /// (IncrementalAnalysis::retained_from), whose row compaction dropped.
+    /// exactly when
+    /// [`min_consistent_containing`](IncrementalAnalysis::min_consistent_containing)
+    /// and
+    /// [`max_consistent_containing`](IncrementalAnalysis::max_consistent_containing)
+    /// find one, and `None` when a member lies below
+    /// [`retained_from`](IncrementalAnalysis::retained_from), whose row
+    /// compaction dropped.
     ///
     /// This is Netzer and Xu's condition in R-graph form, with each open
     /// interval standing for the checkpoint its process has not taken yet:

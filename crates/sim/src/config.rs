@@ -127,11 +127,6 @@ pub struct SimConfig {
     /// previous arrival). The paper's model only requires reliability, so
     /// the default is non-FIFO.
     pub fifo: bool,
-    /// Run the online RDT probe: an [`rdt_rgraph::IncrementalAnalysis`]
-    /// engine shadows the run event by event and reports, per step, how
-    /// many checkpoint pairs are currently untrackable. Observational
-    /// only — it never changes the simulation. Default off.
-    pub online_rdt_probe: bool,
     /// Expected number of injected crashes per 1000 simulated ticks.
     /// `0.0` (the default) disables fault injection entirely; any positive
     /// rate schedules crashes as a Poisson process on a dedicated RNG
@@ -142,13 +137,6 @@ pub struct SimConfig {
     /// Upper bound on injected crashes per run (the Poisson clock stops
     /// after this many have fired). Ignored while `crash_rate == 0.0`.
     pub max_crashes: u32,
-    /// Compact the shadow engine to each computed recovery line: after
-    /// every crash the recovery-line-dominated prefix is collapsed
-    /// (see [`rdt_rgraph::IncrementalAnalysis::compact_to`]), bounding
-    /// engine memory in long crashy runs. Observational only — the
-    /// schedule, trace and recovery decisions are bit-identical with it
-    /// on or off. Requires crash injection; ignored otherwise.
-    pub compact_after_recovery: bool,
 }
 
 /// Salt folded into the run seed to derive the crash RNG stream
@@ -165,10 +153,8 @@ impl SimConfig {
             basic_checkpoints: BasicCheckpointModel::default(),
             stop: StopCondition::default(),
             fifo: false,
-            online_rdt_probe: false,
             crash_rate: 0.0,
             max_crashes: 4,
-            compact_after_recovery: false,
         }
     }
 
@@ -202,13 +188,6 @@ impl SimConfig {
         self
     }
 
-    /// Enables the online RDT-violation probe (see
-    /// [`SimConfig::online_rdt_probe`]).
-    pub fn with_online_rdt_probe(mut self, enabled: bool) -> Self {
-        self.online_rdt_probe = enabled;
-        self
-    }
-
     /// Sets the crash injection rate (expected crashes per 1000 ticks;
     /// `0.0` disables fault injection).
     pub fn with_crash_rate(mut self, rate: f64) -> Self {
@@ -223,13 +202,6 @@ impl SimConfig {
     /// Caps the number of injected crashes per run.
     pub fn with_max_crashes(mut self, max: u32) -> Self {
         self.max_crashes = max;
-        self
-    }
-
-    /// Compacts the shadow engine after each computed recovery line (see
-    /// [`SimConfig::compact_after_recovery`]).
-    pub fn with_compaction(mut self, enabled: bool) -> Self {
-        self.compact_after_recovery = enabled;
         self
     }
 

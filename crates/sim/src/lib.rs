@@ -62,12 +62,9 @@ pub use dispatch::{
     run_protocol_kind, run_protocol_kind_legacy, run_protocol_kind_with_scratch,
     try_run_protocol_kind,
 };
-pub use metrics::{SampleStats, Stopwatch, TraceMetrics};
+pub use metrics::{OnlineRdtReport, SampleStats, Stopwatch, TraceMetrics};
 pub use rng::SimRng;
-pub use runner::{
-    CrashRecord, OnlineRdtReport, RecoveryReport, RunOutcome, RunStats, Runner, SimError,
-    SimScratch,
-};
+pub use runner::{CrashRecord, RecoveryReport, RunOutcome, RunStats, Runner, SimError, SimScratch};
 pub use time::{SimDuration, SimTime};
 pub use trace::{SimMessageId, Trace, TraceError, TraceEvent};
 pub use workpool::{parallel_map_indexed, parallel_map_indexed_observed};

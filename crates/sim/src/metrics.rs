@@ -1,9 +1,11 @@
 //! Post-run trace analysis: distributions behind the aggregate counters,
-//! plus the workspace's one sanctioned wall-clock reader ([`Stopwatch`]).
+//! the RDT verdict of a replay ([`OnlineRdtReport`]), plus the workspace's
+//! one sanctioned wall-clock reader ([`Stopwatch`]).
 
 use std::time::{Duration, Instant};
 
 use rdt_core::CheckpointKind;
+use rdt_rgraph::{AppendError, IncrementalAnalysis};
 
 use crate::{SimTime, Trace, TraceEvent};
 
@@ -206,6 +208,83 @@ impl TraceMetrics {
             );
         }
         out
+    }
+}
+
+/// What the R-graph core saw when a trace was replayed into it event by
+/// event, with the violation count read back after every append.
+///
+/// [`OnlineRdtReport::replay`] builds it: the question a monitor asks
+/// online ("does RDT still hold *now*?"), answered on a finished run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OnlineRdtReport {
+    /// Events appended to the engine (the trace length minus its crash
+    /// markers).
+    pub events_appended: u64,
+    /// Reachable-but-untrackable checkpoint pairs at the end of the trace
+    /// (0 means every rollback dependency was trackable at every step).
+    pub untrackable_pairs: u64,
+    /// 1-based index (among the appended events) of the first event after
+    /// which the untrackable count became nonzero; `None` when the run
+    /// stayed clean.
+    pub first_violation_event: Option<u64>,
+    /// Wall time spent inside the engine's `append_*` calls.
+    pub append_time: Duration,
+    /// Wall time spent reading the violation count back after each append.
+    pub query_time: Duration,
+}
+
+impl OnlineRdtReport {
+    /// Replays `events` (a trace over `n` processes, in trace order) into a
+    /// bare [`IncrementalAnalysis`]: every checkpoint, send and delivery is
+    /// appended and the running untrackable count read back after each.
+    /// Crash markers carry no pattern structure and are skipped.
+    ///
+    /// # Errors
+    ///
+    /// The first append the engine refuses: a process out of range, or a
+    /// delivery of a message the trace never sent or delivers twice.
+    pub fn replay(n: usize, events: &[TraceEvent]) -> Result<OnlineRdtReport, AppendError> {
+        let mut engine = IncrementalAnalysis::new(n);
+        // The engine names a message by its send-order handle.
+        let mut handles: Vec<u32> = Vec::new();
+        let mut report = OnlineRdtReport {
+            events_appended: 0,
+            untrackable_pairs: 0,
+            first_violation_event: None,
+            append_time: Duration::ZERO,
+            query_time: Duration::ZERO,
+        };
+        for event in events {
+            let watch = Stopwatch::start();
+            match *event {
+                TraceEvent::Checkpoint { id, .. } => {
+                    engine.try_append_checkpoint(id.process)?;
+                }
+                TraceEvent::Send {
+                    from, to, message, ..
+                } => {
+                    if handles.len() <= message.0 {
+                        handles.resize(message.0 + 1, u32::MAX);
+                    }
+                    handles[message.0] = engine.try_append_send(from, to)?;
+                }
+                TraceEvent::Deliver { message, .. } => {
+                    let mid = handles.get(message.0).copied().unwrap_or(u32::MAX);
+                    engine.try_append_deliver(mid)?;
+                }
+                TraceEvent::Crash { .. } => continue,
+            }
+            report.append_time += watch.elapsed();
+            report.events_appended += 1;
+            let watch = Stopwatch::start();
+            report.untrackable_pairs = engine.untrackable_pairs();
+            report.query_time += watch.elapsed();
+            if report.untrackable_pairs > 0 && report.first_violation_event.is_none() {
+                report.first_violation_event = Some(report.events_appended);
+            }
+        }
+        Ok(report)
     }
 }
 

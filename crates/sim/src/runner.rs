@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use rdt_causality::ProcessId;
 use rdt_core::{CheckpointRecord, CicProtocol, ProtocolStats};
-use rdt_rgraph::RewindableAnalysis;
+use rdt_rgraph::{AppendError, IncrementalAnalysis};
 
 use crate::{
     AppContext, Application, SimConfig, SimDuration, SimMessageId, SimRng, SimTime, StopCondition,
@@ -68,34 +68,19 @@ impl SimScratch {
     }
 }
 
-/// Why a [`Runner::try_run`] stopped instead of completing: a crash event
-/// fired while one of the structures fault injection installs was absent.
-/// [`SimConfig`]-built runners never hit these; they exist so embedders
-/// driving the runner programmatically get a typed error, not a panic.
+/// Why a [`Runner::try_run`] stopped instead of completing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimError {
-    /// A crash fired but the shadow analysis engine that computes
-    /// recovery lines was not installed.
-    MissingShadowEngine,
-    /// A crash fired but the recovery report that records it was not
-    /// installed.
-    MissingRecoveryReport,
-    /// The online probe's shadow engine rejected an append. The runner
+    /// The crash-recovery shadow engine rejected an append. The runner
     /// generates events in a valid order, so this indicates a scheduling
     /// bug rather than bad input — but it surfaces as a typed error, not
     /// a panic.
-    ShadowEngineRejected(rdt_rgraph::AppendError),
+    ShadowEngineRejected(AppendError),
 }
 
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::MissingShadowEngine => {
-                write!(f, "crash fired without the shadow engine installed")
-            }
-            SimError::MissingRecoveryReport => {
-                write!(f, "crash fired without the recovery report installed")
-            }
             SimError::ShadowEngineRejected(e) => {
                 write!(f, "shadow engine rejected a simulator event: {e}")
             }
@@ -116,9 +101,6 @@ pub struct RunOutcome {
     /// Per-process checkpoint records as reported by the protocol, in
     /// order taken (the implicit initial checkpoints are not included).
     pub records: Vec<Vec<CheckpointRecord>>,
-    /// What the online RDT probe observed; `None` unless the run was
-    /// configured with [`SimConfig::online_rdt_probe`].
-    pub online_rdt: Option<OnlineRdtReport>,
     /// What fault injection did to the run; `None` unless the
     /// configuration enables crashes ([`SimConfig::crashes_enabled`]).
     pub recovery: Option<RecoveryReport>,
@@ -181,8 +163,8 @@ pub struct RecoveryReport {
     /// Wall time spent computing recovery lines, over all crashes. Kept
     /// out of [`CrashRecord`] so records stay comparable across runs.
     pub line_compute_time: Duration,
-    /// State-discarding compactions of the shadow engine, when
-    /// [`SimConfig::compact_after_recovery`] is on (0 otherwise).
+    /// State-discarding compactions of the shadow engine: after every
+    /// crash it is compacted to the recovery line.
     pub compactions: u64,
     /// Closure rows reclaimed by those compactions.
     pub reclaimed_rows: u64,
@@ -249,117 +231,49 @@ impl RecoveryReport {
     }
 }
 
-/// Observations of the online RDT probe over one run.
-///
-/// When [`SimConfig::online_rdt_probe`] is set, an
-/// [`RewindableAnalysis`] engine (the R-graph core plus the journal its
-/// closed-view recovery-line query rewinds; no chain layer — the probe
-/// reads no chain closure) shadows the simulation: every trace
-/// event (checkpoint, send, delivery) is appended to the engine the moment
-/// it is recorded, and the engine's running count of
-/// reachable-but-untrackable checkpoint pairs is read back after each
-/// append. The probe is observational — it never changes scheduling,
-/// protocol behavior, or the trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OnlineRdtReport {
-    /// Events appended to the engine (equals the trace length).
-    pub events_appended: u64,
-    /// Reachable-but-untrackable checkpoint pairs at the end of the run
-    /// (0 means every rollback dependency was trackable online).
-    pub untrackable_pairs: u64,
-    /// 1-based index (into the trace) of the first event after which the
-    /// untrackable count became nonzero; `None` when the run stayed clean.
-    pub first_violation_event: Option<u64>,
-    /// Wall time spent inside the engine's `append_*` calls.
-    pub append_time: Duration,
-    /// Wall time spent reading the violation count back after each append.
-    pub query_time: Duration,
-}
-
-/// The engine plus bookkeeping behind [`OnlineRdtReport`].
-struct OnlineProbe {
-    engine: RewindableAnalysis,
-    events: u64,
-    first_violation_event: Option<u64>,
+/// Everything fault injection keeps for one run, present iff
+/// [`SimConfig::crashes_enabled`].
+struct CrashState {
+    /// The shadow engine: the R-graph core with every trace event (crash
+    /// markers aside) appended the moment it is recorded, so a crash reads
+    /// its recovery line and the placement of every message off it. It is
+    /// compacted to every recovery line.
+    engine: IncrementalAnalysis,
     /// First append the engine rejected, latched. The runner emits events
     /// in a valid order, so this stays `None` unless the scheduler is
     /// broken; it is surfaced as [`SimError::ShadowEngineRejected`] when
     /// the run finishes rather than panicking mid-run.
-    engine_error: Option<rdt_rgraph::AppendError>,
-    append_time: Duration,
-    query_time: Duration,
+    engine_error: Option<AppendError>,
+    /// Report under construction.
+    report: RecoveryReport,
+    /// Simulated time each durable checkpoint was taken (`[process][k]`,
+    /// entry 0 the initial checkpoint at time zero).
+    checkpoint_times: Vec<Vec<SimTime>>,
+    /// Application tag of every message sent, indexed by [`SimMessageId`]:
+    /// the sender-side log lost messages are replayed from.
+    message_tags: Vec<u32>,
+    /// Messages already replayed once as lost — a log entry is replayed at
+    /// most once, ever, even if later crashes undo its delivery again (the
+    /// replay itself got a fresh log entry of its own).
+    lost_replayed_flags: Vec<bool>,
 }
 
-impl OnlineProbe {
+impl CrashState {
     fn new(n: usize) -> Self {
-        OnlineProbe {
-            engine: RewindableAnalysis::layered(n),
-            events: 0,
-            first_violation_event: None,
+        CrashState {
+            engine: IncrementalAnalysis::new(n),
             engine_error: None,
-            append_time: Duration::ZERO,
-            query_time: Duration::ZERO,
+            report: RecoveryReport::default(),
+            checkpoint_times: vec![vec![SimTime::ZERO]; n],
+            message_tags: Vec::new(),
+            lost_replayed_flags: Vec::new(),
         }
     }
 
-    fn latch(&mut self, result: Result<(), rdt_rgraph::AppendError>) {
+    fn latch<T>(&mut self, result: Result<T, AppendError>) {
         if let Err(e) = result {
-            if self.engine_error.is_none() {
-                self.engine_error = Some(e);
-            }
+            self.engine_error.get_or_insert(e);
         }
-    }
-
-    /// Per-step query: read the violation count, latch the first step at
-    /// which it became nonzero.
-    fn observe(&mut self) {
-        self.events += 1;
-        let watch = Stopwatch::start();
-        let untrackable = self.engine.untrackable_pairs();
-        self.query_time += watch.elapsed();
-        if untrackable > 0 && self.first_violation_event.is_none() {
-            self.first_violation_event = Some(self.events);
-        }
-    }
-
-    fn checkpoint(&mut self, process: ProcessId) {
-        let watch = Stopwatch::start();
-        let result = self.engine.try_append_checkpoint(process).map(|_| ());
-        self.append_time += watch.elapsed();
-        self.latch(result);
-        self.observe();
-    }
-
-    fn send(&mut self, from: ProcessId, to: ProcessId) {
-        let watch = Stopwatch::start();
-        let result = self.engine.try_append_send(from, to).map(|_| ());
-        self.append_time += watch.elapsed();
-        self.latch(result);
-        self.observe();
-    }
-
-    fn deliver(&mut self, message: SimMessageId) {
-        // The runner assigns `SimMessageId`s sequentially in send order and
-        // the probe sees every send, so the simulator's id *is* the
-        // engine's message handle.
-        let watch = Stopwatch::start();
-        let result = self.engine.try_append_deliver(message.0 as u32);
-        self.append_time += watch.elapsed();
-        self.latch(result);
-        self.observe();
-    }
-
-    fn finish(self) -> Result<OnlineRdtReport, SimError> {
-        if let Some(e) = self.engine_error {
-            return Err(SimError::ShadowEngineRejected(e));
-        }
-        Ok(OnlineRdtReport {
-            events_appended: self.events,
-            untrackable_pairs: self.engine.untrackable_pairs(),
-            first_violation_event: self.first_violation_event,
-            append_time: self.append_time,
-            query_time: self.query_time,
-        })
     }
 }
 
@@ -459,30 +373,14 @@ pub struct Runner<P: CicProtocol> {
     /// For FIFO channels: last scheduled arrival per ordered channel
     /// (`from * n + to`); empty when the config is non-FIFO.
     channel_clock: Vec<SimTime>,
-    /// Online RDT probe. Present when [`SimConfig::online_rdt_probe`] is
-    /// set *or* crashes are enabled — recovery-line computation needs the
-    /// shadow engine. The report is only emitted for the former.
-    probe: Option<OnlineProbe>,
     /// Dedicated RNG stream for the crash schedule, derived from the run
     /// seed and [`DEFAULT_CRASH_SEED_SALT`]; keeping it separate leaves
     /// the main stream — and thus the underlying schedule — untouched.
     crash_rng: SimRng,
     /// Crashes fired so far (bounded by [`SimConfig::max_crashes`]).
     crashes_done: u32,
-    /// Report under construction, present iff crashes are enabled.
-    recovery: Option<RecoveryReport>,
-    /// Simulated time each durable checkpoint was taken (`[process][k]`,
-    /// entry 0 the initial checkpoint at time zero). Populated only while
-    /// crashes are enabled.
-    checkpoint_times: Vec<Vec<SimTime>>,
-    /// Application tag of every message sent, indexed by [`SimMessageId`]:
-    /// the sender-side log lost messages are replayed from. Populated only
-    /// while crashes are enabled.
-    message_tags: Vec<u32>,
-    /// Messages already replayed once as lost — a log entry is replayed at
-    /// most once, ever, even if later crashes undo its delivery again (the
-    /// replay itself got a fresh log entry of its own).
-    lost_replayed_flags: Vec<bool>,
+    /// Fault injection's state, present iff crashes are enabled.
+    crash: Option<CrashState>,
     /// Recycled buffer for application send actions: every callback's
     /// [`AppContext`] borrows this one allocation instead of growing a
     /// fresh `Vec`, keeping the per-event hot path allocation-free.
@@ -549,18 +447,9 @@ impl<P: CicProtocol> Runner<P> {
             } else {
                 Vec::new()
             },
-            probe: (config.online_rdt_probe || config.crashes_enabled())
-                .then(|| OnlineProbe::new(n)),
             crash_rng: SimRng::seed(SimRng::derive_seed(config.seed, DEFAULT_CRASH_SEED_SALT)),
             crashes_done: 0,
-            recovery: config.crashes_enabled().then(RecoveryReport::default),
-            checkpoint_times: if config.crashes_enabled() {
-                vec![vec![SimTime::ZERO]; n]
-            } else {
-                Vec::new()
-            },
-            message_tags: Vec::new(),
-            lost_replayed_flags: Vec::new(),
+            crash: config.crashes_enabled().then(|| CrashState::new(n)),
             app_sends: Vec::new(),
         }
     }
@@ -593,20 +482,16 @@ impl<P: CicProtocol> Runner<P> {
             kind: record.kind,
         });
         self.records[process.index()].push(record);
-        if !self.checkpoint_times.is_empty() {
-            self.checkpoint_times[process.index()].push(self.now);
-        }
-        if let Some(probe) = &mut self.probe {
-            probe.checkpoint(process);
+        if let Some(crash) = &mut self.crash {
+            crash.checkpoint_times[process.index()].push(self.now);
+            let appended = crash.engine.try_append_checkpoint(process);
+            crash.latch(appended);
         }
     }
 
     fn do_send(&mut self, from: ProcessId, to: ProcessId, tag: u32) {
         let message = SimMessageId(self.messages_sent as usize);
         self.messages_sent += 1;
-        if self.recovery.is_some() {
-            self.message_tags.push(tag);
-        }
         let outcome = self.protocols[from.index()].before_send(to);
         self.trace.push(TraceEvent::Send {
             at: self.now,
@@ -614,8 +499,12 @@ impl<P: CicProtocol> Runner<P> {
             to,
             message,
         });
-        if let Some(probe) = &mut self.probe {
-            probe.send(from, to);
+        if let Some(crash) = &mut self.crash {
+            // Sends are appended in `SimMessageId` order, so the
+            // simulator's id *is* the engine's message handle.
+            crash.message_tags.push(tag);
+            let appended = crash.engine.try_append_send(from, to);
+            crash.latch(appended);
         }
         if let Some(record) = outcome.forced_after {
             self.record_checkpoint(from, record);
@@ -678,7 +567,7 @@ impl<P: CicProtocol> Runner<P> {
     /// victim is drawn at scheduling time too, so the stream's consumption
     /// never depends on what the simulation does in between.
     fn schedule_next_crash(&mut self) {
-        if self.recovery.is_none() || self.crashes_done >= self.config.max_crashes {
+        if self.crash.is_none() || self.crashes_done >= self.config.max_crashes {
             return;
         }
         let delay = self
@@ -700,33 +589,32 @@ impl<P: CicProtocol> Runner<P> {
     /// history — every event that ever happened stays recorded, crashes
     /// are markers, and [`Trace::to_pattern`] sees the full communication
     /// pattern.
-    fn handle_crash(&mut self, victim: ProcessId) -> Result<(), SimError> {
+    fn handle_crash(&mut self, victim: ProcessId) {
         let n = self.config.n;
         self.crashes_done += 1;
         self.trace.push(TraceEvent::Crash {
             at: self.now,
             process: victim,
         });
+        // Crashes are scheduled only while the crash state exists.
+        let Some(crash) = &mut self.crash else {
+            return;
+        };
+        let engine = &crash.engine;
 
         // The recovery line. Survivors keep their volatile state, so they
-        // are capped at the virtual checkpoint closing their current
-        // interval; the victim lost its open interval and restarts from
-        // its last durable checkpoint.
+        // are capped at their frontier, the virtual checkpoint closing
+        // their current interval; the victim lost its open interval and
+        // restarts from its last durable checkpoint.
         let watch = Stopwatch::start();
-        let probe = self.probe.as_mut().ok_or(SimError::MissingShadowEngine)?;
         let real_last: Vec<u32> = (0..n)
-            .map(|i| probe.engine.last_checkpoint_index(ProcessId::new(i)))
+            .map(|i| engine.last_checkpoint_index(ProcessId::new(i)))
             .collect();
-        let mut caps = vec![0u32; n];
+        let mut caps = vec![u32::MAX; n];
+        caps[victim.index()] = real_last[victim.index()];
         let mut line = vec![0u32; n];
-        probe.engine.with_closed(|engine| {
-            for (i, cap) in caps.iter_mut().enumerate() {
-                *cap = engine.last_checkpoint_index(ProcessId::new(i));
-            }
-            caps[victim.index()] = real_last[victim.index()];
-            engine.max_consistent_dominated_into(&caps, &mut line);
-        });
-        let line_compute_time = watch.elapsed();
+        engine.max_consistent_dominated_open_into(&mut caps, &mut line);
+        crash.report.line_compute_time += watch.elapsed();
 
         // Physical effect 1: in-flight messages whose send was rolled back
         // are orphans — drop them from the event queue. The rolled-back
@@ -736,11 +624,6 @@ impl<P: CicProtocol> Runner<P> {
         // deterministic.
         let mut orphans_discarded = 0u64;
         let mut reemits: Vec<(ProcessId, ProcessId, u32)> = Vec::new();
-        let engine = &self
-            .probe
-            .as_ref()
-            .ok_or(SimError::MissingShadowEngine)?
-            .engine;
         let entries = std::mem::take(&mut self.queue).into_vec();
         let mut kept = Vec::with_capacity(entries.len());
         for entry in entries {
@@ -776,7 +659,8 @@ impl<P: CicProtocol> Runner<P> {
         // ends need nothing: replay-forward re-creates them internally.
         let mut deliveries_undone = 0u64;
         let mut replays: Vec<(ProcessId, ProcessId, u32)> = Vec::new();
-        self.lost_replayed_flags
+        crash
+            .lost_replayed_flags
             .resize(self.messages_sent as usize, false);
         for mid in 0..engine.num_messages() as u32 {
             let route = engine.message_route(mid);
@@ -786,10 +670,10 @@ impl<P: CicProtocol> Runner<P> {
             if deliver_iv > line[route.to.index()] {
                 deliveries_undone += 1;
                 if route.send_interval <= line[route.from.index()]
-                    && !self.lost_replayed_flags[mid as usize]
+                    && !crash.lost_replayed_flags[mid as usize]
                 {
-                    self.lost_replayed_flags[mid as usize] = true;
-                    replays.push((route.from, route.to, self.message_tags[mid as usize]));
+                    crash.lost_replayed_flags[mid as usize] = true;
+                    replays.push((route.from, route.to, crash.message_tags[mid as usize]));
                 }
             }
         }
@@ -804,17 +688,16 @@ impl<P: CicProtocol> Runner<P> {
             if line[i] < caps[i] || i == victim.index() {
                 domino_span += 1;
                 let restored = line[i].min(real_last[i]) as usize;
-                earliest_restored = earliest_restored.min(self.checkpoint_times[i][restored]);
+                earliest_restored = earliest_restored.min(crash.checkpoint_times[i][restored]);
             }
             if line[i] == 0 && real_last[i] > 0 {
                 rolled_to_initial += 1;
             }
         }
-        let compact_caps = self.config.compact_after_recovery.then(|| line.clone());
-        let record = CrashRecord {
+        crash.report.crashes.push(CrashRecord {
             at: self.now,
             process: victim,
-            line,
+            line: line.clone(),
             rollback_depth,
             domino_span,
             rolled_to_initial,
@@ -822,13 +705,7 @@ impl<P: CicProtocol> Runner<P> {
             deliveries_undone,
             lost_replayed: replays.len() as u64,
             rollback_span: self.now.since(earliest_restored),
-        };
-        let report = self
-            .recovery
-            .as_mut()
-            .ok_or(SimError::MissingRecoveryReport)?;
-        report.crashes.push(record);
-        report.line_compute_time += line_compute_time;
+        });
 
         // Re-emit discarded in-flight orphans (the rolled-back sender's
         // re-execution sends them again), then replay the lost messages
@@ -839,33 +716,26 @@ impl<P: CicProtocol> Runner<P> {
         }
 
         // Bound the shadow engine: collapse everything the recovery line
-        // dominates. Purely observational — every query recovery relies
-        // on stays exact, and the schedule and trace are untouched.
-        if let Some(caps) = compact_caps {
-            let probe = self.probe.as_mut().ok_or(SimError::MissingShadowEngine)?;
-            let stats = probe.engine.compact_to(&caps);
+        // dominates, so it keeps only what a later failure can still roll
+        // back to. Every query recovery relies on stays exact.
+        if let Some(crash) = &mut self.crash {
+            let stats = crash.engine.compact_to(&line);
             if stats.discarded_state() {
-                let report = self
-                    .recovery
-                    .as_mut()
-                    .ok_or(SimError::MissingRecoveryReport)?;
+                let report = &mut crash.report;
                 report.compactions += 1;
                 report.reclaimed_rows += stats.dropped_nodes() as u64;
                 report.resident_nodes_after_compaction = Some(stats.resident_nodes);
             }
         }
-        Ok(())
     }
 
     /// Runs the simulation to completion and returns its outcome.
     ///
     /// # Panics
     ///
-    /// Panics on an internal configuration inconsistency (a crash firing
-    /// without the shadow engine / recovery report that fault injection
-    /// installs) — impossible for configs built through [`SimConfig`].
-    /// Embedders driving the runner from untrusted configuration should
-    /// call [`try_run`](Runner::try_run).
+    /// Panics if the crash-recovery shadow engine rejects an event (a
+    /// scheduling bug, see [`SimError`]); [`try_run`](Runner::try_run)
+    /// returns it instead.
     pub fn run(self, app: &mut dyn Application) -> RunOutcome {
         match self.try_run(app) {
             Ok(outcome) => outcome,
@@ -873,8 +743,8 @@ impl<P: CicProtocol> Runner<P> {
         }
     }
 
-    /// Fallible [`run`](Runner::run): internal inconsistencies surface as
-    /// a typed [`SimError`] instead of a panic.
+    /// Fallible [`run`](Runner::run): an internal inconsistency surfaces
+    /// as a typed [`SimError`] instead of a panic.
     pub fn try_run(mut self, app: &mut dyn Application) -> Result<RunOutcome, SimError> {
         // Start-up: application hooks and basic checkpoint timers.
         for process in ProcessId::all(self.config.n) {
@@ -925,8 +795,9 @@ impl<P: CicProtocol> Runner<P> {
                         from,
                         message,
                     });
-                    if let Some(probe) = &mut self.probe {
-                        probe.deliver(message);
+                    if let Some(crash) = &mut self.crash {
+                        let appended = crash.engine.try_append_deliver(message.0 as u32);
+                        crash.latch(appended);
                     }
                     let buffer = std::mem::take(&mut self.app_sends);
                     let mut ctx =
@@ -963,7 +834,7 @@ impl<P: CicProtocol> Runner<P> {
                     if !self.injection_open() {
                         continue;
                     }
-                    self.handle_crash(process)?;
+                    self.handle_crash(process);
                     self.schedule_next_crash();
                 }
             }
@@ -974,6 +845,9 @@ impl<P: CicProtocol> Runner<P> {
         for stats in &per_process {
             total.merge(stats);
         }
+        if let Some(e) = self.crash.as_ref().and_then(|crash| crash.engine_error) {
+            return Err(SimError::ShadowEngineRejected(e));
+        }
         Ok(RunOutcome {
             trace: self.trace,
             stats: RunStats {
@@ -982,17 +856,7 @@ impl<P: CicProtocol> Runner<P> {
                 end_time: self.now,
             },
             records: self.records,
-            // The probe may also exist just to serve crash recovery; its
-            // report is only surfaced when explicitly requested.
-            online_rdt: if self.config.online_rdt_probe {
-                match self.probe.map(OnlineProbe::finish) {
-                    None => None,
-                    Some(report) => Some(report?),
-                }
-            } else {
-                None
-            },
-            recovery: self.recovery,
+            recovery: self.crash.map(|crash| crash.report),
         })
     }
 }
@@ -1237,39 +1101,35 @@ mod tests {
         );
     }
 
+    fn replay(outcome: &RunOutcome) -> crate::OnlineRdtReport {
+        let trace = &outcome.trace;
+        crate::OnlineRdtReport::replay(trace.num_processes(), trace.events())
+            .expect("a simulated trace replays")
+    }
+
     #[test]
     fn probe_mirrors_the_trace_exactly() {
-        // Replaying the finished trace into a fresh engine must land on the
-        // same event count and violation total the online probe saw — i.e.
-        // the probe's hook points append in exactly trace order.
+        // Replaying the trace event by event must land on the event count
+        // and violation total of the pattern the trace converts to,
+        // replayed in its own linearization.
         let config = SimConfig::new(3)
-            .with_seed(21)
-            .with_basic_checkpoints(BasicCheckpointModel::Exponential { mean: 40 })
-            .with_stop(StopCondition::MessagesSent(25))
-            .with_online_rdt_probe(true);
-        let script: Vec<(usize, usize)> = (0..30).map(|k| (k % 3, (k + 2) % 3)).collect();
+            .with_seed(6)
+            .with_basic_checkpoints(BasicCheckpointModel::Exponential { mean: 15 })
+            .with_stop(StopCondition::MessagesSent(60));
+        let script: Vec<(usize, usize)> = (0..70).map(|k| (k % 3, (k + 2) % 3)).collect();
         let outcome = Runner::new(&config, Uncoordinated::new).run(&mut scripted(script));
-        let report = outcome.online_rdt.as_ref().expect("probe enabled");
+        let report = replay(&outcome);
         assert_eq!(
             report.events_appended as usize,
             outcome.trace.events().len()
         );
-
-        let mut fresh = rdt_rgraph::IncrementalAnalysis::new(3);
-        let mut mids = Vec::new();
-        for event in outcome.trace.events() {
-            match *event {
-                TraceEvent::Send { from, to, .. } => {
-                    mids.push(fresh.append_send(from, to));
-                }
-                TraceEvent::Deliver { message, .. } => fresh.append_deliver(mids[message.0]),
-                TraceEvent::Checkpoint { id, .. } => {
-                    fresh.append_checkpoint(id.process);
-                }
-                TraceEvent::Crash { .. } => {}
-            }
-        }
+        let pattern = outcome.trace.to_pattern();
+        let fresh = rdt_rgraph::IncrementalAnalysis::from_pattern(&pattern).expect("realizable");
         assert_eq!(report.untrackable_pairs, fresh.untrackable_pairs());
+        assert!(
+            report.untrackable_pairs > 0,
+            "the comparison is not vacuous"
+        );
     }
 
     #[test]
@@ -1280,12 +1140,11 @@ mod tests {
         let config = SimConfig::new(3)
             .with_seed(6)
             .with_basic_checkpoints(BasicCheckpointModel::Exponential { mean: 15 })
-            .with_stop(StopCondition::MessagesSent(60))
-            .with_online_rdt_probe(true);
+            .with_stop(StopCondition::MessagesSent(60));
         let script: Vec<(usize, usize)> = (0..70).map(|k| (k % 3, (k + 2) % 3)).collect();
 
         let dirty = Runner::new(&config, Uncoordinated::new).run(&mut scripted(script.clone()));
-        let report = dirty.online_rdt.expect("probe enabled");
+        let report = replay(&dirty);
         assert!(
             report.untrackable_pairs > 0,
             "expected untrackable pairs from uncoordinated checkpoints"
@@ -1294,28 +1153,9 @@ mod tests {
         assert!(first >= 1 && first <= report.events_appended);
 
         let clean = Runner::new(&config, rdt_core::Fdas::new).run(&mut scripted(script));
-        let report = clean.online_rdt.expect("probe enabled");
+        let report = replay(&clean);
         assert_eq!(report.untrackable_pairs, 0, "FDAS ensures RDT");
         assert_eq!(report.first_violation_event, None);
-    }
-
-    #[test]
-    fn probe_is_observational_only() {
-        // Same config modulo the probe flag: trace, stats and records must
-        // be identical — the probe may watch, never steer.
-        let base = SimConfig::new(3)
-            .with_seed(17)
-            .with_basic_checkpoints(BasicCheckpointModel::Exponential { mean: 30 })
-            .with_stop(StopCondition::MessagesSent(20));
-        let script: Vec<(usize, usize)> = (0..25).map(|k| (k % 3, (k + 1) % 3)).collect();
-        let plain = Runner::new(&base, Bhmr::new).run(&mut scripted(script.clone()));
-        assert!(plain.online_rdt.is_none());
-        let probed = Runner::new(&base.clone().with_online_rdt_probe(true), Bhmr::new)
-            .run(&mut scripted(script));
-        assert_eq!(plain.trace.events(), probed.trace.events());
-        assert_eq!(plain.stats, probed.stats);
-        assert_eq!(plain.records, probed.records);
-        assert!(probed.online_rdt.is_some());
     }
 
     /// Two-process ping-pong checkpointing before each reply: the
@@ -1351,7 +1191,6 @@ mod tests {
         let outcome =
             Runner::new(&quiet_config(2), Uncoordinated::new).run(&mut scripted(vec![(0, 1)]));
         assert!(outcome.recovery.is_none());
-        assert!(outcome.online_rdt.is_none());
     }
 
     #[test]
@@ -1378,8 +1217,6 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::Crash { .. }))
             .count();
         assert_eq!(markers, ra.crashes.len());
-        // The shadow engine never surfaces a probe report uninvited.
-        assert!(a.online_rdt.is_none());
     }
 
     #[test]
@@ -1424,10 +1261,9 @@ mod tests {
 
     #[test]
     fn probe_report_still_available_alongside_crashes() {
-        let config = crashy_config(42).with_online_rdt_probe(true);
-        let outcome = Runner::new(&config, Uncoordinated::new).run(&mut DominoApp);
+        let outcome = Runner::new(&crashy_config(42), Uncoordinated::new).run(&mut DominoApp);
         assert!(outcome.recovery.is_some());
-        let report = outcome.online_rdt.expect("probe requested explicitly");
+        let report = replay(&outcome);
         assert_eq!(
             report.events_appended as usize,
             outcome.trace.events().len()

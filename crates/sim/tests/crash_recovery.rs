@@ -85,44 +85,6 @@ fn crash_reports_are_internally_consistent() {
 }
 
 #[test]
-fn recovery_compaction_is_observationally_transparent() {
-    // Compacting the shadow engine after every recovery line must not
-    // change anything observable: same trace, same crash records, same
-    // online verdicts — only the engine's resident footprint shrinks.
-    let mut total_compactions = 0u64;
-    for seed in [3u64, 5, 7] {
-        let plain = traffic_config(seed).with_online_rdt_probe(true);
-        let compacting = plain.clone().with_compaction(true);
-        let a = run_protocol_kind(ProtocolKind::Fdas, &plain, &mut scripted(traffic_script()));
-        let b = run_protocol_kind(
-            ProtocolKind::Fdas,
-            &compacting,
-            &mut scripted(traffic_script()),
-        );
-        assert_eq!(a.trace.events(), b.trace.events(), "seed {seed} trace");
-        let (ra, rb) = (
-            a.recovery.expect("crashes enabled"),
-            b.recovery.expect("crashes enabled"),
-        );
-        assert_eq!(ra.crashes, rb.crashes, "seed {seed} crash records");
-        assert_eq!(ra.compactions, 0, "plain runs never compact");
-        let (oa, ob) = (
-            a.online_rdt.expect("probe enabled"),
-            b.online_rdt.expect("probe enabled"),
-        );
-        assert_eq!(oa.events_appended, ob.events_appended);
-        assert_eq!(oa.untrackable_pairs, ob.untrackable_pairs);
-        assert_eq!(oa.first_violation_event, ob.first_violation_event);
-        assert!(rb.reclaimed_rows >= rb.compactions, "rows per compaction");
-        total_compactions += rb.compactions;
-    }
-    assert!(
-        total_compactions > 0,
-        "at least one seed must discard state, or the test is vacuous"
-    );
-}
-
-#[test]
 fn crash_schedule_is_independent_of_the_protocol() {
     // The crash stream is drawn from a dedicated RNG: as long as the
     // underlying schedule is identical (same workload, same seed), every

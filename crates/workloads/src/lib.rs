@@ -2,7 +2,7 @@
 //!
 //! The paper's simulation study (§5.3) compares protocols in three
 //! computational environments; this crate implements them — plus two extra
-//! realistic applications — as [`Application`](rdt_sim::Application) implementations:
+//! realistic applications — as [`Application`] implementations:
 //!
 //! * [`RandomEnvironment`] — the *general* environment: every process
 //!   alternates computation and communication, sending each message to a

@@ -5,7 +5,7 @@
 //! rdt-cli list
 //! rdt-cli run --protocol bhmr --env client-server --n 8 --seed 3 \
 //!             --messages 2000 --ckpt-mean 80 [--fifo] [--verify] [--stats] [--detail] \
-//!             [--crash-rate R [--max-crashes K] [--compact]] [--dot pattern.dot]
+//!             [--crash-rate R [--max-crashes K]] [--dot pattern.dot]
 //! rdt-cli compare --env random --n 8 --seed 3 --messages 2000
 //! rdt-cli audit --figure 1
 //! rdt-cli domino --rounds 10
@@ -68,7 +68,6 @@ fn build_config(flags: &HashMap<String, String>, n: usize) -> SimConfig {
         .with_fifo(flags.contains_key("fifo"))
         .with_crash_rate(get(flags, "crash-rate", 0.0f64))
         .with_max_crashes(get(flags, "max-crashes", 2u32))
-        .with_compaction(flags.contains_key("compact"))
 }
 
 fn cmd_list() -> ExitCode {
@@ -105,9 +104,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
         }
     };
     let n = get(flags, "n", 8usize);
-    // `--stats` rides the online probe: the incremental engine shadows the
-    // run so append and query cost can be reported separately.
-    let config = build_config(flags, n).with_online_rdt_probe(flags.contains_key("stats"));
+    let config = build_config(flags, n);
     let mut app = env.build(n, get(flags, "send-mean", 20u64));
     let outcome = run_protocol_kind(protocol, &config, app.as_mut());
 
@@ -151,15 +148,13 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
             recovery.total_rolled_to_initial(),
             recovery.mean_rollback_span_ticks()
         );
-        if config.compact_after_recovery {
-            match recovery.resident_nodes_after_compaction {
-                Some(resident) => println!(
-                    "  compaction   : {} recovery-line compactions reclaimed {} closure rows, \
-                     {resident} resident nodes after the last",
-                    recovery.compactions, recovery.reclaimed_rows
-                ),
-                None => println!("  compaction   : no compaction discarded state"),
-            }
+        match recovery.resident_nodes_after_compaction {
+            Some(resident) => println!(
+                "  compaction   : {} recovery-line compactions reclaimed {} closure rows, \
+                 {resident} resident nodes after the last",
+                recovery.compactions, recovery.reclaimed_rows
+            ),
+            None => println!("  compaction   : no compaction discarded state"),
         }
         if flags.contains_key("stats") {
             println!(
@@ -195,27 +190,30 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
         }
     }
     if flags.contains_key("stats") {
-        if let Some(probe) = &outcome.online_rdt {
-            println!(
-                "  online probe ({} events appended during the run):",
-                probe.events_appended
-            );
-            println!(
-                "    append     : {:>9.3} ms (incremental engine updates)",
-                probe.append_time.as_secs_f64() * 1e3
-            );
-            let verdict = match probe.first_violation_event {
-                Some(event) => format!(
-                    "{} untrackable pairs, first after event {event}",
-                    probe.untrackable_pairs
-                ),
-                None => "no untrackable pair at any step".to_string(),
-            };
-            println!(
-                "    query      : {:>9.3} ms ({verdict})",
-                probe.query_time.as_secs_f64() * 1e3
-            );
-        }
+        // The trace replayed into a bare engine, the violation count read
+        // back after every event, so append and query cost show apart.
+        let trace = &outcome.trace;
+        let probe = rdt::sim::OnlineRdtReport::replay(trace.num_processes(), trace.events())
+            .expect("a simulated trace replays into the engine");
+        println!(
+            "  online probe ({} events appended during the run):",
+            probe.events_appended
+        );
+        println!(
+            "    append     : {:>9.3} ms (incremental engine updates)",
+            probe.append_time.as_secs_f64() * 1e3
+        );
+        let verdict = match probe.first_violation_event {
+            Some(event) => format!(
+                "{} untrackable pairs, first after event {event}",
+                probe.untrackable_pairs
+            ),
+            None => "no untrackable pair at any step".to_string(),
+        };
+        println!(
+            "    query      : {:>9.3} ms ({verdict})",
+            probe.query_time.as_secs_f64() * 1e3
+        );
         // One shared PatternAnalysis; its laziness splits the offline
         // check into its phases so each can be timed in isolation.
         let pattern = outcome.trace.to_pattern();
@@ -673,13 +671,10 @@ mod tests {
             "--ckpt-mean",
             "99",
             "--fifo",
-            "--compact",
         ]));
         let config = build_config(&flags, 3);
         assert_eq!(config.seed, 5);
         assert_eq!(config.stop, rdt::StopCondition::MessagesSent(42));
         assert!(config.fifo);
-        assert!(config.compact_after_recovery);
-        assert!(!build_config(&HashMap::new(), 3).compact_after_recovery);
     }
 }

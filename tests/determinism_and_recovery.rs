@@ -1,12 +1,15 @@
-//! Integration: run reproducibility and rollback damage bounds.
+//! Integration: run reproducibility, rollback damage bounds, and the
+//! simulator's crash lines against the closed view.
 
+use rdt::sim::{BasicCheckpointModel, TraceEvent};
+use rdt::theory::{ChainLayer, IncrementalAnalysis, Journal, RewindableAnalysis};
 use rdt::workloads::EnvironmentKind;
 use rdt::{analyze, run_protocol_kind, Failure, ProcessId, ProtocolKind, SimConfig, StopCondition};
 
 fn config(seed: u64) -> SimConfig {
     SimConfig::new(5)
         .with_seed(seed)
-        .with_basic_checkpoints(rdt::sim::BasicCheckpointModel::Exponential { mean: 45 })
+        .with_basic_checkpoints(BasicCheckpointModel::Exponential { mean: 45 })
         .with_stop(StopCondition::MessagesSent(250))
 }
 
@@ -211,4 +214,143 @@ fn rdt_recovery_lines_stay_close_to_the_failure() {
             );
         }
     }
+}
+
+/// Processes of the crash-line differential's runs.
+const N: usize = 4;
+
+fn crash_config(env: EnvironmentKind, seed: u64) -> SimConfig {
+    let config = SimConfig::new(N)
+        .with_seed(seed)
+        .with_stop(StopCondition::MessagesSent(300))
+        .with_crash_rate(5.0)
+        .with_max_crashes(8);
+    if env == EnvironmentKind::Domino {
+        // The domino workload checkpoints itself before every reply.
+        config.with_basic_checkpoints(BasicCheckpointModel::Disabled)
+    } else {
+        config.with_basic_checkpoints(BasicCheckpointModel::Exponential { mean: 40 })
+    }
+}
+
+/// Appends one trace event; `handles` maps simulator message ids to the
+/// engine's send-order handles.
+fn append<C, J>(engine: &mut IncrementalAnalysis<C, J>, handles: &mut Vec<u32>, event: &TraceEvent)
+where
+    C: ChainLayer,
+    J: Journal,
+{
+    match *event {
+        TraceEvent::Checkpoint { id, .. } => {
+            engine.append_checkpoint(id.process);
+        }
+        TraceEvent::Send {
+            from, to, message, ..
+        } => {
+            assert_eq!(message.0, handles.len(), "sends are numbered in order");
+            handles.push(engine.append_send(from, to));
+        }
+        TraceEvent::Deliver { message, .. } => engine.append_deliver(handles[message.0]),
+        TraceEvent::Crash { .. } => {}
+    }
+}
+
+/// The recovery line of a crash of `victim` after `prefix`, computed on the
+/// closed pattern of a never-compacted engine: a checkpoint appended to
+/// every open line (then rewound), the greatest consistent global
+/// checkpoint below the closed last checkpoints, the victim capped at its
+/// last durable one.
+fn closed_view_line(prefix: &[TraceEvent], victim: ProcessId) -> Vec<u32> {
+    let mut engine = RewindableAnalysis::layered(N);
+    let mut handles = Vec::new();
+    for event in prefix {
+        append(&mut engine, &mut handles, event);
+    }
+    let durable = engine.last_checkpoint_index(victim);
+    let mut line = vec![0; N];
+    engine.with_closed(|closed| {
+        let mut caps: Vec<u32> = ProcessId::all(N)
+            .map(|p| closed.last_checkpoint_index(p))
+            .collect();
+        caps[victim.index()] = durable;
+        closed.max_consistent_dominated_into(&caps, &mut line);
+    });
+    line
+}
+
+/// At a crash the runner reads the recovery line off its shadow engine, a
+/// journal-free core compacted to every earlier line, with each survivor's
+/// open interval standing as a virtual checkpoint. Every crash marker's
+/// trace prefix, replayed into a fresh never-compacted engine, must give
+/// the `CrashRecord`'s line the closed way; a journal-free twin compacted
+/// to each line where the runner compacts must end with the report's
+/// compaction figures.
+#[test]
+fn crash_lines_equal_the_closed_view_lines() {
+    let (mut crashes, mut virtual_entries, mut dragged, mut compactions) = (0, 0, 0, 0);
+    for &env in &[EnvironmentKind::Domino, EnvironmentKind::Random] {
+        for protocol in [
+            ProtocolKind::Uncoordinated,
+            ProtocolKind::Fdas,
+            ProtocolKind::Bhmr,
+        ] {
+            for seed in 1..=8u64 {
+                let mut app = env.build(N, 20);
+                let outcome = run_protocol_kind(protocol, &crash_config(env, seed), app.as_mut());
+                let report = outcome.recovery.expect("crashes enabled");
+                let events = outcome.trace.events();
+                let mut twin = IncrementalAnalysis::new(N);
+                let mut handles = Vec::new();
+                let mut records = report.crashes.iter();
+                let mut resident = None;
+                let mut k = 0;
+                while k < events.len() {
+                    let TraceEvent::Crash { process, .. } = events[k] else {
+                        append(&mut twin, &mut handles, &events[k]);
+                        k += 1;
+                        continue;
+                    };
+                    let record = records.next().expect("one record per crash marker");
+                    let at = format!(
+                        "{env}/{} seed {seed}, crash at {}",
+                        protocol.name(),
+                        record.at
+                    );
+                    assert_eq!(record.process, process, "{at}");
+                    assert_eq!(
+                        record.line,
+                        closed_view_line(&events[..k], process),
+                        "{at}: line"
+                    );
+                    crashes += 1;
+                    for p in ProcessId::all(N) {
+                        let (entry, last) = (record.line[p.index()], twin.last_checkpoint_index(p));
+                        virtual_entries += usize::from(entry > last);
+                        dragged += usize::from(p != process && entry < last);
+                    }
+                    // The runner re-sends every orphan and lost message
+                    // right after the marker, then compacts to the line.
+                    let resends = record.orphans_discarded + record.lost_replayed;
+                    for event in &events[k + 1..][..resends as usize] {
+                        assert!(matches!(event, TraceEvent::Send { .. }), "{at}: re-send");
+                        append(&mut twin, &mut handles, event);
+                    }
+                    k += 1 + resends as usize;
+                    let stats = twin.compact_to(&record.line);
+                    if stats.discarded_state() {
+                        resident = Some(stats.resident_nodes);
+                    }
+                }
+                assert!(records.next().is_none(), "one crash marker per record");
+                assert_eq!(report.compactions, twin.compactions(), "{env} seed {seed}");
+                assert_eq!(report.reclaimed_rows, twin.reclaimed_rows());
+                assert_eq!(report.resident_nodes_after_compaction, resident);
+                compactions += report.compactions;
+            }
+        }
+    }
+    // Not vacuous: crashes fired, survivors kept their open intervals,
+    // the domino effect dragged some along, and the engine was compacted.
+    assert!(crashes >= 48, "{crashes} crashes");
+    assert!(virtual_entries > 0 && dragged > 0 && compactions > 0);
 }
