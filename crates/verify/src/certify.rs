@@ -18,7 +18,9 @@
 //!    equals the R-graph-reachability one; minimum and maximum agree on
 //!    existence and are ordered; and for RDT dependency-tracking
 //!    protocols the `TDV` saved with the checkpoint *is* that minimum
-//!    (Corollary 4.5).
+//!    (Corollary 4.5). A checkpoint that no consistent global checkpoint
+//!    contains is on a Z-cycle: a counterexample for every protocol
+//!    that claims Z-cycle freedom, BCS as well as the RDT protocols.
 //!
 //! Any failed check is a [`Counterexample`] carrying the schedule that
 //! reproduces it. The deliberately weakened BHMR variant must produce
@@ -470,7 +472,8 @@ enum RecordVerdict {
         /// `min-above-max` or `min-max-existence-disagreement`.
         order_note: Option<(&'static str, String)>,
         /// `useless-checkpoint` detail — `Some` iff no consistent global
-        /// checkpoint contains the record; noted for claiming protocols.
+        /// checkpoint contains the record; noted for ZCF-claiming
+        /// protocols.
         useless: Option<String>,
         /// `tdv-min-gc-mismatch` detail — `Some` iff the record carried
         /// a saved min and it mismatched; noted for TDV protocols.
@@ -663,7 +666,7 @@ fn apply_verdict(
                 if let Some((kind, detail)) = order_note {
                     tally.note(max_kept, protocol, kind, schedule, detail.clone());
                 }
-                if protocol.claims_rdt() {
+                if protocol.claims_zcf() {
                     if let Some(detail) = useless {
                         tally.note(
                             max_kept,
@@ -930,6 +933,42 @@ mod tests {
         let unco = report.protocol("uncoordinated").expect("in default set");
         assert!(unco.rdt_violations > 0, "{}", report.render());
         assert_eq!(unco.counterexample_total, 0);
+    }
+
+    /// A useless checkpoint is a counterexample for every protocol that
+    /// claims Z-cycle freedom, BCS included, and for no other.
+    #[test]
+    fn useless_checkpoints_count_against_every_zcf_claim() {
+        use crate::enumerate::DriverEvent;
+        use rdt_core::ProtocolKind;
+        let schedule = Schedule {
+            n: 2,
+            events: vec![DriverEvent::Basic { process: 0 }],
+            messages: Vec::new(),
+        };
+        let verdict = ScheduleVerdict {
+            rpaths_ok: true,
+            records: vec![RecordVerdict::Checked {
+                order_note: None,
+                useless: Some("C(0,1) is on a Z-cycle".to_string()),
+                tdv_note: None,
+            }],
+            ..ScheduleVerdict::default()
+        };
+        let useless_noted = |kind: ProtocolKind| {
+            let mut tally = ProtocolTally::default();
+            let run = ReplayedOps::default();
+            let protocol = CertProtocol::Kind(kind);
+            apply_verdict(&protocol, &schedule, &run, &verdict, &mut tally, 8);
+            tally
+                .counterexamples
+                .iter()
+                .filter(|cex| cex.kind == "useless-checkpoint")
+                .count()
+        };
+        assert_eq!(useless_noted(ProtocolKind::Bcs), 1);
+        assert_eq!(useless_noted(ProtocolKind::Bhmr), 1);
+        assert_eq!(useless_noted(ProtocolKind::Uncoordinated), 0);
     }
 
     #[test]

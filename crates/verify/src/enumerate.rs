@@ -17,8 +17,7 @@
 //!   depends only on the skeleton — *which* global interleaving realizes
 //!   it is irrelevant. Enumerating skeletons (and replaying one canonical
 //!   linearization each) therefore covers all delivery interleavings at a
-//!   fraction of the cost of a global-schedule tree
-//!   (cf. `rdt::explore`, the naive ancestor of this module).
+//!   fraction of the cost of a global-schedule tree.
 //! * **Symmetry pruning.** All protocols are process-symmetric, so of the
 //!   up-to-`n!` relabelings of a skeleton only the lexicographically
 //!   minimal encoding (the *canonical form*) is replayed; the rest are

@@ -276,6 +276,16 @@ impl CertProtocol {
         }
     }
 
+    /// Whether the protocol claims Z-cycle freedom (no useless
+    /// checkpoint). RDT implies it; BCS claims it without RDT. Useless
+    /// checkpoints are counterexamples exactly for claiming protocols.
+    pub fn claims_zcf(&self) -> bool {
+        match self {
+            CertProtocol::Kind(kind) => kind.ensures_z_cycle_freedom(),
+            CertProtocol::WeakenedBhmrC2Only => true,
+        }
+    }
+
     /// Whether the certifier expects a clean report: true for every
     /// shipped protocol, false only for the weakened control (whose
     /// counterexamples are expected and demanded).

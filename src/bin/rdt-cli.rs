@@ -11,8 +11,6 @@
 //! rdt-cli domino --rounds 10
 //! rdt-cli certify --scope 3,4 [--threads N] [--sample FRAC] [--progress]
 //!         [--json results/certify_report.json]
-//! rdt-cli lint
-//! rdt-cli serve [--listen ADDR | --unix PATH] [--workers N] [--snapshot PATH]
 //! rdt-cli connect [--addr ADDR | --unix PATH]
 //! ```
 
@@ -440,65 +438,6 @@ fn cmd_certify(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-fn cmd_lint() -> ExitCode {
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    match rdt::lint::run_lint(&root) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(message) => {
-            eprintln!("{message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `rdt-cli serve`: run the streaming daemon inline. Thin wrapper over
-/// [`rdt_serve::Server`]; the `rdt-serve` binary is the same daemon with
-/// its own argument parser.
-fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
-    let endpoint = match (flags.get("listen"), flags.get("unix")) {
-        (Some(_), Some(_)) => {
-            eprintln!("--listen and --unix are exclusive");
-            return ExitCode::FAILURE;
-        }
-        (None, Some(path)) => rdt_serve::Endpoint::Unix(path.into()),
-        (listen, None) => rdt_serve::Endpoint::Tcp(
-            listen
-                .cloned()
-                .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
-        ),
-    };
-    let config = rdt_serve::ServerConfig {
-        endpoint,
-        workers: get(flags, "workers", 4usize).max(1),
-        snapshot_path: flags.get("snapshot").map(Into::into),
-    };
-    let server = match rdt_serve::Server::bind(config) {
-        Ok(server) => server,
-        Err(err) => {
-            eprintln!("serve: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "serving ({} streams restored); send {{\"op\":\"shutdown\"}} to stop",
-        server.restored_streams()
-    );
-    match server.run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => {
-            eprintln!("serve: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `rdt-cli connect`: stream stdin lines to a running daemon and print
 /// its replies, one per line, in request order. Full duplex: this thread
 /// writes while a second one prints, so a piped session is pipelined and
@@ -608,12 +547,10 @@ fn main() -> ExitCode {
         Some("domino") => cmd_domino(&flags),
         Some("replay") => cmd_replay(&flags),
         Some("certify") => cmd_certify(&flags),
-        Some("lint") => cmd_lint(),
-        Some("serve") => cmd_serve(&flags),
         Some("connect") => cmd_connect(&flags),
         _ => {
             eprintln!(
-                "usage: rdt-cli <list|run|compare|audit|domino|replay|certify|lint|serve|connect> [--flags]\n\
+                "usage: rdt-cli <list|run|compare|audit|domino|replay|certify|connect> [--flags]\n\
                  see the module docs (`cargo doc`) for the full flag list"
             );
             ExitCode::FAILURE

@@ -13,7 +13,7 @@
 //! | [`sim`] | `rdt-sim` | deterministic discrete-event simulator |
 //! | [`workloads`] | `rdt-workloads` | the evaluation's environments |
 //! | [`recovery`] | `rdt-recovery` | recovery lines, domino effect, GC, output commit |
-//! | [`explore`] | (this crate) | exhaustive bounded model checking of the protocols |
+//! | [`verify`] | `rdt-verify` | exhaustive small-scope certification of the protocols |
 //!
 //! The most common items are re-exported at the root. The `rdt-cli` binary
 //! (`cargo run --bin rdt-cli -- list`) exposes runs, comparisons, audits
@@ -44,8 +44,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod explore;
 
 pub use rdt_causality as causality;
 pub use rdt_core as protocols;

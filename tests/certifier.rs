@@ -1,7 +1,9 @@
 //! Integration tests for the exhaustive small-scope certifier
 //! (`rdt-verify`): enumeration invariants across the crate boundary, the
-//! weakened-predicate regression the certifier must catch, and the
-//! pattern JSON round-trip over every enumerated pattern.
+//! weakened-predicate regression the certifier must catch, the RDT
+//! claims at two and three processes, BCS's Z-cycle freedom without RDT,
+//! the forcing lattice over the certifier's universe, and the pattern
+//! JSON round-trip over every enumerated pattern.
 
 use proptest::prelude::*;
 
@@ -9,9 +11,9 @@ use rdt::json::{Json, ToJson};
 use rdt::theory::PatternAnalysis;
 use rdt::verify::{
     enumerate_patterns, enumerate_schedules, enumerate_schedules_orbit,
-    enumerate_schedules_orbit_stats,
+    enumerate_schedules_orbit_stats, ReplayedOps,
 };
-use rdt::{certify, CertProtocol, CertifyOptions, Pattern, ProtocolKind, Scope};
+use rdt::{certify, CertProtocol, CertifyOptions, CheckpointKind, Pattern, ProtocolKind, Scope};
 
 /// The CI smoke scope certifies cleanly through the public facade.
 #[test]
@@ -66,6 +68,93 @@ fn weakened_predicate_regression() {
     // The meta-check: a certifier that cannot catch a broken predicate
     // must not report success.
     assert!(report.certified_ok(), "{}", report.render());
+}
+
+/// Every protocol that claims RDT keeps the claim, and with it Z-cycle
+/// freedom, on every pattern of two and three processes: a certified
+/// report has no counterexample of any kind for a shipped protocol.
+#[test]
+fn rdt_claims_certify_at_two_and_three_processes() {
+    for label in ["2,3,2", "2,4,1", "3,3"] {
+        let scope: Scope = label.parse().expect("scope in range");
+        let report = certify(&scope, &CertifyOptions::default());
+        assert!(report.certified_ok(), "{}", report.render());
+    }
+}
+
+/// The paper places RDT strictly inside Z-cycle freedom, and BCS is the
+/// protocol between them: it never produces a useless checkpoint (which
+/// the certifier notes for every ZCF claim), preserves RDT with two
+/// processes — a same-process chain always crosses an epoch bump and is
+/// broken — and loses it at three, where the hidden dependency needs a
+/// third process. `uncoordinated` claims neither and violates RDT at
+/// every scope.
+#[test]
+fn bcs_is_zcf_but_not_rdt_over_the_certifiers_universe() {
+    let options = CertifyOptions {
+        protocols: vec![
+            CertProtocol::Kind(ProtocolKind::Bcs),
+            CertProtocol::Kind(ProtocolKind::Uncoordinated),
+        ],
+        ..CertifyOptions::default()
+    };
+    for (label, bcs_keeps_rdt) in [("2,4,2", true), ("2,5,1", true), ("3,4", false)] {
+        let scope: Scope = label.parse().expect("scope in range");
+        let report = certify(&scope, &options);
+        assert!(report.certified_ok(), "{}", report.render());
+        let bcs = report.protocol("bcs").expect("bcs certified");
+        assert_eq!(bcs.rdt_violations == 0, bcs_keeps_rdt, "{label}");
+        let unco = report
+            .protocol("uncoordinated")
+            .expect("in the protocol list");
+        assert!(unco.rdt_violations > 0, "{label}");
+    }
+}
+
+/// Forced checkpoints of each protocol over every schedule of `scope`,
+/// each canonical schedule weighted by its orbit: totals over the full
+/// space of structures, in `kinds` order.
+fn orbit_weighted_forced<const K: usize>(scope: &Scope, kinds: [ProtocolKind; K]) -> [u64; K] {
+    let mut run = ReplayedOps::default();
+    let mut totals = [0; K];
+    enumerate_schedules_orbit_stats(scope, |schedule, meta| {
+        for (kind, total) in kinds.iter().zip(&mut totals) {
+            CertProtocol::Kind(*kind).replay_ops(schedule, &mut run);
+            let forced = run
+                .records
+                .iter()
+                .filter(|record| record.kind == CheckpointKind::Forced)
+                .count() as u64;
+            *total += forced * meta.orbit;
+        }
+    });
+    totals
+}
+
+/// Over the identical exhaustive universe, forced-checkpoint totals order
+/// along the predicate lattice: bhmr ≤ bhmr-nosimple ≤ fdas ≤ fdi and
+/// fdas ≤ nras, the comparison Garcia, Vieira & Buzato draw between CIC
+/// protocols. `uncoordinated` forces nothing.
+#[test]
+fn forcing_lattice_holds_on_orbit_weighted_totals() {
+    use ProtocolKind::{Bhmr, BhmrNoSimple, Fdas, Fdi, Nras, Uncoordinated};
+    for label in ["2,3,2", "2,4,1", "3,3", "3,4"] {
+        let scope: Scope = label.parse().expect("scope in range");
+        let [bhmr, nosimple, fdas, fdi, nras, unco] =
+            orbit_weighted_forced(&scope, [Bhmr, BhmrNoSimple, Fdas, Fdi, Nras, Uncoordinated]);
+        assert!(bhmr > 0, "{label}: bhmr forces nothing");
+        assert!(
+            bhmr <= nosimple,
+            "{label}: bhmr {bhmr} > nosimple {nosimple}"
+        );
+        assert!(
+            nosimple <= fdas,
+            "{label}: nosimple {nosimple} > fdas {fdas}"
+        );
+        assert!(fdas <= fdi, "{label}: fdas {fdas} > fdi {fdi}");
+        assert!(fdas <= nras, "{label}: fdas {fdas} > nras {nras}");
+        assert_eq!(unco, 0, "{label}");
+    }
 }
 
 /// The enumerator's counts are visible and exact through the facade
