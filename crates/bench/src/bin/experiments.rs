@@ -275,15 +275,11 @@ fn incremental(ctx: &Ctx) -> Result<(), String> {
 fn compaction(ctx: &Ctx) -> Result<(), String> {
     println!("== BENCH-COMPACTION — recovery-line compaction vs unbounded engine growth ==");
     // The compacted engine streams the full event count; the
-    // uncompacted control runs a prefix (finishing the full stream
-    // without compaction is the quadratic blow-up being shown).
+    // uncompacted control runs a prefix, long enough for its resident
+    // closure to rise in every decile past the compacted engine's peak.
     let (events, control_events, stride) = if ctx.quick {
         (100_000u64, 10_000u64, 1_000u64)
     } else {
-        // The control's per-event cost grows linearly with the
-        // resident closure, so its runtime is quadratic: 20k events
-        // already show the collapse unambiguously, 50k would burn
-        // minutes confirming the same verdict.
         (1_000_000, 20_000, 10_000)
     };
     let bench = rdt_bench::compaction_bench(4, events, control_events, stride, 0xC04AC7);

@@ -977,7 +977,7 @@ fn compaction_stream(n: usize, events: u64, seed: u64) -> Vec<CompactionOp> {
 }
 
 fn apply_compaction_op(
-    engine: &mut rdt_rgraph::FullAnalysis,
+    engine: &mut rdt_rgraph::IncrementalAnalysis,
     mids: &mut Vec<u32>,
     op: CompactionOp,
 ) {
@@ -1010,10 +1010,10 @@ pub struct CompactionDecile {
     pub resident_nodes: usize,
 }
 
-/// BENCH-COMPACTION: one engine ingesting the stream with periodic
+/// BENCH-COMPACTION: the daemon's engine ingesting the stream with periodic
 /// recovery-line compaction versus the same engine left to grow without
-/// bound (run on a truncated prefix — completing the full stream
-/// uncompacted is exactly the quadratic blow-up being demonstrated).
+/// bound (run on a prefix of the stream: its resident closure grows with
+/// every decile, which is what the control shows).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompactionBenchResult {
     /// Processes in the stream.
@@ -1070,8 +1070,9 @@ impl CompactionBenchResult {
 
     /// The acceptance gates of the experiment: flat per-event cost under
     /// compaction (last decile at least half the first-decile throughput),
-    /// visible collapse without it, bounded resident closure, exact
-    /// analysis results, and non-vacuous reclamation.
+    /// unbounded growth without it (the control's resident closure rises in
+    /// every decile and ends above the compacted peak), bounded resident
+    /// closure, exact analysis results, and non-vacuous reclamation.
     ///
     /// # Errors
     ///
@@ -1084,11 +1085,25 @@ impl CompactionBenchResult {
                  (gate: >= 0.5x)"
             ));
         }
-        let control = self.control_throughput_ratio();
-        if control >= 0.5 {
+        // The control's resident closure, from the empty engine's `n`
+        // initial checkpoints on, decile by decile.
+        let mut resident = self.n;
+        for row in &self.control {
+            if row.resident_nodes <= resident {
+                return Err(format!(
+                    "uncompacted control's resident closure did not rise in decile {} \
+                     ({resident} -> {} nodes) — the growth the compacted engine avoids is \
+                     not visible",
+                    row.decile, row.resident_nodes
+                ));
+            }
+            resident = row.resident_nodes;
+        }
+        if resident <= self.peak_resident_compacted {
             return Err(format!(
-                "uncompacted control kept {control:.2}x of its first-decile throughput — the \
-                 collapse the compacted engine avoids is not visible"
+                "uncompacted control ended at {resident} resident nodes, not above the \
+                 compacted peak of {}",
+                self.peak_resident_compacted
             ));
         }
         if self.untrackable_at_cap_compacted != self.untrackable_at_cap_control {
@@ -1128,9 +1143,8 @@ pub fn compaction_bench(
     compact_stride: u64,
     seed: u64,
 ) -> CompactionBenchResult {
-    // All three closures: the resident and reclaimed row counts this
-    // bench pins are those of the engine that carries the chain layer.
-    use rdt_rgraph::FullAnalysis;
+    // The daemon's engine, the R-graph core: the one engine that compacts.
+    use rdt_rgraph::IncrementalAnalysis;
     use rdt_sim::Stopwatch;
 
     assert!(events >= 10, "need at least one event per decile");
@@ -1139,7 +1153,7 @@ pub fn compaction_bench(
     let ops = compaction_stream(n, events, seed);
 
     let ingest = |total: u64, stride: Option<u64>| {
-        let mut engine = FullAnalysis::layered(n);
+        let mut engine = IncrementalAnalysis::new(n);
         let mut mids: Vec<u32> = Vec::new();
         let mut deciles = Vec::with_capacity(10);
         let mut untrackable_at_cap = 0u64;
@@ -2421,6 +2435,12 @@ mod tests {
             bench.resident_after_final_compaction < bench.control_final_resident,
             "compaction must actually shrink the resident closure"
         );
+        // The gate's growth clause reads no clock, so it holds here too.
+        let control = &bench.control;
+        assert!(control
+            .windows(2)
+            .all(|w| w[0].resident_nodes < w[1].resident_nodes));
+        assert!(bench.control_final_resident > bench.peak_resident_compacted);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! spines for zigzag links, per-process send spines for causal links), so
 //! closure work stays proportional to new reachability, not to the O(M²)
 //! direct link count.
+//!
+//! The layer never compacts: compaction is the core's alone
+//! (`compaction.rs`, on `IncrementalAnalysis<NoChains, _>`), and the one
+//! reader of the chain closures, the certifier, never compacts. Every
+//! delivered message keeps its chain nodes for the life of the engine.
 
 use super::*;
 
@@ -22,20 +27,10 @@ pub trait ChainLayer: Sized + std::fmt::Debug {
     /// `iv` of its destination.
     #[doc(hidden)]
     fn on_deliver<J: Journal>(&mut self, _: &mut J, _mid: u32, _m: &MsgRec, _iv: u32) {}
-    /// The chain half of a state-discarding `compact_to` at watermark `w`;
-    /// returns the zigzag and causal nodes dropped.
-    #[doc(hidden)]
-    fn on_compact(&mut self, _w: &[u32], _msgs: &[MsgRec]) -> (usize, usize) {
-        (0, 0)
-    }
     /// Rewinds one journal entry: the chain entries, and the chain side of
     /// `Send` / `Deliver` (`msgs` as the core has already rewound it).
     #[doc(hidden)]
     fn undo(&mut self, _entry: Undo, _msgs: &[MsgRec]) {}
-    #[doc(hidden)]
-    fn resident_nodes(&self) -> usize {
-        0
-    }
 }
 
 /// The absent chain layer: an engine that tracks the R-graph core only.
@@ -113,50 +108,9 @@ impl ClosureMatrix {
     }
 }
 
-/// Rebuilds a closure matrix keeping only the nodes with a remap entry,
-/// masking every retained row to the retained columns; the transpose is
-/// taken of the rebuilt forward slab.
-fn rebuild_matrix(mat: &ClosureMatrix, remap: &[u32], new_nodes: usize) -> ClosureMatrix {
-    let mut fwd = BitSlab::new(new_nodes);
-    let width = fwd.width;
-    for (old, &nid) in remap.iter().enumerate() {
-        if nid == NONE_U32 {
-            continue;
-        }
-        let row = &mut fwd.words[nid as usize * width..][..width];
-        for v in bits::ones(mat.fwd.row(old)) {
-            if remap[v] != NONE_U32 {
-                bits::set(row, remap[v] as usize);
-            }
-        }
-    }
-    ClosureMatrix {
-        bwd: fwd.transposed(),
-        fwd,
-        ..ClosureMatrix::default()
-    }
-}
-
-/// Numbers the kept entries densely, in order ([`NONE_U32`] for the
-/// rest); returns the remap and the number kept.
-fn remap_kept(keep: impl Iterator<Item = bool>) -> (Vec<u32>, usize) {
-    let mut next = 0u32;
-    let number = |k| {
-        next += u32::from(k);
-        if k {
-            next - 1
-        } else {
-            NONE_U32
-        }
-    };
-    let remap = keep.map(number).collect();
-    (remap, next as usize)
-}
-
 /// Chain-closure nodes of one message, [`NONE_U32`] where absent: its node
-/// in the zigzag closure and in the causal closure (both set at delivery,
-/// absent again once compaction drops the node), then the causal
-/// send-spine node allocated for its send (dropped only after delivery).
+/// in the zigzag closure and in the causal closure (both set at delivery),
+/// then the causal send-spine node allocated for its send.
 pub(super) type ChainRec = [u32; 3];
 const ZNODE: usize = 0;
 const CNODE: usize = 1;
@@ -167,10 +121,8 @@ const SPINE: usize = 2;
 pub struct Chains {
     pub(super) zmat: ClosureMatrix,
     /// Zigzag interval-slot nodes per process: `z_slots[p][k]` is the slot
-    /// of interval `slot_base[p] + k`.
+    /// of interval `k`.
     pub(super) z_slots: Vec<Vec<u32>>,
-    /// First retained zigzag interval slot per process.
-    pub(super) slot_base: Vec<u32>,
     pub(super) cmat: ClosureMatrix,
     /// Causal send-spine nodes per process, in send order.
     pub(super) c_spine: Vec<Vec<u32>>,
@@ -184,14 +136,9 @@ pub struct Chains {
 
 impl Chains {
     /// Dense zigzag interval slots for process `p` up to interval `upto`,
-    /// chained in increasing order (dense from `slot_base[p]` once
-    /// compaction has dropped a prefix).
+    /// chained in increasing order.
     fn ensure_slots<J: Journal>(&mut self, j: &mut J, p: usize, upto: u32) {
-        debug_assert!(
-            upto >= self.slot_base[p],
-            "slot {upto} of process {p} was compacted away"
-        );
-        while self.slot_base[p] as usize + self.z_slots[p].len() <= upto as usize {
+        while self.z_slots[p].len() <= upto as usize {
             let slot = self.zmat.push_node();
             j.record(Undo::ZSlot { p: p as u32 });
             if let Some(&prev) = self.z_slots[p].last() {
@@ -207,7 +154,6 @@ impl ChainLayer for Chains {
         Chains {
             zmat: ClosureMatrix::default(),
             z_slots: vec![Vec::new(); n],
-            slot_base: vec![0; n],
             cmat: ClosureMatrix::default(),
             c_spine: vec![Vec::new(); n],
             c_delivs: vec![Vec::new(); n],
@@ -247,13 +193,9 @@ impl ChainLayer for Chains {
         let z = self.zmat.push_node();
         self.ensure_slots(j, ti, iv);
         self.ensure_slots(j, fi, m.send_iv);
-        debug_assert!(
-            iv >= self.slot_base[ti] && m.send_iv >= self.slot_base[fi],
-            "the compaction watermark never outruns live intervals"
-        );
-        let deliver_slot = self.z_slots[ti][(iv - self.slot_base[ti]) as usize] as usize;
+        let deliver_slot = self.z_slots[ti][iv as usize] as usize;
         self.zmat.insert_edge(MAT_Z, j, z, deliver_slot);
-        let send_slot = self.z_slots[fi][(m.send_iv - self.slot_base[fi]) as usize] as usize;
+        let send_slot = self.z_slots[fi][m.send_iv as usize] as usize;
         self.zmat.insert_edge(MAT_Z, j, send_slot, z);
 
         // Causal closure: message node fed by its own send-spine node;
@@ -264,73 +206,6 @@ impl ChainLayer for Chains {
         let spine = rec[SPINE] as usize;
         self.cmat.insert_edge(MAT_C, j, spine, c);
         self.c_delivs[ti].push(c as u32);
-    }
-
-    /// Chain *nodes* are kept exactly for messages sent strictly above the
-    /// watermark: consistency then keeps every message of a retained-headed
-    /// chain (and of its doubling siblings) strictly live, which is what
-    /// makes live-headed chain queries exact. Beside them stays what later
-    /// appends link to: interval slots down to the earliest in-transit send
-    /// (its delivery links its send slot), per process the last send spine
-    /// and the still-unlinked deliveries (the next send chains from the one
-    /// and links the others), and the spine of every in-transit message.
-    fn on_compact(&mut self, w: &[u32], msgs: &[MsgRec]) -> (usize, usize) {
-        let in_transit = |m: &&MsgRec| m.deliver_iv == NONE_U32;
-        let mut sf: Vec<u32> = w.iter().map(|&x| x + 1).collect();
-        for m in msgs.iter().filter(in_transit) {
-            sf[m.from as usize] = sf[m.from as usize].min(m.send_iv);
-        }
-        for (p, &floor) in sf.iter().enumerate() {
-            let slots = self.z_slots[p].len();
-            let skip = ((floor - self.slot_base[p]) as usize).min(slots);
-            self.z_slots[p].drain(..skip);
-            self.slot_base[p] += skip as u32;
-            let spines = self.c_spine[p].len();
-            self.c_spine[p].drain(..spines.saturating_sub(1));
-            self.c_delivs[p].drain(..self.c_linked[p] as usize);
-            self.c_linked[p] = 0;
-        }
-        let mut keep_z = vec![false; self.zmat.fwd.nodes];
-        let mut keep_c = vec![false; self.cmat.fwd.nodes];
-        for &slot in self.z_slots.iter().flatten() {
-            keep_z[slot as usize] = true;
-        }
-        for &node in self.c_spine.iter().chain(&self.c_delivs).flatten() {
-            keep_c[node as usize] = true;
-        }
-        for (m, rec) in msgs.iter().zip(&self.recs) {
-            if m.send_iv > w[m.from as usize] {
-                for (keep, node) in [(&mut keep_z, rec[ZNODE]), (&mut keep_c, rec[CNODE])] {
-                    if node != NONE_U32 {
-                        keep[node as usize] = true;
-                    }
-                }
-            }
-            if in_transit(&m) {
-                keep_c[rec[SPINE] as usize] = true;
-            }
-        }
-        let (z_remap, new_z_nodes) = remap_kept(keep_z.into_iter());
-        let (c_remap, new_c_nodes) = remap_kept(keep_c.into_iter());
-        let dropped = (
-            self.zmat.fwd.nodes - new_z_nodes,
-            self.cmat.fwd.nodes - new_c_nodes,
-        );
-        self.zmat = rebuild_matrix(&self.zmat, &z_remap, new_z_nodes);
-        self.cmat = rebuild_matrix(&self.cmat, &c_remap, new_c_nodes);
-
-        let slots = self.z_slots.iter_mut().flatten().map(|s| (s, &z_remap));
-        let spines = self.c_spine.iter_mut().chain(&mut self.c_delivs).flatten();
-        let recs = self
-            .recs
-            .iter_mut()
-            .flat_map(|rec| rec.iter_mut().zip([&z_remap, &c_remap, &c_remap]));
-        for (node, remap) in slots.chain(spines.map(|c| (c, &c_remap))).chain(recs) {
-            if *node != NONE_U32 {
-                *node = remap[*node as usize];
-            }
-        }
-        dropped
     }
 
     fn undo(&mut self, entry: Undo, msgs: &[MsgRec]) {
@@ -367,10 +242,6 @@ impl ChainLayer for Chains {
             }
             core_entry => unreachable!("{core_entry:?} is not a chain-layer entry"),
         }
-    }
-
-    fn resident_nodes(&self) -> usize {
-        self.zmat.fwd.nodes + self.cmat.fwd.nodes
     }
 }
 
@@ -426,13 +297,7 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
         };
         let hi = self.deliver_events[p].partition_point(|&(iv, _)| iv <= y);
         for &(_, mid) in &self.deliver_events[p][..hi] {
-            // Compaction-dropped chain nodes: unreachable from any send
-            // above the chain floor, so skipping them keeps live-headed
-            // queries exact.
-            let node = self.chain_node(causal, mid);
-            if node != NONE_U32 {
-                bits::set(mask, node as usize);
-            }
+            bits::set(mask, self.chain_node(causal, mid) as usize);
         }
         f(mask)
     }
@@ -516,21 +381,11 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
     /// Characterization (2): every message chain is doubled by a causal
     /// chain. Identical verdict to
     /// [`characterization::all_chains_doubled`](crate::characterization::all_chains_doubled).
-    ///
-    /// After a [`compact_to`](IncrementalAnalysis::compact_to) the verdict
-    /// covers the chains headed strictly above the chain floor,
-    /// [`compaction_watermark`](IncrementalAnalysis::compaction_watermark),
-    /// as [`visible_holds`](IncrementalAnalysis::visible_holds) does. A
-    /// message sent at or below it but delivered after the compaction heads
-    /// no examined chain: its doublings may run through dropped nodes.
     pub fn all_chains_doubled(&self) -> bool {
         // Deduplicated by linear scan: patterns at certifiable scopes
         // yield a handful of distinct endpoint pairs at most.
         let mut checked: Vec<(CheckpointId, CheckpointId)> = Vec::new();
         for (a, za) in self.delivered() {
-            if a.send_iv <= self.watermark[a.from as usize] {
-                continue;
-            }
             let from = CheckpointId::new(ProcessId::new(a.from as usize), a.send_iv);
             for (b, zb) in self.delivered() {
                 if !self.chains.zmat.fwd.bit(za, zb) {

@@ -286,20 +286,20 @@ impl ZigzagReachability {
         // delivery interval; slots chain forward (`s ≤ t`) and fan out to
         // the messages sent in their interval. O(M + C) edges instead of
         // the O(M²) all-pairs link scan.
-        let mut slot_base = vec![0usize; n];
+        let mut first_slot = vec![0usize; n];
         let mut total = m;
         for p in 0..n {
-            slot_base[p] = total;
+            first_slot[p] = total;
             total += top[p] + 1;
         }
         let mut zz_adj: Vec<Vec<usize>> = vec![Vec::new(); total];
         for a in 0..m {
             let (dp, di) = deliver_at[a];
-            zz_adj[a].push(slot_base[dp.index()] + di as usize);
+            zz_adj[a].push(first_slot[dp.index()] + di as usize);
         }
         for p in 0..n {
             for (x, in_interval) in send_in[p].iter().enumerate() {
-                let slot = slot_base[p] + x;
+                let slot = first_slot[p] + x;
                 if x < top[p] {
                     zz_adj[slot].push(slot + 1);
                 }

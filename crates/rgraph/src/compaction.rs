@@ -56,10 +56,13 @@
 //! derives it. The kept `reach` rows are the whole kept closure, so there
 //! is nothing else to build.
 //!
-//! What the chain layer keeps through a compaction, and why chain queries
-//! stay exact for heads above the watermark, is told at its `on_compact`
-//! hook. Rewinds to marks taken before a state-discarding compaction are a
-//! defined [`RewindError`], not a wrong answer.
+//! Only the chain-free core compacts: every entry point here sits on
+//! `IncrementalAnalysis<NoChains, J>`. The daemon and the simulator's
+//! crash-recovery shadow compact the bare core; the compaction tests
+//! compact [`RewindableAnalysis`], whose `with_closed` the closed-view
+//! oracles run on. The chain layer's one reader, the certifier, never
+//! compacts. Rewinds to marks taken before a state-discarding compaction
+//! are a defined [`RewindError`], not a wrong answer.
 
 use super::*;
 
@@ -70,22 +73,17 @@ pub struct CompactionStats {
     pub watermark: Vec<u32>,
     /// R-graph nodes dropped (a `reach` row each).
     pub dropped_r_nodes: usize,
-    /// Zigzag-closure nodes dropped (message nodes and interval slots); 0
-    /// on a chain-free engine.
-    pub dropped_z_nodes: usize,
-    /// Causal-closure nodes dropped (message, spine and delivery nodes); 0
-    /// on a chain-free engine.
-    pub dropped_c_nodes: usize,
     /// Piggyback TDV snapshot rows reclaimed from delivered messages.
     pub freed_tdv_rows: usize,
-    /// Closure nodes resident after the compaction (every layer's).
+    /// R-graph nodes resident after the compaction.
     pub resident_nodes: usize,
 }
 
 impl CompactionStats {
-    /// Total closure nodes dropped by this compaction.
+    /// Closure nodes dropped by this compaction: the R-graph's, the only
+    /// closure that compacts.
     pub fn dropped_nodes(&self) -> usize {
-        self.dropped_r_nodes + self.dropped_z_nodes + self.dropped_c_nodes
+        self.dropped_r_nodes
     }
 
     /// Whether the compaction discarded any state (and therefore bumped
@@ -95,7 +93,7 @@ impl CompactionStats {
     }
 }
 
-impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
+impl<J: Journal> IncrementalAnalysis<NoChains, J> {
     /// Compacts everything dominated by the consistent watermark derived
     /// from `caps`:
     /// [`max_consistent_dominated`](IncrementalAnalysis::max_consistent_dominated)
@@ -107,17 +105,15 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// (`min_`/`max_consistent_containing`, `max_consistent_dominated`) and
     /// `message_route`. Exact on the live suffix: `reaches`,
     /// `min_consistent_via_rgraph` and `fits_frontier` for retained members
-    /// (`fits_frontier` is `None` for any other), chain queries for
-    /// heads above the chain floor, and `with_closed` over all of those.
+    /// (`fits_frontier` is `None` for any other), `visible_violations`
+    /// above the watermark, and `with_closed` over all of those.
     /// Marks taken before a state-discarding compaction become invalid:
     /// `try_rewind` reports [`RewindError::CompactionBoundary`].
     ///
-    /// The core decides whether state is discarded — an R-graph node dropped
-    /// or a piggyback row freed — and only then hands the watermark to the
-    /// chain layer for its half, so an engine's epoch does not depend on the
-    /// layers it carries. When nothing is dominated (or everything dominated
-    /// is already compacted) the engine — journal, marks, epoch and watermark
-    /// included — is untouched and the stats report zero drops.
+    /// State is discarded when an R-graph node is dropped or a piggyback row
+    /// freed. When nothing is dominated (or everything dominated is already
+    /// compacted) the engine — journal, marks, epoch and watermark included
+    /// — is untouched and the stats report zero drops.
     ///
     /// # Panics
     ///
@@ -180,8 +176,6 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         let mut stats = CompactionStats {
             watermark: w.clone(),
             dropped_r_nodes: self.r_meta.len() - kept.len(),
-            dropped_z_nodes: 0,
-            dropped_c_nodes: 0,
             freed_tdv_rows: self.msg_tdv.len() / n - in_transit,
             resident_nodes: self.resident_closure_nodes(),
         };
@@ -221,8 +215,6 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         examined += self.msgs.len() - live;
         self.settled = settled;
 
-        (stats.dropped_z_nodes, stats.dropped_c_nodes) = self.chains.on_compact(&w, &self.msgs);
-
         // The journal below this point is gone; marks from earlier
         // epochs fail with a defined error instead of corrupting state.
         self.journal.discard();
@@ -247,22 +239,20 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         self.epoch
     }
 
-    /// Total closure rows reclaimed across all compactions (of the layers
-    /// the engine carries: R-graph rows only on a chain-free engine).
+    /// Total closure rows reclaimed across all compactions (R-graph rows).
     pub fn reclaimed_rows(&self) -> u64 {
         self.reclaimed_rows
     }
 
-    /// Closure nodes currently resident — R-graph nodes, plus the chain
-    /// layer's where there is one: an R-graph node costs `n` words of
-    /// `reach`, a chain node a row and a column of its two bit slabs.
+    /// Closure nodes currently resident: R-graph nodes, `n` words of
+    /// `reach` each.
     pub fn resident_closure_nodes(&self) -> usize {
-        self.r_meta.len() + self.chains.resident_nodes()
+        self.r_meta.len()
     }
 
     /// The consistent watermark of the last compaction (all zeros before
-    /// the first), also the chain floor: chain queries and both visible
-    /// verdicts examine only what is headed strictly above it.
+    /// the first): [`visible_violations`](IncrementalAnalysis::visible_violations)
+    /// examines only what is headed strictly above it.
     pub fn compaction_watermark(&self) -> &[u32] {
         &self.watermark
     }

@@ -23,7 +23,8 @@
 //!   present: the R-graph closure, the message table, the `TDV` snapshots,
 //!   the running untrackable-pair count, the CM-path check
 //!   ([`visible_violations`](IncrementalAnalysis::visible_violations)),
-//!   the consistency oracles, compaction and snapshots.
+//!   the consistency oracles, compaction and snapshots (these two on the
+//!   chain-free core only, `IncrementalAnalysis<NoChains, J>`).
 //! * the **chain layer** `C` (`chain_layer.rs`): [`Chains`] maintains the
 //!   zigzag and causal chain closures for characterization 2 and is the
 //!   only instantiation with the chain queries; [`NoChains`] is zero-sized
@@ -40,9 +41,9 @@
 //! no wire query and no crash line reads a chain closure or takes a mark;
 //! a crash line lets each open interval stand as a virtual checkpoint,
 //! [`max_consistent_dominated_open_into`](IncrementalAnalysis::max_consistent_dominated_open_into));
-//! the certifier runs [`FullAnalysis`] (core + chains + journal).
-//! [`RewindableAnalysis`] (core + journal) is the reference the tests ask
-//! closed-view questions of.
+//! the certifier runs [`FullAnalysis`] (core + chains + journal), which
+//! never compacts. [`RewindableAnalysis`] (core + journal) is the reference
+//! the tests ask closed-view questions of, compacted or not.
 //!
 //! # Data structures
 //!
@@ -129,7 +130,8 @@ pub use snapshot::{
 pub type RewindableAnalysis = IncrementalAnalysis<NoChains, UndoJournal>;
 
 /// Core + chains + journal: the chain characterization beside the core's
-/// two, rewindable — the certifier's engine.
+/// two, rewindable — the certifier's engine. It neither compacts nor
+/// persists.
 pub type FullAnalysis = IncrementalAnalysis<Chains, UndoJournal>;
 
 pub(crate) const NONE_U32: u32 = u32::MAX;
@@ -243,36 +245,6 @@ impl BitSlab {
         }
     }
 
-    /// The transpose, block by block: a 64 × 64 block is loaded from 64
-    /// rows' words of one column, transposed, and stored as one column's
-    /// word of 64 rows. All-zero blocks, most of a young closure, are
-    /// skipped. No row may hold a bit at or beyond column `nodes`.
-    fn transposed(&self) -> Self {
-        let width = self.width;
-        let mut out = BitSlab {
-            words: vec![0; self.words.len()],
-            ..*self
-        };
-        let mut block = [0u64; 64];
-        for (band, rows) in self.words.chunks(WORD_BITS * width).enumerate() {
-            for col in 0..bits::words_for(self.nodes) {
-                block.fill(0);
-                for (word, row) in block.iter_mut().zip(rows.chunks_exact(width)) {
-                    *word = row[col];
-                }
-                if block.iter().all(|&word| word == 0) {
-                    continue;
-                }
-                transpose_block(&mut block);
-                let into = out.words[col * WORD_BITS * width..].chunks_exact_mut(width);
-                for (&word, row) in block.iter().zip(into) {
-                    row[band] = word;
-                }
-            }
-        }
-        out
-    }
-
     fn bit(&self, u: usize, v: usize) -> bool {
         // One bounds check: row `u` starts at bit `u · width · WORD_BITS`.
         bits::test(&self.words, u * self.width * WORD_BITS + v)
@@ -343,25 +315,6 @@ impl BitSlab {
     }
 }
 
-/// Transposes a 64×64 bit block in place: bit `c` of word `r` trades places
-/// with bit `r` of word `c`. Six rounds of masked swaps between words `j`
-/// apart, `j` = 32, 16, … 1 (Hacker's Delight, figure 7-3, with bit 0 as
-/// column 0).
-fn transpose_block(block: &mut [u64; 64]) {
-    let (mut j, mut mask) = (32, 0x0000_0000_ffff_ffffu64);
-    while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let swap = (block[k] >> j ^ block[k + j]) & mask;
-            block[k] ^= swap << j;
-            block[k + j] ^= swap;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        mask ^= mask << j;
-    }
-}
-
 /// Append-only analysis of a growing checkpoint & communication pattern,
 /// composed by type from the R-graph **core**, an optional **chain layer**
 /// `C` and an optional **journal layer** `J` (the module documentation of
@@ -409,6 +362,13 @@ fn transpose_block(block: &mut [u64; 64]) {
 /// ```compile_fail
 /// let incr = rdt_rgraph::IncrementalAnalysis::new(2);
 /// incr.mark(); // only on `IncrementalAnalysis<_, UndoJournal>`
+/// ```
+///
+/// Only the core compacts; the certifier's chain-bearing engine never does.
+///
+/// ```compile_fail
+/// let mut incr = rdt_rgraph::FullAnalysis::layered(2);
+/// incr.compact_to_recovery_line(); // only on `IncrementalAnalysis<NoChains, _>`
 /// ```
 #[derive(Debug)]
 pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
@@ -468,9 +428,7 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     epoch: u64,
     /// Per-process consistent watermark of the last state-discarding
     /// compaction (all zeros before the first). Monotone componentwise;
-    /// also the chain layer's retention floor: messages sent in an
-    /// interval `≤ watermark[p]` and delivered by then had their chain
-    /// nodes dropped, and no chain headed there is examined again.
+    /// `visible_violations` counts only lanes headed above it.
     watermark: Vec<u32>,
     /// First retained checkpoint index per process: `cp_nodes[p][k]` is
     /// the R-node of `C_{p, cp_base[p] + k}`.
@@ -847,7 +805,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// are none iff RDT holds (`docs/THEORY.md` § 2). A message in transit,
     /// in an open interval or with a closing checkpoint compacted away is
     /// skipped. After a compaction a lane-`i` pair
-    /// counts only above the chain floor, `TDV_k^s[i] >
+    /// counts only above the watermark, `TDV_k^s[i] >
     /// compaction_watermark()[i]`: its R-path is headed in the kept suffix.
     pub fn visible_violations(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
         let tdv = |p: u32, x| self.checkpoint_tdv(CheckpointId::new(ProcessId::new(p as usize), x));
@@ -1840,7 +1798,7 @@ mod tests {
         assert_eq!(closed_list(&mut incr), [(m, 1)]);
     }
 
-    /// After a compaction a violation counts only above the chain floor.
+    /// After a compaction a violation counts only above the watermark.
     /// Figure 2's witness, closed and compacted to the closing checkpoints,
     /// keeps both of m0's, but its R-path is headed at the watermark:
     /// `TDV_0^1[2] = 1`.
@@ -2305,12 +2263,6 @@ mod tests {
         ops
     }
 
-    fn apply_all(lock: &mut Lockstep, ops: &[Op]) {
-        for &op in ops {
-            lock.apply(op);
-        }
-    }
-
     /// Every table of the engine, chain layer and journal entries included,
     /// with the one field that is documented not to rewind (`events`, a
     /// monotone work counter) blanked, and what is not state cut out: the
@@ -2334,13 +2286,50 @@ mod tests {
         state
     }
 
+    /// Feeds `ops` to the engine alone, with no pattern mirror.
+    fn feed<C: ChainLayer>(incr: &mut IncrementalAnalysis<C, UndoJournal>, ops: &[Op]) {
+        for &op in ops {
+            match op {
+                Op::Cp(i) => {
+                    incr.append_checkpoint(p(i));
+                }
+                Op::Send(from, to) => {
+                    incr.append_send(p(from), p(to));
+                }
+                Op::Del(k) => incr.append_deliver(k as u32),
+            }
+        }
+    }
+
+    /// Rewinding `detour` off `head`, `between` and `tail` leaves the engine
+    /// bit-equal to a fresh one fed the same prefix.
+    fn assert_rewind_is_a_fresh_replay<C: ChainLayer>(
+        n: usize,
+        [head, tail, detour]: [&[Op]; 3],
+        between: impl Fn(&mut IncrementalAnalysis<C, UndoJournal>),
+    ) {
+        let prefix = || {
+            let mut incr = IncrementalAnalysis::<C, UndoJournal>::layered(n);
+            feed(&mut incr, head);
+            between(&mut incr);
+            feed(&mut incr, tail);
+            incr
+        };
+        let mut incr = prefix();
+        let mark = incr.mark();
+        feed(&mut incr, detour);
+        incr.rewind(mark);
+        assert_eq!(rewindable_state(incr), rewindable_state(prefix()));
+    }
+
     /// A compaction that discards nothing leaves nothing a rewind cannot
     /// undo, the watermark included: the in-transit send pins `C_{0,1}` and
     /// its `TDV` row, so the second compaction is a no-op although the
     /// recovery line has moved on to `[2, 0]`.
-    fn no_op_compaction_rewinds<C: ChainLayer>() {
+    #[test]
+    fn rewind_across_a_no_op_compaction_is_bit_equal_to_a_fresh_replay() {
         let prefix = || {
-            let mut incr = IncrementalAnalysis::<C, UndoJournal>::layered(2);
+            let mut incr = RewindableAnalysis::layered(2);
             incr.append_send(p(0), p(1));
             incr.append_checkpoint(p(0));
             assert!(incr.compact_to_recovery_line().discarded_state());
@@ -2353,12 +2342,6 @@ mod tests {
         incr.rewind(mark);
         assert_eq!(incr.compaction_watermark(), [1, 0]);
         assert_eq!(rewindable_state(incr), rewindable_state(prefix()));
-    }
-
-    #[test]
-    fn rewind_across_a_no_op_compaction_is_bit_equal_to_a_fresh_replay() {
-        no_op_compaction_rewinds::<Chains>();
-        no_op_compaction_rewinds::<NoChains>();
     }
 
     // ------------------------------------------- reach differential ----
@@ -3040,9 +3023,9 @@ mod tests {
         }
 
         /// ROADMAP 5(c): a rewind leaves the engine bit-equal to a fresh
-        /// engine fed the prefix — with the prefix compacted half-way (so
-        /// the branch runs on rebuilt matrices and closed-up `reach` rows)
-        /// and without.
+        /// engine fed the prefix — the certifier's engine, and the core with
+        /// the prefix compacted half-way (so the branch runs on closed-up
+        /// `reach` rows) and without.
         fn rewind_is_bit_equal_to_a_fresh_replay(
             seed in 1u64..1_000_000,
             n in 2usize..5,
@@ -3054,25 +3037,12 @@ mod tests {
             let head = random_ops(&mut rng, n, pre, &mut in_flight, &mut sent);
             let tail = random_ops(&mut rng, n, pre / 2, &mut in_flight, &mut sent);
             let detour = random_ops(&mut rng, n, branch, &mut in_flight, &mut sent);
-            for compact in [false, true] {
-                // Only the engine half of each lockstep is looked at: the
-                // pattern mirror knows neither compaction nor rewind.
-                let prefix = || {
-                    let mut lock = Lockstep::new(n);
-                    apply_all(&mut lock, &head);
-                    if compact {
-                        lock.incr.compact_to_recovery_line();
-                    }
-                    apply_all(&mut lock, &tail);
-                    lock
-                };
-                let mut lock = prefix();
-                let mark = lock.incr.mark();
-                apply_all(&mut lock, &detour);
-                lock.incr.rewind(mark);
-                let (incr, fresh) = (lock.incr, prefix().incr);
-                assert_eq!(rewindable_state(incr), rewindable_state(fresh));
-            }
+            let ops = [&head[..], &tail, &detour];
+            assert_rewind_is_a_fresh_replay::<Chains>(n, ops, |_| {});
+            assert_rewind_is_a_fresh_replay::<NoChains>(n, ops, |_| {});
+            assert_rewind_is_a_fresh_replay::<NoChains>(n, ops, |incr| {
+                incr.compact_to_recovery_line();
+            });
         }
     }
 }

@@ -1316,53 +1316,4 @@ mod tests {
             assert_eq!(doc(&restored), doc(&incr));
         }
     }
-
-    /// The block transpose against the definition, over every shape of the
-    /// edges: one word and several, a last band of fewer than 64 rows, a
-    /// width wider than the nodes need, empty and full blocks.
-    #[test]
-    fn block_transpose_is_the_transpose() {
-        let mut state = 0x5eed_0021u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for (nodes, width) in [
-            (0, 1),
-            (1, 1),
-            (63, 1),
-            (64, 1),
-            (65, 2),
-            (100, 4),
-            (128, 2),
-            (130, 4),
-            (200, 4),
-        ] {
-            for density in [0, 1, 4, 64] {
-                let mut fwd = vec![0u64; nodes * width];
-                for row in fwd.chunks_exact_mut(width) {
-                    for col in 0..nodes {
-                        if density == 64 || next() % 64 < density {
-                            bits::set(row, col);
-                        }
-                    }
-                }
-                let mut expected = vec![0u64; nodes * width];
-                for (u, row) in fwd.chunks_exact(width).enumerate() {
-                    for v in bits::ones(row) {
-                        bits::set(&mut expected[v * width..][..width], u);
-                    }
-                }
-                let what = format!("{nodes} nodes, width {width}, density {density}/64");
-                let slab = BitSlab {
-                    nodes,
-                    width,
-                    words: fwd,
-                };
-                assert_eq!(slab.transposed().words, expected, "{what}");
-            }
-        }
-    }
 }

@@ -9,23 +9,21 @@
 //!    verdict (open and closed view), and the fixpoint consistency
 //!    oracles agree with the control over the *entire* history, dropped
 //!    prefix included.
-//! 2. **Live-suffix exactness** — `reaches`, the R-graph minimum-GC
-//!    oracle, chain/doubling/Z-path queries and the message closures
-//!    agree with the control on retained checkpoints and live-headed
-//!    chains, and the visible `TDV` violations on messages whose closing
-//!    checkpoints are retained, above the floor; the closed view's chain
-//!    verdict agrees with the visible one.
+//! 2. **Live-suffix exactness** — `reaches` and the R-graph minimum-GC
+//!    oracle agree with the control on retained checkpoints, and the
+//!    visible `TDV` violations on messages whose closing checkpoints are
+//!    retained, above the watermark.
 //! 3. **Defined rewind failure** — rewinding to a mark taken before a
 //!    state-discarding compaction reports
 //!    [`RewindError::CompactionBoundary`] and leaves the engine intact;
 //!    marks taken after the compaction keep working.
-//! 4. **Layer independence** — the core-only engine the daemon runs and
-//!    the full engine answer every core query identically and compact in
-//!    lockstep (same epochs, watermarks, retention floors, dropped R-nodes).
+//!
+//! Both engines are [`RewindableAnalysis`], the core with the undo journal
+//! that `with_closed` needs: only the chain-free core compacts.
 
 use proptest::prelude::*;
 use rdt_causality::{CheckpointId, ProcessId};
-use rdt_rgraph::{ChainLayer, FullAnalysis, IncrementalAnalysis, Journal, RewindError};
+use rdt_rgraph::{RewindError, RewindableAnalysis};
 
 /// Deterministic xorshift generator driving the op-sequence builder.
 struct Rng(u64);
@@ -85,7 +83,7 @@ fn random_ops(
     ops
 }
 
-fn apply<C: ChainLayer, J: Journal>(incr: &mut IncrementalAnalysis<C, J>, op: Op) {
+fn apply(incr: &mut RewindableAnalysis, op: Op) {
     match op {
         Op::Cp(i) => {
             incr.append_checkpoint(ProcessId::new(i));
@@ -102,7 +100,7 @@ fn cp(p: usize, idx: u32) -> CheckpointId {
 }
 
 /// Every checkpoint of the full pattern, compacted away or not.
-fn all_checkpoints(incr: &FullAnalysis) -> Vec<CheckpointId> {
+fn all_checkpoints(incr: &RewindableAnalysis) -> Vec<CheckpointId> {
     (0..incr.num_processes())
         .flat_map(|p| {
             (0..=incr.last_checkpoint_index(ProcessId::new(p))).map(move |idx| cp(p, idx))
@@ -113,7 +111,7 @@ fn all_checkpoints(incr: &FullAnalysis) -> Vec<CheckpointId> {
 /// The compacted engine must agree with the uncompacted control —
 /// globally for counter- and message-table-based queries, and on the
 /// documented live suffix for closure-row-based ones.
-fn assert_compacted_equivalent(comp: &mut FullAnalysis, ctrl: &mut FullAnalysis) {
+fn assert_compacted_equivalent(comp: &mut RewindableAnalysis, ctrl: &mut RewindableAnalysis) {
     let n = ctrl.num_processes();
     assert_eq!(comp.num_processes(), n);
     assert_eq!(comp.num_messages(), ctrl.num_messages());
@@ -180,64 +178,10 @@ fn assert_compacted_equivalent(comp: &mut FullAnalysis, ctrl: &mut FullAnalysis)
         }
     }
 
-    // Live suffix: chain-layer queries for heads strictly above the
-    // chain floor, against arbitrary (even dropped) targets.
-    let floor = comp.compaction_watermark().to_vec();
-    let live_headed: Vec<CheckpointId> = everything
-        .iter()
-        .copied()
-        .filter(|c| c.index > floor[c.process.index()])
-        .collect();
-    for &a in &live_headed {
-        assert_eq!(comp.on_z_cycle(a), ctrl.on_z_cycle(a), "z-cycle {a}");
-        for &b in &everything {
-            assert_eq!(
-                comp.chain_exists(a, b),
-                ctrl.chain_exists(a, b),
-                "chain {a} {b}"
-            );
-            assert_eq!(
-                comp.causal_chain_exists(a, b),
-                ctrl.causal_chain_exists(a, b),
-                "causal chain {a} {b}"
-            );
-            assert_eq!(
-                comp.causal_doubling_exists(a, b),
-                ctrl.causal_doubling_exists(a, b),
-                "doubling {a} {b}"
-            );
-            assert_eq!(
-                comp.z_path_after_to_before(a, b),
-                ctrl.z_path_after_to_before(a, b),
-                "z-path {a} {b}"
-            );
-        }
-    }
-
-    // Live suffix: message chain closures for live-sent sources.
-    let route_of = |mid: u32| ctrl.message_route(mid);
-    for a in 0..ctrl.num_messages() as u32 {
-        let ra = route_of(a);
-        if ra.send_interval <= floor[ra.from.index()] {
-            continue;
-        }
-        for b in 0..ctrl.num_messages() as u32 {
-            assert_eq!(
-                comp.zigzag_closure(a, b),
-                ctrl.zigzag_closure(a, b),
-                "zigzag {a} {b}"
-            );
-            assert_eq!(
-                comp.causal_link_closure(a, b),
-                ctrl.causal_link_closure(a, b),
-                "causal link {a} {b}"
-            );
-        }
-    }
-
     // Live suffix: characterization 3 on the closed views. The compacted
     // engine lists the control's violations whose closing checkpoints it
-    // retains and whose sender `TDV` lane sits above its floor.
+    // retains and whose sender `TDV` lane sits above its watermark.
+    let floor = comp.compaction_watermark().to_vec();
     let retained = |c: CheckpointId| c.index >= base[c.process.index()];
     let ours: Vec<_> = comp.with_closed(|v| v.visible_violations().collect());
     let theirs: Vec<_> = ctrl.with_closed(|v| {
@@ -251,12 +195,11 @@ fn assert_compacted_equivalent(comp: &mut FullAnalysis, ctrl: &mut FullAnalysis)
         v.visible_violations().filter(kept).collect()
     });
     assert_eq!(ours, theirs, "visible violations");
-    // So the chain verdict, over chains headed above the floor, agrees.
-    let chains = comp.with_closed(|v| v.all_chains_doubled());
-    assert_eq!(ours.is_empty(), chains, "compacted verdicts");
 
-    // Compaction is the memory lever: the compacted engine never holds
-    // more closure rows than the control.
+    // Compaction is the memory lever: the compacted engine holds one
+    // closure row per retained checkpoint, never more than the control.
+    let kept = (0..n).map(|p| comp.last_checkpoint_index(ProcessId::new(p)) + 1 - base[p]);
+    assert_eq!(comp.resident_closure_nodes(), kept.sum::<u32>() as usize);
     assert!(comp.resident_closure_nodes() <= ctrl.resident_closure_nodes());
 }
 
@@ -270,8 +213,8 @@ fn fixed_seed_compaction_lockstep() {
             let mut next_mid = 0u32;
             let mut in_flight = Vec::new();
             let ops = random_ops(&mut rng, n, 60, &mut next_mid, &mut in_flight);
-            let mut comp = FullAnalysis::layered(n);
-            let mut ctrl = FullAnalysis::layered(n);
+            let mut comp = RewindableAnalysis::layered(n);
+            let mut ctrl = RewindableAnalysis::layered(n);
             for (i, &op) in ops.iter().enumerate() {
                 apply(&mut comp, op);
                 apply(&mut ctrl, op);
@@ -294,8 +237,8 @@ fn repeated_compaction_reclaims_and_stays_exact() {
     let mut next_mid = 0u32;
     let mut in_flight = Vec::new();
     let ops = random_ops(&mut rng, n, 400, &mut next_mid, &mut in_flight);
-    let mut comp = FullAnalysis::layered(n);
-    let mut ctrl = FullAnalysis::layered(n);
+    let mut comp = RewindableAnalysis::layered(n);
+    let mut ctrl = RewindableAnalysis::layered(n);
     for (i, &op) in ops.iter().enumerate() {
         apply(&mut comp, op);
         apply(&mut ctrl, op);
@@ -326,8 +269,8 @@ proptest! {
         let mut next_mid = 0u32;
         let mut in_flight = Vec::new();
         let ops = random_ops(&mut rng, n, events, &mut next_mid, &mut in_flight);
-        let mut comp = FullAnalysis::layered(n);
-        let mut ctrl = FullAnalysis::layered(n);
+        let mut comp = RewindableAnalysis::layered(n);
+        let mut ctrl = RewindableAnalysis::layered(n);
         for (i, &op) in ops.iter().enumerate() {
             apply(&mut comp, op);
             apply(&mut ctrl, op);
@@ -349,58 +292,6 @@ proptest! {
         assert_compacted_equivalent(&mut comp, &mut ctrl);
     }
 
-    /// The same stream, compacted at the same random points, through the
-    /// core instantiation and the full one: every core answer and every
-    /// piece of compaction state agrees after every op.
-    fn core_matches_full_after_every_op(
-        seed in 1u64..1_000_000,
-        n in 2usize..5,
-        events in 20usize..120,
-    ) {
-        let mut rng = Rng(seed | 1);
-        let (mut next_mid, mut in_flight) = (0u32, Vec::new());
-        let ops = random_ops(&mut rng, n, events, &mut next_mid, &mut in_flight);
-        let mut core = IncrementalAnalysis::new(n);
-        let mut full = FullAnalysis::layered(n);
-        for &op in &ops {
-            apply(&mut core, op);
-            apply(&mut full, op);
-            let tops: Vec<u32> = (0..n)
-                .map(|p| core.last_checkpoint_index(ProcessId::new(p)))
-                .collect();
-            match rng.below(6) {
-                0 => {
-                    let (c, f) = (core.compact_to_recovery_line(), full.compact_to_recovery_line());
-                    prop_assert_eq!(c.dropped_r_nodes, f.dropped_r_nodes);
-                    prop_assert_eq!((c.dropped_z_nodes, c.dropped_c_nodes), (0, 0));
-                }
-                1 => {
-                    let caps: Vec<u32> = tops.iter().map(|&t| rng.below(t as usize + 1) as u32).collect();
-                    let (c, f) = (core.compact_to(&caps), full.compact_to(&caps));
-                    prop_assert_eq!(c.dropped_r_nodes, f.dropped_r_nodes);
-                    prop_assert_eq!(c.discarded_state(), f.discarded_state());
-                }
-                _ => {}
-            }
-            prop_assert_eq!(core.untrackable_pairs(), full.untrackable_pairs());
-            prop_assert_eq!(core.compaction_epoch(), full.compaction_epoch());
-            prop_assert_eq!(core.compaction_watermark(), full.compaction_watermark());
-            prop_assert_eq!(core.retained_from(), full.retained_from());
-            let caps: Vec<u32> = tops.iter().map(|&t| rng.below(t as usize + 1) as u32).collect();
-            prop_assert_eq!(core.max_consistent_dominated(&caps), full.max_consistent_dominated(&caps));
-            let p = rng.below(n);
-            let member = [cp(p, rng.below(tops[p] as usize + 1) as u32)];
-            prop_assert_eq!(core.min_consistent_containing(&member), full.min_consistent_containing(&member));
-            prop_assert_eq!(core.max_consistent_containing(&member), full.max_consistent_containing(&member));
-        }
-        // A chain-free engine holds one closure row per retained checkpoint
-        // and nothing else.
-        let retained = (0..n).map(|p| {
-            core.last_checkpoint_index(ProcessId::new(p)) + 1 - core.retained_from()[p]
-        });
-        prop_assert_eq!(core.resident_closure_nodes(), retained.sum::<u32>() as usize);
-    }
-
     /// Rewinding past a state-discarding compaction is the documented
     /// error and leaves the engine untouched; marks taken after the
     /// compaction rewind normally and branches replay identically.
@@ -416,8 +307,8 @@ proptest! {
         let prefix = random_ops(&mut rng, n, pre, &mut next_mid, &mut in_flight);
         let ops = random_ops(&mut rng, n, branch, &mut next_mid, &mut in_flight);
 
-        let mut comp = FullAnalysis::layered(n);
-        let mut ctrl = FullAnalysis::layered(n);
+        let mut comp = RewindableAnalysis::layered(n);
+        let mut ctrl = RewindableAnalysis::layered(n);
         for &op in &prefix {
             apply(&mut comp, op);
             apply(&mut ctrl, op);
@@ -469,8 +360,8 @@ proptest! {
         let mut rng = Rng(seed | 1);
         let mut next_mid = 0u32;
         let mut in_flight = Vec::new();
-        let mut comp = FullAnalysis::layered(n);
-        let mut ctrl = FullAnalysis::layered(n);
+        let mut comp = RewindableAnalysis::layered(n);
+        let mut ctrl = RewindableAnalysis::layered(n);
 
         for _ in 0..rounds {
             // A burst of speculative events, observed then rolled back —

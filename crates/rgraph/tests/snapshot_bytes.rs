@@ -8,7 +8,7 @@
 //! — and, through `common::v2_text`, every version 2 golden and digest.
 //!
 //! `golden/snapshot_v3.json` (the core engine) and
-//! `golden/snapshot_v3_chains.json` ([`FullAnalysis`], the same tables plus
+//! `golden/snapshot_v3_chains.json` (`FullAnalysis`, the same tables plus
 //! the `chains` key, when the chain layer still persisted) were written
 //! once, by the first writer of version 3, from the states that produced the
 //! version 2 goldens ([`golden_script`]:
@@ -37,7 +37,7 @@
 //! more events).
 //!
 //! Only the chain-free core persists now, so what was pinned of
-//! [`FullAnalysis`]'s documents — the two `_chains` goldens and the last
+//! `FullAnalysis`'s documents — the two `_chains` goldens and the last
 //! column of [`DIGESTS`] — is no longer written by anything. The goldens
 //! stay inputs: a chain-bearing document restores into the core engine, its
 //! `chains` member skipped, to the core's answers.
@@ -51,17 +51,16 @@
 //! retired restore built: `golden/restore_transcript_*.txt` hold every query
 //! answer at once and after each op of a further stride, captured at
 //! `b617060` from `from_snapshot_json` over a `Json` tree, and are never
-//! regenerated.
+//! regenerated. (The chain-bearing twin's transcript went with the chain
+//! layer's compaction: `FullAnalysis` no longer compacts, so nothing can
+//! replay the golden script through it.)
 
 mod common;
 
 use common::{text, v2_text, v3_text, Arrivals};
 use rdt_causality::{CheckpointId, ProcessId};
 use rdt_json::Json;
-use rdt_rgraph::{
-    ChainLayer, CompactionStats, FullAnalysis, IncrementalAnalysis, Journal, NoChains, NoJournal,
-    UndoJournal,
-};
+use rdt_rgraph::{CompactionStats, IncrementalAnalysis, Journal, NoChains, NoJournal, UndoJournal};
 
 const GOLDEN_V2_CORE: &str = include_str!("golden/snapshot_v2.json");
 const GOLDEN_V2_CHAINS: &str = include_str!("golden/snapshot_v2_chains.json");
@@ -69,14 +68,13 @@ const GOLDEN_V3_CORE: &str = include_str!("golden/snapshot_v3.json");
 const GOLDEN_V3_CHAINS: &str = include_str!("golden/snapshot_v3_chains.json");
 const GOLDEN_V4_CORE: &str = include_str!("golden/snapshot_v4.json");
 const TRANSCRIPT_CORE: &str = include_str!("golden/restore_transcript_v2.txt");
-const TRANSCRIPT_CHAINS: &str = include_str!("golden/restore_transcript_v2_chains.txt");
 
 /// Draws per corpus state, and states per script.
 const STRIDE: usize = 40;
 const STATES: usize = 4;
 
 /// Per script `(n, seed)`: FNV-1a 64 over the version 2 texts of its four
-/// states, in order, of the core engine and of [`FullAnalysis`] (the last
+/// states, in order, of the core engine and of `FullAnalysis` (the last
 /// column, kept as pinned; nothing writes a chain-bearing document now).
 const DIGESTS: [(usize, u64, u64, u64); 24] = [
     (2, 1, 0xe375d3a8e8f4ecaf, 0x148be788e600f75f),
@@ -217,19 +215,18 @@ fn corpus_script(n: usize, seed: u64) -> Vec<Vec<Op>> {
         .collect()
 }
 
+/// A compaction's reply, in the columns the transcripts were captured in:
+/// the zigzag and causal drops read 0 on the core, the only engine that
+/// compacts.
 fn stats(stats: CompactionStats) -> String {
     format!(
-        "{:?} -{}r -{}z -{}c -{}rows",
-        stats.watermark,
-        stats.dropped_r_nodes,
-        stats.dropped_z_nodes,
-        stats.dropped_c_nodes,
-        stats.freed_tdv_rows
+        "{:?} -{}r -0z -0c -{}rows",
+        stats.watermark, stats.dropped_r_nodes, stats.freed_tdv_rows
     )
 }
 
 /// Applies `op` and returns what the engine replied.
-fn apply<C: ChainLayer, J: Journal>(engine: &mut IncrementalAnalysis<C, J>, op: &Op) -> String {
+fn apply<J: Journal>(engine: &mut IncrementalAnalysis<NoChains, J>, op: &Op) -> String {
     match op {
         Op::Cp(p) => engine.append_checkpoint(ProcessId::new(*p)).to_string(),
         Op::Send(from, to) => engine
@@ -245,8 +242,8 @@ fn apply<C: ChainLayer, J: Journal>(engine: &mut IncrementalAnalysis<C, J>, op: 
 }
 
 /// [`apply`] on an engine whose version 2 text will be asked for.
-fn apply_tracked<C: ChainLayer, J: Journal>(
-    engine: &mut IncrementalAnalysis<C, J>,
+fn apply_tracked<J: Journal>(
+    engine: &mut IncrementalAnalysis<NoChains, J>,
     arrivals: &mut Arrivals,
     op: &Op,
 ) {
@@ -367,7 +364,7 @@ fn corpus_digests_match_the_tree_builder() {
 // ------------------------------------------------ restore transcripts ----
 
 /// Everything the daemon can be asked about a stream.
-fn answers<C: ChainLayer, J: Journal>(engine: &IncrementalAnalysis<C, J>) -> String {
+fn answers<J: Journal>(engine: &IncrementalAnalysis<NoChains, J>) -> String {
     let n = engine.num_processes();
     let tops: Vec<u32> = (0..n)
         .map(|p| engine.last_checkpoint_index(ProcessId::new(p)))
@@ -394,30 +391,16 @@ fn answers<C: ChainLayer, J: Journal>(engine: &IncrementalAnalysis<C, J>) -> Str
     out
 }
 
-/// [`answers`], and the three characterizations on the closed pattern.
-fn full_answers(engine: &mut FullAnalysis) -> String {
-    let verdicts = engine.with_closed(|view| {
-        format!(
-            "{} {} {}",
-            view.rdt_holds(),
-            view.all_chains_doubled(),
-            view.visible_holds()
-        )
-    });
-    format!("{} {verdicts}", answers(engine))
-}
-
 /// What a restored engine answers at once, and what it replies and answers
 /// after each op of `ops`.
-fn transcript<C: ChainLayer, J: Journal>(
-    mut engine: IncrementalAnalysis<C, J>,
+fn transcript<J: Journal>(
+    mut engine: IncrementalAnalysis<NoChains, J>,
     ops: &[Op],
-    answers: impl Fn(&mut IncrementalAnalysis<C, J>) -> String,
-) -> (String, IncrementalAnalysis<C, J>) {
-    let mut out = format!("restored: {}\n", answers(&mut engine));
+) -> (String, IncrementalAnalysis<NoChains, J>) {
+    let mut out = format!("restored: {}\n", answers(&engine));
     for op in ops {
         let reply = apply(&mut engine, op);
-        out += &format!("{op:?} = {reply}: {}\n", answers(&mut engine));
+        out += &format!("{op:?} = {reply}: {}\n", answers(&engine));
     }
     (out, engine)
 }
@@ -427,22 +410,17 @@ fn goldens_restore_to_the_answers_the_tree_restore_gave() {
     let ops = golden_script(NEXT_STRIDE);
     let (golden_ops, stride) = ops.split_at(golden_script(0).len());
     let mut core = IncrementalAnalysis::new(3);
-    let mut full = FullAnalysis::layered(3);
     for op in golden_ops {
         apply(&mut core, op);
-        apply(&mut full, op);
     }
-    // The uninterrupted twins, asked the same questions at the same points
-    // (`with_closed` appends and rewinds, which the `events` counter keeps).
-    let (said, core) = transcript(core, stride, |e| answers(e));
+    // The uninterrupted twin, asked the same questions at the same points.
+    let (said, core) = transcript(core, stride);
     assert_eq!(said, TRANSCRIPT_CORE, "the uninterrupted twin");
-    let (said, _) = transcript(full, stride, full_answers);
-    assert_eq!(said, TRANSCRIPT_CHAINS, "the uninterrupted twin");
     assert!(stride.len() > 80 && core.compactions() == 4);
 
     for golden in [GOLDEN_V2_CORE, GOLDEN_V3_CORE, GOLDEN_V4_CORE] {
         let restored = restore::<NoJournal>(golden.trim_end(), "core golden");
-        let (said, after) = transcript(restored, stride, |e| answers(e));
+        let (said, after) = transcript(restored, stride);
         assert_eq!(said, TRANSCRIPT_CORE);
         assert_eq!(text(&after), text(&core), "an uninterrupted twin");
     }
@@ -451,7 +429,7 @@ fn goldens_restore_to_the_answers_the_tree_restore_gave() {
     // all).
     for golden in [GOLDEN_V2_CHAINS, GOLDEN_V3_CHAINS] {
         let restored = restore::<NoJournal>(golden.trim_end(), "chains as core");
-        let (said, _) = transcript(restored, stride, |e| answers(e));
+        let (said, _) = transcript(restored, stride);
         assert_eq!(said, TRANSCRIPT_CORE);
     }
 }

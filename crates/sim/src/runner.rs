@@ -256,6 +256,15 @@ struct CrashState {
     /// most once, ever, even if later crashes undo its delivery again (the
     /// replay itself got a fresh log entry of its own).
     lost_replayed_flags: Vec<bool>,
+    /// Messages discarded as orphans: their arrival left the queue, so the
+    /// engine never sees them delivered.
+    orphaned: Vec<bool>,
+    /// Every message below this handle is an orphan or was delivered in an
+    /// interval at or below the engine's compaction watermark. The
+    /// watermark is a consistent global checkpoint of taken checkpoints, so
+    /// every later recovery line dominates it and no crash can undo those
+    /// deliveries: a crash's walk over the deliveries starts here.
+    settled: u32,
 }
 
 impl CrashState {
@@ -267,6 +276,25 @@ impl CrashState {
             checkpoint_times: vec![vec![SimTime::ZERO]; n],
             message_tags: Vec::new(),
             lost_replayed_flags: Vec::new(),
+            orphaned: Vec::new(),
+            settled: 0,
+        }
+    }
+
+    /// Advances `settled` past the orphans and the deliveries at or below
+    /// the compaction watermark; called after each compaction that moved it.
+    fn settle(&mut self) {
+        let watermark = self.engine.compaction_watermark();
+        while (self.settled as usize) < self.engine.num_messages() {
+            let route = self.engine.message_route(self.settled);
+            let passed = match route.deliver_interval {
+                Some(iv) => iv <= watermark[route.to.index()],
+                None => self.orphaned.get(self.settled as usize) == Some(&true),
+            };
+            if !passed {
+                break;
+            }
+            self.settled += 1;
         }
     }
 
@@ -626,6 +654,7 @@ impl<P: CicProtocol> Runner<P> {
         let mut reemits: Vec<(ProcessId, ProcessId, u32)> = Vec::new();
         let entries = std::mem::take(&mut self.queue).into_vec();
         let mut kept = Vec::with_capacity(entries.len());
+        crash.orphaned.resize(self.messages_sent as usize, false);
         for entry in entries {
             let orphaned = match &entry.event {
                 QueuedEvent::Arrival {
@@ -638,6 +667,7 @@ impl<P: CicProtocol> Runner<P> {
                     let orphaned =
                         engine.message_route(message.0 as u32).send_interval > line[from.index()];
                     if orphaned {
+                        crash.orphaned[message.0] = true;
                         reemits.push((*from, *to, *tag));
                     }
                     orphaned
@@ -662,7 +692,7 @@ impl<P: CicProtocol> Runner<P> {
         crash
             .lost_replayed_flags
             .resize(self.messages_sent as usize, false);
-        for mid in 0..engine.num_messages() as u32 {
+        for mid in crash.settled..engine.num_messages() as u32 {
             let route = engine.message_route(mid);
             let Some(deliver_iv) = route.deliver_interval else {
                 continue;
@@ -725,6 +755,7 @@ impl<P: CicProtocol> Runner<P> {
                 report.compactions += 1;
                 report.reclaimed_rows += stats.dropped_nodes() as u64;
                 report.resident_nodes_after_compaction = Some(stats.resident_nodes);
+                crash.settle();
             }
         }
     }

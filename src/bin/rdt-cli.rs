@@ -13,8 +13,11 @@
 //!         [--json results/certify_report.json]
 //! rdt-cli connect [--addr ADDR | --unix PATH]
 //! ```
+//!
+//! Each subcommand reads the flags listed for it in `COMMANDS`; any other
+//! flag, or a value its flag cannot read, exits 1 with the usage line.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
 
@@ -25,8 +28,58 @@ use rdt::{
     SimConfig, StopCondition,
 };
 
-fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
-    let mut flags = HashMap::new();
+type Flags = BTreeMap<String, String>;
+
+/// The flags `build_config` reads.
+const SIM_FLAGS: [&str; 8] = [
+    "n",
+    "seed",
+    "messages",
+    "ckpt-mean",
+    "send-mean",
+    "fifo",
+    "crash-rate",
+    "max-crashes",
+];
+
+type Command = fn(&Flags) -> Result<ExitCode, String>;
+
+/// Every subcommand, what runs it, and the flags it reads: its own, and
+/// `SIM_FLAGS` where the bool is set.
+const COMMANDS: [(&str, Command, bool, &[&str]); 8] = [
+    ("list", cmd_list, false, &[]),
+    (
+        "run",
+        cmd_run,
+        true,
+        &[
+            "protocol",
+            "env",
+            "verify",
+            "stats",
+            "detail",
+            "dot",
+            "save-trace",
+        ],
+    ),
+    ("compare", cmd_compare, true, &["env"]),
+    ("audit", cmd_audit, false, &["figure"]),
+    ("domino", cmd_domino, false, &["rounds"]),
+    ("replay", cmd_replay, false, &["trace", "dot"]),
+    (
+        "certify",
+        cmd_certify,
+        false,
+        &["scope", "threads", "sample", "progress", "json"],
+    ),
+    ("connect", cmd_connect, false, &["addr", "unix"]),
+];
+
+const USAGE: &str = "usage: rdt-cli <list|run|compare|audit|domino|replay|certify|connect> \
+                     [--flags]\nsee the module docs (`cargo doc`) for the full flag list";
+
+fn parse_flags(args: &[String]) -> (Flags, Vec<String>) {
+    let mut flags = Flags::new();
     let mut positional = Vec::new();
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
@@ -43,32 +96,40 @@ fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
     (flags, positional)
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    flags
-        .get(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The value of `--key`, `default` when the flag is absent; an error naming
+/// the flag when its value does not parse.
+fn get<T>(flags: &Flags, key: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match flags.get(key) {
+        None => Ok(default),
+        Some(value) => value
+            .parse()
+            .map_err(|err| format!("--{key} {value:?}: {err}")),
+    }
 }
 
-fn build_config(flags: &HashMap<String, String>, n: usize) -> SimConfig {
-    let basics = match get(flags, "ckpt-mean", 80u64) {
+fn build_config(flags: &Flags, n: usize) -> Result<SimConfig, String> {
+    let basics = match get(flags, "ckpt-mean", 80u64)? {
         // Lets self-checkpointing workloads (e.g. domino) run without the
         // timer instead of panicking on a zero exponential mean.
         0 => rdt::sim::BasicCheckpointModel::Disabled,
         mean => rdt::sim::BasicCheckpointModel::Exponential { mean },
     };
-    SimConfig::new(n)
-        .with_seed(get(flags, "seed", 1u64))
+    Ok(SimConfig::new(n)
+        .with_seed(get(flags, "seed", 1u64)?)
         .with_basic_checkpoints(basics)
         .with_stop(StopCondition::MessagesSent(get(
             flags, "messages", 1_000u64,
-        )))
-        .with_fifo(flags.contains_key("fifo"))
-        .with_crash_rate(get(flags, "crash-rate", 0.0f64))
-        .with_max_crashes(get(flags, "max-crashes", 2u32))
+        )?))
+        .with_fifo(get(flags, "fifo", false)?)
+        .with_crash_rate(get(flags, "crash-rate", 0.0f64)?)
+        .with_max_crashes(get(flags, "max-crashes", 2u32)?))
 }
 
-fn cmd_list() -> ExitCode {
+fn cmd_list(_: &Flags) -> Result<ExitCode, String> {
     println!("protocols:");
     for &kind in ProtocolKind::all() {
         println!(
@@ -83,27 +144,20 @@ fn cmd_list() -> ExitCode {
     for &env in EnvironmentKind::all() {
         println!("  {}", env.name());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
-    let protocol: ProtocolKind = match get::<String>(flags, "protocol", "bhmr".into()).parse() {
-        Ok(p) => p,
-        Err(err) => {
-            eprintln!("{err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let env: EnvironmentKind = match get::<String>(flags, "env", "random".into()).parse() {
-        Ok(e) => e,
-        Err(err) => {
-            eprintln!("{err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let n = get(flags, "n", 8usize);
-    let config = build_config(flags, n);
-    let mut app = env.build(n, get(flags, "send-mean", 20u64));
+fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
+    let protocol: ProtocolKind = get(flags, "protocol", ProtocolKind::Bhmr)?;
+    let env: EnvironmentKind = get(flags, "env", EnvironmentKind::Random)?;
+    let n = get(flags, "n", 8usize)?;
+    let config = build_config(flags, n)?;
+    let (stats_wanted, detail, verify) = (
+        get(flags, "stats", false)?,
+        get(flags, "detail", false)?,
+        get(flags, "verify", false)?,
+    );
+    let mut app = env.build(n, get(flags, "send-mean", 20u64)?);
     let outcome = run_protocol_kind(protocol, &config, app.as_mut());
 
     let stats = &outcome.stats.total;
@@ -154,7 +208,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
             ),
             None => println!("  compaction   : no compaction discarded state"),
         }
-        if flags.contains_key("stats") {
+        if stats_wanted {
             println!(
                 "    line compute : {:>7.3} ms (incremental engine, all crashes)",
                 recovery.line_compute_time.as_secs_f64() * 1e3
@@ -172,11 +226,11 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
         }
     }
 
-    if flags.contains_key("detail") {
+    if detail {
         let metrics = rdt::sim::TraceMetrics::of(&outcome.trace);
         print!("{}", metrics.render());
     }
-    if flags.contains_key("verify") {
+    if verify {
         let report = RdtChecker::new(&outcome.trace.to_pattern()).check();
         println!(
             "  RDT          : {} ({} R-paths checked)",
@@ -187,7 +241,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
             println!("    {violation}");
         }
     }
-    if flags.contains_key("stats") {
+    if stats_wanted {
         // The trace replayed into a bare engine, the violation count read
         // back after every event, so append and query cost show apart.
         let trace = &outcome.trace;
@@ -252,7 +306,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
         let text = dot::pattern_to_dot(&outcome.trace.to_pattern());
         if let Err(err) = std::fs::write(path, text) {
             eprintln!("could not write {path}: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!("  pattern DOT  : {path}");
     }
@@ -260,30 +314,30 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
         let json = rdt::json::ToJson::to_json(&outcome.trace).to_string();
         if let Err(err) = std::fs::write(path, json) {
             eprintln!("could not write {path}: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!("  trace JSON   : {path}");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_replay(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_replay(flags: &Flags) -> Result<ExitCode, String> {
     let Some(path) = flags.get("trace") else {
         eprintln!("usage: rdt-cli replay --trace <file.json> [--dot out.dot]");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let json = match std::fs::read_to_string(path) {
         Ok(json) => json,
         Err(err) => {
             eprintln!("could not read {path}: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let trace: rdt::Trace = match rdt::Trace::from_json_str(&json) {
         Ok(trace) => trace,
         Err(err) => {
             eprintln!("could not parse {path}: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     println!(
@@ -305,25 +359,20 @@ fn cmd_replay(flags: &HashMap<String, String>) -> ExitCode {
             println!("pattern DOT: {out}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_compare(flags: &HashMap<String, String>) -> ExitCode {
-    let env: EnvironmentKind = match get::<String>(flags, "env", "random".into()).parse() {
-        Ok(e) => e,
-        Err(err) => {
-            eprintln!("{err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let n = get(flags, "n", 8usize);
-    let config = build_config(flags, n);
+fn cmd_compare(flags: &Flags) -> Result<ExitCode, String> {
+    let env: EnvironmentKind = get(flags, "env", EnvironmentKind::Random)?;
+    let n = get(flags, "n", 8usize)?;
+    let config = build_config(flags, n)?;
+    let send_mean = get(flags, "send-mean", 20u64)?;
     println!(
         "{:>16} {:>10} {:>10} {:>8} {:>14}",
         "protocol", "forced", "basic", "R", "piggyback B/m"
     );
     for &protocol in ProtocolKind::all() {
-        let mut app = env.build(n, get(flags, "send-mean", 20u64));
+        let mut app = env.build(n, send_mean);
         let outcome = run_protocol_kind(protocol, &config, app.as_mut());
         let stats = &outcome.stats.total;
         println!(
@@ -335,11 +384,11 @@ fn cmd_compare(flags: &HashMap<String, String>) -> ExitCode {
             stats.mean_piggyback_bytes()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_audit(flags: &HashMap<String, String>) -> ExitCode {
-    let figure = get::<String>(flags, "figure", "1".into());
+fn cmd_audit(flags: &Flags) -> Result<ExitCode, String> {
+    let figure = get::<String>(flags, "figure", "1".into())?;
     let pattern = match figure.as_str() {
         "1" => paper_figures::figure_1(),
         "2" => paper_figures::figure_2_unbroken(),
@@ -347,8 +396,9 @@ fn cmd_audit(flags: &HashMap<String, String>) -> ExitCode {
         "4" => paper_figures::figure_4_unbroken(),
         "4b" => paper_figures::figure_4_broken(),
         other => {
-            eprintln!("unknown figure {other:?}; expected 1, 2, 2b, 4 or 4b");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "unknown figure {other:?}; expected 1, 2, 2b, 4 or 4b"
+            ))
         }
     };
     println!(
@@ -369,11 +419,11 @@ fn cmd_audit(flags: &HashMap<String, String>) -> ExitCode {
             println!("  {c} is USELESS (belongs to no consistent GC)");
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_domino(flags: &HashMap<String, String>) -> ExitCode {
-    let rounds = get(flags, "rounds", 10usize);
+fn cmd_domino(flags: &Flags) -> Result<ExitCode, String> {
+    let rounds = get(flags, "rounds", 10usize)?;
     let pattern = domino_pattern(rounds);
     println!("domino pattern, {rounds} rounds:");
     for cap in (0..rounds as u32).rev().take(3) {
@@ -389,33 +439,28 @@ fn cmd_domino(flags: &HashMap<String, String>) -> ExitCode {
             report.line, report.total_discarded
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_certify(flags: &HashMap<String, String>) -> ExitCode {
-    let scope: rdt::Scope = match get::<String>(flags, "scope", "3,4".into()).parse() {
-        Ok(scope) => scope,
-        Err(err) => {
-            eprintln!("{err}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_certify(flags: &Flags) -> Result<ExitCode, String> {
+    let scope: rdt::Scope = get(flags, "scope", "3,4".parse()?)?;
     // A value that fell through to `None` would be an exhaustive run: hours
     // at a scope where the sample was meant to take minutes.
     let sample = match flags.get("sample").map(|v| (v, v.parse::<f64>())) {
         None => None,
         Some((_, Ok(fraction))) if fraction >= 0.0 => Some(fraction),
         Some((value, _)) => {
-            eprintln!("--sample takes a fraction >= 0 (e.g. 0.02), not {value:?}");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "--sample takes a fraction >= 0 (e.g. 0.02), not {value:?}"
+            ))
         }
     };
     let options = rdt::CertifyOptions {
-        threads: get(flags, "threads", 0usize),
+        threads: get(flags, "threads", 0usize)?,
         sample,
         // Progress/ETA lines go to stderr; suppressed in --json mode so
         // scripted runs stay quiet.
-        progress: get(flags, "progress", false) && !flags.contains_key("json"),
+        progress: get(flags, "progress", false)? && !flags.contains_key("json"),
         ..rdt::CertifyOptions::default()
     };
     let watch = rdt::Stopwatch::start();
@@ -427,22 +472,22 @@ fn cmd_certify(flags: &HashMap<String, String>) -> ExitCode {
         let text = rdt::json::ToJson::to_json(&report).pretty();
         if let Err(err) = std::fs::write(path, text) {
             eprintln!("could not write {path}: {err}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!("  report JSON  : {path}");
     }
-    if report.certified_ok() {
+    Ok(if report.certified_ok() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// `rdt-cli connect`: stream stdin lines to a running daemon and print
 /// its replies, one per line, in request order. Full duplex: this thread
 /// writes while a second one prints, so a piped session is pipelined and
 /// neither side ever waits on a full socket buffer.
-fn cmd_connect(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_connect(flags: &Flags) -> Result<ExitCode, String> {
     use std::net::{Shutdown, TcpStream};
     use std::os::unix::net::UnixStream;
     let outcome = if let Some(path) = flags.get("unix") {
@@ -455,10 +500,10 @@ fn cmd_connect(flags: &HashMap<String, String>) -> ExitCode {
             .and_then(|s| Ok((s.try_clone()?, s)))
             .map(|(r, w)| connect_duplex(r, w, |s| s.shutdown(Shutdown::Write)))
     };
-    outcome.unwrap_or_else(|err| {
+    Ok(outcome.unwrap_or_else(|err| {
         eprintln!("connect: {err}");
         ExitCode::FAILURE
-    })
+    }))
 }
 
 /// Sends every non-blank stdin line, then shuts the write half down;
@@ -539,23 +584,20 @@ fn connect_duplex<S: Read + Write + Send>(
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (flags, positional) = parse_flags(&args);
-    match positional.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(&flags),
-        Some("compare") => cmd_compare(&flags),
-        Some("audit") => cmd_audit(&flags),
-        Some("domino") => cmd_domino(&flags),
-        Some("replay") => cmd_replay(&flags),
-        Some("certify") => cmd_certify(&flags),
-        Some("connect") => cmd_connect(&flags),
-        _ => {
-            eprintln!(
-                "usage: rdt-cli <list|run|compare|audit|domino|replay|certify|connect> [--flags]\n\
-                 see the module docs (`cargo doc`) for the full flag list"
-            );
-            ExitCode::FAILURE
-        }
-    }
+    let command = positional.first().map(String::as_str);
+    let Some(&(name, run, sim, own)) = COMMANDS.iter().find(|c| Some(c.0) == command) else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let reads = |flag: &str| own.contains(&flag) || (sim && SIM_FLAGS.contains(&flag));
+    let outcome = match flags.keys().find(|flag| !reads(flag)) {
+        Some(flag) => Err(format!("{name} reads no --{flag}")),
+        None => run(&flags),
+    };
+    outcome.unwrap_or_else(|err| {
+        eprintln!("{err}\n{USAGE}");
+        ExitCode::FAILURE
+    })
 }
 
 #[cfg(test)]
@@ -588,13 +630,15 @@ mod tests {
         assert_eq!(flags.get("fifo").map(String::as_str), Some("true"));
     }
 
+    /// An absent flag reads its default; a present one must parse.
     #[test]
     fn get_falls_back_to_default() {
         let (flags, _) = parse_flags(&strings(&["run", "--seed", "junk"]));
-        assert_eq!(get(&flags, "seed", 7u64), 7, "unparsable values fall back");
-        assert_eq!(get(&flags, "missing", 9u64), 9);
+        let err = get(&flags, "seed", 7u64).expect_err("unparsable values are refused");
+        assert!(err.starts_with("--seed \"junk\""), "{err}");
+        assert_eq!(get(&flags, "missing", 9u64), Ok(9));
         let (flags, _) = parse_flags(&strings(&["run", "--seed", "12"]));
-        assert_eq!(get(&flags, "seed", 7u64), 12);
+        assert_eq!(get(&flags, "seed", 7u64), Ok(12));
     }
 
     #[test]
@@ -609,7 +653,7 @@ mod tests {
             "99",
             "--fifo",
         ]));
-        let config = build_config(&flags, 3);
+        let config = build_config(&flags, 3).expect("every value parses");
         assert_eq!(config.seed, 5);
         assert_eq!(config.stop, rdt::StopCondition::MessagesSent(42));
         assert!(config.fifo);

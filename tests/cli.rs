@@ -127,3 +127,44 @@ fn certify_refuses_a_sample_it_cannot_read() {
         assert!(text.contains("--sample"), "--sample {value}: {text}");
     }
 }
+
+#[test]
+fn unknown_flags_are_refused_with_usage() {
+    for args in [
+        &["run", "--protocl", "fdas"][..],
+        &["list", "--n", "4"],
+        &["audit", "--figure", "1", "--seed", "3"],
+        &["certify", "--scope", "2,2", "--n", "3"],
+    ] {
+        let output = cli().args(args).output().expect("binary runs");
+        assert!(!output.status.success(), "{args:?} ran");
+        let text = String::from_utf8(output.stderr).unwrap();
+        let flag = args.iter().rfind(|a| a.starts_with("--")).unwrap();
+        assert!(
+            text.contains(&format!("reads no {flag}")),
+            "{args:?}: {text}"
+        );
+        assert!(text.contains("usage:"), "{args:?}: {text}");
+    }
+}
+
+#[test]
+fn unparsable_values_are_refused_with_usage() {
+    for (args, flag) in [
+        (&["run", "--n", "abc"][..], "--n"),
+        (&["run", "--messages", "-3"], "--messages"),
+        (&["compare", "--seed", "1.5"], "--seed"),
+        (&["run", "--verify", "yes"], "--verify"),
+        (&["domino", "--rounds", "many"], "--rounds"),
+        (
+            &["certify", "--scope", "2,2", "--threads", "x"],
+            "--threads",
+        ),
+    ] {
+        let output = cli().args(args).output().expect("binary runs");
+        assert!(!output.status.success(), "{args:?} ran");
+        let text = String::from_utf8(output.stderr).unwrap();
+        assert!(text.contains(flag), "{args:?}: {text}");
+        assert!(text.contains("usage:"), "{args:?}: {text}");
+    }
+}
