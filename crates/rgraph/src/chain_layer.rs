@@ -245,12 +245,10 @@ impl ChainLayer for Chains {
     }
 }
 
-/// Entries of `send_events[p]` / `deliver_events[p]` with interval
-/// exactly `x`.
-fn interval_range(events: &[(u32, u32)], x: u32) -> &[(u32, u32)] {
-    let lo = events.partition_point(|&(iv, _)| iv < x);
-    let hi = events.partition_point(|&(iv, _)| iv <= x);
-    &events[lo..hi]
+/// The handles of `chain`'s entries in interval exactly `x`.
+fn in_interval(chain: Chain<'_>, x: u32) -> impl Iterator<Item = u32> + Clone + '_ {
+    let entries = chain.at_or_below(x).take_while(move |&(_, iv, _)| iv == x);
+    entries.map(|(mid, _, _)| mid)
 }
 
 impl<J: Journal> IncrementalAnalysis<Chains, J> {
@@ -295,8 +293,7 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
             heap.resize(width, 0);
             &mut heap[..]
         };
-        let hi = self.deliver_events[p].partition_point(|&(iv, _)| iv <= y);
-        for &(_, mid) in &self.deliver_events[p][..hi] {
+        for (mid, _, _) in self.deliveries_at(p).at_or_below(y) {
             bits::set(mask, self.chain_node(causal, mid) as usize);
         }
         f(mask)
@@ -314,13 +311,13 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
     }
 
     fn chain_query(&self, causal: bool, from: CheckpointId, to: CheckpointId) -> bool {
-        let sends = interval_range(&self.send_events[from.process.index()], from.index);
-        let delivers = interval_range(&self.deliver_events[to.process.index()], to.index);
+        let mut sends = in_interval(self.sends_of(from.process.index()), from.index);
+        let delivers = in_interval(self.deliveries_at(to.process.index()), to.index);
         let mat = self.chain_mat(causal);
-        sends.iter().any(|&(_, a)| {
+        sends.any(|a| {
             let na = self.chain_node(causal, a);
             na != NONE_U32
-                && delivers.iter().any(|&(_, b)| {
+                && delivers.clone().any(|b| {
                     let nb = self.chain_node(causal, b);
                     nb != NONE_U32 && mat.fwd.bit(na as usize, nb as usize)
                 })
@@ -353,9 +350,9 @@ impl<J: Journal> IncrementalAnalysis<Chains, J> {
     /// Does any delivered message sent by process `p` in an interval
     /// `≥ x` have a closure row intersecting `mask`?
     fn any_send_row_intersects(&self, causal: bool, p: usize, x: u32, mask: &[u64]) -> bool {
-        let lo = self.send_events[p].partition_point(|&(iv, _)| iv < x);
         let mat = self.chain_mat(causal);
-        self.send_events[p][lo..].iter().any(|&(_, mid)| {
+        let mut sends = self.sends_of(p).take_while(|&(_, iv, _)| iv >= x);
+        sends.any(|(mid, _, _)| {
             let node = self.chain_node(causal, mid);
             node != NONE_U32 && bits::intersects(mat.fwd.row(node as usize), mask)
         })

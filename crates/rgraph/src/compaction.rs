@@ -32,9 +32,9 @@
 //! The message table itself is never dropped (records are plain
 //! integers, and external message handles must stay stable), so the
 //! fixpoint-based consistency oracles stay exact over the *entire*
-//! history; they read it through the per-process send index
-//! (`send_events`), newest send first, and so touch the sends above their
-//! answer and not the table. Only the per-node and quadratic state — closure
+//! history; they read it along each process's send chain (the table
+//! threads itself, `MsgRec::prev_send`), newest send first, and so touch
+//! the sends above their answer and not the table. Only the per-node and quadratic state — closure
 //! and `reach` rows, TDV snapshots of delivered messages — is reclaimed.
 //!
 //! # What a compaction costs
@@ -136,7 +136,7 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
     /// checkpoint of every process as caps).
     pub fn compact_to_recovery_line(&mut self) -> CompactionStats {
         let mut w = self.cp_count.clone();
-        descend_to_consistent(&self.msgs, &self.send_events, &mut w);
+        descend_to_consistent(&self.msgs, self.send_heads(), &mut w);
         self.compact_below(w).0
     }
 

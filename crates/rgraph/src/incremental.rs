@@ -57,8 +57,8 @@
 //! `reach[y][p] > i`, and along a process's checkpoints each column of
 //! `reach` only rises, so the checkpoints of `q` that `x` reaches are a
 //! suffix, found by binary search. That is all the core keeps of the
-//! closure, so a stream's memory is linear in its resident nodes. An
-//! R-edge folds its source's vector into the vectors of the nodes it newly
+//! closure, so its memory is linear in the resident nodes. An R-edge
+//! folds its source's vector into the vectors of the nodes it newly
 //! reaches, its *dirty successors* (`insert_r_edge`). For an edge into the
 //! node being appended that is the one node, its row an `n`-wide `max`;
 //! otherwise it is a run of each process's checkpoints, from the first the
@@ -67,6 +67,17 @@
 //! a lane that has caught up with the source's vector in one row stays
 //! caught up in the rows after. No closure pair is ever enumerated, and
 //! neither compaction nor a restore has anything to build.
+//!
+//! The message table is never dropped (handles stay stable), so a stream's
+//! memory is linear in its resident nodes plus the messages it ever sent:
+//! one 28-byte `MsgRec` each, and `n` words of piggyback until compaction
+//! reclaims them. The table indexes itself. Each record links to its
+//! sender's previous send and its receiver's previous delivery, and the
+//! engine keeps the `2n` chain heads (`heads`), so every reader of a
+//! process's sends or deliveries — the Rule 2 scans of a checkpoint, the
+//! consistency fixpoints, the tail targets, the chain queries, a rewind —
+//! walks its chain newest first (`Chain`) and stops at the interval it
+//! needs. There is no per-process vector beside the table to grow.
 //!
 //! The chain closures (zigzag and causal chains over delivered messages)
 //! have no such vectors. Each is a square bit matrix with a transpose twin
@@ -144,6 +155,10 @@ const MASK_STACK_WORDS: usize = 8;
 /// above this many processes).
 const GC_STACK_ENTRIES: usize = 16;
 
+/// Messages of one interval up to which a checkpoint's Rule 2 scans keep
+/// their handles on the stack.
+const EDGE_STACK_ENTRIES: usize = 32;
+
 /// Processes up to which the sender-side fold keeps its copy of the
 /// source's reach vector and its rising-lane list on the stack.
 const LANE_STACK_ENTRIES: usize = 64;
@@ -202,7 +217,9 @@ impl std::error::Error for AppendError {}
 
 /// Per-message record of the core (columns of a struct-of-arrays kept
 /// together; `deliver_iv` stays [`NONE_U32`] while the message is in
-/// transit).
+/// transit). The table indexes itself: each record links to the sender's
+/// previous send and the receiver's previous delivery, so every process's
+/// sends and deliveries are a chain from the engine's `heads` (`Chain`).
 #[derive(Debug, Clone, Copy)]
 pub struct MsgRec {
     pub(crate) from: u32,
@@ -213,6 +230,80 @@ pub struct MsgRec {
     /// ([`NONE_U32`] once compaction reclaims the row — only possible
     /// after delivery).
     pub(crate) tdv_row: u32,
+    /// The sender's send before this one ([`NONE_U32`] for its first).
+    pub(crate) prev_send: u32,
+    /// The receiver's delivery before this one ([`NONE_U32`] for its first,
+    /// and while the message is in transit).
+    pub(crate) prev_delivery: u32,
+}
+
+/// One process's sends or deliveries, newest first: the message handles
+/// threaded through [`MsgRec::prev_send`] or [`MsgRec::prev_delivery`] from
+/// the head the engine keeps for it. Each entry comes with the interval of
+/// its event on the process, and those only fall along a chain: the entries
+/// in an interval or later are a prefix of it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chain<'a> {
+    msgs: &'a [MsgRec],
+    at: u32,
+    deliveries: bool,
+}
+
+impl<'a> Chain<'a> {
+    /// The sends threaded from `head`.
+    pub(crate) fn sends(msgs: &'a [MsgRec], head: u32) -> Self {
+        Chain {
+            msgs,
+            at: head,
+            deliveries: false,
+        }
+    }
+
+    /// The deliveries threaded from `head`.
+    pub(crate) fn deliveries(msgs: &'a [MsgRec], head: u32) -> Self {
+        Chain {
+            msgs,
+            at: head,
+            deliveries: true,
+        }
+    }
+
+    /// The interval of `m`'s event on this chain, and the entry before it.
+    #[inline]
+    fn step(&self, m: &MsgRec) -> (u32, u32) {
+        if self.deliveries {
+            (m.deliver_iv, m.prev_delivery)
+        } else {
+            (m.send_iv, m.prev_send)
+        }
+    }
+
+    /// The chain from its first entry in interval `iv` or earlier.
+    pub(crate) fn at_or_below(mut self, iv: u32) -> Self {
+        while let Some(m) = self.msgs.get(self.at as usize) {
+            let (at, prev) = self.step(m);
+            if at <= iv {
+                break;
+            }
+            self.at = prev;
+        }
+        self
+    }
+}
+
+impl<'a> Iterator for Chain<'a> {
+    /// Handle, interval of the event, record.
+    type Item = (u32, u32, &'a MsgRec);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        // A chain ends at `NONE_U32`, which no handle reaches.
+        let mid = self.at;
+        let m = self.msgs.get(mid as usize)?;
+        let (iv, prev) = self.step(m);
+        self.at = prev;
+        Some((mid, iv, m))
+    }
 }
 
 /// A growable square bit matrix: `nodes` rows of `width` words, row `u`
@@ -416,11 +507,11 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     r_meta: Vec<(u32, u32)>,
     /// R-node of `C_{p,x}` (indexed by `x`).
     cp_nodes: Vec<Vec<u32>>,
-    /// `(interval, message)` per send, per process, chronological (and so
-    /// sorted by interval).
-    send_events: Vec<Vec<(u32, u32)>>,
-    /// `(interval, message)` per delivery, per process, chronological.
-    deliver_events: Vec<Vec<(u32, u32)>>,
+    /// Chain heads, `2n` handles: `heads[p]` is the newest send of `p`,
+    /// `heads[n + p]` the newest delivery at `p` ([`NONE_U32`] while there
+    /// is none). Each record links to the one before it on its process
+    /// ([`Chain`]), appended in event order and so in interval order.
+    heads: Vec<u32>,
 
     // ---- compaction state (see `compaction.rs`) ----
     /// Compaction epoch: bumped whenever `compact_to` discards state, so
@@ -513,8 +604,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             marked_events: usize::MAX,
             r_meta,
             cp_nodes,
-            send_events: vec![Vec::new(); n],
-            deliver_events: vec![Vec::new(); n],
+            heads: vec![NONE_U32; 2 * n],
             epoch: 0,
             watermark: vec![0; n],
             cp_base: vec![0; n],
@@ -628,9 +718,10 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
 
         // Rule 2, receiver side: messages delivered at `p` in the interval
         // this checkpoint closes, whose send interval is already closed.
-        let lo = self.deliver_events[pi].partition_point(|&(iv, _)| iv < closing);
-        for i in lo..self.deliver_events[pi].len() {
-            let (_, mid) = self.deliver_events[pi][i];
+        // Both sides insert their edges in event order, oldest first.
+        let (mut stack, mut heap) = ([0u32; EDGE_STACK_ENTRIES], Vec::new());
+        let delivered = self.deliveries_at(pi);
+        for &mid in since_interval(delivered, closing, &mut stack, &mut heap) {
             let m = self.msgs[mid as usize];
             if m.send_iv <= self.cp_count[m.from as usize] {
                 let fi = m.from as usize;
@@ -640,9 +731,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         }
         // Rule 2, sender side: messages sent by `p` in this interval whose
         // delivery interval is already closed.
-        let lo = self.send_events[pi].partition_point(|&(iv, _)| iv < closing);
-        for i in lo..self.send_events[pi].len() {
-            let (_, mid) = self.send_events[pi][i];
+        for &mid in since_interval(self.sends_of(pi), closing, &mut stack, &mut heap) {
             let m = self.msgs[mid as usize];
             if m.deliver_iv != NONE_U32 && m.deliver_iv <= self.cp_count[m.to as usize] {
                 let ti = m.to as usize;
@@ -684,14 +773,16 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         let tdv_row = (self.msg_tdv.len() / self.n) as u32;
         let row = &self.cur_tdv[base..base + self.n];
         self.msg_tdv.extend_from_slice(row);
-        self.send_events[fi].push((iv, mid));
         self.msgs.push(MsgRec {
             from: fi as u32,
             to: ti as u32,
             send_iv: iv,
             deliver_iv: NONE_U32,
             tdv_row,
+            prev_send: self.heads[fi],
+            prev_delivery: NONE_U32,
         });
+        self.heads[fi] = mid;
         self.chains.on_send(&mut self.journal, fi);
         self.events += 1;
         Ok(mid)
@@ -741,8 +832,9 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
                 self.cur_tdv[base_t + k] = theirs;
             }
         }
-        self.msgs[mid as usize].deliver_iv = iv;
-        self.deliver_events[ti].push((iv, mid));
+        let head = &mut self.heads[self.n + ti];
+        let rec = &mut self.msgs[mid as usize];
+        (rec.deliver_iv, rec.prev_delivery, *head) = (iv, *head, mid);
         self.chains.on_deliver(&mut self.journal, mid, &m, iv);
         self.events += 1;
         Ok(())
@@ -882,7 +974,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// a `gc` of the wrong length.
     pub fn min_consistent_containing_into(&self, members: &[CheckpointId], gc: &mut [u32]) -> bool {
         self.member_floor(members, gc);
-        ascend_to_consistent(&self.msgs, &self.send_events, &self.cp_count, gc).0
+        ascend_to_consistent(&self.msgs, self.send_heads(), &self.cp_count, gc).0
             && members.iter().all(|&m| gc[m.process.index()] == m.index)
     }
 
@@ -947,7 +1039,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             *cap = (*cap).min(last + u32::from(open));
         }
         out.copy_from_slice(caps);
-        descend_to_consistent(&self.msgs, &self.send_events, out);
+        descend_to_consistent(&self.msgs, self.send_heads(), out);
     }
 
     /// [`max_consistent_dominated_into`](IncrementalAnalysis::max_consistent_dominated_into)
@@ -957,7 +1049,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         for (entry, &last) in line.iter_mut().zip(&self.cp_count) {
             *entry = (*entry).min(last);
         }
-        descend_to_consistent(&self.msgs, &self.send_events, line);
+        descend_to_consistent(&self.msgs, self.send_heads(), line);
     }
 
     /// Allocating form of
@@ -1099,17 +1191,13 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// the least closed delivery interval of a message sent in an interval
     /// its sender has not closed — and `u32::MAX` where there is none;
     /// returns the send records it examined, exactly the sends in open
-    /// intervals (each process's newest, read back from `send_events`).
+    /// intervals (each process's newest, read back along its send chain).
     fn tail_targets(&self, tails: &mut [u32]) -> usize {
         tails.fill(NONE_U32);
         let mut examined = 0;
-        for (sends, &last) in self.send_events.iter().zip(&self.cp_count) {
-            for &(send_iv, mid) in sends.iter().rev() {
-                if send_iv <= last {
-                    break;
-                }
+        for (p, &last) in self.cp_count.iter().enumerate() {
+            for (_, _, rec) in self.sends_of(p).take_while(|&(_, iv, _)| iv > last) {
                 examined += 1;
-                let rec = &self.msgs[mid as usize];
                 let to = rec.to as usize;
                 // In transit, `deliver_iv` is `NONE_U32`: no closed interval.
                 if rec.deliver_iv <= self.cp_count[to] {
@@ -1118,6 +1206,21 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             }
         }
         examined
+    }
+
+    /// The sends of process `p`, newest first.
+    pub(crate) fn sends_of(&self, p: usize) -> Chain<'_> {
+        Chain::sends(&self.msgs, self.heads[p])
+    }
+
+    /// The deliveries at process `p`, newest first.
+    pub(crate) fn deliveries_at(&self, p: usize) -> Chain<'_> {
+        Chain::deliveries(&self.msgs, self.heads[self.n + p])
+    }
+
+    /// The head of every process's send chain, by process.
+    fn send_heads(&self) -> &[u32] {
+        &self.heads[..self.n]
     }
 
     /// Runs `f` on an `n`-entry scratch — on the stack up to
@@ -1315,6 +1418,36 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     }
 }
 
+/// The handles of `chain`'s entries in interval `iv` or later, oldest
+/// first: in `stack`, or in `heap` when there are more.
+fn since_interval<'s>(
+    chain: Chain<'_>,
+    iv: u32,
+    stack: &'s mut [u32; EDGE_STACK_ENTRIES],
+    heap: &'s mut Vec<u32>,
+) -> &'s [u32] {
+    heap.clear();
+    let mut len = 0;
+    for (mid, _, _) in chain.take_while(|&(_, at, _)| at >= iv) {
+        if len < EDGE_STACK_ENTRIES {
+            stack[len] = mid;
+        } else {
+            if len == EDGE_STACK_ENTRIES {
+                heap.extend_from_slice(stack);
+            }
+            heap.push(mid);
+        }
+        len += 1;
+    }
+    let found = if len <= EDGE_STACK_ENTRIES {
+        &mut stack[..len]
+    } else {
+        &mut heap[..]
+    };
+    found.reverse();
+    found
+}
+
 /// The R-node of each checkpoint in `r_meta`, per process: `r_meta` lists
 /// the nodes in append order, so each process's in index order.
 fn nodes_by_process(r_meta: &[(u32, u32)], n: usize) -> Vec<Vec<u32>> {
@@ -1402,8 +1535,8 @@ mod work {
 /// send); `false` if that needs a checkpoint not yet taken. Also returns
 /// the number of message records examined.
 ///
-/// Each pass walks every sender's sends (`send_events[q]`, sorted by
-/// interval) from the newest down to `gc[q]` and stops at the first orphan:
+/// Each pass walks every sender's send chain (`send_heads[q]`, intervals
+/// falling) from the newest down to `gc[q]` and stops at the first orphan:
 /// being the newest it is the sender's maximum, the only one its entry has
 /// to reach — and the only one that can sit in an interval the sender has
 /// not closed yet. Entries only rise, so a send at or below `gc[q]` is never
@@ -1415,20 +1548,19 @@ mod work {
 #[inline(never)]
 fn ascend_to_consistent(
     msgs: &[MsgRec],
-    send_events: &[Vec<(u32, u32)>],
+    send_heads: &[u32],
     cp_count: &[u32],
     gc: &mut [u32],
 ) -> (bool, usize) {
     let mut examined = 0;
     loop {
         let mut changed = false;
-        for (q, sends) in send_events.iter().enumerate() {
-            for &(send_iv, mid) in sends.iter().rev() {
+        for (q, &head) in send_heads.iter().enumerate() {
+            for (_, send_iv, rec) in Chain::sends(msgs, head) {
                 if send_iv <= gc[q] {
                     break;
                 }
                 examined += 1;
-                let rec = &msgs[mid as usize];
                 // In transit, `deliver_iv` is `NONE_U32`: above any entry.
                 if rec.deliver_iv <= gc[rec.to as usize] {
                     if send_iv > cp_count[q] {
@@ -1452,8 +1584,9 @@ fn ascend_to_consistent(
 /// Returns the number of message records examined, which is exactly the
 /// number of sends above the returned line.
 ///
-/// A worklist over `send_events`: each sender keeps a cursor that walks
-/// down from its newest send while the send is above `gc[p]`, so a send is
+/// A worklist over the send chains (`send_heads`): each sender keeps a
+/// cursor, a message handle, that walks down its chain from its newest send
+/// while the send is above `gc[p]`, so a send is
 /// examined once, when the line first drops below it. Once suffices because
 /// entries only fall: a send whose delivery sits above the receiver's entry
 /// when examined can never become an orphan later. A receiver whose entry
@@ -1462,11 +1595,7 @@ fn ascend_to_consistent(
 /// `3n` entries of scratch (on the stack up to `GC_STACK_ENTRIES`
 /// processes).
 #[inline(never)]
-pub(crate) fn descend_to_consistent(
-    msgs: &[MsgRec],
-    send_events: &[Vec<(u32, u32)>],
-    gc: &mut [u32],
-) -> usize {
+pub(crate) fn descend_to_consistent(msgs: &[MsgRec], send_heads: &[u32], gc: &mut [u32]) -> usize {
     let n = gc.len();
     let (mut on_stack, mut on_heap) = ([0u32; 3 * GC_STACK_ENTRIES], Vec::new());
     let scratch = if n <= GC_STACK_ENTRIES {
@@ -1478,7 +1607,7 @@ pub(crate) fn descend_to_consistent(
     let (cursor, rest) = scratch.split_at_mut(n);
     let (queued, stack) = rest.split_at_mut(n);
     for p in 0..n {
-        cursor[p] = send_events[p].len() as u32;
+        cursor[p] = send_heads[p];
         queued[p] = 1;
         stack[p] = p as u32;
     }
@@ -1487,15 +1616,14 @@ pub(crate) fn descend_to_consistent(
         top -= 1;
         let p = stack[top] as usize;
         queued[p] = 0;
-        let sends = &send_events[p];
-        let mut at = cursor[p] as usize;
-        while let Some(&(send_iv, mid)) = sends[..at].last() {
-            if send_iv <= gc[p] {
+        let mut at = cursor[p];
+        // The chain ends at `NONE_U32`, which no handle reaches.
+        while let Some(rec) = msgs.get(at as usize) {
+            if rec.send_iv <= gc[p] {
                 break;
             }
-            at -= 1;
+            at = rec.prev_send;
             examined += 1;
-            let rec = &msgs[mid as usize];
             let to = rec.to as usize;
             // In transit, `deliver_iv` is `NONE_U32`: above any entry.
             if rec.deliver_iv <= gc[to] {
@@ -1507,7 +1635,7 @@ pub(crate) fn descend_to_consistent(
                 }
             }
         }
-        cursor[p] = at as u32;
+        cursor[p] = at;
     }
     examined
 }
@@ -1570,9 +1698,8 @@ mod tests {
             let slabs = slabs.into_iter().chain(scratch.map(Vec::capacity));
             let per_process = (0..self.n).flat_map(|p| {
                 let nodes = [&self.cp_nodes[p], &chains.z_slots[p], &chains.c_spine[p]];
-                let events = [&self.send_events[p], &self.deliver_events[p]];
                 let nodes = nodes.into_iter().chain([&chains.c_delivs[p]]);
-                nodes.map(Vec::capacity).chain(events.map(Vec::capacity))
+                nodes.map(Vec::capacity)
             });
             flat.into_iter().chain(slabs).chain(per_process).collect()
         }
@@ -2544,6 +2671,9 @@ mod tests {
         in_flight: Vec<u32>,
         /// Messages sent before the last coordinated round.
         sent_before_round: usize,
+        /// Each process's send intervals, in send order: the test's own
+        /// index of what the send chains hold.
+        send_ivs: Vec<Vec<u32>>,
     }
 
     /// Records examined by the costliest query of each kind.
@@ -2576,7 +2706,15 @@ mod tests {
                 events: 0,
                 in_flight: Vec::new(),
                 sent_before_round: 0,
+                send_ivs: vec![Vec::new(); n],
             }
+        }
+
+        /// Sends of each process above `line`, counted off `send_ivs`.
+        fn sends_above(&self, line: &[u32]) -> usize {
+            let above =
+                |(ivs, &line): (&Vec<u32>, &u32)| ivs.len() - ivs.partition_point(|&iv| iv <= line);
+            self.send_ivs.iter().zip(line).map(above).sum()
         }
 
         fn event(&mut self) {
@@ -2595,7 +2733,9 @@ mod tests {
             if send {
                 let from = rng.below(n);
                 let to = (from + 1 + rng.below(n - 1)) % n;
-                self.in_flight.push(core.append_send(p(from), p(to)));
+                let mid = core.append_send(p(from), p(to));
+                self.send_ivs[from].push(core.message_route(mid).send_interval);
+                self.in_flight.push(mid);
             } else {
                 let at = rng.below(self.in_flight.len());
                 core.append_deliver(self.in_flight.swap_remove(at));
@@ -2643,12 +2783,12 @@ mod tests {
         /// above the line it returns — none at or below it, and, since a
         /// correct descent has to look at every one of those, none twice.
         fn descend(&self, gc: &mut [u32]) -> usize {
-            let examined = descend_to_consistent(&self.core.msgs, &self.core.send_events, gc);
-            let above = |(sends, &line): (&Vec<(u32, u32)>, &u32)| {
-                sends.len() - sends.partition_point(|&(iv, _)| iv <= line)
-            };
-            let above_line: usize = self.core.send_events.iter().zip(&*gc).map(above).sum();
-            assert_eq!(examined, above_line, "sends above the line {gc:?}");
+            let examined = descend_to_consistent(&self.core.msgs, self.core.send_heads(), gc);
+            assert_eq!(
+                examined,
+                self.sends_above(gc),
+                "sends above the line {gc:?}"
+            );
             examined
         }
 
@@ -2658,11 +2798,7 @@ mod tests {
         fn tail_targets(&self) -> usize {
             let mut tails = vec![0; self.core.n];
             let examined = self.core.tail_targets(&mut tails);
-            let open = |(sends, &last): (&Vec<(u32, u32)>, &u32)| {
-                sends.len() - sends.partition_point(|&(iv, _)| iv <= last)
-            };
-            let sends = self.core.send_events.iter();
-            let in_open_intervals: usize = sends.zip(&self.core.cp_count).map(open).sum();
+            let in_open_intervals = self.sends_above(&self.core.cp_count);
             assert_eq!(examined, in_open_intervals, "sends in open intervals");
             examined
         }
@@ -2708,7 +2844,7 @@ mod tests {
 
             core.member_floor(&members, &mut gc);
             let (ok, min) =
-                ascend_to_consistent(&core.msgs, &core.send_events, &core.cp_count, &mut gc);
+                ascend_to_consistent(&core.msgs, core.send_heads(), &core.cp_count, &mut gc);
             worst.min_consistent = worst.min_consistent.max(min);
             let found = ok && members.iter().all(|m| gc[m.process.index()] == m.index);
             let found = found.then(|| GlobalCheckpoint::new(gc));

@@ -265,16 +265,17 @@ impl<C: ChainLayer> IncrementalAnalysis<C, UndoJournal> {
                 }
                 Undo::Send { from, open } => {
                     self.line_open[from as usize] = open;
-                    self.msgs.pop();
-                    self.send_events[from as usize].pop();
+                    let m = self.msgs.pop().expect("a journaled send");
+                    self.heads[from as usize] = m.prev_send;
                     self.msg_tdv.truncate(self.msg_tdv.len() - self.n);
                     self.chains.undo(entry, &self.msgs);
                 }
                 Undo::Deliver { mid, open } => {
-                    let to = self.msgs[mid as usize].to as usize;
+                    let m = &mut self.msgs[mid as usize];
+                    let to = m.to as usize;
                     self.line_open[to] = open;
-                    self.msgs[mid as usize].deliver_iv = NONE_U32;
-                    self.deliver_events[to].pop();
+                    self.heads[self.n + to] = m.prev_delivery;
+                    (m.deliver_iv, m.prev_delivery) = (NONE_U32, NONE_U32);
                     self.chains.undo(entry, &self.msgs);
                 }
                 Undo::Untrackable { old } => self.untrackable = old,

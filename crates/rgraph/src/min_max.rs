@@ -143,7 +143,8 @@ pub fn max_consistent_containing(
 /// recovery line with `caps` as the failures' resume caps. It always exists.
 ///
 /// One pass over `pattern.messages()` lays out the message table the
-/// incremental engine keeps, and the engine's own descent runs on it, so
+/// incremental engine keeps, each sender's send chain is threaded in
+/// interval order, and the engine's own descent runs on it, so
 /// this equals [`crate::IncrementalAnalysis::max_consistent_dominated`]
 /// with no replay and no realizability check. [`max_consistent_containing`]
 /// is the textbook rescan it is held to.
@@ -154,29 +155,36 @@ pub fn max_consistent_containing(
 pub fn max_consistent_dominated(pattern: &Pattern, caps: &[u32]) -> GlobalCheckpoint {
     let n = pattern.num_processes();
     assert_eq!(caps.len(), n, "caps length");
-    let mut send_events: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-    let msgs: Vec<MsgRec> = (pattern.messages().iter().zip(0u32..))
-        .map(|(m, mid)| {
-            let send_iv = pattern.interval_of(m.from, m.send_pos).index;
-            send_events[m.from.index()].push((send_iv, mid));
+    let mut msgs: Vec<MsgRec> = (pattern.messages().iter())
+        .map(|m| {
             let interval_at = |pos| pattern.interval_of(m.to, pos).index;
             MsgRec {
                 from: m.from.index() as u32,
                 to: m.to.index() as u32,
-                send_iv,
+                send_iv: pattern.interval_of(m.from, m.send_pos).index,
                 deliver_iv: m.deliver_pos.map_or(NONE_U32, interval_at),
                 tdv_row: NONE_U32,
+                prev_send: NONE_U32,
+                prev_delivery: NONE_U32,
             }
         })
         .collect();
-    // A parsed pattern may number a sender's messages out of event order.
-    for sends in &mut send_events {
-        sends.sort_unstable();
+    // A parsed pattern may number a sender's messages out of event order:
+    // each sender's chain is threaded in interval order.
+    let mut order: Vec<u32> = (0..msgs.len() as u32).collect();
+    order.sort_unstable_by_key(|&mid| {
+        let m = &msgs[mid as usize];
+        (m.from, m.send_iv, mid)
+    });
+    let mut send_heads = vec![NONE_U32; n];
+    for mid in order {
+        let head = &mut send_heads[msgs[mid as usize].from as usize];
+        msgs[mid as usize].prev_send = std::mem::replace(head, mid);
     }
     let mut line: Vec<u32> = (caps.iter().enumerate())
         .map(|(i, &cap)| cap.min(pattern.last_checkpoint_index(ProcessId::new(i))))
         .collect();
-    descend_to_consistent(&msgs, &send_events, &mut line);
+    descend_to_consistent(&msgs, &send_heads, &mut line);
     GlobalCheckpoint::new(line)
 }
 

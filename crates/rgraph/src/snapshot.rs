@@ -84,15 +84,16 @@
 //! * `cp_nodes`, the R-node of each retained checkpoint: `r_meta` lists the
 //!   nodes in append order, and restore requires each process's retained
 //!   checkpoints `cp_base..=cp_count` in it in that order.
-//! * `send_events` / `deliver_events`, the per-process indices into the
-//!   message table. `send_events[p]` is the messages from `p` in handle
-//!   order (a process's send intervals only grow, and restore rejects a table
-//!   in which they do not); `deliver_events[p]` is the messages delivered at
-//!   `p` by `(deliver_iv, handle)`. The engine appends deliveries in arrival
-//!   order, which inside one interval need not be handle order, but every
-//!   reader of the table — the Rule 2 edges of the checkpoint that closes the
-//!   interval, the chain queries' per-interval masks — reads an interval's
-//!   entries as a set, so the order inside it is not state.
+//! * the chains that thread the message table: each record's
+//!   `prev_send` and `prev_delivery`, and the engine's `2n` chain heads. A
+//!   process's sends are threaded in handle order (its send intervals only
+//!   grow along the handles, and restore rejects a table in which they do
+//!   not); the deliveries at `p` by `(deliver_iv, handle)`. The engine
+//!   threads deliveries in arrival order, which inside one interval need
+//!   not be handle order, but every reader of a delivery chain — the Rule 2
+//!   edges of the checkpoint that closes the interval, the chain queries'
+//!   per-interval masks — reads an interval's entries as a set, so the
+//!   order inside it is not state.
 //! * `drop_reach`, what versions 1–3 wrote of `reach`: the part a compaction
 //!   dropped the nodes of. Its retained half was the columns of the closure
 //!   bits, so a version 1–3 restore joins the two back together
@@ -117,7 +118,8 @@
 //!   (which must be the list `r_meta` gives) and `drop_reach` instead of
 //!   `reach`.
 //! * **2** (read): version 3 plus the tables version 3 derives — `bwd` in
-//!   every matrix, `send_events` and `deliver_events`. They are skipped like
+//!   every matrix and the two per-process message indices older engines
+//!   kept beside the message table. They are skipped like
 //!   any unknown key, **not trusted**: a version 2 document restores to the
 //!   engine its other tables describe. So is the `chains` member a
 //!   chain-bearing engine once wrote (version 2 or 3).
@@ -850,7 +852,7 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             return Err(bad("`msg_tdv` is not a whole number of rows"));
         }
 
-        // ---- message records, and the two indices into them ----------
+        // ---- message records, threaded into their chains -------------
         // Intervals are 1-based and at most one past the last checkpoint
         // (the consistency descents step to `deliver_iv - 1`).
         let placed = |iv: u32, p: u32| (1..=cp_count[p as usize].saturating_add(1)).contains(&iv);
@@ -858,16 +860,18 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         if table.rows >= NONE_U32 as usize {
             return Err(bad("`msgs` has more entries than message handles"));
         }
-        let mut msgs = Vec::with_capacity(table.rows);
-        let mut send_events = vec![Vec::new(); n];
-        let mut deliver_events = vec![Vec::new(); n];
+        let mut msgs: Vec<MsgRec> = Vec::with_capacity(table.rows);
+        let mut heads = vec![NONE_U32; 2 * n];
+        let mut arrivals = vec![Vec::new(); n];
         for (mid, row) in rows_of(&table, msg_cols, "msgs")?.enumerate() {
-            let m = MsgRec {
+            let mut m = MsgRec {
                 from: row[0],
                 to: row[1],
                 send_iv: row[2],
                 deliver_iv: row[3],
                 tdv_row: row[tdv_col],
+                prev_send: NONE_U32,
+                prev_delivery: NONE_U32,
             };
             if m.from as usize >= n || m.to as usize >= n {
                 return Err(bad("`msgs` entry names an unknown process"));
@@ -884,19 +888,27 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             }
             // Handles are given out in send order, so along them a
             // process's send intervals only grow; the fixpoints and the
-            // Rule 2 scans search `send_events` by interval.
-            let sends: &mut Vec<(u32, u32)> = &mut send_events[m.from as usize];
-            if sends.last().is_some_and(|&(iv, _)| iv > m.send_iv) {
+            // Rule 2 scans walk a send chain by interval.
+            let head = &mut heads[m.from as usize];
+            if msgs
+                .get(*head as usize)
+                .is_some_and(|prev| prev.send_iv > m.send_iv)
+            {
                 return Err(bad("`msgs` entry is sent before its predecessor"));
             }
-            sends.push((m.send_iv, mid as u32));
+            m.prev_send = std::mem::replace(head, mid as u32);
             if m.deliver_iv != NONE_U32 {
-                deliver_events[m.to as usize].push((m.deliver_iv, mid as u32));
+                arrivals[m.to as usize].push((m.deliver_iv, mid as u32));
             }
             msgs.push(m);
         }
-        for delivered in &mut deliver_events {
-            delivered.sort_unstable();
+        // The deliveries at a process are threaded by interval, and inside
+        // one by handle.
+        for (head, arrivals) in heads[n..].iter_mut().zip(&mut arrivals) {
+            arrivals.sort_unstable();
+            for &(_, mid) in &*arrivals {
+                msgs[mid as usize].prev_delivery = std::mem::replace(head, mid);
+            }
         }
 
         let r_meta = need(t.r_meta, "r_meta")?.rows;
@@ -917,8 +929,7 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             marked_events: usize::MAX,
             r_meta: r_meta.map(|pair| (pair[0], pair[1])).collect(),
             cp_nodes: Vec::new(),
-            send_events,
-            deliver_events,
+            heads,
             epoch: need(t.epoch, "epoch")?,
             watermark: per_process(t.watermark, n, "watermark")?,
             cp_base: per_process(t.cp_base, n, "cp_base")?,

@@ -460,8 +460,8 @@ fn derived_tables_are_not_trusted_and_known_keys_come_once() {
     twice.push(("later".into(), Json::U64(1)));
     assert!(restore(&Json::Obj(twice)).is_ok());
 
-    // `deliver_events` is rebuilt from `msgs`, so a delivery interval the
-    // receiver does not have is caught there.
+    // The delivery chains are threaded from `msgs`, so a delivery interval
+    // the receiver does not have is caught there.
     let delivered = (0..engine.num_messages())
         .find(|&mid| engine.message_delivered(mid as u32))
         .expect("a delivered message");
@@ -477,8 +477,8 @@ fn derived_tables_are_not_trusted_and_known_keys_come_once() {
         err.message.contains("interval its process does not have"),
         "{err}"
     );
-    // `send_events` likewise: along the handles a process's send intervals
-    // only grow, which the searches by interval rely on.
+    // The send chains likewise: along the handles a process's send
+    // intervals only grow, which the walks by interval rely on.
     let from = engine.message_route(0).from;
     let later = (1..engine.num_messages())
         .rev()

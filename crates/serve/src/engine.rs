@@ -102,7 +102,9 @@ fn write_entry<T>(
 /// One tenant stream.
 #[derive(Debug)]
 pub struct StreamEngine {
-    engine: IncrementalAnalysis,
+    /// Boxed, like the optional fields below: a stripe's B-tree leaf holds its
+    /// streams by value, eleven to a leaf.
+    engine: Box<IncrementalAnalysis>,
     /// Crash events observed (crashes are markers: they report the
     /// recovery line but do not mutate the pattern).
     crashes: u64,
@@ -116,6 +118,9 @@ pub struct StreamEngine {
     line: Option<Box<[u32]>>,
 }
 
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<StreamEngine>() == 40);
+
 /// What of a stream a persist wrote.
 #[derive(Debug)]
 struct OnDisk {
@@ -128,7 +133,7 @@ impl StreamEngine {
     /// (the protocol layer) has already validated the bound.
     pub fn new(processes: usize) -> StreamEngine {
         StreamEngine {
-            engine: IncrementalAnalysis::new(processes),
+            engine: Box::new(IncrementalAnalysis::new(processes)),
             crashes: 0,
             on_disk: None,
             line: None,
@@ -369,7 +374,7 @@ impl StreamEngine {
             Box::new(OnDisk { marks, crashes })
         });
         let stream = StreamEngine {
-            engine,
+            engine: Box::new(engine),
             crashes,
             on_disk,
             line: None,

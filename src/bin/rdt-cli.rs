@@ -42,6 +42,10 @@ const SIM_FLAGS: [&str; 8] = [
     "max-crashes",
 ];
 
+/// The flags that may stand bare, meaning `true`; every other flag takes
+/// the next argument as its value.
+const SWITCHES: [&str; 5] = ["fifo", "verify", "stats", "detail", "progress"];
+
 type Command = fn(&Flags) -> Result<ExitCode, String>;
 
 /// Every subcommand, what runs it, and the flags it reads: its own, and
@@ -78,22 +82,23 @@ const COMMANDS: [(&str, Command, bool, &[&str]); 8] = [
 const USAGE: &str = "usage: rdt-cli <list|run|compare|audit|domino|replay|certify|connect> \
                      [--flags]\nsee the module docs (`cargo doc`) for the full flag list";
 
-fn parse_flags(args: &[String]) -> (Flags, Vec<String>) {
+fn parse_flags(args: &[String]) -> Result<(Flags, Vec<String>), String> {
     let mut flags = Flags::new();
     let mut positional = Vec::new();
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
-            let value = match iter.peek() {
-                Some(next) if !next.starts_with("--") => iter.next().unwrap().clone(),
-                _ => "true".to_string(),
+            let value = match iter.next_if(|next| !next.starts_with("--")) {
+                Some(value) => value.clone(),
+                None if SWITCHES.contains(&name) => "true".to_string(),
+                None => return Err(format!("--{name} needs a value")),
             };
             flags.insert(name.to_string(), value);
         } else {
             positional.push(arg.clone());
         }
     }
-    (flags, positional)
+    Ok((flags, positional))
 }
 
 /// The value of `--key`, `default` when the flag is absent; an error naming
@@ -583,7 +588,13 @@ fn connect_duplex<S: Read + Write + Send>(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, positional) = parse_flags(&args);
+    let (flags, positional) = match parse_flags(&args) {
+        Ok(parsed) => parsed,
+        Err(err) => {
+            eprintln!("{err}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let command = positional.first().map(String::as_str);
     let Some(&(name, run, sim, own)) = COMMANDS.iter().find(|c| Some(c.0) == command) else {
         eprintln!("{USAGE}");
@@ -617,7 +628,8 @@ mod tests {
             "--verify",
             "--n",
             "8",
-        ]));
+        ]))
+        .unwrap();
         assert_eq!(positional, vec!["run"]);
         assert_eq!(flags.get("protocol").map(String::as_str), Some("bhmr"));
         assert_eq!(flags.get("verify").map(String::as_str), Some("true"));
@@ -626,18 +638,28 @@ mod tests {
 
     #[test]
     fn trailing_boolean_flag() {
-        let (flags, _) = parse_flags(&strings(&["run", "--fifo"]));
+        let (flags, _) = parse_flags(&strings(&["run", "--fifo"])).unwrap();
         assert_eq!(flags.get("fifo").map(String::as_str), Some("true"));
+    }
+
+    /// Only a switch stands bare: a value flag at the end, or before
+    /// another flag, is refused rather than read as `true`.
+    #[test]
+    fn a_value_flag_needs_its_value() {
+        for args in [&["run", "--save-trace"][..], &["run", "--dot", "--n", "3"]] {
+            let err = parse_flags(&strings(args)).expect_err("a bare value flag is refused");
+            assert!(err.ends_with("needs a value"), "{args:?}: {err}");
+        }
     }
 
     /// An absent flag reads its default; a present one must parse.
     #[test]
     fn get_falls_back_to_default() {
-        let (flags, _) = parse_flags(&strings(&["run", "--seed", "junk"]));
+        let (flags, _) = parse_flags(&strings(&["run", "--seed", "junk"])).unwrap();
         let err = get(&flags, "seed", 7u64).expect_err("unparsable values are refused");
         assert!(err.starts_with("--seed \"junk\""), "{err}");
         assert_eq!(get(&flags, "missing", 9u64), Ok(9));
-        let (flags, _) = parse_flags(&strings(&["run", "--seed", "12"]));
+        let (flags, _) = parse_flags(&strings(&["run", "--seed", "12"])).unwrap();
         assert_eq!(get(&flags, "seed", 7u64), Ok(12));
     }
 
@@ -652,7 +674,8 @@ mod tests {
             "--ckpt-mean",
             "99",
             "--fifo",
-        ]));
+        ]))
+        .unwrap();
         let config = build_config(&flags, 3).expect("every value parses");
         assert_eq!(config.seed, 5);
         assert_eq!(config.stop, rdt::StopCondition::MessagesSent(42));

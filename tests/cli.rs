@@ -168,3 +168,44 @@ fn unparsable_values_are_refused_with_usage() {
         assert!(text.contains("usage:"), "{args:?}: {text}");
     }
 }
+
+/// A value flag with nothing after it, or with another flag after it, is
+/// refused with the usage line: it is never read as `true`, so no file of
+/// that name is written.
+#[test]
+fn value_flags_without_a_value_are_refused_with_usage() {
+    let dir = std::env::temp_dir().join(format!("rdt-cli-bare-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (args, flag) in [
+        (
+            &["run", "--n", "3", "--messages", "10", "--save-trace"][..],
+            "--save-trace",
+        ),
+        (
+            &["run", "--save-trace", "--n", "3", "--messages", "10"],
+            "--save-trace",
+        ),
+        (&["run", "--n", "3", "--messages", "10", "--dot"], "--dot"),
+        (&["run", "--dot", "--n", "3", "--messages", "10"], "--dot"),
+        (&["certify", "--scope", "2,2", "--json"], "--json"),
+        (&["certify", "--json", "--scope", "2,2"], "--json"),
+    ] {
+        let output = cli()
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let text = String::from_utf8(output.stderr).unwrap();
+        assert!(
+            text.contains(&format!("{flag} needs a value")),
+            "{args:?}: {text}"
+        );
+        assert!(text.contains("usage:"), "{args:?}: {text}");
+        assert!(
+            !dir.join("true").exists(),
+            "{args:?} wrote a file named `true`"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
