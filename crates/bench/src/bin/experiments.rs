@@ -1,11 +1,8 @@
 //! Experiment driver: regenerates every table and figure of the paper's
 //! evaluation.
 //!
-//! ```text
-//! experiments [all|NAME] [--quick] [--threads N] [--scope n,m[,b]]
-//! ```
-//!
-//! `NAME` is one row of [`EXPERIMENTS`] (`--help` lists them); `all`, the
+//! `experiments --help` prints the usage: every experiment, one row of
+//! [`EXPERIMENTS`], and the flags. `all`, the
 //! default, runs every row in table order and stops at the first failure.
 //! `--quick` shrinks message counts and seed sets for smoke runs.
 //! `--threads N` sets the worker count of the figure sweeps, `certify` and
@@ -23,6 +20,7 @@ use rdt_bench::{
     CompactionDecile, Sweep, SweepOptions,
 };
 use rdt_json::ToJson;
+use rdt_sim::{Args, Arity::Switch, Arity::Value, Flag, Grammar};
 use rdt_workloads::EnvironmentKind::{self, ClientServer, Groups, Random};
 
 /// System allocator wrapped to count every allocation into
@@ -496,89 +494,48 @@ fn recovery_exec(ctx: &Ctx) -> Result<(), String> {
     result.rdt_bounds_domino()
 }
 
-fn usage() -> String {
-    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
-    format!(
-        "usage: experiments [all|{}] [--quick] [--threads N] [--scope n,m[,b]]",
-        names.join("|")
-    )
-}
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[("quick", Switch), ("threads", Value("N")), ("scope", Value("n,m[,b]"))];
 
-/// Parses the command line into the experiment to run (`all` or a table
-/// name) and what it reads; `Ok(None)` asks for the usage text.
-fn parse_args(args: &[String]) -> Result<Option<(String, Ctx)>, String> {
-    let mut quick = false;
-    let mut threads: Option<usize> = None;
-    let mut scope: Option<String> = None;
-    let mut positional: Option<String> = None;
-    let parse_threads = |value: &str| {
-        value
-            .parse()
-            .map_err(|_| format!("invalid thread count: {value:?}"))
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--help" || arg == "-h" {
-            return Ok(None);
-        } else if arg == "--quick" {
-            quick = true;
-        } else if let Some(value) = arg.strip_prefix("--scope=") {
-            scope = Some(value.to_string());
-        } else if arg == "--scope" {
-            let value = iter.next().ok_or("--scope needs a value (n,m or n,m,b)")?;
-            scope = Some(value.clone());
-        } else if let Some(value) = arg.strip_prefix("--threads=") {
-            threads = Some(parse_threads(value)?);
-        } else if arg == "--threads" {
-            let value = iter.next().ok_or("--threads needs a value")?;
-            threads = Some(parse_threads(value)?);
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown flag {arg:?}"));
-        } else if positional.replace(arg.clone()).is_some() {
-            return Err(format!("unexpected extra argument {arg:?}"));
-        }
-    }
-    if threads == Some(0) {
-        return Err("--threads must be at least 1".to_string());
-    }
-    let which = positional.unwrap_or_else(|| "all".to_string());
+/// What the experiments read, from what the grammar read: `Err` refuses
+/// the command line.
+fn context(args: &Args) -> Result<Ctx, String> {
+    let which = args.positional(0).unwrap_or("all");
     if which != "all" && !EXPERIMENTS.iter().any(|&(name, _)| name == which) {
-        return Err(format!("unknown experiment {which:?}\n{}", usage()));
+        return Err(format!("unknown experiment {which:?}"));
     }
+    let scope = args.get("scope")?;
     if scope.is_some() && which != "all" && which != "certify" {
         return Err(format!(
             "--scope is read by certify only, and {which:?} does not run it (run certify or all)"
         ));
     }
-    let options = match threads {
+    let options = match args.get("threads")? {
+        Some(0) => return Err("--threads must be at least 1".to_string()),
         Some(threads) => SweepOptions::with_threads(threads),
         None => SweepOptions::auto(),
     };
-    let dir = std::env::var("RDT_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let ctx = Ctx {
+    let quick = args.switch("quick");
+    Ok(Ctx {
         quick,
         scale: if quick { Scale::quick() } else { Scale::full() },
         options,
-        scope: scope.map(|text| text.parse()).transpose()?,
-        dir: PathBuf::from(dir),
-    };
-    Ok(Some((which, ctx)))
+        scope,
+        dir: std::env::var_os("RDT_RESULTS_DIR").map_or_else(|| "results".into(), PathBuf::from),
+    })
 }
 
 fn main() -> ExitCode {
     rdt_bench::allocs::mark_installed();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (which, ctx) = match parse_args(&args) {
-        Ok(Some(run)) => run,
-        Ok(None) => {
-            println!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    let operands = format!("[all|{}]", names.join("|"));
+    let grammar = Grammar::new("experiments", &operands, 1, FLAGS);
+    let read = grammar.read(std::env::args().skip(1), |args| Ok((context(&args)?, args)));
+    let (ctx, args) = match read {
+        Ok(read) => read,
+        Err(code) => return code,
     };
+    let which = args.positional(0).unwrap_or("all");
     for &(name, run) in EXPERIMENTS {
         if which != "all" && which != name {
             continue;

@@ -57,3 +57,42 @@ fn a_failed_artifact_write_fails_the_run() {
     let text = String::from_utf8(output.stderr).unwrap();
     assert!(text.contains("table1.json"), "{text}");
 }
+
+/// The workspace's one command-line grammar, rule by rule: every refusal
+/// exits 1 with its reason and the usage on stderr, and runs nothing.
+#[test]
+fn the_grammar_refuses_before_anything_runs() {
+    for (args, reason) in [
+        (&["--quick=yes", "fig7"][..], "--quick takes no value"),
+        (
+            &["--threads", "2", "--threads", "3"],
+            "--threads is given twice",
+        ),
+        (&["--threads=0"], "--threads must be at least 1"),
+        (&["--threads", "--quick"], "--threads needs a value"),
+        (&["--scope"], "--scope needs a value"),
+        (&["--bogus"], "experiments reads no --bogus"),
+        (&["fig7", "fig8"], "unexpected argument \"fig8\""),
+        (
+            &["fig7", "--quick", "fig8"],
+            "--quick takes no value (\"fig8\")",
+        ),
+    ] {
+        let output = experiments(args);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let text = String::from_utf8(output.stderr).unwrap();
+        assert!(text.starts_with(reason), "{args:?}: {text}");
+        assert!(
+            text.contains("usage: experiments [all|fig7|"),
+            "{args:?}: {text}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?} ran");
+    }
+    let output = experiments(&["-h"]);
+    assert!(output.status.success());
+    let text = String::from_utf8(output.stdout).unwrap();
+    assert!(
+        text.contains("[--quick] [--threads N] [--scope n,m[,b]]"),
+        "{text}"
+    );
+}

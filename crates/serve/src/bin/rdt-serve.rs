@@ -1,11 +1,7 @@
-//! The `rdt-serve` daemon binary.
-//!
-//! ```text
-//! rdt-serve [--listen ADDR | --unix PATH] [--workers N] [--snapshot PATH]
-//! ```
+//! The `rdt-serve` daemon binary: `rdt-serve --help` lists its flags.
 //!
 //! Defaults: `--listen 127.0.0.1:7878`, `--workers 4` (lock stripes of the
-//! engine pool), no persistence.
+//! engine pool), no persistence; `--listen` and `--unix` are exclusive.
 //! The daemon prints one status line once it is accepting connections,
 //! then serves until a `{"op":"shutdown"}` frame arrives.
 
@@ -13,94 +9,134 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use rdt_serve::{Endpoint, Server, ServerConfig};
+use rdt_sim::{Args, Arity::Value, Flag, Grammar};
 
-const USAGE: &str =
-    "usage: rdt-serve [--listen ADDR | --unix PATH] [--workers N] [--snapshot PATH]";
+#[rustfmt::skip]
+const FLAGS: &[Flag] =
+    &[("listen", Value("ADDR")), ("unix", Value("PATH")), ("workers", Value("N")), ("snapshot", Value("PATH"))];
 
-fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
-    let mut endpoint: Option<Endpoint> = None;
-    let mut workers = 4usize;
-    let mut snapshot_path: Option<PathBuf> = None;
+fn grammar() -> Grammar {
+    Grammar::new("rdt-serve", "", 0, FLAGS)
+}
 
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value\n{USAGE}", args[i]))
-        };
-        match args[i].as_str() {
-            "--listen" => {
-                if endpoint.is_some() {
-                    return Err(format!("--listen and --unix are exclusive\n{USAGE}"));
-                }
-                endpoint = Some(Endpoint::Tcp(value(i)?.clone()));
-                i += 2;
-            }
-            "--unix" => {
-                if endpoint.is_some() {
-                    return Err(format!("--listen and --unix are exclusive\n{USAGE}"));
-                }
-                endpoint = Some(Endpoint::Unix(PathBuf::from(value(i)?)));
-                i += 2;
-            }
-            "--workers" => {
-                workers = value(i)?
-                    .parse()
-                    .map_err(|_| format!("--workers needs a positive integer\n{USAGE}"))?;
-                if workers == 0 {
-                    return Err(format!("--workers needs a positive integer\n{USAGE}"));
-                }
-                i += 2;
-            }
-            "--snapshot" => {
-                snapshot_path = Some(PathBuf::from(value(i)?));
-                i += 2;
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
-        }
+/// The daemon's configuration from what the grammar read.
+fn config(args: &Args) -> Result<ServerConfig, String> {
+    let endpoint = match (args.value("listen"), args.value("unix")) {
+        (Some(_), Some(_)) => return Err("--listen and --unix are exclusive".to_string()),
+        (None, Some(path)) => Endpoint::Unix(PathBuf::from(path)),
+        (addr, None) => Endpoint::Tcp(addr.unwrap_or("127.0.0.1:7878").to_string()),
+    };
+    let workers = args.get("workers")?.unwrap_or(4);
+    if workers == 0 {
+        return Err("--workers must be at least 1".to_string());
     }
-
+    let snapshot_path = args.value("snapshot").map(PathBuf::from);
     Ok(ServerConfig {
-        endpoint: endpoint.unwrap_or_else(|| Endpoint::Tcp("127.0.0.1:7878".to_string())),
+        endpoint,
         workers,
         snapshot_path,
     })
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = match parse_args(&args) {
+    let config = match grammar().read(std::env::args().skip(1), |args| config(&args)) {
         Ok(config) => config,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
-
     let described = match &config.endpoint {
         Endpoint::Tcp(addr) => format!("tcp {addr}"),
         Endpoint::Unix(path) => format!("unix {}", path.display()),
     };
-    let server = match Server::bind(config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("rdt-serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let bound = server
-        .local_addr()
-        .map_or(described, |addr| format!("tcp {addr}"));
-    println!(
-        "rdt-serve: listening on {bound} ({} streams restored)",
-        server.restored_streams()
-    );
-    match server.run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    let served = Server::bind(config).and_then(|server| {
+        let bound = server
+            .local_addr()
+            .map_or(described, |addr| format!("tcp {addr}"));
+        let restored = server.restored_streams();
+        println!("rdt-serve: listening on {bound} ({restored} streams restored)");
+        server.run()
+    });
+    served.map_or_else(
+        |e| {
             eprintln!("rdt-serve: {e}");
             ExitCode::FAILURE
+        },
+        |()| ExitCode::SUCCESS,
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Option<ServerConfig>, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        grammar()
+            .parse(&argv)?
+            .map(|args| config(&args))
+            .transpose()
+    }
+
+    fn refused(argv: &[&str]) -> String {
+        parse(argv)
+            .err()
+            .unwrap_or_else(|| panic!("{argv:?} was accepted"))
+    }
+
+    #[test]
+    fn flags_keep_their_defaults_and_meanings() {
+        let config = parse(&[]).unwrap().unwrap();
+        assert!(matches!(&config.endpoint, Endpoint::Tcp(addr) if addr == "127.0.0.1:7878"));
+        assert_eq!((config.workers, config.snapshot_path), (4, None));
+        let argv = ["--unix", "d.sock", "--workers=2", "--snapshot", "s.json"];
+        let config = parse(&argv).unwrap().unwrap();
+        assert!(
+            matches!(&config.endpoint, Endpoint::Unix(path) if path == &PathBuf::from("d.sock"))
+        );
+        assert_eq!(config.workers, 2);
+        assert_eq!(config.snapshot_path, Some(PathBuf::from("s.json")));
+    }
+
+    #[test]
+    fn the_grammar_and_the_daemon_refuse() {
+        assert!(parse(&["--help"]).unwrap().is_none());
+        assert!(parse(&["-h"]).unwrap().is_none());
+        for (argv, reason) in [
+            (
+                &["--workers", "2", "--workers", "3"][..],
+                "--workers is given twice",
+            ),
+            (&["--workers", "0"], "--workers must be at least 1"),
+            (&["--workers", "many"], "--workers \"many\": "),
+            (
+                &["--listen", "a:1", "--unix", "b"],
+                "--listen and --unix are exclusive",
+            ),
+            (&["--snapshot"], "--snapshot needs a value"),
+            (&["--listen", "--workers", "2"], "--listen needs a value"),
+            (&["--threads", "2"], "rdt-serve reads no --threads"),
+            (&["serve"], "unexpected argument \"serve\""),
+        ] {
+            let err = refused(argv);
+            assert!(err.starts_with(reason), "{argv:?}: {err}");
         }
+    }
+
+    #[test]
+    fn help_exits_zero_and_a_refusal_one() {
+        let grammar = grammar();
+        assert!(grammar
+            .usage
+            .starts_with("usage: rdt-serve [--listen ADDR]"));
+        let read = |argv: &[&str]| {
+            let argv = argv.iter().map(|s| s.to_string());
+            grammar.read(argv, |args| config(&args).map(drop)).err()
+        };
+        assert_eq!(read(&["--help"]), Some(ExitCode::SUCCESS));
+        assert_eq!(
+            read(&["--workers", "2", "--workers", "3"]),
+            Some(ExitCode::FAILURE)
+        );
+        assert_eq!(read(&["--workers", "0"]), Some(ExitCode::FAILURE));
+        assert_eq!(read(&["--workers", "3"]), None);
     }
 }

@@ -18,6 +18,8 @@
 //!   checkpoint records and aggregate [`RunStats`].
 //! * [`run_protocol_kind`] — dynamic protocol selection by
 //!   [`ProtocolKind`](rdt_core::ProtocolKind), monomorphizing internally.
+//! * [`Grammar`] — the one command-line grammar the workspace's binaries
+//!   read argv through.
 //!
 //! Every run is a pure function of `(SimConfig, Application, seed)`: the
 //! event queue breaks ties by sequence number, and all randomness flows
@@ -45,6 +47,7 @@
 #![warn(missing_docs)]
 
 mod app;
+mod args;
 mod config;
 mod dispatch;
 mod metrics;
@@ -55,6 +58,7 @@ mod trace;
 mod workpool;
 
 pub use app::{scripted, AppContext, Application, ScriptedApplication};
+pub use args::{synopsis, Args, Arity, Flag, Grammar};
 pub use config::{
     BasicCheckpointModel, DelayModel, SimConfig, StopCondition, DEFAULT_CRASH_SEED_SALT,
 };

@@ -35,6 +35,8 @@
 //! goldens `tests/golden/certify_report{,_3_2_1}.json`; the second was
 //! captured from the layout-fan-out pipeline this one replaced.
 
+use std::collections::BTreeSet;
+
 use rdt_json::{Json, ToJson};
 use rdt_rgraph::{FullAnalysis, GlobalCheckpoint, Mark};
 use rdt_sim::{parallel_map_indexed_observed, Stopwatch};
@@ -77,6 +79,7 @@ struct ProtocolTally {
     gc_checks: u64,
     counterexample_total: u64,
     counterexamples: Vec<Counterexample>,
+    failed_checks: BTreeSet<&'static str>,
 }
 
 impl ProtocolTally {
@@ -89,6 +92,7 @@ impl ProtocolTally {
         detail: String,
     ) {
         self.counterexample_total += 1;
+        self.failed_checks.insert(kind);
         if self.counterexamples.len() < max_kept {
             self.counterexamples.push(Counterexample {
                 protocol: protocol.name(),
@@ -105,6 +109,7 @@ impl ProtocolTally {
         self.predicate_mismatches += other.predicate_mismatches;
         self.gc_checks += other.gc_checks;
         self.counterexample_total += other.counterexample_total;
+        self.failed_checks.extend(other.failed_checks);
         for cex in other.counterexamples {
             if self.counterexamples.len() < max_kept {
                 self.counterexamples.push(cex);
@@ -168,6 +173,8 @@ pub struct ProtocolReport {
     pub name: &'static str,
     /// Whether the protocol claims RDT.
     pub claims_rdt: bool,
+    /// Whether the protocol claims Z-cycle freedom (no useless checkpoint).
+    pub claims_zcf: bool,
     /// Whether a clean report is expected (false only for the weakened
     /// control).
     pub expected_clean: bool,
@@ -183,6 +190,23 @@ pub struct ProtocolReport {
     pub counterexample_total: u64,
     /// Kept counterexamples, at most `max_counterexamples`.
     pub counterexamples: Vec<Counterexample>,
+    /// The [`Counterexample::kind`] of every failed check, kept or not,
+    /// in slug order. Not in the JSON, whose counterexamples carry kinds.
+    pub failed_checks: Vec<&'static str>,
+}
+
+impl ProtocolReport {
+    /// What failed, for the protocol's report line: its claims by name
+    /// (`RDT`, `Z-cycle freedom`), any other check by its kind.
+    pub fn failed(&self) -> String {
+        let name = |kind: &&'static str| match *kind {
+            "rdt-violation" => "RDT",
+            "useless-checkpoint" => "Z-cycle freedom",
+            other => other,
+        };
+        let names: Vec<&str> = self.failed_checks.iter().map(name).collect();
+        names.join(", ")
+    }
 }
 
 impl ToJson for ProtocolReport {
@@ -190,6 +214,7 @@ impl ToJson for ProtocolReport {
         Json::obj([
             ("name", Json::Str(self.name.to_string())),
             ("claims_rdt", Json::Bool(self.claims_rdt)),
+            ("claims_zcf", Json::Bool(self.claims_zcf)),
             ("expected_clean", Json::Bool(self.expected_clean)),
             ("patterns", Json::U64(self.patterns)),
             ("rdt_violations", Json::U64(self.rdt_violations)),
@@ -266,17 +291,18 @@ impl CertifyReport {
                 } else {
                     "control not binding at this scope (needs n>=3, m>=2)".to_string()
                 }
-            } else if p.expected_clean {
-                format!("FAILED ({} counterexamples)", p.counterexample_total)
             } else {
-                format!(
-                    "caught as expected ({} counterexamples)",
-                    p.counterexample_total
-                )
+                let (what, total) = (p.failed(), p.counterexample_total);
+                let head = if p.expected_clean {
+                    "FAILED"
+                } else {
+                    "caught as expected:"
+                };
+                format!("{head} {what} ({total} counterexamples)")
             };
             out.push_str(&format!(
-                "  {:14} claims_rdt={:5} rdt_violations={:6} predicate_mismatches={} gc_checks={:6}  {}\n",
-                p.name, p.claims_rdt, p.rdt_violations, p.predicate_mismatches, p.gc_checks, verdict,
+                "  {:14} claims_rdt={:5} claims_zcf={:5} rdt_violations={:6} predicate_mismatches={} gc_checks={:6}  {}\n",
+                p.name, p.claims_rdt, p.claims_zcf, p.rdt_violations, p.predicate_mismatches, p.gc_checks, verdict,
             ));
             for cex in &p.counterexamples {
                 out.push_str(&format!(
@@ -869,6 +895,7 @@ pub fn certify_with_stats(
             .map(|(protocol, tally)| ProtocolReport {
                 name: protocol.name(),
                 claims_rdt: protocol.claims_rdt(),
+                claims_zcf: protocol.claims_zcf(),
                 expected_clean: protocol.expected_clean(),
                 patterns: tally.patterns,
                 rdt_violations: tally.rdt_violations,
@@ -876,6 +903,7 @@ pub fn certify_with_stats(
                 gc_checks: tally.gc_checks,
                 counterexample_total: tally.counterexample_total,
                 counterexamples: tally.counterexamples,
+                failed_checks: tally.failed_checks.into_iter().collect(),
             })
             .collect(),
     };

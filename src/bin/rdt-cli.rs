@@ -2,25 +2,18 @@
 //! command line.
 //!
 //! ```text
-//! rdt-cli list
-//! rdt-cli run --protocol bhmr --env client-server --n 8 --seed 3 \
-//!             --messages 2000 --ckpt-mean 80 [--fifo] [--verify] [--stats] [--detail] \
-//!             [--crash-rate R [--max-crashes K]] [--dot pattern.dot]
-//! rdt-cli compare --env random --n 8 --seed 3 --messages 2000
-//! rdt-cli audit --figure 1
-//! rdt-cli domino --rounds 10
-//! rdt-cli certify --scope 3,4 [--threads N] [--sample FRAC] [--progress]
-//!         [--json results/certify_report.json]
-//! rdt-cli connect [--addr ADDR | --unix PATH]
+//! rdt-cli run --protocol bhmr --env client-server --n 8 --seed 3 --messages 2000 --verify
+//! rdt-cli certify --scope 3,4 --json results/certify_report.json
 //! ```
 //!
-//! Each subcommand reads the flags listed for it in `COMMANDS`; any other
-//! flag, or a value its flag cannot read, exits 1 with the usage line.
+//! `rdt-cli --help` lists every subcommand with the flags it reads (its
+//! table in `COMMANDS`); any other flag, or a value its flag cannot read,
+//! exits 1 with that usage.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
 
+use rdt::sim::{synopsis, Args, Arity::Switch, Arity::Value, Flag, Grammar};
 use rdt::theory::{dot, min_max, paper_figures};
 use rdt::workloads::EnvironmentKind;
 use rdt::{
@@ -28,113 +21,70 @@ use rdt::{
     SimConfig, StopCondition,
 };
 
-type Flags = BTreeMap<String, String>;
-
 /// The flags `build_config` reads.
-const SIM_FLAGS: [&str; 8] = [
-    "n",
-    "seed",
-    "messages",
-    "ckpt-mean",
-    "send-mean",
-    "fifo",
-    "crash-rate",
-    "max-crashes",
+#[rustfmt::skip]
+const SIM_FLAGS: &[Flag] = &[
+    ("n", Value("N")), ("seed", Value("SEED")), ("messages", Value("M")), ("ckpt-mean", Value("T")),
+    ("send-mean", Value("T")), ("fifo", Switch), ("crash-rate", Value("R")), ("max-crashes", Value("K")),
 ];
 
-/// The flags that may stand bare, meaning `true`; every other flag takes
-/// the next argument as its value.
-const SWITCHES: [&str; 5] = ["fifo", "verify", "stats", "detail", "progress"];
-
-type Command = fn(&Flags) -> Result<ExitCode, String>;
+type Command = fn(&Args) -> Result<ExitCode, String>;
 
 /// Every subcommand, what runs it, and the flags it reads: its own, and
-/// `SIM_FLAGS` where the bool is set.
-const COMMANDS: [(&str, Command, bool, &[&str]); 8] = [
+/// `SIM_FLAGS` where the bool is set. One row per subcommand, as `--help`
+/// prints them.
+#[rustfmt::skip]
+const COMMANDS: [(&str, Command, bool, &[Flag]); 8] = [
     ("list", cmd_list, false, &[]),
-    (
-        "run",
-        cmd_run,
-        true,
-        &[
-            "protocol",
-            "env",
-            "verify",
-            "stats",
-            "detail",
-            "dot",
-            "save-trace",
-        ],
-    ),
-    ("compare", cmd_compare, true, &["env"]),
-    ("audit", cmd_audit, false, &["figure"]),
-    ("domino", cmd_domino, false, &["rounds"]),
-    ("replay", cmd_replay, false, &["trace", "dot"]),
-    (
-        "certify",
-        cmd_certify,
-        false,
-        &["scope", "threads", "sample", "progress", "json"],
-    ),
-    ("connect", cmd_connect, false, &["addr", "unix"]),
+    ("run", cmd_run, true, &[("protocol", Value("NAME")), ("env", Value("NAME")), ("verify", Switch),
+        ("stats", Switch), ("detail", Switch), ("dot", Value("PATH")), ("save-trace", Value("PATH"))]),
+    ("compare", cmd_compare, true, &[("env", Value("NAME"))]),
+    ("audit", cmd_audit, false, &[("figure", Value("1|2|2b|4|4b"))]),
+    ("domino", cmd_domino, false, &[("rounds", Value("R"))]),
+    ("replay", cmd_replay, false, &[("trace", Value("PATH")), ("dot", Value("PATH"))]),
+    ("certify", cmd_certify, false, &[("scope", Value("N,M[,B]")), ("threads", Value("N")),
+        ("sample", Value("FRAC")), ("progress", Switch), ("json", Value("PATH"))]),
+    ("connect", cmd_connect, false, &[("addr", Value("ADDR")), ("unix", Value("PATH"))]),
 ];
 
-const USAGE: &str = "usage: rdt-cli <list|run|compare|audit|domino|replay|certify|connect> \
-                     [--flags]\nsee the module docs (`cargo doc`) for the full flag list";
-
-fn parse_flags(args: &[String]) -> Result<(Flags, Vec<String>), String> {
-    let mut flags = Flags::new();
-    let mut positional = Vec::new();
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        if let Some(name) = arg.strip_prefix("--") {
-            let value = match iter.next_if(|next| !next.starts_with("--")) {
-                Some(value) => value.clone(),
-                None if SWITCHES.contains(&name) => "true".to_string(),
-                None => return Err(format!("--{name} needs a value")),
-            };
-            flags.insert(name.to_string(), value);
-        } else {
-            positional.push(arg.clone());
-        }
-    }
-    Ok((flags, positional))
+/// The flags `COMMANDS` lists for one subcommand.
+fn flags_of(sim: bool, own: &'static [Flag]) -> impl Iterator<Item = Flag> {
+    let sim = if sim { SIM_FLAGS } else { &[] };
+    own.iter().chain(sim).copied()
 }
 
-/// The value of `--key`, `default` when the flag is absent; an error naming
-/// the flag when its value does not parse.
-fn get<T>(flags: &Flags, key: &str, default: T) -> Result<T, String>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    match flags.get(key) {
-        None => Ok(default),
-        Some(value) => value
-            .parse()
-            .map_err(|err| format!("--{key} {value:?}: {err}")),
+/// Every subcommand's flags in one table, which finds the subcommand
+/// wherever it stands; the usage has one line per subcommand.
+fn grammar() -> Grammar {
+    let all: Vec<Flag> = COMMANDS.iter().flat_map(|c| flags_of(c.2, c.3)).collect();
+    let mut grammar = Grammar::new("rdt-cli", "<command>", 1, &all);
+    grammar.usage = "usage:".to_string();
+    for (name, _, sim, own) in COMMANDS {
+        let flags: Vec<Flag> = flags_of(sim, own).collect();
+        grammar.usage += format!("\n  rdt-cli {name} {}", synopsis(&flags)).trim_end();
     }
+    grammar
 }
 
-fn build_config(flags: &Flags, n: usize) -> Result<SimConfig, String> {
-    let basics = match get(flags, "ckpt-mean", 80u64)? {
+fn build_config(args: &Args, n: usize) -> Result<SimConfig, String> {
+    let basics = match args.get("ckpt-mean")?.unwrap_or(80u64) {
         // Lets self-checkpointing workloads (e.g. domino) run without the
         // timer instead of panicking on a zero exponential mean.
         0 => rdt::sim::BasicCheckpointModel::Disabled,
         mean => rdt::sim::BasicCheckpointModel::Exponential { mean },
     };
     Ok(SimConfig::new(n)
-        .with_seed(get(flags, "seed", 1u64)?)
+        .with_seed(args.get("seed")?.unwrap_or(1u64))
         .with_basic_checkpoints(basics)
-        .with_stop(StopCondition::MessagesSent(get(
-            flags, "messages", 1_000u64,
-        )?))
-        .with_fifo(get(flags, "fifo", false)?)
-        .with_crash_rate(get(flags, "crash-rate", 0.0f64)?)
-        .with_max_crashes(get(flags, "max-crashes", 2u32)?))
+        .with_stop(StopCondition::MessagesSent(
+            args.get("messages")?.unwrap_or(1_000u64),
+        ))
+        .with_fifo(args.switch("fifo"))
+        .with_crash_rate(args.get("crash-rate")?.unwrap_or(0.0f64))
+        .with_max_crashes(args.get("max-crashes")?.unwrap_or(2u32)))
 }
 
-fn cmd_list(_: &Flags) -> Result<ExitCode, String> {
+fn cmd_list(_: &Args) -> Result<ExitCode, String> {
     println!("protocols:");
     for &kind in ProtocolKind::all() {
         println!(
@@ -152,17 +102,13 @@ fn cmd_list(_: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
-    let protocol: ProtocolKind = get(flags, "protocol", ProtocolKind::Bhmr)?;
-    let env: EnvironmentKind = get(flags, "env", EnvironmentKind::Random)?;
-    let n = get(flags, "n", 8usize)?;
-    let config = build_config(flags, n)?;
-    let (stats_wanted, detail, verify) = (
-        get(flags, "stats", false)?,
-        get(flags, "detail", false)?,
-        get(flags, "verify", false)?,
-    );
-    let mut app = env.build(n, get(flags, "send-mean", 20u64)?);
+fn cmd_run(args: &Args) -> Result<ExitCode, String> {
+    let protocol: ProtocolKind = args.get("protocol")?.unwrap_or(ProtocolKind::Bhmr);
+    let env: EnvironmentKind = args.get("env")?.unwrap_or(EnvironmentKind::Random);
+    let n = args.get("n")?.unwrap_or(8usize);
+    let config = build_config(args, n)?;
+    let stats_wanted = args.switch("stats");
+    let mut app = env.build(n, args.get("send-mean")?.unwrap_or(20u64));
     let outcome = run_protocol_kind(protocol, &config, app.as_mut());
 
     let stats = &outcome.stats.total;
@@ -231,11 +177,11 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
         }
     }
 
-    if detail {
+    if args.switch("detail") {
         let metrics = rdt::sim::TraceMetrics::of(&outcome.trace);
         print!("{}", metrics.render());
     }
-    if verify {
+    if args.switch("verify") {
         let report = RdtChecker::new(&outcome.trace.to_pattern()).check();
         println!(
             "  RDT          : {} ({} R-paths checked)",
@@ -307,7 +253,7 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
             println!("    R-path check: skipped (pattern unrealizable)");
         }
     }
-    if let Some(path) = flags.get("dot") {
+    if let Some(path) = args.value("dot") {
         let text = dot::pattern_to_dot(&outcome.trace.to_pattern());
         if let Err(err) = std::fs::write(path, text) {
             eprintln!("could not write {path}: {err}");
@@ -315,7 +261,7 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
         }
         println!("  pattern DOT  : {path}");
     }
-    if let Some(path) = flags.get("save-trace") {
+    if let Some(path) = args.value("save-trace") {
         let json = rdt::json::ToJson::to_json(&outcome.trace).to_string();
         if let Err(err) = std::fs::write(path, json) {
             eprintln!("could not write {path}: {err}");
@@ -326,22 +272,16 @@ fn cmd_run(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_replay(flags: &Flags) -> Result<ExitCode, String> {
-    let Some(path) = flags.get("trace") else {
-        eprintln!("usage: rdt-cli replay --trace <file.json> [--dot out.dot]");
-        return Ok(ExitCode::FAILURE);
+fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
+    let path = args.value("trace").ok_or("replay needs --trace PATH")?;
+    let read = std::fs::read_to_string(path).map_err(|err| format!("could not read {path}: {err}"));
+    let parse = |json: String| {
+        rdt::Trace::from_json_str(&json).map_err(|err| format!("could not parse {path}: {err}"))
     };
-    let json = match std::fs::read_to_string(path) {
-        Ok(json) => json,
-        Err(err) => {
-            eprintln!("could not read {path}: {err}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
-    let trace: rdt::Trace = match rdt::Trace::from_json_str(&json) {
+    let trace = match read.and_then(parse) {
         Ok(trace) => trace,
-        Err(err) => {
-            eprintln!("could not parse {path}: {err}");
+        Err(message) => {
+            eprintln!("{message}");
             return Ok(ExitCode::FAILURE);
         }
     };
@@ -359,7 +299,7 @@ fn cmd_replay(flags: &Flags) -> Result<ExitCode, String> {
     for violation in report.violations().iter().take(5) {
         println!("  {violation}");
     }
-    if let Some(out) = flags.get("dot") {
+    if let Some(out) = args.value("dot") {
         if std::fs::write(out, dot::pattern_to_dot(&pattern)).is_ok() {
             println!("pattern DOT: {out}");
         }
@@ -367,11 +307,11 @@ fn cmd_replay(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_compare(flags: &Flags) -> Result<ExitCode, String> {
-    let env: EnvironmentKind = get(flags, "env", EnvironmentKind::Random)?;
-    let n = get(flags, "n", 8usize)?;
-    let config = build_config(flags, n)?;
-    let send_mean = get(flags, "send-mean", 20u64)?;
+fn cmd_compare(args: &Args) -> Result<ExitCode, String> {
+    let env: EnvironmentKind = args.get("env")?.unwrap_or(EnvironmentKind::Random);
+    let n = args.get("n")?.unwrap_or(8usize);
+    let config = build_config(args, n)?;
+    let send_mean = args.get("send-mean")?.unwrap_or(20u64);
     println!(
         "{:>16} {:>10} {:>10} {:>8} {:>14}",
         "protocol", "forced", "basic", "R", "piggyback B/m"
@@ -392,9 +332,9 @@ fn cmd_compare(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_audit(flags: &Flags) -> Result<ExitCode, String> {
-    let figure = get::<String>(flags, "figure", "1".into())?;
-    let pattern = match figure.as_str() {
+fn cmd_audit(args: &Args) -> Result<ExitCode, String> {
+    let figure = args.value("figure").unwrap_or("1");
+    let pattern = match figure {
         "1" => paper_figures::figure_1(),
         "2" => paper_figures::figure_2_unbroken(),
         "2b" => paper_figures::figure_2_broken(),
@@ -427,8 +367,8 @@ fn cmd_audit(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_domino(flags: &Flags) -> Result<ExitCode, String> {
-    let rounds = get(flags, "rounds", 10usize)?;
+fn cmd_domino(args: &Args) -> Result<ExitCode, String> {
+    let rounds = args.get("rounds")?.unwrap_or(10usize);
     let pattern = domino_pattern(rounds);
     println!("domino pattern, {rounds} rounds:");
     for cap in (0..rounds as u32).rev().take(3) {
@@ -447,25 +387,20 @@ fn cmd_domino(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_certify(flags: &Flags) -> Result<ExitCode, String> {
-    let scope: rdt::Scope = get(flags, "scope", "3,4".parse()?)?;
+fn cmd_certify(args: &Args) -> Result<ExitCode, String> {
+    let scope: rdt::Scope = args.get("scope")?.unwrap_or("3,4".parse()?);
     // A value that fell through to `None` would be an exhaustive run: hours
     // at a scope where the sample was meant to take minutes.
-    let sample = match flags.get("sample").map(|v| (v, v.parse::<f64>())) {
-        None => None,
-        Some((_, Ok(fraction))) if fraction >= 0.0 => Some(fraction),
-        Some((value, _)) => {
-            return Err(format!(
-                "--sample takes a fraction >= 0 (e.g. 0.02), not {value:?}"
-            ))
-        }
-    };
+    let sample = args.get::<f64>("sample")?;
+    if sample.is_some_and(|fraction| fraction.is_nan() || fraction < 0.0) {
+        return Err("--sample takes a fraction >= 0 (e.g. 0.02)".to_string());
+    }
     let options = rdt::CertifyOptions {
-        threads: get(flags, "threads", 0usize)?,
+        threads: args.get("threads")?.unwrap_or(0usize),
         sample,
         // Progress/ETA lines go to stderr; suppressed in --json mode so
         // scripted runs stay quiet.
-        progress: get(flags, "progress", false)? && !flags.contains_key("json"),
+        progress: args.switch("progress") && !args.switch("json"),
         ..rdt::CertifyOptions::default()
     };
     let watch = rdt::Stopwatch::start();
@@ -473,7 +408,7 @@ fn cmd_certify(flags: &Flags) -> Result<ExitCode, String> {
     let elapsed = watch.elapsed();
     print!("{}", report.render());
     eprintln!("certified in {:.2}s", elapsed.as_secs_f64());
-    if let Some(path) = flags.get("json") {
+    if let Some(path) = args.value("json") {
         let text = rdt::json::ToJson::to_json(&report).pretty();
         if let Err(err) = std::fs::write(path, text) {
             eprintln!("could not write {path}: {err}");
@@ -492,15 +427,18 @@ fn cmd_certify(flags: &Flags) -> Result<ExitCode, String> {
 /// its replies, one per line, in request order. Full duplex: this thread
 /// writes while a second one prints, so a piped session is pipelined and
 /// neither side ever waits on a full socket buffer.
-fn cmd_connect(flags: &Flags) -> Result<ExitCode, String> {
+fn cmd_connect(args: &Args) -> Result<ExitCode, String> {
     use std::net::{Shutdown, TcpStream};
     use std::os::unix::net::UnixStream;
-    let outcome = if let Some(path) = flags.get("unix") {
+    if args.switch("addr") && args.switch("unix") {
+        return Err("--addr and --unix are exclusive".to_string());
+    }
+    let outcome = if let Some(path) = args.value("unix") {
         UnixStream::connect(path)
             .and_then(|s| Ok((s.try_clone()?, s)))
             .map(|(r, w)| connect_duplex(r, w, |s| s.shutdown(Shutdown::Write)))
     } else {
-        let addr = flags.get("addr").map_or("127.0.0.1:7878", String::as_str);
+        let addr = args.value("addr").unwrap_or("127.0.0.1:7878");
         TcpStream::connect(addr)
             .and_then(|s| Ok((s.try_clone()?, s)))
             .map(|(r, w)| connect_duplex(r, w, |s| s.shutdown(Shutdown::Write)))
@@ -587,85 +525,78 @@ fn connect_duplex<S: Read + Write + Send>(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, positional) = match parse_flags(&args) {
-        Ok(parsed) => parsed,
-        Err(err) => {
-            eprintln!("{err}\n{USAGE}");
-            return ExitCode::FAILURE;
+    let outcome = grammar().read(std::env::args().skip(1), |args| {
+        let command = COMMANDS.iter().find(|c| args.positional(0) == Some(c.0));
+        let Some(&(name, run, sim, own)) = command else {
+            return Err(match args.positional(0) {
+                Some(name) => format!("unknown command {name:?}"),
+                None => "no command given".to_string(),
+            });
+        };
+        let reads = |given: &&(&str, _)| flags_of(sim, own).any(|flag| flag.0 == given.0);
+        match args.flags.iter().find(|given| !reads(given)) {
+            Some((flag, _)) => Err(format!("{name} reads no --{flag}")),
+            None => run(&args),
         }
-    };
-    let command = positional.first().map(String::as_str);
-    let Some(&(name, run, sim, own)) = COMMANDS.iter().find(|c| Some(c.0) == command) else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let reads = |flag: &str| own.contains(&flag) || (sim && SIM_FLAGS.contains(&flag));
-    let outcome = match flags.keys().find(|flag| !reads(flag)) {
-        Some(flag) => Err(format!("{name} reads no --{flag}")),
-        None => run(&flags),
-    };
-    outcome.unwrap_or_else(|err| {
-        eprintln!("{err}\n{USAGE}");
-        ExitCode::FAILURE
-    })
+    });
+    outcome.unwrap_or_else(|code| code)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn strings(items: &[&str]) -> Vec<String> {
-        items.iter().map(|s| s.to_string()).collect()
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        grammar().parse(&argv).map(|args| args.expect("no --help"))
     }
 
     #[test]
     fn flags_and_positionals_are_separated() {
-        let (flags, positional) = parse_flags(&strings(&[
-            "run",
-            "--protocol",
-            "bhmr",
-            "--verify",
-            "--n",
-            "8",
-        ]))
-        .unwrap();
-        assert_eq!(positional, vec!["run"]);
-        assert_eq!(flags.get("protocol").map(String::as_str), Some("bhmr"));
-        assert_eq!(flags.get("verify").map(String::as_str), Some("true"));
-        assert_eq!(flags.get("n").map(String::as_str), Some("8"));
+        let args = parse(&["run", "--protocol", "bhmr", "--verify", "--n", "8"]).unwrap();
+        assert_eq!(args.positional(0), Some("run"));
+        assert_eq!(args.value("protocol"), Some("bhmr"));
+        assert!(args.switch("verify"));
+        assert_eq!(args.value("n"), Some("8"));
     }
 
+    /// A switch stands bare wherever it is, and never takes the argument
+    /// after it: not even the subcommand.
     #[test]
     fn trailing_boolean_flag() {
-        let (flags, _) = parse_flags(&strings(&["run", "--fifo"])).unwrap();
-        assert_eq!(flags.get("fifo").map(String::as_str), Some("true"));
+        let args = parse(&["run", "--fifo"]).unwrap();
+        assert!(args.switch("fifo"));
+        let args = parse(&["--stats", "run", "--n", "3"]).unwrap();
+        assert!(args.switch("stats"));
+        assert_eq!(args.positional(0), Some("run"));
     }
 
     /// Only a switch stands bare: a value flag at the end, or before
     /// another flag, is refused rather than read as `true`.
     #[test]
     fn a_value_flag_needs_its_value() {
-        for args in [&["run", "--save-trace"][..], &["run", "--dot", "--n", "3"]] {
-            let err = parse_flags(&strings(args)).expect_err("a bare value flag is refused");
-            assert!(err.ends_with("needs a value"), "{args:?}: {err}");
+        for argv in [&["run", "--save-trace"][..], &["run", "--dot", "--n", "3"]] {
+            let err = parse(argv).expect_err("a bare value flag is refused");
+            assert!(err.ends_with("needs a value"), "{argv:?}: {err}");
         }
     }
 
     /// An absent flag reads its default; a present one must parse.
     #[test]
     fn get_falls_back_to_default() {
-        let (flags, _) = parse_flags(&strings(&["run", "--seed", "junk"])).unwrap();
-        let err = get(&flags, "seed", 7u64).expect_err("unparsable values are refused");
+        let args = parse(&["run", "--seed", "junk"]).unwrap();
+        let err = args
+            .get::<u64>("seed")
+            .expect_err("unparsable values are refused");
         assert!(err.starts_with("--seed \"junk\""), "{err}");
-        assert_eq!(get(&flags, "missing", 9u64), Ok(9));
-        let (flags, _) = parse_flags(&strings(&["run", "--seed", "12"])).unwrap();
-        assert_eq!(get(&flags, "seed", 7u64), Ok(12));
+        assert_eq!(args.get::<u64>("messages"), Ok(None));
+        let args = parse(&["run", "--seed=12"]).unwrap();
+        assert_eq!(args.get::<u64>("seed"), Ok(Some(12)));
     }
 
     #[test]
     fn config_builder_uses_flags() {
-        let (flags, _) = parse_flags(&strings(&[
+        let args = parse(&[
             "run",
             "--seed",
             "5",
@@ -674,11 +605,24 @@ mod tests {
             "--ckpt-mean",
             "99",
             "--fifo",
-        ]))
+        ])
         .unwrap();
-        let config = build_config(&flags, 3).expect("every value parses");
+        let config = build_config(&args, 3).expect("every value parses");
         assert_eq!(config.seed, 5);
         assert_eq!(config.stop, rdt::StopCondition::MessagesSent(42));
         assert!(config.fifo);
+    }
+
+    /// The table is per subcommand, but the grammar reads one union of
+    /// them: a flag two subcommands share must take the same arity.
+    #[test]
+    fn shared_flags_agree_on_their_arity() {
+        let all: Vec<Flag> = COMMANDS.iter().flat_map(|c| flags_of(c.2, c.3)).collect();
+        for (name, arity) in &all {
+            assert!(
+                all.iter().all(|f| f.0 != *name || f.1 == *arity),
+                "--{name}"
+            );
+        }
     }
 }

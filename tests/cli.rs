@@ -209,3 +209,72 @@ fn value_flags_without_a_value_are_refused_with_usage() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A switch never takes the argument after it: before the subcommand it
+/// stays a switch, and the subcommand still runs.
+#[test]
+fn a_switch_before_the_subcommand_leaves_it_alone() {
+    let output = cli()
+        .args(["--stats", "run", "--n", "3", "--messages", "10"])
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "{output:?}");
+    let text = String::from_utf8(output.stdout).unwrap();
+    assert!(text.contains("protocol bhmr in random (n=3"), "{text}");
+    assert!(text.contains("online probe"), "stats block missing: {text}");
+    assert!(
+        text.contains("phase timings"),
+        "stats block missing: {text}"
+    );
+}
+
+#[test]
+fn help_prints_the_usage_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let output = cli().arg(flag).output().expect("binary runs");
+        assert!(output.status.success(), "{flag}");
+        let text = String::from_utf8(output.stdout).unwrap();
+        assert!(text.starts_with("usage:"), "{flag}: {text}");
+        assert!(text.contains("rdt-cli run [--protocol NAME]"), "{text}");
+        assert!(output.stderr.is_empty(), "{flag}");
+    }
+}
+
+/// Extra positionals, a flag given twice, a value given to a switch and
+/// both connect endpoints at once are refused with the usage.
+#[test]
+fn the_grammar_refuses_with_usage() {
+    for (args, reason) in [
+        (&["list", "extra"][..], "unexpected argument \"extra\""),
+        (&["run", "--n", "3", "--n", "4"], "--n is given twice"),
+        (&["run", "--verify=yes"], "--verify takes no value"),
+        (
+            &["run", "--stats", "extra"],
+            "--stats takes no value (\"extra\")",
+        ),
+        (&[], "no command given"),
+        (
+            &["connect", "--addr", "127.0.0.1:1", "--unix", "x"],
+            "--addr and --unix are exclusive",
+        ),
+    ] {
+        let output = cli().args(args).output().expect("binary runs");
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let text = String::from_utf8(output.stderr).unwrap();
+        assert!(text.starts_with(reason), "{args:?}: {text}");
+        assert!(text.contains("usage:"), "{args:?}: {text}");
+        assert!(output.stdout.is_empty(), "{args:?} ran");
+    }
+}
+
+#[test]
+fn a_value_flag_takes_name_equals_value() {
+    let output = cli()
+        .args(["run", "--n=3", "--messages", "10"])
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "{output:?}");
+    let text = String::from_utf8(output.stdout).unwrap();
+    assert!(text.contains("(n=3, seed 1)"), "{text}");
+    assert!(text.contains("10 sent"), "{text}");
+}
