@@ -20,7 +20,7 @@ use rdt_bench::{
     CompactionDecile, Sweep, SweepOptions,
 };
 use rdt_json::ToJson;
-use rdt_sim::{Args, Arity::Switch, Arity::Value, Flag, Grammar};
+use rdt_sim::{out, outln, Args, Arity::Switch, Arity::Value, Flag, Grammar};
 use rdt_workloads::EnvironmentKind::{self, ClientServer, Groups, Random};
 
 /// System allocator wrapped to count every allocation into
@@ -120,7 +120,7 @@ impl Ctx {
     fn write<T: ToJson>(&self, name: &str, value: &T) -> Result<(), String> {
         let path = write_json(&self.dir, name, value)
             .map_err(|err| format!("could not write {name}.json: {err}"))?;
-        println!("  -> {}", path.display());
+        outln!("  -> {}", path.display());
         Ok(())
     }
 }
@@ -130,24 +130,24 @@ fn figure(ctx: &Ctx, name: &str, env: EnvironmentKind, n: usize) -> Result<(), S
     let multipliers = [1, 2, 4, 8, 16];
     let sweep = Sweep::figure(name, env, n, &multipliers, &scale.seeds, scale.messages);
     let (result, metrics) = run_sweep_with_metrics(&sweep, &ctx.options);
-    print!("{}", render_figure(&result));
-    println!("  [{name}] {}", metrics.render());
+    out!("{}", render_figure(&result));
+    outln!("  [{name}] {}", metrics.render());
     ctx.write(name, &result)
 }
 
 fn table1(ctx: &Ctx) -> Result<(), String> {
     let result = rdt_bench::table1(8, &ctx.scale.seeds, ctx.scale.messages);
-    print!("{}", render_table1(&result));
+    out!("{}", render_table1(&result));
     ctx.write("table1", &result)
 }
 
 fn cor45(ctx: &Ctx) -> Result<(), String> {
-    println!("== COR-4.5 — on-the-fly min consistent GC vs offline R-graph fixpoint ==");
+    outln!("== COR-4.5 — on-the-fly min consistent GC vs offline R-graph fixpoint ==");
     let scale = &ctx.scale;
     for env in [Random, ClientServer] {
         let name = env.name();
         let result = rdt_bench::corollary45(env, 4, &scale.check_seeds, scale.check_messages);
-        println!(
+        outln!(
             "  {name:>14}: {} checkpoints checked, {} mismatches ({})",
             result.checked,
             result.mismatches,
@@ -162,10 +162,10 @@ fn cor45(ctx: &Ctx) -> Result<(), String> {
 }
 
 fn rdtcheck(ctx: &Ctx) -> Result<(), String> {
-    println!("== RDT-CHECK — offline verification of every protocol in every environment ==");
+    outln!("== RDT-CHECK — offline verification of every protocol in every environment ==");
     let result = rdt_bench::rdt_check(4, &ctx.scale.check_seeds, ctx.scale.check_messages);
     let total = result.runs.len();
-    println!(
+    outln!(
         "  {total} runs; unexpected RDT failures: {} ({}); uncoordinated runs that happened to satisfy RDT: {}",
         result.unexpected_failures,
         if result.unexpected_failures == 0 { "OK" } else { "FAIL" },
@@ -178,21 +178,26 @@ fn rdtcheck(ctx: &Ctx) -> Result<(), String> {
             result.unexpected_failures
         ));
     }
-    println!();
+    outln!();
 
-    println!("== BENCH-RDTCHECK — word-parallel closure kernels vs naive reference ==");
+    outln!("== BENCH-RDTCHECK — word-parallel closure kernels vs naive reference ==");
     let sizes: &[u64] = if ctx.quick {
         &[100, 400]
     } else {
         &[400, 1_600]
     };
     let bench = rdt_bench::closure_bench(sizes, if ctx.quick { 3 } else { 5 });
-    println!(
+    outln!(
         "  {:>10} {:>11} {:>14} {:>14} {:>9} {:>14}",
-        "messages", "delivered", "naive (ns)", "optimized (ns)", "speedup", "check (ns)"
+        "messages",
+        "delivered",
+        "naive (ns)",
+        "optimized (ns)",
+        "speedup",
+        "check (ns)"
     );
     for &(messages, delivered, naive_ns, optimized_ns, speedup, check_ns) in &bench.rows {
-        println!(
+        outln!(
             "  {messages:>10} {delivered:>11} {naive_ns:>14} {optimized_ns:>14} {speedup:>8.1}x {check_ns:>14}"
         );
     }
@@ -200,10 +205,10 @@ fn rdtcheck(ctx: &Ctx) -> Result<(), String> {
 }
 
 fn sim_throughput(ctx: &Ctx) -> Result<(), String> {
-    println!("== BENCH-SIM-THROUGHPUT — packed round-executor engine vs legacy protocols ==");
+    outln!("== BENCH-SIM-THROUGHPUT — packed round-executor engine vs legacy protocols ==");
     let (messages, reps) = if ctx.quick { (800, 3) } else { (4_000, 5) };
     let bench = rdt_bench::sim_throughput(messages, reps);
-    println!(
+    outln!(
         "  {:>8} {:>16} {:>3} {:>8} {:>12} {:>12} {:>8} {:>10} {:>10}",
         "env",
         "protocol",
@@ -216,7 +221,7 @@ fn sim_throughput(ctx: &Ctx) -> Result<(), String> {
         "allocs-x"
     );
     for row in &bench.rows {
-        println!(
+        outln!(
             "  {:>8} {:>16} {:>3} {:>8} {:>12} {:>12} {:>7.2}x {:>10} {:>10}",
             row.environment,
             row.protocol,
@@ -236,19 +241,24 @@ fn sim_throughput(ctx: &Ctx) -> Result<(), String> {
 }
 
 fn incremental(ctx: &Ctx) -> Result<(), String> {
-    println!("== BENCH-INCREMENTAL — append-only engine vs from-scratch rebuilds ==");
+    outln!("== BENCH-INCREMENTAL — append-only engine vs from-scratch rebuilds ==");
     let (sizes, reps, batch_samples): (&[u64], u32, u32) = if ctx.quick {
         (&[400, 1_600], 3, 8)
     } else {
         (&[400, 800, 1_600, 3_200, 6_400], 5, 16)
     };
     let bench = rdt_bench::incremental_vs_batch(sizes, reps, batch_samples);
-    println!(
+    outln!(
         "  {:>8} {:>12} {:>16} {:>18} {:>9} {:>14}",
-        "events", "checkpoints", "incremental (ns)", "batch est. (ns)", "speedup", "events/sec"
+        "events",
+        "checkpoints",
+        "incremental (ns)",
+        "batch est. (ns)",
+        "speedup",
+        "events/sec"
     );
     for row in &bench.rows {
-        println!(
+        outln!(
             "  {:>8} {:>12} {:>16} {:>18} {:>8.1}x {:>14.0}",
             row.events,
             row.checkpoints,
@@ -271,7 +281,7 @@ fn incremental(ctx: &Ctx) -> Result<(), String> {
 }
 
 fn compaction(ctx: &Ctx) -> Result<(), String> {
-    println!("== BENCH-COMPACTION — recovery-line compaction vs unbounded engine growth ==");
+    outln!("== BENCH-COMPACTION — recovery-line compaction vs unbounded engine growth ==");
     // The compacted engine streams the full event count; the
     // uncompacted control runs a prefix, long enough for its resident
     // closure to rise in every decile past the compacted engine's peak.
@@ -282,12 +292,15 @@ fn compaction(ctx: &Ctx) -> Result<(), String> {
     };
     let bench = rdt_bench::compaction_bench(4, events, control_events, stride, 0xC04AC7);
     let table = |label: &str, deciles: &[CompactionDecile]| {
-        println!(
+        outln!(
             "  {label}: {:>7} {:>12} {:>14} {:>14}",
-            "decile", "events", "events/sec", "resident"
+            "decile",
+            "events",
+            "events/sec",
+            "resident"
         );
         for row in deciles {
-            println!(
+            outln!(
                 "  {:>width$} {:>7} {:>12} {:>14.0} {:>14}",
                 "",
                 row.decile,
@@ -300,21 +313,23 @@ fn compaction(ctx: &Ctx) -> Result<(), String> {
     };
     table("compacted  ", &bench.compacted);
     table("uncompacted", &bench.control);
-    println!(
+    outln!(
         "  throughput ratio (last/first decile): compacted {:.2}x, uncompacted {:.2}x",
         bench.compacted_throughput_ratio(),
         bench.control_throughput_ratio()
     );
-    println!(
+    outln!(
         "  {} compactions reclaimed {} rows; resident after final compaction: {} nodes",
-        bench.compactions, bench.reclaimed_rows, bench.resident_after_final_compaction
+        bench.compactions,
+        bench.reclaimed_rows,
+        bench.resident_after_final_compaction
     );
     ctx.write("BENCH_compaction", &bench)?;
     bench.gate()
 }
 
 fn certify(ctx: &Ctx) -> Result<(), String> {
-    println!("== CERTIFY — exhaustive small-scope certification of every protocol ==");
+    outln!("== CERTIFY — exhaustive small-scope certification of every protocol ==");
     let scope = match ctx.scope {
         Some(scope) => scope,
         None if ctx.quick => rdt_verify::Scope::tiny(),
@@ -327,7 +342,7 @@ fn certify(ctx: &Ctx) -> Result<(), String> {
         ..rdt_verify::CertifyOptions::default()
     };
     let report = rdt_verify::certify(&scope, &options);
-    print!("{}", report.render());
+    out!("{}", report.render());
     ctx.write("certify_report", &report)?;
     if !report.certified_ok() {
         return Err("a protocol failed certification".to_string());
@@ -336,7 +351,7 @@ fn certify(ctx: &Ctx) -> Result<(), String> {
 }
 
 fn certify_scale(ctx: &Ctx) -> Result<(), String> {
-    println!("== BENCH-CERTIFY — orbit-pruned certifier at scale ==");
+    outln!("== BENCH-CERTIFY — orbit-pruned certifier at scale ==");
     // Timed single-core: the numbers measure algorithmic pruning and
     // sharing, not parallel speedup.
     let scope = rdt_verify::Scope::new(3, 4)?;
@@ -348,23 +363,28 @@ fn certify_scale(ctx: &Ctx) -> Result<(), String> {
         vec![(full_3_5, None), (sampled_4_4, Some(0.02))]
     };
     let bench = rdt_bench::certify_scale(&scope, 1, &push_scopes);
-    println!(
+    outln!(
         "  scope {}: {} structures in {} canonical orbits ({} pruned by symmetry)",
-        bench.scope, bench.structures, bench.canonical, bench.orbits_pruned
+        bench.scope,
+        bench.structures,
+        bench.canonical,
+        bench.orbits_pruned
     );
-    println!(
+    outln!(
         "  {:.2}s, {:.0} structures/s, prefix reuse {:.1}%, {} verdicts shared",
         bench.orbit_ns as f64 / 1e9,
         bench.structures_per_sec,
         bench.prefix_reuse_ratio * 100.0,
         bench.dedup_hits
     );
-    println!(
+    outln!(
         "  {:>16} {:>12} {:>10}",
-        "protocol", "replay ms", "patterns"
+        "protocol",
+        "replay ms",
+        "patterns"
     );
     for row in &bench.replay {
-        println!(
+        outln!(
             "  {:>16} {:>12.1} {:>10}",
             row.protocol,
             row.ns as f64 / 1e6,
@@ -376,7 +396,7 @@ fn certify_scale(ctx: &Ctx) -> Result<(), String> {
             Some(frac) => format!("sampled {frac}"),
             None => "full".to_string(),
         };
-        println!(
+        outln!(
             "  push {} ({mode}): {} structures, {} replayed in {:.2}s, certified_ok={}",
             run.scope,
             run.structures,
@@ -390,24 +410,27 @@ fn certify_scale(ctx: &Ctx) -> Result<(), String> {
 }
 
 fn ablation(ctx: &Ctx) -> Result<(), String> {
-    println!("== ABL-1 — piggyback size vs forced checkpoints (random environment) ==");
+    outln!("== ABL-1 — piggyback size vs forced checkpoints (random environment) ==");
     let result = rdt_bench::ablation(8, &ctx.scale.seeds, ctx.scale.messages);
-    println!("  {:>16} {:>16} {:>10}", "protocol", "piggyback B/msg", "R");
+    outln!("  {:>16} {:>16} {:>10}", "protocol", "piggyback B/msg", "R");
     for (name, bytes, r) in &result.lattice {
-        println!("  {name:>16} {bytes:>16.1} {r:>10.4}");
+        outln!("  {name:>16} {bytes:>16.1} {r:>10.4}");
     }
     ctx.write("ablation", &result)
 }
 
 fn sensitivity(ctx: &Ctx) -> Result<(), String> {
-    println!("== ABL-2 — BHMR-vs-FDAS reduction vs reply density (groups, n=12) ==");
+    outln!("== ABL-2 — BHMR-vs-FDAS reduction vs reply density (groups, n=12) ==");
     let result = rdt_bench::sensitivity(12, &ctx.scale.seeds, ctx.scale.messages);
-    println!(
+    outln!(
         "  {:>12} {:>10} {:>10} {:>11}",
-        "reply prob", "R bhmr", "R fdas", "reduction"
+        "reply prob",
+        "R bhmr",
+        "R fdas",
+        "reduction"
     );
     for (prob, bhmr, fdas, reduction) in &result.rows {
-        println!(
+        outln!(
             "  {prob:>12.2} {bhmr:>10.4} {fdas:>10.4} {:>10.1}%",
             reduction * 100.0
         );
@@ -416,40 +439,51 @@ fn sensitivity(ctx: &Ctx) -> Result<(), String> {
 }
 
 fn scaling(ctx: &Ctx) -> Result<(), String> {
-    println!("== SCALE-1 — R and piggyback cost vs number of processes (random env) ==");
+    outln!("== SCALE-1 — R and piggyback cost vs number of processes (random env) ==");
     let result = rdt_bench::scaling(&[4, 8, 16, 32], &ctx.scale.check_seeds, ctx.scale.messages);
-    println!(
+    outln!(
         "  {:>6} {:>10} {:>10} {:>16}",
-        "n", "protocol", "R", "piggyback B/msg"
+        "n",
+        "protocol",
+        "R",
+        "piggyback B/msg"
     );
     for (n, protocol, r, bytes) in &result.rows {
-        println!("  {n:>6} {protocol:>10} {r:>10.4} {bytes:>16.1}");
+        outln!("  {n:>6} {protocol:>10} {r:>10.4} {bytes:>16.1}");
     }
     ctx.write("scaling", &result)
 }
 
 fn coordinated(ctx: &Ctx) -> Result<(), String> {
-    println!("== COORD-1 — Chandy–Lamport snapshots vs CIC at matched checkpoint rates ==");
+    outln!("== COORD-1 — Chandy–Lamport snapshots vs CIC at matched checkpoint rates ==");
     let result = rdt_bench::coordinated(8, &ctx.scale.check_seeds, 60 * 800);
-    println!(
+    outln!(
         "  {:>16} {:>12} {:>14} {:>16} {:>18}",
-        "scheme", "checkpoints", "control msgs", "piggyback bytes", "rollback distance"
+        "scheme",
+        "checkpoints",
+        "control msgs",
+        "piggyback bytes",
+        "rollback distance"
     );
     for (scheme, checkpoints, control, piggyback, distance) in &result.rows {
-        println!("  {scheme:>16} {checkpoints:>12} {control:>14} {piggyback:>16} {distance:>18.2}");
+        outln!("  {scheme:>16} {checkpoints:>12} {control:>14} {piggyback:>16} {distance:>18.2}");
     }
     ctx.write("coordinated", &result)
 }
 
 fn necessity(ctx: &Ctx) -> Result<(), String> {
-    println!("== NEC-1 — hindsight necessity of forced checkpoints (random env, n=4) ==");
+    outln!("== NEC-1 — hindsight necessity of forced checkpoints (random env, n=4) ==");
     let result = rdt_bench::necessity(4, &ctx.scale.check_seeds, ctx.scale.check_messages);
-    println!(
+    outln!(
         "  {:>10} {:>10} {:>11} {:>10} {:>22}",
-        "protocol", "forced", "necessary", "ratio", "load-bearing basics"
+        "protocol",
+        "forced",
+        "necessary",
+        "ratio",
+        "load-bearing basics"
     );
     for (protocol, examined, necessary, ratio, load_bearing, basics) in &result.rows {
-        println!(
+        outln!(
             "  {protocol:>10} {examined:>10} {necessary:>11} {:>9.1}% {:>15} / {:>4}",
             ratio * 100.0,
             load_bearing,
@@ -460,15 +494,19 @@ fn necessity(ctx: &Ctx) -> Result<(), String> {
 }
 
 fn recovery(ctx: &Ctx) -> Result<(), String> {
-    println!("== REC-1 — rollback damage after losing the latest checkpoint ==");
+    outln!("== REC-1 — rollback damage after losing the latest checkpoint ==");
     let scale = &ctx.scale;
     let result = rdt_bench::recovery_experiment(6, &scale.check_seeds, scale.check_messages);
-    println!(
+    outln!(
         "  {:>16} {:>22} {:>18} {:>14} {:>12}",
-        "protocol", "mean ckpts discarded", "rolled-to-initial", "messages lost", "gc reclaim"
+        "protocol",
+        "mean ckpts discarded",
+        "rolled-to-initial",
+        "messages lost",
+        "gc reclaim"
     );
     for (name, discarded, initial, lost, reclaim) in &result.rows {
-        println!(
+        outln!(
             "  {name:>16} {discarded:>22.2} {initial:>18.2} {lost:>14.2} {:>11.1}%",
             reclaim * 100.0
         );
@@ -486,7 +524,7 @@ fn recovery_exec(ctx: &Ctx) -> Result<(), String> {
     let messages = if ctx.quick { 400 } else { 800 };
     let threads = ctx.options.threads;
     let result = rdt_bench::recovery_exec(4, &ctx.scale.check_seeds, messages, 4.0, 2, threads);
-    print!("{}", render_recovery_exec(&result));
+    out!("{}", render_recovery_exec(&result));
     ctx.write("BENCH_recovery_exec", &result)?;
     // Regression gate: the point of RDT — on the domino workload the
     // uncoordinated baseline must collapse to the initial state while
@@ -544,7 +582,7 @@ fn main() -> ExitCode {
             eprintln!("  !! {name} FAIL: {message}");
             return ExitCode::FAILURE;
         }
-        println!();
+        outln!();
     }
     ExitCode::SUCCESS
 }

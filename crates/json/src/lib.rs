@@ -482,6 +482,13 @@ impl<'a> JsonWriter<'a> {
     pub fn u64s(&mut self, values: &[u64]) {
         self.array(values, |w, &v| w.u64(v));
     }
+
+    /// The buffer being written to, between two values: a caller streaming
+    /// a long document may hand what it holds on and clear it, and the
+    /// writer goes on where it stopped (the separators are its own state).
+    pub fn buffer(&mut self) -> &mut Vec<u8> {
+        self.out
+    }
 }
 
 // -------------------------------------------------------------- lexers ---

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rdt_sim::{Args, Arity::Switch, Arity::Value, Flag, Grammar};
+use rdt_sim::{out, outln, Args, Arity::Switch, Arity::Value, Flag, Grammar};
 
 fn workspace_root() -> PathBuf {
     // The binary lives in crates/lint; the workspace root is two up.
@@ -42,7 +42,7 @@ fn main() -> ExitCode {
     };
     if args.switch("rules") {
         for (id, summary) in rdt_lint::rule_catalog() {
-            println!("{id}: {summary}");
+            outln!("{id}: {summary}");
         }
         return ExitCode::SUCCESS;
     }
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
             eprintln!("rdt-lint: unknown rule {id:?} (see --rules)");
             return ExitCode::FAILURE;
         };
-        println!("{id}\n{}\n\n{text}", "=".repeat(id.len()));
+        outln!("{id}\n{}\n\n{text}", "=".repeat(id.len()));
         return ExitCode::SUCCESS;
     }
     let root = args
@@ -67,11 +67,11 @@ fn main() -> ExitCode {
     };
     let elapsed_ns = start.elapsed().as_nanos() as u64;
     if args.switch("json") {
-        println!("{}", report.to_json(elapsed_ns).pretty());
+        outln!("{}", report.to_json(elapsed_ns).pretty());
     } else if args.switch("sarif") {
-        println!("{}", report.to_sarif().pretty());
+        outln!("{}", report.to_sarif().pretty());
     } else {
-        print!("{}", report.render());
+        out!("{}", report.render());
     }
     if report.clean() {
         ExitCode::SUCCESS

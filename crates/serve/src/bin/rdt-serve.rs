@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use rdt_serve::{Endpoint, Server, ServerConfig};
-use rdt_sim::{Args, Arity::Value, Flag, Grammar};
+use rdt_sim::{outln, Args, Arity::Value, Flag, Grammar};
 
 #[rustfmt::skip]
 const FLAGS: &[Flag] =
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
             .local_addr()
             .map_or(described, |addr| format!("tcp {addr}"));
         let restored = server.restored_streams();
-        println!("rdt-serve: listening on {bound} ({restored} streams restored)");
+        outln!("rdt-serve: listening on {bound} ({restored} streams restored)");
         server.run()
     });
     served.map_or_else(

@@ -62,6 +62,6 @@ pub use protocol::{
 };
 pub use server::{Endpoint, Server, ServerConfig};
 pub use shard::{
-    handle_request, EnginePool, PoolHandle, Rendered, Restored, POOL_SNAPSHOT_FORMAT,
-    POOL_SNAPSHOT_VERSION,
+    handle_request, EnginePool, PoolHandle, Rendered, Restored, PERSIST_CHUNK,
+    POOL_SNAPSHOT_FORMAT, POOL_SNAPSHOT_VERSION,
 };

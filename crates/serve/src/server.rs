@@ -47,33 +47,43 @@
 //!   an entry was written before and not closed since, so it is live there
 //!   too); it answers the same `persisted` count either way.
 //!
-//! A whole write renders into one buffer, then into a temp file that it
-//! renames over `PATH`, and reopens the handle onto the new file. A failed
-//! append truncates the file back to its last good length (best effort),
-//! and any failure — a render, an append, a write or a rename — makes the
-//! next persist write whole: a record is only correct on the file the
-//! previous persist reached. Persists are serialised by one mutex, held from
-//! the first byte rendered to the last written, that holds the buffer (so a
-//! persist allocates no document) and the handle: every connection thread
-//! goes through the same temp file and the same handle, and two of them at
-//! once would tear both. With that, a reader of `PATH` — or a crash at any
-//! point — sees a complete document and a run of complete records, perhaps
-//! followed by a torn one, which restore ignores: it lands on the last
-//! complete persist. A write or rename that fails removes the temp file and
-//! is an `admin` error; a temp file a killed daemon left behind is removed
-//! at startup.
+//! Every persist streams to the file through one chunk of
+//! [`PERSIST_CHUNK`] bytes ([`PoolHandle::stream_persist`]): the renderer
+//! hands the chunk on between two streams' entries once it is half full,
+//! never under a stripe lock, so a persist holds one chunk and one entry,
+//! not a document. A whole write streams into a temp file that it renames
+//! over `PATH`, and reopens the handle onto the new file. A record goes
+//! through the handle by positional writes (the file is not opened for
+//! appending): its body first, from the end of the file plus the header's
+//! 29 bytes on, with the length and FNV-1a 64 counted over the chunks as
+//! they pass, then the header in front of it. A crash between the two
+//! leaves a header of zeros, a torn record that restore ignores and a boot
+//! cuts. A body that would take the file past twice its document stops
+//! being written at that bound, and the persist writes whole instead. A
+//! failed append truncates the file back to its last good length (best
+//! effort), and any failure — a render, an append, a write or a rename —
+//! makes the next persist write whole: a record is only correct on the file
+//! the previous persist reached. Persists are serialised by one mutex, held
+//! from the first byte rendered to the last written, that holds the chunk
+//! and the handle: every connection thread goes through the same temp file
+//! and the same handle, and two of them at once would tear both. With that,
+//! a reader of `PATH` — or a crash at any point — sees a complete document
+//! and a run of complete records, perhaps followed by a torn one, which
+//! restore ignores: it lands on the last complete persist. A write or
+//! rename that fails removes the temp file and is an `admin` error; a temp
+//! file a killed daemon left behind is removed at startup.
 
 use std::fs::{self, File};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::fs::FileTypeExt;
+use std::os::unix::fs::{FileExt, FileTypeExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::protocol::{admin, DaemonOp, ErrorKind, Reply, ServeError, MAX_LINE_BYTES};
-use crate::shard::{EnginePool, PoolHandle, Restored};
+use crate::shard::{EnginePool, PoolHandle, Restored, PERSIST_CHUNK, RECORD_HEADER};
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -167,10 +177,11 @@ struct Shared {
 
 /// What persists keep from one to the next.
 struct Persist {
-    /// The buffer a persist renders into.
-    text: Vec<u8>,
+    /// The chunk a persist streams through, [`PERSIST_CHUNK`] bytes between
+    /// persists.
+    chunk: Vec<u8>,
     /// The snapshot file as the last persist (or the boot that restored
-    /// and adopted it) left it, open for appending; `None` before the first
+    /// and adopted it) left it, open for writing; `None` before the first
     /// persist of a daemon that adopted no file and after a failed persist,
     /// when the next persist writes the file whole.
     log: Option<Log>,
@@ -197,7 +208,7 @@ impl Log {
         if !restored.current {
             return None;
         }
-        let file = fs::OpenOptions::new().append(true).open(path).ok()?;
+        let file = fs::OpenOptions::new().write(true).open(path).ok()?;
         let len = restored.complete as u64;
         if len < read {
             file.set_len(len).ok()?;
@@ -208,6 +219,63 @@ impl Log {
             len,
             live: restored.streams,
         })
+    }
+
+    /// Appends one record of what changed since the last persist: the body
+    /// streams to `len + RECORD_HEADER` on, then the header goes to `len`.
+    /// Returns the live count, as when the record holds no entry and lists
+    /// as many live streams as the file does, which writes nothing — or
+    /// `None` when the record would take the file past twice its document:
+    /// its body stops at that bound, is cut off again, and the caller writes
+    /// whole. A failed render or write cuts the file back to `len` (best
+    /// effort).
+    fn append(
+        &mut self,
+        handle: &PoolHandle,
+        chunk: &mut Vec<u8>,
+    ) -> Result<Option<usize>, ServeError> {
+        let appending = |e: std::io::Error| admin(format!("appending to snapshot: {e}"));
+        let (file, limit) = (&self.file, 2 * self.base);
+        let (mut at, mut fits) = (self.len + RECORD_HEADER as u64, true);
+        let mut put = |bytes: &[u8]| {
+            fits &= at + bytes.len() as u64 <= limit;
+            if fits {
+                file.write_all_at(bytes, at).map_err(appending)?;
+            }
+            at += bytes.len() as u64;
+            Ok(())
+        };
+        let record = match handle.stream_persist(chunk, false, &mut put) {
+            // No entry, and as many live streams as the file holds: every
+            // live stream was written before and not closed since, so it is
+            // live there too, and the file already holds this state. Nothing
+            // went to `put`: the chunk is only handed on after an entry.
+            Ok(record) if record.entries == 0 && record.live == self.live => {
+                return Ok(Some(record.live))
+            }
+            Ok(record) => put(chunk).map(|()| record),
+            Err(e) => Err(e),
+        };
+        let written = record.and_then(|record| {
+            if !fits {
+                return Ok(None);
+            }
+            let header = record.record_header();
+            file.write_all_at(header.as_bytes(), self.len)
+                .map_err(appending)?;
+            Ok(Some(record))
+        });
+        match written {
+            Ok(Some(record)) => {
+                self.len = at;
+                self.live = record.live;
+                Ok(Some(record.live))
+            }
+            cut => {
+                let _ = self.file.set_len(self.len);
+                cut.map(|_| None)
+            }
+        }
     }
 }
 
@@ -227,17 +295,22 @@ fn temp_path(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// Writes `text` to `path` through a temp file in the same directory and a
-/// rename. Callers hold the persist lock: the temp file's name is fixed.
-/// When either step fails the temp file is removed (best effort) before the
-/// error is returned: after a full disk it is a torn file occupying the
-/// space that just ran out.
-fn write_snapshot_file(path: &Path, text: &[u8]) -> Result<(), ServeError> {
+/// Writes a whole file to `path`: `write` streams it into a temp file in
+/// the same directory, which is then renamed over `path`. Callers hold the
+/// persist lock: the temp file's name is fixed. When any step fails the
+/// temp file is removed (best effort) before the error is returned: after a
+/// full disk it is a torn file occupying the space that just ran out.
+fn write_snapshot_file<T>(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> Result<T, ServeError>,
+) -> Result<T, ServeError> {
     let tmp = temp_path(path);
-    let published = fs::write(&tmp, text)
+    let published = File::create(&tmp)
         .map_err(|e| admin(format!("writing snapshot: {e}")))
-        .and_then(|()| {
-            fs::rename(&tmp, path).map_err(|e| admin(format!("publishing snapshot: {e}")))
+        .and_then(|mut file| write(&mut file))
+        .and_then(|written| {
+            fs::rename(&tmp, path).map_err(|e| admin(format!("publishing snapshot: {e}")))?;
+            Ok(written)
         });
     if published.is_err() {
         let _ = fs::remove_file(&tmp);
@@ -253,48 +326,54 @@ fn persist_snapshot(shared: &Shared) -> Result<usize, ServeError> {
         .as_deref()
         .ok_or_else(|| admin("daemon has no snapshot path configured"))?;
     // A persist that panicked left at most part of a document in the
-    // buffer, which is cleared before it is used again, and wrote whole
-    // next: it took the handle before rendering.
+    // chunk, which every render clears first, and wrote whole next: it
+    // took the handle before rendering.
     let mut persist = shared
         .persist
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    let Persist { text, log } = &mut *persist;
+    let Persist { chunk, log } = &mut *persist;
+    let persisted = persist_to(&shared.handle, path, chunk, log);
+    // An entry of more than half a chunk grew it; the mutex keeps one chunk.
+    chunk.clear();
+    chunk.shrink_to(PERSIST_CHUNK);
+    persisted
+}
+
+/// One persist by the three rules: a record appended to the open log, or
+/// nothing when it would hold nothing new, or else the file written whole.
+fn persist_to(
+    handle: &PoolHandle,
+    path: &Path,
+    chunk: &mut Vec<u8>,
+    log: &mut Option<Log>,
+) -> Result<usize, ServeError> {
     if let Some(mut open) = log.take() {
-        text.clear();
-        let record = shared.handle.write_persist(text, false)?;
-        // No entry, and as many live streams as the file holds: every live
-        // stream was written before and not closed since, so it is live
-        // there too, and the file already holds this state.
-        if record.entries == 0 && record.live == open.live {
+        if let Some(live) = open.append(handle, chunk)? {
             *log = Some(open);
-            return Ok(record.live);
-        }
-        if open.len + text.len() as u64 <= 2 * open.base {
-            if let Err(e) = open.file.write_all(text) {
-                let _ = open.file.set_len(open.len);
-                return Err(admin(format!("appending to snapshot: {e}")));
-            }
-            open.len += text.len() as u64;
-            open.live = record.live;
-            *log = Some(open);
-            return Ok(record.live);
+            return Ok(live);
         }
     }
-    text.clear();
-    let live = shared.handle.write_persist(text, true)?.live;
-    text.push(b'\n');
-    write_snapshot_file(path, text)?;
-    let len = text.len() as u64;
+    let rendered = write_snapshot_file(path, |file| {
+        let mut put = |bytes: &[u8]| {
+            file.write_all(bytes)
+                .map_err(|e| admin(format!("writing snapshot: {e}")))
+        };
+        let rendered = handle.stream_persist(chunk, true, &mut put)?;
+        chunk.push(b'\n');
+        put(chunk)?;
+        Ok(rendered)
+    })?;
+    let len = rendered.bytes + 1;
     // Without the handle the next persist writes whole again.
-    let file = fs::OpenOptions::new().append(true).open(path);
+    let file = fs::OpenOptions::new().write(true).open(path);
     *log = file.ok().map(|file| Log {
         file,
         base: len,
         len,
-        live,
+        live: rendered.live,
     });
-    Ok(live)
+    Ok(rendered.live)
 }
 
 /// Answers one frame into `out`: the pool reads it and answers everything
@@ -444,7 +523,7 @@ impl Server {
                 handle,
                 snapshot_path: config.snapshot_path,
                 persist: Mutex::new(Persist {
-                    text: Vec::new(),
+                    chunk: Vec::new(),
                     log,
                 }),
                 shutdown: AtomicBool::new(false),

@@ -26,9 +26,12 @@
 //! return the parsed form of the same text.
 //!
 //! A persist renders either the whole daemon document or one record of what
-//! changed since the last persist ([`PoolHandle::write_persist`]; the
-//! server decides which, appends the record to the file, or drops it when
-//! it holds no entry and lists the streams the file already does). Snapshot
+//! changed since the last persist; the server decides which, appends the
+//! record to the file, or drops it when it holds no entry and lists the
+//! streams the file already does. It streams: [`PoolHandle::stream_persist`]
+//! hands its chunk of [`PERSIST_CHUNK`] bytes on between two streams, with
+//! no lock held, once it is half full, and [`PoolHandle::write_persist`] is
+//! the same renderer keeping every byte in a `Vec`. Snapshot
 //! restore ([`PoolHandle::restore_file`], and [`PoolHandle::restore_text`]
 //! for callers that want only the count) reads the file's bytes in one
 //! sequential pass — no `Json` tree — folds the records into the
@@ -65,13 +68,26 @@ pub const POOL_SNAPSHOT_VERSION: u64 = 2;
 
 /// Bytes of a record's header: `@`, the body's length in ten decimal
 /// digits, a space, the body's FNV-1a 64 in sixteen hex digits, `\n`.
-const RECORD_HEADER: usize = 29;
+pub(crate) const RECORD_HEADER: usize = 29;
+
+/// The buffer a streamed persist ([`PoolHandle::stream_persist`]) renders
+/// into, in bytes: it is handed on after any stream's entry that leaves it
+/// half full or more, so an entry of up to half a chunk never grows it.
+pub const PERSIST_CHUNK: usize = 64 * 1024;
+
+/// FNV-1a 64-bit's starting state.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit — stable across platforms, so shard assignment (and
 /// with it any shard-local observable) is reproducible everywhere, and
 /// every record of the snapshot file is checksummed with it.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a 64-bit of `bytes` continued from `hash`, the hash of the bytes
+/// before them: a record's checksum is taken a chunk at a time.
+fn fnv1a_from(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -315,7 +331,8 @@ enum Render {
     Record,
 }
 
-/// What a persist rendered ([`PoolHandle::write_persist`]).
+/// What a persist rendered ([`PoolHandle::write_persist`],
+/// [`PoolHandle::stream_persist`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rendered {
     /// Streams live in it: the `persisted` count.
@@ -323,6 +340,52 @@ pub struct Rendered {
     /// Streams it holds an entry of: all of them when whole, those that
     /// changed since the last persist in a record.
     pub entries: usize,
+    /// Bytes rendered: the document, or a record's body (its header aside,
+    /// its closing newline counted).
+    pub bytes: u64,
+    /// A record body's FNV-1a 64, taken over the chunks as they went by;
+    /// not taken for a document.
+    pub sum: u64,
+}
+
+impl Rendered {
+    /// The header of the record whose body this is: `@`, the length in ten
+    /// decimal digits, a space, the checksum in sixteen hex digits, `\n`.
+    pub fn record_header(&self) -> String {
+        format!("@{:010} {:016x}\n", self.bytes, self.sum)
+    }
+}
+
+/// Where a streamed render hands its buffer's bytes, a chunk at a time.
+type Sink<'s> = &'s mut dyn FnMut(&[u8]) -> Result<(), ServeError>;
+
+/// The length and, for a record, the FNV-1a 64 of what a render wrote,
+/// counted as the bytes pass.
+struct Tally {
+    /// Where the bytes of the buffer not yet counted start.
+    from: usize,
+    bytes: u64,
+    /// `None` when no checksum is taken.
+    sum: Option<u64>,
+}
+
+impl Tally {
+    /// Counts `out[from..]`.
+    fn count(&mut self, out: &[u8]) {
+        let new = &out[self.from..];
+        self.bytes += new.len() as u64;
+        self.sum = self.sum.map(|sum| fnv1a_from(sum, new));
+        self.from = out.len();
+    }
+
+    /// Counts what `chunk` holds, hands it to `sink` and clears it.
+    fn spill(&mut self, chunk: &mut Vec<u8>, sink: Sink<'_>) -> Result<(), ServeError> {
+        self.count(chunk);
+        sink(chunk)?;
+        chunk.clear();
+        self.from = 0;
+        Ok(())
+    }
 }
 
 /// What [`PoolHandle::restore_file`] read of a snapshot file besides its
@@ -441,7 +504,7 @@ impl PoolHandle {
     /// hold part of a document. What the daemon's persists wrote is neither
     /// read nor changed: this is the whole document a persist would write.
     pub fn write_snapshot_document(&self, out: &mut Vec<u8>) -> Result<usize, ServeError> {
-        self.render(out, Render::Document)
+        self.render(out, Render::Document, None)
             .map(|rendered| rendered.live)
     }
 
@@ -454,27 +517,66 @@ impl PoolHandle {
     /// that persist did not write it and a delta if it did. The marks of
     /// what is written are kept per stream; a record is only correct on a
     /// file the previous persist reached, so after a persist that failed the
-    /// next must be whole. On an error `out` may hold part of either.
+    /// next must be whole. On an error `out` may hold part of either. This
+    /// is [`stream_persist`](PoolHandle::stream_persist) with `out` for its
+    /// sink, and the same bytes.
     pub fn write_persist(&self, out: &mut Vec<u8>, whole: bool) -> Result<Rendered, ServeError> {
-        self.render(out, if whole { Render::Whole } else { Render::Record })
+        if whole {
+            return self.render(out, Render::Whole, None);
+        }
+        let start = out.len();
+        out.resize(start + RECORD_HEADER, b' ');
+        let rendered = self.render(out, Render::Record, None)?;
+        out[start..start + RECORD_HEADER].copy_from_slice(rendered.record_header().as_bytes());
+        Ok(rendered)
+    }
+
+    /// A persist streamed through `chunk`, which is cleared and reserved at
+    /// [`PERSIST_CHUNK`] bytes: what [`write_persist`](PoolHandle::write_persist)
+    /// appends — a record without its header, which comes from the returned
+    /// [`Rendered`] — rendered stream by stream into `chunk` and handed to
+    /// `sink` after any stream's entry that leaves it half full or more,
+    /// with no stripe lock held. The last part stays in `chunk`, counted in
+    /// the returned length and checksum: the caller writes it, or drops the
+    /// record when it holds no entry (then nothing has gone to `sink`). So a
+    /// persist holds one chunk, and one entry past it, however large the
+    /// document. A `sink` error stops the render and is returned.
+    pub fn stream_persist(
+        &self,
+        chunk: &mut Vec<u8>,
+        whole: bool,
+        sink: &mut dyn FnMut(&[u8]) -> Result<(), ServeError>,
+    ) -> Result<Rendered, ServeError> {
+        chunk.clear();
+        chunk.reserve(PERSIST_CHUNK);
+        let how = if whole { Render::Whole } else { Render::Record };
+        self.render(chunk, how, Some(sink))
     }
 
     /// The one renderer of documents and records. The names are collected
-    /// stripe by stripe, then each stream is written straight into `out`, in
-    /// name order, under its stripe's lock, taken for that one stream. A
-    /// stream closed in between is not in the output; one opened in between
-    /// is in the next.
-    fn render(&self, out: &mut Vec<u8>, how: Render) -> Result<Rendered, ServeError> {
+    /// stripe by stripe, then each stream is written into `out`, in name
+    /// order, under its stripe's lock, taken for that one stream; with a
+    /// `sink`, `out` — which then holds nothing else — is handed to it
+    /// between two streams once it is half a chunk full. A stream closed in between is not in the output; one
+    /// opened in between is in the next. A record is rendered without its
+    /// header.
+    fn render(
+        &self,
+        out: &mut Vec<u8>,
+        how: Render,
+        mut sink: Option<Sink<'_>>,
+    ) -> Result<Rendered, ServeError> {
         let mut names: Vec<(String, usize)> = Vec::new();
         for (i, stripe) in self.stripes.iter().enumerate() {
             let streams = stripe.lock().map_err(|_| not_running())?;
             names.extend(streams.keys().map(|name| (name.clone(), i)));
         }
         names.sort_unstable();
-        let start = out.len();
-        if how == Render::Record {
-            out.resize(start + RECORD_HEADER, b' ');
-        }
+        let mut tally = Tally {
+            from: out.len(),
+            bytes: 0,
+            sum: (how == Render::Record).then_some(FNV_OFFSET),
+        };
         let mut w = JsonWriter::new(out);
         w.begin_object();
         if how != Render::Record {
@@ -498,6 +600,12 @@ impl PoolHandle {
                 entries += usize::from(wrote);
                 live.push(name.as_str());
             }
+            drop(streams);
+            if let Some(sink) = sink.as_deref_mut() {
+                if w.buffer().len() >= PERSIST_CHUNK / 2 {
+                    tally.spill(w.buffer(), sink)?;
+                }
+            }
         }
         w.end_array();
         if how == Render::Record {
@@ -505,14 +613,14 @@ impl PoolHandle {
         }
         w.end_object();
         if how == Render::Record {
-            out.push(b'\n');
-            let body = &out[start + RECORD_HEADER..];
-            let header = format!("@{:010} {:016x}\n", body.len(), fnv1a(body));
-            out[start..start + RECORD_HEADER].copy_from_slice(header.as_bytes());
+            w.buffer().push(b'\n');
         }
+        tally.count(w.buffer());
         Ok(Rendered {
             live: live.len(),
             entries,
+            bytes: tally.bytes,
+            sum: tally.sum.unwrap_or(0),
         })
     }
 

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
 use rdt_json::Json;
-use rdt_serve::{Endpoint, EnginePool, PoolHandle, Server, ServerConfig};
+use rdt_serve::{Endpoint, EnginePool, PoolHandle, Server, ServerConfig, PERSIST_CHUNK};
 
 const STREAMS: usize = 6;
 const PROCESSES: usize = 6;
@@ -867,5 +867,202 @@ fn an_older_file_is_written_whole_by_the_first_persist() {
             "the first persist on an older file did not write it whole"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record whose body reached the file and whose header did not — the
+/// header's 29 bytes zeros, as a `kill -9` between the two writes leaves it,
+/// since a record's body is written first and its header after — restores
+/// to the persist before it, and a boot on that file cuts it off and appends
+/// the next persist's record right after that persist.
+#[test]
+fn a_record_without_its_header_restores_the_persist_before_it() {
+    let dir = scratch_dir("headerless");
+    let _ = std::fs::remove_file(dir.join("daemon.snapshot.json"));
+    let (daemon, socket, snapshot) = boot(&dir, 2);
+    let mut client = Client::connect(&socket);
+    let mut next = [0usize; 3];
+    let mut prefix = Vec::new();
+    for stream in 0..2 {
+        prefix.push(open_frame(stream));
+        rounds(&mut next, stream, 40, |frame| {
+            prefix.push(frame.to_string())
+        });
+    }
+    for frame in &prefix {
+        client.ok(frame);
+    }
+    client.ok(r#"{"op":"snapshot"}"#);
+    let acknowledged = std::fs::read(&snapshot).expect("the first persist");
+    rounds(&mut next, 0, 30, |frame| client.ok(frame));
+    client.ok(r#"{"op":"snapshot"}"#);
+    let full = std::fs::read(&snapshot).expect("the second persist");
+    assert!(appends_one_record(&acknowledged, &full));
+    client.ok(r#"{"op":"shutdown"}"#);
+    daemon.join().expect("daemon thread");
+
+    let mut headerless = full;
+    headerless[acknowledged.len()..acknowledged.len() + 29].fill(0);
+    assert!(
+        rendered(&headerless, 2) == rendered(&acknowledged, 2),
+        "the record without its header was trusted"
+    );
+
+    let mut after = Vec::new();
+    rounds(&mut next, 1, 3, |frame| after.push(frame.to_string()));
+    after.push(open_frame(2));
+    rounds(&mut next, 2, 3, |frame| after.push(frame.to_string()));
+    let twin = EnginePool::new(3);
+    for frame in prefix.iter().chain(&after) {
+        assert!(answer(&twin.handle(), frame).starts_with(r#"{"ok":true"#));
+    }
+    std::fs::write(&snapshot, &headerless).expect("the headerless file");
+    let (daemon, socket, _) = boot(&dir, 3);
+    let mut client = Client::connect(&socket);
+    for frame in &after {
+        client.ok(frame);
+    }
+    assert_eq!(
+        client.roundtrip(r#"{"op":"snapshot"}"#),
+        r#"{"ok":true,"persisted":3}"#
+    );
+    client.ok(r#"{"op":"shutdown"}"#);
+    daemon.join().expect("daemon thread");
+    let file = std::fs::read(&snapshot).expect("the resumed file");
+    assert!(
+        appends_one_record(&acknowledged, &file),
+        "the record is not appended right after the acknowledged persist"
+    );
+    assert!(
+        rendered(&file, 2) == document(&twin),
+        "the resumed file restores to another document than the twin's"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The file the daemon's persists stream, kept beside it in memory: the same
+/// three rules applied to [`PoolHandle::write_persist`] renders into a `Vec`
+/// on a twin pool fed the same frames.
+struct InMemory {
+    file: Vec<u8>,
+    /// Bytes of the document at the head of `file`.
+    base: usize,
+    /// Streams live at the state `file` holds.
+    live: usize,
+    /// Whether the next persist may append: false before the first and
+    /// after a failed one.
+    open: bool,
+}
+
+/// How an in-memory persist went.
+#[derive(Debug, PartialEq)]
+enum Wrote {
+    Nothing,
+    Record,
+    Whole,
+}
+
+impl InMemory {
+    /// One persist of `twin`: the `persisted` count, and what it wrote.
+    fn persist(&mut self, twin: &EnginePool) -> (usize, Wrote) {
+        let handle = twin.handle();
+        if self.open {
+            let mut record = Vec::new();
+            let rendered = handle.write_persist(&mut record, false).expect("record");
+            if rendered.entries == 0 && rendered.live == self.live {
+                return (rendered.live, Wrote::Nothing);
+            }
+            if self.file.len() + record.len() <= 2 * self.base {
+                self.file.extend_from_slice(&record);
+                self.live = rendered.live;
+                return (rendered.live, Wrote::Record);
+            }
+        }
+        let mut whole = Vec::new();
+        let rendered = handle.write_persist(&mut whole, true).expect("whole");
+        whole.push(b'\n');
+        (self.base, self.file) = (whole.len(), whole);
+        (self.live, self.open) = (rendered.live, true);
+        (rendered.live, Wrote::Whole)
+    }
+}
+
+/// A session of persists that write a document and records of more than a
+/// chunk each, nothing when nothing changed, a record of a close alone, a
+/// record the 2× rule turns into a whole write, and a whole write whose
+/// publish fails: after each, the streamed file equals, byte for byte, the
+/// file [`InMemory`] renders into a `Vec`, and the failed persist leaves the
+/// next one whole on both sides.
+#[test]
+fn a_streamed_file_is_the_in_memory_render_byte_for_byte() {
+    let dir = scratch_dir("streamed");
+    let _ = std::fs::remove_dir_all(dir.join("daemon.snapshot.json"));
+    let (daemon, socket, snapshot) = boot(&dir, 3);
+    let mut client = Twinned {
+        client: Client::connect(&socket),
+        twin: EnginePool::new(2),
+    };
+    let mut memory = InMemory {
+        file: Vec::new(),
+        base: 0,
+        live: 0,
+        open: false,
+    };
+    let mut next = [0usize; STREAMS];
+    let persist = |client: &mut Twinned, memory: &mut InMemory, expected: Wrote| {
+        let (live, wrote) = memory.persist(&client.twin);
+        assert_eq!(wrote, expected);
+        let reply = client.client.roundtrip(r#"{"op":"snapshot"}"#);
+        assert_eq!(reply, format!(r#"{{"ok":true,"persisted":{live}}}"#));
+        let file = std::fs::read(&snapshot).expect("the snapshot");
+        assert!(
+            file == memory.file,
+            "{expected:?}: the streamed file ({} bytes) is not the in-memory one ({} bytes)",
+            file.len(),
+            memory.file.len()
+        );
+        (file.len(), memory.base)
+    };
+    for stream in 0..STREAMS {
+        client.ok(&open_frame(stream));
+        rounds(&mut next, stream, 600, |frame| client.ok(frame));
+    }
+    let (len, base) = persist(&mut client, &mut memory, Wrote::Whole);
+    assert!(base > 2 * PERSIST_CHUNK, "a document of {base} bytes");
+    for stream in 0..STREAMS {
+        rounds(&mut next, stream, 300, |frame| client.ok(frame));
+    }
+    let (appended, _) = persist(&mut client, &mut memory, Wrote::Record);
+    assert!(
+        appended - len > PERSIST_CHUNK,
+        "a record of {} bytes",
+        appended - len
+    );
+    persist(&mut client, &mut memory, Wrote::Nothing);
+    client.ok(r#"{"op":"close","stream":"s5"}"#);
+    persist(&mut client, &mut memory, Wrote::Record);
+    for stream in 0..4 {
+        rounds(&mut next, stream, 600, |frame| client.ok(frame));
+    }
+    persist(&mut client, &mut memory, Wrote::Whole);
+
+    // The next record is too large again, and the whole write it turns into
+    // cannot be published: `PATH` is a non-empty directory by then.
+    for stream in 0..4 {
+        rounds(&mut next, stream, 2000, |frame| client.ok(frame));
+    }
+    std::fs::remove_file(&snapshot).expect("the published file");
+    std::fs::create_dir_all(snapshot.join("occupied")).expect("a directory at PATH");
+    let reply = client.client.roundtrip(r#"{"op":"snapshot"}"#);
+    assert!(reply.contains("publishing snapshot"), "{reply}");
+    memory.persist(&client.twin);
+    memory.open = false;
+    std::fs::remove_dir_all(&snapshot).expect("clear PATH");
+    persist(&mut client, &mut memory, Wrote::Whole);
+    rounds(&mut next, 1, 5, |frame| client.ok(frame));
+    persist(&mut client, &mut memory, Wrote::Record);
+
+    client.client.ok(r#"{"op":"shutdown"}"#);
+    daemon.join().expect("daemon thread");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,8 @@
 //!
 //! The third test pins what the tenants hold rather than what a frame
 //! allocates: the live heap blocks and bytes of a one-stripe pool of such
-//! streams at staggered ages.
+//! streams at staggered ages. The fourth bounds what a whole persist of the
+//! first test's pool holds at its peak: one chunk, not the document.
 //!
 //! The allocator shim counts per thread, so the harness's own threads do
 //! not show up in the numbers. The libraries stay `forbid(unsafe_code)`;
@@ -24,14 +25,18 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::Write;
 use std::time::Instant;
 
-use rdt_serve::{EnginePool, PoolHandle};
+use rdt_json::Json;
+use rdt_serve::{EnginePool, ErrorKind, PoolHandle, ServeError, PERSIST_CHUNK};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     /// Blocks allocated and not yet freed, and their bytes.
     static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
+    /// The most bytes live at once since it was last set.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
@@ -49,7 +54,16 @@ fn note_live(blocks: i64, bytes: i64) {
     let _ = LIVE.try_with(|live| {
         let (b, n) = live.get();
         live.set((b + blocks, n + bytes));
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(n + bytes)));
     });
+}
+
+/// How many bytes more than before it `work` holds live at its peak.
+fn peak_growth(work: impl FnOnce()) -> i64 {
+    let before = LIVE.with(Cell::get).1;
+    PEAK.with(|peak| peak.set(before));
+    work();
+    PEAK.with(Cell::get) - before
 }
 
 // SAFETY: every method delegates directly to `System`, which upholds the
@@ -283,4 +297,77 @@ fn a_stripe_of_tenants_holds_a_pinned_footprint() {
     );
     assert_eq!(held, PINNED, "live blocks and bytes of the pool");
     drop(handle);
+}
+
+/// A whole persist of the first test's pool (512 streams, 8 rounds each)
+/// through the daemon's streamed path, [`PoolHandle::stream_persist`], into
+/// `io::sink()`, grows the heap at its peak by no more than one chunk, the
+/// largest entry and the name list — each name, its slot in the render's
+/// name list and its place in a record's live list. The same persist
+/// rendered whole into a `Vec`, as the daemon did before it streamed, is
+/// measured beside it and must break that bound: the bound tells a streamed
+/// persist from one that holds the document. Both run after a first persist,
+/// so that the marks each stream keeps of what is on disk are already held.
+#[test]
+fn a_streamed_persist_holds_one_chunk_not_the_document() {
+    let mut out = Vec::with_capacity(4096);
+    let handle = warm_pool("", &mut out);
+    let mut document = Vec::new();
+    handle
+        .write_persist(&mut document, true)
+        .expect("the first persist");
+    let parsed = Json::parse_bytes(&document).expect("the document parses");
+    let entries = parsed.get("streams").and_then(Json::as_array);
+    let entry_bytes = |entry: &Json| {
+        let mut text = Vec::new();
+        entry.write_compact(&mut text);
+        text.len()
+    };
+    let largest_entry = entries.expect("entries").iter().map(entry_bytes).max();
+    let name_list: usize = (0..STREAMS)
+        .map(|s| format!("tenant-{s:03}").len())
+        .map(|name| name + size_of::<(String, usize)>() + size_of::<&str>())
+        .sum();
+    let largest_entry = largest_entry.expect("an entry");
+    let bound = PERSIST_CHUNK + largest_entry + name_list;
+    drop((parsed, document));
+
+    let mut chunk = Vec::new();
+    let mut written = 0u64;
+    let mut rendered = None;
+    let streamed = peak_growth(|| {
+        let mut sink = std::io::sink();
+        let mut put = |bytes: &[u8]| {
+            written += bytes.len() as u64;
+            let refused = |e: std::io::Error| ServeError::new(ErrorKind::Admin, e.to_string());
+            sink.write_all(bytes).map_err(refused)
+        };
+        let persist = handle.stream_persist(&mut chunk, true, &mut put);
+        rendered = Some(persist.expect("the streamed persist"));
+        put(&chunk).expect("the last chunk");
+    });
+    let rendered = rendered.expect("rendered");
+    let mut whole = Vec::new();
+    let in_memory = peak_growth(|| {
+        handle
+            .write_persist(&mut whole, true)
+            .expect("the in-memory persist");
+    });
+    println!(
+        "whole persist of a {} byte document: {streamed} bytes at the peak streamed, \
+         {in_memory} in memory; bound {bound} (chunk {PERSIST_CHUNK}, largest entry \
+         {largest_entry}, name list {name_list})",
+        rendered.bytes
+    );
+    assert_eq!(written, rendered.bytes);
+    assert_eq!(whole.len() as u64, rendered.bytes);
+    assert!(
+        streamed <= bound as i64,
+        "a streamed persist grew the heap by {streamed} bytes, past one chunk, the largest \
+         entry and the name list ({bound})"
+    );
+    assert!(
+        in_memory > bound as i64,
+        "the in-memory render ({in_memory} bytes) fits the bound: it tells nothing apart"
+    );
 }

@@ -11,10 +11,53 @@
 //! * `--help` and `-h` print the usage, rendered from the table, to stdout
 //!   and exit 0; a refusal prints its reason and the usage to stderr and
 //!   exits 1.
+//!
+//! The binaries write their stdout through one helper beside it,
+//! [`print_stdout`] (the [`outln!`](crate::outln) and [`out!`](crate::out)
+//! macros): a reader that closed the pipe ends the output, not the program.
 
-use std::fmt::Display;
+use std::fmt::{self, Display};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Writes to stdout as `print!` does, except that a closed stdout — a
+/// reader gone, `BrokenPipe` — is the end of the output: this write and
+/// every later one are dropped, with no panic and no backtrace, and the
+/// program goes on (a daemon keeps serving, an experiment keeps writing its
+/// files). Rust ignores `SIGPIPE`, so `print!` would panic there instead.
+/// Any other failure panics as `print!`'s does.
+pub fn print_stdout(text: fmt::Arguments<'_>) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().lock().write_fmt(text) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => CLOSED.store(true, Ordering::Relaxed),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+        Ok(()) => {}
+    }
+}
+
+/// `println!` through [`print_stdout`]: a closed stdout ends the output.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::print_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::print_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` through [`print_stdout`]: a closed stdout ends the output.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::print_stdout(format_args!($($arg)*))
+    };
+}
 
 /// What a flag takes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,7 +172,7 @@ impl Grammar {
         match parsed.and_then(|args| args.map(then).transpose()) {
             Ok(Some(value)) => Ok(value),
             Ok(None) => {
-                println!("{}", self.usage);
+                crate::outln!("{}", self.usage);
                 Err(ExitCode::SUCCESS)
             }
             Err(reason) => {

@@ -58,7 +58,7 @@ mod trace;
 mod workpool;
 
 pub use app::{scripted, AppContext, Application, ScriptedApplication};
-pub use args::{synopsis, Args, Arity, Flag, Grammar};
+pub use args::{print_stdout, synopsis, Args, Arity, Flag, Grammar};
 pub use config::{
     BasicCheckpointModel, DelayModel, SimConfig, StopCondition, DEFAULT_CRASH_SEED_SALT,
 };

@@ -13,7 +13,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
 
-use rdt::sim::{synopsis, Args, Arity::Switch, Arity::Value, Flag, Grammar};
+use rdt::sim::{out, outln, synopsis, Args, Arity::Switch, Arity::Value, Flag, Grammar};
 use rdt::theory::{dot, min_max, paper_figures};
 use rdt::workloads::EnvironmentKind;
 use rdt::{
@@ -85,9 +85,9 @@ fn build_config(args: &Args, n: usize) -> Result<SimConfig, String> {
 }
 
 fn cmd_list(_: &Args) -> Result<ExitCode, String> {
-    println!("protocols:");
+    outln!("protocols:");
     for &kind in ProtocolKind::all() {
-        println!(
+        outln!(
             "  {:<16} rdt={:<5} zcf={:<5} piggyback(n=8)={}B",
             kind.name(),
             kind.ensures_rdt(),
@@ -95,9 +95,9 @@ fn cmd_list(_: &Args) -> Result<ExitCode, String> {
             kind.piggyback_bytes(8)
         );
     }
-    println!("environments:");
+    outln!("environments:");
     for &env in EnvironmentKind::all() {
-        println!("  {}", env.name());
+        outln!("  {}", env.name());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -112,30 +112,31 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     let outcome = run_protocol_kind(protocol, &config, app.as_mut());
 
     let stats = &outcome.stats.total;
-    println!(
+    outln!(
         "protocol {} in {} (n={n}, seed {}):",
         protocol.name(),
         env.name(),
         config.seed
     );
-    println!(
+    outln!(
         "  messages     : {} sent, {} delivered",
-        stats.messages_sent, stats.messages_delivered
+        stats.messages_sent,
+        stats.messages_delivered
     );
-    println!(
+    outln!(
         "  checkpoints  : {} basic + {} forced (R = {:.4})",
         stats.basic_checkpoints,
         stats.forced_checkpoints,
         stats.forced_ratio()
     );
-    println!(
+    outln!(
         "  piggyback    : {:.1} bytes/message",
         stats.mean_piggyback_bytes()
     );
-    println!("  sim end time : {}", outcome.stats.end_time);
+    outln!("  sim end time : {}", outcome.stats.end_time);
 
     if let Some(recovery) = &outcome.recovery {
-        println!(
+        outln!(
             "  crashes      : {} injected, {} deliveries undone, {} orphans discarded, {} lost \
              messages replayed",
             recovery.crashes.len(),
@@ -143,7 +144,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
             recovery.total_orphans_discarded(),
             recovery.total_lost_replayed()
         );
-        println!(
+        outln!(
             "  rollback     : max depth {} ckpts, max domino span {} of {n} processes, {} \
              rolled to initial, mean span {:.1} ticks",
             recovery.max_rollback_depth(),
@@ -152,20 +153,21 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
             recovery.mean_rollback_span_ticks()
         );
         match recovery.resident_nodes_after_compaction {
-            Some(resident) => println!(
+            Some(resident) => outln!(
                 "  compaction   : {} recovery-line compactions reclaimed {} closure rows, \
                  {resident} resident nodes after the last",
-                recovery.compactions, recovery.reclaimed_rows
+                recovery.compactions,
+                recovery.reclaimed_rows
             ),
-            None => println!("  compaction   : no compaction discarded state"),
+            None => outln!("  compaction   : no compaction discarded state"),
         }
         if stats_wanted {
-            println!(
+            outln!(
                 "    line compute : {:>7.3} ms (incremental engine, all crashes)",
                 recovery.line_compute_time.as_secs_f64() * 1e3
             );
             for (k, crash) in recovery.crashes.iter().enumerate() {
-                println!(
+                outln!(
                     "    crash #{k} at {}: P{} down, line {:?}, depth {}, span {}",
                     crash.at,
                     crash.process.index(),
@@ -179,17 +181,17 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
 
     if args.switch("detail") {
         let metrics = rdt::sim::TraceMetrics::of(&outcome.trace);
-        print!("{}", metrics.render());
+        out!("{}", metrics.render());
     }
     if args.switch("verify") {
         let report = RdtChecker::new(&outcome.trace.to_pattern()).check();
-        println!(
+        outln!(
             "  RDT          : {} ({} R-paths checked)",
             if report.holds() { "holds" } else { "VIOLATED" },
             report.r_paths_found()
         );
         for violation in report.violations().iter().take(3) {
-            println!("    {violation}");
+            outln!("    {violation}");
         }
     }
     if stats_wanted {
@@ -198,11 +200,11 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         let trace = &outcome.trace;
         let probe = rdt::sim::OnlineRdtReport::replay(trace.num_processes(), trace.events())
             .expect("a simulated trace replays into the engine");
-        println!(
+        outln!(
             "  online probe ({} events appended during the run):",
             probe.events_appended
         );
-        println!(
+        outln!(
             "    append     : {:>9.3} ms (incremental engine updates)",
             probe.append_time.as_secs_f64() * 1e3
         );
@@ -213,7 +215,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
             ),
             None => "no untrackable pair at any step".to_string(),
         };
-        println!(
+        outln!(
             "    query      : {:>9.3} ms ({verdict})",
             probe.query_time.as_secs_f64() * 1e3
         );
@@ -230,12 +232,12 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         analysis.zigzag();
         let chains = watch.elapsed();
 
-        println!("  phase timings (one shared analysis):");
-        println!(
+        outln!("  phase timings (one shared analysis):");
+        outln!(
             "    replay     : {:>9.3} ms (into the incremental core)",
             replay.as_secs_f64() * 1e3
         );
-        println!(
+        outln!(
             "    chains     : {:>9.3} ms (chain closures)",
             chains.as_secs_f64() * 1e3
         );
@@ -243,14 +245,14 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
             let watch = rdt::Stopwatch::start();
             let report = analysis.rdt_report();
             let check = watch.elapsed();
-            println!(
+            outln!(
                 "    R-path check: {:>8.3} ms ({} R-paths, RDT {})",
                 check.as_secs_f64() * 1e3,
                 report.r_paths_found(),
                 if report.holds() { "holds" } else { "VIOLATED" }
             );
         } else {
-            println!("    R-path check: skipped (pattern unrealizable)");
+            outln!("    R-path check: skipped (pattern unrealizable)");
         }
     }
     if let Some(path) = args.value("dot") {
@@ -259,7 +261,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
             eprintln!("could not write {path}: {err}");
             return Ok(ExitCode::FAILURE);
         }
-        println!("  pattern DOT  : {path}");
+        outln!("  pattern DOT  : {path}");
     }
     if let Some(path) = args.value("save-trace") {
         let json = rdt::json::ToJson::to_json(&outcome.trace).to_string();
@@ -267,7 +269,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
             eprintln!("could not write {path}: {err}");
             return Ok(ExitCode::FAILURE);
         }
-        println!("  trace JSON   : {path}");
+        outln!("  trace JSON   : {path}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -285,23 +287,23 @@ fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
             return Ok(ExitCode::FAILURE);
         }
     };
-    println!(
+    outln!(
         "replaying trace: {} processes, {} events, {} checkpoints",
         trace.num_processes(),
         trace.events().len(),
         trace.checkpoint_count()
     );
     let metrics = rdt::sim::TraceMetrics::of(&trace);
-    print!("{}", metrics.render());
+    out!("{}", metrics.render());
     let pattern = trace.to_pattern();
     let report = RdtChecker::new(&pattern).check();
-    println!("RDT: {}", if report.holds() { "holds" } else { "violated" });
+    outln!("RDT: {}", if report.holds() { "holds" } else { "violated" });
     for violation in report.violations().iter().take(5) {
-        println!("  {violation}");
+        outln!("  {violation}");
     }
     if let Some(out) = args.value("dot") {
         if std::fs::write(out, dot::pattern_to_dot(&pattern)).is_ok() {
-            println!("pattern DOT: {out}");
+            outln!("pattern DOT: {out}");
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -312,15 +314,19 @@ fn cmd_compare(args: &Args) -> Result<ExitCode, String> {
     let n = args.get("n")?.unwrap_or(8usize);
     let config = build_config(args, n)?;
     let send_mean = args.get("send-mean")?.unwrap_or(20u64);
-    println!(
+    outln!(
         "{:>16} {:>10} {:>10} {:>8} {:>14}",
-        "protocol", "forced", "basic", "R", "piggyback B/m"
+        "protocol",
+        "forced",
+        "basic",
+        "R",
+        "piggyback B/m"
     );
     for &protocol in ProtocolKind::all() {
         let mut app = env.build(n, send_mean);
         let outcome = run_protocol_kind(protocol, &config, app.as_mut());
         let stats = &outcome.stats.total;
-        println!(
+        outln!(
             "{:>16} {:>10} {:>10} {:>8.4} {:>14.1}",
             protocol.name(),
             stats.forced_checkpoints,
@@ -346,22 +352,22 @@ fn cmd_audit(args: &Args) -> Result<ExitCode, String> {
             ))
         }
     };
-    println!(
+    outln!(
         "figure {figure}: {} processes, {} messages, {} checkpoints",
         pattern.num_processes(),
         pattern.num_messages(),
         pattern.total_checkpoints()
     );
     let report = RdtChecker::new(&pattern).check();
-    println!("RDT: {}", if report.holds() { "holds" } else { "violated" });
+    outln!("RDT: {}", if report.holds() { "holds" } else { "violated" });
     for violation in report.violations() {
-        println!("  {violation}");
+        outln!("  {violation}");
     }
     for c in pattern.checkpoints() {
         if let Some(gc) = min_max::min_consistent_containing(&pattern, &[c]) {
-            println!("  min GC containing {c}: {gc}");
+            outln!("  min GC containing {c}: {gc}");
         } else {
-            println!("  {c} is USELESS (belongs to no consistent GC)");
+            outln!("  {c} is USELESS (belongs to no consistent GC)");
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -370,7 +376,7 @@ fn cmd_audit(args: &Args) -> Result<ExitCode, String> {
 fn cmd_domino(args: &Args) -> Result<ExitCode, String> {
     let rounds = args.get("rounds")?.unwrap_or(10usize);
     let pattern = domino_pattern(rounds);
-    println!("domino pattern, {rounds} rounds:");
+    outln!("domino pattern, {rounds} rounds:");
     for cap in (0..rounds as u32).rev().take(3) {
         let report = analyze(
             &pattern,
@@ -379,9 +385,10 @@ fn cmd_domino(args: &Args) -> Result<ExitCode, String> {
                 resume_cap: cap,
             }],
         );
-        println!(
+        outln!(
             "  P0 resumes from index {cap}: line {}, {} checkpoints discarded",
-            report.line, report.total_discarded
+            report.line,
+            report.total_discarded
         );
     }
     Ok(ExitCode::SUCCESS)
@@ -406,7 +413,7 @@ fn cmd_certify(args: &Args) -> Result<ExitCode, String> {
     let watch = rdt::Stopwatch::start();
     let report = rdt::certify(&scope, &options);
     let elapsed = watch.elapsed();
-    print!("{}", report.render());
+    out!("{}", report.render());
     eprintln!("certified in {:.2}s", elapsed.as_secs_f64());
     if let Some(path) = args.value("json") {
         let text = rdt::json::ToJson::to_json(&report).pretty();
@@ -414,7 +421,7 @@ fn cmd_certify(args: &Args) -> Result<ExitCode, String> {
             eprintln!("could not write {path}: {err}");
             return Ok(ExitCode::FAILURE);
         }
-        println!("  report JSON  : {path}");
+        outln!("  report JSON  : {path}");
     }
     Ok(if report.certified_ok() {
         ExitCode::SUCCESS

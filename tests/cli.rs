@@ -278,3 +278,93 @@ fn a_value_flag_takes_name_equals_value() {
     assert!(text.contains("(n=3, seed 1)"), "{text}");
     assert!(text.contains("10 sent"), "{text}");
 }
+
+/// Every binary whose stdout is a pipe with no reader — its read end closed
+/// before the binary starts — ends its output quietly: no panic, no
+/// backtrace, its usual exit code. Rust ignores `SIGPIPE`, so a `println!`
+/// there panics and exits 101; `rdt-serve` died so right after binding.
+/// The daemon must keep serving after its status line: it answers a
+/// `shutdown` on its socket and exits 0. The other binaries are found
+/// beside `rdt-cli`, so every binary must be built (`cargo build --bins`).
+#[test]
+fn every_binary_ends_quietly_on_a_closed_stdout() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    use std::process::Stdio;
+
+    let binary = |name: &str| {
+        let path = std::path::Path::new(env!("CARGO_BIN_EXE_rdt-cli")).with_file_name(name);
+        assert!(
+            path.exists(),
+            "{} is not built: build every binary first (`cargo build --bins`)",
+            path.display()
+        );
+        Command::new(path)
+    };
+    let readerless = || {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        writer
+    };
+    let quiet = |what: &str, stderr: &[u8]| {
+        let stderr = String::from_utf8_lossy(stderr);
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+            "{what}: {stderr}"
+        );
+    };
+    let dir = std::env::temp_dir().join(format!("rdt-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let runs: [(&str, &[&str]); 6] = [
+        ("rdt-cli", &["--help"]),
+        (
+            "rdt-cli",
+            &["run", "--n", "3", "--messages", "10", "--stats"],
+        ),
+        ("experiments", &["--help"]),
+        ("experiments", &["--quick", "table1"]),
+        ("rdt-lint", &["--rules"]),
+        ("rdt-lint", &["--explain", "wall-clock"]),
+    ];
+    for (name, args) in runs {
+        let output = binary(name)
+            .args(args)
+            .env("RDT_RESULTS_DIR", &dir)
+            .stdout(readerless())
+            .output()
+            .expect("binary runs");
+        let what = format!("{name} {}", args.join(" "));
+        assert!(output.status.success(), "{what}: {}", output.status);
+        quiet(&what, &output.stderr);
+    }
+
+    let socket = dir.join("daemon.sock");
+    let mut daemon = binary("rdt-serve")
+        .arg("--unix")
+        .arg(&socket)
+        .stdout(readerless())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("rdt-serve starts");
+    let started = std::time::Instant::now();
+    let mut conn = loop {
+        if let Some(status) = daemon.try_wait().expect("daemon status") {
+            let output = daemon.wait_with_output().expect("daemon output");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            panic!("rdt-serve exited before serving: {status}: {stderr}");
+        }
+        if let Ok(conn) = UnixStream::connect(&socket) {
+            break conn;
+        }
+        assert!(started.elapsed().as_secs() < 30, "rdt-serve never listened");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    conn.write_all(b"{\"op\":\"shutdown\"}\n").expect("write");
+    let mut reply = String::new();
+    BufReader::new(conn).read_line(&mut reply).expect("reply");
+    assert!(reply.contains("stopping"), "{reply}");
+    let output = daemon.wait_with_output().expect("daemon exits");
+    assert!(output.status.success(), "rdt-serve: {}", output.status);
+    quiet("rdt-serve", &output.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
