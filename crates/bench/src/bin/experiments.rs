@@ -5,11 +5,10 @@
 //! [`EXPERIMENTS`], and the flags. `all`, the
 //! default, runs every row in table order and stops at the first failure.
 //! `--quick` shrinks message counts and seed sets for smoke runs.
-//! `--threads N` sets the worker count of the figure sweeps, `certify` and
+//! `--threads N` sets the worker count of the figure sweeps and
 //! `recovery-exec` (default: one per CPU); results are bit-identical for
-//! every `N`. `--scope` sets the `certify` scope and is refused by a
-//! run that does not include `certify`. Artifacts go to `results/` (or
-//! `$RDT_RESULTS_DIR`); a failed write fails the run.
+//! every `N`. Artifacts go to `results/` (or `$RDT_RESULTS_DIR`); a failed
+//! write fails the run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
@@ -93,7 +92,6 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("sim-throughput", sim_throughput),
     ("incremental", incremental),
     ("compaction", compaction),
-    ("certify", certify),
     ("certify-scale", certify_scale),
     ("ablation", ablation),
     ("sensitivity", sensitivity),
@@ -109,8 +107,6 @@ struct Ctx {
     quick: bool,
     scale: Scale,
     options: SweepOptions,
-    /// `--scope`, read by `certify` only.
-    scope: Option<rdt_verify::Scope>,
     dir: PathBuf,
 }
 
@@ -328,28 +324,6 @@ fn compaction(ctx: &Ctx) -> Result<(), String> {
     bench.gate()
 }
 
-fn certify(ctx: &Ctx) -> Result<(), String> {
-    outln!("== CERTIFY — exhaustive small-scope certification of every protocol ==");
-    let scope = match ctx.scope {
-        Some(scope) => scope,
-        None if ctx.quick => rdt_verify::Scope::tiny(),
-        // The full default scope: every pattern over 3 processes with
-        // up to 4 messages and 1 basic checkpoint.
-        None => rdt_verify::Scope::new(3, 4)?,
-    };
-    let options = rdt_verify::CertifyOptions {
-        threads: ctx.options.threads,
-        ..rdt_verify::CertifyOptions::default()
-    };
-    let report = rdt_verify::certify(&scope, &options);
-    out!("{}", report.render());
-    ctx.write("certify_report", &report)?;
-    if !report.certified_ok() {
-        return Err("a protocol failed certification".to_string());
-    }
-    Ok(())
-}
-
 fn certify_scale(ctx: &Ctx) -> Result<(), String> {
     outln!("== BENCH-CERTIFY — orbit-pruned certifier at scale ==");
     // Timed single-core: the numbers measure algorithmic pruning and
@@ -532,8 +506,7 @@ fn recovery_exec(ctx: &Ctx) -> Result<(), String> {
     result.rdt_bounds_domino()
 }
 
-#[rustfmt::skip]
-const FLAGS: &[Flag] = &[("quick", Switch), ("threads", Value("N")), ("scope", Value("n,m[,b]"))];
+const FLAGS: &[Flag] = &[("quick", Switch), ("threads", Value("N"))];
 
 /// What the experiments read, from what the grammar read: `Err` refuses
 /// the command line.
@@ -541,12 +514,6 @@ fn context(args: &Args) -> Result<Ctx, String> {
     let which = args.positional(0).unwrap_or("all");
     if which != "all" && !EXPERIMENTS.iter().any(|&(name, _)| name == which) {
         return Err(format!("unknown experiment {which:?}"));
-    }
-    let scope = args.get("scope")?;
-    if scope.is_some() && which != "all" && which != "certify" {
-        return Err(format!(
-            "--scope is read by certify only, and {which:?} does not run it (run certify or all)"
-        ));
     }
     let options = match args.get("threads")? {
         Some(0) => return Err("--threads must be at least 1".to_string()),
@@ -558,7 +525,6 @@ fn context(args: &Args) -> Result<Ctx, String> {
         quick,
         scale: if quick { Scale::quick() } else { Scale::full() },
         options,
-        scope,
         dir: std::env::var_os("RDT_RESULTS_DIR").map_or_else(|| "results".into(), PathBuf::from),
     })
 }

@@ -1068,21 +1068,29 @@ impl CompactionBenchResult {
         decile_ratio(&self.control)
     }
 
-    /// The acceptance gates of the experiment: flat per-event cost under
-    /// compaction (last decile at least half the first-decile throughput),
-    /// unbounded growth without it (the control's resident closure rises in
-    /// every decile and ends above the compacted peak), bounded resident
-    /// closure, exact analysis results, and non-vacuous reclamation.
+    /// The acceptance gates of the experiment: a flat resident closure
+    /// under compaction (the compacted deciles' resident counts summed over
+    /// the stream's second half at most twice their sum over its first
+    /// half), unbounded growth without it (the control's resident closure
+    /// rises in every decile and ends above the compacted peak), bounded
+    /// resident closure, exact analysis results, and non-vacuous
+    /// reclamation. No clause reads a clock: the throughput ratios are
+    /// reported, not gated.
     ///
     /// # Errors
     ///
     /// Returns a human-readable explanation of the first violated gate.
     pub fn gate(&self) -> Result<(), String> {
-        let compacted = self.compacted_throughput_ratio();
-        if compacted < 0.5 {
+        // A closure that grows linearly sums to 40/15 of its first half in
+        // its second; one that compaction holds flat, to about 1.
+        let (first, second) = self.compacted.split_at(self.compacted.len() / 2);
+        let sum = |half: &[CompactionDecile]| half.iter().map(|d| d.resident_nodes).sum::<usize>();
+        if sum(second) > 2 * sum(first) {
             return Err(format!(
-                "compacted last-decile throughput fell to {compacted:.2}x of the first decile \
-                 (gate: >= 0.5x)"
+                "compacted resident closure grew across the stream: {} resident nodes summed \
+                 over the second half's deciles against {} over the first (gate: <= 2x)",
+                sum(second),
+                sum(first)
             ));
         }
         // The control's resident closure, from the empty engine's `n`

@@ -113,24 +113,6 @@ impl CheckpointId {
             index,
         })
     }
-
-    /// The checkpoint interval that this checkpoint *closes*: `C_{i,x}` ends
-    /// interval `I_{i,x}` (for `x > 0`).
-    pub fn closing_interval(self) -> Option<IntervalId> {
-        (self.index > 0).then_some(IntervalId {
-            process: self.process,
-            index: self.index,
-        })
-    }
-
-    /// The checkpoint interval that this checkpoint *opens*: the events
-    /// following `C_{i,x}` belong to `I_{i,x+1}`.
-    pub fn opening_interval(self) -> IntervalId {
-        IntervalId {
-            process: self.process,
-            index: self.index + 1,
-        }
-    }
 }
 
 impl fmt::Display for CheckpointId {
@@ -163,26 +145,6 @@ impl IntervalId {
     pub fn new(process: ProcessId, index: u32) -> Self {
         assert!(index > 0, "interval indices are one-based");
         IntervalId { process, index }
-    }
-
-    /// The checkpoint that opens this interval: `C_{i,x-1}` opens `I_{i,x}`.
-    pub fn opened_by(self) -> CheckpointId {
-        debug_assert!(self.index > 0, "interval indices are one-based");
-        CheckpointId {
-            process: self.process,
-            index: self.index - 1,
-        }
-    }
-
-    /// The checkpoint that closes this interval: `C_{i,x}` closes `I_{i,x}`.
-    ///
-    /// The closing checkpoint need not exist yet in a finite prefix of a
-    /// computation; callers decide whether it does.
-    pub fn closed_by(self) -> CheckpointId {
-        CheckpointId {
-            process: self.process,
-            index: self.index,
-        }
     }
 }
 
@@ -227,20 +189,6 @@ mod tests {
         let c1 = c0.next();
         assert_eq!(c1.index, 1);
         assert_eq!(c1.prev(), Some(c0));
-    }
-
-    #[test]
-    fn checkpoint_interval_relationship() {
-        let p = ProcessId::new(0);
-        let c0 = CheckpointId::initial(p);
-        // C_{i,0} opens I_{i,1} and closes nothing.
-        assert_eq!(c0.closing_interval(), None);
-        let i1 = c0.opening_interval();
-        assert_eq!(i1.index, 1);
-        assert_eq!(i1.opened_by(), c0);
-        assert_eq!(i1.closed_by(), c0.next());
-        // C_{i,1} closes I_{i,1}.
-        assert_eq!(c0.next().closing_interval(), Some(i1));
     }
 
     #[test]

@@ -144,12 +144,6 @@ impl VectorClock {
         self.compare(other) == ClockOrdering::Before
     }
 
-    /// Returns `true` if neither clock happened before the other and they
-    /// are not equal.
-    pub fn concurrent_with(&self, other: &VectorClock) -> bool {
-        self.compare(other) == ClockOrdering::Concurrent
-    }
-
     /// Iterates over `(process, component)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, u64)> + '_ {
         self.entries
@@ -209,8 +203,8 @@ mod tests {
         let mut b = VectorClock::new(2);
         a.tick(p(0));
         b.tick(p(1));
-        assert!(a.concurrent_with(&b));
-        assert!(b.concurrent_with(&a));
+        assert_eq!(a.compare(&b), ClockOrdering::Concurrent);
+        assert_eq!(b.compare(&a), ClockOrdering::Concurrent);
     }
 
     #[test]

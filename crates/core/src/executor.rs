@@ -52,8 +52,8 @@ use std::rc::Rc;
 use rdt_causality::{bits, CheckpointId, ProcessId};
 
 use crate::{
-    ArrivalOutcome, CheckpointKind, CheckpointRecord, CicProtocol, PiggybackSize, ProtocolKind,
-    ProtocolStats, SendOutcome,
+    ArrivalOutcome, CheckpointKind, CheckpointRecord, CicProtocol, PiggybackSize, ProtocolStats,
+    SendOutcome,
 };
 
 /// Which of the paper's protocols an [`ExecutorState`] runs.
@@ -93,20 +93,6 @@ impl ExecutorSpec {
             ExecutorSpec::Fdas,
             ExecutorSpec::Fdi,
         ]
-    }
-
-    /// The spec for a dependency-tracking [`ProtocolKind`], or `None` for
-    /// kinds the executor does not cover (index-based and pattern-based
-    /// protocols carry no `(TDV, simple, causal)` state).
-    pub fn from_kind(kind: ProtocolKind) -> Option<ExecutorSpec> {
-        match kind {
-            ProtocolKind::Bhmr => Some(ExecutorSpec::Bhmr),
-            ProtocolKind::BhmrNoSimple => Some(ExecutorSpec::BhmrNoSimple),
-            ProtocolKind::BhmrCausalOnly => Some(ExecutorSpec::BhmrCausalOnly),
-            ProtocolKind::Fdas => Some(ExecutorSpec::Fdas),
-            ProtocolKind::Fdi => Some(ExecutorSpec::Fdi),
-            _ => None,
-        }
     }
 
     /// The protocol name, identical to the legacy implementation's
@@ -1147,9 +1133,8 @@ mod tests {
 
     #[test]
     fn logical_piggyback_bytes_match_legacy_and_kind_table() {
-        // Satellite: packed and legacy representations must report the
-        // same logical bytes, and both must match ProtocolKind's Table 1
-        // accounting formulas.
+        // Packed and legacy representations must report the same logical
+        // bytes (Table 1's accounting), for every spec at every width.
         let mut legacy = Bhmr::new(4, p(0));
         let legacy_bytes = legacy.before_send(p(1)).piggyback.piggyback_bytes();
         assert_eq!(legacy_bytes, 19);
@@ -1158,20 +1143,24 @@ mod tests {
         assert_eq!(packed.piggyback.piggyback_bytes(), legacy_bytes);
         assert_eq!(ExecutorSpec::Bhmr.piggyback_bytes(4), legacy_bytes);
 
-        for (spec, kind) in [
-            (ExecutorSpec::Bhmr, ProtocolKind::Bhmr),
-            (ExecutorSpec::BhmrNoSimple, ProtocolKind::BhmrNoSimple),
-            (ExecutorSpec::BhmrCausalOnly, ProtocolKind::BhmrCausalOnly),
-            (ExecutorSpec::Fdas, ProtocolKind::Fdas),
-            (ExecutorSpec::Fdi, ProtocolKind::Fdi),
-        ] {
-            for n in [1, 2, 4, 8, 13, 64, 65] {
-                assert_eq!(
-                    spec.piggyback_bytes(n),
-                    kind.piggyback_bytes(n),
-                    "{} at n={n}",
-                    spec.name()
-                );
+        fn sent_bytes<P: CicProtocol>(make: fn(usize, ProcessId) -> P, n: usize) -> usize {
+            make(n, p(0)).before_send(p(1)).piggyback.piggyback_bytes()
+        }
+        for n in [2, 4, 8, 13, 64, 65] {
+            for (spec, bytes) in [
+                (ExecutorSpec::Bhmr, sent_bytes(Bhmr::new, n)),
+                (
+                    ExecutorSpec::BhmrNoSimple,
+                    sent_bytes(crate::BhmrNoSimple::new, n),
+                ),
+                (
+                    ExecutorSpec::BhmrCausalOnly,
+                    sent_bytes(crate::BhmrCausalOnly::new, n),
+                ),
+                (ExecutorSpec::Fdas, sent_bytes(crate::Fdas::new, n)),
+                (ExecutorSpec::Fdi, sent_bytes(crate::Fdi::new, n)),
+            ] {
+                assert_eq!(spec.piggyback_bytes(n), bytes, "{} at n={n}", spec.name());
             }
         }
         // FDAS at n=8: 32 bytes, same as the legacy unit test pins.
@@ -1279,21 +1268,6 @@ mod tests {
         assert!(c[0].on_message_arrival(p(68), &m.piggyback).was_forced());
         assert_eq!(c[0].tdv_entry(p(68)), 2);
         assert!(c[0].causal_entry(p(68), p(0)));
-    }
-
-    #[test]
-    fn spec_from_kind_covers_exactly_the_dependency_protocols() {
-        for &kind in ProtocolKind::all() {
-            assert_eq!(
-                ExecutorSpec::from_kind(kind).is_some(),
-                kind.tracks_dependencies(),
-                "{kind:?}"
-            );
-        }
-        assert_eq!(
-            ExecutorSpec::from_kind(ProtocolKind::Bhmr),
-            Some(ExecutorSpec::Bhmr)
-        );
     }
 
     #[test]

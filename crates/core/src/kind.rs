@@ -111,23 +111,6 @@ impl ProtocolKind {
                 | ProtocolKind::Fdi
         )
     }
-
-    /// Piggyback size in bytes for an `n`-process system, per message.
-    pub fn piggyback_bytes(self, n: usize) -> usize {
-        let tdv = 4 * n;
-        let boolvec = n.div_ceil(8);
-        let matrix = (n * n).div_ceil(8);
-        match self {
-            ProtocolKind::Bhmr => tdv + boolvec + matrix,
-            ProtocolKind::BhmrNoSimple | ProtocolKind::BhmrCausalOnly => tdv + matrix,
-            ProtocolKind::Fdas | ProtocolKind::Fdi => tdv,
-            ProtocolKind::Bcs => 4,
-            ProtocolKind::Nras
-            | ProtocolKind::Cas
-            | ProtocolKind::Cbr
-            | ProtocolKind::Uncoordinated => 0,
-        }
-    }
 }
 
 impl fmt::Display for ProtocolKind {
@@ -189,39 +172,6 @@ mod tests {
         assert!(!ProtocolKind::Bcs.ensures_rdt());
         assert!(ProtocolKind::Bhmr.ensures_z_cycle_freedom());
         assert!(!ProtocolKind::Uncoordinated.ensures_z_cycle_freedom());
-    }
-
-    #[test]
-    fn piggyback_sizes_match_protocol_implementations() {
-        use crate::PiggybackSize;
-        use crate::{Bhmr, BhmrCausalOnly, BhmrNoSimple, CicProtocol, Fdas};
-        use rdt_causality::ProcessId;
-        let n = 6;
-        let p0 = ProcessId::new(0);
-        let p1 = ProcessId::new(1);
-        assert_eq!(
-            ProtocolKind::Bhmr.piggyback_bytes(n),
-            Bhmr::new(n, p0).before_send(p1).piggyback.piggyback_bytes()
-        );
-        assert_eq!(
-            ProtocolKind::BhmrNoSimple.piggyback_bytes(n),
-            BhmrNoSimple::new(n, p0)
-                .before_send(p1)
-                .piggyback
-                .piggyback_bytes()
-        );
-        assert_eq!(
-            ProtocolKind::BhmrCausalOnly.piggyback_bytes(n),
-            BhmrCausalOnly::new(n, p0)
-                .before_send(p1)
-                .piggyback
-                .piggyback_bytes()
-        );
-        assert_eq!(
-            ProtocolKind::Fdas.piggyback_bytes(n),
-            Fdas::new(n, p0).before_send(p1).piggyback.piggyback_bytes()
-        );
-        assert_eq!(ProtocolKind::Cas.piggyback_bytes(n), 0);
     }
 
     #[test]

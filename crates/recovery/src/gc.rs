@@ -7,7 +7,7 @@
 //! obsolete — and the quality of a protocol shows in how close that line
 //! tracks the computation's frontier.
 
-use rdt_causality::{CheckpointId, ProcessId};
+use rdt_causality::ProcessId;
 use rdt_rgraph::{GlobalCheckpoint, Pattern};
 
 use crate::recovery_line;
@@ -17,20 +17,6 @@ use crate::recovery_line;
 /// collection frontier.
 pub fn collection_frontier(pattern: &Pattern) -> GlobalCheckpoint {
     recovery_line(pattern, &[])
-}
-
-/// Checkpoints that can be discarded from stable storage: all checkpoints
-/// strictly below the [`collection_frontier`].
-///
-/// (The frontier members themselves must be kept — they are the recovery
-/// line — as must everything above them, which may become part of later
-/// lines.)
-pub fn obsolete_checkpoints(pattern: &Pattern) -> Vec<CheckpointId> {
-    let frontier = collection_frontier(pattern);
-    pattern
-        .checkpoints()
-        .filter(|c| c.index < frontier.get(c.process))
-        .collect()
 }
 
 /// Storage summary: how much of the checkpoint history must be retained.
@@ -104,14 +90,6 @@ mod tests {
         assert_eq!(report.obsolete, 9);
         assert_eq!(report.live, 3);
         assert!((report.reclaim_ratio() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn obsolete_set_matches_frontier() {
-        let pattern = paper_figures::figure_1();
-        let obsolete = obsolete_checkpoints(&pattern);
-        assert_eq!(obsolete.len(), 9);
-        assert!(obsolete.iter().all(|c| c.index < 3));
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub use line::{
     analyze, lost_messages, recovery_line, recovery_line_naive, try_analyze, try_lost_messages,
     try_recovery_line, Failure, RecoveryError, RollbackReport,
 };
-pub use logging::{output_commit_requirement, replay_plan, ReplayPlan};
+pub use logging::output_commit_requirement;

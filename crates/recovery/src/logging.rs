@@ -6,7 +6,7 @@
 //!
 //! * **lost / in-transit** messages — sent inside the line, not delivered
 //!   inside it: they must be *replayed* from sender-side logs (or their
-//!   loss tolerated);
+//!   loss tolerated); [`lost_messages`](crate::lost_messages) lists them;
 //! * **outputs** — effects released to the outside world cannot be
 //!   retracted, so an output may only be *committed* once no future
 //!   rollback can undo its causal past. With RDT that test is exactly the
@@ -15,54 +15,7 @@
 //!   global checkpoint is on stable storage.
 
 use rdt_causality::{CheckpointId, ProcessId};
-use rdt_rgraph::{min_max, GlobalCheckpoint, Pattern, PatternMessageId};
-
-use crate::{lost_messages, Failure};
-
-/// The replay obligations of a rollback to `line`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayPlan {
-    /// The line being recovered to.
-    pub line: GlobalCheckpoint,
-    /// Messages whose sends survive the rollback but whose deliveries do
-    /// not: they must be re-delivered from sender logs (in-transit
-    /// messages included).
-    pub replay: Vec<PatternMessageId>,
-    /// Messages fully rolled back (send undone): their log entries can be
-    /// dropped.
-    pub discard: Vec<PatternMessageId>,
-}
-
-impl ReplayPlan {
-    /// Total messages a sender-based logging scheme must have kept for
-    /// this recovery to be lossless.
-    pub fn log_entries_needed(&self) -> usize {
-        self.replay.len()
-    }
-}
-
-/// Computes the [`ReplayPlan`] for recovering `pattern` to the line implied
-/// by `failures`.
-///
-/// # Panics
-///
-/// Panics if a failure names an out-of-range process.
-pub fn replay_plan(pattern: &Pattern, failures: &[Failure]) -> ReplayPlan {
-    let line = crate::recovery_line(pattern, failures);
-    let replay = lost_messages(pattern, &line);
-    let discard = (0..pattern.num_messages())
-        .map(PatternMessageId)
-        .filter(|&m| {
-            let send = pattern.send_interval(m);
-            send.index > line.get(send.process)
-        })
-        .collect();
-    ReplayPlan {
-        line,
-        replay,
-        discard,
-    }
-}
+use rdt_rgraph::{min_max, GlobalCheckpoint, Pattern};
 
 /// The commit requirement of an output released while checkpoint
 /// `at` was the most recent local checkpoint of its process: the minimum
@@ -110,40 +63,6 @@ mod tests {
 
     fn c(i: usize, x: u32) -> CheckpointId {
         CheckpointId::new(ProcessId::new(i), x)
-    }
-
-    #[test]
-    fn replay_plan_of_figure_1_rollback() {
-        let pattern = paper_figures::figure_1();
-        // Roll P_j back to C_(j,1): line [3,1,1].
-        let plan = replay_plan(
-            &pattern,
-            &[Failure {
-                process: ProcessId::new(1),
-                resume_cap: 1,
-            }],
-        );
-        assert_eq!(plan.line.as_slice(), &[3, 1, 1]);
-        // m5 (sent I_(i,3) kept, delivered I_(j,2) undone) must be replayed.
-        assert_eq!(plan.replay.len(), 1);
-        assert_eq!(plan.log_entries_needed(), 1);
-        // m4, m6 (sent I_(j,2)) and m7 (sent I_(k,3)) are rolled back.
-        assert_eq!(plan.discard.len(), 3);
-    }
-
-    #[test]
-    fn replay_and_discard_are_disjoint() {
-        let pattern = paper_figures::figure_1();
-        let plan = replay_plan(
-            &pattern,
-            &[Failure {
-                process: ProcessId::new(0),
-                resume_cap: 1,
-            }],
-        );
-        for m in &plan.replay {
-            assert!(!plan.discard.contains(m));
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use rdt_causality::CheckpointId;
 
-use crate::chains::{MessageChain, ZigzagReachability};
+use crate::chains::ZigzagReachability;
 use crate::{Pattern, PatternAnalysis, PatternMessageId};
 
 /// A chain-level RDT counterexample: the endpoints of a message chain with
@@ -151,53 +151,6 @@ pub fn useless_checkpoints_with(analysis: &PatternAnalysis) -> Vec<CheckpointId>
         .collect()
 }
 
-/// Enumerates message chains of `pattern` up to `max_len` messages,
-/// without repeating a message inside one chain.
-///
-/// Exponential in the worst case — a test and documentation aid for small
-/// patterns, not a production query (use [`ZigzagReachability`] for
-/// reachability questions).
-pub fn enumerate_chains(pattern: &Pattern, max_len: usize) -> Vec<MessageChain> {
-    let delivered: Vec<PatternMessageId> = pattern
-        .messages()
-        .iter()
-        .enumerate()
-        .filter(|(_, info)| info.deliver_pos.is_some())
-        .map(|(idx, _)| PatternMessageId(idx))
-        .collect();
-    let mut out = Vec::new();
-    let mut stack = Vec::new();
-    for &start in &delivered {
-        stack.push(start);
-        extend(pattern, &delivered, &mut stack, &mut out, max_len);
-        stack.pop();
-    }
-    out
-}
-
-fn extend(
-    pattern: &Pattern,
-    delivered: &[PatternMessageId],
-    stack: &mut Vec<PatternMessageId>,
-    out: &mut Vec<MessageChain>,
-    max_len: usize,
-) {
-    out.push(MessageChain::new(stack.iter().copied()));
-    if stack.len() >= max_len {
-        return;
-    }
-    // Every caller pushes before recursing, so the stack is nonempty.
-    let Some(&last) = stack.last() else { return };
-    for &next in delivered {
-        if stack.contains(&next) || !zigzag_link(pattern, last, next) {
-            continue;
-        }
-        stack.push(next);
-        extend(pattern, delivered, stack, out, max_len);
-        stack.pop();
-    }
-}
-
 /// Same-process forward dependencies are trackable by index comparison
 /// alone (Definition 3.3's first disjunct) and need no causal doubling.
 fn trivially_trackable(from: CheckpointId, to: CheckpointId) -> bool {
@@ -296,25 +249,5 @@ mod tests {
         // consistent global checkpoint.
         assert!(useless_checkpoints(&paper_figures::figure_1()).is_empty());
         assert!(!all_chains_doubled(&paper_figures::figure_1()));
-    }
-
-    #[test]
-    fn enumerate_chains_finds_the_long_chain_of_figure_1() {
-        let (pattern, f) = paper_figures::figure_1_with_handles();
-        let chains = enumerate_chains(&pattern, 5);
-        let long = MessageChain::new([f.m3, f.m2, f.m5, f.m4, f.m7]);
-        assert!(chains.contains(&long));
-        // Every enumerated sequence really is a chain.
-        for chain in &chains {
-            assert!(chain.is_chain(&pattern), "{chain} is not a chain");
-        }
-    }
-
-    #[test]
-    fn enumerate_respects_max_len() {
-        let (pattern, _) = paper_figures::figure_1_with_handles();
-        let chains = enumerate_chains(&pattern, 2);
-        assert!(chains.iter().all(|c| c.len() <= 2));
-        assert!(chains.iter().any(|c| c.len() == 2));
     }
 }

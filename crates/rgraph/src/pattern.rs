@@ -3,7 +3,6 @@
 use std::fmt;
 
 use rdt_causality::{CheckpointId, IntervalId, ProcessId};
-use rdt_json::{Json, ToJson};
 
 /// Identifier of a message within one [`Pattern`].
 ///
@@ -435,159 +434,6 @@ impl Pattern {
             mix(info.to.index() as u64);
         }
         hash
-    }
-
-    /// Parses a pattern serialized with [`ToJson`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem: invalid
-    /// field shapes, out-of-range processes, or send/delivery mismatches.
-    pub fn from_json(json: &Json) -> Result<Pattern, String> {
-        let n = json
-            .get("n")
-            .and_then(Json::as_u64)
-            .ok_or("pattern: missing numeric field `n`")? as usize;
-        let lines = json
-            .get("events")
-            .and_then(Json::as_array)
-            .ok_or("pattern: missing array field `events`")?;
-        if lines.len() != n {
-            return Err(format!("pattern: {} event lines for n={n}", lines.len()));
-        }
-        let endpoints = json
-            .get("messages")
-            .and_then(Json::as_array)
-            .ok_or("pattern: missing array field `messages`")?;
-        let mut messages: Vec<MessageInfo> = Vec::with_capacity(endpoints.len());
-        for (i, pair) in endpoints.iter().enumerate() {
-            let fields = pair.as_array().unwrap_or(&[]);
-            let (Some(from), Some(to)) = (
-                fields.first().and_then(Json::as_u64),
-                fields.get(1).and_then(Json::as_u64),
-            ) else {
-                return Err(format!("pattern message {i}: malformed endpoints"));
-            };
-            if from as usize >= n || to as usize >= n {
-                return Err(format!("pattern message {i}: process out of range"));
-            }
-            messages.push(MessageInfo {
-                from: ProcessId::new(from as usize),
-                to: ProcessId::new(to as usize),
-                send_pos: usize::MAX,
-                deliver_pos: None,
-            });
-        }
-        let mut events: Vec<Vec<PatternEvent>> = Vec::with_capacity(n);
-        let mut checkpoint_positions: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for (i, line) in lines.iter().enumerate() {
-            let items = line
-                .as_array()
-                .ok_or_else(|| format!("pattern line {i}: not an array"))?;
-            let mut line_events = Vec::with_capacity(items.len());
-            let mut positions = Vec::new();
-            for (pos, item) in items.iter().enumerate() {
-                let fields = item.as_array().unwrap_or(&[]);
-                let tag = fields.first().and_then(Json::as_str);
-                let message = || -> Result<usize, String> {
-                    let id = fields.get(1).and_then(Json::as_u64).ok_or_else(|| {
-                        format!("pattern line {i} event {pos}: missing message id")
-                    })? as usize;
-                    if id >= messages.len() {
-                        return Err(format!(
-                            "pattern line {i} event {pos}: message out of range"
-                        ));
-                    }
-                    Ok(id)
-                };
-                match tag {
-                    Some("c") => {
-                        positions.push(pos);
-                        line_events.push(PatternEvent::Checkpoint);
-                    }
-                    Some("s") => {
-                        let id = message()?;
-                        if messages[id].send_pos != usize::MAX {
-                            return Err(format!("pattern: message m{id} sent twice"));
-                        }
-                        if messages[id].from.index() != i {
-                            return Err(format!("pattern: message m{id} sent by wrong process"));
-                        }
-                        messages[id].send_pos = pos;
-                        line_events.push(PatternEvent::Send(PatternMessageId(id)));
-                    }
-                    Some("d") => {
-                        let id = message()?;
-                        if messages[id].deliver_pos.is_some() {
-                            return Err(format!("pattern: message m{id} delivered twice"));
-                        }
-                        if messages[id].to.index() != i {
-                            return Err(format!(
-                                "pattern: message m{id} delivered at wrong process"
-                            ));
-                        }
-                        messages[id].deliver_pos = Some(pos);
-                        line_events.push(PatternEvent::Deliver(PatternMessageId(id)));
-                    }
-                    _ => return Err(format!("pattern line {i} event {pos}: unknown tag")),
-                }
-            }
-            events.push(line_events);
-            checkpoint_positions.push(positions);
-        }
-        for (id, info) in messages.iter().enumerate() {
-            if info.send_pos == usize::MAX {
-                return Err(format!("pattern: message m{id} never sent"));
-            }
-        }
-        let pattern = Pattern {
-            n,
-            events,
-            messages,
-            checkpoint_positions,
-        };
-        pattern.linearize().map_err(|e| format!("pattern: {e}"))?;
-        Ok(pattern)
-    }
-}
-
-impl ToJson for Pattern {
-    fn to_json(&self) -> Json {
-        let lines: Vec<Json> = self
-            .events
-            .iter()
-            .map(|events| {
-                Json::Arr(
-                    events
-                        .iter()
-                        .map(|event| match event {
-                            PatternEvent::Checkpoint => Json::Arr(vec!["c".to_json()]),
-                            PatternEvent::Send(m) => {
-                                Json::Arr(vec!["s".to_json(), Json::U64(m.0 as u64)])
-                            }
-                            PatternEvent::Deliver(m) => {
-                                Json::Arr(vec!["d".to_json(), Json::U64(m.0 as u64)])
-                            }
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        let endpoints: Vec<Json> = self
-            .messages
-            .iter()
-            .map(|info| {
-                Json::Arr(vec![
-                    Json::U64(info.from.index() as u64),
-                    Json::U64(info.to.index() as u64),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("n", Json::U64(self.n as u64)),
-            ("events", Json::Arr(lines)),
-            ("messages", Json::Arr(endpoints)),
-        ])
     }
 }
 

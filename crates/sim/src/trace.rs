@@ -10,9 +10,9 @@ use rdt_rgraph::{Pattern, PatternBuilder, PatternError, PatternMessageId};
 
 use crate::SimTime;
 
-/// Why a trace could not be converted into a pattern. Runner-produced
-/// traces never hit these; externally ingested traces (files, sockets)
-/// can, and must get an error instead of a panic.
+/// Why a trace could not be read ([`Trace::from_json`]) or converted into
+/// a pattern. Runner-produced traces never hit these; externally ingested
+/// traces (files, sockets) can, and must get an error instead of a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
     /// A delivery event named a message no send event introduced.
@@ -45,6 +45,32 @@ pub enum TraceError {
         /// The message id the send claimed.
         message: SimMessageId,
     },
+    /// A send reused the id of an earlier send.
+    DuplicateSend {
+        /// Index of the offending event in the trace.
+        event: usize,
+        /// The message id sent again.
+        message: SimMessageId,
+    },
+    /// A delivery's endpoints differ from those of its send.
+    EndpointMismatch {
+        /// Index of the offending event in the trace.
+        event: usize,
+        /// The message the delivery named.
+        message: SimMessageId,
+    },
+    /// A checkpoint index is not its process's next one (checkpoint
+    /// indices count up from 1 per process, in trace order).
+    CheckpointOutOfOrder {
+        /// Index of the offending event in the trace.
+        event: usize,
+        /// The checkpointing process.
+        process: usize,
+        /// The index the event claimed.
+        index: u64,
+        /// The process's next index.
+        expected: u32,
+    },
     /// The pattern builder rejected the assembled event sequence.
     Build(PatternError),
 }
@@ -64,6 +90,21 @@ impl fmt::Display for TraceError {
             TraceError::MessageOutOfRange { event, message } => {
                 write!(f, "trace event {event}: send names non-dense {message}")
             }
+            TraceError::DuplicateSend { event, message } => {
+                write!(f, "trace event {event}: {message} sent twice")
+            }
+            TraceError::EndpointMismatch { event, message } => {
+                write!(f, "trace event {event}: delivery of {message} does not match its send")
+            }
+            TraceError::CheckpointOutOfOrder {
+                event,
+                process,
+                index,
+                expected,
+            } => write!(
+                f,
+                "trace event {event}: checkpoint {index} of process {process} is not its next ({expected})"
+            ),
             TraceError::Build(e) => write!(f, "trace does not build a pattern: {e}"),
         }
     }
@@ -277,8 +318,9 @@ impl Trace {
 
     /// Fallible [`to_pattern`](Trace::to_pattern): inconsistent traces
     /// (delivery before its send, double delivery, out-of-range process
-    /// indices) are reported as [`TraceError`]s instead of panicking —
-    /// the conversion for traces that did not come from the runner.
+    /// indices, a checkpoint index that is not its process's next) are
+    /// reported as [`TraceError`]s instead of panicking — the conversion
+    /// for traces that did not come from the runner.
     pub fn try_to_pattern(&self) -> Result<Pattern, TraceError> {
         let mut builder = PatternBuilder::new(self.n);
         let mut message_map: Vec<Option<PatternMessageId>> = Vec::new();
@@ -320,7 +362,14 @@ impl Trace {
                 TraceEvent::Checkpoint { id, .. } => {
                     check(i, id.process)?;
                     let built = builder.checkpoint(id.process);
-                    debug_assert_eq!(built, id, "trace checkpoint indices must be dense");
+                    if built != id {
+                        return Err(TraceError::CheckpointOutOfOrder {
+                            event: i,
+                            process: id.process.index(),
+                            index: id.index.into(),
+                            expected: built.index,
+                        });
+                    }
                 }
                 // Crash markers carry no pattern structure: the trace is
                 // the union history, and the recovery line computation
@@ -343,11 +392,15 @@ impl Trace {
         Trace::from_json(&json)
     }
 
-    /// Rebuilds a trace from its [`ToJson`] value.
+    /// Rebuilds a trace from its [`ToJson`] value, holding it to what the
+    /// runner guarantees: message ids below the event count, each sent
+    /// once, every delivery after its send with the send's endpoints, and
+    /// each process's checkpoint indices counting up from 1.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem.
+    /// Returns a description of the first structural problem; a broken
+    /// guarantee is the [`TraceError`] naming its event.
     pub fn from_json(json: &Json) -> Result<Trace, String> {
         let n = json
             .get("n")
@@ -361,6 +414,10 @@ impl Trace {
             .and_then(Json::as_array)
             .ok_or("trace: missing array field `events`")?;
         let mut trace = Trace::new(n);
+        // Per message id, the endpoints of its send; per process, the
+        // index of its next checkpoint.
+        let mut sends: Vec<Option<(ProcessId, ProcessId)>> = vec![None; events.len()];
+        let mut next_checkpoint = vec![1u32; n];
         let proc = |i: usize, v: u64| -> Result<ProcessId, String> {
             if (v as usize) < n {
                 Ok(ProcessId::new(v as usize))
@@ -396,9 +453,21 @@ impl Trace {
                         Some("initial") => CheckpointKind::Initial,
                         _ => return Err(bad()),
                     };
+                    let process = proc(i, num(2)?)?;
+                    let (index, expected) = (num(3)?, next_checkpoint[process.index()]);
+                    if index != u64::from(expected) {
+                        return Err(TraceError::CheckpointOutOfOrder {
+                            event: i,
+                            process: process.index(),
+                            index,
+                            expected,
+                        }
+                        .to_string());
+                    }
+                    next_checkpoint[process.index()] += 1;
                     TraceEvent::Checkpoint {
                         at,
-                        id: CheckpointId::new(proc(i, num(2)?)?, num(3)? as u32),
+                        id: CheckpointId::new(process, expected),
                         kind,
                     }
                 }
@@ -414,6 +483,29 @@ impl Trace {
                 .is_some_and(|last| last.at() > parsed.at())
             {
                 return Err(format!("trace event {i}: events must be chronological"));
+            }
+            match parsed {
+                TraceEvent::Send {
+                    from, to, message, ..
+                } => match sends.get_mut(message.0) {
+                    None => {
+                        return Err(TraceError::MessageOutOfRange { event: i, message }.to_string())
+                    }
+                    Some(Some(_)) => {
+                        return Err(TraceError::DuplicateSend { event: i, message }.to_string())
+                    }
+                    Some(slot) => *slot = Some((from, to)),
+                },
+                TraceEvent::Deliver {
+                    from, to, message, ..
+                } => match sends.get(message.0) {
+                    Some(&Some(sent)) if sent == (from, to) => {}
+                    Some(&Some(_)) => {
+                        return Err(TraceError::EndpointMismatch { event: i, message }.to_string())
+                    }
+                    _ => return Err(TraceError::UnsentDelivery { event: i, message }.to_string()),
+                },
+                _ => {}
             }
             trace.events.push(parsed);
         }

@@ -70,6 +70,9 @@ impl ToJson for Counterexample {
     }
 }
 
+/// Counterexamples *kept* per protocol (all are counted).
+const MAX_KEPT: usize = 8;
+
 /// Per-protocol tallies, merged across workers in deterministic order.
 #[derive(Debug, Default, Clone)]
 struct ProtocolTally {
@@ -85,7 +88,6 @@ struct ProtocolTally {
 impl ProtocolTally {
     fn note(
         &mut self,
-        max_kept: usize,
         protocol: &CertProtocol,
         kind: &'static str,
         schedule: &Schedule,
@@ -93,7 +95,7 @@ impl ProtocolTally {
     ) {
         self.counterexample_total += 1;
         self.failed_checks.insert(kind);
-        if self.counterexamples.len() < max_kept {
+        if self.counterexamples.len() < MAX_KEPT {
             self.counterexamples.push(Counterexample {
                 protocol: protocol.name(),
                 kind,
@@ -103,7 +105,7 @@ impl ProtocolTally {
         }
     }
 
-    fn absorb(&mut self, other: ProtocolTally, max_kept: usize) {
+    fn absorb(&mut self, other: ProtocolTally) {
         self.patterns += other.patterns;
         self.rdt_violations += other.rdt_violations;
         self.predicate_mismatches += other.predicate_mismatches;
@@ -111,7 +113,7 @@ impl ProtocolTally {
         self.counterexample_total += other.counterexample_total;
         self.failed_checks.extend(other.failed_checks);
         for cex in other.counterexamples {
-            if self.counterexamples.len() < max_kept {
+            if self.counterexamples.len() < MAX_KEPT {
                 self.counterexamples.push(cex);
             }
         }
@@ -119,16 +121,11 @@ impl ProtocolTally {
 }
 
 /// Certification options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CertifyOptions {
     /// Worker threads; `0` resolves to the machine's available
     /// parallelism. The report is byte-identical for every thread count.
     pub threads: usize,
-    /// Protocols to certify (default: every shipped protocol plus the
-    /// weakened BHMR control).
-    pub protocols: Vec<CertProtocol>,
-    /// Counterexamples *kept* per protocol (all are counted).
-    pub max_counterexamples: usize,
     /// Deterministic stratified sampling over canonical orbits: replay
     /// only orbits whose sampling key falls below this fraction of the
     /// key space; `None` (or any fraction `>= 1`) replays exhaustively.
@@ -154,18 +151,6 @@ pub struct CertifyOptions {
     pub progress: bool,
 }
 
-impl Default for CertifyOptions {
-    fn default() -> Self {
-        CertifyOptions {
-            threads: 0,
-            protocols: CertProtocol::default_set(),
-            max_counterexamples: 8,
-            sample: None,
-            progress: false,
-        }
-    }
-}
-
 /// Per-protocol section of a [`CertifyReport`].
 #[derive(Debug, Clone)]
 pub struct ProtocolReport {
@@ -188,7 +173,7 @@ pub struct ProtocolReport {
     pub gc_checks: u64,
     /// Total failed checks (also counts dropped counterexamples).
     pub counterexample_total: u64,
-    /// Kept counterexamples, at most `max_counterexamples`.
+    /// Kept counterexamples, the first 8 in note order.
     pub counterexamples: Vec<Counterexample>,
     /// The [`Counterexample::kind`] of every failed check, kept or not,
     /// in slug order. Not in the JSON, whose counterexamples carry kinds.
@@ -240,7 +225,7 @@ pub struct CertifyReport {
     /// Schedules actually replayed (equals `counts.replayable` unless
     /// sampled).
     pub sampled: u64,
-    /// Per-protocol results, in [`CertifyOptions::protocols`] order.
+    /// Per-protocol results, in [`CertProtocol::default_set`] order.
     pub protocols: Vec<ProtocolReport>,
 }
 
@@ -625,13 +610,11 @@ fn apply_verdict(
     run: &ReplayedOps,
     verdict: &ScheduleVerdict,
     tally: &mut ProtocolTally,
-    max_kept: usize,
 ) {
     tally.patterns += 1;
     tally.predicate_mismatches += run.predicate_mismatches.len() as u64;
     for mismatch in &run.predicate_mismatches {
         tally.note(
-            max_kept,
             protocol,
             "predicate-mismatch",
             schedule,
@@ -643,7 +626,6 @@ fn apply_verdict(
     }
     if let Some(detail) = &verdict.chars_note {
         tally.note(
-            max_kept,
             protocol,
             "characterization-disagreement",
             schedule,
@@ -654,7 +636,6 @@ fn apply_verdict(
         tally.rdt_violations += 1;
         if protocol.claims_rdt() {
             tally.note(
-                max_kept,
                 protocol,
                 "rdt-violation",
                 schedule,
@@ -665,18 +646,11 @@ fn apply_verdict(
     for record in &verdict.records {
         match record {
             RecordVerdict::Beyond(detail) => {
-                tally.note(
-                    max_kept,
-                    protocol,
-                    "missing-checkpoint",
-                    schedule,
-                    detail.clone(),
-                );
+                tally.note(protocol, "missing-checkpoint", schedule, detail.clone());
             }
             RecordVerdict::MinOracleDisagree(detail) => {
                 tally.gc_checks += 1;
                 tally.note(
-                    max_kept,
                     protocol,
                     "min-gc-oracle-disagreement",
                     schedule,
@@ -690,28 +664,16 @@ fn apply_verdict(
             } => {
                 tally.gc_checks += 1;
                 if let Some((kind, detail)) = order_note {
-                    tally.note(max_kept, protocol, kind, schedule, detail.clone());
+                    tally.note(protocol, kind, schedule, detail.clone());
                 }
                 if protocol.claims_zcf() {
                     if let Some(detail) = useless {
-                        tally.note(
-                            max_kept,
-                            protocol,
-                            "useless-checkpoint",
-                            schedule,
-                            detail.clone(),
-                        );
+                        tally.note(protocol, "useless-checkpoint", schedule, detail.clone());
                     }
                 }
                 if protocol.check_reported_min_gc() {
                     if let Some(detail) = tdv_note {
-                        tally.note(
-                            max_kept,
-                            protocol,
-                            "tdv-min-gc-mismatch",
-                            schedule,
-                            detail.clone(),
-                        );
+                        tally.note(protocol, "tdv-min-gc-mismatch", schedule, detail.clone());
                     }
                 }
             }
@@ -727,7 +689,7 @@ fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Exhaustively certifies `options.protocols` over `scope` (see
+/// Exhaustively certifies [`CertProtocol::default_set`] over `scope` (see
 /// [`certify_with_stats`] for the work tallies).
 pub fn certify(scope: &Scope, options: &CertifyOptions) -> CertifyReport {
     certify_with_stats(scope, options).0
@@ -762,8 +724,7 @@ pub fn certify_with_stats(
     options: &CertifyOptions,
 ) -> (CertifyReport, CertifyStats) {
     let threads = resolve_threads(options.threads);
-    let protocols = &options.protocols;
-    let max_kept = options.max_counterexamples;
+    let protocols = &CertProtocol::default_set();
     let n = scope.processes;
     let sample = options.sample.filter(|frac| *frac < 1.0);
     let threshold = match sample {
@@ -841,7 +802,6 @@ pub fn certify_with_stats(
                             &sessions[i].run,
                             &verdicts[rep_of[i]],
                             &mut tallies[i],
-                            max_kept,
                         );
                     }
                 },
@@ -881,7 +841,7 @@ pub fn certify_with_stats(
         counts.absorb(&outcome.counts);
         stats.absorb(&outcome.stats);
         for (into, tally) in merged.iter_mut().zip(outcome.tallies) {
-            into.absorb(tally, max_kept);
+            into.absorb(tally);
         }
     }
     let report = CertifyReport {
@@ -987,7 +947,7 @@ mod tests {
             let mut tally = ProtocolTally::default();
             let run = ReplayedOps::default();
             let protocol = CertProtocol::Kind(kind);
-            apply_verdict(&protocol, &schedule, &run, &verdict, &mut tally, 8);
+            apply_verdict(&protocol, &schedule, &run, &verdict, &mut tally);
             tally
                 .counterexamples
                 .iter()
@@ -1004,11 +964,6 @@ mod tests {
         let scope = Scope::with_basics(3, 2, 1).unwrap();
         let options = CertifyOptions {
             threads: 1,
-            protocols: vec![
-                crate::CertProtocol::Kind(rdt_core::ProtocolKind::Bhmr),
-                crate::CertProtocol::WeakenedBhmrC2Only,
-            ],
-            max_counterexamples: 4,
             ..CertifyOptions::default()
         };
         let one = certify(&scope, &options).to_json().pretty();

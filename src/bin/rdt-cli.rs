@@ -13,7 +13,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
 
-use rdt::sim::{out, outln, synopsis, Args, Arity::Switch, Arity::Value, Flag, Grammar};
+use rdt::sim::{out, outln, scripted, synopsis, Args, Arity::Switch, Arity::Value, Flag, Grammar};
 use rdt::theory::{dot, min_max, paper_figures};
 use rdt::workloads::EnvironmentKind;
 use rdt::{
@@ -87,12 +87,14 @@ fn build_config(args: &Args, n: usize) -> Result<SimConfig, String> {
 fn cmd_list(_: &Args) -> Result<ExitCode, String> {
     outln!("protocols:");
     for &kind in ProtocolKind::all() {
+        // The bytes one message carries, as the protocol itself counts them.
+        let one = run_protocol_kind(kind, &SimConfig::new(8), &mut scripted(vec![(0, 1)]));
         outln!(
             "  {:<16} rdt={:<5} zcf={:<5} piggyback(n=8)={}B",
             kind.name(),
             kind.ensures_rdt(),
             kind.ensures_z_cycle_freedom(),
-            kind.piggyback_bytes(8)
+            one.stats.total.piggyback_bytes_sent
         );
     }
     outln!("environments:");
@@ -295,7 +297,13 @@ fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
     );
     let metrics = rdt::sim::TraceMetrics::of(&trace);
     out!("{}", metrics.render());
-    let pattern = trace.to_pattern();
+    let pattern = match trace.try_to_pattern() {
+        Ok(pattern) => pattern,
+        Err(err) => {
+            eprintln!("could not replay {path}: {err}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
     let report = RdtChecker::new(&pattern).check();
     outln!("RDT: {}", if report.holds() { "holds" } else { "violated" });
     for violation in report.violations().iter().take(5) {
@@ -408,7 +416,6 @@ fn cmd_certify(args: &Args) -> Result<ExitCode, String> {
         // Progress/ETA lines go to stderr; suppressed in --json mode so
         // scripted runs stay quiet.
         progress: args.switch("progress") && !args.switch("json"),
-        ..rdt::CertifyOptions::default()
     };
     let watch = rdt::Stopwatch::start();
     let report = rdt::certify(&scope, &options);

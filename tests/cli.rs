@@ -96,6 +96,65 @@ fn save_and_replay_trace_roundtrip() {
     let _ = std::fs::remove_file(path);
 }
 
+/// The trace `run --n 2 --messages 3 --seed 1 --save-trace` writes; each
+/// case below breaks one guarantee of the runner's by hand.
+const SMALL_TRACE: &str = r#"[["send",4,0,1,0],["deliver",5,1,0,0],["send",15,0,1,1],["ckpt",23,0,1,"basic"],["ckpt",23,1,1,"basic"],["ckpt",30,0,2,"basic"],["send",46,1,0,2],["deliver",115,1,0,1],["deliver",139,0,1,2]]"#;
+
+/// `replay` of `SMALL_TRACE` with `from` replaced by `to`: exits 1 with a
+/// message naming trace event `event`, and does not panic.
+fn replay_refuses(case: &str, from: &str, to: &str, event: usize) {
+    assert!(SMALL_TRACE.contains(from), "{case}");
+    let events = SMALL_TRACE.replace(from, to);
+    let path = std::env::temp_dir().join(format!("rdt-cli-{case}-{}.json", std::process::id()));
+    std::fs::write(&path, format!(r#"{{"n":2,"events":{events}}}"#)).expect("write the trace");
+    let output = cli()
+        .args(["replay", "--trace", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(&path);
+    let text = String::from_utf8(output.stderr).unwrap();
+    assert_eq!(output.status.code(), Some(1), "{case}: {text}");
+    assert!(
+        text.contains(&format!("trace event {event}:")),
+        "{case}: {text}"
+    );
+    assert!(!text.contains("panicked"), "{case}: {text}");
+}
+
+#[test]
+fn replay_refuses_a_message_id_beyond_the_trace() {
+    let huge = r#"["send",4,0,1,1000000000000000000],["deliver",5,1,0,1000000000000000000]"#;
+    replay_refuses(
+        "huge-id",
+        r#"["send",4,0,1,0],["deliver",5,1,0,0]"#,
+        huge,
+        0,
+    );
+}
+
+#[test]
+fn replay_refuses_a_message_sent_twice() {
+    replay_refuses("resent", r#"["send",15,0,1,1]"#, r#"["send",15,0,1,0]"#, 2);
+}
+
+#[test]
+fn replay_refuses_a_checkpoint_index_that_is_not_the_next() {
+    let second = r#"["ckpt",30,0,2,"basic"]"#;
+    replay_refuses("skipped", second, r#"["ckpt",30,0,3,"basic"]"#, 5);
+    // 2^32 + 2 would read as 2 if cut to 32 bits.
+    replay_refuses("wide", second, r#"["ckpt",30,0,4294967298,"basic"]"#, 5);
+}
+
+#[test]
+fn replay_refuses_a_delivery_that_does_not_match_its_send() {
+    replay_refuses(
+        "crossed",
+        r#"["deliver",5,1,0,0]"#,
+        r#"["deliver",5,0,1,0]"#,
+        1,
+    );
+}
+
 #[test]
 fn unknown_subcommand_fails_with_usage() {
     let output = cli().arg("bogus").output().expect("binary runs");

@@ -150,17 +150,3 @@ fn trace_json_roundtrip() {
     assert_eq!(back.events(), outcome.trace.events());
     assert_eq!(back.to_pattern(), outcome.trace.to_pattern());
 }
-
-#[test]
-fn pattern_json_roundtrip() {
-    use rdt::json::ToJson;
-    let pattern = rdt::theory::paper_figures::figure_1();
-    let json = pattern.to_json().to_string();
-    let back = rdt::Pattern::from_json(&rdt::json::Json::parse(&json).unwrap()).unwrap();
-    assert_eq!(back, pattern);
-    assert_eq!(back.digest(), pattern.digest());
-    assert!(
-        !RdtChecker::new(&back).check().holds(),
-        "figure 1 still violates RDT"
-    );
-}
