@@ -102,8 +102,9 @@ fn write_entry<T>(
 /// One tenant stream.
 #[derive(Debug)]
 pub struct StreamEngine {
-    /// Boxed, like the optional fields below: a stripe's B-tree leaf holds its
-    /// streams by value, eleven to a leaf.
+    /// Boxed, like the optional fields below: a stripe's hash table holds
+    /// its streams by value, one to a bucket, with at least one bucket in
+    /// eight empty.
     engine: Box<IncrementalAnalysis>,
     /// Crash events observed (crashes are markers: they report the
     /// recovery line but do not mutate the pattern).

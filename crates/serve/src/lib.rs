@@ -18,25 +18,28 @@
 //!  connections (1 thread each)            stripes (--workers locks)
 //!  ┌──────────────────────────┐  lock   ┌────────────────────────────────┐
 //!  │ read frames, run each    │ ──────► │ stripe = fnv1a(stream) % W     │
-//!  │ request, write replies   │ ◄────── │ Mutex<BTreeMap<name, engine>>  │
+//!  │ request, write replies   │ ◄────── │ Mutex<HashMap<name, engine>>   │
 //!  └──────────────────────────┘ unlock  └────────────────────────────────┘
 //! ```
 //!
 //! A request runs on its connection's thread under the lock of its
 //! stream's stripe, so a stream's requests are serialised in arrival
 //! order, which makes per-stream replies deterministic for **any**
-//! worker count. Replies are written once per drained read buffer, so
-//! clients may pipeline. Snapshot restore reads the file's bytes in place
+//! worker count. The stripe is FNV-1a's, the same in every run; inside
+//! it the map hashes with a key of its own (std's `RandomState`), so
+//! client-chosen names cannot be picked to collide, and nothing depends on
+//! the map's iteration order. Replies are written once per drained read
+//! buffer, so clients may pipeline. Snapshot restore reads the file's bytes in place
 //! ([`PoolHandle::restore_text`]) and fans the per-stream validation and
 //! engine builds out over the deterministic work-stealing pool from
 //! `rdt-sim`; like a persist, it builds no `Json` tree.
 //!
 //! No reply becomes a tree: every line the daemon writes is a typed
 //! [`Reply`] rendered straight into the connection's output buffer
-//! ([`PoolHandle::answer_frame`]). Nor do the two ops a stream takes at
-//! wire rate: a canonical `event` or `query` frame is scanned in place
-//! ([`scan_request`]), its stream found by the name's bytes where they lie
-//! in the frame. Every other frame — other ops, other spellings, everything
+//! ([`PoolHandle::answer_frame`]). Nor do the four ops of a stream's life:
+//! a canonical `open`, `event`, `query` or `close` frame is scanned in
+//! place ([`scan_request`]), its stream found by the name's bytes where
+//! they lie in the frame. Every other frame — other ops, other spellings, everything
 //! malformed — takes the tree parser ([`parse_request`]), which is also
 //! what the scanner is held to.
 //!

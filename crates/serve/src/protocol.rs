@@ -11,11 +11,11 @@
 //! There are two readers and they agree. [`parse_request`] builds a
 //! [`Json`] tree and reads any valid spelling of any request; it is the
 //! only path that words an error. [`scan_request`] reads the **canonical**
-//! spelling of the two ops a stream takes at wire rate, `event` and `query`
-//! — the byte form `docs/SERVE.md` documents and every client in this
-//! repository writes — in place, building nothing but the
-//! [`EventKind`] / [`QueryKind`] itself and borrowing the stream name from
-//! the line. It answers `None` to everything else, malformed frames
+//! spelling of the four ops that make a stream's life — `open`, `event`,
+//! `query` and `close`, in the byte form `docs/SERVE.md` documents and
+//! every client in this repository writes — in place, building nothing but
+//! the [`EventKind`] / [`QueryKind`] itself and borrowing the stream name
+//! from the line. It answers `None` to everything else, malformed frames
 //! included, and the tree parser takes those exactly as before: whenever
 //! `scan_request(line)` is `Some(x)`, `parse_request(line)` is `Ok` of the
 //! same request (`ingest_fuzz.rs` holds the two to that). There is one
@@ -400,11 +400,18 @@ pub fn parse_request(line: &[u8]) -> Result<Request, ServeError> {
     }
 }
 
-/// A canonical `event` or `query` frame as [`scan_request`] reads it:
-/// [`Request::Event`] / [`Request::Query`] with the stream name borrowed
-/// from the line.
+/// A canonical `open`, `event`, `query` or `close` frame as
+/// [`scan_request`] reads it: the [`Request`] of the same name with the
+/// stream name borrowed from the line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HotRequest<'a> {
+    /// Create a stream.
+    Open {
+        /// Stream name.
+        stream: &'a str,
+        /// Number of processes (1..=[`MAX_PROCESSES`]).
+        processes: usize,
+    },
     /// Append one event to a stream.
     Event {
         /// Stream name.
@@ -419,13 +426,22 @@ pub enum HotRequest<'a> {
         /// The query.
         query: QueryKind,
     },
+    /// Drop a stream.
+    Close {
+        /// Stream name.
+        stream: &'a str,
+    },
 }
 
-impl HotRequest<'_> {
+impl<'a> HotRequest<'a> {
     /// The same request with the name owned: what [`parse_request`] returns
     /// for the line this was scanned from.
     pub fn to_request(&self) -> Request {
         match self {
+            HotRequest::Open { stream, processes } => Request::Open {
+                stream: (*stream).to_string(),
+                processes: *processes,
+            },
             HotRequest::Event { stream, event } => Request::Event {
                 stream: (*stream).to_string(),
                 event: event.clone(),
@@ -434,6 +450,20 @@ impl HotRequest<'_> {
                 stream: (*stream).to_string(),
                 query: query.clone(),
             },
+            HotRequest::Close { stream } => Request::Close {
+                stream: (*stream).to_string(),
+            },
+        }
+    }
+
+    /// The stream it names and what it asks there, as `Request::route`
+    /// gives them for the parsed form.
+    pub(crate) fn route(&self) -> (&'a str, StreamOp<'_>) {
+        match self {
+            HotRequest::Open { stream, processes } => (stream, StreamOp::Open(*processes)),
+            HotRequest::Event { stream, event } => (stream, StreamOp::Event(event)),
+            HotRequest::Query { stream, query } => (stream, StreamOp::Query(query)),
+            HotRequest::Close { stream } => (stream, StreamOp::Close),
         }
     }
 }
@@ -524,9 +554,11 @@ fn scan_query(rest: &[u8]) -> Scanned<'_, QueryKind> {
     }
 }
 
-/// Reads one **canonical** `event` or `query` frame in place:
+/// Reads one **canonical** `open`, `event`, `query` or `close` frame in
+/// place:
 ///
 /// ```text
+/// {"op":"open","stream":NAME,"processes":N}
 /// {"op":"event","stream":NAME,"type":"send","from":N,"to":N}
 /// {"op":"event","stream":NAME,"type":"deliver","message":N}
 /// {"op":"event","stream":NAME,"type":"checkpoint","process":N}
@@ -535,24 +567,34 @@ fn scan_query(rest: &[u8]) -> Scanned<'_, QueryKind> {
 /// {"op":"query","stream":NAME,"what":"recovery-line"}
 /// {"op":"query","stream":NAME,"what":"min-consistent","members":[[N,N],…]}
 /// {"op":"query","stream":NAME,"what":"max-consistent","members":[[N,N],…]}
+/// {"op":"close","stream":NAME}
 /// ```
 ///
 /// these keys in this order and no others, no whitespace, `NAME` a quoted
 /// name that needs no unescaping (see `scan_name`), `N` an unsigned
-/// integer of at most 19 digits that fits its field. Any other line —
-/// another op, another spelling of these, anything that deserves an error —
-/// is `None` and belongs to [`parse_request`], which agrees with every
-/// `Some` returned here. Nothing is allocated except a `members` list.
+/// integer of at most 19 digits that fits its field — for `processes`,
+/// one in 1..=[`MAX_PROCESSES`]. Any other line — another op, another
+/// spelling of these, anything that deserves an error — is `None` and
+/// belongs to [`parse_request`], which agrees with every `Some` returned
+/// here. Nothing is allocated except a `members` list.
 pub fn scan_request(line: &[u8]) -> Option<HotRequest<'_>> {
     let rest = line.strip_prefix(br#"{"op":""#)?;
     if let Some(rest) = rest.strip_prefix(br#"event","stream":"#) {
         let (stream, rest) = scan_name(rest)?;
         let (event, rest) = scan_event(rest.strip_prefix(br#","type":""#)?)?;
         (rest == b"}").then_some(HotRequest::Event { stream, event })
-    } else {
-        let (stream, rest) = scan_name(rest.strip_prefix(br#"query","stream":"#)?)?;
+    } else if let Some(rest) = rest.strip_prefix(br#"query","stream":"#) {
+        let (stream, rest) = scan_name(rest)?;
         let (query, rest) = scan_query(rest.strip_prefix(br#","what":""#)?)?;
         (rest == b"}").then_some(HotRequest::Query { stream, query })
+    } else if let Some(rest) = rest.strip_prefix(br#"open","stream":"#) {
+        let (stream, rest) = scan_name(rest)?;
+        let (processes, rest) = scan_uint(rest.strip_prefix(br#","processes":"#)?)?;
+        let allowed = (1..=MAX_PROCESSES).contains(&processes);
+        (allowed && rest == b"}").then_some(HotRequest::Open { stream, processes })
+    } else {
+        let (stream, rest) = scan_name(rest.strip_prefix(br#"close","stream":"#)?)?;
+        (rest == b"}").then_some(HotRequest::Close { stream })
     }
 }
 
@@ -772,6 +814,9 @@ mod tests {
             r#"{"op":"event","stream":"s","type":"deliver","message":4294967295}"#.to_string(),
             r#"{"op":"event","stream":"s","type":"checkpoint","process":0}"#.to_string(),
             r#"{"op":"event","stream":"s","type":"crash","process":511}"#.to_string(),
+            r#"{"op":"open","stream":"s","processes":1}"#.to_string(),
+            r#"{"op":"open","stream":"s","processes":512}"#.to_string(),
+            r#"{"op":"close","stream":"s"}"#.to_string(),
             r#"{"op":"query","stream":"s","what":"untrackable"}"#.to_string(),
             r#"{"op":"query","stream":"s","what":"recovery-line"}"#.to_string(),
             r#"{"op":"query","stream":"s","what":"min-consistent","members":[[0,1]]}"#.to_string(),
@@ -792,8 +837,13 @@ mod tests {
         let long = "n".repeat(MAX_NAME_BYTES + 1);
         for line in [
             // Other ops, other spellings, and everything that is an error.
-            r#"{"op":"open","stream":"s","processes":3}"#.to_string(),
+            r#"{"op":"compact","stream":"s"}"#.to_string(),
             r#"{"op":"ping"}"#.to_string(),
+            r#"{"op":"open","stream":"s","processes":0}"#.to_string(),
+            r#"{"op":"open","stream":"s","processes":513}"#.to_string(),
+            r#"{"op":"open","stream":"s","processes":3,"x":0}"#.to_string(),
+            r#"{"op":"close","stream":"s","x":0}"#.to_string(),
+            r#"{"op":"close","stream":""}"#.to_string(),
             r#"{"op":"event","stream":"s","type":"send","from":0,"to":1} "#.to_string(),
             r#"{"op":"event","stream":"s","type":"send","from":0,"to":1}}"#.to_string(),
             r#"{"op":"event", "stream":"s","type":"send","from":0,"to":1}"#.to_string(),

@@ -11,8 +11,9 @@
 //! stripe lock, see [`crate::shard`]): it hands the frame's bytes and its
 //! one output buffer to [`PoolHandle::answer_frame`], which appends the
 //! reply line — a typed [`Reply`], with no tree on the way out, nor on the
-//! way in for a canonical `event` or `query` — and answers the three
-//! [`DaemonOp`]s that come back (`ping`, `snapshot`, `shutdown`) itself.
+//! way in for a canonical `open`, `event`, `query` or `close` — and answers
+//! the three [`DaemonOp`]s that come back (`ping`, `snapshot`, `shutdown`)
+//! itself.
 //! It writes the buffer out whenever its read buffer holds no further
 //! complete frame — that is, before any read that could block — so replies
 //! leave in request order, a pipelined window costs one write, and depth 1

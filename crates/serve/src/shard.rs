@@ -1,9 +1,15 @@
 //! The lock-striped engine pool.
 //!
 //! Streams are partitioned over `workers` *stripes* by an FNV-1a hash of
-//! the stream name; each stripe is a `Mutex<BTreeMap<name, StreamEngine>>`
+//! the stream name; each stripe is a `Mutex<HashMap<name, StreamEngine>>`
 //! and a request runs on the thread that submitted it, under its
-//! stripe's lock — no shard threads, no hand-off. The determinism
+//! stripe's lock — no shard threads, no hand-off. Two hashes, two jobs: the
+//! stripe is FNV-1a's, unkeyed, so a stream lands on the same stripe in
+//! every run and on every platform; inside a stripe the map hashes with
+//! std's keyed `RandomState`, so a client that picks names cannot build the
+//! collision chains an unkeyed hash would let it build. Nothing reads a map
+//! in its iteration order: the `streams` reply and every render sort the
+//! names, and a restore installs by name. The determinism
 //! contract is unchanged: a stream's replies depend only on the order of
 //! its own requests — never on the stripe count or on what other tenants
 //! do. One connection executes its frames in order on one thread, and
@@ -17,13 +23,15 @@
 //! A stripe has one door, `run_op`: every stream-scoped op runs through it
 //! and comes back as a typed [`Reply`] or a [`ServeError`].
 //! [`PoolHandle::answer_frame`] is the daemon's way to it: bytes in, reply
-//! line out. A canonical `event` or `query` frame ([`scan_request`]) picks
-//! its stripe by hashing the stream name where it lies in the frame and
-//! finds the engine with `BTreeMap::get_mut(&str)` — no `String`, no tree;
-//! every other frame is parsed into a [`Request`] first. Either way the
-//! reply goes straight into the caller's buffer. [`PoolHandle::request`]
-//! and [`handle_request`] take a parsed request to the same door and
-//! return the parsed form of the same text.
+//! line out. A canonical `open`, `event`, `query` or `close` frame
+//! ([`scan_request`]) picks its stripe by hashing the stream name where it
+//! lies in the frame and finds the engine by the name's `&str` — no
+//! `String`, no tree (an `open` allocates the key it inserts); every other
+//! frame is parsed into a [`Request`] first. Either way the reply goes
+//! straight into the caller's buffer. [`PoolHandle::request`] and
+//! [`handle_request`] take a parsed request to the same door and return the
+//! parsed form of the same text; `handle_request` runs it against a B-tree
+//! the caller holds, which the door takes as it takes a stripe's map.
 //!
 //! A persist renders either the whole daemon document or one record of what
 //! changed since the last persist; the server decides which, appends the
@@ -45,7 +53,7 @@
 //! from an engine document of version 4 keeps that document's marks, so a
 //! restarted daemon's first persist appends what changed since the file.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -54,8 +62,8 @@ use rdt_sim::parallel_map_indexed;
 
 use crate::engine::{once, unreadable, StreamEngine, StreamTables};
 use crate::protocol::{
-    admin, parse_request, scan_request, DaemonOp, ErrorKind, HotRequest, Reply, Request, Route,
-    ServeError, StreamOp, MAX_STREAMS,
+    admin, parse_request, scan_request, DaemonOp, ErrorKind, Reply, Request, Route, ServeError,
+    StreamOp, MAX_STREAMS,
 };
 
 /// Daemon snapshot format marker.
@@ -100,20 +108,63 @@ fn stripe_index(stream: &str, stripes: usize) -> usize {
     (fnv1a(stream.as_bytes()) % stripes as u64) as usize
 }
 
+/// Engines by stream name: what the stripe door finds, adds and drops
+/// streams in. A stripe is a hash map; [`handle_request`]'s caller hands in
+/// a B-tree. Neither is ever read in its iteration order.
+trait Engines {
+    fn stream_mut(&mut self, name: &str) -> Option<&mut StreamEngine>;
+    fn insert_stream(&mut self, name: &str, engine: StreamEngine);
+    fn remove_stream(&mut self, name: &str);
+}
+
+impl Engines for HashMap<Box<str>, StreamEngine> {
+    fn stream_mut(&mut self, name: &str) -> Option<&mut StreamEngine> {
+        self.get_mut(name)
+    }
+
+    fn insert_stream(&mut self, name: &str, engine: StreamEngine) {
+        self.insert(name.into(), engine);
+    }
+
+    /// A hash table never shrinks by itself, so a stripe would keep the
+    /// buckets of its largest burst of opens; it gives them back once three
+    /// quarters of its room stand empty.
+    fn remove_stream(&mut self, name: &str) {
+        self.remove(name);
+        if self.capacity() > 4 * self.len().max(16) {
+            self.shrink_to_fit();
+        }
+    }
+}
+
+impl Engines for BTreeMap<String, StreamEngine> {
+    fn stream_mut(&mut self, name: &str) -> Option<&mut StreamEngine> {
+        self.get_mut(name)
+    }
+
+    fn insert_stream(&mut self, name: &str, engine: StreamEngine) {
+        self.insert(name.to_string(), engine);
+    }
+
+    fn remove_stream(&mut self, name: &str) {
+        self.remove(name);
+    }
+}
+
 /// The stripe door: runs one stream-scoped op on `stream` against a
 /// stripe's engines — under the stripe's lock when the pool calls it. This
 /// is the daemon's ingest heart: it must never panic on any input, which
 /// the `panic-reachability` lint enforces statically from this entry point.
 fn run_op<'a>(
-    streams: &mut BTreeMap<String, StreamEngine>,
+    streams: &mut impl Engines,
     stream: &'a str,
     op: StreamOp<'_>,
 ) -> Result<Reply<'a>, ServeError> {
     let refuse = |message| Err(ServeError::new(ErrorKind::Stream, message));
-    match (op, streams.get_mut(stream)) {
+    match (op, streams.stream_mut(stream)) {
         (StreamOp::Open(_), Some(_)) => refuse(format!("stream `{stream}` already open")),
         (StreamOp::Open(processes), None) => {
-            streams.insert(stream.to_string(), StreamEngine::new(processes));
+            streams.insert_stream(stream, StreamEngine::new(processes));
             Ok(Reply::Opened { stream, processes })
         }
         (_, None) => refuse(format!("unknown stream `{stream}`")),
@@ -124,7 +175,7 @@ fn run_op<'a>(
             Ok(Reply::Compacted { dropped, epoch })
         }
         (StreamOp::Close, Some(_)) => {
-            streams.remove(stream);
+            streams.remove_stream(stream);
             Ok(Reply::Closed(stream))
         }
     }
@@ -138,9 +189,10 @@ fn parsed(reply: &Reply<'_>) -> Json {
     Json::parse_bytes(&text).unwrap_or(Json::Null)
 }
 
-/// Runs one stream-scoped request against a stripe's engines through the
-/// stripe door and returns the parsed form of the line the daemon would
-/// send for it. The daemon itself does not come through here.
+/// Runs one stream-scoped request through the stripe door against
+/// `streams`, engines the caller keeps by name as a stripe does, and
+/// returns the parsed form of the line the daemon would send for it. The
+/// daemon itself does not come through here.
 pub fn handle_request(streams: &mut BTreeMap<String, StreamEngine>, req: &Request) -> Json {
     parsed(&match req.route() {
         Route::Stream(stream, op) => Reply::on(stream, run_op(streams, stream, op)),
@@ -152,7 +204,11 @@ pub fn handle_request(streams: &mut BTreeMap<String, StreamEngine>, req: &Reques
     })
 }
 
-type Stripe = Mutex<BTreeMap<String, StreamEngine>>;
+/// A stripe's engines, found by the name's hash under a key of the map's
+/// own ([`RandomState`](std::collections::hash_map::RandomState)): clients
+/// choose the names, so no client can predict which collide. A name is a
+/// `Box<str>`, a bucket 8 bytes smaller than with a `String`.
+type Stripe = Mutex<HashMap<Box<str>, StreamEngine>>;
 
 /// A poisoned stripe (a request panicked under its lock) is out of
 /// service: its streams answer in-band with this error, other stripes
@@ -416,18 +472,21 @@ pub struct PoolHandle {
 
 impl PoolHandle {
     /// One frame of a connection, bytes in, reply line out: this is what
-    /// `serve_connection` calls per frame. A canonical `event` or `query`
-    /// ([`scan_request`]) runs under its stripe's lock — chosen by hashing
-    /// the name where it lies in `frame` — and nothing is allocated for the
-    /// frame itself; every other frame goes through [`parse_request`] first.
+    /// `serve_connection` calls per frame. A canonical `open`, `event`,
+    /// `query` or `close` ([`scan_request`]) runs under its stripe's lock —
+    /// chosen by hashing the name where it lies in `frame` — and nothing is
+    /// allocated for the frame itself; every other frame goes through
+    /// [`parse_request`] first.
     /// The reply line, newline included, is written straight into `out` and
     /// `None` returned — except for `snapshot`, `ping` and `shutdown`, which
     /// are the server's to answer and are handed back with nothing written.
     pub fn answer_frame(&self, frame: &[u8], out: &mut Vec<u8>) -> Option<DaemonOp> {
         let parsed;
         let reply = match scan_request(frame) {
-            Some(HotRequest::Event { stream, event }) => self.run(stream, StreamOp::Event(&event)),
-            Some(HotRequest::Query { stream, query }) => self.run(stream, StreamOp::Query(&query)),
+            Some(hot) => {
+                let (stream, op) = hot.route();
+                self.run(stream, op)
+            }
             None => match parse_request(frame) {
                 Err(error) => Reply::Refused(None, error),
                 Ok(req) => {
@@ -463,7 +522,7 @@ impl PoolHandle {
             Err(ServeError::new(ErrorKind::Limit, limit))
         } else {
             match self.stripes[stripe_index(stream, self.stripes.len())].lock() {
-                Ok(mut streams) => run_op(&mut streams, stream, op),
+                Ok(mut streams) => run_op(&mut *streams, stream, op),
                 Err(_) => Err(not_running()),
             }
         };
@@ -491,7 +550,7 @@ impl PoolHandle {
         let mut names = Vec::new();
         for stripe in self.stripes.iter() {
             if let Ok(streams) = stripe.lock() {
-                names.extend(streams.keys().cloned());
+                names.extend(streams.keys().map(|name| name.to_string()));
             }
         }
         names.sort();
@@ -569,7 +628,7 @@ impl PoolHandle {
         let mut names: Vec<(String, usize)> = Vec::new();
         for (i, stripe) in self.stripes.iter().enumerate() {
             let streams = stripe.lock().map_err(|_| not_running())?;
-            names.extend(streams.keys().map(|name| (name.clone(), i)));
+            names.extend(streams.keys().map(|name| (name.to_string(), i)));
         }
         names.sort_unstable();
         let mut tally = Tally {
@@ -587,7 +646,7 @@ impl PoolHandle {
         let (mut live, mut entries) = (Vec::new(), 0);
         for (name, stripe) in &names {
             let mut streams = self.stripes[*stripe].lock().map_err(|_| not_running())?;
-            if let Some(engine) = streams.get_mut(name) {
+            if let Some(engine) = streams.get_mut(name.as_str()) {
                 let wrote = match how {
                     Render::Document => {
                         engine.write_stream_snapshot(name, &mut w);
@@ -699,7 +758,8 @@ impl PoolHandle {
         }
         let count = stripes.len();
         let home = |name: &str| stripe_index(name, count);
-        if let Some((name, _)) = built.iter().find(|(n, _)| stripes[home(n)].contains_key(n)) {
+        let open = |name: &str| stripes[home(name)].contains_key(name);
+        if let Some((name, _)) = built.iter().find(|(name, _)| open(name)) {
             return Err(admin(format!(
                 "snapshot names stream `{name}`, which is already open"
             )));
@@ -711,7 +771,7 @@ impl PoolHandle {
         let installed = built.len();
         for (name, engine) in built {
             let stripe = home(&name);
-            stripes[stripe].insert(name, engine);
+            stripes[stripe].insert(name.into_boxed_str(), engine);
         }
         Ok(Restored {
             streams: installed,
@@ -1078,6 +1138,106 @@ mod tests {
             .to_string()
             .contains(r#""kind":"limit""#));
         assert_eq!(handle.open_streams.load(Ordering::SeqCst), MAX_STREAMS);
+    }
+
+    /// No output depends on the order a stripe's map iterates in. Two pools
+    /// take the same streams in opposite orders; their maps, each hashing
+    /// under keys of its own, iterate in different orders. The `streams`
+    /// reply, the snapshot document and a whole persist must still be the
+    /// same bytes, and so must the record persisted after more events and
+    /// a close, sent in opposite orders too.
+    #[test]
+    fn no_output_depends_on_map_order() {
+        let names: Vec<String> = (0..64).map(|i| format!("tenant-{i:02}")).collect();
+        let handles = [EnginePool::new(2).handle(), EnginePool::new(2).handle()];
+        let feed = |handle: &PoolHandle, frames: &mut dyn Iterator<Item = String>| {
+            let mut out = Vec::new();
+            for frame in frames {
+                out.clear();
+                assert!(handle.answer_frame(frame.as_bytes(), &mut out).is_none());
+                assert!(out.starts_with(br#"{"ok":true"#), "{frame}");
+            }
+        };
+        let first = |name: &String| {
+            [
+                format!(r#"{{"op":"open","stream":"{name}","processes":3}}"#),
+                format!(r#"{{"op":"event","stream":"{name}","type":"send","from":0,"to":1}}"#),
+                format!(r#"{{"op":"event","stream":"{name}","type":"deliver","message":0}}"#),
+                format!(r#"{{"op":"event","stream":"{name}","type":"checkpoint","process":1}}"#),
+            ]
+        };
+        let then = |name: &String| {
+            let last = if name.ends_with('7') {
+                format!(r#"{{"op":"close","stream":"{name}"}}"#)
+            } else {
+                format!(r#"{{"op":"event","stream":"{name}","type":"send","from":2,"to":0}}"#)
+            };
+            [
+                format!(r#"{{"op":"event","stream":"{name}","type":"checkpoint","process":2}}"#),
+                last,
+            ]
+        };
+        feed(&handles[0], &mut names.iter().flat_map(first));
+        feed(&handles[1], &mut names.iter().rev().flat_map(first));
+        let order = |handle: &PoolHandle| {
+            let mut keys: Vec<Box<str>> = Vec::new();
+            for stripe in handle.stripes.iter() {
+                keys.extend(stripe.lock().expect("stripe").keys().cloned());
+            }
+            keys
+        };
+        assert_ne!(
+            order(&handles[0]),
+            order(&handles[1]),
+            "the maps iterate alike"
+        );
+
+        let outputs = |handle: &PoolHandle| {
+            let mut streams = Vec::new();
+            assert!(handle
+                .answer_frame(br#"{"op":"streams"}"#, &mut streams)
+                .is_none());
+            let mut document = Vec::new();
+            handle
+                .write_snapshot_document(&mut document)
+                .expect("document");
+            let mut whole = Vec::new();
+            handle
+                .write_persist(&mut whole, true)
+                .expect("whole persist");
+            [streams, document, whole]
+        };
+        assert_eq!(outputs(&handles[0]), outputs(&handles[1]));
+        feed(&handles[0], &mut names.iter().flat_map(then));
+        feed(&handles[1], &mut names.iter().rev().flat_map(then));
+        let record = |handle: &PoolHandle| {
+            let mut record = Vec::new();
+            let rendered = handle.write_persist(&mut record, false).expect("record");
+            assert_eq!(rendered.live, 58);
+            record
+        };
+        assert_eq!(record(&handles[0]), record(&handles[1]));
+    }
+
+    /// Closing what a burst opened gives the stripe's table back: 4 000
+    /// streams opened and closed leave room for a few dozen, not 4 000.
+    #[test]
+    fn closed_streams_give_their_buckets_back() {
+        let handle = EnginePool::new(1).handle();
+        let names: Vec<String> = (0..4000).map(|i| format!("burst-{i}")).collect();
+        for name in &names {
+            assert_eq!(open(&handle, name, 1).get("ok"), Some(&Json::Bool(true)));
+        }
+        let capacity = || handle.stripes[0].lock().expect("stripe").capacity();
+        assert!(capacity() >= 4000);
+        for name in &names {
+            let close = format!(r#"{{"op":"close","stream":"{name}"}}"#);
+            assert_eq!(
+                handle.request(req(&close)).get("ok"),
+                Some(&Json::Bool(true))
+            );
+        }
+        assert!(capacity() <= 64, "room for {} streams kept", capacity());
     }
 
     /// What a poisoned stripe answers, byte for byte, to every op on one of

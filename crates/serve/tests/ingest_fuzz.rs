@@ -369,10 +369,16 @@ fn near_misses() -> Vec<Vec<u8>> {
         r#"{"op":"query","stream":"s","what":"max-consistent","members":[[1.0,1e0]]}"#,
         r#"{"op":"query","stream":"s","members":[[0,1]],"what":"max-consistent"}"#,
         r#"{"op":"query","stream":"s","what":"max-consistent","members":[[0,1]],"members":[]}"#,
+        r#"{"op":"open","processes":2,"stream":"t"}"#,
+        r#"{"op":"open","stream":"t","processes":2 }"#,
+        r#"{"op":"open","stream":"t","processes":2,"x":1}"#,
+        r#"{"op":"open","stream":"\u0074","processes":2}"#,
+        r#"{"stream":"t","op":"close"}"#,
+        r#"{"op":"close", "stream":"t"}"#,
+        r#"{"op":"close","stream":"t"} "#,
+        r#"{"op":"close","stream":"t","processes":2}"#,
         // Another op altogether.
         r#"{"op":"compact","stream":"s"}"#,
-        r#"{"op":"open","stream":"t","processes":2}"#,
-        r#"{"op":"close","stream":"t"}"#,
         // Frames that deserve an error, each worded by the tree path.
         r#"{"op":"event","stream":"s","type":"send","from":0,"to":1}}"#,
         r#"{"op":"event","stream":"s","type":"send","from":0,"to":1}x"#,
@@ -415,6 +421,21 @@ fn near_misses() -> Vec<Vec<u8>> {
         r#"{"op":"query","stream":"s","what":"max-consistent","members":[[0,4294967296]]}"#,
         r#"{"op":"query","stream":"s","what":"max-consistent","members":[[01,0]]}"#,
         r#"{"op":"query","stream":"s","what":"max-consistent","members":[[0,-1]]}"#,
+        r#"{"op":"open","stream":"t","processes":0}"#,
+        r#"{"op":"open","stream":"t","processes":513}"#,
+        r#"{"op":"open","stream":"t","processes":02}"#,
+        r#"{"op":"open","stream":"t","processes":2.0}"#,
+        r#"{"op":"open","stream":"t","processes":"2"}"#,
+        r#"{"op":"open","stream":"t","processes":18446744073709551616}"#,
+        r#"{"op":"open","stream":"t"}"#,
+        r#"{"op":"open","stream":"","processes":2}"#,
+        r#"{"op":"open","stream":"t","processes":2"#,
+        r#"{"op":"open","stream":"t","processes":2}}"#,
+        r#"{"op":"close","stream":""}"#,
+        r#"{"op":"close","stream":"t""#,
+        r#"{"op":"close","stream":7}"#,
+        r#"{"op":"close"}"#,
+        r#"{"op":"Close","stream":"t"}"#,
     ]
     .iter()
     .map(|frame| frame.as_bytes().to_vec())
@@ -426,6 +447,17 @@ fn near_misses() -> Vec<Vec<u8>> {
         format!("\"{over_limit}\"").as_bytes(),
     ));
     frames.push(splice(send, r#""s""#, b"\"a\x01b\""));
+    let open = r#"{"op":"open","stream":"s","processes":2}"#;
+    frames.push(splice(
+        open,
+        r#""s""#,
+        format!("\"{over_limit}\"").as_bytes(),
+    ));
+    frames.push(splice(
+        r#"{"op":"close","stream":"s"}"#,
+        r#""s""#,
+        b"\"\xFF\"",
+    ));
     frames.push(splice(send, r#""s""#, b"\"a\nb\""));
     for name in [
         &b"\"\xE2\x82\""[..],
@@ -451,7 +483,7 @@ fn scanner_takes_every_canonical_shape() {
     // All but one of the names: the last stays unknown.
     for name in &canonical_names()[..4] {
         let open = format!(r#"{{"op":"open","stream":"{name}","processes":3}}"#);
-        differential.step(open.as_bytes());
+        assert!(differential.step(open.as_bytes()), "not scanned: {open}");
     }
     let frames = canonical_frames();
     assert_eq!(frames.len(), 5 * 18);
@@ -462,6 +494,18 @@ fn scanner_takes_every_canonical_shape() {
     // them delivered, two checkpoints and a crash.
     differential.step(br#"{"op":"query","stream":"s","what":"recovery-line"}"#);
     assert_eq!(differential.out, b"{\"ok\":true,\"line\":[1,0,1]}\n");
+
+    // A stream's life: every name closed (the last is unknown), closed
+    // again, opened at both ends of the process range — the second open
+    // refused — closed, and opened again.
+    for name in canonical_names() {
+        let open =
+            |processes| format!(r#"{{"op":"open","stream":"{name}","processes":{processes}}}"#);
+        let close = format!(r#"{{"op":"close","stream":"{name}"}}"#);
+        for frame in [&close, &close, &open(1), &open(512), &close, &open(512)] {
+            assert!(differential.step(frame.as_bytes()), "not scanned: {frame}");
+        }
+    }
 }
 
 /// No near-miss is taken, and each is answered as the tree path answers it.

@@ -11,10 +11,11 @@
 //! 15.4 allocations each. A refused frame is a typed reply too: the second
 //! test bounds three kinds of refusal at their error message's allocations.
 //!
-//! The third test pins what the tenants hold rather than what a frame
-//! allocates: the live heap blocks and bytes of a one-stripe pool of such
-//! streams at staggered ages. The fourth bounds what a whole persist of the
-//! first test's pool holds at its peak: one chunk, not the document.
+//! The third test pins what opening and closing a stream allocates, the
+//! fourth what the tenants hold rather than what a frame allocates: the
+//! live heap blocks and bytes of a one-stripe pool of such streams at
+//! staggered ages. The fifth bounds what a whole persist of the first
+//! test's pool holds at its peak: one chunk, not the document.
 //!
 //! The allocator shim counts per thread, so the harness's own threads do
 //! not show up in the numbers. The libraries stay `forbid(unsafe_code)`;
@@ -253,6 +254,58 @@ fn refused_canonical_frames_build_no_reply_tree() {
     }
 }
 
+/// What a stream's life costs outside its events, exactly: the heap
+/// allocations (a reallocation counts as one) of one canonical `open` +
+/// `close` pair of an `n = 4` stream through [`PoolHandle::answer_frame`],
+/// on the first test's warm pool of 512 streams, the same name opened and
+/// closed again and again after a first pair. Each pair leaves the heap as
+/// it found it. Scanned, the pair allocates the engine and its name and
+/// nothing for the frames; while both frames took the tree parser the same
+/// pair read 30. The same pair spelled with a space after the brace, which
+/// still takes that path, is printed beside it.
+#[test]
+fn an_open_and_close_pair_allocates_a_pinned_count() {
+    const PINNED: u64 = 16;
+    const PAIRS: usize = 64;
+    let mut out = Vec::with_capacity(4096);
+    let handle = warm_pool("", &mut out);
+    let pair = |spelling: &str| {
+        [
+            format!(r#"{{{spelling}"op":"open","stream":"churn","processes":{PROCESSES}}}"#),
+            format!(r#"{{{spelling}"op":"close","stream":"churn"}}"#),
+        ]
+        .map(String::into_bytes)
+    };
+    let pairs =
+        |spelling: &str| -> Vec<Vec<u8>> { (0..PAIRS).flat_map(|_| pair(spelling)).collect() };
+    let (canonical, spaced) = (pairs(""), pairs(" "));
+    run(&handle, &canonical[..2], &mut out);
+    run(&handle, &spaced[..2], &mut out);
+
+    let live = LIVE.with(Cell::get);
+    let before = ALLOCATIONS.with(Cell::get);
+    let (_, nanos) = run(&handle, &canonical, &mut out);
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(LIVE.with(Cell::get), live, "a pair left blocks behind");
+    let before = ALLOCATIONS.with(Cell::get);
+    let (_, tree_nanos) = run(&handle, &spaced, &mut out);
+    let tree_allocations = ALLOCATIONS.with(Cell::get) - before;
+    let per_pair = |total: u64| total as f64 / PAIRS as f64;
+    println!(
+        "open + close: {:.2} allocations, {:.0} ns per pair scanned; {:.2} and {:.0} through \
+         the tree",
+        per_pair(allocations),
+        2.0 * nanos,
+        per_pair(tree_allocations),
+        2.0 * tree_nanos
+    );
+    assert_eq!(
+        allocations,
+        PINNED * PAIRS as u64,
+        "allocations of {PAIRS} canonical open + close pairs"
+    );
+}
+
 /// What tenants cost to hold, exactly: the heap blocks and bytes a
 /// one-stripe pool keeps live with the 512 streams above open, stream `s`
 /// fed its first `s % 64` frames of the mix (ages 0–63, about 11 messages
@@ -260,10 +313,12 @@ fn refused_canonical_frames_build_no_reply_tree() {
 /// engine table, each at its allocated capacity. With each process's sends
 /// and deliveries kept as vectors of their own beside the message table, and
 /// the engines inline in the map's leaves, the same pool held 13 014 blocks
-/// and 1 368 680 bytes.
+/// and 1 368 680 bytes; with the engines boxed in a B-tree keyed by
+/// `String`, 9 286 and 1 044 264. A hash map keyed by `Box<str>` is one
+/// table of 1 024 buckets where the B-tree had a node per few streams.
 #[test]
 fn a_stripe_of_tenants_holds_a_pinned_footprint() {
-    const PINNED: (i64, i64) = (9_286, 1_044_264);
+    const PINNED: (i64, i64) = (9_203, 1_041_136);
     const AGES: usize = 64;
     let mut out = Vec::with_capacity(4096);
     let opens: Vec<Vec<u8>> = (0..STREAMS)
