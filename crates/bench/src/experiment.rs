@@ -4,7 +4,7 @@ use rdt_causality::ProcessId;
 use rdt_core::ProtocolKind;
 use rdt_json::{Json, ToJson};
 use rdt_recovery::{analyze, Failure};
-use rdt_rgraph::{min_max, RdtChecker};
+use rdt_rgraph::{min_max, PatternAnalysis};
 use rdt_sim::{
     run_protocol_kind, run_protocol_kind_legacy, run_protocol_kind_with_scratch,
     BasicCheckpointModel, DelayModel, RunStats, SimConfig, SimRng, SimScratch, StopCondition,
@@ -489,7 +489,8 @@ pub fn rdt_check(n: usize, seeds: &[u64], messages: u64) -> RdtCheckResult {
                     &config(n, seed, 2 * MEAN_SEND_INTERVAL, messages),
                     app.as_mut(),
                 );
-                let holds = RdtChecker::new(&outcome.trace.to_pattern()).check().holds();
+                let report = PatternAnalysis::new(&outcome.trace.to_pattern()).rdt_report();
+                let holds = report.holds();
                 if protocol.ensures_rdt() && !holds {
                     unexpected_failures += 1;
                 }
@@ -525,7 +526,7 @@ pub struct ClosureBenchResult {
     /// Each kernel timing covers one full closure pass — both
     /// message-chain closures plus the R-graph reachability (on the
     /// optimized side, a replay into the incremental core); the last
-    /// cell times `RdtChecker::new(&pattern).check()`. Every timing is
+    /// cell times `PatternAnalysis::new(&pattern).rdt_report()`. Every timing is
     /// the minimum over the measurement repetitions (the statistic least
     /// disturbed by scheduling noise).
     pub rows: Vec<(u64, u64, u64, u64, f64, u64)>,
@@ -547,7 +548,7 @@ impl ClosureBenchResult {
 /// (random environment, BHMR) and time the full closure pass — the naive
 /// per-start DFS kernels versus the word-parallel SCC chain kernel plus
 /// the R-graph closure of a replay into the incremental core — and the
-/// batch [`RdtChecker`] verdict.
+/// batch [`PatternAnalysis::rdt_report`] verdict.
 pub fn closure_bench(sizes: &[u64], repetitions: u32) -> ClosureBenchResult {
     use rdt_rgraph::{IncrementalAnalysis, RGraph, ZigzagReachability};
     use rdt_sim::Stopwatch;
@@ -583,7 +584,8 @@ pub fn closure_bench(sizes: &[u64], repetitions: u32) -> ClosureBenchResult {
             core.total_reachable_pairs() + zz.delivered_messages().len()
         });
         let speedup = naive_ns as f64 / optimized_ns.max(1) as f64;
-        let check_ns = time_min(&|| usize::from(RdtChecker::new(&pattern).check().holds()));
+        let check_ns =
+            time_min(&|| usize::from(PatternAnalysis::new(&pattern).rdt_report().holds()));
         rows.push((
             messages,
             delivered,
@@ -840,7 +842,7 @@ fn prefix_pattern(n: usize, events: &[rdt_sim::TraceEvent]) -> rdt_rgraph::Patte
 /// trace, truncate it to exactly that many events, and time (a) one
 /// engine ingesting the trace with a violation query after every event
 /// against (b) the estimated cost of rebuilding the batch analysis
-/// ([`RdtChecker`] on the event prefix) after every event.
+/// ([`PatternAnalysis::rdt_report`] on the event prefix) after every event.
 pub fn incremental_vs_batch(
     sizes: &[u64],
     repetitions: u32,
@@ -890,7 +892,7 @@ pub fn incremental_vs_batch(
             for _ in 0..repetitions.max(1) {
                 let watch = Stopwatch::start();
                 let pattern = prefix_pattern(n, &events[..len]);
-                let report = RdtChecker::new(&pattern).check();
+                let report = PatternAnalysis::new(&pattern).rdt_report();
                 std::hint::black_box(report.holds());
                 best = best.min(watch.elapsed().as_nanos() as u64);
             }
@@ -1349,11 +1351,11 @@ pub fn necessity(n: usize, seeds: &[u64], messages: u64) -> NecessityResult {
                 app.as_mut(),
             );
             let pattern = outcome.trace.to_pattern();
-            debug_assert!(RdtChecker::new(&pattern).check().holds());
+            debug_assert!(PatternAnalysis::new(&pattern).rdt_report().holds());
             for records in &outcome.records {
                 for record in records {
                     let surgered = pattern.without_checkpoint(record.id);
-                    let still_rdt = RdtChecker::new(&surgered).check().holds();
+                    let still_rdt = PatternAnalysis::new(&surgered).rdt_report().holds();
                     match record.kind {
                         rdt_core::CheckpointKind::Forced => {
                             examined += 1;

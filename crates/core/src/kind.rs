@@ -61,15 +61,6 @@ impl ProtocolKind {
         ]
     }
 
-    /// The RDT-ensuring protocols (everything except the uncoordinated
-    /// control).
-    pub fn rdt_ensuring() -> impl Iterator<Item = ProtocolKind> {
-        Self::all()
-            .iter()
-            .copied()
-            .filter(|kind| kind.ensures_rdt())
-    }
-
     /// Short stable name, matching [`CicProtocol::name`](crate::CicProtocol::name).
     pub fn name(self) -> &'static str {
         match self {
@@ -160,7 +151,11 @@ mod tests {
 
     #[test]
     fn rdt_ensuring_excludes_bcs_and_uncoordinated() {
-        let ensuring: Vec<_> = ProtocolKind::rdt_ensuring().collect();
+        let ensuring: Vec<_> = ProtocolKind::all()
+            .iter()
+            .copied()
+            .filter(|k| k.ensures_rdt())
+            .collect();
         assert_eq!(ensuring.len(), ProtocolKind::all().len() - 2);
         assert!(!ensuring.contains(&ProtocolKind::Uncoordinated));
         assert!(!ensuring.contains(&ProtocolKind::Bcs));

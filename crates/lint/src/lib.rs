@@ -484,13 +484,13 @@ impl ExecutorState {
         // The bench crate compares batch vs incremental on purpose.
         scan_file(
             "crates/bench/src/experiment.rs",
-            "RdtChecker::new(&pattern).check();",
+            "PatternAnalysis::new(&pattern).rdt_report();",
             &mut diags,
         );
         assert!(diags.is_empty());
         scan_file(
             "crates/sim/src/runner.rs",
-            "let a = RdtChecker::new(&pattern); let b = PatternAnalysis::new(&p);",
+            "let a = ZigzagReachability::new(&pattern); let b = PatternAnalysis::new(&p);",
             &mut diags,
         );
         assert_eq!(diags.len(), 2);

@@ -68,7 +68,7 @@ crates/verify and the rgraph replay shim.",
         summary: "batch analysis constructor in per-event simulator or \
                   certifier code; maintain one rdt_rgraph::IncrementalAnalysis \
                   and append events instead",
-        explain: "Constructing PatternAnalysis/RdtChecker/ZigzagReachability \
+        explain: "Constructing PatternAnalysis/ZigzagReachability \
 inside per-event code rebuilds closures from scratch at every step — the \
 exact O(n²) collapse PR 4 removed. Keep one IncrementalAnalysis alive and \
 append. The bench crate is exempt: comparing batch against incremental is \
@@ -365,7 +365,7 @@ pub fn check_file(pf: &ParsedFile, diags: &mut Vec<Diagnostic>) {
         seq_rule(pf, "protocol-unwrap", &[".", "expect", "("], diags);
     }
     if per_event_scope(path) {
-        for ty in ["PatternAnalysis", "RdtChecker", "ZigzagReachability"] {
+        for ty in ["PatternAnalysis", "ZigzagReachability"] {
             seq_rule(pf, "batch-in-loop", &[ty, ":", ":", "new", "("], diags);
         }
     }

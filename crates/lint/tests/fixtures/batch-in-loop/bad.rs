@@ -1,5 +1,5 @@
 //! Known-bad: batch analysis constructor inside per-event code.
 pub fn on_event(pattern: &Pattern) -> bool {
-    let checker = RdtChecker::new(pattern);
-    checker.holds()
+    let analysis = PatternAnalysis::new(pattern);
+    analysis.rdt_report().holds()
 }

@@ -61,7 +61,7 @@ pub fn domino_pattern(rounds: usize) -> Pattern {
 mod tests {
     use super::*;
     use crate::{analyze, recovery_line, Failure};
-    use rdt_rgraph::{consistency, GlobalCheckpoint, RdtChecker};
+    use rdt_rgraph::{consistency, GlobalCheckpoint, PatternAnalysis};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -132,7 +132,9 @@ mod tests {
 
     #[test]
     fn domino_pattern_violates_rdt() {
-        assert!(!RdtChecker::new(&domino_pattern(3)).check().holds());
+        assert!(!PatternAnalysis::new(&domino_pattern(3))
+            .rdt_report()
+            .holds());
     }
 
     #[test]

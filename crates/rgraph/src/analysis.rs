@@ -19,21 +19,23 @@ use crate::{CheckpointAnnotations, IncrementalAnalysis, Pattern, PatternError, R
 /// artifact is computed exactly once (`OnceLock`-backed, so a shared
 /// reference can be handed to parallel sweep workers). The R-path
 /// questions read the [`core`](PatternAnalysis::core), the chain
-/// characterizations read the [`zigzag`](PatternAnalysis::zigzag) closures
-/// through their `_with` entry points, so one pattern analyzed by all
-/// three RDT characterizations pays for each a single time.
+/// characterizations ([`characterization`](crate::characterization)) read
+/// the [`zigzag`](PatternAnalysis::zigzag) closures, so one pattern
+/// analyzed by all three RDT characterizations pays for each a single
+/// time. It is the one batch entry point of the offline theory: no
+/// function builds these artifacts behind its caller's back.
 ///
 /// # Example
 ///
 /// ```rust
-/// use rdt_rgraph::characterization::{all_chains_doubled_with, all_cm_paths_doubled_with};
+/// use rdt_rgraph::characterization::{all_chains_doubled, all_cm_paths_doubled};
 /// use rdt_rgraph::{paper_figures, PatternAnalysis};
 ///
 /// let analysis = PatternAnalysis::new(&paper_figures::figure_1());
 /// // All three characterizations agree, off one set of artifacts.
 /// assert!(!analysis.rdt_report().holds());
-/// assert!(!all_chains_doubled_with(&analysis));
-/// assert!(!all_cm_paths_doubled_with(&analysis));
+/// assert!(!all_chains_doubled(&analysis));
+/// assert!(!all_cm_paths_doubled(&analysis));
 /// ```
 #[derive(Debug)]
 pub struct PatternAnalysis {
@@ -48,14 +50,8 @@ impl PatternAnalysis {
     /// Prepares the analysis of `pattern`; a closed copy is taken (the
     /// paper assumes every event is eventually followed by a checkpoint).
     pub fn new(pattern: &Pattern) -> Self {
-        Self::from_closed(pattern.to_closed())
-    }
-
-    /// Wraps an already-closed pattern without copying it again.
-    pub(crate) fn from_closed(pattern: Pattern) -> Self {
-        debug_assert!(pattern.is_closed());
         PatternAnalysis {
-            pattern,
+            pattern: pattern.to_closed(),
             annotations: OnceLock::new(),
             rgraph: OnceLock::new(),
             core: OnceLock::new(),
@@ -119,34 +115,66 @@ impl PatternAnalysis {
             && self.zigzag.get().is_none()
     }
 
-    /// Runs the R-path RDT check (characterization (1)) off the shared
-    /// core, with the default violation limit of [`crate::RdtChecker`].
+    /// Checks whether the pattern satisfies **RDT** (characterization (1),
+    /// Definition 3.4): every R-path of its R-graph must be *on-line
+    /// trackable* — detectable by transitive dependency vectors. The
+    /// report carries the verdict, the number of R-paths and the first 16
+    /// untrackable pairs, each with a counterexample R-path.
+    ///
+    /// # Method
+    ///
+    /// 1. The pattern is closed (the paper assumes every event is
+    ///    eventually followed by a checkpoint).
+    /// 2. It is replayed into the incremental [`core`](PatternAnalysis::core),
+    ///    which snapshots the transitive dependency vector `TDV_j^y` saved
+    ///    at every checkpoint `C_{j,y}` (the knowledge Wang's mechanism
+    ///    accumulates when the vector rides on *every* message) and keeps
+    ///    the R-graph's closure as one reach vector per checkpoint.
+    /// 3. RDT holds iff for every R-path `C_{i,x} → C_{j,y}`:
+    ///    `i = j ∧ x ≤ y`, or `TDV_j^y[i] ≥ x`. The core counts the pairs
+    ///    that break it as it goes; the violations reported are the first
+    ///    of them in the order of
+    ///    [`untrackable_cells`](IncrementalAnalysis::untrackable_cells),
+    ///    each with an R-path from [`RGraph::find_path`].
+    ///
+    /// Step 3 is the operational reading of Definition 3.3: a same-process
+    /// dependency is always trackable forward, and a cross-process
+    /// dependency is trackable exactly when some causal message chain
+    /// carried it (then the replayed `TDV` records an interval index at
+    /// least as large). The paper notes its definitions are equivalent to
+    /// Wang's; in particular a dependency witnessed by a causal chain from
+    /// a *later* interval (`TDV_j^y[i] = z > x`) subsumes the dependency on
+    /// `C_{i,x}`, because rolling `P_i` back before `C_{i,x}` also rolls it
+    /// back before `C_{i,z}`.
+    ///
+    /// # Example
+    ///
+    /// ```rust
+    /// use rdt_rgraph::{paper_figures, PatternAnalysis};
+    ///
+    /// // Figure 2, non-causal chain left unbroken: RDT is violated.
+    /// let report = PatternAnalysis::new(&paper_figures::figure_2_unbroken()).rdt_report();
+    /// assert!(!report.holds());
+    /// // Same scenario with the forced checkpoint: RDT holds.
+    /// let report = PatternAnalysis::new(&paper_figures::figure_2_broken()).rdt_report();
+    /// assert!(report.holds());
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics if the pattern is unrealizable; use
-    /// [`PatternAnalysis::try_rdt_report`] to handle that case.
+    /// Panics if the pattern is unrealizable (cannot happen for patterns
+    /// produced by [`PatternBuilder`](crate::PatternBuilder) or by the
+    /// simulator); read [`core`](PatternAnalysis::core) first to handle
+    /// that case.
     pub fn rdt_report(&self) -> RdtReport {
-        self.try_rdt_report().expect("pattern must be realizable")
-    }
-
-    /// Fallible variant of [`PatternAnalysis::rdt_report`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PatternError::Unrealizable`] if the pattern admits no
-    /// execution order.
-    pub fn try_rdt_report(&self) -> Result<RdtReport, PatternError> {
-        check_with_artifacts(self, 16)
+        check_with_artifacts(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterization::{all_chains_doubled_with, all_cm_paths_doubled_with};
     use crate::paper_figures;
-    use crate::RdtChecker;
 
     #[test]
     fn artifacts_are_lazy_and_stable() {
@@ -156,32 +184,6 @@ mod tests {
         let second = analysis.rgraph() as *const RGraph;
         assert_eq!(first, second, "the same artifact is handed out");
         assert!(!analysis.is_untouched());
-    }
-
-    #[test]
-    fn shared_verdicts_match_standalone_checkers() {
-        for pattern in [
-            paper_figures::figure_1(),
-            paper_figures::figure_2_unbroken(),
-            paper_figures::figure_2_broken(),
-            paper_figures::figure_4_unbroken(),
-            paper_figures::figure_4_broken(),
-        ] {
-            let analysis = PatternAnalysis::new(&pattern);
-            let standalone = RdtChecker::new(&pattern).check();
-            let shared = analysis.rdt_report();
-            assert_eq!(standalone.holds(), shared.holds());
-            assert_eq!(standalone.violations(), shared.violations());
-            assert_eq!(standalone.r_paths_found(), shared.r_paths_found());
-            assert_eq!(
-                all_chains_doubled_with(&analysis),
-                crate::characterization::all_chains_doubled(&pattern)
-            );
-            assert_eq!(
-                all_cm_paths_doubled_with(&analysis),
-                crate::characterization::all_cm_paths_doubled(&pattern)
-            );
-        }
     }
 
     #[test]

@@ -11,8 +11,8 @@ use crate::{Pattern, PatternMessageId};
 /// A sequence of messages `[m_1, …, m_q]` claimed to form a message chain
 /// (Definition 3.1 — called a *zigzag path* by Netzer & Xu).
 ///
-/// Validate and classify against a pattern with [`MessageChain::is_chain`],
-/// [`MessageChain::is_causal`] and [`MessageChain::is_simple`].
+/// Validate and classify against a pattern with [`MessageChain::is_chain`]
+/// and [`MessageChain::is_causal`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MessageChain(pub Vec<PatternMessageId>);
 
@@ -77,45 +77,6 @@ impl MessageChain {
                 m.to == m_next.from && m.deliver_pos.expect("checked delivered") < m_next.send_pos
             })
     }
-
-    /// Whether the chain is causal and *simple* (§4.1): each delivery
-    /// occurs before and **in the same checkpoint interval** as the next
-    /// send — no intermediate local checkpoint sits inside the chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a message id is out of range.
-    pub fn is_simple(&self, pattern: &Pattern) -> bool {
-        self.is_causal(pattern)
-            && self.0.windows(2).all(|w| {
-                let deliver = pattern.deliver_interval(w[0]).expect("checked delivered");
-                let send = pattern.send_interval(w[1]);
-                deliver.index == send.index
-            })
-    }
-
-    /// The checkpoint the chain is *from*: `C_{i,x}` where
-    /// `send(m_1) ∈ I_{i,x}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chain is empty or a message id is out of range.
-    pub fn from_checkpoint(&self, pattern: &Pattern) -> CheckpointId {
-        let send = pattern.send_interval(*self.0.first().expect("chain not empty"));
-        CheckpointId::new(send.process, send.index)
-    }
-
-    /// The checkpoint the chain is *to*: `C_{j,y}` where
-    /// `deliver(m_q) ∈ I_{j,y}`. Returns `None` if the last message is in
-    /// transit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chain is empty or a message id is out of range.
-    pub fn to_checkpoint(&self, pattern: &Pattern) -> Option<CheckpointId> {
-        let deliver = pattern.deliver_interval(*self.0.last().expect("chain not empty"))?;
-        Some(CheckpointId::new(deliver.process, deliver.index))
-    }
 }
 
 impl fmt::Display for MessageChain {
@@ -152,7 +113,8 @@ impl fmt::Display for MessageChain {
 ///
 /// The closure relations themselves still take `O(M²)` bits for `M`
 /// delivered messages — intended for analysis and testing, not for the
-/// full-scale simulation sweeps (the [`RdtChecker`](crate::RdtChecker)
+/// full-scale simulation sweeps (the R-path check,
+/// [`PatternAnalysis::rdt_report`](crate::PatternAnalysis::rdt_report),
 /// avoids it entirely).
 ///
 /// # Example
@@ -181,15 +143,6 @@ pub struct ZigzagReachability {
     zz: BitMatrix,
     /// Causal closure, same convention.
     causal: BitMatrix,
-    /// Per message (dense): send/deliver checkpoints-of-interval.
-    send_at: Vec<(ProcessId, u32)>,
-    deliver_at: Vec<(ProcessId, u32)>,
-    /// Per message (dense): endpoints and event positions, for O(1)
-    /// single-causal-link tests.
-    msg_from: Vec<ProcessId>,
-    msg_to: Vec<ProcessId>,
-    msg_send_pos: Vec<usize>,
-    msg_deliver_pos: Vec<usize>,
     /// `send_in[p][x]` = dense messages sent by process `p` in interval
     /// `x` (interval indexes are one-based; slot 0 stays empty).
     send_in: Vec<Vec<Vec<usize>>>,
@@ -356,12 +309,6 @@ impl ZigzagReachability {
             dense,
             zz,
             causal,
-            send_at,
-            deliver_at,
-            msg_from,
-            msg_to,
-            msg_send_pos,
-            msg_deliver_pos,
             send_in,
             deliver_in,
             deliver_upto,
@@ -481,67 +428,6 @@ impl ZigzagReachability {
             && !self.on_z_cycle(b)
     }
 
-    /// Finds one concrete **causal** chain witnessing
-    /// [`causal_doubling_exists`](ZigzagReachability::causal_doubling_exists):
-    /// a causal chain from `C_{from.process, x'}` (`x' ≥ from.index`) to
-    /// `C_{to.process, y'}` (`y' ≤ to.index`), or `None` if no doubling
-    /// exists.
-    ///
-    /// BFS over the causal message links, shortest chain first — the
-    /// diagnostic companion to the boolean query (e.g. it reconstructs
-    /// `[m5 m6]` as the sibling of `[m5 m4]` in the paper's Figure 1).
-    pub fn find_causal_sibling(
-        &self,
-        from: CheckpointId,
-        to: CheckpointId,
-    ) -> Option<MessageChain> {
-        let m = self.delivered.len();
-        // Start messages: sent by `from.process` in interval >= from.index.
-        let starts: Vec<usize> = (0..m)
-            .filter(|&a| {
-                let (sp, si) = self.send_at[a];
-                sp == from.process && si >= from.index
-            })
-            .collect();
-        let goal = |b: usize| {
-            let (dp, di) = self.deliver_at[b];
-            dp == to.process && di <= to.index
-        };
-        // BFS with parent tracking over single causal links.
-        let mut parent: Vec<Option<usize>> = vec![None; m];
-        let mut visited = vec![false; m];
-        let mut queue = std::collections::VecDeque::new();
-        for &s in &starts {
-            visited[s] = true;
-            queue.push_back(s);
-        }
-        while let Some(u) = queue.pop_front() {
-            if goal(u) {
-                let mut chain = vec![self.delivered[u]];
-                let mut cur = u;
-                while let Some(prev) = parent[cur] {
-                    chain.push(self.delivered[prev]);
-                    cur = prev;
-                }
-                chain.reverse();
-                return Some(MessageChain(chain));
-            }
-            for w in 0..m {
-                if !visited[w] && u != w && self.causal_single_link(u, w) {
-                    visited[w] = true;
-                    parent[w] = Some(u);
-                    queue.push_back(w);
-                }
-            }
-        }
-        None
-    }
-
-    /// Whether `[delivered[a], delivered[b]]` is a single *causal* link.
-    fn causal_single_link(&self, a: usize, b: usize) -> bool {
-        self.msg_to[a] == self.msg_from[b] && self.msg_deliver_pos[a] < self.msg_send_pos[b]
-    }
-
     /// Dense index helper used by the characterization module.
     pub(crate) fn dense_index(&self, message: PatternMessageId) -> Option<usize> {
         let idx = *self.dense.get(message.0)?;
@@ -592,7 +478,6 @@ mod tests {
 
         let m2_m5 = MessageChain::new([f.m2, f.m5]);
         assert!(m2_m5.is_causal(&pattern));
-        assert!(!m2_m5.is_simple(&pattern), "crosses C_(i,2)");
 
         let m5_m4 = MessageChain::new([f.m5, f.m4]);
         assert!(m5_m4.is_chain(&pattern));
@@ -600,11 +485,9 @@ mod tests {
 
         let m5_m6 = MessageChain::new([f.m5, f.m6]);
         assert!(m5_m6.is_causal(&pattern));
-        assert!(m5_m6.is_simple(&pattern));
 
         let m4_m7 = MessageChain::new([f.m4, f.m7]);
         assert!(m4_m7.is_causal(&pattern));
-        assert!(!m4_m7.is_simple(&pattern), "crosses C_(k,2)");
 
         let long = MessageChain::new([f.m3, f.m2, f.m5, f.m4, f.m7]);
         assert!(long.is_chain(&pattern));
@@ -612,25 +495,6 @@ mod tests {
 
         // Single messages are always causal chains.
         assert!(MessageChain::new([f.m3]).is_causal(&pattern));
-        assert!(MessageChain::new([f.m3]).is_simple(&pattern));
-    }
-
-    #[test]
-    fn figure_1_chain_endpoints() {
-        let (pattern, f) = paper_figures::figure_1_with_handles();
-        let m3_m2 = MessageChain::new([f.m3, f.m2]);
-        assert_eq!(m3_m2.from_checkpoint(&pattern), CheckpointId::new(f.pk, 1));
-        assert_eq!(
-            m3_m2.to_checkpoint(&pattern),
-            Some(CheckpointId::new(f.pi, 2))
-        );
-
-        let m5_m4 = MessageChain::new([f.m5, f.m4]);
-        assert_eq!(m5_m4.from_checkpoint(&pattern), CheckpointId::new(f.pi, 3));
-        assert_eq!(
-            m5_m4.to_checkpoint(&pattern),
-            Some(CheckpointId::new(f.pk, 2))
-        );
     }
 
     #[test]
@@ -659,48 +523,6 @@ mod tests {
         assert!(!zz.causal_chain_exists(cki1, ci2), "hidden dependency");
         assert!(zz.chain_exists(ci3, ck2));
         assert!(zz.causal_chain_exists(ci3, ck2), "via [m5 m6]");
-    }
-
-    #[test]
-    fn find_causal_sibling_reconstructs_m5_m6() {
-        let (pattern, f) = paper_figures::figure_1_with_handles();
-        let zz = ZigzagReachability::new(&pattern);
-        let sibling = zz
-            .find_causal_sibling(CheckpointId::new(f.pi, 3), CheckpointId::new(f.pk, 2))
-            .expect("[m5 m4] is doubled");
-        assert_eq!(sibling, MessageChain::new([f.m5, f.m6]));
-        assert!(sibling.is_causal(&pattern));
-        // The undoubled chain has no sibling.
-        assert_eq!(
-            zz.find_causal_sibling(CheckpointId::new(f.pk, 1), CheckpointId::new(f.pi, 2)),
-            None
-        );
-    }
-
-    #[test]
-    fn found_siblings_always_validate() {
-        // Every sibling the finder returns must be a genuine causal chain
-        // with endpoints at least as strong as requested.
-        let (pattern, _) = paper_figures::figure_1_with_handles();
-        let zz = ZigzagReachability::new(&pattern);
-        for from in pattern.checkpoints() {
-            for to in pattern.checkpoints() {
-                let exists = zz.causal_doubling_exists(from, to);
-                match zz.find_causal_sibling(from, to) {
-                    Some(chain) => {
-                        assert!(exists, "finder found a chain the query denies");
-                        assert!(chain.is_causal(&pattern));
-                        let start = chain.from_checkpoint(&pattern);
-                        let end = chain.to_checkpoint(&pattern).expect("delivered");
-                        assert_eq!(start.process, from.process);
-                        assert!(start.index >= from.index);
-                        assert_eq!(end.process, to.process);
-                        assert!(end.index <= to.index);
-                    }
-                    None => assert!(!exists, "query says doubled but finder found nothing"),
-                }
-            }
-        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!
 //! Three equivalent views of the same property are implemented:
 //!
-//! 1. **R-path trackability** (Definition 3.4) — [`crate::RdtChecker`];
+//! 1. **R-path trackability** (Definition 3.4) —
+//!    [`PatternAnalysis::rdt_report`];
 //! 2. **all chains doubled** — every message chain (zigzag path) between
 //!    two checkpoints is *doubled* by a causal chain carrying at least as
 //!    much rollback information ([`all_chains_doubled`]);
@@ -20,6 +21,9 @@
 //! concatenation of CM-paths whose doublings compose. The test-suite
 //! verifies `(1) ⇔ (2) ⇔ (3)` on the paper's figures and on randomly
 //! generated patterns.
+//!
+//! Each function reads the artifacts of one shared [`PatternAnalysis`], so
+//! asking all three of one pattern pays for each closure a single time.
 
 use rdt_causality::CheckpointId;
 
@@ -41,14 +45,10 @@ pub struct UndoubledChain {
 /// `≥ from` to an interval `≤ to` on the same processes).
 ///
 /// The pattern satisfies RDT iff this list is empty (characterization (2));
-/// cross-validated against [`crate::RdtChecker`] in the tests.
-pub fn undoubled_chains(pattern: &Pattern) -> Vec<UndoubledChain> {
-    undoubled_chains_with(&PatternAnalysis::new(pattern))
-}
-
-/// [`undoubled_chains`] off a shared [`PatternAnalysis`] — pays for the
-/// chain closures only if no other characterization has already.
-pub fn undoubled_chains_with(analysis: &PatternAnalysis) -> Vec<UndoubledChain> {
+/// cross-validated against [`PatternAnalysis::rdt_report`] in the tests.
+/// Pays for the chain closures only if no other characterization has
+/// already.
+pub fn undoubled_chains(analysis: &PatternAnalysis) -> Vec<UndoubledChain> {
     let pattern = analysis.pattern();
     let zz = analysis.zigzag();
     let mut out = Vec::new();
@@ -80,13 +80,8 @@ pub fn undoubled_chains_with(analysis: &PatternAnalysis) -> Vec<UndoubledChain> 
 }
 
 /// Characterization (2): every message chain is doubled by a causal chain.
-pub fn all_chains_doubled(pattern: &Pattern) -> bool {
-    undoubled_chains(pattern).is_empty()
-}
-
-/// [`all_chains_doubled`] off a shared [`PatternAnalysis`].
-pub fn all_chains_doubled_with(analysis: &PatternAnalysis) -> bool {
-    undoubled_chains_with(analysis).is_empty()
+pub fn all_chains_doubled(analysis: &PatternAnalysis) -> bool {
+    undoubled_chains(analysis).is_empty()
 }
 
 /// Characterization (3): every **CM-path** is doubled.
@@ -96,12 +91,7 @@ pub fn all_chains_doubled_with(analysis: &PatternAnalysis) -> bool {
 /// link — the only kind of chain whose formation is *visible* to the
 /// process delivering `m`. Checking just this family is enough: doublings
 /// compose along the concatenations that build longer chains.
-pub fn all_cm_paths_doubled(pattern: &Pattern) -> bool {
-    all_cm_paths_doubled_with(&PatternAnalysis::new(pattern))
-}
-
-/// [`all_cm_paths_doubled`] off a shared [`PatternAnalysis`].
-pub fn all_cm_paths_doubled_with(analysis: &PatternAnalysis) -> bool {
+pub fn all_cm_paths_doubled(analysis: &PatternAnalysis) -> bool {
     let pattern = analysis.pattern();
     let zz = analysis.zigzag();
     let delivered = zz.delivered_messages().to_vec();
@@ -137,12 +127,7 @@ pub fn all_cm_paths_doubled_with(analysis: &PatternAnalysis) -> bool {
 ///
 /// RDT implies there are none: a Z-cycle would demand a causal chain from
 /// a checkpoint back into its own past.
-pub fn useless_checkpoints(pattern: &Pattern) -> Vec<CheckpointId> {
-    useless_checkpoints_with(&PatternAnalysis::new(pattern))
-}
-
-/// [`useless_checkpoints`] off a shared [`PatternAnalysis`].
-pub fn useless_checkpoints_with(analysis: &PatternAnalysis) -> Vec<CheckpointId> {
+pub fn useless_checkpoints(analysis: &PatternAnalysis) -> Vec<CheckpointId> {
     let zz = analysis.zigzag();
     analysis
         .pattern()
@@ -181,16 +166,19 @@ fn zz_chain(zz: &ZigzagReachability, a: PatternMessageId, b: PatternMessageId) -
 mod tests {
     use super::*;
     use crate::paper_figures;
-    use crate::RdtChecker;
 
     fn rdt_verdicts(pattern: &Pattern) -> (bool, bool, bool, bool) {
-        let closed = crate::IncrementalAnalysis::from_pattern(&pattern.to_closed());
+        let analysis = PatternAnalysis::new(pattern);
         (
-            RdtChecker::new(pattern).check().holds(),
-            all_chains_doubled(pattern),
-            all_cm_paths_doubled(pattern),
-            closed.expect("realizable").visible_holds(),
+            analysis.rdt_report().holds(),
+            all_chains_doubled(&analysis),
+            all_cm_paths_doubled(&analysis),
+            analysis.core().expect("realizable").visible_holds(),
         )
+    }
+
+    fn useless(pattern: &Pattern) -> Vec<CheckpointId> {
+        useless_checkpoints(&PatternAnalysis::new(pattern))
     }
 
     #[test]
@@ -211,7 +199,7 @@ mod tests {
             ("figure_4_broken", paper_figures::figure_4_broken(), true),
         ] {
             let (r, chains, cm, visible) = rdt_verdicts(&pattern);
-            assert_eq!(r, expected, "{name}: RdtChecker");
+            assert_eq!(r, expected, "{name}: rdt_report");
             assert_eq!(chains, expected, "{name}: all_chains_doubled");
             assert_eq!(cm, expected, "{name}: all_cm_paths_doubled");
             assert_eq!(visible, expected, "{name}: visible_holds");
@@ -221,7 +209,7 @@ mod tests {
     #[test]
     fn figure_1_undoubled_chain_is_m3_m2() {
         let (pattern, f) = paper_figures::figure_1_with_handles();
-        let undoubled = undoubled_chains(&pattern);
+        let undoubled = undoubled_chains(&PatternAnalysis::new(&pattern));
         assert!(undoubled
             .iter()
             .any(|u| u.from == CheckpointId::new(f.pk, 1) && u.to == CheckpointId::new(f.pi, 2)));
@@ -233,11 +221,10 @@ mod tests {
 
     #[test]
     fn useless_checkpoints_only_without_rdt() {
-        assert!(useless_checkpoints(&paper_figures::figure_2_broken()).is_empty());
-        assert!(useless_checkpoints(&paper_figures::figure_4_broken()).is_empty());
-        let useless = useless_checkpoints(&paper_figures::figure_4_unbroken());
+        assert!(useless(&paper_figures::figure_2_broken()).is_empty());
+        assert!(useless(&paper_figures::figure_4_broken()).is_empty());
         assert_eq!(
-            useless,
+            useless(&paper_figures::figure_4_unbroken()),
             vec![CheckpointId::new(rdt_causality::ProcessId::new(1), 1)]
         );
     }
@@ -247,7 +234,8 @@ mod tests {
         // RDT violations and Z-cycles are different defects: figure 1
         // breaks trackability but every checkpoint still belongs to some
         // consistent global checkpoint.
-        assert!(useless_checkpoints(&paper_figures::figure_1()).is_empty());
-        assert!(!all_chains_doubled(&paper_figures::figure_1()));
+        let analysis = PatternAnalysis::new(&paper_figures::figure_1());
+        assert!(useless_checkpoints(&analysis).is_empty());
+        assert!(!all_chains_doubled(&analysis));
     }
 }

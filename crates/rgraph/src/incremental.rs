@@ -101,8 +101,7 @@
 //! reads off `reach` with or without RDT.
 //! [`untrackable_cells`](IncrementalAnalysis::untrackable_cells) lists the
 //! pairs the count sums. Every batch R-path question
-//! ([`RdtChecker`](crate::RdtChecker),
-//! [`PatternAnalysis::rdt_report`](crate::PatternAnalysis::rdt_report)) is
+//! ([`PatternAnalysis::rdt_report`](crate::PatternAnalysis::rdt_report)) is
 //! a replay of the pattern into this core
 //! ([`from_pattern`](IncrementalAnalysis::from_pattern)), so "untrackable"
 //! has one definition.
@@ -857,10 +856,10 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     }
 
     /// The number of violations a batch
-    /// [`RdtChecker`](crate::RdtChecker) limited to `cap` would collect:
-    /// `min(untrackable, max(cap, 1))`.
-    pub fn violations_capped(&self, cap: usize) -> usize {
-        (self.untrackable as usize).min(cap.max(1))
+    /// [`PatternAnalysis::rdt_report`](crate::PatternAnalysis::rdt_report)
+    /// collects: `min(untrackable, 16)`.
+    pub fn violations_capped(&self) -> usize {
+        (self.untrackable as usize).min(crate::rdt::MAX_VIOLATIONS)
     }
 
     /// The untrackable pairs `(from, to)` themselves, the cells
@@ -1077,10 +1076,17 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
         }
     }
 
-    /// Minimum consistent global checkpoint through R-graph reachability
-    /// (the independent witness formulation). Identical to
-    /// [`min_max::min_consistent_via_rgraph`](crate::min_max::min_consistent_via_rgraph)
-    /// on closed patterns.
+    /// The minimum consistent global checkpoint containing `members`,
+    /// through **R-graph reachability** instead of the orphan fixpoint:
+    /// entry `j` is the largest `z` such that some member is reachable from
+    /// `C_{j,z}` in the R-graph (or the member's own index on its process).
+    ///
+    /// The rollback semantics of R-paths make the two formulations
+    /// coincide — `C_{j,z} → C` means "rolling `P_j` below `C_{j,z}` forces
+    /// rolling below `C`", i.e. any global checkpoint containing `C` must
+    /// include `C_{j,z}`. This is an *independent witness* for
+    /// [`min_max::min_consistent_containing`](crate::min_max::min_consistent_containing);
+    /// the property tests assert they always agree.
     ///
     /// # Panics
     /// If a member does not exist in the pattern.
@@ -1658,7 +1664,7 @@ pub struct MessageRoute {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::characterization::{all_chains_doubled_with, all_cm_paths_doubled_with};
+    use crate::characterization::{all_chains_doubled, all_cm_paths_doubled};
     use crate::{min_max, paper_figures, Pattern, PatternAnalysis, PatternBuilder, PatternEvent};
 
     /// One pattern-building operation, applied in lockstep to the engine
@@ -1799,15 +1805,15 @@ mod tests {
                 "closure popcount"
             );
             assert_eq!(view.rdt_holds(), untrackable.is_empty());
-            assert_eq!(view.violations_capped(16), untrackable.len().min(16));
+            assert_eq!(view.violations_capped(), untrackable.len().min(16));
             assert_eq!(
                 view.all_chains_doubled(),
-                all_chains_doubled_with(&analysis),
+                all_chains_doubled(&analysis),
                 "chains doubled"
             );
             assert_eq!(
                 view.visible_holds(),
-                all_cm_paths_doubled_with(&analysis),
+                all_cm_paths_doubled(&analysis),
                 "cm paths doubled"
             );
             // The violating pairs themselves, off the replayed `TDV`s.

@@ -12,22 +12,28 @@
 //!   incremental core ([`IncrementalAnalysis`]), whose reach vectors are
 //!   the R-graph's closure; [`RGraph::reachability_naive`] recomputes it
 //!   as the test oracle.
-//! * Which message chains (zigzag paths) exist, which are causal, which are
-//!   *simple*, and which non-causal chains have causal siblings
-//!   ([`chains`], [`characterization`])? These stay batch closures.
-//! * Does the pattern satisfy RDT ([`RdtChecker`])? The verdict, the count
-//!   of R-paths and the untrackable pairs are the core's, the same the
-//!   daemon and the certifier read; each reported pair gets a
-//!   counterexample R-path that no transitive dependency vector can track.
+//! * Which message chains (zigzag paths) exist, which are causal, and which
+//!   non-causal chains are doubled by causal ones ([`chains`],
+//!   [`characterization`])? These stay batch closures.
+//! * Does the pattern satisfy RDT ([`PatternAnalysis::rdt_report`])? The
+//!   verdict, the count of R-paths and the untrackable pairs are the
+//!   core's, the same the daemon and the certifier read; each reported pair
+//!   gets a counterexample R-path that no transitive dependency vector can
+//!   track.
 //! * Which global checkpoints are consistent, and what are the *minimum*
 //!   and *maximum* consistent global checkpoints containing a given set of
 //!   local checkpoints ([`min_max`])?
 //! * Which checkpoints are *useless* (on a Z-cycle, Netzer & Xu)?
 //!
+//! Every question that needs a batch artifact (replay annotations,
+//! R-graph, incremental core, chain closures) is asked of one
+//! [`PatternAnalysis`], which computes each at most once, however many
+//! questions read it.
+//!
 //! # Example
 //!
 //! ```rust
-//! use rdt_rgraph::{PatternBuilder, RdtChecker};
+//! use rdt_rgraph::{PatternAnalysis, PatternBuilder};
 //! use rdt_causality::ProcessId;
 //!
 //! let p0 = ProcessId::new(0);
@@ -36,7 +42,7 @@
 //! let m = b.send(p0, p1);
 //! b.deliver(m)?;
 //! let pattern = b.close().build()?;
-//! assert!(RdtChecker::new(&pattern).check().holds());
+//! assert!(PatternAnalysis::new(&pattern).rdt_report().holds());
 //! # Ok::<(), rdt_rgraph::PatternError>(())
 //! ```
 
@@ -68,6 +74,6 @@ pub use incremental::{
     SNAPSHOT_VERSION,
 };
 pub use pattern::{Pattern, PatternBuilder, PatternError, PatternEvent, PatternMessageId};
-pub use rdt::{RdtChecker, RdtReport, RdtViolation};
+pub use rdt::{RdtReport, RdtViolation};
 pub use replay::{CheckpointAnnotations, Replay};
 pub use rgraph_impl::{NodeId, RGraph, Reachability};

@@ -188,47 +188,10 @@ pub fn max_consistent_dominated(pattern: &Pattern, caps: &[u32]) -> GlobalCheckp
     GlobalCheckpoint::new(line)
 }
 
-/// Computes the minimum consistent global checkpoint containing `members`
-/// through **R-graph reachability** instead of the orphan fixpoint: entry
-/// `j` is the largest `z` such that some member is reachable from
-/// `C_{j,z}` in the R-graph (or the member's own index on its process).
-///
-/// The rollback semantics of R-paths make the two formulations coincide —
-/// `C_{j,z} → C` means "rolling `P_j` below `C_{j,z}` forces rolling below
-/// `C`", i.e. any global checkpoint containing `C` must include `C_{j,z}`.
-/// This function exists as an *independent witness* for
-/// [`min_consistent_containing`]; the property tests assert they always
-/// agree. The pattern, as given, is replayed into the incremental core
-/// ([`IncrementalAnalysis::from_pattern`](crate::IncrementalAnalysis::from_pattern)),
-/// whose reach vectors are the R-graph's closure.
-///
-/// # Panics
-///
-/// Panics if a member's checkpoint does not exist in the pattern, or if
-/// the pattern is unrealizable.
-pub fn min_consistent_via_rgraph(
-    pattern: &Pattern,
-    members: &[CheckpointId],
-) -> Option<GlobalCheckpoint> {
-    crate::IncrementalAnalysis::from_pattern(pattern)
-        .expect("pattern must be realizable")
-        .min_consistent_via_rgraph(members)
-}
-
-/// Whether the set of checkpoints can be extended to a consistent global
-/// checkpoint at all.
-///
-/// For patterns satisfying RDT, any set of pairwise causally-unrelated
-/// checkpoints is extendable (property (1) of the paper's introduction);
-/// the integration tests verify this on protocol-generated patterns.
-pub fn extendable(pattern: &Pattern, members: &[CheckpointId]) -> bool {
-    min_consistent_containing(pattern, members).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper_figures;
+    use crate::{paper_figures, IncrementalAnalysis, PatternAnalysis};
 
     fn c(i: usize, x: u32) -> CheckpointId {
         CheckpointId::new(ProcessId::new(i), x)
@@ -262,7 +225,6 @@ mod tests {
             min_consistent_containing(&pattern, &[c(0, 2), c(1, 2)]),
             None
         );
-        assert!(!extendable(&pattern, &[c(0, 2), c(1, 2)]));
     }
 
     #[test]
@@ -313,12 +275,13 @@ mod tests {
     #[test]
     fn rgraph_formulation_agrees_with_fixpoint() {
         let (pattern, _) = paper_figures::figure_1_with_handles();
+        let core = IncrementalAnalysis::from_pattern(&pattern).unwrap();
         for i in 0..3 {
             for x in 0..=3u32 {
                 let member = [c(i, x)];
                 assert_eq!(
                     min_consistent_containing(&pattern, &member),
-                    min_consistent_via_rgraph(&pattern, &member),
+                    core.min_consistent_via_rgraph(&member),
                     "disagreement for {}",
                     member[0]
                 );
@@ -326,33 +289,35 @@ mod tests {
         }
         // Pairs too, including an inconsistent one.
         assert_eq!(
-            min_consistent_via_rgraph(&pattern, &[c(0, 2), c(1, 2)]),
+            core.min_consistent_via_rgraph(&[c(0, 2), c(1, 2)]),
             None,
             "orphan pair must be unextendable in both formulations"
         );
         assert_eq!(
             min_consistent_containing(&pattern, &[c(0, 1), c(2, 1)]),
-            min_consistent_via_rgraph(&pattern, &[c(0, 1), c(2, 1)]),
+            core.min_consistent_via_rgraph(&[c(0, 1), c(2, 1)]),
         );
     }
 
     #[test]
     fn rgraph_formulation_detects_useless_checkpoints() {
         let pattern = paper_figures::figure_4_unbroken();
-        assert_eq!(min_consistent_via_rgraph(&pattern, &[c(1, 1)]), None);
+        let core = IncrementalAnalysis::from_pattern(&pattern).unwrap();
+        assert_eq!(core.min_consistent_via_rgraph(&[c(1, 1)]), None);
     }
 
     #[test]
     fn shared_analysis_variant_agrees() {
         let (pattern, _) = paper_figures::figure_1_with_handles();
-        let analysis = crate::PatternAnalysis::new(&pattern);
-        let core = analysis.core().expect("pattern must be realizable");
+        let analysis = PatternAnalysis::new(&pattern);
+        let shared = analysis.core().expect("pattern must be realizable");
+        let replayed = IncrementalAnalysis::from_pattern(&pattern).unwrap();
         for i in 0..3 {
             for x in 0..=3u32 {
                 let member = [c(i, x)];
                 assert_eq!(
-                    min_consistent_via_rgraph(&pattern, &member),
-                    core.min_consistent_via_rgraph(&member),
+                    replayed.min_consistent_via_rgraph(&member),
+                    shared.min_consistent_via_rgraph(&member),
                     "disagreement for {}",
                     member[0]
                 );

@@ -759,10 +759,12 @@ mod tests {
         // figure_2_broken is figure_2_unbroken plus the forced checkpoint;
         // removing it must recreate an RDT-violating pattern.
         let broken_chain_fixed = crate::paper_figures::figure_2_broken();
-        assert!(crate::RdtChecker::new(&broken_chain_fixed).check().holds());
+        assert!(crate::PatternAnalysis::new(&broken_chain_fixed)
+            .rdt_report()
+            .holds());
         // The forced checkpoint is C_{i,1} of process 1 (P_i).
         let reverted = broken_chain_fixed.without_checkpoint(CheckpointId::new(p(1), 1));
-        assert!(!crate::RdtChecker::new(&reverted).check().holds());
+        assert!(!crate::PatternAnalysis::new(&reverted).rdt_report().holds());
     }
 
     #[test]

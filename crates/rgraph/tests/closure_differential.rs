@@ -6,16 +6,16 @@
 //! observationally identical to the quadratic baselines
 //! ([`transitive_closure_reference`](rdt_rgraph::closure::transitive_closure_reference),
 //! [`ZigzagReachability::new_naive`]) on every query the crate exposes.
-//! The R-path half is a replay into the incremental core: its closure, and
-//! the [`RdtChecker`] verdict, count and uncapped violation set read off
-//! it, must equal [`RGraph::reachability_naive`] plus the replayed `TDV`s
+//! The R-path half is a replay into the incremental core: its closure, its
+//! uncapped violation set, and the
+//! [`rdt_report`](PatternAnalysis::rdt_report) verdict, count and capped
+//! violations read off it, must equal [`RGraph::reachability_naive`] plus the replayed `TDV`s
 //! ([`CheckpointAnnotations::trackable`](rdt_rgraph::CheckpointAnnotations::trackable)).
 
 use proptest::prelude::*;
 use rdt_causality::ProcessId;
 use rdt_rgraph::{
-    min_max, Pattern, PatternAnalysis, PatternBuilder, PatternMessageId, RdtChecker,
-    ZigzagReachability,
+    min_max, Pattern, PatternAnalysis, PatternBuilder, PatternMessageId, ZigzagReachability,
 };
 
 /// Deterministic xorshift generator driving the pattern builder.
@@ -116,9 +116,9 @@ fn assert_zigzag_equivalent(pattern: &Pattern) {
 }
 
 /// The R-path answers read off the core must be the naive oracles': the
-/// closure, the verdict (at every violation limit), the count, and the
-/// whole uncapped violation set in destination-then-source order, each
-/// violation with an R-path of the graph's own edges from `from` to `to`.
+/// closure, the whole uncapped violation set in destination-then-source
+/// order, each violation with an R-path of the graph's own edges from
+/// `from` to `to`, and the report's verdict, count and first 16 violations.
 fn assert_r_paths_match_oracles(pattern: &Pattern) {
     let analysis = PatternAnalysis::new(pattern);
     let closed = analysis.pattern();
@@ -132,7 +132,28 @@ fn assert_r_paths_match_oracles(pattern: &Pattern) {
         .collect();
     untrackable.sort_by_key(|&(f, t)| (t.process, t.index, f.process, f.index));
 
-    let report = RdtChecker::new(pattern).max_violations(usize::MAX).check();
+    // The uncapped set is the core's own cells; each gets an R-path of the
+    // graph's own edges from `from` to `to`.
+    let core = analysis.core().expect("realizable");
+    let cells: Vec<_> = core.untrackable_cells().collect();
+    assert_eq!(cells, untrackable, "uncapped violation set");
+    for &(from, to) in &cells {
+        let r_path = graph
+            .find_path(from, to)
+            .expect("an untrackable pair is reachable");
+        assert_eq!(r_path.first(), Some(&from), "{from} -> {to}");
+        assert_eq!(r_path.last(), Some(&to), "{from} -> {to}");
+        for hop in r_path.windows(2) {
+            let (a, b) = (graph.node(hop[0]), graph.node(hop[1]));
+            assert!(
+                graph.successors(a).contains(&b),
+                "{from} -> {to}: no edge {a} -> {b}"
+            );
+        }
+    }
+
+    // The report: the verdict, the count and the head of that set.
+    let report = analysis.rdt_report();
     assert_eq!(report.holds(), untrackable.is_empty(), "verdict");
     assert_eq!(
         report.r_paths_found(),
@@ -140,27 +161,15 @@ fn assert_r_paths_match_oracles(pattern: &Pattern) {
         "R-path count"
     );
     let found: Vec<_> = report.violations().iter().map(|v| (v.from, v.to)).collect();
-    assert_eq!(found, untrackable, "uncapped violation set");
+    assert_eq!(found, cells[..cells.len().min(16)], "capped violation set");
     for v in report.violations() {
-        assert_eq!(v.r_path.first(), Some(&v.from), "{v}");
-        assert_eq!(v.r_path.last(), Some(&v.to), "{v}");
-        for hop in v.r_path.windows(2) {
-            let (a, b) = (graph.node(hop[0]), graph.node(hop[1]));
-            assert!(graph.successors(a).contains(&b), "{v}: no edge {a} -> {b}");
-        }
-    }
-    for limit in [0, 1, 16] {
-        let capped = RdtChecker::new(pattern).max_violations(limit).check();
-        let kept = untrackable.len().min(limit.max(1));
         assert_eq!(
-            capped.violations(),
-            &report.violations()[..kept],
-            "limit {limit}"
+            Some(&v.r_path),
+            graph.find_path(v.from, v.to).as_ref(),
+            "{v}"
         );
-        assert_eq!(capped.holds(), report.holds(), "verdict at limit {limit}");
     }
 
-    let core = analysis.core().expect("realizable");
     for a in closed.checkpoints() {
         for b in closed.checkpoints() {
             assert_eq!(

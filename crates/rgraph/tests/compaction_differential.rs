@@ -119,7 +119,7 @@ fn assert_compacted_equivalent(comp: &mut RewindableAnalysis, ctrl: &mut Rewinda
     // Global: running violation counter and verdicts.
     assert_eq!(comp.untrackable_pairs(), ctrl.untrackable_pairs(), "pairs");
     assert_eq!(comp.rdt_holds(), ctrl.rdt_holds(), "verdict");
-    assert_eq!(comp.violations_capped(16), ctrl.violations_capped(16));
+    assert_eq!(comp.violations_capped(), ctrl.violations_capped());
     assert_eq!(
         comp.with_closed(|v| (v.untrackable_pairs(), v.rdt_holds())),
         ctrl.with_closed(|v| (v.untrackable_pairs(), v.rdt_holds())),

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use rdt_causality::ProcessId;
-use rdt_rgraph::characterization::{all_chains_doubled_with, all_cm_paths_doubled_with};
+use rdt_rgraph::characterization::{all_chains_doubled, all_cm_paths_doubled};
 use rdt_rgraph::{
     min_max, FullAnalysis, Pattern, PatternAnalysis, PatternBuilder, PatternMessageId,
 };
@@ -153,18 +153,18 @@ fn assert_equivalent(incr: &mut FullAnalysis, pattern: &Pattern) {
         );
         assert_eq!(view.rdt_holds(), untrackable.is_empty(), "verdict");
         assert_eq!(
-            view.violations_capped(16),
+            view.violations_capped(),
             untrackable.len().min(16),
             "capped violations"
         );
         assert_eq!(
             view.all_chains_doubled(),
-            all_chains_doubled_with(&analysis),
+            all_chains_doubled(&analysis),
             "chains doubled"
         );
         assert_eq!(
             view.visible_holds(),
-            all_cm_paths_doubled_with(&analysis),
+            all_cm_paths_doubled(&analysis),
             "cm paths doubled"
         );
 

@@ -5,7 +5,7 @@ use rdt_core::{
     ProtocolKind, Uncoordinated,
 };
 
-use crate::{Application, RunOutcome, Runner, SimConfig, SimError, SimScratch};
+use crate::{Application, RunOutcome, Runner, SimConfig, SimScratch};
 
 /// The one `ProtocolKind → factory` table: binds `$make` to the constructor
 /// `$kind` selects and evaluates `$body` with it. `$engine` picks the
@@ -76,20 +76,6 @@ pub fn run_protocol_kind(
     app: &mut dyn Application,
 ) -> RunOutcome {
     with_factory!(executor, kind, |make| Runner::new(config, make).run(app))
-}
-
-/// Fallible [`run_protocol_kind`]: internal runner inconsistencies come
-/// back as a typed [`SimError`] instead of a panic — the dispatch for
-/// embedders (like the streaming daemon) driving simulations from
-/// untrusted configuration.
-pub fn try_run_protocol_kind(
-    kind: ProtocolKind,
-    config: &SimConfig,
-    app: &mut dyn Application,
-) -> Result<RunOutcome, SimError> {
-    with_factory!(executor, kind, |make| {
-        Runner::new(config, make).try_run(app)
-    })
 }
 
 /// Like [`run_protocol_kind`], but running the dependency-tracking

@@ -62,10 +62,7 @@ pub use args::{print_stdout, synopsis, Args, Arity, Flag, Grammar};
 pub use config::{
     BasicCheckpointModel, DelayModel, SimConfig, StopCondition, DEFAULT_CRASH_SEED_SALT,
 };
-pub use dispatch::{
-    run_protocol_kind, run_protocol_kind_legacy, run_protocol_kind_with_scratch,
-    try_run_protocol_kind,
-};
+pub use dispatch::{run_protocol_kind, run_protocol_kind_legacy, run_protocol_kind_with_scratch};
 pub use metrics::{OnlineRdtReport, SampleStats, Stopwatch, TraceMetrics};
 pub use rng::SimRng;
 pub use runner::{CrashRecord, RecoveryReport, RunOutcome, RunStats, Runner, SimError, SimScratch};

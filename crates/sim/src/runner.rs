@@ -183,15 +183,6 @@ impl RecoveryReport {
             .unwrap_or(0)
     }
 
-    /// Sum of all per-process rollback depths over all crashes.
-    pub fn total_rollback_depth(&self) -> u64 {
-        self.crashes
-            .iter()
-            .flat_map(|c| c.rollback_depth.iter())
-            .map(|&d| u64::from(d))
-            .sum()
-    }
-
     /// Widest domino span over all crashes.
     pub fn max_domino_span(&self) -> usize {
         self.crashes

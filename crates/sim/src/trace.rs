@@ -300,8 +300,8 @@ impl Trace {
     ///
     /// The pattern is *not* closed; call
     /// [`Pattern::to_closed`] (or rely on
-    /// [`RdtChecker`](rdt_rgraph::RdtChecker), which closes internally)
-    /// when the analysis requires closed intervals.
+    /// [`PatternAnalysis`](rdt_rgraph::PatternAnalysis), which closes
+    /// internally) when the analysis requires closed intervals.
     ///
     /// # Panics
     ///

@@ -78,7 +78,7 @@ fn crash_reports_are_internally_consistent() {
                 assert!(crash.domino_span <= config.n);
                 assert!(crash.rolled_to_initial <= crash.domino_span);
                 assert!(crash.lost_replayed <= crash.deliveries_undone);
-                assert!(u64::from(crash.max_depth()) <= report.total_rollback_depth());
+                assert!(crash.max_depth() <= report.max_rollback_depth());
             }
         }
     }

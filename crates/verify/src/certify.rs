@@ -523,7 +523,7 @@ fn compute_verdict(session: &mut CertSession, verdict: &mut ScheduleVerdict) -> 
             ));
         }
         if !rpaths_ok {
-            verdict.rdt_note = format!("{} untrackable R-path(s)", view.violations_capped(16));
+            verdict.rdt_note = format!("{} untrackable R-path(s)", view.violations_capped());
         }
         // Global-checkpoint oracles, per protocol-reported checkpoint, on
         // the closed pattern the view holds. The allocation-free `_into`

@@ -504,7 +504,7 @@ mod tests {
                 .replay(&schedule)
                 .unwrap();
             let analysis = PatternAnalysis::new(&run.pattern);
-            assert!(analysis.try_rdt_report().is_ok(), "{}", schedule.render());
+            assert!(analysis.core().is_ok(), "{}", schedule.render());
             // The protocol pattern has at least the skeleton's messages.
             assert_eq!(run.pattern.num_messages(), schedule.messages.len());
         }

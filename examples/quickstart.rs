@@ -6,7 +6,7 @@
 //! ```
 
 use rdt::workloads::RandomEnvironment;
-use rdt::{run_protocol_kind, ProtocolKind, RdtChecker, SimConfig, StopCondition};
+use rdt::{run_protocol_kind, PatternAnalysis, ProtocolKind, SimConfig, StopCondition};
 
 fn main() {
     // 8 processes, everything derived from one seed.
@@ -46,8 +46,7 @@ fn main() {
 
     // Offline verification: all rollback dependencies of this run are
     // trackable (Theorem 4.4).
-    let pattern = outcome.trace.to_pattern();
-    let report = RdtChecker::new(&pattern).check();
+    let report = PatternAnalysis::new(&outcome.trace.to_pattern()).rdt_report();
     println!(
         "  RDT verified offline    : {} ({} R-paths checked)",
         if report.holds() { "yes" } else { "NO (bug!)" },

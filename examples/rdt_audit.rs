@@ -9,7 +9,7 @@
 use rdt::theory::chains::MessageChain;
 use rdt::theory::characterization::undoubled_chains;
 use rdt::theory::{dot, min_max, paper_figures};
-use rdt::{CheckpointId, RGraph, RdtChecker, ZigzagReachability};
+use rdt::{CheckpointId, PatternAnalysis};
 
 fn main() {
     let (pattern, f) = paper_figures::figure_1_with_handles();
@@ -20,27 +20,19 @@ fn main() {
     );
 
     // Chain classification, exactly as §3.2 narrates.
-    let m3_m2 = MessageChain::new([f.m3, f.m2]);
-    let m5_m4 = MessageChain::new([f.m5, f.m4]);
-    let m5_m6 = MessageChain::new([f.m5, f.m6]);
-    println!(
-        "[m3 m2] is a chain: {}, causal: {}",
-        m3_m2.is_chain(&pattern),
-        m3_m2.is_causal(&pattern)
-    );
-    println!(
-        "[m5 m4] is a chain: {}, causal: {}",
-        m5_m4.is_chain(&pattern),
-        m5_m4.is_causal(&pattern)
-    );
-    println!(
-        "[m5 m6] is a chain: {}, causal: {} (the causal sibling of [m5 m4])",
-        m5_m6.is_chain(&pattern),
-        m5_m6.is_causal(&pattern)
-    );
+    for (name, messages, note) in [
+        ("m3 m2", [f.m3, f.m2], ""),
+        ("m5 m4", [f.m5, f.m4], ""),
+        ("m5 m6", [f.m5, f.m6], " (the causal sibling of [m5 m4])"),
+    ] {
+        let chain = MessageChain::new(messages);
+        let (is_chain, causal) = (chain.is_chain(&pattern), chain.is_causal(&pattern));
+        println!("[{name}] is a chain: {is_chain}, causal: {causal}{note}");
+    }
 
-    // RDT verdict with a concrete counterexample.
-    let report = RdtChecker::new(&pattern).check();
+    // RDT verdict with a concrete counterexample; one analysis serves all.
+    let analysis = PatternAnalysis::new(&pattern);
+    let report = analysis.rdt_report();
     println!("\nRDT holds: {}", report.holds());
     for violation in report.violations() {
         println!("  {violation}");
@@ -48,14 +40,14 @@ fn main() {
 
     // The chain-level view of the same defect.
     println!("\nundoubled chains (endpoints):");
-    for u in undoubled_chains(&pattern) {
+    for u in undoubled_chains(&analysis) {
         println!("  {} -> {} has no causal doubling", u.from, u.to);
     }
 
     // Consistency and min/max global checkpoints.
-    let zz = ZigzagReachability::new(&pattern);
     let ci2 = CheckpointId::new(f.pi, 2);
-    println!("\nC(i,2) on a z-cycle (useless): {}", zz.on_z_cycle(ci2));
+    let useless = analysis.zigzag().on_z_cycle(ci2);
+    println!("\nC(i,2) on a z-cycle (useless): {useless}");
     let min = min_max::min_consistent_containing(&pattern, &[ci2]).expect("not useless");
     let max = min_max::max_consistent_containing(&pattern, &[ci2]).expect("not useless");
     println!("minimum consistent GC containing C(i,2): {min}");
@@ -65,6 +57,6 @@ fn main() {
     println!("\n--- pattern.dot ---\n{}", dot::pattern_to_dot(&pattern));
     println!(
         "--- rgraph.dot ---\n{}",
-        dot::rgraph_to_dot(&RGraph::new(&pattern))
+        dot::rgraph_to_dot(analysis.rgraph())
     );
 }

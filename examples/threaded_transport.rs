@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 use rdt::protocols::{BhmrPiggyback, CicProtocol};
-use rdt::{Bhmr, CheckpointId, PatternBuilder, ProcessId, RdtChecker};
+use rdt::{Bhmr, CheckpointId, PatternAnalysis, PatternBuilder, ProcessId};
 
 /// What travels on the wire: payload tag + the protocol's control data.
 struct WireMessage {
@@ -167,7 +167,7 @@ fn main() {
         }
     }
     let pattern = builder.close().build().expect("well-formed log");
-    let report = RdtChecker::new(&pattern).check();
+    let report = PatternAnalysis::new(&pattern).rdt_report();
     println!(
         "offline verification over the real concurrent schedule: RDT {}",
         if report.holds() {

@@ -17,7 +17,7 @@ use rdt::sim::{out, outln, scripted, synopsis, Args, Arity::Switch, Arity::Value
 use rdt::theory::{dot, min_max, paper_figures};
 use rdt::workloads::EnvironmentKind;
 use rdt::{
-    analyze, domino_pattern, run_protocol_kind, Failure, ProcessId, ProtocolKind, RdtChecker,
+    analyze, domino_pattern, run_protocol_kind, Failure, PatternAnalysis, ProcessId, ProtocolKind,
     SimConfig, StopCondition,
 };
 
@@ -73,6 +73,10 @@ fn build_config(args: &Args, n: usize) -> Result<SimConfig, String> {
         0 => rdt::sim::BasicCheckpointModel::Disabled,
         mean => rdt::sim::BasicCheckpointModel::Exponential { mean },
     };
+    let crash_rate = args.get("crash-rate")?.unwrap_or(0.0f64);
+    if !(crash_rate.is_finite() && crash_rate >= 0.0) {
+        return Err("--crash-rate takes a finite rate >= 0 (crashes per 1000 ticks)".to_string());
+    }
     Ok(SimConfig::new(n)
         .with_seed(args.get("seed")?.unwrap_or(1u64))
         .with_basic_checkpoints(basics)
@@ -80,7 +84,7 @@ fn build_config(args: &Args, n: usize) -> Result<SimConfig, String> {
             args.get("messages")?.unwrap_or(1_000u64),
         ))
         .with_fifo(args.switch("fifo"))
-        .with_crash_rate(args.get("crash-rate")?.unwrap_or(0.0f64))
+        .with_crash_rate(crash_rate)
         .with_max_crashes(args.get("max-crashes")?.unwrap_or(2u32)))
 }
 
@@ -186,7 +190,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         out!("{}", metrics.render());
     }
     if args.switch("verify") {
-        let report = RdtChecker::new(&outcome.trace.to_pattern()).check();
+        let report = PatternAnalysis::new(&outcome.trace.to_pattern()).rdt_report();
         outln!(
             "  RDT          : {} ({} R-paths checked)",
             if report.holds() { "holds" } else { "VIOLATED" },
@@ -223,8 +227,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         );
         // One shared PatternAnalysis; its laziness splits the offline
         // check into its phases so each can be timed in isolation.
-        let pattern = outcome.trace.to_pattern();
-        let analysis = rdt::PatternAnalysis::new(&pattern);
+        let analysis = PatternAnalysis::new(&outcome.trace.to_pattern());
 
         let watch = rdt::Stopwatch::start();
         let replay_ok = analysis.core().is_ok();
@@ -304,7 +307,7 @@ fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
             return Ok(ExitCode::FAILURE);
         }
     };
-    let report = RdtChecker::new(&pattern).check();
+    let report = PatternAnalysis::new(&pattern).rdt_report();
     outln!("RDT: {}", if report.holds() { "holds" } else { "violated" });
     for violation in report.violations().iter().take(5) {
         outln!("  {violation}");
@@ -366,7 +369,7 @@ fn cmd_audit(args: &Args) -> Result<ExitCode, String> {
         pattern.num_messages(),
         pattern.total_checkpoints()
     );
-    let report = RdtChecker::new(&pattern).check();
+    let report = PatternAnalysis::new(&pattern).rdt_report();
     outln!("RDT: {}", if report.holds() { "holds" } else { "violated" });
     for violation in report.violations() {
         outln!("  {violation}");
@@ -382,7 +385,7 @@ fn cmd_audit(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_domino(args: &Args) -> Result<ExitCode, String> {
-    let rounds = args.get("rounds")?.unwrap_or(10usize);
+    let rounds = args.get("rounds")?.map_or(10, std::num::NonZeroUsize::get);
     let pattern = domino_pattern(rounds);
     outln!("domino pattern, {rounds} rounds:");
     for cap in (0..rounds as u32).rev().take(3) {

@@ -9,7 +9,7 @@
 //! |--------|-------|----------|
 //! | [`causality`] | `rdt-causality` | ids, vector clocks, dependency vectors, bit-packed booleans |
 //! | [`protocols`] | `rdt-core` | the BHMR protocol, its variants, FDAS/FDI/CBR/CAS/NRAS |
-//! | [`theory`] | `rdt-rgraph` | patterns, R-graphs, zigzag paths, RDT checking, min/max consistent global checkpoints |
+//! | [`theory`] | `rdt-rgraph` | patterns, R-graphs, zigzag paths, RDT checking (one [`PatternAnalysis`] per pattern), min/max consistent global checkpoints |
 //! | [`sim`] | `rdt-sim` | deterministic discrete-event simulator |
 //! | [`workloads`] | `rdt-workloads` | the evaluation's environments |
 //! | [`recovery`] | `rdt-recovery` | recovery lines, domino effect, GC, output commit |
@@ -26,7 +26,7 @@
 //!
 //! ```rust
 //! use rdt::{
-//!     run_protocol_kind, ProtocolKind, RdtChecker, SimConfig, StopCondition,
+//!     run_protocol_kind, PatternAnalysis, ProtocolKind, SimConfig, StopCondition,
 //! };
 //! use rdt::workloads::RandomEnvironment;
 //!
@@ -34,7 +34,7 @@
 //! let outcome = run_protocol_kind(ProtocolKind::Bhmr, &config, &mut RandomEnvironment::new(20));
 //!
 //! let pattern = outcome.trace.to_pattern();
-//! assert!(RdtChecker::new(&pattern).check().holds());
+//! assert!(PatternAnalysis::new(&pattern).rdt_report().holds());
 //! println!(
 //!     "forced/basic = {}/{}",
 //!     outcome.stats.total.forced_checkpoints,
@@ -65,8 +65,8 @@ pub use rdt_core::{
 };
 pub use rdt_recovery::{analyze, domino_pattern, recovery_line, Failure, RollbackReport};
 pub use rdt_rgraph::{
-    GlobalCheckpoint, Pattern, PatternAnalysis, PatternBuilder, RGraph, RdtChecker, RdtReport,
-    Reachability, Replay, ZigzagReachability,
+    GlobalCheckpoint, Pattern, PatternAnalysis, PatternBuilder, RGraph, RdtReport, Reachability,
+    Replay, ZigzagReachability,
 };
 pub use rdt_sim::{
     run_protocol_kind, Application, RunOutcome, RunStats, Runner, SimConfig, SimRng, SimTime,

@@ -257,7 +257,7 @@ proptest! {
         for pattern in &patterns {
             let analysis = PatternAnalysis::new(pattern);
             prop_assert!(
-                analysis.try_rdt_report().is_ok(),
+                analysis.core().is_ok(),
                 "enumerated pattern must be realizable"
             );
         }

@@ -4,17 +4,13 @@
 //! every R-path).
 
 use rdt::theory::characterization::{all_chains_doubled, all_cm_paths_doubled};
-use rdt::theory::IncrementalAnalysis;
 use rdt::workloads::EnvironmentKind;
-use rdt::{run_protocol_kind, Pattern, ProtocolKind, RdtChecker, SimConfig, StopCondition};
+use rdt::{run_protocol_kind, PatternAnalysis, ProtocolKind, SimConfig, StopCondition};
 
 /// Characterization 3 in its visible form: the closed pattern replayed
 /// into the core, every message's two closing `TDV`s compared.
-fn visible_holds(pattern: &Pattern) -> bool {
-    let closed = pattern.to_closed();
-    IncrementalAnalysis::from_pattern(&closed)
-        .expect("realizable")
-        .visible_holds()
+fn visible_holds(analysis: &PatternAnalysis) -> bool {
+    analysis.core().expect("realizable").visible_holds()
 }
 
 fn small_config(seed: u64, messages: u64) -> SimConfig {
@@ -45,13 +41,13 @@ fn characterizations_agree_on_generated_patterns() {
             for seed in [1u64, 2, 3, 4] {
                 let mut app = env.build(4, 12);
                 let outcome = run_protocol_kind(protocol, &small_config(seed, 60), app.as_mut());
-                let pattern = outcome.trace.to_pattern();
-                let by_rpaths = RdtChecker::new(&pattern).check().holds();
-                let by_chains = all_chains_doubled(&pattern);
-                let by_cm = all_cm_paths_doubled(&pattern);
+                let analysis = PatternAnalysis::new(&outcome.trace.to_pattern());
+                let by_rpaths = analysis.rdt_report().holds();
+                let by_chains = all_chains_doubled(&analysis);
+                let by_cm = all_cm_paths_doubled(&analysis);
                 assert_eq!(
                     by_cm,
-                    visible_holds(&pattern),
+                    visible_holds(&analysis),
                     "{protocol} in {env} (seed {seed}): CM-path check vs the visible TDV test"
                 );
                 assert_eq!(
@@ -86,9 +82,10 @@ fn cm_check_is_not_weaker_on_paper_counterexamples() {
         paper_figures::figure_2_unbroken(),
         paper_figures::figure_4_unbroken(),
     ] {
-        assert!(!RdtChecker::new(&pattern).check().holds());
-        assert!(!all_chains_doubled(&pattern));
-        assert!(!all_cm_paths_doubled(&pattern));
-        assert!(!visible_holds(&pattern));
+        let analysis = PatternAnalysis::new(&pattern);
+        assert!(!analysis.rdt_report().holds());
+        assert!(!all_chains_doubled(&analysis));
+        assert!(!all_cm_paths_doubled(&analysis));
+        assert!(!visible_holds(&analysis));
     }
 }

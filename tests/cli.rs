@@ -228,6 +228,47 @@ fn unparsable_values_are_refused_with_usage() {
     }
 }
 
+/// A value that parses but that the run cannot take is refused with the
+/// reason and the usage, exit 1: it never reaches a panic in the library.
+#[test]
+fn out_of_range_values_are_refused_with_usage() {
+    for (args, flag) in [
+        (
+            &["run", "--n", "3", "--messages", "5", "--crash-rate", "-1"][..],
+            "--crash-rate",
+        ),
+        (
+            &["run", "--n", "3", "--messages", "5", "--crash-rate", "nan"],
+            "--crash-rate",
+        ),
+        (
+            &["run", "--n", "3", "--messages", "5", "--crash-rate", "inf"],
+            "--crash-rate",
+        ),
+        (
+            &[
+                "compare",
+                "--n",
+                "3",
+                "--messages",
+                "5",
+                "--crash-rate",
+                "-1",
+            ],
+            "--crash-rate",
+        ),
+        (&["domino", "--rounds", "0"], "--rounds"),
+    ] {
+        let output = cli().args(args).output().expect("binary runs");
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let text = String::from_utf8(output.stderr).unwrap();
+        assert!(text.contains(flag), "{args:?}: {text}");
+        assert!(text.contains("usage:"), "{args:?}: {text}");
+        assert!(!text.contains("panicked"), "{args:?}: {text}");
+        assert!(output.stdout.is_empty(), "{args:?}");
+    }
+}
+
 /// A value flag with nothing after it, or with another flag after it, is
 /// refused with the usage line: it is never read as `true`, so no file of
 /// that name is written.

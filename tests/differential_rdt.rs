@@ -6,7 +6,7 @@
 //! CAS, CBR) — claims that every pattern it produces satisfies RDT. The
 //! paper gives three *equivalent* offline views of that property:
 //!
-//! 1. the R-path checker ([`rdt::RdtChecker`]),
+//! 1. the R-path check ([`rdt::PatternAnalysis::rdt_report`]),
 //! 2. every message chain causally doubled
 //!    ([`rdt::theory::characterization::all_chains_doubled`]),
 //! 3. every visible CM-path causally doubled
@@ -21,7 +21,7 @@
 //! seed-dependent.
 
 use proptest::prelude::*;
-use rdt::theory::characterization::{all_chains_doubled_with, all_cm_paths_doubled_with};
+use rdt::theory::characterization::{all_chains_doubled, all_cm_paths_doubled};
 use rdt::workloads::EnvironmentKind;
 use rdt::{
     run_protocol_kind, Pattern, PatternAnalysis, ProtocolKind, SimConfig, SimTime, StopCondition,
@@ -61,18 +61,18 @@ fn corpus() -> impl Iterator<Item = (EnvironmentKind, usize, u64)> {
 
 #[test]
 fn online_protocols_satisfy_all_three_characterizations_on_corpus() {
-    for protocol in ProtocolKind::rdt_ensuring() {
+    for &protocol in ProtocolKind::all().iter().filter(|k| k.ensures_rdt()) {
         for (env, n, seed) in corpus() {
             let pattern = run_pattern(protocol, env, n, seed, 25, 60);
             let analysis = PatternAnalysis::new(&pattern);
             let label = format!("{protocol} in {env} (n={n}, seed={seed})");
             assert!(analysis.rdt_report().holds(), "{label}: R-path checker");
             assert!(
-                all_chains_doubled_with(&analysis),
+                all_chains_doubled(&analysis),
                 "{label}: some chain is undoubled"
             );
             assert!(
-                all_cm_paths_doubled_with(&analysis),
+                all_cm_paths_doubled(&analysis),
                 "{label}: some CM-path is undoubled"
             );
             assert!(visible_holds(&analysis), "{label}: visible TDV test");
@@ -92,8 +92,8 @@ fn characterizations_agree_even_on_non_rdt_controls() {
             let pattern = run_pattern(protocol, env, n, seed, 25, 60);
             let analysis = PatternAnalysis::new(&pattern);
             let r = analysis.rdt_report().holds();
-            let chains = all_chains_doubled_with(&analysis);
-            let cm = all_cm_paths_doubled_with(&analysis);
+            let chains = all_chains_doubled(&analysis);
+            let cm = all_cm_paths_doubled(&analysis);
             let label = format!("{protocol} in {env} (n={n}, seed={seed})");
             assert_eq!(r, chains, "{label}: checker vs chains");
             assert_eq!(chains, cm, "{label}: chains vs CM-paths");
@@ -122,7 +122,7 @@ fn characterizations_agree_even_on_non_rdt_controls() {
 fn time_stopped_runs_agree_too() {
     // A different stop condition exercises quiescence handling: the
     // runner discards pending checkpoint timers differently, so cover it.
-    for protocol in ProtocolKind::rdt_ensuring() {
+    for &protocol in ProtocolKind::all().iter().filter(|k| k.ensures_rdt()) {
         let config = SimConfig::new(3)
             .with_seed(5)
             .with_basic_checkpoints(rdt::sim::BasicCheckpointModel::Exponential { mean: 15 })
@@ -132,7 +132,7 @@ fn time_stopped_runs_agree_too() {
             .trace
             .to_pattern();
         let analysis = PatternAnalysis::new(&pattern);
-        assert!(all_cm_paths_doubled_with(&analysis), "{protocol}");
+        assert!(all_cm_paths_doubled(&analysis), "{protocol}");
         assert!(analysis.rdt_report().holds(), "{protocol}");
     }
 }
@@ -151,12 +151,12 @@ proptest! {
         messages in 20u64..70,
     ) {
         let env = EnvironmentKind::all()[env_index];
-        for protocol in ProtocolKind::rdt_ensuring() {
+        for &protocol in ProtocolKind::all().iter().filter(|k| k.ensures_rdt()) {
             let pattern = run_pattern(protocol, env, n, seed, ckpt_mean, messages);
             let analysis = PatternAnalysis::new(&pattern);
             let r = analysis.rdt_report().holds();
-            let chains = all_chains_doubled_with(&analysis);
-            let cm = all_cm_paths_doubled_with(&analysis);
+            let chains = all_chains_doubled(&analysis);
+            let cm = all_cm_paths_doubled(&analysis);
             prop_assert!(r, "{} {} seed={}: R-path checker", protocol, env, seed);
             prop_assert!(chains, "{} {} seed={}: undoubled chain", protocol, env, seed);
             prop_assert!(cm, "{} {} seed={}: undoubled CM-path", protocol, env, seed);
@@ -176,8 +176,8 @@ proptest! {
             let pattern = run_pattern(protocol, env, n, seed, ckpt_mean, messages);
             let analysis = PatternAnalysis::new(&pattern);
             let r = analysis.rdt_report().holds();
-            let chains = all_chains_doubled_with(&analysis);
-            let cm = all_cm_paths_doubled_with(&analysis);
+            let chains = all_chains_doubled(&analysis);
+            let cm = all_cm_paths_doubled(&analysis);
             prop_assert_eq!(r, chains, "{} {} seed={}", protocol, env, seed);
             prop_assert_eq!(chains, cm, "{} {} seed={}", protocol, env, seed);
             prop_assert_eq!(cm, visible_holds(&analysis), "{} {} seed={}", protocol, env, seed);

@@ -3,8 +3,8 @@
 use rdt::theory::{consistency, min_max};
 use rdt::workloads::EnvironmentKind;
 use rdt::{
-    run_protocol_kind, CheckpointId, GlobalCheckpoint, PatternBuilder, ProcessId, ProtocolKind,
-    RdtChecker, SimConfig, StopCondition,
+    run_protocol_kind, CheckpointId, GlobalCheckpoint, PatternAnalysis, PatternBuilder, ProcessId,
+    ProtocolKind, SimConfig, StopCondition,
 };
 
 #[test]
@@ -18,7 +18,9 @@ fn single_process_systems_are_trivially_rdt() {
         let outcome = run_protocol_kind(protocol, &config, app.as_mut());
         assert_eq!(outcome.stats.total.messages_sent, 0, "{protocol}");
         assert_eq!(outcome.stats.total.forced_checkpoints, 0, "{protocol}");
-        assert!(RdtChecker::new(&outcome.trace.to_pattern()).check().holds());
+        assert!(PatternAnalysis::new(&outcome.trace.to_pattern())
+            .rdt_report()
+            .holds());
     }
 }
 
@@ -48,7 +50,7 @@ fn empty_run_produces_empty_but_valid_artifacts() {
     assert_eq!(outcome.trace.events().len(), 0);
     let pattern = outcome.trace.to_pattern();
     assert_eq!(pattern.total_checkpoints(), 3); // the implicit initials
-    assert!(RdtChecker::new(&pattern).check().holds());
+    assert!(PatternAnalysis::new(&pattern).rdt_report().holds());
     assert!(consistency::is_consistent(
         &pattern,
         &GlobalCheckpoint::initial(3)
@@ -63,7 +65,7 @@ fn pattern_with_only_checkpoints_has_chain_free_theory() {
         b.checkpoint(ProcessId::new(1));
     }
     let pattern = b.build().unwrap();
-    assert!(RdtChecker::new(&pattern).check().holds());
+    assert!(PatternAnalysis::new(&pattern).rdt_report().holds());
     // Every combination is consistent: no messages, no orphans.
     for x in 0..=5u32 {
         for y in 0..=5u32 {
@@ -109,7 +111,9 @@ fn huge_checkpoint_rate_floods_are_handled() {
     let outcome = run_protocol_kind(ProtocolKind::Bhmr, &config, app.as_mut());
     assert!(outcome.stats.total.basic_checkpoints > outcome.stats.total.messages_sent);
     assert!(outcome.stats.forced_ratio() < 0.5);
-    assert!(RdtChecker::new(&outcome.trace.to_pattern()).check().holds());
+    assert!(PatternAnalysis::new(&outcome.trace.to_pattern())
+        .rdt_report()
+        .holds());
 }
 
 #[test]

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rdt::theory::characterization::{all_chains_doubled, all_cm_paths_doubled};
 use rdt::theory::{consistency, min_max, IncrementalAnalysis};
 use rdt::{
-    CheckpointId, Pattern, PatternBuilder, ProcessId, RdtChecker, Replay, ZigzagReachability,
+    CheckpointId, Pattern, PatternAnalysis, PatternBuilder, ProcessId, Replay, ZigzagReachability,
 };
 
 /// One abstract step of the generator.
@@ -70,9 +70,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     fn characterizations_are_equivalent(pattern in pattern_strategy()) {
-        let by_rpaths = RdtChecker::new(&pattern).check().holds();
-        let by_chains = all_chains_doubled(&pattern);
-        let by_cm = all_cm_paths_doubled(&pattern);
+        let analysis = PatternAnalysis::new(&pattern);
+        let by_rpaths = analysis.rdt_report().holds();
+        let by_chains = all_chains_doubled(&analysis);
+        let by_cm = all_cm_paths_doubled(&analysis);
         let by_tdv = IncrementalAnalysis::from_pattern(&pattern).expect("realizable").visible_holds();
         prop_assert_eq!(by_rpaths, by_chains, "R-path vs chain");
         prop_assert_eq!(by_chains, by_cm, "chain vs CM-path");
@@ -102,9 +103,10 @@ proptest! {
     fn min_gc_formulations_agree(pattern in pattern_strategy()) {
         // Two independent implementations — the orphan fixpoint and the
         // R-graph reverse reachability — must coincide on every checkpoint.
+        let core = IncrementalAnalysis::from_pattern(&pattern).expect("realizable");
         for c in pattern.checkpoints() {
             let fixpoint = min_max::min_consistent_containing(&pattern, &[c]);
-            let rgraph = min_max::min_consistent_via_rgraph(&pattern, &[c]);
+            let rgraph = core.min_consistent_via_rgraph(&[c]);
             prop_assert_eq!(fixpoint, rgraph, "formulations disagree for {}", c);
         }
     }
@@ -161,9 +163,11 @@ proptest! {
     }
 
     fn r_path_check_matches_the_naive_oracles(pattern in pattern_strategy()) {
-        // The checker replays the pattern into the incremental core; its
-        // verdict, count and uncapped violations must be the naive
-        // closure's pairs that the replayed TDVs do not track.
+        // The analysis replays the pattern into the incremental core; its
+        // uncapped untrackable cells must be the naive closure's pairs that
+        // the replayed TDVs do not track, each with an R-path of the
+        // graph's edges, and the report's verdict, count and violations
+        // the head of that set.
         let annotations = Replay::new(&pattern).annotate().expect("realizable");
         let reach = rdt::RGraph::new(&pattern).reachability_naive();
         let mut untrackable: Vec<_> = pattern
@@ -172,11 +176,26 @@ proptest! {
             .filter(|&(from, to)| !annotations.trackable(from, to))
             .collect();
         untrackable.sort_by_key(|&(f, t)| (t.process, t.index, f.process, f.index));
-        let report = RdtChecker::new(&pattern).max_violations(usize::MAX).check();
+        let analysis = PatternAnalysis::new(&pattern);
+        let cells: Vec<_> = analysis.core().expect("realizable").untrackable_cells().collect();
+        prop_assert_eq!(&cells, &untrackable);
+        let graph = analysis.rgraph();
+        for &(from, to) in &cells {
+            let r_path = graph.find_path(from, to);
+            prop_assert!(r_path.is_some(), "{} -> {} has no R-path", from, to);
+            let r_path = r_path.unwrap_or_default();
+            prop_assert_eq!(r_path.first(), Some(&from));
+            prop_assert_eq!(r_path.last(), Some(&to));
+            for hop in r_path.windows(2) {
+                let (a, b) = (graph.node(hop[0]), graph.node(hop[1]));
+                prop_assert!(graph.successors(a).contains(&b), "no edge {} -> {}", a, b);
+            }
+        }
+        let report = analysis.rdt_report();
         prop_assert_eq!(report.holds(), untrackable.is_empty());
         prop_assert_eq!(report.r_paths_found(), reach.total_reachable_pairs());
         let found: Vec<_> = report.violations().iter().map(|v| (v.from, v.to)).collect();
-        prop_assert_eq!(found, untrackable);
+        prop_assert_eq!(found, cells[..cells.len().min(16)].to_vec());
         for v in report.violations() {
             prop_assert_eq!(v.r_path.first(), Some(&v.from));
             prop_assert_eq!(v.r_path.last(), Some(&v.to));
@@ -184,7 +203,7 @@ proptest! {
     }
 
     fn rdt_implies_no_useless_checkpoints(pattern in pattern_strategy()) {
-        if RdtChecker::new(&pattern).check().holds() {
+        if PatternAnalysis::new(&pattern).rdt_report().holds() {
             let zz = ZigzagReachability::new(&pattern);
             for c in pattern.checkpoints() {
                 prop_assert!(!zz.on_z_cycle(c), "{} useless under RDT", c);

@@ -11,7 +11,7 @@ use rdt::theory::characterization;
 use rdt::theory::min_max;
 use rdt::workloads::EnvironmentKind;
 use rdt::{
-    run_protocol_kind, CheckpointId, ProcessId, ProtocolKind, RdtChecker, Replay, SimConfig,
+    run_protocol_kind, CheckpointId, PatternAnalysis, ProcessId, ProtocolKind, Replay, SimConfig,
     StopCondition,
 };
 
@@ -25,12 +25,11 @@ fn config(n: usize, seed: u64) -> SimConfig {
 #[test]
 fn every_rdt_protocol_produces_rdt_patterns_in_every_environment() {
     for &env in EnvironmentKind::all() {
-        for protocol in ProtocolKind::rdt_ensuring() {
+        for &protocol in ProtocolKind::all().iter().filter(|k| k.ensures_rdt()) {
             for seed in [1u64, 2, 3] {
                 let mut app = env.build(5, 15);
                 let outcome = run_protocol_kind(protocol, &config(5, seed), app.as_mut());
-                let pattern = outcome.trace.to_pattern();
-                let report = RdtChecker::new(&pattern).check();
+                let report = PatternAnalysis::new(&outcome.trace.to_pattern()).rdt_report();
                 assert!(
                     report.holds(),
                     "{protocol} in {env} (seed {seed}) violated RDT: {}",
@@ -50,7 +49,10 @@ fn uncoordinated_violates_rdt_under_load() {
         let mut app = EnvironmentKind::Random.build(5, 15);
         let outcome =
             run_protocol_kind(ProtocolKind::Uncoordinated, &config(5, seed), app.as_mut());
-        if !RdtChecker::new(&outcome.trace.to_pattern()).check().holds() {
+        if !PatternAnalysis::new(&outcome.trace.to_pattern())
+            .rdt_report()
+            .holds()
+        {
             violations += 1;
         }
     }
@@ -65,9 +67,9 @@ fn rdt_patterns_have_no_useless_checkpoints() {
     for protocol in [ProtocolKind::Bhmr, ProtocolKind::Fdas] {
         let mut app = EnvironmentKind::Random.build(4, 15);
         let outcome = run_protocol_kind(protocol, &config(4, 11), app.as_mut());
-        let pattern = outcome.trace.to_pattern().to_closed();
+        let analysis = PatternAnalysis::new(&outcome.trace.to_pattern());
         assert!(
-            characterization::useless_checkpoints(&pattern).is_empty(),
+            characterization::useless_checkpoints(&analysis).is_empty(),
             "{protocol} produced a useless checkpoint"
         );
     }
@@ -93,7 +95,7 @@ fn antichains_extend_to_consistent_global_checkpoints_under_rdt() {
             }
             antichains_tested += 1;
             assert!(
-                min_max::extendable(&pattern, &[a, b]),
+                min_max::min_consistent_containing(&pattern, &[a, b]).is_some(),
                 "concurrent pair ({a}, {b}) not extendable"
             );
             if antichains_tested > 300 {
@@ -124,7 +126,7 @@ fn uncoordinated_antichains_can_fail_to_extend() {
                 if a.process == b.process || !annotations.concurrent(a, b) {
                     continue;
                 }
-                if !min_max::extendable(&pattern, &[a, b]) {
+                if min_max::min_consistent_containing(&pattern, &[a, b]).is_none() {
                     found_unextendable = true;
                     break 'outer;
                 }

@@ -7,7 +7,7 @@
 
 use rdt::theory::characterization::useless_checkpoints;
 use rdt::workloads::EnvironmentKind;
-use rdt::{run_protocol_kind, ProtocolKind, RdtChecker, SimConfig, StopCondition};
+use rdt::{run_protocol_kind, PatternAnalysis, ProtocolKind, SimConfig, StopCondition};
 
 fn config(n: usize, seed: u64) -> SimConfig {
     SimConfig::new(n)
@@ -22,8 +22,7 @@ fn bcs_patterns_are_z_cycle_free_everywhere() {
         for seed in [1u64, 2, 3, 4] {
             let mut app = env.build(5, 15);
             let outcome = run_protocol_kind(ProtocolKind::Bcs, &config(5, seed), app.as_mut());
-            let pattern = outcome.trace.to_pattern().to_closed();
-            let useless = useless_checkpoints(&pattern);
+            let useless = useless_checkpoints(&PatternAnalysis::new(&outcome.trace.to_pattern()));
             assert!(
                 useless.is_empty(),
                 "BCS produced useless checkpoints {useless:?} in {env} (seed {seed})"
@@ -40,7 +39,10 @@ fn bcs_violates_rdt_somewhere() {
     for seed in 1u64..=6 {
         let mut app = EnvironmentKind::Random.build(5, 15);
         let outcome = run_protocol_kind(ProtocolKind::Bcs, &config(5, seed), app.as_mut());
-        if !RdtChecker::new(&outcome.trace.to_pattern()).check().holds() {
+        if !PatternAnalysis::new(&outcome.trace.to_pattern())
+            .rdt_report()
+            .holds()
+        {
             violations += 1;
         }
     }
@@ -78,9 +80,9 @@ fn every_zcf_protocol_passes_the_zcf_check() {
         }
         let mut app = EnvironmentKind::Groups.build(6, 15);
         let outcome = run_protocol_kind(protocol, &config(6, 9), app.as_mut());
-        let pattern = outcome.trace.to_pattern().to_closed();
+        let analysis = PatternAnalysis::new(&outcome.trace.to_pattern());
         assert!(
-            useless_checkpoints(&pattern).is_empty(),
+            useless_checkpoints(&analysis).is_empty(),
             "{protocol} claims ZCF but produced a useless checkpoint"
         );
     }
