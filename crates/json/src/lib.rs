@@ -478,11 +478,6 @@ impl<'a> JsonWriter<'a> {
         self.array(values, |w, &v| w.u64(u64::from(v)));
     }
 
-    /// An array of unsigned integers.
-    pub fn u64s(&mut self, values: &[u64]) {
-        self.array(values, |w, &v| w.u64(v));
-    }
-
     /// The buffer being written to, between two values: a caller streaming
     /// a long document may hand what it holds on and clear it, and the
     /// writer goes on where it stopped (the separators are its own state).
@@ -1411,7 +1406,7 @@ mod tests {
             .array(&[vec![1u32, 2], vec![], vec![u32::MAX]], |w, row| {
                 w.u32s(row)
             });
-        w.key("words").u64s(&[0, u64::MAX]);
+        w.key("words").array(&[0, u64::MAX], |w, &v| w.u64(v));
         w.key("inner").raw(&inner);
         w.key("nothing").null();
         w.key("last").u64(0);

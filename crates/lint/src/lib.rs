@@ -238,14 +238,6 @@ impl LintReport {
     }
 }
 
-/// Parses one source text and runs every per-file rule on it. Used by
-/// the fixture corpus tests; [`run_lint`] adds the whole-workspace
-/// call-graph rule on top.
-pub fn scan_source(path: &str, source: &str, diagnostics: &mut Vec<Diagnostic>) {
-    let parsed = ParsedFile::parse(path, source);
-    rules::check_file(&parsed, diagnostics);
-}
-
 /// Collects every `.rs` file under `root`, skipping `target`,
 /// dot-directories and `fixtures` corpora (known-bad lint inputs), in
 /// sorted (deterministic) order.
@@ -385,7 +377,7 @@ mod tests {
     use super::*;
 
     fn scan_file(path: &str, source: &str, diags: &mut Vec<Diagnostic>) {
-        scan_source(path, source, diags);
+        rules::check_file(&ParsedFile::parse(path, source), diags);
     }
 
     #[test]

@@ -108,7 +108,7 @@ proptest! {
             "crates/bench/src/fixture.rs",
             "crates/recovery/src/fixture.rs",
         ] {
-            rdt_lint::scan_source(path, &src, &mut diags);
+            rdt_lint::rules::check_file(&rdt_lint::ParsedFile::parse(path, &src), &mut diags);
         }
     }
 }

@@ -7,10 +7,11 @@
 //! closure work stays proportional to new reachability, not to the O(M²)
 //! direct link count.
 //!
-//! The layer never compacts: compaction is the core's alone
-//! (`compaction.rs`, on `IncrementalAnalysis<NoChains, _>`), and the one
-//! reader of the chain closures, the certifier, never compacts. Every
-//! delivered message keeps its chain nodes for the life of the engine.
+//! The layer never compacts: compaction is the bare core's alone
+//! (`compaction.rs`, on `IncrementalAnalysis<NoChains, NoJournal>`), and
+//! the one reader of the chain closures, the certifier, never compacts.
+//! Every delivered message keeps its chain nodes for the life of the
+//! engine.
 
 use super::*;
 

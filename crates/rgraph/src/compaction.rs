@@ -48,21 +48,23 @@
 //! move. The cursor is a cache of what `msgs` already says, not state: each
 //! state-discarding compaction advances it to the first message that is not
 //! settled yet, a restore restarts it at 0 (the first compaction afterwards
-//! walks the table once), and nothing is serialised for it. A rewind cannot
-//! cross it because the journal is discarded at the very point it moves. A
-//! `compact` that finds nothing to reclaim reads the live suffix once and
-//! returns. Of the per-node tables (`reach`, `cp_tdv`, `r_meta`) the kept
-//! rows close ranks, and `cp_nodes` is derived from `r_meta` as a restore
-//! derives it. The kept `reach` rows are the whole kept closure, so there
-//! is nothing else to build.
+//! walks the table once), and nothing is serialised for it. A `compact` that
+//! finds nothing to reclaim reads the live suffix once and returns. Of the
+//! per-node tables (`reach`, `cp_tdv`, `r_meta`) the kept rows close ranks,
+//! and `cp_nodes` is derived from `r_meta` as a restore derives it. The kept
+//! `reach` rows are the whole kept closure, so there is nothing else to
+//! build.
 //!
-//! Only the chain-free core compacts: every entry point here sits on
-//! `IncrementalAnalysis<NoChains, J>`. The daemon and the simulator's
-//! crash-recovery shadow compact the bare core; the compaction tests
-//! compact [`RewindableAnalysis`], whose `with_closed` the closed-view
-//! oracles run on. The chain layer's one reader, the certifier, never
-//! compacts. Rewinds to marks taken before a state-discarding compaction
-//! are a defined [`RewindError`], not a wrong answer.
+//! # Who compacts
+//!
+//! Only the journal-free core: `compact_to` and `compact_to_recovery_line`
+//! exist on `IncrementalAnalysis<NoChains, NoJournal>` alone, the engine of
+//! the daemon and of the simulator's crash-recovery shadow. An undo journal
+//! could not cross a compaction (the rows it would restore are gone), and
+//! the one engine that rewinds, the certifier's, never compacts; so a
+//! journaled engine that compacts is a compile error, not a runtime one.
+//! The tests that ask a compacted engine closed-view questions close a
+//! restored copy of it.
 
 use super::*;
 
@@ -87,13 +89,13 @@ impl CompactionStats {
     }
 
     /// Whether the compaction discarded any state (and therefore bumped
-    /// the epoch and invalidated earlier [`Mark`]s).
+    /// the epoch).
     pub fn discarded_state(&self) -> bool {
         self.dropped_nodes() > 0 || self.freed_tdv_rows > 0
     }
 }
 
-impl<J: Journal> IncrementalAnalysis<NoChains, J> {
+impl IncrementalAnalysis<NoChains, NoJournal> {
     /// Compacts everything dominated by the consistent watermark derived
     /// from `caps`:
     /// [`max_consistent_dominated`](IncrementalAnalysis::max_consistent_dominated)
@@ -106,14 +108,12 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
     /// `message_route`. Exact on the live suffix: `reaches`,
     /// `min_consistent_via_rgraph` and `fits_frontier` for retained members
     /// (`fits_frontier` is `None` for any other), `visible_violations`
-    /// above the watermark, and `with_closed` over all of those.
-    /// Marks taken before a state-discarding compaction become invalid:
-    /// `try_rewind` reports [`RewindError::CompactionBoundary`].
+    /// above the watermark.
     ///
     /// State is discarded when an R-graph node is dropped or a piggyback row
     /// freed. When nothing is dominated (or everything dominated is already
-    /// compacted) the engine — journal, marks, epoch and watermark included
-    /// — is untouched and the stats report zero drops.
+    /// compacted) the engine — epoch and watermark included — is untouched
+    /// and the stats report zero drops.
     ///
     /// # Panics
     ///
@@ -133,7 +133,15 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
     /// Compacts to the engine's own recovery line: the greatest
     /// consistent global checkpoint of the current pattern
     /// ([`compact_to`](IncrementalAnalysis::compact_to) with the last
-    /// checkpoint of every process as caps).
+    /// checkpoint of every process as caps). Only the journal-free core
+    /// compacts:
+    ///
+    /// ```compile_fail
+    /// use rdt_rgraph::{IncrementalAnalysis, NoChains, UndoJournal};
+    ///
+    /// let mut engine = IncrementalAnalysis::<NoChains, UndoJournal>::layered(2);
+    /// engine.compact_to_recovery_line();
+    /// ```
     pub fn compact_to_recovery_line(&mut self) -> CompactionStats {
         let mut w = self.cp_count.clone();
         descend_to_consistent(&self.msgs, self.send_heads(), &mut w);
@@ -180,9 +188,8 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
             resident_nodes: self.resident_closure_nodes(),
         };
         if !stats.discarded_state() {
-            // Nothing to reclaim: leave journal, marks, watermark and
-            // cursor as they are (the next discarding compaction
-            // recomputes them).
+            // Nothing to reclaim: leave epoch, watermark and cursor as they
+            // are (the next discarding compaction recomputes them).
             return (stats, examined);
         }
 
@@ -214,22 +221,20 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         self.msg_tdv = new_msg_tdv;
         examined += self.msgs.len() - live;
         self.settled = settled;
-
-        // The journal below this point is gone; marks from earlier
-        // epochs fail with a defined error instead of corrupting state.
-        self.journal.discard();
         self.epoch += 1;
         self.watermark = w;
         self.reclaimed_rows += stats.dropped_nodes() as u64;
         stats.resident_nodes = self.resident_closure_nodes();
         (stats, examined)
     }
+}
 
+impl<J: Journal> IncrementalAnalysis<NoChains, J> {
     // ---------------------------------------------- compaction stats ----
 
     /// The compaction epoch: 0 until the first state-discarding
-    /// compaction, bumped by each one. [`Mark`]s carry the epoch they
-    /// were taken in.
+    /// compaction, bumped by each one (the daemon's `compact` reply and
+    /// [`SnapshotMarks`] read it).
     pub fn compaction_epoch(&self) -> u64 {
         self.epoch
     }

@@ -24,7 +24,7 @@
 //!   the running untrackable-pair count, the CM-path check
 //!   ([`visible_violations`](IncrementalAnalysis::visible_violations)),
 //!   the consistency oracles, compaction and snapshots (these two on the
-//!   chain-free core only, `IncrementalAnalysis<NoChains, J>`).
+//!   bare core only, `IncrementalAnalysis<NoChains, NoJournal>`).
 //! * the **chain layer** `C` (`chain_layer.rs`): [`Chains`] maintains the
 //!   zigzag and causal chain closures for characterization 2 and is the
 //!   only instantiation with the chain queries; [`NoChains`] is zero-sized
@@ -34,16 +34,19 @@
 //!   `with_closed`; [`NoJournal`] is zero-sized and records nothing. It is
 //!   a type parameter rather than a flag so that the closure kernel's inner
 //!   loop is compiled without the push, and so that asking a journal-free
-//!   engine to rewind is a compile error, not a runtime failure.
+//!   engine to rewind, or a journaled one to compact or restore, is a
+//!   compile error, not a runtime failure.
 //!
 //! Two instantiations run in production. `rdt-serve` and the simulator's
 //! crash-recovery shadow run the bare [`IncrementalAnalysis`] (core only:
 //! no wire query and no crash line reads a chain closure or takes a mark;
 //! a crash line lets each open interval stand as a virtual checkpoint,
-//! [`max_consistent_dominated_open_into`](IncrementalAnalysis::max_consistent_dominated_open_into));
-//! the certifier runs [`FullAnalysis`] (core + chains + journal), which
-//! never compacts. [`RewindableAnalysis`] (core + journal) is the reference
-//! the tests ask closed-view questions of, compacted or not.
+//! [`max_consistent_dominated_open_into`](IncrementalAnalysis::max_consistent_dominated_open_into)),
+//! the only instantiation that compacts and persists; the certifier runs
+//! [`FullAnalysis`] (core + chains + journal), which rewinds. The tests
+//! also run the core with the journal alone, `IncrementalAnalysis<NoChains,
+//! UndoJournal>`, as the never-compacted reference they ask closed-view
+//! questions of.
 //!
 //! # Data structures
 //!
@@ -114,7 +117,7 @@ use crate::{Pattern, PatternError, PatternEvent};
 
 #[path = "journal.rs"]
 mod journal;
-pub use journal::{Journal, Mark, NoJournal, RewindError, UndoJournal};
+pub use journal::{Journal, Mark, NoJournal, UndoJournal};
 use journal::{Undo, MAT_C, MAT_Z, MAX_CLOSURE_NODES};
 
 #[path = "chain_layer.rs"]
@@ -131,13 +134,6 @@ pub use snapshot::{
     SnapshotError, SnapshotErrorKind, SnapshotMarks, SnapshotTables, SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
 };
-
-/// Core + journal: what a reader needs that asks closed-view questions
-/// ([`with_closed`](IncrementalAnalysis::with_closed)) of the R-graph core
-/// only. No production path runs it; tests replay into it as the
-/// never-compacted, closed-view reference (the simulator's crash lines are
-/// held to its `with_closed` lines).
-pub type RewindableAnalysis = IncrementalAnalysis<NoChains, UndoJournal>;
 
 /// Core + chains + journal: the chain characterization beside the core's
 /// two, rewindable — the certifier's engine. It neither compacts nor
@@ -454,11 +450,11 @@ impl BitSlab {
 /// incr.mark(); // only on `IncrementalAnalysis<_, UndoJournal>`
 /// ```
 ///
-/// Only the core compacts; the certifier's chain-bearing engine never does.
+/// Only the journal-free core compacts; the certifier's engine never does.
 ///
 /// ```compile_fail
 /// let mut incr = rdt_rgraph::FullAnalysis::layered(2);
-/// incr.compact_to_recovery_line(); // only on `IncrementalAnalysis<NoChains, _>`
+/// incr.compact_to_recovery_line(); // only on `IncrementalAnalysis<NoChains, NoJournal>`
 /// ```
 #[derive(Debug)]
 pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
@@ -514,7 +510,7 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
 
     // ---- compaction state (see `compaction.rs`) ----
     /// Compaction epoch: bumped whenever `compact_to` discards state, so
-    /// stale [`Mark`]s are detected instead of misapplied.
+    /// that [`SnapshotMarks`] of an earlier epoch describe nothing.
     epoch: u64,
     /// Per-process consistent watermark of the last state-discarding
     /// compaction (all zeros before the first). Monotone componentwise;
@@ -528,8 +524,8 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     /// Settled-prefix cursor: every message below it is delivered in a
     /// closed interval and owns no piggyback row, so no compaction has
     /// anything left to do for it. A cache of what `msgs` already says —
-    /// advanced by each state-discarding compaction (which also discards
-    /// the journal, so no rewind reaches below it), 0 after a restore, and
+    /// advanced by each state-discarding compaction (on an engine with no
+    /// journal, so no rewind reaches below it), 0 after a restore, and
     /// therefore not part of the snapshot.
     settled: usize,
 }
@@ -1684,9 +1680,8 @@ mod tests {
     impl Engine {
         /// Capacity snapshot of every growable buffer the engine owns.
         /// Rewinding truncates in place and replays refill the warmed
-        /// storage, so a rewind + replay cycle within an epoch must not
-        /// change any entry — the branch-isolation test pins that
-        /// invariant.
+        /// storage, so a rewind + replay cycle must not change any entry —
+        /// the branch-isolation test pins that invariant.
         fn buffer_capacities(&self) -> Vec<usize> {
             let chains = &self.chains;
             let flat = [
@@ -1905,12 +1900,12 @@ mod tests {
 
     #[test]
     fn visible_violations_name_the_broken_lane() {
-        let closed_list = |incr: &mut RewindableAnalysis| {
+        let closed_list = |incr: &mut IncrementalAnalysis<NoChains, UndoJournal>| {
             incr.with_closed(|view| view.visible_violations().collect::<Vec<_>>())
         };
         // Figure 2's minimal witness `s0>1#0 d1#0 s2>0#1 d0#1`: after
         // sending m0, p0 learns of I_{2,1}, which p1 never sees.
-        let mut incr = RewindableAnalysis::layered(3);
+        let mut incr = IncrementalAnalysis::<NoChains, UndoJournal>::layered(3);
         let m0 = incr.append_send(p(0), p(1));
         incr.append_deliver(m0);
         let m1 = incr.append_send(p(2), p(0));
@@ -1919,7 +1914,7 @@ mod tests {
 
         // The receiver's own lane: p0 hears of I_{1,2} before closing the
         // interval m was sent in, and p1 delivered m in I_{1,1}.
-        let mut incr = RewindableAnalysis::layered(2);
+        let mut incr = IncrementalAnalysis::<NoChains, UndoJournal>::layered(2);
         let m = incr.append_send(p(0), p(1));
         incr.append_deliver(m);
         incr.append_checkpoint(p(1));
@@ -1961,7 +1956,7 @@ mod tests {
     /// rises.
     #[test]
     fn self_sends_break_no_lane() {
-        let mut incr = RewindableAnalysis::layered(2);
+        let mut incr = IncrementalAnalysis::<NoChains, UndoJournal>::layered(2);
         let across = incr.append_send(p(0), p(0));
         incr.append_checkpoint(p(0));
         incr.append_deliver(across);
@@ -1981,7 +1976,7 @@ mod tests {
         let mut rng = Rng(0x5E1F);
         let mut self_sends = 0;
         for n in 1..5 {
-            let mut incr = RewindableAnalysis::layered(n);
+            let mut incr = IncrementalAnalysis::<NoChains, UndoJournal>::layered(n);
             let mut in_flight = Vec::new();
             for _ in 0..150 {
                 match rng.below(4) {
@@ -2097,50 +2092,6 @@ mod tests {
         );
     }
 
-    /// A restore starts a new journal at the snapshot's epoch: a mark taken
-    /// before the snapshot names a position the new journal may reach again,
-    /// and rewinding to it would replay the wrong entries (or none). It is
-    /// refused, whatever position it holds, and the engine left untouched.
-    #[test]
-    fn marks_taken_before_a_restore_are_refused() {
-        fn restored(engine: &RewindableAnalysis) -> RewindableAnalysis {
-            let mut text = Vec::new();
-            engine.write_snapshot(&mut rdt_json::JsonWriter::new(&mut text));
-            RewindableAnalysis::from_snapshot_text(&text).expect("restores")
-        }
-        // A mark at birth, then nine events.
-        let mut engine = RewindableAnalysis::layered(2);
-        let m0 = engine.mark();
-        for _ in 0..3 {
-            let m = engine.append_send(p(0), p(1));
-            engine.append_deliver(m);
-            engine.append_checkpoint(p(1));
-        }
-        let mut after = restored(&engine);
-        assert_eq!(after.try_rewind(m0), Err(RewindError::OtherJournal));
-        assert_eq!(after.num_messages(), 3);
-        assert_eq!(after.last_checkpoint_index(p(1)), 3);
-
-        // A mark after a send and its delivery, then four checkpoints of
-        // `p0` on the restored engine: its journal is past the mark's
-        // position again.
-        let mut engine = RewindableAnalysis::layered(2);
-        let m = engine.append_send(p(0), p(1));
-        engine.append_deliver(m);
-        let m1 = engine.mark();
-        let mut after = restored(&engine);
-        for _ in 0..4 {
-            after.append_checkpoint(p(0));
-        }
-        assert_eq!(after.try_rewind(m1), Err(RewindError::OtherJournal));
-        assert_eq!(after.last_checkpoint_index(p(0)), 4);
-        // A mark of the restored engine's own journal still rewinds.
-        let own = after.mark();
-        after.append_checkpoint(p(1));
-        assert_eq!(after.try_rewind(own), Ok(()));
-        assert_eq!(after.last_checkpoint_index(p(1)), 0);
-    }
-
     #[test]
     fn with_closed_is_transparent() {
         let mut incr = Engine::layered(2);
@@ -2152,6 +2103,17 @@ mod tests {
         assert_eq!(incr.mark(), before, "closing must be fully rewound");
         assert_eq!(incr.last_checkpoint_index(p(0)), 0);
         assert_eq!(incr.last_checkpoint_index(p(1)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mark is ahead of the journal")]
+    fn rewind_to_a_mark_rewound_away_panics() {
+        let mut incr = Engine::layered(2);
+        let before = incr.mark();
+        incr.append_checkpoint(p(0));
+        let ahead = incr.mark();
+        incr.rewind(before);
+        incr.rewind(ahead);
     }
 
     #[test]
@@ -2399,12 +2361,11 @@ mod tests {
     /// Every table of the engine, chain layer and journal entries included,
     /// with the one field that is documented not to rewind (`events`, a
     /// monotone work counter) blanked, and what is not state cut out: the
-    /// journal's identity, which no two engines share, and the closure
-    /// kernels' scratch sets.
+    /// closure kernels' scratch sets.
     fn rewindable_state<C: ChainLayer>(mut incr: IncrementalAnalysis<C, UndoJournal>) -> String {
         incr.events = 0;
         let mut state = format!("{incr:?}");
-        for field in [", id: ", ", dpred: ", ", dsucc: "] {
+        for field in [", dpred: ", ", dsucc: "] {
             while let Some(at) = state.find(field) {
                 let value = &state[at + field.len()..];
                 let len = match value.find(']') {
@@ -2434,18 +2395,12 @@ mod tests {
         }
     }
 
-    /// Rewinding `detour` off `head`, `between` and `tail` leaves the engine
-    /// bit-equal to a fresh one fed the same prefix.
-    fn assert_rewind_is_a_fresh_replay<C: ChainLayer>(
-        n: usize,
-        [head, tail, detour]: [&[Op]; 3],
-        between: impl Fn(&mut IncrementalAnalysis<C, UndoJournal>),
-    ) {
+    /// Rewinding `detour` off `head` leaves the engine bit-equal to a fresh
+    /// one fed the same prefix.
+    fn assert_rewind_is_a_fresh_replay<C: ChainLayer>(n: usize, [head, detour]: [&[Op]; 2]) {
         let prefix = || {
             let mut incr = IncrementalAnalysis::<C, UndoJournal>::layered(n);
             feed(&mut incr, head);
-            between(&mut incr);
-            feed(&mut incr, tail);
             incr
         };
         let mut incr = prefix();
@@ -2455,42 +2410,22 @@ mod tests {
         assert_eq!(rewindable_state(incr), rewindable_state(prefix()));
     }
 
-    /// A compaction that discards nothing leaves nothing a rewind cannot
-    /// undo, the watermark included: the in-transit send pins `C_{0,1}` and
-    /// its `TDV` row, so the second compaction is a no-op although the
-    /// recovery line has moved on to `[2, 0]`.
-    #[test]
-    fn rewind_across_a_no_op_compaction_is_bit_equal_to_a_fresh_replay() {
-        let prefix = || {
-            let mut incr = RewindableAnalysis::layered(2);
-            incr.append_send(p(0), p(1));
-            incr.append_checkpoint(p(0));
-            assert!(incr.compact_to_recovery_line().discarded_state());
-            incr
-        };
-        let mut incr = prefix();
-        let mark = incr.mark();
-        incr.append_checkpoint(p(0));
-        assert!(!incr.compact_to_recovery_line().discarded_state());
-        incr.rewind(mark);
-        assert_eq!(incr.compaction_watermark(), [1, 0]);
-        assert_eq!(rewindable_state(incr), rewindable_state(prefix()));
-    }
-
     // ------------------------------------------- reach differential ----
 
-    /// An engine under every operation that touches `reach` — appends,
-    /// compactions, marks and rewinds, a snapshot → restore hop — beside a
-    /// lockstep twin that is never compacted and never restored, so that
-    /// every checkpoint it was fed is still a node of it.
+    /// Every operation that touches `reach`, each on an engine that can
+    /// take it: a journal-free subject takes the appends, compactions and
+    /// snapshot → restore hops; a journaled twin, never compacted and never
+    /// restored, so that every checkpoint it was fed is still a node of it,
+    /// takes the same appends and the marks and rewinds. Where the twin
+    /// rewinds, the subject is restored from a snapshot taken with the mark.
     struct ReachDifferential {
-        subject: RewindableAnalysis,
-        twin: RewindableAnalysis,
+        subject: IncrementalAnalysis,
+        twin: IncrementalAnalysis<NoChains, UndoJournal>,
         rng: Rng,
         in_flight: Vec<u32>,
-        /// Marks on both engines with the messages in flight at the time;
-        /// emptied by whatever invalidates the subject's marks.
-        marks: Vec<(Mark, Mark, Vec<u32>)>,
+        /// A mark of the twin, the subject's snapshot text and the messages
+        /// in flight, all taken at once.
+        marks: Vec<(Mark, Vec<u8>, Vec<u32>)>,
     }
 
     /// `reach` of an engine that was never compacted, recomputed from the
@@ -2539,8 +2474,8 @@ mod tests {
     impl ReachDifferential {
         fn new(n: usize, seed: u64) -> Self {
             ReachDifferential {
-                subject: RewindableAnalysis::layered(n),
-                twin: RewindableAnalysis::layered(n),
+                subject: IncrementalAnalysis::new(n),
+                twin: IncrementalAnalysis::<NoChains, UndoJournal>::layered(n),
                 rng: Rng(seed | 1),
                 in_flight: Vec::new(),
                 marks: Vec::new(),
@@ -2603,11 +2538,11 @@ mod tests {
             }
         }
 
-        /// A compaction of the subject; the twin never hears of it.
-        fn compacted(&mut self, stats: CompactionStats) {
-            if stats.discarded_state() {
-                self.marks.clear();
-            }
+        fn snapshot(&self) -> Vec<u8> {
+            let mut text = Vec::new();
+            self.subject
+                .write_snapshot(&mut rdt_json::JsonWriter::new(&mut text));
+            text
         }
 
         fn step(&mut self) {
@@ -2628,33 +2563,30 @@ mod tests {
                     }
                     let stats = self.subject.compact_to_recovery_line();
                     assert!(stats.dropped_r_nodes > 0);
-                    self.compacted(stats);
                 }
                 // Trailing: caps up to two checkpoints behind the frontier,
                 // no round.
                 1 | 2 => {
                     let lag = |c: &u32| c.saturating_sub(self.rng.below(3) as u32);
                     let caps: Vec<u32> = self.subject.cp_count.iter().map(lag).collect();
-                    let stats = self.subject.compact_to(&caps);
-                    self.compacted(stats);
+                    self.subject.compact_to(&caps);
                 }
                 3 => {
-                    let marks = (self.subject.mark(), self.twin.mark());
-                    self.marks.push((marks.0, marks.1, self.in_flight.clone()));
+                    let (mark, text) = (self.twin.mark(), self.snapshot());
+                    self.marks.push((mark, text, self.in_flight.clone()));
                 }
                 4 if !self.marks.is_empty() => {
                     self.marks.truncate(self.rng.below(self.marks.len()) + 1);
-                    let (subject, twin, in_flight) = self.marks.pop().expect("one is left");
-                    self.subject.rewind(subject);
-                    self.twin.rewind(twin);
+                    let (mark, text, in_flight) = self.marks.pop().expect("one is left");
+                    self.twin.rewind(mark);
+                    self.subject =
+                        IncrementalAnalysis::from_snapshot_text(&text).expect("restores");
                     self.in_flight = in_flight;
                 }
                 5 => {
-                    let mut text = Vec::new();
-                    let mut w = rdt_json::JsonWriter::new(&mut text);
-                    self.subject.write_snapshot(&mut w);
-                    self.subject = RewindableAnalysis::from_snapshot_text(&text).expect("restores");
-                    self.marks.clear();
+                    let text = self.snapshot();
+                    self.subject =
+                        IncrementalAnalysis::from_snapshot_text(&text).expect("restores");
                 }
                 _ => self.event(),
             }
@@ -3064,16 +2996,17 @@ mod tests {
     /// the nodes it folds into — the binary-searched runs — are a full scan
     /// of the nodes the target reaches and the source does not, and the
     /// whole `reach` table, `untrackable` and `reach_floor` are what folding
-    /// each of those rows whole (`fold_row`) leaves. A rewind past the edge
-    /// leaves the engine bit-equal to the engine before it. The edges go out
-    /// of any retained node into any but the newest, and into the newest
-    /// while it reaches nothing but itself, the one shape
-    /// `try_append_checkpoint` inserts into it. Such an edge leaves `reach`
-    /// a closure whose columns only rise, so appends can go on after it.
-    fn assert_dirty_runs_are_the_full_scan(
-        engine: &mut RewindableAnalysis,
+    /// each of those rows whole (`fold_row`) leaves. `insert` inserts the
+    /// edge. The edges go out of any retained node into any but the newest,
+    /// and into the newest while it reaches nothing but itself, the one
+    /// shape `try_append_checkpoint` inserts into it. Such an edge leaves
+    /// `reach` a closure whose columns only rise, so appends can go on after
+    /// it.
+    fn assert_dirty_runs_are_the_full_scan<J: Journal>(
+        engine: &mut IncrementalAnalysis<NoChains, J>,
         rng: &mut Rng,
         edges: usize,
+        insert: fn(&mut IncrementalAnalysis<NoChains, J>, usize, usize),
     ) {
         let (n, nodes) = (engine.n, engine.r_meta.len());
         let newest = nodes - 1;
@@ -3094,11 +3027,9 @@ mod tests {
             }
             let floor = rng.below(nodes + 1);
             engine.reach_floor = floor;
-            let before = format!("{engine:?}");
-            let mark = engine.mark();
 
             work::FOLDED_INTO.set(Some(Vec::new()));
-            engine.insert_r_edge(u, v);
+            insert(engine, u, v);
             let mut folded = work::FOLDED_INTO.take().expect("kept");
             folded.sort_unstable();
             let edge = format!("the edge {u} -> {v}");
@@ -3107,12 +3038,26 @@ mod tests {
             assert!(engine.reach == reach, "reach after {edge}");
             assert_eq!(engine.untrackable, untrackable, "untrackable after {edge}");
             assert_eq!(engine.reach_floor, floor_after, "reach floor after {edge}");
-
-            engine.rewind(mark);
-            engine.reach_floor = floor;
-            assert!(format!("{engine:?}") == before, "rewound past {edge}");
-            engine.insert_r_edge(u, v);
         }
+    }
+
+    /// `insert_r_edge`, checked to be undone by a rewind past it: the engine
+    /// is then bit-equal to the engine before it, and the edge goes in again.
+    fn insert_and_rewind(
+        engine: &mut IncrementalAnalysis<NoChains, UndoJournal>,
+        u: usize,
+        v: usize,
+    ) {
+        let (before, floor, mark) = (format!("{engine:?}"), engine.reach_floor, engine.mark());
+        engine.insert_r_edge(u, v);
+        engine.rewind(mark);
+        engine.reach_floor = floor;
+        assert!(
+            format!("{engine:?}") == before,
+            "rewound past the edge {u} -> {v}"
+        );
+        work::FOLDED_INTO.set(Some(Vec::new()));
+        engine.insert_r_edge(u, v);
     }
 
     proptest::proptest! {
@@ -3144,30 +3089,44 @@ mod tests {
         /// The dirty successors `insert_r_edge` finds by binary search are
         /// the ones a full scan finds, and the lanes it raises in them leave
         /// what folding them whole leaves, on appended, compacted and
-        /// arbitrarily extended closures; a rewind undoes each edge.
+        /// arbitrarily extended closures: the compacted ones on the
+        /// journal-free core, the others on a journaled twin, where a rewind
+        /// undoes each edge.
         fn dirty_runs_are_the_full_scan(seed in 1u64..1_000_000, n in 2usize..6) {
             let mut rng = Rng(seed | 1);
-            let mut engine = RewindableAnalysis::layered(n);
+            let mut core = IncrementalAnalysis::new(n);
+            let mut journaled = IncrementalAnalysis::<NoChains, UndoJournal>::layered(n);
             let (mut in_flight, mut sent) = (Vec::new(), 0);
             for _ in 0..6 {
                 for op in random_ops(&mut rng, n, 12 * n, &mut in_flight, &mut sent) {
                     match op {
-                        Op::Cp(i) => drop(engine.append_checkpoint(p(i))),
-                        Op::Send(from, to) => drop(engine.append_send(p(from), p(to))),
-                        Op::Del(k) => engine.append_deliver(k as u32),
+                        Op::Cp(i) => {
+                            core.append_checkpoint(p(i));
+                            journaled.append_checkpoint(p(i));
+                        }
+                        Op::Send(from, to) => {
+                            core.append_send(p(from), p(to));
+                            journaled.append_send(p(from), p(to));
+                        }
+                        Op::Del(k) => {
+                            core.append_deliver(k as u32);
+                            journaled.append_deliver(k as u32);
+                        }
                     }
                 }
                 if rng.below(2) == 0 {
-                    engine.compact_to_recovery_line();
+                    core.compact_to_recovery_line();
                 }
-                assert_dirty_runs_are_the_full_scan(&mut engine, &mut rng, 4 * n);
+                assert_dirty_runs_are_the_full_scan(&mut core, &mut rng, 4 * n, |e, u, v| {
+                    e.insert_r_edge(u, v)
+                });
+                assert_dirty_runs_are_the_full_scan(&mut journaled, &mut rng, 4 * n, insert_and_rewind);
             }
         }
 
         /// ROADMAP 5(c): a rewind leaves the engine bit-equal to a fresh
         /// engine fed the prefix — the certifier's engine, and the core with
-        /// the prefix compacted half-way (so the branch runs on closed-up
-        /// `reach` rows) and without.
+        /// the journal alone.
         fn rewind_is_bit_equal_to_a_fresh_replay(
             seed in 1u64..1_000_000,
             n in 2usize..5,
@@ -3176,15 +3135,11 @@ mod tests {
         ) {
             let mut rng = Rng(seed | 1);
             let (mut in_flight, mut sent) = (Vec::new(), 0);
-            let head = random_ops(&mut rng, n, pre, &mut in_flight, &mut sent);
-            let tail = random_ops(&mut rng, n, pre / 2, &mut in_flight, &mut sent);
+            let head = random_ops(&mut rng, n, pre + pre / 2, &mut in_flight, &mut sent);
             let detour = random_ops(&mut rng, n, branch, &mut in_flight, &mut sent);
-            let ops = [&head[..], &tail, &detour];
-            assert_rewind_is_a_fresh_replay::<Chains>(n, ops, |_| {});
-            assert_rewind_is_a_fresh_replay::<NoChains>(n, ops, |_| {});
-            assert_rewind_is_a_fresh_replay::<NoChains>(n, ops, |incr| {
-                incr.compact_to_recovery_line();
-            });
+            let ops = [&head[..], &detour];
+            assert_rewind_is_a_fresh_replay::<Chains>(n, ops);
+            assert_rewind_is_a_fresh_replay::<NoChains>(n, ops);
         }
     }
 }

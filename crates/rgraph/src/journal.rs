@@ -8,8 +8,13 @@
 //! for bit, which is what makes prefix-sharing replay cheap: a verifier
 //! keeps one engine per protocol, rewinds to the longest common prefix with
 //! the next schedule and appends only the suffix.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//!
+//! Undo is the inverse of the appends of one history, and nothing else
+//! rewrites that history: a journaled engine can neither compact nor be
+//! written or restored as a snapshot (those entry points exist only on
+//! `IncrementalAnalysis<NoChains, NoJournal>`). So the journal holds every
+//! mutation since the engine was created, and a [`Mark`] is a position in
+//! it, valid until a rewind goes below it.
 
 use super::*;
 
@@ -76,10 +81,6 @@ pub trait Journal: Default + std::fmt::Debug {
     /// Records one mutation, before it is applied.
     #[doc(hidden)]
     fn record(&mut self, undo: Undo);
-    /// A state-discarding compaction made everything recorded so far
-    /// unreplayable.
-    #[doc(hidden)]
-    fn discard(&mut self) {}
 }
 
 /// The absent journal: nothing is recorded, nothing can be rewound.
@@ -93,23 +94,9 @@ impl Journal for NoJournal {
 
 /// The undo journal behind [`mark`](IncrementalAnalysis::mark) and
 /// [`rewind`](IncrementalAnalysis::rewind).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct UndoJournal {
     pub(super) entries: Vec<Undo>,
-    /// Which journal this is: every new one — a fresh engine's, a restored
-    /// engine's — takes the next number, so a mark names the journal whose
-    /// positions it counts.
-    id: u64,
-}
-
-impl Default for UndoJournal {
-    fn default() -> Self {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        UndoJournal {
-            entries: Vec::new(),
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-        }
-    }
 }
 
 impl Journal for UndoJournal {
@@ -117,76 +104,13 @@ impl Journal for UndoJournal {
     fn record(&mut self, undo: Undo) {
         self.entries.push(undo);
     }
-
-    /// Releases the storage too: `clear()` would pin the high-water mark
-    /// of the busiest epoch for the life of the stream.
-    fn discard(&mut self) {
-        self.entries = Vec::new();
-    }
 }
 
 /// A position in the undo journal, as returned by
 /// [`IncrementalAnalysis::mark`]. Rewinding to a mark restores the engine
 /// to exactly the state it had when the mark was taken.
-///
-/// Marks are tagged with the engine's *compaction epoch*: a mark taken
-/// before a [`compact_to`](IncrementalAnalysis::compact_to) cannot be
-/// rewound to afterwards — the journal below the compaction point is gone
-/// — and [`try_rewind`](IncrementalAnalysis::try_rewind) reports that as
-/// [`RewindError::CompactionBoundary`] instead of corrupting state. They
-/// also name the journal they count positions in: a mark of another engine,
-/// or of this one before it was restored from a snapshot (a restore starts
-/// a new journal), is [`RewindError::OtherJournal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Mark {
-    journal: u64,
-    epoch: u64,
-    pos: usize,
-}
-
-/// Why a [`try_rewind`](IncrementalAnalysis::try_rewind) was refused. The
-/// engine state is untouched when a rewind fails.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RewindError {
-    /// The mark predates a compaction: the journal below the compaction
-    /// point was discarded, so the marked state no longer exists.
-    CompactionBoundary {
-        /// Epoch the mark was taken in.
-        mark_epoch: u64,
-        /// The engine's current compaction epoch.
-        engine_epoch: u64,
-    },
-    /// The mark is ahead of the journal — it was taken on a state that
-    /// has itself been rewound away.
-    AheadOfJournal,
-    /// The mark was taken on another journal: another engine's, or this
-    /// engine's before it was restored from a snapshot.
-    OtherJournal,
-}
-
-impl std::fmt::Display for RewindError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RewindError::CompactionBoundary {
-                mark_epoch,
-                engine_epoch,
-            } => write!(
-                f,
-                "mark from compaction epoch {mark_epoch} cannot be rewound to \
-                 in epoch {engine_epoch}: the journal below the compaction \
-                 point was discarded"
-            ),
-            RewindError::AheadOfJournal => {
-                write!(f, "mark is ahead of the journal")
-            }
-            RewindError::OtherJournal => {
-                write!(f, "mark was taken on another journal")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RewindError {}
+pub struct Mark(usize);
 
 impl BitSlab {
     /// Removes the most recently pushed node (rewind path). Closure bits
@@ -209,48 +133,22 @@ impl<C: ChainLayer> IncrementalAnalysis<C, UndoJournal> {
     /// Captures the current state; pass to
     /// [`rewind`](IncrementalAnalysis::rewind) to restore it.
     pub fn mark(&self) -> Mark {
-        Mark {
-            journal: self.journal.id,
-            epoch: self.epoch,
-            pos: self.journal.entries.len(),
-        }
+        Mark(self.journal.entries.len())
     }
 
-    /// Rewinds to a previously taken [`Mark`] by replaying the undo
+    /// Rewinds to a [`Mark`] taken on this engine by replaying the undo
     /// journal backwards. Cost is proportional to the state touched since
     /// the mark, not to the total pattern size.
     ///
     /// # Panics
-    /// If the mark is ahead of the journal (taken on a state that has itself
-    /// been rewound away), predates a compaction or belongs to another
-    /// journal — each is recoverable through
-    /// [`try_rewind`](IncrementalAnalysis::try_rewind).
+    /// If the mark is ahead of the journal: it was taken on a state that
+    /// has itself been rewound away.
     pub fn rewind(&mut self, mark: Mark) {
-        if let Err(err) = self.try_rewind(mark) {
-            panic!("{err}");
-        }
-    }
-
-    /// Fallible form of [`rewind`](IncrementalAnalysis::rewind): refuses
-    /// (leaving the engine untouched) when the mark belongs to another
-    /// journal, predates a compaction or is ahead of the journal. Rewinding
-    /// *across a compaction point or a restore is a defined error, never a
-    /// wrong answer* — the journal below it is gone, and the journal and
-    /// epoch tags on the mark detect exactly those cases.
-    pub fn try_rewind(&mut self, mark: Mark) -> Result<(), RewindError> {
-        if mark.journal != self.journal.id {
-            return Err(RewindError::OtherJournal);
-        }
-        if mark.epoch != self.epoch {
-            return Err(RewindError::CompactionBoundary {
-                mark_epoch: mark.epoch,
-                engine_epoch: self.epoch,
-            });
-        }
-        if mark.pos > self.journal.entries.len() {
-            return Err(RewindError::AheadOfJournal);
-        }
-        while self.journal.entries.len() > mark.pos {
+        assert!(
+            mark.0 <= self.journal.entries.len(),
+            "mark is ahead of the journal"
+        );
+        while self.journal.entries.len() > mark.0 {
             let entry = self.journal.entries.pop().expect("journal length checked");
             match entry {
                 Undo::Checkpoint { p, open } => {
@@ -284,7 +182,6 @@ impl<C: ChainLayer> IncrementalAnalysis<C, UndoJournal> {
                 chain_entry => self.chains.undo(chain_entry, &self.msgs),
             }
         }
-        Ok(())
     }
 
     /// Runs `f` on the **closed** extension of the current pattern — the

@@ -3,14 +3,12 @@
 //! A snapshot captures everything the R-graph core needs to keep answering
 //! queries and accepting appends: counters, per-process tables, message
 //! records, the R-graph's backward closure and the compaction state. Only
-//! the core persists: every entry point sits on `IncrementalAnalysis<NoChains,
-//! J>`, because the one engine that is ever written to disk is the daemon's,
-//! and the chain closures the certifier compares live in memory only. The
-//! undo **journal is deliberately excluded**: appends and queries never read
-//! it, so a restored engine produces byte-identical answers to the
-//! uninterrupted original; a restore starts a new journal, so a mark taken
-//! before the snapshot is a defined [`RewindError`], like a mark across a
-//! compaction.
+//! the bare core persists: every entry point sits on
+//! `IncrementalAnalysis<NoChains, NoJournal>`, because the one engine that is
+//! ever written to disk is the daemon's, and the chain closures and the undo
+//! journal the certifier rewinds live in memory only. Appends and queries
+//! never read a journal, so a restored engine produces byte-identical
+//! answers to the uninterrupted original.
 //!
 //! The format is a single versioned JSON object, and neither direction
 //! builds a [`Json`](rdt_json::Json) tree of it: a tree of a few hundred
@@ -54,10 +52,10 @@
 //! and the render is whole. [`SnapshotTables::fold`] lays a delta's tables over the tables
 //! it was written against.
 //!
-//! The marked render exists only on `IncrementalAnalysis<NoChains,
-//! NoJournal>`: a rewind can regrow a table to the same length with other
-//! rows, and restores `reach` rows without lowering the floor, which no row
-//! count could tell from the rows written.
+//! The marked render relies on the engine having no journal: a rewind could
+//! regrow a table to the same length with other rows, and restore `reach`
+//! rows without lowering the floor, which no row count could tell from the
+//! rows written.
 //!
 //! # One way back
 //!
@@ -535,9 +533,9 @@ impl SnapshotTables {
 ///
 /// ```compile_fail
 /// use rdt_json::JsonWriter;
-/// use rdt_rgraph::RewindableAnalysis;
+/// use rdt_rgraph::{IncrementalAnalysis, NoChains, UndoJournal};
 ///
-/// let mut engine = RewindableAnalysis::layered(2);
+/// let mut engine = IncrementalAnalysis::<NoChains, UndoJournal>::layered(2);
 /// let mut text = Vec::new();
 /// engine.write_snapshot_since(None, &mut JsonWriter::new(&mut text));
 /// ```
@@ -644,20 +642,18 @@ fn per_process<T>(table: Option<Vec<T>>, n: usize, key: &str) -> Result<Vec<T>, 
 
 // --------------------------------------------------------------- core ----
 
-impl<J: Journal> IncrementalAnalysis<NoChains, J> {
+impl IncrementalAnalysis<NoChains, NoJournal> {
     /// Writes the engine as one versioned JSON document (one value of `w`):
     /// everything appends and queries read that the rest of the document
-    /// does not determine, and not the undo journal. Restored engines answer
-    /// every query and accept every append byte-identically, but marks taken
-    /// before the snapshot cannot be rewound to afterwards (a defined
-    /// [`RewindError`], like marks across a compaction).
+    /// does not determine. Restored engines answer every query and accept
+    /// every append byte-identically.
     ///
-    /// Every render, whole or a delta, is this one; a long-lived engine
-    /// without a journal can be written as what changed since a render
+    /// Every render, whole or a delta, is this one; a long-lived engine can
+    /// be written as what changed since a render
     /// ([`write_snapshot_since`](IncrementalAnalysis::write_snapshot_since)).
     ///
-    /// Only the chain-free core persists: an engine with the chain layer has
-    /// no snapshot.
+    /// Only the bare core persists: an engine with the chain layer has no
+    /// snapshot.
     ///
     /// ```compile_fail
     /// use rdt_json::JsonWriter;
@@ -737,18 +733,26 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         }
     }
 
-    /// Restores an engine of this journal layer from the text of a snapshot
-    /// document of any supported version:
+    /// Restores an engine from the text of a snapshot document of any
+    /// supported version:
     /// [`read_snapshot`](IncrementalAnalysis::read_snapshot), nothing but
     /// whitespace after it, then
     /// [`from_snapshot_tables`](IncrementalAnalysis::from_snapshot_tables).
-    /// Like the writer, only on the chain-free core.
+    /// Like the writer, only on the bare core: neither the chain layer nor
+    /// an undo journal is restored.
     ///
     /// ```compile_fail
     /// use rdt_rgraph::FullAnalysis;
     ///
     /// let text = b"{\"format\":\"rdt-rgraph-snapshot\"}";
     /// let _ = FullAnalysis::from_snapshot_text(text);
+    /// ```
+    ///
+    /// ```compile_fail
+    /// use rdt_rgraph::{IncrementalAnalysis, NoChains, UndoJournal};
+    ///
+    /// let text = b"{\"format\":\"rdt-rgraph-snapshot\"}";
+    /// let _ = IncrementalAnalysis::<NoChains, UndoJournal>::from_snapshot_text(text);
     /// ```
     pub fn from_snapshot_text(text: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = JsonReader::new(text);
@@ -828,8 +832,8 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
     /// tables (which describe nothing without the tables they were written
     /// against) and — crucially — cross-table inconsistencies that would let
     /// a later append or query index out of bounds are all
-    /// [`SnapshotError`]s. The restored engine starts a new, empty undo
-    /// journal at the snapshot's compaction epoch.
+    /// [`SnapshotError`]s. The restored engine is at the snapshot's
+    /// compaction epoch.
     pub fn from_snapshot_tables(t: SnapshotTables) -> Result<Self, SnapshotError> {
         if let Some(key) = t.delta_key() {
             return Err(bad(format!(
@@ -916,7 +920,7 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         let mut engine = IncrementalAnalysis {
             n,
             chains: NoChains,
-            journal: J::default(),
+            journal: NoJournal,
             events: need_usize(t.events, "events")?,
             untrackable: need(t.untrackable, "untrackable")?,
             line_open: per_process(t.line_open, n, "line_open")?,
@@ -1116,16 +1120,12 @@ impl<J: Journal> IncrementalAnalysis<NoChains, J> {
         }
         Ok(())
     }
-}
 
-impl IncrementalAnalysis<NoChains, NoJournal> {
     /// Writes the engine whole (`on_disk` is `None`) or as a delta against
     /// what `on_disk` — the marks the latest call returned — says a file
     /// holds, and returns the marks of what it wrote. Against the marks of
     /// any earlier call (the reach floor counts from the latest one), of
-    /// another epoch, or past a table's end, it writes whole. Only on an engine
-    /// without a journal, which cannot rewind (the module documentation of
-    /// `snapshot.rs` says why that matters).
+    /// another epoch, or past a table's end, it writes whole.
     pub fn write_snapshot_since(
         &mut self,
         on_disk: Option<&SnapshotMarks>,

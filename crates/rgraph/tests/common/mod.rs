@@ -20,10 +20,10 @@
 #![allow(dead_code)]
 
 use rdt_json::{Json, JsonWriter};
-use rdt_rgraph::{ChainLayer, IncrementalAnalysis, Journal, NoChains};
+use rdt_rgraph::{ChainLayer, IncrementalAnalysis, Journal};
 
 /// The engine's snapshot text, straight from the writer.
-pub fn text<J: Journal>(engine: &IncrementalAnalysis<NoChains, J>) -> String {
+pub fn text(engine: &IncrementalAnalysis) -> String {
     let mut out = Vec::new();
     engine.write_snapshot(&mut JsonWriter::new(&mut out));
     String::from_utf8(out).expect("snapshot text is UTF-8")

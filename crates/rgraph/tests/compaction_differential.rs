@@ -3,7 +3,7 @@
 //! after every append and every compaction point the compacted engine
 //! must answer identically on its documented domain.
 //!
-//! Three properties anchor compaction's correctness:
+//! Two properties anchor compaction's correctness:
 //!
 //! 1. **Global exactness** — the untrackable-pair counter, the RDT
 //!    verdict (open and closed view), and the fixpoint consistency
@@ -13,17 +13,20 @@
 //!    oracle agree with the control on retained checkpoints, and the
 //!    visible `TDV` violations on messages whose closing checkpoints are
 //!    retained, above the watermark.
-//! 3. **Defined rewind failure** — rewinding to a mark taken before a
-//!    state-discarding compaction reports
-//!    [`RewindError::CompactionBoundary`] and leaves the engine intact;
-//!    marks taken after the compaction keep working.
 //!
-//! Both engines are [`RewindableAnalysis`], the core with the undo journal
-//! that `with_closed` needs: only the chain-free core compacts.
+//! Only the journal-free core compacts, so the compacted engine is an
+//! [`IncrementalAnalysis`]; its closed view is a journal-free copy of it,
+//! restored from its snapshot, with a checkpoint appended to every open
+//! line. The control carries the undo journal, for `with_closed` and for
+//! the rollbacks of the crashy property.
 
 use proptest::prelude::*;
 use rdt_causality::{CheckpointId, ProcessId};
-use rdt_rgraph::{RewindError, RewindableAnalysis};
+use rdt_json::JsonWriter;
+use rdt_rgraph::{IncrementalAnalysis, Journal, NoChains, UndoJournal};
+
+/// The uncompacted control.
+type Control = IncrementalAnalysis<NoChains, UndoJournal>;
 
 /// Deterministic xorshift generator driving the op-sequence builder.
 struct Rng(u64);
@@ -83,7 +86,7 @@ fn random_ops(
     ops
 }
 
-fn apply(incr: &mut RewindableAnalysis, op: Op) {
+fn apply<J: Journal>(incr: &mut IncrementalAnalysis<NoChains, J>, op: Op) {
     match op {
         Op::Cp(i) => {
             incr.append_checkpoint(ProcessId::new(i));
@@ -100,7 +103,7 @@ fn cp(p: usize, idx: u32) -> CheckpointId {
 }
 
 /// Every checkpoint of the full pattern, compacted away or not.
-fn all_checkpoints(incr: &RewindableAnalysis) -> Vec<CheckpointId> {
+fn all_checkpoints(incr: &Control) -> Vec<CheckpointId> {
     (0..incr.num_processes())
         .flat_map(|p| {
             (0..=incr.last_checkpoint_index(ProcessId::new(p))).map(move |idx| cp(p, idx))
@@ -108,10 +111,30 @@ fn all_checkpoints(incr: &RewindableAnalysis) -> Vec<CheckpointId> {
         .collect()
 }
 
+/// The closed view of a journal-free engine: a copy restored from its
+/// snapshot, with a checkpoint appended to every line that does not end in
+/// one (the lines whose frontier lies past their last checkpoint), as
+/// `with_closed` appends them.
+fn closed(engine: &IncrementalAnalysis) -> IncrementalAnalysis {
+    let mut text = Vec::new();
+    engine.write_snapshot(&mut JsonWriter::new(&mut text));
+    let mut copy = IncrementalAnalysis::from_snapshot_text(&text).expect("restores");
+    let n = engine.num_processes();
+    let (mut frontier, mut line) = (vec![u32::MAX; n], vec![0; n]);
+    engine.max_consistent_dominated_open_into(&mut frontier, &mut line);
+    for (p, &top) in frontier.iter().enumerate() {
+        let process = ProcessId::new(p);
+        if top > engine.last_checkpoint_index(process) {
+            copy.append_checkpoint(process);
+        }
+    }
+    copy
+}
+
 /// The compacted engine must agree with the uncompacted control —
 /// globally for counter- and message-table-based queries, and on the
 /// documented live suffix for closure-row-based ones.
-fn assert_compacted_equivalent(comp: &mut RewindableAnalysis, ctrl: &mut RewindableAnalysis) {
+fn assert_compacted_equivalent(comp: &IncrementalAnalysis, ctrl: &mut Control) {
     let n = ctrl.num_processes();
     assert_eq!(comp.num_processes(), n);
     assert_eq!(comp.num_messages(), ctrl.num_messages());
@@ -120,8 +143,9 @@ fn assert_compacted_equivalent(comp: &mut RewindableAnalysis, ctrl: &mut Rewinda
     assert_eq!(comp.untrackable_pairs(), ctrl.untrackable_pairs(), "pairs");
     assert_eq!(comp.rdt_holds(), ctrl.rdt_holds(), "verdict");
     assert_eq!(comp.violations_capped(), ctrl.violations_capped());
+    let comp_closed = closed(comp);
     assert_eq!(
-        comp.with_closed(|v| (v.untrackable_pairs(), v.rdt_holds())),
+        (comp_closed.untrackable_pairs(), comp_closed.rdt_holds()),
         ctrl.with_closed(|v| (v.untrackable_pairs(), v.rdt_holds())),
         "closed view"
     );
@@ -183,7 +207,7 @@ fn assert_compacted_equivalent(comp: &mut RewindableAnalysis, ctrl: &mut Rewinda
     // retains and whose sender `TDV` lane sits above its watermark.
     let floor = comp.compaction_watermark().to_vec();
     let retained = |c: CheckpointId| c.index >= base[c.process.index()];
-    let ours: Vec<_> = comp.with_closed(|v| v.visible_violations().collect());
+    let ours: Vec<_> = comp_closed.visible_violations().collect();
     let theirs: Vec<_> = ctrl.with_closed(|v| {
         let kept = |&(mid, i): &(u32, usize)| {
             let r = v.message_route(mid);
@@ -213,15 +237,15 @@ fn fixed_seed_compaction_lockstep() {
             let mut next_mid = 0u32;
             let mut in_flight = Vec::new();
             let ops = random_ops(&mut rng, n, 60, &mut next_mid, &mut in_flight);
-            let mut comp = RewindableAnalysis::layered(n);
-            let mut ctrl = RewindableAnalysis::layered(n);
+            let mut comp = IncrementalAnalysis::new(n);
+            let mut ctrl = Control::layered(n);
             for (i, &op) in ops.iter().enumerate() {
                 apply(&mut comp, op);
                 apply(&mut ctrl, op);
                 if i % 7 == 6 {
                     comp.compact_to_recovery_line();
                 }
-                assert_compacted_equivalent(&mut comp, &mut ctrl);
+                assert_compacted_equivalent(&comp, &mut ctrl);
             }
         }
     }
@@ -237,8 +261,8 @@ fn repeated_compaction_reclaims_and_stays_exact() {
     let mut next_mid = 0u32;
     let mut in_flight = Vec::new();
     let ops = random_ops(&mut rng, n, 400, &mut next_mid, &mut in_flight);
-    let mut comp = RewindableAnalysis::layered(n);
-    let mut ctrl = RewindableAnalysis::layered(n);
+    let mut comp = IncrementalAnalysis::new(n);
+    let mut ctrl = Control::layered(n);
     for (i, &op) in ops.iter().enumerate() {
         apply(&mut comp, op);
         apply(&mut ctrl, op);
@@ -250,7 +274,7 @@ fn repeated_compaction_reclaims_and_stays_exact() {
     assert!(comp.reclaimed_rows() > 0);
     assert!(comp.compaction_watermark().iter().any(|&w| w > 0));
     assert!(comp.resident_closure_nodes() < ctrl.resident_closure_nodes());
-    assert_compacted_equivalent(&mut comp, &mut ctrl);
+    assert_compacted_equivalent(&comp, &mut ctrl);
 }
 
 proptest! {
@@ -269,8 +293,8 @@ proptest! {
         let mut next_mid = 0u32;
         let mut in_flight = Vec::new();
         let ops = random_ops(&mut rng, n, events, &mut next_mid, &mut in_flight);
-        let mut comp = RewindableAnalysis::layered(n);
-        let mut ctrl = RewindableAnalysis::layered(n);
+        let mut comp = IncrementalAnalysis::new(n);
+        let mut ctrl = Control::layered(n);
         for (i, &op) in ops.iter().enumerate() {
             apply(&mut comp, op);
             apply(&mut ctrl, op);
@@ -286,71 +310,17 @@ proptest! {
                         .collect();
                     comp.compact_to(&caps);
                 }
-                assert_compacted_equivalent(&mut comp, &mut ctrl);
+                assert_compacted_equivalent(&comp, &mut ctrl);
             }
         }
-        assert_compacted_equivalent(&mut comp, &mut ctrl);
-    }
-
-    /// Rewinding past a state-discarding compaction is the documented
-    /// error and leaves the engine untouched; marks taken after the
-    /// compaction rewind normally and branches replay identically.
-    fn rewind_across_compaction_is_defined_error(
-        seed in 1u64..1_000_000,
-        n in 2usize..5,
-        pre in 10usize..40,
-        branch in 4usize..16,
-    ) {
-        let mut rng = Rng(seed | 1);
-        let mut next_mid = 0u32;
-        let mut in_flight = Vec::new();
-        let prefix = random_ops(&mut rng, n, pre, &mut next_mid, &mut in_flight);
-        let ops = random_ops(&mut rng, n, branch, &mut next_mid, &mut in_flight);
-
-        let mut comp = RewindableAnalysis::layered(n);
-        let mut ctrl = RewindableAnalysis::layered(n);
-        for &op in &prefix {
-            apply(&mut comp, op);
-            apply(&mut ctrl, op);
-        }
-        let before = comp.mark();
-        let stats = comp.compact_to_recovery_line();
-        let after = comp.mark();
-
-        if stats.discarded_state() {
-            // Pre-compaction marks are dead: defined error, state intact.
-            let err = comp.try_rewind(before);
-            prop_assert!(
-                matches!(err, Err(RewindError::CompactionBoundary { .. })),
-                "expected boundary error, got {err:?}"
-            );
-            prop_assert!(comp.compaction_epoch() > 0);
-            prop_assert!(comp.compactions() > 0);
-            assert_compacted_equivalent(&mut comp, &mut ctrl);
-        } else {
-            // No state discarded: the old mark must still work.
-            prop_assert!(comp.try_rewind(before).is_ok());
-        }
-
-        // Post-compaction marks behave like ordinary marks: branch,
-        // rewind, replay — identical counters to the control throughout.
-        for &op in &ops {
-            apply(&mut comp, op);
-        }
-        let branched = comp.untrackable_pairs();
-        prop_assert!(comp.try_rewind(after).is_ok());
-        for &op in &ops {
-            apply(&mut comp, op);
-            apply(&mut ctrl, op);
-        }
-        prop_assert_eq!(comp.untrackable_pairs(), branched);
-        assert_compacted_equivalent(&mut comp, &mut ctrl);
+        assert_compacted_equivalent(&comp, &mut ctrl);
     }
 
     /// Crashy usage: processes repeatedly roll back to a recent mark
     /// (the simulator's crash-recovery shape), with compactions
-    /// interleaved. Marks that survive an epoch keep working; marks that
-    /// don't fail loudly; both engines stay in lockstep.
+    /// interleaved. The speculative bursts and their rollbacks run on the
+    /// journaled control alone: the compacted engine, which never saw them,
+    /// must equal the rewound control.
     fn crashy_rollback_with_compaction_stays_exact(
         seed in 1u64..1_000_000,
         n in 2usize..4,
@@ -360,23 +330,20 @@ proptest! {
         let mut rng = Rng(seed | 1);
         let mut next_mid = 0u32;
         let mut in_flight = Vec::new();
-        let mut comp = RewindableAnalysis::layered(n);
-        let mut ctrl = RewindableAnalysis::layered(n);
+        let mut comp = IncrementalAnalysis::new(n);
+        let mut ctrl = Control::layered(n);
 
         for _ in 0..rounds {
             // A burst of speculative events, observed then rolled back —
             // rgraph-level crash recovery.
-            let snap_comp = comp.mark();
             let snap_ctrl = ctrl.mark();
             let (mut mid2, mut fly2) = (next_mid, in_flight.clone());
             let spec = random_ops(&mut rng, n, burst, &mut mid2, &mut fly2);
             for &op in &spec {
-                apply(&mut comp, op);
                 apply(&mut ctrl, op);
             }
-            assert_compacted_equivalent(&mut comp, &mut ctrl);
-            comp.rewind(snap_comp);
             ctrl.rewind(snap_ctrl);
+            assert_compacted_equivalent(&comp, &mut ctrl);
 
             // The surviving history advances and is compacted.
             let keep = random_ops(&mut rng, n, burst, &mut next_mid, &mut in_flight);
@@ -384,14 +351,8 @@ proptest! {
                 apply(&mut comp, op);
                 apply(&mut ctrl, op);
             }
-            let stats = comp.compact_to_recovery_line();
-            if stats.discarded_state() {
-                prop_assert!(matches!(
-                    comp.try_rewind(snap_comp),
-                    Err(RewindError::CompactionBoundary { .. })
-                ));
-            }
-            assert_compacted_equivalent(&mut comp, &mut ctrl);
+            comp.compact_to_recovery_line();
+            assert_compacted_equivalent(&comp, &mut ctrl);
         }
     }
 }

@@ -60,7 +60,7 @@ mod common;
 use common::{text, v2_text, v3_text, Arrivals};
 use rdt_causality::{CheckpointId, ProcessId};
 use rdt_json::Json;
-use rdt_rgraph::{CompactionStats, IncrementalAnalysis, Journal, NoChains, NoJournal, UndoJournal};
+use rdt_rgraph::{CompactionStats, IncrementalAnalysis};
 
 const GOLDEN_V2_CORE: &str = include_str!("golden/snapshot_v2.json");
 const GOLDEN_V2_CHAINS: &str = include_str!("golden/snapshot_v2_chains.json");
@@ -226,7 +226,7 @@ fn stats(stats: CompactionStats) -> String {
 }
 
 /// Applies `op` and returns what the engine replied.
-fn apply<J: Journal>(engine: &mut IncrementalAnalysis<NoChains, J>, op: &Op) -> String {
+fn apply(engine: &mut IncrementalAnalysis, op: &Op) -> String {
     match op {
         Op::Cp(p) => engine.append_checkpoint(ProcessId::new(*p)).to_string(),
         Op::Send(from, to) => engine
@@ -242,11 +242,7 @@ fn apply<J: Journal>(engine: &mut IncrementalAnalysis<NoChains, J>, op: &Op) -> 
 }
 
 /// [`apply`] on an engine whose version 2 text will be asked for.
-fn apply_tracked<J: Journal>(
-    engine: &mut IncrementalAnalysis<NoChains, J>,
-    arrivals: &mut Arrivals,
-    op: &Op,
-) {
+fn apply_tracked(engine: &mut IncrementalAnalysis, arrivals: &mut Arrivals, op: &Op) {
     apply(engine, op);
     if let Op::Del(mid) = op {
         arrivals.record(engine, *mid);
@@ -259,19 +255,19 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-fn restore<J: Journal>(text: &str, what: &str) -> IncrementalAnalysis<NoChains, J> {
+fn restore(text: &str, what: &str) -> IncrementalAnalysis {
     IncrementalAnalysis::from_snapshot_text(text.as_bytes())
         .unwrap_or_else(|e| panic!("{what}: {e}"))
 }
 
-/// Runs one corpus script on one journal layer; returns the digest of its
-/// states' version 2 texts. Each state is checked for the canonical form
+/// Runs one corpus script; returns the digest of its states' version 2
+/// texts. Each state is checked for the canonical form
 /// and handed, as version 2 and as version 3, to two restored twins that
 /// must write the same version 3 bytes at once and one stride later.
-fn run_script<J: Journal>(n: usize, seed: u64) -> u64 {
-    let mut engine = IncrementalAnalysis::<NoChains, J>::layered(n);
+fn run_script(n: usize, seed: u64) -> u64 {
+    let mut engine = IncrementalAnalysis::new(n);
     let mut arrivals = Arrivals::new(n);
-    let mut twins: Vec<IncrementalAnalysis<NoChains, J>> = Vec::new();
+    let mut twins: Vec<IncrementalAnalysis> = Vec::new();
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for (state, ops) in corpus_script(n, seed).iter().enumerate() {
         for op in ops {
@@ -354,9 +350,7 @@ fn corpus_digests_match_the_tree_builder() {
             let &(pinned_n, pinned_seed, core, _) = scripts.next().expect("24 rows");
             assert_eq!((pinned_n, pinned_seed), (n, seed));
             let what = format!("n = {n}, seed {seed}");
-            assert_eq!(run_script::<NoJournal>(n, seed), core, "{what}");
-            let digest = run_script::<UndoJournal>(n, seed);
-            assert_eq!(digest, core, "{what}: with the undo journal");
+            assert_eq!(run_script(n, seed), core, "{what}");
         }
     }
 }
@@ -364,7 +358,7 @@ fn corpus_digests_match_the_tree_builder() {
 // ------------------------------------------------ restore transcripts ----
 
 /// Everything the daemon can be asked about a stream.
-fn answers<J: Journal>(engine: &IncrementalAnalysis<NoChains, J>) -> String {
+fn answers(engine: &IncrementalAnalysis) -> String {
     let n = engine.num_processes();
     let tops: Vec<u32> = (0..n)
         .map(|p| engine.last_checkpoint_index(ProcessId::new(p)))
@@ -393,10 +387,7 @@ fn answers<J: Journal>(engine: &IncrementalAnalysis<NoChains, J>) -> String {
 
 /// What a restored engine answers at once, and what it replies and answers
 /// after each op of `ops`.
-fn transcript<J: Journal>(
-    mut engine: IncrementalAnalysis<NoChains, J>,
-    ops: &[Op],
-) -> (String, IncrementalAnalysis<NoChains, J>) {
+fn transcript(mut engine: IncrementalAnalysis, ops: &[Op]) -> (String, IncrementalAnalysis) {
     let mut out = format!("restored: {}\n", answers(&engine));
     for op in ops {
         let reply = apply(&mut engine, op);
@@ -419,7 +410,7 @@ fn goldens_restore_to_the_answers_the_tree_restore_gave() {
     assert!(stride.len() > 80 && core.compactions() == 4);
 
     for golden in [GOLDEN_V2_CORE, GOLDEN_V3_CORE, GOLDEN_V4_CORE] {
-        let restored = restore::<NoJournal>(golden.trim_end(), "core golden");
+        let restored = restore(golden.trim_end(), "core golden");
         let (said, after) = transcript(restored, stride);
         assert_eq!(said, TRANSCRIPT_CORE);
         assert_eq!(text(&after), text(&core), "an uninterrupted twin");
@@ -428,7 +419,7 @@ fn goldens_restore_to_the_answers_the_tree_restore_gave() {
     // key is skipped; `reclaimed_rows` is carried as stored, chain rows and
     // all).
     for golden in [GOLDEN_V2_CHAINS, GOLDEN_V3_CHAINS] {
-        let restored = restore::<NoJournal>(golden.trim_end(), "chains as core");
+        let restored = restore(golden.trim_end(), "chains as core");
         let (said, _) = transcript(restored, stride);
         assert_eq!(said, TRANSCRIPT_CORE);
     }

@@ -7,7 +7,7 @@
 //! twin, the engines restored from its version 2 and version 3 documents
 //! (rebuilt by `common::v2_text` and `common::v3_text`), the one restored
 //! from its version 4 document and the one restored from *that* one's
-//! document must be indistinguishable, with and without the undo journal.
+//! document must be indistinguishable.
 //! Corrupted snapshot documents must be rejected with a `SnapshotError`,
 //! never a panic.
 
@@ -17,7 +17,7 @@ use common::{text as snapshot_text, v2_text, v3_text, Arrivals};
 use proptest::prelude::*;
 use rdt_causality::{CheckpointId, ProcessId};
 use rdt_json::Json;
-use rdt_rgraph::{IncrementalAnalysis, Journal, NoChains, NoJournal, SnapshotError, UndoJournal};
+use rdt_rgraph::{IncrementalAnalysis, SnapshotError};
 
 struct Rng(u64);
 
@@ -70,7 +70,7 @@ fn random_ops(
     ops
 }
 
-fn apply<J: Journal>(incr: &mut IncrementalAnalysis<NoChains, J>, op: Op) {
+fn apply(incr: &mut IncrementalAnalysis, op: Op) {
     match op {
         Op::Cp(i) => {
             incr.append_checkpoint(ProcessId::new(i));
@@ -87,11 +87,7 @@ fn cp(p: usize, idx: u32) -> CheckpointId {
 }
 
 /// Compares every query kind the daemon serves on both engines.
-fn assert_same_answers<J: Journal>(
-    a: &IncrementalAnalysis<NoChains, J>,
-    b: &IncrementalAnalysis<NoChains, J>,
-    what: &str,
-) {
+fn assert_same_answers(a: &IncrementalAnalysis, b: &IncrementalAnalysis, what: &str) {
     let n = a.num_processes();
     assert_eq!(
         a.untrackable_pairs(),
@@ -129,19 +125,19 @@ fn restore(doc: &Json) -> Result<IncrementalAnalysis, SnapshotError> {
     IncrementalAnalysis::from_snapshot_text(doc.to_string().as_bytes())
 }
 
-fn from_text<J: Journal>(text: &str) -> IncrementalAnalysis<NoChains, J> {
+fn from_text(text: &str) -> IncrementalAnalysis {
     IncrementalAnalysis::from_snapshot_text(text.as_bytes()).expect("snapshot restores")
 }
 
 /// The snapshot as a tree, for the tests that edit it field by field.
-fn snapshot_doc<J: Journal>(engine: &IncrementalAnalysis<NoChains, J>) -> Json {
+fn snapshot_doc(engine: &IncrementalAnalysis) -> Json {
     Json::parse_bytes(snapshot_text(engine).as_bytes()).expect("snapshot text parses")
 }
 
-/// One seed on one journal layer: a prefix (compacted or not), then the
-/// four engines side by side through every query, `10·n` further events
-/// with the queries after each, and the bytes at both ends.
-fn check_seed<J: Journal>(seed: u64, compact_midway: bool) {
+/// One seed: a prefix (compacted or not), then the four engines side by
+/// side through every query, `10·n` further events with the queries after
+/// each, and the bytes at both ends.
+fn check_seed(seed: u64, compact_midway: bool) {
     let n = 2 + (seed as usize) % 3;
     let mut rng = Rng(seed | 1);
     let mut next_mid = 0u32;
@@ -149,7 +145,7 @@ fn check_seed<J: Journal>(seed: u64, compact_midway: bool) {
     let prefix = random_ops(&mut rng, n, 60, &mut next_mid, &mut in_flight);
     let suffix = random_ops(&mut rng, n, 10 * n, &mut next_mid, &mut in_flight);
 
-    let mut original = IncrementalAnalysis::<NoChains, J>::layered(n);
+    let mut original = IncrementalAnalysis::new(n);
     let mut arrivals = Arrivals::new(n);
     for &op in &prefix {
         apply(&mut original, op);
@@ -167,8 +163,8 @@ fn check_seed<J: Journal>(seed: u64, compact_midway: bool) {
     let v2 = v2_text(&v3, &arrivals);
     assert!(v2.len() > v3.len() && v2.contains(r#""version":2"#));
     assert!(v4.contains(r#""version":4"#) && v3.contains(r#""version":3"#));
-    let from_v4 = from_text::<J>(&v4);
-    let again = from_text::<J>(&snapshot_text(&from_v4));
+    let from_v4 = from_text(&v4);
+    let again = from_text(&snapshot_text(&from_v4));
     let mut engines = [
         (original, "uninterrupted"),
         (from_text(&v2), "from version 2"),
@@ -176,13 +172,13 @@ fn check_seed<J: Journal>(seed: u64, compact_midway: bool) {
         (from_v4, "from version 4"),
         (again, "from version 4, twice"),
     ];
-    let check = |engines: &[(IncrementalAnalysis<NoChains, J>, &str); 5], when: &str| {
+    let check = |engines: &[(IncrementalAnalysis, &str); 5], when: &str| {
         let (reference, others) = engines.split_first().expect("five engines");
         for (other, which) in others {
             assert_same_answers(&reference.0, other, &format!("{which}, {when}"));
         }
     };
-    let same_bytes = |engines: &[(IncrementalAnalysis<NoChains, J>, &str); 5], when: &str| {
+    let same_bytes = |engines: &[(IncrementalAnalysis, &str); 5], when: &str| {
         for (other, which) in &engines[1..] {
             let (ours, theirs) = (snapshot_text(&engines[0].0), snapshot_text(other));
             assert_eq!(ours, theirs, "{which}, {when}: snapshot bytes");
@@ -209,11 +205,6 @@ fn check_seed<J: Journal>(seed: u64, compact_midway: bool) {
     same_bytes(&engines, "after the suffix");
 }
 
-fn check_both(seed: u64, compact_midway: bool) {
-    check_seed::<NoJournal>(seed, compact_midway);
-    check_seed::<UndoJournal>(seed, compact_midway);
-}
-
 fn roundtrip(engine: &IncrementalAnalysis) -> IncrementalAnalysis {
     from_text(&snapshot_text(engine))
 }
@@ -221,14 +212,14 @@ fn roundtrip(engine: &IncrementalAnalysis) -> IncrementalAnalysis {
 #[test]
 fn snapshot_roundtrip_plain() {
     for seed in [3, 17, 2026] {
-        check_both(seed, false);
+        check_seed(seed, false);
     }
 }
 
 #[test]
 fn snapshot_roundtrip_after_compaction() {
     for seed in [5, 23, 404] {
-        check_both(seed, true);
+        check_seed(seed, true);
     }
 }
 
@@ -513,6 +504,6 @@ proptest! {
     /// choices.
     #[test]
     fn snapshot_restore_differential(seed in any::<u64>(), compact in any::<bool>()) {
-        check_both(seed, compact);
+        check_seed(seed, compact);
     }
 }

@@ -379,8 +379,9 @@ impl CertSession {
             .zip(ops.iter())
             .take_while(|(a, b)| a == b)
             .count();
-        // The session never compacts or restores its engine, so every mark
-        // it holds is one of the engine's own journal in its one epoch.
+        // A `FullAnalysis` can neither compact nor be restored, so its
+        // journal holds its whole history, and `marks` is cut back with
+        // `ops`: every mark held is a position at or below the journal's end.
         self.incr.rewind(self.marks[shared]);
         self.ops.truncate(shared);
         self.marks.truncate(shared + 1);

@@ -189,8 +189,36 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         let metrics = rdt::sim::TraceMetrics::of(&outcome.trace);
         out!("{}", metrics.render());
     }
-    if args.switch("verify") {
-        let report = PatternAnalysis::new(&outcome.trace.to_pattern()).rdt_report();
+    // One pattern and one analysis serve --verify, --stats and --dot. The
+    // analysis computes its artifacts lazily, so --stats times its phases
+    // first, each while it is still cold, and --verify prints the report
+    // the R-path phase built.
+    let (verify, dot_path) = (args.switch("verify"), args.value("dot"));
+    let analyzed = verify || stats_wanted;
+    let pattern = (analyzed || dot_path.is_some()).then(|| outcome.trace.to_pattern());
+    let analysis = pattern
+        .as_ref()
+        .filter(|_| analyzed)
+        .map(PatternAnalysis::new);
+    let (mut report, mut phases) = (None, None);
+    if let Some(analysis) = analysis.as_ref().filter(|_| stats_wanted) {
+        let watch = rdt::Stopwatch::start();
+        let replay_ok = analysis.core().is_ok();
+        let replay = watch.elapsed();
+
+        let watch = rdt::Stopwatch::start();
+        analysis.zigzag();
+        let chains = watch.elapsed();
+
+        let check = replay_ok.then(|| {
+            let watch = rdt::Stopwatch::start();
+            report = Some(analysis.rdt_report());
+            watch.elapsed()
+        });
+        phases = Some((replay, chains, check));
+    }
+    if let Some(analysis) = analysis.as_ref().filter(|_| verify) {
+        let report = report.get_or_insert_with(|| analysis.rdt_report());
         outln!(
             "  RDT          : {} ({} R-paths checked)",
             if report.holds() { "holds" } else { "VIOLATED" },
@@ -200,7 +228,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
             outln!("    {violation}");
         }
     }
-    if stats_wanted {
+    if let Some((replay, chains, check)) = phases {
         // The trace replayed into a bare engine, the violation count read
         // back after every event, so append and query cost show apart.
         let trace = &outcome.trace;
@@ -225,18 +253,6 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
             "    query      : {:>9.3} ms ({verdict})",
             probe.query_time.as_secs_f64() * 1e3
         );
-        // One shared PatternAnalysis; its laziness splits the offline
-        // check into its phases so each can be timed in isolation.
-        let analysis = PatternAnalysis::new(&outcome.trace.to_pattern());
-
-        let watch = rdt::Stopwatch::start();
-        let replay_ok = analysis.core().is_ok();
-        let replay = watch.elapsed();
-
-        let watch = rdt::Stopwatch::start();
-        analysis.zigzag();
-        let chains = watch.elapsed();
-
         outln!("  phase timings (one shared analysis):");
         outln!(
             "    replay     : {:>9.3} ms (into the incremental core)",
@@ -246,22 +262,18 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
             "    chains     : {:>9.3} ms (chain closures)",
             chains.as_secs_f64() * 1e3
         );
-        if replay_ok {
-            let watch = rdt::Stopwatch::start();
-            let report = analysis.rdt_report();
-            let check = watch.elapsed();
-            outln!(
+        match (check, &report) {
+            (Some(check), Some(report)) => outln!(
                 "    R-path check: {:>8.3} ms ({} R-paths, RDT {})",
                 check.as_secs_f64() * 1e3,
                 report.r_paths_found(),
                 if report.holds() { "holds" } else { "VIOLATED" }
-            );
-        } else {
-            outln!("    R-path check: skipped (pattern unrealizable)");
+            ),
+            _ => outln!("    R-path check: skipped (pattern unrealizable)"),
         }
     }
-    if let Some(path) = args.value("dot") {
-        let text = dot::pattern_to_dot(&outcome.trace.to_pattern());
+    if let (Some(path), Some(pattern)) = (dot_path, &pattern) {
+        let text = dot::pattern_to_dot(pattern);
         if let Err(err) = std::fs::write(path, text) {
             eprintln!("could not write {path}: {err}");
             return Ok(ExitCode::FAILURE);

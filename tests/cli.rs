@@ -53,6 +53,48 @@ fn run_with_verify_reports_rdt() {
     );
 }
 
+/// `--stats` times the phases of the analysis `--verify` then reads: the
+/// verdict, R-path count and violations `--verify` prints are those it
+/// prints alone, and the timed R-path phase reports the same count.
+#[test]
+fn verify_with_stats_reports_what_verify_alone_reports() {
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "run",
+            "--protocol",
+            "uncoordinated",
+            "--n",
+            "4",
+            "--seed",
+            "3",
+        ];
+        args.extend(["--messages", "200", "--verify"]);
+        let output = cli().args(args).args(extra).output().expect("binary runs");
+        assert!(output.status.success());
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let verified = |text: &str| {
+        let mut lines = text.lines().skip_while(|line| !line.starts_with("  RDT "));
+        let head = lines.next().expect("an RDT line").to_string();
+        let violations = lines.take_while(|line| line.starts_with("    "));
+        let block: Vec<String> = std::iter::once(head.clone())
+            .chain(violations.map(str::to_string))
+            .collect();
+        (head, block)
+    };
+    let (alone, with_stats) = (run(&[]), run(&["--stats"]));
+    let (head, block) = verified(&alone);
+    assert_eq!(verified(&with_stats).1, block);
+    assert!(head.contains("VIOLATED") && block.len() == 4, "{alone}");
+    let count = head
+        .split('(')
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next());
+    let count = count.expect("an R-path count");
+    let check = format!("({count} R-paths, RDT VIOLATED)");
+    assert!(with_stats.contains(&check), "{with_stats}");
+}
+
 #[test]
 fn audit_figure_1_flags_the_violation() {
     let output = cli()

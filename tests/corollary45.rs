@@ -3,8 +3,9 @@
 //! dependency-tracking RDT protocol, cross-validated against the offline
 //! R-graph fixpoint.
 
+use rdt::json::JsonWriter;
 use rdt::sim::TraceEvent;
-use rdt::theory::{min_max, RewindableAnalysis};
+use rdt::theory::{min_max, IncrementalAnalysis};
 use rdt::workloads::EnvironmentKind;
 use rdt::{run_protocol_kind, CheckpointId, ProcessId, ProtocolKind, SimConfig, StopCondition};
 
@@ -118,6 +119,10 @@ fn uncoordinated_runs_would_fail_the_corollary() {
 /// R-graph minimum — a lookup in the reach vectors — is the fixpoint
 /// minimum for every checkpoint the engine still holds, with compactions to
 /// the recovery line and to trailing caps interleaved.
+///
+/// The engine is the daemon's journal-free core, the one that compacts; its
+/// closed view is a copy restored from its snapshot, with a checkpoint
+/// appended to every line whose frontier lies past its last checkpoint.
 #[test]
 fn reach_vectors_are_the_min_gc_on_bhmr_streams_with_compaction() {
     let n = 4;
@@ -127,7 +132,7 @@ fn reach_vectors_are_the_min_gc_on_bhmr_streams_with_compaction() {
             let mut app = env.build(n, 15);
             let outcome = run_protocol_kind(ProtocolKind::Bhmr, &config(seed), app.as_mut());
             assert!(outcome.trace.forced_checkpoint_count() > 0);
-            let mut engine = RewindableAnalysis::layered(n);
+            let mut engine = IncrementalAnalysis::new(n);
             for (step, event) in outcome.trace.events().iter().enumerate() {
                 match *event {
                     TraceEvent::Send { from, to, .. } => {
@@ -154,28 +159,45 @@ fn reach_vectors_are_the_min_gc_on_bhmr_streams_with_compaction() {
                 assert_eq!(engine.untrackable_pairs(), 0, "{what}");
                 // The corollary speaks of closed patterns: a checkpoint that
                 // depends on an interval still open has no minimum yet.
-                engine.with_closed(|view| {
-                    assert_eq!(view.untrackable_pairs(), 0, "{what}, closed");
-                    for p in 0..n {
-                        let process = ProcessId::new(p);
-                        let retained = view.retained_from()[p];
-                        for index in retained..=view.last_checkpoint_index(process) {
-                            let member = [CheckpointId::new(process, index)];
-                            let via_reach = view.min_consistent_via_rgraph(&member);
-                            assert!(via_reach.is_some(), "{what}: {} is useless", member[0]);
-                            assert_eq!(
-                                via_reach,
-                                view.min_consistent_containing(&member),
-                                "{what}: minimum containing {}",
-                                member[0]
-                            );
-                            checked += 1;
-                        }
+                let view = closed(&engine);
+                assert_eq!(view.untrackable_pairs(), 0, "{what}, closed");
+                for p in 0..n {
+                    let process = ProcessId::new(p);
+                    let retained = view.retained_from()[p];
+                    for index in retained..=view.last_checkpoint_index(process) {
+                        let member = [CheckpointId::new(process, index)];
+                        let via_reach = view.min_consistent_via_rgraph(&member);
+                        assert!(via_reach.is_some(), "{what}: {} is useless", member[0]);
+                        assert_eq!(
+                            via_reach,
+                            view.min_consistent_containing(&member),
+                            "{what}: minimum containing {}",
+                            member[0]
+                        );
+                        checked += 1;
                     }
-                });
+                }
             }
             assert!(engine.compactions() >= 3, "{env} (seed {seed}): epochs");
         }
     }
     assert!(checked > 5_000, "only {checked} minima compared");
+}
+
+/// A journal-free copy of `engine` with a checkpoint appended to every open
+/// line, as `with_closed` appends them.
+fn closed(engine: &IncrementalAnalysis) -> IncrementalAnalysis {
+    let mut text = Vec::new();
+    engine.write_snapshot(&mut JsonWriter::new(&mut text));
+    let mut copy = IncrementalAnalysis::from_snapshot_text(&text).expect("restores");
+    let n = engine.num_processes();
+    let (mut frontier, mut line) = (vec![u32::MAX; n], vec![0; n]);
+    engine.max_consistent_dominated_open_into(&mut frontier, &mut line);
+    for (p, &top) in frontier.iter().enumerate() {
+        let process = ProcessId::new(p);
+        if top > engine.last_checkpoint_index(process) {
+            copy.append_checkpoint(process);
+        }
+    }
+    copy
 }

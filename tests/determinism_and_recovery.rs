@@ -2,7 +2,7 @@
 //! simulator's crash lines against the closed view.
 
 use rdt::sim::{BasicCheckpointModel, TraceEvent};
-use rdt::theory::{ChainLayer, IncrementalAnalysis, Journal, RewindableAnalysis};
+use rdt::theory::{ChainLayer, IncrementalAnalysis, Journal, NoChains, UndoJournal};
 use rdt::workloads::EnvironmentKind;
 use rdt::{analyze, run_protocol_kind, Failure, ProcessId, ProtocolKind, SimConfig, StopCondition};
 
@@ -261,7 +261,7 @@ where
 /// checkpoint below the closed last checkpoints, the victim capped at its
 /// last durable one.
 fn closed_view_line(prefix: &[TraceEvent], victim: ProcessId) -> Vec<u32> {
-    let mut engine = RewindableAnalysis::layered(N);
+    let mut engine = IncrementalAnalysis::<NoChains, UndoJournal>::layered(N);
     let mut handles = Vec::new();
     for event in prefix {
         append(&mut engine, &mut handles, event);
