@@ -227,9 +227,7 @@ impl IncrementalAnalysis<NoChains, NoJournal> {
         stats.resident_nodes = self.resident_closure_nodes();
         (stats, examined)
     }
-}
 
-impl<J: Journal> IncrementalAnalysis<NoChains, J> {
     // ---------------------------------------------- compaction stats ----
 
     /// The compaction epoch: 0 until the first state-discarding

@@ -507,6 +507,13 @@ pub struct IncrementalAnalysis<C = NoChains, J = NoJournal> {
     /// is none). Each record links to the one before it on its process
     /// ([`Chain`]), appended in event order and so in interval order.
     heads: Vec<u32>,
+    /// The least tail target per process (`tail_targets`), kept by
+    /// `try_append_checkpoint`, the one append that changes the set behind
+    /// it; empty while stale: after a checkpoint retired a minimum, a
+    /// rewound checkpoint or a restore, until the next fit question walks
+    /// once (`refresh_tails`). A compaction moves no interval and leaves
+    /// them exact.
+    tails: Vec<u32>,
 
     // ---- compaction state (see `compaction.rs`) ----
     /// Compaction epoch: bumped whenever `compact_to` discards state, so
@@ -600,6 +607,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
             r_meta,
             cp_nodes,
             heads: vec![NONE_U32; 2 * n],
+            tails: Vec::new(),
             epoch: 0,
             watermark: vec![0; n],
             cp_base: vec![0; n],
@@ -713,7 +721,9 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
 
         // Rule 2, receiver side: messages delivered at `p` in the interval
         // this checkpoint closes, whose send interval is already closed.
-        // Both sides insert their edges in event order, oldest first.
+        // Both sides insert their edges in event order, oldest first. A
+        // message whose send interval is still open makes this checkpoint a
+        // tail target instead.
         let (mut stack, mut heap) = ([0u32; EDGE_STACK_ENTRIES], Vec::new());
         let delivered = self.deliveries_at(pi);
         for &mid in since_interval(delivered, closing, &mut stack, &mut heap) {
@@ -722,16 +732,23 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
                 let fi = m.from as usize;
                 let src = self.cp_nodes[fi][(m.send_iv - self.cp_base[fi]) as usize] as usize;
                 self.insert_r_edge(src, node);
+            } else if let Some(tail) = self.tails.get_mut(pi) {
+                *tail = (*tail).min(closing);
             }
         }
         // Rule 2, sender side: messages sent by `p` in this interval whose
-        // delivery interval is already closed.
+        // delivery interval is already closed. Each was a tail target until
+        // now (unless it went to `p` in this very interval), so the kept
+        // minimum of its receiver goes stale if it may have held it.
         for &mid in since_interval(self.sends_of(pi), closing, &mut stack, &mut heap) {
             let m = self.msgs[mid as usize];
             if m.deliver_iv != NONE_U32 && m.deliver_iv <= self.cp_count[m.to as usize] {
                 let ti = m.to as usize;
                 let tgt = self.cp_nodes[ti][(m.deliver_iv - self.cp_base[ti]) as usize] as usize;
                 self.insert_r_edge(node, tgt);
+                if self.tails.get(ti) == Some(&m.deliver_iv) {
+                    self.tails.clear();
+                }
             }
         }
         self.events += 1;
@@ -1125,20 +1142,22 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// of a message sent in an open interval, the only R-edges out of the
     /// frontier. Per process `r` that is `reach[m][r] ≤ s[r]` for every
     /// member `m`, with `s[r]` the least of the tail targets on `r` and the
-    /// least member index on `r` plus one. It costs the sends in open
-    /// intervals and `n` lanes per member.
+    /// least member index on `r` plus one. It costs `n` words of kept tail
+    /// targets and `n` lanes per member, and once after a checkpoint
+    /// retired a kept minimum the sends in open intervals.
     ///
     /// # Panics
     /// If a member does not exist in the pattern.
-    pub fn fits_frontier(&self, members: &[CheckpointId]) -> Option<bool> {
+    pub fn fits_frontier(&mut self, members: &[CheckpointId]) -> Option<bool> {
         for &member in members {
             self.assert_member(member);
             if member.index < self.cp_base[member.process.index()] {
                 return None;
             }
         }
+        self.refresh_tails();
         self.with_scratch(|seeds| {
-            self.tail_targets(seeds);
+            seeds.copy_from_slice(&self.tails);
             for &m in members {
                 let s = &mut seeds[m.process.index()];
                 *s = (*s).min(m.index + 1);
@@ -1155,7 +1174,7 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// `frontier` (per process, the index of its last checkpoint then)
     /// [`fits_frontier`](IncrementalAnalysis::fits_frontier) as a
     /// one-member set, or lies below `retained_from()`, where that is
-    /// undecided. The tail targets are found once for all of them.
+    /// undecided. They are all held to the same kept tail targets.
     ///
     /// If the answer is `false`, the recovery line is what it was at
     /// `frontier`: appends beyond a frontier change no orphan below it, so
@@ -1165,28 +1184,39 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     ///
     /// # Panics
     /// If `frontier` has a length other than the process count.
-    pub fn any_fits_beyond(&self, frontier: &[u32]) -> bool {
+    pub fn any_fits_beyond(&mut self, frontier: &[u32]) -> bool {
         assert_eq!(frontier.len(), self.n, "frontier length");
-        let taken_since = |p: &usize| frontier[*p] < self.cp_count[*p];
-        if !(0..self.n).any(|p| taken_since(&p)) {
+        if (0..self.n).all(|p| frontier[p] >= self.cp_count[p]) {
             return false;
         }
         // A checkpoint taken since and compacted away is undecided.
         if (0..self.n).any(|p| frontier[p] + 1 < self.cp_base[p]) {
             return true;
         }
-        self.with_scratch(|tails| {
-            self.tail_targets(tails);
-            (0..self.n).filter(taken_since).any(|p| {
-                let first = frontier[p] + 1;
-                let nodes = &self.cp_nodes[p][(first - self.cp_base[p]) as usize..];
-                (first..).zip(nodes).any(|(index, &node)| {
-                    let row = &self.reach[node as usize * self.n..][..self.n];
-                    let mut lanes = row.iter().zip(&*tails).enumerate();
-                    lanes.all(|(r, (&reach, &t))| reach <= t && (r != p || reach <= index + 1))
-                })
+        self.refresh_tails();
+        let taken_since = |p: &usize| frontier[*p] < self.cp_count[*p];
+        (0..self.n).filter(taken_since).any(|p| {
+            let first = frontier[p] + 1;
+            let nodes = &self.cp_nodes[p][(first - self.cp_base[p]) as usize..];
+            (first..).zip(nodes).any(|(index, &node)| {
+                let row = &self.reach[node as usize * self.n..][..self.n];
+                let mut lanes = row.iter().zip(&self.tails).enumerate();
+                lanes.all(|(r, (&reach, &t))| reach <= t && (r != p || reach <= index + 1))
             })
         })
+    }
+
+    /// Makes the kept tail targets current: one walk (`tail_targets`) if
+    /// they are stale, nothing otherwise.
+    fn refresh_tails(&mut self) {
+        if self.tails.is_empty() {
+            let mut tails = std::mem::take(&mut self.tails);
+            tails.resize(self.n, NONE_U32);
+            let _examined = self.tail_targets(&mut tails);
+            #[cfg(test)]
+            work::TAIL_SENDS.set(work::TAIL_SENDS.get() + _examined as u64);
+            self.tails = tails;
+        }
     }
 
     /// Writes into `tails` (length `n`) the least tail target per process —
@@ -1194,6 +1224,8 @@ impl<C: ChainLayer, J: Journal> IncrementalAnalysis<C, J> {
     /// its sender has not closed — and `u32::MAX` where there is none;
     /// returns the send records it examined, exactly the sends in open
     /// intervals (each process's newest, read back along its send chain).
+    /// Only a checkpoint changes them, so the engine keeps them (`tails`)
+    /// and walks only to refresh them.
     fn tail_targets(&self, tails: &mut [u32]) -> usize {
         tails.fill(NONE_U32);
         let mut examined = 0;
@@ -1518,6 +1550,8 @@ mod work {
         pub static LANES_PROBED: Cell<u64> = const { Cell::new(0) };
         /// `reach` lanes the sender-side fold (`raise_runs`) wrote.
         pub static LANES_RAISED: Cell<u64> = const { Cell::new(0) };
+        /// Send records the refreshes of the kept tail targets examined.
+        pub static TAIL_SENDS: Cell<u64> = const { Cell::new(0) };
         /// Rows of the write-once snapshot tables (`msgs`, `msg_tdv`,
         /// `cp_tdv`, `r_meta`) a snapshot render wrote.
         pub static ROWS_RENDERED: Cell<u64> = const { Cell::new(0) };
@@ -2418,6 +2452,8 @@ mod tests {
     /// restored, so that every checkpoint it was fed is still a node of it,
     /// takes the same appends and the marks and rewinds. Where the twin
     /// rewinds, the subject is restored from a snapshot taken with the mark.
+    /// The same ops drive the kept tail targets' differential, which checks
+    /// those instead of `reach`.
     struct ReachDifferential {
         subject: IncrementalAnalysis,
         twin: IncrementalAnalysis<NoChains, UndoJournal>,
@@ -2426,6 +2462,27 @@ mod tests {
         /// A mark of the twin, the subject's snapshot text and the messages
         /// in flight, all taken at once.
         marks: Vec<(Mark, Vec<u8>, Vec<u32>)>,
+        /// `Some` when the checks are of the kept tail targets: how many
+        /// found them kept and how many found them stale.
+        tails: Option<[usize; 2]>,
+    }
+
+    /// Holds `engine`'s kept tail targets, unless they are stale, to a fresh
+    /// walk, then refreshes them so that the next op has kept targets to
+    /// maintain. Returns whether they were kept.
+    fn assert_kept_tails<C: ChainLayer, J: Journal>(
+        engine: &mut IncrementalAnalysis<C, J>,
+        what: &str,
+    ) -> bool {
+        let mut fresh = vec![0; engine.n];
+        engine.tail_targets(&mut fresh);
+        let kept = !engine.tails.is_empty();
+        if kept {
+            assert_eq!(engine.tails, fresh, "{what}: kept tail targets");
+        }
+        engine.refresh_tails();
+        assert_eq!(engine.tails, fresh, "{what}: refreshed tail targets");
+        kept
     }
 
     /// `reach` of an engine that was never compacted, recomputed from the
@@ -2479,13 +2536,28 @@ mod tests {
                 rng: Rng(seed | 1),
                 in_flight: Vec::new(),
                 marks: Vec::new(),
+                tails: None,
+            }
+        }
+
+        /// After an op: the kept tail targets if they are what is checked,
+        /// `reach` otherwise.
+        fn check(&mut self, what: &str) {
+            let Some([kept, stale]) = &mut self.tails else {
+                return self.check_reach(what);
+            };
+            for was_kept in [
+                assert_kept_tails(&mut self.subject, &format!("{what}, subject")),
+                assert_kept_tails(&mut self.twin, &format!("{what}, twin")),
+            ] {
+                *if was_kept { &mut *kept } else { &mut *stale } += 1;
             }
         }
 
         /// `reach` is the closure the pattern's edges give, row for row, on
         /// both engines (the subject's rows hold their compacted-away sources
         /// too), and `untrackable` is `Σ (reach − 1 − TDV)⁺`.
-        fn check(&self, what: &str) {
+        fn check_reach(&self, what: &str) {
             let (subject, twin) = (&self.subject, &self.twin);
             let n = subject.n;
             let closure = reach_by_search(twin);
@@ -2612,15 +2684,22 @@ mod tests {
         /// Each process's send intervals, in send order: the test's own
         /// index of what the send chains hold.
         send_ivs: Vec<Vec<u32>>,
+        /// Whether, since the last fit question that walked, a checkpoint
+        /// retired a send whose delivery interval was its receiver's least
+        /// tail target (true until the first: nothing is kept yet).
+        retired_a_minimum: bool,
     }
 
-    /// Records examined by the costliest query of each kind.
+    /// Records examined by the costliest query of each kind, and how many
+    /// fit questions were asked and how many of them walked.
     #[derive(Debug, Default)]
     struct Examined {
         recovery_line: usize,
         max_consistent: usize,
         min_consistent: usize,
         fits_frontier: usize,
+        fit_questions: usize,
+        refreshes: usize,
     }
 
     impl DaemonStream {
@@ -2645,7 +2724,24 @@ mod tests {
                 in_flight: Vec::new(),
                 sent_before_round: 0,
                 send_ivs: vec![Vec::new(); n],
+                retired_a_minimum: true,
             }
+        }
+
+        /// Appends a checkpoint of process `i`, noting whether it retires a
+        /// least tail target: a send of `i` in its open interval, delivered
+        /// in a closed interval that is its receiver's least, by a walk
+        /// taken before it.
+        fn checkpoint(&mut self, i: usize) {
+            let mut least = vec![0; self.core.n];
+            self.core.tail_targets(&mut least);
+            let core = &self.core;
+            let open = |&(_, iv, _): &(u32, u32, &MsgRec)| iv > core.cp_count[i];
+            let retires = core.sends_of(i).take_while(open).any(|(_, _, m)| {
+                m.deliver_iv <= core.cp_count[m.to as usize] && m.deliver_iv == least[m.to as usize]
+            });
+            self.retired_a_minimum |= retires;
+            self.core.append_checkpoint(p(i));
         }
 
         /// Sends of each process above `line`, counted off `send_ivs`.
@@ -2658,11 +2754,12 @@ mod tests {
         fn event(&mut self) {
             self.events += 1;
             let n = self.core.n;
-            let (core, rng) = (&mut self.core, &mut self.rng);
             if self.events.is_multiple_of(4) {
-                core.append_checkpoint(p(rng.below(n)));
+                let i = self.rng.below(n);
+                self.checkpoint(i);
                 return;
             }
+            let (core, rng) = (&mut self.core, &mut self.rng);
             let send = match self.in_flight.len() {
                 0 => true,
                 k if k >= self.window => false,
@@ -2691,7 +2788,7 @@ mod tests {
                 self.core.append_deliver(mid);
             }
             for i in 0..self.core.n {
-                self.core.append_checkpoint(p(i));
+                self.checkpoint(i);
             }
             let sent = self.core.num_messages();
             assert_eq!(self.core.settled, self.sent_before_round, "cursor");
@@ -2730,15 +2827,37 @@ mod tests {
             examined
         }
 
-        /// The tail targets of one fit predicate, held to their bound: they
-        /// examine exactly the sends in open intervals, which any correct
-        /// search has to look at, and no other record.
-        fn tail_targets(&self) -> usize {
-            let mut tails = vec![0; self.core.n];
-            let examined = self.core.tail_targets(&mut tails);
-            let in_open_intervals = self.sends_above(&self.core.cp_count);
-            assert_eq!(examined, in_open_intervals, "sends in open intervals");
-            examined
+        /// One fit question, held to its bound: it reads the kept tail
+        /// targets and examines no send record, unless a checkpoint since
+        /// the last walk retired a least target; then it walks once,
+        /// examining exactly the sends in open intervals, which any correct
+        /// search has to look at, and no other record. Either way the
+        /// targets it read are a fresh walk's.
+        fn fits_frontier(
+            &mut self,
+            members: &[CheckpointId],
+            worst: &mut Examined,
+        ) -> Option<bool> {
+            let before = work::TAIL_SENDS.get();
+            let fits = self.core.fits_frontier(members);
+            let examined = (work::TAIL_SENDS.get() - before) as usize;
+            if fits.is_none() {
+                assert_eq!(examined, 0, "a question with a compacted member walked");
+                return None;
+            }
+            worst.fit_questions += 1;
+            if std::mem::take(&mut self.retired_a_minimum) {
+                let in_open_intervals = self.sends_above(&self.core.cp_count);
+                assert_eq!(examined, in_open_intervals, "sends in open intervals");
+                worst.fits_frontier = worst.fits_frontier.max(examined);
+                worst.refreshes += 1;
+            } else {
+                assert_eq!(examined, 0, "kept tail targets were walked again");
+            }
+            let mut fresh = vec![0; self.core.n];
+            self.core.tail_targets(&mut fresh);
+            assert_eq!(self.core.tails, fresh, "kept tail targets");
+            fits
         }
 
         /// 1–3 members on distinct processes, each one of the last three
@@ -2765,6 +2884,7 @@ mod tests {
             assert_eq!(gc, public.as_slice());
 
             let members = self.members();
+            let fits = self.fits_frontier(&members, worst);
             let core = &self.core;
             gc.copy_from_slice(&core.cp_count);
             for m in &members {
@@ -2775,10 +2895,9 @@ mod tests {
             let found = members.iter().all(|m| gc[m.process.index()] == m.index);
             let found = found.then(|| GlobalCheckpoint::new(gc.clone()));
             assert_eq!(found, core.max_consistent_containing(&members));
-            if let Some(fits) = core.fits_frontier(&members) {
+            if let Some(fits) = fits {
                 assert_eq!(fits, found.is_some(), "fit of {members:?}");
             }
-            worst.fits_frontier = worst.fits_frontier.max(self.tail_targets());
 
             core.member_floor(&members, &mut gc);
             let (ok, min) =
@@ -2791,18 +2910,27 @@ mod tests {
     }
 
     /// Queries and compactions cost the live suffix, not the stream's age.
-    /// Every descent, every fit predicate and every compaction is held to an
-    /// exact count where it runs (`descend`, `tail_targets`,
+    /// Every descent, every fit question and every compaction is held to an
+    /// exact count where it runs (`descend`, `fits_frontier`,
     /// `round_and_compact`); here, over a final 4 000-event
     /// window, the costliest query of each kind examines no more message
     /// records than the window itself holds, whatever came before it. (With
     /// whole-table fixpoints and whole-table compaction passes each count
     /// would be the table — 1 500 to 77 000 records here — times the number
-    /// of passes.)
+    /// of passes.) A fit question examines no record at all unless a
+    /// checkpoint since the last walk retired a least tail target, and the
+    /// share of questions that walk is pinned, 6–7 % here: without kept
+    /// targets every one of them would.
     #[test]
     fn work_bound_queries_and_compaction_cost_the_live_suffix() {
         const WINDOW: u32 = 4_000;
-        for history in [0u32, 20_000, 200_000] {
+        // Per history: fit questions answered, and how many walked.
+        const PINNED: [(u32, [usize; 2]); 3] = [
+            (0, [3_900, 230]),
+            (20_000, [3_822, 230]),
+            (200_000, [3_800, 264]),
+        ];
+        for (history, pinned) in PINNED {
             let mut stream = DaemonStream::query_mix(0x5eed_0017);
             let mut worst = Examined::default();
             let mut sent_before_window = 0;
@@ -2832,6 +2960,11 @@ mod tests {
                 "a no-op compaction changed the engine"
             );
             let window = stream.core.num_messages() - sent_before_window;
+            assert_eq!(
+                [worst.fit_questions, worst.refreshes],
+                pinned,
+                "fit questions and walks after {history} events"
+            );
             for (what, examined) in [
                 ("recovery-line", worst.recovery_line),
                 ("max-consistent", worst.max_consistent),
@@ -3080,10 +3213,41 @@ mod tests {
             let mut epochs = 0;
             for step in 0..80 * n {
                 run.step();
-                run.check(&format!("seed {seed}, n = {n}, step {step}"));
+                run.check_reach(&format!("seed {seed}, n = {n}, step {step}"));
                 epochs = epochs.max(run.subject.epoch);
             }
             assert!(epochs > 0, "no compaction discarded anything");
+        }
+
+        /// The tail targets the engine keeps are what a fresh walk finds
+        /// after every op, on the subject and on the journaled twin alike:
+        /// sends, deliveries, checkpoints, compactions, snapshot → restore
+        /// hops and rewinds, and inside the twin's `with_closed` view. A
+        /// restore, a rewound checkpoint (the closed view's, too) and a
+        /// checkpoint that retires a least target leave them stale, and a
+        /// stale read walks; most reads after an op find them kept.
+        fn kept_tail_targets_are_a_fresh_walk(seed in 1u64..1_000_000, n in 2usize..6) {
+            let mut run = ReachDifferential::new(n, seed);
+            run.tails = Some([0, 0]);
+            let mut closed_views_kept = 0;
+            for step in 0..80 * n {
+                let what = format!("seed {seed}, n = {n}, step {step}");
+                run.step();
+                run.check(&what);
+                let closes = run.twin.line_open.contains(&true);
+                closed_views_kept += run.twin.with_closed(|view| {
+                    let mut fresh = vec![0; view.n];
+                    view.tail_targets(&mut fresh);
+                    let kept = !view.tails.is_empty();
+                    assert!(!kept || view.tails == fresh, "{what}: closed view");
+                    usize::from(kept)
+                });
+                let kept = assert_kept_tails(&mut run.twin, &format!("{what}, closed view rewound"));
+                assert_eq!(kept, !closes, "{what}: kept across the closed view");
+            }
+            let [kept, stale] = run.tails.expect("tails checked");
+            assert!(kept > 4 * stale, "{kept} reads kept, {stale} stale");
+            assert!(closed_views_kept > 0, "no closed view kept its targets");
         }
 
         /// The dirty successors `insert_r_edge` finds by binary search are

@@ -160,6 +160,8 @@ impl<C: ChainLayer> IncrementalAnalysis<C, UndoJournal> {
                     self.cp_nodes[p].pop();
                     self.cp_tdv.truncate(self.cp_tdv.len() - self.n);
                     self.reach.truncate(self.reach.len() - self.n);
+                    // The checkpoint may have made or retired tail targets.
+                    self.tails.clear();
                 }
                 Undo::Send { from, open } => {
                     self.line_open[from as usize] = open;

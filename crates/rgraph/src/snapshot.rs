@@ -934,6 +934,8 @@ impl IncrementalAnalysis<NoChains, NoJournal> {
             r_meta: r_meta.map(|pair| (pair[0], pair[1])).collect(),
             cp_nodes: Vec::new(),
             heads,
+            // Not in the document either: the first fit question walks.
+            tails: Vec::new(),
             epoch: need(t.epoch, "epoch")?,
             watermark: per_process(t.watermark, n, "watermark")?,
             cp_base: per_process(t.cp_base, n, "cp_base")?,

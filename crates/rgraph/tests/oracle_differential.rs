@@ -286,7 +286,7 @@ impl Lockstep {
         let below = members.iter().any(below);
         self.seen.members_below_retention += usize::from(below);
 
-        let fits = core.fits_frontier(members);
+        let fits = self.core.fits_frontier(members);
         assert_eq!(fits.is_none(), below, "undecided fit for {members:?}");
         if let Some(fits) = fits {
             let found = (ours.0.is_some(), ours.1.is_some());
@@ -302,7 +302,7 @@ impl Lockstep {
     /// after every third event, so the checkpoints taken since span
     /// several ops (and compactions).
     fn check_line_cache(&mut self, line: &[u32]) {
-        let core = &self.core;
+        let core = &mut self.core;
         let last = frontier(core);
         if let Some((kept, at)) = &self.line_at {
             let moved = core.any_fits_beyond(at);

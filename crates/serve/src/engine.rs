@@ -99,6 +99,23 @@ fn write_entry<T>(
     written
 }
 
+/// Members of a query up to which their checkpoint ids stay on the stack.
+const MEMBER_STACK_ENTRIES: usize = 16;
+
+/// Runs `f` on `members` as checkpoint ids: on the stack up to
+/// [`MEMBER_STACK_ENTRIES`] of them, in one `Vec` above.
+fn with_checkpoint_ids<T>(members: &[(usize, u32)], f: impl FnOnce(&[CheckpointId]) -> T) -> T {
+    let id = |&(p, idx): &(usize, u32)| CheckpointId::new(ProcessId::new(p), idx);
+    if members.len() > MEMBER_STACK_ENTRIES {
+        return f(&members.iter().map(id).collect::<Vec<_>>());
+    }
+    let mut stack = [CheckpointId::new(ProcessId::new(0), 0); MEMBER_STACK_ENTRIES];
+    for (slot, member) in stack.iter_mut().zip(members) {
+        *slot = id(member);
+    }
+    f(&stack[..members.len()])
+}
+
 /// One tenant stream.
 #[derive(Debug)]
 pub struct StreamEngine {
@@ -158,7 +175,8 @@ impl StreamEngine {
     /// descent run again, with the current frontier as its caps. Either way
     /// the cache then holds for that frontier.
     fn recovery_line(&mut self) -> Vec<u32> {
-        let (engine, n) = (&self.engine, self.engine.num_processes());
+        let n = self.engine.num_processes();
+        let engine = &mut self.engine;
         let stale = self
             .line
             .as_deref()
@@ -226,36 +244,46 @@ impl StreamEngine {
             QueryKind::Untrackable => Ok(Reply::Untrackable(self.engine.untrackable_pairs())),
             QueryKind::RecoveryLine => Ok(Reply::Line(self.recovery_line())),
             QueryKind::MinConsistent(members) | QueryKind::MaxConsistent(members) => {
-                let ids = self.validate_members(members)?;
-                // No global checkpoint to find: no fixpoint to run.
-                if self.engine.fits_frontier(&ids) == Some(false) {
-                    return Ok(Reply::Global(None));
-                }
-                let mut gc = vec![0u32; self.processes()];
-                let exists = if matches!(query, QueryKind::MinConsistent(_)) {
-                    self.engine.min_consistent_containing_into(&ids, &mut gc)
-                } else {
-                    self.engine.max_consistent_containing_into(&ids, &mut gc)
-                };
-                Ok(Reply::Global(exists.then_some(gc)))
+                self.validate_members(members)?;
+                let min = matches!(query, QueryKind::MinConsistent(_));
+                let gc = with_checkpoint_ids(members, |ids| self.consistent_containing(ids, min));
+                Ok(Reply::Global(gc))
             }
         }
     }
 
-    fn validate_members(&self, members: &[(usize, u32)]) -> Result<Vec<CheckpointId>, ServeError> {
-        members
-            .iter()
-            .map(|&(p, idx)| {
-                let id = CheckpointId::new(ProcessId::new(p), idx);
-                if p >= self.processes() || !self.engine.checkpoint_exists(id) {
-                    return Err(ServeError::new(
-                        ErrorKind::Query,
-                        format!("checkpoint ({p}, {idx}) does not exist"),
-                    ));
-                }
-                Ok(id)
-            })
-            .collect()
+    /// The scanned members, each checked where it lies: the first that
+    /// names no checkpoint of the stream is the error.
+    fn validate_members(&self, members: &[(usize, u32)]) -> Result<(), ServeError> {
+        let missing = members.iter().find(|&&(p, idx)| {
+            p >= self.processes()
+                || !self
+                    .engine
+                    .checkpoint_exists(CheckpointId::new(ProcessId::new(p), idx))
+        });
+        match missing {
+            None => Ok(()),
+            Some((p, idx)) => Err(ServeError::new(
+                ErrorKind::Query,
+                format!("checkpoint ({p}, {idx}) does not exist"),
+            )),
+        }
+    }
+
+    /// The minimum (`min`) or maximum consistent global checkpoint
+    /// containing the validated `ids`, if there is one.
+    fn consistent_containing(&mut self, ids: &[CheckpointId], min: bool) -> Option<Vec<u32>> {
+        // No global checkpoint to find: no fixpoint to run.
+        if self.engine.fits_frontier(ids) == Some(false) {
+            return None;
+        }
+        let mut gc = vec![0u32; self.processes()];
+        let exists = if min {
+            self.engine.min_consistent_containing_into(ids, &mut gc)
+        } else {
+            self.engine.max_consistent_containing_into(ids, &mut gc)
+        };
+        exists.then_some(gc)
     }
 
     /// Compacts the engine to its recovery line and reports what was
@@ -490,7 +518,7 @@ mod tests {
     }
 
     /// Notes which case the stream's next recovery line meets.
-    fn note_case(s: &StreamEngine, seen: &mut LineCases) {
+    fn note_case(s: &mut StreamEngine, seen: &mut LineCases) {
         let n = s.processes();
         let Some(cache) = s.line.as_deref() else {
             return;
@@ -541,7 +569,7 @@ mod tests {
                             s.ingest_event(&EventKind::Deliver { message }).unwrap();
                         }
                         27..=30 => {
-                            note_case(&s, &mut seen);
+                            note_case(&mut s, &mut seen);
                             let fresh = fresh_line(&s);
                             let process = rng.below(n);
                             let reply = s.ingest_event(&EventKind::Crash { process }).unwrap();
@@ -551,7 +579,7 @@ mod tests {
                             assert_eq!(line, fresh, "crash line");
                         }
                         31..=34 => {
-                            note_case(&s, &mut seen);
+                            note_case(&mut s, &mut seen);
                             let fresh = fresh_line(&s);
                             let reply = s.answer_query(&QueryKind::RecoveryLine).unwrap();
                             assert_eq!(reply, Reply::Line(fresh), "recovery line");

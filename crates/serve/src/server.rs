@@ -17,7 +17,9 @@
 //! It writes the buffer out whenever its read buffer holds no further
 //! complete frame — that is, before any read that could block — so replies
 //! leave in request order, a pipelined window costs one write, and depth 1
-//! costs one write per reply. TCP sockets are `TCP_NODELAY`.
+//! costs one write per reply. TCP sockets are `TCP_NODELAY`. The frame and
+//! reply buffers keep at most 16 KiB between uses: one long frame or reply
+//! is not held for the rest of the connection.
 //!
 //! Persistence: with `--snapshot PATH`, the daemon restores the snapshot
 //! at startup (if present; the file's bytes go straight to
@@ -401,10 +403,21 @@ fn dispatch_line(shared: &Shared, line: &[u8], out: &mut Vec<u8>) -> bool {
     op == DaemonOp::Shutdown
 }
 
+/// Capacity a connection's frame or reply buffer keeps between uses; a
+/// buffer grown past it by one long frame or reply gives the rest back.
+const CONN_BUFFER_FLOOR: usize = 16 * 1024;
+
+/// Empties a connection buffer for its next use, at most
+/// [`CONN_BUFFER_FLOOR`] bytes of capacity kept.
+fn recycle(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.shrink_to(CONN_BUFFER_FLOOR);
+}
+
 /// Writes the pending replies out as one `write_all` + `flush`.
 fn flush_replies(writer: &mut Conn, out: &mut Vec<u8>) -> std::io::Result<()> {
     let written = writer.write_all(out).and_then(|()| writer.flush());
-    out.clear();
+    recycle(out);
     written
 }
 
@@ -423,7 +436,7 @@ fn serve_connection(shared: &Shared, conn: Conn) {
         if !reader.buffer().contains(&b'\n') && flush_replies(&mut writer, &mut out).is_err() {
             break;
         }
-        line.clear();
+        recycle(&mut line);
         // Read one byte past the limit so an exactly-limit line (newline
         // included) still goes through while an oversized one is caught.
         let n = match (&mut reader)
@@ -872,6 +885,36 @@ mod tests {
             );
             daemon.stop();
         }
+    }
+
+    /// A buffer that one long frame grew keeps only the floor once it is
+    /// recycled; one that stayed below the floor keeps its block. Through a
+    /// daemon, a `ping` padded to the line limit and one after it are both
+    /// answered.
+    #[test]
+    fn connection_buffers_give_a_long_frame_back() {
+        let mut padded = vec![b' '; MAX_LINE_BYTES - 14];
+        padded.extend_from_slice(b"{\"op\":\"ping\"}\n");
+        assert_eq!(padded.len(), MAX_LINE_BYTES);
+        let mut line = Vec::new();
+        let mut reader = std::io::Cursor::new(&padded).take(MAX_LINE_BYTES as u64 + 1);
+        reader.read_until(b'\n', &mut line).expect("read");
+        assert!(line.capacity() >= MAX_LINE_BYTES);
+        recycle(&mut line);
+        assert!(line.is_empty() && line.capacity() <= CONN_BUFFER_FLOOR);
+
+        line.extend_from_slice(OPEN_A.as_bytes());
+        let (block, capacity) = (line.as_ptr(), line.capacity());
+        recycle(&mut line);
+        assert_eq!((line.as_ptr(), line.capacity()), (block, capacity));
+
+        let daemon = TestDaemon::boot(false, "recycle", 1);
+        let (mut reader, mut writer) = daemon.connect();
+        writer.write_all(&padded).expect("write");
+        assert!(next_reply(&mut reader).contains("pong"));
+        writer.write_all(b"{\"op\":\"ping\"}\n").expect("write");
+        assert!(next_reply(&mut reader).contains("pong"));
+        daemon.stop();
     }
 
     /// N pipelined frames, then the client shuts its write half down:
