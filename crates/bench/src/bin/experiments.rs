@@ -332,9 +332,7 @@ fn certify_scale(ctx: &Ctx) -> Result<(), String> {
     let push_scopes = if ctx.quick {
         Vec::new()
     } else {
-        let full_3_5 = rdt_verify::Scope::with_basics(3, 5, 1)?;
-        let sampled_4_4 = rdt_verify::Scope::with_basics(4, 4, 1)?;
-        vec![(full_3_5, None), (sampled_4_4, Some(0.02))]
+        vec![rdt_verify::Scope::new(4, 4)?, rdt_verify::Scope::new(4, 5)?]
     };
     let bench = rdt_bench::certify_scale(&scope, 1, &push_scopes);
     outln!(
@@ -366,15 +364,11 @@ fn certify_scale(ctx: &Ctx) -> Result<(), String> {
         );
     }
     for run in &bench.scope_push {
-        let mode = match run.sample {
-            Some(frac) => format!("sampled {frac}"),
-            None => "full".to_string(),
-        };
         outln!(
-            "  push {} ({mode}): {} structures, {} replayed in {:.2}s, certified_ok={}",
+            "  push {}: {} structures, {} replayed in {:.2}s, certified_ok={}",
             run.scope,
             run.structures,
-            run.replayed,
+            run.replayable,
             run.ns as f64 / 1e9,
             run.certified_ok
         );

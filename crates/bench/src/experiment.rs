@@ -2142,20 +2142,16 @@ impl ToJson for CertifyReplayRow {
     }
 }
 
-/// One scope-push certification run of BENCH-CERTIFY (the full `3,5`
-/// sweep, the sampled `4,4` probe).
+/// One scope-push certification run of BENCH-CERTIFY (the full `4,4`
+/// and `4,5`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CertifyScaleRun {
     /// The scope, rendered `n,m,b`.
     pub scope: String,
-    /// Sampling fraction, when the run was sampled.
-    pub sample: Option<f64>,
-    /// Full-space structure count (exact even under sampling).
+    /// Full-space structure count.
     pub structures: u64,
-    /// Canonical realizable schedules of the scope.
+    /// Canonical realizable schedules of the scope, every one replayed.
     pub replayable: u64,
-    /// Schedules actually replayed.
-    pub replayed: u64,
     /// Wall-clock nanoseconds of the certification run.
     pub ns: u64,
     /// Whether the run certified clean.
@@ -2164,18 +2160,13 @@ pub struct CertifyScaleRun {
 
 impl ToJson for CertifyScaleRun {
     fn to_json(&self) -> Json {
-        let mut pairs = vec![
+        Json::obj([
             ("scope", Json::Str(self.scope.clone())),
             ("structures", self.structures.to_json()),
             ("replayable", self.replayable.to_json()),
-            ("replayed", self.replayed.to_json()),
             ("ns", self.ns.to_json()),
             ("certified_ok", Json::Bool(self.certified_ok)),
-        ];
-        if let Some(frac) = self.sample {
-            pairs.insert(1, ("sample", Json::F64(frac)));
-        }
-        Json::obj(pairs)
+        ])
     }
 }
 
@@ -2259,11 +2250,11 @@ fn timed_certify(
 /// Runs BENCH-CERTIFY: the certifier over `scope` at `threads` workers
 /// with the full protocol set, a dedicated per-protocol replay-timing
 /// pass, and (when `push_scopes` is nonempty) the scope-push runs — e.g.
-/// a full `3,5` and a sampled `4,4`.
+/// the full `4,4` and `4,5`.
 pub fn certify_scale(
     scope: &rdt_verify::Scope,
     threads: usize,
-    push_scopes: &[(rdt_verify::Scope, Option<f64>)],
+    push_scopes: &[rdt_verify::Scope],
 ) -> CertifyScaleResult {
     use rdt_verify::CertifyOptions;
 
@@ -2298,19 +2289,12 @@ pub fn certify_scale(
 
     let scope_push = push_scopes
         .iter()
-        .map(|(push_scope, sample)| {
-            let options = CertifyOptions {
-                threads,
-                sample: *sample,
-                ..CertifyOptions::default()
-            };
+        .map(|push_scope| {
             let (report, _, ns) = timed_certify(push_scope, &options);
             CertifyScaleRun {
                 scope: push_scope.to_string(),
-                sample: *sample,
                 structures: report.counts.structures,
                 replayable: report.counts.replayable,
-                replayed: report.sampled,
                 ns,
                 certified_ok: report.certified_ok(),
             }
@@ -2484,8 +2468,8 @@ mod tests {
         // Tiny scale: the orbit accounting and the JSON shape must hold
         // exactly.
         let scope = rdt_verify::Scope::tiny();
-        let sampled = rdt_verify::Scope::with_basics(2, 2, 0).expect("in range");
-        let bench = certify_scale(&scope, 1, &[(sampled, Some(0.5))]);
+        let push = rdt_verify::Scope::with_basics(2, 2, 0).expect("in range");
+        let bench = certify_scale(&scope, 1, &[push]);
         assert_eq!(bench.structures, 140);
         assert_eq!(bench.structures - bench.canonical, bench.orbits_pruned);
         assert_eq!(
@@ -2497,9 +2481,9 @@ mod tests {
         }
         assert_eq!(bench.scope_push.len(), 1);
         let push = &bench.scope_push[0];
-        assert_eq!(push.sample, Some(0.5));
+        assert_eq!(push.scope, "2,2,0");
         assert!(push.certified_ok);
-        assert!(push.replayed < push.replayable);
+        assert!(push.replayable > 0 && push.replayable < push.structures);
         let json = bench.to_json().pretty();
         for key in [
             "\"orbit_ns\"",
@@ -2518,7 +2502,7 @@ mod tests {
     #[test]
     fn certify_scale_gate_rejects_vacuous_and_uncertified_runs() {
         let scope = rdt_verify::Scope::tiny();
-        let bench = certify_scale(&scope, 1, &[(scope, None)]);
+        let bench = certify_scale(&scope, 1, &[scope]);
         assert_eq!(bench.gate(), Ok(()));
 
         let no_sharing = CertifyScaleResult {

@@ -21,7 +21,11 @@
 //! 4. **The fit predicate** — for every member set asked above,
 //!    `fits_frontier` is `None` exactly when a member lies below
 //!    `retained_from()`, and otherwise says whether the minimum and the
-//!    maximum exist (every checkpoint is asked as a one-member set).
+//!    maximum exist (every checkpoint is asked as a one-member set). When
+//!    the members fit, `min_consistent_via_rgraph` — per process the
+//!    greatest checkpoint R-reaching a member, read off `reach` alone —
+//!    is the minimum on the unclosed, compacted core too, not only on a
+//!    closed view.
 //!    `any_fits_beyond` a frontier kept from an earlier op is whether some
 //!    checkpoint taken since fits or is undecided, and when it says no, the
 //!    recovery line is the one at that frontier — the daemon's line cache.
@@ -291,6 +295,10 @@ impl Lockstep {
         if let Some(fits) = fits {
             let found = (ours.0.is_some(), ours.1.is_some());
             assert_eq!((fits, fits), found, "fit of {members:?}");
+            if fits {
+                let via_rgraph = self.core.min_consistent_via_rgraph(members);
+                assert_eq!(via_rgraph, ours.0, "min via R-graph of {members:?}");
+            }
             self.seen.fits += usize::from(fits);
             self.seen.misfits += usize::from(!fits);
         }

@@ -30,10 +30,12 @@
 //! One pipeline produces the report: self-describing work units stream
 //! through the orbit-pruned enumerator (see [`crate::orbit`]), engine
 //! verdicts are shared between protocols whose replay produced the
-//! identical op stream, and orbits can be sampled deterministically with
-//! progress reported on stderr. The report bytes are pinned by the
-//! goldens `tests/golden/certify_report{,_3_2_1}.json`; the second was
-//! captured from the layout-fan-out pipeline this one replaced.
+//! identical op stream, and progress can be reported on stderr. A run
+//! replays every canonical realizable schedule of its scope, so a clean
+//! report is a certificate for the whole scope.
+//! The report bytes are pinned by the goldens
+//! `tests/golden/certify_report{,_3_2_1}.json`; the second was captured
+//! from the layout-fan-out pipeline this one replaced.
 
 use std::collections::BTreeSet;
 
@@ -120,32 +122,29 @@ impl ProtocolTally {
     }
 }
 
-/// Certification options.
+/// Certification options. Neither option changes what a run covers:
+/// every canonical realizable schedule of the scope is replayed for
+/// every protocol.
+///
+/// ```
+/// use rdt_verify::{certify, CertifyOptions, Scope};
+///
+/// let scope = Scope::with_basics(3, 2, 1).unwrap();
+/// let options = CertifyOptions {
+///     threads: 2,
+///     ..CertifyOptions::default()
+/// };
+/// let report = certify(&scope, &options);
+/// assert!(report.certified_ok());
+/// for p in &report.protocols {
+///     assert_eq!(p.patterns, report.counts.replayable);
+/// }
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct CertifyOptions {
     /// Worker threads; `0` resolves to the machine's available
     /// parallelism. The report is byte-identical for every thread count.
     pub threads: usize,
-    /// Deterministic stratified sampling over canonical orbits: replay
-    /// only orbits whose sampling key falls below this fraction of the
-    /// key space; `None` (or any fraction `>= 1`) replays exhaustively.
-    /// Enumeration counts always cover the full space; per-protocol
-    /// tallies cover the sample. The sampled set is a pure function of
-    /// (scope, fraction) — independent of thread count, stable across
-    /// runs.
-    ///
-    /// ```
-    /// use rdt_verify::{certify, CertifyOptions, Scope};
-    ///
-    /// let scope = Scope::with_basics(3, 2, 1).unwrap();
-    /// let options = CertifyOptions {
-    ///     sample: Some(0.5),
-    ///     ..CertifyOptions::default()
-    /// };
-    /// let report = certify(&scope, &options);
-    /// assert!(report.sampled < report.counts.replayable);
-    /// ```
-    pub sample: Option<f64>,
     /// Emit periodic progress/ETA lines on stderr: structures/sec,
     /// orbits pruned, schedules replayed.
     pub progress: bool,
@@ -216,15 +215,9 @@ impl ToJson for ProtocolReport {
 pub struct CertifyReport {
     /// The exhaustively covered scope.
     pub scope: Scope,
-    /// Enumeration tallies (shared by all protocols); always full-space,
-    /// even under sampling.
+    /// Enumeration tallies (shared by all protocols); every replayable
+    /// schedule counted here was replayed for every protocol.
     pub counts: EnumerationCounts,
-    /// The sampling fraction, when this run replayed a deterministic
-    /// sample of the canonical orbits instead of all of them.
-    pub sample: Option<f64>,
-    /// Schedules actually replayed (equals `counts.replayable` unless
-    /// sampled).
-    pub sampled: u64,
     /// Per-protocol results, in [`CertProtocol::default_set`] order.
     pub protocols: Vec<ProtocolReport>,
 }
@@ -260,12 +253,6 @@ impl CertifyReport {
              {} unrealizable, {} patterns replayed\n",
             self.scope, c.structures, c.canonical, c.pruned_symmetry, c.unrealizable, c.replayable,
         );
-        if let Some(frac) = self.sample {
-            out.push_str(&format!(
-                "  sampled: {} of {} replayable patterns (fraction {frac})\n",
-                self.sampled, c.replayable,
-            ));
-        }
         let control_binds = self.scope.processes >= 3 && self.scope.messages >= 2;
         for p in &self.protocols {
             let verdict = if p.counterexample_total == 0 {
@@ -311,7 +298,7 @@ impl CertifyReport {
 impl ToJson for CertifyReport {
     fn to_json(&self) -> Json {
         let c = &self.counts;
-        let mut pairs = vec![
+        Json::obj([
             ("scope", Json::Str(self.scope.to_string())),
             ("processes", Json::U64(self.scope.processes as u64)),
             ("messages", Json::U64(self.scope.messages as u64)),
@@ -321,16 +308,9 @@ impl ToJson for CertifyReport {
             ("pruned_symmetry", Json::U64(c.pruned_symmetry)),
             ("unrealizable", Json::U64(c.unrealizable)),
             ("replayed", Json::U64(c.replayable)),
-        ];
-        // Sampling keys appear only when sampling was active, so
-        // exhaustive reports keep the bytes the goldens pin.
-        if let Some(frac) = self.sample {
-            pairs.push(("sample", Json::F64(frac)));
-            pairs.push(("sampled", Json::U64(self.sampled)));
-        }
-        pairs.push(("certified_ok", Json::Bool(self.certified_ok())));
-        pairs.push(("protocols", self.protocols.to_json()));
-        Json::obj(pairs)
+            ("certified_ok", Json::Bool(self.certified_ok())),
+            ("protocols", self.protocols.to_json()),
+        ])
     }
 }
 
@@ -409,14 +389,13 @@ impl CertSession {
 }
 
 /// Deterministic work tallies of one certification run. Every field is a
-/// pure function of (scope, options) — identical for every thread count —
-/// so stats can be pinned by goldens; wall time is measured by callers.
+/// pure function of the scope — identical for every thread count — so
+/// stats can be pinned by goldens; wall time is measured by callers. The
+/// schedules replayed are the report's `counts.replayable`.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct CertifyStats {
     /// Orbit enumeration tallies.
     pub orbit: OrbitStats,
-    /// Schedules replayed, counted once per schedule (post-sampling).
-    pub schedules: u64,
     /// Σ op-stream lengths over every (schedule × protocol) replay — the
     /// volume a no-sharing engine would append.
     pub ops_total: u64,
@@ -444,7 +423,6 @@ impl CertifyStats {
 
     fn absorb(&mut self, other: &CertifyStats) {
         self.orbit.absorb(&other.orbit);
-        self.schedules += other.schedules;
         self.ops_total += other.ops_total;
         self.ops_appended += other.ops_appended;
         self.engine_loads += other.engine_loads;
@@ -727,12 +705,7 @@ pub fn certify_with_stats(
     let threads = resolve_threads(options.threads);
     let protocols = &CertProtocol::default_set();
     let n = scope.processes;
-    let sample = options.sample.filter(|frac| *frac < 1.0);
-    let threshold = match sample {
-        Some(frac) => (frac.max(0.0) * u64::MAX as f64) as u64,
-        None => u64::MAX,
-    };
-    let ctx = OrbitContext::new(scope, sample.is_some());
+    let ctx = OrbitContext::new(scope);
     let units = enumerate_units(scope);
 
     let progress = options.progress;
@@ -766,11 +739,7 @@ pub fn certify_with_stats(
                 scratch,
                 &mut counts,
                 &mut stats.orbit,
-                &mut |schedule, meta| {
-                    if meta.key > threshold {
-                        return;
-                    }
-                    stats.schedules += 1;
+                &mut |schedule, _| {
                     for (protocol, session) in protocols.iter().zip(sessions.iter_mut()) {
                         protocol.replay_ops(schedule, &mut session.run);
                     }
@@ -819,7 +788,7 @@ pub fn certify_with_stats(
             }
             seen_structures += outcome.counts.structures;
             seen_pruned += outcome.counts.pruned_symmetry;
-            seen_schedules += outcome.stats.schedules;
+            seen_schedules += outcome.counts.replayable;
             let elapsed = watch.elapsed_secs();
             if elapsed - last_emit >= 1.0 || done == total_units {
                 last_emit = elapsed;
@@ -848,8 +817,6 @@ pub fn certify_with_stats(
     let report = CertifyReport {
         scope: *scope,
         counts,
-        sample,
-        sampled: stats.schedules,
         protocols: protocols
             .iter()
             .zip(merged)
@@ -1000,62 +967,45 @@ mod tests {
             threads: 1,
             ..CertifyOptions::default()
         };
-        let (_, one) = certify_with_stats(&scope, &options);
+        let (report, one) = certify_with_stats(&scope, &options);
         let (_, two) = certify_with_stats(&scope, &options);
         assert_eq!(one, two);
         assert!(one.dedup_hits > 0, "{one:?}");
         assert!(one.ops_appended < one.ops_total, "{one:?}");
         assert!(one.prefix_reuse_ratio() > 0.0);
         assert!(one.orbit.layouts_pruned + one.orbit.subtree_cuts > 0);
-        assert!(one.schedules > 0 && one.orbit.units > 0);
+        assert!(report.counts.replayable > 0 && one.orbit.units > 0);
     }
 
-    /// Sampling is deterministic, reported in the JSON only when active,
-    /// and replays a strict, repeatable subset.
+    /// A run is a certificate: the certifier's replay count is the serial
+    /// orbit enumerator's schedule count, and every protocol replayed
+    /// each of those schedules.
     #[test]
-    fn sampling_is_deterministic_and_reported() {
+    fn every_protocol_replays_every_enumerated_schedule() {
         let scope = Scope::with_basics(3, 2, 1).unwrap();
-        let sampled_opts = CertifyOptions {
-            threads: 1,
-            sample: Some(0.5),
-            ..CertifyOptions::default()
-        };
-        let (first, _) = certify_with_stats(&scope, &sampled_opts);
-        let (again, _) = certify_with_stats(
-            &scope,
-            &CertifyOptions {
-                threads: 2,
-                ..sampled_opts.clone()
-            },
-        );
-        assert_eq!(first.to_json().pretty(), again.to_json().pretty());
-        assert!(first.sampled > 0 && first.sampled < first.counts.replayable);
-        assert_eq!(first.counts.replayable, quick(scope, 1).counts.replayable);
-        let json = first.to_json().pretty();
-        assert!(json.contains("\"sample\""), "{json}");
-        let exhaustive = quick(scope, 1).to_json().pretty();
-        assert!(!exhaustive.contains("\"sample\""), "{exhaustive}");
-        for p in &first.protocols {
-            assert_eq!(p.patterns, first.sampled);
+        let mut emitted = 0u64;
+        let counts = crate::enumerate_schedules_orbit(&scope, |_| emitted += 1);
+        let report = quick(scope, 3);
+        assert_eq!(report.counts, counts);
+        assert_eq!(report.counts.replayable, emitted);
+        for p in &report.protocols {
+            assert_eq!(p.patterns, emitted, "{}", p.name);
         }
     }
 
-    /// `sample: Some(1.0)` (and above) means exhaustive — byte-identical
-    /// to no sampling at all.
+    /// Every (schedule × protocol) replay either loads an engine or
+    /// reuses an earlier protocol's verdict for the same schedule; none
+    /// is skipped.
     #[test]
-    fn full_fraction_sampling_is_exhaustive() {
-        let scope = Scope::with_basics(2, 2, 1).unwrap();
-        let full = quick(scope, 1).to_json().pretty();
-        let one = certify(
-            &scope,
-            &CertifyOptions {
-                threads: 1,
-                sample: Some(1.0),
-                ..CertifyOptions::default()
-            },
-        )
-        .to_json()
-        .pretty();
-        assert_eq!(full, one);
+    fn every_replay_is_loaded_or_shares_a_verdict() {
+        let scope = Scope::with_basics(3, 3, 0).unwrap();
+        let options = CertifyOptions {
+            threads: 2,
+            ..CertifyOptions::default()
+        };
+        let (report, stats) = certify_with_stats(&scope, &options);
+        let pairs = report.counts.replayable * report.protocols.len() as u64;
+        assert!(pairs > 0);
+        assert_eq!(stats.engine_loads + stats.dedup_hits, pairs, "{stats:?}");
     }
 }

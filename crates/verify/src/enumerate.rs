@@ -654,28 +654,6 @@ pub(crate) fn canonical_stab(
     Some(stab)
 }
 
-/// Streams the identity encoding of `scratch`'s skeleton word by word
-/// into an FNV-1a hash — the deterministic per-orbit key behind
-/// stratified sampling. The key is a pure function of the canonical
-/// representative, so it is identical for every thread count and
-/// work-unit split.
-pub(crate) fn skeleton_key(scratch: &MatchScratch) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut absorb = |word: u32| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for line in &scratch.skeleton.lines {
-        for &slot in line {
-            absorb(encode_slot(slot, &scratch.identity_perm));
-        }
-        absorb(u32::MAX);
-    }
-    hash
-}
-
 /// Produces the canonical linearization (greedy lowest-index-runnable
 /// process first) into `scratch.schedule`, or `false` if the matching
 /// admits no execution order (some delivery transitively awaits a send

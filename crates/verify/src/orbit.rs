@@ -43,8 +43,8 @@
 //! module docs of [`crate::enumerate`]).
 
 use crate::enumerate::{
-    build_skeleton, canonical_stab, linearize, permutations, skeleton_key, EnumerationCounts,
-    LSlot, Layout, MatchScratch, Schedule, SendSlot,
+    build_skeleton, canonical_stab, linearize, permutations, EnumerationCounts, LSlot, Layout,
+    MatchScratch, Schedule, SendSlot,
 };
 use crate::Scope;
 
@@ -145,10 +145,6 @@ pub struct ScheduleMeta {
     /// Size of the structure's isomorphism orbit (`n! / |Stab|`): how
     /// many full-space structures this canonical representative covers.
     pub orbit: u64,
-    /// Deterministic FNV-1a key of the canonical encoding (all zeros
-    /// unless key computation was requested) — the stratified-sampling
-    /// coordinate.
-    pub key: u64,
 }
 
 /// Enumeration-side work tallies of the orbit-pruned enumerator (everything
@@ -225,12 +221,10 @@ pub(crate) struct OrbitContext {
     /// every process `>= r` (i.e. the embedded `S_r`), for the boundary
     /// check after line `r - 1` completes.
     region_perms: Vec<Vec<usize>>,
-    /// Whether to compute per-orbit sampling keys.
-    with_keys: bool,
 }
 
 impl OrbitContext {
-    pub(crate) fn new(scope: &Scope, with_keys: bool) -> Self {
+    pub(crate) fn new(scope: &Scope) -> Self {
         let n = scope.processes;
         let perms = permutations(n);
         let inverses: Vec<Vec<usize>> = perms
@@ -260,7 +254,6 @@ impl OrbitContext {
             perms,
             inverses,
             region_perms,
-            with_keys,
         }
     }
 
@@ -268,7 +261,7 @@ impl OrbitContext {
     /// subtree pruning at every line boundary, expands matchings of each
     /// surviving layout, proves canonicality over the undecided residue,
     /// counts orbits, and hands every canonical realizable schedule (with
-    /// its orbit size and sampling key) to `emit` — in the baseline
+    /// its orbit size) to `emit` — in the baseline
     /// enumerator's order.
     pub(crate) fn run_unit(
         &self,
@@ -609,12 +602,7 @@ impl OrbitContext {
             counts.pruned_symmetry += orbit - 1;
             if linearize(matching) {
                 counts.replayable += 1;
-                let key = if self.with_keys {
-                    skeleton_key(matching)
-                } else {
-                    0
-                };
-                emit(&matching.schedule, ScheduleMeta { orbit, key });
+                emit(&matching.schedule, ScheduleMeta { orbit });
             } else {
                 counts.unrealizable += 1;
             }
@@ -702,7 +690,7 @@ pub fn enumerate_schedules_orbit_stats(
     scope: &Scope,
     mut emit: impl FnMut(&Schedule, ScheduleMeta),
 ) -> (EnumerationCounts, OrbitStats) {
-    let ctx = OrbitContext::new(scope, true);
+    let ctx = OrbitContext::new(scope);
     let mut scratch = OrbitScratch::new(scope);
     let mut counts = EnumerationCounts::default();
     let mut stats = OrbitStats::default();
@@ -794,20 +782,27 @@ mod tests {
         assert!(stats.units > 0);
     }
 
-    /// Sampling keys are deterministic and spread: re-enumeration yields
-    /// the same key per schedule, and keys differ across orbits.
+    /// Re-enumeration yields the same canonical schedules with the same
+    /// orbit sizes, in the same order, and no schedule is emitted twice:
+    /// each canonical representative stands for exactly one orbit.
     #[test]
-    fn sampling_keys_are_stable_and_distinct() {
+    fn canonical_schedules_are_stable_and_distinct() {
         let scope = Scope::with_basics(3, 2, 0).unwrap();
-        let mut first = Vec::new();
-        enumerate_schedules_orbit_stats(&scope, |_, meta| first.push(meta.key));
-        let mut second = Vec::new();
-        enumerate_schedules_orbit_stats(&scope, |_, meta| second.push(meta.key));
-        assert_eq!(first, second);
-        let mut sorted = first.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), first.len(), "orbit keys must be distinct");
+        let run = || {
+            let mut out = Vec::new();
+            enumerate_schedules_orbit_stats(&scope, |s, meta| out.push((s.render(), meta.orbit)));
+            out
+        };
+        let first = run();
+        assert_eq!(first, run());
+        let mut renders: Vec<&str> = first.iter().map(|(r, _)| r.as_str()).collect();
+        renders.sort_unstable();
+        renders.dedup();
+        assert_eq!(
+            renders.len(),
+            first.len(),
+            "canonical schedules must be distinct"
+        );
     }
 
     /// Work units are self-describing and ordered: ascending send

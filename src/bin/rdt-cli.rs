@@ -43,7 +43,7 @@ const COMMANDS: [(&str, Command, bool, &[Flag]); 8] = [
     ("domino", cmd_domino, false, &[("rounds", Value("R"))]),
     ("replay", cmd_replay, false, &[("trace", Value("PATH")), ("dot", Value("PATH"))]),
     ("certify", cmd_certify, false, &[("scope", Value("N,M[,B]")), ("threads", Value("N")),
-        ("sample", Value("FRAC")), ("progress", Switch), ("json", Value("PATH"))]),
+        ("progress", Switch), ("json", Value("PATH"))]),
     ("connect", cmd_connect, false, &[("addr", Value("ADDR")), ("unix", Value("PATH"))]),
 ];
 
@@ -419,15 +419,8 @@ fn cmd_domino(args: &Args) -> Result<ExitCode, String> {
 
 fn cmd_certify(args: &Args) -> Result<ExitCode, String> {
     let scope: rdt::Scope = args.get("scope")?.unwrap_or("3,4".parse()?);
-    // A value that fell through to `None` would be an exhaustive run: hours
-    // at a scope where the sample was meant to take minutes.
-    let sample = args.get::<f64>("sample")?;
-    if sample.is_some_and(|fraction| fraction.is_nan() || fraction < 0.0) {
-        return Err("--sample takes a fraction >= 0 (e.g. 0.02)".to_string());
-    }
     let options = rdt::CertifyOptions {
         threads: args.get("threads")?.unwrap_or(0usize),
-        sample,
         // Progress/ETA lines go to stderr; suppressed in --json mode so
         // scripted runs stay quiet.
         progress: args.switch("progress") && !args.switch("json"),

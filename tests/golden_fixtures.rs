@@ -109,14 +109,11 @@ fn fixtures() -> Vec<(&'static str, Json)> {
             scrub(&rdt_bench::sim_throughput(200, 2).to_json()),
         ),
         ("BENCH_certify", {
-            // Tiny scope plus one sampled push run: the counts, orbit
-            // accounting, reuse ratio, and the sampled-run shape are all
-            // deterministic; only the clocks are scrubbed.
-            let sampled = rdt::Scope::with_basics(2, 2, 0).expect("in range");
-            scrub(
-                &rdt_bench::certify_scale(&rdt::Scope::tiny(), 1, &[(sampled, Some(0.5))])
-                    .to_json(),
-            )
+            // Tiny scope plus one push run: the counts, orbit accounting,
+            // reuse ratio and the push-run shape are all deterministic;
+            // only the clocks are scrubbed.
+            let push = rdt::Scope::with_basics(2, 2, 0).expect("in range");
+            scrub(&rdt_bench::certify_scale(&rdt::Scope::tiny(), 1, &[push]).to_json())
         }),
         ("certify_report", certify_report(rdt::Scope::tiny(), 2)),
         // Captured from the retired layout-fan-out pipeline (PR 15), not
